@@ -69,11 +69,19 @@ func BenchmarkFig6Applications(b *testing.B) { runExperiment(b, "fig6") }
 // and per-file lock hierarchy buy. Reported metrics are aggregate
 // wall-clock Kops/s (meaningful when GOMAXPROCS >= the thread count) and
 // simulated ns/op. Compare threads=4 against threads=1 for the scaling
-// factor.
-func benchConcurrent(b *testing.B, run func() (harness.ConcurrentResult, error)) {
+// factor. Building the instance (device, mkfs, mount, pre-fill) happens
+// with the timer stopped: ns/op, B/op and allocs/op are the workers' own.
+func benchConcurrent(b *testing.B, prepare func() (*harness.ConcurrentWorkload, error)) {
 	b.Helper()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := run()
+		b.StopTimer()
+		w, err := prepare()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		r, err := w.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,8 +93,8 @@ func benchConcurrent(b *testing.B, run func() (harness.ConcurrentResult, error))
 func BenchmarkParallelAppends(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchConcurrent(b, func() (harness.ConcurrentResult, error) {
-				return harness.RunConcurrentAppends("splitfs-posix", threads, 2048/threads, 4096)
+			benchConcurrent(b, func() (*harness.ConcurrentWorkload, error) {
+				return harness.ConcurrentAppends("splitfs-posix", threads, 2048/threads, 4096)
 			})
 		})
 	}
@@ -95,8 +103,8 @@ func BenchmarkParallelAppends(b *testing.B) {
 func BenchmarkParallelReads(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchConcurrent(b, func() (harness.ConcurrentResult, error) {
-				return harness.RunConcurrentReads("splitfs-posix", threads, 4096/threads, 4096)
+			benchConcurrent(b, func() (*harness.ConcurrentWorkload, error) {
+				return harness.ConcurrentReads("splitfs-posix", threads, 4096/threads, 4096)
 			})
 		})
 	}
@@ -105,8 +113,8 @@ func BenchmarkParallelReads(b *testing.B) {
 func BenchmarkParallelWALCommits(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchConcurrent(b, func() (harness.ConcurrentResult, error) {
-				return harness.RunConcurrentWAL("splitfs-posix", threads, 256/threads)
+			benchConcurrent(b, func() (*harness.ConcurrentWorkload, error) {
+				return harness.ConcurrentWAL("splitfs-posix", threads, 256/threads)
 			})
 		})
 	}

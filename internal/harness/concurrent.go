@@ -60,18 +60,28 @@ type ConcurrentResult struct {
 // WallKops is aggregate wall-clock throughput in Kops/s.
 func (r ConcurrentResult) WallKops() float64 { return kops(r.Ops, r.WallNs) }
 
-// concurrentRun spawns threads workers over fn (worker index, ops per
-// worker) and measures the aggregate.
-func concurrentRun(e *env, threads, opsPerThread int, fn func(worker int) error) (ConcurrentResult, error) {
-	before := e.clk.Snapshot()
+// ConcurrentWorkload is a concurrent-mode run with its set-up done: a
+// fresh file-system instance, pre-filled where the workload needs it.
+// Keeping construction apart from Run lets a testing.B stop its timer
+// around the former.
+type ConcurrentWorkload struct {
+	e                     *env
+	threads, opsPerThread int
+	fn                    func(worker int) error
+}
+
+// Run spawns the workers over fn (worker index) and measures the
+// aggregate.
+func (w *ConcurrentWorkload) Run() (ConcurrentResult, error) {
+	before := w.e.clk.Snapshot()
 	start := time.Now()
 	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	for g := 0; g < threads; g++ {
+	errs := make(chan error, w.threads)
+	for g := 0; g < w.threads; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs <- fn(g)
+			errs <- w.fn(g)
 		}(g)
 	}
 	wg.Wait()
@@ -82,22 +92,29 @@ func concurrentRun(e *env, threads, opsPerThread int, fn func(worker int) error)
 		}
 	}
 	return ConcurrentResult{
-		Threads: threads,
-		Ops:     int64(threads) * int64(opsPerThread),
+		Threads: w.threads,
+		Ops:     int64(w.threads) * int64(w.opsPerThread),
 		WallNs:  time.Since(start).Nanoseconds(),
-		SimNs:   e.clk.Snapshot().Sub(before).Total,
+		SimNs:   w.e.clk.Snapshot().Sub(before).Total,
 	}, nil
 }
 
-// RunConcurrentAppends measures threads workers appending blockBytes
-// blocks to distinct files (fsync every 16 appends) on a fresh instance
-// of kind.
-func RunConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (ConcurrentResult, error) {
-	e, err := newEnv(kind, appDev)
+// runPrepared runs a workload straight after preparing it.
+func runPrepared(w *ConcurrentWorkload, err error) (ConcurrentResult, error) {
 	if err != nil {
 		return ConcurrentResult{}, err
 	}
-	return concurrentRun(e, threads, opsPerThread, func(g int) error {
+	return w.Run()
+}
+
+// ConcurrentAppends prepares threads workers appending blockBytes blocks
+// to distinct files (fsync every 16 appends) on a fresh instance of kind.
+func ConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (*ConcurrentWorkload, error) {
+	e, err := newEnv(kind, appDev)
+	if err != nil {
+		return nil, err
+	}
+	return &ConcurrentWorkload{e, threads, opsPerThread, func(g int) error {
 		f, err := vfs.Create(e.fs, fmt.Sprintf("/app%02d", g))
 		if err != nil {
 			return err
@@ -115,15 +132,15 @@ func RunConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (C
 			}
 		}
 		return f.Sync()
-	})
+	}}, nil
 }
 
-// RunConcurrentReads measures threads workers reading blockBytes blocks
-// from distinct pre-written files.
-func RunConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (ConcurrentResult, error) {
+// ConcurrentReads prepares threads workers reading blockBytes blocks from
+// distinct pre-written files.
+func ConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (*ConcurrentWorkload, error) {
 	e, err := newEnv(kind, appDev)
 	if err != nil {
-		return ConcurrentResult{}, err
+		return nil, err
 	}
 	// Per-worker file size shrinks at extreme thread counts so the
 	// pre-fill never outgrows the device (cap: half of appDev total).
@@ -131,22 +148,22 @@ func RunConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (Con
 	for g := 0; g < threads; g++ {
 		f, err := vfs.Create(e.fs, fmt.Sprintf("/rd%02d", g))
 		if err != nil {
-			return ConcurrentResult{}, err
+			return nil, err
 		}
 		blk := make([]byte, blockBytes)
 		for i := 0; i < fileBlocks; i++ {
 			if _, err := f.Write(blk); err != nil {
-				return ConcurrentResult{}, err
+				return nil, err
 			}
 		}
 		if err := f.Sync(); err != nil {
-			return ConcurrentResult{}, err
+			return nil, err
 		}
 		if err := f.Close(); err != nil {
-			return ConcurrentResult{}, err
+			return nil, err
 		}
 	}
-	return concurrentRun(e, threads, opsPerThread, func(g int) error {
+	return &ConcurrentWorkload{e, threads, opsPerThread, func(g int) error {
 		f, err := vfs.Open(e.fs, fmt.Sprintf("/rd%02d", g))
 		if err != nil {
 			return err
@@ -160,18 +177,18 @@ func RunConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (Con
 			}
 		}
 		return nil
-	})
+	}}, nil
 }
 
-// RunConcurrentWAL measures threads workers each committing transactions
-// to their own waldb database (the §5.2 SQLite-WAL app pattern) on one
+// ConcurrentWAL prepares threads workers each committing transactions to
+// their own waldb database (the §5.2 SQLite-WAL app pattern) on one
 // shared instance of kind.
-func RunConcurrentWAL(kind string, threads, txPerThread int) (ConcurrentResult, error) {
+func ConcurrentWAL(kind string, threads, txPerThread int) (*ConcurrentWorkload, error) {
 	e, err := newEnv(kind, appDev)
 	if err != nil {
-		return ConcurrentResult{}, err
+		return nil, err
 	}
-	return concurrentRun(e, threads, txPerThread, func(g int) error {
+	return &ConcurrentWorkload{e, threads, txPerThread, func(g int) error {
 		db, err := waldb.Open(e.fs, waldb.Options{Path: fmt.Sprintf("/wal%02d.db", g)})
 		if err != nil {
 			return err
@@ -192,7 +209,7 @@ func RunConcurrentWAL(kind string, threads, txPerThread int) (ConcurrentResult, 
 			}
 		}
 		return nil
-	})
+	}}, nil
 }
 
 // scalingExp sweeps worker threads over the append, read, and WAL-commit
@@ -214,15 +231,15 @@ func scalingExp() (*Table, error) {
 		for ti, threads := range threadCounts {
 			// At least one op per worker, so an extreme -threads value
 			// degrades to more total ops instead of a meaningless 0-op run.
-			a, err := RunConcurrentAppends(kind, threads, max(1, ops/threads), sim.BlockSize)
+			a, err := runPrepared(ConcurrentAppends(kind, threads, max(1, ops/threads), sim.BlockSize))
 			if err != nil {
 				return nil, fmt.Errorf("%s appends x%d: %w", kind, threads, err)
 			}
-			r, err := RunConcurrentReads(kind, threads, max(1, ops/threads), sim.BlockSize)
+			r, err := runPrepared(ConcurrentReads(kind, threads, max(1, ops/threads), sim.BlockSize))
 			if err != nil {
 				return nil, fmt.Errorf("%s reads x%d: %w", kind, threads, err)
 			}
-			w, err := RunConcurrentWAL(kind, threads, max(1, 256/threads))
+			w, err := runPrepared(ConcurrentWAL(kind, threads, max(1, 256/threads)))
 			if err != nil {
 				return nil, fmt.Errorf("%s wal x%d: %w", kind, threads, err)
 			}

@@ -20,18 +20,20 @@ package pmem
 // workload once with no crash and observes Events() and an optional
 // Trace(). A replay run arms ArmCrash(k, rng) before the workload: when
 // event k completes, the device freezes its durable image — torn
-// unfenced words are materialized immediately, deterministically — and
+// unfenced words are materialized immediately, deterministically, in the
+// undo slots, which from then on are kept instead of released — and
 // execution continues unharmed on the volatile view, so the replay stays
 // bit-identical to the recording. A later Crash() call then rewinds the
 // volatile view to the frozen image.
 //
 // Determinism requirements: the workload must be single-threaded (event
-// numbering is interleaving-dependent), and torn-word injection iterates
-// unpersisted lines in sorted order so one seed always yields one image.
+// numbering is interleaving-dependent), and torn-word injection visits
+// unpersisted lines in ascending order (shard by shard, each shard's dense
+// state array in index order) so one seed always yields one image.
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -217,7 +219,7 @@ func (d *Device) Trace() []Event {
 // bit-identical to recording runs; a subsequent Crash() rewinds to the
 // frozen image. Panics without TrackPersistence.
 func (d *Device) ArmCrash(k int64, rng *sim.RNG) {
-	if d.persisted == nil {
+	if !d.cfg.TrackPersistence {
 		panic("pmem: ArmCrash without TrackPersistence")
 	}
 	d.ev.mu.Lock()
@@ -282,9 +284,11 @@ func (d *Device) event(kind EventKind, cat sim.Category, off, n int64) {
 }
 
 // freeze materializes the crash image at the current instant: torn
-// unfenced words are written into the durable shadow now, and the frozen
-// flag stops all later persistence. The volatile view is untouched, so
-// the workload keeps executing exactly as in a recording run.
+// unfenced words are written into the undo slots now, and the frozen flag
+// makes every later fence keep its slots instead of releasing them, so
+// "volatile view with the slots applied" stays this image however far the
+// workload runs on. The volatile view is untouched, so the workload keeps
+// executing exactly as in a recording run.
 func (d *Device) freeze(rng *sim.RNG) {
 	d.lockAll()
 	defer d.unlockAll()
@@ -292,35 +296,42 @@ func (d *Device) freeze(rng *sim.RNG) {
 		return
 	}
 	for i := range d.shards {
-		tearLines(d, &d.shards[i], rng)
+		d.shards[i].tear(rng)
 	}
 	d.frozen.Store(true)
 }
 
-// tearLines applies the torn-word crash model to one shard's unpersisted
-// lines, writing surviving words into the durable shadow. Buffered
+// tear applies the torn-word crash model to the shard's unpersisted
+// lines: a word that reached the media is copied from the volatile view
+// into the line's undo slot, i.e. into the durable image. Buffered
 // (journaled-metadata) lines always revert: real jbd2 keeps uncommitted
-// metadata in the DRAM page cache, so it can never reach the media.
-// Lines are visited in sorted order so a given rng seed always produces
-// the same image. Caller holds the shard's lock.
-func tearLines(d *Device, s *shard, rng *sim.RNG) {
-	if rng == nil {
+// metadata in the DRAM page cache, so it can never reach the media. The
+// state array is walked in index order, so lines are visited ascending
+// and a given rng seed always produces the same image. Caller holds the
+// shard's lock.
+func (s *shard) tear(rng *sim.RNG) {
+	if rng == nil || s.tracked == 0 {
 		return
 	}
-	lns := make([]int64, 0, len(s.lines))
-	for ln, st := range s.lines {
-		if st == lineBuffered {
+	left := s.tracked
+	for ln, st := range s.state {
+		if st == 0 {
 			continue
 		}
-		lns = append(lns, ln)
-	}
-	sort.Slice(lns, func(i, j int) bool { return lns[i] < lns[j] })
-	for _, ln := range lns {
-		off := ln * sim.CacheLine
-		for w := int64(0); w < sim.CacheLine; w += 8 {
-			if rng.Uint64()&1 == 0 {
-				copy(d.persisted[off+w:off+w+8], d.data[off+w:off+w+8])
+		if st != lineBuffered {
+			live := s.data[ln*sim.CacheLine : (ln+1)*sim.CacheLine]
+			durable := s.undo[int(s.slot[ln]-1)*sim.CacheLine:]
+			for w := 0; w < sim.CacheLine; w += 8 {
+				// Branch-free select: the coin is random, so a branch on it
+				// mispredicts every other word.
+				lost := -(rng.Uint64() & 1) // all ones: the word did not reach the media
+				d := binary.LittleEndian.Uint64(durable[w:])
+				v := binary.LittleEndian.Uint64(live[w:])
+				binary.LittleEndian.PutUint64(durable[w:], d&lost|v&^lost)
 			}
+		}
+		if left--; left == 0 {
+			break
 		}
 	}
 }

@@ -1,0 +1,174 @@
+package pmem
+
+// modelDevice is the device this package shipped before the dense-state /
+// lazy-shard / undo-slot rewrite, kept as a naive reference: one
+// map[int64]lineState for the whole address space, an eagerly allocated
+// volatile view and a full durable shadow copy that Crash copies back.
+// It has no shards, locks or atomics and does O(device) work freely; its
+// only job is to be obviously right, so FuzzDeviceModel can require the
+// real Device to be indistinguishable from it.
+
+import (
+	"sort"
+
+	"splitfs/internal/sim"
+)
+
+type modelDevice struct {
+	clock     *sim.Clock
+	data      []byte // volatile view
+	persisted []byte // durable view
+	lines     map[int64]lineState
+
+	stats  Stats
+	events int64
+	trace  []Event
+
+	armedAt     int64
+	rng         *sim.RNG
+	frozen      bool
+	fenceFilter func(seq int64) bool
+	fenceSeq    int64
+	lastReadEnd int64
+}
+
+func newModel(size int64, clock *sim.Clock) *modelDevice {
+	size = (size + sim.CacheLine - 1) / sim.CacheLine * sim.CacheLine
+	return &modelDevice{
+		clock:     clock,
+		data:      make([]byte, size),
+		persisted: make([]byte, size),
+		lines:     make(map[int64]lineState),
+	}
+}
+
+func (m *modelDevice) ReadAt(p []byte, off int64, cat sim.Category) {
+	lat := int64(sim.PMRandReadLatencyNs)
+	if m.lastReadEnd == off {
+		lat = sim.PMSeqReadLatencyNs
+	}
+	m.lastReadEnd = off + int64(len(p))
+	m.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMReadPsPerByte))
+	m.stats.BytesRead += int64(len(p))
+	copy(p, m.data[off:])
+}
+
+func (m *modelDevice) StoreNT(off int64, p []byte, cat sim.Category) {
+	m.clock.Charge(cat, int64(sim.PMWriteLatencyNs)+sim.ChargeBytes(len(p), sim.PMWritePsPerByte))
+	m.write(off, p, linePending)
+	m.stats.BytesWrittenNT += int64(len(p))
+	m.event(EvStoreNT, cat, off, int64(len(p)))
+}
+
+func (m *modelDevice) Store(off int64, p []byte, cat sim.Category) {
+	m.clock.Charge(cat, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	m.write(off, p, lineDirty)
+	m.stats.BytesWrittenCached += int64(len(p))
+	m.event(EvStore, cat, off, int64(len(p)))
+}
+
+func (m *modelDevice) StoreBuffered(off int64, p []byte, cat sim.Category) {
+	m.clock.Charge(cat, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	m.write(off, p, lineBuffered)
+	m.stats.BytesWrittenCached += int64(len(p))
+}
+
+func (m *modelDevice) write(off int64, p []byte, st lineState) {
+	if len(p) == 0 {
+		return
+	}
+	copy(m.data[off:], p)
+	for ln := off / sim.CacheLine; ln <= (off+int64(len(p))-1)/sim.CacheLine; ln++ {
+		if st != lineDirty || m.lines[ln] == 0 {
+			m.lines[ln] = st
+		}
+	}
+}
+
+func (m *modelDevice) Flush(off int64, n int, cat sim.Category) {
+	if n <= 0 {
+		return
+	}
+	dirty := int64(0)
+	for ln := off / sim.CacheLine; ln <= (off+int64(n)-1)/sim.CacheLine; ln++ {
+		if st := m.lines[ln]; st == lineDirty || st == lineBuffered {
+			m.lines[ln] = linePending
+			dirty++
+		}
+	}
+	m.stats.Flushes += dirty
+	m.clock.Charge(cat, dirty*sim.FlushLineNs)
+	m.event(EvFlush, cat, off, int64(n))
+}
+
+func (m *modelDevice) Fence() {
+	m.clock.Charge(sim.CatFence, sim.FenceNs)
+	m.stats.Fences++
+	drop := false
+	if m.fenceFilter != nil {
+		m.fenceSeq++
+		drop = m.fenceFilter(m.fenceSeq)
+	}
+	if !drop {
+		for ln, st := range m.lines {
+			if st != linePending {
+				continue
+			}
+			if !m.frozen {
+				o := ln * sim.CacheLine
+				copy(m.persisted[o:o+sim.CacheLine], m.data[o:o+sim.CacheLine])
+			}
+			delete(m.lines, ln)
+			m.stats.LinesPersisted++
+		}
+	}
+	m.event(EvFence, sim.CatFence, 0, 0)
+}
+
+func (m *modelDevice) SetFenceFilter(f func(seq int64) bool) {
+	m.fenceFilter, m.fenceSeq = f, 0
+}
+
+func (m *modelDevice) ArmCrash(k int64, rng *sim.RNG) { m.armedAt, m.rng = k, rng }
+
+func (m *modelDevice) event(kind EventKind, cat sim.Category, off, n int64) {
+	m.events++
+	m.trace = append(m.trace, Event{Seq: m.events, Kind: kind, Cat: cat, Off: off, Len: n})
+	if m.armedAt != 0 && m.events == m.armedAt && !m.frozen {
+		m.tear(m.rng)
+		m.frozen = true
+	}
+}
+
+// tear writes the surviving words of every unpersisted, non-buffered line
+// into the durable shadow, lines in sorted order.
+func (m *modelDevice) tear(rng *sim.RNG) {
+	if rng == nil {
+		return
+	}
+	lns := make([]int64, 0, len(m.lines))
+	for ln, st := range m.lines {
+		if st != lineBuffered {
+			lns = append(lns, ln)
+		}
+	}
+	sort.Slice(lns, func(i, j int) bool { return lns[i] < lns[j] })
+	for _, ln := range lns {
+		o := ln * sim.CacheLine
+		for w := int64(0); w < sim.CacheLine; w += 8 {
+			if rng.Uint64()&1 == 0 {
+				copy(m.persisted[o+w:o+w+8], m.data[o+w:o+w+8])
+			}
+		}
+	}
+}
+
+func (m *modelDevice) Crash(rng *sim.RNG) {
+	if !m.frozen {
+		m.tear(rng)
+	}
+	m.lines = make(map[int64]lineState)
+	m.frozen, m.armedAt, m.rng = false, 0, nil
+	copy(m.data, m.persisted)
+	m.lastReadEnd = -1
+}

@@ -17,14 +17,16 @@
 //
 // All methods are safe for concurrent use. The device is sharded: the
 // address space is split into contiguous cache-line-aligned ranges, each
-// with its own lock and line-state map, so goroutines operating on
-// disjoint regions (different files, different staging chunks) never
-// contend (see DESIGN.md, "Shard granularity"). Cumulative counters are
-// atomics; per-block wear counters are atomics too. Operations spanning
-// several shards take the shard locks one at a time in ascending order,
-// so cross-shard tearing of a concurrent overlapping read/write pair is
-// possible — which mirrors real hardware, where only cache-line-sized
-// accesses are ever atomic.
+// with its own lock, its own lazily allocated slice of the volatile view,
+// a dense per-line state array and an undo log of durable lines, so
+// goroutines operating on disjoint regions (different files, different
+// staging chunks) never contend and nothing the device does is
+// proportional to its size (see DESIGN.md, "Shard granularity").
+// Cumulative counters are atomics; per-block wear counters are atomics
+// too. Operations spanning several shards take the shard locks one at a
+// time in ascending order, so cross-shard tearing of a concurrent
+// overlapping read/write pair is possible — which mirrors real hardware,
+// where only cache-line-sized accesses are ever atomic.
 package pmem
 
 import (
@@ -63,9 +65,11 @@ type Config struct {
 	Size int64
 	// Clock receives all simulated-time charges. Required.
 	Clock *sim.Clock
-	// TrackPersistence maintains a durable shadow copy so Crash() can
-	// rewind to the persisted state. Costs 2x memory; benchmarks that do
-	// not crash can leave it off.
+	// TrackPersistence keeps an undo log of durable lines so Crash() can
+	// rewind to the persisted state: the last durable 64 bytes of every
+	// line that is modified but not yet fenced, plus a 4-byte slot index
+	// per cache line of each written shard (1/16 of what was written).
+	// Benchmarks that do not crash can leave it off.
 	TrackPersistence bool
 	// TrackWear maintains per-4KB-block write counters.
 	TrackWear bool
@@ -93,22 +97,45 @@ type Stats struct {
 func (s Stats) BytesWritten() int64 { return s.BytesWrittenNT + s.BytesWrittenCached }
 
 // shard owns one contiguous cache-line-aligned byte range of the device:
-// its slice of data/persisted and the persistence state of its lines.
+// its slice of the volatile view, the persistence state of its lines and
+// the undo log that, applied to the volatile view, yields the durable
+// image. Lines are addressed by their index within the shard.
 type shard struct {
 	// Innermost data lock of the hierarchy; the event sink nests inside
 	// it (crash sweeps hold shard locks while recording).
 	//
 	// +lockrank:order shard < pmevent
-	mu    sync.Mutex // +lockrank:shard
-	lines map[int64]lineState
-	// active is a lock-free hint that lines may be non-empty, so the
+	mu   sync.Mutex // +lockrank:shard
+	base int64      // device offset of the shard's first byte
+	size int64      // bytes owned (the last shard may be short)
+
+	// Backing, allocated together by the shard's first store; until then
+	// the shard reads as zeros and costs nothing.
+	data  []byte      // volatile view (what loads observe)
+	state []lineState // one byte per line; 0 = clean (volatile == durable)
+	slot  []int32     // per line, 1 + its index in undo; 0 = none (nil unless TrackPersistence)
+
+	// tracked counts the lines whose state is non-zero.
+	tracked int
+	// pending lists lines in the order they entered linePending since the
+	// last fence. A line a buffered store claimed back stays listed (and
+	// is listed again when it is flushed), so the fence re-checks state;
+	// the list grows per transition into linePending, never per write.
+	pending []int32
+
+	// Undo log: slot i holds the durable content of line undoLine[i],
+	// saved by the first store that made the line differ from the media.
+	// The slab is dense: releasing a slot moves the last one into it.
+	undo     []byte
+	undoLine []int32
+
+	// active is a lock-free hint that tracked may be non-zero, so the
 	// device-global sweeps (Fence, UnpersistedLines) skip clean shards
 	// without taking their locks. Set under mu whenever a line is marked;
-	// cleared under mu when the map empties. A store racing a fence was
-	// not ordered before it, so skipping it is exactly sfence semantics.
+	// cleared under mu when no tracked line is left. A store racing a
+	// fence was not ordered before it, so skipping it is exactly sfence
+	// semantics.
 	active atomic.Bool
-	// Pad shards apart so neighbouring locks never share a cache line.
-	_ [40]byte
 }
 
 // Device is a simulated PM module.
@@ -116,8 +143,7 @@ type Device struct {
 	cfg   Config
 	clock *sim.Clock
 
-	data      []byte // volatile view (what loads observe)
-	persisted []byte // durable view (nil unless TrackPersistence)
+	size      int64 // capacity in bytes, a cache-line multiple
 	shards    []shard
 	shardSpan int64           // bytes per shard, a cache-line multiple
 	wear      []atomic.Uint32 // writes per 4 KB block (nil unless TrackWear)
@@ -126,7 +152,7 @@ type Device struct {
 
 	// Persistence-event machinery (event.go). events is the monotone
 	// event counter; frozen means an armed crash point has been reached
-	// and the durable shadow must no longer change. evSrc labels events
+	// and the durable image must no longer change. evSrc labels events
 	// with the execution context that issued them (SetEventSource).
 	events atomic.Int64
 	evKind [evKinds]atomic.Int64
@@ -174,15 +200,14 @@ func New(cfg Config) *Device {
 	d := &Device{
 		cfg:       cfg,
 		clock:     cfg.Clock,
-		data:      make([]byte, size),
+		size:      size,
 		shards:    make([]shard, (size+span-1)/span),
 		shardSpan: span,
 	}
 	for i := range d.shards {
-		d.shards[i].lines = make(map[int64]lineState)
-	}
-	if cfg.TrackPersistence {
-		d.persisted = make([]byte, size)
+		s := &d.shards[i]
+		s.base = int64(i) * span
+		s.size = min(span, size-s.base)
 	}
 	if cfg.TrackWear {
 		d.wear = make([]atomic.Uint32, (size+sim.BlockSize-1)/sim.BlockSize)
@@ -191,7 +216,7 @@ func New(cfg Config) *Device {
 }
 
 // Size returns the device capacity in bytes.
-func (d *Device) Size() int64 { return int64(len(d.data)) }
+func (d *Device) Size() int64 { return d.size }
 
 // Clock returns the clock this device charges.
 func (d *Device) Clock() *sim.Clock { return d.clock }
@@ -200,9 +225,9 @@ func (d *Device) Clock() *sim.Clock { return d.clock }
 func (d *Device) Shards() int { return len(d.shards) }
 
 func (d *Device) checkRange(off int64, n int) {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(d.data)) {
+	if off < 0 || n < 0 || off+int64(n) > d.size {
 		panic(fmt.Sprintf("pmem: access [%d,%d) outside device of %d bytes",
-			off, off+int64(n), len(d.data)))
+			off, off+int64(n), d.size))
 	}
 }
 
@@ -254,9 +279,7 @@ func (d *Device) ReadAt(p []byte, off int64, cat sim.Category) {
 	d.lastReadEnd.Store(off + int64(len(p)))
 	d.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMReadPsPerByte))
 	d.nBytesRead.Add(int64(len(p)))
-	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
-		copy(p[lo-off:hi-off], d.data[lo:hi])
-	})
+	d.load(p, off)
 }
 
 // ReadIntoUser copies device contents into a user buffer, charging the
@@ -271,8 +294,18 @@ func (d *Device) ReadIntoUser(p []byte, off int64, cat sim.Category) {
 	d.lastReadEnd.Store(off + int64(len(p)))
 	d.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMUserCopyPsPerByte))
 	d.nBytesRead.Add(int64(len(p)))
-	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
-		copy(p[lo-off:hi-off], d.data[lo:hi])
+	d.load(p, off)
+}
+
+// load copies the volatile view of [off, off+len(p)) into p. A shard no
+// store ever reached has no backing and reads as zeros.
+func (d *Device) load(p []byte, off int64) {
+	d.forShards(off, int64(len(p)), func(s *shard, lo, hi int64) {
+		if s.data == nil {
+			clear(p[lo-off : hi-off])
+			return
+		}
+		copy(p[lo-off:hi-off], s.data[lo-s.base:hi-s.base])
 	})
 }
 
@@ -283,9 +316,7 @@ func (d *Device) ReadIntoUser(p []byte, off int64, cat sim.Category) {
 func (d *Device) Peek(p []byte, off int64) {
 	d.checkRange(off, len(p))
 	d.clock.Charge(sim.CatCPU, sim.ChargeBytes(len(p), sim.StorePsPerByte))
-	d.forShards(off, int64(len(p)), func(_ *shard, lo, hi int64) {
-		copy(p[lo-off:hi-off], d.data[lo:hi])
-	})
+	d.load(p, off)
 }
 
 // StoreNT writes p with non-temporal stores: the data bypasses the cache
@@ -329,20 +360,38 @@ func (d *Device) StoreBuffered(off int64, p []byte, cat sim.Category) {
 }
 
 func (d *Device) write(off int64, p []byte, st lineState) {
+	if len(p) == 0 {
+		return
+	}
 	d.forShards(off, int64(len(p)), func(s *shard, lo, hi int64) {
-		copy(d.data[lo:hi], p[lo-off:hi-off])
-		first := lo / sim.CacheLine
-		last := (hi - 1) / sim.CacheLine
-		for ln := first; ln <= last; ln++ {
+		if s.data == nil {
+			s.back(d.cfg.TrackPersistence)
+		}
+		rlo, rhi := lo-s.base, hi-s.base // the range within the shard
+		for ln := rlo / sim.CacheLine; ln <= (rhi-1)/sim.CacheLine; ln++ {
+			cur := s.state[ln]
+			if cur == 0 {
+				s.tracked++
+				// The line is about to differ from the media: keep its
+				// durable content. After a freeze a clean line may still
+				// hold the slot that carries its frozen content.
+				if s.slot != nil && s.slot[ln] == 0 {
+					s.saveUndo(ln)
+				}
+			}
 			// An NT store to a dirty line still leaves the line pending: the
 			// NT data is in the WPQ regardless of prior cached stores. A
 			// buffered store claims the line outright — write-ahead metadata
 			// must never leak to media via an older state — while a plain
 			// dirty store only claims untracked lines.
-			if st != lineDirty || s.lines[ln] == 0 {
-				s.lines[ln] = st
+			if st != lineDirty || cur == 0 {
+				if st == linePending && cur != linePending {
+					s.pending = append(s.pending, int32(ln))
+				}
+				s.state[ln] = st
 			}
 		}
+		copy(s.data[rlo:rhi], p[lo-off:hi-off])
 		s.active.Store(true)
 	})
 	if d.wear != nil {
@@ -350,6 +399,40 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 			d.wear[b].Add(1)
 		}
 	}
+}
+
+// back allocates the shard's backing. Caller holds the shard's lock.
+func (s *shard) back(undo bool) {
+	s.data = make([]byte, s.size)
+	s.state = make([]lineState, s.size/sim.CacheLine)
+	if undo {
+		s.slot = make([]int32, s.size/sim.CacheLine)
+	}
+}
+
+// saveUndo copies line ln's current (still durable) content into a fresh
+// undo slot. Caller holds the shard's lock.
+func (s *shard) saveUndo(ln int64) {
+	o := ln * sim.CacheLine
+	s.undo = append(s.undo, s.data[o:o+sim.CacheLine]...)
+	s.undoLine = append(s.undoLine, int32(ln))
+	s.slot[ln] = int32(len(s.undoLine))
+}
+
+// releaseUndo drops line ln's undo slot — the volatile content is the
+// durable content now — keeping the slab dense by moving the last slot
+// into the hole. Caller holds the shard's lock.
+func (s *shard) releaseUndo(ln int32) {
+	i, last := s.slot[ln]-1, int32(len(s.undoLine)-1)
+	if i != last {
+		moved := s.undoLine[last]
+		copy(s.undo[int(i)*sim.CacheLine:], s.undo[int(last)*sim.CacheLine:])
+		s.undoLine[i] = moved
+		s.slot[moved] = i + 1
+	}
+	s.undo = s.undo[:int(last)*sim.CacheLine]
+	s.undoLine = s.undoLine[:last]
+	s.slot[ln] = 0
 }
 
 // Flush issues clwb for every cache line covering [off, off+n): dirty
@@ -364,11 +447,14 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 	d.checkRange(off, n)
 	dirty := int64(0)
 	d.forShards(off, int64(n), func(s *shard, lo, hi int64) {
-		first := lo / sim.CacheLine
-		last := (hi - 1) / sim.CacheLine
-		for ln := first; ln <= last; ln++ {
-			if st := s.lines[ln]; st == lineDirty || st == lineBuffered {
-				s.lines[ln] = linePending
+		if s.tracked == 0 {
+			return
+		}
+		lo, hi = lo-s.base, hi-s.base
+		for ln := lo / sim.CacheLine; ln <= (hi-1)/sim.CacheLine; ln++ {
+			if st := s.state[ln]; st == lineDirty || st == lineBuffered {
+				s.state[ln] = linePending
+				s.pending = append(s.pending, int32(ln))
 				dirty++
 			}
 		}
@@ -400,33 +486,39 @@ func (d *Device) Fence() {
 			continue
 		}
 		s.mu.Lock()
-		for ln, st := range s.lines {
-			if st != linePending {
-				continue
-			}
-			d.persistLine(ln)
-			delete(s.lines, ln)
-			persisted++
-		}
-		if len(s.lines) == 0 {
-			s.active.Store(false)
-		}
+		// A frozen device (armed crash point reached) keeps its durable
+		// image fixed: later fences drain the queue but keep the slots.
+		persisted += s.drain(s.slot != nil && !d.frozen.Load())
 		s.mu.Unlock()
 	}
 	d.nPersisted.Add(persisted)
 	d.event(EvFence, sim.CatFence, 0, 0)
 }
 
-// persistLine copies one cache line from the volatile view to the durable
-// view. A frozen device (armed crash point reached) keeps its durable
-// image fixed: later fences drain the queue but write nothing back.
-// Caller holds the lock of the shard owning the line.
-func (d *Device) persistLine(ln int64) {
-	if d.persisted == nil || d.frozen.Load() {
-		return
+// drain makes every pending line of the shard clean and returns how many
+// there were; with release, their undo slots go too (the lines are durable
+// as they stand). It walks the list backwards so that the lines of one
+// large store, whose slots were taken in the same order, free the slab's
+// last slot each time and nothing moves. Caller holds the shard's lock.
+func (s *shard) drain(release bool) int64 {
+	n := int64(0)
+	for i := len(s.pending) - 1; i >= 0; i-- {
+		ln := s.pending[i]
+		if s.state[ln] != linePending {
+			continue // claimed back by a buffered store, or listed twice
+		}
+		s.state[ln] = 0
+		if release {
+			s.releaseUndo(ln)
+		}
+		n++
 	}
-	off := ln * sim.CacheLine
-	copy(d.persisted[off:off+sim.CacheLine], d.data[off:off+sim.CacheLine])
+	s.pending = s.pending[:0]
+	s.tracked -= int(n)
+	if s.tracked == 0 {
+		s.active.Store(false)
+	}
+	return n
 }
 
 // PersistNT is the common StoreNT followed by Fence.
@@ -450,7 +542,7 @@ func (d *Device) Persist(off int64, p []byte, cat sim.Category) {
 //   - If rng is non-nil, each unpersisted 8-byte word independently has a
 //     50% chance of having reached the media, producing torn lines — the
 //     failure mode SplitFS's log-entry checksum must detect. Lines are
-//     visited in sorted order, so one seed yields one image.
+//     visited in ascending order, so one seed yields one image.
 //   - Buffered (write-ahead metadata) lines always revert wholly.
 //
 // If an armed crash point fired (CrashFired), the durable image was
@@ -458,9 +550,10 @@ func (d *Device) Persist(off int64, p []byte, cat sim.Category) {
 // and the volatile view rewinds to the frozen image, which also disarms
 // and unfreezes the device.
 //
-// Returns ErrNoPersistence when the device has no durable shadow.
+// The work is proportional to the lines that hold an undo slot, not to
+// the device. Returns ErrNoPersistence when the device keeps no undo log.
 func (d *Device) Crash(rng *sim.RNG) error {
-	if d.persisted == nil {
+	if !d.cfg.TrackPersistence {
 		return ErrNoPersistence
 	}
 	d.lockAll()
@@ -469,19 +562,33 @@ func (d *Device) Crash(rng *sim.RNG) error {
 	for i := range d.shards {
 		s := &d.shards[i]
 		if !frozen {
-			tearLines(d, s, rng)
+			s.tear(rng)
 		}
-		s.lines = make(map[int64]lineState)
-		s.active.Store(false)
+		s.rewind()
 	}
 	d.frozen.Store(false)
 	d.ev.mu.Lock()
 	d.ev.armedAt, d.ev.rng = 0, nil
 	d.ev.refreshHooks()
 	d.ev.mu.Unlock()
-	copy(d.data, d.persisted)
 	d.lastReadEnd.Store(-1)
 	return nil
+}
+
+// rewind applies the undo log to the volatile view and empties it: every
+// line that holds a slot gets its durable content back and becomes clean.
+// Every tracked line holds a slot, so no state survives. Caller holds the
+// shard's lock.
+func (s *shard) rewind() {
+	for i, ln := range s.undoLine {
+		copy(s.data[int(ln)*sim.CacheLine:], s.undo[i*sim.CacheLine:(i+1)*sim.CacheLine])
+		s.state[ln] = 0
+		s.slot[ln] = 0
+	}
+	s.undo, s.undoLine = s.undo[:0], s.undoLine[:0]
+	s.pending = s.pending[:0]
+	s.tracked = 0
+	s.active.Store(false)
 }
 
 // Stats returns a snapshot of the device counters.
@@ -528,7 +635,7 @@ func (d *Device) UnpersistedLines() int {
 			continue
 		}
 		s.mu.Lock()
-		n += len(s.lines)
+		n += s.tracked
 		s.mu.Unlock()
 	}
 	return n

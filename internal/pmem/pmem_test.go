@@ -171,6 +171,36 @@ func TestStatsAndWear(t *testing.T) {
 	}
 }
 
+// A zero-length store writes nothing: it used to bump wear[0] whenever
+// off < 4096 ((off+0-1)/BlockSize truncates to 0) and to mark the line
+// under an unaligned off.
+func TestZeroLengthStoreTouchesNothing(t *testing.T) {
+	d := newDev(t, 1<<20)
+	d.StoreNT(100, nil, sim.CatPMData)
+	d.Store(0, nil, sim.CatPMMeta)
+	if w := d.Wear(0); w != 0 {
+		t.Fatalf("Wear(0) = %d after zero-length stores, want 0", w)
+	}
+	if n := d.UnpersistedLines(); n != 0 {
+		t.Fatalf("UnpersistedLines() = %d after zero-length stores, want 0", n)
+	}
+}
+
+// Size is the configured capacity rounded up to a cache line, whether or
+// not anything was ever stored, and a shard no store reached reads zeros.
+func TestSizeAndNeverWrittenShard(t *testing.T) {
+	d := New(Config{Size: 1<<20 + 1, Clock: sim.NewClock(), TrackPersistence: true})
+	if got, want := d.Size(), int64(1<<20+sim.CacheLine); got != want {
+		t.Fatalf("Size() = %d, want %d", got, want)
+	}
+	d.StoreNT(0, []byte("x"), sim.CatPMData)
+	got := bytes.Repeat([]byte{0xff}, 4096)
+	d.ReadAt(got, d.Size()-4096, sim.CatPMData)
+	if !bytes.Equal(got, make([]byte, 4096)) {
+		t.Fatal("never-written shard did not read as zeros")
+	}
+}
+
 func TestUnpersistedLines(t *testing.T) {
 	d := newDev(t, 1<<20)
 	d.StoreNT(0, make([]byte, 128), sim.CatPMData) // 2 lines

@@ -51,7 +51,10 @@ type StackConfig struct {
 	DeviceBytes int64
 	// Mode is the consistency mode (default POSIX).
 	Mode Mode
-	// TrackPersistence enables Crash() on the device (costs 2x memory).
+	// TrackPersistence enables Crash() on the device. It costs an undo
+	// slot per modified-but-unfenced cache line plus a 4-byte slot index
+	// per line of the device regions written (1/16 of them), not a second
+	// copy of the device.
 	TrackPersistence bool
 	// USplit tunables; zero values take the §3.6 defaults.
 	USplit splitfs.Config
