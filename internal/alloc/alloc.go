@@ -5,8 +5,11 @@
 // bitmaps in the page cache.
 //
 // Allocation is extent-based: AllocExtent finds the longest contiguous run
-// up to the requested length, which is what makes ext4-style extent trees
-// (and SplitFS staging-file pre-allocation) compact.
+// up to the requested length, next-fit, which is what makes ext4-style
+// extent trees compact. AllocAligned serves the one caller that needs
+// more than compactness — SplitFS staging-file pre-allocation, which
+// wants a single run at a 2 MB-aligned device offset so the file can be
+// mapped with huge pages — and places it lowest-first instead.
 package alloc
 
 import (
@@ -145,12 +148,18 @@ func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
 		bestLen = want
 	}
 	ext := Extent{Start: bestStart, Len: bestLen}
+	b.hint = ext.End() % b.nblocks
+	return ext, b.take(ext), nil
+}
+
+// take marks a free extent allocated and writes the bitmap bytes back.
+// Caller holds b.mu.
+func (b *Bitmap) take(ext Extent) ByteRange {
 	for i := ext.Start; i < ext.End(); i++ {
 		b.set(i)
 	}
 	b.free -= ext.Len
-	b.hint = ext.End() % b.nblocks
-	return ext, b.writeBack(ext), nil
+	return b.writeBack(ext)
 }
 
 // Alloc allocates exactly n blocks, possibly as multiple extents, undoing
@@ -172,6 +181,59 @@ func (b *Bitmap) Alloc(n int64) ([]Extent, []ByteRange, error) {
 		remaining -= e.Len
 	}
 	return exts, dirty, nil
+}
+
+// AllocAligned allocates exactly n blocks as one contiguous run whose
+// device offset (not block number: dataBase need not be aligned) is a
+// multiple of align bytes — what a 2 MB huge-page mapping needs of its
+// backing extent. It takes the lowest such run on the device and leaves
+// the next-fit hint alone, so a freed aligned region is reused at once
+// rather than the allocator marching aligned runs across the device.
+// When no aligned run of n blocks is free it falls back to Alloc, as it
+// does (at no extra charge) for an align of at most one block or one
+// that is not a whole number of blocks.
+func (b *Bitmap) AllocAligned(n, align int64) ([]Extent, []ByteRange, error) {
+	if n < 1 || align <= sim.BlockSize || align%sim.BlockSize != 0 {
+		return b.Alloc(n)
+	}
+	b.clk.Charge(sim.CatAlloc, sim.AllocExtentNs)
+	b.mu.Lock()
+	start := b.lowestAlignedRun(n, align)
+	if start < 0 {
+		b.mu.Unlock()
+		return b.Alloc(n)
+	}
+	ext := Extent{Start: start, Len: n}
+	dirty := b.take(ext)
+	b.mu.Unlock()
+	return []Extent{ext}, []ByteRange{dirty}, nil
+}
+
+// lowestAlignedRun returns the first block of the lowest free run of n
+// blocks whose device offset is a multiple of align (a multiple of the
+// block size), or -1 when there is none. Caller holds b.mu.
+func (b *Bitmap) lowestAlignedRun(n, align int64) int64 {
+	if b.free < n {
+		return -1
+	}
+	// Device offset of block s is dataBase + s*BlockSize; the first
+	// aligned block is the distance from dataBase up to the next multiple
+	// of align, which is a block boundary only if dataBase is.
+	gap := (align - b.dataBase%align) % align
+	if gap%sim.BlockSize != 0 {
+		return -1
+	}
+	step := align / sim.BlockSize
+candidates:
+	for s := gap / sim.BlockSize; s+n <= b.nblocks; s += step {
+		for i := s; i < s+n; i++ {
+			if b.isSet(i) {
+				continue candidates
+			}
+		}
+		return s
+	}
+	return -1
 }
 
 // MarkAllocated forces an extent to allocated state without charging

@@ -1,0 +1,157 @@
+package alloc
+
+import (
+	"errors"
+	"testing"
+
+	"splitfs/internal/sim"
+	"splitfs/internal/vfs"
+)
+
+// bitmapModel is the reference FuzzBitmapModel compares the Bitmap with:
+// one bool per block and nothing else.
+type bitmapModel []bool
+
+func (m bitmapModel) free() int64 {
+	var n int64
+	for _, used := range m {
+		if !used {
+			n++
+		}
+	}
+	return n
+}
+
+// lowestAligned returns the first block of the lowest free run of n blocks
+// at a device offset that is a multiple of align, or -1.
+func (m bitmapModel) lowestAligned(n, align int64) int64 {
+	for s := int64(0); s+n <= int64(len(m)); s++ {
+		if (alignedData+s*sim.BlockSize)%align != 0 {
+			continue
+		}
+		ok := true
+		for i := s; i < s+n; i++ {
+			ok = ok && !m[i]
+		}
+		if ok {
+			return s
+		}
+	}
+	return -1
+}
+
+// FuzzBitmapModel runs a random AllocExtent / Alloc / AllocAligned / Free
+// sequence, decoded from the fuzz input, against the bool-slice model and
+// requires: no block handed out twice, FreeCount exact, an aligned result
+// aligned by device offset and the lowest there is, the next-fit hint
+// untouched by it, and the fallback taken only when the model has no
+// aligned run. Op encoding: one opcode byte (low two bits select the op),
+// then one operand byte; a sequence ends when the input does.
+func FuzzBitmapModel(f *testing.F) {
+	f.Add([]byte("\x02\x8f\x02\x8f\x03\x00\x02\x8f"))                 // 16 blocks at 8: twice, free the first, again: reused
+	f.Add([]byte("\x00\x03\x02\x87\x00\x0f\x03\x01\x02\xa7\x01\x20")) // next-fit runs around aligned ones
+	f.Add([]byte("\x01\x5e\x02\x87\x03\x00\x02\x41\x02\xc3"))         // one block free: ENOSPC; then 4- and 16-block alignments
+	// Single blocks, two freed again: the holes defeat the low aligned
+	// windows, so aligned runs land above them or fall back.
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x03\x02\x03\x04\x02\x87\x01\x30\x02\x9f\x02\x9f"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b, dev := newAlignedBitmap(t)
+		m := make(bitmapModel, alignedBlocks)
+		var live []Extent
+
+		// take checks a successful allocation against the model and
+		// records it in both.
+		take := func(step int, exts []Extent, want int64, exact bool) {
+			var total int64
+			for _, e := range exts {
+				if e.Len < 1 || e.Start < 0 || e.End() > alignedBlocks {
+					t.Fatalf("step %d: extent %v outside the bitmap", step, e)
+				}
+				for i := e.Start; i < e.End(); i++ {
+					if m[i] {
+						t.Fatalf("step %d: block %d handed out twice (%v)", step, i, e)
+					}
+					m[i] = true
+				}
+				total += e.Len
+				live = append(live, e)
+			}
+			if total > want || total < 1 || exact && total != want {
+				t.Fatalf("step %d: allocated %d blocks, asked for %d (exact=%v)", step, total, want, exact)
+			}
+		}
+		noSpace := func(step int, err error, free, need int64) {
+			if !errors.Is(err, vfs.ErrNoSpace) || free >= need {
+				t.Fatalf("step %d: err = %v with %d free, %d needed", step, err, free, need)
+			}
+		}
+
+		for step := 0; len(in) >= 2; step++ {
+			op, arg := in[0], int64(in[1])
+			in = in[2:]
+			free := m.free()
+			switch op & 3 {
+			case 0:
+				want := arg%16 + 1
+				e, _, err := b.AllocExtent(want)
+				if err != nil {
+					noSpace(step, err, free, 1)
+					break
+				}
+				take(step, []Extent{e}, want, false)
+			case 1:
+				n := arg%alignedBlocks + 1
+				exts, _, err := b.Alloc(n)
+				if err != nil {
+					noSpace(step, err, free, n)
+					break
+				}
+				take(step, exts, n, true)
+			case 2:
+				n := arg%32 + 1
+				align := int64(2<<(arg>>6&3)) * sim.BlockSize // 2, 4, 8 or 16 blocks
+				want := m.lowestAligned(n, align)
+				hint := b.hint
+				exts, _, err := b.AllocAligned(n, align)
+				if err != nil {
+					noSpace(step, err, free, n)
+					break
+				}
+				aligned := len(exts) == 1 && exts[0].Len == n && b.ExtentOffset(exts[0])%align == 0
+				switch {
+				case want >= 0 && (!aligned || exts[0].Start != want):
+					t.Fatalf("step %d: AllocAligned(%d, %d) = %v, model's lowest aligned run starts at %d",
+						step, n, align, exts, want)
+				case want >= 0 && b.hint != hint:
+					t.Fatalf("step %d: aligned allocation moved the hint %d -> %d", step, hint, b.hint)
+				case want < 0 && aligned:
+					t.Fatalf("step %d: AllocAligned(%d, %d) = %v, model has no aligned run", step, n, align, exts)
+				}
+				take(step, exts, n, true)
+			case 3:
+				if len(live) == 0 {
+					break
+				}
+				k := int(arg) % len(live)
+				e := live[k]
+				live = append(live[:k], live[k+1:]...)
+				b.Free(e)
+				for i := e.Start; i < e.End(); i++ {
+					m[i] = false
+				}
+			}
+			if got, want := b.FreeCount(), m.free(); got != want {
+				t.Fatalf("step %d (op %#x): FreeCount = %d, model %d", step, op, got, want)
+			}
+			for i, used := range m {
+				if b.isSet(int64(i)) != used {
+					t.Fatalf("step %d (op %#x): block %d allocated = %v, model %v", step, op, i, !used, used)
+				}
+			}
+		}
+		// What the allocator wrote through to the device is what it holds.
+		if got, want := Load(dev, alignedBase, alignedData, alignedBlocks).FreeCount(), m.free(); got != want {
+			t.Fatalf("reloaded FreeCount = %d, model %d", got, want)
+		}
+	})
+}

@@ -373,15 +373,20 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 	return f.fs.infoOf(f.in), nil
 }
 
-// Preallocate adds count blocks to the end of the file in as few extents
-// as possible; used by U-Split to create staging files off the critical
-// path. The file's size is extended to cover them.
-func (f *File) Preallocate(count int64) error {
+// Preallocate adds count blocks to the end of the file and extends its
+// size to cover them; U-Split creates its staging files and operation log
+// with it. With align > one block (HugePageSize, for a file that will be
+// mapped with huge pages) the blocks are one contiguous extent at a
+// device offset that is a multiple of align, the lowest free one; when
+// the device has no such run free, or align is 0, they come from the
+// next-fit allocator in as few extents as it can manage, and a later
+// Mmap falls back to 4 KB pages.
+func (f *File) Preallocate(count, align int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	exts, dirties, err := fs.bBmp.Alloc(count)
+	exts, dirties, err := fs.bBmp.AllocAligned(count, align)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,9 @@ type MmapOptions struct {
 	Huge bool
 }
 
-const hugePage = 2 << 20
+// HugePageSize is the huge-page size: the alignment, of file offset,
+// length and every backing extent, that a Huge mapping needs.
+const HugePageSize = 2 << 20
 
 // Mmap maps [off, off+length) of the file. The range is clamped to the
 // file's allocated blocks; mapping a hole is an error (it would SIGBUS on
@@ -96,10 +98,10 @@ func (fs *FS) mmapLocked(f *File, off, length int64, opts MmapOptions, charge bo
 	}
 	// Huge pages need 2 MB alignment in both the file offset (virtual
 	// side) and every physical run (physical side).
-	m.Huge = opts.Huge && off%hugePage == 0 && length%hugePage == 0
+	m.Huge = opts.Huge && off%HugePageSize == 0 && length%HugePageSize == 0
 	if m.Huge {
 		for _, r := range m.runs {
-			if r.devOff%hugePage != 0 || r.length%hugePage != 0 {
+			if r.devOff%HugePageSize != 0 || r.length%HugePageSize != 0 {
 				m.Huge = false // fragmentation defeated the huge mapping
 				break
 			}
@@ -108,7 +110,7 @@ func (fs *FS) mmapLocked(f *File, off, length int64, opts MmapOptions, charge bo
 	m.pageSz = sim.BlockSize
 	faultCost := int64(sim.PageFault4KNs)
 	if m.Huge {
-		m.pageSz = hugePage
+		m.pageSz = HugePageSize
 		faultCost = sim.PageFault2MNs
 	}
 	nPages := (length + m.pageSz - 1) / m.pageSz

@@ -102,30 +102,74 @@ func TestMmapPopulateChargesUpFront(t *testing.T) {
 	}
 }
 
+// TestHugePageRequiresAlignment pins both directions of §4's "huge pages
+// are fragile": a mapping is huge exactly when file offset, length and
+// backing extent are all 2 MB-aligned, and population is charged per page
+// of the size granted.
 func TestHugePageRequiresAlignment(t *testing.T) {
-	_, fs := newFS(t)
-	// A fresh fs: the first big allocation is physically contiguous but
-	// almost certainly not 2 MB aligned on the device; the mapping must
-	// fall back to 4 KB pages rather than fail.
-	f, _ := vfs.Create(fs, "/huge")
-	f.Write(make([]byte, 4<<20))
-	m, err := fs.Mmap(f.(*File), 0, 2<<20, MmapOptions{Populate: true, Huge: true})
-	if err != nil {
+	dev, fs := newFS(t)
+	clk := dev.Clock()
+	const fileBytes = 4 << 20
+	mmap := func(f vfs.File, off, length int64, huge bool) (*Mapping, int64) {
+		t.Helper()
+		before := clk.Category(sim.CatPageFault)
+		m, err := fs.Mmap(f.(*File), off, length, MmapOptions{Populate: true, Huge: huge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, clk.Category(sim.CatPageFault) - before
+	}
+
+	// Next-fit allocation starts at the bottom of the data region, which
+	// the layout puts at no 2 MB boundary: contiguous, but not huge.
+	plain, _ := vfs.Create(fs, "/plain")
+	if err := plain.(*File).Preallocate(fileBytes/sim.BlockSize, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Whether huge was granted depends on physical alignment; both are
-	// legal, but the mapping must work either way.
+	m, charged := mmap(plain, 0, fileBytes, true)
+	if devOff, contig, _ := m.Translate(0); devOff%HugePageSize == 0 || contig != fileBytes {
+		t.Fatalf("test premise: unaligned contiguous extent, got offset %d, %d contiguous", devOff, contig)
+	}
+	if m.Huge || m.PageSize() != sim.BlockSize {
+		t.Fatalf("unaligned extent mapped huge (page size %d)", m.PageSize())
+	}
+	if want := int64(fileBytes / sim.BlockSize * sim.PageFault4KNs); charged != want {
+		t.Fatalf("4 KB population charged %d, want %d", charged, want)
+	}
 	buf := make([]byte, 64)
 	if n := m.Load(buf, 1<<20); n != 64 {
-		t.Fatalf("Load through maybe-huge mapping = %d", n)
+		t.Fatalf("Load through 4 KB mapping = %d", n)
 	}
-	// An unaligned length can never be huge.
-	m2, err := fs.Mmap(f.(*File), 0, 2<<20+sim.BlockSize, MmapOptions{Huge: true})
-	if err != nil {
+
+	// An aligned pre-allocation is granted huge pages, charged per 2 MB.
+	aligned, _ := vfs.Create(fs, "/aligned")
+	if err := aligned.(*File).Preallocate(fileBytes/sim.BlockSize, HugePageSize); err != nil {
 		t.Fatal(err)
 	}
-	if m2.Huge {
-		t.Fatal("unaligned mapping granted huge pages")
+	m, charged = mmap(aligned, 0, fileBytes, true)
+	if devOff, contig, _ := m.Translate(0); devOff%HugePageSize != 0 || contig != fileBytes {
+		t.Fatalf("aligned pre-allocation at offset %d, %d contiguous", devOff, contig)
+	}
+	if !m.Huge || m.PageSize() != HugePageSize {
+		t.Fatalf("aligned extent not mapped huge (page size %d)", m.PageSize())
+	}
+	if want := int64(fileBytes / HugePageSize * sim.PageFault2MNs); charged != want {
+		t.Fatalf("2 MB population charged %d, want %d", charged, want)
+	}
+	if n := m.Load(buf, 1<<20); n != 64 {
+		t.Fatalf("Load through huge mapping = %d", n)
+	}
+
+	// Over the same aligned extent: not asked for, an unaligned length and
+	// an unaligned file offset are all 4 KB mappings.
+	if m, _ := mmap(aligned, 0, fileBytes, false); m.Huge {
+		t.Fatal("huge pages granted without being requested")
+	}
+	if m, _ := mmap(aligned, 0, HugePageSize+sim.BlockSize, true); m.Huge {
+		t.Fatal("unaligned length granted huge pages")
+	}
+	if m, _ := mmap(aligned, sim.BlockSize, HugePageSize, true); m.Huge {
+		t.Fatal("unaligned file offset granted huge pages")
 	}
 }
 
@@ -133,7 +177,7 @@ func TestRelinkMovesBlocksWithoutCopy(t *testing.T) {
 	dev, fs := newFS(t)
 	// Staging file with data; target file initially empty.
 	staging, _ := vfs.Create(fs, "/staging")
-	staging.(*File).Preallocate(8)
+	staging.(*File).Preallocate(8, 0)
 	payload := bytes.Repeat([]byte("R"), 2*sim.BlockSize)
 	staging.WriteAt(payload, 0)
 	target, _ := vfs.Create(fs, "/target")
@@ -184,7 +228,7 @@ func TestRelinkIntoMiddleReplacesBlocks(t *testing.T) {
 	old := bytes.Repeat([]byte("o"), 4*sim.BlockSize)
 	target.Write(old)
 	staging, _ := vfs.Create(fs, "/s")
-	staging.(*File).Preallocate(4)
+	staging.(*File).Preallocate(4, 0)
 	fresh := bytes.Repeat([]byte("n"), sim.BlockSize)
 	staging.WriteAt(fresh, 0)
 
@@ -216,7 +260,7 @@ func TestRelinkIntoMiddleReplacesBlocks(t *testing.T) {
 func TestMappingSurvivesRelink(t *testing.T) {
 	_, fs := newFS(t)
 	staging, _ := vfs.Create(fs, "/stg")
-	staging.(*File).Preallocate(4)
+	staging.(*File).Preallocate(4, 0)
 	payload := bytes.Repeat([]byte("M"), sim.BlockSize)
 	staging.WriteAt(payload, 0)
 	// Map the staging region BEFORE relinking, as U-Split does.

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"splitfs/internal/sim"
 )
 
 // The harness tests verify that every experiment runs and that the
@@ -178,5 +181,14 @@ func TestAblationShape(t *testing.T) {
 	}
 	if noRelink := get("no relink", 2); noRelink > def*0.7 {
 		t.Fatalf("no-relink appends = %.1f vs default %.1f; relink must matter", noRelink, def)
+	}
+	// The huge-page switch must act (it was a no-op while staging files
+	// were never 2 MB-aligned): its row differs from the default's in the
+	// page-fault category, by the 4 KB population of the eight 8 MB staging
+	// files (8 x 2048 x 2.2 us) against their 2 MB population (8 x 4 x 3.6).
+	hugeFaults, smallFaults := get("default", 3), get("huge pages disabled", 3)
+	if want := 8 * (2048*float64(sim.PageFault4KNs) - 4*float64(sim.PageFault2MNs)) / 1e3; math.Abs(smallFaults-hugeFaults-want) > 0.1 {
+		t.Fatalf("page faults: default %.1f us, huge pages disabled %.1f us; want them %.1f us apart",
+			hugeFaults, smallFaults, want)
 	}
 }

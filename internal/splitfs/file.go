@@ -395,10 +395,31 @@ func (f *File) writeLocked(p []byte, off int64) (int, error) {
 	}
 }
 
-// stageWrite redirects a write to a staging file: non-temporal stores
-// through the staging mapping, one op-log entry + one fence in strict
-// mode. Caller holds of.mu (and wmu in strict mode).
+// stageWrite redirects a write to the staging files. A reservation
+// cannot span staging files, so a write too large for one is staged as
+// consecutive pieces, each ending on a block boundary of the target and
+// small enough that an empty staging file holds it; in strict mode each
+// piece is logged, and so atomic, on its own. Caller holds of.mu (and wmu
+// in strict mode).
 func (fs *FS) stageWrite(of *ofile, p []byte, off int64) (int, error) {
+	maxPiece := fs.cfg.StagingFileBytes - sim.BlockSize
+	n := 0
+	for n < len(p) {
+		cur := off + int64(n)
+		piece := min(int64(len(p)-n), maxPiece-cur%sim.BlockSize)
+		got, err := fs.stagePiece(of, p[n:n+int(piece)], cur)
+		n += got
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// stagePiece stages one write that fits a staging file: non-temporal
+// stores through the staging mapping, one op-log entry + one fence in
+// strict mode. Caller holds of.mu (and wmu in strict mode).
+func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 	fs.stats.appends.Add(1)
 	need := int64(len(p))
 	fs.stats.stagedBytes.Add(need)
@@ -436,14 +457,16 @@ func (fs *FS) stageWrite(of *ofile, p []byte, off int64) (int, error) {
 		// appends form one relinkable run; staged overwrites reserve
 		// exactly their footprint.
 		exact := off+need <= of.size
-		nc, err := fs.staging.reserve(need, off, exact)
-		if err != nil {
+		// The replaced chunk goes first, so that the tail it gives back is
+		// where the new reservation starts instead of being stranded
+		// behind it. Its staging-file reference is dropped; staged ranges
+		// still inside it hold their own.
+		fs.staging.releaseChunk(of.active)
+		of.active = nil
+		var err error
+		if c, err = fs.staging.reserve(need, off, exact); err != nil {
 			return 0, err
 		}
-		// The replaced chunk's staging-file reference is dropped; staged
-		// ranges still inside it hold their own references.
-		fs.staging.releaseChunk(of.active)
-		c = nc
 		of.active = c
 	}
 	sfOff := c.base + c.used

@@ -55,7 +55,7 @@ func newOpLog(fs *FS) (*oplog, error) {
 		return nil, err
 	}
 	kf := f.(*ext4dax.File)
-	if err := kf.Preallocate(fs.cfg.OpLogBytes / sim.BlockSize); err != nil {
+	if err := kf.Preallocate(fs.cfg.OpLogBytes/sim.BlockSize, 0); err != nil {
 		return nil, err
 	}
 	base, size, err := oplogRegion(fs, kf)

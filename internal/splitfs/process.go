@@ -42,23 +42,21 @@ func (fs *FS) Fork() *FS {
 			size:   of.size,
 			ksize:  of.ksize,
 			staged: append([]stagedRange(nil), of.staged...),
-			active: of.active,
 			logSeq: of.logSeq,
 			refs:   of.refs,
 		}
 		of.mu.RUnlock()
-		// The child's copied overlay and active chunk are independent
-		// references into the shared staging pool: without their own
-		// counts, the first side to relink would let the reclaimer unmap
-		// staging files the other still reads.
+		// The child's copied overlay holds independent references into the
+		// shared staging pool: without its own counts, the first side to
+		// relink would let the reclaimer unmap staging files the other
+		// still reads. The active chunk is not inherited — a chunk has one
+		// holder, which may give its tail back; the child's next append
+		// reserves its own.
 		fs.staging.mu.Lock()
 		for _, s := range cp.staged {
 			if s.sf != nil {
 				s.sf.refs++
 			}
-		}
-		if cp.active != nil {
-			cp.active.sf.refs++
 		}
 		fs.staging.mu.Unlock()
 		child.files[ino] = cp

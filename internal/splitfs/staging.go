@@ -34,7 +34,9 @@ type stagingFile struct {
 
 // stagingChunk is a reservation inside a staging file, aligned so that
 // chunk offsets are congruent (mod 4 KB) with the file offsets they
-// stage — the alignment relink needs to swap whole blocks.
+// stage — the alignment relink needs to swap whole blocks. A chunk has
+// exactly one holder, the ofile whose active append region it is; what
+// that ofile has not used when it lets go is given back (releaseChunk).
 type stagingChunk struct {
 	sf   *stagingFile
 	base int64 // first byte of the reservation
@@ -43,11 +45,17 @@ type stagingChunk struct {
 }
 
 // stagingPool manages the staging files (§3.5: ten files pre-allocated at
-// startup; a new one is created when one is used up). The paper creates
+// startup; a new one is created when one is used up). Each is one
+// pre-allocated extent, 2 MB-aligned on the device unless huge pages are
+// disabled or no such run is free, mapped pre-faulted with the page size
+// that alignment earns it. The pool hands out the current file front to
+// back and takes back the unused tail of the last reservation, so a file
+// lasts for as many bytes as were staged into it, not as many chunks as
+// were reserved (DESIGN.md, "Staging reservations"). The paper creates
 // replacements on a background thread; here creation happens inline
-// under mu and is counted in Stats — simulated time cannot express the
-// overlap either way (see DESIGN.md, "Two time domains"), so only the
-// count matters.
+// under mu, its cost (allocation, journal commit, page population) lands
+// on the reserving operation's simulated time, and the count is in
+// Stats (StagingFilesCreated).
 type stagingPool struct {
 	fs *FS
 
@@ -110,13 +118,20 @@ func (p *stagingPool) createFile() (*stagingFile, error) {
 		return nil, err
 	}
 	kf := f.(*ext4dax.File)
-	blocks := p.fs.cfg.StagingFileBytes / sim.BlockSize
-	if err := kf.Preallocate(blocks); err != nil {
+	// A huge mapping needs a 2 MB-aligned backing extent, so ask for one —
+	// unless the file is not a whole number of huge pages, which Mmap
+	// never maps huge whatever its extent.
+	huge := !p.fs.cfg.DisableHugePages
+	var align int64
+	if huge && p.fs.cfg.StagingFileBytes%ext4dax.HugePageSize == 0 {
+		align = ext4dax.HugePageSize
+	}
+	if err := kf.Preallocate(p.fs.cfg.StagingFileBytes/sim.BlockSize, align); err != nil {
 		return nil, err
 	}
 	m, err := p.fs.kfs.Mmap(kf, 0, p.fs.cfg.StagingFileBytes, ext4dax.MmapOptions{
 		Populate: true,
-		Huge:     !p.fs.cfg.DisableHugePages,
+		Huge:     huge,
 	})
 	if err != nil {
 		return nil, err
@@ -145,9 +160,16 @@ func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error)
 	} else if want < p.fs.cfg.StagingChunkBytes {
 		want = p.fs.cfg.StagingChunkBytes
 	}
+	if align%sim.BlockSize+want > p.fs.cfg.StagingFileBytes {
+		// Not even an empty staging file could hold it (stageWrite splits
+		// writes so that this cannot happen): sealing files would not help.
+		return nil, vfs.ErrNoSpace
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for tries := 0; tries < 3; tries++ {
+	// At most two rounds: what the current file cannot hold, the empty
+	// file that replaces it can.
+	for {
 		if p.current == nil {
 			if len(p.ready) > 0 {
 				p.current = p.ready[0]
@@ -185,7 +207,6 @@ func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error)
 		}
 		p.current = nil
 	}
-	return nil, vfs.ErrNoSpace
 }
 
 // addRangeRef records that a new stagedRange entry references sf.
@@ -210,12 +231,22 @@ func (p *stagingPool) release(ranges []stagedRange) {
 }
 
 // releaseChunk drops an ofile's active-chunk reference (the chunk is
-// being replaced, or its ofile is going away).
+// being replaced, or its ofile is going away) and gives its unused tail
+// back: while the chunk is still its staging file's last reservation,
+// the file's tail rolls back to the block after the bytes staged into
+// it, so the next reservation starts there. The block holding the last
+// staged byte is never given back — its bytes may still be read through
+// an overlay or named by an op-log entry. A chunk that a later
+// reservation already follows, or whose file has been sealed, keeps its
+// tail: nothing could use it.
 func (p *stagingPool) releaseChunk(c *stagingChunk) {
 	if c == nil {
 		return
 	}
 	p.mu.Lock()
+	if sf := c.sf; sf.tail == c.end && !sf.sealed {
+		sf.tail = (c.base + c.used + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize
+	}
 	p.unrefLocked(c.sf)
 	p.mu.Unlock()
 }

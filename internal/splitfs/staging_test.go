@@ -120,30 +120,43 @@ func TestConcurrentReserve(t *testing.T) {
 	}
 }
 
-// TestStagingMemoryUsageTracksFileSize guards the §5.10 accounting fix:
-// the reported DRAM footprint must grow with the configured staging-file
-// size (page-table overhead), not be a flat per-file constant.
+// TestStagingMemoryUsageTracksFileSize guards the §5.10 accounting: the
+// reported DRAM footprint is 128 B of bookkeeping per staging file plus
+// 8 B of page table per page the mapping was granted, so it grows with
+// the staging-file size at a given page size and shrinks 512-fold when
+// huge pages are granted — the paper's 160 MB staging file costs 320 KB
+// of page tables with 4 KB pages and 640 B with 2 MB pages.
 func TestStagingMemoryUsageTracksFileSize(t *testing.T) {
-	usage := func(fileBytes int64) int64 {
-		dev := pmem.New(pmem.Config{Size: 128 << 20, Clock: sim.NewClock()})
+	usage := func(fileBytes int64, disableHuge bool) int64 {
+		dev := pmem.New(pmem.Config{Size: 512 << 20, Clock: sim.NewClock()})
 		kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := New(kfs, Config{StagingFiles: 2, StagingFileBytes: fileBytes})
+		fs, err := New(kfs, Config{StagingFiles: 2, StagingFileBytes: fileBytes, DisableHugePages: disableHuge})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fs.staging.memoryUsage()
+		return fs.staging.memoryUsage() / 2 // per file
 	}
-	small, big := usage(1<<20), usage(8<<20)
-	if big <= small {
-		t.Fatalf("memoryUsage flat across staging-file sizes: %d vs %d", small, big)
-	}
-	// 8 MB non-huge file: 2048 pages x 8 B = 16 KB of page tables + 128 B
-	// bookkeeping per file.
-	if perFile := big / 2; perFile < 8<<10 {
-		t.Fatalf("per-file footprint %d implausibly small for 8 MB mapping", perFile)
+	const bookkeeping = 128
+	for _, c := range []struct {
+		fileBytes   int64
+		disableHuge bool
+		pageTable   int64
+	}{
+		{2 << 20, true, 512 * 8},
+		{8 << 20, true, 2048 * 8},
+		{2 << 20, false, 1 * 8},
+		{8 << 20, false, 4 * 8},
+		{1 << 20, false, 256 * 8}, // not a whole huge page: 4 KB pages
+		{160 << 20, true, 320 << 10},
+		{160 << 20, false, 640},
+	} {
+		if got := usage(c.fileBytes, c.disableHuge); got != bookkeeping+c.pageTable {
+			t.Errorf("%d MB staging file, huge pages disabled = %v: %d B per file, want %d + %d",
+				c.fileBytes>>20, c.disableHuge, got, bookkeeping, c.pageTable)
+		}
 	}
 }
 
