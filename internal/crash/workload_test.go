@@ -3,6 +3,8 @@ package crash
 import (
 	"fmt"
 	"testing"
+
+	"splitfs/internal/sim"
 )
 
 // The campaign runners replay workloads by absolute persistence-event
@@ -70,5 +72,60 @@ func TestCompileTracksHandles(t *testing.T) {
 		sysOpen, sysTruncate}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("compiled %v, want %v", kinds, want)
+	}
+}
+
+// tailMoves counts ops that are certain to make relink move a partial
+// last block whole (DESIGN.md, "Relink is a move"): an fsynced write that
+// extends its file, ends mid-block, and itself covers that last block
+// from its first byte. (A last block begun by an earlier, still unsynced
+// append qualifies too; this is the floor.)
+func tailMoves(ops []Op) int {
+	sizes := map[string]int64{}
+	n := 0
+	for _, op := range ops {
+		switch op.Kind {
+		case OpWrite:
+			off := op.Off
+			if off < 0 {
+				off = sizes[op.Path]
+			}
+			end := off + int64(len(op.Data))
+			if op.Fsync && end > sizes[op.Path] && end%sim.BlockSize != 0 &&
+				end/sim.BlockSize*sim.BlockSize >= off {
+				n++
+			}
+			sizes[op.Path] = max(sizes[op.Path], end)
+		case OpTruncate:
+			sizes[op.Path] = op.Size
+		case OpUnlink:
+			delete(sizes, op.Path)
+		case OpRename:
+			sizes[op.Path2] = sizes[op.Path]
+			delete(sizes, op.Path)
+		}
+	}
+	return n
+}
+
+// TestCampaignMixesMoveTailBlocks pins what the crash sweeps rely on for
+// the whole-block relink of an append's tail: every workload family, at
+// the seeds and lengths cmd/crashcheck runs by default and in CI, ends a
+// staged range mid-block at EOF and fsyncs it, so no dedicated op is
+// needed for the sweep to cross that path in every mode.
+func TestCampaignMixesMoveTailBlocks(t *testing.T) {
+	for _, nops := range []int{25, 15, 10} { // default, CI bounded sweep, CI served-crash
+		for seed := uint64(1); seed <= 2; seed++ {
+			for name, ops := range map[string][]Op{
+				"write":  RandomOps(seed*13, nops),
+				"meta":   MetadataOps(seed*29, nops),
+				"async":  AsyncOps(seed*17, nops),
+				"served": ServedOps(seed*13, nops),
+			} {
+				if tailMoves(ops) == 0 {
+					t.Errorf("%s mix, seed %d, %d ops: no fsynced sub-block append at EOF", name, seed, nops)
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,7 @@ func TestBatchBlocksThresholdCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := fs.Stats().Commits
-	fs.BeginBatch()
+	batch := fs.BeginBatch()
 	// Far more journaled ranges than TxCommitThreshold=4: without the
 	// handle, maybeCommit would fire repeatedly.
 	blk := make([]byte, sim.BlockSize)
@@ -42,12 +42,12 @@ func TestBatchBlocksThresholdCommit(t *testing.T) {
 	if got := fs.Stats().Commits; got != base {
 		t.Fatalf("threshold commit fired inside an open batch: %d commits", got-base)
 	}
-	fs.EndBatch()
+	batch.End()
 	if err := fs.CommitMeta(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Stats().Commits; got != base+1 {
-		t.Fatalf("commit after EndBatch: %d commits, want 1", got-base)
+		t.Fatalf("commit after Batch.End: %d commits, want 1", got-base)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestLinkedTracksUnlink(t *testing.T) {
 
 func TestCommitMetaWaitsForBatch(t *testing.T) {
 	fs := newBatchFS(t)
-	fs.BeginBatch()
+	batch := fs.BeginBatch()
 	done := make(chan struct{})
 	go func() {
 		if err := fs.CommitMeta(); err != nil {
@@ -95,10 +95,61 @@ func TestCommitMetaWaitsForBatch(t *testing.T) {
 		t.Fatal("CommitMeta returned while a batch handle was open")
 	case <-time.After(20 * time.Millisecond):
 	}
-	fs.EndBatch()
+	batch.End()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("CommitMeta never woke after EndBatch")
+		t.Fatal("CommitMeta never woke after Batch.End")
+	}
+}
+
+// TestBatchWritesEachInodeOnce: however many relink steps a batch makes
+// between two files, and with the watermark riding along, End writes the
+// source inode and the target inode back once each.
+func TestBatchWritesEachInodeOnce(t *testing.T) {
+	fs := newBatchFS(t)
+	src, _ := vfs.Create(fs, "/src")
+	if err := src.(*File).Preallocate(8, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := vfs.Create(fs, "/dst")
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	clk := fs.Device().Clock()
+	cpu := clk.Category(sim.CatCPU)
+	batch := fs.BeginBatch()
+	for _, blk := range []int64{0, 2, 5} {
+		if err := batch.Relink(src.(*File), dst.(*File), blk*sim.BlockSize, blk*sim.BlockSize,
+			sim.BlockSize, 6*sim.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch.SetUserWatermark(dst.(*File), 42)
+	if got := clk.Category(sim.CatCPU) - cpu; got != 0 {
+		t.Fatalf("inode write-back (%d ns of CPU) before the batch closed", got)
+	}
+	txid := batch.End()
+	if got := clk.Category(sim.CatCPU) - cpu; got != 2*sim.Ext4ExtentUpdateNs {
+		t.Fatalf("batch close charged %d ns of inode write-back, want one per inode (%d)",
+			got, 2*sim.Ext4ExtentUpdateNs)
+	}
+	if err := fs.CommitUpTo(txid); err != nil {
+		t.Fatal(err)
+	}
+	// What End wrote is what a remount reads.
+	fs2, _, err := Mount(fs.Device(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, _ := fs2.Stat("/src")
+	di, _ := fs2.Stat("/dst")
+	if si.Blocks != 5 || di.Blocks != 3 || di.Size != 6*sim.BlockSize {
+		t.Fatalf("remounted: src %d blocks, dst %d blocks of size %d; want 5, 3, %d",
+			si.Blocks, di.Blocks, di.Size, 6*sim.BlockSize)
+	}
+	g, _ := fs2.OpenFile("/dst", vfs.O_RDONLY, 0)
+	if wm := g.(*File).UserWatermark(); wm != 42 {
+		t.Fatalf("remounted watermark = %d, want 42", wm)
 	}
 }

@@ -23,7 +23,7 @@ func appendFileExtent(in *inode, e alloc.Extent) {
 }
 
 // insertFileExtent places a physical extent at an arbitrary logical block
-// position (used for hole-filling writes and extent swaps). The caller
+// position (used for hole-filling writes and relinked extents). The caller
 // guarantees the logical range [logical, logical+e.Len) is currently a
 // hole.
 func insertFileExtent(in *inode, logical int64, e alloc.Extent) {
@@ -104,7 +104,7 @@ func truncateExtents(in *inode, fromLogical int64) []alloc.Extent {
 
 // extractExtents removes the logical block range [from, from+count) from
 // the file and returns the physical extents that backed it (for
-// SwapExtents). Holes in the range yield nothing. Extents straddling the
+// Relink). Holes in the range yield nothing. Extents straddling the
 // boundaries are split.
 func extractExtents(in *inode, from, count int64) []alloc.Extent {
 	to := from + count

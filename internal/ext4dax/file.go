@@ -307,6 +307,14 @@ func (f *File) Truncate(size int64) error {
 
 // truncateLocked shrinks or grows (as a hole) the file. Caller holds
 // fs.mu and, for file inodes, in.mu.
+//
+// A shrink that leaves a partial last block zeroes what it cuts off inside
+// that block, so that bytes past EOF in a file's last block are always
+// zero on media and any later growth — truncate, a write or a relink
+// beyond EOF — exposes zeros without having to look. The zeros are
+// journaled with the new size (buffered stores, the block noted into the
+// running transaction), never stored ahead of it: a truncate that crashes
+// before its commit must leave the old bytes under the old size.
 func (fs *FS) truncateLocked(in *inode, size int64) {
 	if size < in.size {
 		// Remap event: the bump must be visible before any freed block
@@ -317,6 +325,13 @@ func (fs *FS) truncateLocked(in *inode, size int64) {
 		for _, e := range truncateExtents(in, fromLogical) {
 			fs.deferFree(fs.bBmp, e)
 			in.blocks -= e.Len
+		}
+		if cut := min(in.size, fromLogical*sim.BlockSize) - size; cut > 0 {
+			if devOff, ok := fs.blockOf(in, size/sim.BlockSize); ok {
+				devOff += size % sim.BlockSize
+				fs.dev.StoreBuffered(devOff, make([]byte, cut), sim.CatPMData)
+				fs.note(devOff, int(cut))
+			}
 		}
 	}
 	in.size = size

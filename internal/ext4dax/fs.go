@@ -2,6 +2,7 @@ package ext4dax
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -285,37 +286,68 @@ func (fs *FS) maybeCommit() {
 	}
 }
 
-// BeginBatch opens a batch handle: until the matching EndBatch, the
-// running journal transaction will not commit — not by the size
-// threshold, not by a concurrent CommitMeta or fsync. This is how the
-// relink ioctl keeps a multi-step fsync batch atomic against other
-// journal users (jbd2: a transaction with open handles cannot commit).
+// Batch is an open batch handle: until End, the running journal
+// transaction will not commit — not by the size threshold, not by a
+// concurrent CommitMeta or fsync. This is how the relink ioctl keeps a
+// multi-step fsync batch atomic against other journal users (jbd2: a
+// transaction with open handles cannot commit). The handle also collects
+// the inodes its Relink and SetUserWatermark calls change, and End writes
+// each of them back once, however many steps touched it.
+type Batch struct {
+	fs    *FS
+	dirty []*inode
+}
+
+// BeginBatch opens a batch handle.
 //
 // Group commit lets many concurrent batches share one transaction, so a
 // transaction can now grow well past the size threshold before anything
 // commits it; the first batch to open against an already-bloated idle
 // transaction commits it first, keeping the transaction within the
 // journal descriptor's capacity.
-func (fs *FS) BeginBatch() {
+func (fs *FS) BeginBatch() *Batch {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if fs.txHold == 0 && fs.txN >= fs.cfg.TxCommitThreshold {
 		if err := fs.commitTx(); err != nil {
 			panic(fmt.Sprintf("ext4dax: pre-batch threshold commit failed: %v", err))
 		}
 	}
 	fs.txHold++
-	fs.mu.Unlock()
+	return &Batch{fs: fs}
 }
 
-// EndBatch closes a batch handle and wakes committers that were waiting
-// for the transaction to become committable.
-func (fs *FS) EndBatch() {
+// touch schedules inodes for the batch's single write-back. Caller holds
+// fs.mu.
+func (b *Batch) touch(ins ...*inode) {
+	for _, in := range ins {
+		if !slices.Contains(b.dirty, in) {
+			b.dirty = append(b.dirty, in)
+		}
+	}
+}
+
+// End writes back the inodes the batch changed, closes the handle and
+// wakes committers that were waiting for the transaction to become
+// committable. It returns the id of the transaction the batch joined:
+// that transaction could not commit while the handle was open, so the id
+// covers every note the batch made, and CommitUpTo(id) — by the caller or
+// any concurrent group-commit leader — makes the whole batch durable at
+// once.
+func (b *Batch) End() uint64 {
+	fs := b.fs
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, in := range b.dirty {
+		fs.writeInode(in)
+	}
+	b.dirty = nil
+	fs.beginTx()
 	fs.txHold--
 	if fs.txHold == 0 {
 		fs.txIdle.Broadcast()
 	}
-	fs.mu.Unlock()
+	return fs.txID
 }
 
 // awaitCommittable blocks until no batch handles are open. Caller holds
@@ -416,7 +448,6 @@ func (fs *FS) writeInode(in *inode) {
 		devOff := fs.bBmp.BlockOffset(blk)
 		fs.dev.StoreBuffered(devOff, buf, sim.CatPMMeta)
 		fs.note(devOff, len(buf))
-		_ = i
 	}
 }
 

@@ -58,7 +58,7 @@ func TestTxIDStableUnderBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.BeginBatch()
+	batch := fs.BeginBatch()
 	id1 := fs.TxID()
 	f, err := vfs.Create(fs, "/b") // notes into the running transaction
 	if err != nil {
@@ -68,7 +68,9 @@ func TestTxIDStableUnderBatch(t *testing.T) {
 	if id1 != id2 {
 		t.Fatalf("transaction id advanced inside an open batch: %d -> %d", id1, id2)
 	}
-	fs.EndBatch()
+	if got := batch.End(); got != id2 {
+		t.Fatalf("Batch.End returned transaction %d, want the batch's %d", got, id2)
+	}
 	if err := fs.CommitUpTo(id2); err != nil {
 		t.Fatal(err)
 	}

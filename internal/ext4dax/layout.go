@@ -1,8 +1,7 @@
 // Package ext4dax implements the kernel side of SplitFS: an extent-based
 // DAX file system in the style of ext4, with a JBD2 journal for metadata
 // atomicity, direct-access memory mapping, and the EXT4_IOC_MOVE_EXT
-// extent-swap ioctl extended with the paper's metadata-only relink
-// (§3.5). It is the K-Split component and also the POSIX-mode baseline in
+// ioctl reworked into the paper's metadata-only relink (§3.5). It is the K-Split component and also the POSIX-mode baseline in
 // the evaluation.
 //
 // Semantics (matching ext4 DAX in ordered mode):
@@ -151,8 +150,8 @@ type inode struct {
 	// until a future fsck (real ext4 keeps an on-disk orphan list).
 	openCnt int
 	orphan  bool
-	// mapEpoch counts remapping events — truncate, extent swap, hole
-	// punch — that can retire this inode's physical blocks. Bumped under
+	// mapEpoch counts remapping events — truncate, relink — that can
+	// retire this inode's physical blocks. Bumped under
 	// in.mu *before* the freed blocks become reusable, read lock-free by
 	// lease holders validating seqlock-style (see vfs.Mappable). DRAM
 	// only: epochs restart at zero after a crash, which is fine because

@@ -8,8 +8,8 @@ import (
 // ext4dax files are vfs.Mappable: extents translate directly to device
 // offsets (that is what DAX means), so a lease on them is exactly an
 // ext4dax.Mapping handed across the trust boundary. Remap events —
-// truncateLocked, swapExtentsLocked, PunchHole — bump in.mapEpoch under
-// in.mu before freed blocks can be recycled; MapExtents snapshots
+// truncateLocked, Batch.Relink — bump in.mapEpoch under in.mu before
+// freed blocks can be recycled; MapExtents snapshots
 // extents and epoch under in.mu.RLock, the same lock discipline as the
 // data read path.
 var _ vfs.Mappable = (*File)(nil)

@@ -16,8 +16,8 @@ type mappedRun struct {
 // extents. Loads and stores through a Mapping cost no kernel trap — this
 // is the mechanism U-Split uses to serve data operations in user space.
 //
-// A Mapping remains valid after SwapExtents/Relink move its physical
-// blocks to another file; it keeps addressing the same physical data,
+// A Mapping remains valid after Relink moves its physical blocks to
+// another file; it keeps addressing the same physical data,
 // which is the property the paper's relink depends on to avoid page
 // faults (§3.5).
 type Mapping struct {

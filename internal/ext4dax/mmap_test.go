@@ -2,6 +2,7 @@ package ext4dax
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"splitfs/internal/sim"
@@ -182,12 +183,30 @@ func TestRelinkMovesBlocksWithoutCopy(t *testing.T) {
 	staging.WriteAt(payload, 0)
 	target, _ := vfs.Create(fs, "/target")
 
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
 	dataBefore := dev.Stats().BytesWrittenNT
+	allocBefore := dev.Clock().Category(sim.CatAlloc)
+	loggedBefore := fs.jnl.Stats().BlocksLogged
+	free := fs.FreeBlocks()
 
 	err := fs.Relink(staging.(*File), target.(*File), 0, 0,
 		2*sim.BlockSize, 2*sim.BlockSize)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Filling a hole is a pure move: nothing allocated, nothing freed, so
+	// the block bitmap stays out of the transaction — it logs the inode
+	// table block(s) of the two files and nothing else.
+	if got := dev.Clock().Category(sim.CatAlloc) - allocBefore; got != 0 {
+		t.Fatalf("relink into a hole charged %d ns of allocation", got)
+	}
+	if fs.FreeBlocks() != free {
+		t.Fatalf("relink into a hole moved the free count %d -> %d", free, fs.FreeBlocks())
+	}
+	if got := fs.jnl.Stats().BlocksLogged - loggedBefore; got > 2 {
+		t.Fatalf("relink into a hole journaled %d blocks, want the inode table's at most 2", got)
 	}
 	// Relink is metadata-only: no file data rewritten. Journal blocks are
 	// NT writes too, so allow only journal-sized growth (desc + images +
@@ -284,21 +303,46 @@ func TestMappingSurvivesRelink(t *testing.T) {
 	}
 }
 
-func TestSwapExtentsRejectsUnaligned(t *testing.T) {
+func TestRelinkRejectsBadArguments(t *testing.T) {
 	_, fs := newFS(t)
 	a, _ := vfs.Create(fs, "/a")
 	a.Write(make([]byte, 2*sim.BlockSize))
 	b, _ := vfs.Create(fs, "/b")
 	b.Write(make([]byte, 2*sim.BlockSize))
-	if err := fs.SwapExtents(a.(*File), b.(*File), 100, 0, sim.BlockSize); err == nil {
-		t.Fatal("unaligned swap accepted")
+	af, bf := a.(*File), b.(*File)
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
 	}
-	if err := fs.SwapExtents(a.(*File), b.(*File), 0, 0, 100); err == nil {
-		t.Fatal("unaligned size accepted")
+	free := fs.FreeBlocks()
+	for _, tc := range []struct {
+		name                string
+		src, dst            *File
+		srcOff, dstOff, len int64
+	}{
+		{"unaligned source offset", af, bf, 100, 0, sim.BlockSize},
+		{"unaligned destination offset", af, bf, 0, 100, sim.BlockSize},
+		{"unaligned length", af, bf, 0, 0, 100},
+		{"empty range", af, bf, 0, 0, 0},
+		{"hole in the source", af, bf, 4 * sim.BlockSize, 0, sim.BlockSize},
+		{"source partly a hole", af, bf, sim.BlockSize, 0, 2 * sim.BlockSize},
+		{"one file on both sides", af, af, 0, sim.BlockSize, sim.BlockSize},
+	} {
+		err := fs.Relink(tc.src, tc.dst, tc.srcOff, tc.dstOff, tc.len, 0)
+		if !errors.Is(err, vfs.ErrInval) {
+			t.Fatalf("%s: err = %v, want ErrInval", tc.name, err)
+		}
 	}
-	// Unmapped range rejected.
-	if err := fs.SwapExtents(a.(*File), b.(*File), 4*sim.BlockSize, 0, sim.BlockSize); err == nil {
-		t.Fatal("swap of hole accepted")
+	// A rejected relink changes nothing.
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.FreeBlocks(); got != free {
+		t.Fatalf("rejected relinks changed the free count: %d -> %d", free, got)
+	}
+	for _, f := range []vfs.File{a, b} {
+		if info, _ := f.Stat(); info.Blocks != 2 || info.Size != 2*sim.BlockSize {
+			t.Fatalf("%s after rejected relinks: %d blocks, size %d", f.Path(), info.Blocks, info.Size)
+		}
 	}
 }
 

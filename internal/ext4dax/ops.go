@@ -7,11 +7,16 @@ import (
 	"splitfs/internal/vfs"
 )
 
+// infoOf is stat(2). Blocks is, like st_blocks, every block the inode
+// holds: data and the extent-overflow blocks a fragmented file's inode
+// chains. A staging file relink has moved blocks out of is exactly such a
+// file, and FuzzRelinkModel's block conservation (free + held == total at
+// every commit) has to see them.
 func (fs *FS) infoOf(in *inode) vfs.FileInfo {
 	return vfs.FileInfo{
 		Ino:    in.ino,
 		Size:   in.size,
-		Blocks: in.blocks,
+		Blocks: in.blocks + int64(len(in.overflow)),
 		IsDir:  in.isDir,
 		Nlink:  in.nlink,
 	}

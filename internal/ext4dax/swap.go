@@ -9,151 +9,20 @@ import (
 )
 
 // This file is the reproduction of the paper's 500-line ext4 patch: the
-// EXT4_IOC_MOVE_EXT extent-swap ioctl, modified to touch only metadata,
-// plus the fallocate-style helpers U-Split composes it with. Together
-// they implement relink(file1, offset1, file2, offset2, size) — §3.3.
-
-// AllocRange ensures [off, off+n) of the file is backed by allocated
-// blocks (fallocate). Offsets must be block-aligned. File size is not
-// changed (keep-size semantics); callers extend it explicitly.
-func (f *File) AllocRange(off, n int64) error {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.trap()
-	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-	if off%sim.BlockSize != 0 || n <= 0 || n%sim.BlockSize != 0 {
-		return vfs.ErrInval
-	}
-	f.in.mu.Lock()
-	err := fs.allocRangeLocked(f.in, off, n, true)
-	f.in.mu.Unlock()
-	fs.maybeCommit()
-	return err
-}
+// EXT4_IOC_MOVE_EXT ioctl, modified to touch only metadata and to move
+// extents rather than exchange them. It implements
+// relink(file1, offset1, file2, offset2, size) — §3.3.
 
 // lockPair write-locks two distinct inodes in ino order, so concurrent
-// relinks/swaps over overlapping file pairs cannot deadlock. Returns the
-// unlock function.
+// relinks over overlapping file pairs cannot deadlock. Returns the unlock
+// function.
 func lockPair(a, b *inode) func() {
-	if a == b {
-		a.mu.Lock()
-		return a.mu.Unlock
-	}
 	if a.ino > b.ino {
 		a, b = b, a
 	}
 	a.mu.Lock()
 	b.mu.Lock()
 	return func() { b.mu.Unlock(); a.mu.Unlock() }
-}
-
-// allocRangeLocked fills holes in [off, off+n). writeBack controls
-// whether the inode record is persisted here; relink batches the write.
-// Caller holds fs.mu and in.mu.
-func (fs *FS) allocRangeLocked(in *inode, off, n int64, writeBack bool) error {
-	logical := off / sim.BlockSize
-	end := (off + n) / sim.BlockSize
-	for logical < end {
-		if _, contig, ok := translate(fs, in, logical); ok {
-			logical += contig
-			continue
-		}
-		holeEnd := nextMapped(in, logical)
-		if holeEnd > end {
-			holeEnd = end
-		}
-		e, dirty, err := fs.bBmp.AllocExtent(holeEnd - logical)
-		if err != nil {
-			return err
-		}
-		fs.note(dirty.Off, dirty.Len)
-		if logical == fileBlocks(in) {
-			appendFileExtent(in, e)
-		} else {
-			// Holes and sparse past-the-end allocations land at their
-			// requested logical position.
-			insertFileExtent(in, logical, e)
-		}
-		in.blocks += e.Len
-		logical += e.Len
-	}
-	if writeBack {
-		fs.writeInode(in)
-	}
-	return nil
-}
-
-// PunchHole deallocates the blocks backing [off, off+n), leaving a hole.
-// Offsets must be block-aligned.
-func (f *File) PunchHole(off, n int64) error {
-	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.trap()
-	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-	if off%sim.BlockSize != 0 || n <= 0 || n%sim.BlockSize != 0 {
-		return vfs.ErrInval
-	}
-	f.in.mu.Lock()
-	f.in.mapEpoch.Add(1) // remap event: blocks become reusable below
-	for _, e := range extractExtents(f.in, off/sim.BlockSize, n/sim.BlockSize) {
-		fs.deferFree(fs.bBmp, e)
-		f.in.blocks -= e.Len
-	}
-	fs.writeInode(f.in)
-	f.in.mu.Unlock()
-	fs.maybeCommit()
-	return nil
-}
-
-// SwapExtents atomically exchanges the physical blocks backing
-// [srcOff, srcOff+n) of src with those backing [dstOff, dstOff+n) of dst.
-// Metadata only: no data is copied, moved, or flushed, and existing
-// memory mappings remain valid (they keep pointing at the same physical
-// blocks). Offsets and length must be block-aligned and both ranges fully
-// allocated. Atomicity comes from noting both inodes in the running
-// journal transaction; Relink commits it.
-func (fs *FS) SwapExtents(src, dst *File, srcOff, dstOff, n int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.trap()
-	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-	unlock := lockPair(src.in, dst.in)
-	err := fs.swapExtentsLocked(src.in, dst.in, srcOff, dstOff, n, true)
-	unlock()
-	fs.maybeCommit()
-	return err
-}
-
-func (fs *FS) swapExtentsLocked(src, dst *inode, srcOff, dstOff, n int64, writeBack bool) error {
-	if srcOff%sim.BlockSize != 0 || dstOff%sim.BlockSize != 0 ||
-		n <= 0 || n%sim.BlockSize != 0 {
-		return vfs.ErrInval
-	}
-	srcBlk, dstBlk, cnt := srcOff/sim.BlockSize, dstOff/sim.BlockSize, n/sim.BlockSize
-	if !rangeMapped(fs, src, srcBlk, cnt) {
-		return fmt.Errorf("src unmapped at blk %d cnt %d: %w", srcBlk, cnt, vfs.ErrInval)
-	}
-	if !rangeMapped(fs, dst, dstBlk, cnt) {
-		return fmt.Errorf("dst unmapped at blk %d cnt %d: %w", dstBlk, cnt, vfs.ErrInval)
-	}
-	// Remap event for both inodes: each now addresses different physical
-	// blocks at the swapped range. (The data itself does not move — an
-	// ext4dax.Mapping stays valid — but a lease's Extent.DevOff table is
-	// stale the moment ownership changes, because the counterpart file
-	// may free or overwrite its newly acquired blocks.)
-	src.mapEpoch.Add(1)
-	dst.mapEpoch.Add(1)
-	srcExts := extractExtents(src, srcBlk, cnt)
-	dstExts := extractExtents(dst, dstBlk, cnt)
-	placeExtents(dst, dstBlk, srcExts)
-	placeExtents(src, srcBlk, dstExts)
-	if writeBack {
-		fs.writeInode(src)
-		fs.writeInode(dst)
-	}
-	return nil
 }
 
 // rangeMapped reports whether [blk, blk+cnt) is fully allocated.
@@ -177,58 +46,84 @@ func placeExtents(in *inode, logical int64, exts []alloc.Extent) {
 	}
 }
 
-// Relink is the kernel half of the paper's relink primitive: it logically
-// and atomically moves [srcOff, srcOff+n) of src to [dstOff, dstOff+n) of
-// dst without copying data. It performs, in one journal transaction:
-//
-//  1. allocate blocks at the destination range (so the swap has both
-//     sides populated, as the real ioctl requires — §3.5),
-//  2. swap extents (metadata only),
-//  3. punch the now-swapped blocks out of the source (the "de-allocate
-//     the blocks" step that keeps relink space-neutral),
-//  4. extend the destination file size to newDstSize if larger.
-//
-// The commit makes the move atomic; a crash before it leaves both files
-// untouched. Existing memory mappings of the moved blocks remain valid.
+// Relink is the kernel half of the paper's relink primitive as one call:
+// it logically and atomically moves [srcOff, srcOff+n) of src to
+// [dstOff, dstOff+n) of dst without copying data, extends dst to
+// newDstSize if that is larger, and commits. The commit makes the move
+// atomic; a crash before it leaves both files untouched.
 func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
-	if err := fs.RelinkStep(src, dst, srcOff, dstOff, n, newDstSize); err != nil {
+	b := fs.BeginBatch()
+	err := b.Relink(src, dst, srcOff, dstOff, n, newDstSize)
+	txid := b.End()
+	if err != nil {
 		return err
 	}
-	return fs.CommitMeta()
+	return fs.CommitUpTo(txid)
 }
 
-// RelinkStep performs the relink without committing, so U-Split can batch
-// several runs of one fsync into a single atomic journal transaction.
-// The caller must finish with CommitMeta.
-func (fs *FS) RelinkStep(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
+// Relink moves the blocks backing [srcOff, srcOff+n) of src to
+// [dstOff, dstOff+n) of dst, leaving a hole in src, and extends dst to
+// newDstSize if that is larger. Metadata only: no data is copied or
+// flushed, no block is allocated, and existing memory mappings remain
+// valid (they keep addressing the same physical blocks). Where dst has a
+// hole the blocks fill it; blocks dst already holds there (a strict-mode
+// overwrite) are released when the transaction commits, per the
+// deferred-free rule, which is the only case that touches the block
+// bitmap. Offsets and length must be block-aligned, the source range
+// fully allocated and the files distinct. Both inodes are written back
+// by End, and the move becomes durable, atomically with the rest of the
+// batch, when the transaction End returns commits.
+//
+// Growing dst to newDstSize exposes no stale bytes as long as the caller
+// keeps the rule every other path into a file keeps: bytes past
+// newDstSize in the last block moved in are zero (truncateLocked).
+func (b *Batch) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
+	fs := b.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	// One journal handle covers the whole ioctl (alloc + swap + punch).
 	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-	unlock := lockPair(src.in, dst.in)
-	defer unlock()
-	if err := fs.allocRangeLocked(dst.in, dstOff, n, false); err != nil {
-		return err
+	if srcOff%sim.BlockSize != 0 || dstOff%sim.BlockSize != 0 ||
+		n <= 0 || n%sim.BlockSize != 0 || src.in == dst.in {
+		return vfs.ErrInval
 	}
-	if err := fs.swapExtentsLocked(src.in, dst.in, srcOff, dstOff, n, false); err != nil {
-		return err
+	defer lockPair(src.in, dst.in)()
+	srcBlk, dstBlk, cnt := srcOff/sim.BlockSize, dstOff/sim.BlockSize, n/sim.BlockSize
+	if !rangeMapped(fs, src.in, srcBlk, cnt) {
+		return fmt.Errorf("src unmapped at blk %d cnt %d: %w", srcBlk, cnt, vfs.ErrInval)
 	}
-	// Punch the source range: it now holds the destination's old blocks
-	// (or the fresh ones from step 1); either way the staging space is
-	// reclaimed — at commit time, per the deferred-free rule.
-	for _, e := range extractExtents(src.in, srcOff/sim.BlockSize, n/sim.BlockSize) {
+	// Remap event for both inodes: each now addresses different physical
+	// blocks in the moved range. (The data itself does not move — an
+	// ext4dax.Mapping stays valid — but a lease's Extent.DevOff table is
+	// stale the moment ownership changes, because the old owner's file may
+	// free or overwrite the blocks.)
+	src.in.mapEpoch.Add(1)
+	dst.in.mapEpoch.Add(1)
+	moved := extractExtents(src.in, srcBlk, cnt)
+	for _, e := range extractExtents(dst.in, dstBlk, cnt) {
 		fs.deferFree(fs.bBmp, e)
-		src.in.blocks -= e.Len
+		dst.in.blocks -= e.Len
 	}
+	placeExtents(dst.in, dstBlk, moved)
+	src.in.blocks -= cnt
+	dst.in.blocks += cnt
 	if newDstSize > dst.in.size {
 		dst.in.size = newDstSize
 	}
-	dst.in.blocks = countBlocks(dst.in)
-	// One inode write-back per side for the whole ioctl.
-	fs.writeInode(src.in)
-	fs.writeInode(dst.in)
+	b.touch(src.in, dst.in)
 	return nil
+}
+
+// SetUserWatermark is File.SetUserWatermark inside a batch: the inode
+// record carrying the new watermark is the one End writes back, so a
+// relink and its watermark share a write-back as well as a commit.
+func (b *Batch) SetUserWatermark(f *File, v uint64) {
+	b.fs.mu.Lock()
+	defer b.fs.mu.Unlock()
+	f.in.mu.Lock()
+	f.in.uwm = v
+	f.in.mu.Unlock()
+	b.touch(f.in)
 }
 
 // CommitMeta commits the running journal transaction. It is the tail of
@@ -245,10 +140,8 @@ func (fs *FS) CommitMeta() error {
 
 // TxID returns the id of the running journal transaction, starting one if
 // none is. Every mutation noted while this id stays current commits with
-// it; CommitUpTo(id) then makes them durable. Capture the id while a
-// batch handle (BeginBatch) is still open: the transaction cannot commit
-// while the handle is held, so the id is guaranteed to cover every note
-// the batch made.
+// it; CommitUpTo(id) then makes them durable. A batch gets its id from
+// Batch.End instead, which reads it before the handle closes.
 func (fs *FS) TxID() uint64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -300,8 +193,8 @@ func (fs *FS) DoneTxID() uint64 {
 }
 
 // SetUserWatermark stores U-Split's log-sequence watermark in the inode.
-// It joins the running journal transaction, so a relink and its watermark
-// update commit atomically; the caller commits via CommitMeta.
+// It joins the running journal transaction; the caller commits via
+// CommitMeta.
 func (f *File) SetUserWatermark(v uint64) {
 	fs := f.fs
 	fs.mu.Lock()
@@ -375,12 +268,4 @@ func (fs *FS) PathByIno(ino uint64) (string, bool) {
 		return found, true
 	}
 	return "", false
-}
-
-func countBlocks(in *inode) int64 {
-	var n int64
-	for _, e := range in.extents {
-		n += e.phys.Len
-	}
-	return n
 }

@@ -15,9 +15,9 @@ import (
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0xb7ed5005a861284b,
-	"splitfs-posix":  0x27b6d89126da20ac,
-	"splitfs-sync":   0x70e8fab6dc7d42d0,
-	"splitfs-strict": 0x990b2b094bd3fb97,
+	"splitfs-posix":  0x5bd78e2b6835fd47,
+	"splitfs-sync":   0x654d02265558c843,
+	"splitfs-strict": 0xabbd734eb4c81714,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

@@ -167,8 +167,8 @@ func (tx *Tx) Note(off int64, n int) {
 	tx.ranges = append(tx.ranges, blockRange{off: off, n: n})
 }
 
-// homeBlocks returns the deduplicated, sorted device block offsets touched
-// by the transaction.
+// homeBlocks returns the device block offsets touched by the transaction,
+// each once, in the order they were first noted.
 func (tx *Tx) homeBlocks() []int64 {
 	seen := make(map[int64]bool)
 	var blocks []int64

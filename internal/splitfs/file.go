@@ -444,8 +444,16 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 	// Reuse the active chunk when this write continues it (the common
 	// sequential-append pattern packs one relinkable run).
 	c := of.active
-	fits := c != nil && c.used+need <= c.end-c.base &&
-		(c.base+c.used)%sim.BlockSize == off%sim.BlockSize
+	// A cursor at a block boundary stands before a block nothing has
+	// touched (the chunk's first, or the one after a block that filled up
+	// or was relinked away whole): the write starts at its own offset
+	// within it. A cursor mid-block continues the bytes before it.
+	var skip int64
+	if c != nil && (c.base+c.used)%sim.BlockSize == 0 {
+		skip = off % sim.BlockSize
+	}
+	fits := c != nil && c.used+skip+need <= c.end-c.base &&
+		(c.base+c.used+skip)%sim.BlockSize == off%sim.BlockSize
 	// With pending staged ranges the write must continue the last one;
 	// right after a relink (no staged ranges) the chunk tail is free to
 	// continue at any congruent offset.
@@ -468,6 +476,8 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 			return 0, err
 		}
 		of.active = c
+	} else {
+		c.used += skip
 	}
 	sfOff := c.base + c.used
 	c.sf.m.StoreNT(p, sfOff)

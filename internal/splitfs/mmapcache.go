@@ -86,7 +86,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 
 // refresh quietly rebuilds cached mappings covering [fileOff,
 // fileOff+length) after a relink: the modified ioctl keeps page tables
-// valid across the extent swap, so refreshed mappings carry no syscall
+// valid across the extent move, so refreshed mappings carry no syscall
 // or fault cost. Appended regions whose staged bytes were written
 // through a staging-file mapping also stay mapped for free — §3.3,
 // Figure 2: the relinked block "retains its mmap() region". Regions

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"splitfs/internal/ext4dax"
 	"splitfs/internal/sim"
 )
 
@@ -25,12 +26,13 @@ func (fs *FS) relinkLocked(of *ofile) error {
 }
 
 // relinkStepsLocked performs a file's relink batch WITHOUT committing the
-// journal transaction (§3.4): block-aligned runs move by relink (no data
-// copy); unaligned head/tail bytes are copied through the kernel, as the
-// paper prescribes for partial blocks. Every step joins one K-Split
-// journal transaction, pinned open by a batch handle so no concurrent
-// journal user can commit it half applied; concurrent batches of
-// distinct files share the transaction and group-commit together.
+// journal transaction (§3.4): whole blocks move by relink (no data copy),
+// and so does the partial last block of an append; other unaligned head
+// and tail bytes are copied through the kernel, as the paper prescribes
+// for partial blocks. Every step joins one K-Split journal transaction,
+// pinned open by a batch handle so no concurrent journal user can commit
+// it half applied; concurrent batches of distinct files share the
+// transaction and group-commit together.
 //
 // It returns the id of the journal transaction the batch joined — the
 // caller makes the batch durable with kfs.CommitUpTo(txid) — and the
@@ -41,9 +43,9 @@ func (fs *FS) relinkLocked(of *ofile) error {
 // even though durability arrives later. Caller holds of.mu.
 //
 // Recovery safety needs no markers: each strict-mode log entry names its
-// staging range, and relink punches exactly the block-aligned ranges it
-// moved. Replay re-applies an entry only if its staging range is still
-// allocated; punched ranges mean the relink transaction committed.
+// staging range, and relink leaves a hole exactly where the blocks it
+// moved were. Replay re-applies an entry only if its staging range is
+// still allocated; a hole means the relink transaction committed.
 // Copy-only (sub-block) entries are idempotent to re-apply.
 func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange, err error) {
 	if len(of.staged) == 0 {
@@ -59,17 +61,17 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	}
 	staged := of.staged
 	of.staged = nil
-	// Remap event: the popped ranges' staging blocks are swapped into
-	// the target (aligned runs) or copied and released (partial blocks);
+	// Remap event: the popped ranges' staging blocks are moved into the
+	// target (whole blocks) or copied and released (partial blocks);
 	// either way their old device offsets go back to the staging pool
 	// and may be recycled. Bump before that can happen, so lease holders
 	// re-validating after their loads observe it (vfs.Mappable).
 	of.mapEpoch.Add(1)
-	// The active chunk survives the relink: only the bytes consumed so
-	// far are moved/punched, and the chunk tail stays byte-continuous
-	// with the file, so subsequent appends keep packing into it. Without
-	// this, WAL-style workloads (small append + fsync per operation)
-	// would burn one chunk per fsync.
+	// The active chunk survives the relink: only the blocks consumed so
+	// far are moved, and the chunk tail stays congruent with the file, so
+	// subsequent appends keep packing into it. Without this, WAL-style
+	// workloads (small append + fsync per operation) would burn one chunk
+	// per fsync.
 	fs.stats.relinks.Add(1)
 
 	if fs.cfg.DisableRelink {
@@ -82,22 +84,49 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	// other journal user (a concurrent syncMeta, staging-file creation,
 	// or the size-threshold commit) can commit the shared running
 	// transaction with this relink half applied.
-	fs.kfs.BeginBatch()
-	batchOpen := true
-	endBatch := func() {
-		if batchOpen {
-			batchOpen = false
-			fs.kfs.EndBatch()
-		}
+	batch := fs.kfs.BeginBatch()
+	err = fs.relinkPieces(batch, of, staged)
+	// In strict mode, advance the inode's relink watermark in the same
+	// transaction (and the same inode write-back): every log entry for
+	// this file with seq <= watermark is now covered by the relink, and
+	// recovery must not replay it (an older copy-only entry replayed over
+	// newer relinked data would corrupt the file). The watermark is the
+	// file's own highest logged sequence — not the global op sequence — so
+	// relinks (including background pipeline drains) never need the
+	// strict-mode writer lock.
+	if err == nil && fs.olog != nil {
+		batch.SetUserWatermark(of.kf, of.logSeq)
 	}
-	defer endBatch()
+	// Closing the handle writes each touched inode back once; a complete
+	// batch is then safe for anyone to commit, and the caller's
+	// CommitUpTo(txid) — or any concurrent group-commit leader — makes
+	// the whole batch atomic at once.
+	txid = batch.End()
+	if err != nil {
+		return 0, nil, err
+	}
+	// The modified ioctl keeps existing memory mappings valid across the
+	// move (§3.5); staged ranges were written through staging-file
+	// mappings that remain valid too. Refresh both at no fault cost.
+	for _, s := range staged {
+		fs.mmaps.refresh(of, s.fileOff, s.length, s.dram == nil)
+	}
+	if of.size > of.ksize {
+		of.ksize = of.size
+	}
+	fs.setAttrSize(of, of.size)
+	return txid, staged, nil
+}
 
+// relinkPieces applies staged ranges to the target inside an open batch.
+// Caller holds of.mu.
+func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange) error {
 	// Later staged ranges shadow earlier ones, so partition the staged
 	// list into latest-writer-wins pieces: every file byte is sourced
 	// from exactly one staged range. Beyond avoiding dead copies, the
 	// disjointness is a crash-safety requirement: a sub-block copy must
 	// never land inside a file range whose blocks an earlier step of this
-	// same (uncommitted) batch swapped in from the staging file — if the
+	// same (uncommitted) batch moved in from the staging file — if the
 	// crash rolls the batch back, those blocks return to the staging file
 	// with the copy scribbled over the staged data recovery replays.
 	// Disjoint pieces make such an overlap impossible, because a relinked
@@ -109,67 +138,54 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 			// DRAM-staged data has no PM blocks to relink: copy it all
 			// (§4: this copy is why DRAM staging loses).
 			if err := fs.copyRange(of, s, a, b); err != nil {
-				return 0, nil, err
+				return err
 			}
 			continue
 		}
 		head := (a + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize
 		tail := b / sim.BlockSize * sim.BlockSize
-		// Whole blocks move by relink; the partial head and tail are
-		// copied (§3.3: "SplitFS copies the partial data for that block").
-		// Block-aligned appends — the common case the paper measures —
-		// therefore incur no copying at all.
+		// Whole blocks move by relink; a partial head is copied (§3.3:
+		// "SplitFS copies the partial data for that block"), and so is a
+		// partial tail that stops short of EOF, since the rest of that
+		// block holds other bytes of the file.
 		if head > a {
-			stop := head
-			if stop > b {
-				stop = b
+			if err := fs.copyRange(of, s, a, min(head, b)); err != nil {
+				return err
 			}
-			if err := fs.copyRange(of, s, a, stop); err != nil {
-				return 0, nil, err
+		}
+		if b > tail && tail >= head && b == of.size {
+			// An append's partial last block holds nothing but this
+			// piece, so it moves whole (DESIGN.md, "Relink is a move").
+			// What follows the piece in the staging block is private
+			// dead space — a recycled block's old bytes — and becomes
+			// the target's slack past EOF, which K-Split keeps zero on
+			// media: zero it here, ahead of the commit whose first
+			// fence orders it before the move.
+			tail += sim.BlockSize
+			s.sf.m.StoreNT(make([]byte, tail-b), s.sfOff+(b-s.fileOff))
+			// If the active chunk's cursor stands right after the piece,
+			// it steps to the end of that block: the staging file is
+			// about to lose the block, so the next append must start in
+			// the one after, and give-back must not return it.
+			if c := of.active; c != nil && c.sf == s.sf && c.base+c.used == s.sfOff+(b-s.fileOff) {
+				c.used += tail - b
 			}
 		}
 		if tail > head {
-			err := fs.kfs.RelinkStep(s.sf.kf, of.kf,
+			err := batch.Relink(s.sf.kf, of.kf,
 				s.sfOff+(head-s.fileOff), head, tail-head, of.size)
 			if err != nil {
-				return 0, nil, fmt.Errorf("relinkstep a=%d b=%d head=%d tail=%d sfOff=%d: %w", a, b, head, tail, s.sfOff, err)
+				return fmt.Errorf("relink a=%d b=%d head=%d tail=%d sfOff=%d: %w", a, b, head, tail, s.sfOff, err)
 			}
 			fs.stats.relinkBlocks.Add((tail - head) / sim.BlockSize)
 		}
 		if b > tail && tail >= head {
 			if err := fs.copyRange(of, s, tail, b); err != nil {
-				return 0, nil, err
+				return err
 			}
 		}
 	}
-	// In strict mode, advance the inode's relink watermark in the same
-	// transaction: every log entry for this file with seq <= watermark is
-	// now covered by the relink, and recovery must not replay it (an
-	// older copy-only entry replayed over newer relinked data would
-	// corrupt the file). The watermark is the file's own highest logged
-	// sequence — not the global op sequence — so relinks (including
-	// background pipeline drains) never need the strict-mode writer lock.
-	if fs.olog != nil {
-		of.kf.SetUserWatermark(of.logSeq)
-	}
-	// Capture the transaction id while the batch handle is still open (the
-	// transaction cannot commit, so the id covers every note the batch
-	// made), then close the handle: a complete batch is safe for anyone to
-	// commit, and the caller's CommitUpTo(txid) — or any concurrent
-	// group-commit leader — makes the whole batch atomic at once.
-	txid = fs.kfs.TxID()
-	endBatch()
-	// The modified ioctl keeps existing memory mappings valid across the
-	// swap (§3.5); staged ranges were written through staging-file
-	// mappings that remain valid too. Refresh both at no fault cost.
-	for _, s := range staged {
-		fs.mmaps.refresh(of, s.fileOff, s.length, s.dram == nil)
-	}
-	if of.size > of.ksize {
-		of.ksize = of.size
-	}
-	fs.setAttrSize(of, of.size)
-	return txid, staged, nil
+	return nil
 }
 
 // relinkPiece is a maximal sub-range [a, b) of one staged range that no

@@ -251,7 +251,7 @@ func TestChunkReplacementGivesBackFirst(t *testing.T) {
 // replaying its log entry against the reused staging blocks.
 func TestGivenBackTailReuseSurvivesCrash(t *testing.T) {
 	dev, fs := newEnv(t, Strict)
-	first := pattern(sim.BlockSize+1000, 4) // a relinked block and a copied partial one
+	first := pattern(sim.BlockSize+1000, 4) // two relinked blocks, the second partial
 	fa, _ := vfs.Create(fs, "/first")
 	if _, err := fa.Write(first); err != nil {
 		t.Fatal(err)

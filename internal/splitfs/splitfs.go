@@ -243,7 +243,7 @@ type ofile struct {
 
 	// mapEpoch counts overlay remap events: a staged write shadowing
 	// already-visible bytes, a truncate, and a relink that pops staged
-	// ranges (their staging blocks are swapped away and recycled). It is
+	// ranges (their staging blocks are moved away or recycled). It is
 	// bumped under of.mu before the stale bytes can be reused and read
 	// lock-free by lease holders validating seqlock-style; together with
 	// the kernel inode's own epoch it forms the file's mapping epoch

@@ -130,11 +130,15 @@ func TestUnalignedAppendCopiesPartialOnly(t *testing.T) {
 	f.Write(make([]byte, sim.BlockSize)) // continues at offset 100
 	f.Sync()
 	st := fs.Stats()
-	// First fsync copies the 100-byte partial block; second fsync copies
-	// the head [100,4096) and the tail [4096,4196) — only partial blocks
-	// are ever copied.
-	if st.CopiedBytes != 100+(sim.BlockSize-100)+100 {
-		t.Fatalf("CopiedBytes = %d, want %d", st.CopiedBytes, sim.BlockSize+100)
+	// The first fsync moves the file's only block whole, slack and all;
+	// the second copies the head [100,4096) into that block and moves the
+	// new last block [4096,4196) whole. Only a partial block the file
+	// already owns is ever copied into.
+	if st.CopiedBytes != sim.BlockSize-100 {
+		t.Fatalf("CopiedBytes = %d, want %d", st.CopiedBytes, sim.BlockSize-100)
+	}
+	if st.RelinkBlocks != 2 {
+		t.Fatalf("RelinkBlocks = %d, want 2", st.RelinkBlocks)
 	}
 	got, _ := vfs.ReadFile(fs, "/unaligned")
 	if len(got) != 100+sim.BlockSize {

@@ -34,7 +34,7 @@ type stagingFile struct {
 
 // stagingChunk is a reservation inside a staging file, aligned so that
 // chunk offsets are congruent (mod 4 KB) with the file offsets they
-// stage — the alignment relink needs to swap whole blocks. A chunk has
+// stage — the alignment relink needs to move whole blocks. A chunk has
 // exactly one holder, the ofile whose active append region it is; what
 // that ofile has not used when it lets go is given back (releaseChunk).
 type stagingChunk struct {
