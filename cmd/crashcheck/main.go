@@ -57,6 +57,7 @@ import (
 
 	"splitfs/internal/crash"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 type job struct {
@@ -134,9 +135,14 @@ func main() {
 	// and contents must equal the direct ext4-dax reference exactly.
 	servedFailed := false
 	if *served {
-		kinds := append([]string{"ext4-dax"}, crash.ServedBackendKinds()...)
+		kinds := []string{"ext4-dax"}
+		for _, k := range stack.Kinds() {
+			kinds = append(kinds, stack.Name(k, true, false))
+		}
 		if *leases {
-			kinds = append(kinds, crash.ServedLeaseBackendKinds()...)
+			for _, k := range stack.Kinds() {
+				kinds = append(kinds, stack.Name(k, true, true))
+			}
 		}
 		families := []struct {
 			name string
@@ -149,7 +155,7 @@ func main() {
 		ran, mismatches := 0, 0
 		for seed := uint64(1); seed <= uint64(*seeds); seed++ {
 			for _, fam := range families {
-				res, err := crash.DifferentialOver(kinds, fam.gen(seed*31, *nops), 0)
+				res, err := crash.Differential(kinds, fam.gen(seed*31, *nops))
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "crashcheck: served/%s/seed%d: %v\n", fam.name, seed, err)
 					servedFailed = true
@@ -182,10 +188,10 @@ func main() {
 		sweeps, killed, notFired := 0, 0, 0
 		for _, mode := range modes {
 			for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-				cfg := crash.ServedExploreConfig{Mode: mode, Tenants: *tenants,
-					OpsPerTenant: *nops, Seed: seed, WireFaults: true,
-					FaultCadence: *faultCadence,
-					Leases:       *leases, Sample: *sample}
+				cfg := crash.ServedExploreConfig{Sample: *sample,
+					ServedCampaign: crash.ServedCampaign{Mode: mode, Tenants: *tenants,
+						OpsPerTenant: *nops, Seed: seed, WireFaults: true,
+						FaultCadence: *faultCadence, Leases: *leases}}
 				res, err := crash.ServedExplore(cfg)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "crashcheck: served-crash/%v/seed%d: %v\n", mode, seed, err)

@@ -18,7 +18,8 @@
 // "stats", "sessions", "trace <id>", "pprof cpu [sec]", "pprof heap"
 // (see internal/server ctl.go; splitfs-shell -ctl speaks it).
 //
-// Any of the nine backend kinds (crashcheck's registry) is servable.
+// Any of the nine kinds of internal/stack is servable; the served: and
+// served-lease: wrapper names are refused — the daemon is the server.
 // The daemon owns the device: all state is in memory and vanishes on
 // exit, so splitfsd is a serving harness, not a persistence daemon.
 package main
@@ -33,25 +34,27 @@ import (
 	"syscall"
 	"time"
 
-	"splitfs/internal/crash"
 	"splitfs/internal/server"
+	"splitfs/internal/stack"
 )
 
 func main() {
 	socket := flag.String("socket", "/tmp/splitfsd.sock", "unix socket path to listen on")
 	ctlSocket := flag.String("ctl-socket", "", "unix socket path for the control surface (empty = disabled)")
 	backend := flag.String("backend", "splitfs-strict",
-		fmt.Sprintf("backend kind to serve (one of %v)", crash.BackendKinds()))
+		fmt.Sprintf("backend kind to serve (one of %v)", stack.Kinds()))
 	devMB := flag.Int64("dev-mb", 128, "simulated PM device size in MB")
 	workers := flag.Int("workers", 0, "dispatch pool size (0 = GOMAXPROCS)")
 	mkdirs := flag.String("mkdirs", "", "comma-separated directories to pre-create (session roots)")
 	flag.Parse()
 
-	if !crash.IsBackendKind(*backend) || strings.HasPrefix(*backend, crash.ServedPrefix) {
-		fmt.Fprintf(os.Stderr, "splitfsd: unknown backend %q (have %v)\n", *backend, crash.BackendKinds())
+	if _, served, _, err := stack.Parse(*backend); err != nil || served {
+		fmt.Fprintf(os.Stderr, "splitfsd: unknown backend %q (have %v)\n", *backend, stack.Kinds())
 		os.Exit(2)
 	}
-	b, err := crash.NewBackend(*backend, crash.BackendSpec{DevBytes: *devMB << 20})
+	spec := stack.Small
+	spec.DevBytes = *devMB << 20
+	b, err := stack.New(*backend, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "splitfsd: %v\n", err)
 		os.Exit(1)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -25,18 +27,7 @@ func TestDaemonCtlLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
 	}
-	// MkdirTemp on the default temp root keeps the unix socket paths
-	// under the 108-byte sun_path limit.
-	dir, err := os.MkdirTemp("", "splitfsd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-
-	bin := filepath.Join(dir, "splitfsd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	dir, bin := buildDaemon(t)
 
 	const sessions = 9
 	var mkdirs []string
@@ -137,6 +128,52 @@ func TestDaemonCtlLive(t *testing.T) {
 	}
 	if !traced {
 		t.Fatal("no retired session's flight trace was retrievable over ctl")
+	}
+}
+
+// buildDaemon builds the daemon binary into a fresh temp directory.
+// MkdirTemp on the default temp root keeps the unix socket paths under
+// the 108-byte sun_path limit.
+func buildDaemon(t *testing.T) (dir, bin string) {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "splitfsd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	bin = filepath.Join(dir, "splitfsd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
+
+// TestDaemonRefusesWrapperKinds: the daemon is the server, so a served:
+// or served-lease: kind (a loopback client of a second, inner server)
+// is refused like an unknown one — exit status 2, before any socket is
+// bound. served-lease: used to slip through.
+func TestDaemonRefusesWrapperKinds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	dir, bin := buildDaemon(t)
+	for _, kind := range []string{"served:ext4-dax", "served-lease:splitfs-strict", "served:served:pmfs", "nope", ""} {
+		sock := filepath.Join(dir, "refused.sock")
+		// A daemon that accepts the kind serves forever; bound the wait
+		// so that regression fails instead of hanging.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-socket", sock, "-backend", kind).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-backend %q: err = %v, want exit status 2\n%s", kind, err, out)
+		}
+		if !strings.Contains(string(out), "unknown backend") {
+			t.Errorf("-backend %q: output %q lacks the refusal", kind, out)
+		}
+		if _, err := os.Stat(sock); err == nil {
+			t.Errorf("-backend %q: daemon bound its socket before refusing", kind)
+		}
 	}
 }
 

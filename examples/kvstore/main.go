@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"log"
 
-	root "splitfs"
 	"splitfs/internal/apps/lsmkv"
-	"splitfs/internal/ext4dax"
-	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 	"splitfs/internal/wl/ycsb"
 )
@@ -38,19 +36,11 @@ func run(name string, fs vfs.FileSystem, clk *sim.Clock) {
 }
 
 func main() {
-	// SplitFS (POSIX mode).
-	stack, err := root.NewStack(root.StackConfig{DeviceBytes: 512 << 20})
-	if err != nil {
-		log.Fatal(err)
+	for _, kind := range []string{"splitfs-posix", "ext4-dax"} {
+		st, err := stack.New(kind, stack.Spec{DevBytes: 512 << 20})
+		if err != nil {
+			log.Fatal(err)
+		}
+		run(kind, st.FS, st.Clock)
 	}
-	run("splitfs-posix", stack.FS, stack.Clock)
-
-	// ext4 DAX baseline.
-	clk := sim.NewClock()
-	dev := pmem.New(pmem.Config{Size: 512 << 20, Clock: clk})
-	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 4096})
-	if err != nil {
-		log.Fatal(err)
-	}
-	run("ext4-dax", kfs, clk)
 }

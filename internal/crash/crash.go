@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"sort"
 
-	"splitfs/internal/ext4dax"
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -57,8 +57,6 @@ type Campaign struct {
 	// start of the workload) and suppresses the fence when it returns
 	// true. The hook is removed before recovery runs.
 	SkipFence func(seq int64) bool
-	// DevBytes sizes the PM device (default 32 MB).
-	DevBytes int64
 	// Trace records the full persistence-event trace of the run.
 	Trace bool
 }
@@ -88,35 +86,13 @@ type Result struct {
 	Trace []pmem.Event
 }
 
-// env is one campaign's private simulated machine.
-type env struct {
-	clk *sim.Clock
-	dev *pmem.Device
-	cfg splitfs.Config
-	// journalReplayed is set by recover1: K-Split journal transactions
-	// replayed during the last mount (harness diagnostics).
-	journalReplayed int
-}
-
-const defaultDevBytes = 32 << 20
-
-func newEnv(mode splitfs.Mode, devBytes int64) (*env, *splitfs.FS, error) {
-	if devBytes == 0 {
-		devBytes = defaultDevBytes
-	}
-	clk := sim.NewClock()
-	dev := pmem.New(pmem.Config{Size: devBytes, Clock: clk, TrackPersistence: true})
-	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 512})
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := splitfs.Config{Mode: mode, StagingFiles: 4,
-		StagingFileBytes: 1 << 20, OpLogBytes: 256 << 10}
-	fs, err := splitfs.New(kfs, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &env{clk: clk, dev: dev, cfg: cfg}, fs, nil
+// newCrashStack builds one campaign's private simulated machine: the
+// SplitFS stack of the given mode at stack.Small sizing, on a device
+// that tracks persistence.
+func newCrashStack(mode splitfs.Mode) (*stack.Stack, error) {
+	spec := stack.Small
+	spec.TrackPersistence = true
+	return stack.New(stack.SplitFSKind(mode), spec)
 }
 
 // runner executes compiled syscalls, tracking open handles the way
@@ -207,7 +183,7 @@ func (r *runner) apply(sc syscall) error {
 
 // Run executes the campaign and verifies the mode's guarantee.
 func Run(c Campaign) (*Result, error) {
-	env, fs, err := newEnv(c.Mode, c.DevBytes)
+	env, err := newCrashStack(c.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -224,32 +200,32 @@ func Run(c Campaign) (*Result, error) {
 	res := &Result{}
 
 	if c.Trace {
-		env.dev.SetTracing(true)
+		env.Dev.SetTracing(true)
 	}
 	if c.SkipFence != nil {
-		env.dev.SetFenceFilter(c.SkipFence)
+		env.Dev.SetFenceFilter(c.SkipFence)
 	}
 	if c.CrashAtEvent > 0 {
-		env.dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
+		env.Dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
 	}
 
-	r := &runner{fs: fs, handles: map[string]vfs.File{}}
-	res.SysEvents = append(res.SysEvents, env.dev.Events())
+	r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
+	res.SysEvents = append(res.SysEvents, env.Dev.Events())
 	for i := 0; i < stopSys; i++ {
 		if err := r.apply(sys[i]); err != nil {
 			return nil, fmt.Errorf("op %d (%v %s): %w", sys[i].opIdx, sys[i].kind, sys[i].path, err)
 		}
-		res.SysEvents = append(res.SysEvents, env.dev.Events())
+		res.SysEvents = append(res.SysEvents, env.Dev.Events())
 	}
 	if c.Trace {
-		res.Trace = env.dev.Trace()
-		env.dev.SetTracing(false)
+		res.Trace = env.Dev.Trace()
+		env.Dev.SetTracing(false)
 	}
-	env.dev.SetFenceFilter(nil)
+	env.Dev.SetFenceFilter(nil)
 
 	// Locate the crash point in syscall terms.
 	crashSys, interrupted := stopSys, false
-	if c.CrashAtEvent > 0 && env.dev.CrashFired() {
+	if c.CrashAtEvent > 0 && env.Dev.CrashFired() {
 		crashSys = 0
 		for i, ev := range res.SysEvents {
 			if ev <= c.CrashAtEvent {
@@ -268,35 +244,35 @@ func Run(c Campaign) (*Result, error) {
 	// Crash with torn unfenced lines (ignored if the armed point already
 	// froze the image), then recover — possibly crashing again inside
 	// recovery itself.
-	if err := env.dev.Crash(sim.NewRNG(c.Seed)); err != nil {
+	if err := env.Dev.Crash(sim.NewRNG(c.Seed)); err != nil {
 		return nil, err
 	}
 	if c.DoubleCrashEvent > 0 {
-		env.dev.ArmCrash(c.DoubleCrashEvent, sim.NewRNG(mix(c.Seed, uint64(c.DoubleCrashEvent))^0xD0))
+		env.Dev.ArmCrash(c.DoubleCrashEvent, sim.NewRNG(mix(c.Seed, uint64(c.DoubleCrashEvent))^0xD0))
 	}
-	res.RecoveryStart = env.dev.Events()
-	fs2, report, vio := recover1(env)
-	res.RecoveryEnd = env.dev.Events()
-	if report != nil {
-		res.Replayed = report.Replayed
+	res.RecoveryStart = env.Dev.Events()
+	rec, report, vio := recover1(env)
+	res.RecoveryEnd = env.Dev.Events()
+	if report.OpLog != nil {
+		res.Replayed = report.OpLog.Replayed
 	}
 	if vio != "" {
 		res.Violation = vio
 		return res, nil
 	}
 	if c.DoubleCrashEvent > 0 {
-		res.DoubleFired = env.dev.CrashFired()
-		if err := env.dev.Crash(nil); err != nil {
+		res.DoubleFired = env.Dev.CrashFired()
+		if err := env.Dev.Crash(nil); err != nil {
 			return nil, err
 		}
-		fs2, _, vio = recover1(env)
+		rec, _, vio = recover1(env)
 		if vio != "" {
 			res.Violation = "double-crash: " + vio
 			return res, nil
 		}
 	}
 
-	dur, err := captureDurable(fs2)
+	dur, err := captureDurable(rec.FS)
 	if err != nil {
 		res.Violation = fmt.Sprintf("%v: recovered image unreadable: %v", c.Mode, err)
 		return res, nil
@@ -311,23 +287,18 @@ func Run(c Campaign) (*Result, error) {
 // crashing the recovery code (found by the served fence-fault self-test:
 // an allocator double free in the staging-pool rebuild) must be recorded
 // and minimized like any other breach, not kill the sweep process.
-func recover1(env *env) (fs *splitfs.FS, report *splitfs.RecoveryReport, vio string) {
+func recover1(st *stack.Stack) (rec *stack.Stack, report stack.Recovery, vio string) {
 	defer func() {
 		if r := recover(); r != nil {
-			fs, report = nil, nil
+			rec, report = nil, stack.Recovery{}
 			vio = fmt.Sprintf("recovery panicked: %v", r)
 		}
 	}()
-	kfs, replayedTx, err := ext4dax.Mount(env.dev, ext4dax.Config{})
+	rec, report, err := st.Recover()
 	if err != nil {
-		return nil, nil, fmt.Sprintf("remount failed: %v", err)
+		return nil, report, err.Error()
 	}
-	env.journalReplayed = replayedTx
-	fs, report, err = splitfs.RecoverFS(kfs, env.cfg)
-	if err != nil {
-		return nil, nil, fmt.Sprintf("recovery failed: %v", err)
-	}
-	return fs, report, ""
+	return rec, report, ""
 }
 
 // mix is a splitmix64-style hash for deriving independent seeds.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -17,10 +18,6 @@ import (
 // verifies the model-independent claim — §3.1's transparency property —
 // that all backends implement the same POSIX-visible semantics, using
 // the other five implementations as each other's oracle.
-
-// DiffBackends lists the backends the suite compares, reference first —
-// the full registry from backend.go.
-var DiffBackends = BackendKinds()
 
 // DiffMismatch is one divergence from the reference backend.
 type DiffMismatch struct {
@@ -42,16 +39,6 @@ type DiffResult struct {
 	Mismatches []DiffMismatch
 }
 
-// newDiffFS builds one backend instance on a fresh device via the
-// registry, with the suite's default small-log sizing.
-func newDiffFS(kind string, devBytes int64) (vfs.FileSystem, error) {
-	b, err := NewBackend(kind, BackendSpec{DevBytes: devBytes})
-	if err != nil {
-		return nil, err
-	}
-	return b.FS, nil
-}
-
 // renderTrace produces the canonical, human-readable form of a compiled
 // trace; the seed-stability golden pins its hash so generator drift is
 // caught explicitly.
@@ -64,32 +51,12 @@ func renderTrace(sys []syscall) string {
 	return sb.String()
 }
 
-// TraceHash is an FNV-1a digest of a differential trace rendering, the
-// quantity the seed-stability goldens pin.
-func TraceHash(trace string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(trace); i++ {
-		h ^= uint64(trace[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// Differential feeds ops through every backend and compares final
-// states against the first backend's. devBytes sizes each backend's
-// device (0 = 32 MB).
-func Differential(ops []Op, devBytes int64) (*DiffResult, error) {
-	return DifferentialOver(DiffBackends, ops, devBytes)
-}
-
-// DifferentialOver runs the suite over an explicit kind list (reference
-// first) — e.g. direct ext4-dax against every served: wrapper, which is
-// how the service layer's transparency is verified: the same trace
-// through the session/RPC stack must land byte-identically.
-func DifferentialOver(kinds []string, ops []Op, devBytes int64) (*DiffResult, error) {
-	if devBytes == 0 {
-		devBytes = defaultDevBytes
-	}
+// Differential feeds ops through every listed kind of stack (reference
+// first) and compares final states against the first one's — all nine
+// direct kinds, or e.g. direct ext4-dax against every served: wrapper,
+// which is how the service layer's transparency is verified: the same
+// trace through the session/RPC stack must land byte-identically.
+func Differential(kinds []string, ops []Op) (*DiffResult, error) {
 	sys := compile(ops)
 	res := &DiffResult{
 		Reference: kinds[0],
@@ -99,10 +66,11 @@ func DifferentialOver(kinds []string, ops []Op, devBytes int64) (*DiffResult, er
 	}
 	states := make(map[string]*durableState, len(kinds))
 	for _, kind := range kinds {
-		fs, err := newDiffFS(kind, devBytes)
+		st, err := stack.New(kind, stack.Small)
 		if err != nil {
 			return nil, fmt.Errorf("diff backend %s: %w", kind, err)
 		}
+		fs := st.FS
 		r := &runner{fs: fs, handles: map[string]vfs.File{}}
 		for i, sc := range sys {
 			if err := r.apply(sc); err != nil {
@@ -123,11 +91,10 @@ func DifferentialOver(kinds []string, ops []Op, devBytes int64) (*DiffResult, er
 				return nil, fmt.Errorf("diff backend %s: close %s: %w", kind, p, err)
 			}
 		}
-		st, err := captureDurable(fs)
+		states[kind], err = captureDurable(fs)
 		if err != nil {
 			return nil, fmt.Errorf("diff backend %s: capture: %w", kind, err)
 		}
-		states[kind] = st
 	}
 	ref := states[res.Reference]
 	for _, kind := range kinds[1:] {

@@ -2,6 +2,9 @@ package crash
 
 import (
 	"testing"
+
+	"splitfs/internal/obs"
+	"splitfs/internal/stack"
 )
 
 // TestDifferentialEquivalence feeds generated traces from all three
@@ -18,7 +21,7 @@ func TestDifferentialEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Differential(tc.ops, 0)
+			res, err := Differential(stack.Kinds(), tc.ops)
 			if err != nil {
 				t.Fatalf("differential: %v", err)
 			}
@@ -51,7 +54,7 @@ func TestDifferentialTraceGolden(t *testing.T) {
 	}
 	for _, g := range golden {
 		sys := compile(g.ops)
-		h := TraceHash(renderTrace(sys))
+		h := obs.FNV1a(renderTrace(sys))
 		if len(sys) != g.syscalls || h != g.hash {
 			t.Errorf("%s: trace changed: syscalls=%d hash=%#x (pinned %d/%#x)",
 				g.name, len(sys), h, g.syscalls, g.hash)

@@ -27,8 +27,6 @@ type ExploreConfig struct {
 	// DoubleSample bounds the second-crash events tested per recovery
 	// (0 = 3).
 	DoubleSample int
-	// DevBytes sizes the PM device (default 32 MB).
-	DevBytes int64
 	// SkipFence, when set, is installed as the fence fault-injection hook
 	// of every campaign in the sweep (see Campaign.SkipFence).
 	SkipFence func(seq int64) bool
@@ -92,7 +90,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
 	record, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAfter: len(cfg.Ops),
-		Seed: cfg.Seed, DevBytes: cfg.DevBytes, Trace: true, SkipFence: cfg.SkipFence})
+		Seed: cfg.Seed, Trace: true, SkipFence: cfg.SkipFence})
 	if err != nil {
 		return nil, err
 	}
@@ -125,12 +123,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	events := sampleEvents(w0+1, w1, cfg.Sample, sim.NewRNG(mix(cfg.Seed, 0x5a)))
 	for _, k := range cfg.Include {
 		if k > w0 && k <= w1 {
-			i := sort.Search(len(events), func(i int) bool { return events[i] >= k })
-			if i == len(events) || events[i] != k {
-				events = append(events, 0)
-				copy(events[i+1:], events[i:])
-				events[i] = k
-			}
+			events = insertEvent(events, k)
 		}
 	}
 	dblSample := cfg.DoubleSample
@@ -138,8 +131,9 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		dblSample = 3
 	}
 	for _, k := range events {
-		r, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
-			CrashAtEvent: k, DevBytes: cfg.DevBytes, SkipFence: cfg.SkipFence})
+		c := Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
+			CrashAtEvent: k, SkipFence: cfg.SkipFence}
+		r, err := Run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -157,9 +151,8 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		// Sweep second crashes inside this recovery's event window.
 		rng := sim.NewRNG(mix(cfg.Seed, uint64(k)^0xDD))
 		for _, k2 := range sampleEvents(r.RecoveryStart+1, r.RecoveryEnd, dblSample, rng) {
-			r2, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
-				CrashAtEvent: k, DoubleCrashEvent: k2, DevBytes: cfg.DevBytes,
-				SkipFence: cfg.SkipFence})
+			c.DoubleCrashEvent = k2
+			r2, err := Run(c)
 			if err != nil {
 				return nil, err
 			}
@@ -199,4 +192,16 @@ func sampleEvents(lo, hi int64, max int, rng *sim.RNG) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// insertEvent inserts k into the sorted event list if absent.
+func insertEvent(events []int64, k int64) []int64 {
+	i := sort.Search(len(events), func(i int) bool { return events[i] >= k })
+	if i < len(events) && events[i] == k {
+		return events
+	}
+	events = append(events, 0)
+	copy(events[i+1:], events[i:])
+	events[i] = k
+	return events
 }

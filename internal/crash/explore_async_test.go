@@ -11,9 +11,9 @@ import (
 // TestAsyncRelinkSweepAllModes sweeps persistence events over a workload
 // shaped for the asynchronous relink pipeline — multi-file appends with
 // per-file fsyncs and group syncs (OpSyncAll) — in all three modes. The
-// pipeline runs in deterministic single-drain mode (the default), so the
-// sweep crosses the background-stage events (relink workers, group
-// commit, staging reclamation) at every point; all of them must be
+// pipeline drains on the calling goroutine, so the sweep crosses its
+// stages' events (relink, group commit, staging reclamation) at every
+// point; all of them must be
 // violation-free.
 func TestAsyncRelinkSweepAllModes(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {

@@ -29,26 +29,28 @@ func TestRecoveryIdempotence(t *testing.T) {
 		rng := sim.NewRNG(99)
 		for probe := 0; probe < 4; probe++ {
 			k := w0 + 1 + rng.Int63n(w1-w0)
-			env, fs, err := newEnv(mode, 0)
+			env, err := newCrashStack(mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.dev.ArmCrash(k, sim.NewRNG(mix(17, uint64(k))))
-			r := &runner{fs: fs, handles: map[string]vfs.File{}}
+			cfg := env.Spec.USplit
+			cfg.Mode = mode
+			env.Dev.ArmCrash(k, sim.NewRNG(mix(17, uint64(k))))
+			r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
 			for _, sc := range compile(ops) {
 				if err := r.apply(sc); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := env.dev.Crash(sim.NewRNG(17)); err != nil {
+			if err := env.Dev.Crash(sim.NewRNG(17)); err != nil {
 				t.Fatal(err)
 			}
 
 			// Mount twice: the second journal replay must be a no-op.
-			if _, _, err := ext4dax.Mount(env.dev, ext4dax.Config{}); err != nil {
+			if _, _, err := ext4dax.Mount(env.Dev, ext4dax.Config{}); err != nil {
 				t.Fatalf("%v k=%d: first mount: %v", mode, k, err)
 			}
-			kfs, replayed2, err := ext4dax.Mount(env.dev, ext4dax.Config{})
+			kfs, replayed2, err := ext4dax.Mount(env.Dev, ext4dax.Config{})
 			if err != nil {
 				t.Fatalf("%v k=%d: second mount: %v", mode, k, err)
 			}
@@ -56,7 +58,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 				t.Fatalf("%v k=%d: second mount replayed %d transactions", mode, k, replayed2)
 			}
 
-			_, rep1, err := splitfs.RecoverFS(kfs, env.cfg)
+			_, rep1, err := splitfs.RecoverFS(kfs, cfg)
 			if err != nil {
 				t.Fatalf("%v k=%d: first recovery: %v", mode, k, err)
 			}
@@ -66,11 +68,11 @@ func TestRecoveryIdempotence(t *testing.T) {
 
 			// Recover again over the recovered image (as if the machine
 			// lost power right after recovery finished).
-			kfs2, _, err := ext4dax.Mount(env.dev, ext4dax.Config{})
+			kfs2, _, err := ext4dax.Mount(env.Dev, ext4dax.Config{})
 			if err != nil {
 				t.Fatalf("%v k=%d: remount: %v", mode, k, err)
 			}
-			_, rep2, err := splitfs.RecoverFS(kfs2, env.cfg)
+			_, rep2, err := splitfs.RecoverFS(kfs2, cfg)
 			if err != nil {
 				t.Fatalf("%v k=%d: second recovery: %v", mode, k, err)
 			}

@@ -45,23 +45,43 @@ func Minimize(cfg ExploreConfig) (*MinimizeResult, error) {
 		return nil, fmt.Errorf("crash: campaign does not violate; nothing to minimize")
 	}
 
+	cur, err = ddmin(cur, func(cand []Op) ([]Op, bool, error) {
+		if len(cand) == 0 {
+			return nil, false, nil
+		}
+		v, err := test(cand)
+		if v != nil {
+			witness = v
+		}
+		return cand, v != nil, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Ops = cur
+	res.Violation = *witness
+	return res, nil
+}
+
+// ddmin returns a locally minimal subsequence of ops: it deletes chunks
+// of the list, halving the chunk size when a pass removes nothing, and
+// keeps every candidate test accepts. test may rewrite the candidate it
+// accepts (the served minimizer sanitizes orphaned ops); the returned
+// list replaces the current one.
+func ddmin(cur []Op, test func(cand []Op) (kept []Op, ok bool, err error)) ([]Op, error) {
 	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
 		removed := false
 		for start := 0; start+chunk <= len(cur); {
 			cand := make([]Op, 0, len(cur)-chunk)
 			cand = append(cand, cur[:start]...)
 			cand = append(cand, cur[start+chunk:]...)
-			if len(cand) == 0 {
-				start += chunk
-				continue
-			}
-			v, err := test(cand)
+			kept, ok, err := test(cand)
 			if err != nil {
 				return nil, err
 			}
-			if v != nil {
-				cur, witness, removed = cand, v, true
+			if ok {
 				// Re-scan from the same position on the shrunken list.
+				cur, removed = kept, true
 				continue
 			}
 			start += chunk
@@ -72,7 +92,5 @@ func Minimize(cfg ExploreConfig) (*MinimizeResult, error) {
 			chunk = len(cur)
 		}
 	}
-	res.Ops = cur
-	res.Violation = *witness
-	return res, nil
+	return cur, nil
 }

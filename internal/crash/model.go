@@ -290,7 +290,16 @@ type durableState struct {
 // captureDurable walks the recovered file system. Unreadable files are
 // reported as violations by returning an error.
 func captureDurable(fs vfs.FileSystem) (*durableState, error) {
+	return captureSubtree(fs, "/")
+}
+
+// captureSubtree walks the subtree at root ("/" = everything), returning
+// paths relative to root — so per-tenant models, built on root-relative
+// workloads matching the session confinement the tenants attach with,
+// compare directly.
+func captureSubtree(fs vfs.FileSystem, root string) (*durableState, error) {
 	d := &durableState{files: map[string][]byte{}, dirs: map[string]bool{}}
+	prefix := strings.TrimSuffix(root, "/")
 	var walk func(dir string, depth int) error
 	walk = func(dir string, depth int) error {
 		// A corrupt recovered image can contain a directory cycle (found
@@ -305,12 +314,10 @@ func captureDurable(fs vfs.FileSystem) (*durableState, error) {
 			return fmt.Errorf("readdir %s: %w", dir, err)
 		}
 		for _, e := range ents {
-			p := dir + "/" + e.Name
-			if dir == "/" {
-				p = "/" + e.Name
-			}
+			p := strings.TrimSuffix(dir, "/") + "/" + e.Name
+			rel := strings.TrimPrefix(p, prefix)
 			if e.IsDir {
-				d.dirs[p] = true
+				d.dirs[rel] = true
 				if err := walk(p, depth+1); err != nil {
 					return err
 				}
@@ -320,11 +327,11 @@ func captureDurable(fs vfs.FileSystem) (*durableState, error) {
 			if err != nil {
 				return fmt.Errorf("read %s: %w", p, err)
 			}
-			d.files[p] = data
+			d.files[rel] = data
 		}
 		return nil
 	}
-	if err := walk("/", 0); err != nil {
+	if err := walk(root, 0); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -84,8 +84,6 @@ type ServedCampaign struct {
 	// SkipFence is the fence fault-injection hook for harness self-tests
 	// (see Campaign.SkipFence); it must be safe for concurrent calls.
 	SkipFence func(seq int64) bool
-	// DevBytes sizes the PM device (default 32 MB).
-	DevBytes int64
 	// Trace records the full persistence-event trace (debug).
 	Trace bool
 }
@@ -354,53 +352,23 @@ func (c *servedCounter) doubleApplied() []string {
 	return out
 }
 
-// captureSubtree walks one subtree of the (recovered) file system,
-// returning paths relative to root, so per-tenant models — built on
-// root-relative workloads, matching the session confinement the tenants
-// attach with — compare directly.
-func captureSubtree(fs vfs.FileSystem, root string) (*durableState, error) {
-	d := &durableState{files: map[string][]byte{}, dirs: map[string]bool{}}
-	var walk func(dir string, depth int) error
-	walk = func(dir string, depth int) error {
-		// Same cycle guard as captureDurable: a corrupt image must fail
-		// the capture, not hang it.
-		if depth > maxWalkDepth {
-			return fmt.Errorf("walk of %.80s... exceeds depth %d: directory cycle in recovered image",
-				dir, maxWalkDepth)
-		}
-		ents, err := fs.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("readdir %s: %w", dir, err)
-		}
-		for _, e := range ents {
-			p := dir + "/" + e.Name
-			rel := strings.TrimPrefix(p, root)
-			if e.IsDir {
-				d.dirs[rel] = true
-				if err := walk(p, depth+1); err != nil {
-					return err
-				}
-				continue
-			}
-			data, err := vfs.ReadFile(fs, p)
-			if err != nil {
-				return fmt.Errorf("read %s: %w", p, err)
-			}
-			d.files[rel] = data
-		}
-		return nil
+// workloads returns the campaign's per-tenant workloads: TenantOps when
+// set, otherwise Tenants (default 3) generated workloads of OpsPerTenant
+// (default 12) operations each.
+func (c *ServedCampaign) workloads() [][]Op {
+	if c.TenantOps != nil {
+		return c.TenantOps
 	}
-	if err := walk(root, 0); err != nil {
-		return nil, err
+	tenants, ops := c.Tenants, c.OpsPerTenant
+	if tenants <= 0 {
+		tenants = 3
 	}
-	return d, nil
-}
-
-// servedWorkloads generates the per-tenant workloads of a campaign.
-func servedWorkloads(seed uint64, tenants, ops int) [][]Op {
+	if ops <= 0 {
+		ops = 12
+	}
 	out := make([][]Op, tenants)
 	for i := range out {
-		out[i] = ServedOps(mix(seed, uint64(i)+0x7e57), ops)
+		out[i] = ServedOps(mix(c.Seed, uint64(i)+0x7e57), ops)
 	}
 	return out
 }
@@ -433,19 +401,13 @@ func tenantsErr(tenants []*servedTenant) error {
 
 // RunServed executes one served campaign and verifies its oracles.
 func RunServed(c ServedCampaign) (*ServedResult, error) {
-	if c.TenantOps != nil {
-		c.Tenants = len(c.TenantOps)
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 3
-	}
-	if c.OpsPerTenant <= 0 {
-		c.OpsPerTenant = 12
-	}
-	env, fs, err := newEnv(c.Mode, c.DevBytes)
+	workloads := c.workloads()
+	c.Tenants = len(workloads)
+	env, err := newCrashStack(c.Mode)
 	if err != nil {
 		return nil, err
 	}
+	fs := env.FS
 	res := &ServedResult{}
 
 	// Setup: per-tenant subtree roots, then a journal-commit barrier
@@ -453,10 +415,6 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	// campaign arms — the per-tenant oracles verify subtrees, so the
 	// subtree roots themselves must survive, and a cold re-attach after
 	// the restart must find its session root to attach to.
-	workloads := c.TenantOps
-	if workloads == nil {
-		workloads = servedWorkloads(c.Seed, c.Tenants, c.OpsPerTenant)
-	}
 	tenants := make([]*servedTenant, c.Tenants)
 	for i := range tenants {
 		root := fmt.Sprintf("/t%d", i)
@@ -477,19 +435,19 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	if err := mark.Close(); err != nil {
 		return nil, err
 	}
-	res.BaselineEvents = env.dev.Events()
+	res.BaselineEvents = env.Dev.Events()
 	if c.CrashAtEvent > 0 && c.CrashAtEvent <= res.BaselineEvents {
 		return nil, fmt.Errorf("crash: served crash event %d falls inside setup (baseline %d)",
 			c.CrashAtEvent, res.BaselineEvents)
 	}
 	if c.SkipFence != nil {
-		env.dev.SetFenceFilter(c.SkipFence)
+		env.Dev.SetFenceFilter(c.SkipFence)
 	}
 	if c.Trace {
-		env.dev.SetTracing(true)
+		env.Dev.SetTracing(true)
 	}
 	if c.CrashAtEvent > 0 {
-		env.dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
+		env.Dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
 	}
 
 	srv := server.New(fs, server.Config{
@@ -499,13 +457,13 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 		// live: once the armed crash fires, every reply is dropped and its
 		// connection killed — the executed-but-unacknowledged window of a
 		// real daemon death.
-		FailReplies: func() bool { return env.dev.CrashFired() },
+		FailReplies: func() bool { return env.Dev.CrashFired() },
 		// Sim-clock cost and device fence deltas annotate each flight
 		// record, so a violation's trace shows what each op persisted.
-		OpClock:  env.clk.Now,
-		OpFences: env.dev.FenceCount,
+		OpClock:  env.Clock.Now,
+		OpFences: env.Dev.FenceCount,
 	})
-	dial := newServedDialer(srv, env.dev.CrashFired)
+	dial := newServedDialer(srv, env.Dev.CrashFired)
 
 	var wg sync.WaitGroup
 	for i := range tenants {
@@ -529,7 +487,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	// teardown, after the last acknowledgement — check once more).
 	armed := c.CrashAtEvent > 0
 	for {
-		if armed && env.dev.CrashFired() {
+		if armed && env.Dev.CrashFired() {
 			res.Fired = true
 			break
 		}
@@ -539,16 +497,16 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 			runtime.Gosched()
 			continue
 		}
-		res.Fired = armed && env.dev.CrashFired()
+		res.Fired = armed && env.Dev.CrashFired()
 		break
 	}
 
 	if !res.Fired {
 		<-finished
 		srv.Close()
-		env.dev.SetFenceFilter(nil)
+		env.Dev.SetFenceFilter(nil)
 		res.Gen1 = srv.Stats()
-		res.TotalEvents = env.dev.Events()
+		res.TotalEvents = env.Dev.Events()
 		if err := tenantsErr(tenants); err != nil {
 			return nil, err
 		}
@@ -570,10 +528,10 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	// acknowledged prefix, then crash and recover.
 	dial.beginRestart()
 	srv.Close()
-	env.dev.SetFenceFilter(nil)
+	env.Dev.SetFenceFilter(nil)
 	if c.Trace {
-		res.Trace = env.dev.Trace()
-		env.dev.SetTracing(false)
+		res.Trace = env.Dev.Trace()
+		env.Dev.SetTracing(false)
 	}
 	res.Gen1 = srv.Stats()
 	if n := srv.ActiveLeases(); n != 0 {
@@ -596,14 +554,14 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 		dial.completeRestart(nil, errServedAborted)
 		<-finished
 	}
-	if err := env.dev.Crash(sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent)) ^ 0xC4A5)); err != nil {
+	if err := env.Dev.Crash(sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent)) ^ 0xC4A5)); err != nil {
 		abort()
 		return nil, err
 	}
-	fs2, report, vio := recover1(env)
-	res.JournalReplayed = env.journalReplayed
-	if report != nil {
-		res.Replayed = report.Replayed
+	rec, report, vio := recover1(env)
+	res.JournalReplayed = report.JournalTx
+	if report.OpLog != nil {
+		res.Replayed = report.OpLog.Replayed
 	}
 	if vio != "" {
 		res.Violation = vio
@@ -617,7 +575,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	// outstanding request beyond the last ack may have executed partially
 	// (or fully, with its reply suppressed).
 	for i, t := range tenants {
-		dur, err := captureSubtree(fs2, t.root)
+		dur, err := captureSubtree(rec.FS, t.root)
 		if err != nil {
 			res.Violation = fmt.Sprintf("tenant %d: recovered subtree unreadable: %v", i, err)
 			break
@@ -641,18 +599,18 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	// must read as unknown and fall back to cold attach), an exactly-once
 	// counter on the backend, and no reply faults. Unblocked tenants
 	// re-attach, replay, and finish.
-	counter := &servedCounter{FileSystem: fs2}
+	counter := &servedCounter{FileSystem: rec.FS}
 	srv2 := server.New(counter, server.Config{
 		Workers:   c.Tenants,
 		TokenSalt: mix(c.Seed, 0xB0B2),
-		OpClock:   env.clk.Now,
-		OpFences:  env.dev.FenceCount,
+		OpClock:   env.Clock.Now,
+		OpFences:  env.Dev.FenceCount,
 	})
 	dial.completeRestart(srv2, nil)
 	<-finished
 	srv2.Close()
 	res.Gen2 = srv2.Stats()
-	res.TotalEvents = env.dev.Events()
+	res.TotalEvents = env.Dev.Events()
 	if err := tenantsErr(tenants); err != nil {
 		// A tenant that cannot finish its workload against the recovered
 		// generation is a serving failure, not a harness error: under
@@ -670,7 +628,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 		res.Flight = srv2.FlightReport()
 		return res, nil
 	}
-	res.Violation = finalCheck(tenants, fs2)
+	res.Violation = finalCheck(tenants, rec.FS)
 	if res.Violation != "" {
 		res.Flight = srv2.FlightReport()
 	}

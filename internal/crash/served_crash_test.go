@@ -72,8 +72,8 @@ func TestServedOpsDiscipline(t *testing.T) {
 func TestServedCrashSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := ServedExplore(ServedExploreConfig{
-				Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 11, Sample: 8})
+			res, err := ServedExplore(ServedExploreConfig{Sample: 8, ServedCampaign: ServedCampaign{
+				Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 11}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,9 +97,8 @@ func TestServedCrashSweep(t *testing.T) {
 // re-attach with replay, then the crash, then cold resume (possibly torn
 // again) — still violation-free.
 func TestServedCrashWireFaults(t *testing.T) {
-	res, err := ServedExplore(ServedExploreConfig{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10, Seed: 17,
-		Sample: 6, WireFaults: true})
+	res, err := ServedExplore(ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
+		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10, Seed: 17, WireFaults: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +153,8 @@ func TestServedCrashReconnects(t *testing.T) {
 func TestServedCrashWithLeases(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := ServedExplore(ServedExploreConfig{
-				Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 29,
-				Sample: 6, Leases: true})
+			res, err := ServedExplore(ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
+				Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 29, Leases: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,9 +208,9 @@ func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
 // vacuous: with every workload fence skipped (the pmem fault-injection
 // hook), strict-mode daemon deaths must surface guarantee breaches.
 func TestServedOracleDetectsViolations(t *testing.T) {
-	res, err := ServedExplore(ServedExploreConfig{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10, Seed: 29, Sample: 24,
-		SkipFence: func(seq int64) bool { return true }})
+	res, err := ServedExplore(ServedExploreConfig{Sample: 24, ServedCampaign: ServedCampaign{
+		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10, Seed: 29,
+		SkipFence: func(seq int64) bool { return true }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +224,9 @@ func TestServedOracleDetectsViolations(t *testing.T) {
 // TestServedMinimize shrinks a seeded-fault served campaign to a small
 // reproducer and keeps a witness violation.
 func TestServedMinimize(t *testing.T) {
-	res, err := ServedMinimize(ServedExploreConfig{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 6, Seed: 31, Sample: 12,
-		SkipFence: func(seq int64) bool { return true }})
+	res, err := ServedMinimize(ServedExploreConfig{Sample: 12, ServedCampaign: ServedCampaign{
+		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 6, Seed: 31,
+		SkipFence: func(seq int64) bool { return true }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +246,8 @@ func TestServedMinimize(t *testing.T) {
 // TestServedMinimizeRejectsHealthy mirrors the direct minimizer's
 // contract: a violation-free campaign refuses to minimize.
 func TestServedMinimizeRejectsHealthy(t *testing.T) {
-	_, err := ServedMinimize(ServedExploreConfig{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 5, Seed: 37, Sample: 6})
+	_, err := ServedMinimize(ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
+		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 5, Seed: 37}})
 	if err == nil {
 		t.Fatal("expected error for a non-violating served campaign")
 	}

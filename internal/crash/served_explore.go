@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"splitfs/internal/sim"
-	"splitfs/internal/splitfs"
 )
 
 // ServedExplore is the daemon-death sweep: run the served campaign once
@@ -16,27 +15,14 @@ import (
 
 // ServedExploreConfig configures a served sweep.
 type ServedExploreConfig struct {
-	Mode splitfs.Mode
-	// Tenants/OpsPerTenant/TenantOps/Seed/WireFaults/DevBytes as in
-	// ServedCampaign.
-	Tenants      int
-	OpsPerTenant int
-	TenantOps    [][]Op
-	Seed         uint64
-	WireFaults   bool
-	// Leases negotiates the zero-copy data plane on every tenant session
-	// of every run (see ServedCampaign.Leases).
-	Leases bool
-	// FaultCadence arms a wire cut on every FaultCadence-th dial when
-	// WireFaults is set (0 = default 2; see ServedCampaign).
-	FaultCadence int
-	DevBytes     int64
+	// ServedCampaign is the campaign run at every tested event; the sweep
+	// sets its CrashAtEvent. The Seed stays fixed across the sweep so
+	// every run drives the same workloads over the same wire-fault
+	// cadence — only the armed event varies.
+	ServedCampaign
 	// Sample bounds how many crash events are tested (0 = all),
 	// deterministic in Seed.
 	Sample int
-	// SkipFence is installed in every campaign of the sweep (harness
-	// self-tests; must be safe for concurrent calls).
-	SkipFence func(seq int64) bool
 	// Include lists events that must be tested even when Sample would not
 	// draw them (minimization pins the witness event this way).
 	Include []int64
@@ -59,17 +45,13 @@ type ServedExploreResult struct {
 func ServedExplore(cfg ServedExploreConfig) (*ServedExploreResult, error) {
 	res := &ServedExploreResult{}
 	campaign := func(event int64) ServedCampaign {
-		return ServedCampaign{Mode: cfg.Mode, Tenants: cfg.Tenants,
-			OpsPerTenant: cfg.OpsPerTenant, TenantOps: cfg.TenantOps,
-			Seed: cfg.Seed, CrashAtEvent: event, WireFaults: cfg.WireFaults,
-			FaultCadence: cfg.FaultCadence,
-			Leases:       cfg.Leases, SkipFence: cfg.SkipFence, DevBytes: cfg.DevBytes}
+		c := cfg.ServedCampaign
+		c.CrashAtEvent = event
+		return c
 	}
 
 	// Recording run: no crash; validates the workloads' final states and
-	// bounds the sweep window. The Seed stays fixed across the sweep so
-	// every run drives the same workloads over the same wire-fault
-	// cadence — only the armed event varies.
+	// bounds the sweep window.
 	record, err := RunServed(campaign(0))
 	if err != nil {
 		return nil, err
@@ -108,21 +90,6 @@ func ServedExplore(cfg ServedExploreConfig) (*ServedExploreResult, error) {
 	return res, nil
 }
 
-// insertEvent inserts k into the sorted event list if absent.
-func insertEvent(events []int64, k int64) []int64 {
-	i := 0
-	for i < len(events) && events[i] < k {
-		i++
-	}
-	if i < len(events) && events[i] == k {
-		return events
-	}
-	events = append(events, 0)
-	copy(events[i+1:], events[i:])
-	events[i] = k
-	return events
-}
-
 // ServedMinimizeResult is a shrunken served reproducer.
 type ServedMinimizeResult struct {
 	TenantOps [][]Op
@@ -151,25 +118,14 @@ func ServedMinimize(cfg ServedExploreConfig) (*ServedMinimizeResult, error) {
 			// Pin the witness event so a sampled re-sweep of the next
 			// candidate cannot miss it.
 			if ev := r.Violations[0].Event; ev > 0 {
-				cfg.Include = appendEventOnce(cfg.Include, ev)
+				cfg.Include = insertEvent(cfg.Include, ev)
 			}
 			return &r.Violations[0], nil
 		}
 		return nil, nil
 	}
 
-	cur := cfg.TenantOps
-	if cur == nil {
-		t, n := cfg.Tenants, cfg.OpsPerTenant
-		if t <= 0 {
-			t = 3
-		}
-		if n <= 0 {
-			n = 12
-		}
-		cur = servedWorkloads(cfg.Seed, t, n)
-	}
-	cur = copyTenantOps(cur)
+	cur := copyTenantOps(cfg.workloads())
 	witness, err := test(cur)
 	if err != nil {
 		return nil, err
@@ -196,31 +152,19 @@ func ServedMinimize(cfg ServedExploreConfig) (*ServedMinimizeResult, error) {
 
 	// Pass 2: ddmin within each remaining tenant.
 	for i := range cur {
-		for chunk := (len(cur[i]) + 1) / 2; chunk >= 1; {
-			removed := false
-			for start := 0; start+chunk <= len(cur[i]); {
-				cand := copyTenantOps(cur)
-				ops := make([]Op, 0, len(cur[i])-chunk)
-				ops = append(ops, cur[i][:start]...)
-				ops = append(ops, cur[i][start+chunk:]...)
-				cand[i] = sanitizeServedOps(ops)
-				v, err := test(cand)
-				if err != nil {
-					return nil, err
-				}
-				if v != nil {
-					cur, witness, removed = cand, v, true
-					// Re-scan from the same position on the shrunken list.
-					continue
-				}
-				start += chunk
+		kept, err := ddmin(cur[i], func(ops []Op) ([]Op, bool, error) {
+			cand := copyTenantOps(cur)
+			cand[i] = sanitizeServedOps(ops)
+			v, err := test(cand)
+			if v != nil {
+				witness = v
 			}
-			if !removed {
-				chunk /= 2
-			} else if chunk > len(cur[i]) {
-				chunk = len(cur[i])
-			}
+			return cand[i], v != nil, err
+		})
+		if err != nil {
+			return nil, err
 		}
+		cur[i] = kept
 	}
 	res.TenantOps = cur
 	res.Violation = *witness
@@ -289,13 +233,4 @@ func copyTenantOps(t [][]Op) [][]Op {
 		out[i] = append([]Op(nil), t[i]...)
 	}
 	return out
-}
-
-func appendEventOnce(events []int64, k int64) []int64 {
-	for _, e := range events {
-		if e == k {
-			return events
-		}
-	}
-	return append(events, k)
 }

@@ -1,9 +1,9 @@
 package crash
 
 import (
-	"strings"
 	"testing"
 
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -14,8 +14,12 @@ import (
 // ext4-dax reference — and therefore to every direct backend, which the
 // plain differential suite already pins against the same reference.
 func TestServedDifferentialEquivalence(t *testing.T) {
-	kinds := append([]string{"ext4-dax"}, ServedBackendKinds()...)
-	kinds = append(kinds, ServedLeaseBackendKinds()...)
+	kinds := []string{"ext4-dax"}
+	for _, leases := range []bool{false, true} {
+		for _, k := range stack.Kinds() {
+			kinds = append(kinds, stack.Name(k, true, leases))
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		ops  []Op
@@ -25,7 +29,7 @@ func TestServedDifferentialEquivalence(t *testing.T) {
 		{"async", AsyncOps(303, 25)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := DifferentialOver(kinds, tc.ops, 0)
+			res, err := Differential(kinds, tc.ops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,44 +37,6 @@ func TestServedDifferentialEquivalence(t *testing.T) {
 				t.Errorf("served mismatch: %s", m)
 			}
 		})
-	}
-}
-
-// TestServedBackendRegistry pins the wrapper kind's registry behavior.
-func TestServedBackendRegistry(t *testing.T) {
-	if !IsBackendKind("served:splitfs-strict") {
-		t.Fatal("served:splitfs-strict should be a valid kind")
-	}
-	if IsBackendKind("served:nope") {
-		t.Fatal("served wrapper of an unknown kind must be invalid")
-	}
-	if _, err := NewBackend("served:served:ext4-dax", BackendSpec{}); err == nil {
-		t.Fatal("nested served wrapper must be rejected")
-	}
-	b, err := NewBackend("served:logfs", BackendSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Direct == nil || b.Server == nil {
-		t.Fatal("served backend must expose the direct FS and the server")
-	}
-	if !strings.HasPrefix(b.FS.Name(), "served:") {
-		t.Fatalf("served FS name = %q", b.FS.Name())
-	}
-	if got := len(ServedBackendKinds()); got != len(BackendKinds()) {
-		t.Fatalf("ServedBackendKinds has %d kinds", got)
-	}
-	if !IsBackendKind("served-lease:splitfs-strict") {
-		t.Fatal("served-lease:splitfs-strict should be a valid kind")
-	}
-	if IsBackendKind("served-lease:nope") {
-		t.Fatal("served-lease wrapper of an unknown kind must be invalid")
-	}
-	if _, err := NewBackend("served-lease:served:ext4-dax", BackendSpec{}); err == nil {
-		t.Fatal("nested served-lease wrapper must be rejected")
-	}
-	if got := len(ServedLeaseBackendKinds()); got != len(BackendKinds()) {
-		t.Fatalf("ServedLeaseBackendKinds has %d kinds", got)
 	}
 }
 
@@ -83,7 +49,7 @@ func TestServedEventStreamMatchesDirect(t *testing.T) {
 	sys := compile(ops)
 
 	run := func(kind string) (int64, int64) {
-		b, err := NewBackend(kind, BackendSpec{})
+		b, err := stack.New(kind, stack.Small)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"splitfs/internal/apps/aofstore"
 	"splitfs/internal/apps/lsmkv"
 	"splitfs/internal/apps/waldb"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 	"splitfs/internal/wl/tpcc"
 	"splitfs/internal/wl/utilsim"
@@ -37,11 +38,11 @@ func lsmOpts() lsmkv.Options {
 // runYCSB loads a store and runs one workload, returning Kops/s of the
 // run phase.
 func runYCSB(kind string, w ycsb.Workload) (float64, error) {
-	e, err := newEnv(kind, appDev)
+	e, err := paperStack(kind, appDev)
 	if err != nil {
 		return 0, err
 	}
-	db, err := lsmkv.Open(e.fs, lsmOpts())
+	db, err := lsmkv.Open(e.FS, lsmOpts())
 	if err != nil {
 		return 0, err
 	}
@@ -54,7 +55,7 @@ func runYCSB(kind string, w ycsb.Workload) (float64, error) {
 		return 0, err
 	}
 	var ops int64
-	d, err := e.measure(func() error {
+	d, err := measure(e.Clock, func() error {
 		st, err := ycsb.Run(db, w, cfg)
 		ops = st.Ops()
 		return err
@@ -89,12 +90,12 @@ func table7() (*Table, error) {
 }
 
 // overheadOf runs a workload and returns (total ns, software-overhead ns).
-func overheadOf(kind string, fn func(e *env) error) (int64, int64, error) {
-	e, err := newEnv(kind, appDev)
+func overheadOf(kind string, fn func(e *stack.Stack) error) (int64, int64, error) {
+	e, err := paperStack(kind, appDev)
 	if err != nil {
 		return 0, 0, err
 	}
-	d, err := e.measure(func() error { return fn(e) })
+	d, err := measure(e.Clock, func() error { return fn(e) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -108,8 +109,8 @@ func fig5() (*Table, error) {
 		Note:    "paper: ext4 DAX up to 3.6x, NOVA-relaxed up to 7.4x (TPCC), PMFS lowest at ~1.9x; SplitFS lowest overall",
 		Headers: []string{"Workload", "Baseline", "Baseline overhead (ms)", "SplitFS", "SplitFS overhead (ms)", "Rel"},
 	}
-	loadA := func(e *env) error {
-		db, err := lsmkv.Open(e.fs, lsmOpts())
+	loadA := func(e *stack.Stack) error {
+		db, err := lsmkv.Open(e.FS, lsmOpts())
 		if err != nil {
 			return err
 		}
@@ -117,8 +118,8 @@ func fig5() (*Table, error) {
 		_, err = ycsb.Load(db, ycsbCfg())
 		return err
 	}
-	runA := func(e *env) error {
-		db, err := lsmkv.Open(e.fs, lsmOpts())
+	runA := func(e *stack.Stack) error {
+		db, err := lsmkv.Open(e.FS, lsmOpts())
 		if err != nil {
 			return err
 		}
@@ -129,8 +130,8 @@ func fig5() (*Table, error) {
 		_, err = ycsb.Run(db, ycsb.A, ycsbCfg())
 		return err
 	}
-	tpccRun := func(e *env) error {
-		db, err := waldb.Open(e.fs, waldb.Options{})
+	tpccRun := func(e *stack.Stack) error {
+		db, err := waldb.Open(e.FS, waldb.Options{})
 		if err != nil {
 			return err
 		}
@@ -144,7 +145,7 @@ func fig5() (*Table, error) {
 	}
 	cases := []struct {
 		workload string
-		fn       func(*env) error
+		fn       func(*stack.Stack) error
 		pairs    [][2]string // baseline kind, splitfs kind
 	}{
 		{"YCSB Load A", loadA, [][2]string{
@@ -234,18 +235,18 @@ func fig6() (*Table, error) {
 		return nil, err
 	}
 	if err := appendRows("Redis SET", func(kind string) (float64, error) {
-		e, err := newEnv(kind, appDev)
+		e, err := paperStack(kind, appDev)
 		if err != nil {
 			return 0, err
 		}
-		s, err := aofstore.Open(e.fs, aofstore.Options{})
+		s, err := aofstore.Open(e.FS, aofstore.Options{})
 		if err != nil {
 			return 0, err
 		}
 		defer s.Close()
 		val := make([]byte, 512)
 		const n = 4000
-		d, err := e.measure(func() error {
+		d, err := measure(e.Clock, func() error {
 			for i := 0; i < n; i++ {
 				if err := s.Set(fmt.Sprintf("key:%08d", i%1000), val); err != nil {
 					return err
@@ -261,11 +262,11 @@ func fig6() (*Table, error) {
 		return nil, err
 	}
 	if err := appendRows("TPCC/SQLite", func(kind string) (float64, error) {
-		e, err := newEnv(kind, appDev)
+		e, err := paperStack(kind, appDev)
 		if err != nil {
 			return 0, err
 		}
-		db, err := waldb.Open(e.fs, waldb.Options{})
+		db, err := waldb.Open(e.FS, waldb.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -275,7 +276,7 @@ func fig6() (*Table, error) {
 			return 0, err
 		}
 		const n = 400
-		d, err := e.measure(func() error {
+		d, err := measure(e.Clock, func() error {
 			_, err := b.Run(n)
 			return err
 		})
@@ -313,15 +314,15 @@ func fig6() (*Table, error) {
 	for _, u := range utils {
 		var base float64
 		for i, kind := range []string{"ext4-dax", "splitfs-posix"} {
-			e, err := newEnv(kind, appDev)
+			e, err := paperStack(kind, appDev)
 			if err != nil {
 				return nil, err
 			}
-			paths, err := utilsim.MakeTree(e.fs, "/src", utilTree)
+			paths, err := utilsim.MakeTree(e.FS, "/src", utilTree)
 			if err != nil {
 				return nil, err
 			}
-			d, err := e.measure(func() error { return u.run(e.fs, paths) })
+			d, err := measure(e.Clock, func() error { return u.run(e.FS, paths) })
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", u.name, kind, err)
 			}

@@ -13,6 +13,7 @@ import (
 
 	"splitfs/internal/apps/waldb"
 	"splitfs/internal/sim"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -65,7 +66,7 @@ func (r ConcurrentResult) WallKops() float64 { return kops(r.Ops, r.WallNs) }
 // Keeping construction apart from Run lets a testing.B stop its timer
 // around the former.
 type ConcurrentWorkload struct {
-	e                     *env
+	e                     *stack.Stack
 	threads, opsPerThread int
 	fn                    func(worker int) error
 }
@@ -73,7 +74,7 @@ type ConcurrentWorkload struct {
 // Run spawns the workers over fn (worker index) and measures the
 // aggregate.
 func (w *ConcurrentWorkload) Run() (ConcurrentResult, error) {
-	before := w.e.clk.Snapshot()
+	before := w.e.Clock.Snapshot()
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make(chan error, w.threads)
@@ -95,7 +96,7 @@ func (w *ConcurrentWorkload) Run() (ConcurrentResult, error) {
 		Threads: w.threads,
 		Ops:     int64(w.threads) * int64(w.opsPerThread),
 		WallNs:  time.Since(start).Nanoseconds(),
-		SimNs:   w.e.clk.Snapshot().Sub(before).Total,
+		SimNs:   w.e.Clock.Snapshot().Sub(before).Total,
 	}, nil
 }
 
@@ -110,12 +111,12 @@ func runPrepared(w *ConcurrentWorkload, err error) (ConcurrentResult, error) {
 // ConcurrentAppends prepares threads workers appending blockBytes blocks
 // to distinct files (fsync every 16 appends) on a fresh instance of kind.
 func ConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (*ConcurrentWorkload, error) {
-	e, err := newEnv(kind, appDev)
+	e, err := paperStack(kind, appDev)
 	if err != nil {
 		return nil, err
 	}
 	return &ConcurrentWorkload{e, threads, opsPerThread, func(g int) error {
-		f, err := vfs.Create(e.fs, fmt.Sprintf("/app%02d", g))
+		f, err := vfs.Create(e.FS, fmt.Sprintf("/app%02d", g))
 		if err != nil {
 			return err
 		}
@@ -138,7 +139,7 @@ func ConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (*Con
 // ConcurrentReads prepares threads workers reading blockBytes blocks from
 // distinct pre-written files.
 func ConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (*ConcurrentWorkload, error) {
-	e, err := newEnv(kind, appDev)
+	e, err := paperStack(kind, appDev)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +147,7 @@ func ConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (*Concu
 	// pre-fill never outgrows the device (cap: half of appDev total).
 	fileBlocks := min(512, max(16, int(appDev/2/sim.BlockSize)/threads))
 	for g := 0; g < threads; g++ {
-		f, err := vfs.Create(e.fs, fmt.Sprintf("/rd%02d", g))
+		f, err := vfs.Create(e.FS, fmt.Sprintf("/rd%02d", g))
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +165,7 @@ func ConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (*Concu
 		}
 	}
 	return &ConcurrentWorkload{e, threads, opsPerThread, func(g int) error {
-		f, err := vfs.Open(e.fs, fmt.Sprintf("/rd%02d", g))
+		f, err := vfs.Open(e.FS, fmt.Sprintf("/rd%02d", g))
 		if err != nil {
 			return err
 		}
@@ -184,12 +185,12 @@ func ConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (*Concu
 // their own waldb database (the §5.2 SQLite-WAL app pattern) on one
 // shared instance of kind.
 func ConcurrentWAL(kind string, threads, txPerThread int) (*ConcurrentWorkload, error) {
-	e, err := newEnv(kind, appDev)
+	e, err := paperStack(kind, appDev)
 	if err != nil {
 		return nil, err
 	}
 	return &ConcurrentWorkload{e, threads, txPerThread, func(g int) error {
-		db, err := waldb.Open(e.fs, waldb.Options{Path: fmt.Sprintf("/wal%02d.db", g)})
+		db, err := waldb.Open(e.FS, waldb.Options{Path: fmt.Sprintf("/wal%02d.db", g)})
 		if err != nil {
 			return err
 		}

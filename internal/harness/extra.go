@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"splitfs/internal/ext4dax"
-	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -31,19 +31,15 @@ func recoveryExp() (*Table, error) {
 		Headers: []string{"Valid log entries", "Replayed", "Replay time (ms)"},
 	}
 	for _, entries := range []int{100, 500, 2000} {
-		clk := sim.NewClock()
-		dev := pmem.New(pmem.Config{Size: 512 << 20, Clock: clk, TrackPersistence: true})
-		kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 1024})
+		st, err := stack.New("splitfs-strict", stack.Spec{
+			DevBytes: 512 << 20, TrackPersistence: true,
+			KSplit: ext4dax.Config{MaxInodes: 1024},
+			USplit: splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20, OpLogBytes: 8 << 20},
+		})
 		if err != nil {
 			return nil, err
 		}
-		cfg := splitfs.Config{Mode: splitfs.Strict, StagingFiles: 8,
-			StagingFileBytes: 8 << 20, OpLogBytes: 8 << 20}
-		fs, err := splitfs.New(kfs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		f, err := vfs.Create(fs, "/victim")
+		f, err := vfs.Create(st.FS, "/victim")
 		if err != nil {
 			return nil, err
 		}
@@ -53,17 +49,14 @@ func recoveryExp() (*Table, error) {
 				return nil, err
 			}
 		}
-		if err := dev.Crash(sim.NewRNG(uint64(entries))); err != nil {
+		if err := st.Dev.Crash(sim.NewRNG(uint64(entries))); err != nil {
 			return nil, err
 		}
-		kfs2, _, err := ext4dax.Mount(dev, ext4dax.Config{})
+		_, rec, err := st.Recover()
 		if err != nil {
 			return nil, err
 		}
-		_, report, err := splitfs.RecoverFS(kfs2, cfg)
-		if err != nil {
-			return nil, err
-		}
+		report := rec.OpLog
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(report.Entries),
 			fmt.Sprint(report.Replayed),
@@ -83,15 +76,15 @@ func resourcesExp() (*Table, error) {
 		Headers: []string{"Mode", "Open files", "DRAM metadata (KB)", "Staging files created post-startup", "Log entries"},
 	}
 	for _, kind := range []string{"splitfs-posix", "splitfs-strict"} {
-		e, err := newEnv(kind, appDev)
+		e, err := paperStack(kind, appDev)
 		if err != nil {
 			return nil, err
 		}
-		sfs := e.fs.(*splitfs.FS)
+		sfs := e.FS.(*splitfs.FS)
 		var files []vfs.File
 		blk := make([]byte, sim.BlockSize)
 		for i := 0; i < 16; i++ {
-			f, err := vfs.Create(e.fs, fmt.Sprintf("/res%02d", i))
+			f, err := vfs.Create(e.FS, fmt.Sprintf("/res%02d", i))
 			if err != nil {
 				return nil, err
 			}
@@ -129,26 +122,23 @@ func ablationExp() (*Table, error) {
 		Headers: []string{"Configuration", "Seq reads (Kops/s)", "Appends+fsync (Kops/s)", "Page faults (us)"},
 	}
 	run := func(tweak func(*splitfs.Config)) ([3]float64, error) {
-		clk := sim.NewClock()
-		dev := pmem.New(pmem.Config{Size: 512 << 20, Clock: clk})
-		kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 1024})
-		if err != nil {
-			return [3]float64{}, err
-		}
-		cfg := splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20}
+		spec := stack.Spec{DevBytes: 512 << 20,
+			KSplit: ext4dax.Config{MaxInodes: 1024},
+			USplit: splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20}}
 		if tweak != nil {
-			tweak(&cfg)
+			tweak(&spec.USplit)
 		}
-		fs, err := splitfs.New(kfs, cfg)
+		st, err := stack.New("splitfs-posix", spec)
 		if err != nil {
 			return [3]float64{}, err
 		}
+		fs, clk := st.Base.(*splitfs.FS), st.Clock
 		// Cold-read target: written through the kernel so U-Split has no
 		// mappings yet — first touches pay mmap + fault costs, where the
 		// mmap size and huge-page tunables matter (§3.6, §4).
 		blk := make([]byte, sim.BlockSize)
 		const fileBlocks = 2048 // 8 MB
-		kf, err := vfs.Create(kfs, "/cold")
+		kf, err := vfs.Create(fs.KFS(), "/cold")
 		if err != nil {
 			return [3]float64{}, err
 		}

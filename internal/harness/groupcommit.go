@@ -53,18 +53,18 @@ func (r GroupCommitResult) FencesPerFsync() float64 {
 // serially (fsync per file) or batched (one GroupSync), counting the
 // journal commits and device fences of the durability phase only.
 func RunGroupCommit(kind string, files, appendsPerFile, blockBytes int, batched bool) (GroupCommitResult, error) {
-	e, err := newEnv(kind, appDev)
+	e, err := paperStack(kind, appDev)
 	if err != nil {
 		return GroupCommitResult{}, err
 	}
-	sfs, ok := e.fs.(*splitfs.FS)
+	sfs, ok := e.FS.(*splitfs.FS)
 	if !ok {
 		return GroupCommitResult{}, fmt.Errorf("groupcommit: %s is not a splitfs instance", kind)
 	}
 	handles := make([]*splitfs.File, files)
 	blk := make([]byte, blockBytes)
 	for i := range handles {
-		f, err := vfs.Create(e.fs, fmt.Sprintf("/gc%02d", i))
+		f, err := vfs.Create(e.FS, fmt.Sprintf("/gc%02d", i))
 		if err != nil {
 			return GroupCommitResult{}, err
 		}
@@ -76,7 +76,7 @@ func RunGroupCommit(kind string, files, appendsPerFile, blockBytes int, batched 
 		}
 	}
 	kstats0 := sfs.KFS().Stats()
-	dstats0 := e.dev.Stats()
+	dstats0 := e.Dev.Stats()
 	if batched {
 		if err := sfs.GroupSync(handles...); err != nil {
 			return GroupCommitResult{}, err
@@ -89,7 +89,7 @@ func RunGroupCommit(kind string, files, appendsPerFile, blockBytes int, batched 
 		}
 	}
 	kstats1 := sfs.KFS().Stats()
-	dstats1 := e.dev.Stats()
+	dstats1 := e.Dev.Stats()
 	return GroupCommitResult{
 		Kind:    kind,
 		Batched: batched,

@@ -12,18 +12,13 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/logfs"
-	"splitfs/internal/nova"
-	"splitfs/internal/pmem"
-	"splitfs/internal/pmfs"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
-	"splitfs/internal/strata"
-	"splitfs/internal/vfs"
+	"splitfs/internal/stack"
 )
 
 // Table is one rendered result table.
@@ -105,9 +100,7 @@ func register(id, title string, run func() (*Table, error)) {
 
 // All returns every experiment in registration order.
 func All() []Experiment {
-	out := append([]Experiment(nil), registry...)
-	sort.SliceStable(out, func(i, j int) bool { return false }) // keep order
-	return out
+	return append([]Experiment(nil), registry...)
 }
 
 // Get finds an experiment by ID.
@@ -120,76 +113,36 @@ func Get(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// env is one file system under test on its own device and clock.
-type env struct {
-	kind string
-	dev  *pmem.Device
-	clk  *sim.Clock
-	fs   vfs.FileSystem
-}
-
 // fsKinds in the order the paper groups them (by guarantee level).
 var posixKinds = []string{"ext4-dax", "splitfs-posix"}
 var syncKinds = []string{"pmfs", "nova-relaxed", "splitfs-sync"}
 var strictKinds = []string{"nova-strict", "strata", "splitfs-strict"}
 
-// newEnv builds a fresh file system of the given kind.
-func newEnv(kind string, devBytes int64) (*env, error) {
-	clk := sim.NewClock()
-	dev := pmem.New(pmem.Config{Size: devBytes, Clock: clk, TrackWear: true})
-	e := &env{kind: kind, dev: dev, clk: clk}
-	lcfg := logfs.Config{LogBytes: 8 << 20, SnapshotSlotBytes: 2 << 20}
-	switch kind {
-	case "ext4-dax":
-		fs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 8192})
-		if err != nil {
-			return nil, err
-		}
-		e.fs = fs
-	case "pmfs":
-		e.fs = pmfs.New(dev, lcfg)
-	case "nova-strict":
-		e.fs = nova.New(dev, nova.Strict, lcfg)
-	case "nova-relaxed":
-		e.fs = nova.New(dev, nova.Relaxed, lcfg)
-	case "strata":
-		// The private log is sized so the digest cycles during a run, as
-		// it does at steady state on the paper's long workloads; an
-		// oversized log would let Strata dodge its double-write cost.
-		e.fs = strata.New(dev, strata.Config{PrivateLogBytes: 3 << 20, Shared: lcfg})
-	case "splitfs-posix", "splitfs-sync", "splitfs-strict":
-		kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 8192})
-		if err != nil {
-			return nil, err
-		}
-		mode := splitfs.POSIX
-		switch kind {
-		case "splitfs-sync":
-			mode = splitfs.Sync
-		case "splitfs-strict":
-			mode = splitfs.Strict
-		}
-		fs, err := splitfs.New(kfs, splitfs.Config{
-			Mode:             mode,
-			StagingFiles:     24, // sized so the background thread never blocks a run
-			StagingFileBytes: 8 << 20,
-			OpLogBytes:       8 << 20,
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.fs = fs
-	default:
-		return nil, fmt.Errorf("harness: unknown fs kind %q", kind)
-	}
-	return e, nil
+// paperSpec sizes the stacks the paper-artifact experiments run on. The
+// staging pool is sized so the background thread never blocks a run; the
+// Strata private log so the digest cycles during a run, as it does at
+// steady state on the paper's long workloads — an oversized log would let
+// Strata dodge its double-write cost.
+var paperSpec = stack.Spec{
+	TrackWear:       true,
+	KSplit:          ext4dax.Config{MaxInodes: 8192},
+	USplit:          splitfs.Config{StagingFiles: 24, StagingFileBytes: 8 << 20, OpLogBytes: 8 << 20},
+	Log:             logfs.Config{LogBytes: 8 << 20, SnapshotSlotBytes: 2 << 20},
+	PrivateLogBytes: 3 << 20,
+}
+
+// paperStack builds a fresh stack of the given kind at paperSpec sizing.
+func paperStack(kind string, devBytes int64) (*stack.Stack, error) {
+	spec := paperSpec
+	spec.DevBytes = devBytes
+	return stack.New(kind, spec)
 }
 
 // measure runs fn and returns the simulated-time breakdown it consumed.
-func (e *env) measure(fn func() error) (sim.Breakdown, error) {
-	before := e.clk.Snapshot()
+func measure(clk *sim.Clock, fn func() error) (sim.Breakdown, error) {
+	before := clk.Snapshot()
 	err := fn()
-	return e.clk.Snapshot().Sub(before), err
+	return clk.Snapshot().Sub(before), err
 }
 
 // kops converts (ops, ns) to Kops/s of simulated time.

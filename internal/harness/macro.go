@@ -19,13 +19,11 @@ import (
 
 	"splitfs/internal/apps/lsmkv"
 	"splitfs/internal/apps/waldb"
-	"splitfs/internal/crash"
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/logfs"
-	"splitfs/internal/pmem"
-	"splitfs/internal/sim"
+	"splitfs/internal/obs"
 	"splitfs/internal/splitfs"
-	"splitfs/internal/strata"
+	"splitfs/internal/stack"
 	"splitfs/internal/wl/tpcc"
 	"splitfs/internal/wl/ycsb"
 )
@@ -47,7 +45,7 @@ func MacroWorkloads() []string {
 
 // MacroBackends returns the backend row of the matrix — the same nine
 // the differential suite compares.
-func MacroBackends() []string { return crash.BackendKinds() }
+func MacroBackends() []string { return stack.Kinds() }
 
 // macroSel is the process-wide matrix selection, reconfigured by
 // cmd/splitbench's -scale/-backend/-workload flags before the experiment
@@ -61,18 +59,12 @@ var macroSel = struct {
 // SetMacroConfig selects the scale level and optionally restricts the
 // matrix to given backends and workloads (nil or empty = all).
 func SetMacroConfig(scale string, backends, workloads []string) error {
-	ok := false
-	for _, s := range MacroScales {
-		if s == scale {
-			ok = true
-		}
-	}
-	if !ok {
-		return fmt.Errorf("harness: unknown macro scale %q (have %v)", scale, MacroScales)
+	if _, err := macroScaleParams(scale); err != nil {
+		return err
 	}
 	for _, b := range backends {
-		if !crash.IsBackendKind(b) {
-			return fmt.Errorf("harness: unknown backend %q (have %v)", b, MacroBackends())
+		if _, _, _, err := stack.Parse(b); err != nil {
+			return fmt.Errorf("harness: %w", err)
 		}
 	}
 	for _, w := range workloads {
@@ -96,7 +88,7 @@ func SetMacroConfig(scale string, backends, workloads []string) error {
 // and engine configurations. The workload seeds are fixed per scale so
 // every backend sees the identical op stream.
 type macroParams struct {
-	spec   crash.BackendSpec
+	spec   stack.Spec
 	ycsb   ycsb.Config
 	lsm    lsmkv.Options
 	tpcc   tpcc.Config
@@ -108,9 +100,10 @@ func macroScaleParams(scale string) (macroParams, error) {
 	switch scale {
 	case "smoke":
 		return macroParams{
-			spec: crash.BackendSpec{DevBytes: 64 << 20, MaxInodes: 1024,
-				StagingFiles: 6, StagingFileBytes: 1 << 20, OpLogBytes: 1 << 20,
-				LogBytes: 4 << 20, SnapshotSlotBytes: 1 << 20, PrivateLogBytes: 2 << 20},
+			spec: stack.Spec{DevBytes: 64 << 20,
+				KSplit: ext4dax.Config{MaxInodes: 1024},
+				USplit: splitfs.Config{StagingFiles: 6, StagingFileBytes: 1 << 20, OpLogBytes: 1 << 20},
+				Log:    logfs.Config{LogBytes: 4 << 20, SnapshotSlotBytes: 1 << 20}, PrivateLogBytes: 2 << 20},
 			// The memtable is sized well below the loaded dataset (~32 KB)
 			// so flushes, compactions, and table reads all happen within a
 			// smoke run — otherwise read-only workloads like C never leave
@@ -122,9 +115,10 @@ func macroScaleParams(scale string) (macroParams, error) {
 		}, nil
 	case "small":
 		return macroParams{
-			spec: crash.BackendSpec{DevBytes: 256 << 20, MaxInodes: 4096,
-				StagingFiles: 12, StagingFileBytes: 4 << 20, OpLogBytes: 4 << 20,
-				LogBytes: 8 << 20, SnapshotSlotBytes: 2 << 20, PrivateLogBytes: 3 << 20},
+			spec: stack.Spec{DevBytes: 256 << 20,
+				KSplit: ext4dax.Config{MaxInodes: 4096},
+				USplit: splitfs.Config{StagingFiles: 12, StagingFileBytes: 4 << 20, OpLogBytes: 4 << 20},
+				Log:    logfs.Config{LogBytes: 8 << 20, SnapshotSlotBytes: 2 << 20}, PrivateLogBytes: 3 << 20},
 			ycsb:   ycsb.Config{Records: 1000, Operations: 2000, ValueBytes: 1000, MaxScan: 50, Seed: 11},
 			lsm:    lsmkv.Options{MemtableBytes: 256 << 10, SyncWrites: true},
 			tpcc:   tpcc.Config{Warehouses: 1, Districts: 4, Customers: 60, Items: 200, Seed: 42},
@@ -132,16 +126,17 @@ func macroScaleParams(scale string) (macroParams, error) {
 		}, nil
 	case "full":
 		return macroParams{
-			spec: crash.BackendSpec{DevBytes: 1 << 30, MaxInodes: 8192,
-				StagingFiles: 24, StagingFileBytes: 8 << 20, OpLogBytes: 8 << 20,
-				LogBytes: 16 << 20, SnapshotSlotBytes: 4 << 20, PrivateLogBytes: 3 << 20},
+			spec: stack.Spec{DevBytes: 1 << 30,
+				KSplit: ext4dax.Config{MaxInodes: 8192},
+				USplit: splitfs.Config{StagingFiles: 24, StagingFileBytes: 8 << 20, OpLogBytes: 8 << 20},
+				Log:    logfs.Config{LogBytes: 16 << 20, SnapshotSlotBytes: 4 << 20}, PrivateLogBytes: 3 << 20},
 			ycsb:   ycsb.Config{Records: 5000, Operations: 10000, ValueBytes: 1000, MaxScan: 100, Seed: 11},
 			lsm:    lsmkv.Options{MemtableBytes: 1 << 20, SyncWrites: true},
 			tpcc:   tpcc.Config{Warehouses: 2, Districts: 10, Customers: 100, Items: 1000, Seed: 42},
 			tpccTx: 1000, ckpt: 256,
 		}, nil
 	default:
-		return macroParams{}, fmt.Errorf("harness: unknown macro scale %q", scale)
+		return macroParams{}, fmt.Errorf("harness: unknown macro scale %q (have %v)", scale, MacroScales)
 	}
 }
 
@@ -156,44 +151,10 @@ type MacroCell struct {
 	Metrics []Metric
 }
 
-// macroCounters is one snapshot of every deterministic counter a cell
-// reports, taken before and after the run phase.
-type macroCounters struct {
-	clk        sim.Breakdown
-	dev        pmem.Stats
-	commits    int64 // ext4-dax jbd2 transaction commits (splitfs: its K-Split)
-	logAppends int64 // per-op log appends of the log-structured engines
-	relinks    int64
-	reclaimed  int64
-}
-
-func snapshotCounters(b *crash.Backend) macroCounters {
-	c := macroCounters{clk: b.Clock.Snapshot(), dev: b.Dev.Stats()}
-	// A served: backend's FS is the RPC client; the journal/relink
-	// counters live on the backend behind the service.
-	fsAny := b.FS
-	if b.Direct != nil {
-		fsAny = b.Direct
-	}
-	switch fs := fsAny.(type) {
-	case *splitfs.FS:
-		c.commits = fs.KFS().Stats().Commits
-		c.relinks = fs.Stats().Relinks
-		c.reclaimed = int64(fs.StagingFilesReclaimed())
-	case *ext4dax.FS:
-		c.commits = fs.Stats().Commits
-	case *logfs.FS: // also nova-*, pmfs: type aliases of logfs.FS
-		c.logAppends = fs.Stats().LogAppends
-	case *strata.FS:
-		c.logAppends = fs.Stats().LogAppends
-	}
-	return c
-}
-
 // cellMetrics renders the before/after counter delta into the cell's
 // fixed metric order.
-func cellMetrics(ops int64, before, after macroCounters) []Metric {
-	d := after.clk.Sub(before.clk)
+func cellMetrics(ops int64, before, after stack.Counters) []Metric {
+	d := after.Clock.Sub(before.Clock)
 	perOp := func(v int64) float64 {
 		if ops == 0 {
 			return 0
@@ -202,12 +163,12 @@ func cellMetrics(ops int64, before, after macroCounters) []Metric {
 	}
 	return []Metric{
 		{Name: "ns_per_op", Value: perOp(d.Total), Unit: "ns/op"},
-		{Name: "fences_per_op", Value: perOp(after.dev.Fences - before.dev.Fences), Unit: "fences/op"},
-		{Name: "journal_commits", Value: float64(after.commits - before.commits), Unit: "count"},
-		{Name: "log_appends", Value: float64(after.logAppends - before.logAppends), Unit: "count"},
-		{Name: "relinks", Value: float64(after.relinks - before.relinks), Unit: "count"},
-		{Name: "staging_reclaimed", Value: float64(after.reclaimed - before.reclaimed), Unit: "count"},
-		{Name: "pm_bytes", Value: float64(after.dev.BytesWritten() - before.dev.BytesWritten()), Unit: "bytes"},
+		{Name: "fences_per_op", Value: perOp(after.Dev.Fences - before.Dev.Fences), Unit: "fences/op"},
+		{Name: "journal_commits", Value: float64(after.Commits - before.Commits), Unit: "count"},
+		{Name: "log_appends", Value: float64(after.LogAppends - before.LogAppends), Unit: "count"},
+		{Name: "relinks", Value: float64(after.Relinks - before.Relinks), Unit: "count"},
+		{Name: "staging_reclaimed", Value: float64(after.Reclaimed - before.Reclaimed), Unit: "count"},
+		{Name: "pm_bytes", Value: float64(after.Dev.BytesWritten() - before.Dev.BytesWritten()), Unit: "bytes"},
 		{Name: "ops", Value: float64(ops), Unit: "ops"},
 	}
 }
@@ -220,7 +181,7 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := crash.NewBackend(backend, p.spec)
+	b, err := stack.New(backend, p.spec)
 	if err != nil {
 		return nil, fmt.Errorf("macro %s: %w", backend, err)
 	}
@@ -239,12 +200,12 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 		if _, err := ycsb.Load(db, cfg); err != nil {
 			return nil, fmt.Errorf("macro %s/%s: load: %w", workload, backend, err)
 		}
-		before := snapshotCounters(b)
+		before := b.Counters()
 		st, err := ycsb.Run(db, w, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s/%s: run: %w", workload, backend, err)
 		}
-		after := snapshotCounters(b)
+		after := b.Counters()
 		if err := db.Close(); err != nil {
 			return nil, fmt.Errorf("macro %s/%s: close: %w", workload, backend, err)
 		}
@@ -266,12 +227,12 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: populate: %w", backend, err)
 		}
-		before := snapshotCounters(b)
+		before := b.Counters()
 		st, err := bench.Run(p.tpccTx)
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: run: %w", backend, err)
 		}
-		after := snapshotCounters(b)
+		after := b.Counters()
 		if err := db.Close(); err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: close: %w", backend, err)
 		}
@@ -351,5 +312,5 @@ func MacroBackendHash(backend, scale string) (uint64, error) {
 			fmt.Fprintf(&sb, "%s/%s/%s=%.6g %s\n", w, backend, m.Name, m.Value, m.Unit)
 		}
 	}
-	return crash.TraceHash(sb.String()), nil
+	return obs.FNV1a(sb.String()), nil
 }

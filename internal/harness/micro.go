@@ -3,10 +3,10 @@ package harness
 import (
 	"fmt"
 
-	"splitfs/internal/ext4dax"
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -28,11 +28,11 @@ func init() {
 // appendBench performs n sequential 4 KB appends and returns per-op total
 // and per-op software overhead in ns.
 func appendBench(kind string, n int) (total, overhead int64, err error) {
-	e, err := newEnv(kind, microDev)
+	e, err := paperStack(kind, microDev)
 	if err != nil {
 		return 0, 0, err
 	}
-	f, err := vfs.Create(e.fs, "/append.dat")
+	f, err := vfs.Create(e.FS, "/append.dat")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -42,7 +42,7 @@ func appendBench(kind string, n int) (total, overhead int64, err error) {
 	if _, err := f.Write(blk); err != nil {
 		return 0, 0, err
 	}
-	d, err := e.measure(func() error {
+	d, err := measure(e.Clock, func() error {
 		for i := 0; i < n; i++ {
 			if _, err := f.Write(blk); err != nil {
 				return err
@@ -81,6 +81,8 @@ func table1() (*Table, error) {
 }
 
 func table2() (*Table, error) {
+	// The one device built outside internal/stack: Table 2 measures the
+	// bare device, with no file system on it.
 	clk := sim.NewClock()
 	dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: clk})
 	t := &Table{
@@ -128,13 +130,13 @@ func table6() (*Table, error) {
 	type col = map[string]int64
 	cols := make([]col, 0, 4)
 	for _, kind := range []string{"splitfs-strict", "splitfs-sync", "splitfs-posix", "ext4-dax"} {
-		e, err := newEnv(kind, microDev)
+		e, err := paperStack(kind, microDev)
 		if err != nil {
 			return nil, err
 		}
 		c := col{}
 		meas := func(name string, fn func() error) error {
-			d, err := e.measure(fn)
+			d, err := measure(e.Clock, fn)
 			if err != nil {
 				return fmt.Errorf("%s %s: %w", kind, name, err)
 			}
@@ -146,7 +148,7 @@ func table6() (*Table, error) {
 		// from the reopens: Table 6's open reflects warm opens ("opening
 		// a file that we recently closed" is the cheap case, §5.4).
 		var f vfs.File
-		if err = meas("create", func() error { f, err = vfs.Create(e.fs, "/mail"); return err }); err != nil {
+		if err = meas("create", func() error { f, err = vfs.Create(e.FS, "/mail"); return err }); err != nil {
 			return nil, err
 		}
 		blk := make([]byte, 4096)
@@ -159,13 +161,13 @@ func table6() (*Table, error) {
 			}
 		}
 		meas("close", func() error { return f.Close() })
-		meas("open", func() error { f, err = e.fs.OpenFile("/mail", vfs.O_RDWR, 0); return err })
+		meas("open", func() error { f, err = e.FS.OpenFile("/mail", vfs.O_RDWR, 0); return err })
 		buf := make([]byte, 16384)
 		meas("read", func() error { _, err := f.ReadAt(buf, 0); return err })
 		meas("close", func() error { return f.Close() })
-		meas("open", func() error { f, err = e.fs.OpenFile("/mail", vfs.O_RDWR, 0); return err })
+		meas("open", func() error { f, err = e.FS.OpenFile("/mail", vfs.O_RDWR, 0); return err })
 		meas("close", func() error { return f.Close() })
-		if err = meas("unlink", func() error { return e.fs.Unlink("/mail") }); err != nil {
+		if err = meas("unlink", func() error { return e.FS.Unlink("/mail") }); err != nil {
 			return nil, err
 		}
 		// Averages over repeats.
@@ -209,29 +211,17 @@ func fig3() (*Table, error) {
 	const nOps = 2048
 	var base [2]float64
 	for i, c := range cfgs {
-		var fs vfs.FileSystem
-		var clk *sim.Clock
-		if c.kind == "ext4-dax" {
-			e, err := newEnv(c.kind, microDev)
-			if err != nil {
-				return nil, err
-			}
-			fs, clk = e.fs, e.clk
-		} else {
-			e, err := newEnv("ext4-dax", microDev)
-			if err != nil {
-				return nil, err
-			}
-			scfg := splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20}
-			if c.tweak != nil {
-				c.tweak(&scfg)
-			}
-			sfs, err := splitfs.New(fsAsExt4(e), scfg)
-			if err != nil {
-				return nil, err
-			}
-			fs, clk = sfs, e.clk
+		spec := paperSpec
+		spec.DevBytes = microDev
+		spec.USplit = splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20}
+		if c.tweak != nil {
+			c.tweak(&spec.USplit)
 		}
+		e, err := stack.New(c.kind, spec)
+		if err != nil {
+			return nil, err
+		}
+		fs, clk := e.FS, e.Clock
 		thr := [2]float64{}
 		// Overwrites over a pre-written file.
 		f, err := vfs.Create(fs, "/ow")
@@ -297,11 +287,11 @@ func fig4() (*Table, error) {
 	}
 	for _, g := range groups {
 		for _, kind := range g.kinds {
-			e, err := newEnv(kind, 512<<20)
+			e, err := paperStack(kind, 512<<20)
 			if err != nil {
 				return nil, err
 			}
-			f, err := vfs.Create(e.fs, "/data")
+			f, err := vfs.Create(e.FS, "/data")
 			if err != nil {
 				return nil, err
 			}
@@ -337,22 +327,22 @@ func fig4() (*Table, error) {
 			}
 			for pi, p := range patterns {
 				if p == nil {
-					g2, err := vfs.Create(e.fs, "/appends")
+					g2, err := vfs.Create(e.FS, "/appends")
 					if err != nil {
 						return nil, err
 					}
-					before := e.clk.Now()
+					before := e.Clock.Now()
 					for i := 0; i < nOps; i++ {
 						if _, err := g2.Write(blk); err != nil {
 							return nil, fmt.Errorf("%s append: %w", kind, err)
 						}
 					}
 					g2.Sync()
-					row = append(row, f1(kops(nOps, e.clk.Now()-before)))
+					row = append(row, f1(kops(nOps, e.Clock.Now()-before)))
 					g2.Close()
 					continue
 				}
-				before := e.clk.Now()
+				before := e.Clock.Now()
 				for i := 0; i < nOps; i++ {
 					if err := p(i); err != nil {
 						return nil, fmt.Errorf("%s pattern %d: %w", kind, pi, err)
@@ -362,7 +352,7 @@ func fig4() (*Table, error) {
 				// operation (via the op log); the deferred relink runs at
 				// close, outside the pattern, exactly as NOVA's per-op
 				// logging is measured.
-				row = append(row, f1(kops(nOps, e.clk.Now()-before)))
+				row = append(row, f1(kops(nOps, e.Clock.Now()-before)))
 				if pi >= 2 {
 					f.Sync() // settle staged state between patterns
 				}
@@ -373,7 +363,3 @@ func fig4() (*Table, error) {
 	}
 	return t, nil
 }
-
-// fsAsExt4 extracts the ext4dax FS from an env built with kind
-// "ext4-dax".
-func fsAsExt4(e *env) *ext4dax.FS { return e.fs.(*ext4dax.FS) }

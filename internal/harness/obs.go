@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"strings"
 
-	"splitfs/internal/crash"
 	"splitfs/internal/obs"
+	"splitfs/internal/stack"
 )
 
 func init() {
@@ -31,14 +31,14 @@ type obsDelta struct {
 	fences, commits, logAppends, relinks, reclaimed, pmBytes int64
 }
 
-func obsDeltaOf(before, after macroCounters) obsDelta {
+func obsDeltaOf(before, after stack.Counters) obsDelta {
 	return obsDelta{
-		fences:     after.dev.Fences - before.dev.Fences,
-		commits:    after.commits - before.commits,
-		logAppends: after.logAppends - before.logAppends,
-		relinks:    after.relinks - before.relinks,
-		reclaimed:  after.reclaimed - before.reclaimed,
-		pmBytes:    after.dev.BytesWritten() - before.dev.BytesWritten(),
+		fences:     after.Dev.Fences - before.Dev.Fences,
+		commits:    after.Commits - before.Commits,
+		logAppends: after.LogAppends - before.LogAppends,
+		relinks:    after.Relinks - before.Relinks,
+		reclaimed:  after.Reclaimed - before.Reclaimed,
+		pmBytes:    after.Dev.BytesWritten() - before.Dev.BytesWritten(),
 	}
 }
 
@@ -46,8 +46,7 @@ func obsDeltaOf(before, after macroCounters) obsDelta {
 // registry, runs the deterministic loopback op stream, and returns the
 // registry snapshot (nil when not attached) and the macro counter delta.
 func obsStreamRun(kind string, attach bool) (obs.Snapshot, obsDelta, error) {
-	b, err := crash.NewBackend(kind, crash.BackendSpec{DevBytes: 64 << 20,
-		StagingFiles: 8, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20})
+	b, err := stack.New(kind, streamSpec())
 	if err != nil {
 		return nil, obsDelta{}, err
 	}
@@ -56,11 +55,11 @@ func obsStreamRun(kind string, attach bool) (obs.Snapshot, obsDelta, error) {
 		reg = obs.NewRegistry()
 		b.RegisterObs(reg)
 	}
-	before := snapshotCounters(b)
+	before := b.Counters()
 	if _, err := runServerStream(b.FS, serverStreamOps); err != nil {
 		return nil, obsDelta{}, fmt.Errorf("obs stream %s: %w", kind, err)
 	}
-	delta := obsDeltaOf(before, snapshotCounters(b))
+	delta := obsDeltaOf(before, b.Counters())
 	var snap obs.Snapshot
 	if reg != nil {
 		snap = reg.Snapshot()
@@ -95,7 +94,7 @@ func obsExp() (*Table, error) {
 		Headers: []string{"Backend", "ops", "server/ops", "wire KB", "op cost ms", "PM MB", "drift", "overhead"},
 	}
 	for _, kind := range serverDetBackends {
-		served := crash.ServedPrefix + kind
+		served := stack.Name(kind, true, false)
 		// Uninstrumented reference run: the counter movement the
 		// instrumented runs must reproduce exactly.
 		_, ref, err := obsStreamRun(served, false)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"splitfs/internal/crash"
+	"splitfs/internal/stack"
 )
 
 // TestObsSnapshotChild is the re-exec target of the two-process
@@ -19,7 +19,7 @@ func TestObsSnapshotChild(t *testing.T) {
 		t.Skip("re-exec child of TestObsSnapshotTwoProcesses")
 	}
 	for _, kind := range serverDetBackends {
-		snap, _, err := obsStreamRun(crash.ServedPrefix+kind, true)
+		snap, _, err := obsStreamRun(stack.Name(kind, true, false), true)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -68,7 +68,7 @@ func TestObsSnapshotTwoProcesses(t *testing.T) {
 	}
 	var local []string
 	for _, kind := range serverDetBackends {
-		snap, _, err := obsStreamRun(crash.ServedPrefix+kind, true)
+		snap, _, err := obsStreamRun(stack.Name(kind, true, false), true)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

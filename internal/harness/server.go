@@ -25,9 +25,10 @@ import (
 	"sync"
 	"time"
 
-	"splitfs/internal/crash"
 	"splitfs/internal/server"
 	"splitfs/internal/sim"
+	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -46,6 +47,14 @@ const (
 	serverStreamOps  = 400 // deterministic loopback op stream length
 	serverSessionOps = 160 // ops per session in the concurrent sweep
 )
+
+// streamSpec sizes the loopback stream cells (server and obs experiments).
+func streamSpec() stack.Spec {
+	spec := stack.Small
+	spec.DevBytes = 64 << 20
+	spec.USplit = splitfs.Config{StagingFiles: 8, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20}
+	return spec
+}
 
 // runServerStream issues the deterministic mixed op stream against any
 // vfs.FileSystem: creates, appends, overwrites, fsyncs, reads, group
@@ -191,19 +200,18 @@ func runServerStream(fs vfs.FileSystem, nops int) (int64, error) {
 // is the zero-copy volume and read_wire_bytes must sit at ~0 — the
 // copy-path bytes a lease failed to absorb.
 func ServerStreamCell(kind string) (*MacroCell, error) {
-	b, err := crash.NewBackend(kind, crash.BackendSpec{DevBytes: 64 << 20,
-		StagingFiles: 8, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20})
+	b, err := stack.New(kind, streamSpec())
 	if err != nil {
 		return nil, err
 	}
-	before := snapshotCounters(b)
+	before := b.Counters()
 	start := time.Now()
 	ops, err := runServerStream(b.FS, serverStreamOps)
 	wallNs := time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, fmt.Errorf("server stream %s: %w", kind, err)
 	}
-	after := snapshotCounters(b)
+	after := b.Counters()
 	cell := &MacroCell{Backend: kind, Workload: "stream", Ops: ops,
 		Metrics: cellMetrics(ops, before, after)}
 	cell.Metrics = append(cell.Metrics,
@@ -236,24 +244,22 @@ func (r ServedSessionsResult) WallKops() float64 { return kops(r.Ops, r.WallNs) 
 // RunServedSessions drives n concurrent stream-transport sessions, each
 // in its own subtree, over one served backend instance.
 func RunServedSessions(kind string, n, opsPerSession int) (ServedSessionsResult, error) {
-	b, err := crash.NewBackend(kind, crash.BackendSpec{DevBytes: 256 << 20,
-		StagingFiles: 4 * n, StagingFileBytes: 1 << 20, OpLogBytes: 4 << 20})
+	spec := stack.Small
+	spec.DevBytes = 256 << 20
+	spec.USplit = splitfs.Config{StagingFiles: 4 * n, StagingFileBytes: 1 << 20, OpLogBytes: 4 << 20}
+	b, err := stack.New(kind, spec)
 	if err != nil {
 		return ServedSessionsResult{}, err
 	}
 	srv := server.New(b.FS, server.Config{})
 	defer srv.Close()
-	root, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
-	if err != nil {
-		return ServedSessionsResult{}, err
-	}
 	for i := 0; i < n; i++ {
-		if err := root.Mkdir(fmt.Sprintf("/s%d", i), 0755); err != nil {
+		if err := b.FS.Mkdir(fmt.Sprintf("/s%d", i), 0755); err != nil {
 			return ServedSessionsResult{}, err
 		}
 	}
 	devBefore := b.Dev.Stats()
-	commitsBefore := snapshotCounters(b).commits
+	commitsBefore := b.Counters().Commits
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -304,7 +310,7 @@ func RunServedSessions(kind string, n, opsPerSession int) (ServedSessionsResult,
 		Ops:      int64(n) * int64(opsPerSession),
 		WallNs:   time.Since(start).Nanoseconds(),
 		Fences:   b.Dev.Stats().Fences - devBefore.Fences,
-		Commits:  snapshotCounters(b).commits - commitsBefore,
+		Commits:  b.Counters().Commits - commitsBefore,
 	}
 	return res, nil
 }
@@ -321,34 +327,26 @@ func serverExp() (*Table, error) {
 		Headers: []string{"Cell", "Backend", "ops", "fences/op", "commits", "PM MB", "Kops/s (wall)"},
 	}
 	for _, kind := range serverDetBackends {
-		direct, err := ServerStreamCell(kind)
-		if err != nil {
-			return nil, err
-		}
-		served, err := ServerStreamCell(crash.ServedPrefix + kind)
-		if err != nil {
-			return nil, err
-		}
-		leased, err := ServerStreamCell(crash.ServedLeasePrefix + kind)
-		if err != nil {
-			return nil, err
-		}
 		for _, c := range []struct {
-			label string
-			cell  *MacroCell
-		}{{"direct", direct}, {"loopback", served}, {"lease", leased}} {
+			label          string
+			served, leases bool
+		}{{"direct", false, false}, {"loopback", true, false}, {"lease", true, true}} {
+			cell, err := ServerStreamCell(stack.Name(kind, c.served, c.leases))
+			if err != nil {
+				return nil, err
+			}
 			m := map[string]float64{}
-			for _, mm := range c.cell.Metrics {
+			for _, mm := range cell.Metrics {
 				m[mm.Name] = mm.Value
 			}
 			t.Rows = append(t.Rows, []string{
-				c.label, kind, fmt.Sprintf("%d", c.cell.Ops),
+				c.label, kind, fmt.Sprintf("%d", cell.Ops),
 				f2(m["fences_per_op"]),
 				fmt.Sprintf("%.0f", m["journal_commits"]),
 				f2(m["pm_bytes"] / (1 << 20)),
 				"-",
 			})
-			for _, mm := range c.cell.Metrics {
+			for _, mm := range cell.Metrics {
 				t.AddMetric(c.label+"/"+kind+"/"+mm.Name, mm.Value, mm.Unit)
 			}
 		}

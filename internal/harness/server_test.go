@@ -3,7 +3,7 @@ package harness
 import (
 	"testing"
 
-	"splitfs/internal/crash"
+	"splitfs/internal/stack"
 )
 
 // metricMap indexes a cell's metrics, dropping the wall-clock row (the
@@ -29,7 +29,7 @@ func TestServerStreamServedMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		served, err := ServerStreamCell(crash.ServedPrefix + kind)
+		served, err := ServerStreamCell(stack.Name(kind, true, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestServerStreamLeaseCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leased, err := ServerStreamCell(crash.ServedLeasePrefix + kind)
+		leased, err := ServerStreamCell(stack.Name(kind, true, true))
 		if err != nil {
 			t.Fatal(err)
 		}

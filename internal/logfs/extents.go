@@ -87,14 +87,6 @@ func (fs *FS) lookup(in *inode, logical int64) (devOff, contig int64, ok bool) {
 	return fs.bmp.BlockOffset(e.phys.Start + d), e.phys.Len - d, true
 }
 
-// lastBlock returns the end of the mapped logical space.
-func lastBlock(in *inode) int64 {
-	if len(in.extents) == 0 {
-		return 0
-	}
-	return in.extents[len(in.extents)-1].logicalEnd()
-}
-
 // nextMappedAt returns the first mapped logical block >= logical.
 func nextMappedAt(in *inode, logical int64) int64 {
 	for _, e := range in.extents {

@@ -1,14 +1,14 @@
 // Package logfs is a log-structured PM file-system engine: all metadata
 // lives in DRAM and persists through an append-only metalog; file data
-// lives in PM blocks tracked by extents. The two kernel baselines of the
+// lives in PM blocks tracked by extents. The kernel baselines of the
 // SplitFS paper are instances of this engine with different persistence
-// profiles:
+// profiles (profiles.go):
 //
-//   - NOVA (package nova): per-operation log entry plus persistent tail
-//     update (2 cache lines, 2 fences), copy-on-write data in strict mode,
-//     in-place data in relaxed mode. Atomic + synchronous operations.
-//   - PMFS (package pmfs): fine-grained single-fence journaling, in-place
-//     synchronous data, no data atomicity.
+//   - NovaStrict / NovaRelaxed: per-operation log entry plus persistent
+//     tail update (2 cache lines, 2 fences); copy-on-write data in strict
+//     mode, in-place data in relaxed mode.
+//   - PMFS: fine-grained single-fence journaling, in-place synchronous
+//     data, no data atomicity.
 //
 // The engine checkpoints its full metadata state into a snapshot area
 // when the log fills, then resets the log; recovery loads the snapshot

@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"splitfs/internal/logfs"
-	"splitfs/internal/nova"
 	"splitfs/internal/pmem"
-	"splitfs/internal/pmfs"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -26,16 +24,16 @@ func variants() map[string]struct {
 		mt remount
 	}{
 		"nova-strict": {
-			mk: func(d *pmem.Device) *logfs.FS { return nova.New(d, nova.Strict, cfg) },
-			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return nova.Mount(d, nova.Strict, cfg) },
+			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, logfs.NovaStrict, cfg) },
+			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, logfs.NovaStrict, cfg) },
 		},
 		"nova-relaxed": {
-			mk: func(d *pmem.Device) *logfs.FS { return nova.New(d, nova.Relaxed, cfg) },
-			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return nova.Mount(d, nova.Relaxed, cfg) },
+			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, logfs.NovaRelaxed, cfg) },
+			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, logfs.NovaRelaxed, cfg) },
 		},
 		"pmfs": {
-			mk: func(d *pmem.Device) *logfs.FS { return pmfs.New(d, cfg) },
-			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return pmfs.Mount(d, cfg) },
+			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, logfs.PMFS, cfg) },
+			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, logfs.PMFS, cfg) },
 		},
 	}
 }
@@ -158,7 +156,7 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 
 func TestAutoCheckpointWhenLogFills(t *testing.T) {
 	dev := newDev(t)
-	fs := nova.New(dev, nova.Relaxed, logfs.Config{
+	fs := logfs.New(dev, logfs.NovaRelaxed, logfs.Config{
 		LogBytes: 8192, SnapshotSlotBytes: 1 << 20, // tiny log: ~127 entries
 	})
 	f, _ := vfs.Create(fs, "/many")
@@ -174,7 +172,7 @@ func TestAutoCheckpointWhenLogFills(t *testing.T) {
 	if err := dev.Crash(nil); err != nil {
 		t.Fatal(err)
 	}
-	fs2, _, err := nova.Mount(dev, nova.Relaxed, logfs.Config{
+	fs2, _, err := logfs.Mount(dev, logfs.NovaRelaxed, logfs.Config{
 		LogBytes: 8192, SnapshotSlotBytes: 1 << 20,
 	})
 	if err != nil {
@@ -190,7 +188,7 @@ func TestNovaStrictWriteIsAtomicUnderTornCrash(t *testing.T) {
 	// A COW overwrite that is interrupted must leave either the old or
 	// the new content, never a mix. We crash with torn unfenced lines.
 	dev := newDev(t)
-	fs := nova.New(dev, nova.Strict, logfs.Config{})
+	fs := logfs.New(dev, logfs.NovaStrict, logfs.Config{})
 	old := bytes.Repeat([]byte("O"), sim.BlockSize)
 	vfs.WriteFile(fs, "/atomic", old)
 	f, _ := fs.OpenFile("/atomic", vfs.O_RDWR, 0)
@@ -198,7 +196,7 @@ func TestNovaStrictWriteIsAtomicUnderTornCrash(t *testing.T) {
 	if err := dev.Crash(sim.NewRNG(3)); err != nil {
 		t.Fatal(err)
 	}
-	fs2, _, err := nova.Mount(dev, nova.Strict, logfs.Config{})
+	fs2, _, err := logfs.Mount(dev, logfs.NovaStrict, logfs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +228,17 @@ func TestTable1AppendCosts(t *testing.T) {
 	}
 	t.Run("nova-strict", func(t *testing.T) {
 		dev := newDev(t)
-		check(t, nova.New(dev, nova.Strict, logfs.Config{}), dev.Clock(), 2300, 3800)
+		check(t, logfs.New(dev, logfs.NovaStrict, logfs.Config{}), dev.Clock(), 2300, 3800)
 	})
 	t.Run("pmfs", func(t *testing.T) {
 		dev := newDev(t)
-		check(t, pmfs.New(dev, pmfs.Config{}), dev.Clock(), 3100, 5200)
+		check(t, logfs.New(dev, logfs.PMFS, logfs.Config{}), dev.Clock(), 3100, 5200)
 	})
 }
 
 func TestNovaTwoFencesPerOp(t *testing.T) {
 	dev := newDev(t)
-	fs := nova.New(dev, nova.Strict, logfs.Config{})
+	fs := logfs.New(dev, logfs.NovaStrict, logfs.Config{})
 	f, _ := vfs.Create(fs, "/fences")
 	f.Write(make([]byte, sim.BlockSize))
 	before := dev.Stats().Fences

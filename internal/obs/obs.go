@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -33,9 +34,6 @@ type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
@@ -139,21 +137,27 @@ func (s Snapshot) Get(name string) (Metric, bool) {
 // snapshot, for cheap cross-process identity checks: two runs of a
 // deterministic workload must produce equal hashes.
 func (s Snapshot) Hash() uint64 {
+	var sb strings.Builder
+	for _, m := range s {
+		fmt.Fprintf(&sb, "%s=%s:%d:%d", m.Name, m.Kind, m.Value, m.Sum)
+		for _, b := range m.Buckets {
+			fmt.Fprintf(&sb, ";%d:%d", b.Bit, b.N)
+		}
+		sb.WriteByte('\n')
+	}
+	return FNV1a(sb.String())
+}
+
+// FNV1a is the 64-bit FNV-1a digest of s: the repository's one
+// identity hash for golden traces, registry snapshots and flight-record
+// path identities. It does not allocate. (The journal and metalog
+// checksums are on-media format and have their own.)
+func FNV1a(s string) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	mix := func(str string) {
-		for i := 0; i < len(str); i++ {
-			h ^= uint64(str[i])
-			h *= prime
-		}
-	}
-	for _, m := range s {
-		mix(m.Name)
-		mix(fmt.Sprintf("=%s:%d:%d", m.Kind, m.Value, m.Sum))
-		for _, b := range m.Buckets {
-			mix(fmt.Sprintf(";%d:%d", b.Bit, b.N))
-		}
-		mix("\n")
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
 	}
 	return h
 }

@@ -75,14 +75,12 @@ func (k EventKind) String() string {
 }
 
 // EventSource labels which execution context issued a persistence event.
-// The asynchronous relink pipeline runs stores, fences, and journal
-// commits from background stages; tagging events with their source lets
-// the crash harness's coverage stats distinguish foreground syscall
-// events from pipeline events, and lets traces document that a replayed
-// schedule pinned the background work deterministically (the pipeline's
-// single-drain mode). The source is device-global state: it is only
-// meaningful under deterministic single-threaded drain, which is the
-// only mode record/replay supports anyway.
+// The relink pipeline issues stores, fences, and journal commits from
+// its own stages; tagging events with their source lets the crash
+// harness's coverage stats distinguish foreground syscall events from
+// pipeline events. The source is device-global state: it is exact when
+// one goroutine drives the stack, which is what record/replay requires
+// anyway.
 type EventSource uint8
 
 const (
@@ -171,17 +169,11 @@ func (d *Device) Events() int64 { return d.events.Load() }
 //	prev := dev.SetEventSource(pmem.SrcRelinkWorker)
 //	defer dev.SetEventSource(prev)
 //
-// The label is device-global; with concurrent foreground and background
-// activity it is best-effort. Record/replay requires the deterministic
-// single-drain pipeline mode, where exactly one goroutine issues events
-// at a time and the label is exact.
+// The label is device-global; with several goroutines driving the stack
+// it is best-effort. Record/replay runs one goroutine, so exactly one
+// issues events at a time and the label is exact.
 func (d *Device) SetEventSource(s EventSource) EventSource {
 	return EventSource(d.evSrc.Swap(uint32(s)))
-}
-
-// EventSourceNow returns the current event-source label.
-func (d *Device) EventSourceNow() EventSource {
-	return EventSource(d.evSrc.Load())
 }
 
 // EventStats returns the per-kind event counts.

@@ -5,8 +5,8 @@ package pmem
 // buckets write bytes, flushed lines, and fences, so a stats snapshot
 // can attribute PM traffic to the foreground syscall path versus the
 // background relink and reclaim stages. Like the event-source label
-// itself, the split is exact under deterministic single-drain and
-// best-effort when background stages run concurrently.
+// itself, the split is exact when one goroutine drives the stack and
+// best-effort when several do.
 
 import "splitfs/internal/obs"
 

@@ -20,17 +20,12 @@ type transport interface {
 	close() error
 }
 
-// ClientConfig configures a session. The zero value matches the
-// original positional constructors: whole-tree root, default chunk
-// size, no leases.
+// ClientConfig configures a session. The zero value is a whole-tree
+// root with no leases.
 type ClientConfig struct {
 	// Root confines the session to a server subtree ("" or "/" = the
 	// whole tree).
 	Root string
-
-	// ChunkBytes bounds one data frame on the copy path (default 256
-	// KiB, clamped to the wire payload limit).
-	ChunkBytes int
 
 	// EnableLeases requests the zero-copy data plane in the attach
 	// handshake. The session uses it only if the server agrees (feature
@@ -43,12 +38,14 @@ func (cfg *ClientConfig) fill() {
 	if cfg.Root == "" {
 		cfg.Root = "/"
 	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = chunkBytes
+}
+
+// offered is the feature word the attach handshake offers for cfg.
+func (cfg *ClientConfig) offered() uint32 {
+	if cfg.EnableLeases {
+		return featLeases
 	}
-	if cfg.ChunkBytes > maxPayload-64 {
-		cfg.ChunkBytes = maxPayload - 64
-	}
+	return 0
 }
 
 // Client is a connected session implementing vfs.FileSystem, so every
@@ -57,8 +54,7 @@ type Client struct {
 	t           transport
 	fsName      string
 	features    uint32 // agreed set from the attach handshake
-	chunk       int
-	leaseWrites bool // leased writes allowed (non-resumable sessions)
+	leaseWrites bool   // leased writes allowed (non-resumable sessions)
 	stats       clientStats
 }
 
@@ -317,8 +313,8 @@ func (f *File) readLoop(typ, want uint8, p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
 		n := len(p) - total
-		if n > f.c.chunk {
-			n = f.c.chunk
+		if n > chunkBytes {
+			n = chunkBytes
 		}
 		var e enc
 		e.u64(f.handle)
@@ -377,8 +373,8 @@ func (f *File) writeLoop(typ, want uint8, p []byte, off int64) (int, error) {
 	total := 0
 	for {
 		n := len(p) - total
-		if n > f.c.chunk {
-			n = f.c.chunk
+		if n > chunkBytes {
+			n = chunkBytes
 		}
 		var e enc
 		e.u64(f.handle)
@@ -664,13 +660,6 @@ type frameResp struct {
 	payload []byte
 }
 
-// Dial attaches a session over a connected stream, whole defaults.
-//
-// Deprecated: use DialConfig, which also negotiates protocol features.
-func Dial(rwc io.ReadWriteCloser, root string) (*Client, error) {
-	return DialConfig(rwc, ClientConfig{Root: root})
-}
-
 // DialConfig attaches a session over a connected stream. The attach
 // handshake offers the configured feature set; the server echoes the
 // agreed subset (an old server echoes nothing, which reads as zero —
@@ -682,59 +671,73 @@ func DialConfig(rwc io.ReadWriteCloser, cfg ClientConfig) (*Client, error) {
 		br:      bufio.NewReaderSize(rwc, 64<<10),
 		pending: make(map[uint32]chan frameResp),
 	}
-	// Attach synchronously before the demux loop starts.
-	var req uint32
-	if cfg.EnableLeases {
-		req = featLeases
-	}
-	var e enc
-	e.str(cfg.Root)
-	e.u8(0) // not resumable
-	e.u32(req)
-	if e.err != nil {
-		rwc.Close()
-		return nil, e.err
-	}
-	if err := writeFrame(rwc, tAttach, 0, e.b); err != nil {
-		rwc.Close()
+	// Attach synchronously before the demux loop starts. Plain sessions
+	// never present the resume token.
+	req := cfg.offered()
+	name, _, agreed, err := attachExchange(rwc, t.br, 0, cfg.Root, false, req)
+	if err != nil {
 		return nil, err
 	}
-	rtyp, _, rp, err := readFrame(t.br)
-	if err != nil {
-		rwc.Close()
-		return nil, fmt.Errorf("server: attach: %w", err)
-	}
-	if rtyp == rError {
-		rwc.Close()
-		return nil, decodeError(rp)
-	}
-	if rtyp != rAttach {
-		rwc.Close()
-		return nil, fmt.Errorf("%w: attach reply %s", errUnexpectedReply, msgName(rtyp))
-	}
-	d := dec{b: rp}
-	name := d.str()
-	d.u64() // session id (diagnostic)
-	d.u64() // resume token (plain sessions never present it)
-	var agreed uint32
-	if d.err == nil && len(d.b) >= 4 {
-		agreed = d.u32()
-	}
-	if d.err != nil {
-		rwc.Close()
-		return nil, d.err
-	}
-	c := &Client{t: t, fsName: name, features: agreed & req, chunk: cfg.ChunkBytes, leaseWrites: true}
+	c := &Client{t: t, fsName: name, features: agreed & req, leaseWrites: true}
 	t.onPush = c.handleRevoke
 	go t.readLoop()
 	return c, nil
 }
 
-// DialNet connects to a network address (cmd tools use unix sockets).
-//
-// Deprecated: use DialNetConfig.
-func DialNet(network, addr, root string) (*Client, error) {
-	return DialNetConfig(network, addr, ClientConfig{Root: root})
+// attachExchange performs the first-frame exchange on a fresh
+// connection: a Treattach by resume token when token is non-zero, else a
+// Tattach carrying root, the resumable flag and the offered features. It
+// returns what the reply carries: the backend's name, the new session's
+// resume token (a Treattach reply has none) and the agreed feature word
+// (an old server sends none, which reads as zero). Transport failures
+// wrap errConnLost; a refusal comes back as the server's decoded error.
+// The connection is closed on any failure.
+func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root string, resumable bool, req uint32) (name string, newToken uint64, feats uint32, err error) {
+	var e enc
+	typ, want := tAttach, rAttach
+	if token != 0 {
+		typ, want = tReattach, rReattach
+		e.u64(token)
+	} else {
+		var flag uint8
+		if resumable {
+			flag = 1
+		}
+		e.str(root)
+		e.u8(flag)
+		e.u32(req)
+	}
+	defer func() {
+		if err != nil {
+			rwc.Close()
+		}
+	}()
+	if e.err != nil {
+		return "", 0, 0, e.err
+	}
+	if err := writeFrame(rwc, typ, 0, e.b); err != nil {
+		return "", 0, 0, fmt.Errorf("%w: %s: %w", errConnLost, msgName(typ), err)
+	}
+	rtyp, _, rp, err := readFrame(br)
+	if err != nil {
+		return "", 0, 0, fmt.Errorf("%w: %s reply: %w", errConnLost, msgName(typ), err)
+	}
+	if rtyp == rError {
+		return "", 0, 0, decodeError(rp)
+	}
+	if rtyp != want {
+		return "", 0, 0, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
+	}
+	d := dec{b: rp}
+	name = d.str()
+	if token == 0 {
+		d.u64() // session id (diagnostic)
+		newToken = d.u64()
+	}
+	if d.err == nil && len(d.b) >= 4 {
+		feats = d.u32()
+	}
+	return name, newToken, feats, d.err
 }
 
 // DialNetConfig connects to a network address and attaches with cfg.
@@ -856,28 +859,17 @@ type loopbackTransport struct {
 	id uint32
 }
 
-// NewLoopback attaches a deterministic in-process session to srv.
-//
-// Deprecated: use NewLoopbackConfig, which also negotiates features.
-func NewLoopback(srv *Server, root string) (*Client, error) {
-	return NewLoopbackConfig(srv, ClientConfig{Root: root})
-}
-
 // NewLoopbackConfig attaches a deterministic in-process session with
 // cfg. Negotiation runs the same intersection the wire handshake does.
 func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
 	cfg.fill()
-	var req uint32
-	if cfg.EnableLeases {
-		req = featLeases
-	}
-	s, err := srv.attach(cfg.Root, nil, false, req)
+	s, err := srv.attach(cfg.Root, nil, false, cfg.offered())
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
 		t: &loopbackTransport{s: s}, fsName: srv.fs.Name(),
-		features: s.features, chunk: cfg.ChunkBytes, leaseWrites: true,
+		features: s.features, leaseWrites: true,
 	}, nil
 }
 

@@ -9,8 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"splitfs/internal/crash"
 	"splitfs/internal/server"
+	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -19,8 +20,7 @@ import (
 // session that has performed a few ops.
 func ctlTestServer(t *testing.T) (*server.Server, *server.Client) {
 	t.Helper()
-	b, err := crash.NewBackend("splitfs-strict", crash.BackendSpec{
-		DevBytes: 64 << 20, StagingFiles: 8, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20})
+	b, err := stack.New("splitfs-strict", smallWith(64<<20, splitfs.Config{StagingFiles: 8, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func ctlTestServer(t *testing.T) (*server.Server, *server.Client) {
 		OpFences: b.Dev.FenceCount,
 	})
 	t.Cleanup(func() { srv.Close() })
-	c, err := server.NewLoopback(srv, "/")
+	c, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func faultClient(t *testing.T, srv *Server) (*Client, *FaultConn) {
 	cs, ss := net.Pipe()
 	fc := NewFaultConn(ss)
 	go srv.ServeConn(fc)
-	c, err := Dial(cs, "/")
+	c, err := DialConfig(cs, ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFaultPartialHeaderWrite(t *testing.T) {
 	cs, ss := net.Pipe()
 	fc := NewFaultConn(cs)
 	go srv.ServeConn(ss)
-	c, err := Dial(fc, "/")
+	c, err := DialConfig(fc, ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}

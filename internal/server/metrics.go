@@ -87,17 +87,15 @@ func (s *Session) observe(typ uint8, reqID uint32, reqPayload, repPayload []byte
 	if s.srv.cfg.OpClock != nil {
 		s.obs.costH.Observe(cost)
 	}
-	if s.flight != nil {
-		s.flight.Append(obs.Record{
-			ReqID:    reqID,
-			Msg:      typ,
-			Flags:    flags,
-			PathHash: pathHashOf(typ, reqPayload),
-			Bytes:    int64(len(reqPayload) + len(repPayload)),
-			Fences:   fences,
-			Cost:     cost,
-		})
-	}
+	s.flight.Append(obs.Record{
+		ReqID:    reqID,
+		Msg:      typ,
+		Flags:    flags,
+		PathHash: pathHashOf(typ, reqPayload),
+		Bytes:    int64(len(reqPayload) + len(repPayload)),
+		Fences:   fences,
+		Cost:     cost,
+	})
 }
 
 // pathHashOf extracts the request's subject identity for the flight
@@ -110,30 +108,19 @@ func pathHashOf(typ uint8, payload []byte) uint64 {
 	d := dec{b: payload}
 	switch typ {
 	case tAttach, tStat, tReadDir, tUnlink, tRmdir, tRename:
-		return fnvHash(d.str())
+		return obs.FNV1a(d.str())
 	case tMkdir:
 		d.u32() // perm
-		return fnvHash(d.str())
+		return obs.FNV1a(d.str())
 	case tOpen:
 		d.u32() // flag
 		d.u32() // perm
-		return fnvHash(d.str())
+		return obs.FNV1a(d.str())
 	case tClose, tRead, tWrite, tPread, tPwrite, tSeek, tTruncate,
 		tFsync, tFstat, tLease, tReopen, tRevokeAck:
 		return d.u64()
 	}
 	return 0
-}
-
-// fnvHash is FNV-1a over s (matching obs.Snapshot.Hash's constants).
-func fnvHash(s string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // retiredFlightCap bounds how many detached sessions' flight recorders
@@ -156,9 +143,6 @@ type retiredFlight struct {
 // detach with srv.mu available.
 func (srv *Server) retireSession(s *Session) {
 	srv.retiredObs.fold(&s.obs)
-	if s.flight == nil {
-		return
-	}
 	srv.mu.Lock()
 	srv.retired = append(srv.retired, retiredFlight{id: s.id, root: s.root, gen: s.gen.Load(), flight: s.flight})
 	if len(srv.retired) > retiredFlightCap {
@@ -271,7 +255,7 @@ func (s *Session) Metrics(withFlight bool) SessionMetrics {
 		CostHist:  obs.HistBucketsOf(&s.obs.costH),
 		ByType:    s.obs.byType(),
 	}
-	if withFlight && s.flight != nil {
+	if withFlight {
 		m.Flight = s.flight.Dump()
 	}
 	return m
@@ -361,9 +345,7 @@ func (srv *Server) FlightReport() string {
 		}
 	}
 	for _, s := range srv.sessionsByID() {
-		if s.flight != nil {
-			emit(s.id, s.root, s.gen.Load(), true, s.flight.Dump())
-		}
+		emit(s.id, s.root, s.gen.Load(), true, s.flight.Dump())
 	}
 	srv.mu.Lock()
 	retired := append([]retiredFlight(nil), srv.retired...)

@@ -15,7 +15,7 @@ import (
 // so exhaustion means the service is persistently refusing us.
 const resumeMaxAttempts = 8
 
-// DialResumable attaches a crash-tolerant session: the returned Client
+// DialResumableConfig attaches a crash-tolerant session with cfg: the returned Client
 // transparently survives transport loss and full server restarts.
 // redial is called for every (re)connection — it should block until the
 // service is reachable again and may be called several times per
@@ -35,23 +35,15 @@ const resumeMaxAttempts = 8
 // name), and writes are positional — handle-offset appends degrade to
 // at-least-once across a server restart because the server-side offset
 // cannot be reconstructed exactly.
-// Deprecated: use DialResumableConfig, which also negotiates features.
-func DialResumable(redial func() (io.ReadWriteCloser, error), root string) (*Client, error) {
-	return DialResumableConfig(redial, ClientConfig{Root: root})
-}
-
-// DialResumableConfig attaches a crash-tolerant session with cfg (see
-// DialResumable for the resume guarantee). Leases on a resumable
-// session are read-only: a leased write would bypass the replay log,
-// so writes always take the logged wire path. The feature set is the
-// one agreed at the first attach; if a restarted server stops offering
-// leases, grants fail and handles degrade to the copy path.
+//
+// Leases on a resumable session are read-only: a leased write would
+// bypass the replay log, so writes always take the logged wire path.
+// The feature set is the one agreed at the first attach; if a restarted
+// server stops offering leases, grants fail and handles degrade to the
+// copy path.
 func DialResumableConfig(redial func() (io.ReadWriteCloser, error), cfg ClientConfig) (*Client, error) {
 	cfg.fill()
-	var req uint32
-	if cfg.EnableLeases {
-		req = featLeases
-	}
+	req := cfg.offered()
 	t := &resumeState{redial: redial, root: cfg.Root, req: req, handles: make(map[uint64]*handleMeta)}
 	t.mu.Lock()
 	err := t.resume()
@@ -59,7 +51,7 @@ func DialResumableConfig(redial func() (io.ReadWriteCloser, error), cfg ClientCo
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{t: t, fsName: t.fsName, features: t.feats & req, chunk: cfg.ChunkBytes}
+	c := &Client{t: t, fsName: t.fsName, features: t.feats & req}
 	t.onPush = c.handleRevoke
 	return c, nil
 }
@@ -424,55 +416,21 @@ func (t *resumeState) resume() error {
 // rotates the token to the new session's). On success the connection
 // becomes the transport; on failure it is closed.
 func (t *resumeState) handshake(rwc io.ReadWriteCloser, br *bufio.Reader, warm bool) error {
-	var e enc
-	typ := tAttach
-	want := rAttach
+	var token uint64
 	if warm {
-		typ, want = tReattach, rReattach
-		e.u64(t.token)
-	} else {
-		e.str(t.root)
-		e.u8(1) // resumable
-		e.u32(t.req)
+		token = t.token
 	}
-	if e.err != nil {
-		rwc.Close()
-		return e.err
-	}
-	if err := writeFrame(rwc, typ, 0, e.b); err != nil {
-		rwc.Close()
-		return fmt.Errorf("%w: %s: %w", errConnLost, msgName(typ), err)
-	}
-	rtyp, _, rp, err := readFrame(br)
+	name, newToken, feats, err := attachExchange(rwc, br, token, t.root, true, t.req)
 	if err != nil {
-		rwc.Close()
-		return fmt.Errorf("%w: %s reply: %w", errConnLost, msgName(typ), err)
+		return err
 	}
-	if rtyp == rError {
-		rwc.Close()
-		return decodeError(rp)
-	}
-	if rtyp != want {
-		rwc.Close()
-		return fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
-	}
-	d := dec{b: rp}
-	name := d.str()
 	if !warm {
-		d.u64() // session id (diagnostic)
-		t.token = d.u64()
+		t.token = newToken
 	}
-	if d.err == nil && len(d.b) >= 4 {
-		// Trailing agreed-feature word; an old server sends none, which
-		// reads as zero — clean downgrade. Only the first attach's set
-		// governs the Client (later resumes never widen it).
-		if t.feats == 0 {
-			t.feats = d.u32()
-		}
-	}
-	if d.err != nil {
-		rwc.Close()
-		return d.err
+	// Only the first attach's agreed set governs the Client (later
+	// resumes never widen it).
+	if t.feats == 0 {
+		t.feats = feats
 	}
 	t.fsName = name
 	t.dropConn()

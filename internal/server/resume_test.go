@@ -98,7 +98,7 @@ func TestWarmResumeExactlyOnce(t *testing.T) {
 	h := &resumeHarness{srv: srv}
 	h.waitPark.Store(true)
 
-	c, err := DialResumable(h.redial, "/")
+	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestColdResumeAfterRestart(t *testing.T) {
 	srv1 := New(backend, Config{Workers: 2, TokenSalt: 1})
 	h := &resumeHarness{srv: srv1}
 
-	c, err := DialResumable(h.redial, "/")
+	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestWarmResumeTakeover(t *testing.T) {
 		}
 		return rwc, nil
 	}
-	c, err := DialResumable(redial, "/")
+	c, err := DialResumableConfig(redial, ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestWarmResumeAcrossTornFrame(t *testing.T) {
 		fcMu.Unlock()
 		return rwc, nil
 	}
-	c, err := DialResumable(redial, "/")
+	c, err := DialResumableConfig(redial, ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,10 @@ type Config struct {
 	// pattern applied to the wire).
 	FailReplies func() bool
 
-	// Logf, when set, receives disconnect classification and re-attach
-	// diagnostics (cmd/splitfsd wires log.Printf here).
-	Logf func(format string, args ...any)
-
 	// OpClock, when set, is sampled before and after every executed
 	// request; the delta is the op's cost in the session's cost
 	// histogram and flight records. Deterministic contexts feed the sim
-	// clock here (crash.NewBackend does it automatically), so op costs
+	// clock here (stack.Serve does it automatically), so op costs
 	// — and the metric snapshots built from them — are exact functions
 	// of the workload; cmd/splitfsd feeds the wall clock, which is fine
 	// outside the deterministic set.
@@ -59,16 +55,6 @@ type Config struct {
 	// the op's fence count in its flight record (the pmem device's
 	// cumulative fence counter in deterministic contexts).
 	OpFences func() int64
-
-	// Registry, when set, receives the server's computed gauges at
-	// construction (RegisterObs). Optional: per-session metric blocks
-	// and flight recorders exist regardless.
-	Registry *obs.Registry
-
-	// FlightSlots sizes each session's flight recorder ring (default
-	// obs.DefaultFlightSlots; rounded up to a power of two). Negative
-	// disables flight recording.
-	FlightSlots int
 }
 
 // wireStats is the server-side transport/replay counter set.
@@ -147,13 +133,6 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// logf forwards to Config.Logf when set.
-func (srv *Server) logf(format string, args ...any) {
-	if srv.cfg.Logf != nil {
-		srv.cfg.Logf(format, args...)
-	}
-}
-
 // Stats snapshots the transport/replay counters.
 func (srv *Server) Stats() WireStats {
 	return WireStats{
@@ -221,9 +200,6 @@ func New(fs vfs.FileSystem, cfg Config) *Server {
 		work:     make(chan *Session),
 		quit:     make(chan struct{}),
 	}
-	if cfg.Registry != nil {
-		srv.RegisterObs(cfg.Registry)
-	}
 	return srv
 }
 
@@ -263,15 +239,8 @@ func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats u
 	}
 	srv.nextSess++
 	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: newHandleTable(), conn: conn, resumable: resumable,
-		features: feats & srv.features()}
+		features: feats & srv.features(), flight: obs.NewRecorder(obs.DefaultFlightSlots)}
 	s.gen.Store(1)
-	if srv.cfg.FlightSlots >= 0 {
-		n := srv.cfg.FlightSlots
-		if n == 0 {
-			n = obs.DefaultFlightSlots
-		}
-		s.flight = obs.NewRecorder(n)
-	}
 	if resumable {
 		s.token = mix64(srv.cfg.TokenSalt ^ mix64(s.id))
 		if s.token == 0 {
@@ -310,7 +279,6 @@ func (srv *Server) reattach(token uint64, conn *serverConn, handshake func(*Sess
 		return s, err
 	}
 	srv.stats.reattached.Add(1)
-	srv.logf("server: session %d: re-attached", s.id)
 	return s, nil
 }
 

@@ -10,15 +10,24 @@ import (
 	"testing"
 	"time"
 
-	"splitfs/internal/crash"
 	"splitfs/internal/server"
+	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
+
+// smallWith is stack.Small on a devBytes device with the given U-Split
+// sizing.
+func smallWith(devBytes int64, usplit splitfs.Config) stack.Spec {
+	spec := stack.Small
+	spec.DevBytes, spec.USplit = devBytes, usplit
+	return spec
+}
 
 // newBackend builds a direct backend for the server to wrap.
 func newBackend(t *testing.T, kind string) vfs.FileSystem {
 	t.Helper()
-	b, err := crash.NewBackend(kind, crash.BackendSpec{})
+	b, err := stack.New(kind, stack.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +40,7 @@ func pipeClient(t *testing.T, srv *server.Server, root string) (*server.Client, 
 	t.Helper()
 	cs, ss := net.Pipe()
 	go srv.ServeConn(ss)
-	c, err := server.Dial(cs, root)
+	c, err := server.DialConfig(cs, server.ClientConfig{Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +55,7 @@ func TestServedBasicOps(t *testing.T) {
 			var c *server.Client
 			var err error
 			if transport == "loopback" {
-				c, err = server.NewLoopback(srv, "/")
+				c, err = server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 			} else {
 				var conn net.Conn
 				c, conn = pipeClient(t, srv, "/")
@@ -141,7 +150,7 @@ func TestServedBasicOps(t *testing.T) {
 func TestServedEmptyAndLargeFiles(t *testing.T) {
 	fs := newBackend(t, "ext4-dax")
 	srv := server.New(fs, server.Config{})
-	c, err := server.NewLoopback(srv, "/")
+	c, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestServedEmptyAndLargeFiles(t *testing.T) {
 func TestSessionRootConfinement(t *testing.T) {
 	fs := newBackend(t, "ext4-dax")
 	srv := server.New(fs, server.Config{})
-	root, err := server.NewLoopback(srv, "/")
+	root, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +203,7 @@ func TestSessionRootConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := server.NewLoopback(srv, "/t1")
+	c, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/t1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +229,10 @@ func TestSessionRootConfinement(t *testing.T) {
 		t.Fatalf("ReadDir(/) in subtree = %+v, %v", ents, err)
 	}
 	// Attaching to a missing or non-directory root fails.
-	if _, err := server.NewLoopback(srv, "/nope"); !errors.Is(err, vfs.ErrNotExist) {
+	if _, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/nope"}); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("attach to missing root = %v", err)
 	}
-	if _, err := server.NewLoopback(srv, "/t2/secret"); !errors.Is(err, vfs.ErrNotDir) {
+	if _, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/t2/secret"}); !errors.Is(err, vfs.ErrNotDir) {
 		t.Fatalf("attach to file = %v", err)
 	}
 }
@@ -322,7 +331,7 @@ func TestUnixSocketTransport(t *testing.T) {
 		ln.Close()
 	}()
 
-	c, err := server.DialNet("unix", sock, "/")
+	c, err := server.DialNetConfig("unix", sock, server.ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +355,7 @@ func TestSyncAllThroughService(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			fs := newBackend(t, kind)
 			srv := server.New(fs, server.Config{})
-			c, err := server.NewLoopback(srv, "/")
+			c, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 			if err != nil {
 				t.Fatal(err)
 			}

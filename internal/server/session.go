@@ -154,10 +154,6 @@ func (s *Session) detached() bool {
 	return s.closed
 }
 
-// Token returns the session's re-attach token (0 for non-resumable
-// sessions).
-func (s *Session) Token() uint64 { return s.token }
-
 // park detaches the transport but keeps the session alive — handles
 // open, reply cache warm — for a later re-attach. from is the connection
 // the caller believes it is detaching: if a takeover re-attach already
@@ -209,7 +205,6 @@ func (s *Session) adopt(conn *serverConn, handshake func() error) error {
 	defer s.replyMu.Unlock()
 	if old != nil {
 		old.rwc.Close() // kick the superseded read loop off the old transport
-		s.srv.logf("server: session %d: transport takeover", s.id)
 	}
 	if handshake != nil {
 		if err := handshake(); err != nil {
@@ -228,23 +223,18 @@ func (s *Session) disconnect(conn *serverConn, err error) {
 	srv := s.srv
 	parked, superseded := s.park(conn)
 	if superseded {
-		srv.logf("server: session %d: superseded transport closed", s.id)
 		return
 	}
 	switch {
 	case err == io.EOF:
 		srv.stats.cleanCloses.Add(1)
-		srv.logf("server: session %d: clean close", s.id)
 	case errors.Is(err, errTornFrame):
 		srv.stats.tornDisconnects.Add(1)
-		srv.logf("server: session %d: torn mid-frame disconnect: %v", s.id, err)
 	default:
 		srv.stats.otherDisconnects.Add(1)
-		srv.logf("server: session %d: transport error: %v", s.id, err)
 	}
 	if parked {
 		srv.stats.parkedSessions.Add(1)
-		srv.logf("server: session %d: parked for re-attach", s.id)
 		return
 	}
 	s.teardown()

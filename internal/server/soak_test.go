@@ -8,9 +8,10 @@ import (
 	"sync"
 	"testing"
 
-	"splitfs/internal/crash"
 	"splitfs/internal/server"
 	"splitfs/internal/sim"
+	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -25,8 +26,7 @@ func TestServerSoakConcurrentSessions(t *testing.T) {
 	const sessions = 9
 	const opsPerSession = 120
 
-	b, err := crash.NewBackend("splitfs-strict", crash.BackendSpec{
-		DevBytes: 128 << 20, StagingFiles: 12, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20})
+	b, err := stack.New("splitfs-strict", smallWith(128<<20, splitfs.Config{StagingFiles: 12, StagingFileBytes: 1 << 20, OpLogBytes: 2 << 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestServerSoakConcurrentSessions(t *testing.T) {
 	defer srv.Close()
 
 	// Pre-create each tenant's subtree through a root session.
-	root, err := server.NewLoopback(srv, "/")
+	root, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestServerSoakConcurrentSessions(t *testing.T) {
 func soakSession(srv *server.Server, id, nops int) error {
 	cs, ss := net.Pipe()
 	go srv.ServeConn(ss)
-	c, err := server.Dial(cs, fmt.Sprintf("/tenant%d", id))
+	c, err := server.DialConfig(cs, server.ClientConfig{Root: fmt.Sprintf("/tenant%d", id)})
 	if err != nil {
 		return fmt.Errorf("session %d: %w", id, err)
 	}
@@ -230,12 +230,12 @@ func soakSession(srv *server.Server, id, nops int) error {
 // TestSoakSessionErrors keeps the soak's error plumbing honest: a
 // confined session must not see another tenant's files at all.
 func TestSoakSessionIsolation(t *testing.T) {
-	b, err := crash.NewBackend("splitfs-strict", crash.BackendSpec{})
+	b, err := stack.New("splitfs-strict", stack.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(b.FS, server.Config{})
-	root, err := server.NewLoopback(srv, "/")
+	root, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +245,8 @@ func TestSoakSessionIsolation(t *testing.T) {
 	if err := root.Mkdir("/tenantB", 0755); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := server.NewLoopback(srv, "/tenantA")
-	bc, _ := server.NewLoopback(srv, "/tenantB")
+	a, _ := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/tenantA"})
+	bc, _ := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/tenantB"})
 	if err := vfs.WriteFile(a, "/x", []byte("A's data")); err != nil {
 		t.Fatal(err)
 	}

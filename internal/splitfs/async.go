@@ -1,8 +1,3 @@
-// Worker mode spawns background relink goroutines by design; in
-// single-drain mode none start and the event stream stays deterministic.
-//
-// +determinism:concurrent
-
 package splitfs
 
 import (
@@ -16,10 +11,12 @@ import (
 // The asynchronous relink pipeline (see DESIGN.md, "Asynchronous relink
 // pipeline"). fsync no longer runs its relink inline: it enqueues its
 // file on a per-ofile-deduplicated FIFO and blocks only until the batch
-// containing its file has group-committed. Draining happens either on
-// background worker goroutines (Config.RelinkWorkers > 0) or — the
-// deterministic single-drain mode the crash harness requires — on the
-// enqueuing goroutine itself, which pops and processes the entire queue.
+// containing its file has group-committed. Draining happens on the
+// enqueuing goroutine itself, which pops and processes the entire queue:
+// a single-threaded run produces a bit-identical persistence-event
+// stream every time (the crash harness's record/replay depends on it),
+// and concurrent fsync callers drain — and so coalesce — each other's
+// requests.
 //
 // A drain takes whatever is queued, runs every file's relink steps
 // (each under only that file's lock), and issues ONE journal commit for
@@ -46,44 +43,15 @@ type relinkRequest struct {
 
 // relinkPipeline is the queue plus its drain machinery.
 type relinkPipeline struct {
-	fs      *FS
-	workers int
+	fs *FS
 
 	mu      sync.Mutex                // +lockrank:pipeline
 	queue   []*relinkRequest          // FIFO
 	pending map[*ofile]*relinkRequest // queued (not yet popped) per ofile
-
-	wake    chan struct{} // buffered worker doorbell
-	stopped chan struct{}
-	wg      sync.WaitGroup
 }
 
-func newRelinkPipeline(fs *FS, workers int) *relinkPipeline {
-	p := &relinkPipeline{
-		fs:      fs,
-		workers: workers,
-		pending: make(map[*ofile]*relinkRequest),
-		wake:    make(chan struct{}, 1),
-		stopped: make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
-}
-
-// stop terminates the background workers after the queue empties. The
-// caller must have quiesced fsync traffic (requests enqueued after stop
-// would hang in worker mode).
-func (p *relinkPipeline) stop() {
-	select {
-	case <-p.stopped:
-		return
-	default:
-	}
-	close(p.stopped)
-	p.wg.Wait()
+func newRelinkPipeline(fs *FS) *relinkPipeline {
+	return &relinkPipeline{fs: fs, pending: make(map[*ofile]*relinkRequest)}
 }
 
 // enqueue adds an ofile to the queue, coalescing with a still-queued
@@ -112,27 +80,19 @@ func (p *relinkPipeline) popAll() []*relinkRequest {
 	return batch
 }
 
-// syncFile is fsync's durability path: enqueue, then either drain on
-// this goroutine (single-drain mode) or wait for a worker.
+// syncFile is fsync's durability path: enqueue, then drain on this
+// goroutine.
 func (p *relinkPipeline) syncFile(of *ofile) error {
 	p.fs.clk.Charge(sim.CatCPU, sim.USplitEnqueueNs)
 	r := p.enqueue(of)
-	if p.workers > 0 {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-		<-r.done
-		return r.err
-	}
 	p.drainUntil(r)
 	return r.err
 }
 
 // groupSync makes every listed ofile's staged data durable through as
 // few commits as the queue allows — typically exactly one. The ofiles
-// must be in deterministic order when single-drain determinism matters
-// (callers sort by inode).
+// must be in deterministic order for the event stream to be (callers
+// sort by inode).
 func (p *relinkPipeline) groupSync(ofiles []*ofile) error {
 	if len(ofiles) == 0 {
 		return nil
@@ -142,19 +102,9 @@ func (p *relinkPipeline) groupSync(ofiles []*ofile) error {
 	for i, of := range ofiles {
 		reqs[i] = p.enqueue(of)
 	}
-	if p.workers > 0 {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
 	var first error
 	for _, r := range reqs {
-		if p.workers > 0 {
-			<-r.done
-		} else {
-			p.drainUntil(r)
-		}
+		p.drainUntil(r)
 		if r.err != nil && first == nil {
 			first = r.err
 		}
@@ -181,38 +131,12 @@ func (p *relinkPipeline) drainUntil(r *relinkRequest) {
 	}
 }
 
-// worker is the background drain loop.
-func (p *relinkPipeline) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.wake:
-		case <-p.stopped:
-			// Drain what is left so no waiter hangs, then exit.
-			if batch := p.popAll(); len(batch) != 0 {
-				p.processBatch(batch)
-				continue
-			}
-			return
-		}
-		for {
-			batch := p.popAll()
-			if len(batch) == 0 {
-				break
-			}
-			p.processBatch(batch)
-		}
-	}
-}
-
 // processBatch runs the relink steps of every request — each under only
 // its own file's lock — then group-commits the shared journal
 // transaction once, releases the consumed staging references, and lets
 // the epoch reclaimer unmap retired staging files. Persistence events
 // issued here are tagged SrcRelinkWorker (and SrcReclaim) so the crash
-// harness's coverage stats can see the background pipeline; in
-// single-drain mode the tags are exact and the event stream is
-// deterministic.
+// harness's coverage stats can see the pipeline's stages.
 func (p *relinkPipeline) processBatch(batch []*relinkRequest) {
 	fs := p.fs
 	prev := fs.dev.SetEventSource(pmem.SrcRelinkWorker)

@@ -12,37 +12,15 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// newAsyncEnv builds an instance with background relink workers.
-func newAsyncEnv(t testing.TB, mode Mode, workers int) (*pmem.Device, *FS) {
-	t.Helper()
-	dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(),
-		TrackPersistence: true})
-	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{JournalBlocks: 128, MaxInodes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := New(kfs, Config{
-		Mode:             mode,
-		StagingFiles:     4,
-		StagingFileBytes: 2 << 20,
-		OpLogBytes:       1 << 20,
-		RelinkWorkers:    workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fs.pipeline.stop() })
-	return dev, fs
-}
-
 // TestConcurrentFsyncGroupCommitRace hammers concurrent fsyncs of
-// distinct files through background relink workers and group commit —
-// the race test the CI matrix runs under -race. Every worker's data must
+// distinct files through the relink pipeline and group commit — the
+// race test the CI matrix runs under -race: each caller drains whatever
+// is queued, its own request or the others'. Every goroutine's data must
 // be intact and durable afterwards.
 func TestConcurrentFsyncGroupCommitRace(t *testing.T) {
 	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			_, fs := newAsyncEnv(t, mode, 3)
+			_, fs := newEnv(t, mode)
 			const (
 				threads = 6
 				rounds  = 40
@@ -216,7 +194,7 @@ func TestStagingEpochReclamation(t *testing.T) {
 
 // TestCheckpointRacesPipelineDrains hammers strict-mode writers whose
 // op log fills constantly (checkpoints under wmu sweep and reset the
-// log) against concurrent fsyncs draining on background workers, then
+// log) against concurrent fsyncs draining each other's requests, then
 // crashes and recovers: every byte every writer completed must survive.
 // This covers the checkpoint/drain interaction — a checkpoint must
 // commit the running journal transaction before zeroing the log so an
@@ -234,7 +212,6 @@ func TestCheckpointRacesPipelineDrains(t *testing.T) {
 		StagingFiles:     4,
 		StagingFileBytes: 4 << 20,
 		OpLogBytes:       64 << 10, // tiny: checkpoints fire constantly
-		RelinkWorkers:    2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func (fs *FS) Fork() *FS {
 		child.attrs[p] = info
 	}
 	fs.amu.Unlock()
-	child.pipeline = newRelinkPipeline(child, child.cfg.RelinkWorkers)
+	child.pipeline = newRelinkPipeline(child)
 	return child
 }
 

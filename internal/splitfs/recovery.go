@@ -88,7 +88,7 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	if err := kfs.CommitMeta(); err != nil {
 		return nil, nil, err
 	}
-	fs.pipeline = newRelinkPipeline(fs, cfg.RelinkWorkers)
+	fs.pipeline = newRelinkPipeline(fs)
 	return fs, report, nil
 }
 

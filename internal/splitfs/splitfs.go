@@ -95,18 +95,6 @@ type Config struct {
 	// benefit"). fsync must then copy every byte through the kernel.
 	// Only meaningful for POSIX mode; it forfeits strict-mode recovery.
 	StageInDRAM bool
-	// RelinkWorkers selects how the asynchronous relink pipeline drains
-	// (see DESIGN.md, "Asynchronous relink pipeline"):
-	//
-	//	0 (default) — deterministic single-drain: fsync enqueues its file
-	//	  and the calling goroutine drains the whole queue itself, so a
-	//	  single-threaded run produces a bit-identical persistence-event
-	//	  stream every time. The crash harness's record/replay depends on
-	//	  this mode to pin "worker" scheduling.
-	//	N > 0 — N background worker goroutines drain the queue; fsync
-	//	  blocks only until its file's relink batch has group-committed.
-	//	  Event numbering is interleaving-dependent in this mode.
-	RelinkWorkers int
 }
 
 func (c *Config) fill() {
@@ -237,7 +225,7 @@ type ofile struct {
 	// file (guarded by mu, written under mu+wmu). A relink advances the
 	// inode's recovery watermark to exactly this value, which covers
 	// every entry the relink absorbs without the relink needing wmu —
-	// that independence is what lets background pipeline workers relink
+	// that independence is what lets a pipeline drain relink
 	// without serializing against strict-mode writers.
 	logSeq uint64
 
@@ -294,18 +282,13 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 	if err := kfs.CommitMeta(); err != nil {
 		return nil, err
 	}
-	fs.pipeline = newRelinkPipeline(fs, cfg.RelinkWorkers)
+	fs.pipeline = newRelinkPipeline(fs)
 	return fs, nil
 }
 
-// Close drains the relink pipeline and stops its background workers.
-// Instances with RelinkWorkers == 0 have no goroutines to stop, but
-// closing is still the polite shutdown (it flushes queued relinks).
-func (fs *FS) Close() error {
-	err := fs.SyncAll()
-	fs.pipeline.stop()
-	return err
-}
+// Close is the polite shutdown: it makes every open file's staged data
+// durable.
+func (fs *FS) Close() error { return fs.SyncAll() }
 
 // Name implements vfs.FileSystem.
 func (fs *FS) Name() string { return "splitfs-" + fs.mode.String() }

@@ -28,6 +28,7 @@ import (
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -73,26 +74,22 @@ type Stack struct {
 // NewStack builds a device, formats K-Split, and mounts a U-Split
 // instance over it.
 func NewStack(cfg StackConfig) (*Stack, error) {
-	if cfg.DeviceBytes == 0 {
-		cfg.DeviceBytes = 256 << 20
-	}
-	clk := sim.NewClock()
-	dev := pmem.New(pmem.Config{
-		Size:             cfg.DeviceBytes,
-		Clock:            clk,
+	st, err := stack.New(stack.SplitFSKind(cfg.Mode), stack.Spec{
+		DevBytes:         cfg.DeviceBytes,
 		TrackPersistence: cfg.TrackPersistence,
 		TrackWear:        true,
+		KSplit:           cfg.KSplit,
+		USplit:           cfg.USplit,
 	})
-	kfs, err := ext4dax.Mkfs(dev, cfg.KSplit)
 	if err != nil {
 		return nil, err
 	}
-	cfg.USplit.Mode = cfg.Mode
-	fs, err := splitfs.New(kfs, cfg.USplit)
-	if err != nil {
-		return nil, err
-	}
-	return &Stack{Device: dev, Clock: clk, KFS: kfs, FS: fs}, nil
+	return facade(st), nil
+}
+
+func facade(st *stack.Stack) *Stack {
+	fs := st.Base.(*splitfs.FS)
+	return &Stack{Device: st.Dev, Clock: st.Clock, KFS: fs.KFS(), FS: fs}
 }
 
 // Crash simulates power failure (the device must have been built with
@@ -107,18 +104,15 @@ func (s *Stack) Crash(rngSeed uint64) error {
 }
 
 // Recover remounts the crashed device: ext4 DAX journal replay followed
-// by U-Split operation-log replay (§5.3). It returns a fresh stack over
-// the same device.
+// by U-Split operation-log replay (§5.3), with the default U-Split
+// tunables. It returns a fresh stack over the same device.
 func (s *Stack) Recover(mode Mode) (*Stack, *splitfs.RecoveryReport, error) {
-	kfs, _, err := ext4dax.Mount(s.Device, ext4dax.Config{})
+	crashed := stack.Stack{Kind: stack.SplitFSKind(mode), Clock: s.Clock, Dev: s.Device}
+	st, rec, err := crashed.Recover()
 	if err != nil {
 		return nil, nil, err
 	}
-	fs, report, err := splitfs.RecoverFS(kfs, splitfs.Config{Mode: mode})
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Stack{Device: s.Device, Clock: s.Clock, KFS: kfs, FS: fs}, report, nil
+	return facade(st), rec.OpLog, nil
 }
 
 // File re-exports the POSIX-shaped file handle interface.
