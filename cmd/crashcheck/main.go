@@ -49,9 +49,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -65,13 +66,26 @@ type job struct {
 	cfg  crash.ExploreConfig
 }
 
+// families are the workload generators. An event campaign of seed s runs
+// gen(s*mul) and crashes with seed s^xor; the served differential runs
+// gen(s*31) of every family.
+var families = []struct {
+	name     string
+	gen      func(uint64, int) []crash.Op
+	mul, xor uint64
+}{
+	{"write", crash.RandomOps, 13, 0},
+	{"meta", crash.MetadataOps, 29, 0xa5},
+	{"async", crash.AsyncOps, 17, 0x3c},
+}
+
 func main() {
 	seeds := flag.Int("seeds", 3, "random workloads per mode and family")
 	nops := flag.Int("ops", 25, "operations per workload")
 	modeFlag := flag.String("mode", "all", "consistency mode: all, posix, sync, strict")
 	sample := flag.Int("sample", 0, "max events tested per workload (0 = every persistence event)")
 	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir)")
-	async := flag.Bool("async", false, "add async-relink workloads (multi-file fsyncs + group syncs through the background pipeline)")
+	async := flag.Bool("async", false, "add async-relink workloads (multi-file fsyncs + group syncs sharing one journal commit)")
 	served := flag.Bool("served", false, "add served-backend differential campaigns: each trace through the session/RPC layer over all nine backends must match direct ext4-dax byte for byte")
 	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all nine backends, and served-crash tenants hold leases across every daemon kill")
 	servedCrash := flag.Bool("served-crash", false, "add served daemon-death sweeps: kill the daemon at sampled persistence events while tenants are mid-pipeline, recover, restart, reconnect every tenant, and check per-tenant oracles plus exactly-once counters")
@@ -85,95 +99,36 @@ func main() {
 	verbose := flag.Bool("v", false, "per-campaign progress lines")
 	flag.Parse()
 
-	var modes []splitfs.Mode
-	switch *modeFlag {
-	case "all":
-		modes = []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict}
-	case "posix":
-		modes = []splitfs.Mode{splitfs.POSIX}
-	case "sync":
-		modes = []splitfs.Mode{splitfs.Sync}
-	case "strict":
-		modes = []splitfs.Mode{splitfs.Strict}
-	default:
+	modes, ok := map[string][]splitfs.Mode{
+		"all":    {splitfs.POSIX, splitfs.Sync, splitfs.Strict},
+		"posix":  {splitfs.POSIX},
+		"sync":   {splitfs.Sync},
+		"strict": {splitfs.Strict},
+	}[*modeFlag]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "crashcheck: unknown mode %q\n", *modeFlag)
 		os.Exit(2)
 	}
 
+	enabled := map[string]bool{"write": true, "meta": *metadata, "async": *async}
 	var jobs []job
 	for _, mode := range modes {
 		for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-			jobs = append(jobs, job{
-				name: fmt.Sprintf("%v/write/seed%d", mode, seed),
-				cfg: crash.ExploreConfig{Mode: mode, Ops: crash.RandomOps(seed*13, *nops),
-					Seed: seed, Sample: *sample,
-					DoubleCrash: *doubleCrash, DoubleSample: *doubleSample},
-			})
-			if *metadata {
+			for _, fam := range families {
+				if !enabled[fam.name] {
+					continue
+				}
 				jobs = append(jobs, job{
-					name: fmt.Sprintf("%v/meta/seed%d", mode, seed),
-					cfg: crash.ExploreConfig{Mode: mode, Ops: crash.MetadataOps(seed*29, *nops),
-						Seed: seed ^ 0xa5, Sample: *sample,
-						DoubleCrash: *doubleCrash, DoubleSample: *doubleSample},
-				})
-			}
-			if *async {
-				jobs = append(jobs, job{
-					name: fmt.Sprintf("%v/async/seed%d", mode, seed),
-					cfg: crash.ExploreConfig{Mode: mode, Ops: crash.AsyncOps(seed*17, *nops),
-						Seed: seed ^ 0x3c, Sample: *sample,
+					name: fmt.Sprintf("%v/%s/seed%d", mode, fam.name, seed),
+					cfg: crash.ExploreConfig{Mode: mode, Ops: fam.gen(seed*fam.mul, *nops),
+						Seed: seed ^ fam.xor, Sample: *sample,
 						DoubleCrash: *doubleCrash, DoubleSample: *doubleSample},
 				})
 			}
 		}
 	}
 
-	// Served-backend differential campaigns run up front (they are
-	// cheap relative to event sweeps and need no worker pool): the same
-	// generated traces the event campaigns use go through the
-	// multi-tenant service over every backend, and the final namespaces
-	// and contents must equal the direct ext4-dax reference exactly.
-	servedFailed := false
-	if *served {
-		kinds := []string{"ext4-dax"}
-		for _, k := range stack.Kinds() {
-			kinds = append(kinds, stack.Name(k, true, false))
-		}
-		if *leases {
-			for _, k := range stack.Kinds() {
-				kinds = append(kinds, stack.Name(k, true, true))
-			}
-		}
-		families := []struct {
-			name string
-			gen  func(uint64, int) []crash.Op
-		}{
-			{"write", crash.RandomOps},
-			{"meta", crash.MetadataOps},
-			{"async", crash.AsyncOps},
-		}
-		ran, mismatches := 0, 0
-		for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-			for _, fam := range families {
-				res, err := crash.Differential(kinds, fam.gen(seed*31, *nops))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "crashcheck: served/%s/seed%d: %v\n", fam.name, seed, err)
-					servedFailed = true
-					continue
-				}
-				ran++
-				for _, m := range res.Mismatches {
-					fmt.Printf("SERVED MISMATCH %s/seed%d: %s\n", fam.name, seed, m)
-					mismatches++
-				}
-			}
-		}
-		fmt.Printf("crashcheck: served differential: %d traces x %d backends, %d mismatches\n",
-			ran, len(kinds)-1, mismatches)
-		if mismatches > 0 {
-			servedFailed = true
-		}
-	}
+	servedFailed := *served && !servedDifferential(*seeds, *nops, *leases)
 
 	// Served daemon-death sweeps: tenants run concurrently over the
 	// stream transport (wire faults on) while the device is armed to
@@ -204,13 +159,10 @@ func main() {
 				for _, v := range res.Violations {
 					fmt.Printf("SERVED VIOLATION %v/seed%d event=%d: %s\n", mode, seed, v.Event, v.Msg)
 				}
-				if len(res.Violations) > 0 {
-					servedVios = append(servedVios, res.Violations...)
-					if servedVioCfg == nil {
-						c := cfg
-						servedVioCfg = &c
-					}
+				if len(res.Violations) > 0 && servedVioCfg == nil {
+					servedVioCfg = &cfg
 				}
+				servedVios = append(servedVios, res.Violations...)
 				if *verbose {
 					fmt.Printf("served-crash %v/seed%-2d window=[%d,%d] killed=%-4d notfired=%-3d violations=%d\n",
 						mode, seed, res.Window[0], res.Window[1], res.Tested, res.NotFired, len(res.Violations))
@@ -222,17 +174,11 @@ func main() {
 	}
 
 	var (
-		mu         sync.Mutex
-		totalEv    int64
-		tested     int
-		dblTested  int
-		runs       int
-		byKind     = map[string]int64{}
-		testedKind = map[string]int64{}
-		unknown    = map[string]bool{}
-		violations []crash.Violation
-		vioJob     *job
-		failed     bool
+		mu      sync.Mutex
+		total   = crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}}
+		unknown = map[string]bool{}
+		vioJob  *job
+		failed  bool
 	)
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
@@ -250,15 +196,15 @@ func main() {
 					mu.Unlock()
 					continue
 				}
-				totalEv += res.TotalEvents
-				tested += res.Tested
-				dblTested += res.DoubleTested
-				runs += res.Runs
+				total.TotalEvents += res.TotalEvents
+				total.Tested += res.Tested
+				total.DoubleTested += res.DoubleTested
+				total.Runs += res.Runs
 				for k, n := range res.ByKind {
-					byKind[k] += n
+					total.ByKind[k] += n
 				}
 				for k, n := range res.TestedByKind {
-					testedKind[k] += n
+					total.TestedByKind[k] += n
 				}
 				for _, k := range res.UnknownKinds {
 					unknown[k] = true
@@ -267,13 +213,10 @@ func main() {
 					fmt.Printf("VIOLATION %s event=%d double=%d: %s\n",
 						j.name, v.Event, v.DoubleEvent, v.Msg)
 				}
-				if len(res.Violations) > 0 {
-					violations = append(violations, res.Violations...)
-					if vioJob == nil {
-						jc := j
-						vioJob = &jc
-					}
+				if len(res.Violations) > 0 && vioJob == nil {
+					vioJob = &j
 				}
+				total.Violations = append(total.Violations, res.Violations...)
 				if *verbose {
 					fmt.Printf("%-22s events=%-5d tested=%-5d double=%-4d violations=%d\n",
 						j.name, res.TotalEvents, res.Tested, res.DoubleTested, len(res.Violations))
@@ -289,15 +232,10 @@ func main() {
 	wg.Wait()
 
 	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d events crashed (+%d double-crash), %d violations\n",
-		len(jobs), runs, tested, totalEv, dblTested, len(violations))
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+		len(jobs), total.Runs, total.Tested, total.TotalEvents, total.DoubleTested, len(total.Violations))
 	fmt.Printf("event coverage by kind:")
-	for _, k := range kinds {
-		fmt.Printf(" %s=%d/%d", k, testedKind[k], byKind[k])
+	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
+		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])
 	}
 	fmt.Println()
 	if len(unknown) > 0 {
@@ -306,97 +244,86 @@ func main() {
 		// about it — the sweep crashed at events whose semantics nobody
 		// vouched for. That is a harness bug, so fail loudly rather than
 		// bucket them quietly.
-		names := make([]string, 0, len(unknown))
-		for k := range unknown {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(os.Stderr, "crashcheck: UNKNOWN EVENT KINDS swept: %v — update pmem event kinds/sources and the coverage tables\n", names)
+		fmt.Fprintf(os.Stderr, "crashcheck: UNKNOWN EVENT KINDS swept: %v — update pmem event kinds/sources and the coverage tables\n",
+			slices.Sorted(maps.Keys(unknown)))
 		failed = true
 	}
 
 	var report strings.Builder
-	for _, v := range violations {
-		fmt.Fprintf(&report, "VIOLATION mode=%v seed=%d event=%d double=%d: %s\n",
-			v.Mode, v.Seed, v.Event, v.DoubleEvent, v.Msg)
+	for _, v := range total.Violations {
+		writeViolation(&report, "", v)
 	}
 	for _, v := range servedVios {
-		fmt.Fprintf(&report, "SERVED VIOLATION mode=%v seed=%d event=%d: %s\n",
-			v.Mode, v.Seed, v.Event, v.Msg)
-		if v.Flight != "" {
-			// The flight-recorder traces of the breached generation: the
-			// last ops each tenant had in flight when the image froze.
-			fmt.Fprintf(&report, "flight traces:\n%s", v.Flight)
-		}
+		writeViolation(&report, "SERVED ", v)
 	}
-	if len(servedVios) > 0 && *minimize && servedVioCfg != nil {
-		fmt.Printf("minimizing served-crash %v/seed%d (%d tenants x %d ops)...\n",
-			servedVioCfg.Mode, servedVioCfg.Seed, servedVioCfg.Tenants, servedVioCfg.OpsPerTenant)
+	if servedVioCfg != nil && *minimize {
 		cfg := *servedVioCfg
-		if cfg.Sample == 0 || cfg.Sample > 16 {
-			cfg.Sample = 16
-		}
-		for _, v := range servedVios {
-			if v.Event > 0 && v.Mode == cfg.Mode && v.Seed == cfg.Seed {
-				cfg.Include = append(cfg.Include, v.Event)
-			}
-		}
-		min, err := crash.ServedMinimize(cfg)
-		if err != nil {
+		fmt.Printf("minimizing served-crash %v/seed%d (%d tenants x %d ops)...\n",
+			cfg.Mode, cfg.Seed, cfg.Tenants, cfg.OpsPerTenant)
+		cfg.Sample, cfg.Include = minimizerSweep(cfg.Sample, 16, servedVios, cfg.Mode, cfg.Seed)
+		if min, err := crash.ServedMinimize(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "crashcheck: served minimize: %v\n", err)
 			fmt.Fprintf(&report, "served minimize failed: %v\n", err)
 		} else {
-			var repro strings.Builder
-			fmt.Fprintf(&repro, "minimal served reproducer %v/seed%d (%d runs): %s\n",
-				cfg.Mode, cfg.Seed, min.Runs, min.Violation.Msg)
-			for t, ops := range min.TenantOps {
-				for i, op := range ops {
-					fmt.Fprintf(&repro, "  tenant %d op %d: %v %s %s off=%d size=%d len=%d fsync=%v close=%v\n",
-						t, i+1, op.Kind, op.Path, op.Path2, op.Off, op.Size, len(op.Data), op.Fsync, op.Close)
-				}
-			}
-			fmt.Print(repro.String())
-			report.WriteString(repro.String())
+			reportRepro(&report, fmt.Sprintf("minimal served reproducer %v/seed%d (%d runs): %s\n",
+				cfg.Mode, cfg.Seed, min.Runs, min.Violation.Msg), true, min.TenantOps)
 		}
 	}
-	if len(violations) > 0 && *minimize && vioJob != nil {
-		fmt.Printf("minimizing %s (%d ops)...\n", vioJob.name, len(vioJob.cfg.Ops))
+	if vioJob != nil && *minimize {
 		cfg := vioJob.cfg
-		if cfg.Sample == 0 || cfg.Sample > 32 {
-			cfg.Sample = 32
-		}
-		// The minimizer sweeps a smaller sample than the run that found
-		// the violation; pin the witness events so the initial re-sweep
-		// cannot miss them.
-		for _, v := range violations {
-			if v.Event > 0 && v.Mode == cfg.Mode && v.Seed == cfg.Seed {
-				cfg.Include = append(cfg.Include, v.Event)
-			}
-		}
-		min, err := crash.Minimize(cfg)
-		if err != nil {
+		fmt.Printf("minimizing %s (%d ops)...\n", vioJob.name, len(cfg.Ops))
+		cfg.Sample, cfg.Include = minimizerSweep(cfg.Sample, 32, total.Violations, cfg.Mode, cfg.Seed)
+		if min, err := crash.Minimize(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "crashcheck: minimize: %v\n", err)
 			fmt.Fprintf(&report, "minimize failed: %v\n", err)
 		} else {
-			var repro strings.Builder
-			fmt.Fprintf(&repro, "minimal reproducer for %s: %d ops (%d runs): %s\n",
-				vioJob.name, len(min.Ops), min.Runs, min.Violation.Msg)
-			for i, op := range min.Ops {
-				fmt.Fprintf(&repro, "  op %d: %v %s %s off=%d size=%d len=%d fsync=%v close=%v\n",
-					i+1, op.Kind, op.Path, op.Path2, op.Off, op.Size, len(op.Data), op.Fsync, op.Close)
-			}
-			fmt.Print(repro.String())
-			report.WriteString(repro.String())
+			reportRepro(&report, fmt.Sprintf("minimal reproducer for %s: %d ops (%d runs): %s\n",
+				vioJob.name, len(min.Ops), min.Runs, min.Violation.Msg), false, [][]crash.Op{min.Ops})
 		}
 	}
-	if *outPath != "" && (len(violations) > 0 || len(servedVios) > 0) {
+	if *outPath != "" && report.Len() > 0 {
 		if err := os.WriteFile(*outPath, []byte(report.String()), 0644); err != nil {
 			fmt.Fprintf(os.Stderr, "crashcheck: write %s: %v\n", *outPath, err)
 		} else {
 			fmt.Printf("violation report written to %s\n", *outPath)
 		}
 	}
-	if len(violations) > 0 || len(servedVios) > 0 || failed || servedFailed {
+	if report.Len() > 0 || failed || servedFailed { // the report is empty unless something was violated
 		os.Exit(1)
 	}
+}
+
+// servedDifferential runs the served-backend differential campaigns
+// (cheap next to event sweeps, so they need no worker pool): the
+// generated traces go through the multi-tenant service over every
+// backend, and the final namespaces and contents must equal the direct
+// ext4-dax reference exactly. It reports whether all of them did.
+func servedDifferential(seeds, nops int, leases bool) bool {
+	kinds := []string{"ext4-dax"}
+	for _, lease := range []bool{false, true} {
+		for _, k := range stack.Kinds() {
+			if leases || !lease {
+				kinds = append(kinds, stack.Name(k, true, lease))
+			}
+		}
+	}
+	ran, mismatches, clean := 0, 0, true
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		for _, fam := range families {
+			res, err := crash.Differential(kinds, fam.gen(seed*31, nops))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "crashcheck: served/%s/seed%d: %v\n", fam.name, seed, err)
+				clean = false
+				continue
+			}
+			ran++
+			for _, m := range res.Mismatches {
+				fmt.Printf("SERVED MISMATCH %s/seed%d: %s\n", fam.name, seed, m)
+				mismatches++
+			}
+		}
+	}
+	fmt.Printf("crashcheck: served differential: %d traces x %d backends, %d mismatches\n",
+		ran, len(kinds)-1, mismatches)
+	return clean && mismatches == 0
 }

@@ -1,0 +1,62 @@
+package main
+
+import (
+	"fmt"
+	"io"
+	"strings"
+
+	"splitfs/internal/crash"
+	"splitfs/internal/splitfs"
+)
+
+// The violation report: what -out writes, and what a minimized
+// reproducer looks like on stdout — one shape for direct and served
+// campaigns.
+
+// writeViolation adds one violation to the report, with the served
+// stack's flight-recorder traces of the breached generation when it has
+// them: the last ops each tenant had in flight when the image froze.
+func writeViolation(w io.Writer, tag string, v crash.Violation) {
+	fmt.Fprintf(w, "%sVIOLATION mode=%v seed=%d event=%d double=%d: %s\n",
+		tag, v.Mode, v.Seed, v.Event, v.DoubleEvent, v.Msg)
+	if v.Flight != "" {
+		fmt.Fprintf(w, "flight traces:\n%s", v.Flight)
+	}
+}
+
+// minimizerSweep is what a minimizer re-sweeps each candidate with: a
+// smaller sample than the run that found the violation, and that
+// campaign's witness events pinned so the first re-sweep cannot miss
+// them.
+func minimizerSweep(sample, most int, vios []crash.Violation, mode splitfs.Mode, seed uint64) (int, []int64) {
+	if sample == 0 || sample > most {
+		sample = most
+	}
+	var include []int64
+	for _, v := range vios {
+		if v.Event > 0 && v.Mode == mode && v.Seed == seed {
+			include = append(include, v.Event)
+		}
+	}
+	return sample, include
+}
+
+// reportRepro prints a minimized reproducer under its headline and adds
+// it to the report: one op list per tenant of a served campaign, a single
+// unlabelled one for a direct campaign.
+func reportRepro(report io.Writer, headline string, served bool, tenantOps [][]crash.Op) {
+	var repro strings.Builder
+	repro.WriteString(headline)
+	for t, ops := range tenantOps {
+		who := ""
+		if served {
+			who = fmt.Sprintf("tenant %d ", t)
+		}
+		for i, op := range ops {
+			fmt.Fprintf(&repro, "  %sop %d: %v %s %s off=%d size=%d len=%d fsync=%v close=%v\n",
+				who, i+1, op.Kind, op.Path, op.Path2, op.Off, op.Size, len(op.Data), op.Fsync, op.Close)
+		}
+	}
+	fmt.Print(repro.String())
+	io.WriteString(report, repro.String())
+}

@@ -10,8 +10,8 @@
 // vet` as a subprocess (one analysis step in CI covers both), then the
 // suite, and prints surviving diagnostics. -suppressions=error
 // additionally inventories every //lint:ignore comment and fails if
-// any exist — the nightly job uses it to keep the suppression count
-// visible.
+// any exist — the tree has none, and CI's analysis job runs with it so
+// that it stays that way.
 //
 // As a vettool, driven per package by cmd/go:
 //

@@ -21,7 +21,8 @@ package crash
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
@@ -159,23 +160,14 @@ func (r *runner) apply(sc syscall) error {
 	case sysMkdir:
 		return r.fs.Mkdir(sc.path, 0755)
 	case sysSyncall:
-		// Group sync: splitfs drains every open file through one
-		// group-committed relink batch. Backends without a SyncAll get
-		// the equivalent sequence of per-handle fsyncs in path order.
-		if sa, ok := r.fs.(interface{ SyncAll() error }); ok {
-			return sa.SyncAll()
+		// Group sync: splitfs relinks every open file under one journal
+		// commit; backends without a SyncAll get the equivalent sequence
+		// of per-handle fsyncs in path order.
+		files := make([]vfs.File, 0, len(r.handles))
+		for _, p := range slices.Sorted(maps.Keys(r.handles)) {
+			files = append(files, r.handles[p])
 		}
-		paths := make([]string, 0, len(r.handles))
-		for p := range r.handles {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			if err := r.handles[p].Sync(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return vfs.SyncAll(r.fs, files)
 	default:
 		return fmt.Errorf("crash: unknown syscall %v", sc.kind)
 	}

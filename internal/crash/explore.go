@@ -60,8 +60,8 @@ type ExploreResult struct {
 	DoubleTested int
 	// ByKind/TestedByKind break the window's events and the tested events
 	// down by coverage label — kind (store/storent/flush/fence), suffixed
-	// with the event source for events issued by background pipeline
-	// stages (e.g. "storent@relink", "fence@reclaim").
+	// with the event source for events issued by fsync's relink and
+	// reclaim stages (e.g. "storent@relink", "fence@reclaim").
 	ByKind       map[string]int64
 	TestedByKind map[string]int64
 	// UnknownKinds lists coverage labels built from event kinds or

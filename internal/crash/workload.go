@@ -25,8 +25,7 @@ const (
 	OpTruncate
 	// OpMkdir creates directory Path.
 	OpMkdir
-	// OpSyncAll fsyncs every open file at once (splitfs.SyncAll): the
-	// multi-file drain of the asynchronous relink pipeline, where all
+	// OpSyncAll fsyncs every open file at once (splitfs.SyncAll): all
 	// files' relink batches share one group-committed journal
 	// transaction. On backends without a SyncAll, it degrades to fsync
 	// of each open handle in path order.
@@ -219,11 +218,11 @@ func RandomOps(seed uint64, n int) []Op {
 	return ops
 }
 
-// AsyncOps builds a deterministic workload shaped for the asynchronous
-// relink pipeline: appends and overwrites spread over several files with
-// frequent per-file fsyncs and periodic group syncs (OpSyncAll), so the
-// persistence-event sweep crosses many background relink-worker drains
-// and multi-file group commits.
+// AsyncOps builds a deterministic workload shaped for the fsync path:
+// appends and overwrites spread over several files with frequent
+// per-file fsyncs and periodic group syncs (OpSyncAll), so the
+// persistence-event sweep crosses many relink and reclaim stages and
+// multi-file group commits.
 func AsyncOps(seed uint64, n int) []Op {
 	rng := sim.NewRNG(seed)
 	sizes := map[string]int64{}

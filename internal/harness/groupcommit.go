@@ -7,11 +7,10 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// The groupcommit experiment measures what the asynchronous relink
-// pipeline's jbd2-style group commit buys on the fsync path: N files
-// with staged appends are made durable either by N independent fsyncs
-// (each relink batch commits its own journal transaction) or by one
-// batched drain (GroupSync: all batches share a single transaction and
+// The groupcommit experiment measures what jbd2-style group commit buys
+// on the fsync path: N files with staged appends are made durable either
+// by N independent fsyncs (each relink batch commits its own journal
+// transaction) or by one batched fsync (GroupSync: all batches share a single transaction and
 // fence pair). Reported as journal commits per 1k appends and pmem
 // fences per fsync — batched must be strictly lower on both.
 
@@ -111,8 +110,8 @@ func groupCommitExp() (*Table, error) {
 	)
 	t := &Table{
 		ID:    "groupcommit",
-		Title: "Group-committed fsync (async relink pipeline)",
-		Note: fmt.Sprintf("%d files x %d 4K appends; serial = fsync per file, batched = one GroupSync drain "+
+		Title: "Group-committed fsync (one journal commit for many files)",
+		Note: fmt.Sprintf("%d files x %d 4K appends; serial = fsync per file, batched = one GroupSync "+
 			"(concurrent fsyncs coalesce the same way via CommitUpTo)", files, appendsPerFile),
 		Headers: []string{"File system", "Mode", "Journal commits", "Commits/1k appends", "Fences", "Fences/fsync"},
 	}

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// TestGroupCommitBatchedStrictlyCheaper is the acceptance gate for the
-// async relink pipeline's group commit: making N files durable through
-// one batched drain must issue strictly fewer journal commits AND
+// TestGroupCommitBatchedStrictlyCheaper is the acceptance gate for
+// group commit on the fsync path: making N files durable through one
+// batched fsync must issue strictly fewer journal commits AND
 // strictly fewer pmem fences than N independent fsyncs, in both POSIX
 // and strict modes.
 func TestGroupCommitBatchedStrictlyCheaper(t *testing.T) {

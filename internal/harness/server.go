@@ -20,8 +20,9 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,12 +69,7 @@ func runServerStream(fs vfs.FileSystem, nops int) (int64, error) {
 	defer func() {
 		// Close in sorted path order: a map range here would emit the
 		// backends' close-time persistence events in a random order.
-		paths := make([]string, 0, len(handles))
-		for p := range handles {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
+		for _, p := range slices.Sorted(maps.Keys(handles)) {
 			handles[p].Close()
 		}
 	}()
@@ -167,26 +163,15 @@ func runServerStream(fs vfs.FileSystem, nops int) (int64, error) {
 			}
 			delete(sizes, p)
 		default:
-			// Group sync: the backend's own SyncAll when it has one
-			// (multi-file group commit on splitfs), else per-handle syncs
-			// in path order — the same degradation the served session and
-			// the crash runner apply, so direct and served cells issue
-			// identical operation sequences on every backend.
-			if sa, ok := fs.(interface{ SyncAll() error }); ok {
-				if err := sa.SyncAll(); err != nil {
-					return 0, err
-				}
-			} else {
-				var ps []string
-				for p := range handles {
-					ps = append(ps, p)
-				}
-				sort.Strings(ps)
-				for _, p := range ps {
-					if err := handles[p].Sync(); err != nil {
-						return 0, err
-					}
-				}
+			// Group sync, as the served session and the crash runner issue
+			// it, so direct and served cells run identical operation
+			// sequences on every backend.
+			files := make([]vfs.File, 0, len(handles))
+			for _, p := range slices.Sorted(maps.Keys(handles)) {
+				files = append(files, handles[p])
+			}
+			if err := vfs.SyncAll(fs, files); err != nil {
+				return 0, err
 			}
 		}
 	}

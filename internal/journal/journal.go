@@ -233,10 +233,11 @@ func (tx *Tx) Commit() error {
 	// 2. Full block images, read back at cache speed from the volatile
 	// view (the caller already stored its mutations there).
 	img := make([]byte, sim.BlockSize)
-	h := newChecksum(j.seq)
+	// Commit checksum: FNV-1a of the images, seeded with seq, folded to 32 bits.
+	h := sim.FNVOffset ^ j.seq
 	for _, b := range blocks {
 		j.dev.Peek(img, b)
-		h.update(img)
+		h = sim.FNV1a(h, img)
 		j.dev.StoreNT(j.blockOff(idx), img, sim.CatJournal)
 		idx = j.wrap(idx + 1)
 		j.stats.BlocksLogged++
@@ -246,7 +247,7 @@ func (tx *Tx) Commit() error {
 	commit := make([]byte, sim.BlockSize)
 	binary.LittleEndian.PutUint32(commit[0:4], commitMagic)
 	binary.LittleEndian.PutUint64(commit[8:16], j.seq)
-	binary.LittleEndian.PutUint32(commit[16:20], h.sum())
+	binary.LittleEndian.PutUint32(commit[16:20], uint32(h^h>>32))
 	j.dev.StoreNT(j.blockOff(idx), commit, sim.CatJournal)
 	j.dev.Fence()
 	idx = j.wrap(idx + 1)
@@ -296,12 +297,12 @@ func (j *Journal) replayOne() (int, error) {
 	}
 	// Read images and verify against the commit record before applying.
 	images := make([][]byte, count)
-	h := newChecksum(seq)
+	h := sim.FNVOffset ^ seq
 	idx = j.wrap(idx + 1)
 	for i := 0; i < count; i++ {
 		img := make([]byte, sim.BlockSize)
 		j.dev.ReadAt(img, j.blockOff(idx), sim.CatJournal)
-		h.update(img)
+		h = sim.FNV1a(h, img)
 		images[i] = img
 		idx = j.wrap(idx + 1)
 	}
@@ -309,7 +310,7 @@ func (j *Journal) replayOne() (int, error) {
 	j.dev.ReadAt(commit, j.blockOff(idx), sim.CatJournal)
 	if binary.LittleEndian.Uint32(commit[0:4]) != commitMagic ||
 		binary.LittleEndian.Uint64(commit[8:16]) != seq ||
-		binary.LittleEndian.Uint32(commit[16:20]) != h.sum() {
+		binary.LittleEndian.Uint32(commit[16:20]) != uint32(h^h>>32) {
 		return 0, nil
 	}
 	idx = j.wrap(idx + 1)
@@ -329,21 +330,3 @@ func (j *Journal) Stats() Stats {
 	defer j.mu.Unlock()
 	return j.stats
 }
-
-// checksum is a small FNV-1a accumulator for commit-record validation.
-type checksum struct{ h uint64 }
-
-func newChecksum(seed uint64) *checksum {
-	return &checksum{h: 0xcbf29ce484222325 ^ seed}
-}
-
-func (c *checksum) update(p []byte) {
-	h := c.h
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	c.h = h
-}
-
-func (c *checksum) sum() uint32 { return uint32(c.h ^ c.h>>32) }

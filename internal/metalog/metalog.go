@@ -108,7 +108,7 @@ func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte
 		}
 		payload := make([]byte, length)
 		dev.ReadAt(payload, start+l.tail+headerSize, cat)
-		if checksum(seq, payload) != sum {
+		if Checksum(seq, payload) != sum {
 			break // torn record: end of valid log
 		}
 		records = append(records, payload)
@@ -135,7 +135,7 @@ func (l *Log) Append(payload []byte, mode FenceMode) error {
 	buf := make([]byte, recLen)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], l.seq)
-	binary.LittleEndian.PutUint32(buf[8:12], checksum(l.seq, payload))
+	binary.LittleEndian.PutUint32(buf[8:12], Checksum(l.seq, payload))
 	copy(buf[headerSize:], payload)
 	l.dev.Clock().Charge(sim.CatCPU, sim.ChecksumPerLogEntryNs)
 	l.dev.StoreNT(l.start+l.tail, buf, l.cat)
@@ -176,12 +176,11 @@ func (l *Log) Capacity() int64 { return l.size - tailSlot }
 // Entries returns the number of records appended since New/Load/Reset.
 func (l *Log) Entries() int { return int(l.seq - 1) }
 
-func checksum(seq uint32, payload []byte) uint32 {
-	h := uint64(0xcbf29ce484222325) ^ uint64(seq)
-	for _, b := range payload {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
+// Checksum is a record's checksum: FNV-1a over the payload, seeded with
+// the record's sequence number and folded to 32 bits. Zero is reserved
+// for "unwritten", so it can never validate.
+func Checksum(seq uint32, payload []byte) uint32 {
+	h := sim.FNV1a(sim.FNVOffset^uint64(seq), payload)
 	s := uint32(h ^ h>>32)
 	if s == 0 {
 		s = 1 // zero is reserved for "unwritten"

@@ -75,10 +75,10 @@ func (k EventKind) String() string {
 }
 
 // EventSource labels which execution context issued a persistence event.
-// The relink pipeline issues stores, fences, and journal commits from
-// its own stages; tagging events with their source lets the crash
-// harness's coverage stats distinguish foreground syscall events from
-// pipeline events. The source is device-global state: it is exact when
+// U-Split's fsync issues stores, fences, and journal commits from its
+// relink and reclaim stages; tagging events with their source lets the
+// crash harness's coverage stats distinguish foreground syscall events
+// from those. The source is device-global state: it is exact when
 // one goroutine drives the stack, which is what record/replay requires
 // anyway.
 type EventSource uint8
@@ -87,8 +87,8 @@ const (
 	// SrcForeground is the default: the event came from the thread
 	// executing the workload's syscall.
 	SrcForeground EventSource = iota
-	// SrcRelinkWorker marks events issued while a relink-pipeline drain
-	// (background relink + group commit) was executing.
+	// SrcRelinkWorker marks events issued while an fsync's relink steps
+	// and group commit were executing.
 	SrcRelinkWorker
 	// SrcReclaim marks events issued by epoch-based staging-file
 	// reclamation (unmap, unlink of retired staging files).
@@ -163,8 +163,8 @@ func (ev *eventState) refreshHooks() {
 func (d *Device) Events() int64 { return d.events.Load() }
 
 // SetEventSource sets the source label attached to subsequent persistence
-// events and returns the previous one, so pipeline stages can bracket
-// their work:
+// events and returns the previous one, so a stage can bracket its
+// work:
 //
 //	prev := dev.SetEventSource(pmem.SrcRelinkWorker)
 //	defer dev.SetEventSource(prev)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -525,7 +524,9 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			err = s.srv.fs.Rename(s.resolve(oldPath), s.resolve(newPath))
 		}
 	case tSyncAll:
-		err = s.syncAll()
+		// Group sync, by the rule the crash runner applies directly:
+		// the backend's own SyncAll, else this session's live handles.
+		err = vfs.SyncAll(s.srv.fs, s.ht.files())
 	case tLease:
 		id := d.u64()
 		if d.err == nil {
@@ -689,22 +690,4 @@ func capRead(n uint32) int {
 		return maxPayload - 64
 	}
 	return int(n)
-}
-
-// syncAll is the group-sync operation. A backend with its own SyncAll
-// (splitfs: one group-committed relink batch over every open file) uses
-// it; otherwise every live handle of this session syncs in path order —
-// the same degradation rule the crash-harness runner applies directly.
-func (s *Session) syncAll() error {
-	if sa, ok := s.srv.fs.(interface{ SyncAll() error }); ok {
-		return sa.SyncAll()
-	}
-	files := s.ht.files()
-	sort.Slice(files, func(i, j int) bool { return files[i].Path() < files[j].Path() })
-	for _, f := range files {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

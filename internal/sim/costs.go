@@ -159,10 +159,10 @@ const (
 	// USplitStagingNs is the cost of reserving space in a staging file
 	// (lock-free queue operation + staged-extent index insert).
 	USplitStagingNs = 60
-	// USplitEnqueueNs is the cost of handing a file to the asynchronous
-	// relink pipeline on fsync (queue insert + per-ofile dedup lookup);
+	// USplitFsyncNs is fsync's fixed user-space cost before any relink
+	// work (resolving the open-file description and setting up the batch);
 	// the relink work itself is charged where it runs.
-	USplitEnqueueNs = 45
+	USplitFsyncNs = 45
 
 	// StrataLogAppendNs is Strata's LibFS per-write cost (lease check,
 	// update-log header, DRAM index insert), StrataReadPathNs its

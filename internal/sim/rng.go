@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (SplitMix64). Workload generators use it so that every experiment is
@@ -103,13 +106,9 @@ func (z *Zipfian) ScrambledNext() int64 {
 }
 
 func fnv64(v uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 0x100000001b3
-		v >>= 8
-	}
-	return h
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return FNV1a(FNVOffset, b[:])
 }
 
 // Latest generates YCSB workload-D style "latest" keys: zipfian distance

@@ -12,8 +12,8 @@ import (
 // Regression (found by the served crash campaign, hand-minimized from a
 // two-tenant schedule): close() is a relink point, so a successful close
 // must leave the running journal transaction committed even when the
-// file's staged ranges were already relinked by a concurrent pipeline
-// drain. Here the drain is stood in for deterministically by Sync(): the
+// file's staged ranges were already relinked by a concurrent fsync.
+// Here that fsync is stood in for deterministically by Sync(): the
 // write's relink commits there, the mkdir then joins a fresh
 // transaction, and the buggy close — seeing nothing staged — returned
 // without committing it, so a crash after the acknowledged close rolled

@@ -30,7 +30,13 @@ var _ vfs.File = (*File)(nil)
 // OpenFile implements vfs.FileSystem: the open passes through to K-Split,
 // then U-Split stats the file and caches its attributes (§3.5).
 func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
-	defer fs.lockStrict()()
+	// Two log entries: the open's, and the close's if the open's own
+	// commit fails below.
+	unlock, err := fs.lockStrict(2)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	kf, err := fs.kfs.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
@@ -129,12 +135,17 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	of.refs++
 	fs.mu.Unlock()
 	if fs.olog != nil {
-		fs.appendLog(nil, encMetaEntry('o', of.ino))
+		fs.appendLog(encMetaEntry('o', of.ino))
 	}
+	f := &File{fs: fs, of: of, flag: flag, path: clean}
 	if err := fs.syncMeta(); err != nil {
+		// The handle has taken its reference on the description (and, on a
+		// first open, parked the kernel handle in the table): close it, or
+		// the description could never reach its last close again.
+		f.closeLocked()
 		return nil, err
 	}
-	return &File{fs: fs, of: of, flag: flag, path: clean}, nil
+	return f, nil
 }
 
 // Path implements vfs.File.
@@ -153,7 +164,11 @@ func (f *File) Read(p []byte) (int, error) {
 // is resolved under the ofile lock, so concurrent appenders through
 // distinct handles interleave whole writes.
 func (f *File) Write(p []byte) (int, error) {
-	defer f.fs.lockStrict()()
+	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)))
+	if err != nil {
+		return 0, err
+	}
+	defer unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.of.mu.Lock()
@@ -162,10 +177,6 @@ func (f *File) Write(p []byte) (int, error) {
 	if f.flag&vfs.O_APPEND != 0 {
 		off = f.of.size
 	}
-	// The log-full checkpoint inside writeLocked read-locks the open-file
-	// table while this file's mu is held — safe because wmu (held on that
-	// path) excludes every other writer; see DESIGN.md, "Lock hierarchy".
-	//lint:ignore splitfs-lockorder log-full checkpoint under wmu (DESIGN.md)
 	n, err := f.writeLocked(p, off)
 	f.pos = off + int64(n)
 	return n, err
@@ -307,11 +318,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // Only this file's lock is held (plus, in strict mode, the op-log writer
 // lock); writes to different files proceed in parallel.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	defer f.fs.lockStrict()()
+	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)))
+	if err != nil {
+		return 0, err
+	}
+	defer unlock()
 	f.of.mu.Lock()
 	defer f.of.mu.Unlock()
-	// See Write: the log-full checkpoint path is excluded by wmu.
-	//lint:ignore splitfs-lockorder log-full checkpoint under wmu (DESIGN.md)
 	return f.writeLocked(p, off)
 }
 
@@ -402,7 +415,7 @@ func (f *File) writeLocked(p []byte, off int64) (int, error) {
 // piece is logged, and so atomic, on its own. Caller holds of.mu (and wmu
 // in strict mode).
 func (fs *FS) stageWrite(of *ofile, p []byte, off int64) (int, error) {
-	maxPiece := fs.cfg.StagingFileBytes - sim.BlockSize
+	maxPiece := fs.maxPiece()
 	n := 0
 	for n < len(p) {
 		cur := off + int64(n)
@@ -414,6 +427,18 @@ func (fs *FS) stageWrite(of *ofile, p []byte, off int64) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// maxPiece is the most one staging reservation takes: a staging file less
+// the block a write's in-block offset can cost.
+func (fs *FS) maxPiece() int64 { return fs.cfg.StagingFileBytes - sim.BlockSize }
+
+// stagePieces bounds the pieces stageWrite makes of an n-byte write, and
+// so the op-log entries a strict-mode write reserves: the write's span
+// from the start of its first block, cut every maxPiece bytes. (An empty
+// write reserves one entry it will not use.)
+func (fs *FS) stagePieces(n int) int {
+	return int((int64(n)+sim.BlockSize-2)/fs.maxPiece()) + 1
 }
 
 // stagePiece stages one write that fits a staging file: non-temporal
@@ -498,7 +523,7 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 		fs.clk.Charge(sim.CatCPU, sim.ChargeBytes(len(p), sim.ChecksumPsPerByte))
 		fs.opSeq++
 		of.logSeq = fs.opSeq
-		fs.appendLog(of, encWriteEntry(uint32(of.ino), off, uint32(need),
+		fs.appendLog(encWriteEntry(uint32(of.ino), off, uint32(need),
 			uint32(c.sf.kf.Ino()), sfOff, fs.opSeq, stagedSum(p)))
 	case Sync:
 		fs.dev.Fence()
@@ -521,7 +546,11 @@ func (fs *FS) continuesActive(of *ofile, off int64) bool {
 // Truncate flushes staged state and passes through to K-Split.
 func (f *File) Truncate(size int64) error {
 	fs := f.fs
-	defer fs.lockStrict()()
+	unlock, err := fs.lockStrict(0)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	if f.closed.Load() {
 		return vfs.ErrClosed
 	}
@@ -551,27 +580,37 @@ func (f *File) Truncate(size int64) error {
 	return fs.syncMeta()
 }
 
-// Sync is fsync(2): relink staged data into the target file (§3.4),
-// through the asynchronous relink pipeline — the call returns once this
-// file's relink batch has group-committed, and concurrent fsyncs of
-// distinct files coalesce into one journal transaction and fence pair.
-// No strict-mode writer lock is needed: the relink watermark is the
-// file's own logSeq, independent of the global op sequence.
+// Sync is fsync(2): relink staged data into the target file, then one
+// journal commit (§3.4). Concurrent fsyncs of distinct files run their
+// relinks in parallel and coalesce in K-Split's group commit into one
+// journal transaction and fence pair. No strict-mode writer lock is
+// needed: the relink watermark is the file's own logSeq, independent of
+// the global op sequence.
 func (f *File) Sync() error {
 	fs := f.fs
 	if f.closed.Load() {
 		return vfs.ErrClosed
 	}
 	fs.bookkeep()
-	return fs.pipeline.syncFile(f.of)
+	return fs.syncFiles(f.of)
 }
 
 // Close decrements the shared description; staged data is relinked when
 // the last handle closes (§3.4: "relinked on a subsequent fsync() or
 // close()"). Cached attributes are retained (§3.5).
 func (f *File) Close() error {
+	unlock, err := f.fs.lockStrict(1)
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	return f.closeLocked()
+}
+
+// closeLocked is Close under wmu (in strict mode), with room for its log
+// entry reserved.
+func (f *File) closeLocked() error {
 	fs := f.fs
-	defer fs.lockStrict()()
 	if !f.closed.CompareAndSwap(false, true) {
 		return vfs.ErrClosed
 	}
@@ -582,7 +621,7 @@ func (f *File) Close() error {
 	last := of.refs == 0
 	fs.mu.Unlock()
 	if fs.olog != nil {
-		fs.appendLog(nil, encMetaEntry('c', of.ino))
+		fs.appendLog(encMetaEntry('c', of.ino))
 	}
 	if !last {
 		return nil
@@ -592,9 +631,9 @@ func (f *File) Close() error {
 	// the staged overlay and observes consistent sizes throughout. The
 	// table lock is held only for O(1) bookkeeping, never across I/O.
 	//
-	// The relink runs even when nothing is staged: a concurrent pipeline
-	// drain (another thread's fsync, or a group SyncAll) may have popped
-	// this file's staged ranges moments ago, and its group commit — or a
+	// The relink runs even when nothing is staged: a concurrent fsync
+	// (another thread's, or a group SyncAll) may have popped this file's
+	// staged ranges moments ago, and its group commit — or a
 	// commit of metadata ops issued after it — may not be durable yet.
 	// close() is a relink point (§3.4), so like the empty-staged fsync it
 	// must fence and commit the running journal transaction before the

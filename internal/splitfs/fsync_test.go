@@ -3,7 +3,9 @@ package splitfs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"splitfs/internal/ext4dax"
@@ -13,10 +15,10 @@ import (
 )
 
 // TestConcurrentFsyncGroupCommitRace hammers concurrent fsyncs of
-// distinct files through the relink pipeline and group commit — the
-// race test the CI matrix runs under -race: each caller drains whatever
-// is queued, its own request or the others'. Every goroutine's data must
-// be intact and durable afterwards.
+// distinct files through relink and group commit — the race test the CI
+// matrix runs under -race: each caller relinks its own file and commits
+// the shared transaction, for itself and whoever else joined it. Every
+// goroutine's data must be intact and durable afterwards.
 func TestConcurrentFsyncGroupCommitRace(t *testing.T) {
 	for _, mode := range allModes() {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -76,7 +78,7 @@ func TestConcurrentFsyncGroupCommitRace(t *testing.T) {
 	}
 }
 
-// TestGroupSyncCoalescesCommits asserts the deterministic batched drain:
+// TestGroupSyncCoalescesCommits asserts the deterministic batched fsync:
 // one GroupSync over N dirty files issues exactly one journal commit,
 // against N for serial fsyncs on an identical instance.
 func TestGroupSyncCoalescesCommits(t *testing.T) {
@@ -192,15 +194,14 @@ func TestStagingEpochReclamation(t *testing.T) {
 	}
 }
 
-// TestCheckpointRacesPipelineDrains hammers strict-mode writers whose
+// TestCheckpointRacesConcurrentFsyncs hammers strict-mode writers whose
 // op log fills constantly (checkpoints under wmu sweep and reset the
-// log) against concurrent fsyncs draining each other's requests, then
-// crashes and recovers: every byte every writer completed must survive.
-// This covers the checkpoint/drain interaction — a checkpoint must
-// commit the running journal transaction before zeroing the log so an
-// in-flight drain's relink can never be rolled back after its entries
-// are gone.
-func TestCheckpointRacesPipelineDrains(t *testing.T) {
+// log) against concurrent fsyncs, which take no wmu, then crashes and
+// recovers: every byte every writer completed must survive. This covers
+// the checkpoint/fsync interaction — a checkpoint must commit the
+// running journal transaction before zeroing the log so an in-flight
+// fsync's relink can never be rolled back after its entries are gone.
+func TestCheckpointRacesConcurrentFsyncs(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(),
 		TrackPersistence: true})
 	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{JournalBlocks: 128, MaxInodes: 1024})
@@ -285,28 +286,102 @@ func TestCheckpointRacesPipelineDrains(t *testing.T) {
 	}
 }
 
-// TestPipelineCoalescesQueuedFsyncs checks per-ofile request coalescing:
-// a queued (not yet drained) request absorbs later fsyncs of the same
-// file, so both waiters complete from one relink batch.
-func TestPipelineCoalescesQueuedFsyncs(t *testing.T) {
-	_, fs := newEnv(t, POSIX)
-	f, err := vfs.Create(fs, "/one")
-	if err != nil {
-		t.Fatal(err)
-	}
-	of := f.(*File).of
-	r1 := fs.pipeline.enqueue(of)
-	r2 := fs.pipeline.enqueue(of)
-	if r1 != r2 {
-		t.Fatal("queued requests for one ofile did not coalesce")
-	}
-	fs.pipeline.drainUntil(r1)
-	select {
-	case <-r2.done:
-	default:
-		t.Fatal("coalesced request not completed by the drain")
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+// TestConcurrentFsyncSameFile is the same-file case: several goroutines
+// fsync one file while another appends to it. An fsync that finds the
+// staged ranges already popped by a concurrent one must still not return
+// before that relink has committed, so after a crash every byte that was
+// written before some fsync began and returned is there.
+func TestConcurrentFsyncSameFile(t *testing.T) {
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			dev, fs := newEnv(t, mode)
+			f, err := vfs.Create(fs, "/shared")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const (
+				syncers = 4
+				appends = 120
+				blkLen  = 700
+			)
+			var (
+				written atomic.Int64 // bytes whose Write has returned
+				acked   atomic.Int64 // the most an fsync has promised
+				syncs   atomic.Int64 // fsyncs returned
+				wg      sync.WaitGroup
+				stop    = make(chan struct{})
+				errs    = make(chan error, syncers)
+			)
+			for g := 0; g < syncers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						seen := written.Load()
+						if err := f.Sync(); err != nil {
+							errs <- err
+							return
+						}
+						for old := acked.Load(); seen > old && !acked.CompareAndSwap(old, seen); old = acked.Load() {
+						}
+						syncs.Add(1)
+					}
+				}()
+			}
+			var werr error
+			for i := 0; i < appends && werr == nil; i++ {
+				_, werr = f.Write(bytes.Repeat([]byte{byte(i + 1)}, blkLen))
+				written.Add(blkLen)
+				// Every few appends, let an fsync that saw them finish, so
+				// the two sides interleave on any scheduler (a syncer that
+				// failed has stopped: do not wait for it).
+				for n := syncs.Load(); i%8 == 7 && syncs.Load() < n+syncers && len(errs) == 0; {
+					runtime.Gosched()
+				}
+			}
+			close(stop)
+			wg.Wait()
+			close(errs)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if acked.Load() == 0 {
+				t.Fatal("no fsync overlapped the appends")
+			}
+			// No close, no final fsync: only what the racing fsyncs
+			// promised is owed.
+			if err := dev.Crash(nil); err != nil {
+				t.Fatal(err)
+			}
+			kfs2, _, err := ext4dax.Mount(dev, ext4dax.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs2, _, err := RecoverFS(kfs2, Config{Mode: mode, StagingFiles: 4,
+				StagingFileBytes: 2 << 20, OpLogBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := vfs.ReadFile(fs2, "/shared")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(data)) < acked.Load() {
+				t.Fatalf("%d bytes survived, fsync acknowledged %d", len(data), acked.Load())
+			}
+			for i, b := range data {
+				if b != byte(i/blkLen+1) {
+					t.Fatalf("byte %d = %d, want %d", i, b, i/blkLen+1)
+				}
+			}
+		})
 	}
 }

@@ -21,8 +21,9 @@ import (
 //     the zeroed log and checking checksums;
 //   - entries hold a logical pointer to the staging file holding the
 //     data, never the data itself;
-//   - when the log fills, U-Split checkpoints by relinking every file
-//     with staged data, then zeroes and reuses the log.
+//   - when the log cannot take an operation's entries, U-Split
+//     checkpoints — relinks every open file, then zeroes and reuses the
+//     log — before the operation stages anything.
 
 // Log entry opcodes.
 const (
@@ -30,20 +31,12 @@ const (
 	opEntryMeta  byte = 3 // metadata operation (open/close/unlink/...)
 )
 
-// oplog wraps a metalog running inside a pre-allocated K-Split file.
-type oplog struct {
-	fs   *FS
-	kf   *ext4dax.File
-	log  *metalog.Log
-	base int64 // device offset of the log region
-	size int64
-}
-
+// The log is a metalog running inside a pre-allocated K-Split file.
 const oplogDir = "/.splitfs-oplog"
 
 // newOpLog creates (or truncates) the instance's operation-log file,
 // pre-allocates it, zeroes it, and maps it.
-func newOpLog(fs *FS) (*oplog, error) {
+func newOpLog(fs *FS) (*metalog.Log, error) {
 	if err := fs.kfs.Mkdir(oplogDir, 0700); err != nil {
 		if _, statErr := fs.kfs.Stat(oplogDir); statErr != nil {
 			return nil, err
@@ -62,14 +55,12 @@ func newOpLog(fs *FS) (*oplog, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &oplog{fs: fs, kf: kf, base: base, size: size}
-	o.log = metalog.New(fs.dev, base, size, sim.CatOpLog)
-	return o, nil
+	return metalog.New(fs.dev, base, size, sim.CatOpLog), nil
 }
 
 // loadOpLog attaches to an existing operation-log file after a crash and
 // returns the valid entries.
-func loadOpLog(fs *FS) (*oplog, [][]byte, error) {
+func loadOpLog(fs *FS) (*metalog.Log, [][]byte, error) {
 	path := fmt.Sprintf("%s/log-%s", oplogDir, fs.mode)
 	f, err := fs.kfs.OpenFile(path, vfs.O_RDWR, 0)
 	if err != nil {
@@ -83,10 +74,8 @@ func loadOpLog(fs *FS) (*oplog, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	o := &oplog{fs: fs, kf: kf, base: base, size: size}
-	var entries [][]byte
-	o.log, entries = metalog.Load(fs.dev, base, size, sim.CatOpLog)
-	return o, entries, nil
+	log, entries := metalog.Load(fs.dev, base, size, sim.CatOpLog)
+	return log, entries, nil
 }
 
 // oplogRegion maps the log file and returns its largest leading
@@ -133,20 +122,10 @@ func encWriteEntry(ino uint32, fileOff int64, length uint32, stagingIno uint32, 
 	return b
 }
 
-// stagedSum checksums staged data for a write entry (FNV-1a folded to 32
-// bits; zero is avoided so "no checksum" can never validate).
-func stagedSum(p []byte) uint32 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	s := uint32(h ^ h>>32)
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
+// stagedSum checksums staged data for a write entry: the log's own record
+// checksum (FNV-1a folded to 32 bits, never zero, so "no checksum" can
+// never validate) with no sequence number mixed in.
+func stagedSum(p []byte) uint32 { return metalog.Checksum(0, p) }
 
 // encMetaEntry records a metadata operation (open, close, unlink, ...).
 // Replay treats them as no-ops — K-Split journaling already makes
@@ -160,25 +139,33 @@ func encMetaEntry(kind byte, ino uint64) []byte {
 	return b
 }
 
-// appendLog writes one entry to the strict-mode operation log: CAS tail
-// bump + non-temporal entry store + single fence. Checkpoints the log
-// when full. Caller holds wmu (which serializes the log tail, standing in
-// for the paper's CAS loop); owner is the ofile whose mu the caller
-// already holds, or nil — the checkpoint needs every file's lock and must
-// not re-lock that one.
-func (fs *FS) appendLog(owner *ofile, entry []byte) {
-	fs.clk.Charge(sim.CatCPU, sim.CASNs)
-	fs.stats.logEntries.Add(1)
-	if err := fs.olog.log.Append(entry, metalog.SingleFence); err == nil {
-		return
+// logEntryBytes is what any entry takes on the log: write and metadata
+// records both pad to one cache line with the metalog header.
+const logEntryBytes = sim.CacheLine
+
+// reserveLog makes room for the n entries the calling operation is about
+// to append, checkpointing the log if it is too full to take them (§3.3).
+// Caller holds wmu — which serializes the log tail, standing in for the
+// paper's CAS loop, so room found here stays until the caller unlocks —
+// and no file lock: the checkpoint takes every open file's.
+func (fs *FS) reserveLog(n int) error {
+	need, log := int64(n)*logEntryBytes, fs.olog
+	switch {
+	case need > log.Capacity():
+		return fmt.Errorf("splitfs: %d op-log entries exceed the %d-byte log: %w", n, log.Capacity(), vfs.ErrNoSpace)
+	case log.Used()+need > log.Capacity():
+		return fs.checkpoint()
 	}
-	// Log full (§3.3): relink all files with staged data, zero the log,
-	// and retry.
-	fs.checkpoint(owner)
-	if err := fs.olog.log.Append(entry, metalog.SingleFence); err != nil {
-		panic(fmt.Sprintf("splitfs: op log smaller than one entry: %v", err))
-	}
+	return nil
 }
 
-// reset zeroes the log (after a checkpoint).
-func (o *oplog) reset() { o.log.Reset() }
+// appendLog writes one entry to the strict-mode operation log, into room
+// the operation reserved when it took wmu (lockStrict): CAS tail bump +
+// non-temporal entry store + single fence.
+func (fs *FS) appendLog(entry []byte) {
+	fs.clk.Charge(sim.CatCPU, sim.CASNs)
+	fs.stats.logEntries.Add(1)
+	if err := fs.olog.Append(entry, metalog.SingleFence); err != nil {
+		panic(fmt.Sprintf("splitfs: op-log append outside its reservation: %v", err))
+	}
+}

@@ -1,10 +1,6 @@
 package splitfs
 
-import (
-	"sort"
-
-	"splitfs/internal/vfs"
-)
+import "splitfs/internal/vfs"
 
 // Metadata operations pass through to K-Split (§3.3), with U-Split
 // bookkeeping layered on top: attribute-cache maintenance, mmap-cache
@@ -23,12 +19,16 @@ func (fs *FS) Mkdir(path string, perm uint32) error {
 // reason unlink is U-Split's most expensive call (Table 6: 14.60 µs
 // strict vs 8.60 µs on ext4 DAX).
 func (fs *FS) Unlink(path string) error {
-	defer fs.lockStrict()()
+	unlock, err := fs.lockStrict(1)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	fs.bookkeep()
 	clean := vfs.CleanPath(path)
 	info, statErr := fs.kfs.Stat(clean)
 	if fs.olog != nil && statErr == nil {
-		fs.appendLog(nil, encMetaEntry('u', info.Ino))
+		fs.appendLog(encMetaEntry('u', info.Ino))
 	}
 	if err := fs.kfs.Unlink(clean); err != nil {
 		return err
@@ -95,7 +95,11 @@ func (fs *FS) retireIno(ino uint64) *ofile {
 // Rename implements vfs.FileSystem. Rename is one of the uncommon
 // operations needing multiple log entries in strict mode (§3.3).
 func (fs *FS) Rename(oldPath, newPath string) error {
-	defer fs.lockStrict()()
+	unlock, err := fs.lockStrict(2)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	fs.bookkeep()
 	oldClean, newClean := vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
 	// One stat per endpoint; every later step reuses these.
@@ -130,8 +134,8 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	}
 	if fs.olog != nil && oldErr == nil {
 		// Two entries: drop-target + move (the multi-entry rename case).
-		fs.appendLog(nil, encMetaEntry('r', oldInfo.Ino))
-		fs.appendLog(nil, encMetaEntry('R', oldInfo.Ino))
+		fs.appendLog(encMetaEntry('r', oldInfo.Ino))
+		fs.appendLog(encMetaEntry('R', oldInfo.Ino))
 	}
 	// Caches are updated only after the kernel rename succeeds; a failed
 	// rename must not leave attrs describing a path that does not exist.
@@ -222,23 +226,4 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// SyncAll relinks every open file's staged data (shutdown path, and the
-// multi-file fsync of the group-commit benchmark): all files drain
-// through the relink pipeline as one batch, sharing a single journal
-// commit, in deterministic inode order.
-func (fs *FS) SyncAll() error {
-	fs.mu.RLock()
-	all := make([]*ofile, 0, len(fs.files))
-	for _, of := range fs.files {
-		all = append(all, of)
-	}
-	fs.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].ino < all[j].ino })
-	if err := fs.pipeline.groupSync(all); err != nil {
-		return err
-	}
-	fs.dev.Fence()
-	return nil
 }

@@ -66,7 +66,6 @@ func (fs *FS) Fork() *FS {
 		child.attrs[p] = info
 	}
 	fs.amu.Unlock()
-	child.pipeline = newRelinkPipeline(child)
 	return child
 }
 
@@ -81,8 +80,12 @@ const execShmDir = "/.splitfs-shm"
 // Staged data is relinked first: the post-exec image maps nothing, so
 // staged overlays cannot be carried across the boundary.
 func (fs *FS) PrepareExec(pid int) error {
-	defer fs.lockStrict()()
-	if err := fs.relinkAll(nil); err != nil {
+	unlock, err := fs.lockStrict(0)
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	if err := fs.syncFiles(fs.openFiles()...); err != nil {
 		return err
 	}
 	fs.mu.RLock()

@@ -27,17 +27,7 @@ type RecoveryReport struct {
 // U-Split instance and replays the operation log. POSIX and sync modes
 // need nothing beyond ext4 DAX recovery (§5.3).
 func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
-	cfg.fill()
-	fs := &FS{
-		kfs:   kfs,
-		dev:   kfs.Device(),
-		clk:   kfs.Device().Clock(),
-		cfg:   cfg,
-		mode:  cfg.Mode,
-		files: make(map[uint64]*ofile),
-		attrs: make(map[string]vfs.FileInfo),
-	}
-	fs.mmaps = newMmapCache(fs)
+	fs := newFS(kfs, cfg)
 	report := &RecoveryReport{}
 
 	if fs.mode == Strict {
@@ -50,7 +40,7 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 			if err := fs.replayEntries(entries, report); err != nil {
 				return nil, nil, err
 			}
-			olog.reset()
+			olog.Reset()
 			fs.olog = olog
 		}
 		report.ReplayNs = fs.clk.Now() - start
@@ -88,7 +78,6 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	if err := kfs.CommitMeta(); err != nil {
 		return nil, nil, err
 	}
-	fs.pipeline = newRelinkPipeline(fs)
 	return fs, report, nil
 }
 

@@ -2,17 +2,18 @@ package splitfs
 
 import (
 	"fmt"
-	"sort"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/sim"
 )
 
 // relinkLocked applies a file's staged ranges to the target file and
-// group-commits the batch: the inline form used by truncate, rename
-// flushes, close, and checkpoints. fsync instead routes through the
-// relink pipeline (async.go), which runs the same steps but can batch
-// several files into one commit. Caller holds of.mu.
+// commits the batch: the inline form for operations that relink one file
+// as a step of their own, under its lock — truncate, rename's flushes and
+// the last close. Whatever makes staged data durable for its own sake
+// (fsync, SyncAll, the checkpoint) goes through syncFiles (fsync.go),
+// which runs the same steps for any number of files under one commit.
+// Caller holds of.mu.
 func (fs *FS) relinkLocked(of *ofile) error {
 	txid, released, err := fs.relinkStepsLocked(of)
 	if err != nil {
@@ -92,8 +93,7 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	// recovery must not replay it (an older copy-only entry replayed over
 	// newer relinked data would corrupt the file). The watermark is the
 	// file's own highest logged sequence — not the global op sequence — so
-	// relinks (including background pipeline drains) never need the
-	// strict-mode writer lock.
+	// relinks never need the strict-mode writer lock.
 	if err == nil && fs.olog != nil {
 		batch.SetUserWatermark(of.kf, of.logSeq)
 	}
@@ -277,66 +277,4 @@ func (fs *FS) copyStaged(of *ofile, staged []stagedRange) error {
 	}
 	fs.setAttrSize(of, of.size)
 	return nil
-}
-
-// relinkAll relinks every open file that has staged data, inline and one
-// commit per file — the checkpoint path, which runs under wmu while (in
-// the log-full case) already holding one file's mu, and therefore cannot
-// detour through the pipeline queue. owner, when non-nil, is an ofile
-// whose mu the caller already holds; it is relinked without re-locking.
-// Shutdown-style multi-file syncs use FS.SyncAll, which batches through
-// the pipeline instead.
-func (fs *FS) relinkAll(owner *ofile) error {
-	fs.mu.RLock()
-	all := make([]*ofile, 0, len(fs.files))
-	for _, of := range fs.files {
-		all = append(all, of)
-	}
-	fs.mu.RUnlock()
-	// Deterministic order: the crash harness replays workloads by
-	// absolute persistence-event number, so a checkpoint must relink
-	// files in the same order every run (map order would not be).
-	sort.Slice(all, func(i, j int) bool { return all[i].ino < all[j].ino })
-	for _, of := range all {
-		if of != owner {
-			of.mu.Lock()
-		}
-		var err error
-		if len(of.staged) > 0 {
-			err = fs.relinkLocked(of)
-		}
-		if of != owner {
-			of.mu.Unlock()
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkpoint relinks every file with staged data, then zeroes the
-// operation log for reuse (§3.3: "If it becomes full, we checkpoint the
-// state of the application by calling relink() on all the open files
-// that have data in staging files. We then zero out the log and reuse
-// it."). Caller holds wmu (checkpoints only happen in strict mode) and,
-// when the log filled during a staged write, that file's of.mu — passed
-// as owner so it is not re-locked.
-func (fs *FS) checkpoint(owner *ofile) {
-	if err := fs.relinkAll(owner); err != nil {
-		panic("splitfs: checkpoint relink failed: " + err.Error())
-	}
-	// A concurrent pipeline drain may have popped a file's staged ranges
-	// (so relinkAll skipped it) with its relink batch complete but its
-	// group commit still pending. The pop-to-batch-close window runs
-	// entirely under that file's mu — which relinkAll just held — so by
-	// now any such relink's notes and watermark sit in the running
-	// journal transaction: commit it before zeroing the log, or a crash
-	// could find the entries gone AND the relink rolled back, losing
-	// completed strict-mode writes.
-	if err := fs.kfs.CommitMeta(); err != nil {
-		panic("splitfs: checkpoint commit failed: " + err.Error())
-	}
-	fs.olog.reset()
-	fs.stats.checkpoints.Add(1)
 }

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/metalog"
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
@@ -150,31 +151,31 @@ type fsStats struct {
 //
 // Lock hierarchy, outermost first (full discussion in DESIGN.md):
 //
-//		wmu → pipeline.mu → mu → ofile.mu → {amu, stagingPool.mu, mmapCache.mu}
+//		wmu → mu → ofile.mu → {amu, stagingPool.mu, mmapCache.mu}
 //		    → ext4dax locks → pmem shard locks
 //
 //	  - wmu serializes strict-mode mutating operations: the shared
 //	    operation log orders entries by a monotone sequence that the relink
 //	    watermark is compared against, so log appends and the staged-state
-//	    changes they describe must be mutually ordered.
-//	  - pipeline.mu guards only the relink queue (enqueue/pop); it is
-//	    never held across relink work.
+//	    changes they describe must be mutually ordered. An operation
+//	    reserves its log entries as it takes wmu (lockStrict), which is
+//	    where a full log is checkpointed — before any lock below is held.
 //	  - mu guards only the open-file table (files map and refcounts).
 //	  - ofile.mu (read/write) guards one file's staged overlay and sizes;
 //	    reads and staged appends to different files never share a lock.
 //	  - amu guards the attribute cache.
 //
-// Relink batches of distinct files no longer take a process-wide lock
-// (PR 1's rmu): each batch holds a K-Split batch handle, which pins the
-// shared running journal transaction open, and group commit (one leader
-// commits the transaction for every batch that joined it) preserves
-// per-batch atomicity — jbd2's "many handles, one transaction" rule.
+// Relink batches of distinct files take no process-wide lock: each batch
+// holds a K-Split batch handle, which pins the shared running journal
+// transaction open, and group commit (one leader commits the transaction
+// for every batch that joined it) preserves per-batch atomicity — jbd2's
+// "many handles, one transaction" rule.
 //
 // The lockrank chains below declare DESIGN.md's "Lock hierarchy" for
-// the lockorder analyzer; the three level-5 locks (amu, stagingpool,
+// the lockorder analyzer; the three level-4 locks (amu, stagingpool,
 // mmapcache) are mutual siblings, each between ofile and ext4fs.
 //
-// +lockrank:order wmu < pipeline < fstable < ofile < amu < ext4fs
+// +lockrank:order wmu < fstable < ofile < amu < ext4fs
 // +lockrank:order ofile < stagingpool < ext4fs
 // +lockrank:order ofile < mmapcache < ext4fs
 type FS struct {
@@ -195,12 +196,10 @@ type FS struct {
 	amu   sync.Mutex // +lockrank:amu
 	attrs map[string]vfs.FileInfo
 
-	pipeline *relinkPipeline // asynchronous relink + group commit
-
 	staging *stagingPool
 	mmaps   *mmapCache
-	olog    *oplog // nil unless Strict
-	opSeq   uint64 // monotone operation sequence; guarded by wmu
+	olog    *metalog.Log // the operation log; nil unless Strict
+	opSeq   uint64       // monotone operation sequence; guarded by wmu
 	stats   fsStats
 }
 
@@ -225,8 +224,8 @@ type ofile struct {
 	// file (guarded by mu, written under mu+wmu). A relink advances the
 	// inode's recovery watermark to exactly this value, which covers
 	// every entry the relink absorbs without the relink needing wmu —
-	// that independence is what lets a pipeline drain relink
-	// without serializing against strict-mode writers.
+	// that independence is what lets an fsync relink without serializing
+	// against strict-mode writers.
 	logSeq uint64
 
 	// mapEpoch counts overlay remap events: a staged write shadowing
@@ -252,9 +251,9 @@ type stagedRange struct {
 	dram    []byte // non-nil in the StageInDRAM configuration
 }
 
-// New creates a U-Split instance over a mounted K-Split, pre-allocating
-// its staging files and (in strict mode) its operation log.
-func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
+// newFS is an instance's volatile state, as New and RecoverFS start from
+// it: no staging pool and no operation log yet.
+func newFS(kfs *ext4dax.FS, cfg Config) *FS {
 	cfg.fill()
 	fs := &FS{
 		kfs:   kfs,
@@ -266,6 +265,13 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 		attrs: make(map[string]vfs.FileInfo),
 	}
 	fs.mmaps = newMmapCache(fs)
+	return fs
+}
+
+// New creates a U-Split instance over a mounted K-Split, pre-allocating
+// its staging files and (in strict mode) its operation log.
+func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
+	fs := newFS(kfs, cfg)
 	var err error
 	fs.staging, err = newStagingPool(fs)
 	if err != nil {
@@ -282,7 +288,6 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 	if err := kfs.CommitMeta(); err != nil {
 		return nil, err
 	}
-	fs.pipeline = newRelinkPipeline(fs)
 	return fs, nil
 }
 
@@ -341,15 +346,23 @@ func (fs *FS) bookkeep() {
 	fs.clk.Charge(sim.CatCPU, sim.USplitBookkeepNs)
 }
 
-// lockStrict takes the strict-mode writer lock; in POSIX and sync modes
-// mutating operations on different files run fully in parallel and this
-// is a no-op. Returns the unlock function.
-func (fs *FS) lockStrict() func() {
+// lockStrict takes the strict-mode writer lock and reserves room in the
+// operation log for the n entries the operation will append, which is
+// where a full log is checkpointed: the caller holds no file lock yet and
+// has staged nothing. In POSIX and sync modes mutating operations on
+// different files run fully in parallel and this is a no-op. Returns the
+// unlock function, or the error that kept the log from making room — the
+// lock is then not held.
+func (fs *FS) lockStrict(n int) (func(), error) {
 	if fs.mode != Strict {
-		return func() {}
+		return func() {}, nil
 	}
 	fs.wmu.Lock()
-	return fs.wmu.Unlock
+	if err := fs.reserveLog(n); err != nil {
+		fs.wmu.Unlock()
+		return nil, err
+	}
+	return fs.wmu.Unlock, nil
 }
 
 // syncMeta makes a metadata mutation durable in sync and strict modes
@@ -363,8 +376,6 @@ func (fs *FS) syncMeta() error {
 	return fs.kfs.CommitMeta()
 }
 
-// lookupStaged returns the staged ranges overlapping [off, off+n),
-// oldest first. Caller holds of.mu.
 // overlapsAny reports whether any staged range intersects [off, off+n)
 // without allocating. Caller holds of.mu.
 func (of *ofile) overlapsAny(off, n int64) bool {
@@ -377,6 +388,8 @@ func (of *ofile) overlapsAny(off, n int64) bool {
 	return false
 }
 
+// overlaps returns the staged ranges intersecting [off, off+n), oldest
+// first. Caller holds of.mu.
 func (of *ofile) overlaps(off, n int64) []stagedRange {
 	var out []stagedRange
 	end := off + n

@@ -291,7 +291,7 @@ func (p *stagingPool) unpin(e uint64) {
 
 // reclaim advances the epoch and unmaps, closes, and unlinks every limbo
 // file whose grace period has elapsed: retirement epoch older than every
-// active pin. The relink pipeline calls this after each drain, keeping
+// active pin. syncFiles calls this after each commit, keeping
 // the munmap and unlink cost off the fsync hot path; the unlink's block
 // frees join the running journal transaction and commit with the next
 // group commit. Returns how many files were reclaimed.

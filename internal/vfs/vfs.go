@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 )
 
 // Open flags, mirroring the POSIX values the paper's applications use.
@@ -144,6 +146,26 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:n], nil
+}
+
+// SyncAll is the group sync as every driver of a backend issues it — the
+// served session, the crash runner, the bench stream — so that the
+// differential can compare a served backend with its direct twin: the
+// backend's own SyncAll when it has one (splitfs: every open file
+// relinked under one journal commit), else a Sync of each of files in
+// path order. files is sorted in place; handles reporting the same path
+// keep the caller's order, which should therefore repeat run to run.
+func SyncAll(fs FileSystem, files []File) error {
+	if sa, ok := fs.(interface{ SyncAll() error }); ok {
+		return sa.SyncAll()
+	}
+	slices.SortStableFunc(files, func(a, b File) int { return strings.Compare(a.Path(), b.Path()) })
+	for _, f := range files {
+		if err := f.Sync(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PathError decorates an error with the operation and path, like

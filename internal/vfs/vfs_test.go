@@ -271,3 +271,51 @@ func TestFDTableFilesDedups(t *testing.T) {
 		t.Fatalf("Len() = %d, want 3", tab.Len())
 	}
 }
+
+// syncFile records the order Sync reaches it in.
+type syncFile struct {
+	File
+	path string
+	log  *[]string
+	err  error
+}
+
+func (f *syncFile) Path() string { return f.path }
+func (f *syncFile) Sync() error  { *f.log = append(*f.log, f.path); return f.err }
+
+// groupFS is a backend with a SyncAll of its own.
+type groupFS struct {
+	FileSystem
+	calls int
+}
+
+func (g *groupFS) SyncAll() error { g.calls++; return nil }
+
+// TestSyncAll pins the group-sync rule the served session, the crash
+// runner and the bench stream share: the backend's own SyncAll when it
+// has one, else every handle's Sync in path order, stopping at the first
+// error.
+func TestSyncAll(t *testing.T) {
+	var log []string
+	mk := func(p string) File { return &syncFile{path: p, log: &log} }
+	g := &groupFS{}
+	if err := SyncAll(g, []File{mk("/b"), mk("/a")}); err != nil || g.calls != 1 || len(log) != 0 {
+		t.Fatalf("backend SyncAll: err %v, %d calls, per-handle syncs %v", err, g.calls, log)
+	}
+	var plain struct{ FileSystem }
+	if err := SyncAll(plain, []File{mk("/c"), mk("/a"), mk("/b")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(log); got != "[/a /b /c]" {
+		t.Fatalf("per-handle syncs ran in order %s, want path order", got)
+	}
+	log = nil
+	boom := errors.New("boom")
+	bad := &syncFile{path: "/b", log: &log, err: boom}
+	if err := SyncAll(plain, []File{mk("/c"), bad, mk("/a")}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing handle's", err)
+	}
+	if got := fmt.Sprint(log); got != "[/a /b]" {
+		t.Fatalf("syncs after a failure: %s, want to stop at /b", got)
+	}
+}

@@ -91,7 +91,7 @@ func GitAddCommit(fs vfs.FileSystem, root, gitDir string, paths []string, round 
 		if err != nil {
 			return objects, err
 		}
-		h := hashBytes(data, uint64(round))
+		h := sim.FNV1a(sim.FNVOffset^uint64(round), data)
 		fan := fmt.Sprintf("%s/%02x", objDir, byte(h))
 		if err := fs.Mkdir(fan, 0755); err != nil && !exists(fs, fan) {
 			return objects, err
@@ -219,20 +219,4 @@ func Rsync(fs vfs.FileSystem, srcRoot, dstRoot string, paths []string) (int64, e
 func exists(fs vfs.FileSystem, p string) bool {
 	_, err := fs.Stat(p)
 	return err == nil
-}
-
-func hashBytes(data []byte, seed uint64) uint64 {
-	h := 0xcbf29ce484222325 ^ seed
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
