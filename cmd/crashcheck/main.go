@@ -7,7 +7,9 @@
 //
 // Campaigns fan out over a worker pool across modes × seeds × workload
 // families. Beyond the per-event sweep it supports metadata-heavy
-// workloads (create/unlink/rename/truncate/mkdir, orphan unlinks),
+// workloads (create/unlink/rename/truncate/mkdir, orphan unlinks; also
+// with the journal commits thinned out, so sync- and strict-mode
+// recoveries have metadata operations to redo from the op log),
 // double-crash sweeps (crash again inside recovery itself), and
 // automatic minimization of any violating campaign to a small
 // reproducer.
@@ -76,6 +78,7 @@ var families = []struct {
 }{
 	{"write", crash.RandomOps, 13, 0},
 	{"meta", crash.MetadataOps, 29, 0xa5},
+	{"burst", crash.MetaBurstOps, 37, 0x5b},
 	{"async", crash.AsyncOps, 17, 0x3c},
 }
 
@@ -84,7 +87,7 @@ func main() {
 	nops := flag.Int("ops", 25, "operations per workload")
 	modeFlag := flag.String("mode", "all", "consistency mode: all, posix, sync, strict")
 	sample := flag.Int("sample", 0, "max events tested per workload (0 = every persistence event)")
-	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir)")
+	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir), as generated and with the commits thinned out so that recovery has metadata operations to redo from the op log")
 	async := flag.Bool("async", false, "add async-relink workloads (multi-file fsyncs + group syncs sharing one journal commit)")
 	served := flag.Bool("served", false, "add served-backend differential campaigns: each trace through the session/RPC layer over all nine backends must match direct ext4-dax byte for byte")
 	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all nine backends, and served-crash tenants hold leases across every daemon kill")
@@ -110,7 +113,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	enabled := map[string]bool{"write": true, "meta": *metadata, "async": *async}
+	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async}
 	var jobs []job
 	for _, mode := range modes {
 		for seed := uint64(1); seed <= uint64(*seeds); seed++ {
@@ -200,6 +203,9 @@ func main() {
 				total.Tested += res.Tested
 				total.DoubleTested += res.DoubleTested
 				total.Runs += res.Runs
+				total.MetaReplayed += res.MetaReplayed
+				total.MetaSkipped += res.MetaSkipped
+				total.DoubleInMetaReplay += res.DoubleInMetaReplay
 				for k, n := range res.ByKind {
 					total.ByKind[k] += n
 				}
@@ -233,6 +239,8 @@ func main() {
 
 	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d events crashed (+%d double-crash), %d violations\n",
 		len(jobs), total.Runs, total.Tested, total.TotalEvents, total.DoubleTested, len(total.Violations))
+	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery\n",
+		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay)
 	fmt.Printf("event coverage by kind:")
 	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
 		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])

@@ -215,8 +215,8 @@ func main() {
 			if err == nil {
 				stack = newStack
 				fs = stack.FS
-				fmt.Printf("recovered: %d entries, %d replayed, %.2f ms simulated\n",
-					rep.Entries, rep.Replayed, float64(rep.ReplayNs)/1e6)
+				fmt.Printf("recovered: %d entries, %d writes replayed, %d metadata operations redone, %.2f ms simulated\n",
+					rep.Entries, rep.Replayed, rep.MetaReplayed, float64(rep.ReplayNs)/1e6)
 			}
 		case "stats":
 			if stack == nil {

@@ -236,6 +236,25 @@ candidates:
 	return -1
 }
 
+// AllocAt allocates exactly the extent e, or nothing. Recovery uses it to
+// reproduce an allocation the crashed run made (the inode number a logged
+// create was given); it charges no search cost because there is no search.
+// It returns the dirty bitmap range to journal, or vfs.ErrExist when any
+// block of e is already taken.
+func (b *Bitmap) AllocAt(e Extent) (ByteRange, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if e.Start < 0 || e.Len < 1 || e.End() > b.nblocks {
+		return ByteRange{}, vfs.ErrInval
+	}
+	for i := e.Start; i < e.End(); i++ {
+		if b.isSet(i) {
+			return ByteRange{}, vfs.ErrExist
+		}
+	}
+	return b.take(e), nil
+}
+
 // MarkAllocated forces an extent to allocated state without charging
 // search cost; used when rebuilding allocator state from a log replay
 // (NOVA-style recovery). Marking an already-allocated block panics.

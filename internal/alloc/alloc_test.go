@@ -174,3 +174,37 @@ func TestAllocFreeConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAllocAt(t *testing.T) {
+	b := newBitmap(t, 64)
+	if _, _, err := b.AllocExtent(4); err != nil { // [0,4)
+		t.Fatal(err)
+	}
+	dirty, err := b.AllocAt(Extent{Start: 40, Len: 3})
+	if err != nil || dirty.Len == 0 {
+		t.Fatalf("AllocAt free blocks: %+v, %v", dirty, err)
+	}
+	if !b.Allocated(40) || !b.Allocated(42) || b.Allocated(43) || b.FreeCount() != 64-7 {
+		t.Fatalf("after AllocAt [40+3): free %d", b.FreeCount())
+	}
+	for _, e := range []Extent{{Start: 2, Len: 1}, {Start: 39, Len: 2}, {Start: 42, Len: 5}} {
+		if _, err := b.AllocAt(e); !errors.Is(err, vfs.ErrExist) {
+			t.Errorf("AllocAt %v over a taken block: %v", e, err)
+		}
+	}
+	for _, e := range []Extent{{Start: -1, Len: 1}, {Start: 63, Len: 2}, {Start: 5, Len: 0}} {
+		if _, err := b.AllocAt(e); !errors.Is(err, vfs.ErrInval) {
+			t.Errorf("AllocAt %v out of range: %v", e, err)
+		}
+	}
+	if b.FreeCount() != 64-7 {
+		t.Fatalf("refused AllocAt calls changed the free count: %d", b.FreeCount())
+	}
+	// The allocator's own search steps over what AllocAt took.
+	for b.FreeCount() > 0 {
+		e, _, err := b.AllocExtent(1)
+		if err != nil || (e.Start >= 40 && e.Start < 43) {
+			t.Fatalf("AllocExtent = %v, %v", e, err)
+		}
+	}
+}

@@ -67,6 +67,15 @@ type Result struct {
 	Executed  int    // completed workload operations
 	Replayed  int    // strict-mode log entries re-applied by recovery
 	Violation string // empty when the guarantee held
+	// MetaReplayed / MetaSkipped count the metadata operations the (first)
+	// recovery redid from the op log and the records it found already in
+	// the journal (sync and strict mode).
+	MetaReplayed, MetaSkipped int
+	// DoubleInMetaReplay reports that the second crash cut the first
+	// recovery's metadata replay short: the second recovery found the log
+	// still there and, at or below the stamp, records the first one had
+	// had to redo — replay resumed from what the interrupted one committed.
+	DoubleInMetaReplay bool
 
 	// SysEvents[i] is the device's persistence-event counter after the
 	// i-th syscall of the workload; SysEvents[0] is the post-setup
@@ -245,8 +254,8 @@ func Run(c Campaign) (*Result, error) {
 	res.RecoveryStart = env.Dev.Events()
 	rec, report, vio := recover1(env)
 	res.RecoveryEnd = env.Dev.Events()
-	if report.OpLog != nil {
-		res.Replayed = report.OpLog.Replayed
+	if rep := report.OpLog; rep != nil {
+		res.Replayed, res.MetaReplayed, res.MetaSkipped = rep.Replayed, rep.MetaReplayed, rep.MetaSkipped
 	}
 	if vio != "" {
 		res.Violation = vio
@@ -257,10 +266,14 @@ func Run(c Campaign) (*Result, error) {
 		if err := env.Dev.Crash(nil); err != nil {
 			return nil, err
 		}
-		rec, _, vio = recover1(env)
+		var again stack.Recovery
+		rec, again, vio = recover1(env)
 		if vio != "" {
 			res.Violation = "double-crash: " + vio
 			return res, nil
+		}
+		if again.OpLog != nil {
+			res.DoubleInMetaReplay = again.OpLog.MetaSkipped > res.MetaSkipped
 		}
 	}
 

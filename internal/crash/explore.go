@@ -72,6 +72,12 @@ type ExploreResult struct {
 	UnknownKinds []string
 	Violations   []Violation
 	Runs         int // total campaign executions, recording run included
+	// MetaReplayed / MetaSkipped sum, over the first recoveries of the
+	// tested events, the metadata operations redone from the op log and
+	// the records found already committed; DoubleInMetaReplay counts the
+	// second crashes that cut such a replay short (Result).
+	MetaReplayed, MetaSkipped int
+	DoubleInMetaReplay        int
 }
 
 // kindLabel is the coverage-bucket name of one traced event.
@@ -140,6 +146,8 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		res.Runs++
 		res.Tested++
 		res.TestedByKind[kindOf[k]]++
+		res.MetaReplayed += r.MetaReplayed
+		res.MetaSkipped += r.MetaSkipped
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{
 				Mode: cfg.Mode, Seed: cfg.Seed, Event: k, Msg: r.Violation})
@@ -158,6 +166,9 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			}
 			res.Runs++
 			res.DoubleTested++
+			if r2.DoubleInMetaReplay {
+				res.DoubleInMetaReplay++
+			}
 			if r2.Violation != "" {
 				res.Violations = append(res.Violations, Violation{
 					Mode: cfg.Mode, Seed: cfg.Seed, Event: k, DoubleEvent: k2, Msg: r2.Violation})

@@ -59,6 +59,31 @@ func TestMetadataWorkloadSweep(t *testing.T) {
 	}
 }
 
+// The metadata campaign with the commits thinned out (MetaBurstOps): most
+// crash points follow a run of metadata operations no journal commit has
+// covered, so in sync and strict mode it is the op log that has to bring
+// them back — the sweep must show recoveries that really redid operations,
+// and in POSIX mode, which promises no such thing, none.
+func TestMetaBurstSweep(t *testing.T) {
+	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
+		replayed := 0
+		for seed := uint64(1); seed <= 3; seed++ {
+			res, err := Explore(ExploreConfig{Mode: mode, Ops: MetaBurstOps(seed*7, 40),
+				Seed: seed, Sample: 60})
+			if err != nil {
+				t.Fatalf("%v seed %d: %v", mode, seed, err)
+			}
+			for _, v := range res.Violations {
+				t.Errorf("%v seed %d event %d: %s", mode, seed, v.Event, v.Msg)
+			}
+			replayed += res.MetaReplayed
+		}
+		if (mode == splitfs.POSIX) != (replayed == 0) {
+			t.Errorf("%v: recoveries redid %d metadata operations over the sweep", mode, replayed)
+		}
+	}
+}
+
 // Double-crash campaigns: crash at an event, then crash again inside
 // RecoverFS/Mount, recover again, and the guarantee must still hold.
 func TestDoubleCrashSweep(t *testing.T) {
@@ -74,6 +99,31 @@ func TestDoubleCrashSweep(t *testing.T) {
 		for _, v := range res.Violations {
 			t.Errorf("%v event %d/%d: %s", mode, v.Event, v.DoubleEvent, v.Msg)
 		}
+	}
+}
+
+// Double crashes over the thinned-commit campaign: the first recovery has
+// metadata operations to redo, and the second crash must be able to cut
+// that short — after part of it committed, before the log is zeroed — so
+// that the second recovery resumes from the stamp the first advanced,
+// neither repeating an operation the interrupted replay committed nor
+// dropping one it had not reached.
+func TestDoubleCrashInsideMetaReplay(t *testing.T) {
+	for _, mode := range []splitfs.Mode{splitfs.Sync, splitfs.Strict} {
+		res, err := Explore(ExploreConfig{Mode: mode, Ops: MetaBurstOps(23, 40),
+			Seed: 5, Sample: 16, DoubleCrash: true, DoubleSample: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%v event %d/%d: %s", mode, v.Event, v.DoubleEvent, v.Msg)
+		}
+		if res.MetaReplayed == 0 || res.DoubleInMetaReplay == 0 {
+			t.Errorf("%v: %d metadata operations redone, %d of %d second crashes cut their replay short: the sweep did not reach it",
+				mode, res.MetaReplayed, res.DoubleInMetaReplay, res.DoubleTested)
+		}
+		t.Logf("%v: %d redone, %d skipped, %d/%d second crashes cut a metadata replay short",
+			mode, res.MetaReplayed, res.MetaSkipped, res.DoubleInMetaReplay, res.DoubleTested)
 	}
 }
 

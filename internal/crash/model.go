@@ -17,8 +17,9 @@ import (
 //   - Strict: every completed syscall durable and atomic, so the durable
 //     state must equal the model exactly — either just before or just
 //     after the interrupted syscall.
-//   - Sync: every completed syscall durable (metadata committed, in-place
-//     data fenced) but not atomic; staged appends become durable at
+//   - Sync: every completed syscall durable (metadata logged — its redo
+//     record fenced into the op log, redone by recovery — in-place data
+//     fenced) but not atomic; staged appends become durable at
 //     relink points (fsync/close/truncate/rename-flush), matching the
 //     implementation's guarantee.
 //   - POSIX: metadata consistency only — the namespace must equal the

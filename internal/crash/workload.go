@@ -352,7 +352,33 @@ func ServedOps(seed uint64, n int) []Op {
 // metadata operations — create, unlink (incl. unlink-while-open), rename
 // (incl. replacing renames), truncate, mkdir — and per-op handle closes,
 // driving the paths the per-mode metadata oracles check.
-func MetadataOps(seed uint64, n int) []Op {
+func MetadataOps(seed uint64, n int) []Op { return metadataOps(seed, n, metaMix) }
+
+// MetaBurstOps is MetadataOps with the journal commits thinned out: few
+// data writes, and an fsync or a close — the calls that commit K-Split's
+// running transaction — only on every twelfth op that could carry one. So
+// runs of several metadata operations that no commit has covered precede
+// most crash points, and what makes them durable in sync and strict mode
+// is the op log alone: the recovery under test has to redo them.
+func MetaBurstOps(seed uint64, n int) []Op { return metadataOps(seed, n, burstMix) }
+
+// opMix shapes metadataOps: the upper bounds, out of 100, of the rolls
+// that pick a data write, a create, an unlink, a rename and a truncate
+// (the rest are mkdirs), and the odds — one in — that a write fsyncs and
+// that a write, a create or a truncate closes its handle.
+type opMix struct {
+	write, create, unlink, rename, truncate    int
+	fsync, closeWrite, closeCreate, closeTrunc int
+}
+
+var (
+	metaMix = opMix{write: 45, create: 55, unlink: 67, rename: 79, truncate: 88,
+		fsync: 4, closeWrite: 5, closeCreate: 2, closeTrunc: 3}
+	burstMix = opMix{write: 15, create: 35, unlink: 55, rename: 80, truncate: 88,
+		fsync: 12, closeWrite: 12, closeCreate: 12, closeTrunc: 12}
+)
+
+func metadataOps(seed uint64, n int, mix opMix) []Op {
 	rng := sim.NewRNG(seed)
 	type fstate struct{ size int64 }
 	files := map[string]*fstate{}
@@ -393,11 +419,11 @@ func MetadataOps(seed uint64, n int) []Op {
 	for len(ops) < n {
 		live := fileNames()
 		roll := rng.Intn(100)
-		if len(live) == 0 && roll >= 55 && roll < 88 {
-			roll = 50 // nothing to unlink/rename/truncate: create instead
+		if len(live) == 0 && roll >= mix.create && roll < mix.truncate {
+			roll = mix.write // nothing to unlink/rename/truncate: create instead
 		}
 		switch {
-		case roll < 45:
+		case roll < mix.write:
 			// Data write: mostly appends to an existing or fresh file.
 			var p string
 			if len(live) > 0 && rng.Intn(4) != 0 {
@@ -420,18 +446,18 @@ func MetadataOps(seed uint64, n int) []Op {
 				f.size = end
 			}
 			ops = append(ops, Op{Path: p, Off: off, Data: d,
-				Fsync: rng.Intn(4) == 0, Close: rng.Intn(5) == 0})
-		case roll < 55:
+				Fsync: rng.Intn(mix.fsync) == 0, Close: rng.Intn(mix.closeWrite) == 0})
+		case roll < mix.create:
 			p := freshPath()
 			files[p] = &fstate{}
-			ops = append(ops, Op{Kind: OpCreate, Path: p, Close: rng.Intn(2) == 0})
-		case roll < 67:
+			ops = append(ops, Op{Kind: OpCreate, Path: p, Close: rng.Intn(mix.closeCreate) == 0})
+		case roll < mix.unlink:
 			p := live[rng.Intn(len(live))]
 			delete(files, p)
 			// Close=false keeps any open handle across the unlink: the
 			// orphan-inode (tmpfile) path.
 			ops = append(ops, Op{Kind: OpUnlink, Path: p, Close: rng.Intn(2) == 0})
-		case roll < 79:
+		case roll < mix.rename:
 			src := live[rng.Intn(len(live))]
 			var dst string
 			if len(live) > 1 && rng.Intn(2) == 0 {
@@ -446,7 +472,7 @@ func MetadataOps(seed uint64, n int) []Op {
 			files[dst] = files[src]
 			delete(files, src)
 			ops = append(ops, Op{Kind: OpRename, Path: src, Path2: dst})
-		case roll < 88:
+		case roll < mix.truncate:
 			p := live[rng.Intn(len(live))]
 			f := files[p]
 			var sz int64
@@ -455,7 +481,7 @@ func MetadataOps(seed uint64, n int) []Op {
 			}
 			f.size = sz
 			ops = append(ops, Op{Kind: OpTruncate, Path: p, Size: sz,
-				Close: rng.Intn(3) == 0})
+				Close: rng.Intn(mix.closeTrunc) == 0})
 		default:
 			if len(dirs) >= 3 {
 				continue // keep the tree small; reroll

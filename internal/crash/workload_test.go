@@ -21,6 +21,7 @@ func TestGeneratorSeedStability(t *testing.T) {
 	}{
 		{"RandomOps", RandomOps(7, 50), 50, 0xd9c80ff81868e760},
 		{"MetadataOps", MetadataOps(7, 50), 50, 0xa5311d7185123f96},
+		{"MetaBurstOps", MetaBurstOps(7, 50), 50, 0xbff969b7089b6e9c},
 	}
 	for _, c := range cases {
 		if len(c.ops) != c.wantN {
@@ -126,6 +127,32 @@ func TestCampaignMixesMoveTailBlocks(t *testing.T) {
 					t.Errorf("%s mix, seed %d, %d ops: no fsynced sub-block append at EOF", name, seed, nops)
 				}
 			}
+		}
+	}
+}
+
+// TestMetaBurstOpsThinTheCommits pins what the metadata-replay sweeps rely
+// on: MetaBurstOps is mostly metadata operations, and few of its ops carry
+// the fsync or close that commits K-Split's running transaction — far
+// fewer than MetadataOps' — so several uncommitted operations precede a
+// typical crash point.
+func TestMetaBurstOpsThinTheCommits(t *testing.T) {
+	count := func(ops []Op) (meta, committing int) {
+		for _, op := range ops {
+			if op.Kind != OpWrite {
+				meta++
+			}
+			if op.Fsync || op.Close && op.Kind != OpUnlink {
+				committing++
+			}
+		}
+		return meta, committing
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		meta, committing := count(MetaBurstOps(seed*37, 40))
+		_, dense := count(MetadataOps(seed*37, 40))
+		if meta < 28 || committing > 8 || committing*2 > dense {
+			t.Errorf("seed %d: %d of 40 ops are metadata operations, %d commit (MetadataOps: %d)", seed, meta, committing, dense)
 		}
 	}
 }

@@ -166,9 +166,19 @@ func (fs *FS) resolveDir(path string) (*inode, string, error) {
 	return parent, base, nil
 }
 
-// allocInode reserves a fresh inode number. Caller holds fs.mu.
-func (fs *FS) allocInode(isDir bool) (*inode, error) {
-	e, dirty, err := fs.iBmp.AllocExtent(1)
+// allocInode reserves a fresh inode number: want, or the allocator's
+// choice when want is 0. Caller holds fs.mu.
+func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
+	var (
+		e     = alloc.Extent{Start: int64(want), Len: 1}
+		dirty alloc.ByteRange
+		err   error
+	)
+	if want == 0 {
+		e, dirty, err = fs.iBmp.AllocExtent(1)
+	} else {
+		dirty, err = fs.iBmp.AllocAt(e)
+	}
 	if err != nil {
 		return nil, err
 	}

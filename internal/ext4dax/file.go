@@ -15,6 +15,8 @@ type File struct {
 	in   *inode
 	flag int
 	path string
+	// created: this open made the file (O_CREATE on a name that was free).
+	created bool
 
 	mu     sync.Mutex // handle offset
 	pos    int64
@@ -28,6 +30,10 @@ func (f *File) Path() string { return f.path }
 
 // Ino exposes the inode number (used by U-Split's attribute cache).
 func (f *File) Ino() uint64 { return f.in.ino }
+
+// Created reports whether this open created the file. U-Split logs a
+// creating open as a metadata operation and a plain one as nothing.
+func (f *File) Created() bool { return f.created }
 
 // Linked reports whether the handle's inode is still live in the
 // namespace — this exact inode, not a recycled successor of its number.

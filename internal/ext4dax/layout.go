@@ -35,6 +35,9 @@ const (
 	inodeSize = 512
 	// inlineExtents is how many extents fit in the inode record.
 	inlineExtents = 19
+	// uwmOff is where the record keeps U-Split's watermark: its last
+	// eight bytes.
+	uwmOff = inodeSize - 8
 	// extentRecSize is the on-disk size of one extent record:
 	// logical block (8) + physical start (8) + length (8).
 	extentRecSize = 24
@@ -187,7 +190,7 @@ func (in *inode) encode() []byte {
 	for i := 0; i < n; i++ {
 		putExtent(b[48+i*extentRecSize:], in.extents[i])
 	}
-	binary.LittleEndian.PutUint64(b[504:512], in.uwm)
+	binary.LittleEndian.PutUint64(b[uwmOff:], in.uwm)
 	return b
 }
 
@@ -219,7 +222,7 @@ func decodeInode(ino uint64, b []byte) (*inode, int64, error) {
 		nlink:  binary.LittleEndian.Uint32(b[8:12]),
 		size:   int64(binary.LittleEndian.Uint64(b[16:24])),
 		blocks: int64(binary.LittleEndian.Uint64(b[24:32])),
-		uwm:    binary.LittleEndian.Uint64(b[504:512]),
+		uwm:    binary.LittleEndian.Uint64(b[uwmOff:]),
 	}
 	n := int(binary.LittleEndian.Uint32(b[32:36]))
 	if n > inlineExtents {

@@ -37,6 +37,7 @@ func (fs *FS) openLocked(path string, flag int) (*File, error) {
 		return nil, err
 	}
 	var in *inode
+	created := false
 	if de, ok := parent.entries[base]; ok {
 		if flag&vfs.O_CREATE != 0 && flag&vfs.O_EXCL != 0 {
 			return nil, vfs.ErrExist
@@ -58,47 +59,82 @@ func (fs *FS) openLocked(path string, flag int) (*File, error) {
 			return nil, vfs.ErrNotExist
 		}
 		fs.stats.metaOps.Add(1)
-		in, err = fs.allocInode(false)
+		in, err = fs.createLocked(parent, base, false, 0)
 		if err != nil {
 			return nil, err
 		}
-		fs.writeInode(in)
-		if err := fs.addDirent(parent, base, in.ino, false); err != nil {
-			return nil, err
-		}
+		created = true
 	}
 	fs.maybeCommit()
 	in.openCnt++
-	return &File{fs: fs, in: in, flag: flag, path: vfs.CleanPath(path)}, nil
+	return &File{fs: fs, in: in, flag: flag, path: vfs.CleanPath(path), created: created}, nil
+}
+
+// createLocked makes a new file or directory named base in parent. want is
+// the inode number it must get (Recreate), or 0 for the allocator's choice.
+// Caller holds fs.mu.
+func (fs *FS) createLocked(parent *inode, base string, isDir bool, want uint64) (*inode, error) {
+	in, err := fs.allocInode(isDir, want)
+	if err != nil {
+		return nil, err
+	}
+	fs.writeInode(in)
+	if err := fs.addDirent(parent, base, in.ino, isDir); err != nil {
+		return nil, err
+	}
+	if isDir {
+		parent.mu.Lock()
+		parent.nlink++
+		parent.mu.Unlock()
+		fs.writeInode(parent)
+	}
+	return in, nil
 }
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(path string, perm uint32) error {
+	_, err := fs.MkdirIno(path, perm)
+	return err
+}
+
+// MkdirIno is Mkdir that also reports the new directory's inode number,
+// which U-Split logs with the operation (see Recreate).
+func (fs *FS) MkdirIno(path string, perm uint32) (uint64, error) {
+	ino, err := fs.createAt(path, true, 0)
+	return ino, vfs.WrapPath("mkdir", path, err)
+}
+
+// Recreate is recovery's create: it makes the file or directory a logged
+// create or mkdir made, under the inode number that operation was given,
+// so that everything logged after it — by inode number — still names its
+// target, and so that a replayed sequence of creates reproduces the
+// crashed run's allocations instead of colliding with them. (ext4's
+// fast-commit replay re-creates inodes by number for the same reason.)
+// The path must not exist and the number must be free.
+func (fs *FS) Recreate(path string, ino uint64, isDir bool) error {
+	_, err := fs.createAt(path, isDir, ino)
+	return vfs.WrapPath("recreate", path, err)
+}
+
+// createAt is mkdir(2) and the exclusive create behind Recreate.
+func (fs *FS) createAt(path string, isDir bool, want uint64) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
-		return vfs.WrapPath("mkdir", path, err)
+		return 0, err
 	}
 	if _, ok := parent.entries[base]; ok {
-		return vfs.WrapPath("mkdir", path, vfs.ErrExist)
+		return 0, vfs.ErrExist
 	}
-	in, err := fs.allocInode(true)
+	in, err := fs.createLocked(parent, base, isDir, want)
 	if err != nil {
-		return vfs.WrapPath("mkdir", path, err)
+		return 0, err
 	}
-	fs.writeInode(in)
-	if err := fs.addDirent(parent, base, in.ino, true); err != nil {
-		return vfs.WrapPath("mkdir", path, err)
-	}
-	parent.mu.Lock()
-	parent.nlink++
-	parent.mu.Unlock()
-	fs.writeInode(parent)
 	fs.maybeCommit()
-	return nil
+	return in.ino, nil
 }
 
 // Unlink implements vfs.FileSystem.
@@ -184,29 +220,44 @@ func (fs *FS) Rmdir(path string) error {
 // Rename implements vfs.FileSystem. The destination is replaced if it
 // exists (files only).
 func (fs *FS) Rename(oldPath, newPath string) error {
+	_, _, err := fs.RenameReplacing(oldPath, newPath)
+	return err
+}
+
+// RenameReplacing is Rename that also reports what it moved — the source's
+// directory entry, under its new name — and the inode number of the file
+// it replaced at newPath (0 when there was none): the rename walks both
+// paths anyway, so U-Split, which has caches to re-key for the moved inode
+// and to retire for a replaced one, need not stat the endpoints first.
+func (fs *FS) RenameReplacing(oldPath, newPath string) (moved vfs.DirEntry, replaced uint64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.stats.metaOps.Add(1)
 	srcParent, srcBase, err := fs.resolveDir(oldPath)
 	if err != nil {
-		return vfs.WrapPath("rename", oldPath, err)
+		return moved, 0, vfs.WrapPath("rename", oldPath, err)
 	}
 	de, ok := srcParent.entries[srcBase]
 	if !ok {
-		return vfs.WrapPath("rename", oldPath, vfs.ErrNotExist)
+		return moved, 0, vfs.WrapPath("rename", oldPath, vfs.ErrNotExist)
 	}
 	dstParent, dstBase, err := fs.resolveDir(newPath)
 	if err != nil {
-		return vfs.WrapPath("rename", newPath, err)
+		return moved, 0, vfs.WrapPath("rename", newPath, err)
 	}
+	moved = vfs.DirEntry{Name: dstBase, Ino: de.ino, IsDir: de.isDir}
 	if old, ok := dstParent.entries[dstBase]; ok {
+		if old == de {
+			return moved, 0, nil // onto itself: nothing to do (and nothing to replace)
+		}
 		if old.isDir {
-			return vfs.WrapPath("rename", newPath, vfs.ErrIsDir)
+			return moved, 0, vfs.WrapPath("rename", newPath, vfs.ErrIsDir)
 		}
 		if _, err := fs.removeDirent(dstParent, dstBase); err != nil {
-			return vfs.WrapPath("rename", newPath, err)
+			return moved, 0, vfs.WrapPath("rename", newPath, err)
 		}
+		replaced = old.ino
 		if tgt := fs.icache[old.ino]; tgt != nil {
 			tgt.mu.Lock()
 			tgt.nlink--
@@ -223,13 +274,13 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		}
 	}
 	if _, err := fs.removeDirent(srcParent, srcBase); err != nil {
-		return vfs.WrapPath("rename", oldPath, err)
+		return moved, 0, vfs.WrapPath("rename", oldPath, err)
 	}
 	if err := fs.addDirent(dstParent, dstBase, de.ino, de.isDir); err != nil {
-		return vfs.WrapPath("rename", newPath, err)
+		return moved, 0, vfs.WrapPath("rename", newPath, err)
 	}
 	fs.maybeCommit()
-	return nil
+	return moved, replaced, nil
 }
 
 // Stat implements vfs.FileSystem.

@@ -192,9 +192,12 @@ func (fs *FS) DoneTxID() uint64 {
 	return fs.doneTxID
 }
 
-// SetUserWatermark stores U-Split's log-sequence watermark in the inode.
-// It joins the running journal transaction; the caller commits via
-// CommitMeta.
+// SetUserWatermark stores U-Split's log-sequence watermark in the inode:
+// the eight bytes of that field, not the whole record, noted into the
+// running journal transaction — nothing else about the inode changed, and
+// U-Split stamps one with every synchronous metadata operation. Called
+// under an open batch handle it commits together with whatever else the
+// handle covers; otherwise the caller commits.
 func (f *File) SetUserWatermark(v uint64) {
 	fs := f.fs
 	fs.mu.Lock()
@@ -202,7 +205,11 @@ func (f *File) SetUserWatermark(v uint64) {
 	f.in.mu.Lock()
 	defer f.in.mu.Unlock()
 	f.in.uwm = v
-	fs.writeInode(f.in)
+	var b [8]byte
+	putU64(b[:], v)
+	off := fs.inodeOff(f.in.ino) + uwmOff
+	fs.dev.StoreBuffered(off, b[:], sim.CatPMMeta)
+	fs.note(off, len(b))
 }
 
 // UserWatermark reads the inode's U-Split watermark.

@@ -15,9 +15,9 @@ import (
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0xb7ed5005a861284b,
-	"splitfs-posix":  0x5bd78e2b6835fd47,
-	"splitfs-sync":   0x654d02265558c843,
-	"splitfs-strict": 0xabbd734eb4c81714,
+	"splitfs-posix":  0x407765a904313f86,
+	"splitfs-sync":   0xb14e683979af9a37,
+	"splitfs-strict": 0x4eb50a2f35d3b809,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

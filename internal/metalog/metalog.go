@@ -102,7 +102,7 @@ func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte
 		}
 		seq := binary.LittleEndian.Uint32(hdr[4:8])
 		sum := binary.LittleEndian.Uint32(hdr[8:12])
-		recLen := recordLen(int(length))
+		recLen := RecordLen(int(length))
 		if l.tail+recLen > size || seq != l.seq {
 			break
 		}
@@ -118,8 +118,9 @@ func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte
 	return l, records
 }
 
-// recordLen is the 64-byte-aligned on-log size of a payload.
-func recordLen(payloadLen int) int64 {
+// RecordLen is the 64-byte-aligned on-log size of a payload: what Append
+// will take, so a caller can make room first.
+func RecordLen(payloadLen int) int64 {
 	return (int64(payloadLen) + headerSize + sim.CacheLine - 1) /
 		sim.CacheLine * sim.CacheLine
 }
@@ -128,7 +129,7 @@ func recordLen(payloadLen int) int64 {
 // single cache line. Returns ErrFull when the region is exhausted — the
 // caller checkpoints and calls Reset.
 func (l *Log) Append(payload []byte, mode FenceMode) error {
-	recLen := recordLen(len(payload))
+	recLen := RecordLen(len(payload))
 	if l.tail+recLen > l.size {
 		return ErrFull
 	}

@@ -76,11 +76,11 @@ func TestSingleFenceCostsOneFence(t *testing.T) {
 }
 
 func TestCommonCaseRecordIsOneCacheLine(t *testing.T) {
-	if recordLen(48) != sim.CacheLine {
-		t.Fatalf("48B payload record = %d bytes, want %d", recordLen(48), sim.CacheLine)
+	if RecordLen(48) != sim.CacheLine {
+		t.Fatalf("48B payload record = %d bytes, want %d", RecordLen(48), sim.CacheLine)
 	}
-	if recordLen(49) != 2*sim.CacheLine {
-		t.Fatalf("49B payload record = %d bytes", recordLen(49))
+	if RecordLen(49) != 2*sim.CacheLine {
+		t.Fatalf("49B payload record = %d bytes", RecordLen(49))
 	}
 }
 

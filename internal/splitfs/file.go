@@ -29,20 +29,60 @@ var _ vfs.File = (*File)(nil)
 
 // OpenFile implements vfs.FileSystem: the open passes through to K-Split,
 // then U-Split stats the file and caches its attributes (§3.5).
+//
+// An open that can create or truncate is a metadata operation (lockMeta,
+// stampedMeta), and when it did, its log record is the create's or the
+// truncate's redo record; any other open logs, in strict mode, the
+// cost-only open entry. Either way one entry, whose room is reserved
+// before anything is opened: a full log that cannot checkpoint fails the
+// open with nothing registered.
 func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
-	// Two log entries: the open's, and the close's if the open's own
-	// commit fails below.
-	unlock, err := fs.lockStrict(2)
+	clean := vfs.CleanPath(path)
+	mayChange := flag&(vfs.O_CREATE|vfs.O_TRUNC) != 0
+	lock, need := fs.lockStrict, int64(logEntryBytes)
+	if mayChange {
+		lock, need = fs.lockMeta, metaRecordBytes(len(clean))
+	}
+	unlock, err := lock(need)
 	if err != nil {
 		return nil, err
 	}
 	defer unlock()
-	kf, err := fs.kfs.OpenFile(path, flag, perm)
+	var kf *ext4dax.File
+	truncating := flag&vfs.O_TRUNC != 0 && vfs.Writable(flag)
+	open := func(seq uint64) (bool, error) {
+		f, err := fs.kfs.OpenFile(path, flag, perm)
+		if err != nil {
+			return false, err
+		}
+		kf = f.(*ext4dax.File)
+		// Truncating an existing file counts even when K-Split found it
+		// empty: what U-Split has staged for it is dropped below.
+		if !kf.Created() && !truncating {
+			return false, nil
+		}
+		// A created or truncated file must not inherit log entries: those
+		// of a previous incarnation of its inode number, or the staged
+		// writes the truncate drops. Its watermark moves past every entry
+		// logged so far, to the operation's own sequence number. (Sync
+		// mode logs no writes to mask.)
+		if fs.mode == Strict {
+			kf.SetUserWatermark(seq)
+		}
+		return true, nil
+	}
+	// A plain open takes no wmu outside strict mode, so it must keep away
+	// from the sequence counter stampedMeta reads.
+	var seq uint64
+	if mayChange {
+		seq, err = fs.stampedMeta(open)
+	} else {
+		_, err = open(0)
+	}
 	if err != nil {
 		return nil, err
 	}
 	fs.clk.Charge(sim.CatCPU, sim.USplitOpenNs)
-	clean := vfs.CleanPath(path)
 	// Attribute cache (§3.5): a file opened before (and not unlinked)
 	// skips the stat; first-time opens pay it. This is why reopening a
 	// recently closed file is cheaper in Table 6.
@@ -53,7 +93,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	// ino disagrees is stale (the path was unlinked and recreated) and
 	// must not be trusted — registering the new file under the old inode
 	// number would corrupt the open-file table.
-	if cached && info.Ino != kf.(*ext4dax.File).Ino() {
+	if cached && info.Ino != kf.Ino() {
 		cached = false
 	}
 	if !cached || flag&vfs.O_TRUNC != 0 {
@@ -67,11 +107,12 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	of, ok := fs.files[info.Ino]
 	if !ok {
 		of = &ofile{
-			ino:   info.Ino,
-			path:  clean,
-			kf:    kf.(*ext4dax.File),
-			size:  info.Size,
-			ksize: info.Size,
+			ino:    info.Ino,
+			path:   clean,
+			kf:     kf,
+			size:   info.Size,
+			ksize:  info.Size,
+			logSeq: seq,
 		}
 		// Register the description only while its inode is still linked:
 		// an open racing an unlink of the same path keeps a working
@@ -86,25 +127,17 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 			fs.attrs[clean] = info
 			fs.amu.Unlock()
 		}
-		if flag&vfs.O_TRUNC != 0 && vfs.Writable(flag) {
+		if truncating {
 			// The kernel truncated on open: stale mappings over freed
 			// blocks must go.
 			fs.mmaps.drop(info.Ino)
-		}
-		// A fresh (or freshly recycled) inode must not inherit log
-		// entries from a previous incarnation of its inode number: stamp
-		// the watermark past every existing entry. Closed files have no
-		// pending entries (close relinks), so this is only needed when
-		// the file is empty — i.e. created or truncated.
-		if fs.olog != nil && info.Size == 0 {
-			of.kf.SetUserWatermark(fs.opSeq)
 		}
 	} else {
 		// Reuse the shared description; the redundant kernel handle is
 		// closed (its open cost was already charged, as in the real
 		// LD_PRELOAD library which still performs the open syscall).
 		kf.Close()
-		if flag&vfs.O_TRUNC != 0 && vfs.Writable(flag) {
+		if truncating {
 			of.mu.Lock()
 			// Remap event: the dropped overlay's staging chunks are
 			// released below and may be recycled (vfs.Mappable contract).
@@ -114,16 +147,13 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 			of.staged = nil
 			of.active = nil
 			of.size, of.ksize = 0, 0
+			of.logSeq = max(of.logSeq, seq)
 			of.mu.Unlock()
 			// The truncated-away overlay and append chunk release their
 			// staging-file references (the data is dropped, not relinked).
 			fs.staging.release(dropped)
 			fs.staging.releaseChunk(oldActive)
 			fs.mmaps.drop(of.ino)
-			// Dropped staged writes must not be resurrected by replay.
-			if fs.olog != nil {
-				of.kf.SetUserWatermark(fs.opSeq)
-			}
 		}
 		// A live table entry implies the inode was linked an instant ago;
 		// a concurrent unlink's sweep (which runs after the kernel
@@ -134,18 +164,15 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	}
 	of.refs++
 	fs.mu.Unlock()
-	if fs.olog != nil {
-		fs.appendLog(encMetaEntry('o', of.ino))
+	switch {
+	case kf.Created():
+		fs.logMeta(metaRecord{kind: metaCreate, seq: seq, ino: of.ino, path: clean})
+	case seq != 0:
+		fs.logMeta(metaRecord{kind: metaTruncate, seq: seq, ino: of.ino})
+	case fs.mode == Strict:
+		fs.appendLog(encMetaEntry(metaOpen, of.ino))
 	}
-	f := &File{fs: fs, of: of, flag: flag, path: clean}
-	if err := fs.syncMeta(); err != nil {
-		// The handle has taken its reference on the description (and, on a
-		// first open, parked the kernel handle in the table): close it, or
-		// the description could never reach its last close again.
-		f.closeLocked()
-		return nil, err
-	}
-	return f, nil
+	return &File{fs: fs, of: of, flag: flag, path: clean}, nil
 }
 
 // Path implements vfs.File.
@@ -164,7 +191,7 @@ func (f *File) Read(p []byte) (int, error) {
 // is resolved under the ofile lock, so concurrent appenders through
 // distinct handles interleave whole writes.
 func (f *File) Write(p []byte) (int, error) {
-	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)))
+	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)) * logEntryBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -318,7 +345,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // Only this file's lock is held (plus, in strict mode, the op-log writer
 // lock); writes to different files proceed in parallel.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)))
+	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)) * logEntryBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -437,8 +464,8 @@ func (fs *FS) maxPiece() int64 { return fs.cfg.StagingFileBytes - sim.BlockSize 
 // so the op-log entries a strict-mode write reserves: the write's span
 // from the start of its first block, cut every maxPiece bytes. (An empty
 // write reserves one entry it will not use.)
-func (fs *FS) stagePieces(n int) int {
-	return int((int64(n)+sim.BlockSize-2)/fs.maxPiece()) + 1
+func (fs *FS) stagePieces(n int) int64 {
+	return (int64(n)+sim.BlockSize-2)/fs.maxPiece() + 1
 }
 
 // stagePiece stages one write that fits a staging file: non-temporal
@@ -546,7 +573,7 @@ func (fs *FS) continuesActive(of *ofile, off int64) bool {
 // Truncate flushes staged state and passes through to K-Split.
 func (f *File) Truncate(size int64) error {
 	fs := f.fs
-	unlock, err := fs.lockStrict(0)
+	unlock, err := fs.lockMeta(metaRecordBytes(0))
 	if err != nil {
 		return err
 	}
@@ -569,7 +596,10 @@ func (f *File) Truncate(size int64) error {
 			return err
 		}
 	}
-	if err := of.kf.Truncate(size); err != nil {
+	// An unlinked file's truncate dies with its last handle: nothing to
+	// make durable, nothing recovery could apply it to.
+	seq, err := fs.stampedMeta(func(uint64) (bool, error) { return of.kf.Linked(), of.kf.Truncate(size) })
+	if err != nil {
 		return err
 	}
 	// Freed blocks may be reallocated to other files: cached mappings
@@ -577,7 +607,8 @@ func (f *File) Truncate(size int64) error {
 	fs.mmaps.drop(of.ino)
 	of.size, of.ksize = size, size
 	fs.setAttrSize(of, size)
-	return fs.syncMeta()
+	fs.logMeta(metaRecord{kind: metaTruncate, seq: seq, ino: of.ino, size: size})
+	return nil
 }
 
 // Sync is fsync(2): relink staged data into the target file, then one
@@ -599,7 +630,7 @@ func (f *File) Sync() error {
 // the last handle closes (§3.4: "relinked on a subsequent fsync() or
 // close()"). Cached attributes are retained (§3.5).
 func (f *File) Close() error {
-	unlock, err := f.fs.lockStrict(1)
+	unlock, err := f.fs.lockStrict(logEntryBytes)
 	if err != nil {
 		return err
 	}
@@ -620,8 +651,8 @@ func (f *File) closeLocked() error {
 	of.refs--
 	last := of.refs == 0
 	fs.mu.Unlock()
-	if fs.olog != nil {
-		fs.appendLog(encMetaEntry('c', of.ino))
+	if fs.mode == Strict {
+		fs.appendLog(encMetaEntry(metaClose, of.ino))
 	}
 	if !last {
 		return nil

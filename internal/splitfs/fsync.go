@@ -115,21 +115,34 @@ func (fs *FS) GroupSync(files ...*File) error {
 	return fs.syncFiles(ofiles...)
 }
 
-// checkpoint relinks every open file, then zeroes the operation log for
-// reuse (§3.3: "If it becomes full, we checkpoint the state of the
-// application by calling relink() on all the open files that have data in
-// staging files. We then zero out the log and reuse it."). It runs where
-// a strict-mode operation reserves its log entries (lockStrict): under
-// wmu, which keeps every other logging operation out, and before the
-// operation has taken any file lock or staged anything — so each entry in
-// the log describes a completed operation, and once syncFiles has
-// committed, the relink watermarks cover them all. Visiting the files
-// with nothing staged matters too: a concurrent fsync (which takes no
-// wmu) may have applied such a file's relink without having committed it
-// yet, and zeroing the log before that commit would let a crash find the
-// entries gone AND the relink rolled back.
+// checkpoint makes everything the operation log describes durable through
+// K-Split, then zeroes the log for reuse (§3.3: "If it becomes full, we
+// checkpoint the state of the application by calling relink() on all the
+// open files that have data in staging files. We then zero out the log and
+// reuse it."). It runs where an operation reserves its log room
+// (lockStrict, lockMeta): under wmu, which keeps every other logging
+// operation out, and before the operation has taken any file lock or
+// staged anything — so each entry in the log describes a completed
+// operation.
+//
+// Commit first, zero second. The log holds two kinds of record. Strict
+// mode's write entries are covered once every open file has relinked and
+// the relinks have committed — syncFiles; visiting the files with nothing
+// staged matters too, because a concurrent fsync (which takes no wmu) may
+// have applied such a file's relink without having committed it yet.
+// Metadata records (both modes) are covered once K-Split's running
+// transaction, which holds their operations, has committed — and syncFiles
+// commits only on behalf of the files it is given, so with no file open it
+// commits nothing: hence the CommitMeta, which is free when syncFiles'
+// commit left nothing behind. Zeroing a log whose operations are not yet
+// in the journal loses acknowledged operations at the next crash.
 func (fs *FS) checkpoint() error {
-	if err := fs.syncFiles(fs.openFiles()...); err != nil {
+	if fs.mode == Strict {
+		if err := fs.syncFiles(fs.openFiles()...); err != nil {
+			return err
+		}
+	}
+	if err := fs.kfs.CommitMeta(); err != nil {
 		return err
 	}
 	fs.olog.Reset()

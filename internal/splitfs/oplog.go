@@ -11,7 +11,7 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// The strict-mode operation log (§3.3, "Optimized logging"):
+// The operation log (§3.3, "Optimized logging"):
 //
 //   - logical redo records, one 64-byte cache line in the common case;
 //   - a 4-byte transactional checksum inside the entry, so persisting and
@@ -22,8 +22,14 @@ import (
 //   - entries hold a logical pointer to the staging file holding the
 //     data, never the data itself;
 //   - when the log cannot take an operation's entries, U-Split
-//     checkpoints — relinks every open file, then zeroes and reuses the
-//     log — before the operation stages anything.
+//     checkpoints — commits K-Split's running transaction (in strict mode
+//     after relinking every open file), then zeroes and reuses the log —
+//     before the operation stages anything.
+//
+// Strict mode logs every mutating operation. Sync mode logs metadata
+// operations only, which is what makes them synchronous without a journal
+// commit of their own (DESIGN.md, "Synchronous metadata without a
+// commit"); its log is a fraction of the strict one's size.
 
 // Log entry opcodes.
 const (
@@ -34,54 +40,74 @@ const (
 // The log is a metalog running inside a pre-allocated K-Split file.
 const oplogDir = "/.splitfs-oplog"
 
+// syncLogShare is the part of Config.OpLogBytes a sync-mode instance
+// uses: its log holds metadata records only, and a checkpoint of it is one
+// journal commit plus zeroing the region, so a small log costs next to
+// nothing (1/32 of the 8 MB default: 64 blocks zeroed every ~4 000
+// records) where the strict-sized one costs its 8 MB of resident memory.
+const syncLogShare = 32
+
+// minOpLogBytes is the smallest log region worth running.
+const minOpLogBytes = 64 << 10
+
+// opLogBytes is the size of this instance's operation log.
+func (fs *FS) opLogBytes() int64 {
+	if fs.mode == Strict {
+		return fs.cfg.OpLogBytes
+	}
+	return max(fs.cfg.OpLogBytes/syncLogShare, minOpLogBytes)
+}
+
+func (fs *FS) opLogPath() string { return fmt.Sprintf("%s/log-%s", oplogDir, fs.mode) }
+
 // newOpLog creates (or truncates) the instance's operation-log file,
-// pre-allocates it, zeroes it, and maps it.
-func newOpLog(fs *FS) (*metalog.Log, error) {
+// pre-allocates it, zeroes it, and maps it. The kernel handle stays open:
+// the file's inode carries the stamp (stampedMeta).
+func newOpLog(fs *FS) (*metalog.Log, *ext4dax.File, error) {
 	if err := fs.kfs.Mkdir(oplogDir, 0700); err != nil {
 		if _, statErr := fs.kfs.Stat(oplogDir); statErr != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	path := fmt.Sprintf("%s/log-%s", oplogDir, fs.mode)
-	f, err := fs.kfs.OpenFile(path, vfs.O_RDWR|vfs.O_CREATE|vfs.O_TRUNC, 0600)
+	f, err := fs.kfs.OpenFile(fs.opLogPath(), vfs.O_RDWR|vfs.O_CREATE|vfs.O_TRUNC, 0600)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	kf := f.(*ext4dax.File)
-	if err := kf.Preallocate(fs.cfg.OpLogBytes/sim.BlockSize, 0); err != nil {
-		return nil, err
+	if err := kf.Preallocate(fs.opLogBytes()/sim.BlockSize, 0); err != nil {
+		return nil, nil, err
 	}
 	base, size, err := oplogRegion(fs, kf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return metalog.New(fs.dev, base, size, sim.CatOpLog), nil
+	return metalog.New(fs.dev, base, size, sim.CatOpLog), kf, nil
 }
 
 // loadOpLog attaches to an existing operation-log file after a crash and
-// returns the valid entries.
-func loadOpLog(fs *FS) (*metalog.Log, [][]byte, error) {
-	path := fmt.Sprintf("%s/log-%s", oplogDir, fs.mode)
-	f, err := fs.kfs.OpenFile(path, vfs.O_RDWR, 0)
+// returns the valid entries; a nil log means the crashed instance never
+// got as far as committing one.
+func loadOpLog(fs *FS) (*metalog.Log, *ext4dax.File, [][]byte, error) {
+	f, err := fs.kfs.OpenFile(fs.opLogPath(), vfs.O_RDWR, 0)
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
-			return nil, nil, nil // no log: clean POSIX/sync shutdown
+			return nil, nil, nil, nil
 		}
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	kf := f.(*ext4dax.File)
 	base, size, err := oplogRegion(fs, kf)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	log, entries := metalog.Load(fs.dev, base, size, sim.CatOpLog)
-	return log, entries, nil
+	return log, kf, entries, nil
 }
 
 // oplogRegion maps the log file and returns its largest leading
 // physically contiguous device region.
 func oplogRegion(fs *FS, kf *ext4dax.File) (base, size int64, err error) {
-	m, err := fs.kfs.Mmap(kf, 0, fs.cfg.OpLogBytes, ext4dax.MmapOptions{Populate: true})
+	m, err := fs.kfs.Mmap(kf, 0, fs.opLogBytes(), ext4dax.MmapOptions{Populate: true})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -89,11 +115,8 @@ func oplogRegion(fs *FS, kf *ext4dax.File) (base, size int64, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("splitfs: op log not mapped")
 	}
-	size = contig
-	if size > fs.cfg.OpLogBytes {
-		size = fs.cfg.OpLogBytes
-	}
-	if size < 64<<10 {
+	size = min(contig, fs.opLogBytes())
+	if size < minOpLogBytes {
 		return 0, 0, fmt.Errorf("splitfs: op log fragmented to %d bytes", size)
 	}
 	return base, size, nil
@@ -127,10 +150,10 @@ func encWriteEntry(ino uint32, fileOff int64, length uint32, stagingIno uint32, 
 // never validate) with no sequence number mixed in.
 func stagedSum(p []byte) uint32 { return metalog.Checksum(0, p) }
 
-// encMetaEntry records a metadata operation (open, close, unlink, ...).
-// Replay treats them as no-ops — K-Split journaling already makes
-// metadata atomic — but logging them preserves the paper's cost profile
-// for strict mode (Table 6: strict open 2.09 µs vs POSIX 1.82 µs).
+// encMetaEntry records an open or a close of an existing file. Neither
+// changes any metadata, so replay has nothing to redo for them; logging
+// them preserves the paper's cost profile for strict mode (Table 6: strict
+// open 2.09 µs vs POSIX 1.82 µs).
 func encMetaEntry(kind byte, ino uint64) []byte {
 	b := make([]byte, 17)
 	b[0] = opEntryMeta
@@ -139,29 +162,119 @@ func encMetaEntry(kind byte, ino uint64) []byte {
 	return b
 }
 
-// logEntryBytes is what any entry takes on the log: write and metadata
-// records both pad to one cache line with the metalog header.
+// Kinds of metadata record. Open and close are encMetaEntry's; the rest
+// are metaRecords, redone by recovery.
+const (
+	metaOpen     byte = 'o'
+	metaClose    byte = 'c'
+	metaCreate   byte = 'C' // open(O_CREATE) of a name that was free
+	metaMkdir    byte = 'm'
+	metaUnlink   byte = 'u'
+	metaRmdir    byte = 'd'
+	metaRename   byte = 'r'
+	metaTruncate byte = 't' // ftruncate, and open(O_TRUNC) of an existing file
+)
+
+// metaRecord is the logical redo record of one metadata operation: what
+// sync and strict mode append, with one fence, instead of committing the
+// journal. It names the operation's sequence number — recovery redoes the
+// records above the stamp K-Split committed (stampedMeta) — and its
+// operands: paths for the namespace operations, plus the inode number a
+// create or mkdir was given (recovery re-creates under the same number, so
+// that records naming inodes keep naming the same files); the inode and
+// the new size for a truncate, which goes through a handle and so knows no
+// path.
+type metaRecord struct {
+	kind  byte
+	seq   uint64
+	ino   uint64 // create, mkdir, truncate
+	size  int64  // truncate
+	path  string // all but truncate
+	path2 string // rename's destination
+}
+
+// metaFixedBytes bounds a metaRecord's payload less its paths.
+const metaFixedBytes = 22
+
+// metaRecordBytes is what a record with n bytes of path takes on the log,
+// at most: `/d07/f31`, a rename of two such and `/segs/seg-000123` all fit
+// one cache line; longer paths take more.
+func metaRecordBytes(n int) int64 { return metalog.RecordLen(metaFixedBytes + n) }
+
+func (r metaRecord) encode() []byte {
+	b := make([]byte, 10, metaFixedBytes+len(r.path)+len(r.path2))
+	b[0], b[1] = opEntryMeta, r.kind
+	binary.LittleEndian.PutUint64(b[2:], r.seq)
+	switch r.kind {
+	case metaCreate, metaMkdir:
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.ino))
+	case metaRename:
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(r.path)))
+	case metaTruncate:
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.ino))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.size))
+	}
+	return append(append(b, r.path...), r.path2...)
+}
+
+// decodeMetaRecord parses a metadata entry that is not an open or close.
+func decodeMetaRecord(e []byte) (metaRecord, error) {
+	bad := func() (metaRecord, error) {
+		return metaRecord{}, fmt.Errorf("splitfs recovery: malformed metadata record %q (%d bytes)", e[1], len(e))
+	}
+	if len(e) < 10 {
+		return bad()
+	}
+	r := metaRecord{kind: e[1], seq: binary.LittleEndian.Uint64(e[2:])}
+	rest := e[10:]
+	switch r.kind {
+	case metaCreate, metaMkdir:
+		if len(rest) < 4 {
+			return bad()
+		}
+		r.ino, r.path = uint64(binary.LittleEndian.Uint32(rest)), string(rest[4:])
+	case metaUnlink, metaRmdir:
+		r.path = string(rest)
+	case metaRename:
+		if len(rest) < 2 || len(rest) < 2+int(binary.LittleEndian.Uint16(rest)) {
+			return bad()
+		}
+		n := int(binary.LittleEndian.Uint16(rest))
+		r.path, r.path2 = string(rest[2:2+n]), string(rest[2+n:])
+	case metaTruncate:
+		if len(rest) != 12 {
+			return bad()
+		}
+		r.ino, r.size = uint64(binary.LittleEndian.Uint32(rest)), int64(binary.LittleEndian.Uint64(rest[4:]))
+	default:
+		return bad()
+	}
+	return r, nil
+}
+
+// logEntryBytes is what a write, open or close entry takes on the log: one
+// cache line with the metalog header.
 const logEntryBytes = sim.CacheLine
 
-// reserveLog makes room for the n entries the calling operation is about
-// to append, checkpointing the log if it is too full to take them (§3.3).
-// Caller holds wmu — which serializes the log tail, standing in for the
-// paper's CAS loop, so room found here stays until the caller unlocks —
-// and no file lock: the checkpoint takes every open file's.
-func (fs *FS) reserveLog(n int) error {
-	need, log := int64(n)*logEntryBytes, fs.olog
+// reserveLog makes room for the bytes of entries the calling operation is
+// about to append, checkpointing the log if it is too full to take them
+// (§3.3). Caller holds wmu — which serializes the log tail, standing in
+// for the paper's CAS loop, so room found here stays until the caller
+// unlocks — and no file lock: the checkpoint takes every open file's.
+func (fs *FS) reserveLog(need int64) error {
+	log := fs.olog
 	switch {
 	case need > log.Capacity():
-		return fmt.Errorf("splitfs: %d op-log entries exceed the %d-byte log: %w", n, log.Capacity(), vfs.ErrNoSpace)
+		return fmt.Errorf("splitfs: %d bytes of op-log entries exceed the %d-byte log: %w", need, log.Capacity(), vfs.ErrNoSpace)
 	case log.Used()+need > log.Capacity():
 		return fs.checkpoint()
 	}
 	return nil
 }
 
-// appendLog writes one entry to the strict-mode operation log, into room
-// the operation reserved when it took wmu (lockStrict): CAS tail bump +
-// non-temporal entry store + single fence.
+// appendLog writes one entry to the operation log, into room the
+// operation reserved when it took wmu (lockStrict, lockMeta): CAS tail
+// bump + non-temporal entry store + single fence.
 func (fs *FS) appendLog(entry []byte) {
 	fs.clk.Charge(sim.CatCPU, sim.CASNs)
 	fs.stats.logEntries.Add(1)

@@ -1,36 +1,63 @@
 package splitfs
 
-import "splitfs/internal/vfs"
+import (
+	"math"
+	"strings"
+
+	"splitfs/internal/vfs"
+)
 
 // Metadata operations pass through to K-Split (§3.3), with U-Split
 // bookkeeping layered on top: attribute-cache maintenance, mmap-cache
-// teardown on unlink, and strict-mode operation logging.
+// teardown on unlink, and — in sync and strict mode, where a metadata
+// operation is durable when it returns (Table 3) — the operation's redo
+// record in the op log: one record and one fence, appended after the
+// K-Split call succeeded, instead of a journal commit (stampedMeta).
+
+// logMeta appends the redo record of a metadata operation that stampedMeta
+// gave a sequence number; seq 0 means there is nothing to log.
+func (fs *FS) logMeta(r metaRecord) {
+	if r.seq != 0 {
+		fs.appendLog(r.encode())
+	}
+}
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(path string, perm uint32) error {
-	fs.bookkeep()
-	if err := fs.kfs.Mkdir(path, perm); err != nil {
+	clean := vfs.CleanPath(path)
+	unlock, err := fs.lockMeta(metaRecordBytes(len(clean)))
+	if err != nil {
 		return err
 	}
-	return fs.syncMeta()
+	defer unlock()
+	fs.bookkeep()
+	var ino uint64
+	seq, err := fs.stampedMeta(func(uint64) (bool, error) {
+		var err error
+		ino, err = fs.kfs.MkdirIno(path, perm)
+		return true, err
+	})
+	if err != nil {
+		return err
+	}
+	fs.logMeta(metaRecord{kind: metaMkdir, seq: seq, ino: ino, path: clean})
+	return nil
 }
 
 // Unlink implements vfs.FileSystem. Cached mappings are unmapped — the
 // reason unlink is U-Split's most expensive call (Table 6: 14.60 µs
 // strict vs 8.60 µs on ext4 DAX).
 func (fs *FS) Unlink(path string) error {
-	unlock, err := fs.lockStrict(1)
+	clean := vfs.CleanPath(path)
+	unlock, err := fs.lockMeta(metaRecordBytes(len(clean)))
 	if err != nil {
 		return err
 	}
 	defer unlock()
 	fs.bookkeep()
-	clean := vfs.CleanPath(path)
 	info, statErr := fs.kfs.Stat(clean)
-	if fs.olog != nil && statErr == nil {
-		fs.appendLog(encMetaEntry('u', info.Ino))
-	}
-	if err := fs.kfs.Unlink(clean); err != nil {
+	seq, err := fs.stampedMeta(func(uint64) (bool, error) { return true, fs.kfs.Unlink(clean) })
+	if err != nil {
 		return err
 	}
 	// All cache teardown happens after the kernel unlink, and the attrs
@@ -56,14 +83,21 @@ func (fs *FS) Unlink(path string) error {
 	if statErr == nil {
 		fs.mmaps.drop(info.Ino)
 	}
-	return fs.syncMeta()
+	fs.logMeta(metaRecord{kind: metaUnlink, seq: seq, path: clean})
+	return nil
 }
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(path string) error {
-	fs.bookkeep()
 	clean := vfs.CleanPath(path)
-	if err := fs.kfs.Rmdir(clean); err != nil {
+	unlock, err := fs.lockMeta(metaRecordBytes(len(clean)))
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	fs.bookkeep()
+	seq, err := fs.stampedMeta(func(uint64) (bool, error) { return true, fs.kfs.Rmdir(clean) })
+	if err != nil {
 		return err
 	}
 	// Drop the cached attributes after the kernel rmdir (the same
@@ -73,7 +107,8 @@ func (fs *FS) Rmdir(path string) error {
 	fs.amu.Lock()
 	delete(fs.attrs, clean)
 	fs.amu.Unlock()
-	return fs.syncMeta()
+	fs.logMeta(metaRecord{kind: metaRmdir, seq: seq, path: clean})
+	return nil
 }
 
 // retireIno removes the open-file table entry for an inode whose on-disk
@@ -92,85 +127,128 @@ func (fs *FS) retireIno(ino uint64) *ofile {
 	return of
 }
 
-// Rename implements vfs.FileSystem. Rename is one of the uncommon
-// operations needing multiple log entries in strict mode (§3.3).
+// Rename implements vfs.FileSystem.
+//
+// Neither endpoint is stat'ed: K-Split's rename walks both paths anyway
+// and reports the inode it moved and the one it replaced, and what U-Split
+// has to flush first it finds in its own caches — a path it has never
+// opened has nothing staged here.
 func (fs *FS) Rename(oldPath, newPath string) error {
-	unlock, err := fs.lockStrict(2)
+	oldClean, newClean := vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
+	if fs.mode != POSIX && len(oldClean) > math.MaxUint16 {
+		// The redo record splits its two paths at a 16-bit length.
+		return vfs.WrapPath("rename", oldPath, vfs.ErrInval)
+	}
+	unlock, err := fs.lockMeta(metaRecordBytes(len(oldClean) + len(newClean)))
 	if err != nil {
 		return err
 	}
 	defer unlock()
 	fs.bookkeep()
-	oldClean, newClean := vfs.CleanPath(oldPath), vfs.CleanPath(newPath)
-	// One stat per endpoint; every later step reuses these.
-	oldInfo, oldErr := fs.kfs.Stat(oldClean)
-	newInfo, newErr := fs.kfs.Stat(newClean)
-	replacing := newErr == nil && (oldErr != nil || newInfo.Ino != oldInfo.Ino)
 	// Flush staged state of both endpoints so the kernel sees final
 	// contents.
-	flush := func(ino uint64) error {
-		fs.mu.RLock()
-		of := fs.files[ino]
-		fs.mu.RUnlock()
+	for _, of := range []*ofile{fs.openAt(oldClean), fs.openAt(newClean)} {
 		if of == nil {
-			return nil
+			continue
 		}
 		of.mu.Lock()
-		defer of.mu.Unlock()
-		if len(of.staged) == 0 {
-			return nil
+		var err error
+		if len(of.staged) > 0 {
+			err = fs.relinkLocked(of)
 		}
-		return fs.relinkLocked(of)
-	}
-	if oldErr == nil {
-		if err := flush(oldInfo.Ino); err != nil {
+		of.mu.Unlock()
+		if err != nil {
 			return err
 		}
-	}
-	if replacing {
-		if err := flush(newInfo.Ino); err != nil {
-			return err
-		}
-	}
-	if fs.olog != nil && oldErr == nil {
-		// Two entries: drop-target + move (the multi-entry rename case).
-		fs.appendLog(encMetaEntry('r', oldInfo.Ino))
-		fs.appendLog(encMetaEntry('R', oldInfo.Ino))
 	}
 	// Caches are updated only after the kernel rename succeeds; a failed
 	// rename must not leave attrs describing a path that does not exist.
-	if err := fs.kfs.Rename(oldClean, newClean); err != nil {
+	var moved vfs.DirEntry
+	var replaced uint64
+	seq, err := fs.stampedMeta(func(uint64) (bool, error) {
+		var err error
+		moved, replaced, err = fs.kfs.RenameReplacing(oldClean, newClean)
+		return true, err
+	})
+	if err != nil {
 		return err
 	}
+	fs.repath(oldClean, newClean, moved)
+	// The replaced destination's inode is freed by the rename: retire its
+	// open-file entry and mappings so a recycled inode number cannot
+	// resolve to the stale description or stale mappings.
+	if replaced != 0 {
+		fs.retireIno(replaced)
+		fs.mmaps.drop(replaced)
+	}
+	fs.logMeta(metaRecord{kind: metaRename, seq: seq, path: oldClean, path2: newClean})
+	return nil
+}
+
+// repath moves what U-Split keeps by path — cached attributes, and the
+// paths open descriptions cache them under — from oldClean to newClean
+// after K-Split renamed moved; when that is a directory, everything kept
+// for a path below it moves with it. openAt and setAttrSize depend on it:
+// a key left behind hides a file's staged data from a later rename's
+// flush, or comes to name whatever is created at the old path next.
+func (fs *FS) repath(oldClean, newClean string, moved vfs.DirEntry) {
+	below := func(p string) bool { return moved.IsDir && strings.HasPrefix(p, oldClean+"/") }
 	fs.amu.Lock()
 	// The destination's old attributes are wrong either way: replaced by
 	// the source's if cached, gone if not.
 	delete(fs.attrs, newClean)
 	if info, ok := fs.attrs[oldClean]; ok {
-		fs.attrs[newClean] = info
 		delete(fs.attrs, oldClean)
+		if info.Ino == moved.Ino {
+			fs.attrs[newClean] = info
+		}
+	}
+	if moved.IsDir {
+		attrs := make(map[string]vfs.FileInfo, len(fs.attrs))
+		for p, info := range fs.attrs {
+			if below(p) {
+				p = newClean + p[len(oldClean):]
+			}
+			attrs[p] = info
+		}
+		fs.attrs = attrs
 	}
 	fs.amu.Unlock()
-	// An open ofile keeps working through its kernel handle; update its
-	// path for diagnostics.
-	if oldErr == nil {
-		fs.mu.RLock()
-		of := fs.files[oldInfo.Ino]
-		fs.mu.RUnlock()
-		if of != nil {
+	// An open ofile keeps working through its kernel handle; its path is
+	// what its relinks file its size under in the attribute cache.
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if !moved.IsDir {
+		if of := fs.files[moved.Ino]; of != nil {
 			of.mu.Lock()
 			of.path = newClean
 			of.mu.Unlock()
 		}
+		return
 	}
-	// The replaced destination's inode is freed by the rename: retire its
-	// open-file entry and mappings so a recycled inode number cannot
-	// resolve to the stale description or stale mappings.
-	if replacing {
-		fs.retireIno(newInfo.Ino)
-		fs.mmaps.drop(newInfo.Ino)
+	for _, of := range fs.files {
+		of.mu.Lock()
+		if below(of.path) {
+			of.path = newClean + of.path[len(oldClean):]
+		}
+		of.mu.Unlock()
 	}
-	return fs.syncMeta()
+}
+
+// openAt returns the open-file description of the file U-Split last saw at
+// a cleaned path, or nil: the attribute cache names the inode (every open
+// caches its file's attributes, and rename and unlink keep the cache's
+// paths current), the open-file table the description.
+func (fs *FS) openAt(clean string) *ofile {
+	fs.amu.Lock()
+	info, ok := fs.attrs[clean]
+	fs.amu.Unlock()
+	if !ok {
+		return nil
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.files[info.Ino]
 }
 
 // Stat implements vfs.FileSystem, served from the attribute cache when

@@ -17,7 +17,9 @@ import (
 // copied with the parent's address space, so the child sees the same
 // open-file descriptions, attribute cache, and mappings. The kernel file
 // system, staging pool, and operation log are shared objects on PM, just
-// as they are between a forked parent and child.
+// as they are between a forked parent and child — the log with the lock
+// and the sequence counter that order its entries, so that what parent and
+// child log afterwards is one sequence to recovery.
 func (fs *FS) Fork() *FS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -31,7 +33,7 @@ func (fs *FS) Fork() *FS {
 		attrs:   make(map[string]vfs.FileInfo),
 		staging: fs.staging,
 		mmaps:   fs.mmaps,
-		olog:    fs.olog,
+		opLog:   fs.opLog,
 	}
 	for ino, of := range fs.files {
 		of.mu.RLock()

@@ -8,7 +8,7 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// RecoveryReport summarizes a strict-mode crash recovery (§5.3).
+// RecoveryReport summarizes a crash recovery's operation-log replay (§5.3).
 type RecoveryReport struct {
 	// Entries is the number of valid operation-log entries scanned.
 	Entries int
@@ -18,41 +18,50 @@ type RecoveryReport struct {
 	Replayed int
 	// Skipped entries were already covered by a committed relink.
 	Skipped int
+	// MetaReplayed is the number of metadata operations redone: their
+	// records were in the log, their effects not in the journal K-Split
+	// recovered.
+	MetaReplayed int
+	// MetaSkipped metadata records were at or below the committed stamp.
+	MetaSkipped int
 	// ReplayNs is the simulated time the log replay took.
 	ReplayNs int64
 }
 
 // RecoverFS performs crash recovery over a crashed device that has been
 // re-mounted at the ext4 DAX level (journal replay), then rebuilds a
-// U-Split instance and replays the operation log. POSIX and sync modes
-// need nothing beyond ext4 DAX recovery (§5.3).
+// U-Split instance and replays the operation log: in sync and strict mode
+// the metadata operations K-Split had not committed, in strict mode the
+// staged writes too. POSIX mode needs nothing beyond ext4 DAX recovery
+// (§5.3).
 func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	fs := newFS(kfs, cfg)
 	report := &RecoveryReport{}
 
-	if fs.mode == Strict {
+	if fs.mode != POSIX {
 		start := fs.clk.Now()
-		olog, entries, err := loadOpLog(fs)
+		olog, kf, entries, err := loadOpLog(fs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("splitfs recovery: %w", err)
 		}
 		if olog != nil {
+			fs.olog, fs.ologKF = olog, kf
 			if err := fs.replayEntries(entries, report); err != nil {
 				return nil, nil, err
 			}
+			// Commit first, zero second: what replay redid sits in K-Split's
+			// running transaction, and a second crash must find either the
+			// log or its effects.
+			if err := kfs.CommitMeta(); err != nil {
+				return nil, nil, err
+			}
 			olog.Reset()
-			fs.olog = olog
 		}
 		report.ReplayNs = fs.clk.Now() - start
 	}
-	// Continue the operation sequence past every watermark ever issued,
-	// so stale inode watermarks can never mask future entries.
-	if wm := kfs.MaxUserWatermark(); wm > fs.opSeq {
-		fs.opSeq = wm
-	}
-	if fs.olog == nil && fs.mode == Strict {
+	if fs.olog == nil && fs.mode != POSIX {
 		var err error
-		fs.olog, err = newOpLog(fs)
+		fs.olog, fs.ologKF, err = newOpLog(fs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -81,19 +90,22 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	return fs, report, nil
 }
 
-// replayEntries applies the operation log (§3.3 recovery: non-zero
-// checksum-valid entries are replayed; replay is idempotent).
+// replayEntries applies the operation log in log order (§3.3 recovery:
+// non-zero checksum-valid entries are replayed; replay is idempotent).
+// Log order is the order the operations took effect in — every logging
+// operation holds wmu from its K-Split call to its append — so a staged
+// write finds the file a redone create made, and an unlink redone after it
+// finds the write applied.
 func (fs *FS) replayEntries(entries [][]byte, report *RecoveryReport) error {
 	report.Entries = len(entries)
+	// The stamp is the sequence number of the last metadata operation in
+	// the journal K-Split recovered (stampedMeta); it advances with every
+	// record redone, in the record's own transaction, so a crash inside
+	// this loop resumes where it left off.
+	stamp := fs.ologKF.UserWatermark()
 	for _, e := range entries {
-		if len(e) == 0 {
-			continue
-		}
-		switch e[0] {
-		case opEntryWrite:
-			if len(e) < 41 {
-				return fmt.Errorf("splitfs recovery: short write entry (%d bytes)", len(e))
-			}
+		switch {
+		case len(e) >= 41 && e[0] == opEntryWrite:
 			ino := uint64(binary.LittleEndian.Uint32(e[1:]))
 			stagingIno := uint64(binary.LittleEndian.Uint32(e[5:]))
 			fileOff := int64(binary.LittleEndian.Uint64(e[9:]))
@@ -101,9 +113,7 @@ func (fs *FS) replayEntries(entries [][]byte, report *RecoveryReport) error {
 			stagingOff := int64(binary.LittleEndian.Uint64(e[21:]))
 			seq := binary.LittleEndian.Uint64(e[29:])
 			dataSum := binary.LittleEndian.Uint32(e[37:])
-			if seq > fs.opSeq {
-				fs.opSeq = seq
-			}
+			fs.opSeq = max(fs.opSeq, seq)
 			applied, err := fs.replayWrite(ino, fileOff, length, stagingIno, stagingOff, seq, dataSum)
 			if err != nil {
 				return err
@@ -113,11 +123,88 @@ func (fs *FS) replayEntries(entries [][]byte, report *RecoveryReport) error {
 			} else {
 				report.Skipped++
 			}
-		case opEntryMeta:
-			// Metadata operations were journaled by K-Split; nothing to do.
+		case len(e) >= 2 && e[0] == opEntryMeta && (e[1] == metaOpen || e[1] == metaClose):
+			// An existing file was opened or closed: no metadata changed.
+		case len(e) >= 2 && e[0] == opEntryMeta:
+			r, err := decodeMetaRecord(e)
+			if err != nil {
+				return err
+			}
+			fs.opSeq = max(fs.opSeq, r.seq)
+			if r.seq <= stamp {
+				report.MetaSkipped++
+				continue
+			}
+			if err := fs.replayMeta(r); err != nil {
+				return fmt.Errorf("splitfs recovery: redo of %q (seq %d) %s %s: %w", r.kind, r.seq, r.path, r.path2, err)
+			}
+			stamp = r.seq
+			report.MetaReplayed++
 		default:
-			return fmt.Errorf("splitfs recovery: unknown log entry op %d", e[0])
+			return fmt.Errorf("splitfs recovery: unknown or short log entry (%d bytes: % x...)", len(e), e[:min(len(e), 2)])
 		}
+	}
+	return nil
+}
+
+// replayMeta redoes one metadata operation the journal did not hold,
+// through the K-Split call the operation made — except that a create and
+// a mkdir get the inode number the log says they were given (Recreate):
+// later records name files by inode, the staged writes among them, and the
+// allocator owes a remounted file system no particular number. Like the
+// operation itself (stampedMeta) it stamps its sequence number in the same
+// transaction, and it moves a created or truncated file's watermark as the
+// operation did (OpenFile), so that entries the operation masked stay
+// masked when a second recovery skips this record.
+func (fs *FS) replayMeta(r metaRecord) error {
+	b := fs.kfs.BeginBatch()
+	defer b.End()
+	var (
+		err     error
+		touched string // the file whose size and watermark the operation set
+	)
+	switch r.kind {
+	case metaCreate:
+		touched, err = r.path, fs.kfs.Recreate(r.path, r.ino, false)
+	case metaMkdir:
+		err = fs.kfs.Recreate(r.path, r.ino, true)
+	case metaUnlink:
+		err = fs.kfs.Unlink(r.path)
+	case metaRmdir:
+		err = fs.kfs.Rmdir(r.path)
+	case metaRename:
+		err = fs.kfs.Rename(r.path, r.path2)
+	case metaTruncate:
+		var ok bool
+		if touched, ok = fs.kfs.PathByIno(r.ino); !ok {
+			err = fmt.Errorf("inode %d: %w", r.ino, vfs.ErrNotExist)
+		}
+	}
+	if err == nil && touched != "" {
+		err = fs.replayInFile(touched, r)
+	}
+	if err != nil {
+		return err
+	}
+	fs.ologKF.SetUserWatermark(r.seq)
+	return nil
+}
+
+// replayInFile is the part of a redone create or truncate that goes
+// through a handle: the new size, and in strict mode the watermark.
+func (fs *FS) replayInFile(path string, r metaRecord) error {
+	f, err := fs.kfs.OpenFile(path, vfs.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if r.kind == metaTruncate {
+		if err := f.Truncate(r.size); err != nil {
+			return err
+		}
+	}
+	if fs.mode == Strict {
+		f.(*ext4dax.File).SetUserWatermark(r.seq)
 	}
 	return nil
 }

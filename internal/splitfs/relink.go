@@ -82,8 +82,8 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	}
 
 	// Hold a K-Split batch handle across the steps: while it is open, no
-	// other journal user (a concurrent syncMeta, staging-file creation,
-	// or the size-threshold commit) can commit the shared running
+	// other journal user (another file's fsync, staging-file creation, or
+	// the size-threshold commit) can commit the shared running
 	// transaction with this relink half applied.
 	batch := fs.kfs.BeginBatch()
 	err = fs.relinkPieces(batch, of, staged)
@@ -94,7 +94,7 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	// newer relinked data would corrupt the file). The watermark is the
 	// file's own highest logged sequence — not the global op sequence — so
 	// relinks never need the strict-mode writer lock.
-	if err == nil && fs.olog != nil {
+	if err == nil && fs.mode == Strict {
 		batch.SetUserWatermark(of.kf, of.logSeq)
 	}
 	// Closing the handle writes each touched inode back once; a complete
@@ -266,7 +266,7 @@ func (fs *FS) copyStaged(of *ofile, staged []stagedRange) error {
 			return err
 		}
 	}
-	if fs.olog != nil {
+	if fs.mode == Strict {
 		of.kf.SetUserWatermark(of.logSeq)
 	}
 	if err := of.kf.Sync(); err != nil {

@@ -80,7 +80,8 @@ type Config struct {
 	// file (default 256 KB).
 	StagingChunkBytes int64
 	// OpLogBytes is the strict-mode operation log size (paper: 128 MB;
-	// scaled default here 8 MB).
+	// scaled default here 8 MB). Sync mode, which logs metadata operations
+	// only, runs on 1/32 of it.
 	OpLogBytes int64
 	// DisableHugePages turns off 2 MB mappings (for the §4 ablation).
 	DisableHugePages bool
@@ -154,12 +155,14 @@ type fsStats struct {
 //		wmu → mu → ofile.mu → {amu, stagingPool.mu, mmapCache.mu}
 //		    → ext4dax locks → pmem shard locks
 //
-//	  - wmu serializes strict-mode mutating operations: the shared
-//	    operation log orders entries by a monotone sequence that the relink
-//	    watermark is compared against, so log appends and the staged-state
-//	    changes they describe must be mutually ordered. An operation
-//	    reserves its log entries as it takes wmu (lockStrict), which is
-//	    where a full log is checkpointed — before any lock below is held.
+//	  - wmu serializes the operations that log: every mutating operation
+//	    in strict mode, the metadata operations in sync mode. The shared
+//	    operation log orders entries by a monotone sequence that relink
+//	    watermarks and the metadata stamp are compared against, so log
+//	    appends and the changes they describe — staged state, K-Split's
+//	    namespace — must be mutually ordered. An operation reserves its
+//	    log room as it takes wmu (lockStrict, lockMeta), which is where a
+//	    full log is checkpointed — before any lock below is held.
 //	  - mu guards only the open-file table (files map and refcounts).
 //	  - ofile.mu (read/write) guards one file's staged overlay and sizes;
 //	    reads and staged appends to different files never share a lock.
@@ -185,8 +188,8 @@ type FS struct {
 	cfg  Config
 	mode Mode
 
-	// Strict-mode writer serialization (op-log order).
-	wmu sync.Mutex // +lockrank:wmu
+	// The operation log and the lock and sequence that order it.
+	*opLog
 
 	// Open-file table.
 	mu    sync.RWMutex      // +lockrank:fstable
@@ -198,9 +201,19 @@ type FS struct {
 
 	staging *stagingPool
 	mmaps   *mmapCache
-	olog    *metalog.Log // the operation log; nil unless Strict
-	opSeq   uint64       // monotone operation sequence; guarded by wmu
 	stats   fsStats
+}
+
+// opLog is the operation log with what orders its entries. It is one
+// object per log: a forked child appends to its parent's log (Fork), so
+// the two take one lock and draw their sequence numbers from one counter —
+// recovery compares every record's number against one stamp.
+type opLog struct {
+	// wmu serializes the logging operations (op-log order).
+	wmu    sync.Mutex    // +lockrank:wmu
+	olog   *metalog.Log  // the operation log; nil in POSIX mode
+	ologKF *ext4dax.File // its file: the inode carries the metadata stamp
+	opSeq  uint64        // monotone operation sequence; guarded by wmu
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -263,13 +276,18 @@ func newFS(kfs *ext4dax.FS, cfg Config) *FS {
 		mode:  cfg.Mode,
 		files: make(map[uint64]*ofile),
 		attrs: make(map[string]vfs.FileInfo),
+		// The operation sequence continues past every watermark ever
+		// issued on this K-Split, so that a stale one — a file's, or the
+		// metadata stamp of a log since zeroed — can never mask an entry
+		// logged from here on.
+		opLog: &opLog{opSeq: kfs.MaxUserWatermark()},
 	}
 	fs.mmaps = newMmapCache(fs)
 	return fs
 }
 
 // New creates a U-Split instance over a mounted K-Split, pre-allocating
-// its staging files and (in strict mode) its operation log.
+// its staging files and (in sync and strict mode) its operation log.
 func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 	fs := newFS(kfs, cfg)
 	var err error
@@ -277,8 +295,8 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("splitfs: staging pool: %w", err)
 	}
-	if fs.mode == Strict {
-		fs.olog, err = newOpLog(fs)
+	if fs.mode != POSIX {
+		fs.olog, fs.ologKF, err = newOpLog(fs)
 		if err != nil {
 			return nil, fmt.Errorf("splitfs: operation log: %w", err)
 		}
@@ -346,34 +364,73 @@ func (fs *FS) bookkeep() {
 	fs.clk.Charge(sim.CatCPU, sim.USplitBookkeepNs)
 }
 
-// lockStrict takes the strict-mode writer lock and reserves room in the
-// operation log for the n entries the operation will append, which is
-// where a full log is checkpointed: the caller holds no file lock yet and
-// has staged nothing. In POSIX and sync modes mutating operations on
-// different files run fully in parallel and this is a no-op. Returns the
-// unlock function, or the error that kept the log from making room — the
-// lock is then not held.
-func (fs *FS) lockStrict(n int) (func(), error) {
+// lockStrict takes the writer lock for an operation only strict mode logs
+// (writes, opens and closes of existing files) and reserves need bytes of
+// operation log for the entries it will append, which is where a full log
+// is checkpointed: the caller holds no file lock yet and has staged
+// nothing. In POSIX and sync modes such operations on different files run
+// fully in parallel and this is a no-op. Returns the unlock function, or
+// the error that kept the log from making room — the lock is then not held.
+func (fs *FS) lockStrict(need int64) (func(), error) {
 	if fs.mode != Strict {
 		return func() {}, nil
 	}
+	return fs.lockLog(need)
+}
+
+// lockMeta is lockStrict for a metadata operation, which sync mode logs
+// too: taking wmu there as well makes log order equal K-Split order, the
+// order recovery redoes the records in. A no-op in POSIX mode.
+func (fs *FS) lockMeta(need int64) (func(), error) {
+	if fs.mode == POSIX {
+		return func() {}, nil
+	}
+	return fs.lockLog(need)
+}
+
+func (fs *FS) lockLog(need int64) (func(), error) {
 	fs.wmu.Lock()
-	if err := fs.reserveLog(n); err != nil {
+	if err := fs.reserveLog(need); err != nil {
 		fs.wmu.Unlock()
 		return nil, err
 	}
 	return fs.wmu.Unlock, nil
 }
 
-// syncMeta makes a metadata mutation durable in sync and strict modes
-// (Table 3: synchronous metadata operations). Committing an empty journal
-// transaction is free, so calling this after every metadata op only costs
-// when something actually changed.
-func (fs *FS) syncMeta() error {
+// stampedMeta runs one K-Split metadata call — op, which reports whether
+// it changed anything — for an operation that sync and strict mode make
+// synchronous (Table 3) without a journal commit: the caller appends the
+// operation's redo record to the op log, one fence, once the call has
+// succeeded, and K-Split's running transaction commits whenever it next
+// would anyway. Recovery then has to know exactly which records the
+// committed journal prefix already holds. So the operation's sequence
+// number is stamped on media — in the op-log file's inode, eight bytes —
+// inside the same transaction as the call's effects: a batch handle keeps
+// the transaction from committing between the two (the size-threshold
+// commit the call would otherwise end with waits for the next operation).
+// Records at or below the recovered stamp are in the image; records above
+// it are not, and are redone in order (replayMeta). op is told the
+// sequence number it will get if it changes anything, for what else it
+// has to write under the same handle.
+//
+// It returns the sequence number for the record, 0 when there is none to
+// write: POSIX mode, a failed call, or one that changed nothing. Caller
+// holds wmu (lockMeta).
+func (fs *FS) stampedMeta(op func(seq uint64) (changed bool, err error)) (uint64, error) {
 	if fs.mode == POSIX {
-		return nil
+		_, err := op(0)
+		return 0, err
 	}
-	return fs.kfs.CommitMeta()
+	b := fs.kfs.BeginBatch()
+	defer b.End()
+	seq := fs.opSeq + 1
+	changed, err := op(seq)
+	if err != nil || !changed {
+		return 0, err
+	}
+	fs.opSeq = seq
+	fs.ologKF.SetUserWatermark(seq)
+	return seq, nil
 }
 
 // overlapsAny reports whether any staged range intersects [off, off+n)
