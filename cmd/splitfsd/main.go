@@ -2,13 +2,14 @@
 // processes over a unix socket — the repository's equivalent of the
 // paper's multi-process U-Split deployment (§3), built on the
 // internal/server session/RPC layer. Each connection is one confined
-// session: the client's first frame names a subtree root, and every
-// path it sends resolves inside that subtree.
+// session: the client's first frame names a subtree root, every path it
+// sends resolves inside that subtree, and its requests run one at a
+// time, in order, on the goroutine serving the connection.
 //
 // Usage:
 //
 //	splitfsd -socket /tmp/splitfs.sock -backend splitfs-strict
-//	splitfsd -backend nova-relaxed -dev-mb 256 -workers 8
+//	splitfsd -backend nova-relaxed -dev-mb 256
 //	splitfsd -mkdirs /tenant0,/tenant1    # pre-create session roots
 //	splitfsd -ctl-socket /tmp/splitfs.ctl # control/introspection socket
 //
@@ -44,7 +45,6 @@ func main() {
 	backend := flag.String("backend", "splitfs-strict",
 		fmt.Sprintf("backend kind to serve (one of %v)", stack.Kinds()))
 	devMB := flag.Int64("dev-mb", 128, "simulated PM device size in MB")
-	workers := flag.Int("workers", 0, "dispatch pool size (0 = GOMAXPROCS)")
 	mkdirs := flag.String("mkdirs", "", "comma-separated directories to pre-create (session roots)")
 	flag.Parse()
 
@@ -75,7 +75,6 @@ func main() {
 		os.Exit(1)
 	}
 	srv := server.New(b.FS, server.Config{
-		Workers: *workers,
 		// A live daemon is outside the deterministic contract, so op
 		// cost feeds from the wall clock; fence deltas still come from
 		// the simulated device.

@@ -451,7 +451,6 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	}
 
 	srv := server.New(fs, server.Config{
-		Workers:   c.Tenants,
 		TokenSalt: mix(c.Seed, 0xA11CE),
 		// A reply is only ever written while the durable image is still
 		// live: once the armed crash fires, every reply is dropped and its
@@ -523,9 +522,10 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	}
 
 	// The daemon dies mid-flight: block redials, tear the server down
-	// (Close waits out the worker pool, so no request is mid-execution
-	// when the device image is finalized), snapshot each tenant's
-	// acknowledged prefix, then crash and recover.
+	// (Close takes every session's executor lock, so no request is
+	// mid-execution — and each one's reply has been sent or counted as
+	// dropped — when the device image is finalized), snapshot each
+	// tenant's acknowledged prefix, then crash and recover.
 	dial.beginRestart()
 	srv.Close()
 	env.Dev.SetFenceFilter(nil)
@@ -601,7 +601,6 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	// re-attach, replay, and finish.
 	counter := &servedCounter{FileSystem: rec.FS}
 	srv2 := server.New(counter, server.Config{
-		Workers:   c.Tenants,
 		TokenSalt: mix(c.Seed, 0xB0B2),
 		OpClock:   env.Clock.Now,
 		OpFences:  env.Dev.FenceCount,

@@ -845,13 +845,11 @@ func (t *streamTransport) close() error {
 
 // ---------------------------------------------------------------------
 // Loopback transport: the deterministic in-memory pair. Each call is
-// encoded, framed, dispatched, and decoded inline on the caller's
-// goroutine — no channels, no goroutines — so a single-session served
-// stack issues the exact backend-operation sequence a direct caller
-// would, and the crash harness's persistence-event streams stay
-// bit-identical. The wire and session layers are fully exercised; only
-// the dispatcher is bypassed (FIFO ordering is trivially the caller's
-// program order).
+// encoded, framed, executed (Session.serve, as a stream's read loop
+// does), and decoded inline on the caller's goroutine — no channels, no
+// goroutines — so a single-session served stack issues the exact
+// backend-operation sequence a direct caller would, and the crash
+// harness's persistence-event streams stay bit-identical.
 
 type loopbackTransport struct {
 	s  *Session
@@ -874,12 +872,6 @@ func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
 }
 
 func (t *loopbackTransport) call(typ uint8, payload []byte) (uint8, []byte, error) {
-	// A detached session (Client.Close, Server.Close) must reject
-	// further calls, like the stream transport's dead-connection check —
-	// operating on it would insert handles no teardown will ever close.
-	if t.s.detached() {
-		return 0, nil, &RemoteError{Code: codeClosed, Msg: "server: session detached"}
-	}
 	t.mu.Lock()
 	t.id++
 	id := t.id
@@ -894,7 +886,13 @@ func (t *loopbackTransport) call(typ uint8, payload []byte) (uint8, []byte, erro
 	if err != nil {
 		return 0, nil, err
 	}
-	rtyp, rid, rp = t.s.handle(rtyp, rid, rp)
+	rtyp, rp, ok := t.s.serve(nil, rtyp, rid, rp)
+	if !ok {
+		// A detached session (Client.Close, Server.Close) rejects further
+		// calls, like the stream transport's dead-connection check —
+		// operating on it would insert handles no teardown will ever close.
+		return 0, nil, &RemoteError{Code: codeClosed, Msg: "server: session detached"}
+	}
 	buf = loopbackBuf{}
 	if err := writeFrame(&buf, rtyp, rid, rp); err != nil {
 		return 0, nil, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"net"
@@ -42,7 +43,7 @@ func faultClient(t *testing.T, srv *Server) (*Client, *FaultConn) {
 // error that unwraps to the torn-frame sentinel — not a hang, not a
 // misattributed reply.
 func TestFaultMidFrameCut(t *testing.T) {
-	srv := New(faultBackend(t), Config{Workers: 2})
+	srv := New(faultBackend(t), Config{})
 	defer srv.Close()
 	c, fc := faultClient(t, srv)
 
@@ -70,7 +71,7 @@ func TestFaultMidFrameCut(t *testing.T) {
 // A client whose own write dies inside the frame header must poison its
 // transport, and the server must classify the disconnect as torn.
 func TestFaultPartialHeaderWrite(t *testing.T) {
-	srv := New(faultBackend(t), Config{Workers: 2})
+	srv := New(faultBackend(t), Config{})
 	defer srv.Close()
 	cs, ss := net.Pipe()
 	fc := NewFaultConn(cs)
@@ -98,7 +99,7 @@ func TestFaultPartialHeaderWrite(t *testing.T) {
 // A duplicated reply frame must be dropped by request ID: the call it
 // answers succeeds once, and the following call is not misattributed.
 func TestFaultDuplicatedReply(t *testing.T) {
-	srv := New(faultBackend(t), Config{Workers: 2})
+	srv := New(faultBackend(t), Config{})
 	defer srv.Close()
 	c, fc := faultClient(t, srv)
 
@@ -121,7 +122,7 @@ func TestFaultDuplicatedReply(t *testing.T) {
 // Two pipelined replies delivered in reversed order must each reach
 // their own caller (request-ID demultiplexing, not arrival order).
 func TestFaultReorderedReplies(t *testing.T) {
-	srv := New(faultBackend(t), Config{Workers: 2})
+	srv := New(faultBackend(t), Config{})
 	defer srv.Close()
 	c, fc := faultClient(t, srv)
 
@@ -169,7 +170,7 @@ func TestFaultReorderedReplies(t *testing.T) {
 // the acked and in-flight byte counts, not silently return a bare error
 // that reads as "nothing was written".
 func TestFaultShortWriteCounts(t *testing.T) {
-	srv := New(faultBackend(t), Config{Workers: 2})
+	srv := New(faultBackend(t), Config{})
 	defer srv.Close()
 	c, fc := faultClient(t, srv)
 
@@ -203,7 +204,7 @@ func TestFaultShortWriteCounts(t *testing.T) {
 // A clean detach closes the stream at a frame boundary and must be
 // classified as a clean close, not a torn disconnect.
 func TestFaultCleanCloseClassified(t *testing.T) {
-	srv := New(faultBackend(t), Config{Workers: 2})
+	srv := New(faultBackend(t), Config{})
 	defer srv.Close()
 	c, _ := faultClient(t, srv)
 	if err := c.Close(); err != nil {
@@ -217,5 +218,36 @@ func TestFaultCleanCloseClassified(t *testing.T) {
 	}
 	if s := srv.Stats(); s.TornDisconnects != 0 {
 		t.Fatalf("clean close misclassified as torn: %+v", s)
+	}
+}
+
+// Frames that arrive behind a Tdetach — a client's advisory TrevokeAck
+// can — are dropped, not answered by hanging up: a server that closed
+// the connection there could cut off a client still writing, whose
+// failed write then poisons its transport before it has read the
+// Rdetach. net.Pipe makes the check exact: a write returns only once the
+// server has read it, or fails once the server has closed.
+func TestFramesBehindDetachAreDropped(t *testing.T) {
+	srv := New(faultBackend(t), Config{})
+	defer srv.Close()
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	go srv.ServeConn(ss)
+	br := bufio.NewReader(cs)
+	if _, _, _, err := attachExchange(cs, br, 0, "/", false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(cs, tDetach, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rtyp, _, _, err := readFrame(br); err != nil || rtyp != rDetach {
+		t.Fatalf("detach reply: %s, %v", msgName(rtyp), err)
+	}
+	var e enc
+	e.str("/")
+	for id := uint32(2); id <= 3; id++ {
+		if err := writeFrame(cs, tStat, id, e.b); err != nil {
+			t.Fatalf("frame %d behind the detach: %v (the server hung up)", id, err)
+		}
 	}
 }

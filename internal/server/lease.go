@@ -22,12 +22,16 @@
 // Trevoke message so a stream client learns eagerly rather than on its
 // next validation failure.
 //
-// Lock hierarchy: leasetab (the server's ino→segment index) is taken on
-// its own, never inside a segment or backend lock; leaseseg is held
-// read-side across backend data operations, hence ordered outside the
-// splitfs writer lock.
+// Lock hierarchy: sessexec (a session's executor lock, Session.execMu)
+// is outermost — a request grants and revokes from inside it, and a
+// revocation reaches another session only through that session's
+// replyMu, never its executor lock; leasetab (the server's ino→segment
+// index) is taken on its own, never inside a segment or backend lock;
+// leaseseg is held read-side across backend data operations, hence
+// ordered outside the splitfs writer lock.
 //
-// +lockrank:order leaseseg < wmu
+// +lockrank:order sessexec < leasetab
+// +lockrank:order sessexec < leaseseg < wmu
 package server
 
 import (
@@ -90,7 +94,7 @@ func unregisterSegment(id uint64) {
 }
 
 // grantLease builds and indexes a lease for the session's open handle.
-// Caller is the session's dispatch goroutine (tLease).
+// Caller is the session's executor (tLease).
 func (srv *Server) grantLease(s *Session, handle uint64, f vfs.File) (*leaseSegment, error) {
 	m, ok := f.(vfs.Mappable)
 	if !ok {

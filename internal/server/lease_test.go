@@ -183,7 +183,7 @@ func TestLeaseNegotiationDowngrade(t *testing.T) {
 // stale mapping. Run with -race for the locking half of the claim.
 func TestLeaseRevocationRaces(t *testing.T) {
 	fs := newBackend(t, "splitfs-strict")
-	srv := server.New(fs, server.Config{Workers: 4})
+	srv := server.New(fs, server.Config{})
 	defer srv.Close()
 
 	reader, rconn := leasePipeClient(t, srv, "/")

@@ -246,7 +246,7 @@ func (s *Session) Metrics(withFlight bool) SessionMetrics {
 		Gen:       s.gen.Load(),
 		Resumable: s.resumable,
 		Parked:    parked,
-		Handles:   s.ht.open(),
+		Handles:   s.ht.Len(),
 		Leases:    s.srv.sessionLeaseCount(s),
 		Ops:       ops,
 		Bytes:     bytes,

@@ -240,7 +240,10 @@ func (t *resumeState) dropConn() {
 // applied durably, so the chain over-approximates the names the file
 // can sit at and the server probes newest-first. Because resumable
 // workloads never reuse names, a chain entry for a rename that never
-// applied cannot resolve to some other file.
+// applied cannot resolve to some other file. A handle closed since the
+// last barrier follows renames like an open one: a cold resume still
+// re-establishes it (its logged writes replay through it), and a reopen
+// that probed only the stale name would recreate the file empty.
 func (t *resumeState) chainRenames(typ uint8, payload []byte) {
 	if typ != tRename {
 		return
@@ -252,9 +255,6 @@ func (t *resumeState) chainRenames(typ uint8, payload []byte) {
 		return
 	}
 	for _, m := range t.handles {
-		if m.closed {
-			continue
-		}
 		if m.curPath == oldPath {
 			m.chain = append(m.chain, newPath)
 		} else if strings.HasPrefix(m.curPath, oldPath+"/") {
@@ -314,9 +314,6 @@ func (t *resumeState) ack(rec *opRecord, rtyp uint8, rp []byte) {
 			return
 		}
 		for _, m := range t.handles {
-			if m.closed {
-				continue
-			}
 			if m.curPath == oldPath {
 				m.curPath = newPath
 			} else if strings.HasPrefix(m.curPath, oldPath+"/") {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -91,7 +92,6 @@ func TestWarmResumeExactlyOnce(t *testing.T) {
 	backend := &countingFS{FileSystem: faultBackend(t)}
 	var failNext atomic.Bool
 	srv := New(backend, Config{
-		Workers:     2,
 		FailReplies: func() bool { return failNext.CompareAndSwap(true, false) },
 	})
 	defer srv.Close()
@@ -168,7 +168,7 @@ func TestWarmResumeExactlyOnce(t *testing.T) {
 // barrier — with heals absorbing operations the backend already holds.
 func TestColdResumeAfterRestart(t *testing.T) {
 	backend := &countingFS{FileSystem: faultBackend(t)}
-	srv1 := New(backend, Config{Workers: 2, TokenSalt: 1})
+	srv1 := New(backend, Config{TokenSalt: 1})
 	h := &resumeHarness{srv: srv1}
 
 	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
@@ -206,7 +206,7 @@ func TestColdResumeAfterRestart(t *testing.T) {
 	// The daemon dies. The backend survives (it is the recovered file
 	// system); every acked operation above is still applied in it.
 	srv1.Close()
-	srv2 := New(backend, Config{Workers: 2, TokenSalt: 2})
+	srv2 := New(backend, Config{TokenSalt: 2})
 	defer srv2.Close()
 	h.swap(srv2)
 
@@ -246,6 +246,62 @@ func TestColdResumeAfterRestart(t *testing.T) {
 	}
 }
 
+// A handle closed after the last barrier is still re-established by a
+// cold resume — its logged writes replay through it — so its reopen
+// chain must keep following renames after the close. With the chain
+// stuck at the stale name, Treopen finds nothing there, recreates the
+// file empty, and the replayed rename replaces the real file with it:
+// every byte written before the barrier reads as zero.
+func TestColdResumeClosedHandleFollowsRename(t *testing.T) {
+	backend := faultBackend(t)
+	srv1 := New(backend, Config{TokenSalt: 1})
+	h := &resumeHarness{srv: srv1}
+
+	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.OpenFile("/a", vfs.O_CREATE|vfs.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("before-barrier!"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("after"), 15); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rename("/a", "/b"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The daemon dies; the backend holds every acked operation above.
+	srv1.Close()
+	srv2 := New(backend, Config{TokenSalt: 2})
+	defer srv2.Close()
+	h.swap(srv2)
+
+	if err := c.SyncAll(); err != nil {
+		t.Fatalf("sync after restart: %v", err)
+	}
+	got, err := vfs.ReadFile(c, "/b")
+	if err != nil || string(got) != "before-barrier!after" {
+		t.Fatalf("/b after cold resume = %q, %v; want all 20 bytes", got, err)
+	}
+	if _, err := c.Stat("/a"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("stale name /a after cold resume: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // wedgedConn fails writes once armed but never closes the underlying
 // pipe, so the server cannot notice the loss: the client's re-attach
 // arrives while the server still believes the old transport is alive.
@@ -272,7 +328,7 @@ func (c *wedgedConn) Close() error { return nil } // the pipe stays open
 // a disconnect.
 func TestWarmResumeTakeover(t *testing.T) {
 	backend := &countingFS{FileSystem: faultBackend(t)}
-	srv := New(backend, Config{Workers: 2})
+	srv := New(backend, Config{})
 	defer srv.Close()
 	h := &resumeHarness{srv: srv}
 
@@ -323,12 +379,175 @@ func TestWarmResumeTakeover(t *testing.T) {
 	}
 }
 
+// gatedFS records every Mkdir attempt by path and holds the Mkdir of
+// "/w" at a gate until release closes.
+type gatedFS struct {
+	vfs.FileSystem
+	entered, release chan struct{}
+
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (g *gatedFS) Mkdir(path string, perm uint32) error {
+	g.mu.Lock()
+	g.calls[path]++
+	g.mu.Unlock()
+	if path == "/w" {
+		close(g.entered)
+		<-g.release
+	}
+	return g.FileSystem.Mkdir(path, perm)
+}
+
+// A connection superseded by a takeover re-attach executes nothing more:
+// a request still sitting in its read buffer is the client's to replay on
+// the new connection, and running the stale copy as well — behind the
+// replay, where the reply cache is not consulted — would apply it twice.
+// W is held inside the backend with X buffered behind it on the first
+// connection; the client re-attaches on a second one and replays X. X
+// must reach the backend once, and as the replay (a cache hit would mean
+// the stale copy ran first).
+func TestSupersededConnExecutesNothing(t *testing.T) {
+	backend := &gatedFS{FileSystem: faultBackend(t), calls: map[string]int{},
+		entered: make(chan struct{}), release: make(chan struct{})}
+	srv := New(backend, Config{})
+	defer srv.Close()
+	// A unix socket buffers, so two frames sent in one write arrive in
+	// one read and both sit in the server's bufio.
+	ln, err := net.Listen("unix", t.TempDir()+"/s.sock")
+	if err != nil {
+		t.Skipf("unix sockets unavailable: %v", err)
+	}
+	defer ln.Close()
+	// dial also returns a channel closed once the server's read loop for
+	// the connection has returned.
+	dial := func() (net.Conn, *bufio.Reader, <-chan struct{}) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if ss, err := ln.Accept(); err == nil {
+				srv.ServeConn(ss)
+			}
+		}()
+		cs, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs, bufio.NewReader(cs), done
+	}
+	mkdir := func(path string) []byte {
+		var e enc
+		e.u32(0o755)
+		e.str(path)
+		return e.b
+	}
+
+	c1, br1, loop1 := dial()
+	defer c1.Close()
+	_, token, _, err := attachExchange(c1, br1, 0, "/", true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wx bytes.Buffer
+	writeFrame(&wx, tMkdir, 1, mkdir("/w"))
+	writeFrame(&wx, tMkdir, 2, mkdir("/x"))
+	if _, err := c1.Write(wx.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	<-backend.entered
+
+	c2, br2, _ := dial()
+	defer c2.Close()
+	if _, _, _, err := attachExchange(c2, br2, token, "", true, 0); err != nil {
+		t.Fatalf("takeover re-attach: %v", err)
+	}
+	if err := writeFrame(c2, tMkdir|flagReplay, 2, mkdir("/x")); err != nil {
+		t.Fatal(err)
+	}
+	close(backend.release)
+	for { // W's reply lands on the adopted connection too; skip it
+		rtyp, rid, rp, err := readFrame(br2)
+		if err != nil {
+			t.Fatalf("reading the replay's reply: %v", err)
+		}
+		if rid != 2 {
+			continue
+		}
+		if rtyp != rMkdir {
+			t.Fatalf("replayed mkdir answered %s: %v", msgName(rtyp), decodeError(rp))
+		}
+		break
+	}
+	<-loop1 // the superseded loop is done with whatever it had buffered
+
+	backend.mu.Lock()
+	w, x := backend.calls["/w"], backend.calls["/x"]
+	backend.mu.Unlock()
+	if w != 1 || x != 1 {
+		t.Fatalf("backend saw mkdir /w %d times and /x %d times, want once each", w, x)
+	}
+	if st := srv.Stats(); st.ReplayedRequests != 1 || st.ReplayCacheHits != 0 {
+		t.Fatalf("the stale copy of X ran ahead of its replay: %+v", st)
+	}
+}
+
+// slowCloseConn announces each Close call and then holds it until the
+// gate opens — the instant between Server.Close marking the server
+// closed and the connection actually going down, held open.
+type slowCloseConn struct {
+	net.Conn
+	closing chan struct{}
+	gate    chan struct{}
+}
+
+func (c *slowCloseConn) Close() error {
+	c.closing <- struct{}{}
+	<-c.gate
+	return c.Conn.Close()
+}
+
+// A Tattach that loses the race with Server.Close must look like the
+// transport loss it is about to become, not like a refusal: the
+// resumable client retries the first against the next generation and
+// gives up on the second (the served crash sweep lost a whole tenant
+// this way when its first dial was slower than another tenant's crash).
+func TestAttachRacingCloseIsATransportLoss(t *testing.T) {
+	srv := New(faultBackend(t), Config{})
+	cs, ss := net.Pipe()
+	held := &slowCloseConn{Conn: ss, closing: make(chan struct{}), gate: make(chan struct{})}
+	go srv.ServeConn(held) // registers, then waits for the first frame
+	for {
+		srv.mu.Lock()
+		n := len(srv.conns)
+		srv.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	go srv.Close()
+	<-held.closing // the server is closed; the connection is not, yet
+
+	errc := make(chan error, 1)
+	go func() {
+		_, _, _, err := attachExchange(cs, bufio.NewReader(cs), 0, "/", true, 0)
+		errc <- err
+	}()
+	<-held.closing // ServeConn is done with the handshake and hanging up
+	close(held.gate)
+	if err := <-errc; !errors.Is(err, errConnLost) {
+		t.Fatalf("attach racing Close = %v, want a lost connection", err)
+	}
+}
+
 // A torn transport (FaultConn cut) under a resumable client must be
 // invisible to the caller: the op that lost its reply completes on the
 // re-attached session, exactly once.
 func TestWarmResumeAcrossTornFrame(t *testing.T) {
 	backend := &countingFS{FileSystem: faultBackend(t)}
-	srv := New(backend, Config{Workers: 2})
+	srv := New(backend, Config{})
 	defer srv.Close()
 	h := &resumeHarness{srv: srv}
 	h.waitPark.Store(true)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,11 +15,6 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the dispatch pool size (default GOMAXPROCS). The pool
-	// bounds cross-session concurrency; within a session requests always
-	// execute FIFO.
-	Workers int
-
 	// TokenSalt diversifies re-attach tokens across server generations.
 	// A restarted server (the crash campaigns build one per recovery)
 	// should use a different salt so a stale token from the previous
@@ -87,7 +81,7 @@ type WireStats struct {
 	ReplayedRequests int64
 	ReplayCacheHits  int64
 	HealedReplays    int64
-	DroppedReplies   int64 // replies suppressed by FailReplies
+	DroppedReplies   int64 // executed, never sent: FailReplies fired or the session had parked
 	LeaseGrants      int64 // zero-copy leases granted
 	LeaseRevokes     int64 // leases revoked (teardown included)
 	RevokeAcks       int64 // client Trevokeack frames received
@@ -96,9 +90,10 @@ type WireStats struct {
 // Server multiplexes client sessions onto one vfs.FileSystem. The
 // backend must be safe for concurrent use (every backend in this
 // repository is, since the PR 1 lock decomposition); the server adds no
-// global lock of its own — distinct sessions proceed in parallel
-// through the worker pool, meeting at the backend's own fine-grained
-// locks and at ext4dax group commit.
+// global lock of its own — each session's requests run on the goroutine
+// that read them (Session.serve), so distinct sessions proceed in
+// parallel, meeting at the backend's own fine-grained locks and at
+// ext4dax group commit.
 type Server struct {
 	fs  vfs.FileSystem
 	cfg Config
@@ -126,11 +121,6 @@ type Server struct {
 	leaseMu sync.Mutex // +lockrank:leasetab
 	leases  map[uint64]map[uint64]*leaseSegment
 	nLeases atomic.Int64
-
-	work      chan *Session
-	quit      chan struct{}
-	workersUp sync.Once
-	wg        sync.WaitGroup
 }
 
 // Stats snapshots the transport/replay counters.
@@ -183,24 +173,19 @@ type serverConn struct {
 	br  *bufio.Reader
 }
 
-// New builds a server over fs. No goroutines start until the first
-// stream connection arrives, so loopback-only servers (the crash
-// harness's served: wrapper) stay goroutine-free and deterministic.
+// New builds a server over fs. The server starts no goroutine of its
+// own: a stream connection's requests run on whoever called ServeConn,
+// a loopback session's on its caller, so loopback-only servers (the
+// crash harness's served: wrapper) stay deterministic.
 func New(fs vfs.FileSystem, cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	srv := &Server{
+	return &Server{
 		fs:       fs,
 		cfg:      cfg,
 		sessions: make(map[uint64]*Session),
 		byToken:  make(map[uint64]*Session),
 		conns:    make(map[*serverConn]bool),
 		leases:   make(map[uint64]map[uint64]*leaseSegment),
-		work:     make(chan *Session),
-		quit:     make(chan struct{}),
 	}
-	return srv
 }
 
 // FS returns the served backend.
@@ -238,7 +223,7 @@ func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats u
 		return nil, errServerClosed
 	}
 	srv.nextSess++
-	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: newHandleTable(), conn: conn, resumable: resumable,
+	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: vfs.NewFDTable(), conn: conn, resumable: resumable,
 		features: feats & srv.features(), flight: obs.NewRecorder(obs.DefaultFlightSlots)}
 	s.gen.Store(1)
 	if resumable {
@@ -310,111 +295,35 @@ func (srv *Server) OpenHandles() int {
 	srv.mu.Unlock()
 	n := 0
 	for _, s := range sess {
-		n += s.ht.open()
+		n += s.ht.Len()
 	}
 	return n
 }
 
-// startWorkers brings the dispatch pool up (first stream connection).
-func (srv *Server) startWorkers() {
-	srv.workersUp.Do(func() {
-		for i := 0; i < srv.cfg.Workers; i++ {
-			srv.wg.Add(1)
-			go func() {
-				defer srv.wg.Done()
-				for {
-					select {
-					case s := <-srv.work:
-						s.drain()
-					case <-srv.quit:
-						return
-					}
-				}
-			}()
-		}
-	})
-}
-
-// enqueue appends a request to the session queue and schedules the
-// session on the pool unless a worker already owns it — the per-session
-// FIFO rule: one worker at a time, requests in arrival order.
-func (s *Session) enqueue(req request) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return // the connection is going away; replies are undeliverable
-	}
-	s.queue = append(s.queue, req)
-	schedule := !s.running
-	if schedule {
-		s.running = true
-	}
-	s.mu.Unlock()
-	if schedule {
-		select {
-		case s.srv.work <- s:
-		case <-s.srv.quit:
-			s.teardownOwned()
-		}
-	}
-}
-
-// teardownOwned finishes teardown for a session this goroutine owns
-// (running == true was claimed but no worker will drain it).
-func (s *Session) teardownOwned() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.finishTeardown()
-}
-
-// drain executes the session's queue until it empties or the session
-// closes. Only one worker runs drain for a session at a time.
-func (s *Session) drain() {
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			s.finishTeardown()
-			return
-		}
-		if len(s.queue) == 0 {
-			s.running = false
-			s.mu.Unlock()
-			return
-		}
-		req := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-
-		rtyp, rid, payload := s.handle(req.typ, req.id, req.payload)
-		s.reply(rtyp, rid, payload)
-	}
-}
-
-// reply writes one response frame. An oversized payload (a handler bug
-// — handlers bound their replies) degrades to an Rerror so one request
+// reply writes one response frame on the session's current transport;
+// the caller holds execMu. An oversized payload (a handler bug —
+// handlers bound their replies) degrades to an Rerror so one request
 // cannot wedge the connection; an I/O failure kills the connection (the
 // read loop then tears the session down or parks it). The connection
-// pointer is read under replyMu because park/adopt swap it. When the
-// FailReplies hook fires the reply is dropped and the connection killed
-// instead — the executed-but-unacknowledged window of a daemon death —
-// so an acknowledged operation always finished executing before the
-// fault point.
+// pointer is read under replyMu because park/adopt swap it. A reply that
+// is not sent is counted as dropped, so every executed stream request is
+// either answered or counted: when the FailReplies hook fires the
+// connection is killed instead — the executed-but-unacknowledged window
+// of a daemon death, so an acknowledged operation always finished
+// executing before the fault point — and a session that parked while the
+// request ran (a takeover whose handshake failed) has nowhere to send it.
 func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 	if len(payload) > maxFrame-frameHeader {
 		typ, reqID, payload = encodeError(reqID, fmt.Errorf("server: %s reply exceeds the wire payload bound", msgName(typ)))
 	}
 	s.replyMu.Lock()
 	conn := s.conn
-	if conn == nil {
-		s.replyMu.Unlock()
-		return
-	}
-	if fr := s.srv.cfg.FailReplies; fr != nil && fr() {
+	if fr := s.srv.cfg.FailReplies; conn == nil || (fr != nil && fr()) {
 		s.replyMu.Unlock()
 		s.srv.stats.droppedReplies.Add(1)
-		conn.rwc.Close()
+		if conn != nil {
+			conn.rwc.Close()
+		}
 		return
 	}
 	err := writeFrame(conn.rwc, typ, reqID, payload)
@@ -427,13 +336,13 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 // ServeConn speaks the wire protocol over one stream connection. The
 // first frame must be Tattach (optionally marking the session
 // resumable) or Treattach (adopting a parked session by token);
-// afterwards frames are enqueued for the dispatcher. ServeConn blocks
-// until the connection fails or closes. A plain session is always left
-// torn down (every handle closed) — the mid-operation disconnect
-// guarantee; a resumable one parks instead, holding its handles and
-// reply cache for the client's re-attach.
+// afterwards each frame is executed and answered here, on the goroutine
+// that read it (Session.serve), before the next is read. ServeConn
+// blocks until the connection fails or closes. A plain session is
+// always left torn down (every handle closed) — the mid-operation
+// disconnect guarantee; a resumable one parks instead, holding its
+// handles and reply cache for the client's re-attach.
 func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
-	srv.startWorkers()
 	conn := &serverConn{rwc: rwc, br: bufio.NewReaderSize(rwc, 64<<10)}
 	srv.mu.Lock()
 	if srv.closed {
@@ -454,6 +363,19 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 	if err != nil {
 		return fmt.Errorf("server: attach read: %w", err)
 	}
+	// refuse answers a handshake the server turns down — unless it is
+	// turning it down because Close got in first: Close drops every
+	// connection without a word, and a handshake that raced it is one
+	// more of them. The client then sees a lost transport, which a
+	// resumable one retries against the next generation, not a refusal,
+	// which it would take as final.
+	refuse := func(err error) error {
+		if !errors.Is(err, errServerClosed) {
+			etyp, eid, ep := encodeError(reqID, err)
+			writeFrame(rwc, etyp, eid, ep)
+		}
+		return err
+	}
 	var s *Session
 	d := dec{b: payload}
 	switch typ {
@@ -473,9 +395,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		}
 		s, err = srv.attach(root, conn, resumable, feats)
 		if err != nil {
-			etyp, eid, ep := encodeError(reqID, err)
-			writeFrame(rwc, etyp, eid, ep)
-			return err
+			return refuse(err)
 		}
 		var e enc
 		e.str(srv.fs.Name())
@@ -503,11 +423,9 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		if err != nil {
 			if s != nil {
 				s.disconnect(conn, err) // adopted, handshake write failed: re-park
-			} else {
-				etyp, eid, ep := encodeError(reqID, err)
-				writeFrame(rwc, etyp, eid, ep)
+				return err
 			}
-			return err
+			return refuse(err)
 		}
 	default:
 		writeFrame(rwc, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach or Treattach, got %s", msgName(typ))))
@@ -523,7 +441,13 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 			}
 			return err
 		}
-		s.enqueue(request{typ: typ, id: reqID, payload: payload})
+		// A frame the session no longer takes from this connection —
+		// superseded by a takeover re-attach, or sent behind a Tdetach,
+		// as a client's advisory TrevokeAck can be — is dropped
+		// unanswered. The loop still ends only when the connection does:
+		// hanging up here could overtake the Rdetach on its way to a
+		// client that is still writing.
+		s.serve(conn, typ, reqID, payload)
 	}
 }
 
@@ -557,8 +481,10 @@ func (srv *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close tears down every session and stops the worker pool. Safe to
-// call more than once.
+// Close tears down every session; when it returns every request that
+// was executing has finished and been answered or counted as dropped
+// (teardown takes each session's executor lock). Safe to call more than
+// once.
 func (srv *Server) Close() error {
 	srv.mu.Lock()
 	if srv.closed {
@@ -576,16 +502,17 @@ func (srv *Server) Close() error {
 	}
 	srv.mu.Unlock()
 
-	// Closing the connections unblocks every read loop; tearing every
-	// session down directly (not via the read loops) also covers loopback
-	// sessions and parked ones, which have no connection to close.
+	// Closing the connections first unblocks every read loop — and any
+	// reply blocked on a client that stopped reading, which would
+	// otherwise hold its session's executor lock against the teardown.
+	// Tearing every session down directly (not via the read loops) also
+	// covers loopback sessions and parked ones, which have no connection
+	// to close.
 	for _, c := range conns {
 		c.rwc.Close()
 	}
 	for _, s := range sess {
 		s.teardown()
 	}
-	close(srv.quit)
-	srv.wg.Wait()
 	return nil
 }

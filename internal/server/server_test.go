@@ -239,7 +239,7 @@ func TestSessionRootConfinement(t *testing.T) {
 
 func TestDisconnectMidOperationTeardown(t *testing.T) {
 	fs := newBackend(t, "splitfs-strict")
-	srv := server.New(fs, server.Config{Workers: 2})
+	srv := server.New(fs, server.Config{})
 	defer srv.Close()
 	c, rawConn := pipeClient(t, srv, "/")
 
@@ -254,7 +254,7 @@ func TestDisconnectMidOperationTeardown(t *testing.T) {
 		t.Fatalf("open handles = %d, want 10", srv.OpenHandles())
 	}
 	// Issue a write and kill the conn immediately: teardown must not
-	// race the in-flight operation (the worker finishes it first).
+	// race the in-flight operation (it waits on the executor lock).
 	f, err := c.OpenFile("/busy", vfs.O_RDWR|vfs.O_CREATE, 0644)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestDisconnectMidOperationTeardown(t *testing.T) {
 
 func TestPipelinedRequests(t *testing.T) {
 	fs := newBackend(t, "ext4-dax")
-	srv := server.New(fs, server.Config{Workers: 4})
+	srv := server.New(fs, server.Config{})
 	defer srv.Close()
 	c, conn := pipeClient(t, srv, "/")
 	defer conn.Close()

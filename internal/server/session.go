@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +13,11 @@ import (
 )
 
 // Session is one client's view of the served file system: a confining
-// root, a sharded handle table, and (on the stream transport) a FIFO
-// request queue drained by the dispatcher. Sessions are path-confined —
-// every client path is resolved lexically against the session root, so
-// "../.." walks clamp at the root instead of escaping it (the gofer
-// confinement rule).
+// root, a handle table, and an executor lock under which its requests
+// run one at a time, in the order they were read, on the goroutine that
+// read them (serve). Sessions are path-confined — every client path is
+// resolved lexically against the session root, so "../.." walks clamp at
+// the root instead of escaping it (the gofer confinement rule).
 //
 // A resumable session additionally survives its transport: on connection
 // loss it parks (handles stay open, the reply cache stays warm) until
@@ -27,8 +28,8 @@ import (
 type Session struct {
 	srv  *Server
 	id   uint64
-	root string // cleaned; "/" means the whole tree
-	ht   *handleTable
+	root string       // cleaned; "/" means the whole tree
+	ht   *vfs.FDTable // its descriptors are the wire handle IDs (see fd)
 
 	resumable bool
 	token     uint64 // re-attach credential (0 for non-resumable)
@@ -41,15 +42,23 @@ type Session struct {
 	// guarded by srv.leaseMu alongside the server's ino index.
 	leases map[uint64]*leaseSegment
 
-	mu      sync.Mutex
-	queue   []request // pending requests (stream transport only)
-	running bool      // a worker currently owns this session
-	closed  bool      // no further requests accepted
-	torn    bool      // teardown has run
-	parked  bool      // transport lost; awaiting re-attach
+	// execMu is the executor lock: one request at a time, from the
+	// ownership check through the reply, and teardown. It is the
+	// outermost lock of the hierarchy (lease.go) — a request takes
+	// everything else inside it — and Server.Close closes the connections
+	// before it takes it, so a reply stuck on a dead peer cannot hold it
+	// against the teardown.
+	execMu sync.Mutex // +lockrank:sessexec
 
-	conn    *serverConn // guarded by replyMu; nil for loopback and while parked
-	replyMu sync.Mutex  // serializes reply frames onto conn
+	mu     sync.Mutex
+	closed bool // torn down; set once, under execMu
+	parked bool // transport lost; awaiting re-attach
+
+	// conn is the transport the session answers on: nil for loopback and
+	// while parked. park and adopt write it holding mu and replyMu
+	// together, so either lock guards a read.
+	conn    *serverConn
+	replyMu sync.Mutex // serializes reply and push frames onto conn
 
 	replies replyCache // exactly-once reply cache (resumable sessions)
 
@@ -115,13 +124,6 @@ func (c *replyCache) get(id uint32) (uint8, []byte, bool) {
 	return r.typ, r.payload, ok
 }
 
-// request is one decoded-enough frame waiting for dispatch.
-type request struct {
-	typ     uint8
-	id      uint32
-	payload []byte
-}
-
 // ID returns the session's identifier.
 func (s *Session) ID() uint64 { return s.id }
 
@@ -129,7 +131,7 @@ func (s *Session) ID() uint64 { return s.id }
 func (s *Session) Root() string { return s.root }
 
 // OpenHandles reports the session's live handle count.
-func (s *Session) OpenHandles() int { return s.ht.open() }
+func (s *Session) OpenHandles() int { return s.ht.Len() }
 
 // resolve maps a client path into the session's subtree. CleanPath
 // resolves ".." lexically and cannot ascend above "/", so the result
@@ -143,14 +145,6 @@ func (s *Session) resolve(p string) string {
 		return s.root
 	}
 	return s.root + c
-}
-
-// detached reports whether the session has been closed (detach,
-// disconnect, or server shutdown).
-func (s *Session) detached() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // park detaches the transport but keeps the session alive — handles
@@ -184,10 +178,13 @@ func (s *Session) park(from *serverConn) (parked, superseded bool) {
 // closed and its read loop's eventual failure reads as superseded (see
 // park) instead of parking over the new transport. Only a closed session
 // refuses, as errUnknownSession, sending the client to a cold attach —
-// always safe, never privileged. The handshake reply is written while
-// replyMu is held — the instant conn is visible, a worker draining
-// requests queued before the loss may reply on it, and that frame must
-// not interleave with the handshake frame.
+// always safe, never privileged. adopt does not wait for the executor: a
+// request the old transport's loop is still running finishes under
+// execMu, ahead of anything the new transport carries, and answers on
+// whichever transport is current by then — so the handshake reply is
+// written while replyMu is held, and that frame cannot interleave with
+// it. Whatever else the old loop had read is dropped by serve's
+// ownership check.
 func (s *Session) adopt(conn *serverConn, handshake func() error) error {
 	s.mu.Lock()
 	s.replyMu.Lock()
@@ -239,46 +236,61 @@ func (s *Session) disconnect(conn *serverConn, err error) {
 	s.teardown()
 }
 
-// teardown closes the session. If a worker is mid-request the teardown
-// is deferred to that worker (it observes closed and finishes it), so a
-// handle is never closed underneath an executing operation. Idempotent.
+// teardown closes the session: every handle closed, every lease
+// revoked, the session unregistered. It waits out a request that is
+// executing, so a handle is never closed underneath an operation.
+// Idempotent.
 func (s *Session) teardown() {
-	s.mu.Lock()
-	s.closed = true
-	if s.running {
-		s.mu.Unlock()
-		return // the owning worker completes the teardown
-	}
-	s.running = true
-	s.mu.Unlock()
-	s.finishTeardown()
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
+	s.teardownLocked()
 }
 
-// finishTeardown drops queued requests and closes every handle. Called
-// with queue ownership (running == true).
-func (s *Session) finishTeardown() {
+// teardownLocked is teardown for a caller that holds execMu — Tdetach,
+// which tears down from inside its own request.
+func (s *Session) teardownLocked() {
 	s.mu.Lock()
-	if s.torn {
-		s.running = false
-		s.mu.Unlock()
+	done := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if done {
 		return
 	}
-	s.torn = true
-	s.queue = nil
-	s.running = false
-	s.mu.Unlock()
 	// Leases die with their session: revoke before the handles close so
 	// a client still holding a segment observes the flag, not a load
 	// against blocks an orphan close is about to free. Server.Close
 	// tears every session down, so no lease survives a generation.
 	s.srv.revokeSessionLeases(s)
-	s.ht.closeAll()
+	s.ht.CloseAll()
 	s.srv.detach(s)
 }
 
+// serve executes one request on the calling goroutine — the read loop
+// of from, or the loopback caller (from == nil) — and, on a stream,
+// answers it, all under the executor lock: requests run in the order
+// their transport delivered them and never beside a teardown. ok is
+// false, and nothing runs, when the session is closed or from is no
+// longer its transport: a takeover re-attach replays whatever the old
+// connection had not answered, so a stale copy still buffered there must
+// not execute a second time behind the replay.
+func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byte) (rtyp uint8, rp []byte, ok bool) {
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
+	s.mu.Lock()
+	owned := !s.closed && s.conn == from
+	s.mu.Unlock()
+	if !owned {
+		return 0, nil, false
+	}
+	rtyp, rp = s.handle(typ, reqID, payload)
+	if from != nil {
+		s.reply(rtyp, reqID, rp)
+	}
+	return rtyp, rp, true
+}
+
 // handle executes one request against the backend and renders the reply
-// frame. It is the single entry point for both transports: the loopback
-// calls it inline, the dispatcher calls it from a worker.
+// frame, for both transports (serve is its only caller).
 //
 // A request carrying flagReplay is a client re-send after transport
 // loss. If the original already executed, its cached reply is returned
@@ -287,7 +299,7 @@ func (s *Session) finishTeardown() {
 // source is already gone, or a replayed mkdir that already took effect,
 // reads as success, because in-order replay guarantees the only way the
 // precondition can be missing is that the original applied durably.
-func (s *Session) handle(typ uint8, reqID uint32, payload []byte) (uint8, uint32, []byte) {
+func (s *Session) handle(typ uint8, reqID uint32, payload []byte) (uint8, []byte) {
 	replay := typ&flagReplay != 0
 	typ &^= flagReplay
 	var flags uint8
@@ -297,17 +309,17 @@ func (s *Session) handle(typ uint8, reqID uint32, payload []byte) (uint8, uint32
 		if rtyp, rp, ok := s.replies.get(reqID); ok {
 			s.srv.stats.replayCacheHits.Add(1)
 			s.observe(typ, reqID, payload, rp, rtyp, flags|obs.FlagCached, 0, 0)
-			return rtyp, reqID, rp
+			return rtyp, rp
 		}
 	}
 	cost0, fences0 := s.srv.probe()
-	rtyp, rid, rp := s.execute(typ, reqID, payload, replay)
+	rtyp, _, rp := s.execute(typ, reqID, payload, replay)
 	cost1, fences1 := s.srv.probe()
 	if s.resumable {
 		s.replies.put(reqID, rtyp, rp)
 	}
 	s.observe(typ, reqID, payload, rp, rtyp, flags, cost1-cost0, fences1-fences0)
-	return rtyp, rid, rp
+	return rtyp, rp
 }
 
 // healReplay reports whether err, produced by a replayed request of the
@@ -342,10 +354,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		// Teardown completes before the Rdetach reply renders, so a
 		// client that saw the reply can rely on every handle being
 		// closed (and SessionCount reflecting the detach).
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		s.finishTeardown()
+		s.teardownLocked()
 	case tOpen:
 		flag := int(d.u32())
 		perm := d.u32()
@@ -359,7 +368,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			}
 			var f vfs.File
 			if f, err = s.srv.fs.OpenFile(s.resolve(path), flag, perm); err == nil {
-				e.u64(s.ht.insert(f))
+				e.u64(uint64(s.ht.Insert(f)))
 			}
 		}
 	case tClose:
@@ -367,7 +376,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		if d.err == nil {
 			// The backing file may free orphan blocks at last close.
 			s.srv.revokeHandleLeases(s, id)
-			err = s.ht.closeHandle(id)
+			err = s.ht.Close(fd(id))
 		}
 	case tRead:
 		id := d.u64()
@@ -526,7 +535,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 	case tSyncAll:
 		// Group sync, by the rule the crash runner applies directly:
 		// the backend's own SyncAll, else this session's live handles.
-		err = vfs.SyncAll(s.srv.fs, s.ht.files())
+		err = vfs.SyncAll(s.srv.fs, s.ht.Files())
 	case tLease:
 		id := d.u64()
 		if d.err == nil {
@@ -639,7 +648,7 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 	if len(chain) == 0 {
 		return vfs.WrapPath("reopen", "", vfs.ErrInval)
 	}
-	if _, err := s.ht.get(id); err == nil {
+	if _, err := s.ht.Get(fd(id)); err == nil {
 		return nil // already bound: an earlier resume attempt won
 	}
 	probe := flag &^ (vfs.O_TRUNC | vfs.O_EXCL | vfs.O_CREATE)
@@ -667,7 +676,7 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 			return err
 		}
 	}
-	if err := s.ht.insertAt(id, f); err != nil {
+	if err := s.ht.InsertAt(fd(id), f); err != nil {
 		f.Close()
 		return err
 	}
@@ -676,11 +685,21 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 
 // withFile resolves a handle and runs fn on it.
 func (s *Session) withFile(id uint64, fn func(vfs.File) error) error {
-	f, err := s.ht.get(id)
+	f, err := s.ht.Get(fd(id))
 	if err != nil {
 		return err
 	}
 	return fn(f)
+}
+
+// fd maps a wire handle ID to its descriptor in the session's table. An
+// ID no table could have issued maps to -1, which every FDTable method
+// refuses (ErrBadFD; ErrInval from InsertAt).
+func fd(id uint64) int {
+	if id > math.MaxInt32 {
+		return -1
+	}
+	return int(id)
 }
 
 // capRead bounds a read request to the payload limit; the client chunks

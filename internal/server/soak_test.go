@@ -30,7 +30,7 @@ func TestServerSoakConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(b.FS, server.Config{Workers: 4})
+	srv := server.New(b.FS, server.Config{})
 	defer srv.Close()
 
 	// Pre-create each tenant's subtree through a root session.

@@ -1,22 +1,22 @@
 // Package server is the multi-tenant file service: a lisafs-inspired
 // session/RPC layer (after gvisor's gofer protocol) that multiplexes N
-// client sessions onto any vfs.FileSystem. It has four layers:
+// client sessions onto any vfs.FileSystem. It has three layers:
 //
 //   - a wire layer: a compact little-endian message codec with request
 //     IDs for pipelining and bounded payload framing, spoken over two
 //     transports — a deterministic in-process loopback (every request
-//     encoded, dispatched, and decoded inline on the caller's goroutine,
+//     encoded, executed, and decoded inline on the caller's goroutine,
 //     so the crash harness and the differential suite stay bit-identical
 //     to direct calls) and a byte-stream transport (unix socket for
 //     cmd/splitfsd, net.Pipe in tests);
 //   - a session layer: per-session root confinement (client paths are
 //     resolved lexically against the session's subtree, so ".." cannot
-//     escape), a sharded handle table built from vfs.FDTable shards, and
-//     idempotent teardown that closes every handle when a client
-//     disconnects mid-operation;
-//   - a dispatch layer: a worker pool with per-session ordering — one
-//     session's requests execute FIFO in arrival order, distinct
-//     sessions run concurrently on the pool;
+//     escape), a vfs.FDTable whose descriptors are the wire handle IDs,
+//     execution of each request on the goroutine that read it, under
+//     the session's executor lock — one session's requests run FIFO in
+//     arrival order, distinct sessions run concurrently — and idempotent
+//     teardown that closes every handle when a client disconnects
+//     mid-operation;
 //   - a client library (Client, File) implementing vfs.FileSystem, so
 //     every workload in the repository runs unmodified through the
 //     service against any backend.
@@ -95,7 +95,7 @@ const (
 )
 
 // flagReplay marks a request the client is re-sending after a transport
-// loss: the original may or may not have executed. The dispatcher masks
+// loss: the original may or may not have executed. The session masks
 // the flag off before decoding and (a) answers from the session's reply
 // cache when the request already executed — the exactly-once path — or
 // (b) executes it fresh under the replay heal rules (see Session.handle:

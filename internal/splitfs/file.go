@@ -307,17 +307,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	for i := n; i < len(p); i++ {
 		p[i] = 0
 	}
-	// Patch staged ranges (oldest first; later writes win). The epoch pin
-	// brackets every access through a staging-file mapping: the reclaimer
-	// will not unmap a retired staging file until all pins from this
-	// epoch (and earlier) have been released.
-	overlaps := of.overlaps(off, int64(len(p)))
-	if len(overlaps) > 0 {
-		e := fs.staging.pin()
-		defer fs.staging.unpin(e)
-	}
+	// Patch staged ranges (oldest first; later writes win). Each range
+	// holds a reference on its staging file until the relink that pops it
+	// — under of.mu's write side — has committed, so the mapping cannot
+	// be reclaimed under this read lock.
 	end := off + int64(len(p))
-	for _, s := range overlaps {
+	for _, s := range of.overlaps(off, int64(len(p))) {
 		lo, hi := s.fileOff, s.fileOff+s.length
 		if lo < off {
 			lo = off

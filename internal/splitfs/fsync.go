@@ -17,8 +17,9 @@ import (
 //
 // It runs every file's relink steps, each under only that file's lock,
 // then ONE journal commit for all of them, then releases the consumed
-// staging references and turns the staging pool's reclamation epoch, so
-// retired staging files are unmapped and unlinked off the fsync hot path.
+// staging references and reclaims the staging files that leaves sealed
+// and unreferenced, so they are unmapped and unlinked off the fsync hot
+// path.
 // All of it happens on the calling goroutine, files in inode order
 // (duplicates dropped), so a single-threaded run produces a bit-identical
 // persistence-event stream every time — the crash harness replays
@@ -91,10 +92,21 @@ func (fs *FS) openFiles() []*ofile {
 
 // SyncAll relinks every open file's staged data (shutdown path, and the
 // multi-file fsync of the group-commit benchmark): all files share a
-// single journal commit.
+// single journal commit. It is also the barrier callers take for "all I
+// did so far is durable" (the resumable client empties its replay log on
+// it), and syncFiles commits only on behalf of the files it is given: in
+// POSIX mode a mkdir, rename or unlink issued while no file is open
+// would otherwise stay in K-Split's running transaction. Sync and strict
+// made each of those durable with its redo record; the commit is free
+// when syncFiles' own left nothing behind.
 func (fs *FS) SyncAll() error {
 	if err := fs.syncFiles(fs.openFiles()...); err != nil {
 		return err
+	}
+	if fs.mode == POSIX {
+		if err := fs.kfs.CommitMeta(); err != nil {
+			return err
+		}
 	}
 	fs.dev.Fence()
 	return nil

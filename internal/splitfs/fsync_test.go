@@ -121,11 +121,35 @@ func TestGroupSyncCoalescesCommits(t *testing.T) {
 	}
 }
 
-// TestStagingEpochReclamation exhausts staging files and verifies the
-// epoch reclaimer unmaps and unlinks them once their staged data has
-// relinked and the grace period has elapsed — and that reads through the
-// surviving overlay stay correct throughout.
-func TestStagingEpochReclamation(t *testing.T) {
+// TestSyncAllCommitsWithNoFileOpen: SyncAll is the "everything so far is
+// durable" barrier in every mode, also when no file is open anywhere in
+// the instance. POSIX mode used to commit only on behalf of open files,
+// so a mkdir followed by SyncAll stayed in K-Split's running transaction
+// and a crash rolled it back — after the served resumable client had
+// taken the ack as its barrier and emptied its replay log.
+func TestSyncAllCommitsWithNoFileOpen(t *testing.T) {
+	for _, mode := range []Mode{POSIX, Sync, Strict} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newMetaEnv(t, mode, ext4dax.Config{}, 1<<20)
+			if err := e.fs.Mkdir("/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.SyncAll(e.fs, nil); err != nil {
+				t.Fatal(err)
+			}
+			e.recover(t, nil)
+			if fi, err := e.fs.Stat("/d"); err != nil || !fi.IsDir {
+				t.Fatalf("/d after SyncAll + crash: %+v, %v", fi, err)
+			}
+		})
+	}
+}
+
+// TestStagingReclamation exhausts staging files and verifies they are
+// unmapped and unlinked once their staged data has relinked and their
+// last reference is gone — and that reads through the surviving overlay
+// stay correct throughout.
+func TestStagingReclamation(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(),
 		TrackPersistence: true})
 	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{JournalBlocks: 128, MaxInodes: 1024})

@@ -26,8 +26,8 @@ type stagingFile struct {
 	// an ofile overlay, plus one per ofile whose active append chunk
 	// lives in this file. sealed marks a file the allocator has moved
 	// past (no new reservations). A sealed file whose refs reach zero is
-	// retired into the epoch reclaimer's limbo and eventually unmapped,
-	// closed, and unlinked off the hot path. Both guarded by pool.mu.
+	// retired: the next reclaim() unmaps, closes, and unlinks it, off the
+	// hot path. Both guarded by pool.mu.
 	refs   int
 	sealed bool
 }
@@ -65,32 +65,24 @@ type stagingPool struct {
 	nextID  int
 	created int // files created after startup ("background thread" work)
 
-	// Epoch-based reclamation of retired staging files (DESIGN.md,
-	// "Epoch-based staging reclamation"). Refcounts establish when a
-	// sealed file's staged data is fully relinked; the epoch grace
-	// period additionally guarantees no reader still holds a pointer it
-	// translated through the file's mapping in an earlier critical
-	// section. Readers pin the current epoch around staged-overlay
-	// access; a file retired at epoch E is reclaimed only once every pin
-	// taken at epoch <= E has been released and the epoch has advanced.
-	epoch     uint64
-	pins      map[uint64]int // active pins per epoch
+	// Reclamation runs on the refcounts alone (DESIGN.md, "Staging
+	// reclamation"): every access through a staging file's mapping
+	// happens under the owning ofile.mu, on a staged range or active
+	// chunk that still holds its reference (a Fork's copies hold their
+	// own), and a range gives its reference up only after the relink
+	// that popped it — under that lock's write side — has committed. So
+	// once a sealed file's count reaches zero nothing can reach its
+	// mapping, and it waits in retired only for the next reclaim().
 	sealed    []*stagingFile // sealed, still referenced by overlays/chunks
-	limbo     []limboFile
-	reclaimed int // staging files unmapped+unlinked by the reclaimer
-}
-
-// limboFile is a retired staging file awaiting its grace period.
-type limboFile struct {
-	sf    *stagingFile
-	epoch uint64 // epoch at retirement
+	retired   []*stagingFile // sealed and unreferenced
+	reclaimed int            // staging files unmapped+unlinked by reclaim
 }
 
 func newStagingPool(fs *FS) (*stagingPool, error) {
 	if fs.kfs == nil {
 		return nil, fmt.Errorf("splitfs: staging pool needs a mounted K-Split")
 	}
-	p := &stagingPool{fs: fs, pins: make(map[uint64]int)}
+	p := &stagingPool{fs: fs}
 	if err := fs.kfs.Mkdir(stagingDir, 0700); err != nil {
 		// Directory may already exist when several U-Split instances
 		// share one K-Split.
@@ -197,11 +189,11 @@ func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error)
 		}
 		// Staging file used up; move to the next. The exhausted file is
 		// sealed: no new reservations, and once its last staged range and
-		// active chunk release their references it enters the epoch
-		// reclaimer's limbo, to be unmapped and unlinked off the hot path.
+		// active chunk release their references it is retired, to be
+		// unmapped and unlinked off the hot path.
 		sf.sealed = true
 		if sf.refs == 0 {
-			p.retireLocked(sf)
+			p.retired = append(p.retired, sf)
 		} else {
 			p.sealed = append(p.sealed, sf)
 		}
@@ -260,60 +252,19 @@ func (p *stagingPool) unrefLocked(sf *stagingFile) {
 				break
 			}
 		}
-		p.retireLocked(sf)
+		p.retired = append(p.retired, sf)
 	}
 }
 
-// retireLocked stamps a fully-released sealed file with the current epoch
-// and parks it in limbo. Caller holds p.mu.
-func (p *stagingPool) retireLocked(sf *stagingFile) {
-	p.limbo = append(p.limbo, limboFile{sf: sf, epoch: p.epoch})
-}
-
-// pin marks the caller as active in the current epoch; staged-overlay
-// readers hold a pin across any access through a staging-file mapping.
-func (p *stagingPool) pin() uint64 {
-	p.mu.Lock()
-	e := p.epoch
-	p.pins[e]++
-	p.mu.Unlock()
-	return e
-}
-
-// unpin releases a pin taken at epoch e.
-func (p *stagingPool) unpin(e uint64) {
-	p.mu.Lock()
-	if p.pins[e]--; p.pins[e] == 0 {
-		delete(p.pins, e)
-	}
-	p.mu.Unlock()
-}
-
-// reclaim advances the epoch and unmaps, closes, and unlinks every limbo
-// file whose grace period has elapsed: retirement epoch older than every
-// active pin. syncFiles calls this after each commit, keeping
-// the munmap and unlink cost off the fsync hot path; the unlink's block
-// frees join the running journal transaction and commit with the next
-// group commit. Returns how many files were reclaimed.
+// reclaim unmaps, closes, and unlinks every retired file. syncFiles calls
+// this after each commit, keeping the munmap and unlink cost off the
+// fsync hot path; the unlink's block frees join the running journal
+// transaction and commit with the next group commit. Returns how many
+// files were reclaimed.
 func (p *stagingPool) reclaim() int {
 	p.mu.Lock()
-	p.epoch++
-	minPinned := p.epoch
-	for e := range p.pins {
-		if e < minPinned {
-			minPinned = e
-		}
-	}
-	var free []*stagingFile
-	keep := p.limbo[:0]
-	for _, lf := range p.limbo {
-		if lf.epoch < minPinned {
-			free = append(free, lf.sf)
-		} else {
-			keep = append(keep, lf)
-		}
-	}
-	p.limbo = keep
+	free := p.retired
+	p.retired = nil
 	p.reclaimed += len(free)
 	p.mu.Unlock()
 	for _, sf := range free {
@@ -347,8 +298,8 @@ func (p *stagingPool) refill() error {
 // handle) plus the page-table overhead of its persistent mapping — 8
 // bytes per mapped page, where the page size depends on whether the
 // mapping was granted huge pages. Sealed files still referenced by
-// staged ranges, and limbo files awaiting their reclamation grace
-// period, count too; reclaimed files do not — unmapping them is exactly
+// staged ranges, and retired files awaiting the next reclaim(), count
+// too; reclaimed files do not — unmapping them is exactly
 // what returns their page tables. This is the dominant §5.10 term: the
 // paper's 160 MB staging files cost ~320 KB of page tables each with
 // 4 KB pages, versus 640 B with 2 MB pages.
@@ -370,8 +321,8 @@ func (p *stagingPool) memoryUsage() int64 {
 	for _, sf := range p.sealed {
 		count(sf)
 	}
-	for _, lf := range p.limbo {
-		count(lf.sf)
+	for _, sf := range p.retired {
+		count(sf)
 	}
 	if p.current != nil {
 		count(p.current)
@@ -391,8 +342,8 @@ func (fs *FS) StagingFilesCreated() int {
 	return fs.staging.created
 }
 
-// StagingFilesReclaimed reports how many retired staging files the
-// epoch reclaimer has unmapped and unlinked.
+// StagingFilesReclaimed reports how many retired staging files have
+// been unmapped and unlinked.
 func (fs *FS) StagingFilesReclaimed() int {
 	fs.staging.mu.Lock()
 	defer fs.staging.mu.Unlock()
