@@ -60,6 +60,9 @@ type Campaign struct {
 	SkipFence func(seq int64) bool
 	// Trace records the full persistence-event trace of the run.
 	Trace bool
+	// model is the model of (Mode, Ops) when the caller already has it:
+	// a sweep evaluates it once, not once per crash point.
+	model *modelRun
 }
 
 // Result reports what the checker verified.
@@ -197,7 +200,10 @@ func Run(c Campaign) (*Result, error) {
 		}
 		stopSys = sysPrefix(sys, stop)
 	}
-	m := buildModel(c.Mode, sys)
+	m := c.model
+	if m == nil {
+		m = buildModel(c.Mode, sys)
+	}
 	res := &Result{}
 
 	if c.Trace {

@@ -95,8 +95,9 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
+	model := buildModel(cfg.Mode, compile(cfg.Ops))
 	record, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAfter: len(cfg.Ops),
-		Seed: cfg.Seed, Trace: true, SkipFence: cfg.SkipFence})
+		Seed: cfg.Seed, Trace: true, SkipFence: cfg.SkipFence, model: model})
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +139,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	}
 	for _, k := range events {
 		c := Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
-			CrashAtEvent: k, SkipFence: cfg.SkipFence}
+			CrashAtEvent: k, SkipFence: cfg.SkipFence, model: model}
 		r, err := Run(c)
 		if err != nil {
 			return nil, err

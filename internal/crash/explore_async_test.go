@@ -8,52 +8,57 @@ import (
 	"splitfs/internal/splitfs"
 )
 
-// TestAsyncRelinkSweepAllModes sweeps persistence events over a workload
-// shaped for the asynchronous relink pipeline — multi-file appends with
-// per-file fsyncs and group syncs (OpSyncAll) — in all three modes. The
-// pipeline drains on the calling goroutine, so the sweep crosses its
-// stages' events (relink, group commit, staging reclamation) at every
-// point; all of them must be
-// violation-free.
+// TestAsyncRelinkSweepAllModes sweeps persistence events over workloads
+// shaped for the fsync path — multi-file appends with per-file fsyncs and
+// group syncs (OpSyncAll), and the fragmenting family, whose relinks
+// write back inodes that own extent-overflow blocks — in all three modes.
+// Relink, group commit and staging reclamation run on the calling
+// goroutine, so the sweep crosses their events at every point; all of
+// them must be violation-free.
 func TestAsyncRelinkSweepAllModes(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := Explore(ExploreConfig{
-				Mode: mode,
-				Ops:  AsyncOps(53, 18),
-				Seed: 5,
-				// Bounded: the full windows run to thousands of events;
-				// the deterministic sample still crosses dozens of
-				// background-stage events (asserted below).
-				Sample: 160,
-			})
-			if err != nil {
-				t.Fatalf("explore: %v", err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("violation at event %d: %s", v.Event, v.Msg)
-			}
-			if len(res.UnknownKinds) != 0 {
-				t.Errorf("unknown event kinds: %v", res.UnknownKinds)
-			}
-			// The workload must actually produce background-pipeline
-			// events, and the sweep must crash at some of them.
-			var pipelineEvents, pipelineTested int64
-			for k, n := range res.ByKind {
-				if strings.Contains(k, "@relink") || strings.Contains(k, "@reclaim") {
-					pipelineEvents += n
-				}
-			}
-			for k, n := range res.TestedByKind {
-				if strings.Contains(k, "@relink") || strings.Contains(k, "@reclaim") {
-					pipelineTested += n
-				}
-			}
-			if pipelineEvents == 0 {
-				t.Fatalf("no background-pipeline events in window; ByKind=%v", res.ByKind)
-			}
-			if pipelineTested == 0 {
-				t.Fatalf("sweep tested no background-pipeline events; TestedByKind=%v", res.TestedByKind)
+			for _, wl := range []struct {
+				name string
+				ops  []Op
+			}{
+				{"async", AsyncOps(53, 18)},
+				{"fragment", FragmentOps(57, 0)},
+			} {
+				t.Run(wl.name, func(t *testing.T) {
+					// Bounded: the full windows run to thousands of events;
+					// the deterministic sample still crosses dozens of
+					// background-stage events (asserted below).
+					res, err := Explore(ExploreConfig{Mode: mode, Ops: wl.ops, Seed: 5, Sample: 160})
+					if err != nil {
+						t.Fatalf("explore: %v", err)
+					}
+					for _, v := range res.Violations {
+						t.Errorf("violation at event %d: %s", v.Event, v.Msg)
+					}
+					if len(res.UnknownKinds) != 0 {
+						t.Errorf("unknown event kinds: %v", res.UnknownKinds)
+					}
+					// The workload must actually produce background-pipeline
+					// events, and the sweep must crash at some of them.
+					var pipelineEvents, pipelineTested int64
+					for k, n := range res.ByKind {
+						if strings.Contains(k, "@relink") || strings.Contains(k, "@reclaim") {
+							pipelineEvents += n
+						}
+					}
+					for k, n := range res.TestedByKind {
+						if strings.Contains(k, "@relink") || strings.Contains(k, "@reclaim") {
+							pipelineTested += n
+						}
+					}
+					if pipelineEvents == 0 {
+						t.Fatalf("no background-pipeline events in window; ByKind=%v", res.ByKind)
+					}
+					if pipelineTested == 0 {
+						t.Fatalf("sweep tested no background-pipeline events; TestedByKind=%v", res.TestedByKind)
+					}
+				})
 			}
 		})
 	}

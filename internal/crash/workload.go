@@ -254,6 +254,46 @@ func AsyncOps(seed uint64, n int) []Op {
 	return ops
 }
 
+// fragmentMinOps is the least FragmentOps generates: what it takes, in
+// every mode, for a file to outgrow its inode's inline extents with a
+// third of the workload still to run.
+const fragmentMinOps = 78
+
+// FragmentOps builds a deterministic workload that fragments its files
+// past the extents an inode record holds, so the sweep crashes inside
+// write-backs that touch some extent-overflow blocks of an inode and not
+// others: after one early 48-block write, fsynced appends of a block and
+// a bit alternate between two files — each ends mid-block, so its relink
+// moves the tail block and the next append cannot extend the extent — and
+// now and then one block of the early write is overwritten, which in
+// strict mode relinks a staged block into the middle of its extent. At
+// least fragmentMinOps ops, whatever n says: the generator is for what
+// happens past extent 19.
+func FragmentOps(seed uint64, n int) []Op {
+	rng := sim.NewRNG(seed)
+	data := func(n int) []byte {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(rng.Uint64())
+		}
+		return b
+	}
+	const early = 48
+	paths := []string{"/g0", "/g1"}
+	ops := []Op{{Path: paths[0], Off: 0, Data: data(early * sim.BlockSize), Fsync: true}}
+	for appends := 0; len(ops) < max(n, fragmentMinOps); {
+		if rng.Intn(8) == 0 {
+			ops = append(ops, Op{Path: paths[0], Off: int64(rng.Intn(early)) * sim.BlockSize,
+				Data: data(sim.BlockSize), Fsync: rng.Intn(2) == 0})
+			continue
+		}
+		ops = append(ops, Op{Path: paths[appends%2], Off: -1,
+			Data: data(sim.BlockSize + 1 + rng.Intn(sim.BlockSize/2)), Fsync: true})
+		appends++
+	}
+	return ops
+}
+
 // ServedOps builds a deterministic workload shaped for the served crash
 // campaigns' resume discipline (see server.DialResumable):
 //

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"splitfs/internal/sim"
+	"splitfs/internal/splitfs"
+	"splitfs/internal/vfs"
 )
 
 // The campaign runners replay workloads by absolute persistence-event
@@ -22,6 +24,7 @@ func TestGeneratorSeedStability(t *testing.T) {
 		{"RandomOps", RandomOps(7, 50), 50, 0xd9c80ff81868e760},
 		{"MetadataOps", MetadataOps(7, 50), 50, 0xa5311d7185123f96},
 		{"MetaBurstOps", MetaBurstOps(7, 50), 50, 0xbff969b7089b6e9c},
+		{"FragmentOps", FragmentOps(7, 50), fragmentMinOps, 0xdd2610a7836a5ecf},
 	}
 	for _, c := range cases {
 		if len(c.ops) != c.wantN {
@@ -153,6 +156,45 @@ func TestMetaBurstOpsThinTheCommits(t *testing.T) {
 		_, dense := count(MetadataOps(seed*37, 40))
 		if meta < 28 || committing > 8 || committing*2 > dense {
 			t.Errorf("seed %d: %d of 40 ops are metadata operations, %d commit (MetadataOps: %d)", seed, meta, committing, dense)
+		}
+	}
+}
+
+// TestFragmentOpsReachOverflowBlocks pins what the fragment family is
+// for: at the lengths cmd/crashcheck runs it, in every mode, a file owns
+// an extent-overflow block (stat's block count exceeds its data blocks)
+// with a third of the workload still to run — so the sweep's crash points
+// fall inside write-backs that touch some leaves of an inode and not
+// others.
+func TestFragmentOpsReachOverflowBlocks(t *testing.T) {
+	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
+		for _, nops := range []int{15, 25} { // CI's bounded sweep, the default
+			for seed := uint64(1); seed <= 8; seed++ { // nightly's seeds
+				ops := FragmentOps(seed*19, nops)
+				env, err := newCrashStack(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys := compile(ops)
+				r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
+				for _, sc := range sys[:sysPrefix(sys, len(ops)*2/3)] {
+					if err := r.apply(sc); err != nil {
+						t.Fatalf("%v, seed %d, op %d: %v", mode, seed, sc.opIdx, err)
+					}
+				}
+				overflow := int64(0)
+				for _, p := range []string{"/g0", "/g1"} {
+					info, err := env.Base.(*splitfs.FS).KFS().Stat(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					overflow += info.Blocks - (info.Size+sim.BlockSize-1)/sim.BlockSize
+				}
+				if overflow == 0 {
+					t.Errorf("%v, seed %d, %d ops asked for (%d generated): no overflow block after two thirds of them",
+						mode, seed, nops, len(ops))
+				}
+			}
 		}
 	}
 }

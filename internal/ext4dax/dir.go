@@ -22,6 +22,7 @@ func (fs *FS) ensureDir(in *inode) error {
 	}
 	in.entries = make(map[string]*dirEntry)
 	in.tailOff = 0
+	in.freeSlots = nil
 	nblocks := in.blocks
 	for b := int64(0); b < nblocks; b++ {
 		devOff, ok := fs.blockOf(in, b)
@@ -40,7 +41,7 @@ func (fs *FS) ensureDir(in *inode) error {
 			if pos+12+nameLen > sim.BlockSize {
 				break // corrupt tail; treat as end
 			}
-			if ino != 0 { // not a tombstone
+			if ino != 0 {
 				name := string(blk[pos+12 : pos+12+nameLen])
 				in.entries[name] = &dirEntry{
 					name:   name,
@@ -48,6 +49,8 @@ func (fs *FS) ensureDir(in *inode) error {
 					isDir:  blk[pos+10] == 1,
 					devOff: devOff + pos,
 				}
+			} else { // a tombstone
+				in.freeSlot(devOff+pos, 12+nameLen)
 			}
 			pos += 12 + nameLen
 			in.tailOff = b*sim.BlockSize + pos
@@ -56,9 +59,17 @@ func (fs *FS) ensureDir(in *inode) error {
 	return nil
 }
 
-// addDirent appends a directory entry record to the directory file,
-// allocating a block when needed, and updates the cache. Caller holds
-// fs.mu.
+// freeSlot records a tombstoned directory record for reuse.
+func (in *inode) freeSlot(devOff, recLen int64) {
+	if in.freeSlots == nil {
+		in.freeSlots = make(map[int64][]int64)
+	}
+	in.freeSlots[recLen] = append(in.freeSlots[recLen], devOff)
+}
+
+// addDirent writes a directory entry record over a tombstone of the same
+// length or, failing that, at the directory file's tail, and updates the
+// cache. Caller holds fs.mu.
 func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 	fs.clk.Charge(sim.CatCPU, sim.Ext4DirOpNs)
 	if err := fs.ensureDir(dir); err != nil {
@@ -66,6 +77,26 @@ func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 	}
 	rec := encodeDirent(ino, isDir, name)
 	need := int64(len(rec))
+	var devOff int64
+	if free := dir.freeSlots[need]; len(free) > 0 {
+		devOff = free[len(free)-1]
+		dir.freeSlots[need] = free[:len(free)-1]
+	} else {
+		var err error
+		if devOff, err = fs.extendDir(dir, need); err != nil {
+			return err
+		}
+	}
+	fs.dev.StoreBuffered(devOff, rec, sim.CatPMMeta)
+	fs.note(devOff, len(rec))
+	dir.entries[name] = &dirEntry{name: name, ino: ino, isDir: isDir, devOff: devOff}
+	fs.writeInode(dir)
+	return nil
+}
+
+// extendDir claims need bytes at the directory file's tail, allocating a
+// block when needed, and returns their device offset. Caller holds fs.mu.
+func (fs *FS) extendDir(dir *inode, need int64) (int64, error) {
 	// Records never straddle a block boundary: skip to the next block if
 	// the remainder cannot hold this record.
 	if rem := sim.BlockSize - dir.tailOff%sim.BlockSize; rem < need {
@@ -75,7 +106,7 @@ func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 	for dir.tailOff+need > dir.blocks*sim.BlockSize {
 		e, dirty, err := fs.bBmp.AllocExtent(1)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		fs.note(dirty.Off, dirty.Len)
 		// Zero the fresh directory block so record parsing terminates.
@@ -86,18 +117,14 @@ func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 	}
 	devOff, ok := fs.blockOf(dir, dir.tailOff/sim.BlockSize)
 	if !ok {
-		return vfs.ErrInval
+		return 0, vfs.ErrInval
 	}
 	devOff += dir.tailOff % sim.BlockSize
-	fs.dev.StoreBuffered(devOff, rec, sim.CatPMMeta)
-	fs.note(devOff, len(rec))
-	dir.entries[name] = &dirEntry{name: name, ino: ino, isDir: isDir, devOff: devOff}
 	dir.tailOff += need
 	if dir.tailOff > dir.size {
 		dir.size = dir.tailOff
 	}
-	fs.writeInode(dir)
-	return nil
+	return devOff, nil
 }
 
 // removeDirent tombstones an entry on disk and removes it from the cache.
@@ -116,6 +143,7 @@ func (fs *FS) removeDirent(dir *inode, name string) (*dirEntry, error) {
 	fs.dev.StoreBuffered(de.devOff, zero[:], sim.CatPMMeta)
 	fs.note(de.devOff, 8)
 	delete(dir.entries, name)
+	dir.freeSlot(de.devOff, direntSize(name))
 	return de, nil
 }
 

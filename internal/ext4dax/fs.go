@@ -1,6 +1,7 @@
 package ext4dax
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -112,6 +113,8 @@ type FS struct {
 	// a relink-punched staging range scribbled over before the relink
 	// committed). The bitmap clears join the committing transaction.
 	pendingFrees []pendingFree
+	// wbOld is writeBack's view of what the buffer cache holds.
+	wbOld [sim.BlockSize]byte
 
 	stats fsStats
 }
@@ -394,9 +397,8 @@ func (fs *FS) inodeOff(ino uint64) int64 {
 	return fs.lay.InodeTblOff + int64(ino)*inodeSize
 }
 
-// writeInode serializes an inode (and its overflow extent blocks) to the
-// device with cached stores and notes the ranges in the running
-// transaction. Caller holds fs.mu.
+// writeInode serializes an inode (and its overflow extent blocks) and
+// writes back what changed: see writeBack. Caller holds fs.mu.
 func (fs *FS) writeInode(in *inode) {
 	fs.clk.Charge(sim.CatCPU, sim.Ext4ExtentUpdateNs)
 	// Overflow blocks: everything past the inline extents, in chunks.
@@ -404,7 +406,9 @@ func (fs *FS) writeInode(in *inode) {
 	if len(in.extents) > inlineExtents {
 		overflowNeeded = (len(in.extents) - inlineExtents + overflowCap - 1) / overflowCap
 	}
-	// Allocate or free overflow blocks to match.
+	// Allocate or free overflow blocks to match. Blocks from held on are
+	// fresh from the allocator.
+	held := len(in.overflow)
 	for len(in.overflow) < overflowNeeded {
 		e, dirty, err := fs.bBmp.AllocExtent(1)
 		if err != nil {
@@ -418,10 +422,7 @@ func (fs *FS) writeInode(in *inode) {
 		in.overflow = in.overflow[:len(in.overflow)-1]
 		fs.deferFree(fs.bBmp, alloc.Extent{Start: last, Len: 1})
 	}
-	rec := in.encode()
-	off := fs.inodeOff(in.ino)
-	fs.dev.StoreBuffered(off, rec, sim.CatPMMeta)
-	fs.note(off, len(rec))
+	fs.writeBack(fs.inodeOff(in.ino), in.encode(), false)
 	// Write overflow chains.
 	rest := in.extents
 	if len(rest) > inlineExtents {
@@ -445,9 +446,40 @@ func (fs *FS) writeInode(in *inode) {
 		for k, e := range chunk {
 			putExtent(buf[overflowHeader+k*extentRecSize:], e)
 		}
-		devOff := fs.bBmp.BlockOffset(blk)
-		fs.dev.StoreBuffered(devOff, buf, sim.CatPMMeta)
-		fs.note(devOff, len(buf))
+		fs.writeBack(fs.bBmp.BlockOffset(blk), buf, i >= held)
+	}
+}
+
+// writeBack stores the cache-line runs of p that differ from what the
+// buffer cache holds at off (cache-line aligned) and notes them in the
+// running transaction, so an inode write-back costs what the change
+// touched, not what the inode owns: an unchanged overflow block is
+// neither stored, journaled nor flushed. Skipping a line whose volatile
+// bytes already match is crash-safe because metadata lines are only ever
+// written by noted buffered stores (DESIGN.md, "Inode write-back") —
+// except in a block fresh from the allocator, whose volatile bytes may be
+// a previous owner's unfenced data: that one is stored whole. Caller
+// holds fs.mu, which also guards the scratch block.
+func (fs *FS) writeBack(off int64, p []byte, fresh bool) {
+	if fresh {
+		fs.dev.StoreBuffered(off, p, sim.CatPMMeta)
+		fs.note(off, len(p))
+		return
+	}
+	old := fs.wbOld[:len(p)]
+	fs.dev.Peek(old, off)
+	line := func(b []byte, at int) []byte { return b[at:min(at+sim.CacheLine, len(b))] }
+	for lo := 0; lo < len(p); lo += sim.CacheLine {
+		hi := lo
+		for hi < len(p) && !bytes.Equal(line(p, hi), line(old, hi)) {
+			hi += sim.CacheLine
+		}
+		if hi > lo {
+			hi = min(hi, len(p))
+			fs.dev.StoreBuffered(off+int64(lo), p[lo:hi], sim.CatPMMeta)
+			fs.note(off+int64(lo), hi-lo)
+			lo = hi // the line at hi, if any, matched
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ext4dax
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -316,6 +317,67 @@ func TestRename(t *testing.T) {
 	got, _ = vfs.ReadFile(fs, "/other")
 	if string(got) != "payload" {
 		t.Fatalf("after replace = %q", got)
+	}
+}
+
+// TestDirectoryChurnReusesTombstones: a directory whose population is
+// bounded stays bounded on the device — a create takes over the record of
+// an unlinked name of the same length instead of growing the directory
+// file — and the reused records are what a remount lists.
+func TestDirectoryChurnReusesTombstones(t *testing.T) {
+	dev, fs := newFS(t)
+	if err := fs.Mkdir("/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(20)
+	live := map[string]bool{}
+	for i := 0; i < 20000; i++ {
+		name := fmt.Sprintf("/d/f%02d", rng.Intn(64))
+		if live[name] {
+			if err := fs.Unlink(name); err != nil {
+				t.Fatalf("cycle %d: %v", i, err)
+			}
+			delete(live, name)
+			continue
+		}
+		f, err := vfs.Create(fs, name)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		f.Close()
+		live[name] = true
+	}
+	if info, _ := fs.Stat("/d"); info.Blocks > 2 {
+		t.Fatalf("a directory of at most 64 names holds %d blocks, want <= 2", info.Blocks)
+	}
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, _, err := Mount(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := fs2.ReadDir("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(live) {
+		t.Fatalf("remount lists %d names, want %d", len(ents), len(live))
+	}
+	for _, e := range ents {
+		if !live["/d/"+e.Name] {
+			t.Fatalf("remount lists %s, which was unlinked", e.Name)
+		}
+	}
+	// The remounted directory knows its tombstones: every record in it is
+	// a live name or a slot the next create can take.
+	dir, err := fs2.resolve("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recLen := direntSize("f00")
+	if records, free := dir.tailOff/recLen, int64(len(dir.freeSlots[recLen])); records != int64(len(live))+free {
+		t.Fatalf("remounted directory: %d records, %d live, %d known free", records, len(live), free)
 	}
 }
 

@@ -163,6 +163,9 @@ type inode struct {
 	// dir state, populated lazily for directories
 	entries map[string]*dirEntry
 	tailOff int64 // next free byte inside the directory file
+	// freeSlots holds the device offsets of tombstoned records, by record
+	// length, for addDirent to reuse before it grows the directory.
+	freeSlots map[int64][]int64
 }
 
 // encode serializes the inode header and inline extents into a 512-byte

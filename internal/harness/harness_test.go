@@ -97,13 +97,16 @@ func TestTable6Shape(t *testing.T) {
 	if !(get("fsync", 4) > 2*get("fsync", 1)) {
 		t.Fatal("SplitFS fsync must be far cheaper than ext4 fsync")
 	}
-	// Relink is a metadata-only move (DESIGN.md, "Relink is a move"): the
-	// fsync row stays within 15 % of the paper's, so an allocation, a
-	// second inode write-back or an extra journal image cannot creep back
-	// in unnoticed (it was 9.23 / 8.73 / 9.22 µs with all three).
+	// Relink is a metadata-only move (DESIGN.md, "Relink is a move") and
+	// its inode write-backs store what changed (DESIGN.md, "Inode
+	// write-back"): the fsync row stays within 5 % of the paper's, both
+	// ways. Above, an allocation, a second write-back, an extra journal
+	// image or a whole-record flush crept back in (9.23 / 8.73 / 9.22 µs
+	// with the first three, 7.60 / 7.60 / 7.57 with the last); below, a
+	// write-back skipped something it had to store.
 	for col, paper := range map[int]float64{1: 6.85, 2: 6.80, 3: 6.80} {
-		if got := get("fsync", col); got > 1.15*paper {
-			t.Fatalf("SplitFS fsync (column %d) = %.2f µs, more than 1.15x the paper's %.2f", col, got, paper)
+		if got := get("fsync", col); got > 1.05*paper || got < 0.95*paper {
+			t.Fatalf("SplitFS fsync (column %d) = %.2f µs, not within 5 %% of the paper's %.2f", col, got, paper)
 		}
 	}
 	// A synchronous unlink costs one log record and one fence over a POSIX

@@ -14,10 +14,10 @@ import (
 // internal/harness.MacroBackendHash (see DESIGN.md, "Macrobenchmark
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
-	"ext4-dax":       0xb7ed5005a861284b,
-	"splitfs-posix":  0x407765a904313f86,
-	"splitfs-sync":   0xb14e683979af9a37,
-	"splitfs-strict": 0x4eb50a2f35d3b809,
+	"ext4-dax":       0x53ff882550f9a1d5,
+	"splitfs-posix":  0xd7445a122c62f2a7,
+	"splitfs-sync":   0x8df44ef0efa99b25,
+	"splitfs-strict": 0xd872b91d81d87d4d,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

@@ -423,3 +423,59 @@ func TestTailRelinkCrashSweep(t *testing.T) {
 		t.Fatalf("sweep saw %d replays and %d committed relinks; want both sides of the commit", replayed, skipped)
 	}
 }
+
+// TestFsyncCostFlatInFragmentation: two WAL-shaped files appended to and
+// fsynced in turn end up with about one extent per block, a dozen
+// extent-overflow blocks each — and an fsync of either must cost what the
+// relink changed, not what the inode has accumulated: K-Split writes back
+// the record lines and the leaves the relink touched, and neither stores,
+// journals nor flushes the rest.
+func TestFsyncCostFlatInFragmentation(t *testing.T) {
+	dev, fs := newEnv(t, Strict)
+	clk := dev.Clock()
+	var files [2]vfs.File
+	for i, p := range []string{"/wal0", "/wal1"} {
+		f, err := fs.OpenFile(p, vfs.O_RDWR|vfs.O_CREATE|vfs.O_APPEND, 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = f
+	}
+	const rounds, rec, window = 8000, 1000, 1000
+	buf := pattern(rec, 3)
+	var first, last int64 // simulated ns spent in the first and the last window of fsyncs
+	for i := 0; i < rounds; i++ {
+		for _, f := range files {
+			if _, err := f.Write(buf); err != nil {
+				t.Fatal(err)
+			}
+			t0 := clk.Now()
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case i < window:
+				first += clk.Now() - t0
+			case i >= rounds-window:
+				last += clk.Now() - t0
+			}
+		}
+	}
+	dataBlocks := int64(rounds*rec+sim.BlockSize-1) / sim.BlockSize
+	for _, f := range files {
+		info, err := fs.KFS().Stat(f.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Blocks < dataBlocks+10 {
+			t.Fatalf("%s holds %d blocks for %d of data: fewer than 10 overflow blocks, the test no longer fragments",
+				f.Path(), info.Blocks, dataBlocks)
+		}
+	}
+	if float64(last) > 1.15*float64(first) {
+		t.Fatalf("fsync cost grew with the file: %d ns mean over the first %d fsyncs of each file, %d ns over the last %d (%.2fx, want <= 1.15x)",
+			first/(2*window), window, last/(2*window), window, float64(last)/float64(first))
+	}
+	t.Logf("mean fsync: %d ns over the first %d, %d ns over the last %d (%.2fx)",
+		first/(2*window), window, last/(2*window), window, float64(last)/float64(first))
+}
