@@ -13,7 +13,11 @@ import (
 	"io"
 	"testing"
 
+	"splitfs/internal/ext4dax"
 	"splitfs/internal/harness"
+	"splitfs/internal/sim"
+	"splitfs/internal/stack"
+	"splitfs/internal/vfs"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -128,3 +132,53 @@ func BenchmarkResources(b *testing.B) { runExperiment(b, "resources") }
 
 // BenchmarkAblation regenerates the §3.6/§4 tunable-parameter ablations.
 func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
+
+// BenchmarkRelinkFragmented is relink's host cost against the number of
+// extents the target owns: one block relinked over a block of a file of n
+// one-block extents, and the batch closed. Wall-clock ns/op and B/op are
+// the metrics here (the simulated cost is TestFsyncCostFlatInFragmentation's);
+// both should be flat in n — re-read with -memprofile when they are not.
+func BenchmarkRelinkFragmented(b *testing.B) {
+	for _, n := range []int64{64, 1024, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			st, err := stack.New("ext4-dax", stack.Spec{DevBytes: 128 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			kfs := st.Base.(*ext4dax.FS)
+			dst, _ := vfs.Create(kfs, "/dst")
+			blk := make([]byte, sim.BlockSize)
+			for i := int64(0); i < n; i++ { // every other block: no two extents merge
+				if _, err := dst.WriteAt(blk, 2*i*sim.BlockSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			const srcBlocks = 8192
+			src, _ := vfs.Create(kfs, "/src")
+			if err := src.(*ext4dax.File).Preallocate(srcBlocks, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := int64(0); i < int64(b.N); i++ {
+				if i%srcBlocks == 0 && i > 0 { // the source is spent: a fresh one
+					b.StopTimer()
+					if err := src.Truncate(0); err != nil {
+						b.Fatal(err)
+					}
+					if err := src.(*ext4dax.File).Preallocate(srcBlocks, 0); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				batch := kfs.BeginBatch()
+				err := batch.Relink(src.(*ext4dax.File), dst.(*ext4dax.File),
+					i%srcBlocks*sim.BlockSize, 2*(i*7%n)*sim.BlockSize, sim.BlockSize, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batch.End()
+			}
+		})
+	}
+}

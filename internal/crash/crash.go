@@ -297,7 +297,9 @@ func Run(c Campaign) (*Result, error) {
 // Panics inside mount or recovery are violations too — a corrupt image
 // crashing the recovery code (found by the served fence-fault self-test:
 // an allocator double free in the staging-pool rebuild) must be recorded
-// and minimized like any other breach, not kill the sweep process.
+// and minimized like any other breach, not kill the sweep process. What
+// mounts must also pass the stack's structural check: the oracles that
+// follow compare names and contents, and cannot see a block owned twice.
 func recover1(st *stack.Stack) (rec *stack.Stack, report stack.Recovery, vio string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -308,6 +310,9 @@ func recover1(st *stack.Stack) (rec *stack.Stack, report stack.Recovery, vio str
 	rec, report, err := st.Recover()
 	if err != nil {
 		return nil, report, err.Error()
+	}
+	if err := rec.Check(); err != nil {
+		return nil, report, fmt.Sprintf("recovered image fails its structural check: %v", err)
 	}
 	return rec, report, ""
 }

@@ -26,6 +26,7 @@ import (
 	"splitfs/internal/server"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -376,16 +377,19 @@ func (c *ServedCampaign) workloads() [][]Op {
 // finalCheck verifies, per tenant, that the fully-resumed file system
 // matches the model's end state exactly: every operation applied, none
 // lost, none doubled — in every mode, because by now every operation has
-// been acknowledged.
-func finalCheck(tenants []*servedTenant, fs vfs.FileSystem) string {
+// been acknowledged — and that the image under it is structurally sound.
+func finalCheck(tenants []*servedTenant, st *stack.Stack) string {
 	for i, t := range tenants {
-		dur, err := captureSubtree(fs, t.root)
+		dur, err := captureSubtree(st.FS, t.root)
 		if err != nil {
 			return fmt.Sprintf("tenant %d: final subtree unreadable: %v", i, err)
 		}
 		if why := matchExact(t.model.states[len(t.sys)], dur); why != "" {
 			return fmt.Sprintf("tenant %d: final state diverged after resume: %s", i, why)
 		}
+	}
+	if err := st.Check(); err != nil {
+		return fmt.Sprintf("final image fails its structural check: %v", err)
 	}
 	return ""
 }
@@ -514,7 +518,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 			res.Flight = srv.FlightReport()
 			return res, nil
 		}
-		res.Violation = finalCheck(tenants, fs)
+		res.Violation = finalCheck(tenants, env)
 		if res.Violation != "" {
 			res.Flight = srv.FlightReport()
 		}
@@ -627,7 +631,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 		res.Flight = srv2.FlightReport()
 		return res, nil
 	}
-	res.Violation = finalCheck(tenants, rec.FS)
+	res.Violation = finalCheck(tenants, rec)
 	if res.Violation != "" {
 		res.Flight = srv2.FlightReport()
 	}

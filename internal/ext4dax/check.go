@@ -1,0 +1,62 @@
+package ext4dax
+
+import (
+	"fmt"
+
+	"splitfs/internal/alloc"
+)
+
+// Check is the structural check a recovered (or live) image must pass,
+// beyond what reading names and contents back can see: every inode's
+// extent map keeps its invariant (alloc.ExtentMap.Check), the inode's
+// block count equals what the map holds, and every block an inode owns —
+// data or extent-overflow leaf — is marked in the block bitmap and owned
+// exactly once. It returns the number of blocks owned. It does not yet
+// assert the converse, that every marked block is owned: the orphan
+// list is DRAM-only, so a crash with an unlinked file open leaks blocks
+// by design (DESIGN.md, "Known non-goals").
+func (fs *FS) Check() (owned int64, err error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	seen := make([]bool, fs.lay.DataBlocks)
+	claim := func(in *inode, e alloc.Extent) error {
+		for b := e.Start; b < e.End(); b++ {
+			switch {
+			case b < 0 || b >= fs.lay.DataBlocks:
+				return fmt.Errorf("ext4dax: inode %d owns block %d, outside the device", in.ino, b)
+			case seen[b]:
+				return fmt.Errorf("ext4dax: block %d is owned twice (again by inode %d)", b, in.ino)
+			case !fs.bBmp.Allocated(b):
+				return fmt.Errorf("ext4dax: inode %d owns block %d, free in the bitmap", in.ino, b)
+			}
+			seen[b] = true
+		}
+		owned += e.Len
+		return nil
+	}
+	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
+		in := fs.icache[ino]
+		if in == nil {
+			continue
+		}
+		if err := in.extents.Check(); err != nil {
+			return 0, fmt.Errorf("ext4dax: inode %d: %w", ino, err)
+		}
+		var sum int64
+		for _, e := range in.extents {
+			if err := claim(in, e.Phys); err != nil {
+				return 0, err
+			}
+			sum += e.Phys.Len
+		}
+		if sum != in.blocks {
+			return 0, fmt.Errorf("ext4dax: inode %d counts %d blocks, its extents hold %d", ino, in.blocks, sum)
+		}
+		for _, blk := range in.overflow {
+			if err := claim(in, alloc.Extent{Start: blk, Len: 1}); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return owned, nil
+}

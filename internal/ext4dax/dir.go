@@ -112,7 +112,7 @@ func (fs *FS) extendDir(dir *inode, need int64) (int64, error) {
 		// Zero the fresh directory block so record parsing terminates.
 		fs.dev.StoreBuffered(fs.bBmp.ExtentOffset(e), make([]byte, sim.BlockSize), sim.CatPMMeta)
 		fs.note(fs.bBmp.ExtentOffset(e), sim.BlockSize)
-		appendFileExtent(dir, e)
+		dir.extents.Insert(dir.extents.End(), e)
 		dir.blocks += e.Len
 	}
 	devOff, ok := fs.blockOf(dir, dir.tailOff/sim.BlockSize)
@@ -227,7 +227,7 @@ func (fs *FS) freeInode(in *inode) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for _, e := range in.extents {
-		fs.deferFree(fs.bBmp, e.phys)
+		fs.deferFree(fs.bBmp, e.Phys)
 	}
 	for _, blk := range in.overflow {
 		fs.deferFree(fs.bBmp, alloc.Extent{Start: blk, Len: 1})

@@ -1,6 +1,7 @@
 package ext4dax
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -9,46 +10,46 @@ import (
 )
 
 func ext(logical, start, length int64) fileExtent {
-	return fileExtent{logical: logical, phys: alloc.Extent{Start: start, Len: length}}
+	return fileExtent{Logical: logical, Phys: alloc.Extent{Start: start, Len: length}}
 }
 
 func TestAppendFileExtentMerges(t *testing.T) {
 	in := &inode{}
-	appendFileExtent(in, alloc.Extent{Start: 10, Len: 2})
-	appendFileExtent(in, alloc.Extent{Start: 12, Len: 3}) // contiguous: merge
-	if len(in.extents) != 1 || in.extents[0].phys.Len != 5 {
+	in.extents.Insert(in.extents.End(), alloc.Extent{Start: 10, Len: 2})
+	in.extents.Insert(in.extents.End(), alloc.Extent{Start: 12, Len: 3}) // contiguous: merge
+	if len(in.extents) != 1 || in.extents[0].Phys.Len != 5 {
 		t.Fatalf("extents = %+v", in.extents)
 	}
-	appendFileExtent(in, alloc.Extent{Start: 20, Len: 1}) // gap: new extent
-	if len(in.extents) != 2 || in.extents[1].logical != 5 {
+	in.extents.Insert(in.extents.End(), alloc.Extent{Start: 20, Len: 1}) // gap: new extent
+	if len(in.extents) != 2 || in.extents[1].Logical != 5 {
 		t.Fatalf("extents = %+v", in.extents)
 	}
 }
 
 func TestInsertFileExtentOrdersAndMerges(t *testing.T) {
 	in := &inode{}
-	insertFileExtent(in, 4, alloc.Extent{Start: 104, Len: 2})
-	insertFileExtent(in, 0, alloc.Extent{Start: 100, Len: 2})
-	insertFileExtent(in, 2, alloc.Extent{Start: 102, Len: 2}) // bridges: full merge
+	in.extents.Insert(4, alloc.Extent{Start: 104, Len: 2})
+	in.extents.Insert(0, alloc.Extent{Start: 100, Len: 2})
+	in.extents.Insert(2, alloc.Extent{Start: 102, Len: 2}) // bridges: full merge
 	if len(in.extents) != 1 {
 		t.Fatalf("extents = %+v", in.extents)
 	}
-	if in.extents[0].logical != 0 || in.extents[0].phys.Len != 6 {
+	if in.extents[0].Logical != 0 || in.extents[0].Phys.Len != 6 {
 		t.Fatalf("merged = %+v", in.extents[0])
 	}
 }
 
 func TestTruncateExtentsSplits(t *testing.T) {
 	in := &inode{extents: []fileExtent{ext(0, 100, 10)}}
-	freed := truncateExtents(in, 4)
+	freed := in.extents.Truncate(4)
 	if len(freed) != 1 || freed[0].Start != 104 || freed[0].Len != 6 {
 		t.Fatalf("freed = %+v", freed)
 	}
-	if len(in.extents) != 1 || in.extents[0].phys.Len != 4 {
+	if len(in.extents) != 1 || in.extents[0].Phys.Len != 4 {
 		t.Fatalf("kept = %+v", in.extents)
 	}
 	// Truncate to zero frees everything.
-	freed = truncateExtents(in, 0)
+	freed = in.extents.Truncate(0)
 	if len(freed) != 1 || freed[0].Len != 4 || len(in.extents) != 0 {
 		t.Fatalf("freed = %+v kept = %+v", freed, in.extents)
 	}
@@ -56,22 +57,22 @@ func TestTruncateExtentsSplits(t *testing.T) {
 
 func TestExtractExtentsMiddle(t *testing.T) {
 	in := &inode{extents: []fileExtent{ext(0, 100, 10)}}
-	removed := extractExtents(in, 3, 4)
+	removed := in.extents.Extract(3, 4)
 	if len(removed) != 1 || removed[0].Start != 103 || removed[0].Len != 4 {
 		t.Fatalf("removed = %+v", removed)
 	}
 	if len(in.extents) != 2 {
 		t.Fatalf("kept = %+v", in.extents)
 	}
-	if in.extents[0].phys.Len != 3 || in.extents[1].logical != 7 ||
-		in.extents[1].phys.Start != 107 {
+	if in.extents[0].Phys.Len != 3 || in.extents[1].Logical != 7 ||
+		in.extents[1].Phys.Start != 107 {
 		t.Fatalf("split wrong: %+v", in.extents)
 	}
 }
 
 func TestExtractExtentsAcrossMultiple(t *testing.T) {
 	in := &inode{extents: []fileExtent{ext(0, 100, 4), ext(4, 200, 4), ext(8, 300, 4)}}
-	removed := extractExtents(in, 2, 8) // spans all three
+	removed := in.extents.Extract(2, 8) // spans all three
 	total := int64(0)
 	for _, e := range removed {
 		total += e.Len
@@ -93,14 +94,14 @@ func TestExtractPlaceRoundTrip(t *testing.T) {
 		logical := int64(0)
 		for i := 0; i < 6; i++ {
 			length := int64(rng.Intn(5) + 1)
-			insertFileExtent(in, logical, alloc.Extent{
+			in.extents.Insert(logical, alloc.Extent{
 				Start: int64(1000*i + rng.Intn(100)), Len: length})
 			logical += length + int64(rng.Intn(3)) // maybe holes
 		}
 		orig := append([]fileExtent(nil), in.extents...)
 		from := int64(rng.Intn(int(logical)))
 		count := int64(rng.Intn(int(logical-from)) + 1)
-		removed := extractExtents(in, from, count)
+		removed := in.extents.Extract(from, count)
 		// Re-place piece by piece at their original logical positions.
 		place := from
 		for _, e := range removed {
@@ -112,7 +113,7 @@ func TestExtractPlaceRoundTrip(t *testing.T) {
 				}
 				place++
 			}
-			insertFileExtent(in, place, e)
+			in.extents.Insert(place, e)
 			place += e.Len
 		}
 		if len(in.extents) != len(orig) {
@@ -134,8 +135,8 @@ func TestExtractPlaceRoundTrip(t *testing.T) {
 // extent list, or -1 for holes.
 func devBlockAt(exts []fileExtent, logical int64) int64 {
 	for _, e := range exts {
-		if logical >= e.logical && logical < e.logicalEnd() {
-			return e.phys.Start + (logical - e.logical)
+		if logical >= e.Logical && logical < e.LogicalEnd() {
+			return e.Phys.Start + (logical - e.Logical)
 		}
 	}
 	return -1
@@ -146,10 +147,8 @@ func TestInodeEncodeDecodeRoundTrip(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		in.extents = append(in.extents, ext(i*4, 1000+i*8, 2))
 	}
-	rec := in.encode()
-	if len(rec) != inodeSize {
-		t.Fatalf("record size = %d", len(rec))
-	}
+	rec := bytes.Repeat([]byte{0xFF}, inodeSize) // encode must not depend on what the scratch held
+	in.encode(rec)
 	out, next, err := decodeInode(42, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,7 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 			}
 			needBlocks := (end-cur+inBlk+sim.BlockSize-1)/sim.BlockSize - 0
 			// Bound the request to the hole: find the next mapped block.
-			holeLen := nextMapped(in, logical) - logical
+			holeLen := in.extents.NextMapped(logical) - logical
 			if holeLen > 0 && needBlocks > holeLen {
 				needBlocks = holeLen
 			}
@@ -230,11 +230,7 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 				return 0, err
 			}
 			fs.note(dirty.Off, dirty.Len)
-			if logical == fileBlocks(in) {
-				appendFileExtent(in, e)
-			} else {
-				insertFileExtent(in, logical, e)
-			}
+			in.extents.Insert(logical, e)
 			in.blocks += e.Len
 			// Zero the edges of the new allocation that this write does
 			// not cover (DAX zeroes fresh blocks for security).
@@ -242,7 +238,7 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 			if inBlk > 0 {
 				fs.dev.StoreNT(newDev, make([]byte, inBlk), sim.CatPMData)
 			}
-			lastByte := min64(end, (logical+e.Len)*sim.BlockSize)
+			lastByte := min(end, (logical+e.Len)*sim.BlockSize)
 			if tail := (logical+e.Len)*sim.BlockSize - lastByte; tail > 0 {
 				fs.dev.StoreNT(newDev+e.Len*sim.BlockSize-tail,
 					make([]byte, tail), sim.CatPMData)
@@ -266,28 +262,6 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 		fs.writeInode(in)
 	}
 	return n, nil
-}
-
-// fileBlocks returns the logical block count (end of the last extent).
-func fileBlocks(in *inode) int64 {
-	if len(in.extents) == 0 {
-		return 0
-	}
-	return in.extents[len(in.extents)-1].logicalEnd()
-}
-
-// nextMapped returns the first mapped logical block at or after logical,
-// or a very large value when none exists.
-func nextMapped(in *inode, logical int64) int64 {
-	for _, e := range in.extents {
-		if e.logicalEnd() > logical {
-			if e.logical > logical {
-				return e.logical
-			}
-			return logical // already mapped (caller should not hit this)
-		}
-	}
-	return 1 << 60
 }
 
 // Truncate implements ftruncate(2).
@@ -328,7 +302,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) {
 		// loads are guaranteed to observe it (vfs.Mappable contract).
 		in.mapEpoch.Add(1)
 		fromLogical := (size + sim.BlockSize - 1) / sim.BlockSize
-		for _, e := range truncateExtents(in, fromLogical) {
+		for _, e := range in.extents.Truncate(fromLogical) {
 			fs.deferFree(fs.bBmp, e)
 			in.blocks -= e.Len
 		}
@@ -415,10 +389,10 @@ func (f *File) Preallocate(count, align int64) error {
 	defer f.in.mu.Unlock()
 	for i, e := range exts {
 		fs.note(dirties[i].Off, dirties[i].Len)
-		appendFileExtent(f.in, e)
+		f.in.extents.Insert(f.in.extents.End(), e)
 		f.in.blocks += e.Len
 	}
-	f.in.size = fileBlocks(f.in) * sim.BlockSize
+	f.in.size = f.in.extents.End() * sim.BlockSize
 	fs.writeInode(f.in)
 	fs.maybeCommit()
 	return nil

@@ -113,8 +113,9 @@ type FS struct {
 	// a relink-punched staging range scribbled over before the relink
 	// committed). The bitmap clears join the committing transaction.
 	pendingFrees []pendingFree
-	// wbOld is writeBack's view of what the buffer cache holds.
-	wbOld [sim.BlockSize]byte
+	// wbOld is writeBack's view of what the buffer cache holds, wbNew
+	// the encoding writeInode compares with it.
+	wbOld, wbNew [sim.BlockSize]byte
 
 	stats fsStats
 }
@@ -422,7 +423,8 @@ func (fs *FS) writeInode(in *inode) {
 		in.overflow = in.overflow[:len(in.overflow)-1]
 		fs.deferFree(fs.bBmp, alloc.Extent{Start: last, Len: 1})
 	}
-	fs.writeBack(fs.inodeOff(in.ino), in.encode(), false)
+	in.encode(fs.wbNew[:inodeSize])
+	fs.writeBack(fs.inodeOff(in.ino), fs.wbNew[:inodeSize], false)
 	// Write overflow chains.
 	rest := in.extents
 	if len(rest) > inlineExtents {
@@ -436,7 +438,8 @@ func (fs *FS) writeInode(in *inode) {
 			chunk = chunk[:overflowCap]
 		}
 		rest = rest[len(chunk):]
-		buf := make([]byte, overflowHeader+len(chunk)*extentRecSize)
+		buf := fs.wbNew[:overflowHeader+len(chunk)*extentRecSize]
+		clear(buf[:overflowHeader])
 		next := int64(0)
 		if i+1 < len(in.overflow) {
 			next = in.overflow[i+1]

@@ -116,13 +116,8 @@ func decodeSuper(b []byte) (journalBlocks, maxInodes int64, err error) {
 		int64(binary.LittleEndian.Uint64(b[16:24])), nil
 }
 
-// fileExtent maps a run of logical file blocks onto physical blocks.
-type fileExtent struct {
-	logical int64 // first logical block in the file
-	phys    alloc.Extent
-}
-
-func (e fileExtent) logicalEnd() int64 { return e.logical + e.phys.Len }
+// fileExtent is one record of an inode's extent map (alloc.ExtentMap).
+type fileExtent = alloc.FileExtent
 
 // inode is the in-DRAM (icache) representation of an on-disk inode.
 //
@@ -137,7 +132,7 @@ type inode struct {
 	nlink    uint32
 	size     int64
 	blocks   int64 // allocated block count
-	extents  []fileExtent
+	extents  alloc.ExtentMap
 	overflow []int64 // physical block numbers of overflow extent blocks
 	// uwm is an opaque user watermark, part of the SplitFS kernel patch:
 	// U-Split stores its operation-log sequence number here during relink
@@ -168,11 +163,11 @@ type inode struct {
 	freeSlots map[int64][]int64
 }
 
-// encode serializes the inode header and inline extents into a 512-byte
-// record. Extents beyond the inline area live in overflow blocks encoded
-// separately.
-func (in *inode) encode() []byte {
-	b := make([]byte, inodeSize)
+// encode serializes the inode header and inline extents into b, a
+// 512-byte record. Extents beyond the inline area live in overflow blocks
+// encoded separately.
+func (in *inode) encode(b []byte) {
+	clear(b)
 	binary.LittleEndian.PutUint32(b[0:4], 0x1A0DE)
 	if in.isDir {
 		b[4] = 1
@@ -194,19 +189,18 @@ func (in *inode) encode() []byte {
 		putExtent(b[48+i*extentRecSize:], in.extents[i])
 	}
 	binary.LittleEndian.PutUint64(b[uwmOff:], in.uwm)
-	return b
 }
 
 func putExtent(b []byte, e fileExtent) {
-	binary.LittleEndian.PutUint64(b[0:8], uint64(e.logical))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(e.phys.Start))
-	binary.LittleEndian.PutUint64(b[16:24], uint64(e.phys.Len))
+	binary.LittleEndian.PutUint64(b[0:8], uint64(e.Logical))
+	binary.LittleEndian.PutUint64(b[8:16], uint64(e.Phys.Start))
+	binary.LittleEndian.PutUint64(b[16:24], uint64(e.Phys.Len))
 }
 
 func getExtent(b []byte) fileExtent {
 	return fileExtent{
-		logical: int64(binary.LittleEndian.Uint64(b[0:8])),
-		phys: alloc.Extent{
+		Logical: int64(binary.LittleEndian.Uint64(b[0:8])),
+		Phys: alloc.Extent{
 			Start: int64(binary.LittleEndian.Uint64(b[8:16])),
 			Len:   int64(binary.LittleEndian.Uint64(b[16:24])),
 		},

@@ -1,16 +1,11 @@
 package ext4dax
 
 import (
+	"sync/atomic"
+
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
-
-// mappedRun is one contiguous piece of a memory mapping.
-type mappedRun struct {
-	fileOff int64 // offset within the mapped file
-	devOff  int64 // device byte offset
-	length  int64
-}
 
 // Mapping is a DAX memory mapping: a direct window onto the file's PM
 // extents. Loads and stores through a Mapping cost no kernel trap — this
@@ -20,16 +15,23 @@ type mappedRun struct {
 // another file; it keeps addressing the same physical data,
 // which is the property the paper's relink depends on to avoid page
 // faults (§3.5).
+//
+// It is a page table: one device offset per mapped page. Remap edits the
+// entries under a moved range in place while loads and stores go on, so
+// entries and length are atomics, and a grown length is published only
+// after the entries under it: an access sees each page wholly where it
+// was or wholly where it is.
 type Mapping struct {
 	fs      *FS
 	Ino     uint64
 	FileOff int64
-	Length  int64
 	Huge    bool // backed by 2 MB pages
-	runs    []mappedRun
+
+	pageSz int64
+	pages  []atomic.Int64 // device offset of each page; the capacity is fixed
+	length atomic.Int64   // bytes mapped: the entries below it are valid
 
 	faulted []bool // per-page soft-fault state when not pre-populated
-	pageSz  int64
 }
 
 // MmapOptions control population and huge-page behaviour.
@@ -56,119 +58,153 @@ func (fs *FS) Mmap(f *File, off, length int64, opts MmapOptions) (*Mapping, erro
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.clk.Charge(sim.CatCPU, sim.MmapSyscallNs)
-	return fs.mmapLocked(f, off, length, opts, true)
-}
-
-// MmapQuiet rebuilds a mapping with no syscall, fault, or population
-// charges and all pages pre-faulted. It models the paper's modified
-// relink ioctl, which updates existing memory mappings in place so that
-// post-relink accesses incur no page faults (§3.5).
-func (fs *FS) MmapQuiet(f *File, off, length int64, huge bool) (*Mapping, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.mmapLocked(f, off, length, MmapOptions{Populate: true, Huge: huge}, false)
-}
-
-func (fs *FS) mmapLocked(f *File, off, length int64, opts MmapOptions, charge bool) (*Mapping, error) {
-	if off%sim.BlockSize != 0 || length <= 0 {
-		return nil, vfs.ErrInval
+	m, err := fs.remapLocked(nil, f, off, length, opts.Huge, 0, 0)
+	if err != nil {
+		return nil, err
 	}
-	// Clamp to the allocated end of the file.
-	if allocEnd := fileBlocks(f.in) * sim.BlockSize; off+length > allocEnd {
-		length = allocEnd - off
-	}
-	if length <= 0 {
-		return nil, vfs.ErrInval
-	}
-	m := &Mapping{fs: fs, Ino: f.in.ino, FileOff: off, Length: length}
-	// Collect the physical runs covering the range.
-	cur := off
-	for cur < off+length {
-		logical := cur / sim.BlockSize
-		devOff, contig, ok := translate(fs, f.in, logical)
-		if !ok {
-			return nil, vfs.WrapPath("mmap", f.path, vfs.ErrInval)
+	nPages := int64(len(m.pages))
+	if opts.Populate {
+		faultCost := int64(sim.PageFault4KNs)
+		if m.Huge {
+			faultCost = sim.PageFault2MNs
 		}
-		span := contig * sim.BlockSize
-		if rem := off + length - cur; span > rem {
-			span = rem
-		}
-		m.runs = append(m.runs, mappedRun{fileOff: cur, devOff: devOff, length: span})
-		cur += span
-	}
-	// Huge pages need 2 MB alignment in both the file offset (virtual
-	// side) and every physical run (physical side).
-	m.Huge = opts.Huge && off%HugePageSize == 0 && length%HugePageSize == 0
-	if m.Huge {
-		for _, r := range m.runs {
-			if r.devOff%HugePageSize != 0 || r.length%HugePageSize != 0 {
-				m.Huge = false // fragmentation defeated the huge mapping
-				break
-			}
-		}
-	}
-	m.pageSz = sim.BlockSize
-	faultCost := int64(sim.PageFault4KNs)
-	if m.Huge {
-		m.pageSz = HugePageSize
-		faultCost = sim.PageFault2MNs
-	}
-	nPages := (length + m.pageSz - 1) / m.pageSz
-	switch {
-	case opts.Populate && charge:
 		fs.clk.Charge(sim.CatPageFault, nPages*faultCost)
-	case opts.Populate:
-		// Quiet rebuild: pages considered faulted, nothing charged.
-	default:
+	} else {
 		m.faulted = make([]bool, nPages)
 	}
 	return m, nil
 }
 
-// translate maps an offset within the mapped file range to a device
-// offset and the contiguous length available there. It charges the page
-// fault on first touch for non-populated mappings.
-func (m *Mapping) translate(fileOff int64) (devOff, contig int64, ok bool) {
-	if fileOff < m.FileOff || fileOff >= m.FileOff+m.Length {
-		return 0, 0, false
-	}
-	if m.faulted != nil {
-		pg := (fileOff - m.FileOff) / m.pageSz
-		if !m.faulted[pg] {
-			m.faulted[pg] = true
-			cost := int64(sim.PageFault4KNs)
-			if m.Huge {
-				cost = sim.PageFault2MNs
-			}
-			m.fs.clk.Charge(sim.CatPageFault, cost)
-		}
-	}
-	for _, r := range m.runs {
-		if fileOff >= r.fileOff && fileOff < r.fileOff+r.length {
-			d := fileOff - r.fileOff
-			return r.devOff + d, r.length - d, true
-		}
-	}
-	return 0, 0, false
+// Remap brings m, a mapping of [off, off+length) of the file (nil for
+// none yet), up to date after the blocks under [from, from+n) moved, with
+// no syscall, fault or population charge and every page pre-faulted. It
+// models the paper's modified relink ioctl, which updates existing memory
+// mappings in place so that post-relink accesses incur no page faults
+// (§3.5): the entries under the moved range are stored, entries for
+// blocks the file gained inside the range are added, and nothing else is
+// touched. Only a change of shape — huge pages gained or lost, a file
+// grown past the table's capacity — builds a new Mapping, which the
+// caller uses instead of m; capacity then at least doubles, up to the
+// requested length, so a file growing block by block rebuilds O(log)
+// times.
+func (fs *FS) Remap(m *Mapping, f *File, off, length int64, huge bool, from, n int64) (*Mapping, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.remapLocked(m, f, off, length, huge, from, n)
 }
 
-// Translate maps an offset within the mapped range to its device offset
-// and the contiguous length available there; it charges first-touch page
-// faults like any access through the mapping.
-func (m *Mapping) Translate(fileOff int64) (devOff, contig int64, ok bool) {
-	return m.translate(fileOff)
+func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, from, n int64) (*Mapping, error) {
+	if off%sim.BlockSize != 0 || length <= 0 {
+		return nil, vfs.ErrInval
+	}
+	// Clamp to the allocated end of the file.
+	mapped := min(length, f.in.extents.End()*sim.BlockSize-off)
+	if mapped <= 0 {
+		return nil, vfs.ErrInval
+	}
+	// Huge pages need 2 MB alignment in both the file offset (virtual
+	// side) and every physical run (physical side).
+	pageSz := int64(sim.BlockSize)
+	if huge = huge && fs.hugeBacked(f.in, off, mapped); huge {
+		pageSz = HugePageSize
+	}
+	nPages := (mapped + pageSz - 1) / pageSz
+	if m == nil || m.pageSz != pageSz || nPages > int64(len(m.pages)) || m.faulted != nil {
+		if m != nil {
+			nPages = min(max(nPages, 2*int64(len(m.pages))), (length+pageSz-1)/pageSz)
+		}
+		m = &Mapping{fs: fs, Ino: f.in.ino, FileOff: off, Huge: huge,
+			pageSz: pageSz, pages: make([]atomic.Int64, nPages)}
+		from, n = off, 0 // nothing moved under a new table: all of it is growth
+	}
+	// The moved range, then what the file grew by; entries before length.
+	old := m.length.Load()
+	if !m.fill(f.in, max(from, off), min(from+n, off+mapped)) ||
+		!m.fill(f.in, off+old, off+mapped) {
+		return nil, vfs.WrapPath("mmap", f.path, vfs.ErrInval)
+	}
+	m.length.Store(mapped)
+	return m, nil
 }
+
+// hugeBacked reports whether every 2 MB page of [off, off+length) is one
+// physically contiguous, 2 MB-aligned run — fragmentation defeats a huge
+// mapping.
+func (fs *FS) hugeBacked(in *inode, off, length int64) bool {
+	if off%HugePageSize != 0 || length%HugePageSize != 0 {
+		return false
+	}
+	for cur := off; cur < off+length; cur += HugePageSize {
+		devOff, contig, ok := translate(fs, in, cur/sim.BlockSize)
+		if !ok || devOff%HugePageSize != 0 || contig*sim.BlockSize < HugePageSize {
+			return false
+		}
+	}
+	return true
+}
+
+// fill stores the page-table entries of the pages under file range
+// [lo, hi) from the inode's extents; false if the range has a hole.
+// Caller holds fs.mu.
+func (m *Mapping) fill(in *inode, lo, hi int64) bool {
+	for cur := lo - (lo-m.FileOff)%m.pageSz; cur < hi; {
+		devOff, contig, ok := translate(m.fs, in, cur/sim.BlockSize)
+		if !ok {
+			return false
+		}
+		end := min(cur+contig*sim.BlockSize, hi)
+		for ; cur < end; cur += m.pageSz {
+			m.pages[(cur-m.FileOff)/m.pageSz].Store(devOff)
+			devOff += m.pageSz
+		}
+	}
+	return true
+}
+
+// Translate maps an offset within the mapped file range to a device
+// offset and the contiguous length available there, looking no further
+// ahead than want bytes. It charges the page fault on first touch for
+// non-populated mappings, like any access through the mapping.
+func (m *Mapping) Translate(fileOff, want int64) (devOff, contig int64, ok bool) {
+	rel, length := fileOff-m.FileOff, m.length.Load()
+	if rel < 0 || rel >= length {
+		return 0, 0, false
+	}
+	pg := rel / m.pageSz
+	if m.faulted != nil && !m.faulted[pg] {
+		m.faulted[pg] = true
+		cost := int64(sim.PageFault4KNs)
+		if m.Huge {
+			cost = sim.PageFault2MNs
+		}
+		m.fs.clk.Charge(sim.CatPageFault, cost)
+	}
+	devOff = m.pages[pg].Load() + rel%m.pageSz
+	// Following pages extend the span while they are physically next.
+	end := (pg + 1) * m.pageSz
+	for end-rel < want && end < length && m.pages[end/m.pageSz].Load() == devOff+(end-rel) {
+		end += m.pageSz
+	}
+	return devOff, min(end, length) - rel, true
+}
+
+// Length returns the bytes mapped from FileOff: the allocated part of the
+// requested range, which grows when a Remap finds the file grown.
+func (m *Mapping) Length() int64 { return m.length.Load() }
 
 // PageSize returns the page size the mapping was granted (2 MB when Huge,
 // 4 KB otherwise) — the unit of its DRAM page-table overhead.
 func (m *Mapping) PageSize() int64 { return m.pageSz }
+
+// TableBytes is that overhead: 8 bytes per mapped page.
+func (m *Mapping) TableBytes() int64 { return (m.Length() + m.pageSz - 1) / m.pageSz * 8 }
 
 // Load copies from the mapping into p using processor loads; no kernel
 // involvement. Returns the bytes copied (short if the mapping ends).
 func (m *Mapping) Load(p []byte, fileOff int64) int {
 	n := 0
 	for n < len(p) {
-		devOff, contig, ok := m.translate(fileOff + int64(n))
+		devOff, contig, ok := m.Translate(fileOff+int64(n), int64(len(p)-n))
 		if !ok {
 			break
 		}
@@ -190,7 +226,7 @@ func (m *Mapping) Load(p []byte, fileOff int64) int {
 func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 	n := 0
 	for n < len(p) {
-		devOff, contig, ok := m.translate(fileOff + int64(n))
+		devOff, contig, ok := m.Translate(fileOff+int64(n), int64(len(p)-n))
 		if !ok {
 			break
 		}
@@ -209,10 +245,10 @@ func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 func (m *Mapping) Fence() { m.fs.dev.Fence() }
 
 // Unmap charges the munmap cost that makes SplitFS unlink expensive
-// (Table 6). The translation runs are deliberately left intact: a reader
+// (Table 6). The page table is deliberately left intact: a reader
 // that raced the unmap and still holds the Mapping keeps addressing the
 // same physical bytes (exactly the lazily-reclaimed-pages semantics of a
-// real munmap racing a load), and nulling them here would be a data race
+// real munmap racing a load), and clearing it here would be a data race
 // with such readers.
 func (m *Mapping) Unmap() {
 	m.fs.clk.Charge(sim.CatKernelTrap, sim.MunmapPerMappingNs)

@@ -3,6 +3,7 @@ package ext4dax
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"splitfs/internal/sim"
@@ -57,8 +58,8 @@ func TestMmapClampsToAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Length != sim.BlockSize {
-		t.Fatalf("mapping length = %d, want one block", m.Length)
+	if m.Length() != sim.BlockSize {
+		t.Fatalf("mapping length = %d, want one block", m.Length())
 	}
 	// Mapping an offset past allocation fails.
 	if _, err := fs.Mmap(f.(*File), 4096, 4096, MmapOptions{}); err == nil {
@@ -128,7 +129,7 @@ func TestHugePageRequiresAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, charged := mmap(plain, 0, fileBytes, true)
-	if devOff, contig, _ := m.Translate(0); devOff%HugePageSize == 0 || contig != fileBytes {
+	if devOff, contig, _ := m.Translate(0, fileBytes); devOff%HugePageSize == 0 || contig != fileBytes {
 		t.Fatalf("test premise: unaligned contiguous extent, got offset %d, %d contiguous", devOff, contig)
 	}
 	if m.Huge || m.PageSize() != sim.BlockSize {
@@ -148,7 +149,7 @@ func TestHugePageRequiresAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, charged = mmap(aligned, 0, fileBytes, true)
-	if devOff, contig, _ := m.Translate(0); devOff%HugePageSize != 0 || contig != fileBytes {
+	if devOff, contig, _ := m.Translate(0, fileBytes); devOff%HugePageSize != 0 || contig != fileBytes {
 		t.Fatalf("aligned pre-allocation at offset %d, %d contiguous", devOff, contig)
 	}
 	if !m.Huge || m.PageSize() != HugePageSize {
@@ -356,4 +357,95 @@ func TestUnmapCharges(t *testing.T) {
 	if dev.Clock().Now()-before != sim.MunmapPerMappingNs {
 		t.Fatal("Unmap cost wrong")
 	}
+}
+
+// TestLoadRacesRemap: a reader loading through a mapping while blocks are
+// relinked in under it — over blocks it maps, then past its end — and the
+// mapping is refreshed sees every 4 KB page wholly as it was or wholly as
+// it is, and never a short read: entries are single atomic stores, and a
+// grown length is published after the entries under it. Run under -race.
+func TestLoadRacesRemap(t *testing.T) {
+	_, fs := newFS(t)
+	const mapped, grown = 24, 64 // blocks the file starts with, and ends with
+	old := func(i int64) byte { return byte(i + 1) }
+	moved := func(i int64) byte { return byte(i + 0x81) }
+	fill := func(path string, n int64, pat func(int64) byte) *File {
+		f, _ := vfs.Create(fs, path)
+		for i := int64(0); i < n; i++ {
+			if _, err := f.WriteAt(bytes.Repeat([]byte{pat(i)}, sim.BlockSize), i*sim.BlockSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f.(*File)
+	}
+	dst, src := fill("/dst", mapped, old), fill("/src", grown, moved)
+	const region = grown * sim.BlockSize
+	m, err := fs.Remap(nil, dst, 0, region, false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur atomic.Pointer[Mapping]
+	cur.Store(m)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		page := make([]byte, sim.BlockSize)
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m := cur.Load()
+			blk := m.Length()/sim.BlockSize - 1 // the newest page
+			if i%2 == 0 {
+				blk = i / 2 % (blk + 1)
+			}
+			if n := m.Load(page, blk*sim.BlockSize); n != len(page) {
+				t.Errorf("block %d of a %d-byte mapping: short read of %d bytes", blk, m.Length(), n)
+				return
+			}
+			if b := page[0]; (b != old(blk) && b != moved(blk)) || !bytes.Equal(page, bytes.Repeat([]byte{b}, len(page))) {
+				t.Errorf("block %d reads neither as it was (%#x) nor as it is (%#x): first byte %#x", blk, old(blk), moved(blk), b)
+				return
+			}
+		}
+	}()
+
+	rebuilt := 0
+	for _, blk := range append([]int64{5, 0, 23, 11}, seq(mapped, grown)...) {
+		off := blk * sim.BlockSize
+		if err := fs.Relink(src, dst, off, off, sim.BlockSize, off+sim.BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		m, err := fs.Remap(cur.Load(), dst, 0, region, false, off, sim.BlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != cur.Load() {
+			rebuilt++
+			cur.Store(m)
+		}
+	}
+	close(stop)
+	<-done
+	// 24 entries reach 64 by doubling: 48, 64.
+	if rebuilt != 2 {
+		t.Fatalf("the mapping was rebuilt %d times, want 2", rebuilt)
+	}
+	for _, blk := range []int64{0, 5, 11, 23, mapped, grown - 1} {
+		page := make([]byte, sim.BlockSize)
+		if n := cur.Load().Load(page, blk*sim.BlockSize); n != len(page) || page[0] != moved(blk) {
+			t.Fatalf("block %d after its relink: %d bytes, first %#x, want %#x", blk, n, page[0], moved(blk))
+		}
+	}
+}
+
+func seq(from, to int64) []int64 {
+	var s []int64
+	for i := from; i < to; i++ {
+		s = append(s, i)
+	}
+	return s
 }

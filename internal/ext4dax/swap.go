@@ -3,7 +3,6 @@ package ext4dax
 import (
 	"fmt"
 
-	"splitfs/internal/alloc"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -35,15 +34,6 @@ func rangeMapped(fs *FS, in *inode, blk, cnt int64) bool {
 		cur += contig
 	}
 	return true
-}
-
-// placeExtents inserts physical extents consecutively starting at the
-// given logical block (the range is a hole after extractExtents).
-func placeExtents(in *inode, logical int64, exts []alloc.Extent) {
-	for _, e := range exts {
-		insertFileExtent(in, logical, e)
-		logical += e.Len
-	}
 }
 
 // Relink is the kernel half of the paper's relink primitive as one call:
@@ -99,12 +89,14 @@ func (b *Batch) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64
 	// free or overwrite the blocks.)
 	src.in.mapEpoch.Add(1)
 	dst.in.mapEpoch.Add(1)
-	moved := extractExtents(src.in, srcBlk, cnt)
-	for _, e := range extractExtents(dst.in, dstBlk, cnt) {
+	for _, e := range dst.in.extents.Extract(dstBlk, cnt) {
 		fs.deferFree(fs.bBmp, e)
 		dst.in.blocks -= e.Len
 	}
-	placeExtents(dst.in, dstBlk, moved)
+	for _, e := range src.in.extents.Extract(srcBlk, cnt) {
+		dst.in.extents.Insert(dstBlk, e)
+		dstBlk += e.Len
+	}
 	src.in.blocks -= cnt
 	dst.in.blocks += cnt
 	if newDstSize > dst.in.size {

@@ -1,10 +1,13 @@
 package ext4dax
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"splitfs/internal/alloc"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -16,7 +19,7 @@ import (
 
 // sparseFile creates a file of n one-block extents — every other logical
 // block written, so no two extents merge — and commits.
-func sparseFile(t *testing.T, fs *FS, path string, n int) *File {
+func sparseFile(t testing.TB, fs *FS, path string, n int) *File {
 	t.Helper()
 	f, err := vfs.Create(fs, path)
 	if err != nil {
@@ -93,7 +96,7 @@ func TestWriteBackTouchesWhatChanged(t *testing.T) {
 	// One record of the second leaf replaced in place, as the relink of a
 	// one-block strict-mode overwrite does to its target: size, block
 	// count and every other extent stay.
-	c := costOfWriteBack(t, fs, f.in, func() { f.in.extents[inlineExtents+overflowCap+50].phys.Start++ })
+	c := costOfWriteBack(t, fs, f.in, func() { f.in.extents[inlineExtents+overflowCap+50].Phys.Start++ })
 	if c.notes != 1 || c.logged != 1 || c.stored > 2*sim.CacheLine || c.flushed > 2 {
 		t.Fatalf("replacing one extent record cost %+v, want one note, one journaled block, at most two lines", c)
 	}
@@ -103,11 +106,11 @@ func TestWriteBackTouchesWhatChanged(t *testing.T) {
 	c = costOfWriteBack(t, fs, f.in, func() {
 		last := f.in.extents[len(f.in.extents)-1]
 		f.in.extents = append(f.in.extents, fileExtent{
-			logical: last.logicalEnd() + 1,
-			phys:    alloc.Extent{Start: last.phys.Start + 2, Len: 1},
+			Logical: last.LogicalEnd() + 1,
+			Phys:    alloc.Extent{Start: last.Phys.Start + 2, Len: 1},
 		})
 		f.in.blocks++
-		f.in.size = (last.logicalEnd() + 2) * sim.BlockSize
+		f.in.size = (last.LogicalEnd() + 2) * sim.BlockSize
 	})
 	if c.logged != 2 || c.notes > 3 || c.flushed > 4 {
 		t.Fatalf("appending one extent cost %+v, want two journaled blocks (the inode table's and the last leaf) and at most four lines", c)
@@ -137,11 +140,11 @@ func TestFreshOverflowBlockIsStoredWhole(t *testing.T) {
 
 	// The leaf /f gets when /src's block becomes its twentieth extent,
 	// left in the donor's block by a cached store that is never flushed.
-	logical := fileBlocks(f.in) + 1
+	logical := f.in.extents.End() + 1
 	leaf := make([]byte, overflowHeader+extentRecSize)
 	putU32(leaf[8:12], 1)
-	putExtent(leaf[overflowHeader:], fileExtent{logical: logical, phys: src.(*File).in.extents[0].phys})
-	donorBlk := donor.(*File).in.extents[0].phys.Start
+	putExtent(leaf[overflowHeader:], fileExtent{Logical: logical, Phys: src.(*File).in.extents[0].Phys})
+	donorBlk := donor.(*File).in.extents[0].Phys.Start
 	dev.Store(fs.bBmp.BlockOffset(donorBlk), leaf, sim.CatPMData)
 	donor.Close()
 	if err := fs.Unlink("/donor"); err != nil {
@@ -275,5 +278,61 @@ func TestBatchEndAllocations(t *testing.T) {
 	const atParent = 26
 	if allocs := testing.AllocsPerRun(50, batch); allocs > atParent {
 		t.Fatalf("a relink batch allocates %.0f times, want <= %d", allocs, atParent)
+	}
+}
+
+// relinkInto returns a function that overwrites one block of a file of n
+// one-block extents by relink, and closes the batch: the steady state of
+// a strict-mode file that is overwritten in place.
+func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
+	t.Helper()
+	dst := sparseFile(t, fs, "/dst"+name, n)
+	src, _ := vfs.Create(fs, "/src"+name)
+	if err := src.(*File).Preallocate(1024, 0); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(0)
+	return func() {
+		b := fs.BeginBatch()
+		err := b.Relink(src.(*File), dst, next*sim.BlockSize, 2*(next*7%int64(n))*sim.BlockSize, sim.BlockSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		b.End()
+	}
+}
+
+// TestRelinkAllocationFlatInFragmentation: a relink edits the extent maps
+// of its two files where the blocks moved and writes the inodes back from
+// scratch owned by the FS, so what one allocates does not depend on how
+// many extents the target owns (DESIGN.md, "Extent maps and mappings are
+// edited in place"). Rebuilding the maps cost 5.5 KB per relink into 64
+// extents and 399 KB into 4 096.
+func TestRelinkAllocationFlatInFragmentation(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 128 << 20, Clock: sim.NewClock()})
+	fs, err := Mkfs(dev, Config{MaxInodes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRelink := func(n int) uint64 {
+		relink := relinkInto(t, fs, fmt.Sprint(n), n)
+		relink() // the first one splits the source's single extent
+		const runs = 256
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			relink()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := perRelink(64), perRelink(4096)
+	t.Logf("one-block relink + Batch.End: %d B into 64 extents, %d B into 4096", small, large)
+	if small > 2048 || large > 2048 {
+		t.Fatalf("a relink allocates %d B into 64 extents and %d B into 4096, want <= 2048 each", small, large)
+	}
+	if diff := max(small, large) - min(small, large); diff > small/10 {
+		t.Fatalf("a relink allocates %d B into 64 extents but %d B into 4096: not flat", small, large)
 	}
 }

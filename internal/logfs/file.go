@@ -153,7 +153,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 // appends. Caller holds fs.mu.
 func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 	end := off + int64(len(p))
-	var newMaps []fext
+	var newMaps []alloc.FileExtent
 	n := 0
 	for n < len(p) {
 		cur := off + int64(n)
@@ -162,7 +162,7 @@ func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 		devOff, contig, ok := fs.lookup(in, logical)
 		if !ok {
 			need := (end - cur + inBlk + blockSize - 1) / blockSize
-			if holeEnd := nextMappedAt(in, logical); holeEnd-logical < need {
+			if holeEnd := in.extents.NextMapped(logical); holeEnd-logical < need {
 				need = holeEnd - logical
 			}
 			e, _, err := fs.bmp.AllocExtent(need)
@@ -172,14 +172,14 @@ func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 				}
 				return 0, err
 			}
-			insertExt(in, logical, e)
-			newMaps = append(newMaps, fext{logical: logical, phys: e})
+			in.extents.Insert(logical, e)
+			newMaps = append(newMaps, alloc.FileExtent{Logical: logical, Phys: e})
 			// Zero the uncovered edges of fresh blocks.
 			base := fs.bmp.ExtentOffset(e)
 			if inBlk > 0 {
 				fs.dev.StoreNT(base, make([]byte, inBlk), sim.CatPMData)
 			}
-			lastByte := mini(end, (logical+e.Len)*blockSize)
+			lastByte := min(end, (logical+e.Len)*blockSize)
 			if tail := (logical+e.Len)*blockSize - lastByte; tail > 0 {
 				fs.dev.StoreNT(base+e.Len*blockSize-tail, make([]byte, tail), sim.CatPMData)
 			}
@@ -204,7 +204,7 @@ func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 		// One record per new mapping (a single extent in the common case;
 		// several only when filling fragmented holes).
 		for _, m := range newMaps {
-			fs.appendRecord(encWrite(in.ino, in.size, m.logical, []alloc.Extent{m.phys}))
+			fs.appendRecord(encWrite(in.ino, in.size, m.Logical, []alloc.Extent{m.Phys}))
 		}
 	case grew:
 		fs.appendRecord(encSetSize(in.ino, in.size))
@@ -257,10 +257,10 @@ func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
 	}
 	fs.dev.Fence()
 	// Remap atomically with one log entry; free the replaced blocks.
-	old := removeRange(in, firstBlk, count)
+	old := in.extents.Extract(firstBlk, count)
 	place := firstBlk
 	for _, e := range exts {
-		insertExt(in, place, e)
+		in.extents.Insert(place, e)
 		place += e.Len
 	}
 	if end > in.size {

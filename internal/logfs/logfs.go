@@ -67,21 +67,13 @@ func (c *Config) fill() {
 	}
 }
 
-// fext is a logical→physical extent mapping.
-type fext struct {
-	logical int64
-	phys    alloc.Extent
-}
-
-func (e fext) logicalEnd() int64 { return e.logical + e.phys.Len }
-
 // inode is the DRAM representation of a file or directory.
 type inode struct {
 	ino      uint64
 	isDir    bool
 	nlink    uint32
 	size     int64
-	extents  []fext
+	extents  alloc.ExtentMap
 	children map[string]*inode // directories only
 }
 
@@ -164,7 +156,7 @@ func Mount(dev *pmem.Device, prof Profile, cfg Config) (*FS, int, error) {
 	// Rebuild the allocator from the surviving extents.
 	for _, in := range fs.inodes {
 		for _, e := range in.extents {
-			fs.bmp.MarkAllocated(e.phys)
+			fs.bmp.MarkAllocated(e.Phys)
 		}
 	}
 	return fs, len(records), nil
@@ -253,7 +245,7 @@ func (fs *FS) resolveDir(path string) (*inode, string, error) {
 func (fs *FS) infoOf(in *inode) vfs.FileInfo {
 	var blocks int64
 	for _, e := range in.extents {
-		blocks += e.phys.Len
+		blocks += e.Phys.Len
 	}
 	return vfs.FileInfo{Ino: in.ino, Size: in.size, Blocks: blocks, IsDir: in.isDir, Nlink: in.nlink}
 }
@@ -261,7 +253,7 @@ func (fs *FS) infoOf(in *inode) vfs.FileInfo {
 // freeExtents releases an inode's data blocks.
 func (fs *FS) freeExtents(in *inode) {
 	for _, e := range in.extents {
-		fs.bmp.Free(e.phys)
+		fs.bmp.Free(e.Phys)
 	}
 	in.extents = nil
 }

@@ -200,10 +200,10 @@ func (fs *FS) replay(rec []byte) error {
 			total += exts[i].Len
 		}
 		// Remap: drop whatever backed the logical range, then insert.
-		removeRange(in, logical, total)
+		in.extents.Extract(logical, total)
 		place := logical
 		for _, e := range exts {
-			insertExt(in, place, e)
+			in.extents.Insert(place, e)
 			place += e.Len
 		}
 		if newSize > in.size {
@@ -247,9 +247,9 @@ func encodeState(fs *FS) []byte {
 		w.i64(in.size)
 		w.u64(uint64(len(in.extents)))
 		for _, e := range in.extents {
-			w.i64(e.logical)
-			w.i64(e.phys.Start)
-			w.i64(e.phys.Len)
+			w.i64(e.Logical)
+			w.i64(e.Phys.Start)
+			w.i64(e.Phys.Len)
 		}
 		if in.isDir {
 			for name, child := range in.children {
@@ -289,8 +289,8 @@ func decodeState(fs *FS, state []byte) error {
 			logical := r.i64()
 			start := r.i64()
 			ln := r.i64()
-			in.extents = append(in.extents, fext{logical: logical,
-				phys: alloc.Extent{Start: start, Len: ln}})
+			in.extents = append(in.extents, alloc.FileExtent{Logical: logical,
+				Phys: alloc.Extent{Start: start, Len: ln}})
 		}
 		parent, base, err := fs.resolveDir(path)
 		if err != nil {

@@ -282,7 +282,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			n += int(span)
 			continue
 		}
-		if end := m.FileOff + m.Length; cur+span > end {
+		if end := m.FileOff + m.Length(); cur+span > end {
 			span = end - cur
 		}
 		if span <= 0 {

@@ -98,8 +98,14 @@ func runRelinkModel(t *testing.T, mode Mode, in []byte) {
 		if err := kfs.CommitMeta(); err != nil {
 			t.Fatal(err)
 		}
-		if got := kfs.FreeBlocks() + heldBlocks(t, kfs, "/"); got != total {
+		held := heldBlocks(t, kfs, "/")
+		if got := kfs.FreeBlocks() + held; got != total {
 			t.Fatalf("%s step %d (%s): %d blocks free or held, %d at the start", mode, step, what, got, total)
+		}
+		// K-Split's own walk: every map well-formed, no block owned twice
+		// or free in the bitmap — and none owned by an unreachable inode.
+		if owned, err := kfs.Check(); err != nil || owned != held {
+			t.Fatalf("%s step %d (%s): structural check: %v; %d blocks owned, %d reachable from /", mode, step, what, err, owned, held)
 		}
 		got, err := vfs.ReadFile(kfs, "/m")
 		if err != nil || !bytes.Equal(got, model) {
@@ -205,7 +211,7 @@ func staleSlack(t *testing.T, kfs *ext4dax.FS, path string) int64 {
 	if info.Size == last || !kf.RangeAllocated(last, sim.BlockSize) {
 		return -1
 	}
-	m, err := kfs.MmapQuiet(kf, last, sim.BlockSize, false)
+	m, err := kfs.Remap(nil, kf, last, sim.BlockSize, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

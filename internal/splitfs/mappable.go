@@ -66,7 +66,7 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 		}
 		sfOff := pc.src.sfOff + (a - pc.src.fileOff)
 		for cur := a; cur < b; {
-			devOff, contig, ok := pc.src.sf.m.Translate(sfOff + (cur - a))
+			devOff, contig, ok := pc.src.sf.m.Translate(sfOff+(cur-a), b-cur)
 			if !ok {
 				break
 			}

@@ -43,7 +43,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 	c.mu.RUnlock()
 	// The cached region may predate growth of the file; if the offset is
 	// beyond it, remap the region to its current extent.
-	if m != nil && fileOff < m.FileOff+m.Length {
+	if m != nil && fileOff < m.FileOff+m.Length() {
 		c.fs.stats.mmapHits.Add(1)
 		return m
 	}
@@ -56,7 +56,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 		return nil
 	}
 	c.mu.Lock()
-	if m := c.regions[of.ino][idx]; m != nil && fileOff < m.FileOff+m.Length {
+	if m := c.regions[of.ino][idx]; m != nil && fileOff < m.FileOff+m.Length() {
 		// Lost the mapping race: reuse the winner's region; ours is
 		// unmapped like the real library would.
 		c.mu.Unlock()
@@ -84,13 +84,14 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 	return nm
 }
 
-// refresh quietly rebuilds cached mappings covering [fileOff,
-// fileOff+length) after a relink: the modified ioctl keeps page tables
-// valid across the extent move, so refreshed mappings carry no syscall
-// or fault cost. Appended regions whose staged bytes were written
-// through a staging-file mapping also stay mapped for free — §3.3,
-// Figure 2: the relinked block "retains its mmap() region". Regions
-// never mapped by either path still fault on first touch.
+// refresh quietly brings cached mappings covering [fileOff,
+// fileOff+length) up to date after a relink: the modified ioctl keeps
+// page tables valid across the extent move, so refreshed mappings carry
+// no syscall or fault cost, and only the entries under the moved range
+// are touched (ext4dax.FS.Remap). Appended regions whose staged bytes
+// were written through a staging-file mapping also stay mapped for free
+// — §3.3, Figure 2: the relinked block "retains its mmap() region".
+// Regions never mapped by either path still fault on first touch.
 func (c *mmapCache) refresh(of *ofile, fileOff, length int64, staged bool) {
 	rsize := c.fs.cfg.MmapBytes
 	c.mu.Lock()
@@ -104,10 +105,11 @@ func (c *mmapCache) refresh(of *ofile, fileOff, length int64, staged bool) {
 		c.regions[of.ino] = byIno
 	}
 	for idx := fileOff / rsize; idx <= (fileOff+length-1)/rsize; idx++ {
-		if _, ok := byIno[idx]; !ok && !staged {
+		old := byIno[idx]
+		if old == nil && !staged {
 			continue // never mapped: first access pays its faults
 		}
-		m, err := c.fs.kfs.MmapQuiet(of.kf, idx*rsize, rsize, !c.fs.cfg.DisableHugePages)
+		m, err := c.fs.kfs.Remap(old, of.kf, idx*rsize, rsize, !c.fs.cfg.DisableHugePages, fileOff, length)
 		if err != nil {
 			delete(byIno, idx)
 			continue
@@ -140,9 +142,11 @@ func (c *mmapCache) count(ino uint64) int {
 func (c *mmapCache) memoryUsage() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var n int64
+	var b int64
 	for _, byIno := range c.regions {
-		n += int64(len(byIno))
+		for _, m := range byIno {
+			b += 160 + m.TableBytes()
+		}
 	}
-	return n * 160
+	return b
 }

@@ -111,7 +111,7 @@ func oplogRegion(fs *FS, kf *ext4dax.File) (base, size int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	base, contig, ok := m.Translate(0)
+	base, contig, ok := m.Translate(0, fs.opLogBytes())
 	if !ok {
 		return 0, 0, fmt.Errorf("splitfs: op log not mapped")
 	}

@@ -162,7 +162,7 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 			// media: zero it here, ahead of the commit whose first
 			// fence orders it before the move.
 			tail += sim.BlockSize
-			s.sf.m.StoreNT(make([]byte, tail-b), s.sfOff+(b-s.fileOff))
+			s.sf.m.StoreNT(zeroBlock[:tail-b], s.sfOff+(b-s.fileOff))
 			// If the active chunk's cursor stands right after the piece,
 			// it steps to the end of that block: the staging file is
 			// about to lose the block, so the next append must start in
@@ -188,6 +188,9 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 	return nil
 }
 
+// zeroBlock is the source of the zeros stored over a moved block's slack.
+var zeroBlock [sim.BlockSize]byte
+
 // relinkPiece is a maximal sub-range [a, b) of one staged range that no
 // later staged range shadows.
 type relinkPiece struct {
@@ -199,12 +202,12 @@ type relinkPiece struct {
 // partitionStaged splits staged ranges into disjoint latest-writer-wins
 // pieces: each piece's bytes come from the last range that wrote them.
 func partitionStaged(staged []stagedRange) []relinkPiece {
-	var pieces []relinkPiece
+	var pieces, segs, next []relinkPiece
 	for i, s := range staged {
-		segs := []relinkPiece{{src: s, a: s.fileOff, b: s.fileOff + s.length}}
+		segs = append(segs[:0], relinkPiece{src: s, a: s.fileOff, b: s.fileOff + s.length})
 		for _, later := range staged[i+1:] {
 			lo, hi := later.fileOff, later.fileOff+later.length
-			next := segs[:0:0]
+			next = next[:0]
 			for _, g := range segs {
 				if g.b <= lo || hi <= g.a {
 					next = append(next, g)
@@ -217,7 +220,7 @@ func partitionStaged(staged []stagedRange) []relinkPiece {
 					next = append(next, relinkPiece{src: s, a: hi, b: g.b})
 				}
 			}
-			segs = next
+			segs, next = next, segs
 		}
 		pieces = append(pieces, segs...)
 	}

@@ -317,7 +317,7 @@ func TestStagingFilesGetHugePages(t *testing.T) {
 	}
 	fs, faultNs := build(false)
 	for _, sf := range fs.staging.ready {
-		devOff, contig, _ := sf.m.Translate(0)
+		devOff, contig, _ := sf.m.Translate(0, fileBytes)
 		if !sf.m.Huge || sf.m.PageSize() != ext4dax.HugePageSize {
 			t.Fatalf("staging file %d: Huge = %v, page size %d", sf.id, sf.m.Huge, sf.m.PageSize())
 		}
@@ -413,7 +413,7 @@ func TestStagingFallsBackTo4KPagesWhenFragmented(t *testing.T) {
 		if sf.m.Huge || sf.m.PageSize() != sim.BlockSize {
 			t.Fatalf("staging file %d mapped huge on a device with no aligned run", sf.id)
 		}
-		if _, contig, _ := sf.m.Translate(0); contig >= fileBytes {
+		if _, contig, _ := sf.m.Translate(0, fileBytes); contig >= fileBytes {
 			t.Fatalf("test premise: staging file %d is one extent", sf.id)
 		}
 	}

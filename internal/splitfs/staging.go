@@ -309,11 +309,9 @@ func (p *stagingPool) memoryUsage() int64 {
 	var b int64
 	count := func(sf *stagingFile) {
 		b += 128
-		if sf.m == nil {
-			return
+		if sf.m != nil {
+			b += sf.m.TableBytes()
 		}
-		pageSz := sf.m.PageSize()
-		b += (sf.size + pageSz - 1) / pageSz * 8
 	}
 	for _, sf := range p.ready {
 		count(sf)

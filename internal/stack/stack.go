@@ -252,6 +252,19 @@ func (s *Stack) Recover() (*Stack, Recovery, error) {
 	return r, rec, nil
 }
 
+// Check runs the stack's structural image check: K-Split's
+// (ext4dax.FS.Check) for the kinds built on it, nothing yet for the rest.
+func (s *Stack) Check() error {
+	var err error
+	switch fs := s.Base.(type) {
+	case *splitfs.FS:
+		_, err = fs.KFS().Check()
+	case *ext4dax.FS:
+		_, err = fs.Check()
+	}
+	return err
+}
+
 // Counters is one snapshot of every deterministic counter the bench
 // cells report: simulated time, device traffic, and the per-engine
 // commit/append/relink counts (zero on the kinds that have none).
