@@ -172,13 +172,63 @@ func BenchmarkRelinkFragmented(b *testing.B) {
 					b.StartTimer()
 				}
 				batch := kfs.BeginBatch()
-				err := batch.Relink(src.(*ext4dax.File), dst.(*ext4dax.File),
-					i%srcBlocks*sim.BlockSize, 2*(i*7%n)*sim.BlockSize, sim.BlockSize, 0)
+				err := batch.Relink(dst.(*ext4dax.File), 0, []ext4dax.Move{{Src: src.(*ext4dax.File),
+					SrcOff: i % srcBlocks * sim.BlockSize, DstOff: 2 * (i * 7 % n) * sim.BlockSize, Len: sim.BlockSize}})
 				if err != nil {
 					b.Fatal(err)
 				}
 				batch.End()
 			}
+		})
+	}
+}
+
+// BenchmarkRelinkVector is a strict-mode fsync against the number of
+// disjoint pieces it relinks: that many scattered block overwrites staged
+// (untimed), then the fsync. The pieces travel to K-Split as one relink
+// vector, so the simulated cost pays one trap and one journal handle
+// whatever their number; wall-clock ns/op is the host's side of the same
+// fsync. It drives the public surface only, so the parent commit runs it
+// unchanged.
+func BenchmarkRelinkVector(b *testing.B) {
+	for _, pieces := range []int{8, 64} {
+		b.Run(fmt.Sprint(pieces), func(b *testing.B) {
+			spec := stack.Small
+			spec.DevBytes = 256 << 20
+			spec.USplit.StagingFileBytes = 32 << 20
+			st, err := stack.New("splitfs-strict", spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := vfs.Create(st.FS, "/scattered")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := f.Write(make([]byte, 2*pieces*sim.BlockSize)); err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			blk := make([]byte, sim.BlockSize)
+			var simNs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for p := 0; p < pieces; p++ { // every other block: no two pieces merge
+					if _, err := f.WriteAt(blk, int64(2*p+1)*sim.BlockSize); err != nil {
+						b.Fatal(err)
+					}
+				}
+				t0 := st.Clock.Now()
+				b.StartTimer()
+				if err := f.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				simNs += st.Clock.Now() - t0
+			}
+			b.ReportMetric(float64(simNs)/float64(b.N), "sim-ns/op")
 		})
 	}
 }

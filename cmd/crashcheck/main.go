@@ -81,6 +81,7 @@ var families = []struct {
 	{"burst", crash.MetaBurstOps, 37, 0x5b},
 	{"async", crash.AsyncOps, 17, 0x3c},
 	{"fragment", crash.FragmentOps, 19, 0x7e},
+	{"scatter", crash.ScatterOps, 23, 0x9d},
 }
 
 func main() {
@@ -89,7 +90,7 @@ func main() {
 	modeFlag := flag.String("mode", "all", "consistency mode: all, posix, sync, strict")
 	sample := flag.Int("sample", 0, "max events tested per workload (0 = every persistence event)")
 	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir), as generated and with the commits thinned out so that recovery has metadata operations to redo from the op log")
-	async := flag.Bool("async", false, "add fsync-path workloads: multi-file fsyncs + group syncs sharing one journal commit, and files fragmented past their inode's inline extents, so crashes land in partial write-backs of extent-overflow blocks")
+	async := flag.Bool("async", false, "add fsync-path workloads: multi-file fsyncs + group syncs sharing one journal commit, files fragmented past their inode's inline extents, so crashes land in partial write-backs of extent-overflow blocks, and fsyncs after scattered overwrites, whose one relink call carries many moves out of two staging files")
 	served := flag.Bool("served", false, "add served-backend differential campaigns: each trace through the session/RPC layer over all nine backends must match direct ext4-dax byte for byte")
 	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all nine backends, and served-crash tenants hold leases across every daemon kill")
 	servedCrash := flag.Bool("served-crash", false, "add served daemon-death sweeps: kill the daemon at sampled persistence events while tenants are mid-pipeline, recover, restart, reconnect every tenant, and check per-tenant oracles plus exactly-once counters")
@@ -114,7 +115,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async, "fragment": *async}
+	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async, "fragment": *async, "scatter": *async}
 	var jobs []job
 	for _, mode := range modes {
 		for seed := uint64(1); seed <= uint64(*seeds); seed++ {

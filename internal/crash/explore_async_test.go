@@ -10,8 +10,10 @@ import (
 
 // TestAsyncRelinkSweepAllModes sweeps persistence events over workloads
 // shaped for the fsync path — multi-file appends with per-file fsyncs and
-// group syncs (OpSyncAll), and the fragmenting family, whose relinks
-// write back inodes that own extent-overflow blocks — in all three modes.
+// group syncs (OpSyncAll), the fragmenting family, whose relinks write
+// back inodes that own extent-overflow blocks, and the scatter family,
+// whose fsyncs relink many pieces by one vectored call — in all three
+// modes.
 // Relink, group commit and staging reclamation run on the calling
 // goroutine, so the sweep crosses their events at every point; all of
 // them must be violation-free.
@@ -24,6 +26,7 @@ func TestAsyncRelinkSweepAllModes(t *testing.T) {
 			}{
 				{"async", AsyncOps(53, 18)},
 				{"fragment", FragmentOps(57, 0)},
+				{"scatter", ScatterOps(61, 12)},
 			} {
 				t.Run(wl.name, func(t *testing.T) {
 					// Bounded: the full windows run to thousands of events;

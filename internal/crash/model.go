@@ -217,6 +217,10 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 		case sysUnlink:
 			delete(st.files, sc.path) // identity stays in ids
 		case sysRename:
+			if st.dirs[sc.path] { // a directory: the generators move empty ones only
+				delete(st.dirs, sc.path)
+				st.dirs[sc.path2] = true
+			}
 			src, ok := st.files[sc.path]
 			if ok {
 				if len(src.staged) > 0 {

@@ -2,6 +2,8 @@ package crash
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"splitfs/internal/sim"
 )
@@ -294,6 +296,50 @@ func FragmentOps(seed uint64, n int) []Op {
 	return ops
 }
 
+// scatterEarly is ScatterOps' first write, in blocks: most of a
+// stack.Small staging file's 256, so that the first round's reservations
+// run off the file's end, in every mode.
+const scatterEarly = 190
+
+// ScatterOps builds a deterministic workload whose fsyncs relink many
+// disjoint pieces at once, so the sweep crashes inside transactions that
+// hold a multi-move relink vector: after one early write that nearly
+// fills the first staging file, every round overwrites a few scattered
+// whole blocks of it (staged in strict mode, in place elsewhere), appends
+// some blocks and a bit, overwrites a block of that append while it is
+// still staged (staged in every mode, and splitting the append in two),
+// appends a block and a bit more and fsyncs. The pieces of the first
+// round lie in two staging files (TestScatterOpsSpanStagingFiles); a
+// round's appends start and end mid-block, so the vector travels with
+// partial-block copies. Rounds are generated whole: a few ops more than n
+// asks for.
+func ScatterOps(seed uint64, n int) []Op {
+	rng := sim.NewRNG(seed)
+	data := func(n int) []byte {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(rng.Uint64())
+		}
+		return b
+	}
+	const path = "/k0"
+	size := int64(scatterEarly * sim.BlockSize)
+	ops := []Op{{Path: path, Off: 0, Data: data(int(size)), Fsync: true}}
+	for len(ops) < n {
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			ops = append(ops, Op{Path: path, Off: int64(rng.Intn(scatterEarly)) * sim.BlockSize, Data: data(sim.BlockSize)})
+		}
+		inside := (size + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize // the first block the append covers whole
+		first, second := data(2*sim.BlockSize+1+rng.Intn(sim.BlockSize)), data(sim.BlockSize+1+rng.Intn(sim.BlockSize/2))
+		ops = append(ops,
+			Op{Path: path, Off: -1, Data: first},
+			Op{Path: path, Off: inside, Data: data(sim.BlockSize)},
+			Op{Path: path, Off: -1, Data: second, Fsync: true})
+		size += int64(len(first) + len(second))
+	}
+	return ops
+}
+
 // ServedOps builds a deterministic workload shaped for the served crash
 // campaigns' resume discipline (see server.DialResumable):
 //
@@ -438,6 +484,17 @@ func metadataOps(seed uint64, n int, mix opMix) []Op {
 		}
 		return out
 	}
+	// emptyDir returns the index of the first directory with none of the
+	// live files and no directory below it, or -1.
+	emptyDir := func(live []string) int {
+		for i, d := range dirs {
+			below := func(p string) bool { return strings.HasPrefix(p, d+"/") }
+			if !slices.ContainsFunc(dirs, below) && !slices.ContainsFunc(live, below) {
+				return i
+			}
+		}
+		return -1
+	}
 	freshPath := func() string {
 		d := ""
 		if len(dirs) > 0 && rng.Intn(2) == 0 {
@@ -498,6 +555,17 @@ func metadataOps(seed uint64, n int, mix opMix) []Op {
 			// orphan-inode (tmpfile) path.
 			ops = append(ops, Op{Kind: OpUnlink, Path: p, Close: rng.Intn(2) == 0})
 		case roll < mix.rename:
+			if src := emptyDir(live); src >= 0 && len(dirs) > 1 && rng.Intn(2) == 1 {
+				// A directory moves under another one, and its ".." link
+				// with it.
+				if parent := dirs[rng.Intn(len(dirs))]; !strings.HasPrefix(parent+"/", dirs[src]+"/") {
+					dst := fmt.Sprintf("%s/d%d", parent, nextDir)
+					nextDir++
+					ops = append(ops, Op{Kind: OpRename, Path: dirs[src], Path2: dst})
+					dirs[src] = dst
+					continue
+				}
+			}
 			src := live[rng.Intn(len(live))]
 			var dst string
 			if len(live) > 1 && rng.Intn(2) == 0 {

@@ -22,9 +22,10 @@ func TestGeneratorSeedStability(t *testing.T) {
 		wantSum uint64
 	}{
 		{"RandomOps", RandomOps(7, 50), 50, 0xd9c80ff81868e760},
-		{"MetadataOps", MetadataOps(7, 50), 50, 0xa5311d7185123f96},
-		{"MetaBurstOps", MetaBurstOps(7, 50), 50, 0xbff969b7089b6e9c},
+		{"MetadataOps", MetadataOps(7, 50), 50, 0xd774f8583ae1049b},
+		{"MetaBurstOps", MetaBurstOps(7, 50), 50, 0x5eb928d364435b0f},
 		{"FragmentOps", FragmentOps(7, 50), fragmentMinOps, 0xdd2610a7836a5ecf},
+		{"ScatterOps", ScatterOps(7, 15), 21, 0xb1c95c1f89a3b730},
 	}
 	for _, c := range cases {
 		if len(c.ops) != c.wantN {
@@ -160,6 +161,44 @@ func TestMetaBurstOpsThinTheCommits(t *testing.T) {
 	}
 }
 
+// TestMetadataOpsMoveDirectories pins what lets the sweeps see a link
+// count go wrong (ext4dax.FS.Check compares every inode's with the
+// namespace after each recovery): at the seeds and lengths CI's two
+// metadata campaigns run, both families rename a directory under another
+// parent, so its ".." link has to move with it.
+func TestMetadataOpsMoveDirectories(t *testing.T) {
+	dirMoves := func(ops []Op) (n int) {
+		dirs := map[string]bool{}
+		for _, op := range ops {
+			switch {
+			case op.Kind == OpMkdir:
+				dirs[op.Path] = true
+			case op.Kind == OpRename && dirs[op.Path]:
+				from, _ := vfs.SplitDir(op.Path)
+				if to, _ := vfs.SplitDir(op.Path2); to != from {
+					n++
+				}
+				delete(dirs, op.Path)
+				dirs[op.Path2] = true
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		nops  int
+		seeds uint64
+	}{{15, 2}, {40, 3}} { // the bounded sweep, the metadata replay campaign
+		meta, burst := 0, 0
+		for seed := uint64(1); seed <= c.seeds; seed++ {
+			meta += dirMoves(MetadataOps(seed*29, c.nops))
+			burst += dirMoves(MetaBurstOps(seed*37, c.nops))
+		}
+		if meta+burst == 0 || c.nops == 40 && (meta == 0 || burst == 0) {
+			t.Errorf("%d ops, seeds 1..%d: %d cross-parent directory renames in meta, %d in burst", c.nops, c.seeds, meta, burst)
+		}
+	}
+}
+
 // TestFragmentOpsReachOverflowBlocks pins what the fragment family is
 // for: at the lengths cmd/crashcheck runs it, in every mode, a file owns
 // an extent-overflow block (stat's block count exceeds its data blocks)
@@ -193,6 +232,64 @@ func TestFragmentOpsReachOverflowBlocks(t *testing.T) {
 				if overflow == 0 {
 					t.Errorf("%v, seed %d, %d ops asked for (%d generated): no overflow block after two thirds of them",
 						mode, seed, nops, len(ops))
+				}
+			}
+		}
+	}
+}
+
+// TestScatterOpsSpanStagingFiles pins what the scatter family is for: at
+// the lengths cmd/crashcheck runs it, in every mode, one fsync takes
+// blocks out of two staging files at once — its relink vector names two
+// source inodes, besides holding several moves — so the sweep's crash
+// points fall inside such a transaction.
+func TestScatterOpsSpanStagingFiles(t *testing.T) {
+	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
+		for _, nops := range []int{15, 25} { // CI's bounded sweep, the default
+			for seed := uint64(1); seed <= 8; seed++ { // nightly's seeds
+				env, err := newCrashStack(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kfs := env.Base.(*splitfs.FS).KFS()
+				held := func() map[string]int64 { // blocks each staging file holds
+					m := map[string]int64{}
+					ents, err := kfs.ReadDir("/.splitfs-staging")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, e := range ents {
+						info, err := kfs.Stat("/.splitfs-staging/" + e.Name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m[e.Name] = info.Blocks
+					}
+					return m
+				}
+				r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
+				most := 0
+				for _, sc := range compile(ScatterOps(seed*23, nops)) {
+					before := held()
+					if err := r.apply(sc); err != nil {
+						t.Fatalf("%v, seed %d, op %d: %v", mode, seed, sc.opIdx, err)
+					}
+					if sc.kind != sysFsync {
+						continue
+					}
+					// A file gone after the fsync was sealed in this round
+					// and gave it its last staged ranges: reclaim follows
+					// the commit that released them.
+					lost, after := 0, held()
+					for name, blocks := range before {
+						if now, ok := after[name]; !ok || now < blocks {
+							lost++
+						}
+					}
+					most = max(most, lost)
+				}
+				if most < 2 {
+					t.Errorf("%v, seed %d, %d ops: no fsync moved blocks out of two staging files (most: %d)", mode, seed, nops, most)
 				}
 			}
 		}

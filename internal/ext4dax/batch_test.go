@@ -103,6 +103,11 @@ func TestCommitMetaWaitsForBatch(t *testing.T) {
 	}
 }
 
+// relink1 is the one-move relink most tests want.
+func relink1(b *Batch, src, dst *File, srcOff, dstOff, n, newDstSize int64) error {
+	return b.Relink(dst, newDstSize, []Move{{Src: src, SrcOff: srcOff, DstOff: dstOff, Len: n}})
+}
+
 // TestBatchWritesEachInodeOnce: however many relink steps a batch makes
 // between two files, and with the watermark riding along, End writes the
 // source inode and the target inode back once each.
@@ -120,7 +125,7 @@ func TestBatchWritesEachInodeOnce(t *testing.T) {
 	cpu := clk.Category(sim.CatCPU)
 	batch := fs.BeginBatch()
 	for _, blk := range []int64{0, 2, 5} {
-		if err := batch.Relink(src.(*File), dst.(*File), blk*sim.BlockSize, blk*sim.BlockSize,
+		if err := relink1(batch, src.(*File), dst.(*File), blk*sim.BlockSize, blk*sim.BlockSize,
 			sim.BlockSize, 6*sim.BlockSize); err != nil {
 			t.Fatal(err)
 		}

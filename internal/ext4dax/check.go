@@ -11,10 +11,12 @@ import (
 // extent map keeps its invariant (alloc.ExtentMap.Check), the inode's
 // block count equals what the map holds, and every block an inode owns —
 // data or extent-overflow leaf — is marked in the block bitmap and owned
-// exactly once. It returns the number of blocks owned. It does not yet
-// assert the converse, that every marked block is owned: the orphan
-// list is DRAM-only, so a crash with an unlinked file open leaks blocks
-// by design (DESIGN.md, "Known non-goals").
+// exactly once; and every inode's link count equals the entries naming it
+// (a directory's: 2 plus its child directories). It returns the number of
+// blocks owned. It does not yet assert that every marked block is owned,
+// nor compare the link count of a file no entry names: the orphan list is
+// DRAM-only, so a crash with an unlinked file open leaves its inode,
+// record and blocks, behind by design (DESIGN.md, "Known non-goals").
 func (fs *FS) Check() (owned int64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -34,10 +36,26 @@ func (fs *FS) Check() (owned int64, err error) {
 		owned += e.Len
 		return nil
 	}
+	links := map[uint64]uint32{} // what the namespace says each link count is
 	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
 		in := fs.icache[ino]
 		if in == nil {
 			continue
+		}
+		if in.isDir {
+			if err := fs.ensureDir(in); err != nil {
+				return 0, fmt.Errorf("ext4dax: directory %d: %w", ino, err)
+			}
+			for _, de := range in.entries {
+				if fs.icache[de.ino] == nil {
+					return 0, fmt.Errorf("ext4dax: directory %d names %q, inode %d, which does not exist", ino, de.name, de.ino)
+				}
+				if de.isDir {
+					links[ino]++ // the child's ".."
+				} else {
+					links[de.ino]++
+				}
+			}
 		}
 		if err := in.extents.Check(); err != nil {
 			return 0, fmt.Errorf("ext4dax: inode %d: %w", ino, err)
@@ -56,6 +74,18 @@ func (fs *FS) Check() (owned int64, err error) {
 			if err := claim(in, alloc.Extent{Start: blk, Len: 1}); err != nil {
 				return 0, err
 			}
+		}
+	}
+	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
+		in, want := fs.icache[ino], links[ino]
+		switch {
+		case in == nil, !in.isDir && want == 0: // free, or an orphan
+			continue
+		case in.isDir:
+			want += 2
+		}
+		if in.nlink != want {
+			return 0, fmt.Errorf("ext4dax: inode %d has link count %d, the namespace holds %d", ino, in.nlink, want)
 		}
 	}
 	return owned, nil

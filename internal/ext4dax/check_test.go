@@ -48,6 +48,10 @@ func TestCheckCatches(t *testing.T) {
 			fs.bBmp.Free(e)
 			return func() { fs.bBmp.MarkAllocated(e) }
 		}, "free in the bitmap"},
+		{func() func() { // a link dropped with no entry removed
+			b.in.nlink++
+			return func() { b.in.nlink-- }
+		}, "link count 2, the namespace holds 1"},
 	} {
 		undo := c.damage()
 		if _, err := fs.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -65,11 +69,63 @@ func TestCheckCatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := fs.BeginBatch()
-	if err := batch.Relink(src.(*File), b, 0, 0, sim.BlockSize, 0); err != nil {
+	if err := relink1(batch, src.(*File), b, 0, 0, sim.BlockSize, 0); err != nil {
 		t.Fatal(err)
 	}
 	batch.End()
 	if got, err := fs.Check(); err != nil || got != owned {
 		t.Fatalf("with a free pending: %d blocks owned (%v), want %d", got, err, owned)
 	}
+}
+
+// TestDirectoryRenameMovesDotDot: a directory renamed under another parent
+// takes its ".." link along — the old parent loses it, the new one gains
+// it, in the rename's own transaction — so the link counts Check compares
+// with the namespace hold across the rename, a crash after its commit, and
+// a rename back. An unlinked file held open is nobody's entry and is not
+// compared (its record keeps the count it was last written with).
+func TestDirectoryRenameMovesDotDot(t *testing.T) {
+	dev, fs := newFS(t)
+	for _, d := range []string{"/a", "/b", "/a/d"} {
+		if err := fs.Mkdir(d, 0755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := vfs.Create(fs, "/a/d/tmp"); err != nil { // stays open
+		t.Fatal(err)
+	}
+	if err := fs.Unlink("/a/d/tmp"); err != nil {
+		t.Fatal(err)
+	}
+	links := func(fs *FS, when string, a, b uint32) {
+		t.Helper()
+		ia, _ := fs.Stat("/a")
+		ib, _ := fs.Stat("/b")
+		if ia.Nlink != a || ib.Nlink != b {
+			t.Fatalf("%s: /a has %d links and /b %d, want %d and %d", when, ia.Nlink, ib.Nlink, a, b)
+		}
+		if _, err := fs.Check(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	links(fs, "before", 3, 2)
+	if err := fs.Rename("/a/d", "/b/d"); err != nil {
+		t.Fatal(err)
+	}
+	links(fs, "after the rename", 2, 3)
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Crash(sim.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Mount(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	links(rec, "after a crash", 2, 3)
+	if err := rec.Rename("/b/d", "/a/e"); err != nil {
+		t.Fatal(err)
+	}
+	links(rec, "after the rename back", 3, 2)
 }

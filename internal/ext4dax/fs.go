@@ -389,7 +389,9 @@ func (fs *FS) commitTx() error {
 		return err
 	}
 	fs.doneTxID = id
-	fs.stats.commits.Add(1)
+	if tx.Logged() > 0 { // an empty transaction commits without reaching the journal
+		fs.stats.commits.Add(1)
+	}
 	return nil
 }
 

@@ -558,7 +558,7 @@ func TestShrinkZeroesCutTail(t *testing.T) {
 			}
 			b := fs.BeginBatch() // the batch form: FS.Relink would commit
 			defer b.End()
-			return b.Relink(src.(*File), f, 0, sim.BlockSize, sim.BlockSize, 2*sim.BlockSize)
+			return relink1(b, src.(*File), f, 0, sim.BlockSize, sim.BlockSize, 2*sim.BlockSize)
 		}, append(want(sim.BlockSize, nil), bytes.Repeat([]byte{0xCC}, sim.BlockSize)...)},
 	}
 	for _, g := range grow {

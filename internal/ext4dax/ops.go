@@ -83,12 +83,18 @@ func (fs *FS) createLocked(parent *inode, base string, isDir bool, want uint64) 
 		return nil, err
 	}
 	if isDir {
-		parent.mu.Lock()
-		parent.nlink++
-		parent.mu.Unlock()
-		fs.writeInode(parent)
+		fs.setLinks(parent, parent.nlink+1)
 	}
 	return in, nil
+}
+
+// setLinks gives a directory the link count n — a child directory, whose
+// ".." names it, came or went — and writes it back. Caller holds fs.mu.
+func (fs *FS) setLinks(dir *inode, n uint32) {
+	dir.mu.Lock()
+	dir.nlink = n
+	dir.mu.Unlock()
+	fs.writeInode(dir)
 }
 
 // Mkdir implements vfs.FileSystem.
@@ -209,10 +215,7 @@ func (fs *FS) Rmdir(path string) error {
 		return vfs.WrapPath("rmdir", path, err)
 	}
 	fs.freeInode(in)
-	parent.mu.Lock()
-	parent.nlink--
-	parent.mu.Unlock()
-	fs.writeInode(parent)
+	fs.setLinks(parent, parent.nlink-1)
 	fs.maybeCommit()
 	return nil
 }
@@ -278,6 +281,12 @@ func (fs *FS) RenameReplacing(oldPath, newPath string) (moved vfs.DirEntry, repl
 	}
 	if err := fs.addDirent(dstParent, dstBase, de.ino, de.isDir); err != nil {
 		return moved, 0, vfs.WrapPath("rename", newPath, err)
+	}
+	if de.isDir && srcParent != dstParent {
+		// The directory's ".." names its new parent: the link moves with
+		// the entry, in the same transaction.
+		fs.setLinks(srcParent, srcParent.nlink-1)
+		fs.setLinks(dstParent, dstParent.nlink+1)
 	}
 	fs.maybeCommit()
 	return moved, replaced, nil

@@ -1,7 +1,9 @@
 package ext4dax
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
@@ -12,16 +14,27 @@ import (
 // extents rather than exchange them. It implements
 // relink(file1, offset1, file2, offset2, size) — §3.3.
 
-// lockPair write-locks two distinct inodes in ino order, so concurrent
-// relinks over overlapping file pairs cannot deadlock. Returns the unlock
-// function.
-func lockPair(a, b *inode) func() {
-	if a.ino > b.ino {
-		a, b = b, a
+// Move is one element of a relink vector: the blocks backing
+// [SrcOff, SrcOff+Len) of Src become [DstOff, DstOff+Len) of the vector's
+// destination.
+type Move struct {
+	Src                 *File
+	SrcOff, DstOff, Len int64
+}
+
+// lockInodes write-locks distinct inodes in ino order, so concurrent
+// relinks over overlapping sets of files cannot deadlock. Returns the
+// unlock function.
+func lockInodes(ins []*inode) func() {
+	slices.SortFunc(ins, func(a, b *inode) int { return cmp.Compare(a.ino, b.ino) })
+	for _, in := range ins {
+		in.mu.Lock()
 	}
-	a.mu.Lock()
-	b.mu.Lock()
-	return func() { b.mu.Unlock(); a.mu.Unlock() }
+	return func() {
+		for _, in := range ins {
+			in.mu.Unlock()
+		}
+	}
 }
 
 // rangeMapped reports whether [blk, blk+cnt) is fully allocated.
@@ -36,14 +49,14 @@ func rangeMapped(fs *FS, in *inode, blk, cnt int64) bool {
 	return true
 }
 
-// Relink is the kernel half of the paper's relink primitive as one call:
-// it logically and atomically moves [srcOff, srcOff+n) of src to
-// [dstOff, dstOff+n) of dst without copying data, extends dst to
+// Relink is the kernel half of the paper's relink primitive as one call
+// of one move: it logically and atomically moves [srcOff, srcOff+n) of
+// src to [dstOff, dstOff+n) of dst without copying data, extends dst to
 // newDstSize if that is larger, and commits. The commit makes the move
 // atomic; a crash before it leaves both files untouched.
 func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
 	b := fs.BeginBatch()
-	err := b.Relink(src, dst, srcOff, dstOff, n, newDstSize)
+	err := b.Relink(dst, newDstSize, []Move{{Src: src, SrcOff: srcOff, DstOff: dstOff, Len: n}})
 	txid := b.End()
 	if err != nil {
 		return err
@@ -51,59 +64,100 @@ func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) 
 	return fs.CommitUpTo(txid)
 }
 
-// Relink moves the blocks backing [srcOff, srcOff+n) of src to
-// [dstOff, dstOff+n) of dst, leaving a hole in src, and extends dst to
-// newDstSize if that is larger. Metadata only: no data is copied or
-// flushed, no block is allocated, and existing memory mappings remain
+// Relink is the relink ioctl: one crossing and one journal handle, however
+// many moves the vector holds. Each move takes the blocks backing its
+// source range into dst at DstOff, leaving a hole in the source, and dst
+// grows to newDstSize if that is larger. Metadata only: no data is copied
+// or flushed, no block is allocated, and existing memory mappings remain
 // valid (they keep addressing the same physical blocks). Where dst has a
 // hole the blocks fill it; blocks dst already holds there (a strict-mode
 // overwrite) are released when the transaction commits, per the
 // deferred-free rule, which is the only case that touches the block
-// bitmap. Offsets and length must be block-aligned, the source range
-// fully allocated and the files distinct. Both inodes are written back
-// by End, and the move becomes durable, atomically with the rest of the
-// batch, when the transaction End returns commits.
+// bitmap. The whole vector is validated before anything moves
+// (checkMoves), so a rejected call changes nothing. Every inode named is
+// written back by End, and the moves become durable, atomically with the
+// rest of the batch, when the transaction End returns commits.
 //
 // Growing dst to newDstSize exposes no stale bytes as long as the caller
 // keeps the rule every other path into a file keeps: bytes past
 // newDstSize in the last block moved in are zero (truncateLocked).
-func (b *Batch) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
+func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 	fs := b.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-	if srcOff%sim.BlockSize != 0 || dstOff%sim.BlockSize != 0 ||
-		n <= 0 || n%sim.BlockSize != 0 || src.in == dst.in {
-		return vfs.ErrInval
+	ins, err := fs.checkMoves(dst.in, moves)
+	if err != nil {
+		return err
 	}
-	defer lockPair(src.in, dst.in)()
-	srcBlk, dstBlk, cnt := srcOff/sim.BlockSize, dstOff/sim.BlockSize, n/sim.BlockSize
-	if !rangeMapped(fs, src.in, srcBlk, cnt) {
-		return fmt.Errorf("src unmapped at blk %d cnt %d: %w", srcBlk, cnt, vfs.ErrInval)
-	}
-	// Remap event for both inodes: each now addresses different physical
-	// blocks in the moved range. (The data itself does not move — an
+	b.touch(ins...)
+	defer lockInodes(ins)()
+	// Remap event for every inode named: each now addresses different
+	// physical blocks in a moved range. (The data itself does not move — an
 	// ext4dax.Mapping stays valid — but a lease's Extent.DevOff table is
 	// stale the moment ownership changes, because the old owner's file may
 	// free or overwrite the blocks.)
-	src.in.mapEpoch.Add(1)
-	dst.in.mapEpoch.Add(1)
-	for _, e := range dst.in.extents.Extract(dstBlk, cnt) {
-		fs.deferFree(fs.bBmp, e)
-		dst.in.blocks -= e.Len
+	for _, in := range ins {
+		in.mapEpoch.Add(1)
 	}
-	for _, e := range src.in.extents.Extract(srcBlk, cnt) {
-		dst.in.extents.Insert(dstBlk, e)
-		dstBlk += e.Len
+	for _, m := range moves {
+		src := m.Src.in
+		srcBlk, dstBlk, cnt := m.SrcOff/sim.BlockSize, m.DstOff/sim.BlockSize, m.Len/sim.BlockSize
+		for _, e := range dst.in.extents.Extract(dstBlk, cnt) {
+			fs.deferFree(fs.bBmp, e)
+			dst.in.blocks -= e.Len
+		}
+		for _, e := range src.extents.Extract(srcBlk, cnt) {
+			dst.in.extents.Insert(dstBlk, e)
+			dstBlk += e.Len
+		}
+		src.blocks -= cnt
+		dst.in.blocks += cnt
 	}
-	src.in.blocks -= cnt
-	dst.in.blocks += cnt
 	if newDstSize > dst.in.size {
 		dst.in.size = newDstSize
 	}
-	b.touch(src.in, dst.in)
 	return nil
+}
+
+// checkMoves is the ioctl's argument check, over the whole vector: every
+// move block-aligned, non-empty, out of a fully allocated range of a file
+// other than dst, and no two ranges of one inode — dst's, or a source's —
+// overlapping. (So checking up front equals checking move by move: no
+// move maps or unmaps what another reads.) It returns the distinct inodes
+// named, sources in order of first appearance, then dst. Caller holds
+// fs.mu, under which no extent map changes.
+func (fs *FS) checkMoves(dst *inode, moves []Move) ([]*inode, error) {
+	type span struct {
+		in     *inode
+		off, n int64
+	}
+	if len(moves) == 0 {
+		return nil, vfs.ErrInval
+	}
+	ins := make([]*inode, 0, 3) // a staging file or two, and dst
+	spans := make([]span, 0, 2*len(moves))
+	for _, m := range moves {
+		if m.SrcOff%sim.BlockSize != 0 || m.DstOff%sim.BlockSize != 0 ||
+			m.Len <= 0 || m.Len%sim.BlockSize != 0 || m.Src.in == dst {
+			return nil, vfs.ErrInval
+		}
+		if blk, cnt := m.SrcOff/sim.BlockSize, m.Len/sim.BlockSize; !rangeMapped(fs, m.Src.in, blk, cnt) {
+			return nil, fmt.Errorf("src unmapped at blk %d cnt %d: %w", blk, cnt, vfs.ErrInval)
+		}
+		if !slices.Contains(ins, m.Src.in) {
+			ins = append(ins, m.Src.in)
+		}
+		spans = append(spans, span{dst, m.DstOff, m.Len}, span{m.Src.in, m.SrcOff, m.Len})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Or(cmp.Compare(a.in.ino, b.in.ino), cmp.Compare(a.off, b.off)) })
+	for i := 1; i < len(spans); i++ {
+		if p, s := spans[i-1], spans[i]; p.in == s.in && p.off+p.n > s.off {
+			return nil, fmt.Errorf("moves overlap in inode %d at %d: %w", s.in.ino, s.off, vfs.ErrInval)
+		}
+	}
+	return append(ins, dst), nil
 }
 
 // SetUserWatermark is File.SetUserWatermark inside a batch: the inode

@@ -194,7 +194,7 @@ func TestPartialWriteBacksReadBack(t *testing.T) {
 	}
 	batch := fs.BeginBatch()
 	for i, blk := range []int64{0, 60, 250, 700} { // inline, first leaf, second leaf, third leaf
-		if err := batch.Relink(src.(*File), f, int64(i)*sim.BlockSize, blk*sim.BlockSize, sim.BlockSize, 0); err != nil {
+		if err := relink1(batch, src.(*File), f, int64(i)*sim.BlockSize, blk*sim.BlockSize, sim.BlockSize, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestBatchEndAllocations(t *testing.T) {
 	next := int64(0)
 	batch := func() { // moves one block of /src into a hole of /dst
 		b := fs.BeginBatch()
-		if err := b.Relink(src.(*File), dst, 2*next*sim.BlockSize, (2*next+1)*sim.BlockSize, sim.BlockSize, 0); err != nil {
+		if err := relink1(b, src.(*File), dst, 2*next*sim.BlockSize, (2*next+1)*sim.BlockSize, sim.BlockSize, 0); err != nil {
 			t.Fatal(err)
 		}
 		next++
@@ -294,7 +294,7 @@ func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 	next := int64(0)
 	return func() {
 		b := fs.BeginBatch()
-		err := b.Relink(src.(*File), dst, next*sim.BlockSize, 2*(next*7%int64(n))*sim.BlockSize, sim.BlockSize, 0)
+		err := relink1(b, src.(*File), dst, next*sim.BlockSize, 2*(next*7%int64(n))*sim.BlockSize, sim.BlockSize, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,9 @@ import (
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0x53ff882550f9a1d5,
-	"splitfs-posix":  0xd7445a122c62f2a7,
-	"splitfs-sync":   0x8df44ef0efa99b25,
-	"splitfs-strict": 0xd872b91d81d87d4d,
+	"splitfs-posix":  0x497a89c95268ed1d,
+	"splitfs-sync":   0xb474a500d254b779,
+	"splitfs-strict": 0xd4e105a4e475acf7,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

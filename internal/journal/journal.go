@@ -141,6 +141,7 @@ type Tx struct {
 	j      *Journal
 	ranges []blockRange
 	closed bool
+	logged int
 }
 
 type blockRange struct {
@@ -267,8 +268,14 @@ func (tx *Tx) Commit() error {
 	j.tailSeq = j.seq
 	j.writeSuper()
 	j.stats.Commits++
+	tx.logged = len(blocks)
 	return nil
 }
+
+// Logged reports how many block images Commit wrote to the journal: zero
+// for a transaction that noted nothing, whose commit did no IO (and for
+// one that has not committed).
+func (tx *Tx) Logged() int { return tx.logged }
 
 // replayOne replays the transaction at the tail, if valid and committed.
 // Returns the number of blocks restored (0 when the scan hits the end of

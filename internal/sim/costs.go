@@ -94,11 +94,13 @@ const (
 	// allocation on the append path.
 	AllocExtentNs = 900
 
-	// Ext4JournalHandleNs is the per-operation cost of jbd2 handle
-	// start/stop, get-write-access bookkeeping and dirty-buffer tracking on
-	// the ext4 DAX write path. Together with allocation, extent updates,
-	// the DAX iomap work and the trap it reproduces the 8331 ns software
-	// overhead of an ext4 DAX append (Table 1).
+	// Ext4JournalHandleNs is the cost of jbd2 handle start/stop,
+	// get-write-access bookkeeping and dirty-buffer tracking, paid once per
+	// system call that opens a handle — per ioctl on the relink path,
+	// however many moves its vector holds — as on the ext4 DAX write path.
+	// Together with allocation, extent updates, the DAX iomap work and the
+	// trap it reproduces the 8331 ns software overhead of an ext4 DAX
+	// append (Table 1).
 	Ext4JournalHandleNs = 1500
 	// Ext4ExtentUpdateNs is the cost of updating the extent tree and inode.
 	Ext4ExtentUpdateNs = 500

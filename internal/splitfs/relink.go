@@ -125,13 +125,19 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 	// list into latest-writer-wins pieces: every file byte is sourced
 	// from exactly one staged range. Beyond avoiding dead copies, the
 	// disjointness is a crash-safety requirement: a sub-block copy must
-	// never land inside a file range whose blocks an earlier step of this
-	// same (uncommitted) batch moved in from the staging file — if the
-	// crash rolls the batch back, those blocks return to the staging file
-	// with the copy scribbled over the staged data recovery replays.
-	// Disjoint pieces make such an overlap impossible, because a relinked
-	// run covers only whole blocks that belong entirely to its own piece.
-	// (Found by the persistence-event crash sweep; see DESIGN.md.)
+	// never land inside a file range whose blocks this same (uncommitted)
+	// batch moves in from the staging file — if the crash rolls the batch
+	// back, those blocks return to the staging file with the copy
+	// scribbled over the staged data recovery replays. Disjoint pieces
+	// make such an overlap impossible, because a relinked run covers only
+	// whole blocks that belong entirely to its own piece. (Found by the
+	// persistence-event crash sweep; see DESIGN.md.)
+	//
+	// The runs of all pieces move by one relink call at the end: one
+	// crossing and one journal handle per file (DESIGN.md, "Relink is a
+	// move", part 4). The copies stay kernel writes of their own.
+	var moves []ext4dax.Move
+	var blocks int64
 	for _, pc := range partitionStaged(staged) {
 		s, a, b := pc.src, pc.a, pc.b
 		if s.dram != nil {
@@ -172,12 +178,9 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 			}
 		}
 		if tail > head {
-			err := batch.Relink(s.sf.kf, of.kf,
-				s.sfOff+(head-s.fileOff), head, tail-head, of.size)
-			if err != nil {
-				return fmt.Errorf("relink a=%d b=%d head=%d tail=%d sfOff=%d: %w", a, b, head, tail, s.sfOff, err)
-			}
-			fs.stats.relinkBlocks.Add((tail - head) / sim.BlockSize)
+			moves = append(moves, ext4dax.Move{Src: s.sf.kf,
+				SrcOff: s.sfOff + (head - s.fileOff), DstOff: head, Len: tail - head})
+			blocks += (tail - head) / sim.BlockSize
 		}
 		if b > tail && tail >= head {
 			if err := fs.copyRange(of, s, tail, b); err != nil {
@@ -185,6 +188,13 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 			}
 		}
 	}
+	if len(moves) == 0 {
+		return nil
+	}
+	if err := batch.Relink(of.kf, of.size, moves); err != nil {
+		return fmt.Errorf("relink of %d moves into %s: %w", len(moves), of.path, err)
+	}
+	fs.stats.relinkBlocks.Add(blocks)
 	return nil
 }
 

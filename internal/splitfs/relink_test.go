@@ -479,3 +479,72 @@ func TestFsyncCostFlatInFragmentation(t *testing.T) {
 	t.Logf("mean fsync: %d ns over the first %d, %d ns over the last %d (%.2fx)",
 		first/(2*window), window, last/(2*window), window, float64(last)/float64(first))
 }
+
+// TestFsyncCrossingsFlatInPieces: however many disjoint pieces a strict-
+// mode fsync relinks — one, eight or sixty-four scattered block
+// overwrites — it crosses into K-Split once and opens one journal handle:
+// the pieces travel as one relink vector (DESIGN.md, "Relink is a move",
+// part 4). One call per piece made both counts equal the pieces.
+func TestFsyncCrossingsFlatInPieces(t *testing.T) {
+	dev, fs := newEnv(t, Strict)
+	clk := dev.Clock()
+	f, err := vfs.Create(fs, "/scattered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(256*sim.BlockSize, 1)
+	if _, err := f.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	of := f.(*File).of
+	for _, pieces := range []int{1, 8, 64} {
+		scatter := func(seed byte) { // every other block, so no two pieces touch
+			for i := 0; i < pieces; i++ {
+				off := (2*i + 1) * sim.BlockSize
+				copy(want[off:], pattern(sim.BlockSize, seed))
+				if _, err := f.WriteAt(want[off:off+sim.BlockSize], int64(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before := fs.Stats()
+		// The whole fsync — relink, commit, reclaim — traps once.
+		scatter(byte(pieces))
+		traps := fs.kfs.Stats().Traps
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.kfs.Stats().Traps - traps; got != 1 {
+			t.Errorf("fsync of %d pieces crossed into K-Split %d times, want 1", pieces, got)
+		}
+		// Its relink steps charge the journal one handle (the commit's own
+		// journal IO comes after them).
+		scatter(byte(pieces) + 1)
+		of.mu.Lock()
+		journal := clk.Category(sim.CatJournal)
+		txid, released, err := fs.relinkStepsLocked(of)
+		handles := clk.Category(sim.CatJournal) - journal
+		of.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if handles != sim.Ext4JournalHandleNs {
+			t.Errorf("relink of %d pieces charged %d ns of journal handles, want one (%d)", pieces, handles, sim.Ext4JournalHandleNs)
+		}
+		if err := fs.kfs.CommitUpTo(txid); err != nil {
+			t.Fatal(err)
+		}
+		fs.staging.release(released)
+		after := fs.Stats()
+		if moved, copied := after.RelinkBlocks-before.RelinkBlocks, after.CopiedBytes-before.CopiedBytes; moved != int64(2*pieces) || copied != 0 {
+			t.Errorf("%d pieces twice: %d blocks relinked and %d bytes copied, want %d and 0", pieces, moved, copied, 2*pieces)
+		}
+		checkContent(t, f, want)
+	}
+	if _, err := fs.kfs.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
