@@ -15,6 +15,8 @@ import (
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/harness"
+	"splitfs/internal/journal"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
@@ -229,6 +231,37 @@ func BenchmarkRelinkVector(b *testing.B) {
 				simNs += st.Clock.Now() - t0
 			}
 			b.ReportMetric(float64(simNs)/float64(b.N), "sim-ns/op")
+		})
+	}
+}
+
+// BenchmarkJournalCommit is one journal commit's host cost against the
+// number of 4 KB block images it logs — the bare journal on a bare device,
+// as splitperf's journal.commit_8blk_host_ns probe builds it. MB/s counts
+// the images: each is read back, checksummed and stored, so the figure is
+// bounded by the checksum while that is a byte loop and by the device
+// model's stores once it is not. B/op catches a block buffer that moved
+// to the heap (TestCommitAllocatesNoBlocks is the gate).
+func BenchmarkJournalCommit(b *testing.B) {
+	for _, images := range []int64{1, 8, 64} {
+		b.Run(fmt.Sprint(images), func(b *testing.B) {
+			dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock(), TrackPersistence: true, TrackWear: true})
+			jnl := journal.New(dev, 0, 256)
+			const home = 8 << 20
+			line := make([]byte, sim.CacheLine)
+			b.SetBytes(images * sim.BlockSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx := jnl.Begin()
+				for blk := int64(0); blk < images; blk++ {
+					dev.Store(home+blk*sim.BlockSize, line, sim.CatPMMeta)
+					tx.Note(home+blk*sim.BlockSize, sim.CacheLine)
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

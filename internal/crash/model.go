@@ -183,12 +183,15 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 			if staged {
 				f.staged = append(f.staged, span{off, end})
 				for i := off; i < end; i++ {
-					if i >= f.ksize {
+					// Bytes below ksize shadowed by a staged overwrite
+					// keep their class — the media under them is untouched
+					// until the relink — unless the class names data[i],
+					// which now holds the staged value: what an earlier
+					// in-place overwrite left on the media is no longer on
+					// record (TestStagedWriteOverInPlaceOverwrite).
+					if i >= f.ksize || f.cls[i] == clsEither || f.cls[i] == clsDurable {
 						f.cls[i] = clsDirty
 					}
-					// Bytes below ksize shadowed by a staged overwrite
-					// keep their class: the media under them is untouched
-					// until the relink.
 				}
 			} else {
 				for i := off; i < end; i++ {

@@ -12,7 +12,8 @@
 //  2. writes a full 4 KB journal copy of every touched block (this
 //     full-block logging is what makes ext4 metadata-heavy, a cost the
 //     paper measures in Table 1),
-//  3. fences, writes a checksummed commit block, fences,
+//  3. fences, writes a commit block carrying a CRC-32C of the descriptor
+//     and the images, fences,
 //  4. flushes the home locations and fences (checkpoint),
 //  5. advances the journal tail.
 //
@@ -25,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"splitfs/internal/pmem"
@@ -40,6 +42,8 @@ const (
 	maxBlocksPerTx = 255
 
 	superSize = 64 // journal superblock: magic, seq, tail index
+
+	descHomes = 32 // descriptor: magic, seq and count, then the home list from here
 )
 
 // ErrTooLarge is returned when a transaction touches more distinct blocks
@@ -69,6 +73,14 @@ type Journal struct {
 	tail    int64 // oldest live journal block index
 	tailSeq uint64
 	stats   Stats
+
+	// Commit's scratch, used under mu (New and Load run before the journal
+	// is shared): the descriptor and then the commit record, one block
+	// image, the superblock. The journal owns them because sim.CRC32C
+	// makes what it is handed escape — as Commit's locals the summed ones
+	// are 8 KB of garbage per commit (DESIGN.md, "Checksums").
+	hdr, img [sim.BlockSize]byte
+	super    [superSize]byte
 }
 
 // Blocks returns the number of 4 KB blocks a journal region of size bytes
@@ -128,7 +140,7 @@ func (j *Journal) wrap(idx int64) int64 {
 }
 
 func (j *Journal) writeSuper() {
-	super := make([]byte, superSize)
+	super := j.super[:]
 	binary.LittleEndian.PutUint32(super[0:4], descMagic)
 	binary.LittleEndian.PutUint64(super[8:16], j.tailSeq)
 	binary.LittleEndian.PutUint64(super[16:24], uint64(j.tail))
@@ -171,19 +183,27 @@ func (tx *Tx) Note(off int64, n int) {
 // homeBlocks returns the device block offsets touched by the transaction,
 // each once, in the order they were first noted.
 func (tx *Tx) homeBlocks() []int64 {
-	seen := make(map[int64]bool)
 	var blocks []int64
 	for _, r := range tx.ranges {
 		first := r.off / sim.BlockSize
 		last := (r.off + int64(r.n) - 1) / sim.BlockSize
-		for b := first; b <= last; b++ {
-			if !seen[b] {
-				seen[b] = true
-				blocks = append(blocks, b*sim.BlockSize)
+		// A transaction past the descriptor's capacity fails whatever
+		// else it holds, which also bounds the scan.
+		for b := first; b <= last && len(blocks) <= maxBlocksPerTx; b++ {
+			if off := b * sim.BlockSize; !slices.Contains(blocks, off) {
+				blocks = append(blocks, off)
 			}
 		}
 	}
 	return blocks
+}
+
+// txSum starts a transaction's checksum: CRC-32C, seeded with the folded
+// sequence number, over the descriptor's header and its n home offsets.
+// The block images continue it and the commit record stores the result,
+// so a tear anywhere in the entry fails replay's comparison.
+func txSum(seq uint64, desc []byte, n int) uint32 {
+	return sim.CRC32C(uint32(seq^seq>>32), desc[:descHomes+8*n])
 }
 
 // Commit durably applies the transaction. On return, every noted range is
@@ -220,35 +240,36 @@ func (tx *Tx) Commit() error {
 	}
 
 	// 1. Descriptor block.
-	desc := make([]byte, sim.BlockSize)
+	desc := j.hdr[:]
+	clear(desc)
 	binary.LittleEndian.PutUint32(desc[0:4], descMagic)
 	binary.LittleEndian.PutUint64(desc[8:16], j.seq)
 	binary.LittleEndian.PutUint32(desc[16:20], uint32(len(blocks)))
 	for i, b := range blocks {
-		binary.LittleEndian.PutUint64(desc[32+i*8:40+i*8], uint64(b))
+		binary.LittleEndian.PutUint64(desc[descHomes+i*8:], uint64(b))
 	}
+	sum := txSum(j.seq, desc, len(blocks))
 	idx := j.head
 	j.dev.StoreNT(j.blockOff(idx), desc, sim.CatJournal)
 	idx = j.wrap(idx + 1)
 
 	// 2. Full block images, read back at cache speed from the volatile
 	// view (the caller already stored its mutations there).
-	img := make([]byte, sim.BlockSize)
-	// Commit checksum: FNV-1a of the images, seeded with seq, folded to 32 bits.
-	h := sim.FNVOffset ^ j.seq
+	img := j.img[:]
 	for _, b := range blocks {
 		j.dev.Peek(img, b)
-		h = sim.FNV1a(h, img)
+		sum = sim.CRC32C(sum, img)
 		j.dev.StoreNT(j.blockOff(idx), img, sim.CatJournal)
 		idx = j.wrap(idx + 1)
 		j.stats.BlocksLogged++
 	}
 	// 3. Order images before the commit record.
 	j.dev.Fence()
-	commit := make([]byte, sim.BlockSize)
+	commit := j.hdr[:]
+	clear(commit)
 	binary.LittleEndian.PutUint32(commit[0:4], commitMagic)
 	binary.LittleEndian.PutUint64(commit[8:16], j.seq)
-	binary.LittleEndian.PutUint32(commit[16:20], uint32(h^h>>32))
+	binary.LittleEndian.PutUint32(commit[16:20], sum)
 	j.dev.StoreNT(j.blockOff(idx), commit, sim.CatJournal)
 	j.dev.Fence()
 	idx = j.wrap(idx + 1)
@@ -300,16 +321,16 @@ func (j *Journal) replayOne() (int, error) {
 	}
 	homes := make([]int64, count)
 	for i := range homes {
-		homes[i] = int64(binary.LittleEndian.Uint64(desc[32+i*8 : 40+i*8]))
+		homes[i] = int64(binary.LittleEndian.Uint64(desc[descHomes+i*8:]))
 	}
 	// Read images and verify against the commit record before applying.
 	images := make([][]byte, count)
-	h := sim.FNVOffset ^ seq
+	sum := txSum(seq, desc, count)
 	idx = j.wrap(idx + 1)
 	for i := 0; i < count; i++ {
 		img := make([]byte, sim.BlockSize)
 		j.dev.ReadAt(img, j.blockOff(idx), sim.CatJournal)
-		h = sim.FNV1a(h, img)
+		sum = sim.CRC32C(sum, img)
 		images[i] = img
 		idx = j.wrap(idx + 1)
 	}
@@ -317,7 +338,7 @@ func (j *Journal) replayOne() (int, error) {
 	j.dev.ReadAt(commit, j.blockOff(idx), sim.CatJournal)
 	if binary.LittleEndian.Uint32(commit[0:4]) != commitMagic ||
 		binary.LittleEndian.Uint64(commit[8:16]) != seq ||
-		binary.LittleEndian.Uint32(commit[16:20]) != uint32(h^h>>32) {
+		binary.LittleEndian.Uint32(commit[16:20]) != sum {
 		return 0, nil
 	}
 	idx = j.wrap(idx + 1)

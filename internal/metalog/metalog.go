@@ -136,8 +136,11 @@ func (l *Log) Append(payload []byte, mode FenceMode) error {
 	buf := make([]byte, recLen)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], l.seq)
-	binary.LittleEndian.PutUint32(buf[8:12], Checksum(l.seq, payload))
-	copy(buf[headerSize:], payload)
+	// The sum is taken over the record's own copy: what Checksum is handed
+	// escapes, and the caller's payload — the op log's 41-byte entry —
+	// is on its stack.
+	n := copy(buf[headerSize:], payload)
+	binary.LittleEndian.PutUint32(buf[8:12], Checksum(l.seq, buf[headerSize:headerSize+n]))
 	l.dev.Clock().Charge(sim.CatCPU, sim.ChecksumPerLogEntryNs)
 	l.dev.StoreNT(l.start+l.tail, buf, l.cat)
 	switch mode {
@@ -177,12 +180,11 @@ func (l *Log) Capacity() int64 { return l.size - tailSlot }
 // Entries returns the number of records appended since New/Load/Reset.
 func (l *Log) Entries() int { return int(l.seq - 1) }
 
-// Checksum is a record's checksum: FNV-1a over the payload, seeded with
-// the record's sequence number and folded to 32 bits. Zero is reserved
-// for "unwritten", so it can never validate.
+// Checksum is a record's checksum: CRC-32C over the payload, seeded with
+// the record's sequence number. Zero is reserved for "unwritten", so it
+// can never validate.
 func Checksum(seq uint32, payload []byte) uint32 {
-	h := sim.FNV1a(sim.FNVOffset^uint64(seq), payload)
-	s := uint32(h ^ h>>32)
+	s := sim.CRC32C(seq, payload)
 	if s == 0 {
 		s = 1 // zero is reserved for "unwritten"
 	}

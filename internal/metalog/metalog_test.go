@@ -202,3 +202,76 @@ func TestSnapshotTooLarge(t *testing.T) {
 		t.Fatal("oversized snapshot accepted")
 	}
 }
+
+// TestLoadRejectsDamagedRecord: a flipped bit or a zeroed 8-byte word
+// (the unit the pmem model tears at) anywhere in a record — its header or
+// its payload, first line or last — ends the log at that record: Load
+// returns exactly the records before it, and appends continue from there.
+func TestLoadRejectsDamagedRecord(t *testing.T) {
+	recs := [][]byte{
+		bytes.Repeat([]byte{0xA1}, 41),  // the op log's write entry: one line
+		bytes.Repeat([]byte{0xB2}, 150), // three lines
+		bytes.Repeat([]byte{0xC3}, 48),  // exactly one line
+		bytes.Repeat([]byte{0xD4}, 7),
+	}
+	build := func() *pmem.Device {
+		dev, l := newLog(t, 1<<16)
+		for _, r := range recs {
+			if err := l.Append(r, SingleFence); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dev
+	}
+	damages := map[string]func(w []byte){
+		"flip-bit":  func(w []byte) { w[1] ^= 0x04 },
+		"zero-word": func(w []byte) { clear(w) },
+	}
+	start := int64(tailSlot)
+	for victim, rec := range recs {
+		// Word offsets within the record: length|seq, checksum, then the
+		// payload's first and last whole words.
+		words := map[string]int64{"length+seq": 0, "checksum": 8, "payload head": headerSize}
+		if len(rec) >= 16 {
+			words["payload tail"] = headerSize + int64(len(rec)-8)/8*8
+		}
+		for where, off := range words {
+			for how, do := range damages {
+				dev := build()
+				word := make([]byte, 8)
+				dev.ReadAt(word, start+off, sim.CatOpLog)
+				was := bytes.Clone(word)
+				do(word)
+				if bytes.Equal(word, was) {
+					t.Fatalf("record %d, %s, %s: the damage changed nothing", victim, where, how)
+				}
+				dev.PersistNT(start+off, word, sim.CatOpLog)
+				l, got := Load(dev, 0, 1<<16, sim.CatOpLog)
+				if len(got) != victim {
+					t.Fatalf("record %d, %s, %s: Load kept %d records, want %d", victim, where, how, len(got), victim)
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], recs[i]) {
+						t.Fatalf("record %d, %s, %s: surviving record %d changed", victim, where, how, i)
+					}
+				}
+				if l.Entries() != victim {
+					t.Fatalf("record %d, %s, %s: log positioned after %d entries, want %d", victim, where, how, l.Entries(), victim)
+				}
+			}
+		}
+		start += RecordLen(len(rec))
+	}
+}
+
+// TestChecksumNeverZero: zero in a header's checksum field means
+// "unwritten", so no payload may sum to it — including the empty payload
+// under seed 0, whose CRC-32C is 0.
+func TestChecksumNeverZero(t *testing.T) {
+	if got := Checksum(0, nil); got == 0 {
+		t.Fatal("Checksum(0, nil) = 0")
+	}
+	if Checksum(1, []byte("x")) == Checksum(2, []byte("x")) {
+		t.Fatal("a record's sequence number does not reach its checksum")
+	}
+}

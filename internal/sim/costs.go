@@ -184,7 +184,8 @@ const (
 	ChecksumPerLogEntryNs = 11
 	// ChecksumPsPerByte is the per-byte cost of checksumming staged data
 	// for a strict-mode log entry (SSE4.2 crc32-class throughput,
-	// ~30 GB/s on cached data — the bytes were just written). The data
+	// ~30 GB/s on cached data — the bytes were just written; and what the
+	// code runs: the sum is CRC32C, on those instructions). The data
 	// checksum is what lets recovery reject an entry whose single
 	// covering fence never completed: the entry line can survive a crash
 	// intact while the staged data it points at tore. Kept small enough

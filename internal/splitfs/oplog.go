@@ -146,8 +146,8 @@ func encWriteEntry(ino uint32, fileOff int64, length uint32, stagingIno uint32, 
 }
 
 // stagedSum checksums staged data for a write entry: the log's own record
-// checksum (FNV-1a folded to 32 bits, never zero, so "no checksum" can
-// never validate) with no sequence number mixed in.
+// checksum (CRC-32C, never zero, so "no checksum" can never validate) with
+// no sequence number mixed in.
 func stagedSum(p []byte) uint32 { return metalog.Checksum(0, p) }
 
 // encMetaEntry records an open or a close of an existing file. Neither
