@@ -12,14 +12,17 @@ import (
 // block count equals what the map holds, and every block an inode owns —
 // data or extent-overflow leaf — is marked in the block bitmap and owned
 // exactly once; and every inode's link count equals the entries naming it
-// (a directory's: 2 plus its child directories). It returns the number of
-// blocks owned. It does not yet assert that every marked block is owned,
+// (a directory's: 2 plus its child directories); and the journal is at
+// rest (journal.Check). It returns the number of blocks owned. It does not yet assert that every marked block is owned,
 // nor compare the link count of a file no entry names: the orphan list is
 // DRAM-only, so a crash with an unlinked file open leaves its inode,
 // record and blocks, behind by design (DESIGN.md, "Known non-goals").
 func (fs *FS) Check() (owned int64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if err := fs.jnl.Check(); err != nil {
+		return 0, err
+	}
 	seen := make([]bool, fs.lay.DataBlocks)
 	claim := func(in *inode, e alloc.Extent) error {
 		for b := e.Start; b < e.End(); b++ {

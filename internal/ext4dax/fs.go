@@ -100,6 +100,9 @@ type FS struct {
 	txID     uint64
 	nextTxID uint64
 	doneTxID uint64
+	// stamps are the journal's stamps with the running transaction's
+	// SetStamp calls applied.
+	stamps [journal.Stamps]uint64
 	// txHold counts open batch handles (BeginBatch); while positive, the
 	// running transaction must not commit — jbd2's "a transaction cannot
 	// commit while handles are open". txIdle signals txHold reaching zero.
@@ -200,6 +203,7 @@ func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
 		return nil, 0, err
 	}
 	replayed := int(fs.jnl.Stats().Replayed)
+	fs.stamps = fs.jnl.Stamps()
 	fs.iBmp = alloc.Load(dev, lay.InodeBmpOff, 0, lay.MaxInodes)
 	fs.bBmp = alloc.Load(dev, lay.BlockBmpOff, lay.DataOff, lay.DataBlocks)
 	// Load every allocated inode. A set bitmap bit with an unreadable
@@ -242,6 +246,9 @@ func (fs *FS) Stats() Stats {
 		GCFollowers: fs.stats.gcFollowers.Load(),
 	}
 }
+
+// JournalStats returns the journal's own counters.
+func (fs *FS) JournalStats() journal.Stats { return fs.jnl.Stats() }
 
 // FreeBlocks reports remaining data capacity in blocks.
 func (fs *FS) FreeBlocks() int64 { return fs.bBmp.FreeCount() }

@@ -85,3 +85,41 @@ func TestTxIDStableUnderBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTxIDOpensNoTransaction: asking which transaction runs when none does
+// must not start one for CommitUpTo to retire — that is what the close (or
+// fsync) of a file with nothing pending does. No id is taken, nothing is
+// counted as a group commit on either side, and the journal sees nothing;
+// an operation that arrives between the question and the commit is still
+// covered.
+func TestTxIDOpensNoTransaction(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+	fs, err := Mkfs(dev, Config{MaxInodes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, stats, events := fs.nextTxID, fs.Stats(), dev.Events()
+	for range 1000 {
+		if err := fs.CommitUpTo(fs.TxID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.nextTxID != next || fs.Stats() != stats || dev.Events() != events {
+		t.Fatalf("1000 commits of nothing: next id %d -> %d, stats %+v -> %+v, %d persistence events",
+			next, fs.nextTxID, stats, fs.Stats(), dev.Events()-events)
+	}
+	id := fs.TxID()
+	f, err := vfs.Create(fs, "/late") // starts the transaction TxID foresaw
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CommitUpTo(id); err != nil {
+		t.Fatal(err)
+	}
+	if fs.DoneTxID() < id || fs.Stats().GCLeaders != stats.GCLeaders+1 {
+		t.Fatalf("the create that followed TxID is not committed: done %d, asked %d, %+v", fs.DoneTxID(), id, fs.Stats())
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

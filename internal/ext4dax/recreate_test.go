@@ -169,3 +169,49 @@ func TestSetUserWatermarkWritesOnlyTheField(t *testing.T) {
 		}
 	}
 }
+
+// TestStampCommitsWithItsBatch: a journal stamp set under a batch handle
+// joins the transaction that holds what else the handle covered — lost
+// with it, durable with it, whatever the crash tears. A stamp set in a
+// transaction that noted nothing still commits, without a block image;
+// MaxUserWatermark covers the stamps too.
+func TestStampCommitsWithItsBatch(t *testing.T) {
+	dev, fs := newFS(t)
+	for round, commit := range []bool{false, true, true} {
+		stamp := uint64(100 + round)
+		b := fs.BeginBatch()
+		if round < 2 {
+			if err := fs.Mkdir("/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.SetStamp(2, stamp)
+		b.End()
+		if fs.Stamp(2) != stamp || fs.MaxUserWatermark() != stamp {
+			t.Fatalf("round %d: stamp reads %d, max %d, want %d", round, fs.Stamp(2), fs.MaxUserWatermark(), stamp)
+		}
+		logged := fs.JournalStats().BlocksLogged
+		if commit {
+			if err := fs.CommitMeta(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fs.JournalStats().BlocksLogged - logged; (got == 0) != (round == 2) {
+				t.Errorf("round %d: the commit logged %d images; a stamp alone is a superblock write", round, got)
+			}
+		}
+		if err := dev.Crash(sim.NewRNG(uint64(round))); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if fs, _, err = Mount(dev, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		_, statErr := fs.Stat("/d")
+		if want := map[bool]uint64{true: stamp}[commit]; fs.Stamp(2) != want || (statErr == nil) != commit {
+			t.Errorf("round %d, commit=%v: stamp %d (want %d), /d: %v", round, commit, fs.Stamp(2), want, statErr)
+		}
+		if _, err := fs.Check(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -184,13 +184,19 @@ func (fs *FS) CommitMeta() error {
 	return fs.commitTx()
 }
 
-// TxID returns the id of the running journal transaction, starting one if
-// none is. Every mutation noted while this id stays current commits with
-// it; CommitUpTo(id) then makes them durable. A batch gets its id from
-// Batch.End instead, which reads it before the handle closes.
+// TxID returns the id of the running journal transaction. Every mutation
+// noted while this id stays current commits with it; CommitUpTo(id) then
+// makes them durable. When nothing runs — no transaction, and no batch
+// handle open that could start one — it is the id the next transaction
+// will take: everything noted so far has committed, and CommitUpTo of an
+// id no transaction has taken is free. A batch gets its id from Batch.End
+// instead, which reads it before the handle closes.
 func (fs *FS) TxID() uint64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.tx == nil && fs.txHold == 0 {
+		return fs.nextTxID + 1
+	}
 	fs.beginTx()
 	return fs.txID
 }
@@ -205,6 +211,9 @@ func (fs *FS) TxID() uint64 {
 func (fs *FS) CommitUpTo(txid uint64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if txid > fs.nextTxID {
+		return nil // TxID found nothing running, and nothing has started since
+	}
 	if fs.doneTxID >= txid {
 		fs.stats.gcFollowers.Add(1)
 		return nil
@@ -240,10 +249,9 @@ func (fs *FS) DoneTxID() uint64 {
 
 // SetUserWatermark stores U-Split's log-sequence watermark in the inode:
 // the eight bytes of that field, not the whole record, noted into the
-// running journal transaction — nothing else about the inode changed, and
-// U-Split stamps one with every synchronous metadata operation. Called
-// under an open batch handle it commits together with whatever else the
-// handle covers; otherwise the caller commits.
+// running journal transaction — nothing else about the inode changed.
+// Called under an open batch handle it commits together with whatever
+// else the handle covers; otherwise the caller commits.
 func (f *File) SetUserWatermark(v uint64) {
 	fs := f.fs
 	fs.mu.Lock()
@@ -266,12 +274,33 @@ func (f *File) UserWatermark() uint64 {
 	return f.in.uwm
 }
 
-// MaxUserWatermark scans all inodes for the highest watermark, so a
-// recovered U-Split instance can continue its sequence monotonically.
+// SetStamp sets a journal stamp (journal.Tx.SetStamp) in the running
+// transaction. The batch's handle is what ties it to the effects it
+// stands for: no commit can fall between them and the stamp.
+func (b *Batch) SetStamp(slot int, v uint64) {
+	fs := b.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.beginTx()
+	fs.tx.SetStamp(slot, v)
+	fs.stamps[slot] = max(fs.stamps[slot], v)
+}
+
+// Stamp reads a journal stamp as the running transaction leaves it; after
+// Mount, as the recovered journal holds it.
+func (fs *FS) Stamp(slot int) uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.stamps[slot]
+}
+
+// MaxUserWatermark is the highest sequence number U-Split ever put on
+// this file system — every inode's watermark and every journal stamp — so
+// a recovered U-Split instance can continue its sequence monotonically.
 func (fs *FS) MaxUserWatermark() uint64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var m uint64
+	m := slices.Max(fs.stamps[:])
 	for _, in := range fs.icache {
 		if in.uwm > m {
 			m = in.uwm

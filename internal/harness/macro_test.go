@@ -16,8 +16,8 @@ import (
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0x53ff882550f9a1d5,
 	"splitfs-posix":  0x497a89c95268ed1d,
-	"splitfs-sync":   0xb474a500d254b779,
-	"splitfs-strict": 0xd4e105a4e475acf7,
+	"splitfs-sync":   0x160d5a5778bfb946,
+	"splitfs-strict": 0xb7e53e59b7efef6e,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 )
 
@@ -42,6 +43,7 @@ func liveJournal(t *testing.T) *Journal {
 			dev.Store(homeOff(tx, blk), txPattern(tx, blk), sim.CatPMMeta)
 			h.Note(homeOff(tx, blk), sim.BlockSize)
 		}
+		setStamps(h, tx)
 		if err := h.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -51,9 +53,22 @@ func liveJournal(t *testing.T) *Journal {
 			dev.PersistNT(homeOff(tx, blk), scribble, sim.CatPMMeta)
 		}
 	}
-	j.tail, j.tailSeq = 1, 1
+	j.tail, j.tailSeq, j.stamps = 1, 1, stampsAfter(0)
 	j.writeSuper()
 	return j
+}
+
+// setStamps has transaction tx raise two of the stamps: the first and the
+// last, which in the commit record is the last summed word.
+func setStamps(h *Tx, tx int) {
+	h.SetStamp(0, uint64(10*(tx+1)))
+	h.SetStamp(Stamps-1, uint64(7*(tx+1)))
+}
+
+// stampsAfter is what the stamps read once n such transactions committed.
+func stampsAfter(n int) (s [Stamps]uint64) {
+	s[0], s[Stamps-1] = uint64(10*n), uint64(7*n)
+	return s
 }
 
 // restored reports how many leading transactions' home blocks hold their
@@ -105,8 +120,8 @@ var damages = []damage{
 // image over the wrong block.
 func TestLoadRejectsDamagedTransaction(t *testing.T) {
 	j := liveJournal(t)
-	if _, replayed, err := Load(j.dev, 0, 64); err != nil || replayed != liveTxs || restored(t, j) != liveTxs {
-		t.Fatalf("undamaged journal: replayed %d (err %v), want %d transactions restored", replayed, err, liveTxs)
+	if got, replayed, err := Load(j.dev, 0, 64); err != nil || replayed != liveTxs || restored(t, j) != liveTxs || got.Stamps() != stampsAfter(liveTxs) {
+		t.Fatalf("undamaged journal: replayed %d (err %v), want %d transactions restored and their stamps", replayed, err, liveTxs)
 	}
 	// Offsets within a transaction's four journal blocks.
 	targets := []struct {
@@ -123,6 +138,8 @@ func TestLoadRejectsDamagedTransaction(t *testing.T) {
 		{"commit magic", (txBlocks + 1) * sim.BlockSize},
 		{"commit seq", (txBlocks+1)*sim.BlockSize + 8},
 		{"commit sum", (txBlocks+1)*sim.BlockSize + 16},
+		{"commit stamps, first", (txBlocks+1)*sim.BlockSize + commitStamps},
+		{"commit stamps, last", (txBlocks+1)*sim.BlockSize + commitStamps + 8*(Stamps-1)},
 	}
 	for victim := range liveTxs {
 		for _, tgt := range targets {
@@ -138,15 +155,163 @@ func TestLoadRejectsDamagedTransaction(t *testing.T) {
 						t.Fatal("the damage changed nothing")
 					}
 					j.dev.PersistNT(off, word, sim.CatJournal)
-					_, replayed, err := Load(j.dev, 0, 64)
+					loaded, replayed, err := Load(j.dev, 0, 64)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := restored(t, j); replayed != victim || got != victim {
 						t.Fatalf("replayed %d and restored %d transactions, want the %d before the damaged one", replayed, got, victim)
 					}
+					if got := loaded.Stamps(); got != stampsAfter(victim) {
+						t.Fatalf("stamps %v after %d transactions, want %v", got, victim, stampsAfter(victim))
+					}
 				})
 			}
+		}
+	}
+}
+
+// smallBlocks is a journal with room for one two-block entry: every commit
+// after the first begins with the wrap-reset superblock write.
+const smallBlocks = 8
+
+// loaded is what Load hands recovery.
+type loaded struct {
+	seq    uint64
+	tail   int64
+	stamps [Stamps]uint64
+}
+
+// threeCommits formats a small journal on a fresh device, calls armed, and
+// commits liveTxs stamped two-block transactions over buffered stores —
+// which, as K-Split's metadata does, reach the media through the journal
+// or not at all. It returns the device, the state after each commit and
+// the device's event count there: [0] is the format's, [c] commit c's.
+func threeCommits(t *testing.T, armed func(*pmem.Device)) (*pmem.Device, []loaded, []int64) {
+	t.Helper()
+	dev := pmem.New(pmem.Config{Size: 4 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+	j := New(dev, 0, smallBlocks)
+	armed(dev)
+	states, ends := []loaded{{j.seq, j.tail, j.stamps}}, []int64{dev.Events()}
+	for tx := range liveTxs {
+		h := j.Begin()
+		for blk := range txBlocks {
+			dev.StoreBuffered(homeOff(tx, blk), txPattern(tx, blk), sim.CatPMMeta)
+			h.Note(homeOff(tx, blk), sim.BlockSize)
+		}
+		setStamps(h, tx)
+		if err := h.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		states, ends = append(states, loaded{j.seq, j.tail, j.stamps}), append(ends, dev.Events())
+	}
+	return dev, states, ends
+}
+
+// crashAndLoad crashes the device to the image the armed event froze,
+// damages it, loads the journal, and holds what Load hands back against
+// the states either side of the commit event k fell in: the sequence and
+// the stamps are those of one of the two, the tail is where that state's
+// superblock record put it (before: the old tail, or block 1 once the
+// wrap-reset write landed), and the home blocks hold exactly the
+// transactions the sequence says committed.
+func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64, k int64, damage func()) {
+	t.Helper()
+	if err := dev.Crash(nil); err != nil {
+		t.Fatal(err)
+	}
+	damage()
+	j, _, err := Load(dev, 0, smallBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := 1
+	for k > ends[c] {
+		c++
+	}
+	before, after := states[c-1], states[c]
+	got := loaded{j.seq, j.tail, j.stamps}
+	if got != after && got != before && got != (loaded{before.seq, 1, before.stamps}) {
+		t.Fatalf("Load returned %+v, want %+v or %+v", got, before, after)
+	}
+	if err := j.Check(); err != nil {
+		t.Fatal(err)
+	}
+	blk, zero := make([]byte, sim.BlockSize), make([]byte, sim.BlockSize)
+	for tx := range liveTxs {
+		for b := range txBlocks {
+			want := zero
+			if uint64(tx) < got.seq-1 {
+				want = txPattern(tx, b)
+			}
+			if dev.ReadAt(blk, homeOff(tx, b), sim.CatPMMeta); !bytes.Equal(blk, want) {
+				t.Fatalf("sequence %d, but transaction %d block %d starts % x", got.seq, tx, b, blk[:4])
+			}
+		}
+	}
+}
+
+// TestLoadSurvivesDamagedSuperblock: the superblock is one record under one
+// sum, written to the slot the previous write left alone. Damage the
+// newest record — each word zeroed, as a tear would; a bit flipped in each
+// field — right after each superblock write of three commits, the
+// wrap-reset writes among them, and Load returns the state before that
+// write or after it, nothing in between. (Before a commit's own write the
+// journal still holds the entry, and replay arrives where the write would
+// have.)
+func TestLoadSurvivesDamagedSuperblock(t *testing.T) {
+	type hit struct {
+		name string
+		at   int64
+		mask byte // 0: zero the word at
+	}
+	hits := []hit{{"magic", 1, 4}, {"sum", 5, 4}}
+	for w, field := range []string{"magic+sum", "gen", "tailSeq", "tail", "stamp0", "stamp1", "stamp2", "stamp3"} {
+		hits = append(hits, hit{"zero/" + field, int64(8 * w), 0})
+		if w > 0 {
+			hits = append(hits, hit{"flip/" + field, int64(8 * w), 4})
+		}
+	}
+	ref, states, ends := threeCommits(t, func(dev *pmem.Device) { dev.SetTracing(true) })
+	writes := 0
+	for _, ev := range ref.Trace() {
+		if ev.Kind != pmem.EvStoreNT || ev.Off >= 2*superSize {
+			continue // not a superblock record: the journal starts at 0
+		}
+		writes++
+		fence := ev.Seq + 1 // PersistNT: the event that made the record durable
+		for _, h := range hits {
+			t.Run(fmt.Sprintf("write%d/%s", writes, h.name), func(t *testing.T) {
+				dev, _, _ := threeCommits(t, func(dev *pmem.Device) { dev.ArmCrash(fence, nil) })
+				crashAndLoad(t, dev, states, ends, fence, func() {
+					word := make([]byte, 8)
+					dev.ReadAt(word, ev.Off+h.at&^7, sim.CatJournal)
+					if word[h.at&7] ^= h.mask; h.mask == 0 {
+						clear(word)
+					}
+					dev.PersistNT(ev.Off+h.at&^7, word, sim.CatJournal)
+				})
+			})
+		}
+	}
+	if want := 2*liveTxs - 1; writes != want {
+		t.Fatalf("%d superblock writes traced, want %d: one per commit and a wrap reset before all but the first", writes, want)
+	}
+}
+
+// TestLoadAfterCrashAtEveryEvent crashes at every persistence event of the
+// three commits, with the unfenced lines torn word by word four ways: Load
+// finds the state before or after the commit in flight, blocks and stamps
+// together.
+func TestLoadAfterCrashAtEveryEvent(t *testing.T) {
+	_, states, ends := threeCommits(t, func(*pmem.Device) {})
+	for k := ends[0] + 1; k <= ends[liveTxs]; k++ {
+		for tear := range uint64(4) {
+			dev, _, _ := threeCommits(t, func(dev *pmem.Device) { dev.ArmCrash(k, sim.NewRNG(uint64(k)<<8|tear)) })
+			if !dev.CrashFired() {
+				t.Fatalf("event %d never came", k)
+			}
+			crashAndLoad(t, dev, states, ends, k, func() {})
 		}
 	}
 }
@@ -163,6 +328,7 @@ func TestCommitAllocatesNoBlocks(t *testing.T) {
 		for blk := range 8 {
 			tx.Note(metaBase+int64(blk)*sim.BlockSize+64, 128)
 		}
+		tx.SetStamp(1, j.seq)
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -222,5 +388,33 @@ func TestConcurrentCommitsShareScratch(t *testing.T) {
 		if !bytes.Equal(got, bytes.Repeat([]byte{byte(w + 1)}, each)) {
 			t.Fatalf("worker %d's commits are not all durable: % x", w, got)
 		}
+	}
+}
+
+// TestCheckFindsAJournalNotAtRest: Check passes on a journal Commit left,
+// and fails on a damaged newest superblock record, on a record that says
+// other than the journal holds in memory, and on a live entry.
+func TestCheckFindsAJournalNotAtRest(t *testing.T) {
+	dev, _, _ := threeCommits(t, func(*pmem.Device) {})
+	j, _, err := Load(dev, 0, smallBlocks)
+	if err != nil || j.Check() != nil {
+		t.Fatalf("a journal at rest: Load %v, Check %v", err, j.Check())
+	}
+	newest := j.start + int64(j.gen&1)*superSize
+	dev.PersistNT(newest+40, []byte{0xff}, sim.CatJournal)
+	if j.Check() == nil {
+		t.Error("Check passed over a newest record that does not verify")
+	}
+	j.writeSuper()
+	j.stamps[1]++
+	if j.Check() == nil {
+		t.Error("Check passed with a stamp in memory that is not on media")
+	}
+	j.stamps[1]--
+	if live := liveJournal(t); live.Check() == nil {
+		t.Error("Check passed over three live entries")
+	}
+	if err := j.Check(); err != nil {
+		t.Error(err)
 	}
 }

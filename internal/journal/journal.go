@@ -12,14 +12,19 @@
 //  2. writes a full 4 KB journal copy of every touched block (this
 //     full-block logging is what makes ext4 metadata-heavy, a cost the
 //     paper measures in Table 1),
-//  3. fences, writes a commit block carrying a CRC-32C of the descriptor
-//     and the images, fences,
+//  3. fences, writes a commit block carrying the stamps the transaction
+//     set (SetStamp) and a CRC-32C of the descriptor, the images and the
+//     stamps, fences,
 //  4. flushes the home locations and fences (checkpoint),
-//  5. advances the journal tail.
+//  5. advances the journal tail: one superblock record — generation, tail,
+//     tail sequence and the stamps under one CRC-32C — written to the
+//     record slot the previous write did not use.
 //
 // A crash between (3) and (4) is repaired on Load by replaying committed
 // transactions; anything not yet committed is discarded by the pmem
-// crash model, leaving the previous consistent state.
+// crash model, leaving the previous consistent state. A superblock write
+// the crash tore fails its sum and Load starts from the other slot — the
+// state before that write, never a mix of the two.
 package journal
 
 import (
@@ -41,9 +46,17 @@ const (
 	// describe.
 	maxBlocksPerTx = 255
 
-	superSize = 64 // journal superblock: magic, seq, tail index
+	superSize = 64 // one superblock record: magic and sum, then super's fields
 
-	descHomes = 32 // descriptor: magic, seq and count, then the home list from here
+	descHomes    = 32 // descriptor: magic, seq and count, then the home list from here
+	commitStamps = 24 // commit record: magic, seq and sum, then the stamps from here
+
+	// Stamps is how many stamps a journal carries: 64-bit values that a
+	// transaction sets (Tx.SetStamp), that commit with it, atomically with
+	// its blocks, and that never go down. U-Split keeps one per op log —
+	// the sequence number of the last logged operation whose effects the
+	// committed journal holds — at no home block's, and so no image's, cost.
+	Stamps = 4
 )
 
 // ErrTooLarge is returned when a transaction touches more distinct blocks
@@ -67,25 +80,31 @@ type Journal struct {
 	start int64 // device byte offset of the journal region
 	nblk  int64 // capacity in 4 KB blocks (including the superblock)
 
-	mu      sync.Mutex
-	seq     uint64
-	head    int64 // next journal block index to write (1-based; 0 is the superblock)
-	tail    int64 // oldest live journal block index
-	tailSeq uint64
-	stats   Stats
+	mu   sync.Mutex
+	seq  uint64
+	head int64 // next journal block index to write (1-based; 0 is the superblock)
+	super
+	replayedSeq uint64 // the last transaction Load replayed
+	stats       Stats
 
 	// Commit's scratch, used under mu (New and Load run before the journal
 	// is shared): the descriptor and then the commit record, one block
-	// image, the superblock. The journal owns them because sim.CRC32C
+	// image, a superblock record. The journal owns them because sim.CRC32C
 	// makes what it is handed escape — as Commit's locals the summed ones
 	// are 8 KB of garbage per commit (DESIGN.md, "Checksums").
 	hdr, img [sim.BlockSize]byte
-	super    [superSize]byte
+	sb       [superSize]byte
 }
 
-// Blocks returns the number of 4 KB blocks a journal region of size bytes
-// provides.
-func Blocks(bytes int64) int64 { return bytes / sim.BlockSize }
+// super is what a superblock record holds, under one sum: a crash leaves
+// all of a state or none of it. Journal block 0 opens with two record
+// slots; write gen goes to slot gen&1, so the one before it stays intact.
+type super struct {
+	gen     uint64 // superblock writes so far
+	tailSeq uint64
+	tail    int64          // oldest live journal block index
+	stamps  [Stamps]uint64 // as of the last commit
+}
 
 // New formats a journal in [start, start+nblk*4K) and persists the empty
 // superblock. nblk must be at least 8.
@@ -93,7 +112,13 @@ func New(dev *pmem.Device, start, nblk int64) *Journal {
 	if nblk < 8 {
 		panic("journal: region too small")
 	}
-	j := &Journal{dev: dev, start: start, nblk: nblk, seq: 1, head: 1, tail: 1, tailSeq: 1}
+	j := &Journal{dev: dev, start: start, nblk: nblk, seq: 1, head: 1}
+	// Generations count on from any record an earlier journal left here,
+	// so that in Load it loses to this one's.
+	slots := make([]byte, 2*superSize)
+	dev.Peek(slots, start)
+	old, _ := readSuper(slots)
+	j.super = super{gen: old.gen, tailSeq: 1, tail: 1}
 	j.writeSuper()
 	return j
 }
@@ -103,14 +128,12 @@ func New(dev *pmem.Device, start, nblk int64) *Journal {
 // transactions replayed.
 func Load(dev *pmem.Device, start, nblk int64) (*Journal, int, error) {
 	j := &Journal{dev: dev, start: start, nblk: nblk}
-	super := make([]byte, superSize)
-	dev.ReadAt(super, start, sim.CatJournal)
-	if binary.LittleEndian.Uint32(super[0:4]) != descMagic {
-		return nil, 0, fmt.Errorf("journal: bad superblock magic %#x",
-			binary.LittleEndian.Uint32(super[0:4]))
+	slots := make([]byte, 2*superSize)
+	dev.ReadAt(slots, start, sim.CatJournal)
+	var ok bool
+	if j.super, ok = readSuper(slots); !ok {
+		return nil, 0, errors.New("journal: no superblock record verifies")
 	}
-	j.tailSeq = binary.LittleEndian.Uint64(super[8:16])
-	j.tail = int64(binary.LittleEndian.Uint64(super[16:24]))
 	j.seq = j.tailSeq
 	j.head = j.tail
 	replayed := 0
@@ -139,12 +162,35 @@ func (j *Journal) wrap(idx int64) int64 {
 	return idx
 }
 
+// writeSuper persists the journal's state as the next superblock record.
 func (j *Journal) writeSuper() {
-	super := j.super[:]
-	binary.LittleEndian.PutUint32(super[0:4], descMagic)
-	binary.LittleEndian.PutUint64(super[8:16], j.tailSeq)
-	binary.LittleEndian.PutUint64(super[16:24], uint64(j.tail))
-	j.dev.PersistNT(j.start, super, sim.CatJournal)
+	j.gen++
+	rec := j.sb[:]
+	binary.LittleEndian.PutUint32(rec[0:4], descMagic)
+	binary.LittleEndian.PutUint64(rec[8:16], j.gen)
+	binary.LittleEndian.PutUint64(rec[16:24], j.tailSeq)
+	binary.LittleEndian.PutUint64(rec[24:32], uint64(j.tail))
+	for i, v := range j.stamps {
+		binary.LittleEndian.PutUint64(rec[32+8*i:], v)
+	}
+	binary.LittleEndian.PutUint32(rec[4:8], sim.CRC32C(0, rec[8:]))
+	j.dev.PersistNT(j.start+int64(j.gen&1)*superSize, rec, sim.CatJournal)
+}
+
+// readSuper decodes the newer of the record slots that verify, if one does.
+func readSuper(slots []byte) (s super, ok bool) {
+	for ; len(slots) >= superSize; slots = slots[superSize:] {
+		rec, gen := slots[:superSize], binary.LittleEndian.Uint64(slots[8:16])
+		if binary.LittleEndian.Uint32(rec[0:4]) != descMagic || ok && gen < s.gen ||
+			binary.LittleEndian.Uint32(rec[4:8]) != sim.CRC32C(0, rec[8:]) {
+			continue
+		}
+		s, ok = super{gen: gen, tailSeq: binary.LittleEndian.Uint64(rec[16:24]), tail: int64(binary.LittleEndian.Uint64(rec[24:32]))}, true
+		for i := range s.stamps {
+			s.stamps[i] = binary.LittleEndian.Uint64(rec[32+8*i:])
+		}
+	}
+	return s, ok
 }
 
 // Tx is a running transaction. Not safe for concurrent use; the journal
@@ -152,6 +198,7 @@ func (j *Journal) writeSuper() {
 type Tx struct {
 	j      *Journal
 	ranges []blockRange
+	stamps [Stamps]uint64 // zero: not set by this transaction
 	closed bool
 	logged int
 }
@@ -178,6 +225,18 @@ func (tx *Tx) Note(off int64, n int) {
 		return
 	}
 	tx.ranges = append(tx.ranges, blockRange{off: off, n: n})
+}
+
+// SetStamp makes stamp slot read v once the transaction has committed, if
+// that raises it — in the same instant as the transaction's blocks,
+// wherever a crash falls.
+func (tx *Tx) SetStamp(slot int, v uint64) { tx.stamps[slot] = v }
+
+// Stamps returns the stamps as of the last commit (or Load).
+func (j *Journal) Stamps() [Stamps]uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.stamps
 }
 
 // homeBlocks returns the device block offsets touched by the transaction,
@@ -207,15 +266,16 @@ func txSum(seq uint64, desc []byte, n int) uint32 {
 }
 
 // Commit durably applies the transaction. On return, every noted range is
-// persistent and the journal entry is already checkpointed. An empty
-// transaction is free of journal IO.
+// persistent, the stamps it set read their new values and the journal
+// entry is already checkpointed. An empty transaction is free of journal
+// IO; one that set stamps and noted nothing is a superblock write.
 func (tx *Tx) Commit() error {
 	if tx.closed {
 		panic("journal: double commit")
 	}
 	tx.closed = true
 	blocks := tx.homeBlocks()
-	if len(blocks) == 0 {
+	if len(blocks) == 0 && tx.stamps == [Stamps]uint64{} {
 		return nil
 	}
 	if len(blocks) > maxBlocksPerTx {
@@ -224,6 +284,11 @@ func (tx *Tx) Commit() error {
 	j := tx.j
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if len(blocks) == 0 {
+		j.raiseStamps(tx.stamps)
+		j.writeSuper()
+		return nil
+	}
 
 	need := int64(len(blocks)) + 2 // descriptor + images + commit
 	if need > j.nblk-1 {
@@ -263,12 +328,18 @@ func (tx *Tx) Commit() error {
 		idx = j.wrap(idx + 1)
 		j.stats.BlocksLogged++
 	}
-	// 3. Order images before the commit record.
+	// 3. Order images before the commit record, which carries every stamp
+	// as this transaction leaves it.
 	j.dev.Fence()
+	j.raiseStamps(tx.stamps)
 	commit := j.hdr[:]
 	clear(commit)
 	binary.LittleEndian.PutUint32(commit[0:4], commitMagic)
 	binary.LittleEndian.PutUint64(commit[8:16], j.seq)
+	for i, v := range j.stamps {
+		binary.LittleEndian.PutUint64(commit[commitStamps+8*i:], v)
+	}
+	sum = sim.CRC32C(sum, commit[commitStamps:commitStamps+8*Stamps])
 	binary.LittleEndian.PutUint32(commit[16:20], sum)
 	j.dev.StoreNT(j.blockOff(idx), commit, sim.CatJournal)
 	j.dev.Fence()
@@ -291,6 +362,14 @@ func (tx *Tx) Commit() error {
 	j.stats.Commits++
 	tx.logged = len(blocks)
 	return nil
+}
+
+// raiseStamps moves the journal's stamps up to the ones a committing
+// transaction set. Caller holds j.mu.
+func (j *Journal) raiseStamps(set [Stamps]uint64) {
+	for i, v := range set {
+		j.stamps[i] = max(j.stamps[i], v)
+	}
 }
 
 // Logged reports how many block images Commit wrote to the journal: zero
@@ -336,20 +415,43 @@ func (j *Journal) replayOne() (int, error) {
 	}
 	commit := make([]byte, sim.BlockSize)
 	j.dev.ReadAt(commit, j.blockOff(idx), sim.CatJournal)
+	stamps := commit[commitStamps : commitStamps+8*Stamps]
 	if binary.LittleEndian.Uint32(commit[0:4]) != commitMagic ||
 		binary.LittleEndian.Uint64(commit[8:16]) != seq ||
-		binary.LittleEndian.Uint32(commit[16:20]) != sum {
+		binary.LittleEndian.Uint32(commit[16:20]) != sim.CRC32C(sum, stamps) {
 		return 0, nil
 	}
 	idx = j.wrap(idx + 1)
-	// Valid: restore the block images to their home locations.
+	// Valid: restore the block images to their home locations, and the
+	// stamps to what the transaction left.
 	for i, home := range homes {
 		j.dev.StoreNT(home, images[i], sim.CatPMMeta)
 	}
 	j.dev.Fence()
-	j.seq = seq + 1
+	for i := range j.stamps {
+		j.stamps[i] = binary.LittleEndian.Uint64(stamps[8*i:])
+	}
+	j.seq, j.replayedSeq = seq+1, seq
 	j.head = idx
 	return count, nil
+}
+
+// Check verifies a journal at rest, as Load and every Commit leave it: the
+// newer superblock record on media verifies and is the journal's state, no
+// entry is live, and the sequence is past every transaction Load replayed.
+func (j *Journal) Check() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	slots := make([]byte, 2*superSize)
+	j.dev.Peek(slots, j.start)
+	switch m, ok := readSuper(slots); {
+	case !ok || m != j.super:
+		return fmt.Errorf("journal: superblock record %+v (verifies: %v) is not the journal's %+v", m, ok, j.super)
+	case j.tail != j.head || j.tailSeq != j.seq || j.seq <= j.replayedSeq:
+		return fmt.Errorf("journal: not at rest: tail %d (seq %d), head %d (seq %d), replayed through %d",
+			j.tail, j.tailSeq, j.head, j.seq, j.replayedSeq)
+	}
+	return nil
 }
 
 // Stats returns journal counters.

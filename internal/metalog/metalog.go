@@ -118,6 +118,12 @@ func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte
 	return l, records
 }
 
+// Records rescans the log's region: every valid record payload, in order.
+func (l *Log) Records() [][]byte {
+	_, records := Load(l.dev, l.start, l.size, l.cat)
+	return records
+}
+
 // RecordLen is the 64-byte-aligned on-log size of a payload: what Append
 // will take, so a caller can make room first.
 func RecordLen(payloadLen int) int64 {

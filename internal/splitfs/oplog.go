@@ -61,47 +61,45 @@ func (fs *FS) opLogBytes() int64 {
 func (fs *FS) opLogPath() string { return fmt.Sprintf("%s/log-%s", oplogDir, fs.mode) }
 
 // newOpLog creates (or truncates) the instance's operation-log file,
-// pre-allocates it, zeroes it, and maps it. The kernel handle stays open:
-// the file's inode carries the stamp (stampedMeta).
-func newOpLog(fs *FS) (*metalog.Log, *ext4dax.File, error) {
+// pre-allocates it, zeroes it, and maps it.
+func newOpLog(fs *FS) (*metalog.Log, error) {
 	if err := fs.kfs.Mkdir(oplogDir, 0700); err != nil {
 		if _, statErr := fs.kfs.Stat(oplogDir); statErr != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	f, err := fs.kfs.OpenFile(fs.opLogPath(), vfs.O_RDWR|vfs.O_CREATE|vfs.O_TRUNC, 0600)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	kf := f.(*ext4dax.File)
 	if err := kf.Preallocate(fs.opLogBytes()/sim.BlockSize, 0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	base, size, err := oplogRegion(fs, kf)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return metalog.New(fs.dev, base, size, sim.CatOpLog), kf, nil
+	return metalog.New(fs.dev, base, size, sim.CatOpLog), nil
 }
 
 // loadOpLog attaches to an existing operation-log file after a crash and
 // returns the valid entries; a nil log means the crashed instance never
 // got as far as committing one.
-func loadOpLog(fs *FS) (*metalog.Log, *ext4dax.File, [][]byte, error) {
+func loadOpLog(fs *FS) (*metalog.Log, [][]byte, error) {
 	f, err := fs.kfs.OpenFile(fs.opLogPath(), vfs.O_RDWR, 0)
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
-			return nil, nil, nil, nil
+			return nil, nil, nil
 		}
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	kf := f.(*ext4dax.File)
-	base, size, err := oplogRegion(fs, kf)
+	base, size, err := oplogRegion(fs, f.(*ext4dax.File))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	log, entries := metalog.Load(fs.dev, base, size, sim.CatOpLog)
-	return log, kf, entries, nil
+	return log, entries, nil
 }
 
 // oplogRegion maps the log file and returns its largest leading

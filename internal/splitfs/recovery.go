@@ -40,12 +40,12 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 
 	if fs.mode != POSIX {
 		start := fs.clk.Now()
-		olog, kf, entries, err := loadOpLog(fs)
+		olog, entries, err := loadOpLog(fs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("splitfs recovery: %w", err)
 		}
 		if olog != nil {
-			fs.olog, fs.ologKF = olog, kf
+			fs.olog = olog
 			if err := fs.replayEntries(entries, report); err != nil {
 				return nil, nil, err
 			}
@@ -61,7 +61,7 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	}
 	if fs.olog == nil && fs.mode != POSIX {
 		var err error
-		fs.olog, fs.ologKF, err = newOpLog(fs)
+		fs.olog, err = newOpLog(fs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -90,6 +90,30 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	return fs, report, nil
 }
 
+// Check is the structural check of the image under an instance, recovered
+// or live: K-Split's own (ext4dax.FS.Check), and no metadata record in the
+// op log above its journal stamp — RecoverFS leaves none at all, and every
+// operation logged since raised the stamp before it appended.
+func (fs *FS) Check() error {
+	if _, err := fs.kfs.Check(); err != nil || fs.olog == nil {
+		return err
+	}
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
+	stamp := fs.kfs.Stamp(int(fs.mode))
+	for _, e := range fs.olog.Records() {
+		if len(e) < 2 || e[0] != opEntryMeta || e[1] == metaOpen || e[1] == metaClose {
+			continue
+		}
+		if r, err := decodeMetaRecord(e); err != nil {
+			return err
+		} else if r.seq > stamp {
+			return fmt.Errorf("splitfs: op-log record %q (seq %d) sits above its log's stamp, %d", r.kind, r.seq, stamp)
+		}
+	}
+	return nil
+}
+
 // replayEntries applies the operation log in log order (§3.3 recovery:
 // non-zero checksum-valid entries are replayed; replay is idempotent).
 // Log order is the order the operations took effect in — every logging
@@ -102,7 +126,7 @@ func (fs *FS) replayEntries(entries [][]byte, report *RecoveryReport) error {
 	// the journal K-Split recovered (stampedMeta); it advances with every
 	// record redone, in the record's own transaction, so a crash inside
 	// this loop resumes where it left off.
-	stamp := fs.ologKF.UserWatermark()
+	stamp := fs.kfs.Stamp(int(fs.mode))
 	for _, e := range entries {
 		switch {
 		case len(e) >= 41 && e[0] == opEntryWrite:
@@ -186,7 +210,7 @@ func (fs *FS) replayMeta(r metaRecord) error {
 	if err != nil {
 		return err
 	}
-	fs.ologKF.SetUserWatermark(r.seq)
+	b.SetStamp(int(fs.mode), r.seq)
 	return nil
 }
 

@@ -207,13 +207,13 @@ type FS struct {
 // opLog is the operation log with what orders its entries. It is one
 // object per log: a forked child appends to its parent's log (Fork), so
 // the two take one lock and draw their sequence numbers from one counter —
-// recovery compares every record's number against one stamp.
+// recovery compares every record's number against one stamp, the journal
+// stamp in the slot numbered as the log's mode is.
 type opLog struct {
 	// wmu serializes the logging operations (op-log order).
-	wmu    sync.Mutex    // +lockrank:wmu
-	olog   *metalog.Log  // the operation log; nil in POSIX mode
-	ologKF *ext4dax.File // its file: the inode carries the metadata stamp
-	opSeq  uint64        // monotone operation sequence; guarded by wmu
+	wmu   sync.Mutex   // +lockrank:wmu
+	olog  *metalog.Log // the operation log; nil in POSIX mode
+	opSeq uint64       // monotone operation sequence; guarded by wmu
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -276,10 +276,10 @@ func newFS(kfs *ext4dax.FS, cfg Config) *FS {
 		mode:  cfg.Mode,
 		files: make(map[uint64]*ofile),
 		attrs: make(map[string]vfs.FileInfo),
-		// The operation sequence continues past every watermark ever
-		// issued on this K-Split, so that a stale one — a file's, or the
-		// metadata stamp of a log since zeroed — can never mask an entry
-		// logged from here on.
+		// The operation sequence continues past every watermark and
+		// journal stamp ever issued on this K-Split, so that a stale one —
+		// a file's, or the stamp of a log since zeroed — can never mask an
+		// entry logged from here on.
 		opLog: &opLog{opSeq: kfs.MaxUserWatermark()},
 	}
 	fs.mmaps = newMmapCache(fs)
@@ -296,7 +296,7 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("splitfs: staging pool: %w", err)
 	}
 	if fs.mode != POSIX {
-		fs.olog, fs.ologKF, err = newOpLog(fs)
+		fs.olog, err = newOpLog(fs)
 		if err != nil {
 			return nil, fmt.Errorf("splitfs: operation log: %w", err)
 		}
@@ -404,14 +404,15 @@ func (fs *FS) lockLog(need int64) (func(), error) {
 // succeeded, and K-Split's running transaction commits whenever it next
 // would anyway. Recovery then has to know exactly which records the
 // committed journal prefix already holds. So the operation's sequence
-// number is stamped on media — in the op-log file's inode, eight bytes —
-// inside the same transaction as the call's effects: a batch handle keeps
-// the transaction from committing between the two (the size-threshold
-// commit the call would otherwise end with waits for the next operation).
-// Records at or below the recovered stamp are in the image; records above
-// it are not, and are redone in order (replayMeta). op is told the
-// sequence number it will get if it changes anything, for what else it
-// has to write under the same handle.
+// number becomes the op log's journal stamp inside the same transaction as
+// the call's effects: a batch handle keeps the transaction from committing
+// between the two (the size-threshold commit the call would otherwise end
+// with waits for the next operation), and the stamp travels in that
+// transaction's commit record — no block of its own, no image. Records at
+// or below the recovered stamp are in the image; records above it are not,
+// and are redone in order (replayMeta). op is told the sequence number it
+// will get if it changes anything, for what else it has to write under the
+// same handle.
 //
 // It returns the sequence number for the record, 0 when there is none to
 // write: POSIX mode, a failed call, or one that changed nothing. Caller
@@ -429,7 +430,7 @@ func (fs *FS) stampedMeta(op func(seq uint64) (changed bool, err error)) (uint64
 		return 0, err
 	}
 	fs.opSeq = seq
-	fs.ologKF.SetUserWatermark(seq)
+	b.SetStamp(int(fs.mode), seq)
 	return seq, nil
 }
 

@@ -253,12 +253,14 @@ func (s *Stack) Recover() (*Stack, Recovery, error) {
 }
 
 // Check runs the stack's structural image check: K-Split's
-// (ext4dax.FS.Check) for the kinds built on it, nothing yet for the rest.
+// (ext4dax.FS.Check) for the kinds built on it — under U-Split with the
+// op log held against its stamp (splitfs.FS.Check) — nothing yet for the
+// rest.
 func (s *Stack) Check() error {
 	var err error
 	switch fs := s.Base.(type) {
 	case *splitfs.FS:
-		_, err = fs.KFS().Check()
+		err = fs.Check()
 	case *ext4dax.FS:
 		_, err = fs.Check()
 	}
