@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"splitfs/internal/ext4dax"
 	"splitfs/internal/sim"
 )
 
@@ -258,8 +259,10 @@ func AsyncOps(seed uint64, n int) []Op {
 
 // fragmentMinOps is the least FragmentOps generates: what it takes, in
 // every mode, for a file to outgrow its inode's inline extents with a
-// third of the workload still to run.
-const fragmentMinOps = 78
+// third of the workload still to run. Two thirds of it, less the early
+// write, is two appends — one per file, about an extent each — per inline
+// extent, and the overwrites that come between.
+const fragmentMinOps = 4*ext4dax.InlineExtents + 2
 
 // FragmentOps builds a deterministic workload that fragments its files
 // past the extents an inode record holds, so the sweep crashes inside
@@ -270,7 +273,7 @@ const fragmentMinOps = 78
 // now and then one block of the early write is overwritten, which in
 // strict mode relinks a staged block into the middle of its extent. At
 // least fragmentMinOps ops, whatever n says: the generator is for what
-// happens past extent 19.
+// happens past the inline extents.
 func FragmentOps(seed uint64, n int) []Op {
 	rng := sim.NewRNG(seed)
 	data := func(n int) []byte {

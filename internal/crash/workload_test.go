@@ -24,7 +24,7 @@ func TestGeneratorSeedStability(t *testing.T) {
 		{"RandomOps", RandomOps(7, 50), 50, 0xd9c80ff81868e760},
 		{"MetadataOps", MetadataOps(7, 50), 50, 0xd774f8583ae1049b},
 		{"MetaBurstOps", MetaBurstOps(7, 50), 50, 0x5eb928d364435b0f},
-		{"FragmentOps", FragmentOps(7, 50), fragmentMinOps, 0xdd2610a7836a5ecf},
+		{"FragmentOps", FragmentOps(7, 50), fragmentMinOps, 0x0af0febccc98a3dc},
 		{"ScatterOps", ScatterOps(7, 15), 21, 0xb1c95c1f89a3b730},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package ext4dax
 
 import (
 	"fmt"
+	"slices"
 
 	"splitfs/internal/alloc"
 )
@@ -13,10 +14,16 @@ import (
 // data or extent-overflow leaf — is marked in the block bitmap and owned
 // exactly once; and every inode's link count equals the entries naming it
 // (a directory's: 2 plus its child directories); and the journal is at
-// rest (journal.Check). It returns the number of blocks owned. It does not yet assert that every marked block is owned,
+// rest (journal.Check); and every inode's record and leaf chain, decoded
+// from the device's volatile view, is the cached inode — extents, leaf
+// blocks, size, block count, link count, watermark — so the image a Mount
+// would read is the one the cache describes. It returns the number of
+// blocks owned. It does not yet assert that every marked block is owned,
 // nor compare the link count of a file no entry names: the orphan list is
 // DRAM-only, so a crash with an unlinked file open leaves its inode,
-// record and blocks, behind by design (DESIGN.md, "Known non-goals").
+// record and blocks, behind by design (DESIGN.md, "Known non-goals"), and
+// the record of a file unlinked while open keeps the link count it was
+// last written with.
 func (fs *FS) Check() (owned int64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -91,5 +98,44 @@ func (fs *FS) Check() (owned int64, err error) {
 			return 0, fmt.Errorf("ext4dax: inode %d has link count %d, the namespace holds %d", ino, in.nlink, want)
 		}
 	}
+	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
+		in := fs.icache[ino]
+		if in == nil {
+			continue
+		}
+		media, err := fs.loadInode(ino, fs.dev.Peek)
+		if err != nil {
+			return 0, fmt.Errorf("ext4dax: reading inode %d back: %w", ino, err)
+		}
+		if what := media.differs(in); what != "" {
+			return 0, fmt.Errorf("ext4dax: inode %d on media differs from the cache: %s", ino, what)
+		}
+	}
 	return owned, nil
+}
+
+// differs describes the first field in which an inode decoded from media
+// differs from the cached one c, or returns "".
+func (in *inode) differs(c *inode) string {
+	switch {
+	case !slices.Equal(in.extents, c.extents):
+		i := 0
+		for i < min(len(in.extents), len(c.extents)) && in.extents[i] == c.extents[i] {
+			i++
+		}
+		return fmt.Sprintf("%d extents against %d, first different at %d", len(in.extents), len(c.extents), i)
+	case !slices.Equal(in.overflow, c.overflow):
+		return fmt.Sprintf("leaf blocks %v against %v", in.overflow, c.overflow)
+	case in.size != c.size:
+		return fmt.Sprintf("size %d against %d", in.size, c.size)
+	case in.blocks != c.blocks:
+		return fmt.Sprintf("block count %d against %d", in.blocks, c.blocks)
+	case in.nlink != c.nlink && !c.orphan:
+		return fmt.Sprintf("link count %d against %d", in.nlink, c.nlink)
+	case in.uwm != c.uwm:
+		return fmt.Sprintf("watermark %d against %d", in.uwm, c.uwm)
+	case in.isDir != c.isDir:
+		return fmt.Sprintf("directory flag %v against %v", in.isDir, c.isDir)
+	}
+	return ""
 }

@@ -1,6 +1,7 @@
 package ext4dax
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // what it owns, and names each kind of damage an in-place splice could do.
 func TestCheckCatches(t *testing.T) {
 	_, fs := newFS(t)
-	a := sparseFile(t, fs, "/a", inlineExtents+3) // one overflow leaf
+	a := sparseFile(t, fs, "/a", InlineExtents+3) // one overflow leaf
 	b := sparseFile(t, fs, "/b", 2)
 	want := fs.icache[RootIno].blocks + a.in.blocks + 1 + b.in.blocks
 	owned, err := fs.Check()
@@ -128,4 +129,40 @@ func TestDirectoryRenameMovesDotDot(t *testing.T) {
 		t.Fatal(err)
 	}
 	links(rec, "after the rename back", 3, 2)
+}
+
+// TestCheckReadsTheImageBack: the structural check decodes every inode —
+// record and leaf chain — from the device and holds it against the cache,
+// so one wrong extent record in a leaf is reported, as is any other field
+// the two disagree on; put back, the image checks. A leaf the chain
+// cannot reach is reported as an unreadable inode.
+func TestCheckReadsTheImageBack(t *testing.T) {
+	dev, fs := newFS(t)
+	f := sparseFile(t, fs, "/f", InlineExtents+LeafExtents+3) // a full leaf and a second one
+	rec, leaf := fs.inodeOff(f.in.ino), fs.bBmp.BlockOffset(f.in.overflow[1])
+	for _, c := range []struct {
+		name string
+		off  int64 // the byte flipped
+		want string
+	}{
+		{"a record's physical block in the second leaf", leaf + overflowHeader + 2*extentRecSize + 4,
+			fmt.Sprintf("first different at %d", InlineExtents+LeafExtents+2)},
+		{"an inline record's logical block", rec + inlineOff + 5*extentRecSize, "first different at 5"},
+		{"the second leaf's count", leaf + 9, "reading inode"}, // 3 records become 259
+		{"the size", rec + 16, "size"},
+		{"the block count", rec + 24, "block count"},
+		{"the link count", rec + 8, "link count"},
+		{"the watermark", rec + uwmOff, "watermark"},
+	} {
+		b := make([]byte, 1)
+		dev.Peek(b, c.off)
+		dev.StoreBuffered(c.off, []byte{b[0] ^ 1}, sim.CatPMMeta)
+		if _, err := fs.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s flipped on media: Check = %v, want %q", c.name, err, c.want)
+		}
+		dev.StoreBuffered(c.off, b, sim.CatPMMeta)
+		if _, err := fs.Check(); err != nil {
+			t.Fatalf("%s put back: %v", c.name, err)
+		}
+	}
 }

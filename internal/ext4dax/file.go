@@ -193,7 +193,7 @@ func (f *File) writeAt(p []byte, off int64, atEOF bool) (int, int64, error) {
 //
 // +persist:caller-fenced
 func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
-	if off < 0 {
+	if off < 0 || off > MaxFileSize-int64(len(p)) {
 		return 0, vfs.ErrInval
 	}
 	if len(p) == 0 {
@@ -274,6 +274,9 @@ func (f *File) Truncate(size int64) error {
 	}
 	if !vfs.Writable(f.flag) {
 		return vfs.ErrReadOnly
+	}
+	if size < 0 || size > MaxFileSize {
+		return vfs.ErrInval
 	}
 	fs.trap()
 	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
@@ -375,11 +378,14 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 // device offset that is a multiple of align, the lowest free one; when
 // the device has no such run free, or align is 0, they come from the
 // next-fit allocator in as few extents as it can manage, and a later
-// Mmap falls back to 4 KB pages.
+// Mmap falls back to 4 KB pages. Blocks past MaxFileBlocks are refused.
 func (f *File) Preallocate(count, align int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if count < 0 || count > MaxFileBlocks-f.in.extents.End() {
+		return vfs.ErrInval
+	}
 	fs.trap()
 	exts, dirties, err := fs.bBmp.AllocAligned(count, align)
 	if err != nil {

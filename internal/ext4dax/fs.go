@@ -407,19 +407,19 @@ func (fs *FS) inodeOff(ino uint64) int64 {
 	return fs.lay.InodeTblOff + int64(ino)*inodeSize
 }
 
-// writeInode serializes an inode (and its overflow extent blocks) and
-// writes back what changed: see writeBack. Caller holds fs.mu.
+// writeInode serializes an inode (and its leaves) and writes back what
+// changed: see writeBack. Caller holds fs.mu.
 func (fs *FS) writeInode(in *inode) {
 	fs.clk.Charge(sim.CatCPU, sim.Ext4ExtentUpdateNs)
-	// Overflow blocks: everything past the inline extents, in chunks.
-	overflowNeeded := 0
-	if len(in.extents) > inlineExtents {
-		overflowNeeded = (len(in.extents) - inlineExtents + overflowCap - 1) / overflowCap
+	// Leaves: everything past the inline extents, LeafExtents a leaf.
+	leaves := 0
+	if len(in.extents) > InlineExtents {
+		leaves = (len(in.extents) - InlineExtents + LeafExtents - 1) / LeafExtents
 	}
-	// Allocate or free overflow blocks to match. Blocks from held on are
-	// fresh from the allocator.
+	// Allocate or free leaves to match. Blocks from held on are fresh from
+	// the allocator.
 	held := len(in.overflow)
-	for len(in.overflow) < overflowNeeded {
+	for len(in.overflow) < leaves {
 		e, dirty, err := fs.bBmp.AllocExtent(1)
 		if err != nil {
 			panic("ext4dax: no space for extent overflow block")
@@ -427,38 +427,15 @@ func (fs *FS) writeInode(in *inode) {
 		fs.note(dirty.Off, dirty.Len)
 		in.overflow = append(in.overflow, e.Start)
 	}
-	for len(in.overflow) > overflowNeeded {
+	for len(in.overflow) > leaves {
 		last := in.overflow[len(in.overflow)-1]
 		in.overflow = in.overflow[:len(in.overflow)-1]
 		fs.deferFree(fs.bBmp, alloc.Extent{Start: last, Len: 1})
 	}
 	in.encode(fs.wbNew[:inodeSize])
 	fs.writeBack(fs.inodeOff(in.ino), fs.wbNew[:inodeSize], false)
-	// Write overflow chains.
-	rest := in.extents
-	if len(rest) > inlineExtents {
-		rest = rest[inlineExtents:]
-	} else {
-		rest = nil
-	}
 	for i, blk := range in.overflow {
-		chunk := rest
-		if len(chunk) > overflowCap {
-			chunk = chunk[:overflowCap]
-		}
-		rest = rest[len(chunk):]
-		buf := fs.wbNew[:overflowHeader+len(chunk)*extentRecSize]
-		clear(buf[:overflowHeader])
-		next := int64(0)
-		if i+1 < len(in.overflow) {
-			next = in.overflow[i+1]
-		}
-		putU64(buf[0:8], uint64(next))
-		putU32(buf[8:12], uint32(len(chunk)))
-		for k, e := range chunk {
-			putExtent(buf[overflowHeader+k*extentRecSize:], e)
-		}
-		fs.writeBack(fs.bBmp.BlockOffset(blk), buf, i >= held)
+		fs.writeBack(fs.bBmp.BlockOffset(blk), in.encodeLeaf(fs.wbNew[:], i), i >= held)
 	}
 }
 
@@ -495,29 +472,61 @@ func (fs *FS) writeBack(off int64, p []byte, fresh bool) {
 	}
 }
 
-// readInode loads an inode record and its overflow chain from the device.
+// readInode loads an inode record and its leaves from the device.
 func (fs *FS) readInode(ino uint64) (*inode, error) {
+	return fs.loadInode(ino, func(p []byte, off int64) { fs.dev.ReadAt(p, off, sim.CatPMMeta) })
+}
+
+// loadInode decodes inode ino — its record, then its leaf chain — from
+// what read returns at device offsets. It accepts exactly what writeInode
+// leaves, so a torn or hostile record is an error and never a hang or a
+// panic, and an inode it returns re-encodes to the bytes it was read from
+// (FuzzInodeRecord): a leaf only behind a full record or a full leaf, no
+// empty or overfull leaf, every leaf inside the data region and none
+// twice, pad bytes zero; and extents non-empty, in logical order, inside
+// MaxFileBlocks and the data region, so what later walks them stays on
+// the device.
+func (fs *FS) loadInode(ino uint64, read func(p []byte, off int64)) (*inode, error) {
 	rec := make([]byte, inodeSize)
-	fs.dev.ReadAt(rec, fs.inodeOff(ino), sim.CatPMMeta)
+	read(rec, fs.inodeOff(ino))
 	in, next, err := decodeInode(ino, rec)
 	if err != nil {
 		return nil, err
 	}
-	for next != 0 {
+	bad := func(format string, a ...any) (*inode, error) {
+		return nil, fmt.Errorf("ext4dax: inode %d: "+format, append([]any{ino}, a...)...)
+	}
+	for full := len(in.extents) == InlineExtents; next != 0; {
+		switch {
+		case !full:
+			return bad("the chain goes on to block %d behind a node that is not full: longer than its extents need", next)
+		case next < 0 || next >= fs.lay.DataBlocks:
+			return bad("leaf %d at block %d is outside the data region", len(in.overflow), next)
+		case slices.Contains(in.overflow, next):
+			return bad("the leaf chain cycles back to block %d", next)
+		}
 		in.overflow = append(in.overflow, next)
 		hdr := make([]byte, overflowHeader)
 		devOff := fs.bBmp.BlockOffset(next)
-		fs.dev.ReadAt(hdr, devOff, sim.CatPMMeta)
+		read(hdr, devOff)
 		cnt := int(getU32(hdr[8:12]))
-		if cnt > overflowCap {
-			return nil, fmt.Errorf("ext4dax: inode %d corrupt overflow block", ino)
+		if cnt == 0 || cnt > LeafExtents || !zero(hdr[12:16]) {
+			return bad("leaf %d at block %d holds %d records (pad %x)", len(in.overflow)-1, next, cnt, hdr[12:16])
 		}
 		buf := make([]byte, cnt*extentRecSize)
-		fs.dev.ReadAt(buf, devOff+overflowHeader, sim.CatPMMeta)
+		read(buf, devOff+overflowHeader)
 		for k := 0; k < cnt; k++ {
 			in.extents = append(in.extents, getExtent(buf[k*extentRecSize:]))
 		}
+		full = cnt == LeafExtents
 		next = int64(getU64(hdr[0:8]))
+	}
+	end := int64(0)
+	for i, e := range in.extents {
+		if e.Phys.Len == 0 || e.Logical < end || e.LogicalEnd() > MaxFileBlocks || e.Phys.End() > fs.lay.DataBlocks {
+			return bad("extent %d (logical %d, phys %v) is empty, out of order or out of bounds", i, e.Logical, e.Phys)
+		}
+		end = e.LogicalEnd()
 	}
 	return in, nil
 }

@@ -384,7 +384,7 @@ func TestDirectoryChurnReusesTombstones(t *testing.T) {
 func TestManyExtentsOverflow(t *testing.T) {
 	_, fs := newFS(t)
 	// Force fragmentation: create interleaved files so extents cannot
-	// merge, then verify a file with > inlineExtents extents round-trips
+	// merge, then verify a file with > InlineExtents extents round-trips
 	// through mount.
 	fa, _ := vfs.Create(fs, "/a")
 	fb, _ := vfs.Create(fs, "/b")
@@ -399,7 +399,7 @@ func TestManyExtentsOverflow(t *testing.T) {
 	fs.mu.Lock()
 	nExt := len(fa.(*File).in.extents)
 	fs.mu.Unlock()
-	if nExt <= inlineExtents {
+	if nExt <= InlineExtents {
 		t.Skipf("allocation pattern produced only %d extents", nExt)
 	}
 	fa.Close()

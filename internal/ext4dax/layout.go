@@ -33,18 +33,33 @@ const (
 
 	// inodeSize is the on-disk inode record size.
 	inodeSize = 512
-	// inlineExtents is how many extents fit in the inode record.
-	inlineExtents = 19
+	// inlineOff is where the record's extent records start, after the
+	// header: magic, type, link count, size, block count, inline extent
+	// count and the first leaf's block.
+	inlineOff = 48
 	// uwmOff is where the record keeps U-Split's watermark: its last
 	// eight bytes.
 	uwmOff = inodeSize - 8
-	// extentRecSize is the on-disk size of one extent record:
-	// logical block (8) + physical start (8) + length (8).
-	extentRecSize = 24
+	// extentRecSize is the on-disk size of one extent record, ext4's 12
+	// bytes: logical block (4) + physical block (4) + length (4).
+	extentRecSize = 12
+	// InlineExtents is how many extent records the inode record holds:
+	// bytes 48 to 504, up to the watermark.
+	InlineExtents = (uwmOff - inlineOff) / extentRecSize
 	// overflowHeader is next-pointer (8) + count (4) + pad (4).
 	overflowHeader = 16
-	// overflowCap is how many extents fit in a 4 KB overflow block.
-	overflowCap = (sim.BlockSize - overflowHeader) / extentRecSize
+	// LeafExtents is how many extent records fit in a 4 KB overflow block
+	// (a leaf), ext4's 340. A file past its inline extents chains one leaf
+	// per LeafExtents of the rest.
+	LeafExtents = (sim.BlockSize - overflowHeader) / extentRecSize
+
+	// MaxFileBlocks bounds a file's logical blocks: an extent record holds
+	// 32-bit block numbers.
+	MaxFileBlocks = 1 << 32
+	// MaxFileSize is the largest file, 16 TiB — ext4's own s_maxbytes for
+	// 4 KB blocks. Writes, truncates, preallocations and relinks past it
+	// fail with vfs.ErrInval before they change anything.
+	MaxFileSize = MaxFileBlocks * sim.BlockSize
 
 	// RootIno is the inode number of the root directory.
 	RootIno = 1
@@ -90,6 +105,9 @@ func computeLayout(size int64, journalBlocks, maxInodes int64) (Layout, error) {
 	l.DataBlocks = (size - l.DataOff) / sim.BlockSize
 	if l.DataBlocks < 8 {
 		return l, fmt.Errorf("ext4dax: device too small for data (%d bytes)", size)
+	}
+	if l.DataBlocks >= MaxFileBlocks { // an extent record's physical block is 32 bits
+		return l, fmt.Errorf("ext4dax: device too large (%d data blocks; extent records address fewer than %d)", l.DataBlocks, int64(MaxFileBlocks))
 	}
 	return l, nil
 }
@@ -163,54 +181,80 @@ type inode struct {
 	freeSlots map[int64][]int64
 }
 
+// inodeMagic opens every inode record.
+const inodeMagic = 0x1A0DE
+
 // encode serializes the inode header and inline extents into b, a
-// 512-byte record. Extents beyond the inline area live in overflow blocks
-// encoded separately.
+// 512-byte record. Extents beyond the inline area live in leaves
+// (encodeLeaf).
 func (in *inode) encode(b []byte) {
 	clear(b)
-	binary.LittleEndian.PutUint32(b[0:4], 0x1A0DE)
+	binary.LittleEndian.PutUint32(b[0:4], inodeMagic)
 	if in.isDir {
 		b[4] = 1
 	}
 	binary.LittleEndian.PutUint32(b[8:12], in.nlink)
 	binary.LittleEndian.PutUint64(b[16:24], uint64(in.size))
 	binary.LittleEndian.PutUint64(b[24:32], uint64(in.blocks))
-	n := len(in.extents)
-	if n > inlineExtents {
-		n = inlineExtents
-	}
+	n := min(len(in.extents), InlineExtents)
 	binary.LittleEndian.PutUint32(b[32:36], uint32(n))
 	next := int64(0)
 	if len(in.overflow) > 0 {
 		next = in.overflow[0]
 	}
 	binary.LittleEndian.PutUint64(b[40:48], uint64(next))
-	for i := 0; i < n; i++ {
-		putExtent(b[48+i*extentRecSize:], in.extents[i])
+	for i, e := range in.extents[:n] {
+		putExtent(b[inlineOff+i*extentRecSize:], e)
 	}
 	binary.LittleEndian.PutUint64(b[uwmOff:], in.uwm)
 }
 
+// encodeLeaf serializes leaf i of the inode's chain into b (a block of
+// scratch) and returns the encoding: the next leaf's block (0 ends the
+// chain), the record count, four bytes of pad, then the records — every
+// leaf but the last full. What follows the records in the block is not
+// part of the leaf.
+func (in *inode) encodeLeaf(b []byte, i int) []byte {
+	rest := in.extents[InlineExtents+i*LeafExtents:]
+	chunk := rest[:min(len(rest), LeafExtents)]
+	buf := b[:overflowHeader+len(chunk)*extentRecSize]
+	clear(buf[:overflowHeader])
+	next := int64(0)
+	if i+1 < len(in.overflow) {
+		next = in.overflow[i+1]
+	}
+	putU64(buf[0:8], uint64(next))
+	putU32(buf[8:12], uint32(len(chunk)))
+	for k, e := range chunk {
+		putExtent(buf[overflowHeader+k*extentRecSize:], e)
+	}
+	return buf
+}
+
+// putExtent stores an extent record. The caller keeps its fields in 32
+// bits: logical blocks below MaxFileBlocks, physical ones inside a data
+// region computeLayout holds below it.
 func putExtent(b []byte, e fileExtent) {
-	binary.LittleEndian.PutUint64(b[0:8], uint64(e.Logical))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(e.Phys.Start))
-	binary.LittleEndian.PutUint64(b[16:24], uint64(e.Phys.Len))
+	putU32(b[0:4], uint32(e.Logical))
+	putU32(b[4:8], uint32(e.Phys.Start))
+	putU32(b[8:12], uint32(e.Phys.Len))
 }
 
 func getExtent(b []byte) fileExtent {
 	return fileExtent{
-		Logical: int64(binary.LittleEndian.Uint64(b[0:8])),
-		Phys: alloc.Extent{
-			Start: int64(binary.LittleEndian.Uint64(b[8:16])),
-			Len:   int64(binary.LittleEndian.Uint64(b[16:24])),
-		},
+		Logical: int64(getU32(b[0:4])),
+		Phys:    alloc.Extent{Start: int64(getU32(b[4:8])), Len: int64(getU32(b[8:12]))},
 	}
 }
 
-// decodeInode parses an on-disk inode record. Overflow extents are
-// resolved by the caller (it needs device access).
+// decodeInode parses an on-disk inode record and returns it with its
+// first leaf's block (0: none). It takes only what encode writes: a
+// known type byte, zero pad and zero unused extent slots, a size within
+// MaxFileSize, at most InlineExtents records. Leaves are resolved by the
+// caller (loadInode: it needs device access), and so is what the extents
+// say.
 func decodeInode(ino uint64, b []byte) (*inode, int64, error) {
-	if binary.LittleEndian.Uint32(b[0:4]) != 0x1A0DE {
+	if binary.LittleEndian.Uint32(b[0:4]) != inodeMagic {
 		return nil, 0, fmt.Errorf("ext4dax: bad inode magic for ino %d", ino)
 	}
 	in := &inode{
@@ -222,14 +266,30 @@ func decodeInode(ino uint64, b []byte) (*inode, int64, error) {
 		uwm:    binary.LittleEndian.Uint64(b[uwmOff:]),
 	}
 	n := int(binary.LittleEndian.Uint32(b[32:36]))
-	if n > inlineExtents {
-		return nil, 0, fmt.Errorf("ext4dax: inode %d inline extent count %d", ino, n)
-	}
-	for i := 0; i < n; i++ {
-		in.extents = append(in.extents, getExtent(b[48+i*extentRecSize:]))
-	}
 	next := int64(binary.LittleEndian.Uint64(b[40:48]))
+	switch {
+	case b[4] > 1:
+		return nil, 0, fmt.Errorf("ext4dax: inode %d has type byte %d", ino, b[4])
+	case in.size < 0 || in.size > MaxFileSize:
+		return nil, 0, fmt.Errorf("ext4dax: inode %d has size %d, past the %d-byte bound", ino, in.size, int64(MaxFileSize))
+	case n > InlineExtents:
+		return nil, 0, fmt.Errorf("ext4dax: inode %d inline extent count %d", ino, n)
+	case !zero(b[5:8]) || !zero(b[12:16]) || !zero(b[36:40]) || !zero(b[inlineOff+n*extentRecSize:uwmOff]):
+		return nil, 0, fmt.Errorf("ext4dax: inode %d has bytes set outside its fields", ino)
+	}
+	for i := range n {
+		in.extents = append(in.extents, getExtent(b[inlineOff+i*extentRecSize:]))
+	}
 	return in, next, nil
+}
+
+func zero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // dirEntry is a cached directory entry plus the device offset of its

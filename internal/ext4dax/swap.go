@@ -87,7 +87,7 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-	ins, err := fs.checkMoves(dst.in, moves)
+	ins, err := fs.checkMoves(dst.in, newDstSize, moves)
 	if err != nil {
 		return err
 	}
@@ -123,24 +123,26 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 
 // checkMoves is the ioctl's argument check, over the whole vector: every
 // move block-aligned, non-empty, out of a fully allocated range of a file
-// other than dst, and no two ranges of one inode — dst's, or a source's —
+// other than dst into one inside MaxFileSize, dst grown no further than
+// that, and no two ranges of one inode — dst's, or a source's —
 // overlapping. (So checking up front equals checking move by move: no
 // move maps or unmaps what another reads.) It returns the distinct inodes
 // named, sources in order of first appearance, then dst. Caller holds
 // fs.mu, under which no extent map changes.
-func (fs *FS) checkMoves(dst *inode, moves []Move) ([]*inode, error) {
+func (fs *FS) checkMoves(dst *inode, newDstSize int64, moves []Move) ([]*inode, error) {
 	type span struct {
 		in     *inode
 		off, n int64
 	}
-	if len(moves) == 0 {
+	if len(moves) == 0 || newDstSize > MaxFileSize {
 		return nil, vfs.ErrInval
 	}
 	ins := make([]*inode, 0, 3) // a staging file or two, and dst
 	spans := make([]span, 0, 2*len(moves))
 	for _, m := range moves {
 		if m.SrcOff%sim.BlockSize != 0 || m.DstOff%sim.BlockSize != 0 ||
-			m.Len <= 0 || m.Len%sim.BlockSize != 0 || m.Src.in == dst {
+			m.Len <= 0 || m.Len%sim.BlockSize != 0 || m.Src.in == dst ||
+			m.DstOff < 0 || m.DstOff > MaxFileSize-m.Len {
 			return nil, vfs.ErrInval
 		}
 		if blk, cnt := m.SrcOff/sim.BlockSize, m.Len/sim.BlockSize; !rangeMapped(fs, m.Src.in, blk, cnt) {

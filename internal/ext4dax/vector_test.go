@@ -19,9 +19,9 @@ import (
 // made one call each.
 
 // vectorImage is a small file system with a 32-block /dst and nsrc
-// preallocated 64-block sources, everything committed: the same image,
-// block for block, every time it is built.
-func vectorImage(t *testing.T, nsrc int) (*pmem.Device, *FS, *File, []*File) {
+// preallocated sources of srcBlocks blocks, everything committed: the same
+// image, block for block, every time it is built.
+func vectorImage(t *testing.T, nsrc int, srcBlocks int64) (*pmem.Device, *FS, *File, []*File) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: 8 << 20, Clock: sim.NewClock(), TrackPersistence: true})
 	fs, err := Mkfs(dev, Config{JournalBlocks: 64, MaxInodes: 128})
@@ -41,7 +41,7 @@ func vectorImage(t *testing.T, nsrc int) (*pmem.Device, *FS, *File, []*File) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := src.(*File).Preallocate(64, 0); err != nil {
+		if err := src.(*File).Preallocate(srcBlocks, 0); err != nil {
 			t.Fatal(err)
 		}
 		srcs = append(srcs, src.(*File))
@@ -97,7 +97,7 @@ func (a vectorState) equal(b vectorState, epochs bool) bool {
 // applied, written back by End and committed by whoever came next.)
 func TestRejectedVectorIsNoOp(t *testing.T) {
 	const blk = sim.BlockSize
-	_, fs, dst, srcs := vectorImage(t, 2)
+	_, fs, dst, srcs := vectorImage(t, 2, 64)
 	a, b := srcs[0], srcs[1]
 	good := []Move{
 		{Src: a, SrcOff: 0, DstOff: 4 * blk, Len: 2 * blk},    // over blocks dst holds: a deferred free
@@ -158,18 +158,24 @@ func TestRejectedVectorIsNoOp(t *testing.T) {
 // of journal-noted ranges when the batch closes, and, once committed, the
 // same device image outside the journal (so the same bytes noted) from the
 // same number of journaled blocks. Many moves out of one source reach the
-// extent-overflow leaves; few out of three keep every inode inline, where
-// the order End writes the inodes back in — sources then destination, not
-// interleaved — places no leaf differently.
+// extent-overflow leaves (some seeds must); few out of three keep every
+// inode inline, where the order End writes the inodes back in — sources
+// then destination, not interleaved — places no leaf differently.
 func TestVectorEqualsSequence(t *testing.T) {
+	// Room for a vector of up to 2*InlineExtents moves of one to three
+	// blocks with gaps: that fragments the destination, or the source,
+	// past the record's inline extents.
+	const span, srcBlocks = 6 * InlineExtents, 6 * InlineExtents
+	leafy := 0
 	for seed := uint64(1); seed <= 24; seed++ {
 		rng := sim.NewRNG(seed)
-		nsrc, nmoves := 1, 4+rng.Intn(24)
+		nsrc, nmoves := 1, 4+rng.Intn(2*InlineExtents)
 		if seed%2 == 0 {
 			nsrc, nmoves = 3, 2+rng.Intn(4)
 		}
-		// Disjoint runs of the destination's first 48 blocks (32 held, 16
-		// past EOF), each sourced from a file's next blocks, shuffled.
+		// Disjoint runs of the destination's first span blocks (32 held,
+		// the rest past EOF), each sourced from a file's next blocks,
+		// shuffled.
 		var moves []Move
 		cursor := make([]int64, nsrc)
 		type twin struct {
@@ -180,13 +186,13 @@ func TestVectorEqualsSequence(t *testing.T) {
 		}
 		var tw [2]twin
 		for i := range tw {
-			tw[i].dev, tw[i].fs, tw[i].dst, tw[i].srcs = vectorImage(t, nsrc)
+			tw[i].dev, tw[i].fs, tw[i].dst, tw[i].srcs = vectorImage(t, nsrc, srcBlocks)
 		}
 		picks := make([]int, 0, nmoves) // the source each move reads
-		for blk := int64(rng.Intn(3)); blk < 48 && len(moves) < nmoves; {
+		for blk := int64(rng.Intn(3)); blk < span && len(moves) < nmoves; {
 			n, s := int64(1+rng.Intn(3)), rng.Intn(nsrc)
 			cursor[s] += int64(rng.Intn(2)) // sometimes leave a gap, so the source splits
-			if cursor[s]+n > 64 {
+			if cursor[s]+n > srcBlocks {
 				break
 			}
 			moves = append(moves, Move{SrcOff: cursor[s] * sim.BlockSize, DstOff: blk * sim.BlockSize, Len: n * sim.BlockSize})
@@ -220,6 +226,12 @@ func TestVectorEqualsSequence(t *testing.T) {
 				}
 			}
 			txid := batch.End()
+			if i == 0 && (len(w.dst.in.overflow) > 0 || len(w.srcs[0].in.overflow) > 0) {
+				if nsrc > 1 {
+					t.Fatalf("seed %d: a vector out of %d sources reached a leaf", seed, nsrc)
+				}
+				leafy++
+			}
 			states[i] = snapshot(w.fs, append([]*File{w.dst}, w.srcs...)...)
 			if err := w.fs.CommitUpTo(txid); err != nil {
 				t.Fatal(err)
@@ -245,5 +257,8 @@ func TestVectorEqualsSequence(t *testing.T) {
 		if !bytes.Equal(img[0][:lay.JournalOff], img[1][:lay.JournalOff]) || !bytes.Equal(img[0][jend:], img[1][jend:]) {
 			t.Fatalf("seed %d: device images differ outside the journal", seed)
 		}
+	}
+	if leafy < 4 {
+		t.Fatalf("%d seeds fragmented a file past its %d inline extents, want at least 4", leafy, InlineExtents)
 	}
 }

@@ -88,7 +88,8 @@ func TestWriteBackOfUnchangedInodeIsFree(t *testing.T) {
 
 func TestWriteBackTouchesWhatChanged(t *testing.T) {
 	_, fs := newFS(t)
-	f := sparseFile(t, fs, "/f", 1024) // 19 inline, five full leaves, 155 records in the sixth
+	// A full record, five full leaves, 155 records in the sixth.
+	f := sparseFile(t, fs, "/f", InlineExtents+5*LeafExtents+155)
 	if got := len(f.in.overflow); got != 6 {
 		t.Fatalf("%d overflow blocks, want 6", got)
 	}
@@ -96,7 +97,7 @@ func TestWriteBackTouchesWhatChanged(t *testing.T) {
 	// One record of the second leaf replaced in place, as the relink of a
 	// one-block strict-mode overwrite does to its target: size, block
 	// count and every other extent stay.
-	c := costOfWriteBack(t, fs, f.in, func() { f.in.extents[inlineExtents+overflowCap+50].Phys.Start++ })
+	c := costOfWriteBack(t, fs, f.in, func() { f.in.extents[InlineExtents+LeafExtents+50].Phys.Start++ })
 	if c.notes != 1 || c.logged != 1 || c.stored > 2*sim.CacheLine || c.flushed > 2 {
 		t.Fatalf("replacing one extent record cost %+v, want one note, one journaled block, at most two lines", c)
 	}
@@ -124,7 +125,7 @@ func TestWriteBackTouchesWhatChanged(t *testing.T) {
 // leave the committed inode chained to garbage.
 func TestFreshOverflowBlockIsStoredWhole(t *testing.T) {
 	dev, fs := newFS(t)
-	f := sparseFile(t, fs, "/f", inlineExtents)
+	f := sparseFile(t, fs, "/f", InlineExtents)
 	src, _ := vfs.Create(fs, "/src")
 	if err := src.(*File).Preallocate(1, 0); err != nil {
 		t.Fatal(err)
@@ -187,14 +188,17 @@ func TestFreshOverflowBlockIsStoredWhole(t *testing.T) {
 // Mount, the inode it is in DRAM.
 func TestPartialWriteBacksReadBack(t *testing.T) {
 	dev, fs := newFS(t)
-	f := sparseFile(t, fs, "/f", 400)
+	n := InlineExtents + 2*LeafExtents + 41 // two full leaves and 41 records in a third
+	f := sparseFile(t, fs, "/f", n)
 	src, _ := vfs.Create(fs, "/src")
 	if err := src.(*File).Preallocate(8, 0); err != nil {
 		t.Fatal(err)
 	}
 	batch := fs.BeginBatch()
-	for i, blk := range []int64{0, 60, 250, 700} { // inline, first leaf, second leaf, third leaf
-		if err := relink1(batch, src.(*File), f, int64(i)*sim.BlockSize, blk*sim.BlockSize, sim.BlockSize, 0); err != nil {
+	// One record replaced in place in the record and in each leaf: extent
+	// k of the sparse file maps logical block 2k.
+	for i, k := range []int{0, InlineExtents + 11, InlineExtents + LeafExtents + 106, InlineExtents + 2*LeafExtents + 20} {
+		if err := relink1(batch, src.(*File), f, int64(i)*sim.BlockSize, int64(2*k)*sim.BlockSize, sim.BlockSize, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +234,7 @@ func TestPartialWriteBacksReadBack(t *testing.T) {
 
 	// Write-backs the crash rolls back must leave the committed image.
 	blk := make([]byte, sim.BlockSize)
-	for i := 400; i < 420; i++ {
+	for i := n; i < n+20; i++ {
 		if _, err := f.WriteAt(blk, int64(2*i)*sim.BlockSize); err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +271,7 @@ func TestBatchEndAllocations(t *testing.T) {
 		next++
 		b.End()
 	}
-	for range 30 { // punch /src past its inline extents too
+	for range InlineExtents + 11 { // punch /src past its inline extents too
 		batch()
 	}
 	if len(src.(*File).in.overflow) != 1 || len(dst.in.overflow) != 1 {

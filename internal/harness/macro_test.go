@@ -14,10 +14,10 @@ import (
 // internal/harness.MacroBackendHash (see DESIGN.md, "Macrobenchmark
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
-	"ext4-dax":       0x53ff882550f9a1d5,
-	"splitfs-posix":  0x497a89c95268ed1d,
-	"splitfs-sync":   0x160d5a5778bfb946,
-	"splitfs-strict": 0xb7e53e59b7efef6e,
+	"ext4-dax":       0xf58af57c94de7a1b,
+	"splitfs-posix":  0xa45be4a2f0dcd8ea,
+	"splitfs-sync":   0x3c4de6d6702e10db,
+	"splitfs-strict": 0x711c602325fd9b22,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

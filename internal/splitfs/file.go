@@ -359,7 +359,7 @@ func (f *File) writeLocked(p []byte, off int64) (int, error) {
 	if !vfs.Writable(f.flag) {
 		return 0, vfs.ErrReadOnly
 	}
-	if off < 0 {
+	if off < 0 || off > ext4dax.MaxFileSize-int64(len(p)) { // nothing staged K-Split could not relink
 		return 0, vfs.ErrInval
 	}
 	if len(p) == 0 {
@@ -568,6 +568,9 @@ func (fs *FS) continuesActive(of *ofile, off int64) bool {
 // Truncate flushes staged state and passes through to K-Split.
 func (f *File) Truncate(size int64) error {
 	fs := f.fs
+	if size < 0 || size > ext4dax.MaxFileSize {
+		return vfs.ErrInval
+	}
 	unlock, err := fs.lockMeta(metaRecordBytes(0))
 	if err != nil {
 		return err

@@ -441,7 +441,9 @@ func TestFsyncCostFlatInFragmentation(t *testing.T) {
 		}
 		files[i] = f
 	}
-	const rounds, rec, window = 8000, 1000, 1000
+	// About one extent per block: enough rounds to fill a dozen leaves.
+	const rec, window = 1000, 1000
+	const rounds = (ext4dax.InlineExtents + 12*ext4dax.LeafExtents) * sim.BlockSize / rec
 	buf := pattern(rec, 3)
 	var first, last int64 // simulated ns spent in the first and the last window of fsyncs
 	for i := 0; i < rounds; i++ {
