@@ -7,7 +7,7 @@
 //	splitbench list             # list experiment IDs
 //	splitbench table1 fig4 ...  # run selected experiments
 //	splitbench -threads 8 scaling
-//	splitbench -json "" ...     # suppress BENCH_results.json
+//	splitbench -json b.json ... # also write the metrics as JSON records
 //
 //	splitbench -experiment macro -scale smoke            # full 9-backend matrix
 //	splitbench -experiment macro -backend splitfs-strict -workload ycsb-A,tpcc
@@ -19,10 +19,9 @@
 // scaling needs GOMAXPROCS >= N.
 //
 // Experiments that attach machine-readable metrics (macro, scaling,
-// groupcommit) are additionally serialized to the -json file as records
-// of {experiment, metric, value, unit, git_rev}. Reruns at the same
-// revision replace their previous rows, so the file accumulates one
-// clean perf trajectory across revisions.
+// groupcommit) are additionally serialized to the file -json names, if
+// any, as records of {experiment, metric, value, unit, git_rev}. Reruns
+// at the same revision replace their previous rows in that file.
 //
 // The macro matrix's deterministic counters (fences/op, journal commits,
 // log appends, relink/reclaim counts, PM bytes) — the server
@@ -66,9 +65,9 @@ func gitRev() string {
 	return "unknown"
 }
 
-// writeResults merges the run's metrics into the trajectory file,
-// replacing rows a rerun at the same revision already produced. An
-// unreadable or corrupt existing file is started fresh.
+// writeResults merges the run's metrics into the results file, replacing
+// rows a rerun at the same revision already produced. An unreadable or
+// corrupt existing file is started fresh.
 func writeResults(path string, recs []benchfmt.Record) error {
 	old, err := benchfmt.Load(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -92,8 +91,8 @@ func splitList(s string) []string {
 func main() {
 	threads := flag.Int("threads", 0,
 		"max worker threads for the concurrent-mode scaling experiment (0 keeps the default sweep)")
-	jsonPath := flag.String("json", "BENCH_results.json",
-		"write machine-readable metrics here (empty disables)")
+	jsonPath := flag.String("json", "",
+		"also write machine-readable metrics here (empty: none)")
 	experiment := flag.String("experiment", "",
 		"experiment IDs to run (comma-separated; alternative to positional arguments)")
 	scale := flag.String("scale", "smoke",

@@ -1,8 +1,9 @@
 // Package benchfmt defines the machine-readable benchmark-result format
-// shared by cmd/splitbench and the CI perf gate: the BENCH_results.json
-// trajectory file (one row per experiment metric per git revision) and
-// the BENCH_baseline.json regression baseline (the deterministic macro
-// counters a PR must reproduce exactly or explicitly update).
+// shared by cmd/splitbench and the CI perf gate: the results file
+// splitbench -json writes (one row per experiment metric per git
+// revision) and the BENCH_baseline.json regression baseline (the
+// deterministic macro counters a PR must reproduce exactly or explicitly
+// update).
 package benchfmt
 
 import (

@@ -2,6 +2,7 @@ package ext4dax
 
 import (
 	"encoding/binary"
+	"math"
 
 	"splitfs/internal/alloc"
 	"splitfs/internal/sim"
@@ -235,5 +236,8 @@ func (fs *FS) freeInode(in *inode) {
 	in.extents, in.overflow = nil, nil
 	in.size, in.blocks = 0, 0
 	fs.deferFree(fs.iBmp, alloc.Extent{Start: int64(in.ino), Len: 1})
+	// Blocks relinks took out of the file go the way of its own: no one
+	// remaps a file that is gone.
+	fs.remapped(in, 0, math.MaxInt64)
 	delete(fs.icache, in.ino)
 }

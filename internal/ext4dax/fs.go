@@ -116,6 +116,21 @@ type FS struct {
 	// a relink-punched staging range scribbled over before the relink
 	// committed). The bitmap clears join the committing transaction.
 	pendingFrees []pendingFree
+	// graced lists data extents whose free has committed, that no page
+	// table translates to any more, and that wait to be discarded — ext4's
+	// -o discard, with RCU's grace period on top (DESIGN.md, "Shard
+	// granularity"). A later commit that finds no lock-free Mapping access
+	// in flight discards whatever of them the bitmap still shows free: an
+	// access that translated to them before has ended by then, and every
+	// later one translates elsewhere.
+	graced []alloc.Extent
+	// unmapped lists the data extents relinks took out of mapped files
+	// that a page table may still translate to: each joins graced once its
+	// free has committed and Remaps have covered the file range it was
+	// moved out of (remapped).
+	unmapped []unmappedFree
+	// inflight counts Mapping loads and stores in progress.
+	inflight atomic.Int64
 	// wbOld is writeBack's view of what the buffer cache holds, wbNew
 	// the encoding writeInode compares with it.
 	wbOld, wbNew [sim.BlockSize]byte
@@ -126,6 +141,18 @@ type FS struct {
 type pendingFree struct {
 	bmp *alloc.Bitmap
 	e   alloc.Extent
+	// held: the extent is in unmapped too, and joins graced from there.
+	held bool
+}
+
+// unmappedFree is an entry of FS.unmapped: extent e, which a relink took
+// out of inode ino, and [lo, hi), the part of the file blocks it was
+// moved out of that no Remap has covered yet.
+type unmappedFree struct {
+	ino       uint64
+	lo, hi    int64
+	e         alloc.Extent
+	committed bool
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -376,14 +403,71 @@ func (fs *FS) deferFree(bmp *alloc.Bitmap, e alloc.Extent) {
 	fs.pendingFrees = append(fs.pendingFrees, pendingFree{bmp: bmp, e: e})
 }
 
+// deferUnmap is deferFree for a data extent a relink takes out of file
+// blocks [lo, hi) of in. While a Mapping of in may still translate to it,
+// it is held in unmapped as well, until Remaps have covered [lo, hi).
+// Caller holds fs.mu.
+func (fs *FS) deferUnmap(in *inode, lo, hi int64, e alloc.Extent) {
+	if !in.mapped {
+		fs.deferFree(fs.bBmp, e)
+		return
+	}
+	fs.beginTx()
+	fs.pendingFrees = append(fs.pendingFrees, pendingFree{bmp: fs.bBmp, e: e, held: true})
+	fs.unmapped = append(fs.unmapped, unmappedFree{ino: in.ino, lo: lo, hi: hi, e: e})
+}
+
+// remapped records that no page table of in translates file blocks [lo,
+// hi) to where they were before the relinks so far, and moves to graced
+// each held extent whose range that leaves wholly covered and whose free
+// has committed. A covered prefix or suffix of a range is trimmed off; a
+// covered middle leaves it waiting. Caller holds fs.mu.
+func (fs *FS) remapped(in *inode, lo, hi int64) {
+	if lo >= hi {
+		return
+	}
+	for i := range fs.unmapped {
+		u := &fs.unmapped[i]
+		if u.ino != in.ino {
+			continue
+		}
+		if lo <= u.lo {
+			u.lo = max(u.lo, min(hi, u.hi))
+		}
+		if hi >= u.hi {
+			u.hi = min(u.hi, max(lo, u.lo))
+		}
+	}
+	fs.settleUnmapped()
+}
+
+// settleUnmapped moves to graced the held extents whose free has committed
+// and whose file range Remaps have covered whole. Caller holds fs.mu.
+func (fs *FS) settleUnmapped() {
+	kept := fs.unmapped[:0]
+	for _, u := range fs.unmapped {
+		if u.committed && u.lo >= u.hi {
+			fs.graced = append(fs.graced, u.e)
+		} else {
+			kept = append(kept, u)
+		}
+	}
+	fs.unmapped = kept
+}
+
 // commitTx commits the running transaction, if any, applying the
 // transaction's deferred block frees first so the bitmap clears commit
-// atomically with the rest of it. Caller holds fs.mu.
+// atomically with the rest of it. Whether or not anything runs, it is a
+// later commit for the extents graced holds; the data extents this one
+// frees join graced once it has committed, those held in unmapped once
+// Remaps have covered them too. Caller holds fs.mu.
 func (fs *FS) commitTx() error {
 	if fs.tx == nil {
+		fs.discardGraced()
 		return nil
 	}
-	for _, pf := range fs.pendingFrees {
+	frees := fs.pendingFrees
+	for _, pf := range frees {
 		dirty := pf.bmp.Free(pf.e)
 		fs.tx.Note(dirty.Off, dirty.Len)
 	}
@@ -399,7 +483,42 @@ func (fs *FS) commitTx() error {
 	if tx.Logged() > 0 { // an empty transaction commits without reaching the journal
 		fs.stats.commits.Add(1)
 	}
+	fs.discardGraced()
+	for _, pf := range frees {
+		if pf.bmp == fs.bBmp && !pf.held {
+			fs.graced = append(fs.graced, pf.e)
+		}
+	}
+	// Every relink so far ran in this transaction or an earlier one.
+	for i := range fs.unmapped {
+		fs.unmapped[i].committed = true
+	}
+	fs.settleUnmapped()
 	return nil
+}
+
+// discardGraced discards the blocks of graced that are still free, unless
+// a Mapping access is in flight: then they wait for the next commit. A
+// block allocated again since its free keeps what its new owner stored.
+// Caller holds fs.mu.
+func (fs *FS) discardGraced() {
+	if len(fs.graced) == 0 || fs.inflight.Load() != 0 {
+		return
+	}
+	for _, e := range fs.graced {
+		for b := e.Start; b < e.End(); {
+			run := b
+			for b < e.End() && !fs.bBmp.Allocated(b) {
+				b++
+			}
+			if b > run {
+				fs.dev.Discard(fs.bBmp.BlockOffset(run), (b-run)*sim.BlockSize)
+			} else {
+				b++
+			}
+		}
+	}
+	fs.graced = fs.graced[:0]
 }
 
 // inodeOff returns the device offset of an inode record.

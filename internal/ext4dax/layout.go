@@ -173,6 +173,10 @@ type inode struct {
 	// only: epochs restart at zero after a crash, which is fine because
 	// no lease survives a server generation.
 	mapEpoch atomic.Uint64
+	// mapped records that a Mapping of the inode was built, whose page
+	// table may translate to blocks a relink takes out of it (deferUnmap).
+	// Guarded by fs.mu.
+	mapped bool
 	// dir state, populated lazily for directories
 	entries map[string]*dirEntry
 	tailOff int64 // next free byte inside the directory file

@@ -86,7 +86,17 @@ func (fs *FS) Mmap(f *File, off, length int64, opts MmapOptions) (*Mapping, erro
 // grown past the table's capacity — builds a new Mapping, which the
 // caller uses instead of m; capacity then at least doubles, up to the
 // requested length, so a file growing block by block rebuilds O(log)
-// times.
+// times; m itself is still brought up to date under the moved range,
+// for accesses that already hold it, unless it has huge pages and the new
+// table has not.
+//
+// The blocks a relink took out of a mapped file are discarded only once
+// Remaps have covered the range they were moved out of, and a commit after
+// that found no access in flight. K-Split assumes one Mapping per file
+// range, which is what U-Split's mapping cache keeps: a second Mapping of
+// a moved range that no Remap refreshed may translate to discarded blocks.
+// A huge m that Remap replaced with a 4 KB table keeps the range's blocks
+// until a later Remap covers it again.
 func (fs *FS) Remap(m *Mapping, f *File, off, length int64, huge bool, from, n int64) (*Mapping, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -109,23 +119,48 @@ func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, fro
 		pageSz = HugePageSize
 	}
 	nPages := (mapped + pageSz - 1) / pageSz
+	prev, old := m, int64(0) // the caller's table, and the bytes it maps
+	if prev != nil {
+		old = prev.length.Load()
+	}
 	if m == nil || m.pageSz != pageSz || nPages > int64(len(m.pages)) || m.faulted != nil {
 		if m != nil {
 			nPages = min(max(nPages, 2*int64(len(m.pages))), (length+pageSz-1)/pageSz)
 		}
 		m = &Mapping{fs: fs, Ino: f.in.ino, FileOff: off, Huge: huge,
 			pageSz: pageSz, pages: make([]atomic.Int64, nPages)}
-		from, n = off, 0 // nothing moved under a new table: all of it is growth
 	}
 	// The moved range, then what the file grew by; entries before length.
-	old := m.length.Load()
-	if !m.fill(f.in, max(from, off), min(from+n, off+mapped)) ||
-		!m.fill(f.in, off+old, off+mapped) {
+	// Under a new table nothing moved: all of it is growth. The caller's
+	// table, which accesses in flight may still translate through, is
+	// refreshed under the moved range too, unless its pages are larger
+	// than the new table's and so cannot say where the moved blocks went.
+	refreshed := prev == nil || prev.pageSz <= pageSz
+	ok := true
+	switch {
+	case m == prev:
+		ok = m.fill(f.in, max(from, off), min(from+n, off+mapped)) && m.fill(f.in, off+old, off+mapped)
+	case refreshed && prev != nil:
+		ok = prev.fill(f.in, max(from, off), min(from+n, off+old)) && m.fill(f.in, off, off+mapped)
+	default:
+		ok = m.fill(f.in, off, off+mapped)
+	}
+	if !ok {
 		return nil, vfs.WrapPath("mmap", f.path, vfs.ErrInval)
 	}
 	m.length.Store(mapped)
+	// No table the caller holds translates the refreshed ranges to blocks
+	// a relink took out of them (DESIGN.md, "Shard granularity").
+	f.in.mapped = true
+	if refreshed {
+		fs.remapped(f.in, max(from, off)/sim.BlockSize, blocksUpTo(min(from+n, off+length)))
+	}
+	fs.remapped(f.in, (off+old)/sim.BlockSize, blocksUpTo(off+length))
 	return m, nil
 }
+
+// blocksUpTo is the number of blocks that byte offset end reaches into.
+func blocksUpTo(end int64) int64 { return (end + sim.BlockSize - 1) / sim.BlockSize }
 
 // hugeBacked reports whether every 2 MB page of [off, off+length) is one
 // physically contiguous, 2 MB-aligned run — fragmentation defeats a huge
@@ -200,8 +235,11 @@ func (m *Mapping) PageSize() int64 { return m.pageSz }
 func (m *Mapping) TableBytes() int64 { return (m.Length() + m.pageSz - 1) / m.pageSz * 8 }
 
 // Load copies from the mapping into p using processor loads; no kernel
-// involvement. Returns the bytes copied (short if the mapping ends).
+// involvement. Returns the bytes copied (short if the mapping ends). The
+// access counts as in flight from before its first translation to after
+// its last load, so no block it translated to is discarded under it.
 func (m *Mapping) Load(p []byte, fileOff int64) int {
+	m.fs.inflight.Add(1)
 	n := 0
 	for n < len(p) {
 		devOff, contig, ok := m.Translate(fileOff+int64(n), int64(len(p)-n))
@@ -215,15 +253,17 @@ func (m *Mapping) Load(p []byte, fileOff int64) int {
 		m.fs.dev.ReadIntoUser(p[n:n+int(span)], devOff, sim.CatPMData)
 		n += int(span)
 	}
+	m.fs.inflight.Add(-1) // not deferred: a defer costs this hot path more than the add
 	return n
 }
 
 // StoreNT copies p into the mapping with non-temporal stores; durable
 // only after the caller's Fence on the device (that is the mmap
-// contract). No kernel involvement.
+// contract). No kernel involvement. In flight like Load.
 //
 // +persist:caller-fenced
 func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
+	m.fs.inflight.Add(1)
 	n := 0
 	for n < len(p) {
 		devOff, contig, ok := m.Translate(fileOff+int64(n), int64(len(p)-n))
@@ -237,6 +277,7 @@ func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 		m.fs.dev.StoreNT(devOff, p[n:n+int(span)], sim.CatPMData)
 		n += int(span)
 	}
+	m.fs.inflight.Add(-1)
 	return n
 }
 

@@ -73,7 +73,9 @@ func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) 
 // hole the blocks fill it; blocks dst already holds there (a strict-mode
 // overwrite) are released when the transaction commits, per the
 // deferred-free rule, which is the only case that touches the block
-// bitmap. The whole vector is validated before anything moves
+// bitmap; they are not discarded while a Mapping of dst may still
+// translate to them, that is before a Remap has covered the move
+// (FS.Remap). The whole vector is validated before anything moves
 // (checkMoves), so a rejected call changes nothing. Every inode named is
 // written back by End, and the moves become durable, atomically with the
 // rest of the batch, when the transaction End returns commits.
@@ -105,7 +107,7 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 		src := m.Src.in
 		srcBlk, dstBlk, cnt := m.SrcOff/sim.BlockSize, m.DstOff/sim.BlockSize, m.Len/sim.BlockSize
 		for _, e := range dst.in.extents.Extract(dstBlk, cnt) {
-			fs.deferFree(fs.bBmp, e)
+			fs.deferUnmap(dst.in, dstBlk, dstBlk+cnt, e)
 			dst.in.blocks -= e.Len
 		}
 		for _, e := range src.extents.Extract(srcBlk, cnt) {

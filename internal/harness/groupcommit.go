@@ -100,8 +100,7 @@ func RunGroupCommit(kind string, files, appendsPerFile, blockBytes int, batched 
 }
 
 // groupCommitExp renders the batched-vs-serial comparison for the POSIX
-// and strict modes and attaches the machine-readable metrics the
-// BENCH_results.json trajectory tracks.
+// and strict modes and attaches its machine-readable metrics.
 func groupCommitExp() (*Table, error) {
 	const (
 		files          = 12

@@ -36,8 +36,8 @@ func TestGroupCommitBatchedStrictlyCheaper(t *testing.T) {
 }
 
 // TestGroupCommitExperimentMetrics verifies the registered experiment
-// runs and attaches the machine-readable metrics BENCH_results.json
-// reports, with batched strictly below serial.
+// runs and attaches the machine-readable metrics splitbench -json
+// writes, with batched strictly below serial.
 func TestGroupCommitExperimentMetrics(t *testing.T) {
 	e, ok := Get("groupcommit")
 	if !ok {

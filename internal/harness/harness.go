@@ -30,8 +30,7 @@ type Table struct {
 	Rows    [][]string
 	// Metrics are the experiment's machine-readable results;
 	// cmd/splitbench serializes them (with the experiment id and git
-	// revision) into BENCH_results.json so the perf trajectory can be
-	// tracked across revisions.
+	// revision) into the file its -json flag names.
 	Metrics []Metric
 }
 

@@ -253,7 +253,7 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 // macroExp runs the selected matrix and renders one table, one row per
 // cell, flattening every metric into Table.Metrics as
 // "<workload>/<backend>/<metric>" so cmd/splitbench serializes one
-// BENCH_results.json row per (backend x workload x metric).
+// results row per (backend x workload x metric).
 func macroExp() (*Table, error) {
 	backends := macroSel.backends
 	if len(backends) == 0 {

@@ -311,7 +311,7 @@ func (s *shard) tear(rng *sim.RNG) {
 			continue
 		}
 		if st != lineBuffered {
-			live := s.data[ln*sim.CacheLine : (ln+1)*sim.CacheLine]
+			live := s.line(int64(ln))
 			durable := s.undo[int(s.slot[ln]-1)*sim.CacheLine:]
 			for w := 0; w < sim.CacheLine; w += 8 {
 				// Branch-free select: the coin is random, so a branch on it

@@ -8,20 +8,51 @@ import (
 	"splitfs/internal/sim"
 )
 
-// fuzzSize and fuzzShards give five shards of 13 lines each (the last one
-// 12): small enough that a few hundred random ops hit every shard boundary,
-// leave some shards never written, and revisit lines in every state.
-const (
-	fuzzSize   = 64 * sim.CacheLine
-	fuzzShards = 5
-)
+// fuzzGeometry is the shape of a fuzz device and the scale its operands
+// decode at: offsets step by 16*unit bytes, lengths by unit bytes (16*unit
+// for the ops that count in 16-byte units).
+type fuzzGeometry struct {
+	size   int64
+	shards int
+	unit   int64
+}
+
+// fuzzGeometries are the devices every input drives. The first is five
+// shards of 13 lines each (the last one 12) in one frame apiece: small
+// enough that a few hundred random ops hit every shard boundary, leave some
+// shards never written, and revisit lines in every state. The second is
+// three shards of 86 lines (the last one 84), each two frames — a whole
+// one, then a short one — so a store, load or discard crosses a frame
+// boundary inside a shard, and a shard's frames sit off the device's block
+// grid.
+var fuzzGeometries = [...]fuzzGeometry{
+	{size: 64 * sim.CacheLine, shards: 5, unit: 1},
+	{size: 256 * sim.CacheLine, shards: 3, unit: 4},
+}
+
+// backedFrames counts the frames the device's shards hold.
+func backedFrames(d *Device) int64 {
+	n := int64(0)
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.Lock()
+		for _, f := range s.frames {
+			if f != nil {
+				n++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
 
 // FuzzDeviceModel drives the Device and the naive reference model with the
 // same op sequence, decoded from the fuzz input, and requires them to be
 // indistinguishable: loads, volatile view, crash images, counters, clock
-// breakdown, event numbering and trace. Op encoding: one opcode byte, then
-// the operands the op needs (offset, length, seed), each one byte; a
-// sequence ends when the input does.
+// breakdown, event numbering and trace; and the frames the device holds
+// must be what BackedBytes says. Op encoding: one opcode byte, then the
+// operands the op needs (offset, length, seed), each one byte; a sequence
+// ends when the input does. Every input runs on each of fuzzGeometries.
 func FuzzDeviceModel(f *testing.F) {
 	f.Add([]byte("\x01\x00\x40\x04\x08"))                                         // StoreNT, Fence, tail
 	f.Add([]byte("\x00\x0c\x90\x03\x0c\x90\x04\x08\x01"))                         // Store straddling shards, Flush, Fence, torn Crash
@@ -32,140 +63,170 @@ func FuzzDeviceModel(f *testing.F) {
 	// clean, rewrite it again, touch a line first written after the freeze.
 	f.Add([]byte("\x01\x00\x80\x06\x01\x07\x01\x04\x40\x04\x01\x00\xc0\x04\x01\x00\xc0\x00\x10\x40\x07\x05\x01\x02\x30\x04\x07\x00"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		dc, mc := sim.NewClock(), sim.NewClock()
-		d := New(Config{Size: fuzzSize, Clock: dc, TrackPersistence: true, Shards: fuzzShards})
-		m := newModel(fuzzSize, mc)
-		d.SetTracing(true)
-
-		next := func() byte {
-			if len(in) == 0 {
-				return 0
-			}
-			b := in[0]
-			in = in[1:]
-			return b
-		}
-		// span decodes an (offset, length) pair that fits the device:
-		// offsets at 16-byte granularity, lengths 0..255 bytes (up to five
-		// lines, so up to two shards).
-		span := func() (int64, int) {
-			off := int64(next()) * 16
-			n := int(next())
-			if off+int64(n) > fuzzSize {
-				n = int(fuzzSize - off)
-			}
-			return off, n
-		}
-		rng := func() (*sim.RNG, *sim.RNG) {
-			seed := next()
-			if seed == 0 {
-				return nil, nil
-			}
-			return sim.NewRNG(uint64(seed)), sim.NewRNG(uint64(seed))
-		}
-		fill := byte(1)
-		payload := func(n int) []byte {
-			p := make([]byte, n)
-			for i := range p {
-				p[i] = fill
-				fill = fill*5 + 1
-			}
-			return p
-		}
-		cats := [...]sim.Category{sim.CatPMData, sim.CatPMMeta, sim.CatOpLog}
-
-		for step := 0; len(in) > 0; step++ {
-			op := next()
-			cat := cats[int(op>>4)%len(cats)]
-			switch op & 0x0f {
-			case 0:
-				off, n := span()
-				p := payload(n)
-				d.Store(off, p, cat)
-				m.Store(off, p, cat)
-			case 1:
-				off, n := span()
-				p := payload(n)
-				d.StoreNT(off, p, cat)
-				m.StoreNT(off, p, cat)
-			case 2:
-				off, n := span()
-				p := payload(n)
-				d.StoreBuffered(off, p, cat)
-				m.StoreBuffered(off, p, cat)
-			case 3:
-				off, n := span()
-				d.Flush(off, n, cat)
-				m.Flush(off, n, cat)
-			case 4:
-				d.Fence()
-				m.Fence()
-			case 5:
-				off, n := span()
-				got, want := make([]byte, n), make([]byte, n)
-				d.ReadAt(got, off, cat)
-				m.ReadAt(want, off, cat)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("step %d: ReadAt(%d,%d) = %x, model %x", step, off, n, got, want)
-				}
-			case 6:
-				k := d.Events() + 1 + int64(next()%8)
-				r1, r2 := rng()
-				d.ArmCrash(k, r1)
-				m.ArmCrash(k, r2)
-			case 7:
-				r1, r2 := rng()
-				if err := d.Crash(r1); err != nil {
-					t.Fatal(err)
-				}
-				m.Crash(r2)
-			case 8:
-				// Drop every fence whose sequence number has a bit of the
-				// mask set; mask 0 removes the filter.
-				if mask := int64(next()); mask == 0 {
-					d.SetFenceFilter(nil)
-					m.SetFenceFilter(nil)
-				} else {
-					drop := func(seq int64) bool { return seq&mask != 0 }
-					d.SetFenceFilter(drop)
-					m.SetFenceFilter(drop)
-				}
-			default:
-				continue
-			}
-			if got := volatile(d, fuzzSize); !bytes.Equal(got, m.data) {
-				t.Fatalf("step %d (op %#x): volatile views differ", step, op)
-			}
-			if got, want := d.UnpersistedLines(), len(m.lines); got != want {
-				t.Fatalf("step %d (op %#x): UnpersistedLines = %d, model %d", step, op, got, want)
-			}
-			if got := d.Stats(); got != m.stats {
-				t.Fatalf("step %d (op %#x): Stats = %+v, model %+v", step, op, got, m.stats)
-			}
-			if d.CrashFired() != m.frozen {
-				t.Fatalf("step %d (op %#x): CrashFired = %v, model %v", step, op, d.CrashFired(), m.frozen)
-			}
-		}
-
-		if d.Events() != m.events {
-			t.Fatalf("Events = %d, model %d", d.Events(), m.events)
-		}
-		if got := d.Trace(); !slices.Equal(got, m.trace) {
-			t.Fatalf("traces differ:\n%v\n%v", got, m.trace)
-		}
-		if got, want := dc.Snapshot(), mc.Snapshot(); got != want {
-			t.Fatalf("clock breakdown = %v, model %v", got, want)
-		}
-		// The durable image, whatever state the sequence ended in.
-		if err := d.Crash(nil); err != nil {
-			t.Fatal(err)
-		}
-		m.Crash(nil)
-		if got := volatile(d, fuzzSize); !bytes.Equal(got, m.data) {
-			t.Fatal("final crash images differ")
-		}
-		if got := d.UnpersistedLines(); got != 0 {
-			t.Fatalf("UnpersistedLines after Crash = %d", got)
+		for _, g := range fuzzGeometries {
+			runDeviceModel(t, g, in)
 		}
 	})
+}
+
+// runDeviceModel is one FuzzDeviceModel run of the input on a device of
+// geometry g.
+func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
+	dc, mc := sim.NewClock(), sim.NewClock()
+	d := New(Config{Size: g.size, Clock: dc, TrackPersistence: true, Shards: g.shards})
+	m := newModel(g.size, mc)
+	d.SetTracing(true)
+
+	next := func() byte {
+		if len(in) == 0 {
+			return 0
+		}
+		b := in[0]
+		in = in[1:]
+		return b
+	}
+	// span decodes an (offset, length) pair that fits the device:
+	// offsets at 16-byte granularity, lengths 0..255 bytes (up to five
+	// lines, so up to two shards), both scaled by the geometry's unit.
+	span := func() (int64, int) {
+		off := int64(next()) * 16 * g.unit
+		n := int64(next()) * g.unit
+		return off, int(min(n, g.size-off))
+	}
+	// wide is span with the length in 16-byte units too, so one op can
+	// cover whole shards.
+	wide := func() (int64, int) {
+		off := int64(next()) * 16 * g.unit
+		n := int64(next()) * 16 * g.unit
+		return off, int(min(n, g.size-off))
+	}
+	rng := func() (*sim.RNG, *sim.RNG) {
+		seed := next()
+		if seed == 0 {
+			return nil, nil
+		}
+		return sim.NewRNG(uint64(seed)), sim.NewRNG(uint64(seed))
+	}
+	fill := byte(1)
+	payload := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = fill
+			fill = fill*5 + 1
+		}
+		return p
+	}
+	// store issues one store of each kind: 0 Store, 1 StoreNT, 2
+	// StoreBuffered.
+	store := func(kind byte, off int64, n int, cat sim.Category) {
+		p := payload(n)
+		switch kind {
+		case 0:
+			d.Store(off, p, cat)
+			m.Store(off, p, cat)
+		case 1:
+			d.StoreNT(off, p, cat)
+			m.StoreNT(off, p, cat)
+		case 2:
+			d.StoreBuffered(off, p, cat)
+			m.StoreBuffered(off, p, cat)
+		}
+	}
+	cats := [...]sim.Category{sim.CatPMData, sim.CatPMMeta, sim.CatOpLog}
+
+	for step := 0; len(in) > 0; step++ {
+		op := next()
+		cat := cats[int(op>>4)%len(cats)]
+		switch op & 0x0f {
+		case 0, 1, 2:
+			off, n := span()
+			store(op&0x0f, off, n, cat)
+		case 3:
+			off, n := span()
+			d.Flush(off, n, cat)
+			m.Flush(off, n, cat)
+		case 4:
+			d.Fence()
+			m.Fence()
+		case 5:
+			off, n := span()
+			got, want := make([]byte, n), make([]byte, n)
+			d.ReadAt(got, off, cat)
+			m.ReadAt(want, off, cat)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%+v step %d: ReadAt(%d,%d) = %x, model %x", g, step, off, n, got, want)
+			}
+		case 6:
+			k := d.Events() + 1 + int64(next()%8)
+			r1, r2 := rng()
+			d.ArmCrash(k, r1)
+			m.ArmCrash(k, r2)
+		case 7:
+			r1, r2 := rng()
+			if err := d.Crash(r1); err != nil {
+				t.Fatal(err)
+			}
+			m.Crash(r2)
+		case 8:
+			// Drop every fence whose sequence number has a bit of the
+			// mask set; mask 0 removes the filter.
+			if mask := int64(next()); mask == 0 {
+				d.SetFenceFilter(nil)
+				m.SetFenceFilter(nil)
+			} else {
+				drop := func(seq int64) bool { return seq&mask != 0 }
+				d.SetFenceFilter(drop)
+				m.SetFenceFilter(drop)
+			}
+		case 9:
+			off, n := wide()
+			d.Discard(off, int64(n))
+			m.Discard(off, int64(n))
+		case 10:
+			// A store of the kind the next byte names, over whole runs of
+			// lines: eight or more a store can find already in its state
+			// and pass over at once, and whole frames to give back.
+			kind := next() % 3
+			off, n := wide()
+			store(kind, off, n, cat)
+		default:
+			continue
+		}
+		if got := volatile(d, g.size); !bytes.Equal(got, m.data) {
+			t.Fatalf("%+v step %d (op %#x): volatile views differ", g, step, op)
+		}
+		if got, want := d.UnpersistedLines(), len(m.lines); got != want {
+			t.Fatalf("%+v step %d (op %#x): UnpersistedLines = %d, model %d", g, step, op, got, want)
+		}
+		if got := d.Stats(); got != m.stats {
+			t.Fatalf("%+v step %d (op %#x): Stats = %+v, model %+v", g, step, op, got, m.stats)
+		}
+		if d.CrashFired() != m.frozen {
+			t.Fatalf("%+v step %d (op %#x): CrashFired = %v, model %v", g, step, op, d.CrashFired(), m.frozen)
+		}
+		if got, want := d.BackedBytes(), backedFrames(d)*sim.BlockSize; got != want {
+			t.Fatalf("%+v step %d (op %#x): BackedBytes = %d, frames backed %d", g, step, op, got, want)
+		}
+	}
+
+	if d.Events() != m.events {
+		t.Fatalf("%+v: Events = %d, model %d", g, d.Events(), m.events)
+	}
+	if got := d.Trace(); !slices.Equal(got, m.trace) {
+		t.Fatalf("%+v: traces differ:\n%v\n%v", g, got, m.trace)
+	}
+	if got, want := dc.Snapshot(), mc.Snapshot(); got != want {
+		t.Fatalf("%+v: clock breakdown = %v, model %v", g, got, want)
+	}
+	// The durable image, whatever state the sequence ended in.
+	if err := d.Crash(nil); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash(nil)
+	if got := volatile(d, g.size); !bytes.Equal(got, m.data) {
+		t.Fatalf("%+v: final crash images differ", g)
+	}
+	if got := d.UnpersistedLines(); got != 0 {
+		t.Fatalf("%+v: UnpersistedLines after Crash = %d", g, got)
+	}
 }

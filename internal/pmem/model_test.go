@@ -125,6 +125,21 @@ func (m *modelDevice) Fence() {
 	m.event(EvFence, sim.CatFence, 0, 0)
 }
 
+// Discard zeroes, in both views, every clean line wholly inside the range;
+// a frozen model keeps its durable image and so does nothing.
+func (m *modelDevice) Discard(off, n int64) {
+	if m.frozen {
+		return
+	}
+	for ln := (off + sim.CacheLine - 1) / sim.CacheLine; ln < (off+n)/sim.CacheLine; ln++ {
+		if m.lines[ln] == 0 {
+			o := ln * sim.CacheLine
+			clear(m.data[o : o+sim.CacheLine])
+			clear(m.persisted[o : o+sim.CacheLine])
+		}
+	}
+}
+
 func (m *modelDevice) SetFenceFilter(f func(seq int64) bool) {
 	m.fenceFilter, m.fenceSeq = f, 0
 }

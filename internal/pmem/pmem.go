@@ -17,11 +17,14 @@
 //
 // All methods are safe for concurrent use. The device is sharded: the
 // address space is split into contiguous cache-line-aligned ranges, each
-// with its own lock, its own lazily allocated slice of the volatile view,
-// a dense per-line state array and an undo log of durable lines, so
-// goroutines operating on disjoint regions (different files, different
-// staging chunks) never contend and nothing the device does is
-// proportional to its size (see DESIGN.md, "Shard granularity").
+// with its own lock, a dense per-line state array and an undo log of
+// durable lines, so goroutines operating on disjoint regions (different
+// files, different staging chunks) never contend and nothing the device
+// does is proportional to its size. The volatile view is a sparse array
+// of 4 KB frames per shard, allocated on a frame's first store and given
+// back to a device-wide free list by Discard, so the host holds memory
+// for the blocks the file system holds, not for every block ever written
+// (see DESIGN.md, "Shard granularity").
 // Cumulative counters are atomics; per-block wear counters are atomics
 // too. Operations spanning several shards take the shard locks one at a
 // time in ascending order, so cross-shard tearing of a concurrent
@@ -30,6 +33,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,8 +43,8 @@ import (
 )
 
 // lineState tracks where a modified cache line sits in the persistence
-// pipeline.
-type lineState uint8
+// pipeline. It is a byte, so write can test eight lines at once.
+type lineState = uint8
 
 const (
 	// lineDirty: written with temporal stores, still in the CPU cache; a
@@ -96,24 +100,75 @@ type Stats struct {
 // BytesWritten is the total write IO issued to the device.
 func (s Stats) BytesWritten() int64 { return s.BytesWrittenNT + s.BytesWrittenCached }
 
+// frame is one 4 KB piece of a shard's volatile view. Frames are
+// shard-relative: frame i of a shard holds its bytes [i*BlockSize,
+// (i+1)*BlockSize), so a shard whose size is not a block multiple leaves
+// the tail of its last frame unused.
+type frame [sim.BlockSize]byte
+
+const (
+	frameLines = sim.BlockSize / sim.CacheLine
+	// slabFrames is how many frames one host allocation carves: a fresh
+	// block costs 1/64 of an allocation.
+	slabFrames = 64
+)
+
+// framePool hands out the frames of every shard: recycled ones first,
+// then the rest of the current slab. Frames on the free list are zero.
+type framePool struct {
+	mu   sync.Mutex // +lockrank:framepool
+	free []*frame
+	slab []frame // what is left of the newest slab
+	held int64   // frames handed out and not given back
+}
+
+// get returns a zeroed frame.
+func (p *framePool) get() *frame {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.held++
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free = p.free[:n-1]
+		return f
+	}
+	if len(p.slab) == 0 {
+		p.slab = make([]frame, slabFrames)
+	}
+	f := &p.slab[0]
+	p.slab = p.slab[1:]
+	return f
+}
+
+// put takes back a frame the caller has zeroed.
+func (p *framePool) put(f *frame) {
+	p.mu.Lock()
+	p.free = append(p.free, f)
+	p.held--
+	p.mu.Unlock()
+}
+
 // shard owns one contiguous cache-line-aligned byte range of the device:
-// its slice of the volatile view, the persistence state of its lines and
+// its frames of the volatile view, the persistence state of its lines and
 // the undo log that, applied to the volatile view, yields the durable
 // image. Lines are addressed by their index within the shard.
 type shard struct {
-	// Innermost data lock of the hierarchy; the event sink nests inside
-	// it (crash sweeps hold shard locks while recording).
+	// Innermost data lock of the hierarchy; the event sink and the frame
+	// pool nest inside it (crash sweeps hold shard locks while recording,
+	// stores while they take a frame).
 	//
 	// +lockrank:order shard < pmevent
+	// +lockrank:order shard < framepool
 	mu   sync.Mutex // +lockrank:shard
 	base int64      // device offset of the shard's first byte
 	size int64      // bytes owned (the last shard may be short)
 
-	// Backing, allocated together by the shard's first store; until then
-	// the shard reads as zeros and costs nothing.
-	data  []byte      // volatile view (what loads observe)
-	state []lineState // one byte per line; 0 = clean (volatile == durable)
-	slot  []int32     // per line, 1 + its index in undo; 0 = none (nil unless TrackPersistence)
+	// Backing. The per-line arrays and the frame table are allocated
+	// together by the shard's first store; a frame by the first store into
+	// it. A missing frame reads as zeros and costs nothing.
+	frames []*frame    // volatile view (what loads observe)
+	state  []lineState // one byte per line; 0 = clean (volatile == durable)
+	slot   []int32     // per line, 1 + its index in undo; 0 = none (nil unless TrackPersistence)
 
 	// tracked counts the lines whose state is non-zero.
 	tracked int
@@ -146,6 +201,7 @@ type Device struct {
 	size      int64 // capacity in bytes, a cache-line multiple
 	shards    []shard
 	shardSpan int64           // bytes per shard, a cache-line multiple
+	pool      framePool       // frames of every shard's volatile view
 	wear      []atomic.Uint32 // writes per 4 KB block (nil unless TrackWear)
 
 	lastReadEnd atomic.Int64 // for sequential-vs-random latency
@@ -297,16 +353,53 @@ func (d *Device) ReadIntoUser(p []byte, off int64, cat sim.Category) {
 	d.load(p, off)
 }
 
-// load copies the volatile view of [off, off+len(p)) into p. A shard no
-// store ever reached has no backing and reads as zeros.
+// load copies the volatile view of [off, off+len(p)) into p.
 func (d *Device) load(p []byte, off int64) {
 	d.forShards(off, int64(len(p)), func(s *shard, lo, hi int64) {
-		if s.data == nil {
-			clear(p[lo-off : hi-off])
-			return
-		}
-		copy(p[lo-off:hi-off], s.data[lo-s.base:hi-s.base])
+		s.read(p[lo-off:hi-off], lo-s.base)
 	})
+}
+
+// read copies the shard's bytes [lo, lo+len(p)) into p. A frame no store
+// reached, or one Discard gave back, reads as zeros. Caller holds the
+// shard's lock.
+func (s *shard) read(p []byte, lo int64) {
+	if s.frames == nil {
+		clear(p)
+		return
+	}
+	for len(p) > 0 {
+		f, o := s.frames[lo/sim.BlockSize], lo%sim.BlockSize
+		n := min(int64(len(p)), sim.BlockSize-o)
+		if f == nil {
+			clear(p[:n])
+		} else {
+			copy(p[:n], f[o:])
+		}
+		p, lo = p[n:], lo+n
+	}
+}
+
+// fill copies p into the shard's bytes from lo on, taking a frame from
+// the pool for each one not backed yet. Caller holds the shard's lock.
+func (s *shard) fill(p []byte, lo int64, pool *framePool) {
+	for len(p) > 0 {
+		f := s.frames[lo/sim.BlockSize]
+		if f == nil {
+			f = pool.get()
+			s.frames[lo/sim.BlockSize] = f
+		}
+		n := copy(f[lo%sim.BlockSize:], p)
+		p, lo = p[n:], lo+int64(n)
+	}
+}
+
+// line returns line ln's bytes. Its frame must be backed: every line that
+// is tracked or holds an undo slot was stored to. Caller holds the shard's
+// lock.
+func (s *shard) line(ln int64) []byte {
+	o := ln % frameLines * sim.CacheLine
+	return s.frames[ln/frameLines][o : o+sim.CacheLine]
 }
 
 // Peek copies device contents into p charging only CPU-cache-speed time.
@@ -364,11 +457,19 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 		return
 	}
 	d.forShards(off, int64(len(p)), func(s *shard, lo, hi int64) {
-		if s.data == nil {
+		if s.frames == nil {
 			s.back(d.cfg.TrackPersistence)
 		}
 		rlo, rhi := lo-s.base, hi-s.base // the range within the shard
-		for ln := rlo / sim.CacheLine; ln <= (rhi-1)/sim.CacheLine; ln++ {
+		last := (rhi - 1) / sim.CacheLine
+		for ln := rlo / sim.CacheLine; ln <= last; ln++ {
+			// A store leaves a line that is already in its state as it is:
+			// skip eight such lines at a time (NT stores rewriting pending
+			// data, buffered stores rewriting journaled metadata).
+			if ln%8 == 0 && ln+7 <= last && binary.LittleEndian.Uint64(s.state[ln:]) == uint64(st)*0x0101010101010101 {
+				ln += 7
+				continue
+			}
 			cur := s.state[ln]
 			if cur == 0 {
 				s.tracked++
@@ -391,7 +492,7 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 				s.state[ln] = st
 			}
 		}
-		copy(s.data[rlo:rhi], p[lo-off:hi-off])
+		s.fill(p[lo-off:hi-off], rlo, &d.pool)
 		s.active.Store(true)
 	})
 	if d.wear != nil {
@@ -401,20 +502,27 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 	}
 }
 
-// back allocates the shard's backing. Caller holds the shard's lock.
+// back allocates the shard's per-line arrays and its frame table. Caller
+// holds the shard's lock.
 func (s *shard) back(undo bool) {
-	s.data = make([]byte, s.size)
+	s.frames = make([]*frame, (s.size+sim.BlockSize-1)/sim.BlockSize)
 	s.state = make([]lineState, s.size/sim.CacheLine)
 	if undo {
 		s.slot = make([]int32, s.size/sim.CacheLine)
 	}
 }
 
+var zeroLine [sim.CacheLine]byte
+
 // saveUndo copies line ln's current (still durable) content into a fresh
-// undo slot. Caller holds the shard's lock.
+// undo slot; a line whose frame is not backed yet holds zeros. Caller
+// holds the shard's lock.
 func (s *shard) saveUndo(ln int64) {
-	o := ln * sim.CacheLine
-	s.undo = append(s.undo, s.data[o:o+sim.CacheLine]...)
+	if s.frames[ln/frameLines] == nil {
+		s.undo = append(s.undo, zeroLine[:]...)
+	} else {
+		s.undo = append(s.undo, s.line(ln)...)
+	}
 	s.undoLine = append(s.undoLine, int32(ln))
 	s.slot[ln] = int32(len(s.undoLine))
 }
@@ -534,6 +642,70 @@ func (d *Device) Persist(off int64, p []byte, cat sim.Category) {
 	d.Fence()
 }
 
+// Discard tells the device that the file system no longer holds [off,
+// off+n) — ext4's discard of an extent whose free has committed. Every
+// clean cache line wholly inside the range becomes zeros, in the volatile
+// and the durable view alike; a dirty, pending or buffered line, whose
+// store has not reached the media, is left as it is. A frame the range
+// covers whole and that holds only clean lines goes back to the device's
+// free list, which later stores draw on before they allocate.
+//
+// Discard is host bookkeeping: it charges no simulated time, changes no
+// Stats field and is not a persistence event. On a frozen device (an
+// armed crash point fired) it does nothing, since the durable image must
+// stay the one frozen.
+func (d *Device) Discard(off, n int64) {
+	d.checkRange(off, int(n))
+	lo := (off + sim.CacheLine - 1) / sim.CacheLine * sim.CacheLine
+	hi := (off + n) / sim.CacheLine * sim.CacheLine
+	if lo >= hi {
+		return
+	}
+	d.forShards(lo, hi-lo, func(s *shard, lo, hi int64) {
+		if s.frames != nil && !d.frozen.Load() {
+			s.discard(lo-s.base, hi-s.base, &d.pool)
+		}
+	})
+}
+
+// discard zeroes the clean lines of the shard's line-aligned range [lo,
+// hi) and gives back each frame that the range covers whole and that
+// holds no tracked line. Caller holds the shard's lock.
+func (s *shard) discard(lo, hi int64, pool *framePool) {
+	for i := lo / sim.BlockSize; i*sim.BlockSize < hi; i++ {
+		f := s.frames[i]
+		if f == nil {
+			continue
+		}
+		flo, fhi := i*sim.BlockSize, min((i+1)*sim.BlockSize, s.size)
+		a, b := max(flo, lo), min(fhi, hi)
+		whole := a == flo && b == fhi
+		for ln := a / sim.CacheLine; ln < b/sim.CacheLine; ln++ {
+			if s.state[ln] != 0 {
+				whole = false
+			} else {
+				clear(s.line(ln))
+			}
+		}
+		if whole { // all zero now: a short shard never writes past its size
+			s.frames[i] = nil
+			pool.put(f)
+		}
+	}
+}
+
+// BackedBytes reports the frames in use: 4 KB for every frame a store
+// backed and no Discard gave back. Frames given back stay allocated on the
+// device's free list for later stores to reuse, and so does the rest of
+// the newest slab, so the host memory behind the volatile view follows the
+// high-water mark of this figure, not its current value. It is a host
+// figure, not a device counter, so it is not part of Stats.
+func (d *Device) BackedBytes() int64 {
+	d.pool.mu.Lock()
+	defer d.pool.mu.Unlock()
+	return d.pool.held * sim.BlockSize
+}
+
 // Crash simulates power failure and rewinds the volatile view to the
 // durable state. Lines still in the cache or write-pending queue are
 // handled per the x86/PM failure model:
@@ -581,7 +753,7 @@ func (d *Device) Crash(rng *sim.RNG) error {
 // shard's lock.
 func (s *shard) rewind() {
 	for i, ln := range s.undoLine {
-		copy(s.data[int(ln)*sim.CacheLine:], s.undo[i*sim.CacheLine:(i+1)*sim.CacheLine])
+		copy(s.line(int64(ln)), s.undo[i*sim.CacheLine:(i+1)*sim.CacheLine])
 		s.state[ln] = 0
 		s.slot[ln] = 0
 	}
