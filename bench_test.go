@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/harness"
@@ -76,16 +77,21 @@ func BenchmarkFig6Applications(b *testing.B) { runExperiment(b, "fig6") }
 // wall-clock Kops/s (meaningful when GOMAXPROCS >= the thread count) and
 // simulated ns/op. Compare threads=4 against threads=1 for the scaling
 // factor. Building the instance (device, mkfs, mount, pre-fill) happens
-// with the timer stopped: ns/op, B/op and allocs/op are the workers' own.
+// with the timer stopped: ns/op, B/op and allocs/op are the workers' own,
+// and setup-ns/op is the set-up's wall time beside them, so a cost that
+// moves between the two shows.
 func benchConcurrent(b *testing.B, prepare func() (*harness.ConcurrentWorkload, error)) {
 	b.Helper()
 	b.ReportAllocs()
+	var setup time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		t0 := time.Now()
 		w, err := prepare()
 		if err != nil {
 			b.Fatal(err)
 		}
+		setup += time.Since(t0)
 		b.StartTimer()
 		r, err := w.Run()
 		if err != nil {
@@ -94,6 +100,7 @@ func benchConcurrent(b *testing.B, prepare func() (*harness.ConcurrentWorkload, 
 		b.ReportMetric(r.WallKops(), "wall-Kops/s")
 		b.ReportMetric(float64(r.SimNs)/float64(r.Ops), "sim-ns/op")
 	}
+	b.ReportMetric(float64(setup.Nanoseconds())/float64(b.N), "setup-ns/op")
 }
 
 func BenchmarkParallelAppends(b *testing.B) {

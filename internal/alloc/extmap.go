@@ -79,18 +79,19 @@ func (m *ExtentMap) Insert(logical int64, e Extent) {
 	}
 }
 
-// Extract unmaps the logical block range [from, from+count) and returns
-// the physical extents that backed it, in logical order. Holes in the
-// range yield nothing; an extent straddling either boundary is split, so
-// at most two edge records replace the run of records the range touched.
-func (m *ExtentMap) Extract(from, count int64) []Extent {
+// Extract unmaps the logical block range [from, from+count) and appends
+// the physical extents that backed it, in logical order, to dst. Holes in
+// the range yield nothing; an extent straddling either boundary is split,
+// so at most two edge records replace the run of records the range
+// touched.
+func (m *ExtentMap) Extract(dst []Extent, from, count int64) []Extent {
 	s, to := *m, from+count
 	lo := sort.Search(len(s), func(i int) bool { return s[i].LogicalEnd() > from })
 	hi := lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Logical >= to })
 	if lo == hi {
-		return nil
+		return dst
 	}
-	removed := make([]Extent, 0, hi-lo)
+	removed := slices.Grow(dst, hi-lo)
 	for _, e := range s[lo:hi] {
 		a, b := max(e.Logical, from), min(e.LogicalEnd(), to)
 		removed = append(removed, Extent{Start: e.Phys.Start + (a - e.Logical), Len: b - a})
@@ -109,10 +110,10 @@ func (m *ExtentMap) Extract(from, count int64) []Extent {
 	return removed
 }
 
-// Truncate unmaps every block at or after from and returns the physical
-// extents freed.
-func (m *ExtentMap) Truncate(from int64) []Extent {
-	return m.Extract(from, math.MaxInt64-from)
+// Truncate unmaps every block at or after from and appends the physical
+// extents freed to dst.
+func (m *ExtentMap) Truncate(dst []Extent, from int64) []Extent {
+	return m.Extract(dst, from, math.MaxInt64-from)
 }
 
 // Check reports the first violation of the map's invariant.

@@ -136,14 +136,14 @@ func FuzzExtentMap(f *testing.F) {
 						last = append(last, FileExtent{Logical: lo, Phys: Extent{Start: e.Phys.Start + lo - e.Logical, Len: hi - lo}})
 					}
 				}
-				a, b = got.Extract(pos, n), ref.extract(pos, n)
+				a, b = got.Extract(nil, pos, n), ref.extract(pos, n)
 				for i, e := range last {
 					if i >= len(a) || a[i] != e.Phys {
 						t.Fatalf("step %d: extract [%d,+%d) returned %v, the reference held %v there", step, pos, n, a, last)
 					}
 				}
 			case 2:
-				a, b = got.Truncate(pos), ref.truncate(pos)
+				a, b = got.Truncate(nil, pos), ref.truncate(pos)
 				last = nil
 			case 3:
 				place(got.End(), n, in[2]%2 == 1)

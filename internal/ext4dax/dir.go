@@ -3,6 +3,7 @@ package ext4dax
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 
 	"splitfs/internal/alloc"
 	"splitfs/internal/sim"
@@ -76,7 +77,8 @@ func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 	if err := fs.ensureDir(dir); err != nil {
 		return err
 	}
-	rec := encodeDirent(ino, isDir, name)
+	fs.dirent = appendDirent(fs.dirent[:0], ino, isDir, name)
+	rec := fs.dirent
 	need := int64(len(rec))
 	var devOff int64
 	if free := dir.freeSlots[need]; len(free) > 0 {
@@ -148,11 +150,13 @@ func (fs *FS) removeDirent(dir *inode, name string) (*dirEntry, error) {
 	return de, nil
 }
 
-// resolve walks a cleaned path to its inode. Caller holds fs.mu.
+// resolve walks a path to its inode, one component of its clean form
+// at a time, in place. Caller holds fs.mu.
 func (fs *FS) resolve(path string) (*inode, error) {
-	parts := vfs.SplitPath(path)
 	cur := fs.icache[RootIno]
-	for _, name := range parts {
+	for rest := vfs.CleanPath(path)[1:]; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
 		if !cur.isDir {
 			return nil, vfs.ErrNotDir
 		}
@@ -176,7 +180,7 @@ func (fs *FS) resolve(path string) (*inode, error) {
 // resolveDir resolves the parent directory of a path and returns it with
 // the base name. Caller holds fs.mu.
 func (fs *FS) resolveDir(path string) (*inode, string, error) {
-	dir, base := vfs.SplitDir(vfs.CleanPath(path))
+	dir, base := vfs.SplitDir(path)
 	if base == "" {
 		return nil, "", vfs.ErrInval
 	}

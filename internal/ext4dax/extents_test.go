@@ -41,7 +41,7 @@ func TestInsertFileExtentOrdersAndMerges(t *testing.T) {
 
 func TestTruncateExtentsSplits(t *testing.T) {
 	in := &inode{extents: []fileExtent{ext(0, 100, 10)}}
-	freed := in.extents.Truncate(4)
+	freed := in.extents.Truncate(nil, 4)
 	if len(freed) != 1 || freed[0].Start != 104 || freed[0].Len != 6 {
 		t.Fatalf("freed = %+v", freed)
 	}
@@ -49,7 +49,7 @@ func TestTruncateExtentsSplits(t *testing.T) {
 		t.Fatalf("kept = %+v", in.extents)
 	}
 	// Truncate to zero frees everything.
-	freed = in.extents.Truncate(0)
+	freed = in.extents.Truncate(nil, 0)
 	if len(freed) != 1 || freed[0].Len != 4 || len(in.extents) != 0 {
 		t.Fatalf("freed = %+v kept = %+v", freed, in.extents)
 	}
@@ -57,7 +57,7 @@ func TestTruncateExtentsSplits(t *testing.T) {
 
 func TestExtractExtentsMiddle(t *testing.T) {
 	in := &inode{extents: []fileExtent{ext(0, 100, 10)}}
-	removed := in.extents.Extract(3, 4)
+	removed := in.extents.Extract(nil, 3, 4)
 	if len(removed) != 1 || removed[0].Start != 103 || removed[0].Len != 4 {
 		t.Fatalf("removed = %+v", removed)
 	}
@@ -72,7 +72,7 @@ func TestExtractExtentsMiddle(t *testing.T) {
 
 func TestExtractExtentsAcrossMultiple(t *testing.T) {
 	in := &inode{extents: []fileExtent{ext(0, 100, 4), ext(4, 200, 4), ext(8, 300, 4)}}
-	removed := in.extents.Extract(2, 8) // spans all three
+	removed := in.extents.Extract(nil, 2, 8) // spans all three
 	total := int64(0)
 	for _, e := range removed {
 		total += e.Len
@@ -101,7 +101,7 @@ func TestExtractPlaceRoundTrip(t *testing.T) {
 		orig := append([]fileExtent(nil), in.extents...)
 		from := int64(rng.Intn(int(logical)))
 		count := int64(rng.Intn(int(logical-from)) + 1)
-		removed := in.extents.Extract(from, count)
+		removed := in.extents.Extract(nil, from, count)
 		// Re-place piece by piece at their original logical positions.
 		place := from
 		for _, e := range removed {

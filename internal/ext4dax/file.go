@@ -305,7 +305,8 @@ func (fs *FS) truncateLocked(in *inode, size int64) {
 		// loads are guaranteed to observe it (vfs.Mappable contract).
 		in.mapEpoch.Add(1)
 		fromLogical := (size + sim.BlockSize - 1) / sim.BlockSize
-		for _, e := range in.extents.Truncate(fromLogical) {
+		fs.moved = in.extents.Truncate(fs.moved[:0], fromLogical)
+		for _, e := range fs.moved {
 			fs.deferFree(fs.bBmp, e)
 			in.blocks -= e.Len
 		}

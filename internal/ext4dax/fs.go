@@ -134,6 +134,16 @@ type FS struct {
 	// wbOld is writeBack's view of what the buffer cache holds, wbNew
 	// the encoding writeInode compares with it.
 	wbOld, wbNew [sim.BlockSize]byte
+	// Per-call scratch, so that relinks, commits, batches and directory
+	// updates make no garbage (DESIGN.md, "Host allocation and peak
+	// RSS"): the extents a relink or a truncate takes out of a file,
+	// checkMoves' inode and range lists, the batch handles End handed back
+	// for BeginBatch to reuse, and addDirent's record. Used under mu.
+	moved   []alloc.Extent
+	moveIns []*inode
+	spans   []moveSpan
+	batches []*Batch
+	dirent  []byte
 
 	stats fsStats
 }
@@ -352,6 +362,11 @@ func (fs *FS) BeginBatch() *Batch {
 		}
 	}
 	fs.txHold++
+	if n := len(fs.batches); n > 0 {
+		b := fs.batches[n-1]
+		fs.batches = fs.batches[:n-1]
+		return b
+	}
 	return &Batch{fs: fs}
 }
 
@@ -367,7 +382,8 @@ func (b *Batch) touch(ins ...*inode) {
 
 // End writes back the inodes the batch changed, closes the handle and
 // wakes committers that were waiting for the transaction to become
-// committable. It returns the id of the transaction the batch joined:
+// committable; the handle must not be used after it. It returns the id
+// of the transaction the batch joined:
 // that transaction could not commit while the handle was open, so the id
 // covers every note the batch made, and CommitUpTo(id) — by the caller or
 // any concurrent group-commit leader — makes the whole batch durable at
@@ -379,7 +395,9 @@ func (b *Batch) End() uint64 {
 	for _, in := range b.dirty {
 		fs.writeInode(in)
 	}
-	b.dirty = nil
+	clear(b.dirty)
+	b.dirty = b.dirty[:0]
+	fs.batches = append(fs.batches, b)
 	fs.beginTx()
 	fs.txHold--
 	if fs.txHold == 0 {
@@ -483,11 +501,15 @@ func (fs *FS) commitTx() error {
 	if tx.Logged() > 0 { // an empty transaction commits without reaching the journal
 		fs.stats.commits.Add(1)
 	}
+	fs.jnl.Recycle(tx)
 	fs.discardGraced()
 	for _, pf := range frees {
 		if pf.bmp == fs.bBmp && !pf.held {
 			fs.graced = append(fs.graced, pf.e)
 		}
+	}
+	if fs.pendingFrees == nil {
+		fs.pendingFrees = frees[:0] // the next transaction's, in the same array
 	}
 	// Every relink so far ran in this transaction or an earlier one.
 	for i := range fs.unmapped {

@@ -308,15 +308,15 @@ type dirEntry struct {
 // direntSize returns the on-disk size of an entry with the given name.
 func direntSize(name string) int64 { return 12 + int64(len(name)) }
 
-// encodeDirent serializes a directory entry record:
+// appendDirent appends a directory entry record to b:
 // ino (8) | nameLen (2) | isDir (1) | pad (1) | name.
-func encodeDirent(ino uint64, isDir bool, name string) []byte {
-	b := make([]byte, direntSize(name))
-	binary.LittleEndian.PutUint64(b[0:8], ino)
-	binary.LittleEndian.PutUint16(b[8:10], uint16(len(name)))
+func appendDirent(b []byte, ino uint64, isDir bool, name string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, ino)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	var flag byte
 	if isDir {
-		b[10] = 1
+		flag = 1
 	}
-	copy(b[12:], name)
-	return b
+	b = append(b, flag, 0)
+	return append(b, name...)
 }

@@ -297,7 +297,7 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	in, err := fs.resolve(vfs.CleanPath(path))
+	in, err := fs.resolve(path)
 	if err != nil {
 		return vfs.FileInfo{}, vfs.WrapPath("stat", path, err)
 	}
@@ -309,7 +309,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	in, err := fs.resolve(vfs.CleanPath(path))
+	in, err := fs.resolve(path)
 	if err != nil {
 		return nil, vfs.WrapPath("readdir", path, err)
 	}

@@ -23,17 +23,18 @@ type Move struct {
 }
 
 // lockInodes write-locks distinct inodes in ino order, so concurrent
-// relinks over overlapping sets of files cannot deadlock. Returns the
-// unlock function.
-func lockInodes(ins []*inode) func() {
+// relinks over overlapping sets of files cannot deadlock.
+func lockInodes(ins []*inode) {
 	slices.SortFunc(ins, func(a, b *inode) int { return cmp.Compare(a.ino, b.ino) })
 	for _, in := range ins {
 		in.mu.Lock()
 	}
-	return func() {
-		for _, in := range ins {
-			in.mu.Unlock()
-		}
+}
+
+// unlockInodes releases what lockInodes took.
+func unlockInodes(ins []*inode) {
+	for _, in := range ins {
+		in.mu.Unlock()
 	}
 }
 
@@ -94,7 +95,8 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 		return err
 	}
 	b.touch(ins...)
-	defer lockInodes(ins)()
+	lockInodes(ins)
+	defer unlockInodes(ins)
 	// Remap event for every inode named: each now addresses different
 	// physical blocks in a moved range. (The data itself does not move — an
 	// ext4dax.Mapping stays valid — but a lease's Extent.DevOff table is
@@ -106,11 +108,13 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 	for _, m := range moves {
 		src := m.Src.in
 		srcBlk, dstBlk, cnt := m.SrcOff/sim.BlockSize, m.DstOff/sim.BlockSize, m.Len/sim.BlockSize
-		for _, e := range dst.in.extents.Extract(dstBlk, cnt) {
+		fs.moved = dst.in.extents.Extract(fs.moved[:0], dstBlk, cnt)
+		for _, e := range fs.moved {
 			fs.deferUnmap(dst.in, dstBlk, dstBlk+cnt, e)
 			dst.in.blocks -= e.Len
 		}
-		for _, e := range src.extents.Extract(srcBlk, cnt) {
+		fs.moved = src.extents.Extract(fs.moved[:0], srcBlk, cnt)
+		for _, e := range fs.moved {
 			dst.in.extents.Insert(dstBlk, e)
 			dstBlk += e.Len
 		}
@@ -129,18 +133,17 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 // that, and no two ranges of one inode — dst's, or a source's —
 // overlapping. (So checking up front equals checking move by move: no
 // move maps or unmaps what another reads.) It returns the distinct inodes
-// named, sources in order of first appearance, then dst. Caller holds
-// fs.mu, under which no extent map changes.
+// named, sources in order of first appearance, then dst, in fs's scratch.
+// Caller holds fs.mu, under which no extent map changes.
 func (fs *FS) checkMoves(dst *inode, newDstSize int64, moves []Move) ([]*inode, error) {
-	type span struct {
-		in     *inode
-		off, n int64
-	}
 	if len(moves) == 0 || newDstSize > MaxFileSize {
 		return nil, vfs.ErrInval
 	}
-	ins := make([]*inode, 0, 3) // a staging file or two, and dst
-	spans := make([]span, 0, 2*len(moves))
+	ins, spans := fs.moveIns[:0], fs.spans[:0]
+	defer func() {
+		clear(spans)
+		fs.moveIns, fs.spans = ins[:0], spans[:0]
+	}()
 	for _, m := range moves {
 		if m.SrcOff%sim.BlockSize != 0 || m.DstOff%sim.BlockSize != 0 ||
 			m.Len <= 0 || m.Len%sim.BlockSize != 0 || m.Src.in == dst ||
@@ -153,15 +156,23 @@ func (fs *FS) checkMoves(dst *inode, newDstSize int64, moves []Move) ([]*inode, 
 		if !slices.Contains(ins, m.Src.in) {
 			ins = append(ins, m.Src.in)
 		}
-		spans = append(spans, span{dst, m.DstOff, m.Len}, span{m.Src.in, m.SrcOff, m.Len})
+		spans = append(spans, moveSpan{dst, m.DstOff, m.Len}, moveSpan{m.Src.in, m.SrcOff, m.Len})
 	}
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Or(cmp.Compare(a.in.ino, b.in.ino), cmp.Compare(a.off, b.off)) })
+	slices.SortFunc(spans, func(a, b moveSpan) int { return cmp.Or(cmp.Compare(a.in.ino, b.in.ino), cmp.Compare(a.off, b.off)) })
 	for i := 1; i < len(spans); i++ {
 		if p, s := spans[i-1], spans[i]; p.in == s.in && p.off+p.n > s.off {
 			return nil, fmt.Errorf("moves overlap in inode %d at %d: %w", s.in.ino, s.off, vfs.ErrInval)
 		}
 	}
-	return append(ins, dst), nil
+	ins = append(ins, dst)
+	return ins, nil
+}
+
+// moveSpan is a range of one inode that a relink vector moves out of or
+// into.
+type moveSpan struct {
+	in     *inode
+	off, n int64
 }
 
 // SetUserWatermark is File.SetUserWatermark inside a batch: the inode

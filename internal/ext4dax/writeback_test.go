@@ -312,7 +312,10 @@ func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 // scratch owned by the FS, so what one allocates does not depend on how
 // many extents the target owns (DESIGN.md, "Extent maps and mappings are
 // edited in place"). Rebuilding the maps cost 5.5 KB per relink into 64
-// extents and 399 KB into 4 096. What the device's backing grows by —
+// extents and 399 KB into 4 096; in-place editing 404 / 406 B, and since
+// the relink's lists, its journal transaction and its batch handle are
+// scratch too, nothing but the odd growth of that scratch (< 64 B
+// amortized). What the device's backing grows by —
 // frames for journal and leaf blocks stored to for the first time — is
 // device memory, not the file system's, and is left out.
 func TestRelinkAllocationFlatInFragmentation(t *testing.T) {
@@ -338,10 +341,10 @@ func TestRelinkAllocationFlatInFragmentation(t *testing.T) {
 	}
 	small, large := perRelink(64), perRelink(4096)
 	t.Logf("one-block relink + Batch.End: %d B into 64 extents, %d B into 4096", small, large)
-	if small > 2048 || large > 2048 {
-		t.Fatalf("a relink allocates %d B into 64 extents and %d B into 4096, want <= 2048 each", small, large)
-	}
-	if diff := max(small, large) - min(small, large); diff > small/10 {
-		t.Fatalf("a relink allocates %d B into 64 extents but %d B into 4096: not flat", small, large)
+	// Measured at the parent of the change that made the relink's lists
+	// scratch: 404 / 406 B.
+	const atParent = 406
+	if small > 64 || large > 64 {
+		t.Fatalf("a relink allocates %d B into 64 extents and %d B into 4096, want <= 64 each (%d before the scratch)", small, large, atParent)
 	}
 }

@@ -332,6 +332,7 @@ func TestCommitAllocatesNoBlocks(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		j.Recycle(tx)
 	}
 	for range 16 { // back the device under the journal region and the homes
 		commit()
@@ -345,8 +346,10 @@ func TestCommitAllocatesNoBlocks(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCommit := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("an 8-block commit allocates %d B", perCommit)
-	if perCommit >= 1024 {
-		t.Fatalf("an 8-block commit allocates %d B, want < 1024: a block buffer is on the heap", perCommit)
+	// 360 B before the transaction, its range list and the home-block
+	// list were recycled; < 1 KB is what a block buffer on the heap breaks.
+	if perCommit >= 64 {
+		t.Fatalf("an 8-block commit allocates %d B, want < 64: a block buffer or a per-commit list is on the heap", perCommit)
 	}
 }
 

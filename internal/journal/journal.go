@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"splitfs/internal/pmem"
@@ -94,6 +93,13 @@ type Journal struct {
 	// are 8 KB of garbage per commit (DESIGN.md, "Checksums").
 	hdr, img [sim.BlockSize]byte
 	sb       [superSize]byte
+	// Commit's home-block list and the set that dedups it, and the
+	// committed transaction Recycle handed back for Begin to reuse: a
+	// running file system commits all the time, so none of them is
+	// garbage per commit. Used under mu.
+	blocks []int64
+	seen   map[int64]struct{}
+	spare  *Tx
 }
 
 // super is what a superblock record holds, under one sum: a crash leaves
@@ -208,11 +214,32 @@ type blockRange struct {
 	n   int
 }
 
-// Begin opens a transaction. Per-operation handle costs (jbd2
-// journal_start/stop) are charged by the file system, not here, since a
-// running transaction batches many operations.
+// Begin opens a transaction, reusing the one Recycle last handed back.
+// Per-operation handle costs (jbd2 journal_start/stop) are charged by the
+// file system, not here, since a running transaction batches many
+// operations.
 func (j *Journal) Begin() *Tx {
-	return &Tx{j: j}
+	j.mu.Lock()
+	tx := j.spare
+	j.spare = nil
+	j.mu.Unlock()
+	if tx == nil {
+		tx = &Tx{j: j}
+	}
+	return tx
+}
+
+// Recycle hands a committed transaction back, with its range list's
+// storage, for the next Begin to reuse. The caller must not use tx
+// afterwards.
+func (j *Journal) Recycle(tx *Tx) {
+	if !tx.closed {
+		panic("journal: Recycle of a running transaction")
+	}
+	*tx = Tx{j: j, ranges: tx.ranges[:0]}
+	j.mu.Lock()
+	j.spare = tx
+	j.mu.Unlock()
 }
 
 // Note records that the caller has modified [off, off+n) of the device
@@ -239,21 +266,29 @@ func (j *Journal) Stamps() [Stamps]uint64 {
 	return j.stamps
 }
 
-// homeBlocks returns the device block offsets touched by the transaction,
-// each once, in the order they were first noted.
-func (tx *Tx) homeBlocks() []int64 {
-	var blocks []int64
+// homeBlocks returns the device block offsets touched by the
+// transaction, each once, in the order they were first noted, in j's
+// scratch. Caller holds j.mu.
+func (tx *Tx) homeBlocks(j *Journal) []int64 {
+	blocks := j.blocks[:0]
+	if j.seen == nil {
+		j.seen = make(map[int64]struct{})
+	}
+	clear(j.seen)
 	for _, r := range tx.ranges {
 		first := r.off / sim.BlockSize
 		last := (r.off + int64(r.n) - 1) / sim.BlockSize
 		// A transaction past the descriptor's capacity fails whatever
 		// else it holds, which also bounds the scan.
 		for b := first; b <= last && len(blocks) <= maxBlocksPerTx; b++ {
-			if off := b * sim.BlockSize; !slices.Contains(blocks, off) {
+			off := b * sim.BlockSize
+			if _, dup := j.seen[off]; !dup {
+				j.seen[off] = struct{}{}
 				blocks = append(blocks, off)
 			}
 		}
 	}
+	j.blocks = blocks
 	return blocks
 }
 
@@ -274,16 +309,16 @@ func (tx *Tx) Commit() error {
 		panic("journal: double commit")
 	}
 	tx.closed = true
-	blocks := tx.homeBlocks()
-	if len(blocks) == 0 && tx.stamps == [Stamps]uint64{} {
-		return nil
-	}
-	if len(blocks) > maxBlocksPerTx {
-		return ErrTooLarge
+	if len(tx.ranges) == 0 && tx.stamps == [Stamps]uint64{} {
+		return nil // Note keeps no empty range: nothing to log
 	}
 	j := tx.j
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	blocks := tx.homeBlocks(j)
+	if len(blocks) > maxBlocksPerTx {
+		return ErrTooLarge
+	}
 	if len(blocks) == 0 {
 		j.raiseStamps(tx.stamps)
 		j.writeSuper()

@@ -6,7 +6,7 @@ import "splitfs/internal/alloc"
 // replay, where freed blocks are reclaimed by the mount-time allocator
 // rebuild).
 func shrinkTo(in *inode, size int64) []alloc.Extent {
-	freed := in.extents.Truncate((size + blockSize - 1) / blockSize)
+	freed := in.extents.Truncate(nil, (size+blockSize-1)/blockSize)
 	in.size = size
 	return freed
 }

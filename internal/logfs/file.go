@@ -257,7 +257,7 @@ func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
 	}
 	fs.dev.Fence()
 	// Remap atomically with one log entry; free the replaced blocks.
-	old := in.extents.Extract(firstBlk, count)
+	old := in.extents.Extract(nil, firstBlk, count)
 	place := firstBlk
 	for _, e := range exts {
 		in.extents.Insert(place, e)

@@ -200,7 +200,7 @@ func (fs *FS) replay(rec []byte) error {
 			total += exts[i].Len
 		}
 		// Remap: drop whatever backed the logical range, then insert.
-		in.extents.Extract(logical, total)
+		in.extents.Extract(nil, logical, total)
 		place := logical
 		for _, e := range exts {
 			in.extents.Insert(place, e)

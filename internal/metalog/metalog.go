@@ -62,6 +62,13 @@ type Log struct {
 
 	tail int64 // next append offset, relative to start (DRAM-only)
 	seq  uint32
+
+	// rec is Append's record image, reused by every append (callers
+	// serialize appends, as tail and seq need). The log owns it because
+	// the checksum makes what it is handed escape: a per-record buffer is
+	// garbage on every logged operation (DESIGN.md, "Host allocation and
+	// peak RSS").
+	rec []byte
 }
 
 // New formats (zeroes) a log region. The zeroing is what lets recovery
@@ -139,7 +146,11 @@ func (l *Log) Append(payload []byte, mode FenceMode) error {
 	if l.tail+recLen > l.size {
 		return ErrFull
 	}
-	buf := make([]byte, recLen)
+	if int64(cap(l.rec)) < recLen {
+		l.rec = make([]byte, recLen)
+	}
+	buf := l.rec[:recLen]
+	clear(buf) // the reserved header word and the padding stay zero
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], l.seq)
 	// The sum is taken over the record's own copy: what Checksum is handed

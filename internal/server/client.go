@@ -15,10 +15,64 @@ import (
 // transport is how a Client reaches a server: either the deterministic
 // in-process loopback or a framed byte stream.
 type transport interface {
-	// call issues one request and returns the matching reply frame.
-	call(typ uint8, payload []byte) (uint8, []byte, error)
+	// call issues one request, w's encoded payload, and leaves the
+	// matching reply frame in w (rtyp, reply).
+	call(typ uint8, w *wireCall) error
 	close() error
 }
+
+// wireCall is one request's scratch: the request payload is encoded into
+// its enc, and the reply lands in frame, with reply the payload's slice
+// of it. Calls come from a pool, so a call in steady state allocates
+// nothing, and each caller's reply stays its own until it releases the
+// call — a pipelined caller's frame never overwrites it. The pool is the
+// package's: a call holds nothing of its client once released, and a
+// pool inside Client would keep a closed client reachable from the
+// runtime's pool list for two more collections.
+type wireCall struct {
+	enc
+	rtyp  uint8
+	reply []byte
+	frame []byte
+	// done hands the reply over from the stream transport's read loop;
+	// ok reports whether one arrived (false: the transport failed).
+	done chan struct{}
+	ok   bool
+}
+
+// maxPooledCall bounds the buffers a released call keeps: a chunked
+// read or write grows them to a 256 KB chunk, which the pool should not
+// hold on to.
+const maxPooledCall = 64 << 10
+
+var wireCalls = sync.Pool{New: newWireCall}
+
+// newCall takes a request scratch from the pool, empty.
+func newCall() *wireCall {
+	w := wireCalls.Get().(*wireCall)
+	w.reset()
+	return w
+}
+
+// releaseCall returns a call to the pool; its reply must no longer be
+// used.
+func releaseCall(w *wireCall) {
+	if cap(w.b) > maxPooledCall {
+		w.b = nil
+	}
+	if cap(w.frame) > maxPooledCall {
+		w.frame = nil
+	}
+	w.reply = nil
+	wireCalls.Put(w)
+}
+
+// reset empties the request encoder for the next request on w.
+func (w *wireCall) reset() {
+	w.b, w.err = w.b[:0], nil
+}
+
+func newWireCall() any { return &wireCall{done: make(chan struct{}, 1)} }
 
 // ClientConfig configures a session. The zero value is a whole-tree
 // root with no leases.
@@ -145,27 +199,23 @@ func (e *ShortIOError) Error() string {
 
 func (e *ShortIOError) Unwrap() error { return e.Err }
 
-// call checks the request encoder, unwraps Rerror replies, and checks
-// the reply type. e may be nil for bodyless requests.
-func (c *Client) call(typ uint8, want uint8, e *enc) ([]byte, error) {
-	var payload []byte
-	if e != nil {
-		if e.err != nil {
-			return nil, e.err
-		}
-		payload = e.b
+// call checks the request encoder, sends w's request, unwraps Rerror
+// replies, and checks the reply type. The payload returned is w's: valid
+// until the caller releases w.
+func (c *Client) call(typ uint8, want uint8, w *wireCall) ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
 	}
-	rtyp, rp, err := c.t.call(typ, payload)
-	if err != nil {
+	if err := c.t.call(typ, w); err != nil {
 		return nil, err
 	}
-	if rtyp == rError {
-		return nil, decodeError(rp)
+	if w.rtyp == rError {
+		return nil, decodeError(w.reply)
 	}
-	if rtyp != want {
-		return nil, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
+	if w.rtyp != want {
+		return nil, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(w.rtyp), msgName(typ))
 	}
-	return rp, nil
+	return w.reply, nil
 }
 
 // Name identifies the stack: "served:" + the backend's own name.
@@ -174,11 +224,12 @@ func (c *Client) Name() string { return "served:" + c.fsName }
 // OpenFile opens path (relative to the session root) on the server and
 // returns a proxy handle.
 func (c *Client) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u32(uint32(flag))
 	e.u32(perm)
 	e.str(path)
-	rp, err := c.call(tOpen, rOpen, &e)
+	rp, err := c.call(tOpen, rOpen, e)
 	if err != nil {
 		return nil, err
 	}
@@ -191,18 +242,20 @@ func (c *Client) OpenFile(path string, flag int, perm uint32) (vfs.File, error) 
 }
 
 func (c *Client) pathOp(typ, want uint8, path string) error {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.str(path)
-	_, err := c.call(typ, want, &e)
+	_, err := c.call(typ, want, e)
 	return err
 }
 
 // Mkdir implements vfs.FileSystem.
 func (c *Client) Mkdir(path string, perm uint32) error {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u32(perm)
 	e.str(path)
-	_, err := c.call(tMkdir, rMkdir, &e)
+	_, err := c.call(tMkdir, rMkdir, e)
 	return err
 }
 
@@ -214,18 +267,20 @@ func (c *Client) Rmdir(path string) error { return c.pathOp(tRmdir, rRmdir, path
 
 // Rename implements vfs.FileSystem.
 func (c *Client) Rename(oldPath, newPath string) error {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.str(oldPath)
 	e.str(newPath)
-	_, err := c.call(tRename, rRename, &e)
+	_, err := c.call(tRename, rRename, e)
 	return err
 }
 
 // Stat implements vfs.FileSystem.
 func (c *Client) Stat(path string) (vfs.FileInfo, error) {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.str(path)
-	rp, err := c.call(tStat, rStat, &e)
+	rp, err := c.call(tStat, rStat, e)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -236,9 +291,10 @@ func (c *Client) Stat(path string) (vfs.FileInfo, error) {
 
 // ReadDir implements vfs.FileSystem.
 func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.str(path)
-	rp, err := c.call(tReadDir, rReadDir, &e)
+	rp, err := c.call(tReadDir, rReadDir, e)
 	if err != nil {
 		return nil, err
 	}
@@ -260,14 +316,18 @@ func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 // when it has one (splitfs's group-committed multi-file drain), else a
 // per-handle sync of this session's open files in path order.
 func (c *Client) SyncAll() error {
-	_, err := c.call(tSyncAll, rSyncAll, nil)
+	w := newCall()
+	defer releaseCall(w)
+	_, err := c.call(tSyncAll, rSyncAll, w)
 	return err
 }
 
 // Close detaches the session (the server closes any handles left open)
 // and releases the transport.
 func (c *Client) Close() error {
-	_, derr := c.call(tDetach, rDetach, nil)
+	w := newCall()
+	_, derr := c.call(tDetach, rDetach, w)
+	releaseCall(w)
 	cerr := c.t.close()
 	if derr != nil {
 		return derr
@@ -282,9 +342,10 @@ func (c *Client) Close() error {
 func (f *File) Path() string { return f.path }
 
 func (f *File) handleOp(typ, want uint8) error {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u64(f.handle)
-	_, err := f.c.call(typ, want, &e)
+	_, err := f.c.call(typ, want, e)
 	return err
 }
 
@@ -310,19 +371,21 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // handle-offset variant; EOF after at least one byte reads as a short
 // read (the io contract every backend here follows).
 func (f *File) readLoop(typ, want uint8, p []byte, off int64) (int, error) {
+	e := newCall()
+	defer releaseCall(e)
 	total := 0
 	for total < len(p) {
 		n := len(p) - total
 		if n > chunkBytes {
 			n = chunkBytes
 		}
-		var e enc
+		e.reset()
 		e.u64(f.handle)
 		if off >= 0 {
 			e.i64(off + int64(total))
 		}
 		e.u32(uint32(n))
-		rp, err := f.c.call(typ, want, &e)
+		rp, err := f.c.call(typ, want, e)
 		if err != nil {
 			if err == io.EOF && total > 0 {
 				return total, nil
@@ -370,19 +433,21 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *File) writeLoop(typ, want uint8, p []byte, off int64) (int, error) {
+	e := newCall()
+	defer releaseCall(e)
 	total := 0
 	for {
 		n := len(p) - total
 		if n > chunkBytes {
 			n = chunkBytes
 		}
-		var e enc
+		e.reset()
 		e.u64(f.handle)
 		if off >= 0 {
 			e.i64(off + int64(total))
 		}
 		e.bytes(p[total : total+n])
-		rp, err := f.c.call(typ, want, &e)
+		rp, err := f.c.call(typ, want, e)
 		if err != nil {
 			if errors.Is(err, errConnLost) {
 				return total, &ShortIOError{Op: "write", Path: f.path, Acked: total, InFlight: n, Err: err}
@@ -530,9 +595,10 @@ func (f *File) grantLease() *clientLease {
 	if f.leaseBroken {
 		return nil
 	}
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u64(f.handle)
-	rp, err := f.c.call(tLease, rLease, &e)
+	rp, err := f.c.call(tLease, rLease, e)
 	if err != nil {
 		f.leaseBroken = true
 		return nil
@@ -580,19 +646,21 @@ func (c *Client) handleRevoke(payload []byte) {
 	}
 	c.stats.leaseRevocations.Add(1)
 	go func() {
-		var e enc
+		e := newCall()
+		defer releaseCall(e)
 		e.u64(segID)
-		_, _ = c.call(tRevokeAck, rRevokeAck, &e)
+		_, _ = c.call(tRevokeAck, rRevokeAck, e)
 	}()
 }
 
 // Seek implements vfs.File (the offset lives server-side).
 func (f *File) Seek(offset int64, whence int) (int64, error) {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u64(f.handle)
 	e.i64(offset)
 	e.u8(uint8(whence))
-	rp, err := f.c.call(tSeek, rSeek, &e)
+	rp, err := f.c.call(tSeek, rSeek, e)
 	if err != nil {
 		return 0, err
 	}
@@ -603,10 +671,11 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Truncate implements vfs.File.
 func (f *File) Truncate(size int64) error {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u64(f.handle)
 	e.i64(size)
-	_, err := f.c.call(tTruncate, rTruncate, &e)
+	_, err := f.c.call(tTruncate, rTruncate, e)
 	return err
 }
 
@@ -623,9 +692,10 @@ func (f *File) Close() error {
 // Stat implements vfs.File (fstat on the server-side handle, so it
 // works on orphaned — unlinked-while-open — files too).
 func (f *File) Stat() (vfs.FileInfo, error) {
-	var e enc
+	e := newCall()
+	defer releaseCall(e)
 	e.u64(f.handle)
-	rp, err := f.c.call(tFstat, rFstat, &e)
+	rp, err := f.c.call(tFstat, rFstat, e)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -649,15 +719,14 @@ type streamTransport struct {
 	// itself (the demux loop is the only caller).
 	onPush func(payload []byte)
 
+	// wbuf assembles request frames (under writeMu), rbuf holds the
+	// frame the read loop last read (its goroutine only).
+	wbuf, rbuf []byte
+
 	mu      sync.Mutex
 	nextID  uint32
-	pending map[uint32]chan frameResp
+	pending map[uint32]*wireCall
 	dead    error
-}
-
-type frameResp struct {
-	typ     uint8
-	payload []byte
 }
 
 // DialConfig attaches a session over a connected stream. The attach
@@ -669,7 +738,7 @@ func DialConfig(rwc io.ReadWriteCloser, cfg ClientConfig) (*Client, error) {
 	t := &streamTransport{
 		rwc:     rwc,
 		br:      bufio.NewReaderSize(rwc, 64<<10),
-		pending: make(map[uint32]chan frameResp),
+		pending: make(map[uint32]*wireCall),
 	}
 	// Attach synchronously before the demux loop starts. Plain sessions
 	// never present the resume token.
@@ -715,10 +784,10 @@ func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root
 	if e.err != nil {
 		return "", 0, 0, e.err
 	}
-	if err := writeFrame(rwc, typ, 0, e.b); err != nil {
+	if err := writeFrame(rwc, nil, typ, 0, e.b); err != nil {
 		return "", 0, 0, fmt.Errorf("%w: %s: %w", errConnLost, msgName(typ), err)
 	}
-	rtyp, _, rp, err := readFrame(br)
+	rtyp, _, rp, err := readFrame(br, nil)
 	if err != nil {
 		return "", 0, 0, fmt.Errorf("%w: %s reply: %w", errConnLost, msgName(typ), err)
 	}
@@ -749,11 +818,13 @@ func DialNetConfig(network, addr string, cfg ClientConfig) (*Client, error) {
 	return DialConfig(c, cfg)
 }
 
-// readLoop demultiplexes replies to their waiting callers. Frames with
-// request id 0 are server-initiated pushes (Trevoke), routed to onPush.
+// readLoop demultiplexes replies to their waiting callers, copying each
+// out of the loop's own frame buffer into the caller's call before the
+// next frame overwrites it. Frames with request id 0 are
+// server-initiated pushes (Trevoke), routed to onPush.
 func (t *streamTransport) readLoop() {
 	for {
-		typ, reqID, payload, err := readFrame(t.br)
+		typ, reqID, payload, err := readFrame(t.br, &t.rbuf)
 		if err != nil {
 			t.fail(err)
 			return
@@ -765,11 +836,13 @@ func (t *streamTransport) readLoop() {
 			continue
 		}
 		t.mu.Lock()
-		ch, ok := t.pending[reqID]
+		w, ok := t.pending[reqID]
 		delete(t.pending, reqID)
 		t.mu.Unlock()
 		if ok {
-			ch <- frameResp{typ: typ, payload: payload}
+			w.frame = append(w.frame[:0], payload...)
+			w.rtyp, w.reply, w.ok = typ, w.frame, true
+			w.done <- struct{}{}
 		}
 	}
 }
@@ -783,15 +856,20 @@ func (t *streamTransport) fail(err error) {
 		t.dead = fmt.Errorf("%w: %w", errConnLost, err)
 	}
 	pending := t.pending
-	t.pending = make(map[uint32]chan frameResp)
+	t.pending = make(map[uint32]*wireCall)
 	t.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
+	for _, w := range pending {
+		w.ok = false
+		w.done <- struct{}{}
 	}
 }
 
-func (t *streamTransport) call(typ uint8, payload []byte) (uint8, []byte, error) {
-	ch := make(chan frameResp, 1)
+// call sends w's request and waits for the read loop (or a failure) to
+// hand its reply over. Exactly one hand-over answers each registration:
+// whoever takes w out of pending — the read loop, fail, or call itself
+// after a failed write — is the one that signals or skips it, so w.done
+// is empty again when call returns and w can be reused.
+func (t *streamTransport) call(typ uint8, w *wireCall) error {
 	// ID assignment and the frame write happen under one critical
 	// section (lock order writeMu then mu): if they were split, two
 	// pipelined callers could assign IDs in one order and write frames
@@ -805,36 +883,40 @@ func (t *streamTransport) call(typ uint8, payload []byte) (uint8, []byte, error)
 		err := t.dead
 		t.mu.Unlock()
 		t.writeMu.Unlock()
-		return 0, nil, err
+		return err
 	}
 	t.nextID++
 	id := t.nextID
-	t.pending[id] = ch
+	t.pending[id] = w
 	t.mu.Unlock()
-	err := writeFrame(t.rwc, typ, id, payload)
+	err := writeFrame(t.rwc, &t.wbuf, typ, id, w.b)
 	t.writeMu.Unlock()
 	if err != nil {
 		// A partial frame is unrecoverable on a shared stream: poison the
 		// transport (wrapping the cause) rather than hand back a raw error
 		// that hides the connection's death from the next caller.
 		t.mu.Lock()
+		_, mine := t.pending[id]
 		delete(t.pending, id)
 		t.mu.Unlock()
+		if !mine {
+			<-w.done // the read loop or fail took it first, and signals it
+		}
 		t.fail(err)
 		t.rwc.Close()
 		t.mu.Lock()
 		dead := t.dead
 		t.mu.Unlock()
-		return 0, nil, dead
+		return dead
 	}
-	resp, ok := <-ch
-	if !ok {
+	<-w.done
+	if !w.ok {
 		t.mu.Lock()
 		err := t.dead
 		t.mu.Unlock()
-		return 0, nil, err
+		return err
 	}
-	return resp.typ, resp.payload, nil
+	return nil
 }
 
 func (t *streamTransport) close() error {
@@ -871,7 +953,7 @@ func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
 	}, nil
 }
 
-func (t *loopbackTransport) call(typ uint8, payload []byte) (uint8, []byte, error) {
+func (t *loopbackTransport) call(typ uint8, w *wireCall) error {
 	t.mu.Lock()
 	t.id++
 	id := t.id
@@ -879,29 +961,26 @@ func (t *loopbackTransport) call(typ uint8, payload []byte) (uint8, []byte, erro
 	// Round-trip through the real framing so the codec path is identical
 	// to the stream transport's.
 	var buf loopbackBuf
-	if err := writeFrame(&buf, typ, id, payload); err != nil {
-		return 0, nil, err
+	if err := writeFrame(&buf, nil, typ, id, w.b); err != nil {
+		return err
 	}
-	rtyp, rid, rp, err := readFrame(&buf)
+	rtyp, rid, rp, err := readFrame(&buf, nil)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	rtyp, rp, ok := t.s.serve(nil, rtyp, rid, rp)
+	rtyp, rp, ok := t.s.serve(nil, rtyp, rid, rp, &w.frame)
 	if !ok {
 		// A detached session (Client.Close, Server.Close) rejects further
 		// calls, like the stream transport's dead-connection check —
 		// operating on it would insert handles no teardown will ever close.
-		return 0, nil, &RemoteError{Code: codeClosed, Msg: "server: session detached"}
+		return &RemoteError{Code: codeClosed, Msg: "server: session detached"}
 	}
 	buf = loopbackBuf{}
-	if err := writeFrame(&buf, rtyp, rid, rp); err != nil {
-		return 0, nil, err
+	if err := writeFrame(&buf, nil, rtyp, rid, rp); err != nil {
+		return err
 	}
-	rtyp, _, rp, err = readFrame(&buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	return rtyp, rp, nil
+	w.rtyp, _, w.reply, err = readFrame(&buf, &w.frame)
+	return err
 }
 
 func (t *loopbackTransport) close() error {

@@ -237,16 +237,16 @@ func TestFramesBehindDetachAreDropped(t *testing.T) {
 	if _, _, _, err := attachExchange(cs, br, 0, "/", false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(cs, tDetach, 1, nil); err != nil {
+	if err := writeFrame(cs, nil, tDetach, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if rtyp, _, _, err := readFrame(br); err != nil || rtyp != rDetach {
+	if rtyp, _, _, err := readFrame(br, nil); err != nil || rtyp != rDetach {
 		t.Fatalf("detach reply: %s, %v", msgName(rtyp), err)
 	}
 	var e enc
 	e.str("/")
 	for id := uint32(2); id <= 3; id++ {
-		if err := writeFrame(cs, tStat, id, e.b); err != nil {
+		if err := writeFrame(cs, nil, tStat, id, e.b); err != nil {
 			t.Fatalf("frame %d behind the detach: %v (the server hung up)", id, err)
 		}
 	}

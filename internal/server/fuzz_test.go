@@ -15,7 +15,7 @@ import (
 func frameFixtures(t testing.TB) [][]byte {
 	frame := func(typ uint8, id uint32, payload []byte) []byte {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, id, payload); err != nil {
+		if err := writeFrame(&buf, nil, typ, id, payload); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -50,9 +50,12 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		// One frame buffer and one write scratch for the whole stream,
+		// as a connection reuses them.
+		var rbuf, wbuf []byte
 		for {
 			at := len(data) - r.Len()
-			typ, id, payload, err := readFrame(r)
+			typ, id, payload, err := readFrame(r, &rbuf)
 			if err != nil {
 				if err != io.EOF && !errors.Is(err, errTornFrame) && !errors.Is(err, errFrameTooBig) {
 					t.Fatalf("readFrame at byte %d: %v", at, err)
@@ -66,7 +69,7 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("a payload buffer of %d bytes, bound %d", cap(payload), maxFrame-frameHeader)
 			}
 			var again bytes.Buffer
-			if err := writeFrame(&again, typ, id, payload); err != nil || !bytes.Equal(again.Bytes(), data[at:len(data)-r.Len()]) {
+			if err := writeFrame(&again, &wbuf, typ, id, payload); err != nil || !bytes.Equal(again.Bytes(), data[at:len(data)-r.Len()]) {
 				t.Fatalf("frame at byte %d does not write back as it read (%v)", at, err)
 			}
 			// Every decoder over the payload, the frame type choosing which

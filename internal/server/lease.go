@@ -35,6 +35,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -225,9 +226,9 @@ func (s *Session) pushRevoke(segID uint64) {
 		// already propagated the revocation.
 		return
 	}
-	var e enc
-	e.u64(segID)
-	_ = writeFrame(s.conn.rwc, tRevoke, 0, e.b)
+	var p [8]byte
+	binary.LittleEndian.PutUint64(p[:], segID)
+	_ = writeFrame(s.conn.rwc, &s.conn.wbuf, tRevoke, 0, p[:])
 }
 
 // ackRevoke records the client's Trevokeack (advisory: the revoked flag

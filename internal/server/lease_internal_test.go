@@ -36,10 +36,10 @@ func TestWireDowngradeOldClient(t *testing.T) {
 	// Legacy Tattach: root string only.
 	var e enc
 	e.str("/")
-	if err := writeFrame(cs, tAttach, 1, e.b); err != nil {
+	if err := writeFrame(cs, nil, tAttach, 1, e.b); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, payload, err := readFrame(cs)
+	typ, _, payload, err := readFrame(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestWireDowngradeOldClient(t *testing.T) {
 	e.u32(uint32(vfs.O_RDWR | vfs.O_CREATE))
 	e.u32(0644)
 	e.str("/a")
-	if err := writeFrame(cs, tOpen, 2, e.b); err != nil {
+	if err := writeFrame(cs, nil, tOpen, 2, e.b); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, payload, err = readFrame(cs)
+	typ, _, payload, err = readFrame(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestWireDowngradeOldClient(t *testing.T) {
 	// A Tlease on the un-negotiated session is a protocol violation.
 	e = enc{}
 	e.u64(handle)
-	if err := writeFrame(cs, tLease, 3, e.b); err != nil {
+	if err := writeFrame(cs, nil, tLease, 3, e.b); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, payload, err = readFrame(cs)
+	typ, _, payload, err = readFrame(cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWireDowngradeOldServer(t *testing.T) {
 	defer ss.Close()
 	done := make(chan error, 1)
 	go func() {
-		typ, rid, payload, err := readFrame(ss)
+		typ, rid, payload, err := readFrame(ss, nil)
 		if err != nil {
 			done <- err
 			return
@@ -128,7 +128,7 @@ func TestWireDowngradeOldServer(t *testing.T) {
 		e.str("legacy")
 		e.u64(1)
 		e.u64(42)
-		done <- writeFrame(ss, rAttach, rid, e.b)
+		done <- writeFrame(ss, nil, rAttach, rid, e.b)
 	}()
 
 	c, err := DialConfig(cs, ClientConfig{Root: "/", EnableLeases: true})

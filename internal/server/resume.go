@@ -72,6 +72,7 @@ type resumeState struct {
 	mu          sync.Mutex // serializes calls: one outstanding request
 	rwc         io.ReadWriteCloser
 	br          *bufio.Reader
+	wbuf        []byte // request frames are assembled here
 	token       uint64
 	fsName      string
 	nextSeq     uint32
@@ -132,7 +133,20 @@ func (t *resumeState) seq() uint32 {
 	return t.nextSeq
 }
 
-func (t *resumeState) call(typ uint8, payload []byte) (uint8, []byte, error) {
+// call implements transport. The reply is the exchange's own buffer,
+// which the replay log may keep: w holds it without copying.
+func (t *resumeState) call(typ uint8, w *wireCall) error {
+	rtyp, rp, err := t.exchange(typ, w.b)
+	if err != nil {
+		return err
+	}
+	w.rtyp, w.reply = rtyp, rp
+	return nil
+}
+
+// exchange drives one request to its reply, logging and replaying it as
+// the request type requires.
+func (t *resumeState) exchange(typ uint8, payload []byte) (uint8, []byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -161,7 +175,8 @@ func (t *resumeState) call(typ uint8, payload []byte) (uint8, []byte, error) {
 	}
 	// Mutating operation: log first, then drive it to an acknowledged
 	// reply, resuming the session as often as the transport fails.
-	rec := &opRecord{seq: t.seq(), typ: typ, payload: payload}
+	// The log outlives the caller's request buffer, which is reused.
+	rec := &opRecord{seq: t.seq(), typ: typ, payload: append([]byte(nil), payload...)}
 	t.chainRenames(typ, payload)
 	t.records = append(t.records, rec)
 	for attempt := 0; ; attempt++ {
@@ -203,12 +218,12 @@ func (t *resumeState) roundTrip(typ uint8, seq uint32, payload []byte) (uint8, [
 	if t.rwc == nil {
 		return 0, nil, fmt.Errorf("%w: no transport", errConnLost)
 	}
-	if err := writeFrame(t.rwc, typ, seq, payload); err != nil {
+	if err := writeFrame(t.rwc, &t.wbuf, typ, seq, payload); err != nil {
 		t.dropConn()
 		return 0, nil, fmt.Errorf("%w: %w", errConnLost, err)
 	}
 	for {
-		rtyp, rid, rp, err := readFrame(t.br)
+		rtyp, rid, rp, err := readFrame(t.br, nil) // the log may keep the reply
 		if err != nil {
 			t.dropConn()
 			return 0, nil, fmt.Errorf("%w: %w", errConnLost, err)

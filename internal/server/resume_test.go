@@ -451,8 +451,8 @@ func TestSupersededConnExecutesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wx bytes.Buffer
-	writeFrame(&wx, tMkdir, 1, mkdir("/w"))
-	writeFrame(&wx, tMkdir, 2, mkdir("/x"))
+	writeFrame(&wx, nil, tMkdir, 1, mkdir("/w"))
+	writeFrame(&wx, nil, tMkdir, 2, mkdir("/x"))
 	if _, err := c1.Write(wx.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -463,12 +463,12 @@ func TestSupersededConnExecutesNothing(t *testing.T) {
 	if _, _, _, err := attachExchange(c2, br2, token, "", true, 0); err != nil {
 		t.Fatalf("takeover re-attach: %v", err)
 	}
-	if err := writeFrame(c2, tMkdir|flagReplay, 2, mkdir("/x")); err != nil {
+	if err := writeFrame(c2, nil, tMkdir|flagReplay, 2, mkdir("/x")); err != nil {
 		t.Fatal(err)
 	}
 	close(backend.release)
 	for { // W's reply lands on the adopted connection too; skip it
-		rtyp, rid, rp, err := readFrame(br2)
+		rtyp, rid, rp, err := readFrame(br2, nil)
 		if err != nil {
 			t.Fatalf("reading the replay's reply: %v", err)
 		}

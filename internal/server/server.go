@@ -171,6 +171,11 @@ func mix64(x uint64) uint64 {
 type serverConn struct {
 	rwc io.ReadWriteCloser
 	br  *bufio.Reader
+	// rbuf holds the request frame the read loop last read (its
+	// goroutine only): execution is done with it before the next read.
+	// wbuf assembles reply and push frames, under the replyMu of the
+	// session conn serves.
+	rbuf, wbuf []byte
 }
 
 // New builds a server over fs. The server starts no goroutine of its
@@ -326,7 +331,7 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 		}
 		return
 	}
-	err := writeFrame(conn.rwc, typ, reqID, payload)
+	err := writeFrame(conn.rwc, &conn.wbuf, typ, reqID, payload)
 	s.replyMu.Unlock()
 	if err != nil {
 		conn.rwc.Close()
@@ -359,7 +364,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		rwc.Close()
 	}()
 
-	typ, reqID, payload, err := readFrame(conn.br)
+	typ, reqID, payload, err := readFrame(conn.br, nil)
 	if err != nil {
 		return fmt.Errorf("server: attach read: %w", err)
 	}
@@ -372,7 +377,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 	refuse := func(err error) error {
 		if !errors.Is(err, errServerClosed) {
 			etyp, eid, ep := encodeError(reqID, err)
-			writeFrame(rwc, etyp, eid, ep)
+			writeFrame(rwc, nil, etyp, eid, ep)
 		}
 		return err
 	}
@@ -402,7 +407,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		e.u64(s.id)
 		e.u64(s.token)
 		e.u32(s.features) // agreed set; old clients ignore trailing bytes
-		if werr := writeFrame(rwc, rAttach, reqID, e.b); werr != nil {
+		if werr := writeFrame(rwc, nil, rAttach, reqID, e.b); werr != nil {
 			s.teardown()
 			return werr
 		}
@@ -418,7 +423,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 			// echo it so a resumed client restores the same mode.
 			// (features is immutable after attach — no lock needed.)
 			e.u32(s.features)
-			return writeFrame(rwc, rReattach, reqID, e.b)
+			return writeFrame(rwc, nil, rReattach, reqID, e.b)
 		})
 		if err != nil {
 			if s != nil {
@@ -428,12 +433,12 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 			return refuse(err)
 		}
 	default:
-		writeFrame(rwc, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach or Treattach, got %s", msgName(typ))))
+		writeFrame(rwc, nil, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach or Treattach, got %s", msgName(typ))))
 		return fmt.Errorf("%w: first frame %s, want Tattach or Treattach", errBadHandshake, msgName(typ))
 	}
 
 	for {
-		typ, reqID, payload, err := readFrame(conn.br)
+		typ, reqID, payload, err := readFrame(conn.br, &conn.rbuf)
 		if err != nil {
 			s.disconnect(conn, err)
 			if err == io.EOF {
@@ -447,7 +452,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		// unanswered. The loop still ends only when the connection does:
 		// hanging up here could overtake the Rdetach on its way to a
 		// client that is still writing.
-		s.serve(conn, typ, reqID, payload)
+		s.serve(conn, typ, reqID, payload, nil)
 	}
 }
 

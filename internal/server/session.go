@@ -62,6 +62,11 @@ type Session struct {
 
 	replies replyCache // exactly-once reply cache (resumable sessions)
 
+	// out is the reply execute renders, reused request after request
+	// under execMu: a stream reply is written before execMu is released,
+	// and serve copies one for a loopback caller under it.
+	out enc
+
 	// Observability plane (metrics.go): gen counts transport
 	// attachments (1 at attach, +1 per adopt), obs is the per-session
 	// metric block, flight the last-N-ops ring (nil when disabled).
@@ -272,8 +277,10 @@ func (s *Session) teardownLocked() {
 // false, and nothing runs, when the session is closed or from is no
 // longer its transport: a takeover re-attach replays whatever the old
 // connection had not answered, so a stale copy still buffered there must
-// not execute a second time behind the replay.
-func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byte) (rtyp uint8, rp []byte, ok bool) {
+// not execute a second time behind the replay. For a loopback caller the
+// reply returned is a copy in *dst (grown as needed): the session's
+// reply buffer is the next request's.
+func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byte, dst *[]byte) (rtyp uint8, rp []byte, ok bool) {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	s.mu.Lock()
@@ -285,6 +292,12 @@ func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byt
 	rtyp, rp = s.handle(typ, reqID, payload)
 	if from != nil {
 		s.reply(rtyp, reqID, rp)
+	} else {
+		*dst = append((*dst)[:0], rp...)
+		rp = *dst
+	}
+	if cap(s.out.b) > maxPooledCall {
+		s.out.b = nil // a chunk-sized read reply: not worth keeping
 	}
 	return rtyp, rp, true
 }
@@ -345,7 +358,8 @@ func healReplay(typ uint8, err error) bool {
 // execute runs one decoded request against the backend.
 func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) (uint8, uint32, []byte) {
 	d := dec{b: payload}
-	var e enc
+	e := &s.out
+	e.b, e.err = e.b[:0], nil
 	var err error
 	rtyp := typ + 1 // every T* reply type is the next constant
 
@@ -358,7 +372,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 	case tOpen:
 		flag := int(d.u32())
 		perm := d.u32()
-		path := d.str()
+		path := s.resolve(d.str())
 		if d.err == nil {
 			// A conflicting writable open (another tenant, or O_TRUNC
 			// which frees blocks inside OpenFile) invalidates leases on
@@ -367,7 +381,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 				s.revokePathLeases(path)
 			}
 			var f vfs.File
-			if f, err = s.srv.fs.OpenFile(s.resolve(path), flag, perm); err == nil {
+			if f, err = s.srv.fs.OpenFile(path, flag, perm); err == nil {
 				e.u64(uint64(s.ht.Insert(f)))
 			}
 		}
@@ -383,13 +397,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		n := d.u32()
 		if d.err == nil {
 			err = s.withFile(id, func(f vfs.File) error {
-				buf := make([]byte, capRead(n))
-				got, rerr := f.Read(buf)
-				if rerr != nil {
-					return rerr
-				}
-				e.bytes(buf[:got])
-				return nil
+				return e.bytesFrom(capRead(n), f.Read)
 			})
 		}
 	case tWrite:
@@ -411,13 +419,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		n := d.u32()
 		if d.err == nil {
 			err = s.withFile(id, func(f vfs.File) error {
-				buf := make([]byte, capRead(n))
-				got, rerr := f.ReadAt(buf, off)
-				if rerr != nil {
-					return rerr
-				}
-				e.bytes(buf[:got])
-				return nil
+				return e.bytesFrom(capRead(n), func(p []byte) (int, error) { return f.ReadAt(p, off) })
 			})
 		}
 	case tPwrite:
@@ -511,10 +513,10 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			err = s.srv.fs.Mkdir(s.resolve(path), perm)
 		}
 	case tUnlink:
-		path := d.str()
+		path := s.resolve(d.str())
 		if d.err == nil {
 			s.revokePathLeases(path)
-			err = s.srv.fs.Unlink(s.resolve(path))
+			err = s.srv.fs.Unlink(path)
 		}
 	case tRmdir:
 		path := d.str()
@@ -522,15 +524,15 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			err = s.srv.fs.Rmdir(s.resolve(path))
 		}
 	case tRename:
-		oldPath := d.str()
-		newPath := d.str()
+		oldPath := s.resolve(d.str())
+		newPath := s.resolve(d.str())
 		if d.err == nil {
 			// Both ends: the source moves (attribute-cache interplay —
 			// a leased path must not serve bytes under a stale name) and
 			// a replaced destination is unlinked.
 			s.revokePathLeases(oldPath)
 			s.revokePathLeases(newPath)
-			err = s.srv.fs.Rename(s.resolve(oldPath), s.resolve(newPath))
+			err = s.srv.fs.Rename(oldPath, newPath)
 		}
 	case tSyncAll:
 		// Group sync, by the rule the crash runner applies directly:
@@ -597,7 +599,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 	}
 	if err != nil && replay && healReplay(typ, err) {
 		err = nil
-		e = enc{} // healed ops all carry empty reply bodies
+		e.b = e.b[:0] // healed ops all carry empty reply bodies
 		s.srv.stats.healedReplays.Add(1)
 	}
 	if err != nil {
@@ -606,15 +608,15 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 	return rtyp, reqID, e.b
 }
 
-// revokePathLeases revokes outstanding leases on the inode a (session-
-// relative) path resolves to. Gated on leasesActive so lease-free
+// revokePathLeases revokes outstanding leases on the inode a resolved
+// path (Session.resolve) names. Gated on leasesActive so lease-free
 // serving performs exactly the pre-lease operation sequence — the
 // determinism the crash differential and the bench baselines pin.
 func (s *Session) revokePathLeases(path string) {
 	if !s.srv.leasesActive() {
 		return
 	}
-	fi, err := s.srv.fs.Stat(s.resolve(path))
+	fi, err := s.srv.fs.Stat(path)
 	if err != nil {
 		return // nothing at the path, nothing leased
 	}

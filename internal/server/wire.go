@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"splitfs/internal/vfs"
 )
@@ -184,37 +185,61 @@ var errConnLost = errors.New("server: connection lost")
 // the wire as codeUnknownSession so errors.Is survives the transport.
 var errUnknownSession = errors.New("server: unknown or unparked session token")
 
-// writeFrame writes one frame to w. Callers serialize access to w.
-func writeFrame(w io.Writer, typ uint8, reqID uint32, payload []byte) error {
+// writeFrame writes one frame to w, in a single Write, assembled in
+// *buf: scratch its owner reuses frame after frame, so framing allocates
+// nothing once the buffer has grown. A nil buf assembles the frame in a
+// fresh buffer. Callers serialize access to w and buf.
+func writeFrame(w io.Writer, buf *[]byte, typ uint8, reqID uint32, payload []byte) error {
 	if len(payload) > maxFrame-frameHeader {
 		return fmt.Errorf("%w (%s, %d bytes)", errFrameTooBig, msgName(typ), len(payload))
 	}
-	hdr := make([]byte, frameHeader, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+4+len(payload)))
-	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[5:9], reqID)
-	_, err := w.Write(append(hdr, payload...))
+	var b []byte
+	if buf != nil {
+		b = (*buf)[:0]
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(1+4+len(payload)))
+	b = append(b, typ)
+	b = binary.LittleEndian.AppendUint32(b, reqID)
+	b = append(b, payload...)
+	if buf != nil {
+		*buf = b
+	}
+	_, err := w.Write(b)
 	return err
 }
 
-// readFrame reads one frame from r. A stream that ends cleanly between
-// frames returns io.EOF untouched; one that dies inside a frame — a
-// partial length header or a truncated body — comes back wrapped in
-// errTornFrame, so teardown can tell a polite close from a torn
-// mid-frame disconnect.
-func readFrame(r io.Reader) (typ uint8, reqID uint32, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame reads one frame from r. The frame lands in *buf, grown as
+// needed, and the payload returned is a slice of it: valid until the
+// owner reads the next frame into the same buffer. A nil buf reads into
+// a fresh one. A stream that ends cleanly between frames returns io.EOF
+// untouched; one that dies inside a frame — a partial length header or a
+// truncated body — comes back wrapped in errTornFrame, so teardown can
+// tell a polite close from a torn mid-frame disconnect.
+func readFrame(r io.Reader, buf *[]byte) (typ uint8, reqID uint32, payload []byte, err error) {
+	var b []byte
+	if buf != nil {
+		b = *buf
+	}
+	if cap(b) < 4 {
+		b = make([]byte, 4, frameHeader)
+	}
+	if _, err = io.ReadFull(r, b[:4]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return 0, 0, nil, fmt.Errorf("%w: %w in frame header", errTornFrame, err)
 		}
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(b[:4])
 	if n < 5 || n > maxFrame-4 {
 		return 0, 0, nil, fmt.Errorf("%w (%d bytes)", errFrameTooBig, n)
 	}
-	body := make([]byte, n)
+	if cap(b) < int(n) {
+		b = make([]byte, n)
+	}
+	if buf != nil {
+		*buf = b[:0]
+	}
+	body := b[:n]
 	got, err := io.ReadFull(r, body)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -254,6 +279,22 @@ func (e *enc) str(s string) {
 func (e *enc) bytes(p []byte) {
 	e.u32(uint32(len(p)))
 	e.b = append(e.b, p...)
+}
+
+// bytesFrom appends the field bytes would for what fill reads into a
+// buffer of n bytes, reading straight into the payload. On an error
+// nothing is appended.
+func (e *enc) bytesFrom(n int, fill func([]byte) (int, error)) error {
+	start := len(e.b)
+	e.b = slices.Grow(e.b, 4+n)[:start+4+n]
+	got, err := fill(e.b[start+4:])
+	if err != nil {
+		e.b = e.b[:start]
+		return err
+	}
+	binary.LittleEndian.PutUint32(e.b[start:], uint32(got))
+	e.b = e.b[:start+4+got]
+	return nil
 }
 
 // dec is the matching decoder; the first short read poisons it, and the

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
+	"reflect"
+	"strings"
 	"testing"
 
 	"splitfs/internal/vfs"
@@ -12,10 +17,10 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello wire")
-	if err := writeFrame(&buf, tOpen, 42, payload); err != nil {
+	if err := writeFrame(&buf, nil, tOpen, 42, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, got, err := readFrame(&buf)
+	typ, id, got, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +32,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameBounds(t *testing.T) {
 	var buf bytes.Buffer
 	big := make([]byte, maxFrame)
-	if err := writeFrame(&buf, tWrite, 1, big); !errors.Is(err, errFrameTooBig) {
+	if err := writeFrame(&buf, nil, tWrite, 1, big); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("oversized write frame: err=%v", err)
 	}
 	// An oversized length header must be rejected before allocation.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, _, _, err := readFrame(&buf); !errors.Is(err, errFrameTooBig) {
+	if _, _, _, err := readFrame(&buf, nil); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("oversized read frame: err=%v", err)
 	}
 }
@@ -115,5 +120,197 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(got, &re) || re.Unwrap() != nil {
 		t.Fatalf("generic error should be a RemoteError with no sentinel, got %T", got)
+	}
+}
+
+// TestMessageRoundTrip frames one payload of every message type, laid
+// out as the client and the session encode it, and reads each back
+// through one reused frame buffer, as a connection does: type, request
+// id and every field come back as sent. A message constant the table
+// does not cover, or one msgName cannot name, fails it.
+func TestMessageRoundTrip(t *testing.T) {
+	fi := vfs.FileInfo{Ino: 12, Size: 1 << 33, Blocks: 9, IsDir: true, Nlink: 3}
+	layouts := map[uint8][]any{
+		tAttach:    {"/t0", uint8(1), featLeases},
+		rAttach:    {"splitfs-strict", uint64(7), uint64(0xfeed), featLeases},
+		tDetach:    {},
+		rDetach:    {},
+		tOpen:      {uint32(vfs.O_CREATE | vfs.O_RDWR), uint32(0o644), "/data"},
+		rOpen:      {uint64(3)},
+		tClose:     {uint64(3)},
+		rClose:     {},
+		tRead:      {uint64(3), uint32(4096)},
+		rRead:      {bytes.Repeat([]byte{1}, 4096)},
+		tWrite:     {uint64(3), []byte("appended")},
+		rWrite:     {uint32(8)},
+		tPread:     {uint64(3), int64(1 << 40), uint32(512)},
+		rPread:     {[]byte("read back")},
+		tPwrite:    {uint64(3), int64(-1), []byte("at an offset")},
+		rPwrite:    {uint32(12)},
+		tSeek:      {uint64(3), int64(-7), uint8(io.SeekEnd)},
+		rSeek:      {int64(99)},
+		tTruncate:  {uint64(3), int64(1 << 20)},
+		rTruncate:  {},
+		tFsync:     {uint64(3)},
+		rFsync:     {},
+		tFstat:     {uint64(3)},
+		rFstat:     {fi},
+		tStat:      {"/data"},
+		rStat:      {fi},
+		tReadDir:   {"/"},
+		rReadDir:   {uint32(2), "a", uint64(5), uint8(0), "d", uint64(6), uint8(1)},
+		tMkdir:     {uint32(0o755), "/d"},
+		rMkdir:     {},
+		tUnlink:    {"/a"},
+		rUnlink:    {},
+		tRmdir:     {"/d"},
+		rRmdir:     {},
+		tRename:    {"/r0", "/r1"},
+		rRename:    {},
+		tSyncAll:   {},
+		rSyncAll:   {},
+		rError:     {uint32(codeNotExist), "stat /x: file does not exist"},
+		tReattach:  {uint64(0xfeed)},
+		rReattach:  {"splitfs-strict", featLeases},
+		tReopen:    {uint64(3), uint32(vfs.O_RDWR), uint32(0o644), int64(4096), uint16(2), "/r0", "/r1"},
+		rReopen:    {},
+		tLease:     {uint64(3)},
+		rLease:     {uint64(1), uint64(2), int64(8192), uint32(1), int64(0), int64(1 << 21), int64(8192)},
+		tRevoke:    {uint64(1)},
+		tRevokeAck: {uint64(1)},
+		rRevokeAck: {},
+	}
+	var wire bytes.Buffer
+	var wbuf, rbuf []byte
+	for typ := tAttach; typ <= rRevokeAck; typ++ {
+		fields, ok := layouts[typ]
+		if !ok {
+			t.Fatalf("message %d has no layout here", typ)
+		}
+		if name := msgName(typ); strings.HasPrefix(name, "msg(") {
+			t.Fatalf("message %d has no name", typ)
+		}
+		var e enc
+		for _, f := range fields {
+			switch v := f.(type) {
+			case uint8:
+				e.u8(v)
+			case uint16:
+				e.u16(v)
+			case uint32:
+				e.u32(v)
+			case uint64:
+				e.u64(v)
+			case int64:
+				e.i64(v)
+			case string:
+				e.str(v)
+			case []byte:
+				e.bytes(v)
+			case vfs.FileInfo:
+				e.fileInfo(v)
+			default:
+				t.Fatalf("%s: field of type %T", msgName(typ), f)
+			}
+		}
+		id := uint32(typ) * 1000
+		wire.Reset()
+		if err := writeFrame(&wire, &wbuf, typ, id, e.b); err != nil {
+			t.Fatalf("%s: %v", msgName(typ), err)
+		}
+		gtyp, gid, payload, err := readFrame(&wire, &rbuf)
+		if err != nil || gtyp != typ || gid != id {
+			t.Fatalf("%s: read back type %d id %d: %v", msgName(typ), gtyp, gid, err)
+		}
+		d := dec{b: payload}
+		for i, f := range fields {
+			var got any
+			switch f.(type) {
+			case uint8:
+				got = d.u8()
+			case uint16:
+				got = d.u16()
+			case uint32:
+				got = d.u32()
+			case uint64:
+				got = d.u64()
+			case int64:
+				got = d.i64()
+			case string:
+				got = d.str()
+			case []byte:
+				got = d.bytes()
+			case vfs.FileInfo:
+				got = d.fileInfo()
+			}
+			if !reflect.DeepEqual(got, f) {
+				t.Fatalf("%s field %d: %v, want %v", msgName(typ), i, got, f)
+			}
+		}
+		if d.err != nil || len(d.b) != 0 {
+			t.Fatalf("%s: %v, %d bytes left over", msgName(typ), d.err, len(d.b))
+		}
+	}
+}
+
+// TestPipelinedRepliesKeepTheirPayloads: two callers pipelined on one
+// stream transport each hold their reply while the read loop reads the
+// other's frame. The read loop reuses one frame buffer, so a reply handed
+// out as a slice of it would read back as the other caller's bytes.
+func TestPipelinedRepliesKeepTheirPayloads(t *testing.T) {
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	defer ss.Close()
+	tr := &streamTransport{rwc: cs, br: bufio.NewReader(cs), pending: make(map[uint32]*wireCall)}
+	go tr.readLoop()
+
+	const n = 256
+	want := map[string][]byte{"A": bytes.Repeat([]byte{'a'}, n), "B": bytes.Repeat([]byte{'b'}, n)}
+	gotA, gotB := make(chan struct{}), make(chan struct{})
+	served := make(chan error, 1)
+	go func() { // the server: both requests in, then A's reply, then B's
+		br := bufio.NewReader(ss)
+		ids := map[string]uint32{}
+		for range 2 {
+			typ, id, payload, err := readFrame(br, nil)
+			if err != nil || typ != tStat {
+				served <- fmt.Errorf("request: type %d: %v", typ, err)
+				return
+			}
+			ids[string(payload)] = id
+		}
+		if err := writeFrame(ss, nil, rStat, ids["A"], want["A"]); err != nil {
+			served <- err
+			return
+		}
+		<-gotA
+		served <- writeFrame(ss, nil, rStat, ids["B"], want["B"])
+	}()
+
+	call := func(who string, got chan<- struct{}, hold <-chan struct{}) error {
+		w := newWireCall().(*wireCall)
+		w.b = append(w.b, who...)
+		if err := tr.call(tStat, w); err != nil {
+			return err
+		}
+		close(got)
+		if hold != nil {
+			<-hold // keep the reply while the read loop takes the next frame
+		}
+		if w.rtyp != rStat || !bytes.Equal(w.reply, want[who]) {
+			return fmt.Errorf("caller %s: reply %q, want %q", who, w.reply, want[who])
+		}
+		return nil
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- call("A", gotA, gotB) }()
+	go func() { errs <- call("B", gotB, nil) }()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -517,11 +517,15 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 		// behind it. Its staging-file reference is dropped; staged ranges
 		// still inside it hold their own.
 		fs.staging.releaseChunk(of.active)
-		of.active = nil
-		var err error
-		if c, err = fs.staging.reserve(need, off, exact); err != nil {
+		c, of.active = of.active, nil
+		chunk, err := fs.staging.reserve(need, off, exact)
+		if err != nil {
 			return 0, err
 		}
+		if c == nil {
+			c = new(stagingChunk)
+		}
+		*c = chunk // the released chunk's struct: nothing else holds it
 		of.active = c
 	} else {
 		c.used += skip

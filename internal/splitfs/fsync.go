@@ -40,14 +40,16 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	prev := fs.dev.SetEventSource(pmem.SrcRelinkWorker)
 	defer fs.dev.SetEventSource(prev)
 	var (
-		maxTx    uint64
-		released []stagedRange
-		first    error
+		maxTx uint64
+		buf   [16]stagedRange // an fsync's pieces, as a rule: no garbage
+		first error
 	)
+	released := buf[:0]
 	for _, of := range ofiles {
 		of.mu.Lock()
-		txid, consumed, err := fs.relinkStepsLocked(of)
+		txid, rel, err := fs.relinkStepsLocked(of, released)
 		of.mu.Unlock()
+		released = rel
 		if err != nil {
 			if first == nil {
 				first = err
@@ -55,7 +57,6 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 			continue
 		}
 		maxTx = max(maxTx, txid)
-		released = append(released, consumed...)
 	}
 	// One commit covers every file: transaction ids are monotone and every
 	// successful step set joined a transaction with id <= maxTx. A file

@@ -59,7 +59,7 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 	// Staged overlay, flattened latest-writer-wins so every byte has
 	// exactly one source, then projected through the staging files'
 	// populated mappings to device offsets.
-	for _, pc := range partitionStaged(of.staged) {
+	for _, pc := range partitionStaged(new(relinkScratch), of.staged) {
 		a, b := max64(pc.a, off), min64(pc.b, end)
 		if a >= b || pc.src.dram != nil {
 			continue

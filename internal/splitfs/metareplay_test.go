@@ -956,7 +956,7 @@ func TestCheckFindsARecordAboveTheStamp(t *testing.T) {
 		if err := e.fs.Check(); err != nil {
 			t.Fatalf("%v, live: %v", mode, err)
 		}
-		e.fs.appendLog(metaRecord{kind: metaRmdir, seq: e.fs.opSeq + 1, path: "/d"}.encode())
+		e.fs.appendLog(metaRecord{kind: metaRmdir, seq: e.fs.opSeq + 1, path: "/d"}.appendTo(nil))
 		if err := e.fs.Check(); err == nil {
 			t.Errorf("%v: Check passed over a record above the stamp", mode)
 		}

@@ -199,10 +199,10 @@ const metaFixedBytes = 22
 // one cache line; longer paths take more.
 func metaRecordBytes(n int) int64 { return metalog.RecordLen(metaFixedBytes + n) }
 
-func (r metaRecord) encode() []byte {
-	b := make([]byte, 10, metaFixedBytes+len(r.path)+len(r.path2))
-	b[0], b[1] = opEntryMeta, r.kind
-	binary.LittleEndian.PutUint64(b[2:], r.seq)
+// appendTo appends the record's log entry to b.
+func (r metaRecord) appendTo(b []byte) []byte {
+	b = append(b, opEntryMeta, r.kind)
+	b = binary.LittleEndian.AppendUint64(b, r.seq)
 	switch r.kind {
 	case metaCreate, metaMkdir:
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.ino))

@@ -15,10 +15,12 @@ import (
 // K-Split call succeeded, instead of a journal commit (stampedMeta).
 
 // logMeta appends the redo record of a metadata operation that stampedMeta
-// gave a sequence number; seq 0 means there is nothing to log.
+// gave a sequence number; seq 0 means there is nothing to log. Caller
+// holds wmu.
 func (fs *FS) logMeta(r metaRecord) {
 	if r.seq != 0 {
-		fs.appendLog(r.encode())
+		fs.metaBuf = r.appendTo(fs.metaBuf[:0])
+		fs.appendLog(fs.metaBuf)
 	}
 }
 

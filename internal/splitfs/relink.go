@@ -2,6 +2,8 @@ package splitfs
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/sim"
@@ -15,7 +17,8 @@ import (
 // which runs the same steps for any number of files under one commit.
 // Caller holds of.mu.
 func (fs *FS) relinkLocked(of *ofile) error {
-	txid, released, err := fs.relinkStepsLocked(of)
+	var buf [8]stagedRange
+	txid, released, err := fs.relinkStepsLocked(of, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -36,19 +39,21 @@ func (fs *FS) relinkLocked(of *ofile) error {
 // transaction and group-commit together.
 //
 // It returns the id of the journal transaction the batch joined — the
-// caller makes the batch durable with kfs.CommitUpTo(txid) — and the
-// staged ranges consumed, whose staging-pool references the caller
-// releases after that commit (recovery may need the staged bytes until
-// the relink is durable). U-Split's volatile view (sizes, mappings,
-// attributes) is updated here, under of.mu, so readers stay consistent
-// even though durability arrives later. Caller holds of.mu.
+// caller makes the batch durable with kfs.CommitUpTo(txid) — and
+// released with the staged ranges consumed appended, whose staging-pool
+// references the caller releases after that commit (recovery may need
+// the staged bytes until the relink is durable). The overlay's array
+// itself is kept for the ranges staged next. U-Split's volatile view
+// (sizes, mappings, attributes) is updated here, under of.mu, so readers
+// stay consistent even though durability arrives later. Caller holds
+// of.mu.
 //
 // Recovery safety needs no markers: each strict-mode log entry names its
 // staging range, and relink leaves a hole exactly where the blocks it
 // moved were. Replay re-applies an entry only if its staging range is
 // still allocated; a hole means the relink transaction committed.
 // Copy-only (sub-block) entries are idempotent to re-apply.
-func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange, err error) {
+func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64, _ []stagedRange, err error) {
 	if len(of.staged) == 0 {
 		// Nothing staged: fence outstanding stores (in-place overwrites in
 		// POSIX mode) and have the caller commit the running journal
@@ -58,10 +63,14 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 		// persistence-event crash sweep: truncate + fsync + crash lost
 		// the truncate.)
 		fs.dev.Fence()
-		return fs.kfs.TxID(), nil, nil
+		return fs.kfs.TxID(), released, nil
 	}
 	staged := of.staged
 	of.staged = nil
+	defer func() {
+		clear(staged)
+		of.staged = staged[:0]
+	}()
 	// Remap event: the popped ranges' staging blocks are moved into the
 	// target (whole blocks) or copied and released (partial blocks);
 	// either way their old device offsets go back to the staging pool
@@ -78,7 +87,10 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	if fs.cfg.DisableRelink {
 		// Fig 3 ablation: staging without relink — copy everything
 		// through the kernel on fsync (committing internally).
-		return fs.kfs.TxID(), staged, fs.copyStaged(of, staged)
+		if err := fs.copyStaged(of, staged); err != nil {
+			return 0, released, err
+		}
+		return fs.kfs.TxID(), append(released, staged...), nil
 	}
 
 	// Hold a K-Split batch handle across the steps: while it is open, no
@@ -103,7 +115,7 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 	// the whole batch atomic at once.
 	txid = batch.End()
 	if err != nil {
-		return 0, nil, err
+		return 0, released, err
 	}
 	// The modified ioctl keeps existing memory mappings valid across the
 	// move (§3.5); staged ranges were written through staging-file
@@ -115,7 +127,7 @@ func (fs *FS) relinkStepsLocked(of *ofile) (txid uint64, released []stagedRange,
 		of.ksize = of.size
 	}
 	fs.setAttrSize(of, of.size)
-	return txid, staged, nil
+	return txid, append(released, staged...), nil
 }
 
 // relinkPieces applies staged ranges to the target inside an open batch.
@@ -136,14 +148,17 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 	// The runs of all pieces move by one relink call at the end: one
 	// crossing and one journal handle per file (DESIGN.md, "Relink is a
 	// move", part 4). The copies stay kernel writes of their own.
-	var moves []ext4dax.Move
+	sc := getRelink()
+	defer putRelink(sc)
+	moves := sc.moves[:0]
 	var blocks int64
-	for _, pc := range partitionStaged(staged) {
+	sc.pieces = partitionStaged(sc, staged)
+	for _, pc := range sc.pieces {
 		s, a, b := pc.src, pc.a, pc.b
 		if s.dram != nil {
 			// DRAM-staged data has no PM blocks to relink: copy it all
 			// (§4: this copy is why DRAM staging loses).
-			if err := fs.copyRange(of, s, a, b); err != nil {
+			if err := fs.copyRange(of, sc, s, a, b); err != nil {
 				return err
 			}
 			continue
@@ -155,7 +170,7 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 		// partial tail that stops short of EOF, since the rest of that
 		// block holds other bytes of the file.
 		if head > a {
-			if err := fs.copyRange(of, s, a, min(head, b)); err != nil {
+			if err := fs.copyRange(of, sc, s, a, min(head, b)); err != nil {
 				return err
 			}
 		}
@@ -183,11 +198,12 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 			blocks += (tail - head) / sim.BlockSize
 		}
 		if b > tail && tail >= head {
-			if err := fs.copyRange(of, s, tail, b); err != nil {
+			if err := fs.copyRange(of, sc, s, tail, b); err != nil {
 				return err
 			}
 		}
 	}
+	sc.moves = moves
 	if len(moves) == 0 {
 		return nil
 	}
@@ -209,10 +225,43 @@ type relinkPiece struct {
 	b   int64
 }
 
+// relinkScratch is a relink's working storage: partitionStaged's three
+// lists, the relink vector and the bytes of a partial block copied
+// through the kernel (copyRange). Relinks of different files run at once,
+// so they come from a pool rather than from an owner, and an fsync makes
+// no garbage (DESIGN.md, "Host allocation and peak RSS"). The pool is the
+// package's: one inside FS would keep a closed instance, device and all,
+// reachable from the runtime's pool list for two more collections.
+type relinkScratch struct {
+	pieces, segs, next []relinkPiece
+	moves              []ext4dax.Move
+	buf                []byte
+}
+
+var relinkScratches = sync.Pool{New: func() any { return new(relinkScratch) }}
+
+func getRelink() *relinkScratch { return relinkScratches.Get().(*relinkScratch) }
+
+// putRelink returns sc to the pool, dropping what its lists point at —
+// staging files, K-Split handles — and a copy buffer larger than a block
+// (the DRAM-staging ablation copies whole ranges).
+func putRelink(sc *relinkScratch) {
+	clear(sc.pieces[:cap(sc.pieces)])
+	clear(sc.segs[:cap(sc.segs)])
+	clear(sc.next[:cap(sc.next)])
+	clear(sc.moves[:cap(sc.moves)])
+	if cap(sc.buf) > sim.BlockSize {
+		sc.buf = nil
+	}
+	relinkScratches.Put(sc)
+}
+
 // partitionStaged splits staged ranges into disjoint latest-writer-wins
 // pieces: each piece's bytes come from the last range that wrote them.
-func partitionStaged(staged []stagedRange) []relinkPiece {
-	var pieces, segs, next []relinkPiece
+// The lists are sc's; the pieces returned share sc.pieces' array.
+func partitionStaged(sc *relinkScratch, staged []stagedRange) []relinkPiece {
+	pieces, segs, next := sc.pieces[:0], sc.segs[:0], sc.next[:0]
+	defer func() { sc.segs, sc.next = segs, next }()
 	for i, s := range staged {
 		segs = append(segs[:0], relinkPiece{src: s, a: s.fileOff, b: s.fileOff + s.length})
 		for _, later := range staged[i+1:] {
@@ -255,9 +304,10 @@ func (fs *FS) setAttrSize(of *ofile, size int64) {
 }
 
 // copyRange copies staged bytes [a, b) through the kernel write path (the
-// partial-block copy of §3.3). Caller holds of.mu.
-func (fs *FS) copyRange(of *ofile, s stagedRange, a, b int64) error {
-	buf := make([]byte, b-a)
+// partial-block copy of §3.3), through sc's buffer. Caller holds of.mu.
+func (fs *FS) copyRange(of *ofile, sc *relinkScratch, s stagedRange, a, b int64) error {
+	sc.buf = slices.Grow(sc.buf[:0], int(b-a))
+	buf := sc.buf[:b-a]
 	if s.dram != nil {
 		fs.clk.Charge(sim.CatCPU, sim.ChargeBytes(len(buf), sim.DRAMCopyPsPerByte))
 		copy(buf, s.dram[a-s.fileOff:])
@@ -274,8 +324,10 @@ func (fs *FS) copyRange(of *ofile, s stagedRange, a, b int64) error {
 // copyStaged is the no-relink fallback (Fig 3 ablation): every staged
 // byte is copied through the kernel and fsynced.
 func (fs *FS) copyStaged(of *ofile, staged []stagedRange) error {
+	sc := getRelink()
+	defer putRelink(sc)
 	for _, s := range staged {
-		if err := fs.copyRange(of, s, s.fileOff, s.fileOff+s.length); err != nil {
+		if err := fs.copyRange(of, sc, s, s.fileOff, s.fileOff+s.length); err != nil {
 			return err
 		}
 	}

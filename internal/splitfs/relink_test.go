@@ -527,7 +527,7 @@ func TestFsyncCrossingsFlatInPieces(t *testing.T) {
 		scatter(byte(pieces) + 1)
 		of.mu.Lock()
 		journal := clk.Category(sim.CatJournal)
-		txid, released, err := fs.relinkStepsLocked(of)
+		txid, released, err := fs.relinkStepsLocked(of, nil)
 		handles := clk.Category(sim.CatJournal) - journal
 		of.mu.Unlock()
 		if err != nil {

@@ -224,9 +224,9 @@ func TestChunkReplacementGivesBackFirst(t *testing.T) {
 	f, _ := vfs.Create(fs, "/f")
 	of := f.(*File).of
 	f.Write(pattern(2*sim.BlockSize, 1)) // append chunk, 2 blocks used
-	first := of.active
+	first := *of.active
 	f.WriteAt(pattern(100, 2), 0) // staged overwrite: exact reservation
-	if of.active == first {
+	if *of.active == first {
 		t.Fatal("test premise: the overwrite did not replace the chunk")
 	}
 	if want := first.base + 2*sim.BlockSize; of.active.sf != first.sf || of.active.base != want {

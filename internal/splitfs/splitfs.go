@@ -214,6 +214,18 @@ type opLog struct {
 	wmu   sync.Mutex   // +lockrank:wmu
 	olog  *metalog.Log // the operation log; nil in POSIX mode
 	opSeq uint64       // monotone operation sequence; guarded by wmu
+	// unlock is wmu.Unlock, taken as a method value once: lockLog hands
+	// it to every logging operation, and a fresh method value is a
+	// closure allocated per call.
+	unlock func()
+	// metaBuf is logMeta's record encoding; guarded by wmu.
+	metaBuf []byte
+}
+
+func newOpLogState(opSeq uint64) *opLog {
+	l := &opLog{opSeq: opSeq}
+	l.unlock = l.wmu.Unlock
+	return l
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -280,7 +292,7 @@ func newFS(kfs *ext4dax.FS, cfg Config) *FS {
 		// journal stamp ever issued on this K-Split, so that a stale one —
 		// a file's, or the stamp of a log since zeroed — can never mask an
 		// entry logged from here on.
-		opLog: &opLog{opSeq: kfs.MaxUserWatermark()},
+		opLog: newOpLogState(kfs.MaxUserWatermark()),
 	}
 	fs.mmaps = newMmapCache(fs)
 	return fs
@@ -394,7 +406,7 @@ func (fs *FS) lockLog(need int64) (func(), error) {
 		fs.wmu.Unlock()
 		return nil, err
 	}
-	return fs.wmu.Unlock, nil
+	return fs.opLog.unlock, nil
 }
 
 // stampedMeta runs one K-Split metadata call — op, which reports whether

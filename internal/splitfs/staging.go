@@ -141,7 +141,10 @@ func (p *stagingPool) createFile() (*stagingFile, error) {
 // consecutive appends pack into one relinkable run; exact reservations
 // (staged overwrites) take only the blocks they cover, since each
 // overwrite relinks independently.
-func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error) {
+//
+// The chunk comes back as a value, for the caller to keep wherever it
+// keeps its active chunk (stageWrite reuses the ofile's).
+func (p *stagingPool) reserve(n, align int64, exact bool) (stagingChunk, error) {
 	p.fs.clk.Charge(sim.CatCPU, sim.USplitStagingNs)
 	want := n
 	if exact {
@@ -155,7 +158,7 @@ func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error)
 	if align%sim.BlockSize+want > p.fs.cfg.StagingFileBytes {
 		// Not even an empty staging file could hold it (stageWrite splits
 		// writes so that this cannot happen): sealing files would not help.
-		return nil, vfs.ErrNoSpace
+		return stagingChunk{}, vfs.ErrNoSpace
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -171,7 +174,7 @@ func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error)
 				// background thread; see DESIGN.md).
 				sf, err := p.createFile()
 				if err != nil {
-					return nil, err
+					return stagingChunk{}, err
 				}
 				p.created++
 				p.current = sf
@@ -185,7 +188,7 @@ func (p *stagingPool) reserve(n, align int64, exact bool) (*stagingChunk, error)
 			// The chunk holds a reference for as long as an ofile keeps it
 			// as its active append region (released via releaseChunk).
 			sf.refs++
-			return &stagingChunk{sf: sf, base: base, end: base + want}, nil
+			return stagingChunk{sf: sf, base: base, end: base + want}, nil
 		}
 		// Staging file used up; move to the next. The exhausted file is
 		// sealed: no new reservations, and once its last staged range and

@@ -13,18 +13,20 @@ import (
 type FDTable struct {
 	mu   sync.Mutex
 	next int
-	fds  map[int]*fdEntry
+	fds  map[int]*description
 }
 
-type fdEntry struct {
+// description is an open file description: one per Insert, shared by
+// the descriptors Dup makes of it.
+type description struct {
 	file File
-	refs *int // shared across dup'd descriptors
+	refs int // descriptors naming it
 }
 
 // NewFDTable returns an empty table. Descriptors start at 3, leaving room
 // for the conventional stdio numbers.
 func NewFDTable() *FDTable {
-	return &FDTable{next: 3, fds: make(map[int]*fdEntry)}
+	return &FDTable{next: 3, fds: make(map[int]*description)}
 }
 
 // Insert registers an open file and returns its descriptor.
@@ -33,8 +35,7 @@ func (t *FDTable) Insert(f File) int {
 	defer t.mu.Unlock()
 	fd := t.next
 	t.next++
-	refs := 1
-	t.fds[fd] = &fdEntry{file: f, refs: &refs}
+	t.fds[fd] = &description{file: f, refs: 1}
 	return fd
 }
 
@@ -56,8 +57,7 @@ func (t *FDTable) InsertAt(fd int, f File) error {
 	if fd >= t.next {
 		t.next = fd + 1
 	}
-	refs := 1
-	t.fds[fd] = &fdEntry{file: f, refs: &refs}
+	t.fds[fd] = &description{file: f, refs: 1}
 	return nil
 }
 
@@ -82,8 +82,8 @@ func (t *FDTable) Dup(fd int) (int, error) {
 	}
 	nfd := t.next
 	t.next++
-	*e.refs++
-	t.fds[nfd] = &fdEntry{file: e.file, refs: e.refs}
+	e.refs++
+	t.fds[nfd] = e
 	return nfd, nil
 }
 
@@ -97,8 +97,8 @@ func (t *FDTable) Close(fd int) error {
 		return ErrBadFD
 	}
 	delete(t.fds, fd)
-	*e.refs--
-	last := *e.refs == 0
+	e.refs--
+	last := e.refs == 0
 	t.mu.Unlock()
 	if last {
 		return e.file.Close()
@@ -114,16 +114,11 @@ func (t *FDTable) Close(fd int) error {
 // closed regardless.
 func (t *FDTable) CloseAll() error {
 	t.mu.Lock()
-	groups := make(map[*int]File)
+	var files []File
 	for fd, e := range t.fds {
 		delete(t.fds, fd)
-		*e.refs--
-		groups[e.refs] = e.file
-	}
-	var files []File
-	for refs, f := range groups {
-		if *refs == 0 {
-			files = append(files, f)
+		if e.refs--; e.refs == 0 {
+			files = append(files, e.file)
 		}
 	}
 	t.mu.Unlock()
