@@ -1,6 +1,6 @@
 // splitfs-vet runs the repository's static-analysis suite (lockorder,
-// persist, determinism, wireerr, evsource — see DESIGN.md, "Static
-// analysis") in either of two modes.
+// persist, determinism, wireerr — see DESIGN.md, "Static analysis")
+// in either of two modes.
 //
 // Standalone, over a package pattern:
 //

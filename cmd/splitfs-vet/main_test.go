@@ -45,7 +45,7 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestInjectedViolationsFailGate writes a scratch module violating each
-// of the five invariants and runs the tool in vettool mode through the
+// of the four invariants and runs the tool in vettool mode through the
 // real `go vet -vettool=` protocol: every analyzer must fire and the
 // gate must fail. This is the regression test for the CI gate itself —
 // a suite that silently reports nothing would pass a clean-tree check.
@@ -95,41 +95,24 @@ import "fmt"
 
 func Bad() error { return fmt.Errorf("opaque") }
 `,
-		// A pmem.Device lookalike: persist and evsource key on the
-		// "internal/pmem" import-path suffix and method names.
+		// A pmem.Device lookalike: persist keys on the "internal/pmem"
+		// import-path suffix and method names.
 		"internal/pmem/pmem.go": `package pmem
 
-type EventSource int
-
-type Device struct {
-	src EventSource
-}
+type Device struct{}
 
 func (d *Device) Store(off int64, p []byte)   {}
 func (d *Device) StoreNT(off int64, p []byte) {}
 func (d *Device) Flush(off, n int64)          {}
 func (d *Device) Fence()                      {}
-
-func (d *Device) SetEventSource(s EventSource) EventSource {
-	prev := d.src
-	d.src = s
-	return prev
-}
 `,
-		// persist: store escapes unfenced; evsource: switch without a
-		// deferred restore.
+		// persist: store escapes unfenced.
 		"use/use.go": `package use
 
 import "example.com/inj/internal/pmem"
 
 func BadStore(d *pmem.Device, p []byte) {
 	d.Store(0, p)
-}
-
-func BadSwitch(d *pmem.Device) {
-	prev := d.SetEventSource(1)
-	d.Fence()
-	d.SetEventSource(prev)
 }
 `,
 	}
@@ -157,7 +140,6 @@ func BadSwitch(d *pmem.Device) {
 		"splitfs-determinism:",
 		"splitfs-wireerr:",
 		"splitfs-persist:",
-		"splitfs-evsource:",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("vettool output missing a %s diagnostic", want)

@@ -16,8 +16,8 @@
 //     with a shared fact store, then applies //lint:ignore
 //     suppressions (driver.go, annotations.go).
 //
-// The five analyzers themselves live in subpackages (lockorder,
-// persist, determinism, wireerr, evsource); cmd/splitfs-vet is the
+// The four analyzers themselves live in subpackages (lockorder,
+// persist, determinism, wireerr); cmd/splitfs-vet is the
 // multichecker binary, runnable standalone or as a `go vet -vettool`.
 // DESIGN.md ("Static analysis") documents the annotation grammar each
 // analyzer consumes and the suppression policy.

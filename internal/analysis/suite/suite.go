@@ -1,11 +1,10 @@
-// Package suite registers the repository's five analyzers in the order
+// Package suite registers the repository's four analyzers in the order
 // cmd/splitfs-vet runs them.
 package suite
 
 import (
 	"splitfs/internal/analysis"
 	"splitfs/internal/analysis/determinism"
-	"splitfs/internal/analysis/evsource"
 	"splitfs/internal/analysis/lockorder"
 	"splitfs/internal/analysis/persist"
 	"splitfs/internal/analysis/wireerr"
@@ -17,5 +16,4 @@ var All = []*analysis.Analyzer{
 	persist.Analyzer,
 	determinism.Analyzer,
 	wireerr.Analyzer,
-	evsource.Analyzer,
 }

@@ -17,6 +17,13 @@
 // sweeps (Explore), double-crash campaigns that crash again inside
 // recovery itself, fault injection (skipping fences), and automatic
 // workload minimization of violating campaigns (Minimize).
+//
+// Served campaigns (RunServed, ServedExplore, ServedMinimize) kill the
+// file service instead: several resumable tenant sessions, driven by
+// one goroutine on a schedule drawn from the seed, lose their daemon at
+// an armed event, and each tenant is checked at the prefix a per-step
+// event map gives it. Every run of the package is a function of its
+// configuration, so every violation replays from its seed and event.
 package crash
 
 import (

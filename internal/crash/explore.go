@@ -127,17 +127,11 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	}
 	sort.Strings(res.UnknownKinds)
 
-	events := sampleEvents(w0+1, w1, cfg.Sample, sim.NewRNG(mix(cfg.Seed, 0x5a)))
-	for _, k := range cfg.Include {
-		if k > w0 && k <= w1 {
-			events = insertEvent(events, k)
-		}
-	}
 	dblSample := cfg.DoubleSample
 	if dblSample <= 0 {
 		dblSample = 3
 	}
-	for _, k := range events {
+	for _, k := range crashPoints(res.Window, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5a))) {
 		c := Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
 			CrashAtEvent: k, SkipFence: cfg.SkipFence, model: model}
 		r, err := Run(c)
@@ -177,6 +171,20 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// crashPoints is a sweep's first-crash events, in order: a sample of
+// the window (w0, w1] drawn from rng (every event when sample <= 0), plus
+// each include event inside it.
+func crashPoints(window [2]int64, sample int, include []int64, rng *sim.RNG) []int64 {
+	w0, w1 := window[0], window[1]
+	events := sampleEvents(w0+1, w1, sample, rng)
+	for _, k := range include {
+		if k > w0 && k <= w1 {
+			events = insertEvent(events, k)
+		}
+	}
+	return events
 }
 
 // sampleEvents returns up to max events from [lo, hi], all of them when

@@ -66,8 +66,9 @@ func Minimize(cfg ExploreConfig) (*MinimizeResult, error) {
 // ddmin returns a locally minimal subsequence of ops: it deletes chunks
 // of the list, halving the chunk size when a pass removes nothing, and
 // keeps every candidate test accepts. test may rewrite the candidate it
-// accepts (the served minimizer sanitizes orphaned ops); the returned
-// list replaces the current one.
+// accepts (the served minimizer sanitizes orphaned ops and restores the
+// closing barrier); the returned list replaces the current one when it
+// is shorter.
 func ddmin(cur []Op, test func(cand []Op) (kept []Op, ok bool, err error)) ([]Op, error) {
 	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
 		removed := false
@@ -79,7 +80,7 @@ func ddmin(cur []Op, test func(cand []Op) (kept []Op, ok bool, err error)) ([]Op
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if ok && len(kept) < len(cur) {
 				// Re-scan from the same position on the shrunken list.
 				cur, removed = kept, true
 				continue

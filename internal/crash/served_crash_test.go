@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"reflect"
 	"testing"
 
 	"splitfs/internal/splitfs"
@@ -66,28 +67,31 @@ func TestServedOpsDiscipline(t *testing.T) {
 	}
 }
 
+// exploreServed runs a served sweep that must stay violation-free and
+// kill the daemon at exactly sample events: RunServed fails a campaign
+// whose armed event never fires, so every one of them did.
+func exploreServed(t *testing.T, sample int, c ServedCampaign) {
+	t.Helper()
+	res, err := ServedExplore(ServedExploreConfig{Sample: sample, ServedCampaign: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("event %d: %s", v.Event, v.Msg)
+	}
+	if res.Tested != sample || res.Runs != sample+1 {
+		t.Fatalf("window %v: %d events killed in %d runs, want %d in %d",
+			res.Window, res.Tested, res.Runs, sample, sample+1)
+	}
+}
+
 // TestServedCrashSweep kills the daemon at sampled persistence events in
 // every mode and expects every oracle — per-tenant crash-point guarantee,
 // exactly-once replay, and post-resume final state — to hold.
 func TestServedCrashSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := ServedExplore(ServedExploreConfig{Sample: 8, ServedCampaign: ServedCampaign{
-				Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 11}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("event %d: %s", v.Event, v.Msg)
-			}
-			if res.Tested == 0 {
-				t.Fatal("sweep tested no events")
-			}
-			if res.Tested-res.NotFired == 0 {
-				t.Fatal("no tested event fired the crash")
-			}
-			t.Logf("window %v: %d tested, %d fired, %d runs",
-				res.Window, res.Tested, res.Tested-res.NotFired, res.Runs)
+			exploreServed(t, 8, ServedCampaign{Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 11})
 		})
 	}
 }
@@ -97,17 +101,8 @@ func TestServedCrashSweep(t *testing.T) {
 // re-attach with replay, then the crash, then cold resume (possibly torn
 // again) — still violation-free.
 func TestServedCrashWireFaults(t *testing.T) {
-	res, err := ServedExplore(ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10, Seed: 17, WireFaults: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("event %d: %s", v.Event, v.Msg)
-	}
-	if res.Tested-res.NotFired == 0 {
-		t.Fatal("no tested event fired the crash")
-	}
+	exploreServed(t, 6, ServedCampaign{Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10,
+		Seed: 17, WireFaults: true})
 }
 
 // TestServedCrashReconnects pins one mid-window daemon death and checks
@@ -129,9 +124,6 @@ func TestServedCrashReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Fired {
-		t.Fatalf("mid-window event %d did not fire", event)
-	}
 	if res.Violation != "" {
 		t.Fatalf("violation at event %d: %s", event, res.Violation)
 	}
@@ -144,6 +136,47 @@ func TestServedCrashReconnects(t *testing.T) {
 	t.Logf("event %d: acked %v, gen1 %+v, gen2 %+v", event, res.AckedSys, res.Gen1, res.Gen2)
 }
 
+// TestServedCampaignDeterministic runs one campaign twice — three
+// tenants, wire faults, leases, the event trace, a crash mid-window — and
+// requires equal results field for field: the schedule comes from the
+// seed, so the trace, every tenant's crash prefix, both generations' wire
+// counters and the verdict replay exactly. An event past the recorded
+// window never fires, and the campaign says so.
+func TestServedCampaignDeterministic(t *testing.T) {
+	c := ServedCampaign{Mode: splitfs.Strict, Tenants: 3, OpsPerTenant: 12, Seed: 43,
+		WireFaults: true, Leases: true, Trace: true}
+	record, err := RunServed(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CrashAtEvent = (record.BaselineEvents + record.TotalEvents) / 2
+	var runs [2]*ServedResult
+	for i := range runs {
+		if runs[i], err = RunServed(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := reflect.ValueOf(*runs[0]), reflect.ValueOf(*runs[1])
+	for i := 0; i < a.NumField(); i++ {
+		if !reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
+			t.Errorf("two runs of one campaign differ in %s", a.Type().Field(i).Name)
+		}
+	}
+	res := runs[0]
+	if res.Violation != "" {
+		t.Fatalf("violation at event %d: %s", c.CrashAtEvent, res.Violation)
+	}
+	if len(res.Trace) == 0 || len(res.AckedSys) != 3 || res.Gen1.TornDisconnects == 0 ||
+		res.Gen1.LeaseGrants == 0 || res.Gen2.Reattached+res.Gen2.ReplayedRequests == 0 {
+		t.Fatalf("vacuous comparison: %d trace events, prefixes %v, gen1 %+v, gen2 %+v",
+			len(res.Trace), res.AckedSys, res.Gen1, res.Gen2)
+	}
+	c.CrashAtEvent = record.TotalEvents + 1
+	if _, err := RunServed(c); err == nil {
+		t.Fatal("an event past the recorded window ran as if it had fired")
+	}
+}
+
 // TestServedCrashWithLeases runs the daemon-death sweep with the
 // zero-copy data plane negotiated on every tenant session: leased-read
 // probes keep leases genuinely outstanding across the kill, generation
@@ -153,17 +186,8 @@ func TestServedCrashReconnects(t *testing.T) {
 func TestServedCrashWithLeases(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := ServedExplore(ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
-				Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 29, Leases: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("event %d: %s", v.Event, v.Msg)
-			}
-			if res.Tested-res.NotFired == 0 {
-				t.Fatal("no tested event fired the crash")
-			}
+			exploreServed(t, 6, ServedCampaign{Mode: mode, Tenants: 2, OpsPerTenant: 10,
+				Seed: 29, Leases: true})
 		})
 	}
 }
@@ -189,9 +213,6 @@ func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
 		OpsPerTenant: 12, Seed: 31, Leases: true, CrashAtEvent: event})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Fired {
-		t.Fatalf("mid-window event %d did not fire", event)
 	}
 	if res.Violation != "" {
 		t.Fatalf("violation at event %d: %s", event, res.Violation)

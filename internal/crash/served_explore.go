@@ -7,85 +7,54 @@ import (
 	"splitfs/internal/sim"
 )
 
-// ServedExplore is the daemon-death sweep: run the served campaign once
-// without a crash to bound its persistence-event window, then kill the
-// daemon at a seeded sample of events, recover, restart, and check every
-// oracle each time. ServedMinimize shrinks a violating campaign's
-// tenant workloads to a minimal reproducer.
-
 // ServedExploreConfig configures a served sweep.
 type ServedExploreConfig struct {
 	// ServedCampaign is the campaign run at every tested event; the sweep
-	// sets its CrashAtEvent. The Seed stays fixed across the sweep so
-	// every run drives the same workloads over the same wire-fault
-	// cadence — only the armed event varies.
+	// sets only its CrashAtEvent, so every run drives the same workloads
+	// on the same schedule.
 	ServedCampaign
-	// Sample bounds how many crash events are tested (0 = all),
-	// deterministic in Seed.
-	Sample int
-	// Include lists events that must be tested even when Sample would not
-	// draw them (minimization pins the witness event this way).
+	// Sample and Include choose the crash events as in ExploreConfig.
+	Sample  int
 	Include []int64
 }
 
 // ServedExploreResult summarizes a served sweep.
 type ServedExploreResult struct {
-	// Window is the crashable event range (post-setup, end-of-recording].
-	Window [2]int64
-	// Tested counts crash runs; NotFired how many of them never reached
-	// their armed event — tenant scheduling is nondeterministic, so a
-	// rerun's window can fall short of the recording's. Violations can
-	// only come from runs that fired (or from final-state checks).
-	Tested, NotFired int
-	Violations       []Violation
-	Runs             int // total served campaign executions, recording run included
+	Window     [2]int64 // the crashable event range (post-setup, end-of-recording]
+	Tested     int      // crash runs: every one of them fired
+	Violations []Violation
+	Runs       int // total served campaign executions, recording run included
 }
 
-// ServedExplore runs the sweep.
+// ServedExplore is the daemon-death sweep: run the campaign once without
+// a crash to bound its event window, then kill the daemon at the events
+// Explore's sampling draws from it, checking every oracle each time.
 func ServedExplore(cfg ServedExploreConfig) (*ServedExploreResult, error) {
 	res := &ServedExploreResult{}
-	campaign := func(event int64) ServedCampaign {
+	run := func(event int64) (*ServedResult, error) {
 		c := cfg.ServedCampaign
 		c.CrashAtEvent = event
-		return c
-	}
-
-	// Recording run: no crash; validates the workloads' final states and
-	// bounds the sweep window.
-	record, err := RunServed(campaign(0))
-	if err != nil {
-		return nil, err
-	}
-	res.Runs++
-	if record.Violation != "" {
-		res.Violations = append(res.Violations, Violation{
-			Mode: cfg.Mode, Seed: cfg.Seed, Msg: record.Violation,
-			Flight: record.Flight})
-	}
-	w0, w1 := record.BaselineEvents, record.TotalEvents
-	res.Window = [2]int64{w0, w1}
-
-	events := sampleEvents(w0+1, w1, cfg.Sample, sim.NewRNG(mix(cfg.Seed, 0x5eed)))
-	for _, k := range cfg.Include {
-		if k > w0 && k <= w1 {
-			events = insertEvent(events, k)
-		}
-	}
-	for _, k := range events {
-		r, err := RunServed(campaign(k))
+		r, err := RunServed(c)
 		if err != nil {
 			return nil, err
 		}
 		res.Runs++
-		res.Tested++
-		if !r.Fired {
-			res.NotFired++
-		}
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{
-				Mode: cfg.Mode, Seed: cfg.Seed, Event: k, Msg: r.Violation,
-				Flight: r.Flight})
+				Mode: c.Mode, Seed: c.Seed, Event: event, Msg: r.Violation, Flight: r.Flight})
 		}
+		return r, nil
+	}
+	record, err := run(0)
+	if err != nil {
+		return nil, err
+	}
+	res.Window = [2]int64{record.BaselineEvents, record.TotalEvents}
+	for _, k := range crashPoints(res.Window, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5eed))) {
+		if _, err := run(k); err != nil {
+			return nil, err
+		}
+		res.Tested++
 	}
 	return res, nil
 }
@@ -98,12 +67,11 @@ type ServedMinimizeResult struct {
 }
 
 // ServedMinimize requires cfg to violate (ServedExplore finds at least
-// one breach) and shrinks the tenant workloads while it still does:
-// first by emptying whole tenants, then ddmin within each remaining
-// tenant's ops. Tenant count and order are preserved (emptied tenants
-// keep their slot) so tenant indices in violation messages stay stable.
-// Keep cfg.Sample modest — minimization trades per-candidate
-// exhaustiveness for many candidates.
+// one breach) and shrinks each tenant's workload by ddmin while it still
+// does. Tenant count and order are preserved (an emptied tenant keeps
+// its slot), so tenant indices in violation messages stay stable. Keep
+// cfg.Sample modest — minimization trades per-candidate exhaustiveness
+// for many candidates.
 func ServedMinimize(cfg ServedExploreConfig) (*ServedMinimizeResult, error) {
 	res := &ServedMinimizeResult{}
 	test := func(tenantOps [][]Op) (*Violation, error) {
@@ -133,24 +101,6 @@ func ServedMinimize(cfg ServedExploreConfig) (*ServedMinimizeResult, error) {
 	if witness == nil {
 		return nil, fmt.Errorf("crash: served campaign does not violate; nothing to minimize")
 	}
-
-	// Pass 1: empty whole tenants.
-	for i := range cur {
-		if len(cur[i]) == 0 {
-			continue
-		}
-		cand := copyTenantOps(cur)
-		cand[i] = nil
-		v, err := test(cand)
-		if err != nil {
-			return nil, err
-		}
-		if v != nil {
-			cur, witness = cand, v
-		}
-	}
-
-	// Pass 2: ddmin within each remaining tenant.
 	for i := range cur {
 		kept, err := ddmin(cur[i], func(ops []Op) ([]Op, bool, error) {
 			cand := copyTenantOps(cur)
@@ -172,13 +122,11 @@ func ServedMinimize(cfg ServedExploreConfig) (*ServedMinimizeResult, error) {
 }
 
 // sanitizeServedOps rewrites a ddmin candidate into a well-formed served
-// workload. Deleting ops from a workload can orphan later ops — an
-// unlink whose create was removed, a file inside a removed mkdir, an
-// append whose offset no longer matches the file's size — and the
-// runner (rightly) treats those as hard errors, not guarantee
-// violations. Dropping the orphans and re-basing append offsets keeps
-// every candidate executable while preserving the surviving operations.
-// Valid workloads pass through unchanged, so sanitizing is idempotent.
+// workload. Deleting ops can orphan later ones — an unlink whose create
+// was removed, a file inside a removed mkdir, an append whose offset no
+// longer matches the file's size — which the runner rightly treats as
+// hard errors; the orphans are dropped and append offsets re-based.
+// Valid workloads pass through unchanged.
 func sanitizeServedOps(ops []Op) []Op {
 	dirs := map[string]bool{"": true}
 	exists := map[string]bool{}
@@ -223,6 +171,13 @@ func sanitizeServedOps(ops []Op) []Op {
 			delete(sizes, op.Path)
 		}
 		out = append(out, op)
+	}
+	// The closing barrier is what makes every operation durable for the
+	// final-state oracle: without it the crash may take back unsynced
+	// POSIX work the client has no log left to replay, and the candidate
+	// would "violate" by the mode's own rules.
+	if len(out) > 0 && out[len(out)-1].Kind != OpSyncAll {
+		out = append(out, Op{Kind: OpSyncAll})
 	}
 	return out
 }

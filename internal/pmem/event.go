@@ -162,18 +162,16 @@ func (ev *eventState) refreshHooks() {
 // Events returns the number of persistence events so far.
 func (d *Device) Events() int64 { return d.events.Load() }
 
-// SetEventSource sets the source label attached to subsequent persistence
-// events and returns the previous one, so a stage can bracket its
-// work:
-//
-//	prev := dev.SetEventSource(pmem.SrcRelinkWorker)
-//	defer dev.SetEventSource(prev)
-//
-// The label is device-global; with several goroutines driving the stack
-// it is best-effort. Record/replay runs one goroutine, so exactly one
-// issues events at a time and the label is exact.
-func (d *Device) SetEventSource(s EventSource) EventSource {
-	return EventSource(d.evSrc.Swap(uint32(s)))
+// WithEventSource runs fn with s as the source label of the persistence
+// events it issues, and puts the previous label back when fn returns or
+// panics — so a stage's label cannot leak past it. The label is
+// device-global; with several goroutines driving the stack it is
+// best-effort. Record/replay runs one goroutine, so exactly one issues
+// events at a time and the label is exact.
+func (d *Device) WithEventSource(s EventSource, fn func()) {
+	prev := d.evSrc.Swap(uint32(s))
+	defer d.evSrc.Store(prev)
+	fn()
 }
 
 // EventStats returns the per-kind event counts.

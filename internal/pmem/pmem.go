@@ -209,7 +209,7 @@ type Device struct {
 	// Persistence-event machinery (event.go). events is the monotone
 	// event counter; frozen means an armed crash point has been reached
 	// and the durable image must no longer change. evSrc labels events
-	// with the execution context that issued them (SetEventSource).
+	// with the execution context that issued them (WithEventSource).
 	events atomic.Int64
 	evKind [evKinds]atomic.Int64
 	evSrc  atomic.Uint32

@@ -1,7 +1,7 @@
 package pmem
 
 // Per-event-source device accounting for the observability plane: the
-// same evSrc label that tags persistence events (SetEventSource) also
+// same evSrc label that tags persistence events (WithEventSource) also
 // buckets write bytes, flushed lines, and fences, so a stats snapshot
 // can attribute PM traffic to the foreground syscall path versus the
 // background relink and reclaim stages. Like the event-source label

@@ -634,17 +634,27 @@ func (f *File) dropLease() {
 	f.leaseMu.Unlock()
 }
 
-// handleRevoke is the Trevoke push handler: count it and acknowledge
-// asynchronously. The shared revoked flag has already invalidated the
-// segment, so per-File state is cleaned up lazily on the next
-// validation failure.
-func (c *Client) handleRevoke(payload []byte) {
+// revoked counts a Trevoke push and returns the segment it names. The
+// shared revoked flag has already invalidated the segment, so per-File
+// state is cleaned up lazily on the next validation failure.
+func (c *Client) revoked(payload []byte) (segID uint64, ok bool) {
 	d := dec{b: payload}
-	segID := d.u64()
+	segID = d.u64()
 	if d.err != nil {
-		return
+		return 0, false
 	}
 	c.stats.leaseRevocations.Add(1)
+	return segID, true
+}
+
+// handleRevoke is the stream transport's Trevoke push handler: count it
+// and acknowledge asynchronously, since the read loop that delivers it
+// also delivers the acknowledgement's reply.
+func (c *Client) handleRevoke(payload []byte) {
+	segID, ok := c.revoked(payload)
+	if !ok {
+		return
+	}
 	go func() {
 		e := newCall()
 		defer releaseCall(e)

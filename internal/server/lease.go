@@ -228,7 +228,7 @@ func (s *Session) pushRevoke(segID uint64) {
 	}
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], segID)
-	_ = writeFrame(s.conn.rwc, &s.conn.wbuf, tRevoke, 0, p[:])
+	_ = writeFrame(s.conn.w, &s.conn.wbuf, tRevoke, 0, p[:])
 }
 
 // ackRevoke records the client's Trevokeack (advisory: the revoked flag

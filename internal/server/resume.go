@@ -52,7 +52,11 @@ func DialResumableConfig(redial func() (io.ReadWriteCloser, error), cfg ClientCo
 		return nil, err
 	}
 	c := &Client{t: t, fsName: t.fsName, features: t.feats & req}
-	t.onPush = c.handleRevoke
+	t.onPush = func(payload []byte) {
+		if segID, ok := c.revoked(payload); ok {
+			t.acks = append(t.acks, segID)
+		}
+	}
 	return c, nil
 }
 
@@ -66,8 +70,12 @@ type resumeState struct {
 	feats  uint32 // feature set agreed at the first attach
 
 	// onPush handles server-initiated Trevoke frames surfacing in the
-	// synchronous read loop. Called with t.mu held.
+	// synchronous read loop. Called with t.mu held; it queues the
+	// segment in acks, which exchange acknowledges once the request in
+	// flight has its reply — on the caller's goroutine, so a resumable
+	// session's frames are one sequence run to run.
 	onPush func(payload []byte)
+	acks   []uint64
 
 	mu          sync.Mutex // serializes calls: one outstanding request
 	rwc         io.ReadWriteCloser
@@ -144,11 +152,30 @@ func (t *resumeState) call(typ uint8, w *wireCall) error {
 	return nil
 }
 
-// exchange drives one request to its reply, logging and replaying it as
-// the request type requires.
+// exchange drives one request to its reply, then acknowledges the
+// revocations pushed meanwhile — best effort, as an acknowledgement is
+// advisory, and not at all once the session is detached.
 func (t *resumeState) exchange(typ uint8, payload []byte) (uint8, []byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	rtyp, rp, err := t.drive(typ, payload)
+	for _, segID := range t.acks {
+		if t.closed {
+			break
+		}
+		var e enc
+		e.u64(segID)
+		if _, _, aerr := t.roundTrip(tRevokeAck, t.seq(), e.b); aerr != nil {
+			break
+		}
+	}
+	t.acks = t.acks[:0]
+	return rtyp, rp, err
+}
+
+// drive carries one request to its reply, logging and replaying it as
+// the request type requires. Caller holds t.mu.
+func (t *resumeState) drive(typ uint8, payload []byte) (uint8, []byte, error) {
 	if t.closed {
 		return 0, nil, &RemoteError{Code: codeClosed, Msg: "server: session detached"}
 	}

@@ -167,15 +167,16 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// serverConn is one accepted stream connection (unix socket, net.Pipe).
+// serverConn is one stream connection — a socket or net.Pipe that
+// ServeConn reads, or an in-process Pipe — and the session its handshake
+// attached.
 type serverConn struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	// rbuf holds the request frame the read loop last read (its
-	// goroutine only): execution is done with it before the next read.
+	srv *Server
+	w   io.WriteCloser // replies and pushes go here; Close hangs up
+	s   *Session       // nil until the handshake attaches one
 	// wbuf assembles reply and push frames, under the replyMu of the
 	// session conn serves.
-	rbuf, wbuf []byte
+	wbuf []byte
 }
 
 // New builds a server over fs. The server starts no goroutine of its
@@ -327,14 +328,14 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 		s.replyMu.Unlock()
 		s.srv.stats.droppedReplies.Add(1)
 		if conn != nil {
-			conn.rwc.Close()
+			conn.w.Close()
 		}
 		return
 	}
-	err := writeFrame(conn.rwc, &conn.wbuf, typ, reqID, payload)
+	err := writeFrame(conn.w, &conn.wbuf, typ, reqID, payload)
 	s.replyMu.Unlock()
 	if err != nil {
-		conn.rwc.Close()
+		conn.w.Close()
 	}
 }
 
@@ -348,26 +349,79 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 // disconnect guarantee; a resumable one parks instead, holding its
 // handles and reply cache for the client's re-attach.
 func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
-	conn := &serverConn{rwc: rwc, br: bufio.NewReaderSize(rwc, 64<<10)}
-	srv.mu.Lock()
-	if srv.closed {
-		srv.mu.Unlock()
-		rwc.Close()
-		return errServerClosed
-	}
-	srv.conns[conn] = true
-	srv.mu.Unlock()
-	defer func() {
-		srv.mu.Lock()
-		delete(srv.conns, conn)
-		srv.mu.Unlock()
-		rwc.Close()
-	}()
-
-	typ, reqID, payload, err := readFrame(conn.br, nil)
+	conn, err := srv.openConn(rwc)
 	if err != nil {
-		return fmt.Errorf("server: attach read: %w", err)
+		rwc.Close()
+		return err
 	}
+	br := bufio.NewReaderSize(rwc, 64<<10)
+	var rbuf []byte // the frame last read: step is done with it before the next
+	for {
+		typ, reqID, payload, err := readFrame(br, &rbuf)
+		if err == nil {
+			err = conn.step(typ, reqID, payload)
+		}
+		if err != nil {
+			return conn.end(err)
+		}
+	}
+}
+
+// openConn registers a connection whose replies go to w; Close hangs up
+// every registered connection.
+func (srv *Server) openConn(w io.WriteCloser) (*serverConn, error) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.closed {
+		return nil, errServerClosed
+	}
+	conn := &serverConn{srv: srv, w: w}
+	srv.conns[conn] = true
+	return conn, nil
+}
+
+// step handles one frame from the connection: the handshake while no
+// session is attached, one request after. ServeConn runs it for every
+// frame it reads, a Pipe for every frame its writer completes, so the
+// two share one dispatch path. A non-nil error ends the connection.
+func (conn *serverConn) step(typ uint8, reqID uint32, payload []byte) error {
+	if conn.s == nil {
+		return conn.handshake(typ, reqID, payload)
+	}
+	// A frame the session no longer takes from this connection —
+	// superseded by a takeover re-attach, or sent behind a Tdetach, as a
+	// client's advisory TrevokeAck can be — is dropped unanswered. The
+	// connection still ends only when its stream does: hanging up here
+	// could overtake the Rdetach on its way to a client that is still
+	// writing.
+	conn.s.serve(conn, typ, reqID, payload, nil)
+	return nil
+}
+
+// end finishes a connection whose stream failed or closed with err: the
+// session it carried parks or is torn down (Session.disconnect), and the
+// server forgets the connection. A clean close at a frame boundary
+// (io.EOF) reads as nil.
+func (conn *serverConn) end(err error) error {
+	if conn.s != nil {
+		conn.s.disconnect(conn, err)
+	}
+	srv := conn.srv
+	srv.mu.Lock()
+	delete(srv.conns, conn)
+	srv.mu.Unlock()
+	conn.w.Close()
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// handshake handles a connection's first frame: Tattach creates a
+// session, Treattach adopts a parked one by token. On success the
+// session is the connection's.
+func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error {
+	srv := conn.srv
 	// refuse answers a handshake the server turns down — unless it is
 	// turning it down because Close got in first: Close drops every
 	// connection without a word, and a handshake that raced it is one
@@ -377,11 +431,10 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 	refuse := func(err error) error {
 		if !errors.Is(err, errServerClosed) {
 			etyp, eid, ep := encodeError(reqID, err)
-			writeFrame(rwc, nil, etyp, eid, ep)
+			writeFrame(conn.w, nil, etyp, eid, ep)
 		}
 		return err
 	}
-	var s *Session
 	d := dec{b: payload}
 	switch typ {
 	case tAttach:
@@ -398,7 +451,7 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		if d.err != nil {
 			return fmt.Errorf("server: malformed Tattach: %w", d.err)
 		}
-		s, err = srv.attach(root, conn, resumable, feats)
+		s, err := srv.attach(root, conn, resumable, feats)
 		if err != nil {
 			return refuse(err)
 		}
@@ -407,53 +460,37 @@ func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 		e.u64(s.id)
 		e.u64(s.token)
 		e.u32(s.features) // agreed set; old clients ignore trailing bytes
-		if werr := writeFrame(rwc, nil, rAttach, reqID, e.b); werr != nil {
+		if werr := writeFrame(conn.w, nil, rAttach, reqID, e.b); werr != nil {
 			s.teardown()
 			return werr
 		}
+		conn.s = s
 	case tReattach:
 		token := d.u64()
 		if d.err != nil {
 			return fmt.Errorf("server: malformed Treattach: %w", d.err)
 		}
-		s, err = srv.reattach(token, conn, func(s *Session) error {
+		s, err := srv.reattach(token, conn, func(s *Session) error {
 			var e enc
 			e.str(srv.fs.Name())
 			// The agreed feature set was fixed at the original attach;
 			// echo it so a resumed client restores the same mode.
 			// (features is immutable after attach — no lock needed.)
 			e.u32(s.features)
-			return writeFrame(rwc, nil, rReattach, reqID, e.b)
+			return writeFrame(conn.w, nil, rReattach, reqID, e.b)
 		})
-		if err != nil {
-			if s != nil {
-				s.disconnect(conn, err) // adopted, handshake write failed: re-park
-				return err
-			}
+		if s == nil {
 			return refuse(err)
 		}
+		// Adopted. If the handshake write failed, ending the connection
+		// re-parks the session.
+		conn.s = s
+		return err
 	default:
-		writeFrame(rwc, nil, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach or Treattach, got %s", msgName(typ))))
+		writeFrame(conn.w, nil, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach or Treattach, got %s", msgName(typ))))
 		return fmt.Errorf("%w: first frame %s, want Tattach or Treattach", errBadHandshake, msgName(typ))
 	}
-
-	for {
-		typ, reqID, payload, err := readFrame(conn.br, &conn.rbuf)
-		if err != nil {
-			s.disconnect(conn, err)
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		// A frame the session no longer takes from this connection —
-		// superseded by a takeover re-attach, or sent behind a Tdetach,
-		// as a client's advisory TrevokeAck can be — is dropped
-		// unanswered. The loop still ends only when the connection does:
-		// hanging up here could overtake the Rdetach on its way to a
-		// client that is still writing.
-		s.serve(conn, typ, reqID, payload, nil)
-	}
+	return nil
 }
 
 func encodeAttachError(err error) []byte {
@@ -501,10 +538,6 @@ func (srv *Server) Close() error {
 	for c := range srv.conns {
 		conns = append(conns, c)
 	}
-	sess := make([]*Session, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		sess = append(sess, s)
-	}
 	srv.mu.Unlock()
 
 	// Closing the connections first unblocks every read loop — and any
@@ -512,11 +545,12 @@ func (srv *Server) Close() error {
 	// otherwise hold its session's executor lock against the teardown.
 	// Tearing every session down directly (not via the read loops) also
 	// covers loopback sessions and parked ones, which have no connection
-	// to close.
+	// to close. No session attaches once closed is set, and teardown goes
+	// in session order, so its handle closes are one sequence run to run.
 	for _, c := range conns {
-		c.rwc.Close()
+		c.w.Close()
 	}
-	for _, s := range sess {
+	for _, s := range srv.sessionsByID() {
 		s.teardown()
 	}
 	return nil

@@ -48,18 +48,21 @@ func pipeClient(t *testing.T, srv *server.Server, root string) (*server.Client, 
 }
 
 func TestServedBasicOps(t *testing.T) {
-	for _, transport := range []string{"loopback", "pipe"} {
+	for _, transport := range []string{"loopback", "pipe", "inproc"} {
 		t.Run(transport, func(t *testing.T) {
 			fs := newBackend(t, "splitfs-strict")
 			srv := server.New(fs, server.Config{})
 			var c *server.Client
 			var err error
-			if transport == "loopback" {
+			switch transport {
+			case "loopback":
 				c, err = server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/"})
-			} else {
+			case "pipe":
 				var conn net.Conn
 				c, conn = pipeClient(t, srv, "/")
 				defer conn.Close()
+			default: // a resumable session, dialling Server.Pipe
+				c, err = server.DialResumableConfig(srv.Pipe, server.ClientConfig{Root: "/"})
 			}
 			if err != nil {
 				t.Fatal(err)

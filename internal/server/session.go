@@ -205,7 +205,7 @@ func (s *Session) adopt(conn *serverConn, handshake func() error) error {
 	s.mu.Unlock()
 	defer s.replyMu.Unlock()
 	if old != nil {
-		old.rwc.Close() // kick the superseded read loop off the old transport
+		old.w.Close() // kick the superseded read loop off the old transport
 	}
 	if handshake != nil {
 		if err := handshake(); err != nil {

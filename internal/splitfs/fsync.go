@@ -11,9 +11,8 @@ import (
 
 // syncFiles is fsync — "relink, then one journal commit" (§3.4) — and the
 // one function that makes staged data durable for its own sake: for
-// fsync's single file, for every open file (SyncAll, GroupSync,
-// PrepareExec) and for the log-full checkpoint. See DESIGN.md, "fsync and
-// group commit".
+// fsync's single file, for every open file (SyncAll, GroupSync) and for
+// the log-full checkpoint. See DESIGN.md, "fsync and group commit".
 //
 // It runs every file's relink steps, each under only that file's lock,
 // then ONE journal commit for all of them, then releases the consumed
@@ -37,12 +36,25 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	slices.SortFunc(ofiles, func(a, b *ofile) int { return cmp.Compare(a.ino, b.ino) })
 	ofiles = slices.Compact(ofiles)
 	fs.clk.Charge(sim.CatCPU, sim.USplitFsyncNs)
-	prev := fs.dev.SetEventSource(pmem.SrcRelinkWorker)
-	defer fs.dev.SetEventSource(prev)
+	var (
+		first     error
+		committed bool
+	)
+	fs.dev.WithEventSource(pmem.SrcRelinkWorker, func() { first, committed = fs.relinkAndCommit(ofiles) })
+	if committed {
+		fs.dev.WithEventSource(pmem.SrcReclaim, func() { fs.staging.reclaim() })
+	}
+	return first
+}
+
+// relinkAndCommit is syncFiles' relink stage. It reports the first error,
+// in file order, and whether the commit went through — only then are the
+// consumed staging references released, and only then does syncFiles
+// reclaim.
+func (fs *FS) relinkAndCommit(ofiles []*ofile) (first error, committed bool) {
 	var (
 		maxTx uint64
 		buf   [16]stagedRange // an fsync's pieces, as a rule: no garbage
-		first error
 	)
 	released := buf[:0]
 	for _, of := range ofiles {
@@ -75,13 +87,11 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 			if first == nil {
 				first = err
 			}
-			return first
+			return first, false
 		}
 	}
 	fs.staging.release(released)
-	fs.dev.SetEventSource(pmem.SrcReclaim)
-	fs.staging.reclaim()
-	return first
+	return first, true
 }
 
 // openFiles snapshots the open-file table (in map order: syncFiles sorts).

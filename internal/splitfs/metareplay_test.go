@@ -962,48 +962,3 @@ func TestCheckFindsARecordAboveTheStamp(t *testing.T) {
 		}
 	}
 }
-
-// TestForkedInstancesLogOneSequence: a forked child appends to its
-// parent's log, and recovery compares every record against one stamp, so
-// the two must draw their sequence numbers from one counter under one
-// lock. With a counter each, a child's record would carry a number the
-// parent had already used and be skipped as one the journal holds.
-func TestForkedInstancesLogOneSequence(t *testing.T) {
-	for _, mode := range []Mode{Sync, Strict} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := newMetaEnv(t, mode, ext4dax.Config{}, 1<<20)
-			parent := e.fs
-			child := parent.Fork()
-			const rounds = 8
-			var wg sync.WaitGroup
-			errs := make(chan error, 2)
-			for name, fs := range map[string]*FS{"p": parent, "c": child} {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						if err := fs.Mkdir(fmt.Sprintf("/%s%d", name, i), 0o755); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			var want []string
-			for _, name := range []string{"c", "p"} {
-				for i := 0; i < rounds; i++ {
-					want = append(want, fmt.Sprintf("/%s%d/", name, i))
-				}
-			}
-			report := e.recover(t, sim.NewRNG(4))
-			if got := tree(t, e.fs); got != strings.Join(want, " ") || report.MetaReplayed != 2*rounds {
-				t.Errorf("recovered %s (%+v), want every directory of both sides", got, report)
-			}
-		})
-	}
-}

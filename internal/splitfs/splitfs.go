@@ -188,8 +188,18 @@ type FS struct {
 	cfg  Config
 	mode Mode
 
-	// The operation log and the lock and sequence that order it.
-	*opLog
+	// The operation log and what orders its entries: recovery compares
+	// every record's sequence number against one stamp. wmu serializes
+	// the logging operations.
+	wmu   sync.Mutex   // +lockrank:wmu
+	olog  *metalog.Log // the operation log; nil in POSIX mode
+	opSeq uint64       // monotone operation sequence; guarded by wmu
+	// unlockLog is wmu.Unlock, taken as a method value once: lockLog
+	// hands it to every logging operation, and a fresh method value is a
+	// closure allocated per call.
+	unlockLog func()
+	// metaBuf is logMeta's record encoding; guarded by wmu.
+	metaBuf []byte
 
 	// Open-file table.
 	mu    sync.RWMutex      // +lockrank:fstable
@@ -202,30 +212,6 @@ type FS struct {
 	staging *stagingPool
 	mmaps   *mmapCache
 	stats   fsStats
-}
-
-// opLog is the operation log with what orders its entries. It is one
-// object per log: a forked child appends to its parent's log (Fork), so
-// the two take one lock and draw their sequence numbers from one counter —
-// recovery compares every record's number against one stamp, the journal
-// stamp in the slot numbered as the log's mode is.
-type opLog struct {
-	// wmu serializes the logging operations (op-log order).
-	wmu   sync.Mutex   // +lockrank:wmu
-	olog  *metalog.Log // the operation log; nil in POSIX mode
-	opSeq uint64       // monotone operation sequence; guarded by wmu
-	// unlock is wmu.Unlock, taken as a method value once: lockLog hands
-	// it to every logging operation, and a fresh method value is a
-	// closure allocated per call.
-	unlock func()
-	// metaBuf is logMeta's record encoding; guarded by wmu.
-	metaBuf []byte
-}
-
-func newOpLogState(opSeq uint64) *opLog {
-	l := &opLog{opSeq: opSeq}
-	l.unlock = l.wmu.Unlock
-	return l
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -292,8 +278,9 @@ func newFS(kfs *ext4dax.FS, cfg Config) *FS {
 		// journal stamp ever issued on this K-Split, so that a stale one —
 		// a file's, or the stamp of a log since zeroed — can never mask an
 		// entry logged from here on.
-		opLog: newOpLogState(kfs.MaxUserWatermark()),
+		opSeq: kfs.MaxUserWatermark(),
 	}
+	fs.unlockLog = fs.wmu.Unlock
 	fs.mmaps = newMmapCache(fs)
 	return fs
 }
@@ -406,7 +393,7 @@ func (fs *FS) lockLog(need int64) (func(), error) {
 		fs.wmu.Unlock()
 		return nil, err
 	}
-	return fs.opLog.unlock, nil
+	return fs.unlockLog, nil
 }
 
 // stampedMeta runs one K-Split metadata call — op, which reports whether

@@ -475,60 +475,6 @@ func TestSharedOfileAcrossOpens(t *testing.T) {
 	f2.Close()
 }
 
-func TestForkSharesKernelState(t *testing.T) {
-	_, fs := newEnv(t, POSIX)
-	f, _ := vfs.Create(fs, "/forked")
-	f.Write([]byte("parent"))
-	child := fs.Fork()
-	got, err := vfs.ReadFile(child, "/forked")
-	if err != nil || string(got) != "parent" {
-		t.Fatalf("child read = %q, %v", got, err)
-	}
-	// Child writes are visible to the parent after fsync (shared K-Split).
-	if err := vfs.WriteFile(child, "/from-child", []byte("c")); err != nil {
-		t.Fatal(err)
-	}
-	got, err = vfs.ReadFile(fs, "/from-child")
-	if err != nil || string(got) != "c" {
-		t.Fatalf("parent read of child file = %q, %v", got, err)
-	}
-	f.Close()
-}
-
-func TestExecStateRoundTrip(t *testing.T) {
-	_, fs := newEnv(t, POSIX)
-	f, _ := vfs.Create(fs, "/exec")
-	f.Write([]byte("pre-exec"))
-	if err := fs.PrepareExec(42); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := f.Stat()
-	// Simulate the post-exec image: a fresh U-Split over the same K-Split.
-	fs2, err := New(fs.kfs, Config{Mode: POSIX, StagingFiles: 2,
-		StagingFileBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs2.ResumeExec(42); err != nil {
-		t.Fatal(err)
-	}
-	h, err := fs2.OpenHandle(info.Ino, vfs.O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8)
-	if _, err := h.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "pre-exec" {
-		t.Fatalf("post-exec read = %q", buf)
-	}
-	// The shm file must be gone.
-	if err := fs2.ResumeExec(42); err == nil {
-		t.Fatal("exec state not cleaned up")
-	}
-}
-
 func TestConcurrentModesShareKSplit(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(), TrackPersistence: true})
 	kfs, _ := ext4dax.Mkfs(dev, ext4dax.Config{JournalBlocks: 128, MaxInodes: 1024})

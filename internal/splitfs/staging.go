@@ -68,11 +68,11 @@ type stagingPool struct {
 	// Reclamation runs on the refcounts alone (DESIGN.md, "Staging
 	// reclamation"): every access through a staging file's mapping
 	// happens under the owning ofile.mu, on a staged range or active
-	// chunk that still holds its reference (a Fork's copies hold their
-	// own), and a range gives its reference up only after the relink
-	// that popped it — under that lock's write side — has committed. So
-	// once a sealed file's count reaches zero nothing can reach its
-	// mapping, and it waits in retired only for the next reclaim().
+	// chunk that still holds its reference, and a range gives its
+	// reference up only after the relink that popped it — under that
+	// lock's write side — has committed. So once a sealed file's count
+	// reaches zero nothing can reach its mapping, and it waits in retired
+	// only for the next reclaim().
 	sealed    []*stagingFile // sealed, still referenced by overlays/chunks
 	retired   []*stagingFile // sealed and unreferenced
 	reclaimed int            // staging files unmapped+unlinked by reclaim
