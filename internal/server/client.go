@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,32 +13,17 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// transport is how a Client reaches a server: either the deterministic
-// in-process loopback or a framed byte stream.
-type transport interface {
-	// call issues one request, w's encoded payload, and leaves the
-	// matching reply frame in w (rtyp, reply).
-	call(typ uint8, w *wireCall) error
-	close() error
-}
-
 // wireCall is one request's scratch: the request payload is encoded into
-// its enc, and the reply lands in frame, with reply the payload's slice
-// of it. Calls come from a pool, so a call in steady state allocates
-// nothing, and each caller's reply stays its own until it releases the
-// call — a pipelined caller's frame never overwrites it. The pool is the
-// package's: a call holds nothing of its client once released, and a
-// pool inside Client would keep a closed client reachable from the
-// runtime's pool list for two more collections.
+// its enc, and a plain session's reply frame lands in frame. Calls come
+// from a pool, so a call in steady state allocates nothing, and each
+// caller's reply stays its own until it releases the call — the next
+// caller's frame never overwrites it. The pool is the package's: a call
+// holds nothing of its client once released, and a pool inside Client
+// would keep a closed client reachable from the runtime's pool list for
+// two more collections.
 type wireCall struct {
 	enc
-	rtyp  uint8
-	reply []byte
 	frame []byte
-	// done hands the reply over from the stream transport's read loop;
-	// ok reports whether one arrived (false: the transport failed).
-	done chan struct{}
-	ok   bool
 }
 
 // maxPooledCall bounds the buffers a released call keeps: a chunked
@@ -63,7 +49,6 @@ func releaseCall(w *wireCall) {
 	if cap(w.frame) > maxPooledCall {
 		w.frame = nil
 	}
-	w.reply = nil
 	wireCalls.Put(w)
 }
 
@@ -72,7 +57,7 @@ func (w *wireCall) reset() {
 	w.b, w.err = w.b[:0], nil
 }
 
-func newWireCall() any { return &wireCall{done: make(chan struct{}, 1)} }
+func newWireCall() any { return new(wireCall) }
 
 // ClientConfig configures a session. The zero value is a whole-tree
 // root with no leases.
@@ -105,7 +90,10 @@ func (cfg *ClientConfig) offered() uint32 {
 // Client is a connected session implementing vfs.FileSystem, so every
 // workload in the repository runs unmodified through the service.
 type Client struct {
-	t           transport
+	mu sync.Mutex   // one exchange at a time
+	x  exchange     // guarded by mu
+	rs *resumeState // resumable sessions only; guarded by mu
+
 	fsName      string
 	features    uint32 // agreed set from the attach handshake
 	leaseWrites bool   // leased writes allowed (non-resumable sessions)
@@ -199,23 +187,63 @@ func (e *ShortIOError) Error() string {
 
 func (e *ShortIOError) Unwrap() error { return e.Err }
 
-// call checks the request encoder, sends w's request, unwraps Rerror
-// replies, and checks the reply type. The payload returned is w's: valid
-// until the caller releases w.
+// call checks the request encoder, exchanges w's request for its reply,
+// acknowledges the revocations pushed meanwhile, unwraps Rerror replies,
+// and checks the reply type. The payload returned is valid until the
+// caller releases w.
 func (c *Client) call(typ uint8, want uint8, w *wireCall) ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	if err := c.t.call(typ, w); err != nil {
+	c.mu.Lock()
+	rtyp, rp, err := c.send(typ, w)
+	c.ackRevokes()
+	c.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	if w.rtyp == rError {
-		return nil, decodeError(w.reply)
+	if rtyp == rError {
+		return nil, decodeError(rp)
 	}
-	if w.rtyp != want {
-		return nil, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(w.rtyp), msgName(typ))
+	if rtyp != want {
+		return nil, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
 	}
-	return w.reply, nil
+	return rp, nil
+}
+
+// send carries w's request to its reply: one exchange on a plain
+// session, the logged and replayed drive on a resumable one, whose log
+// may keep the reply and so gets a buffer of its own. A Tdetach closes
+// the session to everything after it. Caller holds c.mu.
+func (c *Client) send(typ uint8, w *wireCall) (uint8, []byte, error) {
+	if c.x.closed {
+		return 0, nil, &RemoteError{Code: codeClosed, Msg: "server: session detached"}
+	}
+	c.x.closed = typ == tDetach
+	if c.rs != nil {
+		return c.rs.drive(typ, w.b)
+	}
+	return c.x.roundTrip(typ, c.x.next(), w.b, &w.frame)
+}
+
+// ackRevokes counts the revocations pushed during the last exchange and
+// acknowledges each, after the reply and on the caller's goroutine, so a
+// session's frames are one sequence run to run. The acknowledgement is
+// advisory: the first failure ends the round, and a detached session
+// sends none. Caller holds c.mu.
+func (c *Client) ackRevokes() {
+	x := &c.x
+	// An acknowledgement's own exchange may meet another push: the loop
+	// picks it up.
+	for i := 0; i < len(x.revoked) && !x.closed; i++ {
+		var p [8]byte
+		binary.LittleEndian.PutUint64(p[:], x.revoked[i])
+		if _, _, err := x.roundTrip(tRevokeAck, x.next(), p[:], &x.abuf); err != nil {
+			break
+		}
+	}
+	c.stats.leaseRevocations.Add(int64(len(x.revoked)))
+	x.revoked = x.revoked[:0]
 }
 
 // Name identifies the stack: "served:" + the backend's own name.
@@ -323,12 +351,14 @@ func (c *Client) SyncAll() error {
 }
 
 // Close detaches the session (the server closes any handles left open)
-// and releases the transport.
+// and hangs up.
 func (c *Client) Close() error {
 	w := newCall()
 	_, derr := c.call(tDetach, rDetach, w)
 	releaseCall(w)
-	cerr := c.t.close()
+	c.mu.Lock()
+	cerr := c.x.drop()
+	c.mu.Unlock()
 	if derr != nil {
 		return derr
 	}
@@ -589,8 +619,9 @@ func (f *File) leasedWrite(p []byte, off int64) (int, error, bool) {
 
 // grantLease round-trips Tlease for this handle and resolves the
 // granted segment. Any refusal — non-mappable backend, directory,
-// transport trouble — pins the handle to the copy path for its
-// lifetime; a fresh open starts fresh. Caller holds f.leaseMu.
+// transport trouble, a segment from another process — pins the handle
+// to the copy path for its lifetime; a fresh open starts fresh. Caller
+// holds f.leaseMu.
 func (f *File) grantLease() *clientLease {
 	if f.leaseBroken {
 		return nil
@@ -616,10 +647,12 @@ func (f *File) grantLease() *clientLease {
 		f.leaseBroken = true
 		return nil
 	}
-	seg := lookupSegment(segID)
+	seg, issued := lookupSegment(segID)
 	if seg == nil {
-		// An out-of-process peer cannot map the segment namespace.
-		f.leaseBroken = true
+		// Revoked already: this operation takes the wire, the next one
+		// asks again. An out-of-process peer cannot map the segment
+		// namespace at all.
+		f.leaseBroken = !issued
 		return nil
 	}
 	f.c.stats.leaseGrants.Add(1)
@@ -632,35 +665,6 @@ func (f *File) dropLease() {
 	f.leaseMu.Lock()
 	f.lease = nil
 	f.leaseMu.Unlock()
-}
-
-// revoked counts a Trevoke push and returns the segment it names. The
-// shared revoked flag has already invalidated the segment, so per-File
-// state is cleaned up lazily on the next validation failure.
-func (c *Client) revoked(payload []byte) (segID uint64, ok bool) {
-	d := dec{b: payload}
-	segID = d.u64()
-	if d.err != nil {
-		return 0, false
-	}
-	c.stats.leaseRevocations.Add(1)
-	return segID, true
-}
-
-// handleRevoke is the stream transport's Trevoke push handler: count it
-// and acknowledge asynchronously, since the read loop that delivers it
-// also delivers the acknowledgement's reply.
-func (c *Client) handleRevoke(payload []byte) {
-	segID, ok := c.revoked(payload)
-	if !ok {
-		return
-	}
-	go func() {
-		e := newCall()
-		defer releaseCall(e)
-		e.u64(segID)
-		_, _ = c.call(tRevokeAck, rRevokeAck, e)
-	}()
 }
 
 // Seek implements vfs.File (the offset lives server-side).
@@ -715,28 +719,80 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 }
 
 // ---------------------------------------------------------------------
-// Stream transport: frames over any io.ReadWriteCloser (unix socket,
-// net.Pipe), with request-ID multiplexing so callers may pipeline.
+// The exchange: the client's one transport. A request is one frame
+// written, then frames read until the reply carrying its ID arrives — on
+// a unix socket or net.Pipe (DialConfig), on the in-process Server.Pipe
+// (NewLoopbackConfig), or on whichever connection a resumable session
+// last dialled (DialResumableConfig). Client.mu serializes callers; the
+// server runs a session's requests one at a time anyway.
 
-type streamTransport struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
+// exchange is a client's connection and the framing state on it.
+type exchange struct {
+	rwc    io.ReadWriteCloser // nil once lost or hung up
+	br     *bufio.Reader
+	wbuf   []byte // request frames are assembled here
+	abuf   []byte // acknowledgement replies land here, unread
+	id     uint32 // the last request ID sent
+	closed bool   // detached: no further request, nor acknowledgement
 
-	writeMu sync.Mutex // serializes request frames
+	// revoked holds the segments Trevoke pushes named since the last
+	// acknowledgement round (Client.ackRevokes).
+	revoked []uint64
+}
 
-	// onPush handles server-initiated frames (Trevoke, request id 0).
-	// Set before the demux loop starts; never called concurrently with
-	// itself (the demux loop is the only caller).
-	onPush func(payload []byte)
+// next returns a fresh request ID. IDs pair replies with requests, and
+// a resumable session's are its replay log's sequence numbers.
+func (x *exchange) next() uint32 {
+	x.id++
+	return x.id
+}
 
-	// wbuf assembles request frames (under writeMu), rbuf holds the
-	// frame the read loop last read (its goroutine only).
-	wbuf, rbuf []byte
+// roundTrip writes one request frame and reads until the reply with its
+// ID arrives, into *buf (a fresh buffer when buf is nil). Frames with
+// another ID — duplicated or stale ones from a faulty transport — are
+// dropped, so a misbehaving wire surfaces as an error or a clean retry,
+// never as a misattributed reply. A transport failure drops the
+// connection and wraps errConnLost, and so does every later request
+// until a resumable session dials again.
+func (x *exchange) roundTrip(typ uint8, id uint32, payload []byte, buf *[]byte) (uint8, []byte, error) {
+	if x.rwc == nil {
+		return 0, nil, fmt.Errorf("%w: no transport", errConnLost)
+	}
+	if err := writeFrame(x.rwc, &x.wbuf, typ, id, payload); err != nil {
+		x.drop()
+		return 0, nil, fmt.Errorf("%w: %w", errConnLost, err)
+	}
+	for {
+		rtyp, rid, rp, err := readFrame(x.br, buf)
+		if err != nil {
+			x.drop()
+			return 0, nil, fmt.Errorf("%w: %w", errConnLost, err)
+		}
+		if rtyp == tRevoke {
+			// The server writes a session's pushes just ahead of a reply.
+			// The shared revoked flag has already invalidated the segment,
+			// so per-File state is cleaned up lazily on the next
+			// validation failure; the push is counted and acknowledged.
+			d := dec{b: rp}
+			if segID := d.u64(); d.err == nil {
+				x.revoked = append(x.revoked, segID)
+			}
+			continue
+		}
+		if rid == id {
+			return rtyp, rp, nil
+		}
+	}
+}
 
-	mu      sync.Mutex
-	nextID  uint32
-	pending map[uint32]*wireCall
-	dead    error
+// drop hangs up the connection, if there still is one.
+func (x *exchange) drop() error {
+	if x.rwc == nil {
+		return nil
+	}
+	err := x.rwc.Close()
+	x.rwc, x.br = nil, nil
+	return err
 }
 
 // DialConfig attaches a session over a connected stream. The attach
@@ -745,22 +801,27 @@ type streamTransport struct {
 // clean downgrade in both directions).
 func DialConfig(rwc io.ReadWriteCloser, cfg ClientConfig) (*Client, error) {
 	cfg.fill()
-	t := &streamTransport{
-		rwc:     rwc,
-		br:      bufio.NewReaderSize(rwc, 64<<10),
-		pending: make(map[uint32]*wireCall),
-	}
-	// Attach synchronously before the demux loop starts. Plain sessions
-	// never present the resume token.
+	br := bufio.NewReaderSize(rwc, 64<<10)
+	// Plain sessions never present the resume token.
 	req := cfg.offered()
-	name, _, agreed, err := attachExchange(rwc, t.br, 0, cfg.Root, false, req)
+	name, _, agreed, err := attachExchange(rwc, br, 0, cfg.Root, false, req)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{t: t, fsName: name, features: agreed & req, leaseWrites: true}
-	t.onPush = c.handleRevoke
-	go t.readLoop()
-	return c, nil
+	return &Client{x: exchange{rwc: rwc, br: br}, fsName: name, features: agreed & req, leaseWrites: true}, nil
+}
+
+// NewLoopbackConfig attaches a session with cfg over a Server.Pipe:
+// every request executes on the caller's goroutine, so a single-session
+// served stack issues the exact backend-operation sequence a direct
+// caller would, and the crash harness's persistence-event streams stay
+// bit-identical.
+func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
+	rwc, err := srv.Pipe()
+	if err != nil {
+		return nil, err
+	}
+	return DialConfig(rwc, cfg)
 }
 
 // attachExchange performs the first-frame exchange on a fresh
@@ -826,191 +887,4 @@ func DialNetConfig(network, addr string, cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	return DialConfig(c, cfg)
-}
-
-// readLoop demultiplexes replies to their waiting callers, copying each
-// out of the loop's own frame buffer into the caller's call before the
-// next frame overwrites it. Frames with request id 0 are
-// server-initiated pushes (Trevoke), routed to onPush.
-func (t *streamTransport) readLoop() {
-	for {
-		typ, reqID, payload, err := readFrame(t.br, &t.rbuf)
-		if err != nil {
-			t.fail(err)
-			return
-		}
-		if typ == tRevoke {
-			if t.onPush != nil {
-				t.onPush(payload)
-			}
-			continue
-		}
-		t.mu.Lock()
-		w, ok := t.pending[reqID]
-		delete(t.pending, reqID)
-		t.mu.Unlock()
-		if ok {
-			w.frame = append(w.frame[:0], payload...)
-			w.rtyp, w.reply, w.ok = typ, w.frame, true
-			w.done <- struct{}{}
-		}
-	}
-}
-
-// fail poisons the transport: every outstanding and future call errors
-// with an errConnLost chain, so callers (and the File proxies above)
-// can classify the loss with errors.Is.
-func (t *streamTransport) fail(err error) {
-	t.mu.Lock()
-	if t.dead == nil {
-		t.dead = fmt.Errorf("%w: %w", errConnLost, err)
-	}
-	pending := t.pending
-	t.pending = make(map[uint32]*wireCall)
-	t.mu.Unlock()
-	for _, w := range pending {
-		w.ok = false
-		w.done <- struct{}{}
-	}
-}
-
-// call sends w's request and waits for the read loop (or a failure) to
-// hand its reply over. Exactly one hand-over answers each registration:
-// whoever takes w out of pending — the read loop, fail, or call itself
-// after a failed write — is the one that signals or skips it, so w.done
-// is empty again when call returns and w can be reused.
-func (t *streamTransport) call(typ uint8, w *wireCall) error {
-	// ID assignment and the frame write happen under one critical
-	// section (lock order writeMu then mu): if they were split, two
-	// pipelined callers could assign IDs in one order and write frames
-	// in the other, and the server — which executes a session FIFO in
-	// arrival order — would run them in an order that contradicts the
-	// IDs. Request IDs are the replay log's sequence numbers, so they
-	// must agree with execution order.
-	t.writeMu.Lock()
-	t.mu.Lock()
-	if t.dead != nil {
-		err := t.dead
-		t.mu.Unlock()
-		t.writeMu.Unlock()
-		return err
-	}
-	t.nextID++
-	id := t.nextID
-	t.pending[id] = w
-	t.mu.Unlock()
-	err := writeFrame(t.rwc, &t.wbuf, typ, id, w.b)
-	t.writeMu.Unlock()
-	if err != nil {
-		// A partial frame is unrecoverable on a shared stream: poison the
-		// transport (wrapping the cause) rather than hand back a raw error
-		// that hides the connection's death from the next caller.
-		t.mu.Lock()
-		_, mine := t.pending[id]
-		delete(t.pending, id)
-		t.mu.Unlock()
-		if !mine {
-			<-w.done // the read loop or fail took it first, and signals it
-		}
-		t.fail(err)
-		t.rwc.Close()
-		t.mu.Lock()
-		dead := t.dead
-		t.mu.Unlock()
-		return dead
-	}
-	<-w.done
-	if !w.ok {
-		t.mu.Lock()
-		err := t.dead
-		t.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-func (t *streamTransport) close() error {
-	err := t.rwc.Close()
-	t.fail(io.ErrClosedPipe)
-	return err
-}
-
-// ---------------------------------------------------------------------
-// Loopback transport: the deterministic in-memory pair. Each call is
-// encoded, framed, executed (Session.serve, as a stream's read loop
-// does), and decoded inline on the caller's goroutine — no channels, no
-// goroutines — so a single-session served stack issues the exact
-// backend-operation sequence a direct caller would, and the crash
-// harness's persistence-event streams stay bit-identical.
-
-type loopbackTransport struct {
-	s  *Session
-	mu sync.Mutex // reqID + the one-frame "wire"
-	id uint32
-}
-
-// NewLoopbackConfig attaches a deterministic in-process session with
-// cfg. Negotiation runs the same intersection the wire handshake does.
-func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
-	s, err := srv.attach(cfg.Root, nil, false, cfg.offered())
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		t: &loopbackTransport{s: s}, fsName: srv.fs.Name(),
-		features: s.features, leaseWrites: true,
-	}, nil
-}
-
-func (t *loopbackTransport) call(typ uint8, w *wireCall) error {
-	t.mu.Lock()
-	t.id++
-	id := t.id
-	t.mu.Unlock()
-	// Round-trip through the real framing so the codec path is identical
-	// to the stream transport's.
-	var buf loopbackBuf
-	if err := writeFrame(&buf, nil, typ, id, w.b); err != nil {
-		return err
-	}
-	rtyp, rid, rp, err := readFrame(&buf, nil)
-	if err != nil {
-		return err
-	}
-	rtyp, rp, ok := t.s.serve(nil, rtyp, rid, rp, &w.frame)
-	if !ok {
-		// A detached session (Client.Close, Server.Close) rejects further
-		// calls, like the stream transport's dead-connection check —
-		// operating on it would insert handles no teardown will ever close.
-		return &RemoteError{Code: codeClosed, Msg: "server: session detached"}
-	}
-	buf = loopbackBuf{}
-	if err := writeFrame(&buf, nil, rtyp, rid, rp); err != nil {
-		return err
-	}
-	w.rtyp, _, w.reply, err = readFrame(&buf, &w.frame)
-	return err
-}
-
-func (t *loopbackTransport) close() error {
-	t.s.teardown()
-	return nil
-}
-
-// loopbackBuf is a minimal in-memory byte pipe for one frame.
-type loopbackBuf struct{ b []byte }
-
-func (l *loopbackBuf) Write(p []byte) (int, error) {
-	l.b = append(l.b, p...)
-	return len(p), nil
-}
-
-func (l *loopbackBuf) Read(p []byte) (int, error) {
-	if len(l.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, l.b)
-	l.b = l.b[n:]
-	return n, nil
 }

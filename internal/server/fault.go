@@ -22,22 +22,19 @@ var ErrInjectedFault = errInjectedFault
 //     write and close the connection — a mid-frame disconnect when n
 //     lands inside a frame, a partial header write when n is under
 //     frameHeader, a clean frame-boundary cut when n is 0.
-//   - DuplicateNextWrite: the next complete write is sent twice — a
-//     duplicated reply frame the client must drop by request ID.
-//   - HoldNextWrite: the next complete write is withheld until the write
-//     after it has been sent — two pipelined replies arrive reordered.
+//   - DuplicateNextWrite: the next complete write is sent twice, in one
+//     write — a duplicated reply frame the client must drop by request
+//     ID.
 //
-// The duplicate/hold hooks treat each Write call as one frame, which
-// holds for both peers here: writeFrame issues a single Write per frame
-// and neither side buffers its write path.
+// The duplicate hook treats each Write call as one frame, which holds
+// for both peers here: writeFrame issues a single Write per frame and
+// neither side buffers its write path.
 type FaultConn struct {
 	inner io.ReadWriteCloser
 
 	mu          sync.Mutex
 	writeBudget int64 // remaining write bytes before the cut; -1 = unlimited
 	dupNext     bool
-	holdNext    bool
-	held        []byte
 }
 
 // NewFaultConn wraps inner with no faults armed.
@@ -60,14 +57,6 @@ func (f *FaultConn) DuplicateNextWrite() {
 	f.mu.Unlock()
 }
 
-// HoldNextWrite arms one reordering: the next frame is withheld and
-// sent immediately after the frame that follows it.
-func (f *FaultConn) HoldNextWrite() {
-	f.mu.Lock()
-	f.holdNext = true
-	f.mu.Unlock()
-}
-
 func (f *FaultConn) Read(p []byte) (int, error) { return f.inner.Read(p) }
 
 func (f *FaultConn) Write(p []byte) (int, error) {
@@ -85,28 +74,18 @@ func (f *FaultConn) Write(p []byte) (int, error) {
 		}
 		f.writeBudget -= int64(len(p))
 	}
-	if f.holdNext {
-		f.holdNext = false
-		f.held = append([]byte(nil), p...)
-		return len(p), nil
-	}
+	n := len(p)
 	if f.dupNext {
+		// Frame and copy go out in one write, back to back as on a
+		// socket: a net.Pipe write blocks until it is read, and a client
+		// reads only while it waits on a reply.
 		f.dupNext = false
-		if _, err := f.inner.Write(p); err != nil {
-			return 0, err
-		}
+		p = append(p[:n:n], p...)
 	}
 	if _, err := f.inner.Write(p); err != nil {
 		return 0, err
 	}
-	if f.held != nil {
-		held := f.held
-		f.held = nil
-		if _, err := f.inner.Write(held); err != nil {
-			return len(p), err
-		}
-	}
-	return len(p), nil
+	return n, nil
 }
 
 func (f *FaultConn) Close() error { return f.inner.Close() }

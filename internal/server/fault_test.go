@@ -26,7 +26,7 @@ func faultBackend(t *testing.T) vfs.FileSystem {
 }
 
 // faultClient dials a plain session whose server side runs behind a
-// FaultConn, so tests can tear, duplicate, and reorder reply frames.
+// FaultConn, so tests can tear and duplicate reply frames.
 func faultClient(t *testing.T, srv *Server) (*Client, *FaultConn) {
 	t.Helper()
 	cs, ss := net.Pipe()
@@ -116,53 +116,6 @@ func TestFaultDuplicatedReply(t *testing.T) {
 	fi, err = c.Stat("/")
 	if err != nil || !fi.IsDir {
 		t.Fatalf("stat after duplicated reply: %+v, %v", fi, err)
-	}
-}
-
-// Two pipelined replies delivered in reversed order must each reach
-// their own caller (request-ID demultiplexing, not arrival order).
-func TestFaultReorderedReplies(t *testing.T) {
-	srv := New(faultBackend(t), Config{})
-	defer srv.Close()
-	c, fc := faultClient(t, srv)
-
-	for _, p := range []struct {
-		path string
-		n    int
-	}{{"/a", 100}, {"/b", 2000}} {
-		f, err := c.OpenFile(p.path, vfs.O_CREATE|vfs.O_RDWR, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(bytes.Repeat([]byte{'x'}, p.n), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fc.HoldNextWrite()
-	type res struct {
-		size int64
-		err  error
-	}
-	ra := make(chan res, 1)
-	rb := make(chan res, 1)
-	go func() {
-		fi, err := c.Stat("/a")
-		ra <- res{fi.Size, err}
-	}()
-	go func() {
-		fi, err := c.Stat("/b")
-		rb <- res{fi.Size, err}
-	}()
-	a, b := <-ra, <-rb
-	if a.err != nil || b.err != nil {
-		t.Fatalf("reordered replies errored: %v, %v", a.err, b.err)
-	}
-	if a.size != 100 || b.size != 2000 {
-		t.Fatalf("replies misattributed: /a=%d /b=%d", a.size, b.size)
 	}
 }
 

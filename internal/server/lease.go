@@ -18,14 +18,17 @@
 // namespace/size operations (truncate, O_TRUNC or conflicting writable
 // opens, rename, unlink) revoke outstanding leases on the inode before
 // executing — the revoker sets the flag, then takes the segment lock
-// write-side to drain readers pinned under the read side, then pushes a
-// Trevoke message so a stream client learns eagerly rather than on its
-// next validation failure.
+// write-side to drain readers pinned under the read side, then queues a
+// Trevoke message on the holder's session, which writes it just ahead of
+// its next reply: the client learns at its next exchange rather than on
+// its next validation failure.
 //
 // Lock hierarchy: sessexec (a session's executor lock, Session.execMu)
 // is outermost — a request grants and revokes from inside it, and a
-// revocation reaches another session only through that session's
-// replyMu, never its executor lock; leasetab (the server's ino→segment
+// revocation reaches another session only by queuing a push under that
+// session's replyMu: never its executor lock, and never a write to its
+// connection, which could block the revoker on an idle client that is
+// not reading; leasetab (the server's ino→segment
 // index) is taken on its own, never inside a segment or backend lock;
 // leaseseg is held read-side across backend data operations, hence
 // ordered outside the splitfs writer lock.
@@ -35,7 +38,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -82,10 +84,17 @@ func registerSegment(seg *leaseSegment) {
 	segRegistry.mu.Unlock()
 }
 
-func lookupSegment(id uint64) *leaseSegment {
+// lookupSegment resolves a segment id. issued reports whether this
+// process's registry handed the id out: an issued id that resolves to
+// nothing was revoked since its grant — a revoker does not wait for the
+// holder to look its grant up — while an id never issued here was
+// granted by a server in another process. Ids are sequence numbers, so
+// in a process that also serves, another server's id can read as issued;
+// that costs its handle a Tlease per operation, never a wrong byte.
+func lookupSegment(id uint64) (seg *leaseSegment, issued bool) {
 	segRegistry.mu.Lock()
 	defer segRegistry.mu.Unlock()
-	return segRegistry.m[id]
+	return segRegistry.m[id], id <= segRegistry.next
 }
 
 func unregisterSegment(id uint64) {
@@ -211,30 +220,23 @@ func (srv *Server) revokeSegment(seg *leaseSegment) {
 	unregisterSegment(seg.id)
 }
 
-// pushRevoke sends the server-initiated Trevoke frame. Request id 0 is
-// reserved for it (client request ids start at 1). Loopback and parked
-// sessions have no conn; their clients learn from the shared revoked
-// flag, which is already set.
+// pushRevoke queues the server-initiated Trevoke frame for the session's
+// client; reply writes it, with request id 0 (client request ids start
+// at 1), just ahead of the session's next reply. A parked session has no
+// conn: its client learns from the shared revoked flag, which is already
+// set.
 func (s *Session) pushRevoke(segID uint64) {
 	s.replyMu.Lock()
-	defer s.replyMu.Unlock()
-	if s.conn == nil {
-		return
+	if s.conn != nil {
+		s.pushes = append(s.pushes, segID)
 	}
-	if ff := s.srv.cfg.FailReplies; ff != nil && ff() {
-		// Dying daemon: pushes die with the replies. The flag page has
-		// already propagated the revocation.
-		return
-	}
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], segID)
-	_ = writeFrame(s.conn.w, &s.conn.wbuf, tRevoke, 0, p[:])
+	s.replyMu.Unlock()
 }
 
 // ackRevoke records the client's Trevokeack (advisory: the revoked flag
 // is the hard edge of the protocol).
 func (srv *Server) ackRevoke(segID uint64) {
-	if seg := lookupSegment(segID); seg != nil {
+	if seg, _ := lookupSegment(segID); seg != nil {
 		seg.acked.Store(true)
 	}
 	srv.stats.revokeAcks.Add(1)

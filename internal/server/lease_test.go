@@ -78,6 +78,15 @@ func TestLeasedDataPlane(t *testing.T) {
 			if string(direct) != string(data) {
 				t.Fatal("backend content diverged from leased writes")
 			}
+			// A truncate revokes the handle's leases (a re-grant leaves the
+			// older segment in place), and the pushes reach a loopback
+			// client ahead of the reply, as on any connection.
+			if err := f.Truncate(int64(len(data))); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.Stats().LeaseRevocations, srv.Stats().LeaseRevokes; got == 0 || got != want {
+				t.Errorf("LeaseRevocations = %d after a truncate, want the server's %d", got, want)
+			}
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -134,43 +143,6 @@ func TestLeaseUnsupportedBackend(t *testing.T) {
 	}
 	if st.WireReadBytes == 0 || st.WireWriteBytes == 0 {
 		t.Errorf("copy path unused: %+v", st)
-	}
-}
-
-// TestLeaseNegotiationDowngrade covers the server-side knob: a client
-// asking for leases against a server configured without them agrees on
-// the empty set and serves everything over the wire.
-func TestLeaseNegotiationDowngrade(t *testing.T) {
-	fs := newBackend(t, "splitfs-strict")
-	srv := server.New(fs, server.Config{DisableLeases: true})
-	defer srv.Close()
-	c, err := server.NewLoopbackConfig(srv, server.ClientConfig{Root: "/", EnableLeases: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.OpenFile("/a", vfs.O_RDWR|vfs.O_CREATE, 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("downgraded"), 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 10)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "downgraded" {
-		t.Fatalf("read %q", buf)
-	}
-	st := c.Stats()
-	if st.LeaseGrants != 0 {
-		t.Errorf("grants on a lease-disabled server: %+v", st)
-	}
-	if st.WireReadBytes == 0 {
-		t.Error("reads did not take the wire on the downgraded session")
-	}
-	if gs := srv.Stats(); gs.LeaseGrants != 0 {
-		t.Errorf("server counted grants: %+v", gs)
 	}
 }
 
@@ -268,13 +240,16 @@ func TestLeaseRevocationRaces(t *testing.T) {
 	// rename away and back, truncate to half and rewrite, conflicting
 	// writable opens. Every rewrite restores the offset pattern before
 	// the next trigger, and each mutation step syncs so strict-mode
-	// staging recycles continuously.
+	// staging recycles continuously. Sixty triggers at least, and more —
+	// up to a bound — until the reader has read through a lease: no
+	// revoker waits on the reader, so sixty can all land before its
+	// first leased read, and a race it never joined is vacuous.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		half := make([]byte, fileSize/2)
 		fillPattern(half, fileSize/2)
-		for i := 0; i < 60 && !stop.Load(); i++ {
+		for i := 0; (i < 60 || i < 6000 && reader.Stats().LeasedReadBytes == 0) && !stop.Load(); i++ {
 			switch i % 3 {
 			case 0:
 				if err := churn.Rename("/hot", "/warm"); err != nil {
@@ -325,6 +300,61 @@ func TestLeaseRevocationRaces(t *testing.T) {
 	}
 	if st := reader.Stats(); st.LeasedReadBytes == 0 {
 		t.Error("reader never read through the lease: the race is vacuous")
+	}
+}
+
+// TestIdleClientDoesNotBlockRevoker: a revocation is queued on the
+// holder's session, not written into its connection. Client A holds a
+// lease over net.Pipe and goes idle; a client reads only while it has a
+// request out, so a push written at revoke time would block the revoker
+// on A's pipe for good. Client B, driven from the same goroutine, opens
+// the file for writing (which revokes A's lease) and truncates it, and
+// its calls return. A's next call meets the push ahead of its reply,
+// counts it and acknowledges it.
+func TestIdleClientDoesNotBlockRevoker(t *testing.T) {
+	fs := newBackend(t, "splitfs-strict")
+	srv := server.New(fs, server.Config{})
+	defer srv.Close()
+	a, aconn := leasePipeClient(t, srv, "/")
+	defer aconn.Close()
+	b, bconn := pipeClient(t, srv, "/")
+	defer bconn.Close()
+
+	f, err := a.OpenFile("/f", vfs.O_RDWR|vfs.O_CREATE, 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 4096)
+	fillPattern(data, 0)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.LeaseGrants != 1 || st.LeasedWriteBytes != int64(len(data)) {
+		t.Fatalf("A holds no lease: %+v", st)
+	}
+
+	g, err := b.OpenFile("/f", vfs.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.LeaseRevokes != 1 || st.RevokeAcks != 0 {
+		t.Fatalf("after B's calls: %+v, want one revoke and no acknowledgement yet", st)
+	}
+
+	if fi, err := a.Stat("/f"); err != nil || fi.Size != 0 {
+		t.Fatalf("A's stat after the truncate: %+v, %v", fi, err)
+	}
+	if n := a.Stats().LeaseRevocations; n != 1 {
+		t.Errorf("A counted %d revocations, want 1", n)
+	}
+	if n := srv.Stats().RevokeAcks; n != 1 {
+		t.Errorf("RevokeAcks = %d, want 1", n)
 	}
 }
 

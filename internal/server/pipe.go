@@ -9,15 +9,15 @@ import (
 )
 
 // Pipe opens an in-process stream connection to the server and returns
-// its client end — the loopback rule applied to the stream protocol. A
-// request frame executes the moment a Write completes it, on the writing
-// goroutine, through the step ServeConn runs for every frame it reads,
-// and its reply is queued before that Write returns, so Read never waits:
-// with nothing queued it reports the end of the stream. The connection
-// speaks the whole protocol — Tattach/Treattach, resumable sessions,
-// FaultConn cuts, FailReplies — for a synchronous client such as
-// DialResumableConfig, whose redial Pipe can be. One goroutine driving
-// any number of them is a deterministic multi-session execution.
+// its client end: the connection NewLoopbackConfig attaches over, and
+// one DialResumableConfig's redial can return. A request frame executes
+// the moment a Write completes it, on the writing goroutine, through the
+// step ServeConn runs for every frame it reads, and its reply is queued
+// before that Write returns, so Read never waits: with nothing queued it
+// reports the end of the stream. The connection speaks the whole
+// protocol — Tattach/Treattach, resumable sessions, FaultConn cuts,
+// FailReplies — for the client's synchronous exchange. One goroutine
+// driving any number of them is a deterministic multi-session execution.
 func (srv *Server) Pipe() (io.ReadWriteCloser, error) {
 	p := &pipe{}
 	conn, err := srv.openConn(pipeEnd{p})

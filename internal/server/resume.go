@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // resumeMaxAttempts bounds reconnect attempts per failed operation; the
@@ -43,51 +42,31 @@ const resumeMaxAttempts = 8
 // copy path.
 func DialResumableConfig(redial func() (io.ReadWriteCloser, error), cfg ClientConfig) (*Client, error) {
 	cfg.fill()
-	req := cfg.offered()
-	t := &resumeState{redial: redial, root: cfg.Root, req: req, handles: make(map[uint64]*handleMeta)}
-	t.mu.Lock()
-	err := t.resume()
-	t.mu.Unlock()
-	if err != nil {
+	c := &Client{}
+	t := &resumeState{x: &c.x, redial: redial, root: cfg.Root, req: cfg.offered(), handles: make(map[uint64]*handleMeta)}
+	if err := t.resume(); err != nil {
 		return nil, err
 	}
-	c := &Client{t: t, fsName: t.fsName, features: t.feats & req}
-	t.onPush = func(payload []byte) {
-		if segID, ok := c.revoked(payload); ok {
-			t.acks = append(t.acks, segID)
-		}
-	}
+	c.rs, c.fsName, c.features = t, t.fsName, t.feats&t.req
 	return c, nil
 }
 
-// resumeState is the resumable transport: a synchronous frame exchange
-// plus the replay log and per-handle metadata that let it rebuild the
-// session on another connection — or another server generation.
+// resumeState is what a resumable session adds to the client's exchange:
+// the replay log and per-handle metadata that let it rebuild the session
+// on another connection — or another server generation. Guarded, with
+// the exchange, by Client.mu.
 type resumeState struct {
+	x      *exchange // the client's
 	redial func() (io.ReadWriteCloser, error)
 	root   string
 	req    uint32 // feature set offered at attach
 	feats  uint32 // feature set agreed at the first attach
 
-	// onPush handles server-initiated Trevoke frames surfacing in the
-	// synchronous read loop. Called with t.mu held; it queues the
-	// segment in acks, which exchange acknowledges once the request in
-	// flight has its reply — on the caller's goroutine, so a resumable
-	// session's frames are one sequence run to run.
-	onPush func(payload []byte)
-	acks   []uint64
-
-	mu          sync.Mutex // serializes calls: one outstanding request
-	rwc         io.ReadWriteCloser
-	br          *bufio.Reader
-	wbuf        []byte // request frames are assembled here
 	token       uint64
 	fsName      string
-	nextSeq     uint32
 	records     []*opRecord // mutating ops since the last durable barrier
 	handles     map[uint64]*handleMeta
 	coldPending bool // a cold rebuild started and has not completed
-	closed      bool
 }
 
 // opRecord is one logged mutating request: the raw payload it went out
@@ -136,59 +115,19 @@ func pureOp(typ uint8) bool {
 	return false
 }
 
-func (t *resumeState) seq() uint32 {
-	t.nextSeq++
-	return t.nextSeq
-}
-
-// call implements transport. The reply is the exchange's own buffer,
-// which the replay log may keep: w holds it without copying.
-func (t *resumeState) call(typ uint8, w *wireCall) error {
-	rtyp, rp, err := t.exchange(typ, w.b)
-	if err != nil {
-		return err
-	}
-	w.rtyp, w.reply = rtyp, rp
-	return nil
-}
-
-// exchange drives one request to its reply, then acknowledges the
-// revocations pushed meanwhile — best effort, as an acknowledgement is
-// advisory, and not at all once the session is detached.
-func (t *resumeState) exchange(typ uint8, payload []byte) (uint8, []byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rtyp, rp, err := t.drive(typ, payload)
-	for _, segID := range t.acks {
-		if t.closed {
-			break
-		}
-		var e enc
-		e.u64(segID)
-		if _, _, aerr := t.roundTrip(tRevokeAck, t.seq(), e.b); aerr != nil {
-			break
-		}
-	}
-	t.acks = t.acks[:0]
-	return rtyp, rp, err
-}
-
 // drive carries one request to its reply, logging and replaying it as
-// the request type requires. Caller holds t.mu.
+// the request type requires. The reply is a buffer of its own, which the
+// log may keep. Caller holds Client.mu.
 func (t *resumeState) drive(typ uint8, payload []byte) (uint8, []byte, error) {
-	if t.closed {
-		return 0, nil, &RemoteError{Code: codeClosed, Msg: "server: session detached"}
-	}
 	if typ == tDetach {
 		// Best effort: if the transport is gone the parked session lives
 		// until the server closes; resuming just to say goodbye would
 		// re-apply the whole tail for nothing.
-		t.closed = true
-		return t.roundTrip(typ, t.seq(), payload)
+		return t.x.roundTrip(typ, t.x.next(), payload, nil)
 	}
 	if pureOp(typ) {
 		for attempt := 0; ; attempt++ {
-			rtyp, rp, err := t.roundTrip(typ, t.seq(), payload)
+			rtyp, rp, err := t.x.roundTrip(typ, t.x.next(), payload, nil)
 			if err == nil {
 				return rtyp, rp, nil
 			}
@@ -203,11 +142,11 @@ func (t *resumeState) drive(typ uint8, payload []byte) (uint8, []byte, error) {
 	// Mutating operation: log first, then drive it to an acknowledged
 	// reply, resuming the session as often as the transport fails.
 	// The log outlives the caller's request buffer, which is reused.
-	rec := &opRecord{seq: t.seq(), typ: typ, payload: append([]byte(nil), payload...)}
+	rec := &opRecord{seq: t.x.next(), typ: typ, payload: append([]byte(nil), payload...)}
 	t.chainRenames(typ, payload)
 	t.records = append(t.records, rec)
 	for attempt := 0; ; attempt++ {
-		rtyp, rp, err := t.roundTrip(rec.typ, rec.seq, rec.payload)
+		rtyp, rp, err := t.x.roundTrip(rec.typ, rec.seq, rec.payload, nil)
 		if err == nil {
 			t.ack(rec, rtyp, rp)
 			return rtyp, rp, nil
@@ -222,58 +161,6 @@ func (t *resumeState) drive(typ uint8, payload []byte) (uint8, []byte, error) {
 			// resume's replay already carried it to a reply.
 			return rec.rtyp, rec.reply, nil
 		}
-	}
-}
-
-func (t *resumeState) close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
-	if t.rwc == nil {
-		return nil
-	}
-	err := t.rwc.Close()
-	t.rwc, t.br = nil, nil
-	return err
-}
-
-// roundTrip performs one synchronous request/reply exchange. Replies
-// whose ID does not match are dropped — duplicated or stale frames from
-// a faulty transport — so a misbehaving wire surfaces as a documented
-// error or a clean retry, never as a misattributed reply.
-func (t *resumeState) roundTrip(typ uint8, seq uint32, payload []byte) (uint8, []byte, error) {
-	if t.rwc == nil {
-		return 0, nil, fmt.Errorf("%w: no transport", errConnLost)
-	}
-	if err := writeFrame(t.rwc, &t.wbuf, typ, seq, payload); err != nil {
-		t.dropConn()
-		return 0, nil, fmt.Errorf("%w: %w", errConnLost, err)
-	}
-	for {
-		rtyp, rid, rp, err := readFrame(t.br, nil) // the log may keep the reply
-		if err != nil {
-			t.dropConn()
-			return 0, nil, fmt.Errorf("%w: %w", errConnLost, err)
-		}
-		if rtyp == tRevoke {
-			// Server-initiated push surfacing mid-exchange; the shared
-			// revoked flag already invalidated the segment.
-			if t.onPush != nil {
-				t.onPush(rp)
-			}
-			continue
-		}
-		if rid != seq {
-			continue
-		}
-		return rtyp, rp, nil
-	}
-}
-
-func (t *resumeState) dropConn() {
-	if t.rwc != nil {
-		t.rwc.Close()
-		t.rwc, t.br = nil, nil
 	}
 }
 
@@ -472,8 +359,8 @@ func (t *resumeState) handshake(rwc io.ReadWriteCloser, br *bufio.Reader, warm b
 		t.feats = feats
 	}
 	t.fsName = name
-	t.dropConn()
-	t.rwc, t.br = rwc, br
+	t.x.drop()
+	t.x.rwc, t.x.br = rwc, br
 	return nil
 }
 
@@ -494,7 +381,7 @@ func (t *resumeState) replay(cold bool) error {
 		sort.Slice(metas, func(i, j int) bool { return metas[i].id < metas[j].id })
 		for _, m := range metas {
 			if m.reopenSeq == 0 {
-				m.reopenSeq = t.seq()
+				m.reopenSeq = t.x.next()
 			}
 			if err := t.sendReopen(m.reopenSeq, m, m.baseOff); err != nil {
 				return err
@@ -519,7 +406,7 @@ func (t *resumeState) replay(cold bool) error {
 			}
 			continue
 		}
-		rtyp, rp, err := t.roundTrip(rec.typ|flagReplay, rec.seq, rec.payload)
+		rtyp, rp, err := t.x.roundTrip(rec.typ|flagReplay, rec.seq, rec.payload, nil)
 		if err != nil {
 			return err
 		}
@@ -543,7 +430,7 @@ func (t *resumeState) sendReopen(seq uint32, m *handleMeta, off int64) error {
 	if e.err != nil {
 		return e.err
 	}
-	rtyp, rp, err := t.roundTrip(tReopen|flagReplay, seq, e.b)
+	rtyp, rp, err := t.x.roundTrip(tReopen|flagReplay, seq, e.b, nil)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -20,12 +21,6 @@ type Config struct {
 	// should use a different salt so a stale token from the previous
 	// generation cannot collide with a fresh session's token.
 	TokenSalt uint64
-
-	// DisableLeases removes featLeases from the server's advertised
-	// feature set: every attach negotiates down to the chunked copy
-	// path, as against a pre-lease server. Used by the downgrade tests
-	// and available as an operational kill switch.
-	DisableLeases bool
 
 	// FailReplies, when set, is consulted before every reply frame is
 	// written; returning true makes the server close the connection
@@ -180,9 +175,10 @@ type serverConn struct {
 }
 
 // New builds a server over fs. The server starts no goroutine of its
-// own: a stream connection's requests run on whoever called ServeConn,
-// a loopback session's on its caller, so loopback-only servers (the
-// crash harness's served: wrapper) stay deterministic.
+// own: a connection's requests run on whoever called ServeConn, or on
+// the goroutine writing them into a Pipe, so servers reached only
+// through Pipes (the crash harness's served: wrapper, the daemon-death
+// campaigns) stay deterministic.
 func New(fs vfs.FileSystem, cfg Config) *Server {
 	return &Server{
 		fs:       fs,
@@ -197,21 +193,14 @@ func New(fs vfs.FileSystem, cfg Config) *Server {
 // FS returns the served backend.
 func (srv *Server) FS() vfs.FileSystem { return srv.fs }
 
-// features is the server's advertised feature set. A backend that is
-// not vfs.Mappable still advertises leases: grants simply fail per
-// handle and the client caches the refusal.
-func (srv *Server) features() uint32 {
-	if srv.cfg.DisableLeases {
-		return 0
-	}
-	return featLeases
-}
-
 // attach creates a session confined to root ("" or "/" = whole tree).
 // A non-root subtree must already exist as a directory. A resumable
 // session gets a nonzero re-attach token and survives transport loss by
 // parking (see Session.disconnect). feats is the client's requested
-// feature set; the session operates under the intersection.
+// feature set; the session operates under its intersection with
+// featLeases, the server's whole set. A backend that is not
+// vfs.Mappable still advertises leases: grants simply fail per handle
+// and the client caches the refusal.
 func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats uint32) (*Session, error) {
 	root = vfs.CleanPath(root)
 	if root != "/" {
@@ -230,7 +219,7 @@ func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats u
 	}
 	srv.nextSess++
 	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: vfs.NewFDTable(), conn: conn, resumable: resumable,
-		features: feats & srv.features(), flight: obs.NewRecorder(obs.DefaultFlightSlots)}
+		features: feats & featLeases, flight: obs.NewRecorder(obs.DefaultFlightSlots)}
 	s.gen.Store(1)
 	if resumable {
 		s.token = mix64(srv.cfg.TokenSalt ^ mix64(s.id))
@@ -306,18 +295,20 @@ func (srv *Server) OpenHandles() int {
 	return n
 }
 
-// reply writes one response frame on the session's current transport;
-// the caller holds execMu. An oversized payload (a handler bug —
-// handlers bound their replies) degrades to an Rerror so one request
-// cannot wedge the connection; an I/O failure kills the connection (the
-// read loop then tears the session down or parks it). The connection
-// pointer is read under replyMu because park/adopt swap it. A reply that
-// is not sent is counted as dropped, so every executed stream request is
-// either answered or counted: when the FailReplies hook fires the
-// connection is killed instead — the executed-but-unacknowledged window
-// of a daemon death, so an acknowledged operation always finished
-// executing before the fault point — and a session that parked while the
-// request ran (a takeover whose handshake failed) has nowhere to send it.
+// reply writes one response frame on the session's current transport,
+// preceded by the Trevoke pushes queued for it; the caller holds execMu.
+// An oversized payload (a handler bug — handlers bound their replies)
+// degrades to an Rerror so one request cannot wedge the connection; an
+// I/O failure kills the connection (the read loop then tears the session
+// down or parks it). The connection pointer is read under replyMu
+// because park/adopt swap it. A reply that is not sent is counted as
+// dropped, so every executed request is either answered or counted:
+// when the FailReplies hook fires the connection is killed instead — the
+// executed-but-unacknowledged window of a daemon death, so an
+// acknowledged operation always finished executing before the fault
+// point, and its pushes die with it — and a session that parked while
+// the request ran (a takeover whose handshake failed) has nowhere to
+// send it.
 func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 	if len(payload) > maxFrame-frameHeader {
 		typ, reqID, payload = encodeError(reqID, fmt.Errorf("server: %s reply exceeds the wire payload bound", msgName(typ)))
@@ -332,7 +323,18 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 		}
 		return
 	}
-	err := writeFrame(conn.w, &conn.wbuf, typ, reqID, payload)
+	var err error
+	for _, segID := range s.pushes {
+		var p [8]byte
+		binary.LittleEndian.PutUint64(p[:], segID)
+		if err = writeFrame(conn.w, &conn.wbuf, tRevoke, 0, p[:]); err != nil {
+			break
+		}
+	}
+	s.pushes = s.pushes[:0]
+	if err == nil {
+		err = writeFrame(conn.w, &conn.wbuf, typ, reqID, payload)
+	}
 	s.replyMu.Unlock()
 	if err != nil {
 		conn.w.Close()
@@ -389,12 +391,12 @@ func (conn *serverConn) step(typ uint8, reqID uint32, payload []byte) error {
 		return conn.handshake(typ, reqID, payload)
 	}
 	// A frame the session no longer takes from this connection —
-	// superseded by a takeover re-attach, or sent behind a Tdetach, as a
-	// client's advisory TrevokeAck can be — is dropped unanswered. The
+	// superseded by a takeover re-attach, or sent behind a Tdetach — is
+	// dropped unanswered. The
 	// connection still ends only when its stream does: hanging up here
 	// could overtake the Rdetach on its way to a client that is still
 	// writing.
-	conn.s.serve(conn, typ, reqID, payload, nil)
+	conn.s.serve(conn, typ, reqID, payload)
 	return nil
 }
 
@@ -544,8 +546,9 @@ func (srv *Server) Close() error {
 	// reply blocked on a client that stopped reading, which would
 	// otherwise hold its session's executor lock against the teardown.
 	// Tearing every session down directly (not via the read loops) also
-	// covers loopback sessions and parked ones, which have no connection
-	// to close. No session attaches once closed is set, and teardown goes
+	// covers parked sessions, which have no connection to close, and
+	// Pipe sessions, whose connection ends only when its client next
+	// writes or hangs up. No session attaches once closed is set, and teardown goes
 	// in session order, so its handle closes are one sequence run to run.
 	for _, c := range conns {
 		c.w.Close()

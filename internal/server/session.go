@@ -15,7 +15,8 @@ import (
 // Session is one client's view of the served file system: a confining
 // root, a handle table, and an executor lock under which its requests
 // run one at a time, in the order they were read, on the goroutine that
-// read them (serve). Sessions are path-confined — every client path is
+// read them (serve), each answered on the session's connection before
+// the next runs. Sessions are path-confined — every client path is
 // resolved lexically against the session root, so "../.." walks clamp at
 // the root instead of escaping it (the gofer confinement rule).
 //
@@ -54,17 +55,21 @@ type Session struct {
 	closed bool // torn down; set once, under execMu
 	parked bool // transport lost; awaiting re-attach
 
-	// conn is the transport the session answers on: nil for loopback and
-	// while parked. park and adopt write it holding mu and replyMu
-	// together, so either lock guards a read.
+	// conn is the transport the session answers on: nil while parked.
+	// park and adopt write it holding mu and replyMu together, so either
+	// lock guards a read.
 	conn    *serverConn
 	replyMu sync.Mutex // serializes reply and push frames onto conn
+
+	// pushes holds the segment IDs of Trevoke frames queued for the
+	// client (pushRevoke); reply writes them ahead of the next reply.
+	// Guarded by replyMu.
+	pushes []uint64
 
 	replies replyCache // exactly-once reply cache (resumable sessions)
 
 	// out is the reply execute renders, reused request after request
-	// under execMu: a stream reply is written before execMu is released,
-	// and serve copies one for a loopback caller under it.
+	// under execMu: the reply is written before execMu is released.
 	out enc
 
 	// Observability plane (metrics.go): gen counts transport
@@ -270,40 +275,31 @@ func (s *Session) teardownLocked() {
 	s.srv.detach(s)
 }
 
-// serve executes one request on the calling goroutine — the read loop
-// of from, or the loopback caller (from == nil) — and, on a stream,
-// answers it, all under the executor lock: requests run in the order
-// their transport delivered them and never beside a teardown. ok is
-// false, and nothing runs, when the session is closed or from is no
-// longer its transport: a takeover re-attach replays whatever the old
+// serve executes one request that arrived on from, on the calling
+// goroutine, and answers it, all under the executor lock: requests run
+// in the order their connection delivered them and never beside a
+// teardown. Nothing runs when the session is closed or from is no longer
+// its transport: a takeover re-attach replays whatever the old
 // connection had not answered, so a stale copy still buffered there must
-// not execute a second time behind the replay. For a loopback caller the
-// reply returned is a copy in *dst (grown as needed): the session's
-// reply buffer is the next request's.
-func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byte, dst *[]byte) (rtyp uint8, rp []byte, ok bool) {
+// not execute a second time behind the replay.
+func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byte) {
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
 	s.mu.Lock()
 	owned := !s.closed && s.conn == from
 	s.mu.Unlock()
 	if !owned {
-		return 0, nil, false
+		return
 	}
-	rtyp, rp = s.handle(typ, reqID, payload)
-	if from != nil {
-		s.reply(rtyp, reqID, rp)
-	} else {
-		*dst = append((*dst)[:0], rp...)
-		rp = *dst
-	}
+	rtyp, rp := s.handle(typ, reqID, payload)
+	s.reply(rtyp, reqID, rp)
 	if cap(s.out.b) > maxPooledCall {
 		s.out.b = nil // a chunk-sized read reply: not worth keeping
 	}
-	return rtyp, rp, true
 }
 
 // handle executes one request against the backend and renders the reply
-// frame, for both transports (serve is its only caller).
+// frame (serve is its only caller).
 //
 // A request carrying flagReplay is a client re-send after transport
 // loss. If the original already executed, its cached reply is returned

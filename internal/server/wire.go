@@ -2,13 +2,15 @@
 // session/RPC layer (after gvisor's gofer protocol) that multiplexes N
 // client sessions onto any vfs.FileSystem. It has three layers:
 //
-//   - a wire layer: a compact little-endian message codec with request
-//     IDs for pipelining and bounded payload framing, spoken over two
-//     transports — a deterministic in-process loopback (every request
-//     encoded, executed, and decoded inline on the caller's goroutine,
-//     so the crash harness and the differential suite stay bit-identical
-//     to direct calls) and a byte-stream transport (unix socket for
-//     cmd/splitfsd, net.Pipe in tests);
+//   - a wire layer: a compact little-endian message codec with bounded
+//     payload framing and request IDs, which pair each reply with its
+//     request and key a resumable session's reply cache. The client
+//     speaks it in one synchronous exchange — a request frame out, then
+//     frames in until its reply — over three kinds of connection: a unix
+//     socket (cmd/splitfsd), net.Pipe (tests), and the in-process
+//     Server.Pipe, where every request executes on the caller's
+//     goroutine, so the crash harness and the differential suite stay
+//     bit-identical to direct calls;
 //   - a session layer: per-session root confinement (client paths are
 //     resolved lexically against the session's subtree, so ".." cannot
 //     escape), a vfs.FDTable whose descriptors are the wire handle IDs,
@@ -173,10 +175,10 @@ var errBadHandshake = errors.New("server: bad handshake")
 // errors.Is holds through the connection-lost chain.
 var errTornFrame = errors.New("server: connection torn mid-frame")
 
-// errConnLost poisons a failed stream transport: every outstanding and
-// future call on it unwraps to this sentinel (and, below it, to the root
-// cause — errTornFrame for a mid-frame tear). The resumable client keys
-// its reconnect-and-replay path on it.
+// errConnLost marks a lost connection: the request whose exchange failed
+// and every later one on the client unwrap to this sentinel (and the
+// first, below it, to the root cause — errTornFrame for a mid-frame
+// tear). The resumable client keys its reconnect-and-replay path on it.
 var errConnLost = errors.New("server: connection lost")
 
 // errUnknownSession answers a Treattach whose token names no parked

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -250,67 +247,5 @@ func TestMessageRoundTrip(t *testing.T) {
 		if d.err != nil || len(d.b) != 0 {
 			t.Fatalf("%s: %v, %d bytes left over", msgName(typ), d.err, len(d.b))
 		}
-	}
-}
-
-// TestPipelinedRepliesKeepTheirPayloads: two callers pipelined on one
-// stream transport each hold their reply while the read loop reads the
-// other's frame. The read loop reuses one frame buffer, so a reply handed
-// out as a slice of it would read back as the other caller's bytes.
-func TestPipelinedRepliesKeepTheirPayloads(t *testing.T) {
-	cs, ss := net.Pipe()
-	defer cs.Close()
-	defer ss.Close()
-	tr := &streamTransport{rwc: cs, br: bufio.NewReader(cs), pending: make(map[uint32]*wireCall)}
-	go tr.readLoop()
-
-	const n = 256
-	want := map[string][]byte{"A": bytes.Repeat([]byte{'a'}, n), "B": bytes.Repeat([]byte{'b'}, n)}
-	gotA, gotB := make(chan struct{}), make(chan struct{})
-	served := make(chan error, 1)
-	go func() { // the server: both requests in, then A's reply, then B's
-		br := bufio.NewReader(ss)
-		ids := map[string]uint32{}
-		for range 2 {
-			typ, id, payload, err := readFrame(br, nil)
-			if err != nil || typ != tStat {
-				served <- fmt.Errorf("request: type %d: %v", typ, err)
-				return
-			}
-			ids[string(payload)] = id
-		}
-		if err := writeFrame(ss, nil, rStat, ids["A"], want["A"]); err != nil {
-			served <- err
-			return
-		}
-		<-gotA
-		served <- writeFrame(ss, nil, rStat, ids["B"], want["B"])
-	}()
-
-	call := func(who string, got chan<- struct{}, hold <-chan struct{}) error {
-		w := newWireCall().(*wireCall)
-		w.b = append(w.b, who...)
-		if err := tr.call(tStat, w); err != nil {
-			return err
-		}
-		close(got)
-		if hold != nil {
-			<-hold // keep the reply while the read loop takes the next frame
-		}
-		if w.rtyp != rStat || !bytes.Equal(w.reply, want[who]) {
-			return fmt.Errorf("caller %s: reply %q, want %q", who, w.reply, want[who])
-		}
-		return nil
-	}
-	errs := make(chan error, 2)
-	go func() { errs <- call("A", gotA, gotB) }()
-	go func() { errs <- call("B", gotB, nil) }()
-	for range 2 {
-		if err := <-errs; err != nil {
-			t.Error(err)
-		}
-	}
-	if err := <-served; err != nil {
-		t.Fatal(err)
 	}
 }
