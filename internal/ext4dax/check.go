@@ -56,9 +56,9 @@ func (fs *FS) Check() (owned int64, err error) {
 			if err := fs.ensureDir(in); err != nil {
 				return 0, fmt.Errorf("ext4dax: directory %d: %w", ino, err)
 			}
-			for _, de := range in.entries {
+			for name, de := range in.entries {
 				if fs.icache[de.ino] == nil {
-					return 0, fmt.Errorf("ext4dax: directory %d names %q, inode %d, which does not exist", ino, de.name, de.ino)
+					return 0, fmt.Errorf("ext4dax: directory %d names %q, inode %d, which does not exist", ino, name, de.ino)
 				}
 				if de.isDir {
 					links[ino]++ // the child's ".."

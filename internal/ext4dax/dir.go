@@ -22,7 +22,7 @@ func (fs *FS) ensureDir(in *inode) error {
 	if in.entries != nil {
 		return nil
 	}
-	in.entries = make(map[string]*dirEntry)
+	in.entries = make(map[string]dirEntry)
 	in.tailOff = 0
 	in.freeSlots = nil
 	nblocks := in.blocks
@@ -45,8 +45,7 @@ func (fs *FS) ensureDir(in *inode) error {
 			}
 			if ino != 0 {
 				name := string(blk[pos+12 : pos+12+nameLen])
-				in.entries[name] = &dirEntry{
-					name:   name,
+				in.entries[name] = dirEntry{
 					ino:    ino,
 					isDir:  blk[pos+10] == 1,
 					devOff: devOff + pos,
@@ -92,7 +91,7 @@ func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 	}
 	fs.dev.StoreBuffered(devOff, rec, sim.CatPMMeta)
 	fs.note(devOff, len(rec))
-	dir.entries[name] = &dirEntry{name: name, ino: ino, isDir: isDir, devOff: devOff}
+	dir.entries[name] = dirEntry{ino: ino, isDir: isDir, devOff: devOff}
 	fs.writeInode(dir)
 	return nil
 }
@@ -132,14 +131,14 @@ func (fs *FS) extendDir(dir *inode, need int64) (int64, error) {
 
 // removeDirent tombstones an entry on disk and removes it from the cache.
 // Caller holds fs.mu.
-func (fs *FS) removeDirent(dir *inode, name string) (*dirEntry, error) {
+func (fs *FS) removeDirent(dir *inode, name string) error {
 	fs.clk.Charge(sim.CatCPU, sim.Ext4DirOpNs)
 	if err := fs.ensureDir(dir); err != nil {
-		return nil, err
+		return err
 	}
 	de, ok := dir.entries[name]
 	if !ok {
-		return nil, vfs.ErrNotExist
+		return vfs.ErrNotExist
 	}
 	// Tombstone: zero the ino field, keep nameLen so parsers skip it.
 	var zero [8]byte
@@ -147,7 +146,7 @@ func (fs *FS) removeDirent(dir *inode, name string) (*dirEntry, error) {
 	fs.note(de.devOff, 8)
 	delete(dir.entries, name)
 	dir.freeSlot(de.devOff, direntSize(name))
-	return de, nil
+	return nil
 }
 
 // resolve walks a path to its inode, one component of its clean form
@@ -219,7 +218,7 @@ func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 	in := &inode{ino: uint64(e.Start), isDir: isDir, nlink: 1}
 	if isDir {
 		in.nlink = 2
-		in.entries = make(map[string]*dirEntry)
+		in.entries = make(map[string]dirEntry)
 	}
 	fs.icache[in.ino] = in
 	return in, nil

@@ -17,6 +17,10 @@ type File struct {
 	path string
 	// created: this open made the file (O_CREATE on a name that was free).
 	created bool
+	// epochIn is in, for the lock-free MapEpoch: OpenInto may reopen the
+	// handle on another inode while a lease holder of its previous life
+	// still reads the epoch.
+	epochIn atomic.Pointer[inode]
 
 	mu     sync.Mutex // handle offset
 	pos    int64

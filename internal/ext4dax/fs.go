@@ -202,7 +202,7 @@ func Mkfs(dev *pmem.Device, cfg Config) (*FS, error) {
 	}
 	// Note the inode bitmap byte containing inos 0..7.
 	fs.tx.Note(lay.InodeBmpOff, 1)
-	root := &inode{ino: RootIno, isDir: true, nlink: 2, entries: make(map[string]*dirEntry)}
+	root := &inode{ino: RootIno, isDir: true, nlink: 2, entries: make(map[string]dirEntry)}
 	fs.icache[RootIno] = root
 	fs.writeInode(root)
 	if err := fs.commitTx(); err != nil {

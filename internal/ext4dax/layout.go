@@ -177,8 +177,9 @@ type inode struct {
 	// table may translate to blocks a relink takes out of it (deferUnmap).
 	// Guarded by fs.mu.
 	mapped bool
-	// dir state, populated lazily for directories
-	entries map[string]*dirEntry
+	// dir state, populated lazily for directories; entries are held by
+	// value, keyed by name, so a create or rename allocates no entry
+	entries map[string]dirEntry
 	tailOff int64 // next free byte inside the directory file
 	// freeSlots holds the device offsets of tombstoned records, by record
 	// length, for addDirent to reuse before it grows the directory.
@@ -297,9 +298,9 @@ func zero(b []byte) bool {
 }
 
 // dirEntry is a cached directory entry plus the device offset of its
-// on-disk record, so unlink can tombstone it directly.
+// on-disk record, so unlink can tombstone it directly. Its name is its key
+// in inode.entries.
 type dirEntry struct {
-	name   string
 	ino    uint64
 	isDir  bool
 	devOff int64

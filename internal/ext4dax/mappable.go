@@ -51,7 +51,7 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 }
 
 // MapEpoch implements vfs.Mappable (lock-free).
-func (f *File) MapEpoch() uint64 { return f.in.mapEpoch.Load() }
+func (f *File) MapEpoch() uint64 { return f.epochIn.Load().mapEpoch.Load() }
 
 // LoadMapped implements vfs.Mappable: a processor load through the
 // mapping, charged like any other user-space PM read. No trap.

@@ -24,30 +24,49 @@ func (fs *FS) infoOf(in *inode) vfs.FileInfo {
 
 // OpenFile implements vfs.FileSystem.
 func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
+	f := new(File)
+	if err := fs.OpenInto(f, path, flag, perm); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// OpenInto is OpenFile into a handle the caller owns: f, zero or closed,
+// becomes the open handle. U-Split keeps one inside every open-file
+// description it recycles, so an open of its allocates no handle. f's
+// MapEpoch may run concurrently with the open (a lease holder of the
+// handle's previous life); every other method must not.
+func (fs *FS) OpenInto(f *File, path string, flag int, perm uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	f, err := fs.openLocked(path, flag)
-	return f, vfs.WrapPath("open", path, err)
+	in, created, err := fs.openLocked(path, flag)
+	if err != nil {
+		return vfs.WrapPath("open", path, err)
+	}
+	f.fs, f.in, f.flag, f.path, f.created, f.pos = fs, in, flag, vfs.CleanPath(path), created, 0
+	f.epochIn.Store(in)
+	f.closed.Store(false)
+	return nil
 }
 
-func (fs *FS) openLocked(path string, flag int) (*File, error) {
+// openLocked resolves, and with O_CREATE makes, the inode an open names,
+// and counts the handle the caller builds for it. Caller holds fs.mu.
+func (fs *FS) openLocked(path string, flag int) (in *inode, created bool, err error) {
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var in *inode
-	created := false
 	if de, ok := parent.entries[base]; ok {
 		if flag&vfs.O_CREATE != 0 && flag&vfs.O_EXCL != 0 {
-			return nil, vfs.ErrExist
+			return nil, false, vfs.ErrExist
 		}
 		in = fs.icache[de.ino]
 		if in == nil {
-			return nil, vfs.ErrNotExist
+			return nil, false, vfs.ErrNotExist
 		}
 		if in.isDir && vfs.Writable(flag) {
-			return nil, vfs.ErrIsDir
+			return nil, false, vfs.ErrIsDir
 		}
 		if flag&vfs.O_TRUNC != 0 && vfs.Writable(flag) && in.size > 0 {
 			in.mu.Lock()
@@ -56,18 +75,18 @@ func (fs *FS) openLocked(path string, flag int) (*File, error) {
 		}
 	} else {
 		if flag&vfs.O_CREATE == 0 {
-			return nil, vfs.ErrNotExist
+			return nil, false, vfs.ErrNotExist
 		}
 		fs.stats.metaOps.Add(1)
 		in, err = fs.createLocked(parent, base, false, 0)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		created = true
 	}
 	fs.maybeCommit()
 	in.openCnt++
-	return &File{fs: fs, in: in, flag: flag, path: vfs.CleanPath(path), created: created}, nil
+	return in, created, nil
 }
 
 // createLocked makes a new file or directory named base in parent. want is
@@ -161,7 +180,7 @@ func (fs *FS) Unlink(path string) error {
 	if de.isDir {
 		return vfs.WrapPath("unlink", path, vfs.ErrIsDir)
 	}
-	if _, err := fs.removeDirent(parent, base); err != nil {
+	if err := fs.removeDirent(parent, base); err != nil {
 		return vfs.WrapPath("unlink", path, err)
 	}
 	in := fs.icache[de.ino]
@@ -211,7 +230,7 @@ func (fs *FS) Rmdir(path string) error {
 	if len(in.entries) != 0 {
 		return vfs.WrapPath("rmdir", path, vfs.ErrNotEmpty)
 	}
-	if _, err := fs.removeDirent(parent, base); err != nil {
+	if err := fs.removeDirent(parent, base); err != nil {
 		return vfs.WrapPath("rmdir", path, err)
 	}
 	fs.freeInode(in)
@@ -251,13 +270,13 @@ func (fs *FS) RenameReplacing(oldPath, newPath string) (moved vfs.DirEntry, repl
 	}
 	moved = vfs.DirEntry{Name: dstBase, Ino: de.ino, IsDir: de.isDir}
 	if old, ok := dstParent.entries[dstBase]; ok {
-		if old == de {
+		if dstParent == srcParent && dstBase == srcBase {
 			return moved, 0, nil // onto itself: nothing to do (and nothing to replace)
 		}
 		if old.isDir {
 			return moved, 0, vfs.WrapPath("rename", newPath, vfs.ErrIsDir)
 		}
-		if _, err := fs.removeDirent(dstParent, dstBase); err != nil {
+		if err := fs.removeDirent(dstParent, dstBase); err != nil {
 			return moved, 0, vfs.WrapPath("rename", newPath, err)
 		}
 		replaced = old.ino
@@ -276,7 +295,7 @@ func (fs *FS) RenameReplacing(oldPath, newPath string) (moved vfs.DirEntry, repl
 			}
 		}
 	}
-	if _, err := fs.removeDirent(srcParent, srcBase); err != nil {
+	if err := fs.removeDirent(srcParent, srcBase); err != nil {
 		return moved, 0, vfs.WrapPath("rename", oldPath, err)
 	}
 	if err := fs.addDirent(dstParent, dstBase, de.ino, de.isDir); err != nil {
@@ -320,8 +339,8 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 		return nil, vfs.WrapPath("readdir", path, err)
 	}
 	out := make([]vfs.DirEntry, 0, len(in.entries))
-	for _, de := range in.entries {
-		out = append(out, vfs.DirEntry{Name: de.name, Ino: de.ino, IsDir: de.isDir})
+	for name, de := range in.entries {
+		out = append(out, vfs.DirEntry{Name: name, Ino: de.ino, IsDir: de.isDir})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil

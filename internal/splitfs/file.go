@@ -14,8 +14,8 @@ import (
 // share one ofile (and thus one staged overlay); dup'd descriptors share
 // the File itself and therefore the offset (§3.5).
 type File struct {
-	fs *FS
-	of *ofile
+	of  *ofile // and through it the FS: a handle stays in a 64-byte size class
+	gen uint64 // of's generation when this handle was opened
 
 	flag int
 	path string
@@ -48,14 +48,15 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		return nil, err
 	}
 	defer unlock()
-	var kf *ext4dax.File
+	// The kernel handle is opened into a description, recycled or new;
+	// when the file turns out to have one already, it goes back unused.
+	spare := fs.newOfile()
+	kf := &spare.kf
 	truncating := flag&vfs.O_TRUNC != 0 && vfs.Writable(flag)
 	open := func(seq uint64) (bool, error) {
-		f, err := fs.kfs.OpenFile(path, flag, perm)
-		if err != nil {
+		if err := fs.kfs.OpenInto(kf, path, flag, perm); err != nil {
 			return false, err
 		}
-		kf = f.(*ext4dax.File)
 		// Truncating an existing file counts even when K-Split found it
 		// empty: what U-Split has staged for it is dropped below.
 		if !kf.Created() && !truncating {
@@ -80,8 +81,10 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		_, err = open(0)
 	}
 	if err != nil {
+		fs.park(spare)
 		return nil, err
 	}
+	created := kf.Created()
 	fs.clk.Charge(sim.CatCPU, sim.USplitOpenNs)
 	// Attribute cache (§3.5): a file opened before (and not unlinked)
 	// skips the stat; first-time opens pay it. This is why reopening a
@@ -100,20 +103,22 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		info, err = kf.Stat()
 		if err != nil {
 			kf.Close()
+			fs.park(spare)
 			return nil, err
 		}
 	}
 	fs.mu.Lock()
 	of, ok := fs.files[info.Ino]
 	if !ok {
-		of = &ofile{
-			ino:    info.Ino,
-			path:   clean,
-			kf:     kf,
-			size:   info.Size,
-			ksize:  info.Size,
-			logSeq: seq,
-		}
+		of = spare
+		// A syncFiles that took the description from the table in its
+		// previous life may still lock it.
+		of.mu.Lock()
+		of.ino, of.path = info.Ino, clean
+		of.size, of.ksize = info.Size, info.Size
+		of.logSeq = seq
+		of.mu.Unlock()
+		of.kfClosed = false
 		// Register the description only while its inode is still linked:
 		// an open racing an unlink of the same path keeps a working
 		// (tmpfile-style) handle, but must not occupy the table slot of
@@ -121,7 +126,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		// after the kernel unlink, so whichever side runs second cleans
 		// up: a pre-unlink insert is retired, a post-unlink open sees
 		// Linked() == false here and caches nothing.
-		if of.kf.Linked() {
+		if kf.Linked() {
 			fs.files[info.Ino] = of
 			fs.amu.Lock()
 			fs.attrs[clean] = info
@@ -140,19 +145,18 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		if truncating {
 			of.mu.Lock()
 			// Remap event: the dropped overlay's staging chunks are
-			// released below and may be recycled (vfs.Mappable contract).
+			// released here and may be recycled (vfs.Mappable contract).
 			of.mapEpoch.Add(1)
-			dropped := of.staged
-			oldActive := of.active
-			of.staged = nil
+			// The truncated-away overlay and append chunk release their
+			// staging-file references (the data is dropped, not relinked).
+			fs.staging.release(of.staged)
+			clear(of.staged)
+			of.staged = of.staged[:0]
+			fs.staging.releaseChunk(of.active)
 			of.active = nil
 			of.size, of.ksize = 0, 0
 			of.logSeq = max(of.logSeq, seq)
 			of.mu.Unlock()
-			// The truncated-away overlay and append chunk release their
-			// staging-file references (the data is dropped, not relinked).
-			fs.staging.release(dropped)
-			fs.staging.releaseChunk(oldActive)
 			fs.mmaps.drop(of.ino)
 		}
 		// A live table entry implies the inode was linked an instant ago;
@@ -163,20 +167,30 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		fs.amu.Unlock()
 	}
 	of.refs++
+	gen := of.gen.Load()
 	fs.mu.Unlock()
-	switch {
-	case kf.Created():
-		fs.logMeta(metaRecord{kind: metaCreate, seq: seq, ino: of.ino, path: clean})
-	case seq != 0:
-		fs.logMeta(metaRecord{kind: metaTruncate, seq: seq, ino: of.ino})
-	case fs.mode == Strict:
-		fs.appendLog(encMetaEntry(metaOpen, of.ino))
+	if of != spare {
+		fs.park(spare)
 	}
-	return &File{fs: fs, of: of, flag: flag, path: clean}, nil
+	switch {
+	case created:
+		fs.logMeta(metaRecord{kind: metaCreate, seq: seq, ino: info.Ino, path: clean})
+	case seq != 0:
+		fs.logMeta(metaRecord{kind: metaTruncate, seq: seq, ino: info.Ino})
+	case fs.mode == Strict:
+		fs.appendLog(encMetaEntry(metaOpen, info.Ino))
+	}
+	return &File{of: of, gen: gen, flag: flag, path: clean}, nil
 }
 
 // Path implements vfs.File.
 func (f *File) Path() string { return f.path }
+
+// live reports whether the handle is open and its description is still in
+// the life it was opened in: a description recycled since serves another
+// file. Caller holds f.of.mu (either side), under which a description
+// retires.
+func (f *File) live() bool { return !f.closed.Load() && f.of.gen.Load() == f.gen }
 
 // Read reads at the handle offset.
 func (f *File) Read(p []byte) (int, error) {
@@ -191,7 +205,7 @@ func (f *File) Read(p []byte) (int, error) {
 // is resolved under the ofile lock, so concurrent appenders through
 // distinct handles interleave whole writes.
 func (f *File) Write(p []byte) (int, error) {
-	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)) * logEntryBytes)
+	unlock, err := f.of.fs.lockStrict(f.of.fs.stagePieces(len(p)) * logEntryBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -211,6 +225,9 @@ func (f *File) Write(p []byte) (int, error) {
 
 // Seek implements vfs.File.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
+	if f.closed.Load() {
+		return 0, vfs.ErrClosed
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var base int64
@@ -220,8 +237,12 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 		base = f.pos
 	case vfs.SeekEnd:
 		f.of.mu.RLock()
+		live := f.live()
 		base = f.of.size
 		f.of.mu.RUnlock()
+		if !live {
+			return 0, vfs.ErrClosed
+		}
 	default:
 		return 0, vfs.ErrInval
 	}
@@ -239,7 +260,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 // concurrent reads (of any files) and writes to other files all proceed
 // in parallel.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	fs := f.fs
+	fs := f.of.fs
 	if f.closed.Load() {
 		return 0, vfs.ErrClosed
 	}
@@ -254,6 +275,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	of := f.of
 	of.mu.RLock()
 	defer of.mu.RUnlock()
+	if !f.live() {
+		return 0, vfs.ErrClosed
+	}
 	if off >= of.size {
 		return 0, io.EOF
 	}
@@ -340,7 +364,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // Only this file's lock is held (plus, in strict mode, the op-log writer
 // lock); writes to different files proceed in parallel.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	unlock, err := f.fs.lockStrict(f.fs.stagePieces(len(p)) * logEntryBytes)
+	unlock, err := f.of.fs.lockStrict(f.of.fs.stagePieces(len(p)) * logEntryBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -352,8 +376,8 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 
 // writeLocked is WriteAt under f.of.mu (and wmu in strict mode).
 func (f *File) writeLocked(p []byte, off int64) (int, error) {
-	fs := f.fs
-	if f.closed.Load() {
+	fs := f.of.fs
+	if !f.live() {
 		return 0, vfs.ErrClosed
 	}
 	if !vfs.Writable(f.flag) {
@@ -517,16 +541,13 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 		// behind it. Its staging-file reference is dropped; staged ranges
 		// still inside it hold their own.
 		fs.staging.releaseChunk(of.active)
-		c, of.active = of.active, nil
+		of.active = nil
 		chunk, err := fs.staging.reserve(need, off, exact)
 		if err != nil {
 			return 0, err
 		}
-		if c == nil {
-			c = new(stagingChunk)
-		}
-		*c = chunk // the released chunk's struct: nothing else holds it
-		of.active = c
+		of.chunk = chunk
+		c, of.active = &of.chunk, &of.chunk
 	} else {
 		c.used += skip
 	}
@@ -571,7 +592,7 @@ func (fs *FS) continuesActive(of *ofile, off int64) bool {
 
 // Truncate flushes staged state and passes through to K-Split.
 func (f *File) Truncate(size int64) error {
-	fs := f.fs
+	fs := f.of.fs
 	if size < 0 || size > ext4dax.MaxFileSize {
 		return vfs.ErrInval
 	}
@@ -590,6 +611,9 @@ func (f *File) Truncate(size int64) error {
 	of := f.of
 	of.mu.Lock()
 	defer of.mu.Unlock()
+	if !f.live() {
+		return vfs.ErrClosed
+	}
 	// Remap event: overlay and kernel extents both change, and freed
 	// blocks may be recycled (vfs.Mappable contract).
 	of.mapEpoch.Add(1)
@@ -619,9 +643,20 @@ func (f *File) Truncate(size int64) error {
 // journal transaction and fence pair. No strict-mode writer lock is
 // needed: the relink watermark is the file's own logSeq, independent of
 // the global op sequence.
+//
+// A Sync that loses the race with its own handle's Close may find the
+// description serving another file by the time syncFiles locks it, and
+// relinks that file's staged data early, as any fsync of it may; this
+// file's was relinked by the Close.
 func (f *File) Sync() error {
-	fs := f.fs
+	fs := f.of.fs
 	if f.closed.Load() {
+		return vfs.ErrClosed
+	}
+	f.of.mu.RLock()
+	live := f.live()
+	f.of.mu.RUnlock()
+	if !live {
 		return vfs.ErrClosed
 	}
 	fs.bookkeep()
@@ -632,7 +667,7 @@ func (f *File) Sync() error {
 // the last handle closes (§3.4: "relinked on a subsequent fsync() or
 // close()"). Cached attributes are retained (§3.5).
 func (f *File) Close() error {
-	unlock, err := f.fs.lockStrict(logEntryBytes)
+	unlock, err := f.of.fs.lockStrict(logEntryBytes)
 	if err != nil {
 		return err
 	}
@@ -643,7 +678,7 @@ func (f *File) Close() error {
 // closeLocked is Close under wmu (in strict mode), with room for its log
 // entry reserved.
 func (f *File) closeLocked() error {
-	fs := f.fs
+	fs := f.of.fs
 	if !f.closed.CompareAndSwap(false, true) {
 		return vfs.ErrClosed
 	}
@@ -652,9 +687,10 @@ func (f *File) closeLocked() error {
 	fs.mu.Lock()
 	of.refs--
 	last := of.refs == 0
+	ino := of.ino
 	fs.mu.Unlock()
 	if fs.mode == Strict {
-		fs.appendLog(encMetaEntry(metaClose, of.ino))
+		fs.appendLog(encMetaEntry(metaClose, ino))
 	}
 	if !last {
 		return nil
@@ -699,30 +735,38 @@ func (f *File) closeLocked() error {
 	}
 	// The retiring description's active append chunk drops its
 	// staging-file reference so the file can eventually be reclaimed
-	// (staged data was relinked above, so the chunk holds nothing live).
+	// (staged data was relinked above, so the chunk holds nothing live),
+	// and its life ends: a handle of this life that gets the lock from
+	// here on finds it retired, whatever the description serves next.
 	of.mu.Lock()
-	act := of.active
+	fs.staging.releaseChunk(of.active)
 	of.active = nil
+	of.gen.Add(1)
 	of.mu.Unlock()
-	fs.staging.releaseChunk(act)
-	return of.kf.Close()
+	err = of.kf.Close()
+	fs.park(of)
+	return err
 }
 
 // Stat implements vfs.File from the cached attributes plus staged size.
 func (f *File) Stat() (vfs.FileInfo, error) {
-	fs := f.fs
+	fs := f.of.fs
 	if f.closed.Load() {
 		return vfs.FileInfo{}, vfs.ErrClosed
 	}
 	fs.bookkeep()
-	f.of.mu.RLock()
-	path := f.of.path
-	size := f.of.size
-	f.of.mu.RUnlock()
+	of := f.of
+	of.mu.RLock()
+	live := f.live()
+	path, size, ino := of.path, of.size, of.ino
+	of.mu.RUnlock()
+	if !live {
+		return vfs.FileInfo{}, vfs.ErrClosed
+	}
 	fs.amu.Lock()
 	info := fs.attrs[path]
 	fs.amu.Unlock()
-	info.Ino = f.of.ino
+	info.Ino = ino
 	info.Size = size
 	return info, nil
 }

@@ -33,7 +33,12 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	if len(ofiles) == 0 {
 		return nil
 	}
+	// A description's ino changes, under the table lock, when it is
+	// recycled; one that has been since the caller found it sorts by the
+	// file it serves now.
+	fs.mu.RLock()
 	slices.SortFunc(ofiles, func(a, b *ofile) int { return cmp.Compare(a.ino, b.ino) })
+	fs.mu.RUnlock()
 	ofiles = slices.Compact(ofiles)
 	fs.clk.Charge(sim.CatCPU, sim.USplitFsyncNs)
 	var (

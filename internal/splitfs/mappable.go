@@ -19,8 +19,15 @@ import (
 //
 // The epoch is the sum of the overlay epoch (of.mapEpoch) and the
 // kernel inode's epoch: both are monotone, so equality across a
-// seqlock validation window implies neither moved.
+// seqlock validation window implies neither moved. A handle whose
+// description has been recycled reads staleEpoch, which no open handle
+// reads.
 var _ vfs.Mappable = (*File)(nil)
+
+// staleEpoch is MapEpoch's answer once the handle's description serves
+// another file: the lease holder's next validation fails, and its
+// re-grant gets vfs.ErrClosed.
+const staleEpoch = ^uint64(0)
 
 // MapExtents implements vfs.Mappable. Caller-visible ordering: the
 // returned epoch is collected under of.mu together with the extents,
@@ -36,6 +43,9 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 	of := f.of
 	of.mu.RLock()
 	defer of.mu.RUnlock()
+	if !f.live() {
+		return nil, 0, vfs.ErrClosed
+	}
 	epoch := of.mapEpoch.Load() + of.kf.MapEpoch()
 	end := off + length
 	if end > of.size {
@@ -80,15 +90,22 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 }
 
 // MapEpoch implements vfs.Mappable (lock-free). Monotone sum of the
-// overlay and kernel epochs.
+// overlay and kernel epochs, read before the generation: a description
+// retires (gen moves) before it is reopened on another inode, so a sum
+// read while gen still matched is this file's.
 func (f *File) MapEpoch() uint64 {
-	return f.of.mapEpoch.Load() + f.of.kf.MapEpoch()
+	of := f.of
+	e := of.mapEpoch.Load() + of.kf.MapEpoch()
+	if of.gen.Load() != f.gen {
+		return staleEpoch
+	}
+	return e
 }
 
 // LoadMapped implements vfs.Mappable: a user-space load through the
 // leased mapping, no kernel or U-Split involvement.
 func (f *File) LoadMapped(p []byte, devOff int64) int {
-	f.fs.dev.ReadIntoUser(p, devOff, sim.CatPMData)
+	f.of.fs.dev.ReadIntoUser(p, devOff, sim.CatPMData)
 	return len(p)
 }
 

@@ -19,12 +19,32 @@ type mmapCache struct {
 	fs *FS
 
 	mu sync.RWMutex // +lockrank:mmapcache
-	// regions[ino][regionIndex] — one entry per MmapBytes-sized window.
-	regions map[uint64]map[int64]*ext4dax.Mapping
+	// regions holds every cached mapping, one per MmapBytes-sized window
+	// of a file, in one table for all inodes: a file mapped for the first
+	// time adds an entry, not a table of its own. bound[ino] is one past
+	// the highest window index cached for the inode, so that drop and
+	// count can find each of its windows without a walk of the table.
+	regions map[regionKey]*ext4dax.Mapping
+	bound   map[uint64]int64
+}
+
+// regionKey names window idx (bytes [idx*MmapBytes, (idx+1)*MmapBytes))
+// of inode ino.
+type regionKey struct {
+	ino uint64
+	idx int64
 }
 
 func newMmapCache(fs *FS) *mmapCache {
-	return &mmapCache{fs: fs, regions: make(map[uint64]map[int64]*ext4dax.Mapping)}
+	return &mmapCache{fs: fs, regions: make(map[regionKey]*ext4dax.Mapping), bound: make(map[uint64]int64)}
+}
+
+// put caches m as window idx of ino. Caller holds c.mu.
+func (c *mmapCache) put(ino uint64, idx int64, m *ext4dax.Mapping) {
+	c.regions[regionKey{ino, idx}] = m
+	if idx >= c.bound[ino] {
+		c.bound[ino] = idx + 1
+	}
 }
 
 // get returns a mapping covering fileOff of the file, creating and
@@ -37,9 +57,9 @@ func newMmapCache(fs *FS) *mmapCache {
 // cached over freed blocks.
 func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 	rsize := c.fs.cfg.MmapBytes
-	idx := fileOff / rsize
+	k := regionKey{of.ino, fileOff / rsize}
 	c.mu.RLock()
-	m := c.regions[of.ino][idx]
+	m := c.regions[k]
 	c.mu.RUnlock()
 	// The cached region may predate growth of the file; if the offset is
 	// beyond it, remap the region to its current extent.
@@ -47,7 +67,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 		c.fs.stats.mmapHits.Add(1)
 		return m
 	}
-	nm, err := c.fs.kfs.Mmap(of.kf, idx*rsize, rsize, ext4dax.MmapOptions{
+	nm, err := c.fs.kfs.Mmap(&of.kf, k.idx*rsize, rsize, ext4dax.MmapOptions{
 		Populate: true,
 		Huge:     !c.fs.cfg.DisableHugePages,
 	})
@@ -56,7 +76,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 		return nil
 	}
 	c.mu.Lock()
-	if m := c.regions[of.ino][idx]; m != nil && fileOff < m.FileOff+m.Length() {
+	if m := c.regions[k]; m != nil && fileOff < m.FileOff+m.Length() {
 		// Lost the mapping race: reuse the winner's region; ours is
 		// unmapped like the real library would.
 		c.mu.Unlock()
@@ -73,12 +93,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 		c.fs.stats.mmapMisses.Add(1)
 		return nm
 	}
-	byIno := c.regions[of.ino]
-	if byIno == nil {
-		byIno = make(map[int64]*ext4dax.Mapping)
-		c.regions[of.ino] = byIno
-	}
-	byIno[idx] = nm
+	c.put(of.ino, k.idx, nm)
 	c.mu.Unlock()
 	c.fs.stats.mmapMisses.Add(1)
 	return nm
@@ -96,25 +111,18 @@ func (c *mmapCache) refresh(of *ofile, fileOff, length int64, staged bool) {
 	rsize := c.fs.cfg.MmapBytes
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	byIno := c.regions[of.ino]
-	if byIno == nil {
-		if !staged {
-			return
-		}
-		byIno = make(map[int64]*ext4dax.Mapping)
-		c.regions[of.ino] = byIno
-	}
 	for idx := fileOff / rsize; idx <= (fileOff+length-1)/rsize; idx++ {
-		old := byIno[idx]
+		k := regionKey{of.ino, idx}
+		old := c.regions[k]
 		if old == nil && !staged {
 			continue // never mapped: first access pays its faults
 		}
-		m, err := c.fs.kfs.Remap(old, of.kf, idx*rsize, rsize, !c.fs.cfg.DisableHugePages, fileOff, length)
+		m, err := c.fs.kfs.Remap(old, &of.kf, idx*rsize, rsize, !c.fs.cfg.DisableHugePages, fileOff, length)
 		if err != nil {
-			delete(byIno, idx)
+			delete(c.regions, k)
 			continue
 		}
-		byIno[idx] = m
+		c.put(of.ino, idx, m)
 	}
 }
 
@@ -124,29 +132,38 @@ func (c *mmapCache) refresh(of *ofile, fileOff, length int64, staged bool) {
 func (c *mmapCache) drop(ino uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	byIno := c.regions[ino]
-	for _, m := range byIno {
-		m.Unmap()
+	n := 0
+	for idx := range c.bound[ino] {
+		k := regionKey{ino, idx}
+		if m := c.regions[k]; m != nil {
+			m.Unmap()
+			delete(c.regions, k)
+			n++
+		}
 	}
-	delete(c.regions, ino)
-	return len(byIno)
+	delete(c.bound, ino)
+	return n
 }
 
 // count returns the number of cached mappings for an inode.
 func (c *mmapCache) count(ino uint64) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.regions[ino])
+	n := 0
+	for idx := range c.bound[ino] {
+		if c.regions[regionKey{ino, idx}] != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *mmapCache) memoryUsage() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var b int64
-	for _, byIno := range c.regions {
-		for _, m := range byIno {
-			b += 160 + m.TableBytes()
-		}
+	for _, m := range c.regions {
+		b += 160 + m.TableBytes()
 	}
 	return b
 }

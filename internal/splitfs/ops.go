@@ -267,7 +267,9 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 		fs.mu.RUnlock()
 		if of != nil {
 			of.mu.RLock()
-			info.Size = of.size
+			if of.ino == info.Ino { // not recycled for another file since
+				info.Size = of.size
+			}
 			of.mu.RUnlock()
 		}
 		return info, nil

@@ -2,9 +2,15 @@ package splitfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
 
@@ -145,5 +151,231 @@ func TestUnlinkedStagedDataDoesNotResurrectAttrs(t *testing.T) {
 	}
 	if _, err := fs.Stat("/ghost"); err == nil {
 		t.Fatal("Stat succeeded for an unlinked path (stale attrs resurrected)")
+	}
+}
+
+// TestClosedHandleAfterRecycle: a description retires with its last handle
+// and the next open of any file takes it, overlay, chunk and kernel handle
+// included (DESIGN.md, "Host allocation and peak RSS"). A handle of its
+// earlier life must then get vfs.ErrClosed from every method — a stale
+// write or truncate that reached the description would land in the file it
+// serves now — and MapEpoch must return neither an epoch the handle saw
+// while open nor the new file's.
+func TestClosedHandleAfterRecycle(t *testing.T) {
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, fs := newEnv(t, mode)
+			fa, err := fs.OpenFile("/a", vfs.O_RDWR|vfs.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := fa.(*File)
+			seen := map[uint64]bool{}
+			step := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen[a.MapEpoch()] = true
+			}
+			step(nil)
+			_, err = fa.Write(pattern(3*sim.BlockSize, 1))
+			step(err)
+			step(fa.Sync())
+			_, err = fa.WriteAt(pattern(100, 2), 10) // in place, or staged over relinked bytes
+			step(err)
+			_, err = fa.Write(pattern(5000, 3)) // staged append
+			step(err)
+			step(fa.Truncate(2 * sim.BlockSize))
+			if err := fa.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Unlink("/a"); err != nil {
+				t.Fatal(err)
+			}
+
+			want := pattern(6000, 9)
+			fb, err := fs.OpenFile("/b", vfs.O_RDWR|vfs.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb.(*File).of != a.of {
+				t.Fatal("test premise: /b did not take /a's retired description")
+			}
+			if _, err := fb.Write(want); err != nil {
+				t.Fatal(err)
+			}
+			if err := fb.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			buf := make([]byte, 64)
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"Read", func() error { _, err := fa.Read(buf); return err }},
+				{"ReadAt", func() error { _, err := fa.ReadAt(buf, 0); return err }},
+				{"Write", func() error { _, err := fa.Write(buf); return err }},
+				{"WriteAt", func() error { _, err := fa.WriteAt(buf, 0); return err }},
+				{"Seek", func() error { _, err := fa.Seek(0, vfs.SeekEnd); return err }},
+				{"Truncate", func() error { return fa.Truncate(0) }},
+				{"Sync", func() error { return fa.Sync() }},
+				{"Stat", func() error { _, err := fa.Stat(); return err }},
+				{"MapExtents", func() error { _, _, err := a.MapExtents(0, sim.BlockSize); return err }},
+				{"Close", func() error { return fa.Close() }},
+			} {
+				if err := c.call(); !errors.Is(err, vfs.ErrClosed) {
+					t.Errorf("%s on the stale handle: %v, want %v", c.name, err, vfs.ErrClosed)
+				}
+			}
+			if e := a.MapEpoch(); seen[e] || e == fb.(*File).MapEpoch() {
+				t.Errorf("the stale handle's MapEpoch reads %d: one it read while open (%v) or /b's", e, seen[e])
+			}
+
+			got, err := vfs.ReadFile(fs, "/b")
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("/b reads %d bytes (%v), want its own %d", len(got), err, len(want))
+			}
+			if info, err := fb.Stat(); err != nil || info.Size != int64(len(want)) {
+				t.Fatalf("/b stats %+v (%v), want size %d", info, err, len(want))
+			}
+			if err := fb.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestHandleRacesItsCloseAndRecycling: ReadAt, Stat and MapEpoch on one
+// handle race that handle's Close while another goroutine creates, writes
+// and unlinks files, each of which takes the description as soon as it
+// retires. Every call returns this file's bytes, size and inode or
+// vfs.ErrClosed; MapEpoch never goes back, and once Close has returned it
+// reads staleEpoch. Run it under -race: the description is reinitialised
+// under locks a stale handle takes, and its kernel handle reopened while
+// MapEpoch reads it lock-free.
+func TestHandleRacesItsCloseAndRecycling(t *testing.T) {
+	for _, mode := range []Mode{POSIX, Strict} {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, fs := newEnv(t, mode)
+			var stop atomic.Bool
+			churned := make(chan error, 1)
+			go func() {
+				churned <- func() error {
+					for i := 0; !stop.Load(); i++ {
+						p := fmt.Sprintf("/churn%d", i%4)
+						f, err := vfs.Create(fs, p)
+						if err != nil {
+							return err
+						}
+						if _, err := f.Write(pattern(3000, 7)); err != nil {
+							return err
+						}
+						if err := f.Close(); err != nil {
+							return err
+						}
+						if err := fs.Unlink(p); err != nil {
+							return err
+						}
+					}
+					return nil
+				}()
+			}()
+			data := pattern(2*sim.BlockSize+500, 5)
+			for round := range 30 {
+				name := fmt.Sprintf("/a%d", round)
+				f, err := vfs.Create(fs, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(data[:sim.BlockSize]); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil { // mapped and relinked, the rest staged
+					t.Fatal(err)
+				}
+				if _, err := f.Write(data[sim.BlockSize:]); err != nil {
+					t.Fatal(err)
+				}
+				info, err := f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := f.(*File)
+				var closed atomic.Bool
+				var wg sync.WaitGroup
+				fail := make(chan string, 3)
+				wg.Add(3)
+				go func() {
+					defer wg.Done()
+					buf := make([]byte, len(data))
+					for {
+						n, err := h.ReadAt(buf, 0)
+						if errors.Is(err, vfs.ErrClosed) {
+							return
+						}
+						if (err != nil && err != io.EOF) || !bytes.Equal(buf[:n], data[:n]) {
+							fail <- fmt.Sprintf("ReadAt: %d bytes (%v), not the file's", n, err)
+							return
+						}
+						runtime.Gosched()
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for {
+						got, err := h.Stat()
+						if errors.Is(err, vfs.ErrClosed) {
+							return
+						}
+						if err != nil || got.Ino != info.Ino || got.Size != info.Size {
+							fail <- fmt.Sprintf("Stat: %+v (%v), want ino %d size %d", got, err, info.Ino, info.Size)
+							return
+						}
+						runtime.Gosched()
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					last := uint64(0)
+					for {
+						done := closed.Load()
+						e := h.MapEpoch()
+						switch {
+						case done && e != staleEpoch:
+							fail <- fmt.Sprintf("MapEpoch after Close: %d, want staleEpoch", e)
+							return
+						case done:
+							return
+						case e < last: // staleEpoch is the largest: once read, read for good
+							fail <- fmt.Sprintf("MapEpoch went back: %d after %d", e, last)
+							return
+						}
+						last = e
+						runtime.Gosched()
+					}
+				}()
+				for range round % 8 {
+					runtime.Gosched()
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				closed.Store(true)
+				wg.Wait()
+				close(fail)
+				for msg := range fail {
+					t.Error(msg)
+				}
+				if err := fs.Unlink(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stop.Store(true)
+			if err := <-churned; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -107,7 +107,7 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 	// file's own highest logged sequence — not the global op sequence — so
 	// relinks never need the strict-mode writer lock.
 	if err == nil && fs.mode == Strict {
-		batch.SetUserWatermark(of.kf, of.logSeq)
+		batch.SetUserWatermark(&of.kf, of.logSeq)
 	}
 	// Closing the handle writes each touched inode back once; a complete
 	// batch is then safe for anyone to commit, and the caller's
@@ -207,7 +207,7 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange
 	if len(moves) == 0 {
 		return nil
 	}
-	if err := batch.Relink(of.kf, of.size, moves); err != nil {
+	if err := batch.Relink(&of.kf, of.size, moves); err != nil {
 		return fmt.Errorf("relink of %d moves into %s: %w", len(moves), of.path, err)
 	}
 	fs.stats.relinkBlocks.Add(blocks)

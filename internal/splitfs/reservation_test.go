@@ -161,7 +161,7 @@ func TestInterleavedAppendersStayPacked(t *testing.T) {
 		return f.(*File)
 	}
 	files := []*File{open("/a"), open("/b")}
-	var chunks [2]*stagingChunk
+	var chunks [2]stagingChunk
 	blk := pattern(sim.BlockSize, 9)
 	const rounds, perSync = 6, 8
 	for r := 0; r < rounds; r++ {
@@ -174,9 +174,9 @@ func TestInterleavedAppendersStayPacked(t *testing.T) {
 		}
 		for k, f := range files {
 			if r == 0 {
-				chunks[k] = f.of.active
+				chunks[k] = *f.of.active
 			}
-			if f.of.active != chunks[k] {
+			if c := f.of.active; c.sf != chunks[k].sf || c.base != chunks[k].base {
 				t.Fatalf("round %d: file %d changed chunks", r, k)
 			}
 			if len(f.of.staged) != 1 {
@@ -256,7 +256,7 @@ func TestGivenBackTailReuseSurvivesCrash(t *testing.T) {
 	if _, err := fa.Write(first); err != nil {
 		t.Fatal(err)
 	}
-	chunk := fa.(*File).of.active
+	chunk := *fa.(*File).of.active // the struct is the description's, which /second takes next
 	if err := fa.Sync(); err != nil {
 		t.Fatal(err)
 	}

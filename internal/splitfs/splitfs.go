@@ -201,9 +201,11 @@ type FS struct {
 	// metaBuf is logMeta's record encoding; guarded by wmu.
 	metaBuf []byte
 
-	// Open-file table.
+	// Open-file table, and the retired descriptions the next opens take
+	// (recycle, newOfile).
 	mu    sync.RWMutex      // +lockrank:fstable
 	files map[uint64]*ofile // live open files by inode
+	free  []*ofile          // retired descriptions, at most maxFreeOfiles
 
 	// Attribute cache.
 	amu   sync.Mutex // +lockrank:amu
@@ -219,18 +221,31 @@ var _ vfs.FileSystem = (*FS)(nil)
 // ofile is the shared open-file description U-Split keeps per inode
 // (§3.5: one offset per open file, dup'd descriptors share it).
 //
-// mu guards size, ksize, staged, active, and path; refs is guarded by
-// FS.mu (it belongs to the open-file table).
+// A description is recycled (DESIGN.md, "Host allocation and peak RSS"):
+// once its last handle has closed, its kernel handle is closed and it is
+// out of the table, it is parked on FS.free, and a later open of any file
+// takes it, with its overlay array, chunk struct and kernel handle
+// storage. gen tells its lives apart: a File remembers the generation it
+// was opened under, and every File method checks it under mu, so a handle
+// of an earlier life gets vfs.ErrClosed and never the state of the file
+// the description serves now.
+//
+// mu guards size, ksize, staged, active, chunk and path; ino changes only
+// when the description is reused, under both FS.mu and mu; refs and
+// kfClosed are guarded by FS.mu (they belong to the open-file table).
+// fs never changes.
 type ofile struct {
+	fs  *FS
 	ino uint64
-	kf  *ext4dax.File
+	kf  ext4dax.File // the kernel handle, opened in place (OpenInto)
 
 	mu     sync.RWMutex // +lockrank:ofile
 	path   string
 	size   int64 // U-Split's view, including staged appends
 	ksize  int64 // K-Split's view (what has been relinked)
 	staged []stagedRange
-	active *stagingChunk // current append region
+	active *stagingChunk // current append region: &chunk, or nil
+	chunk  stagingChunk
 	// logSeq is the highest strict-mode op-log sequence logged for this
 	// file (guarded by mu, written under mu+wmu). A relink advances the
 	// inode's recovery watermark to exactly this value, which covers
@@ -247,9 +262,39 @@ type ofile struct {
 	// the kernel inode's own epoch it forms the file's mapping epoch
 	// (see File.MapEpoch).
 	mapEpoch atomic.Uint64
+	// gen counts the description's lives: bumped under mu when it
+	// retires, read lock-free by MapEpoch.
+	gen atomic.Uint64
 
 	refs     int  // open handles; guarded by FS.mu
 	kfClosed bool // kernel handle retired (unique last closer); FS.mu
+}
+
+// maxFreeOfiles bounds FS.free: a burst of opens leaves that many
+// descriptions parked, not one per file it held open.
+const maxFreeOfiles = 64
+
+// newOfile takes a parked description, or makes one.
+func (fs *FS) newOfile() *ofile {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if n := len(fs.free); n > 0 {
+		of := fs.free[n-1]
+		fs.free[n-1] = nil
+		fs.free = fs.free[:n-1]
+		return of
+	}
+	return &ofile{fs: fs}
+}
+
+// park puts back a description that no File of its current generation
+// holds, its kernel handle closed or never opened.
+func (fs *FS) park(of *ofile) {
+	fs.mu.Lock()
+	if len(fs.free) < maxFreeOfiles {
+		fs.free = append(fs.free, of)
+	}
+	fs.mu.Unlock()
 }
 
 // stagedRange maps a file range onto a staging file — or onto a DRAM
@@ -347,6 +392,7 @@ func (fs *FS) MemoryUsage() int64 {
 		b += 200 + int64(len(of.path)) + int64(len(of.staged))*48
 		of.mu.RUnlock()
 	}
+	b += int64(len(fs.free)) * 200 // parked descriptions
 	fs.mu.RUnlock()
 	fs.amu.Lock()
 	b += int64(len(fs.attrs)) * 96
