@@ -17,7 +17,7 @@ var macroGoldens = map[string]uint64{
 	"ext4-dax":       0xf58af57c94de7a1b,
 	"splitfs-posix":  0xa45be4a2f0dcd8ea,
 	"splitfs-sync":   0x3c4de6d6702e10db,
-	"splitfs-strict": 0x711c602325fd9b22,
+	"splitfs-strict": 0xd064b4f0fdae66b9,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

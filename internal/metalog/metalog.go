@@ -18,6 +18,7 @@
 package metalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,9 +99,21 @@ func (l *Log) zeroRegion() {
 // Scanning stops at the first zero-length slot or checksum mismatch
 // (a torn record).
 func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte) {
-	l := &Log{dev: dev, start: start, size: size, cat: cat, tail: tailSlot, seq: 1}
 	var records [][]byte
+	l, _ := Scan(dev, start, size, cat, func(payload []byte) error {
+		records = append(records, bytes.Clone(payload))
+		return nil
+	})
+	return l, records
+}
+
+// Scan is Load for a log too large to hold: it hands every valid record
+// payload to fn in order, in a buffer the next record reuses, and keeps
+// none. An error from fn ends the scan and is returned with a nil log.
+func Scan(dev *pmem.Device, start, size int64, cat sim.Category, fn func(payload []byte) error) (*Log, error) {
+	l := &Log{dev: dev, start: start, size: size, cat: cat, tail: tailSlot, seq: 1}
 	hdr := make([]byte, headerSize)
+	var payload []byte
 	for l.tail+headerSize <= size {
 		dev.ReadAt(hdr, start+l.tail, cat)
 		length := binary.LittleEndian.Uint32(hdr[0:4])
@@ -113,16 +126,21 @@ func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte
 		if l.tail+recLen > size || seq != l.seq {
 			break
 		}
-		payload := make([]byte, length)
+		if uint32(cap(payload)) < length {
+			payload = make([]byte, length)
+		}
+		payload = payload[:length]
 		dev.ReadAt(payload, start+l.tail+headerSize, cat)
 		if Checksum(seq, payload) != sum {
 			break // torn record: end of valid log
 		}
-		records = append(records, payload)
+		if err := fn(payload); err != nil {
+			return nil, err
+		}
 		l.tail += recLen
 		l.seq++
 	}
-	return l, records
+	return l, nil
 }
 
 // Records rescans the log's region: every valid record payload, in order.
@@ -154,7 +172,7 @@ func (l *Log) Append(payload []byte, mode FenceMode) error {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], l.seq)
 	// The sum is taken over the record's own copy: what Checksum is handed
-	// escapes, and the caller's payload — the op log's 41-byte entry —
+	// escapes, and the caller's payload — the op log's 37-byte entry —
 	// is on its stack.
 	n := copy(buf[headerSize:], payload)
 	binary.LittleEndian.PutUint32(buf[8:12], Checksum(l.seq, buf[headerSize:headerSize+n]))

@@ -20,7 +20,9 @@ import (
 //     (charged as CASNs); recovery identifies valid entries by scanning
 //     the zeroed log and checking checksums;
 //   - entries hold a logical pointer to the staging file holding the
-//     data, never the data itself;
+//     data, never the data itself; the data is fenced before its entry is
+//     stored, so a staged write costs a second fence and no checksum over
+//     the data;
 //   - when the log cannot take an operation's entries, U-Split
 //     checkpoints — commits K-Split's running transaction (in strict mode
 //     after relinking every open file), then zeroes and reuses the log —
@@ -83,23 +85,22 @@ func newOpLog(fs *FS) (*metalog.Log, error) {
 	return metalog.New(fs.dev, base, size, sim.CatOpLog), nil
 }
 
-// loadOpLog attaches to an existing operation-log file after a crash and
-// returns the valid entries; a nil log means the crashed instance never
-// got as far as committing one.
-func loadOpLog(fs *FS) (*metalog.Log, [][]byte, error) {
+// loadOpLog attaches to an existing operation-log file after a crash,
+// handing each valid entry to replay in log order; a nil log means the
+// crashed instance never got as far as committing one.
+func loadOpLog(fs *FS, replay func(entry []byte) error) (*metalog.Log, error) {
 	f, err := fs.kfs.OpenFile(fs.opLogPath(), vfs.O_RDWR, 0)
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, err
+		return nil, fmt.Errorf("splitfs recovery: %w", err)
 	}
 	base, size, err := oplogRegion(fs, f.(*ext4dax.File))
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("splitfs recovery: %w", err)
 	}
-	log, entries := metalog.Load(fs.dev, base, size, sim.CatOpLog)
-	return log, entries, nil
+	return metalog.Scan(fs.dev, base, size, sim.CatOpLog, replay)
 }
 
 // oplogRegion maps the log file and returns its largest leading
@@ -120,18 +121,18 @@ func oplogRegion(fs *FS, kf *ext4dax.File) (base, size int64, err error) {
 	return base, size, nil
 }
 
-// encWriteEntry builds a 41-byte staged-write record — one cache line on
-// the log including the metalog header (§3.3: "all common case
-// operations can be logged using a single 64B log entry"). seq is the
-// monotonically increasing operation sequence compared against the
-// inode's relink watermark at recovery. dataSum is a checksum over the
-// staged bytes the entry points at: entry and data share one fence, so a
-// crash between the entry store and that fence can leave the entry line
-// intact while the staged data tore — recovery must treat such an entry
-// as never completed, which only a checksum over the data can establish.
-// (Found by the persistence-event crash sweep; see DESIGN.md.)
-func encWriteEntry(ino uint32, fileOff int64, length uint32, stagingIno uint32, stagingOff int64, seq uint64, dataSum uint32) []byte {
-	b := make([]byte, 41)
+// writeEntryBytes is the size of a staged-write record.
+const writeEntryBytes = 37
+
+// encWriteEntry builds a staged-write record — one cache line on the log
+// including the metalog header (§3.3: "all common case operations can be
+// logged using a single 64B log entry"). seq is the monotonically
+// increasing operation sequence compared against the inode's relink
+// watermark at recovery. The entry names the staged bytes and carries no
+// checksum over them: stagePiece fences the data before it stores the
+// entry, so an entry that survives a crash points at data that did too.
+func encWriteEntry(ino uint32, fileOff int64, length uint32, stagingIno uint32, stagingOff int64, seq uint64) []byte {
+	b := make([]byte, writeEntryBytes)
 	b[0] = opEntryWrite
 	binary.LittleEndian.PutUint32(b[1:], ino)
 	binary.LittleEndian.PutUint32(b[5:], stagingIno)
@@ -139,14 +140,28 @@ func encWriteEntry(ino uint32, fileOff int64, length uint32, stagingIno uint32, 
 	binary.LittleEndian.PutUint32(b[17:], length)
 	binary.LittleEndian.PutUint64(b[21:], uint64(stagingOff))
 	binary.LittleEndian.PutUint64(b[29:], seq)
-	binary.LittleEndian.PutUint32(b[37:], dataSum)
 	return b
 }
 
-// stagedSum checksums staged data for a write entry: the log's own record
-// checksum (CRC-32C, never zero, so "no checksum" can never validate) with
-// no sequence number mixed in.
-func stagedSum(p []byte) uint32 { return metalog.Checksum(0, p) }
+// writeEntry is a decoded staged-write record.
+type writeEntry struct {
+	ino, stagingIno     uint64
+	fileOff, stagingOff int64
+	length              int64
+	seq                 uint64
+}
+
+// decodeWriteEntry parses encWriteEntry's record.
+func decodeWriteEntry(e []byte) writeEntry {
+	return writeEntry{
+		ino:        uint64(binary.LittleEndian.Uint32(e[1:])),
+		stagingIno: uint64(binary.LittleEndian.Uint32(e[5:])),
+		fileOff:    int64(binary.LittleEndian.Uint64(e[9:])),
+		length:     int64(binary.LittleEndian.Uint32(e[17:])),
+		stagingOff: int64(binary.LittleEndian.Uint64(e[21:])),
+		seq:        binary.LittleEndian.Uint64(e[29:]),
+	}
+}
 
 // encMetaEntry records an open or a close of an existing file. Neither
 // changes any metadata, so replay has nothing to redo for them; logging

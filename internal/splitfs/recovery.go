@@ -1,7 +1,6 @@
 package splitfs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"splitfs/internal/ext4dax"
@@ -40,15 +39,17 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 
 	if fs.mode != POSIX {
 		start := fs.clk.Now()
-		olog, entries, err := loadOpLog(fs)
+		replay := fs.newLogReplay(report)
+		olog, err := loadOpLog(fs, replay.entry)
+		if err == nil {
+			err = replay.flush()
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("splitfs recovery: %w", err)
+			replay.closeAll()
+			return nil, nil, err
 		}
 		if olog != nil {
 			fs.olog = olog
-			if err := fs.replayEntries(entries, report); err != nil {
-				return nil, nil, err
-			}
 			// Commit first, zero second: what replay redid sits in K-Split's
 			// running transaction, and a second crash must find either the
 			// log or its effects.
@@ -114,59 +115,104 @@ func (fs *FS) Check() error {
 	return nil
 }
 
-// replayEntries applies the operation log in log order (§3.3 recovery:
-// non-zero checksum-valid entries are replayed; replay is idempotent).
-// Log order is the order the operations took effect in — every logging
-// operation holds wmu from its K-Split call to its append — so a staged
-// write finds the file a redone create made, and an unlink redone after it
-// finds the write applied.
-func (fs *FS) replayEntries(entries [][]byte, report *RecoveryReport) error {
-	report.Entries = len(entries)
-	// The stamp is the sequence number of the last metadata operation in
-	// the journal K-Split recovered (stampedMeta); it advances with every
+// logReplay applies the operation log in log order, an entry at a time as
+// loadOpLog scans it (§3.3 recovery: non-zero checksum-valid entries are
+// replayed; replay is idempotent). Log order is the order the operations
+// took effect in — every logging operation holds wmu from its K-Split call
+// to its append — so a staged write finds the file a redone create made,
+// and an unlink redone after it finds the write applied.
+//
+// Staged writes are gathered per target into runs and applied together
+// (flush) before the next metadata record that is redone, and at the end:
+// each file is resolved to a path and opened once, and a piece that
+// continues the last one in both the target and the same staging file
+// extends it, so a run of appends is one copy. Writes to different files
+// commute and one file's pieces keep log order, so the result is the
+// log's. Nothing here commits: RecoverFS's one commit makes the replay
+// durable, and until it the log is intact, so a crash inside replay
+// replays again.
+type logReplay struct {
+	fs     *FS
+	report *RecoveryReport
+	// stamp is the sequence number of the last metadata operation in the
+	// journal K-Split recovered (stampedMeta); it advances with every
 	// record redone, in the record's own transaction, so a crash inside
-	// this loop resumes where it left off.
-	stamp := fs.kfs.Stamp(int(fs.mode))
-	for _, e := range entries {
-		switch {
-		case len(e) >= 41 && e[0] == opEntryWrite:
-			ino := uint64(binary.LittleEndian.Uint32(e[1:]))
-			stagingIno := uint64(binary.LittleEndian.Uint32(e[5:]))
-			fileOff := int64(binary.LittleEndian.Uint64(e[9:]))
-			length := int64(binary.LittleEndian.Uint32(e[17:]))
-			stagingOff := int64(binary.LittleEndian.Uint64(e[21:]))
-			seq := binary.LittleEndian.Uint64(e[29:])
-			dataSum := binary.LittleEndian.Uint32(e[37:])
-			fs.opSeq = max(fs.opSeq, seq)
-			applied, err := fs.replayWrite(ino, fileOff, length, stagingIno, stagingOff, seq, dataSum)
-			if err != nil {
-				return err
-			}
-			if applied {
-				report.Replayed++
-			} else {
-				report.Skipped++
-			}
-		case len(e) >= 2 && e[0] == opEntryMeta && (e[1] == metaOpen || e[1] == metaClose):
-			// An existing file was opened or closed: no metadata changed.
-		case len(e) >= 2 && e[0] == opEntryMeta:
-			r, err := decodeMetaRecord(e)
-			if err != nil {
-				return err
-			}
-			fs.opSeq = max(fs.opSeq, r.seq)
-			if r.seq <= stamp {
-				report.MetaSkipped++
-				continue
-			}
-			if err := fs.replayMeta(r); err != nil {
-				return fmt.Errorf("splitfs recovery: redo of %q (seq %d) %s %s: %w", r.kind, r.seq, r.path, r.path2, err)
-			}
-			stamp = r.seq
-			report.MetaReplayed++
-		default:
-			return fmt.Errorf("splitfs recovery: unknown or short log entry (%d bytes: % x...)", len(e), e[:min(len(e), 2)])
+	// replay resumes where it left off.
+	stamp uint64
+	// paths resolves inode numbers, found or not, until the namespace
+	// changes: a metadata record is redone.
+	paths  map[uint64]string
+	files  map[uint64]*ext4dax.File // targets and staging files opened for the pending runs
+	opened []*ext4dax.File          // the same handles, in the order they were opened
+	runs   []writeRun               // in the order their first entries were logged
+	byIno  map[uint64]int           // target inode → index in runs
+	buf    []byte
+}
+
+// writeRun is one target file's pending pieces.
+type writeRun struct {
+	tf     *ext4dax.File
+	pieces []writePiece
+	seq    uint64 // the last entry's sequence number
+}
+
+// writePiece is a contiguous range to copy from a staging file into the
+// target.
+type writePiece struct {
+	sf             *ext4dax.File
+	fileOff, sfOff int64
+	n              int64
+}
+
+// replayCopyBytes bounds the buffer a piece is copied through.
+const replayCopyBytes = 1 << 20
+
+func (fs *FS) newLogReplay(report *RecoveryReport) *logReplay {
+	return &logReplay{fs: fs, report: report, stamp: fs.kfs.Stamp(int(fs.mode)),
+		paths: map[uint64]string{}, files: map[uint64]*ext4dax.File{}, byIno: map[uint64]int{}}
+}
+
+// entry replays one log entry.
+func (r *logReplay) entry(e []byte) error {
+	fs, report := r.fs, r.report
+	report.Entries++
+	switch {
+	case len(e) >= writeEntryBytes && e[0] == opEntryWrite:
+		w := decodeWriteEntry(e)
+		fs.opSeq = max(fs.opSeq, w.seq)
+		live, err := r.replayWrite(w)
+		if err != nil {
+			return err
 		}
+		if live {
+			report.Replayed++
+		} else {
+			report.Skipped++
+		}
+	case len(e) >= 2 && e[0] == opEntryMeta && (e[1] == metaOpen || e[1] == metaClose):
+		// An existing file was opened or closed: no metadata changed.
+	case len(e) >= 2 && e[0] == opEntryMeta:
+		m, err := decodeMetaRecord(e)
+		if err != nil {
+			return err
+		}
+		fs.opSeq = max(fs.opSeq, m.seq)
+		if m.seq <= r.stamp {
+			report.MetaSkipped++
+			return nil
+		}
+		// The writes logged before the record took effect before it.
+		if err := r.flush(); err != nil {
+			return err
+		}
+		if err := fs.replayMeta(m); err != nil {
+			return fmt.Errorf("splitfs recovery: redo of %q (seq %d) %s %s: %w", m.kind, m.seq, m.path, m.path2, err)
+		}
+		clear(r.paths) // the namespace changed
+		r.stamp = m.seq
+		report.MetaReplayed++
+	default:
+		return fmt.Errorf("splitfs recovery: unknown or short log entry (%d bytes: % x...)", len(e), e[:min(len(e), 2)])
 	}
 	return nil
 }
@@ -233,60 +279,127 @@ func (fs *FS) replayInFile(path string, r metaRecord) error {
 	return nil
 }
 
-// replayWrite re-applies one staged write. An entry is live only when
-// (a) its sequence number is above the target inode's relink watermark —
-// the watermark commits atomically with each relink, so covered entries
-// are already durable in the target — (b) its staging range is still
-// allocated (punched ranges also mean a committed relink), and (c) the
-// staged bytes match the entry's data checksum — entry and data share
-// one fence, so an entry that survived a crash intact may point at torn
-// data, and replaying it would materialize a half-written operation.
-// Live entries are copied into the target; replay is idempotent.
-func (fs *FS) replayWrite(ino uint64, fileOff, length int64, stagingIno uint64, stagingOff int64, seq uint64, dataSum uint32) (bool, error) {
-	stagingPath, ok := fs.kfs.PathByIno(stagingIno)
+// path resolves an inode to a path, "" when no directory names it.
+func (r *logReplay) path(ino uint64) string {
+	p, ok := r.paths[ino]
 	if !ok {
+		p, _ = r.fs.kfs.PathByIno(ino)
+		r.paths[ino] = p
+	}
+	return p
+}
+
+// open returns the handle the pending runs hold on a file.
+func (r *logReplay) open(ino uint64, path string, flag int) (*ext4dax.File, error) {
+	if f := r.files[ino]; f != nil {
+		return f, nil
+	}
+	f, err := r.fs.kfs.OpenFile(path, flag, 0)
+	if err != nil {
+		return nil, err
+	}
+	kf := f.(*ext4dax.File)
+	r.files[ino] = kf
+	r.opened = append(r.opened, kf)
+	return kf, nil
+}
+
+// replayWrite queues one staged write if it is live: only when (a) its
+// sequence number is above the target inode's relink watermark — the
+// watermark commits with each relink and each replayed run (flush), so
+// covered entries are already durable in the target — and (b) its staging
+// range is still allocated (punched ranges also mean a committed relink).
+// An entry that survived the crash names staged data that did too:
+// stagePiece fenced the data before it stored the entry.
+func (r *logReplay) replayWrite(w writeEntry) (bool, error) {
+	stagingPath := r.path(w.stagingIno)
+	if stagingPath == "" {
 		return false, nil // staging file gone: entry predates a checkpoint
 	}
-	targetPath, ok := fs.kfs.PathByIno(ino)
-	if !ok {
+	targetPath := r.path(w.ino)
+	if targetPath == "" {
 		return false, nil // target unlinked after the write was logged
 	}
-	if tf, err := fs.kfs.OpenFile(targetPath, vfs.O_RDONLY, 0); err == nil {
-		wm := tf.(*ext4dax.File).UserWatermark()
-		tf.Close()
-		if seq <= wm {
-			return false, nil // a committed relink already covers this entry
-		}
-	}
-	sf, err := fs.kfs.OpenFile(stagingPath, vfs.O_RDONLY, 0)
+	tf, err := r.open(w.ino, targetPath, vfs.O_RDWR)
 	if err != nil {
 		return false, err
 	}
-	defer sf.Close()
-	skf := sf.(*ext4dax.File)
-	if !skf.RangeAllocated(stagingOff, length) {
+	if w.seq <= tf.UserWatermark() {
+		return false, nil // a committed relink already covers this entry
+	}
+	sf, err := r.open(w.stagingIno, stagingPath, vfs.O_RDONLY)
+	if err != nil {
+		return false, err
+	}
+	if !sf.RangeAllocated(w.stagingOff, w.length) {
 		return false, nil // relink committed before the crash
 	}
-	buf := make([]byte, length)
-	if _, err := sf.ReadAt(buf, stagingOff); err != nil {
-		return false, err
+	i, ok := r.byIno[w.ino]
+	if !ok {
+		i = len(r.runs)
+		r.byIno[w.ino] = i
+		r.runs = append(r.runs, writeRun{tf: tf})
 	}
-	if stagedSum(buf) != dataSum {
-		// The shared fence never completed: the entry line survived but
-		// the staged data tore. The operation never completed, so it must
-		// not be replayed (all-or-nothing).
-		return false, nil
+	run := &r.runs[i]
+	run.seq = w.seq
+	if k := len(run.pieces) - 1; k >= 0 {
+		if p := &run.pieces[k]; p.sf == sf && p.fileOff+p.n == w.fileOff && p.sfOff+p.n == w.stagingOff {
+			p.n += w.length
+			return true, nil
+		}
 	}
-	tf, err := fs.kfs.OpenFile(targetPath, vfs.O_RDWR, 0)
-	if err != nil {
-		return false, err
-	}
-	defer tf.Close()
-	if _, err := tf.WriteAt(buf, fileOff); err != nil {
-		return false, err
-	}
-	if err := tf.Sync(); err != nil {
-		return false, err
-	}
+	run.pieces = append(run.pieces, writePiece{sf: sf, fileOff: w.fileOff, sfOff: w.stagingOff, n: w.length})
 	return true, nil
+}
+
+// flush copies every pending piece into its target and moves the target's
+// watermark past the run, as a relink does: a crash while RecoverFS zeroes
+// the log can leave a prefix of it valid, and replaying the prefix again
+// over the later writes it covered would roll them back. The watermark
+// goes into the running transaction, and the commit that makes it durable
+// fences the copies before its commit record. Then flush closes the
+// handles.
+func (r *logReplay) flush() error {
+	for _, run := range r.runs {
+		for _, p := range run.pieces {
+			if err := r.copyPiece(run.tf, p); err != nil {
+				return err
+			}
+		}
+		run.tf.SetUserWatermark(run.seq)
+	}
+	return r.closeAll()
+}
+
+// copyPiece copies one piece through a buffer of at most replayCopyBytes.
+func (r *logReplay) copyPiece(tf *ext4dax.File, p writePiece) error {
+	for done := int64(0); done < p.n; {
+		k := min(p.n-done, replayCopyBytes)
+		if int64(cap(r.buf)) < k {
+			r.buf = make([]byte, k)
+		}
+		buf := r.buf[:k]
+		if _, err := p.sf.ReadAt(buf, p.sfOff+done); err != nil {
+			return err
+		}
+		if _, err := tf.WriteAt(buf, p.fileOff+done); err != nil {
+			return err
+		}
+		done += k
+	}
+	return nil
+}
+
+// closeAll drops the pending runs and closes the handles they held.
+func (r *logReplay) closeAll() error {
+	var err error
+	for _, f := range r.opened {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	clear(r.files)
+	clear(r.byIno)
+	r.opened, r.runs = r.opened[:0], r.runs[:0]
+	return err
 }

@@ -77,3 +77,97 @@ func TestStrictRecoverFromPreFirstWriteCrash(t *testing.T) {
 		t.Fatalf("post-recovery write lost: %q, want %q", got, payload)
 	}
 }
+
+// TestReplayingALogPrefixAgainChangesNothing: RecoverFS zeroes the log
+// after the commit that ends replay, and a crash while it does can leave
+// any prefix of the log valid — words of the zeroed lines reach the media
+// or not one by one — to be replayed over the image the first replay
+// committed, with the crashed instance's staging files still there.
+// Strict writes to two files — appends, overwrites of what earlier entries
+// wrote, a rename between them — are crashed, and the recovery crashed at
+// its first zeroing store, with every record after the k-th zeroed: the
+// second recovery must leave the files as the first one did, for every k.
+// It would not without the watermark replay moves past what it applied,
+// as a relink does: the first append replayed again rolls back the
+// overwrites logged after it (ROADMAP Known red (6)).
+func TestReplayingALogPrefixAgainChangesNothing(t *testing.T) {
+	scenario := func() (e *metaEnv, base int64, records int) {
+		e = newMetaEnv(t, Strict, ext4dax.Config{}, 256<<10)
+		f, err := vfs.Create(e.fs, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := vfs.Create(e.fs, "/g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct {
+			f   vfs.File
+			off int64
+			n   int
+		}{{f, 0, 6000}, {g, 0, 3000}, {f, 100, 300}, {f, 5000, 2000}, {g, 10, 50}, {f, 7000, 4096}, {f, 4000, 200}} {
+			if _, err := w.f.WriteAt(pattern(w.n, byte(w.off)), w.off); err != nil {
+				t.Fatal(err)
+			}
+			if w.off == 10 {
+				if err := e.fs.Rename("/g", "/h"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		lf, err := e.fs.kfs.OpenFile(e.fs.opLogPath(), vfs.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base, _, err = oplogRegion(e.fs, lf.(*ext4dax.File)); err != nil {
+			t.Fatal(err)
+		}
+		records = e.fs.olog.Entries()
+		if e.fs.olog.Used() != int64(records)*logEntryBytes {
+			t.Fatalf("%d records take %d bytes of log, not a line each", records, e.fs.olog.Used())
+		}
+		if err := e.dev.Crash(nil); err != nil {
+			t.Fatal(err)
+		}
+		return e, base, records
+	}
+	// A recording recovery finds the first store that zeroes the log.
+	rec, _, records := scenario()
+	rec.dev.SetTracing(true)
+	first := rec.remount(t)
+	want := tree(t, rec.fs)
+	var zeroing int64
+	for _, ev := range rec.dev.Trace() {
+		if ev.Kind == pmem.EvStoreNT && ev.Cat == sim.CatOpLog {
+			zeroing = ev.Seq
+			break
+		}
+	}
+	// The rename relinked /g's two writes first (a rename flushes what its
+	// source has staged), so five are left to replay.
+	if first.Replayed != 5 || zeroing == 0 {
+		t.Fatalf("recording recovery replayed %d writes, want 5, and zeroed the log at event %d: %+v", first.Replayed, zeroing, first)
+	}
+	for k := 1; k <= records; k++ {
+		e, base, _ := scenario()
+		e.dev.ArmCrash(zeroing, nil)
+		e.remount(t) // runs to its end; the image froze at the zeroing store
+		if err := e.dev.Crash(nil); err != nil {
+			t.Fatal(err)
+		}
+		if k < records {
+			past := int64(k+1) * logEntryBytes // the reserved first line, then k records
+			e.dev.PersistNT(base+past, make([]byte, int64(records+1)*logEntryBytes-past), sim.CatOpLog)
+		}
+		again := e.remount(t)
+		if again.Entries != k {
+			t.Fatalf("prefix of %d records: recovery scanned %d", k, again.Entries)
+		}
+		if got := tree(t, e.fs); got != want {
+			t.Fatalf("replaying the first %d of %d records again changed the files (%+v):\n got %s\nwant %s", k, records, again, got, want)
+		}
+		if err := e.fs.Check(); err != nil {
+			t.Fatalf("prefix of %d records: %v", k, err)
+		}
+	}
+}
