@@ -108,6 +108,18 @@ func runPrepared(w *ConcurrentWorkload, err error) (ConcurrentResult, error) {
 	return w.Run()
 }
 
+// payload returns n bytes drawn from seed. The wall-clock workloads store
+// it rather than zeros: the device backs no frame for a zero block, so a
+// zero payload would time the device skipping its work.
+func payload(n int, seed uint64) []byte {
+	rng := sim.NewRNG(seed)
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(rng.Uint64())
+	}
+	return p
+}
+
 // ConcurrentAppends prepares threads workers appending blockBytes blocks
 // to distinct files (fsync every 16 appends) on a fresh instance of kind.
 func ConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (*ConcurrentWorkload, error) {
@@ -121,7 +133,7 @@ func ConcurrentAppends(kind string, threads, opsPerThread, blockBytes int) (*Con
 			return err
 		}
 		defer f.Close()
-		blk := make([]byte, blockBytes)
+		blk := payload(blockBytes, uint64(g)+1)
 		for i := 0; i < opsPerThread; i++ {
 			if _, err := f.Write(blk); err != nil {
 				return err
@@ -151,7 +163,7 @@ func ConcurrentReads(kind string, threads, opsPerThread, blockBytes int) (*Concu
 		if err != nil {
 			return nil, err
 		}
-		blk := make([]byte, blockBytes)
+		blk := payload(blockBytes, uint64(g)+1)
 		for i := 0; i < fileBlocks; i++ {
 			if _, err := f.Write(blk); err != nil {
 				return nil, err
