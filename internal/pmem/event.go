@@ -286,20 +286,22 @@ func (d *Device) freeze(rng *sim.RNG) {
 		return
 	}
 	for i := range d.shards {
-		d.shards[i].tear(rng)
+		d.shards[i].tear(rng, &d.pool)
 	}
 	d.frozen.Store(true)
 }
 
 // tear applies the torn-word crash model to the shard's unpersisted
 // lines: a word that reached the media is copied from the volatile view
-// into the line's undo slot, i.e. into the durable image. Buffered
-// (journaled-metadata) lines always revert: real jbd2 keeps uncommitted
-// metadata in the DRAM page cache, so it can never reach the media. The
-// state array is walked in index order, so lines are visited ascending
-// and a given rng seed always produces the same image. Caller holds the
-// shard's lock.
-func (s *shard) tear(rng *sim.RNG) {
+// into the line's undo slot, i.e. into the durable image. A line of an
+// unbacked frame reads as zeros, and a zero slot becomes a byte slot only
+// if a nonzero word reached the media. Buffered (journaled-metadata) lines
+// always revert: real jbd2 keeps uncommitted metadata in the DRAM page
+// cache, so it can never reach the media. The state array is walked in
+// index order and every torn line draws eight coins, so lines are visited
+// ascending and a given rng seed always produces the same image. Caller
+// holds the shard's lock.
+func (s *shard) tear(rng *sim.RNG, pool *framePool) {
 	if rng == nil || s.tracked == 0 {
 		return
 	}
@@ -309,19 +311,39 @@ func (s *shard) tear(rng *sim.RNG) {
 			continue
 		}
 		if st != lineBuffered {
-			live := s.line(int64(ln))
-			durable := s.undo[int(s.slot[ln]-1)*sim.CacheLine:]
-			for w := 0; w < sim.CacheLine; w += 8 {
-				// Branch-free select: the coin is random, so a branch on it
-				// mispredicts every other word.
-				lost := -(rng.Uint64() & 1) // all ones: the word did not reach the media
-				d := binary.LittleEndian.Uint64(durable[w:])
-				v := binary.LittleEndian.Uint64(live[w:])
-				binary.LittleEndian.PutUint64(durable[w:], d&lost|v&^lost)
+			live := zeros[:sim.CacheLine]
+			if s.frames[ln/frameLines] != nil {
+				live = s.line(int64(ln))
+			}
+			if i := s.slot[ln]; i > 0 {
+				tearLine(s.undoBytes(i-1), live, rng)
+			} else {
+				var durable [sim.CacheLine]byte // what the zero slot holds
+				if tearLine(durable[:], live, rng) {
+					s.releaseUndo(int32(ln), pool)
+					s.saveBytes(int64(ln), durable[:], pool)
+				}
 			}
 		}
 		if left--; left == 0 {
 			break
 		}
 	}
+}
+
+// tearLine copies each word of live into durable that a coin of rng says
+// reached the media, and reports whether durable is nonzero after.
+func tearLine(durable, live []byte, rng *sim.RNG) bool {
+	or := uint64(0)
+	for w := 0; w < sim.CacheLine; w += 8 {
+		// Branch-free select: the coin is random, so a branch on it
+		// mispredicts every other word.
+		lost := -(rng.Uint64() & 1) // all ones: the word did not reach the media
+		d := binary.LittleEndian.Uint64(durable[w:])
+		v := binary.LittleEndian.Uint64(live[w:])
+		d = d&lost | v&^lost
+		binary.LittleEndian.PutUint64(durable[w:], d)
+		or |= d
+	}
+	return or != 0
 }

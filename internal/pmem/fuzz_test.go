@@ -116,10 +116,9 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 		}
 		return p
 	}
-	// store issues one store of each kind: 0 Store, 1 StoreNT, 2
+	// store issues p as one store of each kind: 0 Store, 1 StoreNT, 2
 	// StoreBuffered.
-	store := func(kind byte, off int64, n int, cat sim.Category) {
-		p := payload(n)
+	store := func(kind byte, off int64, p []byte, cat sim.Category) {
 		switch kind {
 		case 0:
 			d.Store(off, p, cat)
@@ -140,7 +139,7 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 		switch op & 0x0f {
 		case 0, 1, 2:
 			off, n := span()
-			store(op&0x0f, off, n, cat)
+			store(op&0x0f, off, payload(n), cat)
 		case 3:
 			off, n := span()
 			d.Flush(off, n, cat)
@@ -188,7 +187,18 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 			// and pass over at once, and whole frames to give back.
 			kind := next() % 3
 			off, n := wide()
-			store(kind, off, n, cat)
+			store(kind, off, payload(n), cat)
+		case 11:
+			// A store of zeros, of the kind the low bits of the next byte
+			// name, over a span (bit 4: whole runs of lines). payload never
+			// yields a zero line; these back no frame that is not backed
+			// already, and their lines are tracked all the same.
+			b, decode := next(), span
+			if b&0x10 != 0 {
+				decode = wide
+			}
+			off, n := decode()
+			store((b&0x0f)%3, off, make([]byte, n), cat)
 		default:
 			continue
 		}

@@ -21,10 +21,10 @@
 // durable lines, so goroutines operating on disjoint regions (different
 // files, different staging chunks) never contend and nothing the device
 // does is proportional to its size. The volatile view is a sparse array
-// of 4 KB frames per shard, allocated on a frame's first store and given
-// back to a device-wide free list by Discard, so the host holds memory
-// for the blocks the file system holds, not for every block ever written
-// (see DESIGN.md, "Shard granularity").
+// of 4 KB frames per shard, allocated on a frame's first store of a
+// nonzero byte and given back to a device-wide free list by Discard, so
+// the host holds memory for the blocks the file system holds, not for
+// every block ever written or zeroed (see DESIGN.md, "Shard granularity").
 // Cumulative counters are atomics; per-block wear counters are atomics
 // too. Operations spanning several shards take the shard locks one at a
 // time in ascending order, so cross-shard tearing of a concurrent
@@ -33,6 +33,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,8 +72,9 @@ type Config struct {
 	Clock *sim.Clock
 	// TrackPersistence keeps an undo log of durable lines so Crash() can
 	// rewind to the persisted state: the last durable 64 bytes of every
-	// line that is modified but not yet fenced, plus a 4-byte slot index
-	// per cache line of each written shard (1/16 of what was written).
+	// line that is modified but not yet fenced (none for a line whose frame
+	// was never backed: it is durably zero), plus a 4-byte slot index per
+	// cache line of each written shard (1/16 of what was written).
 	// Benchmarks that do not crash can leave it off.
 	TrackPersistence bool
 	// TrackWear maintains per-4KB-block write counters.
@@ -113,20 +115,24 @@ const (
 	slabFrames = 64
 )
 
-// framePool hands out the frames of every shard: recycled ones first,
-// then the rest of the current slab. Frames on the free list are zero.
+// framePool hands out the 4 KB pages of every shard — frames of the
+// volatile view and pages of the undo log — recycled ones first, then the
+// rest of the current slab. Pages on the free list are zero.
 type framePool struct {
 	mu   sync.Mutex // +lockrank:framepool
 	free []*frame
 	slab []frame // what is left of the newest slab
-	held int64   // frames handed out and not given back
+	held int64   // frames of the volatile view handed out and not given back
 }
 
-// get returns a zeroed frame.
-func (p *framePool) get() *frame {
+// get returns a zeroed page; a frame of the volatile view (view) counts as
+// held, an undo page does not.
+func (p *framePool) get(view bool) *frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.held++
+	if view {
+		p.held++
+	}
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -140,11 +146,13 @@ func (p *framePool) get() *frame {
 	return f
 }
 
-// put takes back a frame the caller has zeroed.
-func (p *framePool) put(f *frame) {
+// put takes back a page the caller has zeroed; view as it was got.
+func (p *framePool) put(f *frame, view bool) {
 	p.mu.Lock()
 	p.free = append(p.free, f)
-	p.held--
+	if view {
+		p.held--
+	}
 	p.mu.Unlock()
 }
 
@@ -165,10 +173,13 @@ type shard struct {
 
 	// Backing. The per-line arrays and the frame table are allocated
 	// together by the shard's first store; a frame by the first store into
-	// it. A missing frame reads as zeros and costs nothing.
+	// it that carries a nonzero byte. A missing frame reads as zeros and
+	// costs nothing, whatever state its lines are in.
 	frames []*frame    // volatile view (what loads observe)
 	state  []lineState // one byte per line; 0 = clean (volatile == durable)
-	slot   []int32     // per line, 1 + its index in undo; 0 = none (nil unless TrackPersistence)
+	// slot is per line: 0 = none, i > 0 = byte slot i-1, i < 0 = zero slot
+	// -i-1 (nil unless TrackPersistence).
+	slot []int32
 
 	// tracked counts the lines whose state is non-zero.
 	tracked int
@@ -178,11 +189,16 @@ type shard struct {
 	// the list grows per transition into linePending, never per write.
 	pending []int32
 
-	// Undo log: slot i holds the durable content of line undoLine[i],
-	// saved by the first store that made the line differ from the media.
-	// The slab is dense: releasing a slot moves the last one into it.
-	undo     []byte
-	undoLine []int32
+	// Undo log: the durable content of each line that differs from the
+	// media, saved by the store that made it differ. Byte slot i holds line
+	// undoLine[i]'s 64 bytes in page undo[i/frameLines], a page from the
+	// frame pool. A line whose frame was not backed when it was saved is
+	// durably zero: its zero slot holds no bytes, only its place in
+	// zeroLines. Both logs are dense — releasing a slot moves the last one
+	// into it — and a page the byte slots leave goes back to the pool.
+	undo      []*frame
+	undoLine  []int32
+	zeroLines []int32
 
 	// active is a lock-free hint that tracked may be non-zero, so the
 	// device-global sweeps (Fence, UnpersistedLines) skip clean shards
@@ -381,22 +397,25 @@ func (s *shard) read(p []byte, lo int64) {
 }
 
 // fill copies p into the shard's bytes from lo on, taking a frame from
-// the pool for each one not backed yet. Caller holds the shard's lock.
+// the pool for each one not backed yet — unless the bytes meant for it are
+// all zero, which an unbacked frame reads as already. Caller holds the
+// shard's lock.
 func (s *shard) fill(p []byte, lo int64, pool *framePool) {
 	for len(p) > 0 {
-		f := s.frames[lo/sim.BlockSize]
-		if f == nil {
-			f = pool.get()
-			s.frames[lo/sim.BlockSize] = f
+		i, o := lo/sim.BlockSize, lo%sim.BlockSize
+		n := min(int64(len(p)), sim.BlockSize-o)
+		if s.frames[i] == nil && !bytes.Equal(p[:n], zeros[:n]) {
+			s.frames[i] = pool.get(true)
 		}
-		n := copy(f[lo%sim.BlockSize:], p)
-		p, lo = p[n:], lo+int64(n)
+		if f := s.frames[i]; f != nil {
+			copy(f[o:], p[:n])
+		}
+		p, lo = p[n:], lo+n
 	}
 }
 
-// line returns line ln's bytes. Its frame must be backed: every line that
-// is tracked or holds an undo slot was stored to. Caller holds the shard's
-// lock.
+// line returns line ln's bytes. Its frame must be backed. Caller holds the
+// shard's lock.
 func (s *shard) line(ln int64) []byte {
 	o := ln % frameLines * sim.CacheLine
 	return s.frames[ln/frameLines][o : o+sim.CacheLine]
@@ -463,12 +482,21 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 		rlo, rhi := lo-s.base, hi-s.base // the range within the shard
 		last := (rhi - 1) / sim.CacheLine
 		for ln := rlo / sim.CacheLine; ln <= last; ln++ {
-			// A store leaves a line that is already in its state as it is:
-			// skip eight such lines at a time (NT stores rewriting pending
-			// data, buffered stores rewriting journaled metadata).
-			if ln%8 == 0 && ln+7 <= last && binary.LittleEndian.Uint64(s.state[ln:]) == uint64(st)*0x0101010101010101 {
-				ln += 7
-				continue
+			// Eight aligned lines at a time: a store leaves lines already in
+			// its state as they are (NT stores rewriting pending data,
+			// buffered stores rewriting journaled metadata), and claims
+			// clean ones together.
+			if ln%8 == 0 && ln+7 <= last {
+				switch binary.LittleEndian.Uint64(s.state[ln:]) {
+				case uint64(st) * eightLines:
+					ln += 7
+					continue
+				case 0:
+					if s.claimEight(ln, st, &d.pool) {
+						ln += 7
+						continue
+					}
+				}
 			}
 			cur := s.state[ln]
 			if cur == 0 {
@@ -477,7 +505,7 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 				// durable content. After a freeze a clean line may still
 				// hold the slot that carries its frozen content.
 				if s.slot != nil && s.slot[ln] == 0 {
-					s.saveUndo(ln)
+					s.saveUndo(ln, 1, &d.pool)
 				}
 			}
 			// An NT store to a dirty line still leaves the line pending: the
@@ -512,35 +540,107 @@ func (s *shard) back(undo bool) {
 	}
 }
 
-var zeroLine [sim.CacheLine]byte
+// eightLines spreads a line state over the eight bytes of a state word.
+const eightLines = 0x0101010101010101
 
-// saveUndo copies line ln's current (still durable) content into a fresh
-// undo slot; a line whose frame is not backed yet holds zeros. Caller
-// holds the shard's lock.
-func (s *shard) saveUndo(ln int64) {
-	if s.frames[ln/frameLines] == nil {
-		s.undo = append(s.undo, zeroLine[:]...)
-	} else {
-		s.undo = append(s.undo, s.line(ln)...)
+// zeros is what an unbacked frame holds.
+var zeros frame
+
+// claimEight marks the eight clean lines from ln on st, saving their
+// durable content in one go, and reports whether it did: it leaves them
+// alone if one holds a slot (after a freeze a clean line may). Caller holds
+// the shard's lock.
+func (s *shard) claimEight(ln int64, st lineState, pool *framePool) bool {
+	if s.slot != nil {
+		for _, i := range s.slot[ln : ln+8] {
+			if i != 0 {
+				return false
+			}
+		}
+		s.saveUndo(ln, 8, pool)
 	}
-	s.undoLine = append(s.undoLine, int32(ln))
-	s.slot[ln] = int32(len(s.undoLine))
+	binary.LittleEndian.PutUint64(s.state[ln:], uint64(st)*eightLines)
+	s.tracked += 8
+	if st == linePending {
+		l := int32(ln)
+		s.pending = append(s.pending, l, l+1, l+2, l+3, l+4, l+5, l+6, l+7)
+	}
+	return true
+}
+
+// saveUndo gives the k lines from ln on, which share a frame, undo slots
+// holding their current (still durable) content: byte slots if the frame
+// is backed, zero slots if not. Caller holds the shard's lock.
+func (s *shard) saveUndo(ln, k int64, pool *framePool) {
+	f := s.frames[ln/frameLines]
+	if f == nil {
+		for end := ln + k; ln < end; ln++ {
+			s.zeroLines = append(s.zeroLines, int32(ln))
+			s.slot[ln] = -int32(len(s.zeroLines))
+		}
+		return
+	}
+	o := ln % frameLines * sim.CacheLine
+	s.saveBytes(ln, f[o:o+k*sim.CacheLine], pool)
+}
+
+// saveBytes gives the lines from ln on byte slots holding p, a line's
+// worth each, copying as much of p at a time as a page takes. Caller holds
+// the shard's lock.
+func (s *shard) saveBytes(ln int64, p []byte, pool *framePool) {
+	for len(p) > 0 {
+		n := len(s.undoLine)
+		if n%frameLines == 0 {
+			s.undo = append(s.undo, pool.get(false))
+		}
+		c := copy(s.undo[n/frameLines][n%frameLines*sim.CacheLine:], p)
+		for range c / sim.CacheLine {
+			s.undoLine = append(s.undoLine, int32(ln))
+			s.slot[ln] = int32(len(s.undoLine))
+			ln++
+		}
+		p = p[c:]
+	}
+}
+
+// undoBytes returns byte slot i.
+func (s *shard) undoBytes(i int32) []byte {
+	o := i % frameLines * sim.CacheLine
+	return s.undo[i/frameLines][o : o+sim.CacheLine]
 }
 
 // releaseUndo drops line ln's undo slot — the volatile content is the
-// durable content now — keeping the slab dense by moving the last slot
-// into the hole. Caller holds the shard's lock.
-func (s *shard) releaseUndo(ln int32) {
-	i, last := s.slot[ln]-1, int32(len(s.undoLine)-1)
+// durable content now — keeping its log dense by moving the last slot into
+// the hole. A page the byte slots leave goes back to the pool, zeroed.
+// Caller holds the shard's lock.
+func (s *shard) releaseUndo(ln int32, pool *framePool) {
+	i := s.slot[ln]
+	s.slot[ln] = 0
+	if i < 0 {
+		i, last := -i-1, int32(len(s.zeroLines)-1)
+		if i != last {
+			moved := s.zeroLines[last]
+			s.zeroLines[i] = moved
+			s.slot[moved] = -i - 1
+		}
+		s.zeroLines = s.zeroLines[:last]
+		return
+	}
+	i, last := i-1, int32(len(s.undoLine)-1)
 	if i != last {
 		moved := s.undoLine[last]
-		copy(s.undo[int(i)*sim.CacheLine:], s.undo[int(last)*sim.CacheLine:])
+		copy(s.undoBytes(i), s.undoBytes(last))
 		s.undoLine[i] = moved
 		s.slot[moved] = i + 1
 	}
-	s.undo = s.undo[:int(last)*sim.CacheLine]
 	s.undoLine = s.undoLine[:last]
-	s.slot[ln] = 0
+	if last%frameLines == 0 { // the last page holds no slot now
+		pg := s.undo[len(s.undo)-1]
+		clear(pg[:])
+		pool.put(pg, false)
+		s.undo[len(s.undo)-1] = nil
+		s.undo = s.undo[:len(s.undo)-1]
+	}
 }
 
 // Flush issues clwb for every cache line covering [off, off+n): dirty
@@ -596,7 +696,7 @@ func (d *Device) Fence() {
 		s.mu.Lock()
 		// A frozen device (armed crash point reached) keeps its durable
 		// image fixed: later fences drain the queue but keep the slots.
-		persisted += s.drain(s.slot != nil && !d.frozen.Load())
+		persisted += s.drain(s.slot != nil && !d.frozen.Load(), &d.pool)
 		s.mu.Unlock()
 	}
 	d.nPersisted.Add(persisted)
@@ -606,9 +706,9 @@ func (d *Device) Fence() {
 // drain makes every pending line of the shard clean and returns how many
 // there were; with release, their undo slots go too (the lines are durable
 // as they stand). It walks the list backwards so that the lines of one
-// large store, whose slots were taken in the same order, free the slab's
+// large store, whose slots were taken in the same order, free their log's
 // last slot each time and nothing moves. Caller holds the shard's lock.
-func (s *shard) drain(release bool) int64 {
+func (s *shard) drain(release bool, pool *framePool) int64 {
 	n := int64(0)
 	for i := len(s.pending) - 1; i >= 0; i-- {
 		ln := s.pending[i]
@@ -617,7 +717,7 @@ func (s *shard) drain(release bool) int64 {
 		}
 		s.state[ln] = 0
 		if release {
-			s.releaseUndo(ln)
+			s.releaseUndo(ln, pool)
 		}
 		n++
 	}
@@ -689,7 +789,7 @@ func (s *shard) discard(lo, hi int64, pool *framePool) {
 		}
 		if whole { // all zero now: a short shard never writes past its size
 			s.frames[i] = nil
-			pool.put(f)
+			pool.put(f, true)
 		}
 	}
 }
@@ -734,9 +834,9 @@ func (d *Device) Crash(rng *sim.RNG) error {
 	for i := range d.shards {
 		s := &d.shards[i]
 		if !frozen {
-			s.tear(rng)
+			s.tear(rng, &d.pool)
 		}
-		s.rewind()
+		s.rewind(&d.pool)
 	}
 	d.frozen.Store(false)
 	d.ev.mu.Lock()
@@ -748,16 +848,31 @@ func (d *Device) Crash(rng *sim.RNG) error {
 }
 
 // rewind applies the undo log to the volatile view and empties it: every
-// line that holds a slot gets its durable content back and becomes clean.
-// Every tracked line holds a slot, so no state survives. Caller holds the
-// shard's lock.
-func (s *shard) rewind() {
+// line that holds a slot gets its durable content back and becomes clean,
+// and the undo pages go back to the pool. Every tracked line holds a slot,
+// so no state survives. A byte slot's frame is backed (a line gets one
+// only in a backed frame, and a frame goes back only when its lines hold
+// none); a zero slot's line is cleared if its frame was backed since.
+// Caller holds the shard's lock.
+func (s *shard) rewind(pool *framePool) {
 	for i, ln := range s.undoLine {
-		copy(s.line(int64(ln)), s.undo[i*sim.CacheLine:(i+1)*sim.CacheLine])
+		copy(s.line(int64(ln)), s.undoBytes(int32(i)))
 		s.state[ln] = 0
 		s.slot[ln] = 0
 	}
-	s.undo, s.undoLine = s.undo[:0], s.undoLine[:0]
+	for _, ln := range s.zeroLines {
+		if s.frames[ln/frameLines] != nil {
+			clear(s.line(int64(ln)))
+		}
+		s.state[ln] = 0
+		s.slot[ln] = 0
+	}
+	for i, p := range s.undo {
+		clear(p[:])
+		pool.put(p, false)
+		s.undo[i] = nil
+	}
+	s.undo, s.undoLine, s.zeroLines = s.undo[:0], s.undoLine[:0], s.zeroLines[:0]
 	s.pending = s.pending[:0]
 	s.tracked = 0
 	s.active.Store(false)

@@ -3,9 +3,13 @@ package splitfs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/race"
+	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
 
@@ -78,4 +82,32 @@ func TestSyncNamespaceAllocations(t *testing.T) {
 			t.Logf("%s: %.2f allocations (bound %v, parent %v)", pin.name, got, pin.want, pin.atParent)
 		}
 	}
+}
+
+// TestStrictFormatAllocations pins what building a tracked strict stack
+// with the default tunables allocates — the device, mkfs and a U-Split
+// mount, as the root package's NewStack builds it. Zeroing the 8 MB op log
+// tracks its 131 072 lines in zero slots and backs none of its frames;
+// with byte slots and eager frames it cost 54.7 MB.
+func TestStrictFormatAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const bound, atParent = 8 << 20, 54.7
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(), TrackPersistence: true, TrackWear: true})
+	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(kfs, Config{Mode: Strict}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > bound {
+		t.Fatalf("a tracked strict stack allocates %.1f MB to build, want <= %d MB (%.1f MB before zero slots)", float64(got)/(1<<20), bound>>20, atParent)
+	}
+	t.Logf("a tracked strict stack allocates %.1f MB to build (bound %d MB, parent %.1f MB) and backs %d KB of frames", float64(got)/(1<<20), bound>>20, atParent, dev.BackedBytes()>>10)
 }
