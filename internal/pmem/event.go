@@ -28,12 +28,14 @@ package pmem
 //
 // Determinism requirements: the workload must be single-threaded (event
 // numbering is interleaving-dependent), and torn-word injection visits
-// unpersisted lines in ascending order (shard by shard, each shard's dense
-// state array in index order) so one seed always yields one image.
+// unpersisted lines in ascending order (shard by shard, each shard's frame
+// records in index order, each record's masks from the lowest line up) so
+// one seed always yields one image.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -297,36 +299,38 @@ func (d *Device) freeze(rng *sim.RNG) {
 // unbacked frame reads as zeros, and a zero slot becomes a byte slot only
 // if a nonzero word reached the media. Buffered (journaled-metadata) lines
 // always revert: real jbd2 keeps uncommitted metadata in the DRAM page
-// cache, so it can never reach the media. The state array is walked in
-// index order and every torn line draws eight coins, so lines are visited
-// ascending and a given rng seed always produces the same image. Caller
-// holds the shard's lock.
+// cache, so it can never reach the media. Frames are walked in index order
+// and each one's masks from the lowest line up, and every torn line draws
+// eight coins, so lines are visited ascending and a given rng seed always
+// produces the same image. Caller holds the shard's lock.
 func (s *shard) tear(rng *sim.RNG, pool *framePool) {
-	if rng == nil || s.tracked == 0 {
+	if rng == nil {
 		return
 	}
-	left := s.tracked
-	for ln, st := range s.state {
-		if st == 0 {
-			continue
-		}
-		if st != lineBuffered {
+	for i, left := 0, s.tracked; left > 0; i++ {
+		r := &s.frames[i]
+		left -= bits.OnesCount64(r.dirty | r.pending | r.buffered)
+		for m := r.dirty | r.pending; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
 			live := zeros[:sim.CacheLine]
-			if s.frames[ln/frameLines] != nil {
-				live = s.line(int64(ln))
+			if r.view != nil {
+				live = lines(r.view, l, l+1)
 			}
-			if i := s.slot[ln]; i > 0 {
-				tearLine(s.undoBytes(i-1), live, rng)
-			} else {
-				var durable [sim.CacheLine]byte // what the zero slot holds
-				if tearLine(durable[:], live, rng) {
-					s.releaseUndo(int32(ln), pool)
-					s.saveBytes(int64(ln), durable[:], pool)
+			if r.saved&(1<<l) != 0 {
+				tearLine(lines(r.undo, l, l+1), live, rng)
+				continue
+			}
+			// A zero slot: it becomes a byte slot if a nonzero word reached
+			// the media.
+			var durable [sim.CacheLine]byte
+			if tearLine(durable[:], live, rng) {
+				if r.undo == nil {
+					r.undo = pool.get(false)
 				}
+				r.zeroed &^= 1 << l
+				r.saved |= 1 << l
+				copy(lines(r.undo, l, l+1), durable[:])
 			}
-		}
-		if left--; left == 0 {
-			break
 		}
 	}
 }

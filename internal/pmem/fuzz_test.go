@@ -36,8 +36,8 @@ func backedFrames(d *Device) int64 {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for _, f := range s.frames {
-			if f != nil {
+		for _, r := range s.frames {
+			if r.view != nil {
 				n++
 			}
 		}

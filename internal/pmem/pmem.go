@@ -17,14 +17,15 @@
 //
 // All methods are safe for concurrent use. The device is sharded: the
 // address space is split into contiguous cache-line-aligned ranges, each
-// with its own lock, a dense per-line state array and an undo log of
-// durable lines, so goroutines operating on disjoint regions (different
-// files, different staging chunks) never contend and nothing the device
-// does is proportional to its size. The volatile view is a sparse array
-// of 4 KB frames per shard, allocated on a frame's first store of a
-// nonzero byte and given back to a device-wide free list by Discard, so
-// the host holds memory for the blocks the file system holds, not for
-// every block ever written or zeroed (see DESIGN.md, "Shard granularity").
+// with its own lock and one record per 4 KB frame — the frame of the
+// volatile view, its 64 lines' persistence state as bit masks, and the
+// undo slots of its durable lines — so goroutines operating on disjoint
+// regions (different files, different staging chunks) never contend and
+// nothing the device does is proportional to its size. A frame of the
+// volatile view is allocated on its first store of a nonzero byte and
+// given back to a device-wide free list by Discard, so the host holds
+// memory for the blocks the file system holds, not for every block ever
+// written or zeroed (see DESIGN.md, "Shard granularity").
 // Cumulative counters are atomics; per-block wear counters are atomics
 // too. Operations spanning several shards take the shard locks one at a
 // time in ascending order, so cross-shard tearing of a concurrent
@@ -34,17 +35,17 @@ package pmem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"splitfs/internal/sim"
 )
 
-// lineState tracks where a modified cache line sits in the persistence
-// pipeline. It is a byte, so write can test eight lines at once.
+// lineState names where a modified cache line sits in the persistence
+// pipeline; a frame record keeps one mask of lines per state.
 type lineState = uint8
 
 const (
@@ -70,12 +71,11 @@ type Config struct {
 	Size int64
 	// Clock receives all simulated-time charges. Required.
 	Clock *sim.Clock
-	// TrackPersistence keeps an undo log of durable lines so Crash() can
+	// TrackPersistence keeps undo slots of durable lines so Crash() can
 	// rewind to the persisted state: the last durable 64 bytes of every
 	// line that is modified but not yet fenced (none for a line whose frame
-	// was never backed: it is durably zero), plus a 4-byte slot index per
-	// cache line of each written shard (1/16 of what was written).
-	// Benchmarks that do not crash can leave it off.
+	// was never backed: it is durably zero), in a 4 KB page per frame that
+	// holds such a line. Benchmarks that do not crash can leave it off.
 	TrackPersistence bool
 	// TrackWear maintains per-4KB-block write counters.
 	TrackWear bool
@@ -102,22 +102,49 @@ type Stats struct {
 // BytesWritten is the total write IO issued to the device.
 func (s Stats) BytesWritten() int64 { return s.BytesWrittenNT + s.BytesWrittenCached }
 
-// frame is one 4 KB piece of a shard's volatile view. Frames are
-// shard-relative: frame i of a shard holds its bytes [i*BlockSize,
-// (i+1)*BlockSize), so a shard whose size is not a block multiple leaves
-// the tail of its last frame unused.
+// frame is one 4 KB piece of a shard's volatile view, or one frame's undo
+// page. Frames are shard-relative: frame i of a shard holds its bytes
+// [i*BlockSize, (i+1)*BlockSize), so a shard whose size is not a block
+// multiple leaves the tail of its last frame unused.
 type frame [sim.BlockSize]byte
 
-const (
-	frameLines = sim.BlockSize / sim.CacheLine
-	// slabFrames is how many frames one host allocation carves: a fresh
-	// block costs 1/64 of an allocation.
-	slabFrames = 64
-)
+// slabFrames is how many frames one host allocation carves: a fresh block
+// costs 1/64 of an allocation.
+const slabFrames = 64
+
+// frameRec is what a shard knows of one frame: its piece of the volatile
+// view, where each of its lines sits in the persistence pipeline, and the
+// undo slots that, applied to the view, yield the durable image. Bit i of
+// a mask is the frame's line i (a frame is 64 lines). A line is in at most
+// one of dirty, pending and buffered, and clean (volatile == durable) in
+// none; the zero record is an unbacked frame of clean lines.
+type frameRec struct {
+	// view is what loads observe; nil until a store brings a nonzero byte,
+	// and it reads as zeros.
+	view *frame
+
+	dirty    uint64 // lineDirty
+	pending  uint64 // linePending
+	buffered uint64 // lineBuffered
+
+	// Undo slots (TrackPersistence): the durable content of a line that
+	// differs from the media, saved by the store that made it differ. A line
+	// in saved holds a byte slot: its 64 bytes at its own offset of undo, a
+	// page from the frame pool. A line in zeroed took its slot while view
+	// was nil, so it is durably zero and its slot holds no bytes.
+	saved, zeroed uint64
+	undo          *frame
+
+	// listed: the frame is on its shard's pending list.
+	listed bool
+}
 
 // framePool hands out the 4 KB pages of every shard — frames of the
-// volatile view and pages of the undo log — recycled ones first, then the
-// rest of the current slab. Pages on the free list are zero.
+// volatile view and undo pages — recycled ones first, then the rest of
+// the current slab. A page on the free list holds what it held when it was
+// given back, so nothing is cleared that is overwritten next: a store that
+// does not fill a fresh frame whole clears it, and the bytes of an undo
+// page are read only at lines that hold a slot.
 type framePool struct {
 	mu   sync.Mutex // +lockrank:framepool
 	free []*frame
@@ -125,8 +152,8 @@ type framePool struct {
 	held int64   // frames of the volatile view handed out and not given back
 }
 
-// get returns a zeroed page; a frame of the volatile view (view) counts as
-// held, an undo page does not.
+// get returns a page; a frame of the volatile view (view) counts as held,
+// an undo page does not.
 func (p *framePool) get(view bool) *frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -146,7 +173,7 @@ func (p *framePool) get(view bool) *frame {
 	return f
 }
 
-// put takes back a page the caller has zeroed; view as it was got.
+// put takes back a page; view as it was got.
 func (p *framePool) put(f *frame, view bool) {
 	p.mu.Lock()
 	p.free = append(p.free, f)
@@ -156,10 +183,8 @@ func (p *framePool) put(f *frame, view bool) {
 	p.mu.Unlock()
 }
 
-// shard owns one contiguous cache-line-aligned byte range of the device:
-// its frames of the volatile view, the persistence state of its lines and
-// the undo log that, applied to the volatile view, yields the durable
-// image. Lines are addressed by their index within the shard.
+// shard owns one contiguous cache-line-aligned byte range of the device
+// and a record of each of its frames.
 type shard struct {
 	// Innermost data lock of the hierarchy; the event sink and the frame
 	// pool nest inside it (crash sweeps hold shard locks while recording,
@@ -171,34 +196,18 @@ type shard struct {
 	base int64      // device offset of the shard's first byte
 	size int64      // bytes owned (the last shard may be short)
 
-	// Backing. The per-line arrays and the frame table are allocated
-	// together by the shard's first store; a frame by the first store into
-	// it that carries a nonzero byte. A missing frame reads as zeros and
-	// costs nothing, whatever state its lines are in.
-	frames []*frame    // volatile view (what loads observe)
-	state  []lineState // one byte per line; 0 = clean (volatile == durable)
-	// slot is per line: 0 = none, i > 0 = byte slot i-1, i < 0 = zero slot
-	// -i-1 (nil unless TrackPersistence).
-	slot []int32
+	// frames is allocated by the shard's first store; a frame's view by the
+	// first store into it that carries a nonzero byte. A missing view reads
+	// as zeros and costs nothing, whatever state its lines are in.
+	frames []frameRec
 
-	// tracked counts the lines whose state is non-zero.
-	tracked int
-	// pending lists lines in the order they entered linePending since the
-	// last fence. A line a buffered store claimed back stays listed (and
-	// is listed again when it is flushed), so the fence re-checks state;
-	// the list grows per transition into linePending, never per write.
+	tracked int // lines that are not clean
+	slots   int // lines holding an undo slot
+
+	// pending lists, once each, the frames whose lines entered linePending
+	// since the last fence. A frame whose pending lines a buffered store
+	// claimed back stays listed; the fence counts what is pending then.
 	pending []int32
-
-	// Undo log: the durable content of each line that differs from the
-	// media, saved by the store that made it differ. Byte slot i holds line
-	// undoLine[i]'s 64 bytes in page undo[i/frameLines], a page from the
-	// frame pool. A line whose frame was not backed when it was saved is
-	// durably zero: its zero slot holds no bytes, only its place in
-	// zeroLines. Both logs are dense — releasing a slot moves the last one
-	// into it — and a page the byte slots leave goes back to the pool.
-	undo      []*frame
-	undoLine  []int32
-	zeroLines []int32
 
 	// active is a lock-free hint that tracked may be non-zero, so the
 	// device-global sweeps (Fence, UnpersistedLines) skip clean shards
@@ -384,10 +393,9 @@ func (s *shard) read(p []byte, lo int64) {
 		clear(p)
 		return
 	}
-	for len(p) > 0 {
-		f, o := s.frames[lo/sim.BlockSize], lo%sim.BlockSize
-		n := min(int64(len(p)), sim.BlockSize-o)
-		if f == nil {
+	for hi := lo + int64(len(p)); lo < hi; {
+		i, o, n := frameSpan(lo, hi)
+		if f := s.frames[i].view; f == nil {
 			clear(p[:n])
 		} else {
 			copy(p[:n], f[o:])
@@ -396,30 +404,29 @@ func (s *shard) read(p []byte, lo int64) {
 	}
 }
 
-// fill copies p into the shard's bytes from lo on, taking a frame from
-// the pool for each one not backed yet — unless the bytes meant for it are
-// all zero, which an unbacked frame reads as already. Caller holds the
-// shard's lock.
-func (s *shard) fill(p []byte, lo int64, pool *framePool) {
-	for len(p) > 0 {
-		i, o := lo/sim.BlockSize, lo%sim.BlockSize
-		n := min(int64(len(p)), sim.BlockSize-o)
-		if s.frames[i] == nil && !bytes.Equal(p[:n], zeros[:n]) {
-			s.frames[i] = pool.get(true)
-		}
-		if f := s.frames[i]; f != nil {
-			copy(f[o:], p[:n])
-		}
-		p, lo = p[n:], lo+n
-	}
+// frameSpan returns the frame i holding the shard's byte lo, and the part
+// of [lo, hi) inside it: the frame's bytes [o, o+n).
+func frameSpan(lo, hi int64) (i, o, n int64) {
+	i, o = lo/sim.BlockSize, lo%sim.BlockSize
+	return i, o, min(hi-lo, sim.BlockSize-o)
 }
 
-// line returns line ln's bytes. Its frame must be backed. Caller holds the
-// shard's lock.
-func (s *shard) line(ln int64) []byte {
-	o := ln % frameLines * sim.CacheLine
-	return s.frames[ln/frameLines][o : o+sim.CacheLine]
+// lineMask is the mask of the lines that a frame's bytes [lo, hi) touch;
+// lo < hi.
+func lineMask(lo, hi int64) uint64 {
+	return ^uint64(0) >> (63 - (hi-1)/sim.CacheLine) & (^uint64(0) << (lo / sim.CacheLine))
 }
+
+// lowRun returns the lowest run of set bits of m != 0, as the lines [a,
+// b), and m without it.
+func lowRun(m uint64) (a, b int, rest uint64) {
+	a = bits.TrailingZeros64(m)
+	b = a + bits.TrailingZeros64(^(m >> a))
+	return a, b, m & (^uint64(0) << b)
+}
+
+// lines returns the lines [a, b) of f.
+func lines(f *frame, a, b int) []byte { return f[a*sim.CacheLine : b*sim.CacheLine] }
 
 // Peek copies device contents into p charging only CPU-cache-speed time.
 // It models reading metadata that is resident in the CPU cache or page
@@ -477,50 +484,14 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 	}
 	d.forShards(off, int64(len(p)), func(s *shard, lo, hi int64) {
 		if s.frames == nil {
-			s.back(d.cfg.TrackPersistence)
+			s.frames = make([]frameRec, (s.size+sim.BlockSize-1)/sim.BlockSize)
 		}
-		rlo, rhi := lo-s.base, hi-s.base // the range within the shard
-		last := (rhi - 1) / sim.CacheLine
-		for ln := rlo / sim.CacheLine; ln <= last; ln++ {
-			// Eight aligned lines at a time: a store leaves lines already in
-			// its state as they are (NT stores rewriting pending data,
-			// buffered stores rewriting journaled metadata), and claims
-			// clean ones together.
-			if ln%8 == 0 && ln+7 <= last {
-				switch binary.LittleEndian.Uint64(s.state[ln:]) {
-				case uint64(st) * eightLines:
-					ln += 7
-					continue
-				case 0:
-					if s.claimEight(ln, st, &d.pool) {
-						ln += 7
-						continue
-					}
-				}
-			}
-			cur := s.state[ln]
-			if cur == 0 {
-				s.tracked++
-				// The line is about to differ from the media: keep its
-				// durable content. After a freeze a clean line may still
-				// hold the slot that carries its frozen content.
-				if s.slot != nil && s.slot[ln] == 0 {
-					s.saveUndo(ln, 1, &d.pool)
-				}
-			}
-			// An NT store to a dirty line still leaves the line pending: the
-			// NT data is in the WPQ regardless of prior cached stores. A
-			// buffered store claims the line outright — write-ahead metadata
-			// must never leak to media via an older state — while a plain
-			// dirty store only claims untracked lines.
-			if st != lineDirty || cur == 0 {
-				if st == linePending && cur != linePending {
-					s.pending = append(s.pending, int32(ln))
-				}
-				s.state[ln] = st
-			}
+		q := p[lo-off : hi-off]
+		for lo, hi = lo-s.base, hi-s.base; lo < hi; {
+			i, o, n := frameSpan(lo, hi)
+			s.store(i, o, q[:n], st, d.cfg.TrackPersistence, &d.pool)
+			q, lo = q[n:], lo+n
 		}
-		s.fill(p[lo-off:hi-off], rlo, &d.pool)
 		s.active.Store(true)
 	})
 	if d.wear != nil {
@@ -530,116 +501,95 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 	}
 }
 
-// back allocates the shard's per-line arrays and its frame table. Caller
-// holds the shard's lock.
-func (s *shard) back(undo bool) {
-	s.frames = make([]*frame, (s.size+sim.BlockSize-1)/sim.BlockSize)
-	s.state = make([]lineState, s.size/sim.CacheLine)
-	if undo {
-		s.slot = make([]int32, s.size/sim.CacheLine)
-	}
-}
-
-// eightLines spreads a line state over the eight bytes of a state word.
-const eightLines = 0x0101010101010101
-
 // zeros is what an unbacked frame holds.
 var zeros frame
 
-// claimEight marks the eight clean lines from ln on st, saving their
-// durable content in one go, and reports whether it did: it leaves them
-// alone if one holds a slot (after a freeze a clean line may). Caller holds
+// store writes p at byte o of frame i and moves the lines it touches to
+// st; with track, the clean ones keep their durable content first. Caller
+// holds the shard's lock.
+func (s *shard) store(i, o int64, p []byte, st lineState, track bool, pool *framePool) {
+	r := &s.frames[i]
+	m := lineMask(o, o+int64(len(p)))
+	clean := m &^ (r.dirty | r.pending | r.buffered)
+	s.tracked += bits.OnesCount64(clean)
+	if track {
+		// After a freeze a clean line may still hold the slot that carries
+		// its frozen content.
+		s.save(r, clean&^(r.saved|r.zeroed), pool)
+	}
+	// An NT store to a dirty line still leaves the line pending: the NT
+	// data is in the WPQ regardless of prior cached stores. A buffered store
+	// claims the line outright — write-ahead metadata must never leak to
+	// media via an older state — while a plain dirty store only claims
+	// clean lines.
+	switch st {
+	case lineDirty:
+		r.dirty |= clean
+	case linePending:
+		r.dirty, r.buffered, r.pending = r.dirty&^m, r.buffered&^m, r.pending|m
+		s.list(i)
+	case lineBuffered:
+		r.dirty, r.pending, r.buffered = r.dirty&^m, r.pending&^m, r.buffered|m
+	}
+	// A store of zeros leaves an unbacked frame unbacked: it reads as zeros
+	// already.
+	if r.view == nil && !bytes.Equal(p, zeros[:len(p)]) {
+		r.view = pool.get(true)
+		if len(p) < sim.BlockSize {
+			clear(r.view[:])
+		}
+	}
+	if r.view != nil {
+		copy(r.view[o:], p)
+	}
+}
+
+// list puts frame i on the pending list unless it is there. Caller holds
 // the shard's lock.
-func (s *shard) claimEight(ln int64, st lineState, pool *framePool) bool {
-	if s.slot != nil {
-		for _, i := range s.slot[ln : ln+8] {
-			if i != 0 {
-				return false
-			}
-		}
-		s.saveUndo(ln, 8, pool)
-	}
-	binary.LittleEndian.PutUint64(s.state[ln:], uint64(st)*eightLines)
-	s.tracked += 8
-	if st == linePending {
-		l := int32(ln)
-		s.pending = append(s.pending, l, l+1, l+2, l+3, l+4, l+5, l+6, l+7)
-	}
-	return true
-}
-
-// saveUndo gives the k lines from ln on, which share a frame, undo slots
-// holding their current (still durable) content: byte slots if the frame
-// is backed, zero slots if not. Caller holds the shard's lock.
-func (s *shard) saveUndo(ln, k int64, pool *framePool) {
-	f := s.frames[ln/frameLines]
-	if f == nil {
-		for end := ln + k; ln < end; ln++ {
-			s.zeroLines = append(s.zeroLines, int32(ln))
-			s.slot[ln] = -int32(len(s.zeroLines))
-		}
-		return
-	}
-	o := ln % frameLines * sim.CacheLine
-	s.saveBytes(ln, f[o:o+k*sim.CacheLine], pool)
-}
-
-// saveBytes gives the lines from ln on byte slots holding p, a line's
-// worth each, copying as much of p at a time as a page takes. Caller holds
-// the shard's lock.
-func (s *shard) saveBytes(ln int64, p []byte, pool *framePool) {
-	for len(p) > 0 {
-		n := len(s.undoLine)
-		if n%frameLines == 0 {
-			s.undo = append(s.undo, pool.get(false))
-		}
-		c := copy(s.undo[n/frameLines][n%frameLines*sim.CacheLine:], p)
-		for range c / sim.CacheLine {
-			s.undoLine = append(s.undoLine, int32(ln))
-			s.slot[ln] = int32(len(s.undoLine))
-			ln++
-		}
-		p = p[c:]
+func (s *shard) list(i int64) {
+	if r := &s.frames[i]; !r.listed {
+		r.listed = true
+		s.pending = append(s.pending, int32(i))
 	}
 }
 
-// undoBytes returns byte slot i.
-func (s *shard) undoBytes(i int32) []byte {
-	o := i % frameLines * sim.CacheLine
-	return s.undo[i/frameLines][o : o+sim.CacheLine]
-}
-
-// releaseUndo drops line ln's undo slot — the volatile content is the
-// durable content now — keeping its log dense by moving the last slot into
-// the hole. A page the byte slots leave goes back to the pool, zeroed.
+// save gives the lines of m undo slots holding their current (still
+// durable) content: byte slots if the frame is backed, zero slots if not.
 // Caller holds the shard's lock.
-func (s *shard) releaseUndo(ln int32, pool *framePool) {
-	i := s.slot[ln]
-	s.slot[ln] = 0
-	if i < 0 {
-		i, last := -i-1, int32(len(s.zeroLines)-1)
-		if i != last {
-			moved := s.zeroLines[last]
-			s.zeroLines[i] = moved
-			s.slot[moved] = -i - 1
-		}
-		s.zeroLines = s.zeroLines[:last]
+func (s *shard) save(r *frameRec, m uint64, pool *framePool) {
+	if m == 0 {
 		return
 	}
-	i, last := i-1, int32(len(s.undoLine)-1)
-	if i != last {
-		moved := s.undoLine[last]
-		copy(s.undoBytes(i), s.undoBytes(last))
-		s.undoLine[i] = moved
-		s.slot[moved] = i + 1
+	s.slots += bits.OnesCount64(m)
+	if r.view == nil {
+		r.zeroed |= m
+		return
 	}
-	s.undoLine = s.undoLine[:last]
-	if last%frameLines == 0 { // the last page holds no slot now
-		pg := s.undo[len(s.undo)-1]
-		clear(pg[:])
-		pool.put(pg, false)
-		s.undo[len(s.undo)-1] = nil
-		s.undo = s.undo[:len(s.undo)-1]
+	if r.undo == nil {
+		r.undo = pool.get(false)
+	}
+	r.saved |= m
+	for m != 0 {
+		var a, b int
+		a, b, m = lowRun(m)
+		copy(lines(r.undo, a, b), lines(r.view, a, b))
+	}
+}
+
+// release drops the undo slots of the lines of m — their volatile content
+// is the durable content now; an undo page left with no slot goes back to
+// the pool. Caller holds the shard's lock.
+func (s *shard) release(r *frameRec, m uint64, pool *framePool) {
+	s.slots -= bits.OnesCount64(m & (r.saved | r.zeroed))
+	r.zeroed &^= m
+	m &= r.saved
+	if m == 0 {
+		return
+	}
+	r.saved &^= m
+	if r.saved == 0 {
+		pool.put(r.undo, false)
+		r.undo = nil
 	}
 }
 
@@ -658,13 +608,15 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 		if s.tracked == 0 {
 			return
 		}
-		lo, hi = lo-s.base, hi-s.base
-		for ln := lo / sim.CacheLine; ln <= (hi-1)/sim.CacheLine; ln++ {
-			if st := s.state[ln]; st == lineDirty || st == lineBuffered {
-				s.state[ln] = linePending
-				s.pending = append(s.pending, int32(ln))
-				dirty++
+		for lo, hi = lo-s.base, hi-s.base; lo < hi; {
+			i, o, n := frameSpan(lo, hi)
+			r := &s.frames[i]
+			if m := (r.dirty | r.buffered) & lineMask(o, o+n); m != 0 {
+				r.dirty, r.buffered, r.pending = r.dirty&^m, r.buffered&^m, r.pending|m
+				s.list(i)
+				dirty += int64(bits.OnesCount64(m))
 			}
+			lo += n
 		}
 	})
 	d.nFlushes.Add(dirty)
@@ -696,7 +648,7 @@ func (d *Device) Fence() {
 		s.mu.Lock()
 		// A frozen device (armed crash point reached) keeps its durable
 		// image fixed: later fences drain the queue but keep the slots.
-		persisted += s.drain(s.slot != nil && !d.frozen.Load(), &d.pool)
+		persisted += s.drain(d.cfg.TrackPersistence && !d.frozen.Load(), &d.pool)
 		s.mu.Unlock()
 	}
 	d.nPersisted.Add(persisted)
@@ -705,28 +657,23 @@ func (d *Device) Fence() {
 
 // drain makes every pending line of the shard clean and returns how many
 // there were; with release, their undo slots go too (the lines are durable
-// as they stand). It walks the list backwards so that the lines of one
-// large store, whose slots were taken in the same order, free their log's
-// last slot each time and nothing moves. Caller holds the shard's lock.
+// as they stand). Caller holds the shard's lock.
 func (s *shard) drain(release bool, pool *framePool) int64 {
-	n := int64(0)
-	for i := len(s.pending) - 1; i >= 0; i-- {
-		ln := s.pending[i]
-		if s.state[ln] != linePending {
-			continue // claimed back by a buffered store, or listed twice
-		}
-		s.state[ln] = 0
+	n := 0
+	for _, i := range s.pending {
+		r := &s.frames[i]
+		n += bits.OnesCount64(r.pending)
 		if release {
-			s.releaseUndo(ln, pool)
+			s.release(r, r.pending, pool)
 		}
-		n++
+		r.pending, r.listed = 0, false
 	}
 	s.pending = s.pending[:0]
-	s.tracked -= int(n)
+	s.tracked -= n
 	if s.tracked == 0 {
 		s.active.Store(false)
 	}
-	return n
+	return int64(n)
 }
 
 // PersistNT is the common StoreNT followed by Fence.
@@ -772,24 +719,24 @@ func (d *Device) Discard(off, n int64) {
 // hi) and gives back each frame that the range covers whole and that
 // holds no tracked line. Caller holds the shard's lock.
 func (s *shard) discard(lo, hi int64, pool *framePool) {
-	for i := lo / sim.BlockSize; i*sim.BlockSize < hi; i++ {
-		f := s.frames[i]
-		if f == nil {
+	for lo < hi {
+		i, o, n := frameSpan(lo, hi)
+		lo += n
+		r := &s.frames[i]
+		if r.view == nil {
 			continue
 		}
-		flo, fhi := i*sim.BlockSize, min((i+1)*sim.BlockSize, s.size)
-		a, b := max(flo, lo), min(fhi, hi)
-		whole := a == flo && b == fhi
-		for ln := a / sim.CacheLine; ln < b/sim.CacheLine; ln++ {
-			if s.state[ln] != 0 {
-				whole = false
-			} else {
-				clear(s.line(ln))
-			}
+		m := lineMask(o, o+n)
+		busy := m & (r.dirty | r.pending | r.buffered)
+		if o == 0 && n == min(sim.BlockSize, s.size-i*sim.BlockSize) && busy == 0 {
+			pool.put(r.view, true)
+			r.view = nil
+			continue
 		}
-		if whole { // all zero now: a short shard never writes past its size
-			s.frames[i] = nil
-			pool.put(f, true)
+		for c := m &^ busy; c != 0; {
+			var a, b int
+			a, b, c = lowRun(c)
+			clear(lines(r.view, a, b))
 		}
 	}
 }
@@ -822,8 +769,9 @@ func (d *Device) BackedBytes() int64 {
 // and the volatile view rewinds to the frozen image, which also disarms
 // and unfreezes the device.
 //
-// The work is proportional to the lines that hold an undo slot, not to
-// the device. Returns ErrNoPersistence when the device keeps no undo log.
+// The work is proportional to the frames of each shard up to the last one
+// that holds an undo slot, not to the device. Returns ErrNoPersistence when
+// the device keeps no undo slots.
 func (d *Device) Crash(rng *sim.RNG) error {
 	if !d.cfg.TrackPersistence {
 		return ErrNoPersistence
@@ -847,32 +795,29 @@ func (d *Device) Crash(rng *sim.RNG) error {
 	return nil
 }
 
-// rewind applies the undo log to the volatile view and empties it: every
-// line that holds a slot gets its durable content back and becomes clean,
-// and the undo pages go back to the pool. Every tracked line holds a slot,
-// so no state survives. A byte slot's frame is backed (a line gets one
-// only in a backed frame, and a frame goes back only when its lines hold
-// none); a zero slot's line is cleared if its frame was backed since.
-// Caller holds the shard's lock.
+// rewind applies the undo slots to the volatile view and releases them:
+// every line that holds a slot gets its durable content back and becomes
+// clean, and the undo pages go back to the pool. Every tracked line holds a
+// slot, and so does a line of every listed frame, so no state survives. A
+// byte slot's frame is backed (a line gets one only in a backed frame, and
+// a frame goes back only when its lines hold none); a zero slot's line is
+// cleared if its frame was backed since. Caller holds the shard's lock.
 func (s *shard) rewind(pool *framePool) {
-	for i, ln := range s.undoLine {
-		copy(s.line(int64(ln)), s.undoBytes(int32(i)))
-		s.state[ln] = 0
-		s.slot[ln] = 0
-	}
-	for _, ln := range s.zeroLines {
-		if s.frames[ln/frameLines] != nil {
-			clear(s.line(int64(ln)))
+	for i := 0; s.slots > 0; i++ {
+		r := &s.frames[i]
+		for m := r.saved; m != 0; {
+			var a, b int
+			a, b, m = lowRun(m)
+			copy(lines(r.view, a, b), lines(r.undo, a, b))
 		}
-		s.state[ln] = 0
-		s.slot[ln] = 0
+		for m := r.zeroed; m != 0 && r.view != nil; {
+			var a, b int
+			a, b, m = lowRun(m)
+			clear(lines(r.view, a, b))
+		}
+		s.release(r, r.saved|r.zeroed, pool)
+		r.dirty, r.pending, r.buffered, r.listed = 0, 0, 0, false
 	}
-	for i, p := range s.undo {
-		clear(p[:])
-		pool.put(p, false)
-		s.undo[i] = nil
-	}
-	s.undo, s.undoLine, s.zeroLines = s.undo[:0], s.undoLine[:0], s.zeroLines[:0]
 	s.pending = s.pending[:0]
 	s.tracked = 0
 	s.active.Store(false)

@@ -182,15 +182,6 @@ const (
 	// ChecksumPerLogEntryNs is the cost of the 4-byte transactional
 	// checksum over a 64 B log entry (§3.3).
 	ChecksumPerLogEntryNs = 11
-	// ChecksumPsPerByte is the per-byte cost of checksumming staged data
-	// for a strict-mode log entry (SSE4.2 crc32-class throughput,
-	// ~30 GB/s on cached data — the bytes were just written; and what the
-	// code runs: the sum is CRC32C, on those instructions). The data
-	// checksum is what lets recovery reject an entry whose single
-	// covering fence never completed: the entry line can survive a crash
-	// intact while the staged data it points at tore. Kept small enough
-	// that the Table 1 strict-append anchor still holds.
-	ChecksumPsPerByte = 30
 )
 
 // ChargeBytes converts a picoseconds-per-byte rate into nanoseconds for n

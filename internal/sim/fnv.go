@@ -6,10 +6,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CRC32C continues the CRC-32C (Castagnoli) checksum crc over p; start
 // from 0, or from a seed. It is the one checksum of everything that is
-// checksummed on media — the journal's commit records, metalog's record
-// headers (the U-Split op log's entries among them) and strict mode's sums
-// over staged data — the polynomial jbd2's own checksum feature uses, and
-// what ChecksumPsPerByte prices: the standard library runs it on the
+// checksummed on media — the journal's commit records and metalog's record
+// headers (the U-Split op log's entries among them) — the polynomial
+// jbd2's own checksum feature uses: the standard library runs it on the
 // SSE4.2 / ARMv8 crc32 instructions. It calls through a function variable,
 // so p escapes: hand it memory that is on the heap already (DESIGN.md,
 // "Checksums").

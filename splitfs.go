@@ -53,9 +53,8 @@ type StackConfig struct {
 	// Mode is the consistency mode (default POSIX).
 	Mode Mode
 	// TrackPersistence enables Crash() on the device. It costs an undo
-	// slot per modified-but-unfenced cache line plus a 4-byte slot index
-	// per line of the device regions written (1/16 of them), not a second
-	// copy of the device.
+	// slot per modified-but-unfenced cache line, kept in a 4 KB page per
+	// frame that holds one, not a second copy of the device.
 	TrackPersistence bool
 	// USplit tunables; zero values take the §3.6 defaults.
 	USplit splitfs.Config
