@@ -226,7 +226,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	if c.CrashAtEvent > 0 {
 		env.Dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
 	}
-	r.serve(env.FS, mix(c.Seed, 0xA11CE), env.Dev.CrashFired)
+	r.serve(env.FS, env.Dev.CrashFired)
 
 	cadence := 0
 	if c.WireFaults {
@@ -305,9 +305,9 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 }
 
 // serve starts a server generation over fs.
-func (r *servedRun) serve(fs vfs.FileSystem, salt uint64, failReplies func() bool) {
+func (r *servedRun) serve(fs vfs.FileSystem, failReplies func() bool) {
 	r.counter = &servedCounter{FileSystem: fs, applied: map[string]int{}}
-	r.srv = server.New(r.counter, server.Config{TokenSalt: salt, FailReplies: failReplies,
+	r.srv = server.New(r.counter, server.Config{FailReplies: failReplies,
 		// Each flight record shows the sim-clock cost and fences of its op.
 		OpClock: r.env.Clock.Now, OpFences: r.env.Dev.FenceCount})
 }
@@ -345,9 +345,9 @@ func (r *servedRun) step(t *servedTenant) error {
 
 // die is the daemon death: generation 1 ends, the device crashes and
 // recovers, each tenant's recovered subtree is checked at its crash
-// prefix, and generation 2 starts on the recovered backend with a fresh
-// token salt (stale tokens fall back to cold attach) and no reply
-// faults. A violation stops the campaign with errServedAborted.
+// prefix, and generation 2 starts on the recovered backend with no
+// reply faults (each tenant's resume attaches fresh and replays cold).
+// A violation stops the campaign with errServedAborted.
 func (r *servedRun) die() error {
 	c, dev := r.c, r.env.Dev
 	vio := r.endGeneration()
@@ -393,7 +393,7 @@ func (r *servedRun) die() error {
 		return errServedAborted
 	}
 	r.gen, r.st = 2, rec
-	r.serve(rec.FS, mix(c.Seed, 0xB0B2), nil)
+	r.serve(rec.FS, nil)
 	return nil
 }
 

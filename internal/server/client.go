@@ -802,7 +802,6 @@ func (x *exchange) drop() error {
 func DialConfig(rwc io.ReadWriteCloser, cfg ClientConfig) (*Client, error) {
 	cfg.fill()
 	br := bufio.NewReaderSize(rwc, 64<<10)
-	// Plain sessions never present the resume token.
 	req := cfg.offered()
 	name, _, agreed, err := attachExchange(rwc, br, 0, cfg.Root, false, req)
 	if err != nil {
@@ -825,55 +824,52 @@ func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
 }
 
 // attachExchange performs the first-frame exchange on a fresh
-// connection: a Treattach by resume token when token is non-zero, else a
-// Tattach carrying root, the resumable flag and the offered features. It
-// returns what the reply carries: the backend's name, the new session's
-// resume token (a Treattach reply has none) and the agreed feature word
-// (an old server sends none, which reads as zero). Transport failures
-// wrap errConnLost; a refusal comes back as the server's decoded error.
-// The connection is closed on any failure.
+// connection: a Tattach carrying root, the resumable flag, the offered
+// features and, for a resumable session, the token of the session it
+// resumes (0 for none). It returns what the Rattach carries: the
+// backend's name, the session's resume token — token itself when the
+// server adopted that session, a new one when it attached a fresh
+// session — and the agreed feature word (an old server sends none,
+// which reads as zero). Transport failures wrap errConnLost; a refusal
+// comes back as the server's decoded error. The connection is closed on
+// any failure.
 func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root string, resumable bool, req uint32) (name string, newToken uint64, feats uint32, err error) {
-	var e enc
-	typ, want := tAttach, rAttach
-	if token != 0 {
-		typ, want = tReattach, rReattach
-		e.u64(token)
-	} else {
-		var flag uint8
-		if resumable {
-			flag = 1
-		}
-		e.str(root)
-		e.u8(flag)
-		e.u32(req)
-	}
 	defer func() {
 		if err != nil {
 			rwc.Close()
 		}
 	}()
+	var flag uint8
+	if resumable {
+		flag = 1
+	}
+	var e enc
+	e.str(root)
+	e.u8(flag)
+	e.u32(req)
+	if token != 0 {
+		e.u64(token)
+	}
 	if e.err != nil {
 		return "", 0, 0, e.err
 	}
-	if err := writeFrame(rwc, nil, typ, 0, e.b); err != nil {
-		return "", 0, 0, fmt.Errorf("%w: %s: %w", errConnLost, msgName(typ), err)
+	if err := writeFrame(rwc, nil, tAttach, 0, e.b); err != nil {
+		return "", 0, 0, fmt.Errorf("%w: Tattach: %w", errConnLost, err)
 	}
 	rtyp, _, rp, err := readFrame(br, nil)
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("%w: %s reply: %w", errConnLost, msgName(typ), err)
+		return "", 0, 0, fmt.Errorf("%w: Tattach reply: %w", errConnLost, err)
 	}
 	if rtyp == rError {
 		return "", 0, 0, decodeError(rp)
 	}
-	if rtyp != want {
-		return "", 0, 0, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
+	if rtyp != rAttach {
+		return "", 0, 0, fmt.Errorf("%w: %s reply to Tattach", errUnexpectedReply, msgName(rtyp))
 	}
 	d := dec{b: rp}
 	name = d.str()
-	if token == 0 {
-		d.u64() // session id (diagnostic)
-		newToken = d.u64()
-	}
+	d.u64() // session id (diagnostic)
+	newToken = d.u64()
 	if d.err == nil && len(d.b) >= 4 {
 		feats = d.u32()
 	}

@@ -2,7 +2,10 @@ package server
 
 import (
 	"errors"
+	"io"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 
 	"splitfs/internal/ext4dax"
@@ -25,7 +28,10 @@ func leaseTestBackend(t *testing.T) vfs.FileSystem {
 // a pre-lease client sends Tattach carrying only the root string — no
 // resumable byte, no feature bitmap. The server must settle on the empty
 // feature set and reject a (protocol-violating) Tlease with Rerror
-// instead of handing out a mapping the client never negotiated for.
+// instead of handing out a mapping the client never negotiated for. A
+// resumable Tattach without the trailing resume token (a client from
+// before the token joined Tattach) gets a fresh session of its own, with
+// a live resumable session beside it to adopt by mistake.
 func TestWireDowngradeOldClient(t *testing.T) {
 	srv := New(leaseTestBackend(t), Config{})
 	defer srv.Close()
@@ -98,12 +104,42 @@ func TestWireDowngradeOldClient(t *testing.T) {
 	if n := srv.ActiveLeases(); n != 0 {
 		t.Fatalf("legacy session holds %d leases", n)
 	}
+
+	var tokens []uint64
+	for range 2 {
+		rc, rs := net.Pipe()
+		defer rc.Close()
+		go srv.ServeConn(rs)
+		e = enc{}
+		e.str("/")
+		e.u8(1) // resumable
+		e.u32(0)
+		if err := writeFrame(rc, nil, tAttach, 1, e.b); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, payload, err := readFrame(rc, nil)
+		if err != nil || typ != rAttach {
+			t.Fatalf("token-less resumable attach answered %s (%v)", msgName(typ), err)
+		}
+		d = dec{b: payload}
+		d.str()
+		d.u64()
+		if tokens = append(tokens, d.u64()); d.err != nil {
+			t.Fatal(d.err)
+		}
+	}
+	if tokens[0] == 0 || tokens[1] == 0 || tokens[0] == tokens[1] || srv.SessionCount() != 3 {
+		t.Fatalf("token-less resumable attaches got tokens %#x with %d sessions live; want two fresh sessions", tokens, srv.SessionCount())
+	}
 }
 
 // TestWireDowngradeOldServer runs a lease-requesting client against a
 // hand-rolled legacy server whose Rattach omits the trailing features
 // word. The client must settle on the empty set and keep every byte on
-// the copy path.
+// the copy path. A resumable client against a legacy server that
+// ignores Tattach's trailing resume token gets a new token on every
+// dial, and must read it as a fresh session: its resume goes cold,
+// replaying the acknowledged request as well as the unanswered one.
 func TestWireDowngradeOldServer(t *testing.T) {
 	cs, ss := net.Pipe()
 	defer ss.Close()
@@ -146,5 +182,63 @@ func TestWireDowngradeOldServer(t *testing.T) {
 	}
 	if c.leasesOn() {
 		t.Fatal("leasesOn() on a legacy session")
+	}
+	var presented []uint64 // resume tokens the legacy server was shown
+	var replayed []string  // mkdir paths it saw re-sent
+	var stubs sync.WaitGroup
+	dials := 0
+	redial := func() (io.ReadWriteCloser, error) {
+		dials++
+		first, id := dials == 1, uint64(dials)
+		cs, ss := net.Pipe()
+		stubs.Add(1)
+		go func() {
+			defer stubs.Done()
+			defer ss.Close()
+			_, rid, payload, err := readFrame(ss, nil)
+			if err != nil {
+				return
+			}
+			d := dec{b: payload}
+			d.str()
+			d.u8()
+			d.u32()
+			if len(d.b) >= 8 {
+				presented = append(presented, d.u64())
+			}
+			var e enc
+			e.str("legacy")
+			e.u64(id)
+			e.u64(40 + id)
+			writeFrame(ss, nil, rAttach, rid, e.b)
+			// The first connection answers one request, then drops.
+			for served := 0; !first || served < 1; served++ {
+				typ, rid, payload, err := readFrame(ss, nil)
+				if err != nil {
+					return
+				}
+				if typ&flagReplay != 0 {
+					d := dec{b: payload}
+					d.u32()
+					replayed = append(replayed, d.str())
+				}
+				writeFrame(ss, nil, typ&^flagReplay+1, rid, nil)
+			}
+		}()
+		return cs, nil
+	}
+	rc, err := DialResumableConfig(redial, ClientConfig{Root: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/d", "/e"} {
+		if err := rc.Mkdir(p, 0o755); err != nil {
+			t.Fatalf("mkdir %s: %v", p, err)
+		}
+	}
+	rc.Close()
+	stubs.Wait()
+	if !slices.Equal(presented, []uint64{41}) || !slices.Equal(replayed, []string{"/d", "/e"}) {
+		t.Fatalf("legacy server was shown tokens %v and saw %v replayed; want [41] and a cold replay of [/d /e]", presented, replayed)
 	}
 }

@@ -244,7 +244,7 @@ func (s *Session) Metrics(withFlight bool) SessionMetrics {
 		ID:        s.id,
 		Root:      s.root,
 		Gen:       s.gen.Load(),
-		Resumable: s.resumable,
+		Resumable: s.token != 0,
 		Parked:    parked,
 		Handles:   s.ht.Len(),
 		Leases:    s.srv.sessionLeaseCount(s),

@@ -15,7 +15,7 @@ import (
 // step ServeConn runs for every frame it reads, and its reply is queued
 // before that Write returns, so Read never waits: with nothing queued it
 // reports the end of the stream. The connection speaks the whole
-// protocol — Tattach/Treattach, resumable sessions, FaultConn cuts,
+// protocol — Tattach, resumable sessions, FaultConn cuts,
 // FailReplies — for the client's synchronous exchange. One goroutine
 // driving any number of them is a deterministic multi-session execution.
 func (srv *Server) Pipe() (io.ReadWriteCloser, error) {

@@ -271,15 +271,19 @@ func (t *resumeState) barrier() {
 	}
 }
 
-// resume re-establishes the session after transport loss. Warm path:
-// re-attach by token — the parked session kept every handle and its
-// exactly-once reply cache, so only the unacknowledged tail is re-sent.
-// Cold path (server restarted, the parked session died with it): attach
-// a fresh resumable session, re-establish pre-barrier handles with
-// Treopen, then replay the full log since the barrier in order —
-// acknowledged operations rebuild session state and any data recovery
-// rolled back, the reply cache and heal rules keep each of them
-// single-application, and the unacknowledged tail completes normally.
+// resume re-establishes the session after transport loss, dialing
+// once per attempt. The resumable Tattach names the session by token.
+// Warm path: the server adopts it — the parked session kept every
+// handle and its exactly-once reply cache, so only the unacknowledged
+// tail is re-sent. Cold path (server restarted, the parked session died
+// with it): the server attaches a fresh session instead, and the client
+// re-establishes pre-barrier handles with Treopen, then replays the full
+// log since the barrier in order — acknowledged operations rebuild
+// session state and any data recovery rolled back, the reply cache and
+// heal rules keep each of them single-application, and the
+// unacknowledged tail completes normally. A cold rebuild interrupted
+// mid-replay runs to completion on the next attempt even if that one
+// adopts warm: the reply cache dedupes whatever already re-executed.
 func (t *resumeState) resume() error {
 	var lastErr error
 	for attempt := 0; attempt < resumeMaxAttempts; attempt++ {
@@ -287,44 +291,16 @@ func (t *resumeState) resume() error {
 		if err != nil {
 			return fmt.Errorf("%w: redial: %w", errConnLost, err)
 		}
-		br := bufio.NewReaderSize(rwc, 64<<10)
-		if t.token != 0 {
-			herr := t.handshake(rwc, br, true)
-			switch {
-			case herr == nil:
-				// A cold rebuild interrupted mid-replay must run to
-				// completion even though the session re-adopted warm: the
-				// reply cache dedupes whatever already re-executed.
-				if rerr := t.replay(t.coldPending); rerr != nil {
-					lastErr = rerr
-					continue
-				}
-				t.coldPending = false
-				return nil
-			case errors.Is(herr, errUnknownSession):
-				// Token names no parked session: the server restarted or
-				// tore the session down. Fall through to a cold attach on a
-				// fresh connection (the refused one is closed).
-				t.token = 0
-				rwc, err = t.redial()
-				if err != nil {
-					return fmt.Errorf("%w: redial: %w", errConnLost, err)
-				}
-				br = bufio.NewReaderSize(rwc, 64<<10)
-			default:
-				lastErr = herr
-				continue
-			}
-		}
-		if herr := t.handshake(rwc, br, false); herr != nil {
+		fresh, herr := t.handshake(rwc, bufio.NewReaderSize(rwc, 64<<10))
+		if herr != nil {
 			if errors.Is(herr, errConnLost) {
 				lastErr = herr
 				continue
 			}
 			return herr // the server refused the attach outright
 		}
-		t.coldPending = true
-		if rerr := t.replay(true); rerr != nil {
+		t.coldPending = fresh || t.coldPending
+		if rerr := t.replay(t.coldPending); rerr != nil {
 			lastErr = rerr
 			continue
 		}
@@ -337,22 +313,17 @@ func (t *resumeState) resume() error {
 	return lastErr
 }
 
-// handshake performs the first-frame exchange on a fresh connection:
-// Treattach by token (warm) or a resumable Tattach (cold, which also
-// rotates the token to the new session's). On success the connection
-// becomes the transport; on failure it is closed.
-func (t *resumeState) handshake(rwc io.ReadWriteCloser, br *bufio.Reader, warm bool) error {
-	var token uint64
-	if warm {
-		token = t.token
-	}
-	name, newToken, feats, err := attachExchange(rwc, br, token, t.root, true, t.req)
+// handshake performs the resumable Tattach on a fresh connection,
+// presenting the current token, and reports whether the server attached
+// a fresh session (a token other than the one presented) rather than
+// adopting the old one. On success the connection becomes the
+// transport; on failure it is closed.
+func (t *resumeState) handshake(rwc io.ReadWriteCloser, br *bufio.Reader) (fresh bool, err error) {
+	name, token, feats, err := attachExchange(rwc, br, t.token, t.root, true, t.req)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if !warm {
-		t.token = newToken
-	}
+	fresh, t.token = token != t.token, token
 	// Only the first attach's agreed set governs the Client (later
 	// resumes never widen it).
 	if t.feats == 0 {
@@ -361,7 +332,7 @@ func (t *resumeState) handshake(rwc io.ReadWriteCloser, br *bufio.Reader, warm b
 	t.fsName = name
 	t.x.drop()
 	t.x.rwc, t.x.br = rwc, br
-	return nil
+	return fresh, nil
 }
 
 // replay rebuilds session state on the current connection. Warm resumes

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"splitfs/internal/vfs"
 )
@@ -76,13 +79,35 @@ func (h *resumeHarness) swap(srv *Server) {
 
 func (h *resumeHarness) redial() (io.ReadWriteCloser, error) {
 	if h.dials.Add(1) > 1 && h.waitPark.Load() {
-		for h.current().ParkedSessions() == 0 {
-			runtime.Gosched()
+		if err := awaitPark(h.current()); err != nil {
+			return nil, err
 		}
 	}
 	cs, ss := net.Pipe()
 	go h.current().ServeConn(ss)
 	return cs, nil
+}
+
+// awaitPark waits until one of srv's sessions has parked, for at most
+// ten seconds; when none does, it fails the dial naming every session
+// and what became of it, instead of hanging the package until the test
+// timeout.
+func awaitPark(srv *Server) error {
+	for deadline := time.Now().Add(10 * time.Second); srv.MetricsSnapshot(false).Parked == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			var never []string
+			for _, s := range srv.MetricsSnapshot(true).PerSess {
+				never = append(never, fmt.Sprintf("session %d (root %s) is still attached", s.ID, s.Root))
+			}
+			srv.mu.Lock()
+			for _, r := range srv.retired {
+				never = append(never, fmt.Sprintf("session %d (root %s) was torn down", r.id, r.root))
+			}
+			srv.mu.Unlock()
+			return fmt.Errorf("no session parked within 10s: %s", strings.Join(never, "; "))
+		}
+	}
+	return nil
 }
 
 // A reply dropped by a daemon-death fault (executed, never
@@ -168,7 +193,7 @@ func TestWarmResumeExactlyOnce(t *testing.T) {
 // barrier — with heals absorbing operations the backend already holds.
 func TestColdResumeAfterRestart(t *testing.T) {
 	backend := &countingFS{FileSystem: faultBackend(t)}
-	srv1 := New(backend, Config{TokenSalt: 1})
+	srv1 := New(backend, Config{})
 	h := &resumeHarness{srv: srv1}
 
 	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
@@ -206,7 +231,7 @@ func TestColdResumeAfterRestart(t *testing.T) {
 	// The daemon dies. The backend survives (it is the recovered file
 	// system); every acked operation above is still applied in it.
 	srv1.Close()
-	srv2 := New(backend, Config{TokenSalt: 2})
+	srv2 := New(backend, Config{})
 	defer srv2.Close()
 	h.swap(srv2)
 
@@ -254,7 +279,7 @@ func TestColdResumeAfterRestart(t *testing.T) {
 // every byte written before the barrier reads as zero.
 func TestColdResumeClosedHandleFollowsRename(t *testing.T) {
 	backend := faultBackend(t)
-	srv1 := New(backend, Config{TokenSalt: 1})
+	srv1 := New(backend, Config{})
 	h := &resumeHarness{srv: srv1}
 
 	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
@@ -283,7 +308,7 @@ func TestColdResumeClosedHandleFollowsRename(t *testing.T) {
 
 	// The daemon dies; the backend holds every acked operation above.
 	srv1.Close()
-	srv2 := New(backend, Config{TokenSalt: 2})
+	srv2 := New(backend, Config{})
 	defer srv2.Close()
 	h.swap(srv2)
 
@@ -299,6 +324,60 @@ func TestColdResumeClosedHandleFollowsRename(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A restarted daemon must not hand a stale client another tenant's
+// session. Two server generations are built with Config{}, as
+// cmd/splitfsd builds its one: tenant /b attaches first on the second,
+// so it holds the session id /a held on the first, and /a's resume then
+// presents its generation-1 token. /a must get a fresh session of its
+// own, and its mkdir must land in /a, not in /b.
+func TestStaleTokenCannotAdoptAnotherTenant(t *testing.T) {
+	backend := faultBackend(t)
+	for _, d := range []string{"/a", "/b"} {
+		if err := backend.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv1 := New(backend, Config{})
+	h := &resumeHarness{srv: srv1}
+	a, err := DialResumableConfig(h.redial, ClientConfig{Root: "/a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := a.rs.token
+
+	srv1.Close()
+	srv2 := New(backend, Config{})
+	defer srv2.Close()
+	h.swap(srv2)
+	b, err := DialResumableConfig(h.redial, ClientConfig{Root: "/b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Mkdir("/m", 0o755); err != nil {
+		t.Fatalf("mkdir after restart: %v", err)
+	}
+	if _, err := backend.Stat("/b/m"); err == nil {
+		t.Fatal("tenant /a's mkdir landed in /b: its stale token adopted /b's session")
+	}
+	if _, err := backend.Stat("/a/m"); err != nil {
+		t.Fatalf("tenant /a's mkdir: %v", err)
+	}
+	if b.rs.token == stale {
+		t.Fatalf("generation 2 minted /b the token /a held on generation 1 (%#x)", stale)
+	}
+	if a.rs.token == stale || a.rs.token == b.rs.token {
+		t.Fatalf("/a resumed with token %#x (stale %#x, /b's %#x), want a fresh one", a.rs.token, stale, b.rs.token)
+	}
+	if st := srv2.Stats(); st.Reattached != 0 || srv2.SessionCount() != 2 {
+		t.Fatalf("generation 2: %d sessions, stats %+v; want two fresh sessions", srv2.SessionCount(), st)
+	}
+	for _, c := range []*Client{a, b} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -460,8 +539,8 @@ func TestSupersededConnExecutesNothing(t *testing.T) {
 
 	c2, br2, _ := dial()
 	defer c2.Close()
-	if _, _, _, err := attachExchange(c2, br2, token, "", true, 0); err != nil {
-		t.Fatalf("takeover re-attach: %v", err)
+	if _, got, _, err := attachExchange(c2, br2, token, "/", true, 0); err != nil || got != token {
+		t.Fatalf("takeover re-attach: token %#x, want %#x (%v)", got, token, err)
 	}
 	if err := writeFrame(c2, nil, tMkdir|flagReplay, 2, mkdir("/x")); err != nil {
 		t.Fatal(err)

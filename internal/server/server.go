@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,12 +17,6 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// TokenSalt diversifies re-attach tokens across server generations.
-	// A restarted server (the crash campaigns build one per recovery)
-	// should use a different salt so a stale token from the previous
-	// generation cannot collide with a fresh session's token.
-	TokenSalt uint64
-
 	// FailReplies, when set, is consulted before every reply frame is
 	// written; returning true makes the server close the connection
 	// instead of replying — the executed-but-unacknowledged window a real
@@ -95,7 +90,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*Session
-	byToken  map[uint64]*Session // resumable sessions, keyed by re-attach token
+	byToken  map[uint64]*Session // resumable sessions, keyed by resume token
 	nextSess uint64
 	conns    map[*serverConn]bool
 	closed   bool
@@ -136,32 +131,6 @@ func (srv *Server) Stats() WireStats {
 	}
 }
 
-// ParkedSessions reports how many resumable sessions currently sit
-// parked awaiting re-attach (distinct from the cumulative stat).
-func (srv *Server) ParkedSessions() int {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	n := 0
-	for _, s := range srv.sessions {
-		s.mu.Lock()
-		if s.parked {
-			n++
-		}
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// mix64 is the splitmix64 finalizer — the token generator. Tokens are
-// credentials only against accidental cross-session confusion (a stale
-// client from a previous server generation), not an adversary.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // serverConn is one stream connection — a socket or net.Pipe that
 // ServeConn reads, or an in-process Pipe — and the session its handshake
 // attached.
@@ -195,13 +164,14 @@ func (srv *Server) FS() vfs.FileSystem { return srv.fs }
 
 // attach creates a session confined to root ("" or "/" = whole tree).
 // A non-root subtree must already exist as a directory. A resumable
-// session gets a nonzero re-attach token and survives transport loss by
-// parking (see Session.disconnect). feats is the client's requested
-// feature set; the session operates under its intersection with
-// featLeases, the server's whole set. A backend that is not
-// vfs.Mappable still advertises leases: grants simply fail per handle
-// and the client caches the refusal.
-func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats uint32) (*Session, error) {
+// session gets a resume token of its own (see mintToken) and survives
+// transport loss by parking (see Session.disconnect). feats is the
+// client's requested feature set; the session operates under its
+// intersection with featLeases, the server's whole set. A backend that
+// is not vfs.Mappable still advertises leases: grants simply fail per
+// handle and the client caches the refusal. stale is the token the
+// client presented, which the new session's token never equals.
+func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats uint32, stale uint64) (*Session, error) {
 	root = vfs.CleanPath(root)
 	if root != "/" {
 		fi, err := srv.fs.Stat(root)
@@ -218,48 +188,43 @@ func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats u
 		return nil, errServerClosed
 	}
 	srv.nextSess++
-	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: vfs.NewFDTable(), conn: conn, resumable: resumable,
+	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: vfs.NewFDTable(), conn: conn,
 		features: feats & featLeases, flight: obs.NewRecorder(obs.DefaultFlightSlots)}
 	s.gen.Store(1)
 	if resumable {
-		s.token = mix64(srv.cfg.TokenSalt ^ mix64(s.id))
-		if s.token == 0 {
-			s.token = 1 // zero means "no token" on the wire
-		}
+		s.token = srv.mintToken(stale)
 		srv.byToken[s.token] = s
 	}
 	srv.sessions[s.id] = s
 	return s, nil
 }
 
-// reattach resolves a live session by token and hands it conn, writing
-// the handshake reply atomically with the adoption (see Session.adopt).
-// The session may still think it owns its old transport — a client can
-// reconnect before the server notices the loss — in which case the
-// adoption is a takeover. Any lookup failure reads as errUnknownSession
-// so the client falls back to a cold attach — always safe, never
-// privileged.
-func (srv *Server) reattach(token uint64, conn *serverConn, handshake func(*Session) error) (*Session, error) {
-	srv.mu.Lock()
-	if srv.closed {
-		srv.mu.Unlock()
-		return nil, errServerClosed
-	}
-	s := srv.byToken[token]
-	srv.mu.Unlock()
-	if s == nil {
-		return nil, fmt.Errorf("%w (token unknown)", errUnknownSession)
-	}
-	if err := s.adopt(conn, func() error { return handshake(s) }); err != nil {
-		if errors.Is(err, errUnknownSession) {
-			return nil, err
+// mintToken draws a resume token: 64 bits from crypto/rand, redrawn
+// while it is zero (no token on the wire), names a registered session,
+// or equals stale — the client reads an unchanged token as adoption.
+// Random tokens are what keep a stale client of an earlier daemon from
+// adopting another tenant's session: a counter or a hash of the session
+// id would repeat across restarts. The caller holds srv.mu.
+func (srv *Server) mintToken(stale uint64) uint64 {
+	var b [8]byte
+	for {
+		rand.Read(b[:])
+		t := binary.LittleEndian.Uint64(b[:])
+		if t != 0 && t != stale && srv.byToken[t] == nil {
+			return t
 		}
-		// The session was adopted but the handshake write failed; hand it
-		// back so the caller can re-park it for the next attempt.
-		return s, err
 	}
-	srv.stats.reattached.Add(1)
-	return s, nil
+}
+
+// resumeTarget returns the live session token names, if it was attached
+// under root; nil when there is none or the server has closed.
+func (srv *Server) resumeTarget(token uint64, root string) *Session {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if s := srv.byToken[token]; s != nil && !srv.closed && s.root == vfs.CleanPath(root) {
+		return s
+	}
+	return nil
 }
 
 // detach unregisters a session (teardown calls it once).
@@ -342,14 +307,14 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 }
 
 // ServeConn speaks the wire protocol over one stream connection. The
-// first frame must be Tattach (optionally marking the session
-// resumable) or Treattach (adopting a parked session by token);
-// afterwards each frame is executed and answered here, on the goroutine
-// that read it (Session.serve), before the next is read. ServeConn
-// blocks until the connection fails or closes. A plain session is
-// always left torn down (every handle closed) — the mid-operation
-// disconnect guarantee; a resumable one parks instead, holding its
-// handles and reply cache for the client's re-attach.
+// first frame must be Tattach (optionally marking the session resumable
+// and naming, by token, the session it resumes); afterwards each frame
+// is executed and answered here, on the goroutine that read it
+// (Session.serve), before the next is read. ServeConn blocks until the
+// connection fails or closes. A plain session is always left torn down
+// (every handle closed) — the mid-operation disconnect guarantee; a
+// resumable one parks instead, holding its handles and reply cache for
+// the client's re-attach.
 func (srv *Server) ServeConn(rwc io.ReadWriteCloser) error {
 	conn, err := srv.openConn(rwc)
 	if err != nil {
@@ -419,79 +384,77 @@ func (conn *serverConn) end(err error) error {
 	return err
 }
 
-// handshake handles a connection's first frame: Tattach creates a
-// session, Treattach adopts a parked one by token. On success the
-// session is the connection's.
+// handshake handles a connection's first frame, which must be Tattach.
+// A resumable Tattach naming a live session by token adopts it (warm
+// resume); any other attaches a fresh session. Either way the Rattach
+// reply carries the session's token — the presented one on adoption, a
+// new one otherwise — and the session is the connection's.
 func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error {
 	srv := conn.srv
-	// refuse answers a handshake the server turns down — unless it is
-	// turning it down because Close got in first: Close drops every
-	// connection without a word, and a handshake that raced it is one
-	// more of them. The client then sees a lost transport, which a
-	// resumable one retries against the next generation, not a refusal,
-	// which it would take as final.
-	refuse := func(err error) error {
+	if typ != tAttach {
+		writeFrame(conn.w, nil, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach, got %s", msgName(typ))))
+		return fmt.Errorf("%w: first frame %s, want Tattach", errBadHandshake, msgName(typ))
+	}
+	// Payload: root string, then an optional resumable flag byte, an
+	// optional requested-feature bitmap and an optional resume token
+	// (each absent in older protocol revisions — old clients decode
+	// fine, and their missing fields read as zero: not resumable, no
+	// features, no session to resume).
+	d := dec{b: payload}
+	root := d.str()
+	resumable := len(d.b) > 0 && d.u8() == 1
+	var feats uint32
+	if len(d.b) >= 4 {
+		feats = d.u32()
+	}
+	var token uint64
+	if len(d.b) >= 8 {
+		token = d.u64()
+	}
+	if d.err != nil {
+		return fmt.Errorf("server: malformed Tattach: %w", d.err)
+	}
+	reply := func(s *Session) error {
+		var e enc
+		e.str(srv.fs.Name())
+		e.u64(s.id)
+		e.u64(s.token)
+		e.u32(s.features) // agreed set; old clients ignore trailing bytes
+		return writeFrame(conn.w, nil, rAttach, reqID, e.b)
+	}
+	if s := srv.resumeTarget(token, root); resumable && s != nil {
+		// The session may still think it owns its old transport — a
+		// client can reconnect before the server notices the loss — in
+		// which case the adoption is a takeover. The reply is written
+		// atomically with it (see Session.adopt); if that write fails,
+		// ending the connection re-parks the session.
+		adopted, err := s.adopt(conn, func() error { return reply(s) })
+		if adopted {
+			if err == nil {
+				srv.stats.reattached.Add(1)
+			}
+			conn.s = s
+			return err
+		}
+	}
+	s, err := srv.attach(root, conn, resumable, feats, token)
+	if err != nil {
+		// Answer the refusal — unless Close got in first: Close drops
+		// every connection without a word, and a handshake that raced it
+		// is one more of them. The client then sees a lost transport,
+		// which a resumable one retries against the next generation, not
+		// a refusal, which it would take as final.
 		if !errors.Is(err, errServerClosed) {
 			etyp, eid, ep := encodeError(reqID, err)
 			writeFrame(conn.w, nil, etyp, eid, ep)
 		}
 		return err
 	}
-	d := dec{b: payload}
-	switch typ {
-	case tAttach:
-		// Payload: root string, then an optional resumable flag byte,
-		// then an optional requested-feature bitmap (each absent in
-		// older protocol revisions — old clients decode fine, and their
-		// missing fields read as zero: not resumable, no features).
-		root := d.str()
-		resumable := len(d.b) > 0 && d.u8() == 1
-		var feats uint32
-		if len(d.b) >= 4 {
-			feats = d.u32()
-		}
-		if d.err != nil {
-			return fmt.Errorf("server: malformed Tattach: %w", d.err)
-		}
-		s, err := srv.attach(root, conn, resumable, feats)
-		if err != nil {
-			return refuse(err)
-		}
-		var e enc
-		e.str(srv.fs.Name())
-		e.u64(s.id)
-		e.u64(s.token)
-		e.u32(s.features) // agreed set; old clients ignore trailing bytes
-		if werr := writeFrame(conn.w, nil, rAttach, reqID, e.b); werr != nil {
-			s.teardown()
-			return werr
-		}
-		conn.s = s
-	case tReattach:
-		token := d.u64()
-		if d.err != nil {
-			return fmt.Errorf("server: malformed Treattach: %w", d.err)
-		}
-		s, err := srv.reattach(token, conn, func(s *Session) error {
-			var e enc
-			e.str(srv.fs.Name())
-			// The agreed feature set was fixed at the original attach;
-			// echo it so a resumed client restores the same mode.
-			// (features is immutable after attach — no lock needed.)
-			e.u32(s.features)
-			return writeFrame(conn.w, nil, rReattach, reqID, e.b)
-		})
-		if s == nil {
-			return refuse(err)
-		}
-		// Adopted. If the handshake write failed, ending the connection
-		// re-parks the session.
-		conn.s = s
-		return err
-	default:
-		writeFrame(conn.w, nil, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach or Treattach, got %s", msgName(typ))))
-		return fmt.Errorf("%w: first frame %s, want Tattach or Treattach", errBadHandshake, msgName(typ))
+	if werr := reply(s); werr != nil {
+		s.teardown()
+		return werr
 	}
+	conn.s = s
 	return nil
 }
 

@@ -32,8 +32,7 @@ type Session struct {
 	root string       // cleaned; "/" means the whole tree
 	ht   *vfs.FDTable // its descriptors are the wire handle IDs (see fd)
 
-	resumable bool
-	token     uint64 // re-attach credential (0 for non-resumable)
+	token uint64 // resume token; 0 for a session that is not resumable
 
 	// features is the agreed feature set from attach-time negotiation
 	// (featLeases & co). Immutable after attach.
@@ -174,7 +173,7 @@ func (s *Session) park(from *serverConn) (parked, superseded bool) {
 	if from != nil && s.conn != from {
 		return false, true
 	}
-	if s.closed || !s.resumable {
+	if s.closed || s.token == 0 {
 		return false, false
 	}
 	s.parked = true
@@ -187,21 +186,21 @@ func (s *Session) park(from *serverConn) (parked, superseded bool) {
 // server noticed the old transport die, so the stale connection is
 // closed and its read loop's eventual failure reads as superseded (see
 // park) instead of parking over the new transport. Only a closed session
-// refuses, as errUnknownSession, sending the client to a cold attach —
-// always safe, never privileged. adopt does not wait for the executor: a
-// request the old transport's loop is still running finishes under
-// execMu, ahead of anything the new transport carries, and answers on
-// whichever transport is current by then — so the handshake reply is
-// written while replyMu is held, and that frame cannot interleave with
-// it. Whatever else the old loop had read is dropped by serve's
-// ownership check.
-func (s *Session) adopt(conn *serverConn, handshake func() error) error {
+// refuses (adopted false), and the handshake attaches a fresh one
+// instead. adopt does not wait for the executor: a request the old
+// transport's loop is still running finishes under execMu, ahead of
+// anything the new transport carries, and answers on whichever transport
+// is current by then — so the handshake reply is written while replyMu
+// is held, and that frame cannot interleave with it. Whatever else the
+// old loop had read is dropped by serve's ownership check. err is the
+// handshake reply's write error.
+func (s *Session) adopt(conn *serverConn, handshake func() error) (adopted bool, err error) {
 	s.mu.Lock()
 	s.replyMu.Lock()
 	if s.closed {
 		s.replyMu.Unlock()
 		s.mu.Unlock()
-		return fmt.Errorf("%w (session %d closed)", errUnknownSession, s.id)
+		return false, nil
 	}
 	s.parked = false
 	old := s.conn
@@ -212,12 +211,7 @@ func (s *Session) adopt(conn *serverConn, handshake func() error) error {
 	if old != nil {
 		old.w.Close() // kick the superseded read loop off the old transport
 	}
-	if handshake != nil {
-		if err := handshake(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return true, handshake()
 }
 
 // disconnect handles a read-loop failure on conn: classify the loss
@@ -324,7 +318,7 @@ func (s *Session) handle(typ uint8, reqID uint32, payload []byte) (uint8, []byte
 	cost0, fences0 := s.srv.probe()
 	rtyp, _, rp := s.execute(typ, reqID, payload, replay)
 	cost1, fences1 := s.srv.probe()
-	if s.resumable {
+	if s.token != 0 {
 		s.replies.put(reqID, rtyp, rp)
 	}
 	s.observe(typ, reqID, payload, rp, rtyp, flags, cost1-cost0, fences1-fences0)

@@ -80,8 +80,8 @@ const (
 	tSyncAll
 	rSyncAll
 	rError
-	tReattach
-	rReattach
+	_ // retired: Treattach, now Tattach's trailing resume token
+	_ // retired: Rreattach
 	tReopen
 	rReopen
 	// Zero-copy data plane (PR 9). Tlease asks for a lease on an open
@@ -117,7 +117,6 @@ var msgNames = map[uint8]string{
 	tMkdir: "Tmkdir", rMkdir: "Rmkdir", tUnlink: "Tunlink", rUnlink: "Runlink",
 	tRmdir: "Trmdir", rRmdir: "Rrmdir", tRename: "Trename", rRename: "Rrename",
 	tSyncAll: "Tsyncall", rSyncAll: "Rsyncall", rError: "Rerror",
-	tReattach: "Treattach", rReattach: "Rreattach",
 	tReopen: "Treopen", rReopen: "Rreopen",
 	tLease: "Tlease", rLease: "Rlease", tRevoke: "Trevoke",
 	tRevokeAck: "Trevokeack", rRevokeAck: "Rrevokeack",
@@ -180,12 +179,6 @@ var errTornFrame = errors.New("server: connection torn mid-frame")
 // first, below it, to the root cause — errTornFrame for a mid-frame
 // tear). The resumable client keys its reconnect-and-replay path on it.
 var errConnLost = errors.New("server: connection lost")
-
-// errUnknownSession answers a Treattach whose token names no parked
-// session: the server restarted (or the session was torn down), so the
-// client must fall back to a cold attach and a full replay. It crosses
-// the wire as codeUnknownSession so errors.Is survives the transport.
-var errUnknownSession = errors.New("server: unknown or unparked session token")
 
 // writeFrame writes one frame to w, in a single Write, assembled in
 // *buf: scratch its owner reuses frame after frame, so framing allocates
@@ -410,7 +403,6 @@ const (
 	codeReadOnly
 	codeClosed
 	codeEOF
-	codeUnknownSession
 )
 
 var codeToErr = map[uint16]error{
@@ -425,14 +417,10 @@ var codeToErr = map[uint16]error{
 	codeReadOnly: vfs.ErrReadOnly,
 	codeClosed:   vfs.ErrClosed,
 	codeEOF:      io.EOF,
-
-	codeUnknownSession: errUnknownSession,
 }
 
 func errToCode(err error) uint16 {
 	switch {
-	case errors.Is(err, errUnknownSession):
-		return codeUnknownSession
 	case errors.Is(err, io.EOF):
 		return codeEOF
 	case errors.Is(err, vfs.ErrNotExist):
