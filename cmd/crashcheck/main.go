@@ -5,11 +5,12 @@
 // included — recovered, and checked against the mode's guarantee
 // (§3.2 Table 3; recovery per §5.3; oracles in DESIGN.md).
 //
-// Campaigns fan out over a worker pool across modes × seeds × workload
-// families. Beyond the per-event sweep it supports metadata-heavy
-// workloads (create/unlink/rename/truncate/mkdir, orphan unlinks; also
-// with the journal commits thinned out, so sync- and strict-mode
-// recoveries have metadata operations to redo from the op log),
+// Campaigns fan out over one worker pool (-workers, at least 1) across
+// modes × seeds × workload families, direct and served sweeps alike.
+// Beyond the per-event sweep it supports metadata-heavy workloads
+// (create/unlink/rename/truncate/mkdir, orphan unlinks; also with the
+// journal commits thinned out, so sync- and strict-mode recoveries have
+// metadata operations to redo from the op log),
 // double-crash sweeps (crash again inside recovery itself), and
 // automatic minimization of any violating campaign to a small
 // reproducer.
@@ -34,14 +35,17 @@
 // tenant with leased-read probes held across the daemon kill.
 //
 // -served-crash adds daemon-death sweeps: -tenants concurrent sessions
-// run mixed workloads over the stream transport (with wire faults on)
-// while the device is armed to crash at a sampled persistence event;
-// the daemon is torn down mid-flight, the backend recovered, the
-// daemon restarted, and every tenant reconnects, replays, and
-// finishes. Per-tenant mode oracles and exactly-once counters for
-// rename/unlink/append are checked after every kill. With -minimize,
-// a violating sweep's tenant workloads are ddmin-shrunk to a minimal
-// reproducer.
+// run mixed workloads over the stream transport, with a wire cut armed
+// on every -fault-cadence-th dial (0 turns wire faults off), while the
+// device is armed to crash at a sampled persistence event; the daemon
+// is torn down mid-flight, the backend recovered, the daemon restarted,
+// and every tenant reconnects, replays, and finishes. Per-tenant mode
+// oracles and exactly-once counters for rename/unlink/append are
+// checked after every kill.
+//
+// -minimize ddmin-shrinks the first violating sweep of each kind,
+// direct and served, to a minimal reproducer: one op list for a direct
+// campaign, one per tenant for a served one.
 //
 // -out FILE writes a report of any violations — including the minimized
 // reproducer when -minimize is set — to FILE, so a scheduled run can
@@ -63,9 +67,54 @@ import (
 	"splitfs/internal/stack"
 )
 
+// A job is one sweep, direct or served. The pool, the report and the
+// minimizer run every job alike; each kind keeps its own lines.
 type job struct {
-	name string
-	cfg  crash.ExploreConfig
+	name      string // how errors and the minimizer name it
+	size      string // what the minimizer says of its workload
+	tag       string // its kind: the prefix of its violations in the report
+	most      int    // the largest sample its minimizer re-sweeps with
+	violation func(v crash.Violation) string
+	progress  func(r *crash.ExploreResult) string // the -v line
+	explore   func() (*crash.ExploreResult, error)
+	minimize  func(sample int, include []int64) (*crash.MinimizeResult, error)
+}
+
+// directJob is the persistence-event sweep of one workload.
+func directJob(name string, cfg crash.ExploreConfig) job {
+	return job{name: name, size: fmt.Sprintf("%d ops", len(cfg.Ops)), most: 32,
+		violation: func(v crash.Violation) string {
+			return fmt.Sprintf("VIOLATION %s event=%d double=%d: %s", name, v.Event, v.DoubleEvent, v.Msg)
+		},
+		progress: func(r *crash.ExploreResult) string {
+			return fmt.Sprintf("%-22s events=%-5d tested=%-5d double=%-4d violations=%d",
+				name, r.TotalEvents, r.Tested, r.DoubleTested, len(r.Violations))
+		},
+		explore: func() (*crash.ExploreResult, error) { return crash.Explore(cfg) },
+		minimize: func(sample int, include []int64) (*crash.MinimizeResult, error) {
+			c := cfg
+			c.Sample, c.Include = sample, include
+			return crash.Minimize(c)
+		}}
+}
+
+// servedJob is the daemon-death sweep of one served campaign.
+func servedJob(cfg crash.ServedExploreConfig) job {
+	return job{name: fmt.Sprintf("served-crash %v/seed%d", cfg.Mode, cfg.Seed),
+		size: fmt.Sprintf("%d tenants x %d ops", cfg.Tenants, cfg.OpsPerTenant), tag: "SERVED ", most: 16,
+		violation: func(v crash.Violation) string {
+			return fmt.Sprintf("SERVED VIOLATION %v/seed%d event=%d: %s", cfg.Mode, cfg.Seed, v.Event, v.Msg)
+		},
+		progress: func(r *crash.ExploreResult) string {
+			return fmt.Sprintf("served-crash %v/seed%-2d window=[%d,%d] killed=%-4d violations=%d",
+				cfg.Mode, cfg.Seed, r.Window[0], r.Window[1], r.Tested, len(r.Violations))
+		},
+		explore: func() (*crash.ExploreResult, error) { return crash.ServedExplore(cfg) },
+		minimize: func(sample int, include []int64) (*crash.MinimizeResult, error) {
+			c := cfg
+			c.Sample, c.Include = sample, include
+			return crash.Minimize(c)
+		}}
 }
 
 // families are the workload generators. An event campaign of seed s runs
@@ -95,12 +144,12 @@ func main() {
 	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all nine backends, and served-crash tenants hold leases across every daemon kill")
 	servedCrash := flag.Bool("served-crash", false, "add served daemon-death sweeps: kill the daemon at sampled persistence events while tenants are mid-pipeline, recover, restart, reconnect every tenant, and check per-tenant oracles plus exactly-once counters")
 	tenants := flag.Int("tenants", 3, "concurrent tenant sessions per served-crash campaign")
-	faultCadence := flag.Int("fault-cadence", 2, "arm a wire cut on every Nth tenant dial in served-crash sweeps (2 = every other dial; the nightly matrix sweeps this)")
+	faultCadence := flag.Int("fault-cadence", 2, "arm a wire cut on every Nth tenant dial in served-crash sweeps (2 = every other dial, 0 = no wire faults; the nightly matrix sweeps this)")
 	doubleCrash := flag.Bool("double-crash", false, "also crash again inside each recovery")
 	doubleSample := flag.Int("double-sample", 3, "second-crash events tested per recovery")
-	minimize := flag.Bool("minimize", false, "shrink the first violating campaign to a minimal reproducer")
+	minimize := flag.Bool("minimize", false, "shrink the first violating campaign of each kind, direct and served, to a minimal reproducer")
 	outPath := flag.String("out", "", "write a violation report (with any minimized reproducer) to this file")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel campaign workers")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel campaign workers (at least 1)")
 	verbose := flag.Bool("v", false, "per-campaign progress lines")
 	flag.Parse()
 
@@ -114,119 +163,110 @@ func main() {
 		fmt.Fprintf(os.Stderr, "crashcheck: unknown mode %q\n", *modeFlag)
 		os.Exit(2)
 	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "crashcheck: -workers %d: need at least one worker\n", *workers)
+		os.Exit(2)
+	}
 
 	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async, "fragment": *async, "scatter": *async}
 	var jobs []job
 	for _, mode := range modes {
 		for seed := uint64(1); seed <= uint64(*seeds); seed++ {
 			for _, fam := range families {
-				if !enabled[fam.name] {
-					continue
+				if enabled[fam.name] {
+					jobs = append(jobs, directJob(fmt.Sprintf("%v/%s/seed%d", mode, fam.name, seed),
+						crash.ExploreConfig{Mode: mode, Ops: fam.gen(seed*fam.mul, *nops),
+							Seed: seed ^ fam.xor, Sample: *sample,
+							DoubleCrash: *doubleCrash, DoubleSample: *doubleSample}))
 				}
-				jobs = append(jobs, job{
-					name: fmt.Sprintf("%v/%s/seed%d", mode, fam.name, seed),
-					cfg: crash.ExploreConfig{Mode: mode, Ops: fam.gen(seed*fam.mul, *nops),
-						Seed: seed ^ fam.xor, Sample: *sample,
-						DoubleCrash: *doubleCrash, DoubleSample: *doubleSample},
-				})
 			}
+		}
+	}
+	// Served daemon-death sweeps: tenants take turns over the stream
+	// transport (wire faults at -fault-cadence) while the device is armed
+	// to crash at sampled persistence events; every kill is followed by
+	// recovery, daemon restart, tenant reconnect/replay, and a full
+	// oracle + exactly-once check.
+	for _, mode := range modes {
+		for seed := uint64(1); *servedCrash && seed <= uint64(*seeds); seed++ {
+			jobs = append(jobs, servedJob(crash.ServedExploreConfig{Sample: *sample,
+				ServedCampaign: crash.ServedCampaign{Mode: mode, Tenants: *tenants,
+					OpsPerTenant: *nops, Seed: seed, FaultCadence: *faultCadence, Leases: *leases}}))
 		}
 	}
 
 	servedFailed := *served && !servedDifferential(*seeds, *nops, *leases)
+	results, failed := sweep(jobs, *workers, *verbose)
 
-	// Served daemon-death sweeps: tenants run concurrently over the
-	// stream transport (wire faults on) while the device is armed to
-	// crash at sampled persistence events; every kill is followed by
-	// recovery, daemon restart, tenant reconnect/replay, and a full
-	// oracle + exactly-once check.
-	var (
-		servedVios   []crash.Violation
-		servedVioCfg *crash.ServedExploreConfig
-	)
+	n, total := tally(jobs, results, "")
+	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d events crashed (+%d double-crash), %d violations\n",
+		n, total.Runs, total.Tested, total.TotalEvents, total.DoubleTested, len(total.Violations))
+	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery\n",
+		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay)
+	fmt.Printf("event coverage by kind:")
+	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
+		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])
+	}
+	fmt.Println()
 	if *servedCrash {
-		sweeps, killed := 0, 0
-		for _, mode := range modes {
-			for seed := uint64(1); seed <= uint64(*seeds); seed++ {
-				cfg := crash.ServedExploreConfig{Sample: *sample,
-					ServedCampaign: crash.ServedCampaign{Mode: mode, Tenants: *tenants,
-						OpsPerTenant: *nops, Seed: seed, WireFaults: true,
-						FaultCadence: *faultCadence, Leases: *leases}}
-				res, err := crash.ServedExplore(cfg)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "crashcheck: served-crash/%v/seed%d: %v\n", mode, seed, err)
-					servedFailed = true
-					continue
-				}
-				sweeps++
-				killed += res.Tested
-				for _, v := range res.Violations {
-					fmt.Printf("SERVED VIOLATION %v/seed%d event=%d: %s\n", mode, seed, v.Event, v.Msg)
-				}
-				if len(res.Violations) > 0 && servedVioCfg == nil {
-					servedVioCfg = &cfg
-				}
-				servedVios = append(servedVios, res.Violations...)
-				if *verbose {
-					fmt.Printf("served-crash %v/seed%-2d window=[%d,%d] killed=%-4d violations=%d\n",
-						mode, seed, res.Window[0], res.Window[1], res.Tested, len(res.Violations))
-				}
-			}
-		}
+		n, served := tally(jobs, results, "SERVED ")
 		fmt.Printf("crashcheck: served-crash: %d sweeps x %d tenants, %d daemon kills, %d violations\n",
-			sweeps, *tenants, killed, len(servedVios))
+			n, *tenants, served.Tested, len(served.Violations))
+	}
+	if len(total.UnknownKinds) > 0 {
+		// A kind or source this build does not know means someone added a
+		// persistence-event category without teaching the coverage tables
+		// about it — the sweep crashed at events whose semantics nobody
+		// vouched for. That is a harness bug, so fail loudly rather than
+		// bucket them quietly.
+		fmt.Fprintf(os.Stderr, "crashcheck: UNKNOWN EVENT KINDS swept: %v — update pmem event kinds/sources and the coverage tables\n",
+			slices.Compact(slices.Sorted(slices.Values(total.UnknownKinds))))
+		failed = true
 	}
 
+	report := buildReport(jobs, results, *minimize, *sample)
+	if *outPath != "" && report != "" {
+		if err := os.WriteFile(*outPath, []byte(report), 0644); err != nil {
+			fmt.Fprintf(os.Stderr, "crashcheck: write %s: %v\n", *outPath, err)
+		} else {
+			fmt.Printf("violation report written to %s\n", *outPath)
+		}
+	}
+	if report != "" || failed || servedFailed { // the report is empty unless something was violated
+		os.Exit(1)
+	}
+}
+
+// sweep runs the jobs on a pool of workers, printing each violation,
+// and with verbose each job's progress line, as the job finishes. It
+// returns every job's result (an empty one for a job that failed, which
+// it reports on stderr) and whether any failed.
+func sweep(jobs []job, workers int, verbose bool) ([]*crash.ExploreResult, bool) {
 	var (
 		mu      sync.Mutex
-		total   = crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}}
-		unknown = map[string]bool{}
-		vioJob  *job
+		wg      sync.WaitGroup
+		results = make([]*crash.ExploreResult, len(jobs))
 		failed  bool
+		jobCh   = make(chan int)
 	)
-	jobCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < *workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range jobCh {
-				j := jobs[idx]
-				res, err := crash.Explore(j.cfg)
+				j := &jobs[idx]
+				res, err := j.explore()
 				mu.Lock()
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "crashcheck: %s: %v\n", j.name, err)
-					failed = true
-					mu.Unlock()
-					continue
+					res, failed = &crash.ExploreResult{}, true
 				}
-				total.TotalEvents += res.TotalEvents
-				total.Tested += res.Tested
-				total.DoubleTested += res.DoubleTested
-				total.Runs += res.Runs
-				total.MetaReplayed += res.MetaReplayed
-				total.MetaSkipped += res.MetaSkipped
-				total.DoubleInMetaReplay += res.DoubleInMetaReplay
-				for k, n := range res.ByKind {
-					total.ByKind[k] += n
-				}
-				for k, n := range res.TestedByKind {
-					total.TestedByKind[k] += n
-				}
-				for _, k := range res.UnknownKinds {
-					unknown[k] = true
-				}
+				results[idx] = res
 				for _, v := range res.Violations {
-					fmt.Printf("VIOLATION %s event=%d double=%d: %s\n",
-						j.name, v.Event, v.DoubleEvent, v.Msg)
+					fmt.Println(j.violation(v))
 				}
-				if len(res.Violations) > 0 && vioJob == nil {
-					vioJob = &j
-				}
-				total.Violations = append(total.Violations, res.Violations...)
-				if *verbose {
-					fmt.Printf("%-22s events=%-5d tested=%-5d double=%-4d violations=%d\n",
-						j.name, res.TotalEvents, res.Tested, res.DoubleTested, len(res.Violations))
+				if verbose && err == nil {
+					fmt.Println(j.progress(res))
 				}
 				mu.Unlock()
 			}
@@ -237,69 +277,68 @@ func main() {
 	}
 	close(jobCh)
 	wg.Wait()
+	return results, failed
+}
 
-	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d events crashed (+%d double-crash), %d violations\n",
-		len(jobs), total.Runs, total.Tested, total.TotalEvents, total.DoubleTested, len(total.Violations))
-	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery\n",
-		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay)
-	fmt.Printf("event coverage by kind:")
-	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
-		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])
+// tally counts the jobs of one kind and sums their results.
+func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.ExploreResult) {
+	n, t := 0, crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}}
+	for i, r := range results {
+		if jobs[i].tag != tag {
+			continue
+		}
+		n++
+		t.TotalEvents += r.TotalEvents
+		t.Tested += r.Tested
+		t.DoubleTested += r.DoubleTested
+		t.Runs += r.Runs
+		t.MetaReplayed += r.MetaReplayed
+		t.MetaSkipped += r.MetaSkipped
+		t.DoubleInMetaReplay += r.DoubleInMetaReplay
+		for k, v := range r.ByKind {
+			t.ByKind[k] += v
+		}
+		for k, v := range r.TestedByKind {
+			t.TestedByKind[k] += v
+		}
+		t.UnknownKinds = append(t.UnknownKinds, r.UnknownKinds...)
+		t.Violations = append(t.Violations, r.Violations...)
 	}
-	fmt.Println()
-	if len(unknown) > 0 {
-		// A kind or source this build does not know means someone added a
-		// persistence-event category without teaching the coverage tables
-		// about it — the sweep crashed at events whose semantics nobody
-		// vouched for. That is a harness bug, so fail loudly rather than
-		// bucket them quietly.
-		fmt.Fprintf(os.Stderr, "crashcheck: UNKNOWN EVENT KINDS swept: %v — update pmem event kinds/sources and the coverage tables\n",
-			slices.Sorted(maps.Keys(unknown)))
-		failed = true
-	}
+	return n, t
+}
 
+// buildReport is the violation report: every violation in job order,
+// then, with minimize, the minimal reproducer of the first violating
+// job of each kind, which it also prints.
+func buildReport(jobs []job, results []*crash.ExploreResult, minimize bool, sample int) string {
 	var report strings.Builder
-	for _, v := range total.Violations {
-		writeViolation(&report, "", v)
-	}
-	for _, v := range servedVios {
-		writeViolation(&report, "SERVED ", v)
-	}
-	if servedVioCfg != nil && *minimize {
-		cfg := *servedVioCfg
-		fmt.Printf("minimizing served-crash %v/seed%d (%d tenants x %d ops)...\n",
-			cfg.Mode, cfg.Seed, cfg.Tenants, cfg.OpsPerTenant)
-		cfg.Sample, cfg.Include = minimizerSweep(cfg.Sample, 16, servedVios, cfg.Mode, cfg.Seed)
-		if min, err := crash.ServedMinimize(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "crashcheck: served minimize: %v\n", err)
-			fmt.Fprintf(&report, "served minimize failed: %v\n", err)
-		} else {
-			reportRepro(&report, fmt.Sprintf("minimal served reproducer %v/seed%d (%d runs): %s\n",
-				cfg.Mode, cfg.Seed, min.Runs, min.Violation.Msg), true, min.TenantOps)
+	for i, r := range results {
+		for _, v := range r.Violations {
+			writeViolation(&report, jobs[i].tag, v)
 		}
 	}
-	if vioJob != nil && *minimize {
-		cfg := vioJob.cfg
-		fmt.Printf("minimizing %s (%d ops)...\n", vioJob.name, len(cfg.Ops))
-		cfg.Sample, cfg.Include = minimizerSweep(cfg.Sample, 32, total.Violations, cfg.Mode, cfg.Seed)
-		if min, err := crash.Minimize(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "crashcheck: minimize: %v\n", err)
-			fmt.Fprintf(&report, "minimize failed: %v\n", err)
-		} else {
-			reportRepro(&report, fmt.Sprintf("minimal reproducer for %s: %d ops (%d runs): %s\n",
-				vioJob.name, len(min.Ops), min.Runs, min.Violation.Msg), false, [][]crash.Op{min.Ops})
+	shrunk := map[string]bool{}
+	for i, r := range results {
+		j := &jobs[i]
+		if !minimize || len(r.Violations) == 0 || shrunk[j.tag] {
+			continue
 		}
-	}
-	if *outPath != "" && report.Len() > 0 {
-		if err := os.WriteFile(*outPath, []byte(report.String()), 0644); err != nil {
-			fmt.Fprintf(os.Stderr, "crashcheck: write %s: %v\n", *outPath, err)
-		} else {
-			fmt.Printf("violation report written to %s\n", *outPath)
+		shrunk[j.tag] = true
+		fmt.Printf("minimizing %s (%s)...\n", j.name, j.size)
+		min, err := j.minimize(minimizerSweep(sample, j.most, r.Violations))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "crashcheck: %s: minimize: %v\n", j.name, err)
+			fmt.Fprintf(&report, "%s: minimize failed: %v\n", j.name, err)
+			continue
 		}
+		ops := 0
+		for _, w := range min.Workloads {
+			ops += len(w)
+		}
+		reportRepro(&report, fmt.Sprintf("minimal reproducer for %s: %d ops (%d runs): %s\n",
+			j.name, ops, min.Runs, min.Violation.Msg), len(min.Workloads) > 1, min.Workloads)
 	}
-	if report.Len() > 0 || failed || servedFailed { // the report is empty unless something was violated
-		os.Exit(1)
-	}
+	return report.String()
 }
 
 // servedDifferential runs the served-backend differential campaigns

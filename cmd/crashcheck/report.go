@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"splitfs/internal/crash"
-	"splitfs/internal/splitfs"
 )
 
 // The violation report: what -out writes, and what a minimized
@@ -25,16 +24,15 @@ func writeViolation(w io.Writer, tag string, v crash.Violation) {
 }
 
 // minimizerSweep is what a minimizer re-sweeps each candidate with: a
-// smaller sample than the run that found the violation, and that
-// campaign's witness events pinned so the first re-sweep cannot miss
-// them.
-func minimizerSweep(sample, most int, vios []crash.Violation, mode splitfs.Mode, seed uint64) (int, []int64) {
+// smaller sample than the run that found the violations vios, and their
+// witness events pinned so the first re-sweep cannot miss them.
+func minimizerSweep(sample, most int, vios []crash.Violation) (int, []int64) {
 	if sample == 0 || sample > most {
 		sample = most
 	}
 	var include []int64
 	for _, v := range vios {
-		if v.Event > 0 && v.Mode == mode && v.Seed == seed {
+		if v.Event > 0 {
 			include = append(include, v.Event)
 		}
 	}

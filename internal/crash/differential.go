@@ -3,7 +3,8 @@ package crash
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"splitfs/internal/stack"
@@ -81,12 +82,7 @@ func Differential(kinds []string, ops []Op) (*DiffResult, error) {
 		// Close every live handle so close-time relinks/digests run and
 		// the captured state is the settled one (orphan handles stay open:
 		// their unlinked inodes must NOT reappear in any namespace).
-		paths := make([]string, 0, len(r.handles))
-		for p := range r.handles {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
+		for _, p := range slices.Sorted(maps.Keys(r.handles)) {
 			if err := r.handles[p].Close(); err != nil {
 				return nil, fmt.Errorf("diff backend %s: close %s: %w", kind, p, err)
 			}
@@ -109,7 +105,7 @@ func diffStates(kind string, ref, got *durableState) []DiffMismatch {
 	add := func(path, why string) {
 		out = append(out, DiffMismatch{Backend: kind, Path: path, Why: why})
 	}
-	for _, p := range sortedPaths(ref.files) {
+	for _, p := range slices.Sorted(maps.Keys(ref.files)) {
 		g, ok := got.files[p]
 		if !ok {
 			add(p, "file missing")
@@ -121,7 +117,7 @@ func diffStates(kind string, ref, got *durableState) []DiffMismatch {
 				firstDiff(g, w), len(g), len(w)))
 		}
 	}
-	for _, p := range sortedPaths(got.files) {
+	for _, p := range slices.Sorted(maps.Keys(got.files)) {
 		if _, ok := ref.files[p]; !ok {
 			add(p, "unexpected file")
 		}

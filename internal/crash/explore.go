@@ -1,7 +1,8 @@
 package crash
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
@@ -122,10 +123,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			}
 		}
 	}
-	for label := range unknown {
-		res.UnknownKinds = append(res.UnknownKinds, label)
-	}
-	sort.Strings(res.UnknownKinds)
+	res.UnknownKinds = slices.Sorted(maps.Keys(unknown))
 
 	dblSample := cfg.DoubleSample
 	if dblSample <= 0 {
@@ -206,22 +204,13 @@ func sampleEvents(lo, hi int64, max int, rng *sim.RNG) []int64 {
 	for len(picked) < max {
 		picked[lo+rng.Int63n(n)] = true
 	}
-	out := make([]int64, 0, len(picked))
-	for k := range picked {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(picked))
 }
 
 // insertEvent inserts k into the sorted event list if absent.
 func insertEvent(events []int64, k int64) []int64 {
-	i := sort.Search(len(events), func(i int) bool { return events[i] >= k })
-	if i < len(events) && events[i] == k {
-		return events
+	if i, found := slices.BinarySearch(events, k); !found {
+		events = slices.Insert(events, i, k)
 	}
-	events = append(events, 0)
-	copy(events[i+1:], events[i:])
-	events[i] = k
 	return events
 }

@@ -3,6 +3,8 @@ package crash
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,7 +110,7 @@ func dumpFiles(t *testing.T, fs vfs.FileSystem) []byte {
 		t.Fatalf("capture: %v", err)
 	}
 	var buf bytes.Buffer
-	for _, p := range sortedPaths(dur.files) {
+	for _, p := range slices.Sorted(maps.Keys(dur.files)) {
 		if strings.HasPrefix(p, "/.splitfs") {
 			continue
 		}

@@ -2,41 +2,77 @@ package crash
 
 import (
 	"fmt"
+	"slices"
 )
 
-// Minimize shrinks a violating campaign to a minimal reproducer before
-// reporting: it repeatedly deletes chunks of the workload (ddmin-style,
-// halving the chunk size) and keeps any candidate that still violates
-// under a (sampled) persistence-event sweep.
+// sweep is a sweep configuration of either kind — ExploreConfig or
+// ServedExploreConfig — as Minimize sees it.
+type sweep interface {
+	// workloads is the sweep's op lists, one per tenant (a direct
+	// campaign has one).
+	workloads() [][]Op
+	// explore sweeps workloads w instead of the configured ones, testing
+	// the first-crash events include on top of its own.
+	explore(w [][]Op, include []int64) (*ExploreResult, error)
+	// sanitize rewrites a ddmin candidate into a workload the sweep can
+	// run.
+	sanitize(ops []Op) []Op
+}
+
+func (c ExploreConfig) workloads() [][]Op { return [][]Op{c.Ops} }
+
+func (c ExploreConfig) explore(w [][]Op, include []int64) (*ExploreResult, error) {
+	c.Ops, c.Include = w[0], append(slices.Clip(c.Include), include...)
+	return Explore(c)
+}
+
+func (ExploreConfig) sanitize(ops []Op) []Op { return ops }
+
+func (c ServedExploreConfig) explore(w [][]Op, include []int64) (*ExploreResult, error) {
+	c.TenantOps, c.Include = w, append(slices.Clip(c.Include), include...)
+	return ServedExplore(c)
+}
+
+func (ServedExploreConfig) sanitize(ops []Op) []Op { return sanitizeServedOps(ops) }
 
 // MinimizeResult is a shrunken reproducer.
 type MinimizeResult struct {
-	Ops       []Op
-	Violation Violation // a witness violation of the minimal workload
+	// Workloads holds one op list per tenant; a direct campaign's one.
+	// Tenant count and order are preserved (an emptied tenant keeps its
+	// slot), so tenant indices in violation messages stay stable.
+	Workloads [][]Op
+	Violation Violation // a witness violation of the minimal workloads
 	Runs      int       // total campaign executions spent minimizing
 }
 
-// Minimize requires cfg to violate (Explore finds at least one breach)
-// and returns a locally minimal subsequence of cfg.Ops that still does.
-// cfg.Sample bounds the per-candidate sweep; keep it modest (e.g. 32) —
-// minimization trades per-candidate exhaustiveness for many candidates.
-func Minimize(cfg ExploreConfig) (*MinimizeResult, error) {
+// Minimize shrinks a violating sweep to a minimal reproducer. It
+// requires cfg to violate (its sweep finds at least one breach) and
+// shrinks each workload in turn by ddmin to a locally minimal
+// subsequence that still does. Every witness event found is pinned, so
+// a sampled re-sweep of a later candidate cannot miss it. The
+// configuration's Sample bounds the per-candidate sweep; keep it modest
+// (e.g. 32) — minimization trades per-candidate exhaustiveness for many
+// candidates.
+func Minimize(cfg sweep) (*MinimizeResult, error) {
 	res := &MinimizeResult{}
-	test := func(ops []Op) (*Violation, error) {
-		sub := cfg
-		sub.Ops = ops
-		r, err := Explore(sub)
+	var include []int64
+	test := func(w [][]Op) (*Violation, error) {
+		r, err := cfg.explore(w, include)
 		if err != nil {
 			return nil, err
 		}
 		res.Runs += r.Runs
-		if len(r.Violations) > 0 {
-			return &r.Violations[0], nil
+		if len(r.Violations) == 0 {
+			return nil, nil
 		}
-		return nil, nil
+		v := r.Violations[0]
+		if v.Event > 0 {
+			include = insertEvent(include, v.Event)
+		}
+		return &v, nil
 	}
 
-	cur := append([]Op(nil), cfg.Ops...)
+	cur := slices.Clone(cfg.workloads())
 	witness, err := test(cur)
 	if err != nil {
 		return nil, err
@@ -44,21 +80,22 @@ func Minimize(cfg ExploreConfig) (*MinimizeResult, error) {
 	if witness == nil {
 		return nil, fmt.Errorf("crash: campaign does not violate; nothing to minimize")
 	}
-
-	cur, err = ddmin(cur, func(cand []Op) ([]Op, bool, error) {
-		if len(cand) == 0 {
-			return nil, false, nil
+	for i := range cur {
+		kept, err := ddmin(cur[i], func(ops []Op) ([]Op, bool, error) {
+			cand := slices.Clone(cur)
+			cand[i] = cfg.sanitize(ops)
+			v, err := test(cand)
+			if v != nil {
+				witness = v
+			}
+			return cand[i], v != nil, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		v, err := test(cand)
-		if v != nil {
-			witness = v
-		}
-		return cand, v != nil, err
-	})
-	if err != nil {
-		return nil, err
+		cur[i] = kept
 	}
-	res.Ops = cur
+	res.Workloads = cur
 	res.Violation = *witness
 	return res, nil
 }
@@ -66,7 +103,7 @@ func Minimize(cfg ExploreConfig) (*MinimizeResult, error) {
 // ddmin returns a locally minimal subsequence of ops: it deletes chunks
 // of the list, halving the chunk size when a pass removes nothing, and
 // keeps every candidate test accepts. test may rewrite the candidate it
-// accepts (the served minimizer sanitizes orphaned ops and restores the
+// accepts (a served sweep sanitizes orphaned ops and restores the
 // closing barrier); the returned list replaces the current one when it
 // is shorter.
 func ddmin(cur []Op, test func(cand []Op) (kept []Op, ok bool, err error)) ([]Op, error) {

@@ -3,6 +3,8 @@ package crash
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,26 +79,7 @@ type modelRun struct {
 }
 
 func cloneState(s *mstate) *mstate {
-	ns := &mstate{
-		files:       make(map[string]*mfile, len(s.files)),
-		dirs:        make(map[string]bool, len(s.dirs)),
-		commitFloor: s.commitFloor,
-	}
-	for p, f := range s.files {
-		ns.files[p] = f
-	}
-	for d := range s.dirs {
-		ns.dirs[d] = true
-	}
-	return ns
-}
-
-func cloneIDs(m map[int]*mfile) map[int]*mfile {
-	nm := make(map[int]*mfile, len(m))
-	for id, f := range m {
-		nm[id] = f
-	}
-	return nm
+	return &mstate{files: maps.Clone(s.files), dirs: maps.Clone(s.dirs), commitFloor: s.commitFloor}
 }
 
 // mutate returns a private copy of f ready for modification.
@@ -151,7 +134,7 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 
 	for i, sc := range sys {
 		st := cloneState(cur)
-		ids := cloneIDs(curIDs)
+		ids := maps.Clone(curIDs)
 		sysIdx := i + 1
 		switch sc.kind {
 		case sysOpen:
@@ -509,11 +492,7 @@ func pathList[V any](m map[string]V) string {
 	if len(m) == 0 {
 		return "∅"
 	}
-	paths := make([]string, 0, len(m))
-	for p := range m {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := slices.Sorted(maps.Keys(m))
 	if len(paths) > 8 {
 		paths = append(paths[:8], "…")
 	}
@@ -593,24 +572,11 @@ func contentAgainst(p string, got []byte, rec *mfile, dirty []span) string {
 }
 
 func firstDiff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			return i
 		}
 	}
 	return n
-}
-
-// sortedPaths is a debugging helper used by tests and the CLI.
-func sortedPaths(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

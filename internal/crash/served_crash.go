@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,12 +60,12 @@ type ServedCampaign struct {
 	// CrashAtEvent arms the daemon death at that absolute persistence
 	// event (0 = no crash; the campaign still verifies the final state).
 	CrashAtEvent int64
-	// WireFaults arms a client-side mid-frame write cut on every
-	// FaultCadence-th dial of each tenant, the first included (default
-	// 2), forcing warm re-attaches and replay before the crash and during
-	// cold resume after it. 1 arms every dial, which a frame longer than
-	// the largest cut never survives; the nightly matrix sweeps 2, 3, 5.
-	WireFaults   bool
+	// FaultCadence, when positive, arms a client-side mid-frame write
+	// cut on every FaultCadence-th dial of each tenant, the first
+	// included, forcing warm re-attaches and replay before the crash and
+	// during cold resume after it (0 = no wire faults). 1 arms every
+	// dial, which a frame longer than the largest cut never survives; the
+	// nightly matrix sweeps 2, 3, 5.
 	FaultCadence int
 	// Leases negotiates the zero-copy data plane on every session and
 	// interleaves leased-read probes through the workload, so leases are
@@ -83,9 +85,6 @@ type ServedResult struct {
 	// verified: the syscalls it completed before the armed event.
 	AckedSys  []int
 	Violation string // empty when every check held
-	// Replayed counts strict-mode log entries recovery re-applied;
-	// JournalReplayed the K-Split journal transactions replayed at mount.
-	Replayed, JournalReplayed int
 	// BaselineEvents/TotalEvents bound the run's persistence events; a
 	// no-crash run's are ServedExplore's sweep window.
 	BaselineEvents, TotalEvents int64
@@ -119,11 +118,7 @@ func (t *servedTenant) probe(i int) {
 	if len(t.r.handles) == 0 {
 		return
 	}
-	names := make([]string, 0, len(t.r.handles))
-	for n := range t.r.handles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(t.r.handles))
 	var buf [64]byte
 	_, _ = t.r.handles[names[i%len(names)]].ReadAt(buf[:], 0)
 }
@@ -162,7 +157,7 @@ func (c *servedCounter) SyncAll() error {
 
 // workloads returns TenantOps when set, otherwise Tenants (default 3)
 // generated workloads of OpsPerTenant (default 12) operations each.
-func (c *ServedCampaign) workloads() [][]Op {
+func (c ServedCampaign) workloads() [][]Op {
 	if c.TenantOps != nil {
 		return c.TenantOps
 	}
@@ -228,19 +223,13 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	}
 	r.serve(env.FS, env.Dev.CrashFired)
 
-	cadence := 0
-	if c.WireFaults {
-		if cadence = c.FaultCadence; cadence <= 0 {
-			cadence = 2
-		}
-	}
 	for i, t := range r.tenants {
 		rng, dials := sim.NewRNG(mix(c.Seed, uint64(i)^0xFA7)), 0
 		// An armed dial's cut lands at a seeded byte offset past the
 		// attach handshake.
 		redial := func() (io.ReadWriteCloser, error) {
 			rwc, err := r.dial()
-			if dials++; err != nil || cadence == 0 || (dials-1)%cadence != 0 {
+			if dials++; err != nil || c.FaultCadence <= 0 || (dials-1)%c.FaultCadence != 0 {
 				return rwc, err
 			}
 			fc := server.NewFaultConn(rwc)
@@ -368,12 +357,7 @@ func (r *servedRun) die() error {
 		if err := dev.Crash(sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent)) ^ 0xC4A5)); err != nil {
 			return err
 		}
-		var report stack.Recovery
-		rec, report, vio = recover1(r.env)
-		r.res.JournalReplayed = report.JournalTx
-		if report.OpLog != nil {
-			r.res.Replayed = report.OpLog.Replayed
-		}
+		rec, _, vio = recover1(r.env)
 	}
 	for i, t := range r.tenants {
 		if vio != "" {

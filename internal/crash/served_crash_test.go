@@ -102,7 +102,7 @@ func TestServedCrashSweep(t *testing.T) {
 // again) — still violation-free.
 func TestServedCrashWireFaults(t *testing.T) {
 	exploreServed(t, 6, ServedCampaign{Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10,
-		Seed: 17, WireFaults: true})
+		Seed: 17, FaultCadence: 2})
 }
 
 // TestServedCrashReconnects pins one mid-window daemon death and checks
@@ -144,7 +144,7 @@ func TestServedCrashReconnects(t *testing.T) {
 // window never fires, and the campaign says so.
 func TestServedCampaignDeterministic(t *testing.T) {
 	c := ServedCampaign{Mode: splitfs.Strict, Tenants: 3, OpsPerTenant: 12, Seed: 43,
-		WireFaults: true, Leases: true, Trace: true}
+		FaultCadence: 2, Leases: true, Trace: true}
 	record, err := RunServed(c)
 	if err != nil {
 		t.Fatal(err)
@@ -245,14 +245,14 @@ func TestServedOracleDetectsViolations(t *testing.T) {
 // TestServedMinimize shrinks a seeded-fault served campaign to a small
 // reproducer and keeps a witness violation.
 func TestServedMinimize(t *testing.T) {
-	res, err := ServedMinimize(ServedExploreConfig{Sample: 12, ServedCampaign: ServedCampaign{
+	res, err := Minimize(ServedExploreConfig{Sample: 12, ServedCampaign: ServedCampaign{
 		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 6, Seed: 31,
 		SkipFence: func(seq int64) bool { return true }}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, ops := range res.TenantOps {
+	for _, ops := range res.Workloads {
 		total += len(ops)
 	}
 	if total > 8 {
@@ -262,14 +262,4 @@ func TestServedMinimize(t *testing.T) {
 		t.Fatal("no witness violation")
 	}
 	t.Logf("minimized to %d ops in %d runs: %s", total, res.Runs, res.Violation.Msg)
-}
-
-// TestServedMinimizeRejectsHealthy mirrors the direct minimizer's
-// contract: a violation-free campaign refuses to minimize.
-func TestServedMinimizeRejectsHealthy(t *testing.T) {
-	_, err := ServedMinimize(ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 5, Seed: 37}})
-	if err == nil {
-		t.Fatal("expected error for a non-violating served campaign")
-	}
 }

@@ -1,7 +1,6 @@
 package crash
 
 import (
-	"fmt"
 	"strings"
 
 	"splitfs/internal/sim"
@@ -18,19 +17,12 @@ type ServedExploreConfig struct {
 	Include []int64
 }
 
-// ServedExploreResult summarizes a served sweep.
-type ServedExploreResult struct {
-	Window     [2]int64 // the crashable event range (post-setup, end-of-recording]
-	Tested     int      // crash runs: every one of them fired
-	Violations []Violation
-	Runs       int // total served campaign executions, recording run included
-}
-
 // ServedExplore is the daemon-death sweep: run the campaign once without
 // a crash to bound its event window, then kill the daemon at the events
-// Explore's sampling draws from it, checking every oracle each time.
-func ServedExplore(cfg ServedExploreConfig) (*ServedExploreResult, error) {
-	res := &ServedExploreResult{}
+// Explore's sampling draws from it, checking every oracle each time. It
+// fills the result's Window, TotalEvents, Tested, Runs and Violations.
+func ServedExplore(cfg ServedExploreConfig) (*ExploreResult, error) {
+	res := &ExploreResult{}
 	run := func(event int64) (*ServedResult, error) {
 		c := cfg.ServedCampaign
 		c.CrashAtEvent = event
@@ -50,74 +42,13 @@ func ServedExplore(cfg ServedExploreConfig) (*ServedExploreResult, error) {
 		return nil, err
 	}
 	res.Window = [2]int64{record.BaselineEvents, record.TotalEvents}
+	res.TotalEvents = record.TotalEvents - record.BaselineEvents
 	for _, k := range crashPoints(res.Window, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5eed))) {
 		if _, err := run(k); err != nil {
 			return nil, err
 		}
 		res.Tested++
 	}
-	return res, nil
-}
-
-// ServedMinimizeResult is a shrunken served reproducer.
-type ServedMinimizeResult struct {
-	TenantOps [][]Op
-	Violation Violation // a witness violation of the minimal workloads
-	Runs      int       // total served campaign executions spent minimizing
-}
-
-// ServedMinimize requires cfg to violate (ServedExplore finds at least
-// one breach) and shrinks each tenant's workload by ddmin while it still
-// does. Tenant count and order are preserved (an emptied tenant keeps
-// its slot), so tenant indices in violation messages stay stable. Keep
-// cfg.Sample modest — minimization trades per-candidate exhaustiveness
-// for many candidates.
-func ServedMinimize(cfg ServedExploreConfig) (*ServedMinimizeResult, error) {
-	res := &ServedMinimizeResult{}
-	test := func(tenantOps [][]Op) (*Violation, error) {
-		sub := cfg
-		sub.TenantOps = tenantOps
-		r, err := ServedExplore(sub)
-		if err != nil {
-			return nil, err
-		}
-		res.Runs += r.Runs
-		if len(r.Violations) > 0 {
-			// Pin the witness event so a sampled re-sweep of the next
-			// candidate cannot miss it.
-			if ev := r.Violations[0].Event; ev > 0 {
-				cfg.Include = insertEvent(cfg.Include, ev)
-			}
-			return &r.Violations[0], nil
-		}
-		return nil, nil
-	}
-
-	cur := copyTenantOps(cfg.workloads())
-	witness, err := test(cur)
-	if err != nil {
-		return nil, err
-	}
-	if witness == nil {
-		return nil, fmt.Errorf("crash: served campaign does not violate; nothing to minimize")
-	}
-	for i := range cur {
-		kept, err := ddmin(cur[i], func(ops []Op) ([]Op, bool, error) {
-			cand := copyTenantOps(cur)
-			cand[i] = sanitizeServedOps(ops)
-			v, err := test(cand)
-			if v != nil {
-				witness = v
-			}
-			return cand[i], v != nil, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		cur[i] = kept
-	}
-	res.TenantOps = cur
-	res.Violation = *witness
 	return res, nil
 }
 
@@ -178,14 +109,6 @@ func sanitizeServedOps(ops []Op) []Op {
 	// would "violate" by the mode's own rules.
 	if len(out) > 0 && out[len(out)-1].Kind != OpSyncAll {
 		out = append(out, Op{Kind: OpSyncAll})
-	}
-	return out
-}
-
-func copyTenantOps(t [][]Op) [][]Op {
-	out := make([][]Op, len(t))
-	for i := range t {
-		out[i] = append([]Op(nil), t[i]...)
 	}
 	return out
 }

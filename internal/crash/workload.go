@@ -104,8 +104,7 @@ type syscall struct {
 	off   int64
 	size  int64
 	data  []byte
-	opIdx int  // 1-based index of the Op this syscall came from
-	last  bool // final syscall of its Op
+	opIdx int // 1-based index of the Op this syscall came from
 }
 
 // compile expands ops into the syscall sequence the executor will issue,
@@ -175,9 +174,6 @@ func compile(ops []Op) []syscall {
 		case OpSyncAll:
 			emit(syscall{kind: sysSyncall, opIdx: idx})
 		}
-	}
-	for j := range out {
-		out[j].last = j == len(out)-1 || out[j+1].opIdx != out[j].opIdx
 	}
 	return out
 }

@@ -7,13 +7,14 @@
 // of the workload, so the snapshot is pinnable the same way the macro
 // counters are. The experiment also enforces the plane's two promises
 // in-line: zero drift (two fresh instrumented runs produce identical
-// snapshot hashes) and zero overhead (an instrumented run's macro
-// counter deltas equal an uninstrumented run's exactly — attaching the
-// registry must not perturb the op stream).
+// snapshot hashes) and zero overhead (an instrumented run's macro cell
+// metrics, simulated ns included, equal an uninstrumented run's exactly
+// — attaching the registry must not perturb the op stream).
 package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"splitfs/internal/obs"
@@ -24,31 +25,15 @@ func init() {
 	register("obs", "Observability plane: deterministic registry snapshots over the served loopback stream", obsExp)
 }
 
-// obsDelta is the macro counter movement of one stream run — the
-// quantities the zero-overhead assertion compares between instrumented
-// and uninstrumented runs.
-type obsDelta struct {
-	fences, commits, logAppends, relinks, reclaimed, pmBytes int64
-}
-
-func obsDeltaOf(before, after stack.Counters) obsDelta {
-	return obsDelta{
-		fences:     after.Dev.Fences - before.Dev.Fences,
-		commits:    after.Commits - before.Commits,
-		logAppends: after.LogAppends - before.LogAppends,
-		relinks:    after.Relinks - before.Relinks,
-		reclaimed:  after.Reclaimed - before.Reclaimed,
-		pmBytes:    after.Dev.BytesWritten() - before.Dev.BytesWritten(),
-	}
-}
-
 // obsStreamRun builds one backend, optionally attaches a fresh metrics
 // registry, runs the deterministic loopback op stream, and returns the
-// registry snapshot (nil when not attached) and the macro counter delta.
-func obsStreamRun(kind string, attach bool) (obs.Snapshot, obsDelta, error) {
+// registry snapshot (nil when not attached) and the stream's macro cell
+// metrics — the quantities the zero-overhead assertion compares between
+// instrumented and uninstrumented runs, simulated time included.
+func obsStreamRun(kind string, attach bool) (obs.Snapshot, []Metric, error) {
 	b, err := stack.New(kind, streamSpec())
 	if err != nil {
-		return nil, obsDelta{}, err
+		return nil, nil, err
 	}
 	var reg *obs.Registry
 	if attach {
@@ -56,15 +41,16 @@ func obsStreamRun(kind string, attach bool) (obs.Snapshot, obsDelta, error) {
 		b.RegisterObs(reg)
 	}
 	before := b.Counters()
-	if _, err := runServerStream(b.FS, serverStreamOps); err != nil {
-		return nil, obsDelta{}, fmt.Errorf("obs stream %s: %w", kind, err)
+	ops, err := runServerStream(b.FS, serverStreamOps)
+	if err != nil {
+		return nil, nil, fmt.Errorf("obs stream %s: %w", kind, err)
 	}
-	delta := obsDeltaOf(before, b.Counters())
+	metrics := cellMetrics(ops, before, b.Counters())
 	var snap obs.Snapshot
 	if reg != nil {
 		snap = reg.Snapshot()
 	}
-	return snap, delta, nil
+	return snap, metrics, nil
 }
 
 // obsMetricUnit picks the row unit from the instrument name: byte-named
@@ -95,7 +81,7 @@ func obsExp() (*Table, error) {
 	}
 	for _, kind := range serverDetBackends {
 		served := stack.Name(kind, true, false)
-		// Uninstrumented reference run: the counter movement the
+		// Uninstrumented reference run: the cell metrics the
 		// instrumented runs must reproduce exactly.
 		_, ref, err := obsStreamRun(served, false)
 		if err != nil {
@@ -112,8 +98,8 @@ func obsExp() (*Table, error) {
 		if h1, h2 := snap1.Hash(), snap2.Hash(); h1 != h2 {
 			return nil, fmt.Errorf("obs %s: snapshot drift across identical runs: %016x vs %016x", kind, h1, h2)
 		}
-		if d1 != ref || d2 != ref {
-			return nil, fmt.Errorf("obs %s: instrumentation overhead: counter deltas %+v / %+v, uninstrumented %+v",
+		if !slices.Equal(d1, ref) || !slices.Equal(d2, ref) {
+			return nil, fmt.Errorf("obs %s: instrumentation overhead: cell metrics %+v / %+v, uninstrumented %+v",
 				kind, d1, d2, ref)
 		}
 		get := func(name string) int64 {
