@@ -6,6 +6,7 @@
 //	splitbench                  # run every experiment
 //	splitbench list             # list experiment IDs
 //	splitbench table1 fig4 ...  # run selected experiments
+//	splitbench fidelity         # the paper's numbers against ours; fails outside a band
 //	splitbench -threads 8 scaling
 //	splitbench -json b.json ... # also write the metrics as JSON records
 //
@@ -18,9 +19,9 @@
 // "scaling" experiment to powers of two up to N (default 4). Wall-clock
 // scaling needs GOMAXPROCS >= N.
 //
-// Experiments that attach machine-readable metrics (macro, scaling,
-// groupcommit) are additionally serialized to the file -json names, if
-// any, as records of {experiment, metric, value, unit, git_rev}. Reruns
+// Every experiment's machine-readable metrics are additionally
+// serialized to the file -json names, if any, as records of
+// {experiment, metric, value, unit, git_rev}. Reruns
 // at the same revision replace their previous rows in that file.
 //
 // The macro matrix's deterministic counters (fences/op, journal commits,
@@ -41,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 
 	"splitfs/internal/benchfmt"
@@ -136,10 +138,9 @@ func main() {
 	}
 	ids := append(splitList(*experiment), args...)
 	if len(ids) == 0 && (*checkBaseline || *updateBaseline) {
-		// The baseline covers the macro matrix, the server experiment's
-		// loopback cells, and the obs registry snapshots; gate runs that
-		// name no experiment mean "run everything the baseline pins".
-		ids = []string{"macro", "server", "obs"}
+		// Gate runs that name no experiment mean "run everything the
+		// baseline pins".
+		ids = benchfmt.GatedExperiments
 	}
 	var exps []harness.Experiment
 	if len(ids) == 0 {
@@ -157,27 +158,29 @@ func main() {
 	failed := false
 	rev := gitRev()
 	var recs []benchfmt.Record
-	ranMacro, ranServer, ranObs := false, false, false
+	// The baseline can be *checked* per gated experiment (a CI job may
+	// gate only the experiment it ran), but *rewritten* only from a run
+	// covering everything it pins — a partial update would silently drop
+	// the other experiments' rows.
+	var ranGated []string
 	for _, e := range exps {
 		tbl, err := e.Run()
+		if tbl != nil {
+			// A failed gate (fidelity) still shows and records its rows.
+			tbl.Render(os.Stdout)
+			for _, m := range tbl.Metrics {
+				recs = append(recs, benchfmt.Record{
+					Experiment: e.ID, Metric: m.Name, Value: m.Value, Unit: m.Unit, GitRev: rev,
+				})
+			}
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "splitbench: %s: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
-		switch e.ID {
-		case "macro":
-			ranMacro = true
-		case "server":
-			ranServer = true
-		case "obs":
-			ranObs = true
-		}
-		tbl.Render(os.Stdout)
-		for _, m := range tbl.Metrics {
-			recs = append(recs, benchfmt.Record{
-				Experiment: e.ID, Metric: m.Name, Value: m.Value, Unit: m.Unit, GitRev: rev,
-			})
+		if slices.Contains(benchfmt.GatedExperiments, e.ID) && !slices.Contains(ranGated, e.ID) {
+			ranGated = append(ranGated, e.ID)
 		}
 	}
 	if *jsonPath != "" && len(recs) > 0 {
@@ -188,27 +191,17 @@ func main() {
 			fmt.Printf("wrote %d metrics to %s (rev %s)\n", len(recs), *jsonPath, rev)
 		}
 	}
-	// The baseline can be *checked* per gated experiment (a CI job may
-	// gate only the experiment it ran), but *rewritten* only from a run
-	// covering everything it pins — a partial update would silently drop
-	// the other experiment's rows.
-	var ranGated []string
-	if ranMacro {
-		ranGated = append(ranGated, "macro")
+	allGated := len(ranGated) == len(benchfmt.GatedExperiments)
+	names := benchfmt.GatedExperiments
+	list := func(conj string) string {
+		return strings.Join(names[:len(names)-1], ", ") + ", " + conj + " " + names[len(names)-1]
 	}
-	if ranServer {
-		ranGated = append(ranGated, "server")
-	}
-	if ranObs {
-		ranGated = append(ranGated, "obs")
-	}
-	allGated := ranMacro && ranServer && ranObs
 	if *checkBaseline && len(ranGated) == 0 {
-		fmt.Fprintln(os.Stderr, "splitbench: -check-baseline needs a gated experiment (macro, server, or obs) in the run")
+		fmt.Fprintf(os.Stderr, "splitbench: -check-baseline needs a gated experiment (%s) in the run\n", list("or"))
 		failed = true
 	}
 	if *updateBaseline && !allGated {
-		fmt.Fprintln(os.Stderr, "splitbench: -update-baseline needs the macro, server, and obs experiments in the run")
+		fmt.Fprintf(os.Stderr, "splitbench: -update-baseline needs the %s experiments in the run\n", list("and"))
 		failed = true
 	}
 	// The baseline pins the full smoke-scale matrix; recording or

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -133,6 +134,9 @@ var gatedSuffixes = []string{
 	"/write_wire_bytes",
 }
 
+// GatedExperiments are the experiments the regression baseline pins.
+var GatedExperiments = []string{"macro", "server", "obs"}
+
 // Gated reports whether a metric row belongs in the regression baseline:
 // the macro matrix's deterministic counters, plus the server
 // experiment's loopback and lease cells — the single-session served
@@ -145,16 +149,16 @@ var gatedSuffixes = []string{
 // stream, so there is no wall-clock row to exclude — pinning the whole
 // snapshot is the observability plane's zero-drift guarantee in CI.
 func Gated(r Record) bool {
+	if !slices.Contains(GatedExperiments, r.Experiment) {
+		return false
+	}
 	switch r.Experiment {
 	case "obs":
 		return true
-	case "macro":
 	case "server":
 		if !strings.HasPrefix(r.Metric, "loopback/") && !strings.HasPrefix(r.Metric, "lease/") {
 			return false
 		}
-	default:
-		return false
 	}
 	for _, s := range gatedSuffixes {
 		if strings.HasSuffix(r.Metric, s) {

@@ -110,6 +110,7 @@ func TestGatedSelection(t *testing.T) {
 		rec("macro", "ycsb-A/pmfs/ns_per_op", 1, "r"),                 // cost-model dependent
 		rec("macro", "ycsb-A/pmfs/mix_reads", 1, "r"),                 // mix, not a counter
 		rec("scaling", "x/fences_per_op", 1, "r"),                     // not a gated experiment
+		rec("fidelity", "fig4/append/x_vs_y/fences_per_op", 1, "r"),   // paper claims: banded, never pinned
 		rec("server", "loopback/ext4-dax/wall_ns_per_op", 1, "r"),     // wall clock
 		rec("server", "direct/ext4-dax/fences_per_op", 1, "r"),        // covered by loopback == direct test
 		rec("server", "sessions/splitfs-strict/t8_kops_wall", 1, "r"), // concurrent mode

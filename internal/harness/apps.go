@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"splitfs/internal/apps/aofstore"
 	"splitfs/internal/apps/lsmkv"
@@ -70,9 +72,9 @@ func table7() (*Table, error) {
 	t := &Table{
 		ID:      "table7",
 		Title:   "YCSB on LevelDB: Strata vs SplitFS-strict",
-		Note:    "paper: SplitFS 1.72x-2.25x Strata across A-F (Strata 29.1-113.1 Kops/s)",
 		Headers: []string{"Workload", "Strata (Kops/s)", "SplitFS-strict (Kops/s)", "SplitFS/Strata"},
 	}
+	var strata, rel []float64
 	for _, w := range []ycsb.Workload{ycsb.A, ycsb.B, ycsb.C, ycsb.D, ycsb.E, ycsb.F} {
 		st, err := runYCSB("strata", w)
 		if err != nil {
@@ -82,108 +84,120 @@ func table7() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("splitfs %c: %w", w, err)
 		}
-		t.Rows = append(t.Rows, []string{
-			"Run " + string(w), f1(st), f1(sp), xf(sp / st),
-		})
+		run := "run_" + string(w)
+		t.AddMetric(run+"/strata", st, "Kops/s")
+		t.AddMetric(run+"/splitfs-strict", sp, "Kops/s")
+		addRatio(t, run, "splitfs-strict", "strata", sp, st)
+		strata, rel = append(strata, st), append(rel, sp/st)
+		t.Rows = append(t.Rows, []string{"Run " + string(w), f1(st), f1(sp), xf(sp / st)})
 	}
+	// The paper states ranges across the workloads.
+	t.AddMetric("min/strata", slices.Min(strata), "Kops/s")
+	t.AddMetric("max/strata", slices.Max(strata), "Kops/s")
+	t.AddMetric("min/splitfs-strict_vs_strata", slices.Min(rel), "x")
+	t.AddMetric("max/splitfs-strict_vs_strata", slices.Max(rel), "x")
 	return t, nil
 }
 
-// overheadOf runs a workload and returns (total ns, software-overhead ns).
-func overheadOf(kind string, fn func(e *stack.Stack) error) (int64, int64, error) {
-	e, err := paperStack(kind, appDev)
+// tpccTx is the TPC-C transactions Figures 5 and 6 run.
+const tpccTx = 400
+
+// tpccBench opens a waldb store on fs and populates it for TPC-C. The
+// caller closes the store.
+func tpccBench(fs vfs.FileSystem) (*tpcc.Bench, *waldb.DB, error) {
+	db, err := waldb.Open(fs, waldb.Options{})
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-	d, err := measure(e.Clock, func() error { return fn(e) })
+	b, err := tpcc.New(tpcc.Wrap(db), tpcc.Config{Warehouses: 1, Districts: 4, Customers: 60, Items: 200})
 	if err != nil {
-		return 0, 0, err
+		db.Close()
+		return nil, nil, err
 	}
-	return d.Total, d.Overhead(), nil
+	return b, db, nil
+}
+
+// fig5Pairs are Figure 5's comparisons: each baseline against SplitFS at
+// the same guarantee.
+var fig5Pairs = [][2]string{
+	{"ext4-dax", "splitfs-posix"},
+	{"pmfs", "splitfs-sync"},
+	{"nova-relaxed", "splitfs-sync"},
+	{"nova-strict", "splitfs-strict"},
 }
 
 func fig5() (*Table, error) {
 	t := &Table{
 		ID:      "fig5",
 		Title:   "File-system software overhead relative to SplitFS at the same guarantee",
-		Note:    "paper: ext4 DAX up to 3.6x, NOVA-relaxed up to 7.4x (TPCC), PMFS lowest at ~1.9x; SplitFS lowest overall",
 		Headers: []string{"Workload", "Baseline", "Baseline overhead (ms)", "SplitFS", "SplitFS overhead (ms)", "Rel"},
 	}
-	loadA := func(e *stack.Stack) error {
-		db, err := lsmkv.Open(e.FS, lsmOpts())
-		if err != nil {
+	// ycsbA loads workload A's records and, if run, runs it.
+	ycsbA := func(run bool) func(e *stack.Stack) error {
+		return func(e *stack.Stack) error {
+			db, err := lsmkv.Open(e.FS, lsmOpts())
+			if err != nil {
+				return err
+			}
+			defer db.Close()
+			if _, err := ycsb.Load(db, ycsbCfg()); err != nil || !run {
+				return err
+			}
+			_, err = ycsb.Run(db, ycsb.A, ycsbCfg())
 			return err
 		}
-		defer db.Close()
-		_, err = ycsb.Load(db, ycsbCfg())
-		return err
-	}
-	runA := func(e *stack.Stack) error {
-		db, err := lsmkv.Open(e.FS, lsmOpts())
-		if err != nil {
-			return err
-		}
-		defer db.Close()
-		if _, err := ycsb.Load(db, ycsbCfg()); err != nil {
-			return err
-		}
-		_, err = ycsb.Run(db, ycsb.A, ycsbCfg())
-		return err
 	}
 	tpccRun := func(e *stack.Stack) error {
-		db, err := waldb.Open(e.FS, waldb.Options{})
+		b, db, err := tpccBench(e.FS)
 		if err != nil {
 			return err
 		}
 		defer db.Close()
-		b, err := tpcc.New(tpcc.Wrap(db), tpcc.Config{Warehouses: 1, Districts: 4, Customers: 60, Items: 200})
-		if err != nil {
-			return err
-		}
-		_, err = b.Run(400)
+		_, err = b.Run(tpccTx)
 		return err
 	}
 	cases := []struct {
-		workload string
-		fn       func(*stack.Stack) error
-		pairs    [][2]string // baseline kind, splitfs kind
+		workload, id string
+		fn           func(*stack.Stack) error
 	}{
-		{"YCSB Load A", loadA, [][2]string{
-			{"ext4-dax", "splitfs-posix"},
-			{"pmfs", "splitfs-sync"},
-			{"nova-relaxed", "splitfs-sync"},
-			{"nova-strict", "splitfs-strict"},
-		}},
-		{"YCSB Run A", runA, [][2]string{
-			{"ext4-dax", "splitfs-posix"},
-			{"pmfs", "splitfs-sync"},
-			{"nova-relaxed", "splitfs-sync"},
-			{"nova-strict", "splitfs-strict"},
-		}},
-		{"TPCC", tpccRun, [][2]string{
-			{"ext4-dax", "splitfs-posix"},
-			{"pmfs", "splitfs-sync"},
-			{"nova-relaxed", "splitfs-sync"},
-			{"nova-strict", "splitfs-strict"},
-		}},
+		{"YCSB Load A", "ycsb_load_a", ycsbA(false)},
+		{"YCSB Run A", "ycsb_run_a", ycsbA(true)},
+		{"TPCC", "tpcc", tpccRun},
 	}
+	maxRel := make([]float64, len(fig5Pairs))
+	var rels []float64
 	for _, c := range cases {
-		for _, pair := range c.pairs {
-			_, bo, err := overheadOf(pair[0], c.fn)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", c.workload, pair[0], err)
+		ns := map[string]int64{}
+		for _, pair := range fig5Pairs {
+			for _, kind := range pair {
+				if _, ok := ns[kind]; ok {
+					continue
+				}
+				e, err := paperStack(kind, appDev)
+				if err != nil {
+					return nil, err
+				}
+				d, err := measure(e.Clock, func() error { return c.fn(e) })
+				if err != nil {
+					return nil, fmt.Errorf("%s on %s: %w", c.workload, kind, err)
+				}
+				ns[kind] = d.Overhead()
+				t.AddMetric(c.id+"/"+kind, float64(ns[kind])/1e6, "ms")
 			}
-			_, so, err := overheadOf(pair[1], c.fn)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", c.workload, pair[1], err)
-			}
-			t.Rows = append(t.Rows, []string{
-				c.workload, pair[0], f2(float64(bo) / 1e6),
-				pair[1], f2(float64(so) / 1e6),
-				xf(float64(bo) / float64(so)),
-			})
+		}
+		for i, pair := range fig5Pairs {
+			bo, so := ns[pair[0]], ns[pair[1]]
+			rel := float64(bo) / float64(so)
+			addRatio(t, c.id, pair[0], pair[1], float64(bo), float64(so))
+			maxRel[i] = max(maxRel[i], rel)
+			rels = append(rels, rel)
+			t.Rows = append(t.Rows, []string{c.workload, pair[0], f2(float64(bo) / 1e6), pair[1], f2(float64(so) / 1e6), xf(rel)})
 		}
 	}
+	for i, pair := range fig5Pairs {
+		t.AddMetric("max/"+pair[0]+"_vs_"+pair[1], maxRel[i], "x")
+	}
+	t.AddMetric("min/baseline_vs_splitfs", slices.Min(rels), "x")
 	return t, nil
 }
 
@@ -191,110 +205,59 @@ func fig6() (*Table, error) {
 	t := &Table{
 		ID:      "fig6",
 		Title:   "Application performance (Kops/s; utilities in simulated ms, lower better)",
-		Note:    "paper: SplitFS beats all same-guarantee baselines on data-intensive apps by up to 2.7x; loses <=15% on git/tar/rsync",
 		Headers: []string{"Application", "Group", "File system", "Result", "vs group base"},
 	}
 	// Data-intensive: YCSB A and C, Redis SET, TPCC.
 	groups := []struct {
 		name  string
 		kinds []string
+	}{{"POSIX", posixKinds}, {"sync", syncKinds}, {"strict", []string{"nova-strict", "splitfs-strict"}}}
+	// Per group: SplitFS's best gain over the group's base, and its
+	// smallest gain over any baseline of its group.
+	groupMax := make([]float64, len(groups))
+	minGain := math.Inf(1)
+	for _, app := range []struct {
+		name, id string
+		run      func(kind string) (float64, error)
 	}{
-		{"POSIX", posixKinds},
-		{"sync", syncKinds},
-		{"strict", []string{"nova-strict", "splitfs-strict"}},
-	}
-	appendRows := func(app string, run func(kind string) (float64, error), higherBetter bool, unit string) error {
-		for _, g := range groups {
-			var base float64
+		{"YCSB-A/LevelDB", "ycsb_a", func(kind string) (float64, error) { return runYCSB(kind, ycsb.A) }},
+		{"YCSB-C/LevelDB", "ycsb_c", func(kind string) (float64, error) { return runYCSB(kind, ycsb.C) }},
+		{"Redis SET", "redis_set", redisSetKops},
+		{"TPCC/SQLite", "tpcc", tpccKops},
+	} {
+		for gi, g := range groups {
+			vals := make([]float64, len(g.kinds))
 			for i, kind := range g.kinds {
-				v, err := run(kind)
+				v, err := app.run(kind)
 				if err != nil {
-					return fmt.Errorf("%s on %s: %w", app, kind, err)
+					return nil, fmt.Errorf("%s on %s: %w", app.name, kind, err)
 				}
-				if i == 0 {
-					base = v
+				vals[i] = v
+				t.AddMetric(app.id+"/"+kind, v, "Kops/s")
+				if i > 0 {
+					addRatio(t, app.id, kind, g.kinds[0], v, vals[0])
 				}
-				rel := v / base
-				if !higherBetter {
-					rel = base / v
-				}
-				t.Rows = append(t.Rows, []string{app, g.name, kind,
-					f1(v) + " " + unit, xf(rel)})
+				t.Rows = append(t.Rows, []string{app.name, g.name, kind, f1(v) + " Kops/s", xf(v / vals[0])})
+			}
+			sf := vals[len(vals)-1]
+			groupMax[gi] = max(groupMax[gi], sf/vals[0])
+			for _, b := range vals[:len(vals)-1] {
+				minGain = min(minGain, sf/b)
 			}
 		}
-		return nil
 	}
-	if err := appendRows("YCSB-A/LevelDB", func(kind string) (float64, error) {
-		return runYCSB(kind, ycsb.A)
-	}, true, "Kops/s"); err != nil {
-		return nil, err
+	for gi, g := range groups {
+		t.AddMetric("max/"+g.kinds[len(g.kinds)-1]+"_vs_"+g.kinds[0], groupMax[gi], "x")
 	}
-	if err := appendRows("YCSB-C/LevelDB", func(kind string) (float64, error) {
-		return runYCSB(kind, ycsb.C)
-	}, true, "Kops/s"); err != nil {
-		return nil, err
-	}
-	if err := appendRows("Redis SET", func(kind string) (float64, error) {
-		e, err := paperStack(kind, appDev)
-		if err != nil {
-			return 0, err
-		}
-		s, err := aofstore.Open(e.FS, aofstore.Options{})
-		if err != nil {
-			return 0, err
-		}
-		defer s.Close()
-		val := make([]byte, 512)
-		const n = 4000
-		d, err := measure(e.Clock, func() error {
-			for i := 0; i < n; i++ {
-				if err := s.Set(fmt.Sprintf("key:%08d", i%1000), val); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return kops(n, d.Total), nil
-	}, true, "Kops/s"); err != nil {
-		return nil, err
-	}
-	if err := appendRows("TPCC/SQLite", func(kind string) (float64, error) {
-		e, err := paperStack(kind, appDev)
-		if err != nil {
-			return 0, err
-		}
-		db, err := waldb.Open(e.FS, waldb.Options{})
-		if err != nil {
-			return 0, err
-		}
-		defer db.Close()
-		b, err := tpcc.New(tpcc.Wrap(db), tpcc.Config{Warehouses: 1, Districts: 4, Customers: 60, Items: 200})
-		if err != nil {
-			return 0, err
-		}
-		const n = 400
-		d, err := measure(e.Clock, func() error {
-			_, err := b.Run(n)
-			return err
-		})
-		if err != nil {
-			return 0, err
-		}
-		return kops(n, d.Total), nil
-	}, true, "Kops/s"); err != nil {
-		return nil, err
-	}
+	t.AddMetric("min/splitfs_vs_baseline", minGain, "x")
 	// Metadata-heavy utilities: best kernel baseline (ext4 DAX) vs
 	// SplitFS; latency in ms, lower is better.
 	utilTree := utilsim.TreeConfig{Dirs: 6, FilesPerDir: 12, FileBytes: 8 << 10}
-	utils := []struct {
-		name string
-		run  func(fs vfs.FileSystem, paths []string) error
+	for _, u := range []struct {
+		name, id string
+		run      func(fs vfs.FileSystem, paths []string) error
 	}{
-		{"git add+commit", func(fs vfs.FileSystem, paths []string) error {
+		{"git add+commit", "git", func(fs vfs.FileSystem, paths []string) error {
 			for r := 0; r < 3; r++ {
 				if _, err := utilsim.GitAddCommit(fs, "/src", "/git", paths, r); err != nil {
 					return err
@@ -302,17 +265,16 @@ func fig6() (*Table, error) {
 			}
 			return nil
 		}},
-		{"tar", func(fs vfs.FileSystem, paths []string) error {
+		{"tar", "tar", func(fs vfs.FileSystem, paths []string) error {
 			_, err := utilsim.Tar(fs, "/out.tar", paths)
 			return err
 		}},
-		{"rsync", func(fs vfs.FileSystem, paths []string) error {
+		{"rsync", "rsync", func(fs vfs.FileSystem, paths []string) error {
 			_, err := utilsim.Rsync(fs, "/src", "/dst", paths)
 			return err
 		}},
-	}
-	for _, u := range utils {
-		var base float64
+	} {
+		var base, ms float64
 		for i, kind := range []string{"ext4-dax", "splitfs-posix"} {
 			e, err := paperStack(kind, appDev)
 			if err != nil {
@@ -326,13 +288,63 @@ func fig6() (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", u.name, kind, err)
 			}
-			ms := float64(d.Total) / 1e6
+			ms = float64(d.Total) / 1e6
 			if i == 0 {
 				base = ms
 			}
-			t.Rows = append(t.Rows, []string{u.name, "metadata", kind,
-				f2(ms) + " ms", xf(base / ms)})
+			t.AddMetric(u.id+"/"+kind, ms, "ms")
+			t.Rows = append(t.Rows, []string{u.name, "metadata", kind, f2(ms) + " ms", xf(base / ms)})
 		}
+		// Lower is better: SplitFS's speed relative to ext4 DAX.
+		addRatio(t, u.id, "splitfs-posix", "ext4-dax", base, ms)
 	}
 	return t, nil
+}
+
+// redisSetKops times Redis SETs on an append-only store (Figure 6).
+func redisSetKops(kind string) (float64, error) {
+	e, err := paperStack(kind, appDev)
+	if err != nil {
+		return 0, err
+	}
+	s, err := aofstore.Open(e.FS, aofstore.Options{})
+	if err != nil {
+		return 0, err
+	}
+	defer s.Close()
+	val := make([]byte, 512)
+	const n = 4000
+	d, err := measure(e.Clock, func() error {
+		for i := 0; i < n; i++ {
+			if err := s.Set(fmt.Sprintf("key:%08d", i%1000), val); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return kops(n, d.Total), nil
+}
+
+// tpccKops times TPC-C transactions on a WAL store (Figure 6).
+func tpccKops(kind string) (float64, error) {
+	e, err := paperStack(kind, appDev)
+	if err != nil {
+		return 0, err
+	}
+	b, db, err := tpccBench(e.FS)
+	if err != nil {
+		return 0, err
+	}
+	defer db.Close()
+	d, err := measure(e.Clock, func() error {
+		_, err := b.Run(tpccTx)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return kops(tpccTx, d.Total), nil
 }

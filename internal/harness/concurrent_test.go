@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -32,25 +33,13 @@ func TestConcurrentRunners(t *testing.T) {
 
 func TestSetMaxThreads(t *testing.T) {
 	defer func() { threadCounts = []int{1, 2, 4} }()
-	SetMaxThreads(8)
-	want := []int{1, 2, 4, 8}
-	if len(threadCounts) != len(want) {
-		t.Fatalf("threadCounts = %v, want %v", threadCounts, want)
-	}
-	for i := range want {
-		if threadCounts[i] != want[i] {
-			t.Fatalf("threadCounts = %v, want %v", threadCounts, want)
+	for _, c := range []struct {
+		n    int
+		want []int
+	}{{8, []int{1, 2, 4, 8}}, {6, []int{1, 2, 4, 6}}, {1, []int{1}}} {
+		SetMaxThreads(c.n)
+		if !slices.Equal(threadCounts, c.want) {
+			t.Fatalf("SetMaxThreads(%d): threadCounts = %v, want %v", c.n, threadCounts, c.want)
 		}
-	}
-	SetMaxThreads(6)
-	want = []int{1, 2, 4, 6}
-	for i := range want {
-		if threadCounts[i] != want[i] {
-			t.Fatalf("threadCounts = %v, want %v", threadCounts, want)
-		}
-	}
-	SetMaxThreads(1)
-	if len(threadCounts) != 1 || threadCounts[0] != 1 {
-		t.Fatalf("threadCounts = %v, want [1]", threadCounts)
 	}
 }

@@ -18,33 +18,9 @@ func init() {
 	register("groupcommit", "Group-committed fsync: journal commits and fences, batched vs serial", groupCommitExp)
 }
 
-// GroupCommitResult is one measured configuration.
+// GroupCommitResult is what one configuration's durability phase cost.
 type GroupCommitResult struct {
-	Kind    string
-	Batched bool
-	Files   int
-	Appends int // total appends across files
-	Commits int64
-	Fences  int64
-}
-
-// CommitsPer1kAppends normalizes journal commits to the paper-style
-// per-1k-operations rate.
-func (r GroupCommitResult) CommitsPer1kAppends() float64 {
-	if r.Appends == 0 {
-		return 0
-	}
-	return float64(r.Commits) * 1000 / float64(r.Appends)
-}
-
-// FencesPerFsync is pmem fences per durability request (one per file in
-// serial mode; the batch counts as one request per file here too, so
-// the two configurations are directly comparable).
-func (r GroupCommitResult) FencesPerFsync() float64 {
-	if r.Files == 0 {
-		return 0
-	}
-	return float64(r.Fences) / float64(r.Files)
+	Commits, Fences int64
 }
 
 // RunGroupCommit appends appendsPerFile 4K blocks to each of files
@@ -74,8 +50,7 @@ func RunGroupCommit(kind string, files, appendsPerFile, blockBytes int, batched 
 			}
 		}
 	}
-	kstats0 := sfs.KFS().Stats()
-	dstats0 := e.Dev.Stats()
+	before := e.Counters()
 	if batched {
 		if err := sfs.GroupSync(handles...); err != nil {
 			return GroupCommitResult{}, err
@@ -87,16 +62,8 @@ func RunGroupCommit(kind string, files, appendsPerFile, blockBytes int, batched 
 			}
 		}
 	}
-	kstats1 := sfs.KFS().Stats()
-	dstats1 := e.Dev.Stats()
-	return GroupCommitResult{
-		Kind:    kind,
-		Batched: batched,
-		Files:   files,
-		Appends: files * appendsPerFile,
-		Commits: kstats1.Commits - kstats0.Commits,
-		Fences:  dstats1.Fences - dstats0.Fences,
-	}, nil
+	after := e.Counters()
+	return GroupCommitResult{after.Commits - before.Commits, after.Dev.Fences - before.Dev.Fences}, nil
 }
 
 // groupCommitExp renders the batched-vs-serial comparison for the POSIX
@@ -124,15 +91,13 @@ func groupCommitExp() (*Table, error) {
 			if batched {
 				mode = "batched"
 			}
-			t.Rows = append(t.Rows, []string{
-				kind, mode,
-				fmt.Sprint(r.Commits), f2(r.CommitsPer1kAppends()),
-				fmt.Sprint(r.Fences), f2(r.FencesPerFsync()),
-			})
-			t.AddMetric(fmt.Sprintf("%s_%s_commits_per_1k_appends", kind, mode),
-				r.CommitsPer1kAppends(), "commits/1k-appends")
-			t.AddMetric(fmt.Sprintf("%s_%s_fences_per_fsync", kind, mode),
-				r.FencesPerFsync(), "fences/fsync")
+			// Commits per 1k appends, and fences per file made durable
+			// (a batch counts as one request per file, so the two
+			// configurations compare directly).
+			per1k, perFsync := float64(r.Commits)*1000/(files*appendsPerFile), float64(r.Fences)/files
+			t.Rows = append(t.Rows, []string{kind, mode, fmt.Sprint(r.Commits), f2(per1k), fmt.Sprint(r.Fences), f2(perFsync)})
+			t.AddMetric(kind+"_"+mode+"_commits_per_1k_appends", per1k, "commits/1k-appends")
+			t.AddMetric(kind+"_"+mode+"_fences_per_fsync", perFsync, "fences/fsync")
 		}
 	}
 	return t, nil

@@ -47,19 +47,11 @@ func TestGroupCommitExperimentMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	vals := map[string]float64{}
-	for _, m := range tbl.Metrics {
-		vals[m.Name] = m.Value
-	}
 	for _, kind := range []string{"splitfs-posix", "splitfs-strict"} {
-		for _, metric := range []string{"commits_per_1k_appends", "fences_per_fsync"} {
-			s, okS := vals[kind+"_serial_"+metric]
-			b, okB := vals[kind+"_batched_"+metric]
-			if !okS || !okB {
-				t.Fatalf("missing metric %s_{serial,batched}_%s in %v", kind, metric, vals)
-			}
+		for _, name := range []string{"commits_per_1k_appends", "fences_per_fsync"} {
+			s, b := metric(t, tbl, kind+"_serial_"+name), metric(t, tbl, kind+"_batched_"+name)
 			if b >= s {
-				t.Errorf("%s %s: batched %.3f not strictly below serial %.3f", kind, metric, b, s)
+				t.Errorf("%s %s: batched %.3f not strictly below serial %.3f", kind, name, b, s)
 			}
 		}
 	}

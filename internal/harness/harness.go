@@ -5,14 +5,16 @@
 //
 // Absolute numbers come from the calibrated cost model (internal/sim);
 // the claims under test are the paper's shapes: who wins, by what factor,
-// and where the crossovers are. EXPERIMENTS.md records paper-vs-measured
-// for every row.
+// and where the crossovers are. The claims table (paper.go) holds every
+// paper number with the band ours must stay in, and the fidelity
+// experiment checks them all.
 package harness
 
 import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/logfs"
@@ -46,20 +48,42 @@ func (t *Table) AddMetric(name string, value float64, unit string) {
 	t.Metrics = append(t.Metrics, Metric{Name: name, Value: value, Unit: unit})
 }
 
-// Render writes the table in an aligned text format.
+// Metric finds a measurement by name.
+func (t *Table) Metric(name string) (Metric, bool) {
+	for _, m := range t.Metrics {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}
+
+// values indexes measurements by name.
+func values(ms []Metric) map[string]float64 {
+	m := make(map[string]float64, len(ms))
+	for _, mm := range ms {
+		m[mm.Name] = mm.Value
+	}
+	return m
+}
+
+// Render writes the table in an aligned text format, after the paper's
+// claims on it.
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
-	if t.Note != "" {
-		fmt.Fprintf(w, "   %s\n", t.Note)
+	for _, l := range append(claimLines(t.ID), t.Note) {
+		if l != "" {
+			fmt.Fprintf(w, "   %s\n", l)
+		}
 	}
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h) // fmt pads to runes, not bytes
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) && utf8.RuneCountInString(c) > widths[i] {
+				widths[i] = utf8.RuneCountInString(c)
 			}
 		}
 	}
@@ -157,3 +181,9 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func us(ns int64) string   { return fmt.Sprintf("%.2f", float64(ns)/1000) }
 func xf(v float64) string  { return fmt.Sprintf("%.2fx", v) }
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
+
+// addRatio emits a÷b, the ratio of two of an experiment's cells, as the
+// metric "<col>/<na>_vs_<nb>".
+func addRatio(t *Table, col, na, nb string, a, b float64) {
+	t.AddMetric(col+"/"+na+"_vs_"+nb, a/b, "x")
+}

@@ -15,6 +15,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"splitfs/internal/apps/lsmkv"
@@ -68,13 +69,7 @@ func SetMacroConfig(scale string, backends, workloads []string) error {
 		}
 	}
 	for _, w := range workloads {
-		found := false
-		for _, have := range MacroWorkloads() {
-			if w == have {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(MacroWorkloads(), w) {
 			return fmt.Errorf("harness: unknown workload %q (have %v)", w, MacroWorkloads())
 		}
 	}
@@ -276,10 +271,7 @@ func macroExp() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			m := map[string]float64{}
-			for _, mm := range cell.Metrics {
-				m[mm.Name] = mm.Value
-			}
+			m := values(cell.Metrics)
 			t.Rows = append(t.Rows, []string{
 				w, bk, f1(m["ns_per_op"]), f2(m["fences_per_op"]),
 				fmt.Sprintf("%.0f", m["journal_commits"]),

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"splitfs/internal/benchfmt"
@@ -61,14 +63,8 @@ func TestMacroCellDeterminism(t *testing.T) {
 		}
 		return cell.Metrics
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("metric counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("metric %s: %v vs %v", a[i].Name, a[i].Value, b[i].Value)
-		}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("metrics differ between runs:\n%v\n%v", a, b)
 	}
 }
 
@@ -91,14 +87,7 @@ func TestMacroMatrixShape(t *testing.T) {
 	perCell := map[string]int{}
 	for _, m := range tbl.Metrics {
 		// metric name is "<workload>/<backend>/<name>"
-		i := 0
-		for n := 0; n < 2; n++ {
-			for i < len(m.Name) && m.Name[i] != '/' {
-				i++
-			}
-			i++
-		}
-		perCell[m.Name[:i-1]]++
+		perCell[m.Name[:strings.LastIndexByte(m.Name, '/')]]++
 	}
 	if len(perCell) != wantRows {
 		t.Fatalf("metric cells = %d, want %d", len(perCell), wantRows)
@@ -139,13 +128,8 @@ func TestMacroMetricsRoundTripSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("round-trip lost rows: %d vs %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("row %d changed across round-trip: %+v vs %+v", i, got[i], recs[i])
-		}
+	if !slices.Equal(got, recs) {
+		t.Errorf("rows changed across round-trip:\n%+v\n%+v", got, recs)
 	}
 	if n := len(benchfmt.GatedSubset(recs)); n != 6 {
 		t.Errorf("cell contributes %d gated counters, want 6", n)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
@@ -25,58 +26,51 @@ func init() {
 	register("fig4", "Throughput on five IO patterns, by guarantee level (paper Figure 4)", fig4)
 }
 
-// appendBench performs n sequential 4 KB appends and returns per-op total
-// and per-op software overhead in ns.
-func appendBench(kind string, n int) (total, overhead int64, err error) {
-	e, err := paperStack(kind, microDev)
-	if err != nil {
-		return 0, 0, err
-	}
-	f, err := vfs.Create(e.FS, "/append.dat")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	blk := make([]byte, sim.BlockSize)
-	// Warm one append so staging chunks and allocator hints exist.
-	if _, err := f.Write(blk); err != nil {
-		return 0, 0, err
-	}
-	d, err := measure(e.Clock, func() error {
-		for i := 0; i < n; i++ {
-			if _, err := f.Write(blk); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return d.Total / int64(n), d.Overhead() / int64(n), nil
-}
-
 func table1() (*Table, error) {
 	t := &Table{
 		ID:      "table1",
 		Title:   "Software overhead of appending a 4 KB block",
-		Note:    "paper: ext4-DAX 9002/8331ns 1241%, PMFS 4150/3479 518%, NOVA-strict 3021/2350 350%, SplitFS-strict 1251/580 86%, SplitFS-POSIX 1160/488 73% (671ns raw write)",
 		Headers: []string{"File system", "Append (ns)", "Overhead (ns)", "Overhead (%)"},
 	}
 	const n = 2048 // 8 MB of appends (paper: 128 MB)
-	for _, kind := range []string{"ext4-dax", "pmfs", "nova-strict", "splitfs-strict", "splitfs-posix"} {
-		total, overhead, err := appendBench(kind, n)
+	kinds := []string{"ext4-dax", "pmfs", "nova-strict", "splitfs-strict", "splitfs-posix"}
+	totals := make([]float64, len(kinds))
+	for i, kind := range kinds {
+		e, err := paperStack(kind, microDev)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", kind, err)
+			return nil, err
 		}
+		f, err := vfs.Create(e.FS, "/append.dat")
+		if err != nil {
+			return nil, err
+		}
+		blk := make([]byte, sim.BlockSize)
+		// Warm one append so staging chunks and allocator hints exist.
+		if _, err := f.Write(blk); err != nil {
+			return nil, err
+		}
+		before := e.Clock.Snapshot()
+		for i := 0; i < n; i++ {
+			if _, err := f.Write(blk); err != nil {
+				return nil, fmt.Errorf("%s: %w", kind, err)
+			}
+		}
+		d := e.Clock.Snapshot().Sub(before)
+		f.Close()
+		total, overhead := d.Total/n, d.Overhead()/n
 		data := total - overhead
-		t.Rows = append(t.Rows, []string{
-			kind,
-			fmt.Sprint(total),
-			fmt.Sprint(overhead),
-			pct(float64(overhead) / float64(data)),
-		})
+		totals[i] = float64(total)
+		t.AddMetric("append/"+kind, float64(total), "ns")
+		t.AddMetric("overhead/"+kind, float64(overhead), "ns")
+		t.AddMetric("overhead_pct/"+kind, 100*float64(overhead)/float64(data), "%")
+		t.AddMetric("raw_write/"+kind, float64(data), "ns")
+		t.Rows = append(t.Rows, []string{kind, fmt.Sprint(total), fmt.Sprint(overhead), pct(float64(overhead) / float64(data))})
 	}
+	// The paper's order, each file system against the next.
+	for i := 1; i < len(kinds); i++ {
+		addRatio(t, "append", kinds[i-1], kinds[i], totals[i-1], totals[i])
+	}
+	addRatio(t, "append", kinds[0], kinds[4], totals[0], totals[4])
 	return t, nil
 }
 
@@ -88,33 +82,26 @@ func table2() (*Table, error) {
 	t := &Table{
 		ID:      "table2",
 		Title:   "PM device performance (device-level micro-ops)",
-		Note:    "paper (Izraelevitz et al.): seq read 169ns, rand read 305ns, store+flush+fence 91ns, read BW 39.4GB/s, write BW ~6.9GB/s effective single-stream",
-		Headers: []string{"Property", "Measured", "Paper"},
+		Headers: []string{"Property", "Measured"},
 	}
-	buf := make([]byte, sim.CacheLine)
-	meas := func(fn func()) int64 {
+	buf, big := make([]byte, sim.CacheLine), make([]byte, 16<<20)
+	ns := func(fn func()) float64 {
 		before := clk.Now()
 		fn()
-		return clk.Now() - before
+		return float64(clk.Now() - before)
+	}
+	gbs := func(fn func()) float64 { return float64(len(big)) / ns(fn) }
+	row := func(name, metric, unit string, prec int, v float64) {
+		t.AddMetric(metric, v, unit)
+		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.*f %s", prec, v, unit)})
 	}
 	// Sequential read latency: second of two adjacent single-line reads.
 	dev.ReadAt(buf, 0, sim.CatPMData)
-	seq := meas(func() { dev.ReadAt(buf, sim.CacheLine, sim.CatPMData) })
-	rnd := meas(func() { dev.ReadAt(buf, 32<<20, sim.CatPMData) })
-	sff := meas(func() { dev.Persist(4096, buf, sim.CatPMData) })
-	big := make([]byte, 16<<20)
-	rdNs := meas(func() { dev.ReadAt(big, 0, sim.CatPMData) })
-	wrNs := meas(func() { dev.StoreNT(16<<20, big, sim.CatPMData); dev.Fence() })
-	gbs := func(bytes int, ns int64) string {
-		return fmt.Sprintf("%.1f GB/s", float64(bytes)/float64(ns))
-	}
-	t.Rows = [][]string{
-		{"Sequential read latency", fmt.Sprintf("%d ns", seq), "169 ns"},
-		{"Random read latency", fmt.Sprintf("%d ns", rnd), "305 ns"},
-		{"Store + flush + fence", fmt.Sprintf("%d ns", sff), "91 ns"},
-		{"Read bandwidth", gbs(len(big), rdNs), "39.4 GB/s"},
-		{"Write bandwidth (single stream)", gbs(len(big), wrNs), "~6.9 GB/s"},
-	}
+	row("Sequential read latency", "seq_read", "ns", 0, ns(func() { dev.ReadAt(buf, sim.CacheLine, sim.CatPMData) }))
+	row("Random read latency", "rand_read", "ns", 0, ns(func() { dev.ReadAt(buf, 32<<20, sim.CatPMData) }))
+	row("Store + flush + fence", "store_flush_fence", "ns", 0, ns(func() { dev.Persist(4096, buf, sim.CatPMData) }))
+	row("Read bandwidth", "read_bw", "GB/s", 1, gbs(func() { dev.ReadAt(big, 0, sim.CatPMData) }))
+	row("Write bandwidth (single stream)", "write_bw", "GB/s", 1, gbs(func() { dev.StoreNT(16<<20, big, sim.CatPMData); dev.Fence() }))
 	return t, nil
 }
 
@@ -124,41 +111,38 @@ func table6() (*Table, error) {
 	t := &Table{
 		ID:      "table6",
 		Title:   "System call latency (µs)",
-		Note:    "paper rows (strict/sync/posix/ext4): open 2.09/2.08/1.82/1.54 close .78/.69/.69/.34 append 3.14/3.09/2.84/11.05 fsync 6.85/6.80/6.80/28.98 read 4.57/4.53/4.53/5.04 unlink 14.60/13.56/14.33/8.60",
 		Headers: []string{"Syscall", "Strict", "Sync", "POSIX", "ext4 DAX"},
 	}
 	type col = map[string]int64
-	cols := make([]col, 0, 4)
-	for _, kind := range []string{"splitfs-strict", "splitfs-sync", "splitfs-posix", "ext4-dax"} {
+	kinds := []string{"splitfs-strict", "splitfs-sync", "splitfs-posix", "ext4-dax"}
+	cols := make([]col, 0, len(kinds))
+	for _, kind := range kinds {
 		e, err := paperStack(kind, microDev)
 		if err != nil {
 			return nil, err
 		}
 		c := col{}
-		meas := func(name string, fn func() error) error {
+		var seqErr error
+		meas := func(name string, fn func() error) {
 			d, err := measure(e.Clock, fn)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", kind, name, err)
+			if err != nil && seqErr == nil {
+				seqErr = fmt.Errorf("%s %s: %w", kind, name, err)
 			}
 			c[name] += d.Total
-			return nil
 		}
 		// §5.4: create, 4 appends of 4 KB each + fsync, close; open, read
 		// 16 KB, close; open+close; unlink. The create is measured apart
 		// from the reopens: Table 6's open reflects warm opens ("opening
 		// a file that we recently closed" is the cheap case, §5.4).
 		var f vfs.File
-		if err = meas("create", func() error { f, err = vfs.Create(e.FS, "/mail"); return err }); err != nil {
-			return nil, err
+		meas("create", func() error { f, err = vfs.Create(e.FS, "/mail"); return err })
+		if seqErr != nil {
+			return nil, seqErr
 		}
 		blk := make([]byte, 4096)
 		for i := 0; i < 4; i++ {
-			if err = meas("append", func() error { _, err := f.Write(blk); return err }); err != nil {
-				return nil, err
-			}
-			if err = meas("fsync", func() error { return f.Sync() }); err != nil {
-				return nil, err
-			}
+			meas("append", func() error { _, err := f.Write(blk); return err })
+			meas("fsync", func() error { return f.Sync() })
 		}
 		meas("close", func() error { return f.Close() })
 		meas("open", func() error { f, err = e.FS.OpenFile("/mail", vfs.O_RDWR, 0); return err })
@@ -167,8 +151,9 @@ func table6() (*Table, error) {
 		meas("close", func() error { return f.Close() })
 		meas("open", func() error { f, err = e.FS.OpenFile("/mail", vfs.O_RDWR, 0); return err })
 		meas("close", func() error { return f.Close() })
-		if err = meas("unlink", func() error { return e.FS.Unlink("/mail") }); err != nil {
-			return nil, err
+		meas("unlink", func() error { return e.FS.Unlink("/mail") })
+		if seqErr != nil {
+			return nil, seqErr
 		}
 		// Averages over repeats.
 		c["open"] /= 2
@@ -179,10 +164,18 @@ func table6() (*Table, error) {
 	}
 	for _, sys := range []string{"open", "close", "append", "fsync", "read", "unlink"} {
 		row := []string{sys}
-		for _, c := range cols {
+		for i, c := range cols {
 			row = append(row, us(c[sys]))
+			t.AddMetric(sys+"/"+kinds[i], float64(c[sys])/1e3, "us")
 		}
 		t.Rows = append(t.Rows, row)
+	}
+	// The paper's orderings between columns.
+	for _, r := range []struct {
+		sys  string
+		a, b int
+	}{{"append", 3, 2}, {"fsync", 3, 0}, {"unlink", 0, 3}, {"open", 0, 2}, {"open", 2, 3}} {
+		addRatio(t, r.sys, kinds[r.a], kinds[r.b], float64(cols[r.a][r.sys]), float64(cols[r.b][r.sys]))
 	}
 	return t, nil
 }
@@ -194,23 +187,20 @@ func fig3() (*Table, error) {
 	t := &Table{
 		ID:      "fig3",
 		Title:   "Technique breakdown: throughput relative to ext4 DAX",
-		Note:    "paper: split architecture >2x on overwrites; staging ~2x on appends; relink a further ~2.5x (5x total over split-arch appends)",
 		Headers: []string{"Configuration", "Seq 4K overwrites (Kops/s)", "rel", "4K appends (Kops/s)", "rel"},
-	}
-	type cfg struct {
-		name  string
-		kind  string
-		tweak func(*splitfs.Config)
-	}
-	cfgs := []cfg{
-		{"ext4 DAX", "ext4-dax", nil},
-		{"+ split architecture", "splitfs-posix", func(c *splitfs.Config) { c.DisableStaging = true }},
-		{"+ staging (no relink)", "splitfs-posix", func(c *splitfs.Config) { c.DisableRelink = true }},
-		{"+ relink (full SplitFS)", "splitfs-posix", nil},
 	}
 	const nOps = 2048
 	var base [2]float64
-	for i, c := range cfgs {
+	var appends [4]float64
+	for i, c := range []struct {
+		name, id, kind string
+		tweak          func(*splitfs.Config)
+	}{
+		{"ext4 DAX", "ext4-dax", "ext4-dax", nil},
+		{"+ split architecture", "split-arch", "splitfs-posix", func(c *splitfs.Config) { c.DisableStaging = true }},
+		{"+ staging (no relink)", "staging", "splitfs-posix", func(c *splitfs.Config) { c.DisableRelink = true }},
+		{"+ relink (full SplitFS)", "relink", "splitfs-posix", nil},
+	} {
 		spec := paperSpec
 		spec.DevBytes = microDev
 		spec.USplit = splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20}
@@ -221,48 +211,51 @@ func fig3() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fs, clk := e.FS, e.Clock
-		thr := [2]float64{}
-		// Overwrites over a pre-written file.
-		f, err := vfs.Create(fs, "/ow")
-		if err != nil {
-			return nil, err
-		}
 		blk := make([]byte, sim.BlockSize)
-		for i := 0; i < 64; i++ {
-			f.Write(blk)
-		}
-		f.Sync()
-		before := clk.Now()
-		for i := 0; i < nOps; i++ {
-			f.WriteAt(blk, int64(i%64)*sim.BlockSize)
-			if i%10 == 9 {
+		// timed runs nOps writes with an fsync every 10 on a fresh file of
+		// pre blocks, synced, and returns their Kops/s.
+		timed := func(path string, pre int, write func(f vfs.File, i int)) (float64, error) {
+			f, err := vfs.Create(e.FS, path)
+			if err != nil {
+				return 0, err
+			}
+			defer f.Close()
+			for i := 0; i < pre; i++ {
+				f.Write(blk)
+			}
+			if pre > 0 {
 				f.Sync()
 			}
+			before := e.Clock.Now()
+			for i := 0; i < nOps; i++ {
+				write(f, i)
+				if i%10 == 9 {
+					f.Sync()
+				}
+			}
+			return kops(nOps, e.Clock.Now()-before), nil
 		}
-		thr[0] = kops(nOps, clk.Now()-before)
-		f.Close()
-		// Appends.
-		g, err := vfs.Create(fs, "/ap")
-		if err != nil {
+		var thr [2]float64
+		if thr[0], err = timed("/ow", 64, func(f vfs.File, i int) { f.WriteAt(blk, int64(i%64)*sim.BlockSize) }); err != nil {
 			return nil, err
 		}
-		before = clk.Now()
-		for i := 0; i < nOps; i++ {
-			g.Write(blk)
-			if i%10 == 9 {
-				g.Sync()
-			}
+		if thr[1], err = timed("/ap", 0, func(f vfs.File, i int) { f.Write(blk) }); err != nil {
+			return nil, err
 		}
-		thr[1] = kops(nOps, clk.Now()-before)
-		g.Close()
 		if i == 0 {
 			base = thr
 		}
-		t.Rows = append(t.Rows, []string{
-			c.name, f1(thr[0]), xf(thr[0] / base[0]), f1(thr[1]), xf(thr[1] / base[1]),
-		})
+		appends[i] = thr[1]
+		t.AddMetric("overwrite/"+c.id, thr[0], "Kops/s")
+		t.AddMetric("overwrite_rel/"+c.id, thr[0]/base[0], "x")
+		t.AddMetric("append/"+c.id, thr[1], "Kops/s")
+		t.AddMetric("append_rel/"+c.id, thr[1]/base[1], "x")
+		t.Rows = append(t.Rows, []string{c.name, f1(thr[0]), xf(thr[0] / base[0]), f1(thr[1]), xf(thr[1] / base[1])})
 	}
+	// What each technique adds on appends.
+	addRatio(t, "append", "staging", "split-arch", appends[2], appends[1])
+	addRatio(t, "append", "relink", "staging", appends[3], appends[2])
+	addRatio(t, "append", "relink", "split-arch", appends[3], appends[1])
 	return t, nil
 }
 
@@ -272,20 +265,16 @@ func fig4() (*Table, error) {
 	t := &Table{
 		ID:      "fig4",
 		Title:   "Throughput (Kops/s) on 4 KB IO patterns over a 16 MB file",
-		Note:    "paper (normalized): SplitFS-POSIX up to 7.85x ext4 on appends, 1.27x on seq reads; SplitFS-sync up to 2.89x PMFS on writes; SplitFS-strict up to 5.8x NOVA on random writes",
 		Headers: []string{"Group", "File system", "seq read", "rand read", "seq write", "rand write", "append"},
 	}
 	const fileBlocks = 4096 // 16 MB
 	const nOps = 2048
-	groups := []struct {
+	patternIDs := []string{"seq_read", "rand_read", "seq_write", "rand_write", "append"}
+	kops4 := map[string][]float64{}
+	for _, g := range []struct {
 		name  string
 		kinds []string
-	}{
-		{"POSIX", posixKinds},
-		{"sync", syncKinds},
-		{"strict", strictKinds},
-	}
-	for _, g := range groups {
+	}{{"POSIX", posixKinds}, {"sync", syncKinds}, {"strict", strictKinds}} {
 		for _, kind := range g.kinds {
 			e, err := paperStack(kind, 512<<20)
 			if err != nil {
@@ -305,61 +294,57 @@ func fig4() (*Table, error) {
 				return nil, err
 			}
 			rng := sim.NewRNG(3)
-			row := []string{g.name, kind}
+			var ap vfs.File // the append pattern's own file
 			patterns := []func(i int) error{
-				func(i int) error { // seq read
-					_, err := f.ReadAt(blk, int64(i%fileBlocks)*sim.BlockSize)
-					return err
-				},
-				func(i int) error { // rand read
-					_, err := f.ReadAt(blk, rng.Int63n(fileBlocks)*sim.BlockSize)
-					return err
-				},
-				func(i int) error { // seq write (overwrite)
-					_, err := f.WriteAt(blk, int64(i%fileBlocks)*sim.BlockSize)
-					return err
-				},
-				func(i int) error { // rand write
-					_, err := f.WriteAt(blk, rng.Int63n(fileBlocks)*sim.BlockSize)
-					return err
-				},
-				nil, // append: separate file below
+				func(i int) error { _, err := f.ReadAt(blk, int64(i%fileBlocks)*sim.BlockSize); return err },
+				func(i int) error { _, err := f.ReadAt(blk, rng.Int63n(fileBlocks)*sim.BlockSize); return err },
+				func(i int) error { _, err := f.WriteAt(blk, int64(i%fileBlocks)*sim.BlockSize); return err },
+				func(i int) error { _, err := f.WriteAt(blk, rng.Int63n(fileBlocks)*sim.BlockSize); return err },
+				func(i int) error { _, err := ap.Write(blk); return err },
 			}
 			for pi, p := range patterns {
-				if p == nil {
-					g2, err := vfs.Create(e.FS, "/appends")
-					if err != nil {
+				if pi == 4 {
+					if ap, err = vfs.Create(e.FS, "/appends"); err != nil {
 						return nil, err
 					}
-					before := e.Clock.Now()
-					for i := 0; i < nOps; i++ {
-						if _, err := g2.Write(blk); err != nil {
-							return nil, fmt.Errorf("%s append: %w", kind, err)
-						}
-					}
-					g2.Sync()
-					row = append(row, f1(kops(nOps, e.Clock.Now()-before)))
-					g2.Close()
-					continue
 				}
 				before := e.Clock.Now()
 				for i := 0; i < nOps; i++ {
 					if err := p(i); err != nil {
-						return nil, fmt.Errorf("%s pattern %d: %w", kind, pi, err)
+						return nil, fmt.Errorf("%s %s: %w", kind, patternIDs[pi], err)
 					}
 				}
 				// Strict-mode writes are synchronous and atomic per
 				// operation (via the op log); the deferred relink runs at
 				// close, outside the pattern, exactly as NOVA's per-op
-				// logging is measured.
-				row = append(row, f1(kops(nOps, e.Clock.Now()-before)))
-				if pi >= 2 {
+				// logging is measured. Appends are timed to their fsync.
+				if pi == 4 {
+					ap.Sync()
+				}
+				kops4[kind] = append(kops4[kind], kops(nOps, e.Clock.Now()-before))
+				if pi == 2 || pi == 3 {
 					f.Sync() // settle staged state between patterns
 				}
 			}
+			ap.Close()
 			f.Close()
+			row := []string{g.name, kind}
+			for i, v := range kops4[kind] {
+				row = append(row, f1(v))
+				t.AddMetric(patternIDs[i]+"/"+kind, v, "Kops/s")
+			}
 			t.Rows = append(t.Rows, row)
 		}
 	}
+	// Each SplitFS mode against the baseline of its guarantee.
+	minGain := math.Inf(1)
+	for _, pair := range [][2]string{{"splitfs-posix", "ext4-dax"}, {"splitfs-sync", "pmfs"}, {"splitfs-strict", "nova-strict"}} {
+		for i, p := range patternIDs {
+			addRatio(t, p, pair[0], pair[1], kops4[pair[0]][i], kops4[pair[1]][i])
+			minGain = min(minGain, kops4[pair[0]][i]/kops4[pair[1]][i])
+		}
+	}
+	t.AddMetric("min/splitfs_vs_baseline", minGain, "x")
+	addRatio(t, "append", "nova-strict", "strata", kops4["nova-strict"][4], kops4["strata"][4])
 	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,13 +100,9 @@ func TestObsExperiment(t *testing.T) {
 	}
 	// The served stream must have flowed through the service layer: the
 	// snapshot's server/ops row is the dispatched request count.
-	found := false
-	for _, m := range tbl.Metrics {
-		if strings.HasSuffix(m.Name, "/server/ops") && m.Value > float64(serverStreamOps) {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(tbl.Metrics, func(m Metric) bool {
+		return strings.HasSuffix(m.Name, "/server/ops") && m.Value > float64(serverStreamOps)
+	}) {
 		t.Fatalf("no backend reported server/ops > %d", serverStreamOps)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"maps"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"splitfs/internal/server"
@@ -214,17 +213,13 @@ func ServerStreamCell(kind string) (*MacroCell, error) {
 	return cell, nil
 }
 
-// ServedSessionsResult is one concurrent-session measurement.
+// ServedSessionsResult is one concurrent-session measurement: a
+// concurrent run with one worker per session, and the device fences and
+// journal commits it cost.
 type ServedSessionsResult struct {
-	Sessions int
-	Ops      int64
-	WallNs   int64
-	Fences   int64
-	Commits  int64
+	ConcurrentResult
+	Fences, Commits int64
 }
-
-// WallKops is aggregate wall-clock throughput in Kops/s.
-func (r ServedSessionsResult) WallKops() float64 { return kops(r.Ops, r.WallNs) }
 
 // RunServedSessions drives n concurrent stream-transport sessions, each
 // in its own subtree, over one served backend instance.
@@ -243,61 +238,38 @@ func RunServedSessions(kind string, n, opsPerSession int) (ServedSessionsResult,
 			return ServedSessionsResult{}, err
 		}
 	}
-	devBefore := b.Dev.Stats()
-	commitsBefore := b.Counters().Commits
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cs, ss := net.Pipe()
-			go srv.ServeConn(ss)
-			c, err := server.DialConfig(cs, server.ClientConfig{Root: fmt.Sprintf("/s%d", i)})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			f, err := c.OpenFile("/data", vfs.O_RDWR|vfs.O_CREATE, 0644)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer f.Close()
-			blk := make([]byte, 1024)
-			for op := 0; op < opsPerSession; op++ {
-				if _, err := f.Write(blk); err != nil {
-					errs <- err
-					return
-				}
-				if op%8 == 7 {
-					if err := f.Sync(); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-			errs <- f.Sync()
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	before := b.Counters()
+	r, err := (&ConcurrentWorkload{b, n, opsPerSession, func(i int) error {
+		cs, ss := net.Pipe()
+		go srv.ServeConn(ss)
+		c, err := server.DialConfig(cs, server.ClientConfig{Root: fmt.Sprintf("/s%d", i)})
 		if err != nil {
-			return ServedSessionsResult{}, err
+			return err
 		}
+		defer c.Close()
+		f, err := c.OpenFile("/data", vfs.O_RDWR|vfs.O_CREATE, 0644)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		blk := make([]byte, 1024)
+		for op := 0; op < opsPerSession; op++ {
+			if _, err := f.Write(blk); err != nil {
+				return err
+			}
+			if op%8 == 7 {
+				if err := f.Sync(); err != nil {
+					return err
+				}
+			}
+		}
+		return f.Sync()
+	}}).Run()
+	if err != nil {
+		return ServedSessionsResult{}, err
 	}
-	res := ServedSessionsResult{
-		Sessions: n,
-		Ops:      int64(n) * int64(opsPerSession),
-		WallNs:   time.Since(start).Nanoseconds(),
-		Fences:   b.Dev.Stats().Fences - devBefore.Fences,
-		Commits:  b.Counters().Commits - commitsBefore,
-	}
-	return res, nil
+	after := b.Counters()
+	return ServedSessionsResult{r, after.Dev.Fences - before.Dev.Fences, after.Commits - before.Commits}, nil
 }
 
 // serverExp renders the experiment table and metrics. Loopback rows are
@@ -320,10 +292,7 @@ func serverExp() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			m := map[string]float64{}
-			for _, mm := range cell.Metrics {
-				m[mm.Name] = mm.Value
-			}
+			m := values(cell.Metrics)
 			t.Rows = append(t.Rows, []string{
 				c.label, kind, fmt.Sprintf("%d", cell.Ops),
 				f2(m["fences_per_op"]),

@@ -9,13 +9,8 @@ import (
 // metricMap indexes a cell's metrics, dropping the wall-clock row (the
 // only nondeterministic one).
 func metricMap(c *MacroCell) map[string]float64 {
-	m := map[string]float64{}
-	for _, mm := range c.Metrics {
-		if mm.Name == "wall_ns_per_op" {
-			continue
-		}
-		m[mm.Name] = mm.Value
-	}
+	m := values(c.Metrics)
+	delete(m, "wall_ns_per_op")
 	return m
 }
 
