@@ -215,7 +215,21 @@ func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 		return nil, err
 	}
 	fs.note(dirty.Off, dirty.Len)
-	in := &inode{ino: uint64(e.Start), isDir: isDir, nlink: 1}
+	var in *inode
+	if n := len(fs.spare); n > 0 && !isDir {
+		in = fs.spare[n-1]
+		fs.spare[n-1] = nil
+		fs.spare = fs.spare[:n-1]
+		// freeInode left its size, blocks, extents and leaves at zero,
+		// with the storage of both lists in place, and a file is freed
+		// with no handle open; its generation and map epoch keep
+		// counting.
+		in.mu.Lock()
+		in.ino, in.nlink, in.uwm, in.orphan, in.mapped = uint64(e.Start), 1, 0, false, false
+		in.mu.Unlock()
+	} else {
+		in = &inode{ino: uint64(e.Start), isDir: isDir, nlink: 1}
+	}
 	if isDir {
 		in.nlink = 2
 		in.entries = make(map[string]dirEntry)
@@ -224,23 +238,31 @@ func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 	return in, nil
 }
 
-// freeInode releases an inode's data blocks, overflow blocks, and number.
-// Caller holds fs.mu; the inode lock is taken here because freeing the
-// extents races lock-free readers still holding a handle.
+// freeInode releases an inode's data blocks, overflow blocks, and number,
+// and moves its generation and map epoch on: no handle of it reaches
+// whatever the record serves next, and no lease of it validates again. A
+// file's record joins freed, to be reused once the free has committed
+// (FS.spare). Caller holds fs.mu; the inode lock is taken here because
+// freeing the extents races lock-free readers still holding a handle.
 func (fs *FS) freeInode(in *inode) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	in.gen++
+	in.mapEpoch.Add(1)
 	for _, e := range in.extents {
 		fs.deferFree(fs.bBmp, e.Phys)
 	}
 	for _, blk := range in.overflow {
 		fs.deferFree(fs.bBmp, alloc.Extent{Start: blk, Len: 1})
 	}
-	in.extents, in.overflow = nil, nil
+	in.extents, in.overflow = in.extents[:0], in.overflow[:0]
 	in.size, in.blocks = 0, 0
 	fs.deferFree(fs.iBmp, alloc.Extent{Start: int64(in.ino), Len: 1})
 	// Blocks relinks took out of the file go the way of its own: no one
 	// remaps a file that is gone.
 	fs.remapped(in, 0, math.MaxInt64)
 	delete(fs.icache, in.ino)
+	if !in.isDir && len(fs.freed)+len(fs.spare) < maxSpareInodes {
+		fs.freed = append(fs.freed, in)
+	}
 }

@@ -13,6 +13,7 @@ import (
 type File struct {
 	fs   *FS
 	in   *inode
+	gen  uint64 // in.gen when the handle was opened
 	flag int
 	path string
 	// created: this open made the file (O_CREATE on a name that was free).
@@ -40,16 +41,22 @@ func (f *File) Ino() uint64 { return f.in.ino }
 func (f *File) Created() bool { return f.created }
 
 // Linked reports whether the handle's inode is still live in the
-// namespace — this exact inode, not a recycled successor of its number.
-// U-Split checks it before caching an open-file description: a handle
-// that lost a race with unlink still works (tmpfile semantics) but must
-// not be registered under an inode number that may be reallocated.
+// namespace — the file it was opened on, not whatever a recycled record
+// or a reused inode number serves now. U-Split checks it before caching
+// an open-file description: a handle that lost a race with unlink still
+// works (tmpfile semantics) but must not be registered under an inode
+// number that may be reallocated.
 func (f *File) Linked() bool {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.icache[f.in.ino] == f.in && f.in.nlink > 0
+	return f.in.gen == f.gen && f.in.nlink > 0
 }
+
+// stale reports whether the handle is closed or its inode has been freed
+// since it was opened: the record may serve another file by now. Caller
+// holds fs.mu or f.in.mu.
+func (f *File) stale() bool { return f.closed.Load() || f.in.gen != f.gen }
 
 // Read reads from the handle offset.
 func (f *File) Read(p []byte) (int, error) {
@@ -83,8 +90,12 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 		base = f.pos
 	case vfs.SeekEnd:
 		f.in.mu.RLock()
+		stale := f.stale()
 		base = f.in.size
 		f.in.mu.RUnlock()
+		if stale {
+			return 0, vfs.ErrClosed
+		}
 	default:
 		return 0, vfs.ErrInval
 	}
@@ -112,6 +123,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	fs.stats.dataReads.Add(1)
 	f.in.mu.RLock()
 	defer f.in.mu.RUnlock()
+	if f.stale() {
+		return 0, vfs.ErrClosed
+	}
 	return fs.readLocked(f.in, p, off)
 }
 
@@ -180,6 +194,9 @@ func (f *File) writeAt(p []byte, off int64, atEOF bool) (int, int64, error) {
 	fs.stats.dataWrites.Add(1)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if f.stale() {
+		return 0, off, vfs.ErrClosed
+	}
 	f.in.mu.Lock()
 	if atEOF {
 		off = f.in.size
@@ -273,7 +290,7 @@ func (f *File) Truncate(size int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.closed.Load() {
+	if f.stale() {
 		return vfs.ErrClosed
 	}
 	if !vfs.Writable(f.flag) {
@@ -333,7 +350,7 @@ func (f *File) Sync() error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.closed.Load() {
+	if f.stale() {
 		return vfs.ErrClosed
 	}
 	fs.trap()
@@ -357,6 +374,9 @@ func (f *File) Close() error {
 	fs.trap()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if f.in.gen != f.gen {
+		return nil // a directory rmdir freed under the handle
+	}
 	f.in.openCnt--
 	if f.in.openCnt == 0 && f.in.orphan {
 		fs.freeInode(f.in)
@@ -373,6 +393,9 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 	f.fs.trap()
 	f.in.mu.RLock()
 	defer f.in.mu.RUnlock()
+	if f.stale() {
+		return vfs.FileInfo{}, vfs.ErrClosed
+	}
 	return f.fs.infoOf(f.in), nil
 }
 
@@ -388,6 +411,9 @@ func (f *File) Preallocate(count, align int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if f.stale() {
+		return vfs.ErrClosed
+	}
 	if count < 0 || count > MaxFileBlocks-f.in.extents.End() {
 		return vfs.ErrInval
 	}

@@ -129,8 +129,21 @@ type FS struct {
 	// free has committed and Remaps have covered the file range it was
 	// moved out of (remapped).
 	unmapped []unmappedFree
-	// inflight counts Mapping loads and stores in progress.
+	// inflight counts Mapping accesses in progress: loads and stores, and
+	// BeginAccess ... EndAccess windows.
 	inflight atomic.Int64
+	// dropped are the page tables Unmap handed back, which an access that
+	// looked one up before may still translate through; tables those a
+	// later commit found no access in flight for, for remapLocked to
+	// reuse — together at most maxSpareTables (DESIGN.md, "Host
+	// allocation and peak RSS").
+	dropped, tables []*Mapping
+	// freed are the file inodes the running transaction freed; spare
+	// those whose free has committed, for allocInode to reuse with their
+	// extent-list storage — together at most maxSpareInodes (DESIGN.md,
+	// "Host allocation and peak RSS"). A record waits for the commit
+	// because the transaction's batch handles may still write it back.
+	freed, spare []*inode
 	// wbOld is writeBack's view of what the buffer cache holds, wbNew
 	// the encoding writeInode compares with it.
 	wbOld, wbNew [sim.BlockSize]byte
@@ -147,6 +160,15 @@ type FS struct {
 
 	stats fsStats
 }
+
+// maxSpareInodes bounds the inode records kept for reuse (FS.spare), and
+// maxSpareTables the page tables (FS.tables), each of at most
+// maxSpareTablePages entries: a 2 MB window of 4 KB pages.
+const (
+	maxSpareInodes     = 64
+	maxSpareTables     = 64
+	maxSpareTablePages = HugePageSize / sim.BlockSize
+)
 
 type pendingFree struct {
 	bmp *alloc.Bitmap
@@ -482,6 +504,7 @@ func (fs *FS) settleUnmapped() {
 func (fs *FS) commitTx() error {
 	if fs.tx == nil {
 		fs.discardGraced()
+		fs.settleTables()
 		return nil
 	}
 	frees := fs.pendingFrees
@@ -503,6 +526,10 @@ func (fs *FS) commitTx() error {
 	}
 	fs.jnl.Recycle(tx)
 	fs.discardGraced()
+	fs.settleTables()
+	fs.spare = append(fs.spare, fs.freed...)
+	clear(fs.freed)
+	fs.freed = fs.freed[:0]
 	for _, pf := range frees {
 		if pf.bmp == fs.bBmp && !pf.held {
 			fs.graced = append(fs.graced, pf.e)
@@ -541,6 +568,19 @@ func (fs *FS) discardGraced() {
 		}
 	}
 	fs.graced = fs.graced[:0]
+}
+
+// settleTables makes the page tables Unmap handed back reusable, unless a
+// Mapping access is in flight: one that looked a table up before its
+// Unmap may still translate through it, and every later lookup misses it.
+// Caller holds fs.mu.
+func (fs *FS) settleTables() {
+	if len(fs.dropped) == 0 || fs.inflight.Load() != 0 {
+		return
+	}
+	fs.tables = append(fs.tables, fs.dropped...)
+	clear(fs.dropped)
+	fs.dropped = fs.dropped[:0]
 }
 
 // inodeOff returns the device offset of an inode record.

@@ -177,6 +177,13 @@ type inode struct {
 	// table may translate to blocks a relink takes out of it (deferUnmap).
 	// Guarded by fs.mu.
 	mapped bool
+	// gen is the record's generation, ext4's i_generation: freeInode
+	// bumps it, and a handle keeps the one it was opened under, so a
+	// handle of a freed inode — whose record may serve another file since
+	// (FS.spare) — knows it (File.stale). Written under fs.mu and in.mu,
+	// read under either. DRAM only, like mapEpoch: no handle outlives a
+	// crash.
+	gen uint64
 	// dir state, populated lazily for directories; entries are held by
 	// value, keyed by name, so a create or rename allocates no entry
 	entries map[string]dirEntry

@@ -27,6 +27,9 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 	}
 	f.in.mu.RLock()
 	defer f.in.mu.RUnlock()
+	if f.stale() {
+		return nil, 0, vfs.ErrClosed
+	}
 	epoch := f.in.mapEpoch.Load()
 	end := off + length
 	if end > f.in.size {

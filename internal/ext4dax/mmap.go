@@ -107,6 +107,9 @@ func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, fro
 	if off%sim.BlockSize != 0 || length <= 0 {
 		return nil, vfs.ErrInval
 	}
+	if f.stale() {
+		return nil, vfs.ErrClosed
+	}
 	// Clamp to the allocated end of the file.
 	mapped := min(length, f.in.extents.End()*sim.BlockSize-off)
 	if mapped <= 0 {
@@ -127,8 +130,8 @@ func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, fro
 		if m != nil {
 			nPages = min(max(nPages, 2*int64(len(m.pages))), (length+pageSz-1)/pageSz)
 		}
-		m = &Mapping{fs: fs, Ino: f.in.ino, FileOff: off, Huge: huge,
-			pageSz: pageSz, pages: make([]atomic.Int64, nPages)}
+		m = fs.newTable(nPages)
+		m.Ino, m.FileOff, m.Huge, m.pageSz = f.in.ino, off, huge, pageSz
 	}
 	// The moved range, then what the file grew by; entries before length.
 	// Under a new table nothing moved: all of it is growth. The caller's
@@ -157,6 +160,26 @@ func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, fro
 	}
 	fs.remapped(f.in, (off+old)/sim.BlockSize, blocksUpTo(off+length))
 	return m, nil
+}
+
+// newTable returns a Mapping of n pages with nothing mapped: a spare one
+// (FS.tables) when there is one, with its page array if that has room.
+// Caller holds fs.mu.
+func (fs *FS) newTable(n int64) *Mapping {
+	k := len(fs.tables)
+	if k == 0 {
+		return &Mapping{fs: fs, pages: make([]atomic.Int64, n)}
+	}
+	m := fs.tables[k-1]
+	fs.tables[k-1] = nil
+	fs.tables = fs.tables[:k-1]
+	if int64(cap(m.pages)) >= n {
+		m.pages = m.pages[:n]
+	} else {
+		m.pages = make([]atomic.Int64, n)
+	}
+	m.length.Store(0)
+	return m
 }
 
 // blocksUpTo is the number of blocks that byte offset end reaches into.
@@ -286,11 +309,32 @@ func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 func (m *Mapping) Fence() { m.fs.dev.Fence() }
 
 // Unmap charges the munmap cost that makes SplitFS unlink expensive
-// (Table 6). The page table is deliberately left intact: a reader
-// that raced the unmap and still holds the Mapping keeps addressing the
-// same physical bytes (exactly the lazily-reclaimed-pages semantics of a
-// real munmap racing a load), and clearing it here would be a data race
-// with such readers.
+// (Table 6), and hands the page table back: a later commit that finds no
+// access in flight makes it a spare for the next Mapping built. Until
+// then it is left intact: a reader that raced the unmap and still holds
+// the Mapping keeps addressing the same physical bytes (exactly the
+// lazily-reclaimed-pages semantics of a real munmap racing a load). So
+// whoever looks a Mapping up where an Unmap may take it from — a cache —
+// must be in flight (BeginAccess) from before the lookup; the caller of
+// Unmap uses the Mapping no more.
 func (m *Mapping) Unmap() {
-	m.fs.clk.Charge(sim.CatKernelTrap, sim.MunmapPerMappingNs)
+	fs := m.fs
+	fs.clk.Charge(sim.CatKernelTrap, sim.MunmapPerMappingNs)
+	if m.faulted != nil || cap(m.pages) > maxSpareTablePages {
+		return
+	}
+	fs.mu.Lock()
+	if len(fs.dropped)+len(fs.tables) < maxSpareTables {
+		fs.dropped = append(fs.dropped, m)
+	}
+	fs.mu.Unlock()
 }
+
+// BeginAccess puts a lock-free access through Mappings in flight until
+// EndAccess: from before the caller looks a Mapping up to after its last
+// load or store through it. Neither the blocks a table translates to are
+// discarded nor a table Unmap handed back reused while one is.
+func (fs *FS) BeginAccess() { fs.inflight.Add(1) }
+
+// EndAccess ends what BeginAccess began.
+func (fs *FS) EndAccess() { fs.inflight.Add(-1) }

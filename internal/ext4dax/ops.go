@@ -44,7 +44,7 @@ func (fs *FS) OpenInto(f *File, path string, flag int, perm uint32) error {
 	if err != nil {
 		return vfs.WrapPath("open", path, err)
 	}
-	f.fs, f.in, f.flag, f.path, f.created, f.pos = fs, in, flag, vfs.CleanPath(path), created, 0
+	f.fs, f.in, f.gen, f.flag, f.path, f.created, f.pos = fs, in, in.gen, flag, vfs.CleanPath(path), created, 0
 	f.epochIn.Store(in)
 	f.closed.Store(false)
 	return nil

@@ -82,17 +82,16 @@ func New(dev *pmem.Device, start, size int64, cat sim.Category) *Log {
 }
 
 func (l *Log) zeroRegion() {
-	// Zero in block-sized chunks to bound allocation.
-	buf := make([]byte, sim.BlockSize)
 	for off := int64(0); off < l.size; off += sim.BlockSize {
-		n := l.size - off
-		if n > sim.BlockSize {
-			n = sim.BlockSize
-		}
-		l.dev.StoreNT(l.start+off, buf[:n], l.cat)
+		n := min(l.size-off, sim.BlockSize)
+		l.dev.StoreNT(l.start+off, zeroBlock[:n], l.cat)
 	}
 	l.dev.Fence()
 }
+
+// zeroBlock is the one source of the zeros zeroRegion stores, so a
+// checkpoint's Reset allocates nothing.
+var zeroBlock [sim.BlockSize]byte
 
 // Load scans an existing log region and returns the log (positioned after
 // the last valid record) plus every valid record payload in order.

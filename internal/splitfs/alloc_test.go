@@ -16,11 +16,18 @@ import (
 // TestSyncNamespaceAllocations pins what each operation class of
 // splitperf's meta-churn workload allocates on splitfs-sync (DESIGN.md,
 // "Host allocation and peak RSS"): a create — open O_CREATE|O_TRUNC, a 1–4
-// KB write, fsync, close — allocates what it leaves behind (the handle it
-// returns, the file's inode and extent list, its mapping and page table)
-// and takes its description, overlay, chunk and kernel handle from a
-// recycled one; a stat, a rename and an unlink allocate nothing. atParent
-// is what the parent of the change that recycled descriptions measured.
+// KB write, fsync, close — allocates only the handle it returns, and
+// takes everything else from what earlier unlinks freed: its description,
+// overlay, chunk and kernel handle, its K-Split inode record and extent
+// list, its mapping's table; a stat, a rename and an unlink allocate
+// nothing. The creates run as meta-churn's do, in a bounded population:
+// each also unlinks the file made lag creates before it, which allocates
+// nothing (the unlink pin). A create with nothing freed to take — the
+// first ones, a growing directory — allocates what it leaves behind: the
+// handle, the inode record and its extent list, the mapping and its table
+// (create fresh). atParent is what the parent of the change that last
+// moved the bound measured: the one that recycled inodes and tables
+// (create), the one that recycled descriptions (rename).
 func TestSyncNamespaceAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -38,46 +45,68 @@ func TestSyncNamespaceAllocations(t *testing.T) {
 		check(f.Close())
 	}
 	const runs = 200 // testing.AllocsPerRun calls each op once more to warm up
-	names := make([]string, runs+1)
+	const lag = 16
+	names, fresh := make([]string, runs+1), make([]string, runs+1)
 	for i := range names {
 		names[i] = fmt.Sprintf("/d/f%03d", i)
+		fresh[i] = fmt.Sprintf("/d/g%03d", i)
 	}
 	buf := bytes.Repeat([]byte{7}, 4<<10)
+	create := func(name string, size int) {
+		f, err := fs.OpenFile(name, vfs.O_CREATE|vfs.O_TRUNC|vfs.O_WRONLY, 0o644)
+		check(err)
+		_, err = f.Write(buf[:size])
+		check(err)
+		check(f.Sync())
+		check(f.Close())
+	}
 	renames := [2]string{"/d/r0", "/d/r1"}
 	var next, at int
 	for _, pin := range []struct {
 		name           string
-		op             func()
+		setup, op      func()
 		want, atParent float64
 	}{
-		{"create", func() {
-			f, err := fs.OpenFile(names[next], vfs.O_CREATE|vfs.O_TRUNC|vfs.O_WRONLY, 0o644)
-			check(err)
-			_, err = f.Write(buf[:1<<10*(1+next%4)])
-			check(err)
-			check(f.Sync())
-			check(f.Close())
+		{"create fresh", nil, func() {
+			create(fresh[next], 1<<10*(1+next%4))
 			next++
-		}, 5, 12},
-		{"stat", func() {
+		}, 5, 5},
+		{"create", nil, func() {
+			create(names[next], 1<<10*(1+next%4))
+			if next >= lag {
+				check(fs.Unlink(names[next-lag]))
+			}
+			next++
+		}, 1, 5},
+		{"stat", nil, func() {
 			_, err := fs.Stat("/d/data")
 			check(err)
 		}, 0, 0},
-		{"rename", func() {
+		{"rename", nil, func() {
 			check(fs.Rename(renames[at], renames[1-at]))
 			at = 1 - at
 		}, 0, 1},
 		{"unlink", func() {
+			for i := len(names) - lag; i < len(names); i++ { // what the creates left
+				check(fs.Unlink(names[i]))
+			}
+			for i, name := range names {
+				create(name, 1<<10*(1+i%4))
+			}
+		}, func() {
 			check(fs.Unlink(names[next]))
 			next++
 		}, 0, 0},
 	} {
+		if pin.setup != nil {
+			pin.setup()
+		}
 		next = 0
 		// A staging file created or a log checkpointed now and then lands
 		// in some run.
 		const slack = 0.05
 		if got := testing.AllocsPerRun(runs, pin.op); got > pin.want+slack {
-			t.Errorf("%s: %.2f allocations, want <= %v (%v before descriptions were recycled)", pin.name, got, pin.want, pin.atParent)
+			t.Errorf("%s: %.2f allocations, want <= %v (%v at the parent)", pin.name, got, pin.want, pin.atParent)
 		} else {
 			t.Logf("%s: %.2f allocations (bound %v, parent %v)", pin.name, got, pin.want, pin.atParent)
 		}

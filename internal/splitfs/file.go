@@ -293,8 +293,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		if rem := of.ksize - cur; span > rem {
 			span = rem
 		}
-		m := fs.mmaps.get(of, cur)
-		if m == nil {
+		got, mapped := fs.mmaps.load(of, p[n:n+int(span)], cur)
+		if !mapped {
 			// Hole or unmappable region: fall back to a kernel read.
 			got, err := of.kf.ReadAt(p[n:n+int(span)], cur)
 			if err != nil && err != io.EOF {
@@ -306,10 +306,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			n += int(span)
 			continue
 		}
-		if end := m.FileOff + m.Length(); cur+span > end {
-			span = end - cur
-		}
-		if span <= 0 {
+		if got == 0 {
 			// Mapping ends before ksize (sparse tail); zero-fill one block.
 			z := sim.BlockSize - cur%sim.BlockSize
 			if z > int64(len(p)-n) {
@@ -320,10 +317,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			}
 			n += int(z)
 			continue
-		}
-		got := m.Load(p[n:n+int(span)], cur)
-		if got == 0 {
-			break
 		}
 		n += got
 	}
@@ -426,8 +419,8 @@ func (f *File) writeLocked(p []byte, off int64) (int, error) {
 		n := 0
 		for n < len(p) {
 			cur := off + int64(n)
-			m := fs.mmaps.get(of, cur)
-			if m == nil {
+			got, mapped := fs.mmaps.storeNT(of, p[n:], cur)
+			if !mapped {
 				// Hole in the file: fall back to the kernel write path.
 				got, err := of.kf.WriteAt(p[n:], cur)
 				n += got
@@ -436,7 +429,6 @@ func (f *File) writeLocked(p []byte, off int64) (int, error) {
 				}
 				continue
 			}
-			got := m.StoreNT(p[n:], cur)
 			if got == 0 {
 				got2, err := of.kf.WriteAt(p[n:], cur)
 				n += got2

@@ -47,14 +47,46 @@ func (c *mmapCache) put(ino uint64, idx int64, m *ext4dax.Mapping) {
 	}
 }
 
+// load copies into p the file's bytes at fileOff through the mapping
+// covering it, no further than the mapping reaches, and returns how many
+// it copied; mapped is false, with nothing copied, when the region cannot
+// be mapped (e.g. a hole). It is one access in flight
+// (ext4dax.FS.BeginAccess) from before the lookup to after the copy, so
+// that an unlink's drop, which hands the table back for reuse, cannot
+// have it reused under the copy.
+func (c *mmapCache) load(of *ofile, p []byte, fileOff int64) (n int, mapped bool) {
+	c.fs.kfs.BeginAccess()
+	if m := c.get(of, fileOff); m != nil {
+		if end := m.FileOff + m.Length(); fileOff+int64(len(p)) > end {
+			p = p[:max(end-fileOff, 0)]
+		}
+		n, mapped = m.Load(p, fileOff), true
+	}
+	c.fs.kfs.EndAccess()
+	return n, mapped
+}
+
+// storeNT is load for non-temporal stores of p into the file at fileOff,
+// durable only after the caller's fence.
+//
+// +persist:caller-fenced
+func (c *mmapCache) storeNT(of *ofile, p []byte, fileOff int64) (n int, mapped bool) {
+	c.fs.kfs.BeginAccess()
+	if m := c.get(of, fileOff); m != nil {
+		n, mapped = m.StoreNT(p, fileOff), true
+	}
+	c.fs.kfs.EndAccess()
+	return n, mapped
+}
+
 // get returns a mapping covering fileOff of the file, creating and
-// caching the surrounding MmapBytes region on miss. Returns nil when the
-// region cannot be mapped (e.g. a hole). The kernel mmap runs outside
-// the cache lock — one file's cold-region fault (syscall + population
-// cost) must not stall readers of every other file — so the insert
-// re-validates under the lock: a racing mapper's region wins, and a
-// mapping that raced an unlink of its file is discarded rather than
-// cached over freed blocks.
+// caching the surrounding MmapBytes region on miss; the caller has the
+// access in flight. Returns nil when the region cannot be mapped (e.g. a
+// hole). The kernel mmap runs outside the cache lock — one file's
+// cold-region fault (syscall + population cost) must not stall readers
+// of every other file — so the insert re-validates under the lock: a
+// racing mapper's region wins, and a mapping that raced an unlink of its
+// file is discarded rather than cached over freed blocks.
 func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 	rsize := c.fs.cfg.MmapBytes
 	k := regionKey{of.ino, fileOff / rsize}
@@ -127,8 +159,9 @@ func (c *mmapCache) refresh(of *ofile, fileOff, length int64, staged bool) {
 }
 
 // drop unmaps and forgets every mapping of an inode (unlink path, §3.5:
-// "A memory-mapping is only discarded on unlink()"). Returns how many
-// mappings were torn down.
+// "A memory-mapping is only discarded on unlink()"), handing each table
+// back to K-Split for the next file's mapping once no access that found
+// it here is in flight. Returns how many mappings were torn down.
 func (c *mmapCache) drop(ino uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

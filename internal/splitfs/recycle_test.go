@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"splitfs/internal/ext4dax"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -377,5 +378,124 @@ func TestHandleRacesItsCloseAndRecycling(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestTableHeldAcrossUnlinkAndRecreate: a reader holds a cached mapping
+// of /a, in flight as mmapCache.load holds it, and a lease holder the
+// extents and epoch of /a, while /a is unlinked (the mapping dropped, its
+// table handed back) and forty files are created and unlinked, each
+// mapped by a table the unlinks before it freed. Neither ever translates
+// to a new file's blocks: the held table still maps /a's orphan, is
+// nobody else's, and reads /a's bytes; the lease's extents still hold
+// them, and its epoch moves only when /a's last handle closes. Once the
+// reader's access ends, the next creates take the table — the hold is
+// what kept it.
+func TestTableHeldAcrossUnlinkAndRecreate(t *testing.T) {
+	_, fs := newEnv(t, Sync)
+	create := func(path string, data []byte) *File {
+		t.Helper()
+		f, err := vfs.Create(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil { // relinked, and mapped by the refresh
+			t.Fatal(err)
+		}
+		return f.(*File)
+	}
+	tableOf := func(f *File) *ext4dax.Mapping {
+		fs.mmaps.mu.RLock()
+		defer fs.mmaps.mu.RUnlock()
+		return fs.mmaps.regions[regionKey{f.of.ino, 0}]
+	}
+	old := pattern(3*sim.BlockSize, 1)
+	a := create("/a", old)
+	fs.kfs.BeginAccess()
+	held := fs.mmaps.get(a.of, 0)
+	if held == nil || held != tableOf(a) {
+		t.Fatal("test premise: /a's fsync left no cached mapping")
+	}
+	devOff, _, _ := held.Translate(0, sim.BlockSize)
+	lease, epoch, err := a.MapExtents(0, int64(len(old)))
+	if err != nil || len(lease) == 0 {
+		t.Fatalf("lease on /a: %v, %v", lease, err)
+	}
+	if err := fs.Unlink("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if tableOf(a) != nil {
+		t.Fatal("test premise: the unlink left /a's mapping cached")
+	}
+
+	overlaps := func(exts []vfs.Extent, off, n int64) bool {
+		for _, e := range exts {
+			if off < e.DevOff+e.Length && e.DevOff < off+n {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range 40 {
+		f := create(fmt.Sprintf("/n%d", i), pattern(1<<10*(1+i%4), byte(i)))
+		if m := tableOf(f); m == nil || m == held {
+			t.Fatalf("/n%d is mapped by %p, the held table %p", i, m, held)
+		}
+		exts, _, err := f.MapExtents(0, 4<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range exts {
+			if overlaps(lease, e.DevOff, e.Length) || overlaps([]vfs.Extent{{DevOff: devOff, Length: sim.BlockSize}}, e.DevOff, e.Length) {
+				t.Fatalf("/n%d's blocks at %d are /a's", i, e.DevOff)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := fs.Unlink(fmt.Sprintf("/n%d", i-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, _, ok := held.Translate(0, sim.BlockSize); !ok || got != devOff {
+		t.Fatalf("the held table translates /a's first block to %d (%v), want %d", got, ok, devOff)
+	}
+	buf := make([]byte, len(old))
+	if n := held.Load(buf, 0); n != len(old) || !bytes.Equal(buf, old) {
+		t.Fatalf("the held table loads %d bytes, not /a's", n)
+	}
+	if a.MapEpoch() != epoch {
+		t.Fatal("the lease's epoch moved while /a's handle is open")
+	}
+	for _, e := range lease {
+		got := make([]byte, e.Length)
+		a.LoadMapped(got, e.DevOff)
+		if !bytes.Equal(got, old[e.FileOff:e.FileOff+e.Length]) {
+			t.Fatalf("the lease's extent at %d no longer holds /a's bytes", e.FileOff)
+		}
+	}
+	fs.kfs.EndAccess()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a.MapEpoch() == epoch {
+		t.Fatal("the lease still validates after /a's last handle closed")
+	}
+
+	reused := false
+	for i := 0; i < 80 && !reused; i++ {
+		f := create(fmt.Sprintf("/m%d", i), pattern(sim.BlockSize, byte(i)))
+		reused = tableOf(f) == held
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reused {
+		t.Fatal("no create took the table once the access that held it ended")
 	}
 }
