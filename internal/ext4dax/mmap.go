@@ -163,14 +163,22 @@ func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, fro
 }
 
 // newTable returns a Mapping of n pages with nothing mapped: a spare one
-// (FS.tables) when there is one, with its page array if that has room.
+// (FS.tables) when there is one — the one with the smallest page array
+// that has room, else the newest — with its page array if that has room.
 // Caller holds fs.mu.
 func (fs *FS) newTable(n int64) *Mapping {
 	k := len(fs.tables)
 	if k == 0 {
 		return &Mapping{fs: fs, pages: make([]atomic.Int64, n)}
 	}
-	m := fs.tables[k-1]
+	j, room := k-1, int64(-1)
+	for i, t := range fs.tables {
+		if c := int64(cap(t.pages)); c >= n && (room < 0 || c < room) {
+			j, room = i, c
+		}
+	}
+	m := fs.tables[j]
+	fs.tables[j] = fs.tables[k-1]
 	fs.tables[k-1] = nil
 	fs.tables = fs.tables[:k-1]
 	if int64(cap(m.pages)) >= n {
@@ -309,17 +317,25 @@ func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 func (m *Mapping) Fence() { m.fs.dev.Fence() }
 
 // Unmap charges the munmap cost that makes SplitFS unlink expensive
-// (Table 6), and hands the page table back: a later commit that finds no
-// access in flight makes it a spare for the next Mapping built. Until
-// then it is left intact: a reader that raced the unmap and still holds
-// the Mapping keeps addressing the same physical bytes (exactly the
-// lazily-reclaimed-pages semantics of a real munmap racing a load). So
-// whoever looks a Mapping up where an Unmap may take it from — a cache —
-// must be in flight (BeginAccess) from before the lookup; the caller of
-// Unmap uses the Mapping no more.
+// (Table 6), and hands the page table back (Release).
 func (m *Mapping) Unmap() {
+	m.fs.clk.Charge(sim.CatKernelTrap, sim.MunmapPerMappingNs)
+	m.Release()
+}
+
+// Release hands the page table back, charging nothing: what Unmap does
+// past its munmap, for a table whose mapping lives on in another — one a
+// Remap outgrew — or that its holder forgets. A later commit that finds no
+// access in flight makes it a spare for the next Mapping built. Until then
+// it is left intact: a reader that raced the release and still holds the
+// Mapping keeps addressing the same physical bytes (exactly the
+// lazily-reclaimed-pages semantics of a real munmap racing a load). So
+// whoever looks a Mapping up where a Release may take it from — a cache —
+// must be in flight (BeginAccess) from before the lookup, and the cache
+// takes the table out of its reach before it releases it; the caller of
+// Release uses the Mapping no more.
+func (m *Mapping) Release() {
 	fs := m.fs
-	fs.clk.Charge(sim.CatKernelTrap, sim.MunmapPerMappingNs)
 	if m.faulted != nil || cap(m.pages) > maxSpareTablePages {
 		return
 	}
@@ -333,7 +349,7 @@ func (m *Mapping) Unmap() {
 // BeginAccess puts a lock-free access through Mappings in flight until
 // EndAccess: from before the caller looks a Mapping up to after its last
 // load or store through it. Neither the blocks a table translates to are
-// discarded nor a table Unmap handed back reused while one is.
+// discarded nor a table Release handed back reused while one is.
 func (fs *FS) BeginAccess() { fs.inflight.Add(1) }
 
 // EndAccess ends what BeginAccess began.

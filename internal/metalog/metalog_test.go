@@ -3,10 +3,12 @@ package metalog
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"splitfs/internal/pmem"
+	"splitfs/internal/race"
 	"splitfs/internal/sim"
 )
 
@@ -106,6 +108,43 @@ func TestLogFullAndReset(t *testing.T) {
 	if err := l.Append([]byte("fresh"), SingleFence); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestResetOfFullLogAllocatesNothing: a checkpoint's Reset zeroes a log
+// whose records back every frame of its region, with no page to spare in
+// the device's pool — the first checkpoint of a run. Each frame's page
+// becomes its lines' undo page, so the reset allocates nothing; copying
+// the durable lines into fresh undo pages allocated the log's size.
+func TestResetOfFullLogAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const size, atParent = 1 << 20, 0.75
+	dev := pmem.New(pmem.Config{Size: 4 * size, Clock: sim.NewClock(), TrackPersistence: true})
+	// The pool's free list has held as many pages once, and the shards'
+	// pending lists as many frames (New lists every frame of the region), so
+	// the growth of neither is counted: the fill takes the discarded pages
+	// back.
+	dev.PersistNT(size, bytes.Repeat([]byte{0xa5}, size), sim.CatPMData)
+	dev.Discard(size, size)
+	l := New(dev, 0, size, sim.CatOpLog)
+	payload := bytes.Repeat([]byte{0x5a}, sim.BlockSize-headerSize)
+	for l.Append(payload, SingleFence) == nil {
+	}
+	if got := dev.BackedBytes(); got != size {
+		t.Fatalf("test premise: the full log backs %d bytes of frames, want %d", got, size)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l.Reset()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+		t.Fatalf("Reset of a full %d KB log allocates %d B, want 0 (%.2f MB at the parent)", size>>10, got, atParent)
+	}
+	if got := dev.BackedBytes(); got != 0 {
+		t.Fatalf("the reset log backs %d bytes of frames, want 0", got)
+	}
+	t.Logf("Reset of a full %d KB log allocates 0 B (parent %.2f MB)", size>>10, atParent)
 }
 
 func TestResetClearsOldRecords(t *testing.T) {

@@ -46,6 +46,20 @@ func backedFrames(d *Device) int64 {
 	return n
 }
 
+// frameAt returns the device range of d's frame k, counting every shard's
+// frames in order and wrapping at the last.
+func frameAt(d *Device, k int) (off int64, n int) {
+	var frames [][2]int64
+	for i := range d.shards {
+		s := &d.shards[i]
+		for o := int64(0); o < s.size; o += sim.BlockSize {
+			frames = append(frames, [2]int64{s.base + o, min(sim.BlockSize, s.size-o)})
+		}
+	}
+	f := frames[k%len(frames)]
+	return f[0], int(f[1])
+}
+
 // FuzzDeviceModel drives the Device and the naive reference model with the
 // same op sequence, decoded from the fuzz input, and requires them to be
 // indistinguishable: loads, volatile view, crash images, counters, clock
@@ -199,6 +213,14 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 			}
 			off, n := decode()
 			store((b&0x0f)%3, off, make([]byte, n), cat)
+		case 12:
+			// A store of zeros, of the kind the next byte names, over
+			// exactly the frame the byte after names: a backed frame of
+			// clean lines hands its page to its undo slots and reads as
+			// zeros unbacked.
+			kind := next() % 3
+			off, n := frameAt(d, int(next()))
+			store(kind, off, make([]byte, n), cat)
 		default:
 			continue
 		}

@@ -23,9 +23,11 @@
 // regions (different files, different staging chunks) never contend and
 // nothing the device does is proportional to its size. A frame of the
 // volatile view is allocated on its first store of a nonzero byte and
-// given back to a device-wide free list by Discard, so the host holds
-// memory for the blocks the file system holds, not for every block ever
-// written or zeroed (see DESIGN.md, "Shard granularity").
+// given back to a device-wide free list by Discard, or by a store of zeros
+// over it whole (with TrackPersistence, at the fence that makes the zeros
+// durable), so the host holds memory for the blocks the file system holds,
+// not for every block ever written or zeroed (see DESIGN.md, "Shard
+// granularity").
 // Cumulative counters are atomics; per-block wear counters are atomics
 // too. Operations spanning several shards take the shard locks one at a
 // time in ascending order, so cross-shard tearing of a concurrent
@@ -130,8 +132,9 @@ type frameRec struct {
 	// Undo slots (TrackPersistence): the durable content of a line that
 	// differs from the media, saved by the store that made it differ. A line
 	// in saved holds a byte slot: its 64 bytes at its own offset of undo, a
-	// page from the frame pool. A line in zeroed took its slot while view
-	// was nil, so it is durably zero and its slot holds no bytes.
+	// page from the frame pool — the frame's old view, when a zero store
+	// over the whole frame unbacked it. A line in zeroed took its slot while
+	// view was nil, so it is durably zero and its slot holds no bytes.
 	saved, zeroed uint64
 	undo          *frame
 
@@ -149,17 +152,20 @@ type framePool struct {
 	mu   sync.Mutex // +lockrank:framepool
 	free []*frame
 	slab []frame // what is left of the newest slab
-	held int64   // frames of the volatile view handed out and not given back
+	// held counts the pages serving as a frame of the volatile view: got
+	// as one, or made one by rewind, and not given back or made an undo
+	// page by a whole-frame zero store.
+	held atomic.Int64
 }
 
 // get returns a page; a frame of the volatile view (view) counts as held,
 // an undo page does not.
 func (p *framePool) get(view bool) *frame {
+	if view {
+		p.held.Add(1)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if view {
-		p.held++
-	}
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -177,10 +183,10 @@ func (p *framePool) get(view bool) *frame {
 func (p *framePool) put(f *frame, view bool) {
 	p.mu.Lock()
 	p.free = append(p.free, f)
-	if view {
-		p.held--
-	}
 	p.mu.Unlock()
+	if view {
+		p.held.Add(-1)
+	}
 }
 
 // shard owns one contiguous cache-line-aligned byte range of the device
@@ -411,6 +417,10 @@ func frameSpan(lo, hi int64) (i, o, n int64) {
 	return i, o, min(hi-lo, sim.BlockSize-o)
 }
 
+// frameSize is the bytes of the shard that frame i holds: a block, or less
+// for the last frame of a shard whose size is not a block multiple.
+func (s *shard) frameSize(i int64) int64 { return min(sim.BlockSize, s.size-i*sim.BlockSize) }
+
 // lineMask is the mask of the lines that a frame's bytes [lo, hi) touch;
 // lo < hi.
 func lineMask(lo, hi int64) uint64 {
@@ -512,6 +522,23 @@ func (s *shard) store(i, o int64, p []byte, st lineState, track bool, pool *fram
 	m := lineMask(o, o+int64(len(p)))
 	clean := m &^ (r.dirty | r.pending | r.buffered)
 	s.tracked += bits.OnesCount64(clean)
+	// A store of zeros over the whole frame leaves it unbacked. Untracked,
+	// its page goes back to the pool. Tracked, with every line clean and no
+	// slot held, the page holds the durable content of every line already:
+	// it becomes their undo page, with nothing copied (a checkpoint zeroing
+	// the op log takes no page).
+	if r.view != nil && o == 0 && int64(len(p)) == s.frameSize(i) &&
+		bytes.Equal(p, zeros[:len(p)]) {
+		switch {
+		case !track:
+			pool.put(r.view, true)
+			r.view = nil
+		case clean == m && r.saved|r.zeroed == 0:
+			s.slots += bits.OnesCount64(m)
+			r.undo, r.saved, r.view = r.view, m, nil
+			pool.held.Add(-1)
+		}
+	}
 	if track {
 		// After a freeze a clean line may still hold the slot that carries
 		// its frozen content.
@@ -728,7 +755,7 @@ func (s *shard) discard(lo, hi int64, pool *framePool) {
 		}
 		m := lineMask(o, o+n)
 		busy := m & (r.dirty | r.pending | r.buffered)
-		if o == 0 && n == min(sim.BlockSize, s.size-i*sim.BlockSize) && busy == 0 {
+		if o == 0 && n == s.frameSize(i) && busy == 0 {
 			pool.put(r.view, true)
 			r.view = nil
 			continue
@@ -748,9 +775,7 @@ func (s *shard) discard(lo, hi int64, pool *framePool) {
 // high-water mark of this figure, not its current value. It is a host
 // figure, not a device counter, so it is not part of Stats.
 func (d *Device) BackedBytes() int64 {
-	d.pool.mu.Lock()
-	defer d.pool.mu.Unlock()
-	return d.pool.held * sim.BlockSize
+	return d.pool.held.Load() * sim.BlockSize
 }
 
 // Crash simulates power failure and rewinds the volatile view to the
@@ -799,12 +824,23 @@ func (d *Device) Crash(rng *sim.RNG) error {
 // every line that holds a slot gets its durable content back and becomes
 // clean, and the undo pages go back to the pool. Every tracked line holds a
 // slot, and so does a line of every listed frame, so no state survives. A
-// byte slot's frame is backed (a line gets one only in a backed frame, and
-// a frame goes back only when its lines hold none); a zero slot's line is
-// cleared if its frame was backed since. Caller holds the shard's lock.
+// zero slot's line is cleared if its frame was backed since. An unbacked
+// frame with byte slots is one a whole-frame zero store unbacked: its
+// undo page becomes its view again, zero at every line without a byte
+// slot, as the unbacked frame read. Caller holds the shard's lock.
 func (s *shard) rewind(pool *framePool) {
 	for i := 0; s.slots > 0; i++ {
 		r := &s.frames[i]
+		if r.view == nil && r.saved != 0 {
+			for m := ^r.saved; m != 0; {
+				var a, b int
+				a, b, m = lowRun(m)
+				clear(lines(r.undo, a, b))
+			}
+			s.slots -= bits.OnesCount64(r.saved)
+			r.view, r.undo, r.saved = r.undo, nil, 0
+			pool.held.Add(1)
+		}
 		for m := r.saved; m != 0; {
 			var a, b int
 			a, b, m = lowRun(m)

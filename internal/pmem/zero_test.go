@@ -113,3 +113,126 @@ func TestUndoPagesGoBack(t *testing.T) {
 		})
 	}
 }
+
+// A zero store over the whole of a backed frame whose lines are clean hands
+// the frame's page to its undo slots: the page holds every line's durable
+// content already, so nothing is copied and no page is taken, and the frame
+// reads as zeros unbacked. The durable image is the old content until the
+// fence: a crash restores it whole, or tears each word to old or zero, and
+// a crash point armed at the zeroing store freezes it however the frame is
+// written after. On an untracked device the page goes back to the pool.
+func TestWholeFrameZeroStoreTakesNoPage(t *testing.T) {
+	const blk = 2 // a frame inside a shard of the 1 MB device
+	old := bytes.Repeat([]byte{0xa5, 0x5a, 0x3c}, sim.BlockSize/3+1)[:sim.BlockSize]
+	zero := make([]byte, sim.BlockSize)
+	// setup returns a tracked device whose frame blk holds old, fenced.
+	setup := func(t *testing.T) (*Device, *frameRec) {
+		t.Helper()
+		d := newDev(t, 1<<20)
+		d.StoreNT(blk*sim.BlockSize, old, sim.CatOpLog)
+		d.Fence()
+		return d, &d.shards[0].frames[blk]
+	}
+
+	t.Run("no page", func(t *testing.T) {
+		d, r := setup(t)
+		page, backed := r.view, d.BackedBytes()
+		d.StoreNT(blk*sim.BlockSize, zero, sim.CatOpLog)
+		if got := d.BackedBytes(); got != backed-sim.BlockSize {
+			t.Fatalf("BackedBytes = %d after the zero store, want %d", got, backed-sim.BlockSize)
+		}
+		if r.view != nil || r.undo != page || r.saved != ^uint64(0) {
+			t.Fatalf("view %p, undo %p (the view was %p), saved %#x: want the view page as every line's undo page", r.view, r.undo, page, r.saved)
+		}
+		if got := readBlock(d, blk); !bytes.Equal(got, zero) {
+			t.Fatal("the unbacked frame does not read as zeros")
+		}
+		cycle := func() {
+			d.StoreNT(blk*sim.BlockSize, old, sim.CatOpLog)
+			d.Fence()
+			d.StoreNT(blk*sim.BlockSize, zero, sim.CatOpLog)
+			d.Fence()
+		}
+		if n := testing.AllocsPerRun(20, cycle); n != 0 {
+			t.Fatalf("store + fence + whole-frame zero store + fence: %v allocs/op, want 0", n)
+		}
+	})
+
+	t.Run("crash restores", func(t *testing.T) {
+		d, _ := setup(t)
+		backed := d.BackedBytes()
+		d.StoreNT(blk*sim.BlockSize, zero, sim.CatOpLog)
+		if err := d.Crash(nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := readBlock(d, blk); !bytes.Equal(got, old) {
+			t.Fatal("Crash(nil) does not restore the frame's old bytes")
+		}
+		if d.BackedBytes() != backed || d.UnpersistedLines() != 0 {
+			t.Fatalf("after the crash BackedBytes = %d, UnpersistedLines = %d; want %d, 0", d.BackedBytes(), d.UnpersistedLines(), backed)
+		}
+	})
+
+	// tornImage is what seed's coins leave of old under a zero store: lines
+	// ascending, a coin a word, an odd coin keeps the old word.
+	tornImage := func(seed uint64) []byte {
+		rng, want := sim.NewRNG(seed), make([]byte, sim.BlockSize)
+		for w := 0; w < sim.BlockSize; w += 8 {
+			if rng.Uint64()&1 != 0 {
+				copy(want[w:w+8], old[w:])
+			}
+		}
+		return want
+	}
+	t.Run("crash tears", func(t *testing.T) {
+		d, _ := setup(t)
+		d.StoreNT(blk*sim.BlockSize, zero, sim.CatOpLog)
+		if err := d.Crash(sim.NewRNG(7)); err != nil {
+			t.Fatal(err)
+		}
+		got, want := readBlock(d, blk), tornImage(7)
+		for w := 0; w < sim.BlockSize; w += 8 {
+			if !bytes.Equal(got[w:w+8], old[w:w+8]) && !bytes.Equal(got[w:w+8], zero[:8]) {
+				t.Fatalf("word %d reads %x: neither old nor zero", w/8, got[w:w+8])
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("the torn image is not the one seed 7's coins draw")
+		}
+	})
+
+	t.Run("frozen at the zero store", func(t *testing.T) {
+		d, _ := setup(t)
+		d.ArmCrash(d.Events()+1, sim.NewRNG(11))
+		d.StoreNT(blk*sim.BlockSize, zero, sim.CatOpLog)
+		if !d.CrashFired() {
+			t.Fatal("test premise: the crash point did not fire at the zero store")
+		}
+		// A nonzero store backs the frame again, short of whole: the fresh
+		// view is cleared around it. Fenced, it still must not reach the
+		// frozen image.
+		d.StoreNT(blk*sim.BlockSize+200, []byte("after the freeze"), sim.CatOpLog)
+		d.Fence()
+		if err := d.Crash(nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := readBlock(d, blk); !bytes.Equal(got, tornImage(11)) {
+			t.Fatal("the crash does not recover the image frozen at the zero store")
+		}
+	})
+
+	t.Run("untracked", func(t *testing.T) {
+		d := New(Config{Size: 1 << 20, Clock: sim.NewClock()})
+		d.StoreNT(blk*sim.BlockSize, old, sim.CatOpLog)
+		d.StoreNT(blk*sim.BlockSize, zero, sim.CatOpLog)
+		if got := d.BackedBytes(); got != 0 {
+			t.Fatalf("BackedBytes = %d after the zero store, want 0", got)
+		}
+		if r := &d.shards[0].frames[blk]; r.view != nil || r.undo != nil {
+			t.Fatal("the untracked frame kept a page")
+		}
+		if got := readBlock(d, blk); !bytes.Equal(got, zero) {
+			t.Fatal("the unbacked frame does not read as zeros")
+		}
+	})
+}

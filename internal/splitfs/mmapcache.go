@@ -39,14 +39,6 @@ func newMmapCache(fs *FS) *mmapCache {
 	return &mmapCache{fs: fs, regions: make(map[regionKey]*ext4dax.Mapping), bound: make(map[uint64]int64)}
 }
 
-// put caches m as window idx of ino. Caller holds c.mu.
-func (c *mmapCache) put(ino uint64, idx int64, m *ext4dax.Mapping) {
-	c.regions[regionKey{ino, idx}] = m
-	if idx >= c.bound[ino] {
-		c.bound[ino] = idx + 1
-	}
-}
-
 // load copies into p the file's bytes at fileOff through the mapping
 // covering it, no further than the mapping reaches, and returns how many
 // it copied; mapped is false, with nothing copied, when the region cannot
@@ -125,7 +117,7 @@ func (c *mmapCache) get(of *ofile, fileOff int64) *ext4dax.Mapping {
 		c.fs.stats.mmapMisses.Add(1)
 		return nm
 	}
-	c.put(of.ino, k.idx, nm)
+	c.replace(of.ino, k.idx, nm)
 	c.mu.Unlock()
 	c.fs.stats.mmapMisses.Add(1)
 	return nm
@@ -151,10 +143,32 @@ func (c *mmapCache) refresh(of *ofile, fileOff, length int64, staged bool) {
 		}
 		m, err := c.fs.kfs.Remap(old, &of.kf, idx*rsize, rsize, !c.fs.cfg.DisableHugePages, fileOff, length)
 		if err != nil {
-			delete(c.regions, k)
-			continue
+			m = nil // the window is forgotten: its next access maps it afresh
 		}
-		c.put(of.ino, idx, m)
+		c.replace(of.ino, idx, m)
+	}
+}
+
+// replace caches m as window idx of ino in place of the mapping it held,
+// or forgets the window if m is nil, and only then hands a table it no
+// longer caches back to K-Split (ext4dax.Mapping.Release): out of the
+// cache first, so no later lookup finds it, and an access that found it
+// earlier is in flight until a commit lets the table be reused. A replaced
+// mapping was outgrown, not unmapped: the munmap is not charged. Caller
+// holds c.mu.
+func (c *mmapCache) replace(ino uint64, idx int64, m *ext4dax.Mapping) {
+	k := regionKey{ino, idx}
+	old := c.regions[k]
+	if m == nil {
+		delete(c.regions, k)
+	} else {
+		c.regions[k] = m
+		if idx >= c.bound[ino] {
+			c.bound[ino] = idx + 1
+		}
+	}
+	if old != nil && old != m {
+		old.Release()
 	}
 }
 

@@ -499,3 +499,125 @@ func TestTableHeldAcrossUnlinkAndRecreate(t *testing.T) {
 		t.Fatal("no create took the table once the access that held it ended")
 	}
 }
+
+// TestOutgrownTableHeldAcrossRemap: a reader holds /log's cached mapping,
+// in flight as mmapCache.load holds it, while /log grows by append and
+// fsync until a refresh's Remap outgrows the table and the cache hands it
+// back (mmapCache.replace). Commits and forty creates and unlinks of
+// one-block files — each wanting a table the held one has room for — do
+// not take it: it still translates to /log's first block and reads its
+// bytes. Once the access ends, the next creates take it; and no create
+// ever takes the table /log's window is cached under, which keeps serving
+// /log's bytes.
+func TestOutgrownTableHeldAcrossRemap(t *testing.T) {
+	_, fs := newEnv(t, Sync)
+	tableOf := func(f *File) *ext4dax.Mapping {
+		fs.mmaps.mu.RLock()
+		defer fs.mmaps.mu.RUnlock()
+		return fs.mmaps.regions[regionKey{f.of.ino, 0}]
+	}
+	write := func(f *File, data []byte) {
+		t.Helper()
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil { // relinked, and mapped by the refresh
+			t.Fatal(err)
+		}
+	}
+	create := func(path string, data []byte) *File {
+		t.Helper()
+		f, err := vfs.Create(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(f.(*File), data)
+		return f.(*File)
+	}
+	logged := pattern(sim.BlockSize, 1)
+	log := create("/log", logged)
+	fs.kfs.BeginAccess()
+	held := fs.mmaps.get(log.of, 0)
+	if held == nil || held != tableOf(log) {
+		t.Fatal("test premise: /log's fsync left no cached mapping")
+	}
+	devOff, _, _ := held.Translate(0, sim.BlockSize)
+	// Grow /log until a refresh outgrows the held table, then on by as many
+	// blocks again: the refreshes after edit the new table in place.
+	for grown := 0; grown < 2; {
+		blk := pattern(sim.BlockSize, byte(len(logged)/sim.BlockSize+1))
+		write(log, blk)
+		logged = append(logged, blk...)
+		if tableOf(log) != held {
+			grown++
+		}
+	}
+	for i := 0; i < 8; i++ {
+		blk := pattern(sim.BlockSize, byte(len(logged)/sim.BlockSize+1))
+		write(log, blk)
+		logged = append(logged, blk...)
+	}
+	// checkLog reads /log whole through the table its window is cached under.
+	checkLog := func(when string) {
+		t.Helper()
+		m := tableOf(log)
+		if m == nil || m == held {
+			t.Fatalf("%s: /log's window is cached under %p (the held table is %p)", when, m, held)
+		}
+		buf := make([]byte, len(logged))
+		if n := m.Load(buf, 0); n != len(logged) || !bytes.Equal(buf, logged) {
+			t.Fatalf("%s: /log's cached table loads %d bytes, not /log's", when, n)
+		}
+	}
+	checkLog("after the growth")
+
+	// churn creates a one-block file and, with unlink, unlinks the one it
+	// created before; then it commits.
+	var prev string
+	churn := func(path string, unlink bool) *File {
+		t.Helper()
+		f := create(path, pattern(sim.BlockSize, byte(len(path))))
+		if m := tableOf(f); m == nil || m == tableOf(log) {
+			t.Fatalf("%s is mapped by %p, /log's table", path, m)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if unlink && prev != "" {
+			if err := fs.Unlink(prev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = path
+		if err := fs.kfs.CommitMeta(); err != nil {
+			t.Fatal(err)
+		}
+		checkLog(path)
+		return f
+	}
+	for i := range 40 {
+		if f := churn(fmt.Sprintf("/n%d", i), true); tableOf(f) == held {
+			t.Fatalf("/n%d took the held table while its access is in flight", i)
+		}
+	}
+	if got, _, ok := held.Translate(0, sim.BlockSize); !ok || got != devOff {
+		t.Fatalf("the held table translates /log's first block to %d (%v), want %d", got, ok, devOff)
+	}
+	buf := make([]byte, sim.BlockSize)
+	if n := held.Load(buf, 0); n != sim.BlockSize || !bytes.Equal(buf, logged[:sim.BlockSize]) {
+		t.Fatalf("the held table loads %d bytes, not /log's first block", n)
+	}
+	fs.kfs.EndAccess()
+
+	// Creates that unlink nothing use the spares up, newest first.
+	reused := false
+	for i := 0; i < 80 && !reused; i++ {
+		reused = tableOf(churn(fmt.Sprintf("/m%d", i), false)) == held
+	}
+	if !reused {
+		t.Fatal("no create took the outgrown table once the access that held it ended")
+	}
+	for i := range 16 { // and the tables that are still /log's stay /log's
+		churn(fmt.Sprintf("/k%d", i), false)
+	}
+}
