@@ -18,7 +18,7 @@
 //
 // The four analyzers themselves live in subpackages (lockorder,
 // persist, determinism, wireerr); cmd/splitfs-vet is the
-// multichecker binary, runnable standalone or as a `go vet -vettool`.
+// multichecker binary.
 // DESIGN.md ("Static analysis") documents the annotation grammar each
 // analyzer consumes and the suppression policy.
 package analysis
@@ -190,8 +190,9 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // IsTestFile reports whether f came from a _test.go file. Analyzers
 // whose invariants only bind production code (persist, determinism,
-// lockorder) skip such files: crash and race tests violate them on
-// purpose, under the harness's control.
+// wireerr) skip such files: crash and race tests violate them on
+// purpose, under the harness's control. Lockorder checks test files
+// too: a test that inverts the lock order can deadlock like any caller.
 func IsTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -45,7 +45,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	res, err := analysis.Run(pkgs, []*analysis.Analyzer{a}, nil)
+	res, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,22 +15,34 @@ type Result struct {
 
 // Run executes analyzers over pkgs — which must be in dependency order,
 // as Loader.Load returns them — sharing one fact store, then applies
-// suppression comments. A nil facts store is allocated on demand.
-func Run(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Result, error) {
-	if facts == nil {
-		facts = NewFactStore()
-	}
+// suppression comments. FactsOnly packages contribute facts only: their
+// diagnostics are dropped and their suppressions are not inventoried.
+func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
+	facts := NewFactStore()
 	var res Result
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		d, err := CheckPackage(pkg, analyzers, facts)
-		if err != nil {
-			return nil, err
+		var pkgDiags []Diagnostic
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				Facts:    facts,
+				diags:    &pkgDiags,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.PkgPath, err)
+			}
 		}
-		diags = append(diags, d...)
+		if !pkg.FactsOnly {
+			diags = append(diags, pkgDiags...)
+		}
 	}
 
-	// Collect suppressions from every analyzed file.
+	// Collect suppressions from every reported file.
 	type supKey struct {
 		file string
 		line int
@@ -38,6 +50,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Result, err
 	}
 	sups := map[supKey]bool{}
 	for _, pkg := range pkgs {
+		if pkg.FactsOnly {
+			continue
+		}
 		for _, f := range pkg.Files {
 			for _, s := range Suppressions(pkg.Fset, f) {
 				res.Suppressions = append(res.Suppressions, s)
@@ -63,26 +78,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer, facts *FactStore) (*Result, err
 	SortDiagnostics(res.Diags)
 	SortDiagnostics(res.Suppressed)
 	return &res, nil
-}
-
-// CheckPackage runs analyzers over a single package, returning raw
-// (unsuppressed) diagnostics. It is the unit the `go vet -vettool`
-// protocol drives directly.
-func CheckPackage(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Facts:    facts,
-			diags:    &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.PkgPath, err)
-		}
-	}
-	return diags, nil
 }

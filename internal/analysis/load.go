@@ -13,26 +13,28 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // Package is one loaded, type-checked module package.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Files   []*ast.File
 	Fset    *token.FileSet
 	Types   *types.Package
 	Info    *types.Info
-	Imports []string
+	// FactsOnly marks a package analyzed only for the facts it exports:
+	// a dependency of the matched packages, or a matched package whose
+	// test variant is analyzed in its place. Run drops its diagnostics
+	// and does not inventory its suppressions.
+	FactsOnly bool
 }
 
 // Loader type-checks packages for analysis without any network or
 // x/tools dependency. Module packages are parsed from source (the
 // analyzers need ASTs and comments); their imports resolve from the
 // compiler export data `go list -export` leaves in the build cache, so
-// loads work offline and never re-typecheck the transitive closure.
+// loads work offline and the standard library is never type-checked.
 type Loader struct {
 	// Dir is the working directory for `go list` (any directory inside
 	// the module). Empty means the process working directory.
@@ -44,18 +46,19 @@ type Loader struct {
 	SrcRoot string
 
 	fset   *token.FileSet
-	meta   map[string]*listedPackage
+	meta   map[string]*listedPackage // by go list ID ("p [p.test]" for a test variant)
 	gc     types.ImporterFrom
 	srcPkg map[string]*Package // SrcRoot packages, by import path
 }
 
 // listedPackage is the subset of `go list -json` the loader consumes.
 type listedPackage struct {
-	ImportPath string
+	ImportPath string // the ID: "p", or "p [q.test]" for a variant built for q's test
+	ForTest    string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
+	ImportMap  map[string]string // import path -> ID, where they differ
 	Standard   bool
 	DepOnly    bool
 	Module     *struct{ Path string }
@@ -74,117 +77,105 @@ func NewLoader(dir string) *Loader {
 	return l
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// lookupExport feeds the gc importer the export-data file of an import
-// path, shelling out to `go list -export` for paths not yet listed.
-func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
-	p, ok := l.meta[path]
+// lookupExport feeds the gc importer the export-data file of a go list
+// ID, shelling out to `go list -export` for IDs not yet listed.
+func (l *Loader) lookupExport(id string) (io.ReadCloser, error) {
+	p, ok := l.meta[id]
 	if !ok || p.Export == "" {
-		if err := l.goList(path); err != nil {
+		if _, err := l.goList(id); err != nil {
 			return nil, err
 		}
-		if p, ok = l.meta[path]; !ok || p.Export == "" {
-			return nil, fmt.Errorf("analysis: no export data for %q", path)
+		if p, ok = l.meta[id]; !ok || p.Export == "" {
+			return nil, fmt.Errorf("analysis: no export data for %q", id)
 		}
 	}
 	return os.Open(p.Export)
 }
 
-// goList records metadata (including export-data locations) for the
-// packages matching patterns and their dependencies.
-func (l *Loader) goList(patterns ...string) error {
-	args := append([]string{
+// goList lists args (flags, then patterns) with their dependencies, in
+// the dependency order `-deps` guarantees, and records each package's
+// metadata, export-data location included.
+func (l *Loader) goList(args ...string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Imports,Standard,DepOnly,Module,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
+		"-json=ImportPath,ForTest,Dir,Export,GoFiles,ImportMap,Standard,DepOnly,Module,Error",
+	}, args...)...)
 	cmd.Dir = l.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return fmt.Errorf("analysis: go list %s: %v\n%s",
-			strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("analysis: go list %s: %v\n%s",
+			strings.Join(args, " "), err, stderr.String())
 	}
+	var listed []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			return fmt.Errorf("analysis: decoding go list output: %v", err)
+			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
 		if p.Error != nil {
-			return fmt.Errorf("analysis: go list %s: %s", p.ImportPath, p.Error.Err)
+			return nil, fmt.Errorf("analysis: go list %s: %s", p.ImportPath, p.Error.Err)
 		}
-		prev, seen := l.meta[p.ImportPath]
-		// A package listed before only as a dependency may reappear as a
-		// match; keep the match (DepOnly false) and any export path.
-		if !seen || (prev.DepOnly && !p.DepOnly) || prev.Export == "" {
-			cp := p
-			if seen && cp.Export == "" {
-				cp.Export = prev.Export
-			}
-			l.meta[p.ImportPath] = &cp
+		if prev, ok := l.meta[p.ImportPath]; !ok || prev.Export == "" {
+			l.meta[p.ImportPath] = p
 		}
+		listed = append(listed, p)
 	}
-	return nil
+	return listed, nil
 }
 
-// Load lists patterns and returns the matched module packages, parsed
-// with comments and fully type-checked, in dependency order (a package
-// precedes everything that imports it).
+// Load lists patterns with their tests and returns every module package
+// the analysis needs, parsed with comments and fully type-checked, in
+// the order Run needs:
+//
+//   - first the plain build of each module package the patterns depend
+//     on, in dependency order. It is FactsOnly if it is a dependency,
+//     or if a test variant is analyzed in its place;
+//   - then the test variants, in dependency order: a matched package p
+//     built with its _test.go files ("p [p.test]"), its external test
+//     package p_test, and, FactsOnly, the dependencies rebuilt against
+//     p's test files.
+//
+// A variant is type-checked under its package path, so its facts have
+// the same keys as the plain build's; its imports resolve through its
+// ImportMap. Coming after the whole plain build, every variant sees the
+// facts of each package its test files import.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	if err := l.goList(patterns...); err != nil {
+	listed, err := l.goList(append([]string{"-test"}, patterns...)...)
+	if err != nil {
 		return nil, err
 	}
-	var matched []string
-	for path, p := range l.meta {
-		if !p.DepOnly && !p.Standard && p.Module != nil {
-			matched = append(matched, path)
+	var plain, variants []*listedPackage
+	tested := map[string]bool{} // matched packages with an internal test variant
+	for _, p := range listed {
+		path, _, variant := strings.Cut(p.ImportPath, " [")
+		switch {
+		case p.Standard || p.Module == nil:
+		case variant:
+			variants = append(variants, p)
+			if path == p.ForTest && !p.DepOnly {
+				tested[path] = true
+			}
+		case p.ForTest == "" && strings.HasSuffix(path, ".test"):
+			// The generated test main: nothing to analyze.
+		default:
+			plain = append(plain, p)
 		}
 	}
-	sort.Strings(matched)
-	order := l.depOrder(matched)
-
 	var pkgs []*Package
-	for _, path := range order {
-		pkg, err := l.typeCheck(l.meta[path])
+	for _, p := range append(plain, variants...) {
+		pkg, err := l.typeCheck(p)
 		if err != nil {
 			return nil, err
 		}
+		pkg.FactsOnly = p.DepOnly || tested[p.ImportPath]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// depOrder topologically sorts paths so dependencies precede importers.
-func (l *Loader) depOrder(paths []string) []string {
-	in := map[string]bool{}
-	for _, p := range paths {
-		in[p] = true
-	}
-	var order []string
-	visited := map[string]bool{}
-	var visit func(string)
-	visit = func(path string) {
-		if visited[path] || !in[path] {
-			return
-		}
-		visited[path] = true
-		if m := l.meta[path]; m != nil {
-			for _, imp := range m.Imports {
-				visit(imp)
-			}
-		}
-		order = append(order, path)
-	}
-	for _, p := range paths {
-		visit(p)
-	}
-	return order
 }
 
 // typeCheck parses and type-checks one listed package from source.
@@ -197,7 +188,19 @@ func (l *Loader) typeCheck(m *listedPackage) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	return l.check(m.ImportPath, m.Dir, files, m.Imports)
+	var imp types.Importer = (*loaderImporter)(l)
+	if len(m.ImportMap) > 0 {
+		// The variant's view of its imports: a fresh importer, so that
+		// an import path names the one build the compiler used.
+		imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+			if id, ok := m.ImportMap[path]; ok {
+				path = id
+			}
+			return l.lookupExport(path)
+		})
+	}
+	path, _, _ := strings.Cut(m.ImportPath, " [")
+	return l.check(path, files, imp)
 }
 
 // LoadDir parses the .go files of one directory as a package with the
@@ -222,13 +225,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
 	}
-	var imports []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			imports = append(imports, strings.Trim(imp.Path.Value, `"`))
-		}
-	}
-	pkg, err := l.check(importPath, dir, files, imports)
+	pkg, err := l.check(importPath, files, (*loaderImporter)(l))
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +234,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 }
 
 // check runs the type checker over parsed files.
-func (l *Loader) check(importPath, dir string, files []*ast.File, imports []string) (*Package, error) {
+func (l *Loader) check(importPath string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -245,19 +242,17 @@ func (l *Loader) check(importPath, dir string, files []*ast.File, imports []stri
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: (*loaderImporter)(l)}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", importPath, err)
 	}
 	return &Package{
 		PkgPath: importPath,
-		Dir:     dir,
 		Files:   files,
 		Fset:    l.fset,
 		Types:   tpkg,
 		Info:    info,
-		Imports: imports,
 	}, nil
 }
 

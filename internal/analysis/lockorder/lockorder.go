@@ -78,9 +78,8 @@ type event struct {
 
 func run(pass *analysis.Pass) error {
 	ranks := map[string]string{} // FieldID -> rank name
-	// The order fact is stored as a plain map so it serializes across
-	// vettool processes; the conversion aliases the same underlying map,
-	// so edges added here are visible to later packages in-process too.
+	// The order fact is one map shared by the whole run: edges added
+	// here are visible to every package analyzed later.
 	ord := order{}
 	if v, ok := pass.Facts.Import(name, "order"); ok {
 		ord = order(v.(map[string][]string))

@@ -26,6 +26,9 @@ func TestGeneratorSeedStability(t *testing.T) {
 		{"MetaBurstOps", MetaBurstOps(7, 50), 50, 0x5eb928d364435b0f},
 		{"FragmentOps", FragmentOps(7, 50), fragmentMinOps, 0x0af0febccc98a3dc},
 		{"ScatterOps", ScatterOps(7, 15), 21, 0xb1c95c1f89a3b730},
+		{"AsyncOps", AsyncOps(7, 50), 50, 0x1053bb7a5e4aca83},
+		// 51: a final OpSyncAll barrier follows the 50 ops drawn.
+		{"ServedOps", ServedOps(7, 50), 51, 0x9e8578c489bf5683},
 	}
 	for _, c := range cases {
 		if len(c.ops) != c.wantN {

@@ -118,9 +118,6 @@ func obsExp() (*Table, error) {
 		})
 		for _, m := range snap1 {
 			t.AddMetric(kind+"/"+m.Name, float64(m.Value), obsMetricUnit(m.Name))
-			if m.Kind == obs.KindHist {
-				t.AddMetric(kind+"/"+m.Name+"/sum", float64(m.Sum), obsMetricUnit(m.Name))
-			}
 		}
 	}
 	return t, nil

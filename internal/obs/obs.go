@@ -1,7 +1,7 @@
-// Package obs is the observability plane's instrument layer: counters,
-// gauges, and fixed-bucket histograms on bare atomics, collected into a
-// registry whose snapshots are deterministic (sorted by name, no map
-// iteration order anywhere near the output).
+// Package obs is the observability plane's instrument layer: a
+// registry of computed gauges whose snapshots are deterministic (sorted
+// by name, no map iteration order anywhere near the output), a
+// fixed-bucket histogram on bare atomics, and the flight recorder.
 //
 // The package is stdlib-only and sits in the deterministic set (see
 // internal/analysis/determinism): it never reads the wall clock, never
@@ -12,11 +12,10 @@
 // BENCH_baseline.json; wall-clock feeds are legal only from callers
 // already outside the deterministic contract (cmd/splitfsd).
 //
-// Hot-path rule: an instrument is resolved from the registry once, at
-// construction time, and then incremented through its pointer —
-// Registry lookups (a mutex and a map) never sit on an op dispatch
-// path. Counter/Gauge/Histogram methods are a single atomic RMW each,
-// allocation-free.
+// Hot-path rule: subsystems count on their own atomics and register a
+// gauge that reads them at snapshot time, so the registry (a mutex and
+// a map) never sits on an op dispatch path. Histogram.Observe is a few
+// atomic adds, allocation-free.
 package obs
 
 import (
@@ -28,27 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotone event count.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is a point-in-time level (open handles, live sessions).
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // HistBuckets is the fixed bucket count: bucket i holds observations v
 // with bits.Len64(v) == i, i.e. power-of-two ranges [2^(i-1), 2^i).
@@ -97,12 +75,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Instrument kinds, as snapshot strings.
-const (
-	KindCounter = "counter"
-	KindGauge   = "gauge"
-	KindHist    = "hist"
-)
+// KindGauge is the kind of every registry row.
+const KindGauge = "gauge"
 
 // Bucket is one non-empty histogram bucket in a snapshot: Bit is the
 // bits.Len64 bucket index (observations in [2^(Bit-1), 2^Bit)).
@@ -111,13 +85,11 @@ type Bucket struct {
 	N   int64 `json:"n"`
 }
 
-// Metric is one instrument's snapshot row.
+// Metric is one gauge's snapshot row.
 type Metric struct {
-	Name    string   `json:"name"`
-	Kind    string   `json:"kind"`
-	Value   int64    `json:"value"` // counter/gauge value; histogram count
-	Sum     int64    `json:"sum,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Name  string `json:"name"`
+	Kind  string `json:"kind"`
+	Value int64  `json:"value"`
 }
 
 // Snapshot is a deterministic point-in-time reading of a registry:
@@ -139,11 +111,7 @@ func (s Snapshot) Get(name string) (Metric, bool) {
 func (s Snapshot) Hash() uint64 {
 	var sb strings.Builder
 	for _, m := range s {
-		fmt.Fprintf(&sb, "%s=%s:%d:%d", m.Name, m.Kind, m.Value, m.Sum)
-		for _, b := range m.Buckets {
-			fmt.Fprintf(&sb, ";%d:%d", b.Bit, b.N)
-		}
-		sb.WriteByte('\n')
+		fmt.Fprintf(&sb, "%s=%s:%d\n", m.Name, m.Kind, m.Value)
 	}
 	return FNV1a(sb.String())
 }
@@ -167,21 +135,14 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 	return json.Marshal([]Metric(s))
 }
 
-// entry binds a name to one instrument. Exactly one of the instrument
-// fields is set, per kind.
+// entry binds a name to one computed gauge.
 type entry struct {
-	name    string
-	kind    string
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() int64 // computed gauge, read at snapshot time
+	name string
+	fn   func() int64 // read at snapshot time
 }
 
-// Registry is a named collection of instruments. Registration and
-// snapshotting lock; reads and writes of the instruments themselves
-// never do. Names registered twice return the same instrument, so
-// independent subsystems can share a registry without coordination.
+// Registry is a named collection of computed gauges. Registration and
+// snapshotting lock; the subsystem atomics the gauges read never do.
 type Registry struct {
 	// Registration-time only; never held on an op dispatch path. The
 	// rank exists so a snapshot taken under another ranked lock is a
@@ -196,38 +157,6 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]*entry{}}
 }
 
-func (r *Registry) lookup(name, kind string) *entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byName[name]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("obs: %q registered as %s, requested as %s", name, e.kind, kind))
-		}
-		return e
-	}
-	e := &entry{name: name, kind: kind}
-	switch kind {
-	case KindCounter:
-		e.counter = &Counter{}
-	case KindGauge:
-		e.gauge = &Gauge{}
-	case KindHist:
-		e.hist = &Histogram{}
-	}
-	r.byName[name] = e
-	r.entries = append(r.entries, e)
-	return e
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter { return r.lookup(name, KindCounter).counter }
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge { return r.lookup(name, KindGauge).gauge }
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram { return r.lookup(name, KindHist).hist }
-
 // Func registers a computed gauge: fn is evaluated at snapshot time.
 // Subsystems that already keep atomic counters (pmem device stats,
 // splitfs fs stats) export them this way with zero hot-path cost.
@@ -236,38 +165,22 @@ func (r *Registry) Func(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.byName[name]; ok {
-		if e.kind != KindGauge || e.fn == nil {
-			panic(fmt.Sprintf("obs: %q registered as %s, requested as func gauge", name, e.kind))
-		}
 		e.fn = fn
 		return
 	}
-	e := &entry{name: name, kind: KindGauge, fn: fn}
+	e := &entry{name: name, fn: fn}
 	r.byName[name] = e
 	r.entries = append(r.entries, e)
 }
 
-// Snapshot reads every instrument and returns the rows sorted by name.
+// Snapshot reads every gauge and returns the rows sorted by name.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	entries := append([]*entry(nil), r.entries...)
 	r.mu.Unlock()
 	out := make(Snapshot, 0, len(entries))
 	for _, e := range entries {
-		m := Metric{Name: e.name, Kind: e.kind}
-		switch {
-		case e.counter != nil:
-			m.Value = e.counter.Load()
-		case e.gauge != nil:
-			m.Value = e.gauge.Load()
-		case e.fn != nil:
-			m.Value = e.fn()
-		case e.hist != nil:
-			m.Value = e.hist.Count()
-			m.Sum = e.hist.Sum()
-			m.Buckets = HistBucketsOf(e.hist)
-		}
-		out = append(out, m)
+		out = append(out, Metric{Name: e.name, Kind: KindGauge, Value: e.fn()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

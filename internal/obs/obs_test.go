@@ -7,37 +7,30 @@ import (
 
 func TestRegistryIdempotentAndSorted(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("z/ops")
-	c2 := r.Counter("z/ops")
-	if c1 != c2 {
-		t.Fatal("same name returned distinct counters")
-	}
-	c1.Add(3)
-	r.Gauge("a/level").Set(7)
+	r.Func("z/ops", func() int64 { return 1 })
+	r.Func("z/ops", func() int64 { return 3 }) // replaces, no second row
+	r.Func("a/level", func() int64 { return 7 })
 	r.Func("m/fn", func() int64 { return 42 })
-	h := r.Histogram("h/cost")
-	h.Observe(5)
-	h.Observe(1000)
 
 	s := r.Snapshot()
 	names := make([]string, len(s))
 	for i, m := range s {
 		names[i] = m.Name
 	}
-	want := []string{"a/level", "h/cost", "m/fn", "z/ops"}
+	want := []string{"a/level", "m/fn", "z/ops"}
+	if len(names) != len(want) {
+		t.Fatalf("snapshot rows %v, want %v", names, want)
+	}
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("snapshot order %v, want %v", names, want)
 		}
 	}
-	if m, _ := s.Get("z/ops"); m.Value != 3 {
-		t.Fatalf("counter = %d, want 3", m.Value)
+	if m, _ := s.Get("z/ops"); m.Value != 3 || m.Kind != KindGauge {
+		t.Fatalf("re-registered gauge = %+v, want value 3", m)
 	}
 	if m, _ := s.Get("m/fn"); m.Value != 42 {
 		t.Fatalf("func gauge = %d, want 42", m.Value)
-	}
-	if m, _ := s.Get("h/cost"); m.Value != 2 || m.Sum != 1005 {
-		t.Fatalf("hist count=%d sum=%d, want 2/1005", m.Value, m.Sum)
 	}
 	if _, ok := s.Get("missing"); ok {
 		t.Fatal("Get found a missing metric")
@@ -85,7 +78,7 @@ func TestHistogramMerge(t *testing.T) {
 }
 
 // TestSnapshotDeterministic is the core contract: two registries fed
-// the same updates produce byte-identical snapshots and equal hashes.
+// the same readings produce byte-identical snapshots and equal hashes.
 func TestSnapshotDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
@@ -93,9 +86,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 		// registration order invisible.
 		names := []string{"b", "a", "c/x", "c/y"}
 		for _, n := range names {
-			r.Counter(n).Add(int64(len(n)))
+			v := int64(len(n))
+			r.Func(n, func() int64 { return v })
 		}
-		r.Histogram("h").Observe(17)
 		return r.Snapshot()
 	}
 	s1, s2 := build(), build()
@@ -109,19 +102,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	// And a different reading hashes differently.
 	r := NewRegistry()
-	r.Counter("b").Add(999)
+	r.Func("b", func() int64 { return 999 })
 	if r.Snapshot().Hash() == s1.Hash() {
 		t.Fatal("distinct snapshots hash equal")
 	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on kind mismatch")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("x")
-	r.Gauge("x")
 }
