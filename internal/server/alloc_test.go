@@ -39,13 +39,16 @@ func allocsPerOp(runs int, setup, op func()) float64 {
 // leased session on splitfs-strict (DESIGN.md, "Host allocation and peak
 // RSS"). Every bound is what the change that last moved it measured, and
 // atParent what that change's parent did: the change that made the hot
-// paths allocation-free, and for open+close and rename the one that
-// recycled U-Split's descriptions and made K-Split's directory entries
-// values. What is left is the handles each side holds (open), a path
-// decoded and resolved into the session's subtree (stat, open, rename),
-// the error of the lease check's stat of an absent destination (rename),
-// and the rare staging-file creation or op-log checkpoint (the
-// fractions).
+// paths allocation-free; for open+close the one that recycled U-Split's
+// descriptions and made K-Split's directory entries values; for rename
+// and the truncate the one that keyed lease revocation on the server's
+// name table, which dropped the error of a backend stat of the absent
+// destination (rename), the revoking fstat and the per-inode lease maps
+// (truncate). What is left is the handles each side holds
+// (open), a path decoded and resolved into the session's subtree (stat,
+// open, rename), the segment and extent tables of a grant on both sides
+// (truncate), and the rare staging-file creation or op-log checkpoint
+// (the fractions).
 func TestServedMixAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -141,7 +144,13 @@ func TestServedMixAllocations(t *testing.T) {
 		{"rename", none, func() {
 			check(c.Rename(scratch[at], scratch[1-at]))
 			at = 1 - at
-		}, 6, 7},
+		}, 5, 6},
+		{"truncate of a leased file, then a re-leased pread", none, func() {
+			check(data.Truncate(blocks * sim.BlockSize))
+			_, err := data.ReadAt(buf, next%blocks*sim.BlockSize)
+			check(err)
+			next += 5
+		}, 8, 11},
 	} {
 		// The odd runtime allocation (a timer, a stack growing) lands in
 		// some run now and then.

@@ -16,24 +16,26 @@
 // discarding the bytes and retiring to the copy path if it moved. The
 // segment's revoked flag is the server-initiated half: destructive
 // namespace/size operations (truncate, O_TRUNC or conflicting writable
-// opens, rename, unlink) revoke outstanding leases on the inode before
-// executing — the revoker sets the flag, then takes the segment lock
-// write-side to drain readers pinned under the read side, then queues a
-// Trevoke message on the holder's session, which writes it just ahead of
-// its next reply: the client learns at its next exchange rather than on
-// its next validation failure.
+// opens, rename, unlink) revoke outstanding leases on the file before
+// executing — found in the server's name table (names.go), never by a
+// backend lookup — and the revoker sets the flag, then takes the
+// segment lock write-side to drain readers pinned under the read side,
+// then queues a Trevoke message on the holder's session, which writes
+// it just ahead of its next reply: the client learns at its next
+// exchange rather than on its next validation failure.
 //
 // Lock hierarchy: sessexec (a session's executor lock, Session.execMu)
 // is outermost — a request grants and revokes from inside it, and a
 // revocation reaches another session only by queuing a push under that
 // session's replyMu: never its executor lock, and never a write to its
 // connection, which could block the revoker on an idle client that is
-// not reading; leasetab (the server's ino→segment
-// index) is taken on its own, never inside a segment or backend lock;
+// not reading; nametab (the server's name table, which indexes the
+// leases by handle) is taken on its own, never inside a segment or
+// backend lock, and released before a revoker drains a segment;
 // leaseseg is held read-side across backend data operations, hence
 // ordered outside the splitfs writer lock.
 //
-// +lockrank:order sessexec < leasetab
+// +lockrank:order sessexec < nametab
 // +lockrank:order sessexec < leaseseg < wmu
 package server
 
@@ -49,9 +51,7 @@ import (
 // of the shared-memory segment, in the model).
 type leaseSegment struct {
 	id      uint64
-	ino     uint64
 	sess    *Session
-	handle  uint64
 	file    vfs.File     // server-side open file backing the lease
 	m       vfs.Mappable // same object, mapped capability
 	epoch   uint64       // mapping epoch the extents were collected under
@@ -103,8 +103,12 @@ func unregisterSegment(id uint64) {
 	segRegistry.mu.Unlock()
 }
 
-// grantLease builds and indexes a lease for the session's open handle.
-// Caller is the session's executor (tLease).
+// grantLease builds a lease for the session's open handle and files it
+// in the handle's name-table row. A segment the row still holds is
+// superseded: the client asks again only once it has dropped its lease
+// (an epoch moved, or the mapping no longer covered a range), so the
+// old segment is retired without a Trevoke and is not counted as
+// revoked. Caller is the session's executor (tLease).
 func (srv *Server) grantLease(s *Session, handle uint64, f vfs.File) (*leaseSegment, error) {
 	m, ok := f.(vfs.Mappable)
 	if !ok {
@@ -121,93 +125,106 @@ func (srv *Server) grantLease(s *Session, handle uint64, f vfs.File) (*leaseSegm
 	if err != nil {
 		return nil, err
 	}
-	seg := &leaseSegment{
-		ino: fi.Ino, sess: s, handle: handle,
-		file: f, m: m, epoch: epoch, size: fi.Size, extents: exts,
-	}
+	seg := &leaseSegment{sess: s, file: f, m: m, epoch: epoch, size: fi.Size, extents: exts}
 	registerSegment(seg)
-	srv.leaseMu.Lock()
-	byIno := srv.leases[seg.ino]
-	if byIno == nil {
-		byIno = map[uint64]*leaseSegment{}
-		srv.leases[seg.ino] = byIno
-	}
-	byIno[seg.id] = seg
-	if s.leases == nil {
-		s.leases = map[uint64]*leaseSegment{}
-	}
-	s.leases[seg.id] = seg
-	srv.leaseMu.Unlock()
 	srv.nLeases.Add(1)
+	ref := handleRef{s, handle}
+	srv.nameMu.Lock()
+	e := srv.names[ref]
+	old := e.seg
+	e.seg = seg
+	srv.names[ref] = e
+	srv.nameMu.Unlock()
+	if old != nil {
+		srv.retireSegment(old)
+	}
 	srv.stats.leaseGrants.Add(1)
 	return seg, nil
 }
 
 // leasesActive reports whether any lease is outstanding. The revocation
-// hooks in Session.execute are gated on it so that lease-free serving
-// performs exactly the operation sequence it did before leases existed
-// (the determinism the crash differential pins).
+// hooks in Session.execute are gated on it, and they look only at the
+// name table, so a served request issues the same backend calls with
+// leases on as with leases off: the grants (a Tlease's fstat and extent
+// collection) are the only backend work the lease plane adds.
 func (srv *Server) leasesActive() bool { return srv.nLeases.Load() > 0 }
 
-// revokeIno revokes every outstanding lease on an inode. Called by the
-// destructive-operation hooks before the operation executes.
-func (srv *Server) revokeIno(ino uint64) {
-	srv.revokeWhere(func(seg *leaseSegment) bool { return seg.ino == ino })
+// revokeKey revokes the leases of every handle known by key: a
+// resolved path (Session.resolve), or an open handle's key for a
+// truncate through it. Called by the destructive-operation hooks before
+// the operation executes.
+func (srv *Server) revokeKey(key nameKey) {
+	srv.revokeWhere(func(_ handleRef, e nameEntry) bool { return e.key == key })
 }
 
-// revokeHandleLeases revokes leases granted on one session handle
-// (Tclose: the backing file is about to be closed, which may free an
-// orphan's blocks).
+// revokeHandleLeases revokes the lease granted on one session handle.
 func (srv *Server) revokeHandleLeases(s *Session, handle uint64) {
-	srv.revokeWhere(func(seg *leaseSegment) bool {
-		return seg.sess == s && seg.handle == handle
+	srv.revokeWhere(func(ref handleRef, _ nameEntry) bool {
+		return ref == handleRef{s, handle}
 	})
 }
 
-// revokeSessionLeases revokes everything a session holds. Teardown runs
-// it before closing the handle table, so no lease survives its session
-// — and, since Server.Close tears every session down, no lease survives
-// a server generation.
-func (srv *Server) revokeSessionLeases(s *Session) {
-	srv.revokeWhere(func(seg *leaseSegment) bool { return seg.sess == s })
-}
-
-// revokeWhere removes matching segments from the index under leaseMu,
-// then revokes them with no lease-table lock held (the drain must not
-// nest inside leaseMu: a reader pinned under seg.mu never takes
-// leaseMu, but keeping the scopes disjoint keeps the hierarchy flat).
-func (srv *Server) revokeWhere(match func(*leaseSegment) bool) {
-	if srv.nLeases.Load() == 0 {
+// revokeWhere takes the leases of matching rows out of the table under
+// nameMu, then revokes them with no table lock held (the drain must not
+// nest inside nameMu: a reader pinned under seg.mu never takes nameMu,
+// but keeping the scopes disjoint keeps the hierarchy flat).
+func (srv *Server) revokeWhere(match func(handleRef, nameEntry) bool) {
+	if !srv.leasesActive() {
 		return
 	}
-	var victims []*leaseSegment
-	srv.leaseMu.Lock()
-	for ino, byIno := range srv.leases {
-		for id, seg := range byIno {
-			if !match(seg) {
-				continue
-			}
-			delete(byIno, id)
-			if seg.sess.leases != nil {
-				delete(seg.sess.leases, id)
-			}
-			victims = append(victims, seg)
+	var buf [4]*leaseSegment
+	victims := buf[:0]
+	srv.nameMu.Lock()
+	for ref, e := range srv.names {
+		if e.seg == nil || !match(ref, e) {
+			continue
 		}
-		if len(byIno) == 0 {
-			delete(srv.leases, ino)
-		}
+		victims = append(victims, e.seg)
+		e.seg = nil
+		srv.names[ref] = e
 	}
-	srv.leaseMu.Unlock()
+	srv.nameMu.Unlock()
 	for _, seg := range victims {
 		srv.revokeSegment(seg)
 	}
 }
 
-// revokeSegment performs the revocation protocol on one segment: flag,
-// drain, notify. Idempotent.
+// dropSession forgets every handle of a session being torn down and
+// revokes their leases. Teardown runs it before closing the handle
+// table, so no lease survives its session — and, since Server.Close
+// tears every session down, no lease survives a server generation.
+func (srv *Server) dropSession(s *Session) {
+	var victims []*leaseSegment
+	srv.nameMu.Lock()
+	for ref, e := range srv.names {
+		if ref.s != s {
+			continue
+		}
+		delete(srv.names, ref)
+		if e.seg != nil {
+			victims = append(victims, e.seg)
+		}
+	}
+	srv.nameMu.Unlock()
+	for _, seg := range victims {
+		srv.revokeSegment(seg)
+	}
+}
+
+// revokeSegment performs the revocation protocol on one segment: retire
+// it, then notify its holder. Idempotent.
 func (srv *Server) revokeSegment(seg *leaseSegment) {
+	if srv.retireSegment(seg) {
+		srv.stats.leaseRevokes.Add(1)
+		seg.sess.pushRevoke(seg.id)
+	}
+}
+
+// retireSegment takes a segment out of service: flag, drain, unregister.
+// It reports false when the segment was already retired.
+func (srv *Server) retireSegment(seg *leaseSegment) bool {
 	if seg.revoked.Swap(true) {
-		return
+		return false
 	}
 	// Drain: an in-flight leased read or write holds seg.mu read-side;
 	// once the write side is acquired every pinned operation has
@@ -215,9 +232,8 @@ func (srv *Server) revokeSegment(seg *leaseSegment) {
 	seg.mu.Lock()
 	seg.mu.Unlock() //nolint — empty critical section IS the drain barrier
 	srv.nLeases.Add(-1)
-	srv.stats.leaseRevokes.Add(1)
-	seg.sess.pushRevoke(seg.id)
 	unregisterSegment(seg.id)
+	return true
 }
 
 // pushRevoke queues the server-initiated Trevoke frame for the session's

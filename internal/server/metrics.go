@@ -263,9 +263,15 @@ func (s *Session) Metrics(withFlight bool) SessionMetrics {
 
 // sessionLeaseCount reports a session's outstanding lease segments.
 func (srv *Server) sessionLeaseCount(s *Session) int {
-	srv.leaseMu.Lock()
-	defer srv.leaseMu.Unlock()
-	return len(s.leases)
+	srv.nameMu.Lock()
+	defer srv.nameMu.Unlock()
+	n := 0
+	for ref, e := range srv.names {
+		if ref.s == s && e.seg != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // MetricsSnapshot builds the server-wide stats view. perSession

@@ -104,12 +104,13 @@ type Server struct {
 	retiredObs sessionObs
 	retired    []retiredFlight
 
-	// Zero-copy lease index: inode → segment id → segment, plus the
-	// session-side maps (Session.leases) guarded by the same lock. The
-	// atomic count gates the revocation hooks in Session.execute so a
-	// lease-free server performs no extra work (see lease.go).
-	leaseMu sync.Mutex // +lockrank:leasetab
-	leases  map[uint64]map[uint64]*leaseSegment
+	// Name table (names.go): one row per open handle, holding the key
+	// its file is known by and the lease granted on it. orphans counts
+	// the orphan keys issued. The atomic count of outstanding leases
+	// gates the revocation hooks in Session.execute (see lease.go).
+	nameMu  sync.Mutex // +lockrank:nametab
+	names   map[handleRef]nameEntry
+	orphans uint64
 	nLeases atomic.Int64
 }
 
@@ -155,7 +156,7 @@ func New(fs vfs.FileSystem, cfg Config) *Server {
 		sessions: make(map[uint64]*Session),
 		byToken:  make(map[uint64]*Session),
 		conns:    make(map[*serverConn]bool),
-		leases:   make(map[uint64]map[uint64]*leaseSegment),
+		names:    make(map[handleRef]nameEntry),
 	}
 }
 

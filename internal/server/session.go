@@ -38,10 +38,6 @@ type Session struct {
 	// (featLeases & co). Immutable after attach.
 	features uint32
 
-	// leases holds the session's outstanding lease segments by id,
-	// guarded by srv.leaseMu alongside the server's ino index.
-	leases map[uint64]*leaseSegment
-
 	// execMu is the executor lock: one request at a time, from the
 	// ownership check through the reply, and teardown. It is the
 	// outermost lock of the hierarchy (lease.go) — a request takes
@@ -264,7 +260,7 @@ func (s *Session) teardownLocked() {
 	// a client still holding a segment observes the flag, not a load
 	// against blocks an orphan close is about to free. Server.Close
 	// tears every session down, so no lease survives a generation.
-	s.srv.revokeSessionLeases(s)
+	s.srv.dropSession(s)
 	s.ht.CloseAll()
 	s.srv.detach(s)
 }
@@ -368,18 +364,22 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			// which frees blocks inside OpenFile) invalidates leases on
 			// the target before the open executes.
 			if vfs.Writable(flag) {
-				s.revokePathLeases(path)
+				s.srv.revokeKey(nameKey{path: path})
 			}
 			var f vfs.File
 			if f, err = s.srv.fs.OpenFile(path, flag, perm); err == nil {
-				e.u64(uint64(s.ht.Insert(f)))
+				h := uint64(s.ht.Insert(f))
+				s.srv.nameOpen(s, h, path)
+				e.u64(h)
 			}
 		}
 	case tClose:
 		id := d.u64()
 		if d.err == nil {
 			// The backing file may free orphan blocks at last close.
-			s.srv.revokeHandleLeases(s, id)
+			if seg := s.srv.nameClose(s, id); seg != nil {
+				s.srv.revokeSegment(seg)
+			}
 			err = s.ht.Close(fd(id))
 		}
 	case tRead:
@@ -445,7 +445,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		size := d.i64()
 		if d.err == nil {
 			err = s.withFile(id, func(f vfs.File) error {
-				s.revokeFileLeases(f) // truncate frees blocks
+				s.srv.revokeKey(s.srv.handleKey(s, id)) // truncate frees blocks
 				return f.Truncate(size)
 			})
 		}
@@ -505,13 +505,17 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 	case tUnlink:
 		path := s.resolve(d.str())
 		if d.err == nil {
-			s.revokePathLeases(path)
-			err = s.srv.fs.Unlink(path)
+			s.srv.revokeKey(nameKey{path: path})
+			if err = s.srv.fs.Unlink(path); err == nil {
+				s.srv.unlinked(path)
+			}
 		}
 	case tRmdir:
-		path := d.str()
+		path := s.resolve(d.str())
 		if d.err == nil {
-			err = s.srv.fs.Rmdir(s.resolve(path))
+			if err = s.srv.fs.Rmdir(path); err == nil {
+				s.srv.unlinked(path)
+			}
 		}
 	case tRename:
 		oldPath := s.resolve(d.str())
@@ -520,9 +524,11 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			// Both ends: the source moves (attribute-cache interplay —
 			// a leased path must not serve bytes under a stale name) and
 			// a replaced destination is unlinked.
-			s.revokePathLeases(oldPath)
-			s.revokePathLeases(newPath)
-			err = s.srv.fs.Rename(oldPath, newPath)
+			s.srv.revokeKey(nameKey{path: oldPath})
+			s.srv.revokeKey(nameKey{path: newPath})
+			if err = s.srv.fs.Rename(oldPath, newPath); err == nil {
+				s.srv.renamed(oldPath, newPath)
+			}
 		}
 	case tSyncAll:
 		// Group sync, by the rule the crash runner applies directly:
@@ -598,34 +604,6 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 	return rtyp, reqID, e.b
 }
 
-// revokePathLeases revokes outstanding leases on the inode a resolved
-// path (Session.resolve) names. Gated on leasesActive so lease-free
-// serving performs exactly the pre-lease operation sequence — the
-// determinism the crash differential and the bench baselines pin.
-func (s *Session) revokePathLeases(path string) {
-	if !s.srv.leasesActive() {
-		return
-	}
-	fi, err := s.srv.fs.Stat(path)
-	if err != nil {
-		return // nothing at the path, nothing leased
-	}
-	s.srv.revokeIno(fi.Ino)
-}
-
-// revokeFileLeases revokes outstanding leases on an open file's inode.
-// Same gating as revokePathLeases.
-func (s *Session) revokeFileLeases(f vfs.File) {
-	if !s.srv.leasesActive() {
-		return
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return
-	}
-	s.srv.revokeIno(fi.Ino)
-}
-
 // reopen re-establishes a handle at its original wire ID during a cold
 // resume (the session is fresh; the parked one died with the server).
 // chain lists every path the file may durably sit at, oldest first: the
@@ -645,8 +623,10 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 	}
 	probe := flag &^ (vfs.O_TRUNC | vfs.O_EXCL | vfs.O_CREATE)
 	var f vfs.File
+	var path string
 	for i := len(chain) - 1; i >= 0; i-- {
-		g, err := s.srv.fs.OpenFile(s.resolve(chain[i]), probe, perm)
+		path = s.resolve(chain[i])
+		g, err := s.srv.fs.OpenFile(path, probe, perm)
 		if err == nil {
 			f = g
 			break
@@ -656,7 +636,7 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 		}
 	}
 	if f == nil {
-		g, err := s.srv.fs.OpenFile(s.resolve(chain[0]), probe|vfs.O_CREATE, perm)
+		g, err := s.srv.fs.OpenFile(path, probe|vfs.O_CREATE, perm)
 		if err != nil {
 			return err
 		}
@@ -672,6 +652,7 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 		f.Close()
 		return err
 	}
+	s.srv.nameOpen(s, id, path)
 	return nil
 }
 
