@@ -7,17 +7,10 @@
 //	splitbench list             # list experiment IDs
 //	splitbench table1 fig4 ...  # run selected experiments
 //	splitbench fidelity         # the paper's numbers against ours; fails outside a band
-//	splitbench -threads 8 scaling
 //	splitbench -json b.json ... # also write the metrics as JSON records
 //
-//	splitbench -experiment macro -scale smoke            # full 9-backend matrix
-//	splitbench -experiment macro -backend splitfs-strict -workload ycsb-A,tpcc
-//	splitbench -experiment macro -scale smoke -check-baseline   # CI perf gate
-//	splitbench -update-baseline                                 # refresh BENCH_baseline.json
-//
-// -threads N sets the worker-goroutine sweep of the concurrent-mode
-// "scaling" experiment to powers of two up to N (default 4). Wall-clock
-// scaling needs GOMAXPROCS >= N.
+//	splitbench -check-baseline macro server obs   # CI perf gate
+//	splitbench -update-baseline                   # refresh BENCH_baseline.json
 //
 // Every experiment's machine-readable metrics are additionally
 // serialized to the file -json names, if any, as records of
@@ -79,30 +72,9 @@ func writeResults(path string, recs []benchfmt.Record) error {
 	return benchfmt.Save(path, benchfmt.Merge(old, recs))
 }
 
-// splitList splits a comma-separated flag value into its entries.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func main() {
-	threads := flag.Int("threads", 0,
-		"max worker threads for the concurrent-mode scaling experiment (0 keeps the default sweep)")
 	jsonPath := flag.String("json", "",
 		"also write machine-readable metrics here (empty: none)")
-	experiment := flag.String("experiment", "",
-		"experiment IDs to run (comma-separated; alternative to positional arguments)")
-	scale := flag.String("scale", "smoke",
-		"macro matrix scale level: smoke, small, or full")
-	backend := flag.String("backend", "",
-		"restrict the macro matrix to these backends (comma-separated; empty = all nine)")
-	workload := flag.String("workload", "",
-		"restrict the macro matrix to these workloads (comma-separated; empty = ycsb-A..F and tpcc)")
 	baselinePath := flag.String("baseline", "BENCH_baseline.json",
 		"regression baseline for the macro matrix's deterministic counters")
 	checkBaseline := flag.Bool("check-baseline", false,
@@ -110,17 +82,6 @@ func main() {
 	updateBaseline := flag.Bool("update-baseline", false,
 		"rewrite -baseline from this run's macro counters (escape hatch after an intentional change)")
 	flag.Parse()
-	if *threads < 0 {
-		fmt.Fprintln(os.Stderr, "splitbench: -threads must not be negative")
-		os.Exit(2)
-	}
-	if *threads > 0 {
-		harness.SetMaxThreads(*threads)
-	}
-	if err := harness.SetMacroConfig(*scale, splitList(*backend), splitList(*workload)); err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		os.Exit(2)
-	}
 	args := flag.Args()
 	// flag.Parse stops at the first positional argument; a flag placed
 	// after an experiment ID would otherwise be silently treated as one.
@@ -136,17 +97,16 @@ func main() {
 		}
 		return
 	}
-	ids := append(splitList(*experiment), args...)
-	if len(ids) == 0 && (*checkBaseline || *updateBaseline) {
+	if len(args) == 0 && (*checkBaseline || *updateBaseline) {
 		// Gate runs that name no experiment mean "run everything the
 		// baseline pins".
-		ids = benchfmt.GatedExperiments
+		args = benchfmt.GatedExperiments
 	}
 	var exps []harness.Experiment
-	if len(ids) == 0 {
+	if len(args) == 0 {
 		exps = harness.All()
 	} else {
-		for _, id := range ids {
+		for _, id := range args {
 			e, ok := harness.Get(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "splitbench: unknown experiment %q (try 'splitbench list')\n", id)
@@ -203,14 +163,6 @@ func main() {
 	if *updateBaseline && !allGated {
 		fmt.Fprintf(os.Stderr, "splitbench: -update-baseline needs the %s experiments in the run\n", list("and"))
 		failed = true
-	}
-	// The baseline pins the full smoke-scale matrix; recording or
-	// checking it at another scale or on a restricted selection would
-	// silently break the CI gate with hundreds of unexplained drifts.
-	if (*checkBaseline || *updateBaseline) &&
-		(*scale != "smoke" || *backend != "" || *workload != "") {
-		fmt.Fprintln(os.Stderr, "splitbench: baseline operations require -scale smoke and no -backend/-workload restriction")
-		os.Exit(2)
 	}
 	if *updateBaseline && allGated {
 		gated := benchfmt.GatedSubset(recs)

@@ -4,7 +4,7 @@
 // running splitfsd over its unix socket instead, as one confined client
 // session of the multi-tenant service (crash/recover/time are
 // daemon-side state and are unavailable remotely; stats renders the
-// session's own data-plane counters instead). With -ctl it speaks one
+// session's own wire counters instead). With -ctl it speaks one
 // command to a daemon's control socket and exits:
 //
 //	splitfs-shell -ctl /tmp/splitfs.ctl stats
@@ -22,7 +22,7 @@
 //	crash                  simulate power failure (torn lines; local only)
 //	recover                remount + replay (local only)
 //	stats                  U-Split and device counters (local), or the
-//	                       session's lease/wire counters (remote)
+//	                       session's wire counters (remote)
 //	time                   simulated clock (local only)
 //	quit
 package main
@@ -74,7 +74,6 @@ func main() {
 	connect := flag.String("connect", "", "unix socket of a running splitfsd (empty = local in-process stack)")
 	ctl := flag.String("ctl", "", "control socket of a running splitfsd: send the positional arguments as one control command and exit")
 	sessRoot := flag.String("root", "/", "session root when connecting (the served subtree this shell is confined to)")
-	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane when connecting (effective only for an in-process daemon; over a socket grants fail cleanly and the session stays on the copy path)")
 	flag.Parse()
 
 	if *ctl != "" {
@@ -86,8 +85,7 @@ func main() {
 	var stack *root.Stack
 	var cl *server.Client // the remote session, for its data-plane stats
 	if *connect != "" {
-		c, err := server.DialNetConfig("unix", *connect,
-			server.ClientConfig{Root: *sessRoot, EnableLeases: *leases})
+		c, err := server.DialNetConfig("unix", *connect, server.ClientConfig{Root: *sessRoot})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -220,12 +218,9 @@ func main() {
 			}
 		case "stats":
 			if stack == nil {
-				// Remote session: the client's own data-plane counters —
-				// how much moved through leased mappings vs. the wire.
+				// Remote session: the data bytes the client moved over the
+				// wire (a session over a socket takes no leases).
 				cs := cl.Stats()
-				fmt.Printf("session: lease grants=%d revocations=%d fallbacks=%d\n",
-					cs.LeaseGrants, cs.LeaseRevocations, cs.LeaseFallbacks)
-				fmt.Printf("leased:  read=%dB written=%dB\n", cs.LeasedReadBytes, cs.LeasedWriteBytes)
 				fmt.Printf("wire:    read=%dB written=%dB\n", cs.WireReadBytes, cs.WireWriteBytes)
 				continue
 			}

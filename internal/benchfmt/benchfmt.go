@@ -143,8 +143,8 @@ var GatedExperiments = []string{"macro", "server", "obs"}
 // stream is deterministic by the loopback-transport contract (requests
 // execute inline), so its counters pin both the backend AND the service
 // layer's transparency; the lease cells additionally pin the zero-copy
-// data plane's byte routing. The server experiment's wall-clock session
-// sweep stays ungated. The obs experiment is gated in full: every row
+// data plane's byte routing. Its direct cells stay ungated: the loopback
+// cells equal them by test. The obs experiment is gated in full: every row
 // is a registry instrument read after a sim-clocked deterministic
 // stream, so there is no wall-clock row to exclude — pinning the whole
 // snapshot is the observability plane's zero-drift guarantee in CI.

@@ -40,6 +40,12 @@ func (f *File) Ino() uint64 { return f.in.ino }
 // creating open as a metadata operation and a plain one as nothing.
 func (f *File) Created() bool { return f.created }
 
+// SetReadWrite gives the handle read and write access, whatever its open
+// asked for. U-Split serves every handle on an inode through the kernel
+// handle of the inode's open-file description, and checks each handle's
+// own access mode before it calls K-Split.
+func (f *File) SetReadWrite() { f.flag = f.flag&^(vfs.O_WRONLY|vfs.O_RDWR) | vfs.O_RDWR }
+
 // Linked reports whether the handle's inode is still live in the
 // namespace — the file it was opened on, not whatever a recycled record
 // or a reused inode number serves now. U-Split checks it before caching

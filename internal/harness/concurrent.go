@@ -26,36 +26,15 @@ import (
 // PM device, per-file U-Split locks, per-inode K-Split locks) lets
 // independent operations overlap. Meaningful scaling needs GOMAXPROCS >=
 // threads; single-threaded runs of the same loops remain the simulated-
-// time baseline (see DESIGN.md). Run `splitbench -threads N scaling` to
-// sweep.
-
-func init() {
-	register("scaling", "Aggregate wall-clock throughput vs worker threads (concurrent mode)", scalingExp)
-}
-
-// threadCounts is the sweep used by the scaling experiment; see
-// SetMaxThreads.
-var threadCounts = []int{1, 2, 4}
-
-// SetMaxThreads reconfigures the scaling sweep to powers of two up to and
-// including n (cmd/splitbench's -threads flag).
-func SetMaxThreads(n int) {
-	if n < 1 {
-		n = 1
-	}
-	var counts []int
-	for t := 1; t < n; t *= 2 {
-		counts = append(counts, t)
-	}
-	threadCounts = append(counts, n)
-}
+// time baseline (see DESIGN.md). The root package's BenchmarkParallel*
+// run these workloads, and cmd/perfpair -bench pairs them parent against
+// change.
 
 // ConcurrentResult is one measured concurrent run.
 type ConcurrentResult struct {
-	Threads int
-	Ops     int64 // total operations across workers
-	WallNs  int64 // wall-clock elapsed time
-	SimNs   int64 // simulated time charged by all workers together
+	Ops    int64 // total operations across workers
+	WallNs int64 // wall-clock elapsed time
+	SimNs  int64 // simulated time charged by all workers together
 }
 
 // WallKops is aggregate wall-clock throughput in Kops/s.
@@ -93,19 +72,10 @@ func (w *ConcurrentWorkload) Run() (ConcurrentResult, error) {
 		}
 	}
 	return ConcurrentResult{
-		Threads: w.threads,
-		Ops:     int64(w.threads) * int64(w.opsPerThread),
-		WallNs:  time.Since(start).Nanoseconds(),
-		SimNs:   w.e.Clock.Snapshot().Sub(before).Total,
+		Ops:    int64(w.threads) * int64(w.opsPerThread),
+		WallNs: time.Since(start).Nanoseconds(),
+		SimNs:  w.e.Clock.Snapshot().Sub(before).Total,
 	}, nil
-}
-
-// runPrepared runs a workload straight after preparing it.
-func runPrepared(w *ConcurrentWorkload, err error) (ConcurrentResult, error) {
-	if err != nil {
-		return ConcurrentResult{}, err
-	}
-	return w.Run()
 }
 
 // payload returns n bytes drawn from seed. The wall-clock workloads store
@@ -223,57 +193,4 @@ func ConcurrentWAL(kind string, threads, txPerThread int) (*ConcurrentWorkload, 
 		}
 		return nil
 	}}, nil
-}
-
-// scalingExp sweeps worker threads over the append, read, and WAL-commit
-// workloads on ext4 DAX and SplitFS-POSIX. The speedup column is
-// aggregate wall-clock throughput relative to the same workload at one
-// thread.
-func scalingExp() (*Table, error) {
-	t := &Table{
-		ID:    "scaling",
-		Title: "Concurrent-mode aggregate throughput (wall clock)",
-		Note: fmt.Sprintf("threads swept %v (splitbench -threads N); wall-clock scaling needs GOMAXPROCS >= threads — "+
-			"speedup is relative to the 1-thread run of the same workload", threadCounts),
-		Headers: []string{"File system", "Threads",
-			"4K appends (Kops/s)", "x", "4K reads (Kops/s)", "x", "WAL commits (Kops/s)", "x"},
-	}
-	const ops = 2048
-	for _, kind := range []string{"ext4-dax", "splitfs-posix"} {
-		var base [3]float64
-		for ti, threads := range threadCounts {
-			// At least one op per worker, so an extreme -threads value
-			// degrades to more total ops instead of a meaningless 0-op run.
-			a, err := runPrepared(ConcurrentAppends(kind, threads, max(1, ops/threads), sim.BlockSize))
-			if err != nil {
-				return nil, fmt.Errorf("%s appends x%d: %w", kind, threads, err)
-			}
-			r, err := runPrepared(ConcurrentReads(kind, threads, max(1, ops/threads), sim.BlockSize))
-			if err != nil {
-				return nil, fmt.Errorf("%s reads x%d: %w", kind, threads, err)
-			}
-			w, err := runPrepared(ConcurrentWAL(kind, threads, max(1, 256/threads)))
-			if err != nil {
-				return nil, fmt.Errorf("%s wal x%d: %w", kind, threads, err)
-			}
-			cur := [3]float64{a.WallKops(), r.WallKops(), w.WallKops()}
-			if ti == 0 {
-				base = cur
-			}
-			rel := func(i int) string {
-				if base[i] == 0 {
-					return "-"
-				}
-				return xf(cur[i] / base[i])
-			}
-			t.Rows = append(t.Rows, []string{
-				kind, fmt.Sprint(threads),
-				f1(cur[0]), rel(0), f1(cur[1]), rel(1), f1(cur[2]), rel(2),
-			})
-			for i, wl := range []string{"appends", "reads", "wal_commits"} {
-				t.AddMetric(fmt.Sprintf("%s_%s_t%d", kind, wl, threads), cur[i], "kops/s-wall")
-			}
-		}
-	}
-	return t, nil
 }

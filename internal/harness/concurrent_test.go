@@ -1,9 +1,14 @@
 package harness
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
+
+// runPrepared runs a workload straight after preparing it.
+func runPrepared(w *ConcurrentWorkload, err error) (ConcurrentResult, error) {
+	if err != nil {
+		return ConcurrentResult{}, err
+	}
+	return w.Run()
+}
 
 func TestConcurrentRunners(t *testing.T) {
 	for _, kind := range []string{"ext4-dax", "splitfs-posix", "splitfs-strict"} {
@@ -27,19 +32,6 @@ func TestConcurrentRunners(t *testing.T) {
 		}
 		if w.Ops != 16 || w.WallNs <= 0 {
 			t.Fatalf("%s wal: implausible result %+v", kind, w)
-		}
-	}
-}
-
-func TestSetMaxThreads(t *testing.T) {
-	defer func() { threadCounts = []int{1, 2, 4} }()
-	for _, c := range []struct {
-		n    int
-		want []int
-	}{{8, []int{1, 2, 4, 8}}, {6, []int{1, 2, 4, 6}}, {1, []int{1}}} {
-		SetMaxThreads(c.n)
-		if !slices.Equal(threadCounts, c.want) {
-			t.Fatalf("SetMaxThreads(%d): threadCounts = %v, want %v", c.n, threadCounts, c.want)
 		}
 	}
 }

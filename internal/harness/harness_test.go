@@ -51,14 +51,15 @@ func metric(t *testing.T, tbl *Table, name string) float64 {
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{"table1", "table2", "table6", "table7",
-		"fig3", "fig4", "fig5", "fig6", "recovery", "resources", "ablation", "fidelity"}
+		"fig3", "fig4", "fig5", "fig6", "recovery", "resources", "ablation", "fidelity",
+		"macro", "server", "obs"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Errorf("experiment %s missing", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Fatalf("registry has %d experiments", len(All()))
+	if len(All()) != len(want) {
+		t.Fatalf("registry has %d experiments, want %d", len(All()), len(want))
 	}
 }
 

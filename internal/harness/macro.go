@@ -15,7 +15,6 @@ package harness
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"splitfs/internal/apps/lsmkv"
@@ -33,12 +32,6 @@ func init() {
 	register("macro", "Macrobenchmark matrix: YCSB A-F + TPC-C over all nine backends", macroExp)
 }
 
-// MacroScales are the supported scale levels, smallest first. smoke is
-// the CI gate (seconds for the full matrix); small approximates the
-// repo's default workload sizes; full approaches the paper's scaled-down
-// evaluation sizes.
-var MacroScales = []string{"smoke", "small", "full"}
-
 // MacroWorkloads returns the workload column of the matrix.
 func MacroWorkloads() []string {
 	return []string{"ycsb-A", "ycsb-B", "ycsb-C", "ycsb-D", "ycsb-E", "ycsb-F", "tpcc"}
@@ -48,40 +41,9 @@ func MacroWorkloads() []string {
 // the differential suite compares.
 func MacroBackends() []string { return stack.Kinds() }
 
-// macroSel is the process-wide matrix selection, reconfigured by
-// cmd/splitbench's -scale/-backend/-workload flags before the experiment
-// runs (same pattern as SetMaxThreads).
-var macroSel = struct {
-	scale     string
-	backends  []string
-	workloads []string
-}{scale: "smoke"}
-
-// SetMacroConfig selects the scale level and optionally restricts the
-// matrix to given backends and workloads (nil or empty = all).
-func SetMacroConfig(scale string, backends, workloads []string) error {
-	if _, err := macroScaleParams(scale); err != nil {
-		return err
-	}
-	for _, b := range backends {
-		if _, _, _, err := stack.Parse(b); err != nil {
-			return fmt.Errorf("harness: %w", err)
-		}
-	}
-	for _, w := range workloads {
-		if !slices.Contains(MacroWorkloads(), w) {
-			return fmt.Errorf("harness: unknown workload %q (have %v)", w, MacroWorkloads())
-		}
-	}
-	macroSel.scale = scale
-	macroSel.backends = append([]string(nil), backends...)
-	macroSel.workloads = append([]string(nil), workloads...)
-	return nil
-}
-
-// macroParams sizes one scale level: the backend spec plus the workload
-// and engine configurations. The workload seeds are fixed per scale so
-// every backend sees the identical op stream.
+// macroParams sizes the matrix: the backend spec plus the workload and
+// engine configurations. The workload seeds are fixed so every backend
+// sees the identical op stream.
 type macroParams struct {
 	spec   stack.Spec
 	ycsb   ycsb.Config
@@ -91,48 +53,21 @@ type macroParams struct {
 	ckpt   int // waldb checkpoint threshold (frames)
 }
 
-func macroScaleParams(scale string) (macroParams, error) {
-	switch scale {
-	case "smoke":
-		return macroParams{
-			spec: stack.Spec{DevBytes: 64 << 20,
-				KSplit: ext4dax.Config{MaxInodes: 1024},
-				USplit: splitfs.Config{StagingFiles: 6, StagingFileBytes: 1 << 20, OpLogBytes: 1 << 20},
-				Log:    logfs.Config{LogBytes: 4 << 20, SnapshotSlotBytes: 1 << 20}, PrivateLogBytes: 2 << 20},
-			// The memtable is sized well below the loaded dataset (~32 KB)
-			// so flushes, compactions, and table reads all happen within a
-			// smoke run — otherwise read-only workloads like C never leave
-			// the DRAM memtable and measure nothing.
-			ycsb:   ycsb.Config{Records: 120, Operations: 240, ValueBytes: 256, MaxScan: 20, Seed: 11},
-			lsm:    lsmkv.Options{MemtableBytes: 8 << 10, SyncWrites: true, IndexEvery: 8},
-			tpcc:   tpcc.Config{Warehouses: 1, Districts: 2, Customers: 20, Items: 60, Seed: 42},
-			tpccTx: 60, ckpt: 128,
-		}, nil
-	case "small":
-		return macroParams{
-			spec: stack.Spec{DevBytes: 256 << 20,
-				KSplit: ext4dax.Config{MaxInodes: 4096},
-				USplit: splitfs.Config{StagingFiles: 12, StagingFileBytes: 4 << 20, OpLogBytes: 4 << 20},
-				Log:    logfs.Config{LogBytes: 8 << 20, SnapshotSlotBytes: 2 << 20}, PrivateLogBytes: 3 << 20},
-			ycsb:   ycsb.Config{Records: 1000, Operations: 2000, ValueBytes: 1000, MaxScan: 50, Seed: 11},
-			lsm:    lsmkv.Options{MemtableBytes: 256 << 10, SyncWrites: true},
-			tpcc:   tpcc.Config{Warehouses: 1, Districts: 4, Customers: 60, Items: 200, Seed: 42},
-			tpccTx: 400, ckpt: 256,
-		}, nil
-	case "full":
-		return macroParams{
-			spec: stack.Spec{DevBytes: 1 << 30,
-				KSplit: ext4dax.Config{MaxInodes: 8192},
-				USplit: splitfs.Config{StagingFiles: 24, StagingFileBytes: 8 << 20, OpLogBytes: 8 << 20},
-				Log:    logfs.Config{LogBytes: 16 << 20, SnapshotSlotBytes: 4 << 20}, PrivateLogBytes: 3 << 20},
-			ycsb:   ycsb.Config{Records: 5000, Operations: 10000, ValueBytes: 1000, MaxScan: 100, Seed: 11},
-			lsm:    lsmkv.Options{MemtableBytes: 1 << 20, SyncWrites: true},
-			tpcc:   tpcc.Config{Warehouses: 2, Districts: 10, Customers: 100, Items: 1000, Seed: 42},
-			tpccTx: 1000, ckpt: 256,
-		}, nil
-	default:
-		return macroParams{}, fmt.Errorf("harness: unknown macro scale %q (have %v)", scale, MacroScales)
-	}
+// macroSize is the one scale the matrix runs at: seconds for all nine
+// backends, small enough for CI's gate.
+var macroSize = macroParams{
+	spec: stack.Spec{DevBytes: 64 << 20,
+		KSplit: ext4dax.Config{MaxInodes: 1024},
+		USplit: splitfs.Config{StagingFiles: 6, StagingFileBytes: 1 << 20, OpLogBytes: 1 << 20},
+		Log:    logfs.Config{LogBytes: 4 << 20, SnapshotSlotBytes: 1 << 20}, PrivateLogBytes: 2 << 20},
+	// The memtable is sized well below the loaded dataset (~32 KB) so
+	// flushes, compactions, and table reads all happen within a run —
+	// otherwise read-only workloads like C never leave the DRAM memtable
+	// and measure nothing.
+	ycsb:   ycsb.Config{Records: 120, Operations: 240, ValueBytes: 256, MaxScan: 20, Seed: 11},
+	lsm:    lsmkv.Options{MemtableBytes: 8 << 10, SyncWrites: true, IndexEvery: 8},
+	tpcc:   tpcc.Config{Warehouses: 1, Districts: 2, Customers: 20, Items: 60, Seed: 42},
+	tpccTx: 60, ckpt: 128,
 }
 
 // MacroCell is one (backend, workload) matrix cell.
@@ -168,15 +103,11 @@ func cellMetrics(ops int64, before, after stack.Counters) []Metric {
 	}
 }
 
-// RunMacroCell runs one workload on one backend at the given scale and
-// returns the cell's metrics. Only the run phase is measured; the load
-// phase (YCSB load, TPC-C population) warms the store first.
-func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
-	p, err := macroScaleParams(scale)
-	if err != nil {
-		return nil, err
-	}
-	b, err := stack.New(backend, p.spec)
+// RunMacroCell runs one workload on one backend and returns the cell's
+// metrics. Only the run phase is measured; the load phase (YCSB load,
+// TPC-C population) warms the store first.
+func RunMacroCell(backend, workload string) (*MacroCell, error) {
+	b, err := stack.New(backend, macroSize.spec)
 	if err != nil {
 		return nil, fmt.Errorf("macro %s: %w", backend, err)
 	}
@@ -184,11 +115,11 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 	switch {
 	case strings.HasPrefix(workload, "ycsb-") && len(workload) == len("ycsb-")+1:
 		w := ycsb.Workload(workload[len("ycsb-")])
-		db, err := lsmkv.Open(b.FS, p.lsm)
+		db, err := lsmkv.Open(b.FS, macroSize.lsm)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s/%s: open: %w", workload, backend, err)
 		}
-		cfg := p.ycsb
+		cfg := macroSize.ycsb
 		if w == ycsb.E {
 			cfg.Operations /= 2 // paper: 500K ops for E vs 1M elsewhere
 		}
@@ -214,16 +145,16 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 			Metric{Name: "mix_rmws", Value: float64(st.RMWs), Unit: "ops"},
 		)
 	case workload == "tpcc":
-		db, err := waldb.Open(b.FS, waldb.Options{CheckpointPages: p.ckpt})
+		db, err := waldb.Open(b.FS, waldb.Options{CheckpointPages: macroSize.ckpt})
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: open: %w", backend, err)
 		}
-		bench, err := tpcc.New(tpcc.Wrap(db), p.tpcc)
+		bench, err := tpcc.New(tpcc.Wrap(db), macroSize.tpcc)
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: populate: %w", backend, err)
 		}
 		before := b.Counters()
-		st, err := bench.Run(p.tpccTx)
+		st, err := bench.Run(macroSize.tpccTx)
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: run: %w", backend, err)
 		}
@@ -245,29 +176,22 @@ func RunMacroCell(backend, workload, scale string) (*MacroCell, error) {
 	return cell, nil
 }
 
-// macroExp runs the selected matrix and renders one table, one row per
-// cell, flattening every metric into Table.Metrics as
+// macroExp runs the matrix and renders one table, one row per cell,
+// flattening every metric into Table.Metrics as
 // "<workload>/<backend>/<metric>" so cmd/splitbench serializes one
 // results row per (backend x workload x metric).
 func macroExp() (*Table, error) {
-	backends := macroSel.backends
-	if len(backends) == 0 {
-		backends = MacroBackends()
-	}
-	workloads := macroSel.workloads
-	if len(workloads) == 0 {
-		workloads = MacroWorkloads()
-	}
+	backends, workloads := MacroBackends(), MacroWorkloads()
 	t := &Table{
 		ID:    "macro",
-		Title: fmt.Sprintf("Macrobenchmark matrix at scale %q: %d workloads x %d backends", macroSel.scale, len(workloads), len(backends)),
+		Title: fmt.Sprintf("Macrobenchmark matrix: %d workloads x %d backends", len(workloads), len(backends)),
 		Note:  "deterministic sim-derived counters; CI pins fences/op, journal commits, and PM bytes against BENCH_baseline.json",
 		Headers: []string{"Workload", "Backend", "ns/op", "fences/op", "commits",
 			"log appends", "relinks", "reclaimed", "PM MB", "ops"},
 	}
 	for _, w := range workloads {
 		for _, bk := range backends {
-			cell, err := RunMacroCell(bk, w, macroSel.scale)
+			cell, err := RunMacroCell(bk, w)
 			if err != nil {
 				return nil, err
 			}
@@ -289,14 +213,14 @@ func macroExp() (*Table, error) {
 	return t, nil
 }
 
-// MacroBackendHash runs every macro workload on one backend at the given
-// scale and returns an FNV-1a digest over the rendered metric lines —
-// the seed-stability golden pinning both the generators and the
-// simulator's deterministic counters.
-func MacroBackendHash(backend, scale string) (uint64, error) {
+// MacroBackendHash runs every macro workload on one backend and returns
+// an FNV-1a digest over the rendered metric lines — the seed-stability
+// golden pinning both the generators and the simulator's deterministic
+// counters.
+func MacroBackendHash(backend string) (uint64, error) {
 	var sb strings.Builder
 	for _, w := range MacroWorkloads() {
-		cell, err := RunMacroCell(backend, w, scale)
+		cell, err := RunMacroCell(backend, w)
 		if err != nil {
 			return 0, err
 		}

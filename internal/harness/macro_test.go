@@ -9,7 +9,7 @@ import (
 	"splitfs/internal/benchfmt"
 )
 
-// macroGoldens pin the full smoke-scale metric stream of every backend:
+// macroGoldens pin the full metric stream of every backend:
 // workload-generator drift, cost-model retuning, or any I/O-behavior
 // change shows up as a hash mismatch here before it shows up as an
 // unexplained BENCH_baseline.json drift in CI. Update by rerunning
@@ -38,7 +38,7 @@ func TestMacroSeedStabilityGoldens(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden for backend %q — add it to macroGoldens", backend)
 			}
-			got, err := MacroBackendHash(backend, "smoke")
+			got, err := MacroBackendHash(backend)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestMacroSeedStabilityGoldens(t *testing.T) {
 // on.
 func TestMacroCellDeterminism(t *testing.T) {
 	run := func() []Metric {
-		cell, err := RunMacroCell("splitfs-strict", "ycsb-A", "smoke")
+		cell, err := RunMacroCell("splitfs-strict", "ycsb-A")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,9 +72,6 @@ func TestMacroCellDeterminism(t *testing.T) {
 // per (backend x workload), each emitting the full fixed metric set, for
 // all nine backends and both workload families.
 func TestMacroMatrixShape(t *testing.T) {
-	if err := SetMacroConfig("smoke", nil, nil); err != nil {
-		t.Fatal(err)
-	}
 	tbl, err := macroExp()
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +102,7 @@ func TestMacroMatrixShape(t *testing.T) {
 // round-trip value-identically, and contain gated (baseline-pinned)
 // rows.
 func TestMacroMetricsRoundTripSchema(t *testing.T) {
-	cell, err := RunMacroCell("splitfs-sync", "tpcc", "smoke")
+	cell, err := RunMacroCell("splitfs-sync", "tpcc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +130,5 @@ func TestMacroMetricsRoundTripSchema(t *testing.T) {
 	}
 	if n := len(benchfmt.GatedSubset(recs)); n != 6 {
 		t.Errorf("cell contributes %d gated counters, want 6", n)
-	}
-}
-
-func TestMacroConfigValidation(t *testing.T) {
-	defer SetMacroConfig("smoke", nil, nil)
-	if err := SetMacroConfig("bogus", nil, nil); err == nil {
-		t.Error("bogus scale accepted")
-	}
-	if err := SetMacroConfig("smoke", []string{"zfs"}, nil); err == nil {
-		t.Error("bogus backend accepted")
-	}
-	if err := SetMacroConfig("smoke", nil, []string{"ycsb-Z"}); err == nil {
-		t.Error("bogus workload accepted")
-	}
-	if err := SetMacroConfig("small", []string{"splitfs-strict"}, []string{"tpcc"}); err != nil {
-		t.Errorf("valid selection rejected: %v", err)
 	}
 }

@@ -1,29 +1,16 @@
-// The sessions half measures wall-clock throughput over concurrent
-// client goroutines by design:
-//
-// +determinism:wallclock
-// +determinism:concurrent
-
 // The server experiment: the multi-tenant file service (internal/server)
-// measured two ways. The loopback half runs one deterministic mixed op
-// stream twice per backend — directly, and through a served: session —
-// and reports the same counter set the macro matrix pins; because the
-// loopback transport executes requests inline, the served counters must
-// equal the direct ones exactly, and CI gates the loopback cells against
-// BENCH_baseline.json. The sessions half is concurrent mode: N stream
-// sessions (net.Pipe) drive one splitfs-strict instance through the
-// dispatch pool, reporting aggregate wall-clock throughput — the
-// many-clients deployment the paper's user-space service implies (§3),
-// exercising the PR 1 lock decomposition and PR 3 group commit across
-// sessions.
+// measured against its backend. It runs one deterministic mixed op
+// stream per backend three ways — directly, through a served: session,
+// and through a served-lease: one — and reports the same counter set the
+// macro matrix pins; because the loopback transport executes requests
+// inline, the served counters must equal the direct ones exactly, and CI
+// gates the loopback and lease cells against BENCH_baseline.json.
 package harness
 
 import (
 	"fmt"
 	"maps"
-	"net"
 	"slices"
-	"time"
 
 	"splitfs/internal/server"
 	"splitfs/internal/sim"
@@ -33,20 +20,15 @@ import (
 )
 
 func init() {
-	register("server", "Multi-tenant file service: served-vs-direct determinism + session scaling", serverExp)
+	register("server", "Multi-tenant file service: served-vs-direct determinism", serverExp)
 }
 
 // serverDetBackends are the loopback-determinism cells (one journaling
 // stack, one log-structured one keeps the gated row count modest).
 var serverDetBackends = []string{"ext4-dax", "splitfs-strict"}
 
-// serverSessionCounts is the concurrent-session sweep.
-var serverSessionCounts = []int{1, 2, 4, 8}
-
-const (
-	serverStreamOps  = 400 // deterministic loopback op stream length
-	serverSessionOps = 160 // ops per session in the concurrent sweep
-)
+// serverStreamOps is the deterministic loopback op stream length.
+const serverStreamOps = 400
 
 // streamSpec sizes the loopback stream cells (server and obs experiments).
 func streamSpec() stack.Spec {
@@ -189,17 +171,13 @@ func ServerStreamCell(kind string) (*MacroCell, error) {
 		return nil, err
 	}
 	before := b.Counters()
-	start := time.Now()
 	ops, err := runServerStream(b.FS, serverStreamOps)
-	wallNs := time.Since(start).Nanoseconds()
 	if err != nil {
 		return nil, fmt.Errorf("server stream %s: %w", kind, err)
 	}
 	after := b.Counters()
 	cell := &MacroCell{Backend: kind, Workload: "stream", Ops: ops,
 		Metrics: cellMetrics(ops, before, after)}
-	cell.Metrics = append(cell.Metrics,
-		Metric{Name: "wall_ns_per_op", Value: float64(wallNs) / float64(ops), Unit: "ns/op-wall"})
 	if cl, ok := b.FS.(*server.Client); ok {
 		cs := cl.Stats()
 		cell.Metrics = append(cell.Metrics,
@@ -213,75 +191,14 @@ func ServerStreamCell(kind string) (*MacroCell, error) {
 	return cell, nil
 }
 
-// ServedSessionsResult is one concurrent-session measurement: a
-// concurrent run with one worker per session, and the device fences and
-// journal commits it cost.
-type ServedSessionsResult struct {
-	ConcurrentResult
-	Fences, Commits int64
-}
-
-// RunServedSessions drives n concurrent stream-transport sessions, each
-// in its own subtree, over one served backend instance.
-func RunServedSessions(kind string, n, opsPerSession int) (ServedSessionsResult, error) {
-	spec := stack.Small
-	spec.DevBytes = 256 << 20
-	spec.USplit = splitfs.Config{StagingFiles: 4 * n, StagingFileBytes: 1 << 20, OpLogBytes: 4 << 20}
-	b, err := stack.New(kind, spec)
-	if err != nil {
-		return ServedSessionsResult{}, err
-	}
-	srv := server.New(b.FS, server.Config{})
-	defer srv.Close()
-	for i := 0; i < n; i++ {
-		if err := b.FS.Mkdir(fmt.Sprintf("/s%d", i), 0755); err != nil {
-			return ServedSessionsResult{}, err
-		}
-	}
-	before := b.Counters()
-	r, err := (&ConcurrentWorkload{b, n, opsPerSession, func(i int) error {
-		cs, ss := net.Pipe()
-		go srv.ServeConn(ss)
-		c, err := server.DialConfig(cs, server.ClientConfig{Root: fmt.Sprintf("/s%d", i)})
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		f, err := c.OpenFile("/data", vfs.O_RDWR|vfs.O_CREATE, 0644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		blk := make([]byte, 1024)
-		for op := 0; op < opsPerSession; op++ {
-			if _, err := f.Write(blk); err != nil {
-				return err
-			}
-			if op%8 == 7 {
-				if err := f.Sync(); err != nil {
-					return err
-				}
-			}
-		}
-		return f.Sync()
-	}}).Run()
-	if err != nil {
-		return ServedSessionsResult{}, err
-	}
-	after := b.Counters()
-	return ServedSessionsResult{r, after.Dev.Fences - before.Dev.Fences, after.Commits - before.Commits}, nil
-}
-
-// serverExp renders the experiment table and metrics. Loopback rows are
-// deterministic and baseline-gated (prefix "loopback/"); the session
-// sweep is wall-clock and ungated.
+// serverExp renders the experiment table and metrics. The loopback and
+// lease rows are baseline-gated (prefixes "loopback/" and "lease/").
 func serverExp() (*Table, error) {
 	t := &Table{
-		ID:    "server",
-		Title: "Multi-tenant file service: loopback determinism + concurrent sessions",
-		Note: "loopback counters are deterministic and CI-gated against BENCH_baseline.json; " +
-			"session throughput is wall clock (needs GOMAXPROCS >= sessions to scale)",
-		Headers: []string{"Cell", "Backend", "ops", "fences/op", "commits", "PM MB", "Kops/s (wall)"},
+		ID:      "server",
+		Title:   "Multi-tenant file service: loopback determinism",
+		Note:    "loopback and lease counters are deterministic and CI-gated against BENCH_baseline.json",
+		Headers: []string{"Cell", "Backend", "ops", "fences/op", "commits", "PM MB"},
 	}
 	for _, kind := range serverDetBackends {
 		for _, c := range []struct {
@@ -298,27 +215,11 @@ func serverExp() (*Table, error) {
 				f2(m["fences_per_op"]),
 				fmt.Sprintf("%.0f", m["journal_commits"]),
 				f2(m["pm_bytes"] / (1 << 20)),
-				"-",
 			})
 			for _, mm := range cell.Metrics {
 				t.AddMetric(c.label+"/"+kind+"/"+mm.Name, mm.Value, mm.Unit)
 			}
 		}
-	}
-	for _, n := range serverSessionCounts {
-		r, err := RunServedSessions("splitfs-strict", n, serverSessionOps)
-		if err != nil {
-			return nil, fmt.Errorf("served sessions x%d: %w", n, err)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("sessions x%d", n), "splitfs-strict",
-			fmt.Sprintf("%d", r.Ops),
-			f2(float64(r.Fences) / float64(r.Ops)),
-			fmt.Sprintf("%d", r.Commits),
-			"-",
-			f1(r.WallKops()),
-		})
-		t.AddMetric(fmt.Sprintf("sessions/splitfs-strict/t%d_kops_wall", n), r.WallKops(), "kops/s-wall")
 	}
 	return t, nil
 }

@@ -3,6 +3,7 @@ package metalog
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -115,36 +116,48 @@ func TestLogFullAndReset(t *testing.T) {
 // the device's pool — the first checkpoint of a run. Each frame's page
 // becomes its lines' undo page, so the reset allocates nothing; copying
 // the durable lines into fresh undo pages allocated the log's size.
+//
+// TotalAlloc is process-wide, so a window can also count what the runtime
+// or the testing package allocates meanwhile. The cycle runs on a fresh
+// device several times and the least any window counted must be exactly
+// 0: background allocation cannot land in every window, and a Reset that
+// allocates does so in every one.
 func TestResetOfFullLogAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const size, atParent = 1 << 20, 0.75
-	dev := pmem.New(pmem.Config{Size: 4 * size, Clock: sim.NewClock(), TrackPersistence: true})
-	// The pool's free list has held as many pages once, and the shards'
-	// pending lists as many frames (New lists every frame of the region), so
-	// the growth of neither is counted: the fill takes the discarded pages
-	// back.
-	dev.PersistNT(size, bytes.Repeat([]byte{0xa5}, size), sim.CatPMData)
-	dev.Discard(size, size)
-	l := New(dev, 0, size, sim.CatOpLog)
-	payload := bytes.Repeat([]byte{0x5a}, sim.BlockSize-headerSize)
-	for l.Append(payload, SingleFence) == nil {
+	const size, atParent, samples = 1 << 20, 0.75, 16
+	least, backed := uint64(math.MaxUint64), int64(0)
+	for range samples {
+		dev := pmem.New(pmem.Config{Size: 4 * size, Clock: sim.NewClock(), TrackPersistence: true})
+		// The pool's free list has held as many pages once, and the shards'
+		// pending lists as many frames (New lists every frame of the
+		// region), so the growth of neither is counted: the fill takes the
+		// discarded pages back.
+		dev.PersistNT(size, bytes.Repeat([]byte{0xa5}, size), sim.CatPMData)
+		dev.Discard(size, size)
+		l := New(dev, 0, size, sim.CatOpLog)
+		payload := bytes.Repeat([]byte{0x5a}, sim.BlockSize-headerSize)
+		for l.Append(payload, SingleFence) == nil {
+		}
+		if got := dev.BackedBytes(); got != size {
+			t.Fatalf("test premise: the full log backs %d bytes of frames, want %d", got, size)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l.Reset()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		backed = max(backed, dev.BackedBytes())
 	}
-	if got := dev.BackedBytes(); got != size {
-		t.Fatalf("test premise: the full log backs %d bytes of frames, want %d", got, size)
+	if least != 0 {
+		t.Fatalf("Reset of a full %d KB log allocates at least %d B in each of %d runs, want 0 (%.2f MB at the parent)",
+			size>>10, least, samples, atParent)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	l.Reset()
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
-		t.Fatalf("Reset of a full %d KB log allocates %d B, want 0 (%.2f MB at the parent)", size>>10, got, atParent)
+	if backed != 0 {
+		t.Fatalf("a reset log backs %d bytes of frames, want 0", backed)
 	}
-	if got := dev.BackedBytes(); got != 0 {
-		t.Fatalf("the reset log backs %d bytes of frames, want 0", got)
-	}
-	t.Logf("Reset of a full %d KB log allocates 0 B (parent %.2f MB)", size>>10, atParent)
+	t.Logf("Reset of a full %d KB log allocates 0 B in its quietest of %d runs (parent %.2f MB)", size>>10, samples, atParent)
 }
 
 func TestResetClearsOldRecords(t *testing.T) {

@@ -119,6 +119,9 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		of.logSeq = seq
 		of.mu.Unlock()
 		of.kfClosed = false
+		// The description's kernel handle serves every later handle on
+		// the inode, whatever their modes; each File checks its own.
+		kf.SetReadWrite()
 		// Register the description only while its inode is still linked:
 		// an open racing an unlink of the same path keeps a working
 		// (tmpfile-style) handle, but must not occupy the table slot of

@@ -11,7 +11,7 @@ import (
 
 // syncFiles is fsync — "relink, then one journal commit" (§3.4) — and the
 // one function that makes staged data durable for its own sake: for
-// fsync's single file, for every open file (SyncAll, GroupSync) and for
+// fsync's single file, for every open file (SyncAll) and for
 // the log-full checkpoint. See DESIGN.md, "fsync and group commit".
 //
 // It runs every file's relink steps, each under only that file's lock,
@@ -107,10 +107,10 @@ func (fs *FS) openFiles() []*ofile {
 }
 
 // SyncAll relinks every open file's staged data (shutdown path, and the
-// multi-file fsync of the group-commit benchmark): all files share a
-// single journal commit. It is also the barrier callers take for "all I
-// did so far is durable" (the resumable client empties its replay log on
-// it), and syncFiles commits only on behalf of the files it is given: in
+// multi-file fsync the server and the crash runner issue): all files
+// share a single journal commit. It is also the barrier callers take for
+// "all I did so far is durable" (the resumable client empties its replay
+// log on it), and syncFiles commits only on behalf of the files it is given: in
 // POSIX mode a mkdir, rename or unlink issued while no file is open
 // would otherwise stay in K-Split's running transaction. Sync and strict
 // made each of those durable with its redo record; the commit is free
@@ -126,21 +126,6 @@ func (fs *FS) SyncAll() error {
 	}
 	fs.dev.Fence()
 	return nil
-}
-
-// GroupSync makes the staged data of every listed file durable through
-// one group-committed relink batch — the batched fsync the paper's
-// jbd2-style group commit enables. Duplicate and nil handles are
-// tolerated.
-func (fs *FS) GroupSync(files ...*File) error {
-	ofiles := make([]*ofile, 0, len(files))
-	for _, f := range files {
-		if f != nil && !f.closed.Load() {
-			ofiles = append(ofiles, f.of)
-		}
-	}
-	fs.bookkeep()
-	return fs.syncFiles(ofiles...)
 }
 
 // checkpoint makes everything the operation log describes durable through

@@ -79,45 +79,54 @@ func TestConcurrentFsyncGroupCommitRace(t *testing.T) {
 }
 
 // TestGroupSyncCoalescesCommits asserts the deterministic batched fsync:
-// one GroupSync over N dirty files issues exactly one journal commit,
-// against N for serial fsyncs on an identical instance.
+// one SyncAll over N dirty files issues exactly one journal commit,
+// against N for serial fsyncs on an identical instance, and strictly
+// fewer fences.
 func TestGroupSyncCoalescesCommits(t *testing.T) {
-	run := func(batched bool) (commits int64) {
-		_, fs := newEnv(t, POSIX)
-		var handles []*File
-		blk := make([]byte, 4096)
-		for i := 0; i < 8; i++ {
-			f, err := vfs.Create(fs, fmt.Sprintf("/f%d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for a := 0; a < 4; a++ {
-				if _, err := f.Write(blk); err != nil {
-					t.Fatal(err)
+	for _, mode := range []Mode{POSIX, Strict} {
+		t.Run(mode.String(), func(t *testing.T) {
+			run := func(batched bool) (commits, fences int64) {
+				dev, fs := newEnv(t, mode)
+				var handles []vfs.File
+				blk := make([]byte, 4096)
+				for i := 0; i < 8; i++ {
+					f, err := vfs.Create(fs, fmt.Sprintf("/f%d", i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for a := 0; a < 4; a++ {
+						if _, err := f.Write(blk); err != nil {
+							t.Fatal(err)
+						}
+					}
+					handles = append(handles, f)
 				}
-			}
-			handles = append(handles, f.(*File))
-		}
-		before := fs.KFS().Stats().Commits
-		if batched {
-			if err := fs.GroupSync(handles...); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for _, f := range handles {
-				if err := f.Sync(); err != nil {
-					t.Fatal(err)
+				commits, fences = fs.KFS().Stats().Commits, dev.Stats().Fences
+				if batched {
+					if err := fs.SyncAll(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for _, f := range handles {
+						if err := f.Sync(); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
+				return fs.KFS().Stats().Commits - commits, dev.Stats().Fences - fences
 			}
-		}
-		return fs.KFS().Stats().Commits - before
-	}
-	serial, grouped := run(false), run(true)
-	if serial != 8 {
-		t.Fatalf("serial fsyncs committed %d times, want 8", serial)
-	}
-	if grouped != 1 {
-		t.Fatalf("GroupSync committed %d times, want 1", grouped)
+			serial, serialFences := run(false)
+			grouped, groupedFences := run(true)
+			if serial != 8 {
+				t.Fatalf("serial fsyncs committed %d times, want 8", serial)
+			}
+			if grouped != 1 {
+				t.Fatalf("SyncAll committed %d times, want 1", grouped)
+			}
+			if groupedFences >= serialFences {
+				t.Fatalf("SyncAll fenced %d times, serial fsyncs %d: want strictly fewer", groupedFences, serialFences)
+			}
+		})
 	}
 }
 
