@@ -39,8 +39,9 @@ func allocsPerOp(runs int, setup, op func()) float64 {
 // leased session on splitfs-strict (DESIGN.md, "Host allocation and peak
 // RSS"). Every bound is what the change that last moved it measured, and
 // atParent what that change's parent did: the change that made the hot
-// paths allocation-free; for open+close the one that recycled U-Split's
-// descriptions and made K-Split's directory entries values; for rename
+// paths allocation-free; for open+close the one that kept a closed
+// read-only handle's backend file open for the next open of its name,
+// which dropped the backend open and close; for rename
 // and the truncate the one that keyed lease revocation on the server's
 // name table, which dropped the error of a backend stat of the absent
 // destination (rename), the revoking fstat and the per-inode lease maps
@@ -140,7 +141,7 @@ func TestServedMixAllocations(t *testing.T) {
 			f, err := c.OpenFile(scratch[at], vfs.O_RDONLY, 0)
 			check(err)
 			check(f.Close())
-		}, 6, 8},
+		}, 5, 6},
 		{"rename", none, func() {
 			check(c.Rename(scratch[at], scratch[1-at]))
 			at = 1 - at

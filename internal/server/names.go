@@ -20,6 +20,15 @@ package server
 // does not see — made on the backend behind the server's back, or by
 // two sessions racing on one name — can leave a key stale: a revocation
 // then comes late or is spurious, never wrong (DESIGN.md, "Revocation").
+// For a parked file (the set beside the table: closed read-only handles'
+// files, kept open by path) a stale key would be wrong, so unpark checks
+// the inode first (DESIGN.md, "Parked read-only handles").
+
+import (
+	"slices"
+
+	"splitfs/internal/vfs"
+)
 
 // handleRef names one open handle: its session and wire handle ID.
 type handleRef struct {
@@ -38,37 +47,124 @@ type nameKey struct {
 // nameEntry is one open handle's row. A handle holds at most one lease:
 // a re-grant supersedes the segment before it (grantLease).
 type nameEntry struct {
-	key nameKey
-	seg *leaseSegment // outstanding lease on the handle, nil if none
+	key    nameKey
+	seg    *leaseSegment // outstanding lease on the handle, nil if none
+	rdonly bool          // opened plain O_RDONLY: its file may park at close
 }
 
-// nameOpen records a handle opened (or re-opened at resume) at path.
-func (srv *Server) nameOpen(s *Session, h uint64, path string) {
+const maxParked = 16 // bound on the parked set
+
+// parkedFile is a closed read-only handle's backend file, kept open for
+// the next read-only open of path.
+type parkedFile struct {
+	path string
+	f    vfs.File
+}
+
+// nameOpen records a handle opened (or re-opened at resume) at path. Any
+// open but a plain read-only one then closes the files parked at path:
+// with its row in, nothing parks there beside it, so a writer's close
+// stays the backend file's last close.
+func (srv *Server) nameOpen(s *Session, h uint64, path string, rdonly bool) {
 	srv.nameMu.Lock()
-	srv.names[handleRef{s, h}] = nameEntry{key: nameKey{path: path}}
+	srv.names[handleRef{s, h}] = nameEntry{key: nameKey{path: path}, rdonly: rdonly}
 	srv.nameMu.Unlock()
+	if !rdonly {
+		srv.evict(path, true)
+	}
 }
 
 // nameClose forgets a handle that is closing and returns its lease, if
-// any, for the caller to revoke.
-func (srv *Server) nameClose(s *Session, h uint64) *leaseSegment {
+// any, for the caller to revoke. f is the handle's backend file (nil
+// while a dup holds it): nameClose parks it, and reports so, if the
+// handle was read-only, every handle open at its path is too and the set
+// has room. Unparked, the caller closes f.
+func (srv *Server) nameClose(s *Session, h uint64, f vfs.File) (seg *leaseSegment, parked bool) {
 	ref := handleRef{s, h}
 	srv.nameMu.Lock()
 	defer srv.nameMu.Unlock()
-	seg := srv.names[ref].seg
+	e := srv.names[ref]
 	delete(srv.names, ref)
-	return seg
+	if f == nil || !e.rdonly || e.key.path == "" || len(srv.parked) == maxParked {
+		return e.seg, false
+	}
+	for _, o := range srv.names {
+		if !o.rdonly && o.key.path == e.key.path {
+			return e.seg, false
+		}
+	}
+	srv.parked = append(srv.parked, parkedFile{e.key.path, f})
+	return e.seg, true
+}
+
+// unpark takes a file parked at path, rewound, for an open of path with
+// flag, or returns nil; only a plain read-only open takes one. The file
+// goes out only while path still names its inode: a change made behind
+// the server's back, or a close racing a rename, leaves a key stale, and
+// the file is closed instead.
+func (srv *Server) unpark(path string, flag int) vfs.File {
+	if flag != vfs.O_RDONLY {
+		return nil
+	}
+	srv.nameMu.Lock()
+	i := slices.IndexFunc(srv.parked, func(p parkedFile) bool { return p.path == path })
+	if i < 0 {
+		srv.nameMu.Unlock()
+		return nil
+	}
+	f := srv.parked[i].f
+	srv.parked = slices.Delete(srv.parked, i, i+1)
+	srv.nameMu.Unlock()
+	fi, err := srv.fs.Stat(path)
+	own, ferr := f.Stat()
+	if err == nil && ferr == nil && own.Ino == fi.Ino {
+		if _, err = f.Seek(0, vfs.SeekSet); err == nil {
+			return f
+		}
+	}
+	f.Close()
+	return nil
+}
+
+// evict closes the files parked below path, and at path if self.
+func (srv *Server) evict(path string, self bool) {
+	var out []vfs.File
+	srv.nameMu.Lock()
+	srv.parked = slices.DeleteFunc(srv.parked, func(p parkedFile) bool {
+		if self && p.path == path || under(p.path, path) {
+			out = append(out, p.f)
+			return true
+		}
+		return false
+	})
+	srv.nameMu.Unlock()
+	for _, f := range out {
+		f.Close()
+	}
+}
+
+// under reports whether p lies below the directory dir.
+func under(p, dir string) bool {
+	return len(p) > len(dir) && p[len(dir)] == '/' && p[:len(dir)] == dir
 }
 
 // renamed re-keys the table after a successful rename: the handles at
 // newPath, if it was replaced, become orphans, and those at oldPath and
-// below it move under newPath.
+// below it move under newPath. The files parked at newPath and below
+// oldPath are closed, and those at oldPath move to newPath.
 func (srv *Server) renamed(oldPath, newPath string) {
 	if oldPath == newPath {
 		return // renaming a name onto itself changes nothing
 	}
+	srv.evict(newPath, true)
+	srv.evict(oldPath, false)
 	srv.nameMu.Lock()
 	defer srv.nameMu.Unlock()
+	for i := range srv.parked {
+		if srv.parked[i].path == oldPath {
+			srv.parked[i].path = newPath
+		}
+	}
 	var orphan uint64
 	for ref, e := range srv.names {
 		switch p := e.key.path; {
@@ -76,7 +172,7 @@ func (srv *Server) renamed(oldPath, newPath string) {
 			e.key = srv.orphanKey(&orphan)
 		case p == oldPath:
 			e.key.path = newPath
-		case len(p) > len(oldPath) && p[len(oldPath)] == '/' && p[:len(oldPath)] == oldPath:
+		case under(p, oldPath):
 			e.key.path = newPath + p[len(oldPath):]
 		default:
 			continue
@@ -86,10 +182,9 @@ func (srv *Server) renamed(oldPath, newPath string) {
 }
 
 // unlinked makes the handles at a path just unlinked (or a directory
-// just removed) orphans.
+// just removed) orphans, then closes the files parked at it or below it.
 func (srv *Server) unlinked(path string) {
 	srv.nameMu.Lock()
-	defer srv.nameMu.Unlock()
 	var orphan uint64
 	for ref, e := range srv.names {
 		if e.key.path == path {
@@ -97,6 +192,8 @@ func (srv *Server) unlinked(path string) {
 			srv.names[ref] = e
 		}
 	}
+	srv.nameMu.Unlock()
+	srv.evict(path, true)
 }
 
 // orphanKey returns the key of the orphans one operation makes, issuing

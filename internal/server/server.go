@@ -106,11 +106,13 @@ type Server struct {
 
 	// Name table (names.go): one row per open handle, holding the key
 	// its file is known by and the lease granted on it. orphans counts
-	// the orphan keys issued. The atomic count of outstanding leases
-	// gates the revocation hooks in Session.execute (see lease.go).
+	// the orphan keys issued, parked the closed read-only handles' files.
+	// The atomic count of outstanding leases gates the revocation hooks
+	// in Session.execute (see lease.go).
 	nameMu  sync.Mutex // +lockrank:nametab
 	names   map[handleRef]nameEntry
 	orphans uint64
+	parked  []parkedFile
 	nLeases atomic.Int64
 }
 
@@ -520,5 +522,6 @@ func (srv *Server) Close() error {
 	for _, s := range srv.sessionsByID() {
 		s.teardown()
 	}
+	srv.evict("", true) // every resolved path lies below "": the whole parked set
 	return nil
 }

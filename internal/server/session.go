@@ -366,21 +366,31 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			if vfs.Writable(flag) {
 				s.srv.revokeKey(nameKey{path: path})
 			}
-			var f vfs.File
-			if f, err = s.srv.fs.OpenFile(path, flag, perm); err == nil {
+			f := s.srv.unpark(path, flag)
+			if f == nil {
+				f, err = s.srv.fs.OpenFile(path, flag, perm)
+			}
+			if err == nil {
 				h := uint64(s.ht.Insert(f))
-				s.srv.nameOpen(s, h, path)
+				s.srv.nameOpen(s, h, path, flag == vfs.O_RDONLY)
 				e.u64(h)
 			}
 		}
 	case tClose:
 		id := d.u64()
 		if d.err == nil {
-			// The backing file may free orphan blocks at last close.
-			if seg := s.srv.nameClose(s, id); seg != nil {
-				s.srv.revokeSegment(seg)
+			// The backing file may free orphan blocks at last close, if
+			// it does not park: the lease goes first.
+			var f vfs.File
+			if f, err = s.ht.Release(fd(id)); err == nil {
+				seg, parked := s.srv.nameClose(s, id, f)
+				if seg != nil {
+					s.srv.revokeSegment(seg)
+				}
+				if f != nil && !parked {
+					err = f.Close()
+				}
 			}
-			err = s.ht.Close(fd(id))
 		}
 	case tRead:
 		id := d.u64()
@@ -506,6 +516,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		path := s.resolve(d.str())
 		if d.err == nil {
 			s.srv.revokeKey(nameKey{path: path})
+			s.srv.evict(path, true) // so the inode's blocks free at the unlink
 			if err = s.srv.fs.Unlink(path); err == nil {
 				s.srv.unlinked(path)
 			}
@@ -526,6 +537,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			// a replaced destination is unlinked.
 			s.srv.revokeKey(nameKey{path: oldPath})
 			s.srv.revokeKey(nameKey{path: newPath})
+			s.srv.evict(newPath, true)
 			if err = s.srv.fs.Rename(oldPath, newPath); err == nil {
 				s.srv.renamed(oldPath, newPath)
 			}
@@ -652,7 +664,7 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 		f.Close()
 		return err
 	}
-	s.srv.nameOpen(s, id, path)
+	s.srv.nameOpen(s, id, path, flag == vfs.O_RDONLY)
 	return nil
 }
 

@@ -90,20 +90,28 @@ func (t *FDTable) Dup(fd int) (int, error) {
 // Close releases a descriptor, closing the file when no descriptors
 // remain.
 func (t *FDTable) Close(fd int) error {
+	f, err := t.Release(fd)
+	if f == nil {
+		return err
+	}
+	return f.Close()
+}
+
+// Release drops a descriptor without closing its file. When that was the
+// file's last descriptor it returns the file, whose close is then the
+// caller's; while a dup remains it returns nil.
+func (t *FDTable) Release(fd int) (File, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	e, ok := t.fds[fd]
 	if !ok {
-		t.mu.Unlock()
-		return ErrBadFD
+		return nil, ErrBadFD
 	}
 	delete(t.fds, fd)
-	e.refs--
-	last := e.refs == 0
-	t.mu.Unlock()
-	if last {
-		return e.file.Close()
+	if e.refs--; e.refs > 0 {
+		return nil, nil
 	}
-	return nil
+	return e.file, nil
 }
 
 // CloseAll releases every descriptor, closing each distinct open file
