@@ -17,9 +17,9 @@ import (
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0xf58af57c94de7a1b,
-	"splitfs-posix":  0xa45be4a2f0dcd8ea,
-	"splitfs-sync":   0x3c4de6d6702e10db,
-	"splitfs-strict": 0xd064b4f0fdae66b9,
+	"splitfs-posix":  0x147202c31a91fc83,
+	"splitfs-sync":   0x19804690340e8346,
+	"splitfs-strict": 0x4477b733840b12a5,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

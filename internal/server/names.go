@@ -50,24 +50,28 @@ type nameEntry struct {
 	key    nameKey
 	seg    *leaseSegment // outstanding lease on the handle, nil if none
 	rdonly bool          // opened plain O_RDONLY: its file may park at close
+	ino    uint64        // inode its file was unparked as, 0 if unknown
 }
 
 const maxParked = 16 // bound on the parked set
 
 // parkedFile is a closed read-only handle's backend file, kept open for
-// the next read-only open of path.
+// the next read-only open of path. ino is the file's inode once an
+// unpark has asked the file (0 before): an open file keeps its inode.
 type parkedFile struct {
 	path string
 	f    vfs.File
+	ino  uint64
 }
 
-// nameOpen records a handle opened (or re-opened at resume) at path. Any
-// open but a plain read-only one then closes the files parked at path:
-// with its row in, nothing parks there beside it, so a writer's close
-// stays the backend file's last close.
-func (srv *Server) nameOpen(s *Session, h uint64, path string, rdonly bool) {
+// nameOpen records a handle opened (or re-opened at resume) at path, on
+// a file of inode ino if unpark gave it (0 otherwise). Any open but a
+// plain read-only one then closes the files parked at path: with its row
+// in, nothing parks there beside it, so a writer's close stays the
+// backend file's last close.
+func (srv *Server) nameOpen(s *Session, h uint64, path string, rdonly bool, ino uint64) {
 	srv.nameMu.Lock()
-	srv.names[handleRef{s, h}] = nameEntry{key: nameKey{path: path}, rdonly: rdonly}
+	srv.names[handleRef{s, h}] = nameEntry{key: nameKey{path: path}, rdonly: rdonly, ino: ino}
 	srv.nameMu.Unlock()
 	if !rdonly {
 		srv.evict(path, true)
@@ -93,37 +97,42 @@ func (srv *Server) nameClose(s *Session, h uint64, f vfs.File) (seg *leaseSegmen
 			return e.seg, false
 		}
 	}
-	srv.parked = append(srv.parked, parkedFile{e.key.path, f})
+	srv.parked = append(srv.parked, parkedFile{e.key.path, f, e.ino})
 	return e.seg, true
 }
 
-// unpark takes a file parked at path, rewound, for an open of path with
-// flag, or returns nil; only a plain read-only open takes one. The file
-// goes out only while path still names its inode: a change made behind
-// the server's back, or a close racing a rename, leaves a key stale, and
-// the file is closed instead.
-func (srv *Server) unpark(path string, flag int) vfs.File {
+// unpark takes a file parked at path, rewound, with its inode, for an
+// open of path with flag, or returns nil; only a plain read-only open
+// takes one. The file goes out only while path still names its inode: a
+// change made behind the server's back, or a close racing a rename,
+// leaves a key stale, and the file is closed instead. The file's own
+// Stat runs at its first unpark only; the inode rides along after.
+func (srv *Server) unpark(path string, flag int) (vfs.File, uint64) {
 	if flag != vfs.O_RDONLY {
-		return nil
+		return nil, 0
 	}
 	srv.nameMu.Lock()
 	i := slices.IndexFunc(srv.parked, func(p parkedFile) bool { return p.path == path })
 	if i < 0 {
 		srv.nameMu.Unlock()
-		return nil
+		return nil, 0
 	}
-	f := srv.parked[i].f
+	p := srv.parked[i]
 	srv.parked = slices.Delete(srv.parked, i, i+1)
 	srv.nameMu.Unlock()
 	fi, err := srv.fs.Stat(path)
-	own, ferr := f.Stat()
-	if err == nil && ferr == nil && own.Ino == fi.Ino {
-		if _, err = f.Seek(0, vfs.SeekSet); err == nil {
-			return f
+	if err == nil && p.ino == 0 {
+		var own vfs.FileInfo
+		own, err = p.f.Stat()
+		p.ino = own.Ino
+	}
+	if err == nil && fi.Ino == p.ino {
+		if _, err = p.f.Seek(0, vfs.SeekSet); err == nil {
+			return p.f, p.ino
 		}
 	}
-	f.Close()
-	return nil
+	p.f.Close()
+	return nil, 0
 }
 
 // evict closes the files parked below path, and at path if self.

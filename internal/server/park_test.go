@@ -30,6 +30,7 @@ type openedFile struct {
 	vfs.Mappable
 	l      *openLog
 	closed bool
+	stats  int // calls of the file's own Stat
 }
 
 func (l *openLog) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
@@ -43,6 +44,20 @@ func (l *openLog) OpenFile(path string, flag int, perm uint32) (vfs.File, error)
 	l.files = append(l.files, of)
 	l.mu.Unlock()
 	return of, nil
+}
+
+func (f *openedFile) Stat() (vfs.FileInfo, error) {
+	f.l.mu.Lock()
+	f.stats++
+	f.l.mu.Unlock()
+	return f.File.Stat()
+}
+
+// statCalls reports how many times the file's own Stat ran.
+func (f *openedFile) statCalls() int {
+	f.l.mu.Lock()
+	defer f.l.mu.Unlock()
+	return f.stats
 }
 
 func (f *openedFile) Close() error {
@@ -151,12 +166,13 @@ func fill(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
 // TestParkedOpenMakesNoBackendOpen: a read-only open of a name whose
 // closed handle is parked takes the parked file, rewound: no backend
 // open — K-Split is not entered and U-Split logs no open or close — and
-// the client reads the file from its start.
+// the client reads the file from its start. The parked file's own Stat
+// runs at its first hit only: the inode it learned parks with it.
 func TestParkedOpenMakesNoBackendOpen(t *testing.T) {
 	p := newParkStack(t)
 	want := fill('a', 3*sim.BlockSize)
 	p.write(t, "/a", want)
-	p.park(t, "/a")
+	parked := p.park(t, "/a")
 	opens, traps, entries := p.log.opens(), p.usplit().KFS().Stats().Traps, p.usplit().Stats().LogEntries
 	for range 3 {
 		got, err := p.read("/a")
@@ -175,6 +191,9 @@ func TestParkedOpenMakesNoBackendOpen(t *testing.T) {
 	}
 	if n := p.usplit().Stats().LogEntries - entries; n != 0 {
 		t.Errorf("%d U-Split log entries, want 0", n)
+	}
+	if n := parked.statCalls(); n != 1 {
+		t.Errorf("the parked file's own Stat ran %d times in three hits, want 1", n)
 	}
 }
 
@@ -324,24 +343,39 @@ func TestWritableHandleBlocksParking(t *testing.T) {
 // TestParkedFileRefusedAfterBackendRename: a name replaced on the
 // backend directly, where the server does not see it, leaves the parked
 // file's key stale. The inode check refuses it, closes it, and the open
-// reads the file the name holds now.
+// reads the file the name holds now: at the file's first hit, where the
+// check asks the file for its inode, and after a hit re-parked it with
+// the inode it learned.
 func TestParkedFileRefusedAfterBackendRename(t *testing.T) {
-	p := newParkStack(t)
-	p.write(t, "/a", fill('a', sim.BlockSize))
-	p.write(t, "/b", fill('b', sim.BlockSize))
-	parked := p.park(t, "/a")
-	if err := p.st.FS.Rename("/b", "/a"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.read("/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fill('b', sim.BlockSize)) {
-		t.Fatalf("/a reads %q..., want the renamed file's bytes", got[:min(8, len(got))])
-	}
-	if !parked.isClosed() {
-		t.Fatal("the stale parked file is still open")
+	for _, hits := range []int{0, 1} {
+		t.Run(fmt.Sprintf("after %d hits", hits), func(t *testing.T) {
+			p := newParkStack(t)
+			p.write(t, "/a", fill('a', sim.BlockSize))
+			p.write(t, "/b", fill('b', sim.BlockSize))
+			parked := p.park(t, "/a")
+			for range hits {
+				opens := p.log.opens()
+				if got, err := p.read("/a"); err != nil || !bytes.Equal(got, fill('a', sim.BlockSize)) {
+					t.Fatalf("a parked hit of /a: %v, %d bytes", err, len(got))
+				}
+				if p.log.opens() != opens || parked.isClosed() {
+					t.Fatal("test premise: the read took the parked file and parked it again")
+				}
+			}
+			if err := p.st.FS.Rename("/b", "/a"); err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.read("/a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, fill('b', sim.BlockSize)) {
+				t.Fatalf("/a reads %q..., want the renamed file's bytes", got[:min(8, len(got))])
+			}
+			if !parked.isClosed() {
+				t.Fatal("the stale parked file is still open")
+			}
+		})
 	}
 }
 

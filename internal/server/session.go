@@ -366,13 +366,13 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 			if vfs.Writable(flag) {
 				s.srv.revokeKey(nameKey{path: path})
 			}
-			f := s.srv.unpark(path, flag)
+			f, ino := s.srv.unpark(path, flag)
 			if f == nil {
 				f, err = s.srv.fs.OpenFile(path, flag, perm)
 			}
 			if err == nil {
 				h := uint64(s.ht.Insert(f))
-				s.srv.nameOpen(s, h, path, flag == vfs.O_RDONLY)
+				s.srv.nameOpen(s, h, path, flag == vfs.O_RDONLY, ino)
 				e.u64(h)
 			}
 		}
@@ -664,7 +664,7 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 		f.Close()
 		return err
 	}
-	s.srv.nameOpen(s, id, path, flag == vfs.O_RDONLY)
+	s.srv.nameOpen(s, id, path, flag == vfs.O_RDONLY, 0)
 	return nil
 }
 

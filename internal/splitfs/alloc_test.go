@@ -3,6 +3,7 @@ package splitfs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -119,25 +120,35 @@ func TestSyncNamespaceAllocations(t *testing.T) {
 // tracks its 131 072 lines in zero slots and backs none of its frames;
 // with byte slots and eager frames it cost 54.7 MB, and 6.3 MB while the
 // device kept a slot index per line of every written shard.
+//
+// TotalAlloc is process-wide, so a window can also count what the runtime
+// or the testing package allocates meanwhile: the stack is built fresh
+// several times and the least any window counted is held to the bound.
+// Background allocation cannot land in every window; a build that
+// allocates past the bound does so in every one.
 func TestStrictFormatAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bound, atParent = 5 << 18, 6.3
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(), TrackPersistence: true, TrackWear: true})
-	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{})
-	if err != nil {
-		t.Fatal(err)
+	const bound, atParent, samples = 5 << 18, 6.3, 5
+	least, backed := uint64(math.MaxUint64), int64(0)
+	for range samples {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dev := pmem.New(pmem.Config{Size: 256 << 20, Clock: sim.NewClock(), TrackPersistence: true, TrackWear: true})
+		kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(kfs, Config{Mode: Strict}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		backed = dev.BackedBytes()
 	}
-	if _, err := New(kfs, Config{Mode: Strict}); err != nil {
-		t.Fatal(err)
+	if least > bound {
+		t.Fatalf("a tracked strict stack allocates at least %.2f MB to build in each of %d builds, want <= %.2f MB (%.1f MB with a slot index per line)", float64(least)/(1<<20), samples, float64(bound)/(1<<20), atParent)
 	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if got > bound {
-		t.Fatalf("a tracked strict stack allocates %.2f MB to build, want <= %.2f MB (%.1f MB with a slot index per line)", float64(got)/(1<<20), float64(bound)/(1<<20), atParent)
-	}
-	t.Logf("a tracked strict stack allocates %.2f MB to build (bound %.2f MB, parent %.1f MB) and backs %d KB of frames", float64(got)/(1<<20), float64(bound)/(1<<20), atParent, dev.BackedBytes()>>10)
+	t.Logf("a tracked strict stack allocates %.2f MB to build in its quietest of %d builds (bound %.2f MB, parent %.1f MB) and backs %d KB of frames", float64(least)/(1<<20), samples, float64(bound)/(1<<20), atParent, backed>>10)
 }

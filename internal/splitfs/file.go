@@ -138,7 +138,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		if truncating {
 			// The kernel truncated on open: stale mappings over freed
 			// blocks must go.
-			fs.mmaps.drop(info.Ino)
+			fs.mmaps.trim(info.Ino, 0)
 		}
 	} else {
 		// Reuse the shared description; the redundant kernel handle is
@@ -160,7 +160,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 			of.size, of.ksize = 0, 0
 			of.logSeq = max(of.logSeq, seq)
 			of.mu.Unlock()
-			fs.mmaps.drop(of.ino)
+			fs.mmaps.trim(of.ino, 0)
 		}
 		// A live table entry implies the inode was linked an instant ago;
 		// a concurrent unlink's sweep (which runs after the kernel
@@ -626,8 +626,8 @@ func (f *File) Truncate(size int64) error {
 		return err
 	}
 	// Freed blocks may be reallocated to other files: cached mappings
-	// over them are stale and must be torn down.
-	fs.mmaps.drop(of.ino)
+	// over them are stale and must be forgotten.
+	fs.mmaps.trim(of.ino, size)
 	of.size, of.ksize = size, size
 	fs.setAttrSize(of, size)
 	fs.logMeta(metaRecord{kind: metaTruncate, seq: seq, ino: of.ino, size: size})

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/sim"
 )
 
 // mmapCache is the collection of memory-mappings (§3.3): every mapping
@@ -22,8 +23,8 @@ type mmapCache struct {
 	// regions holds every cached mapping, one per MmapBytes-sized window
 	// of a file, in one table for all inodes: a file mapped for the first
 	// time adds an entry, not a table of its own. bound[ino] is one past
-	// the highest window index cached for the inode, so that drop and
-	// count can find each of its windows without a walk of the table.
+	// the highest window index cached for the inode, so that drop, trim
+	// and count can find each of its windows without a walk of the table.
 	regions map[regionKey]*ext4dax.Mapping
 	bound   map[uint64]int64
 }
@@ -190,6 +191,25 @@ func (c *mmapCache) drop(ino uint64) int {
 	}
 	delete(c.bound, ino)
 	return n
+}
+
+// trim forgets the windows of an inode that reach past the block holding
+// its new end, size, after a truncate: their blocks may be freed and
+// taken by another file. A window wholly below that block loses none of
+// its blocks and stays cached, and a truncate that does not shrink the
+// file forgets nothing. A forgotten window's mapping is released, not
+// unmapped: §3.5 discards a mapping only at unlink, so no munmap is
+// charged, and the window's next access maps it afresh and pays an mmap
+// the real library would not (DESIGN.md, "Mapping lifetime").
+func (c *mmapCache) trim(ino uint64, size int64) {
+	end := (size + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for idx := end / c.fs.cfg.MmapBytes; idx < c.bound[ino]; idx++ {
+		if m := c.regions[regionKey{ino, idx}]; m != nil && m.FileOff+m.Length() > end {
+			c.replace(ino, idx, nil)
+		}
+	}
 }
 
 // count returns the number of cached mappings for an inode.

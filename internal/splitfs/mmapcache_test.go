@@ -1,7 +1,10 @@
 package splitfs
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"testing"
 
@@ -177,5 +180,239 @@ func TestDropForgetsEveryRegion(t *testing.T) {
 		if recycled {
 			return
 		}
+	}
+}
+
+// A truncation keeps U-Split's mappings (DESIGN.md, "Mapping lifetime"):
+// it forgets only the windows that reach past the block holding the new
+// end, releasing their tables without a munmap, which only unlink and a
+// replacing rename charge.
+
+// truncEnv is a U-Split instance with four-block mapping windows on a
+// small device, so that a few windows make a file and the allocator
+// soon comes back to the blocks a truncate frees.
+func truncEnv(t *testing.T, mode Mode) (*pmem.Device, *FS) {
+	t.Helper()
+	dev := pmem.New(pmem.Config{Size: 32 << 20, Clock: sim.NewClock()})
+	kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := New(kfs, Config{Mode: mode, MmapBytes: truncWindow, StagingFiles: 2, StagingFileBytes: 2 << 20, OpLogBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev, fs
+}
+
+const truncWindow = 4 * sim.BlockSize
+
+// mappedFile creates path holding windows whole windows of data salted
+// by salt, relinked and mapped window by window, and returns it open.
+func mappedFile(t *testing.T, fs *FS, path string, windows int, salt byte) *File {
+	t.Helper()
+	f, err := fs.OpenFile(path, vfs.O_RDWR|vfs.O_CREATE|vfs.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(windows*truncWindow, salt)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil { // the relink maps what it moved
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("%s reads back wrong: %v", path, err)
+	}
+	if n := fs.mmaps.count(f.(*File).of.ino); n != windows {
+		t.Fatalf("test premise: %s has %d windows cached, want %d", path, n, windows)
+	}
+	return f.(*File)
+}
+
+// munmaps returns how many munmaps fn charged: the kernel-trap time it
+// charged beyond its traps'.
+func munmaps(t *testing.T, dev *pmem.Device, fs *FS, fn func() error) int64 {
+	t.Helper()
+	clk := dev.Clock()
+	ns, traps := clk.Category(sim.CatKernelTrap), fs.kfs.Stats().Traps
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	ns = clk.Category(sim.CatKernelTrap) - ns - (fs.kfs.Stats().Traps-traps)*sim.KernelTrapNs
+	return ns / sim.MunmapPerMappingNs
+}
+
+// TestTruncationChargesNoMunmap: a truncating open — of a file with no
+// open description, and of one with — and a shrinking Truncate forget a
+// mapped file's windows without a munmap; an unlink and a rename onto
+// the file still charge one per window.
+func TestTruncationChargesNoMunmap(t *testing.T) {
+	const windows = 3
+	for _, mode := range allModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			dev, fs := truncEnv(t, mode)
+			for _, tc := range []struct {
+				name    string
+				want    int64 // munmaps
+				trigger func(f *File) error
+			}{
+				{"truncating open", 0, func(f *File) error {
+					if err := f.Close(); err != nil {
+						return err
+					}
+					g, err := fs.OpenFile("/a", vfs.O_RDWR|vfs.O_TRUNC, 0)
+					if err == nil {
+						err = g.Close()
+					}
+					return err
+				}},
+				{"truncating open beside a handle", 0, func(f *File) error {
+					g, err := fs.OpenFile("/a", vfs.O_WRONLY|vfs.O_TRUNC, 0)
+					if err == nil {
+						err = errors.Join(g.Close(), f.Close())
+					}
+					return err
+				}},
+				{"shrinking Truncate", 0, func(f *File) error {
+					return errors.Join(f.Truncate(sim.BlockSize), f.Close())
+				}},
+				{"unlink", windows, func(f *File) error { return errors.Join(f.Close(), fs.Unlink("/a")) }},
+				{"rename onto the file", windows, func(f *File) error {
+					if err := f.Close(); err != nil {
+						return err
+					}
+					g, err := vfs.Create(fs, "/b")
+					if err == nil {
+						err = errors.Join(g.Close(), fs.Rename("/b", "/a"))
+					}
+					return err
+				}},
+			} {
+				f := mappedFile(t, fs, "/a", windows, 1)
+				ino := f.of.ino
+				if n := munmaps(t, dev, fs, func() error { return tc.trigger(f) }); n != tc.want {
+					t.Errorf("%s of a file mapped in %d windows charged %d munmaps, want %d", tc.name, windows, n, tc.want)
+				}
+				if n := fs.mmaps.count(ino); n >= windows {
+					t.Errorf("%s left %d of %d windows cached", tc.name, n, windows)
+				}
+			}
+		})
+	}
+}
+
+// TestTruncateKeepsWindowsBelowItsEnd: a truncate that does not shrink
+// the file keeps every window's mapping, and a shrink keeps those wholly
+// below the block holding the new end — that block included — and
+// forgets the rest. Each truncate is followed by a read of the file,
+// which maps a forgotten window's remaining blocks afresh.
+func TestTruncateKeepsWindowsBelowItsEnd(t *testing.T) {
+	_, fs := truncEnv(t, POSIX)
+	f := mappedFile(t, fs, "/a", 3, 1)
+	mapped := func() (ms []*ext4dax.Mapping) {
+		for idx := range int64(4) {
+			ms = append(ms, fs.mmaps.regions[regionKey{f.of.ino, idx}])
+		}
+		return ms
+	}
+	for _, tc := range []struct {
+		size int64
+		kept int // leading windows still cached as before the truncate
+	}{
+		{3 * truncWindow, 3},
+		{4 * truncWindow, 3},
+		{2*truncWindow - 1, 2}, // the new end's block is window 1's last
+		{truncWindow + 1, 1},
+		{truncWindow + 1, 2}, // window 1, mapped again by the read, ends at the new end's block
+		{0, 0},
+	} {
+		before := mapped()
+		if err := f.Truncate(tc.size); err != nil {
+			t.Fatal(err)
+		}
+		want := append(before[:tc.kept:tc.kept], make([]*ext4dax.Mapping, 4-tc.kept)...)
+		if got := mapped(); !slices.Equal(got, want) {
+			t.Fatalf("after a truncate to %d windows cached are %v, want %v", tc.size, got, want)
+		}
+		got := make([]byte, min(tc.size, 3*truncWindow))
+		if _, err := f.ReadAt(got, 0); err != nil && !errors.Is(err, io.EOF) {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pattern(3*truncWindow, 1)[:len(got)]) {
+			t.Fatalf("after a truncate to %d the file reads wrong", tc.size)
+		}
+	}
+}
+
+// TestTruncatedBlocksStayOffTheFile: a block a truncate frees and another
+// file then takes is never reached through the truncated file once it
+// grows over the block again — its read sees the hole, not the other
+// file's bytes, and its write leaves the other file's bytes alone.
+func TestTruncatedBlocksStayOffTheFile(t *testing.T) {
+	_, fs := truncEnv(t, POSIX)
+	f := mappedFile(t, fs, "/a", 2, 1)
+	freed, _, err := f.MapExtents(truncWindow, truncWindow)
+	if err != nil || len(freed) == 0 {
+		t.Fatalf("window 1 of /a: %v, %v", freed, err)
+	}
+	if err := f.Truncate(truncWindow); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.kfs.CommitMeta(); err != nil { // the freed blocks free at the commit
+		t.Fatal(err)
+	}
+	// /b, written through K-Split, takes blocks until it holds one that
+	// /a's window 1 held.
+	b, err := fs.kfs.OpenFile("/b", vfs.O_RDWR|vfs.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := bytes.Repeat([]byte{0xbb}, truncWindow)
+	taken := func() bool {
+		exts, _, err := b.(vfs.Mappable).MapExtents(0, ext4dax.MaxFileSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range exts {
+			for _, x := range freed {
+				if e.DevOff < x.DevOff+x.Length && x.DevOff < e.DevOff+e.Length {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var bSize int64
+	for !taken() {
+		if _, err := b.WriteAt(other, bSize); err != nil {
+			t.Fatalf("/b never took a block /a's truncate freed: %v", err)
+		}
+		bSize += truncWindow
+	}
+	if err := f.Truncate(2 * truncWindow); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, truncWindow)
+	if _, err := f.ReadAt(got, truncWindow); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, truncWindow)) {
+		t.Errorf("/a's regrown window reads %x..., want the hole's zeros", got[:8])
+	}
+	if _, err := f.WriteAt(pattern(truncWindow, 2), truncWindow); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(got, truncWindow); err != nil || !bytes.Equal(got, pattern(truncWindow, 2)) {
+		t.Errorf("/a's regrown window reads back wrong: %v", err)
+	}
+	all := make([]byte, bSize)
+	if _, err := b.ReadAt(all, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(all, bytes.Repeat([]byte{0xbb}, int(bSize))) {
+		t.Error("a write to /a's regrown window changed /b")
 	}
 }
