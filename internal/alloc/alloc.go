@@ -10,6 +10,8 @@
 // more than compactness — SplitFS staging-file pre-allocation, which
 // wants a single run at a 2 MB-aligned device offset so the file can be
 // mapped with huge pages — and places it lowest-first instead.
+// AllocLowest takes the single lowest free block, the way ext4 hands out
+// inode numbers, so that inodes made close together share table blocks.
 package alloc
 
 import (
@@ -149,6 +151,23 @@ func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
 	}
 	ext := Extent{Start: bestStart, Len: bestLen}
 	b.hint = ext.End() % b.nblocks
+	return ext, b.take(ext), nil
+}
+
+// AllocLowest allocates the lowest free block, as ext4 hands out inode
+// numbers (the first clear bit of the group's inode bitmap), and leaves
+// the next-fit hint alone: the lowest run of one block at a block-aligned
+// offset, which every block's is. It charges the same search cost as
+// AllocExtent. Returns vfs.ErrNoSpace when every block is taken.
+func (b *Bitmap) AllocLowest() (Extent, ByteRange, error) {
+	b.clk.Charge(sim.CatAlloc, sim.AllocExtentNs)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	start := b.lowestAlignedRun(1, sim.BlockSize)
+	if start < 0 {
+		return Extent{}, ByteRange{}, vfs.ErrNoSpace
+	}
+	ext := Extent{Start: start, Len: 1}
 	return ext, b.take(ext), nil
 }
 

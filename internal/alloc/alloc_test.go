@@ -208,3 +208,24 @@ func TestAllocAt(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocLowestStopsAtTheLastBlock: on a bitmap whose last byte is
+// partly past its end, a full bitmap fails with ErrNoSpace rather than
+// handing out a bit beyond the last block, and a freed block comes back
+// lowest first.
+func TestAllocLowestStopsAtTheLastBlock(t *testing.T) {
+	b := newBitmap(t, 10)
+	for want := int64(0); want < 10; want++ {
+		if e, _, err := b.AllocLowest(); err != nil || e != (Extent{Start: want, Len: 1}) {
+			t.Fatalf("AllocLowest = %v, %v; want [%d+1)", e, err, want)
+		}
+	}
+	if e, _, err := b.AllocLowest(); !errors.Is(err, vfs.ErrNoSpace) {
+		t.Fatalf("full bitmap: AllocLowest = %v, %v; want ErrNoSpace", e, err)
+	}
+	b.Free(Extent{Start: 7, Len: 1})
+	b.Free(Extent{Start: 3, Len: 1})
+	if e, _, err := b.AllocLowest(); err != nil || e.Start != 3 {
+		t.Fatalf("AllocLowest = %v, %v; want block 3", e, err)
+	}
+}

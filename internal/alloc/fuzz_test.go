@@ -40,19 +40,33 @@ func (m bitmapModel) lowestAligned(n, align int64) int64 {
 	return -1
 }
 
-// FuzzBitmapModel runs a random AllocExtent / Alloc / AllocAligned / Free
-// sequence, decoded from the fuzz input, against the bool-slice model and
-// requires: no block handed out twice, FreeCount exact, an aligned result
-// aligned by device offset and the lowest there is, the next-fit hint
-// untouched by it, and the fallback taken only when the model has no
-// aligned run. Op encoding: one opcode byte (low two bits select the op),
-// then one operand byte; a sequence ends when the input does.
+// lowest returns the lowest free block, or -1.
+func (m bitmapModel) lowest() int64 {
+	for i, used := range m {
+		if !used {
+			return int64(i)
+		}
+	}
+	return -1
+}
+
+// FuzzBitmapModel runs a random AllocExtent / Alloc / AllocAligned / Free /
+// AllocLowest sequence, decoded from the fuzz input, against the
+// bool-slice model and requires: no block handed out twice, FreeCount
+// exact, an aligned result aligned by device offset and the lowest there
+// is, the fallback taken only when the model has no aligned run, a lowest
+// result the model's lowest free block, and the next-fit hint untouched by
+// either lowest-first call. Op encoding: one opcode byte (its value modulo
+// 5 selects the op), then one operand byte; a sequence ends when the input
+// does.
 func FuzzBitmapModel(f *testing.F) {
 	f.Add([]byte("\x02\x8f\x02\x8f\x03\x00\x02\x8f"))                 // 16 blocks at 8: twice, free the first, again: reused
 	f.Add([]byte("\x00\x03\x02\x87\x00\x0f\x03\x01\x02\xa7\x01\x20")) // next-fit runs around aligned ones
 	f.Add([]byte("\x01\x5e\x02\x87\x03\x00\x02\x41\x02\xc3"))         // one block free: ENOSPC; then 4- and 16-block alignments
 	// Single blocks, two freed again: the holes defeat the low aligned
 	// windows, so aligned runs land above them or fall back.
+	f.Add([]byte("\x00\x05\x04\x00\x03\x00\x04\x00\x04\x00")) // lowest takes a freed run from its bottom, behind the hint
+	f.Add([]byte("\x01\x5f\x04\x00"))                         // every block taken: lowest fails ENOSPC
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x03\x02\x03\x04\x02\x87\x01\x30\x02\x9f\x02\x9f"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b, dev := newAlignedBitmap(t)
@@ -90,7 +104,7 @@ func FuzzBitmapModel(f *testing.F) {
 			op, arg := in[0], int64(in[1])
 			in = in[2:]
 			free := m.free()
-			switch op & 3 {
+			switch op % 5 {
 			case 0:
 				want := arg%16 + 1
 				e, _, err := b.AllocExtent(want)
@@ -139,6 +153,20 @@ func FuzzBitmapModel(f *testing.F) {
 				for i := e.Start; i < e.End(); i++ {
 					m[i] = false
 				}
+			case 4:
+				want, hint := m.lowest(), b.hint
+				e, _, err := b.AllocLowest()
+				if err != nil {
+					noSpace(step, err, free, 1)
+					break
+				}
+				if e.Start != want || e.Len != 1 {
+					t.Fatalf("step %d: AllocLowest = %v, model's lowest free block is %d", step, e, want)
+				}
+				if b.hint != hint {
+					t.Fatalf("step %d: AllocLowest moved the hint %d -> %d", step, hint, b.hint)
+				}
+				take(step, []Extent{e}, 1, true)
 			}
 			if got, want := b.FreeCount(), m.free(); got != want {
 				t.Fatalf("step %d (op %#x): FreeCount = %d, model %d", step, op, got, want)

@@ -198,8 +198,14 @@ func (fs *FS) resolveDir(path string) (*inode, string, error) {
 	return parent, base, nil
 }
 
-// allocInode reserves a fresh inode number: want, or the allocator's
-// choice when want is 0. Caller holds fs.mu.
+// allocInode reserves a fresh inode number: want, or when want is 0 the
+// lowest free one, as ext4's find_inode_bit takes the first clear bit of
+// its group — so inodes made close together, a file and the staging file
+// it relinks from among them, share an inode-table block and a commit
+// journals one image of it (DESIGN.md, "Inode placement"). A freed number
+// is free in the bitmap only once its free has committed (deferFree). The
+// new inode's watermark is the highest any inode has carried (uwmMax).
+// Caller holds fs.mu.
 func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 	var (
 		e     = alloc.Extent{Start: int64(want), Len: 1}
@@ -207,7 +213,7 @@ func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 		err   error
 	)
 	if want == 0 {
-		e, dirty, err = fs.iBmp.AllocExtent(1)
+		e, dirty, err = fs.iBmp.AllocLowest()
 	} else {
 		dirty, err = fs.iBmp.AllocAt(e)
 	}
@@ -225,10 +231,10 @@ func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 		// with no handle open; its generation and map epoch keep
 		// counting.
 		in.mu.Lock()
-		in.ino, in.nlink, in.uwm, in.orphan, in.mapped = uint64(e.Start), 1, 0, false, false
+		in.ino, in.nlink, in.uwm, in.orphan, in.mapped = uint64(e.Start), 1, fs.uwmMax, false, false
 		in.mu.Unlock()
 	} else {
-		in = &inode{ino: uint64(e.Start), isDir: isDir, nlink: 1}
+		in = &inode{ino: uint64(e.Start), isDir: isDir, nlink: 1, uwm: fs.uwmMax}
 	}
 	if isDir {
 		in.nlink = 2

@@ -103,6 +103,11 @@ type FS struct {
 	// stamps are the journal's stamps with the running transaction's
 	// SetStamp calls applied.
 	stamps [journal.Stamps]uint64
+	// uwmMax is the highest watermark any inode has carried since Mount,
+	// which seeds it with every record's and every stamp. A new inode
+	// starts with it (allocInode), so whatever takes a freed number masks
+	// the log entries of the number's previous lives.
+	uwmMax uint64
 	// txHold counts open batch handles (BeginBatch); while positive, the
 	// running transaction must not commit — jbd2's "a transaction cannot
 	// commit while handles are open". txIdle signals txHold reaching zero.
@@ -263,6 +268,7 @@ func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
 	}
 	replayed := int(fs.jnl.Stats().Replayed)
 	fs.stamps = fs.jnl.Stamps()
+	fs.uwmMax = slices.Max(fs.stamps[:])
 	fs.iBmp = alloc.Load(dev, lay.InodeBmpOff, 0, lay.MaxInodes)
 	fs.bBmp = alloc.Load(dev, lay.BlockBmpOff, lay.DataOff, lay.DataBlocks)
 	// Load every allocated inode. A set bitmap bit with an unreadable
@@ -280,6 +286,7 @@ func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
 			continue
 		}
 		fs.icache[uint64(ino)] = in
+		fs.uwmMax = max(fs.uwmMax, in.uwm)
 	}
 	if _, ok := fs.icache[RootIno]; !ok {
 		return nil, 0, fmt.Errorf("ext4dax: no root inode")

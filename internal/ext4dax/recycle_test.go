@@ -3,6 +3,7 @@ package ext4dax
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -185,4 +186,107 @@ func TestStaleHandleAfterInodeReuse(t *testing.T) {
 	if _, err := fs.Check(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCreateTakesLowestCommittedNumber: a create takes the lowest free
+// inode number, as ext4's find_inode_bit takes the first clear bit, and
+// never a number whose free has not committed — however low it is.
+func TestCreateTakesLowestCommittedNumber(t *testing.T) {
+	_, fs := newFS(t)
+	create := func(path string) uint64 {
+		t.Helper()
+		f, err := vfs.Create(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		return f.(*File).Ino()
+	}
+	expect := func(path string, want uint64) {
+		t.Helper()
+		if got := create(path); got != want {
+			t.Fatalf("create %s took inode %d, want %d", path, got, want)
+		}
+	}
+	// Mkfs took 0 (invalid) and the root; the table fills from 2 up.
+	for i := range 8 {
+		expect(fmt.Sprintf("/f%d", i), uint64(2+i))
+	}
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/f5", "/f1"} { // inodes 7 and 3
+		if err := fs.Unlink(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The frees are in the running transaction: 3 and 7 stay taken.
+	expect("/g0", 10)
+	if err := fs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	expect("/g1", 3)
+	expect("/g2", 7)
+	expect("/g3", 11)
+}
+
+// TestNewInodeStartsAtTheHighestWatermark: a new inode's watermark is the
+// highest any inode has carried since mount, and a mount seeds it from
+// every record and every journal stamp. So whatever takes a freed number,
+// a file or directory of a U-Split instance in any mode, masks the log
+// entries of the number's previous lives, even after the inode that
+// carried the highest watermark is gone.
+func TestNewInodeStartsAtTheHighestWatermark(t *testing.T) {
+	dev, fs := newFS(t)
+	create := func(path string, want uint64) *File {
+		t.Helper()
+		f, err := vfs.Create(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kf := f.(*File)
+		if got := kf.UserWatermark(); got != want {
+			t.Fatalf("create %s: watermark %d, want %d", path, got, want)
+		}
+		return kf
+	}
+	commit := func() {
+		t.Helper()
+		if err := fs.CommitMeta(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := create("/f", 0)
+	f.SetUserWatermark(77)
+	f.Close()
+	g := create("/g", 77)
+	g.SetUserWatermark(5)
+	g.Close()
+	commit()
+	freed := f.Ino()
+	if err := fs.Unlink("/f"); err != nil {
+		t.Fatal(err)
+	}
+	commit()
+	h := create("/h", 77)
+	if h.Ino() != freed {
+		t.Fatalf("/h took inode %d, not the freed %d", h.Ino(), freed)
+	}
+	h.Close()
+	commit()
+	remount := func() {
+		t.Helper()
+		var err error
+		if fs, _, err = Mount(dev, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remount()
+	create("/k", 77).Close() // /h's record
+	b := fs.BeginBatch()
+	b.SetStamp(1, 90)
+	b.End()
+	commit()
+	remount()
+	create("/m", 90).Close() // the stamp
 }

@@ -184,6 +184,7 @@ func (b *Batch) SetUserWatermark(f *File, v uint64) {
 	f.in.mu.Lock()
 	f.in.uwm = v
 	f.in.mu.Unlock()
+	b.fs.uwmMax = max(b.fs.uwmMax, v)
 	b.touch(f.in)
 }
 
@@ -274,6 +275,7 @@ func (f *File) SetUserWatermark(v uint64) {
 	f.in.mu.Lock()
 	defer f.in.mu.Unlock()
 	f.in.uwm = v
+	fs.uwmMax = max(fs.uwmMax, v)
 	var b [8]byte
 	putU64(b[:], v)
 	off := fs.inodeOff(f.in.ino) + uwmOff
@@ -315,13 +317,7 @@ func (fs *FS) Stamp(slot int) uint64 {
 func (fs *FS) MaxUserWatermark() uint64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	m := slices.Max(fs.stamps[:])
-	for _, in := range fs.icache {
-		if in.uwm > m {
-			m = in.uwm
-		}
-	}
-	return m
+	return max(slices.Max(fs.stamps[:]), fs.uwmMax)
 }
 
 // RangeAllocated reports whether every block of [off, off+n) is backed by

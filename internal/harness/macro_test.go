@@ -17,9 +17,9 @@ import (
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0xf58af57c94de7a1b,
-	"splitfs-posix":  0x147202c31a91fc83,
-	"splitfs-sync":   0x19804690340e8346,
-	"splitfs-strict": 0x4477b733840b12a5,
+	"splitfs-posix":  0x1ca5a39988188eb9,
+	"splitfs-sync":   0x56f18b933aeac1be,
+	"splitfs-strict": 0xb9f44b088fcd665d,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

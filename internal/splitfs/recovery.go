@@ -1,6 +1,7 @@
 package splitfs
 
 import (
+	"errors"
 	"fmt"
 
 	"splitfs/internal/ext4dax"
@@ -311,6 +312,12 @@ func (r *logReplay) open(ino uint64, path string, flag int) (*ext4dax.File, erro
 // range is still allocated (punched ranges also mean a committed relink).
 // An entry that survived the crash names staged data that did too:
 // stagePiece fenced the data before it stored the entry.
+//
+// An entry names one incarnation of an inode number. A number freed and
+// taken again names something else now, and whatever took it, in any
+// instance's mode, starts at K-Split's highest watermark, which masks the
+// old entries. A directory's watermark is never read, because opening it
+// for writing fails: an entry whose number names one is skipped.
 func (r *logReplay) replayWrite(w writeEntry) (bool, error) {
 	stagingPath := r.path(w.stagingIno)
 	if stagingPath == "" {
@@ -321,6 +328,9 @@ func (r *logReplay) replayWrite(w writeEntry) (bool, error) {
 		return false, nil // target unlinked after the write was logged
 	}
 	tf, err := r.open(w.ino, targetPath, vfs.O_RDWR)
+	if errors.Is(err, vfs.ErrIsDir) {
+		return false, nil // the number names a directory made after the write
+	}
 	if err != nil {
 		return false, err
 	}

@@ -2,6 +2,8 @@ package splitfs
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"splitfs/internal/ext4dax"
@@ -170,4 +172,181 @@ func TestReplayingALogPrefixAgainChangesNothing(t *testing.T) {
 			t.Fatalf("prefix of %d records: %v", k, err)
 		}
 	}
+}
+
+// fillInodeTable creates empty files through K-Split until the inode table
+// is full, then unlinks the first of them and commits: the next create
+// takes that one number whatever the allocator's policy, next-fit or
+// lowest-free.
+func fillInodeTable(t testing.TB, fs *FS) {
+	t.Helper()
+	for i := 0; ; i++ {
+		f, err := vfs.Create(fs.kfs, fmt.Sprintf("/fill%d", i))
+		if errors.Is(err, vfs.ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	freeFillers(t, fs, 0, 1)
+}
+
+// freeFillers unlinks fillers [from, to) and commits the frees.
+func freeFillers(t testing.TB, fs *FS, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := fs.kfs.Unlink(fmt.Sprintf("/fill%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.kfs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDirectoryOnAReusedNumberSkipsOldEntries: a strict write entry names
+// its target by inode number, and a directory that took the number after
+// the file was unlinked is not what the entry wrote to. Recovery skips the
+// entry; it used to fail, "open /d: is a directory".
+func TestDirectoryOnAReusedNumberSkipsOldEntries(t *testing.T) {
+	e := newMetaEnv(t, Strict, ext4dax.Config{MaxInodes: 64}, 1<<20)
+	fillInodeTable(t, e.fs)
+	mustCreateClosed(t, e.fs, "/f", []byte("staged, logged, relinked at close"))
+	ino := mustStat(t, e.fs, "/f").Ino
+	if err := e.fs.Unlink("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.fs.kfs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.fs.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustStat(t, e.fs, "/d").Ino; got != ino {
+		t.Fatalf("mkdir took inode %d, not the unlinked file's %d", got, ino)
+	}
+	freeFillers(t, e.fs, 1, 5) // room for recovery's fresh staging files
+	e.recover(t, sim.NewRNG(1))
+	if info := mustStat(t, e.fs, "/d"); !info.IsDir || info.Ino != ino {
+		t.Fatalf("recovered /d = %+v, want the directory at inode %d", info, ino)
+	}
+}
+
+// TestStagingFileOnAReusedNumberMasksOldEntries: a staging file that took
+// the number of an unlinked file, whose staged range a truncating open
+// dropped unrelinked, must not receive that file's logged writes at
+// recovery. It used to: replay copied the dead file's bytes into the new
+// staging file, over the staged data of a live file, and recovery then
+// copied those bytes into the live file — silent data loss.
+func TestStagingFileOnAReusedNumberMasksOldEntries(t *testing.T) {
+	e := newMetaEnv(t, Strict, ext4dax.Config{MaxInodes: 64}, 1<<20)
+	g, err := vfs.Create(e.fs, "/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillInodeTable(t, e.fs)
+	ino := dropAndUnlink(t, e.fs, "/dead")
+
+	// The live file outgrows both staging files: the third takes the
+	// dead file's number, the only one free, and stages the live file's
+	// last bytes from its first block on.
+	want := bytes.Repeat([]byte{'g'}, 5<<19)
+	for off := 0; off < len(want); off += 64 << 10 {
+		if _, err := g.Write(want[off : off+64<<10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.fs.staging.current.kf.Ino(); got != ino {
+		t.Fatalf("the staging file in use is inode %d, not the dead file's %d", got, ino)
+	}
+	freeFillers(t, e.fs, 1, 5) // room for recovery's fresh staging files
+	report := e.recover(t, sim.NewRNG(1))
+	got, err := vfs.ReadFile(e.fs.kfs, "/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := firstDiff(got, want)
+		t.Fatalf("recovered /g differs from byte %d of %d (%d bytes; %q there) %+v",
+			i, len(want), len(got), got[i:min(i+4, len(got))], report)
+	}
+}
+
+// TestOtherModeOnAReusedNumberMasksOldEntries: instances of different
+// modes share one K-Split, so the number a strict instance's dead file
+// freed can go to a sync or POSIX instance's create, which sets no
+// watermark of its own. The strict log's entries for the dead file must
+// still not reach the new file at recovery: K-Split starts every new
+// inode at the highest watermark it has seen.
+func TestOtherModeOnAReusedNumberMasksOldEntries(t *testing.T) {
+	for _, mode := range []Mode{Sync, POSIX} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newMetaEnv(t, Strict, ext4dax.Config{MaxInodes: 64}, 1<<20)
+			cfg := e.cfg
+			cfg.Mode = mode
+			other, err := New(e.fs.kfs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillInodeTable(t, e.fs)
+			ino := dropAndUnlink(t, e.fs, "/dead")
+			want := []byte("the new file's own bytes")
+			mustCreateClosed(t, other, "/h", want)
+			if got := mustStat(t, e.fs, "/h").Ino; got != ino {
+				t.Fatalf("the %v create took inode %d, not the dead file's %d", mode, got, ino)
+			}
+			freeFillers(t, e.fs, 1, 5) // room for recovery's fresh staging files
+			report := e.recover(t, sim.NewRNG(1))
+			got, err := vfs.ReadFile(e.fs.kfs, "/h")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("recovered /h = %q (%d bytes), want %q %+v", got[:min(len(got), 32)], len(got), want, report)
+			}
+		})
+	}
+}
+
+// dropAndUnlink leaves a strict log holding write entries for a dead file:
+// it creates path, stages two blocks into it, drops them unrelinked with a
+// truncating open, unlinks the file and commits. Returns the freed number.
+func dropAndUnlink(t testing.TB, fs *FS, path string) uint64 {
+	t.Helper()
+	dead, err := vfs.Create(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino := mustStat(t, fs, path).Ino
+	if _, err := dead.Write(bytes.Repeat([]byte{'A'}, 2*sim.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	trunc, err := fs.OpenFile(path, vfs.O_RDWR|vfs.O_TRUNC, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []vfs.File{trunc, dead} {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Unlink(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.kfs.CommitMeta(); err != nil {
+		t.Fatal(err)
+	}
+	return ino
+}
+
+// mustStat stats through K-Split, which logs nothing.
+func mustStat(t testing.TB, fs *FS, path string) vfs.FileInfo {
+	t.Helper()
+	info, err := fs.kfs.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
 }
