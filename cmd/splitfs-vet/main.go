@@ -1,5 +1,5 @@
 // splitfs-vet runs the repository's static-analysis suite (lockorder,
-// persist, determinism, wireerr — see DESIGN.md, "Static analysis")
+// determinism, wireerr — see DESIGN.md, "Static analysis")
 // over a package pattern:
 //
 //	go run ./cmd/splitfs-vet [-suppressions=error] [patterns]

@@ -44,7 +44,7 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// injected is a scratch module violating each of the four invariants.
+// injected is a scratch module violating each of the three invariants.
 var injected = map[string]string{
 	"go.mod": "module example.com/inj\n\ngo 1.24\n",
 	// lockorder: inner held while acquiring outer.
@@ -84,26 +84,6 @@ import "fmt"
 
 func Bad() error { return fmt.Errorf("opaque") }
 `,
-	// A pmem.Device lookalike: persist keys on the "internal/pmem"
-	// import-path suffix and method names.
-	"internal/pmem/pmem.go": `package pmem
-
-type Device struct{}
-
-func (d *Device) Store(off int64, p []byte)   {}
-func (d *Device) StoreNT(off int64, p []byte) {}
-func (d *Device) Flush(off, n int64)          {}
-func (d *Device) Fence()                      {}
-`,
-	// persist: store escapes unfenced.
-	"use/use.go": `package use
-
-import "example.com/inj/internal/pmem"
-
-func BadStore(d *pmem.Device, p []byte) {
-	d.Store(0, p)
-}
-`,
 }
 
 // TestInjectedViolationsFailGate writes the injected module, plus each
@@ -129,7 +109,6 @@ func TestInjectedViolationsFailGate(t *testing.T) {
 			"splitfs-lockorder:",
 			"splitfs-determinism:",
 			"splitfs-wireerr:",
-			"splitfs-persist:",
 		},
 	}, {
 		name: "lock inversion in a test file",
@@ -146,46 +125,49 @@ func invertedInTest(db *DB, t *Table) {
 		want: []string{"order_test.go:5:2: splitfs-lockorder:"},
 	}, {
 		name: "suppression in a test file",
-		extra: map[string]string{"internal/pmem/pmem_test.go": `package pmem
+		extra: map[string]string{"locks/suppressed_test.go": `package locks
 
-import "testing"
-
-func TestStore(t *testing.T) {
-	//lint:ignore splitfs-persist the test never fences
-	new(Device).Store(0, nil)
+func suppressedInTest(db *DB, t *Table) {
+	t.Mu.Lock()
+	//lint:ignore splitfs-lockorder the test runs on one goroutine
+	db.Mu.Lock()
+	db.Mu.Unlock()
+	t.Mu.Unlock()
 }
 `},
-		args: []string{"-suppressions=error", "./internal/pmem"},
-		want: []string{"1 active suppression(s)", "pmem_test.go:6:2: splitfs-persist:"},
+		args: []string{"-suppressions=error", "./locks"},
+		want: []string{"1 active suppression(s)", "suppressed_test.go:5:2: splitfs-lockorder:"},
 	}, {
-		// Commit fences and Put is caller-fenced: only their facts,
-		// from a package outside the pattern, make Save clean.
+		// The ranks and their order (package locks) and what Sync
+		// acquires (package store) are facts from outside the pattern:
+		// without them Save's inversion goes unseen.
 		name: "narrow pattern sees dependency facts",
 		extra: map[string]string{
 			"store/store.go": `package store
 
-import "example.com/inj/internal/pmem"
+import "example.com/inj/locks"
 
-// +persist:caller-fenced
-func Put(d *pmem.Device, p []byte) { d.StoreNT(0, p) }
-
-func Commit(d *pmem.Device) { d.Fence() }
+func Sync(db *locks.DB) {
+	db.Mu.Lock()
+	db.Mu.Unlock()
+}
 `,
 			"app/app.go": `package app
 
 import (
-	"example.com/inj/internal/pmem"
+	"example.com/inj/locks"
 	"example.com/inj/store"
 )
 
-func Save(d *pmem.Device, p []byte) {
-	d.StoreNT(8, p)
-	store.Put(d, p)
-	store.Commit(d)
+func Save(db *locks.DB, t *locks.Table) {
+	t.Mu.Lock()
+	store.Sync(db)
+	t.Mu.Unlock()
 }
 `,
 		},
 		args: []string{"./app"},
+		want: []string{"app.go:10:2: splitfs-lockorder:"},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

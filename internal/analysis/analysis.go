@@ -16,9 +16,8 @@
 //     with a shared fact store, then applies //lint:ignore
 //     suppressions (driver.go, annotations.go).
 //
-// The four analyzers themselves live in subpackages (lockorder,
-// persist, determinism, wireerr); cmd/splitfs-vet is the
-// multichecker binary.
+// The three analyzers themselves live in subpackages (lockorder,
+// determinism, wireerr); cmd/splitfs-vet is the multichecker binary.
 // DESIGN.md ("Static analysis") documents the annotation grammar each
 // analyzer consumes and the suppression policy.
 package analysis
@@ -189,15 +188,10 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // IsTestFile reports whether f came from a _test.go file. Analyzers
-// whose invariants only bind production code (persist, determinism,
-// wireerr) skip such files: crash and race tests violate them on
-// purpose, under the harness's control. Lockorder checks test files
-// too: a test that inverts the lock order can deadlock like any caller.
+// whose invariants only bind production code (determinism, wireerr)
+// skip such files: crash and race tests violate them on purpose, under
+// the harness's control. Lockorder checks test files too: a test that
+// inverts the lock order can deadlock like any caller.
 func IsTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// IsPkgPathIn reports whether path is pkg or a subpackage of pkg.
-func IsPkgPathIn(path, pkg string) bool {
-	return path == pkg || strings.HasPrefix(path, pkg+"/")
 }

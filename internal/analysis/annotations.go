@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -10,7 +11,6 @@ import (
 //
 //	// +lockrank:<name>              on a sync.Mutex/RWMutex struct field
 //	// +lockrank:order a < b < c     declares hierarchy edges (outer first)
-//	// +persist:caller-fenced        on a func whose stores the caller fences
 //	// +determinism:wallclock        file flag: wall-clock time allowed
 //	// +determinism:concurrent       file flag: goroutine spawns allowed
 //	// +determinism:unordered        on a map-range stmt with a commutative body
@@ -41,25 +41,10 @@ func Directives(groups ...*ast.CommentGroup) []string {
 	return out
 }
 
-// HasDirective reports whether any group carries exactly directive d.
-func HasDirective(d string, groups ...*ast.CommentGroup) bool {
-	for _, line := range Directives(groups...) {
-		if line == d {
-			return true
-		}
-	}
-	return false
-}
-
 // FileFlag reports whether any comment in f is the file-level directive
 // "// +<flag>" (e.g. flag "determinism:wallclock").
 func FileFlag(f *ast.File, flag string) bool {
-	for _, g := range f.Comments {
-		if HasDirective(flag, g) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(Directives(f.Comments...), flag)
 }
 
 // RangeDirective reports whether a statement at pos is annotated with

@@ -69,6 +69,47 @@ func BadAppend(m map[string]int) []string {
 	return keys
 }
 
+// overlayFS keeps per-inode state in a map, as strata's digest does.
+type overlayFS struct {
+	dev     *pmem.Device
+	overlay map[uint64][]byte
+}
+
+// DigestUnsorted is strata's digest without its sort (DESIGN.md "Static
+// analysis", mutant D2): the inodes are collected from a map, then each
+// digested, which emits, in map order. No tier-1 test notices.
+func (fs *overlayFS) DigestUnsorted() {
+	inos := make([]uint64, 0, len(fs.overlay))
+	for ino := range fs.overlay { // want `map iteration appends to "inos" in random order`
+		inos = append(inos, ino)
+	}
+	for _, ino := range inos {
+		fs.dev.Persist(int64(ino), fs.overlay[ino], sim.CatPMData)
+	}
+}
+
+// fdEntry is one descriptor of a table.
+type fdEntry struct {
+	file vfs.File
+	refs int
+}
+
+// CloseAllUnsorted is the fd table's CloseAll without its sort (mutant D3):
+// the files whose last reference went are closed in map order. No tier-1
+// test notices.
+func CloseAllUnsorted(fds map[int]*fdEntry) {
+	var files []vfs.File
+	for fd, e := range fds { // want `map iteration appends to "files" in random order`
+		delete(fds, fd)
+		if e.refs--; e.refs == 0 {
+			files = append(files, e.file)
+		}
+	}
+	for _, f := range files {
+		f.Close()
+	}
+}
+
 // SortedAppend is the canonical sort-after-collect idiom.
 func SortedAppend(m map[string]int) []string {
 	var keys []string

@@ -66,6 +66,64 @@ func BadCallTransitive(db *DB, t *Table) {
 	lockOuterIndirect(db) // want `calls locks.lockOuterIndirect, which may acquire "outer", while holding "inner"`
 }
 
+// Catalog holds an outer read-write lock.
+type Catalog struct {
+	mu sync.RWMutex // +lockrank:outer
+}
+
+// BadReadUnderInner read-locks the outer rank under the inner one: the
+// reader queues behind a writer that waits for the inner lock, so a read
+// lock inverts the order as a write lock does (DESIGN.md "Static
+// analysis", mutant L3).
+func BadReadUnderInner(c *Catalog, t *Table) {
+	t.mu.Lock()
+	c.mu.RLock() // want `acquires "outer" while holding "inner"`
+	t.mu.Unlock()
+	c.mu.RUnlock()
+}
+
+// BadInLoop takes the outer rank under each element's inner lock
+// (mutant L4).
+func BadInLoop(c *Catalog, ts []*Table) {
+	for _, t := range ts {
+		t.mu.Lock()
+		c.mu.RLock() // want `acquires "outer" while holding "inner"`
+		c.mu.RUnlock()
+		t.mu.Unlock()
+	}
+}
+
+// Pool holds outer locks that are taken all at once, by index.
+type Pool struct {
+	dbs [4]DB
+}
+
+func (p *Pool) lockAll() {
+	for i := range p.dbs {
+		p.dbs[i].Mu.Lock()
+	}
+}
+
+func (p *Pool) unlockAll() {
+	for i := range p.dbs {
+		p.dbs[i].Mu.Unlock()
+	}
+}
+
+// freeze holds every outer lock, one call above lockAll.
+func (p *Pool) freeze() {
+	p.lockAll()
+	defer p.unlockAll()
+}
+
+// BadFreezeUnderInner freezes the pool under the inner lock, as a device
+// freezing its crash image under its event lock would (mutant L5).
+func BadFreezeUnderInner(p *Pool, t *Table) {
+	t.mu.Lock()
+	p.freeze() // want `calls locks.\(Pool\).freeze, which may acquire "outer", while holding "inner"`
+	t.mu.Unlock()
+}
+
 // SuppressedCall carries a reviewed suppression; no diagnostic must
 // survive.
 func SuppressedCall(db *DB, t *Table) {

@@ -116,6 +116,19 @@ func badNew() error {
 	return errors.New("server: handshake failed") // want `returned errors.New error cannot round-trip the wire`
 }
 
+// A sentinel formatted with %v, as the ctl socket's unknown session once
+// could be (DESIGN.md "Static analysis", mutant W3): no tier-1 test
+// matches that error with errors.Is.
+func badVerbOverSentinel(id uint64) ([]byte, error) {
+	return nil, fmt.Errorf("server: ctl: session %d: %v", id, vfs.ErrNotExist) // want `returned fmt.Errorf error does not wrap with %w`
+}
+
+// A decoded reply error formatted with %v, as a resumed handle's reopen
+// failure once could be (mutant W5): the code it came back with is lost.
+func badVerbOverReply(id uint64, reply error) error {
+	return fmt.Errorf("server: reopen handle %d: %v", id, reply) // want `returned fmt.Errorf error does not wrap with %w`
+}
+
 func okWrapped(path string) error {
 	return fmt.Errorf("server: open %s: %w", path, vfs.ErrNotExist)
 }

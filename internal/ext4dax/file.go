@@ -217,8 +217,6 @@ func (f *File) writeAt(p []byte, off int64, atEOF bool) (int, int64, error) {
 // stores are non-temporal and deliberately unfenced: like ext4-DAX,
 // write() data becomes durable only at fsync (or a journal commit),
 // which fences.
-//
-// +persist:caller-fenced
 func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 	if off < 0 || off > MaxFileSize-int64(len(p)) {
 		return 0, vfs.ErrInval

@@ -291,8 +291,6 @@ func (m *Mapping) Load(p []byte, fileOff int64) int {
 // StoreNT copies p into the mapping with non-temporal stores; durable
 // only after the caller's Fence on the device (that is the mmap
 // contract). No kernel involvement. In flight like Load.
-//
-// +persist:caller-fenced
 func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 	m.fs.inflight.Add(1)
 	n := 0

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +175,57 @@ func TestResetClearsOldRecords(t *testing.T) {
 	}
 }
 
+// TestNoRecordOutlivesReset: a checkpoint's Reset zeroes the log, and its
+// caller then appends as to an empty one. Crash at every persistence event
+// from the first zeroing store through the fence of the first record after
+// it, the unfenced lines reverting whole or torn word by word, and Load
+// finds a prefix of the records before the checkpoint while Reset runs, and
+// none of them once it has returned: the new record, or nothing. Reset must
+// therefore fence its zeroing before it returns; a crash before the next
+// fence would otherwise bring checkpointed records back to be replayed.
+func TestNoRecordOutlivesReset(t *testing.T) {
+	const size = 4 * sim.BlockSize
+	old := [][]byte{[]byte("alpha"), []byte("beta"), bytes.Repeat([]byte("c"), 100)}
+	run := func(arm func(*pmem.Device)) (dev *pmem.Device, start, reset, end int64) {
+		dev, l := newLog(t, size)
+		for _, r := range old {
+			if err := l.Append(r, SingleFence); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start = dev.Events()
+		arm(dev)
+		l.Reset()
+		reset = dev.Events()
+		if err := l.Append([]byte("new"), SingleFence); err != nil {
+			t.Fatal(err)
+		}
+		return dev, start, reset, dev.Events()
+	}
+	_, start, reset, end := run(func(*pmem.Device) {})
+	for k := start + 1; k <= end; k++ {
+		for tear := range uint64(3) {
+			var rng *sim.RNG // nil: every unfenced line reverts whole
+			if tear > 0 {
+				rng = sim.NewRNG(uint64(k)<<8 | tear)
+			}
+			dev, _, _, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, rng) })
+			if err := dev.Crash(nil); err != nil {
+				t.Fatal(err)
+			}
+			_, got := Load(dev, 0, size, sim.CatOpLog)
+			switch {
+			case k <= reset:
+				if len(got) > len(old) || !slices.EqualFunc(got, old[:len(got)], bytes.Equal) {
+					t.Fatalf("crash at event %d inside Reset, tear %d: Load = %q, want a prefix of %q", k, tear, got, old)
+				}
+			case len(got) > 1 || len(got) == 1 && string(got[0]) != "new":
+				t.Fatalf("crash at event %d after Reset, tear %d: Load = %q, want nothing or the new record", k, tear, got)
+			}
+		}
+	}
+}
+
 func TestReplayProperty(t *testing.T) {
 	// Any sequence of fenced appends replays exactly.
 	f := func(seed uint64, count uint8) bool {
@@ -244,6 +296,54 @@ func TestSnapshotCrashMidSaveKeepsPrevious(t *testing.T) {
 	}
 	if got := string(s.LoadState()); got != "good" {
 		t.Fatalf("LoadState = %q, want good", got)
+	}
+}
+
+// TestSnapshotSaveCrashAtEveryEvent crashes at every persistence event of
+// a Save over an earlier one, each crash taken four ways: the unfenced
+// lines revert whole, or tear word by word under two seeds, or the store in
+// flight lands whole and nothing else unfenced does. LoadState returns the
+// earlier state or the new one, whole. The header flip is Save's last
+// store, so the slot must be fenced before it: a flip that lands ahead of
+// the slot's words selects a slot holding neither state.
+func TestSnapshotSaveCrashAtEveryEvent(t *testing.T) {
+	const before, after = "state-v1", "state-v2, longer"
+	save := func(arm func(*pmem.Device)) (*pmem.Device, *Snapshot) {
+		dev := pmem.New(pmem.Config{Size: 1 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+		s := NewSnapshot(dev, 0, 4096, sim.CatPMMeta)
+		if err := s.Save([]byte(before)); err != nil {
+			t.Fatal(err)
+		}
+		arm(dev)
+		if err := s.Save([]byte(after)); err != nil {
+			t.Fatal(err)
+		}
+		return dev, s
+	}
+	ref, _ := save(func(dev *pmem.Device) { dev.SetTracing(true) })
+	for _, ev := range ref.Trace() {
+		for way := range uint64(4) {
+			landed := way == 3
+			if landed && ev.Kind != pmem.EvStoreNT {
+				continue
+			}
+			var tear *sim.RNG
+			if way == 1 || way == 2 {
+				tear = sim.NewRNG(uint64(ev.Seq)<<8 | way)
+			}
+			dev, s := save(func(dev *pmem.Device) { dev.ArmCrash(ev.Seq, tear) })
+			stored := make([]byte, ev.Len)
+			dev.Peek(stored, ev.Off) // Save stores each range once
+			if err := dev.Crash(nil); err != nil {
+				t.Fatal(err)
+			}
+			if landed {
+				dev.PersistNT(ev.Off, stored, sim.CatPMMeta)
+			}
+			if got := string(s.LoadState()); got != before && got != after {
+				t.Fatalf("crash at event %d (%v), way %d: LoadState = %q, want %q or %q", ev.Seq, ev.Kind, way, got, before, after)
+			}
+		}
 	}
 }
 

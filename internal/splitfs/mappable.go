@@ -57,7 +57,7 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 	var exts []vfs.Extent
 	// Kernel base: the relinked prefix, minus byte ranges shadowed by
 	// any staged range (the overlay wins there, aligned or not).
-	if kEnd := min64(end, of.ksize); kEnd > off {
+	if kEnd := min(end, of.ksize); kEnd > off {
 		for _, g := range subtractStaged(of.staged, off, kEnd) {
 			kexts, _, err := of.kf.MapExtents(g.a, g.b-g.a)
 			if err != nil {
@@ -70,7 +70,7 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 	// exactly one source, then projected through the staging files'
 	// populated mappings to device offsets.
 	for _, pc := range partitionStaged(new(relinkScratch), of.staged) {
-		a, b := max64(pc.a, off), min64(pc.b, end)
+		a, b := max(pc.a, off), min(pc.b, end)
 		if a >= b || pc.src.dram != nil {
 			continue
 		}
@@ -80,7 +80,7 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 			if !ok {
 				break
 			}
-			span := min64(contig, b-cur)
+			span := min(contig, b-cur)
 			exts = append(exts, vfs.Extent{FileOff: cur, DevOff: devOff, Length: span})
 			cur += span
 		}
@@ -135,18 +135,4 @@ func subtractStaged(staged []stagedRange, off, end int64) []span {
 	}
 	sort.Slice(gaps, func(i, j int) bool { return gaps[i].a < gaps[j].a })
 	return gaps
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -61,8 +61,6 @@ func (c *mmapCache) load(of *ofile, p []byte, fileOff int64) (n int, mapped bool
 
 // storeNT is load for non-temporal stores of p into the file at fileOff,
 // durable only after the caller's fence.
-//
-// +persist:caller-fenced
 func (c *mmapCache) storeNT(of *ofile, p []byte, fileOff int64) (n int, mapped bool) {
 	c.fs.kfs.BeginAccess()
 	if m := c.get(of, fileOff); m != nil {

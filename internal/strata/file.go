@@ -213,8 +213,8 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	ivs := fs.overlay[f.ino]
 	end := off + int64(len(p))
 	for _, iv := range ivs {
-		lo := maxi(off, iv.off)
-		hi := mini(end, iv.off+iv.length)
+		lo := max(off, iv.off)
+		hi := min(end, iv.off+iv.length)
 		if lo >= hi {
 			continue
 		}
@@ -269,18 +269,4 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 	}
 	f.fs.mu.Unlock()
 	return info, nil
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
