@@ -164,6 +164,15 @@ func (fs *FS) createAt(path string, isDir bool, want uint64) (uint64, error) {
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(path string) error {
+	_, err := fs.UnlinkIno(path)
+	return err
+}
+
+// UnlinkIno is Unlink that also reports the number of the inode whose name
+// it removed: the unlink walks the path anyway, so U-Split, which has
+// caches to retire for that inode, need not stat it first (as with
+// RenameReplacing).
+func (fs *FS) UnlinkIno(path string) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
@@ -171,17 +180,17 @@ func (fs *FS) Unlink(path string) error {
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
-		return vfs.WrapPath("unlink", path, err)
+		return 0, vfs.WrapPath("unlink", path, err)
 	}
 	de, ok := parent.entries[base]
 	if !ok {
-		return vfs.WrapPath("unlink", path, vfs.ErrNotExist)
+		return 0, vfs.WrapPath("unlink", path, vfs.ErrNotExist)
 	}
 	if de.isDir {
-		return vfs.WrapPath("unlink", path, vfs.ErrIsDir)
+		return 0, vfs.WrapPath("unlink", path, vfs.ErrIsDir)
 	}
 	if err := fs.removeDirent(parent, base); err != nil {
-		return vfs.WrapPath("unlink", path, err)
+		return 0, vfs.WrapPath("unlink", path, err)
 	}
 	in := fs.icache[de.ino]
 	if in != nil {
@@ -203,7 +212,7 @@ func (fs *FS) Unlink(path string) error {
 		}
 	}
 	fs.maybeCommit()
-	return nil
+	return de.ino, nil
 }
 
 // Rmdir implements vfs.FileSystem.

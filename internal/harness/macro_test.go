@@ -17,9 +17,9 @@ import (
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
 	"ext4-dax":       0xf58af57c94de7a1b,
-	"splitfs-posix":  0x1ca5a39988188eb9,
-	"splitfs-sync":   0x56f18b933aeac1be,
-	"splitfs-strict": 0xb9f44b088fcd665d,
+	"splitfs-posix":  0xe1ae8951be3c8de9,
+	"splitfs-sync":   0x16b417fe45a49e58,
+	"splitfs-strict": 0xfa31e8aac6afdaed,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

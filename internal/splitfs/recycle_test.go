@@ -621,3 +621,49 @@ func TestOutgrownTableHeldAcrossRemap(t *testing.T) {
 		churn(fmt.Sprintf("/k%d", i), false)
 	}
 }
+
+// TestUnlinkRacesRenameOver races an unlink of /a against a rename of /b
+// over /a in POSIX mode, which takes no writer lock for either. Whichever
+// lands first, every inode the two calls free must leave U-Split's caches:
+// unlink tears down the inode K-Split reports it removed, never one it
+// looked up beforehand, which a rename landing in between would have
+// replaced — leaving the unlinked file's description and mappings cached
+// for its number's next life.
+func TestUnlinkRacesRenameOver(t *testing.T) {
+	_, fs := newEnv(t, POSIX)
+	iters := 2000
+	if testing.Short() {
+		iters = 200
+	}
+	for i := 0; i < iters; i++ {
+		x, y := cachedFile(t, fs, "/a", 2*sim.BlockSize, 0), cachedFile(t, fs, "/b", 2*sim.BlockSize, 0)
+		var wg sync.WaitGroup
+		var unlinkErr, renameErr error
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; unlinkErr = fs.Unlink("/a") }()
+		go func() { defer wg.Done(); <-start; renameErr = fs.Rename("/b", "/a") }()
+		close(start)
+		wg.Wait()
+		if unlinkErr != nil || renameErr != nil {
+			t.Fatalf("iteration %d: unlink %v, rename %v", i, unlinkErr, renameErr)
+		}
+		for _, ino := range []uint64{x, y} {
+			if _, linked := fs.kfs.PathByIno(ino); linked {
+				continue
+			}
+			fs.mu.Lock()
+			_, open := fs.files[ino]
+			fs.mu.Unlock()
+			if n := fs.mmaps.count(ino); n != 0 || open {
+				t.Fatalf("iteration %d: freed inode %d keeps %d cached windows, description cached %v (x=%d y=%d)",
+					i, ino, n, open, x, y)
+			}
+		}
+		// The rename either replaced x or landed after the unlink; y is at
+		// /a in the second case only.
+		if err := fs.Unlink("/a"); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+			t.Fatal(err)
+		}
+	}
+}
