@@ -2,16 +2,8 @@
 // paper, grown into a persistence-event harness; see DESIGN.md): it runs
 // a workload against SplitFS, injects a crash — at an operation boundary
 // or at ANY numbered persistence event inside an operation, with torn
-// unfenced cache lines — recovers, and checks the guarantee the mode
-// advertises:
-//
-//   - POSIX: the file system mounts; the namespace equals the state after
-//     some syscall prefix no older than the last journal commit; fsynced
-//     content survives outside ranges rewritten since.
-//   - Sync: every completed syscall is durable.
-//   - Strict: every completed syscall is durable AND atomic — the durable
-//     state must exactly equal the model just before or just after the
-//     interrupted syscall.
+// unfenced cache lines — recovers, and checks the durable state against
+// the mode's row of the paper's Table 3 (stack.GuaranteeOf; model.go).
 //
 // On top of single crashes the package offers full persistence-event
 // sweeps (Explore), double-crash campaigns that crash again inside
@@ -108,6 +100,9 @@ func newCrashStack(mode splitfs.Mode) (*stack.Stack, error) {
 	return stack.New(stack.SplitFSKind(mode), spec)
 }
 
+// rowOf is the Table 3 row a mode's crash oracle holds its stack to.
+func rowOf(mode splitfs.Mode) stack.Guarantee { return stack.GuaranteeOf(stack.SplitFSKind(mode)) }
+
 // runner executes compiled syscalls, tracking open handles the way
 // compile assumed. Handles dropped by unlink/rename without a close stay
 // open (orphan inodes) until the simulated process dies with the crash.
@@ -202,7 +197,7 @@ func Run(c Campaign) (*Result, error) {
 	}
 	m := c.model
 	if m == nil {
-		m = buildModel(c.Mode, sys)
+		m = buildModel(rowOf(c.Mode), sys)
 	}
 	res := &Result{}
 

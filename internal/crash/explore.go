@@ -96,7 +96,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
-	model := buildModel(cfg.Mode, compile(cfg.Ops))
+	model := buildModel(rowOf(cfg.Mode), compile(cfg.Ops))
 	record, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAfter: len(cfg.Ops),
 		Seed: cfg.Seed, Trace: true, SkipFence: cfg.SkipFence, model: model})
 	if err != nil {

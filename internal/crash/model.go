@@ -8,33 +8,21 @@ import (
 	"sort"
 	"strings"
 
-	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
 // The in-memory model mirrors the workload at syscall granularity and
-// derives, for a crash at any point, the set of durable states each mode
-// is allowed to exhibit (the per-mode crash oracles; see DESIGN.md):
-//
-//   - Strict: every completed syscall durable and atomic, so the durable
-//     state must equal the model exactly — either just before or just
-//     after the interrupted syscall.
-//   - Sync: every completed syscall durable (metadata logged — its redo
-//     record fenced into the op log, redone by recovery — in-place data
-//     fenced) but not atomic; staged appends become durable at
-//     relink points (fsync/close/truncate/rename-flush), matching the
-//     implementation's guarantee.
-//   - POSIX: metadata consistency only — the namespace must equal the
-//     model after SOME syscall prefix no older than the last guaranteed
-//     journal commit, and fsynced content must survive byte-for-byte
-//     outside ranges rewritten since.
+// derives, for a crash at any point, the set of durable states the
+// stack's row of Table 3 allows (stack.GuaranteeOf; each cell's rule is
+// in DESIGN.md, "Crash oracles per Table 3 cell").
 //
 // Data-byte durability is tracked per byte with a small class lattice:
 //
 //	clean      byte equals the last-fsynced content
 //	eitherOr   single in-place POSIX overwrite: old or new value (torn
 //	           words are whole, so each byte is one or the other)
-//	durable    completed sync-mode in-place overwrite: must be the new value
+//	durable    completed in-place overwrite under sync data: the new value
 //	dirty      anything goes (staged, rewritten, or mid-operation)
 type byteClass = byte
 
@@ -65,14 +53,15 @@ type mstate struct {
 	dirs  map[string]bool
 	// commitFloor is the syscall index of the last operation that is
 	// guaranteed to have committed the running journal transaction (any
-	// relink: fsync/close with staged data, truncate, rename flush). In
-	// POSIX mode the durable namespace can never be older than this.
+	// relink: fsync/close with staged data, truncate, rename flush).
+	// Without sync metadata the durable namespace can never be older
+	// than this.
 	commitFloor int
 }
 
 // modelRun is the model evaluated over a whole syscall sequence.
 type modelRun struct {
-	mode   splitfs.Mode
+	g      stack.Guarantee
 	sys    []syscall
 	states []*mstate        // states[i] = after syscall i; states[0] = empty
 	ids    []map[int]*mfile // per-state identity table (retains dead ids)
@@ -100,10 +89,10 @@ func overlapsSpans(spans []span, off, end int64) bool {
 	return false
 }
 
-// buildModel evaluates the syscall sequence and snapshots the state after
-// every syscall.
-func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
-	m := &modelRun{mode: mode, sys: sys}
+// buildModel evaluates the syscall sequence under row g and snapshots
+// the state after every syscall.
+func buildModel(g stack.Guarantee, sys []syscall) *modelRun {
+	m := &modelRun{g: g, sys: sys}
 	cur := &mstate{files: map[string]*mfile{}, dirs: map[string]bool{}}
 	curIDs := map[int]*mfile{}
 	m.states = append(m.states, cur)
@@ -161,8 +150,7 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 				f.cls = append(f.cls, clsDirty)
 			}
 			copy(f.data[off:end], sc.data)
-			staged := mode == splitfs.Strict || end > f.ksize ||
-				overlapsSpans(f.staged, off, end)
+			staged := g.AtomicData || end > f.ksize || overlapsSpans(f.staged, off, end)
 			if staged {
 				f.staged = append(f.staged, span{off, end})
 				for i := off; i < end; i++ {
@@ -178,7 +166,7 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 				}
 			} else {
 				for i := off; i < end; i++ {
-					if mode == splitfs.Sync {
+					if g.SyncData {
 						f.cls[i] = clsDurable // fenced before return
 					} else if f.cls[i] == clsClean {
 						f.cls[i] = clsEither
@@ -189,6 +177,11 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 			}
 			st.files[sc.path] = f
 			ids[f.id] = f
+			if staged && g.SyncData && !g.AppendsAtRelink {
+				// Sync data with no deviation: a staged write is as
+				// durable when it returns as a relink would make it.
+				st.files[sc.path] = relinked(st, ids, f, sysIdx)
+			}
 		case sysFsync:
 			if f, ok := st.files[sc.path]; ok {
 				// fsync is always a durability point: staged data relinks
@@ -270,7 +263,7 @@ func buildModel(mode splitfs.Mode, sys []syscall) *modelRun {
 }
 
 // ---------------------------------------------------------------------
-// Durable-state capture and the per-mode oracle checks.
+// Durable-state capture and the per-row oracle checks.
 
 // durableState is what the recovered file system actually contains.
 type durableState struct {
@@ -390,17 +383,27 @@ func inSpans(spans []span, i int64) bool {
 	return false
 }
 
-// checkGuarantee verifies the recovered state against the mode's oracle.
+// checkGuarantee verifies the recovered state against the model's row.
 // c is the number of completed syscalls; if interrupted is true the crash
 // hit inside syscall c+1 (event-level crash), otherwise it fell exactly
 // on the boundary after syscall c.
 func checkGuarantee(m *modelRun, c int, interrupted bool, dur *durableState) string {
-	candidates := []int{c}
+	// With sync metadata every completed syscall's namespace effect is
+	// durable; without, the namespace may be any syscall prefix no older
+	// than the last guaranteed commit. Either way the interrupted syscall
+	// may have taken effect.
+	first := c
+	if !m.g.SyncMeta {
+		first = m.states[c].commitFloor
+	}
+	var candidates []int
+	for j := first; j <= c; j++ {
+		candidates = append(candidates, j)
+	}
 	if interrupted && c+1 <= len(m.sys) {
 		candidates = append(candidates, c+1)
 	}
-	switch m.mode {
-	case splitfs.Strict:
+	if m.g.AtomicData { // every row with it has sync data and metadata too
 		var why string
 		for _, j := range candidates {
 			if why = matchExact(m.states[j], dur); why == "" {
@@ -408,20 +411,7 @@ func checkGuarantee(m *modelRun, c int, interrupted bool, dur *durableState) str
 			}
 		}
 		at := describeCrashPoint(m, c, interrupted)
-		return fmt.Sprintf("strict: durable state is neither pre- nor post-%s: %s", at, why)
-	case splitfs.Sync:
-		// fallthrough to the namespace-candidate check below
-	case splitfs.POSIX:
-		// POSIX: the namespace may be any syscall prefix no older than
-		// the last guaranteed commit.
-		floor := m.states[c].commitFloor
-		candidates = nil
-		for j := floor; j <= c; j++ {
-			candidates = append(candidates, j)
-		}
-		if interrupted && c+1 <= len(m.sys) {
-			candidates = append(candidates, c+1)
-		}
+		return fmt.Sprintf("%s: durable state is neither pre- nor post-%s: %s", m.g.Kind, at, why)
 	}
 	overlay := map[int][]span{}
 	if interrupted {
@@ -440,7 +430,7 @@ func checkGuarantee(m *modelRun, c int, interrupted bool, dur *durableState) str
 		return ""
 	}
 	at := describeCrashPoint(m, c, interrupted)
-	return fmt.Sprintf("%v: no acceptable state matches at %s: %s", m.mode, at, lastWhy)
+	return fmt.Sprintf("%s: no acceptable state matches at %s: %s", m.g.Kind, at, lastWhy)
 }
 
 func describeCrashPoint(m *modelRun, c int, interrupted bool) string {

@@ -204,7 +204,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 			return nil, err
 		}
 		sys := compile(ops)
-		r.tenants = append(r.tenants, &servedTenant{root: root, sys: sys, model: buildModel(c.Mode, sys)})
+		r.tenants = append(r.tenants, &servedTenant{root: root, sys: sys, model: buildModel(rowOf(c.Mode), sys)})
 	}
 	if err := vfs.WriteFile(env.FS, "/served-setup", nil); err != nil {
 		return nil, err

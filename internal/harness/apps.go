@@ -117,13 +117,16 @@ func tpccBench(fs vfs.FileSystem) (*tpcc.Bench, *waldb.DB, error) {
 	return b, db, nil
 }
 
-// fig5Pairs are Figure 5's comparisons: each baseline against SplitFS at
-// the same guarantee.
-var fig5Pairs = [][2]string{
-	{"ext4-dax", "splitfs-posix"},
-	{"pmfs", "splitfs-sync"},
-	{"nova-relaxed", "splitfs-sync"},
-	{"nova-strict", "splitfs-strict"},
+// fig5Pairs are Figure 5's comparisons: each baseline of a level against
+// SplitFS at that level.
+func fig5Pairs() (pairs [][2]string) {
+	for _, l := range levels() {
+		kinds := withoutStrata(l.kinds)
+		for _, base := range kinds[:len(kinds)-1] {
+			pairs = append(pairs, [2]string{base, kinds[len(kinds)-1]})
+		}
+	}
+	return pairs
 }
 
 func fig5() (*Table, error) {
@@ -164,11 +167,12 @@ func fig5() (*Table, error) {
 		{"YCSB Run A", "ycsb_run_a", ycsbA(true)},
 		{"TPCC", "tpcc", tpccRun},
 	}
-	maxRel := make([]float64, len(fig5Pairs))
+	pairs := fig5Pairs()
+	maxRel := make([]float64, len(pairs))
 	var rels []float64
 	for _, c := range cases {
 		ns := map[string]int64{}
-		for _, pair := range fig5Pairs {
+		for _, pair := range pairs {
 			for _, kind := range pair {
 				if _, ok := ns[kind]; ok {
 					continue
@@ -185,7 +189,7 @@ func fig5() (*Table, error) {
 				t.AddMetric(c.id+"/"+kind, float64(ns[kind])/1e6, "ms")
 			}
 		}
-		for i, pair := range fig5Pairs {
+		for i, pair := range pairs {
 			bo, so := ns[pair[0]], ns[pair[1]]
 			rel := float64(bo) / float64(so)
 			addRatio(t, c.id, pair[0], pair[1], float64(bo), float64(so))
@@ -194,11 +198,17 @@ func fig5() (*Table, error) {
 			t.Rows = append(t.Rows, []string{c.workload, pair[0], f2(float64(bo) / 1e6), pair[1], f2(float64(so) / 1e6), xf(rel)})
 		}
 	}
-	for i, pair := range fig5Pairs {
+	for i, pair := range pairs {
 		t.AddMetric("max/"+pair[0]+"_vs_"+pair[1], maxRel[i], "x")
 	}
 	t.AddMetric("min/baseline_vs_splitfs", slices.Min(rels), "x")
 	return t, nil
+}
+
+// withoutStrata drops Strata from a level: the paper runs Strata on
+// YCSB/LevelDB alone (Table 7), so Fig 5 and Fig 6 have no Strata bars.
+func withoutStrata(kinds []string) []string {
+	return slices.DeleteFunc(kinds, func(k string) bool { return k == "strata" })
 }
 
 func fig6() (*Table, error) {
@@ -208,10 +218,10 @@ func fig6() (*Table, error) {
 		Headers: []string{"Application", "Group", "File system", "Result", "vs group base"},
 	}
 	// Data-intensive: YCSB A and C, Redis SET, TPCC.
-	groups := []struct {
-		name  string
-		kinds []string
-	}{{"POSIX", posixKinds}, {"sync", syncKinds}, {"strict", []string{"nova-strict", "splitfs-strict"}}}
+	groups := levels()
+	for i := range groups {
+		groups[i].kinds = withoutStrata(groups[i].kinds)
+	}
 	// Per group: SplitFS's best gain over the group's base, and its
 	// smallest gain over any baseline of its group.
 	groupMax := make([]float64, len(groups))

@@ -136,10 +136,18 @@ func Get(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// fsKinds in the order the paper groups them (by guarantee level).
-var posixKinds = []string{"ext4-dax", "splitfs-posix"}
-var syncKinds = []string{"pmfs", "nova-relaxed", "splitfs-sync"}
-var strictKinds = []string{"nova-strict", "strata", "splitfs-strict"}
+// level is one of Table 3's guarantee levels as the paper's figures
+// group it: its label, then its kinds, baselines first and SplitFS last.
+type level struct {
+	name  string
+	kinds []string
+}
+
+// levels reads the three levels from the table, POSIX first.
+func levels() []level {
+	return []level{{"POSIX", stack.Peers("splitfs-posix")}, {"sync", stack.Peers("splitfs-sync")},
+		{"strict", stack.Peers("splitfs-strict")}}
+}
 
 // paperSpec sizes the stacks the paper-artifact experiments run on. The
 // staging pool is sized so the background thread never blocks a run; the

@@ -271,10 +271,7 @@ func fig4() (*Table, error) {
 	const nOps = 2048
 	patternIDs := []string{"seq_read", "rand_read", "seq_write", "rand_write", "append"}
 	kops4 := map[string][]float64{}
-	for _, g := range []struct {
-		name  string
-		kinds []string
-	}{{"POSIX", posixKinds}, {"sync", syncKinds}, {"strict", strictKinds}} {
+	for _, g := range levels() {
 		for _, kind := range g.kinds {
 			e, err := paperStack(kind, 512<<20)
 			if err != nil {
@@ -338,10 +335,11 @@ func fig4() (*Table, error) {
 	}
 	// Each SplitFS mode against the baseline of its guarantee.
 	minGain := math.Inf(1)
-	for _, pair := range [][2]string{{"splitfs-posix", "ext4-dax"}, {"splitfs-sync", "pmfs"}, {"splitfs-strict", "nova-strict"}} {
+	for _, g := range levels() {
+		sp, base := g.kinds[len(g.kinds)-1], g.kinds[0]
 		for i, p := range patternIDs {
-			addRatio(t, p, pair[0], pair[1], kops4[pair[0]][i], kops4[pair[1]][i])
-			minGain = min(minGain, kops4[pair[0]][i]/kops4[pair[1]][i])
+			addRatio(t, p, sp, base, kops4[sp][i], kops4[base][i])
+			minGain = min(minGain, kops4[sp][i]/kops4[base][i])
 		}
 	}
 	t.AddMetric("min/splitfs_vs_baseline", minGain, "x")

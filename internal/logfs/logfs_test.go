@@ -8,8 +8,19 @@ import (
 	"splitfs/internal/logfs"
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
+
+// profile is the engine instance kind is, data path included: its COW
+// and SyncData come from kind's row of Table 3.
+func profile(kind string) logfs.Profile {
+	prof, ok := stack.LogProfile(kind)
+	if !ok {
+		panic("no logfs kind " + kind)
+	}
+	return prof
+}
 
 type mkfs func(dev *pmem.Device) *logfs.FS
 type remount func(dev *pmem.Device) (*logfs.FS, int, error)
@@ -24,16 +35,16 @@ func variants() map[string]struct {
 		mt remount
 	}{
 		"nova-strict": {
-			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, logfs.NovaStrict, cfg) },
-			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, logfs.NovaStrict, cfg) },
+			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, profile("nova-strict"), cfg) },
+			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, profile("nova-strict"), cfg) },
 		},
 		"nova-relaxed": {
-			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, logfs.NovaRelaxed, cfg) },
-			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, logfs.NovaRelaxed, cfg) },
+			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, profile("nova-relaxed"), cfg) },
+			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, profile("nova-relaxed"), cfg) },
 		},
 		"pmfs": {
-			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, logfs.PMFS, cfg) },
-			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, logfs.PMFS, cfg) },
+			mk: func(d *pmem.Device) *logfs.FS { return logfs.New(d, profile("pmfs"), cfg) },
+			mt: func(d *pmem.Device) (*logfs.FS, int, error) { return logfs.Mount(d, profile("pmfs"), cfg) },
 		},
 	}
 }
@@ -156,7 +167,7 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 
 func TestAutoCheckpointWhenLogFills(t *testing.T) {
 	dev := newDev(t)
-	fs := logfs.New(dev, logfs.NovaRelaxed, logfs.Config{
+	fs := logfs.New(dev, profile("nova-relaxed"), logfs.Config{
 		LogBytes: 8192, SnapshotSlotBytes: 1 << 20, // tiny log: ~127 entries
 	})
 	f, _ := vfs.Create(fs, "/many")
@@ -172,7 +183,7 @@ func TestAutoCheckpointWhenLogFills(t *testing.T) {
 	if err := dev.Crash(nil); err != nil {
 		t.Fatal(err)
 	}
-	fs2, _, err := logfs.Mount(dev, logfs.NovaRelaxed, logfs.Config{
+	fs2, _, err := logfs.Mount(dev, profile("nova-relaxed"), logfs.Config{
 		LogBytes: 8192, SnapshotSlotBytes: 1 << 20,
 	})
 	if err != nil {
@@ -188,7 +199,7 @@ func TestNovaStrictWriteIsAtomicUnderTornCrash(t *testing.T) {
 	// A COW overwrite that is interrupted must leave either the old or
 	// the new content, never a mix. We crash with torn unfenced lines.
 	dev := newDev(t)
-	fs := logfs.New(dev, logfs.NovaStrict, logfs.Config{})
+	fs := logfs.New(dev, profile("nova-strict"), logfs.Config{})
 	old := bytes.Repeat([]byte("O"), sim.BlockSize)
 	vfs.WriteFile(fs, "/atomic", old)
 	f, _ := fs.OpenFile("/atomic", vfs.O_RDWR, 0)
@@ -196,7 +207,7 @@ func TestNovaStrictWriteIsAtomicUnderTornCrash(t *testing.T) {
 	if err := dev.Crash(sim.NewRNG(3)); err != nil {
 		t.Fatal(err)
 	}
-	fs2, _, err := logfs.Mount(dev, logfs.NovaStrict, logfs.Config{})
+	fs2, _, err := logfs.Mount(dev, profile("nova-strict"), logfs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,17 +239,17 @@ func TestTable1AppendCosts(t *testing.T) {
 	}
 	t.Run("nova-strict", func(t *testing.T) {
 		dev := newDev(t)
-		check(t, logfs.New(dev, logfs.NovaStrict, logfs.Config{}), dev.Clock(), 2300, 3800)
+		check(t, logfs.New(dev, profile("nova-strict"), logfs.Config{}), dev.Clock(), 2300, 3800)
 	})
 	t.Run("pmfs", func(t *testing.T) {
 		dev := newDev(t)
-		check(t, logfs.New(dev, logfs.PMFS, logfs.Config{}), dev.Clock(), 3100, 5200)
+		check(t, logfs.New(dev, profile("pmfs"), logfs.Config{}), dev.Clock(), 3100, 5200)
 	})
 }
 
 func TestNovaTwoFencesPerOp(t *testing.T) {
 	dev := newDev(t)
-	fs := logfs.New(dev, logfs.NovaStrict, logfs.Config{})
+	fs := logfs.New(dev, profile("nova-strict"), logfs.Config{})
 	f, _ := vfs.Create(fs, "/fences")
 	f.Write(make([]byte, sim.BlockSize))
 	before := dev.Stats().Fences

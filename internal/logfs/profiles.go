@@ -6,51 +6,46 @@ import (
 )
 
 // The engine's named instances: the two kernel baselines of the SplitFS
-// paper's evaluation (§5.1) and the engine with no costs added.
+// paper's evaluation (§5.1) and the engine with no costs added. Their
+// data path (COW, SyncData) is not set here: internal/stack sets it from
+// each kind's row of Table 3 (stack.LogProfile).
 
-// NovaStrict is NOVA (Xu & Swanson, FAST '16) with copy-on-write data
-// updates: atomic + synchronous operations, compared against
-// SplitFS-strict. "NOVA writes at least two cache lines and issues two
-// fences" per operation (§3.3): a log entry plus a persistent tail.
+// NovaStrict is NOVA (Xu & Swanson, FAST '16) in its strict mode,
+// compared against SplitFS-strict. "NOVA writes at least two cache
+// lines and issues two fences" per operation (§3.3): a log entry plus a
+// persistent tail.
 var NovaStrict = Profile{
 	Name:         "nova-strict",
 	FenceMode:    metalog.EntryPlusTail,
 	PerOpCPU:     sim.NovaLogEntryNs,
 	WritePathCPU: sim.NovaWritePathNs,
 	ReadPathCPU:  sim.Ext4ReadPathNs, // read paths are comparably lean
-	COW:          true,
-	SyncData:     true,
 	KernelFS:     true,
 }
 
-// NovaRelaxed is NOVA with in-place data updates: synchronous but not
-// atomic data, compared against SplitFS-sync. In-place updates still
-// rewrite per-inode log entries first (§5.7), making the relaxed write
-// path more expensive per operation than the COW bookkeeping it saves.
+// NovaRelaxed is NOVA in its relaxed mode, compared against
+// SplitFS-sync. Its in-place updates still rewrite per-inode log entries
+// first (§5.7), making the relaxed write path more expensive per
+// operation than the COW bookkeeping it saves.
 var NovaRelaxed = Profile{
 	Name:         "nova-relaxed",
 	FenceMode:    metalog.EntryPlusTail,
 	PerOpCPU:     sim.NovaLogEntryNs,
 	WritePathCPU: sim.NovaRelaxedWritePathNs,
 	ReadPathCPU:  sim.Ext4ReadPathNs,
-	SyncData:     true,
 	KernelFS:     true,
 }
 
-// PMFS (Dulloor et al., EuroSys '14) writes data in place, synchronously,
-// under fine-grained single-fence metadata journaling: the paper's "sync"
-// guarantee level — durable when the call returns, data operations not
-// atomic (Table 3).
+// PMFS (Dulloor et al., EuroSys '14) journals metadata at fine grain,
+// one fence per record; it is compared against SplitFS-sync.
 var PMFS = Profile{
 	Name:         "pmfs",
 	FenceMode:    metalog.SingleFence,
 	PerOpCPU:     sim.PMFSJournalNs,
 	WritePathCPU: sim.PMFSWritePathNs,
 	ReadPathCPU:  sim.Ext4ReadPathNs,
-	SyncData:     true,
 	KernelFS:     true,
 }
 
-// Bare is the engine alone: asynchronous in-place data, no per-operation
-// CPU or trap charges. It is the differential suite's ninth backend.
+// Bare is the engine alone: no per-operation CPU or trap charges. It is the differential suite's ninth backend.
 var Bare = Profile{Name: "logfs"}

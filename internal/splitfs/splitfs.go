@@ -14,12 +14,13 @@
 //   - Metadata operations (open, close, unlink, mkdir, ...) pass through
 //     to K-Split, inheriting ext4's mature metadata path.
 //
-// Three consistency modes (§3.2, Table 3) per instance:
-//
-//	POSIX  — metadata consistency, atomic appends (ext4 DAX equivalent).
-//	Sync   — + synchronous data and metadata ops (PMFS / NOVA-Relaxed).
-//	Strict — + atomic operations via the optimized operation log
-//	         (NOVA-Strict / Strata equivalent).
+// Three consistency modes (§3.2) per instance. What each guarantees is
+// its row of the paper's Table 3 in internal/stack (stack.GuaranteeOf),
+// beside the kernel file systems it is compared with; the crash oracle
+// holds the mode to that row. One deviation is on record there: a
+// sync-mode append is staged and fenced but logged nowhere, so it is
+// durable at the next relink (fsync, close, truncate, rename), not when
+// the write returns.
 //
 // Multiple instances with different modes can share one K-Split, as in
 // the paper's multi-application deployments.
@@ -41,11 +42,11 @@ import (
 type Mode int
 
 const (
-	// POSIX provides metadata consistency plus atomic appends.
+	// POSIX is Table 3's POSIX row, beside ext4 DAX.
 	POSIX Mode = iota
-	// Sync additionally makes every operation synchronous.
+	// Sync is its sync row, beside PMFS and NOVA-relaxed.
 	Sync
-	// Strict additionally makes every operation atomic.
+	// Strict is its strict row, beside NOVA-strict and Strata.
 	Strict
 )
 

@@ -161,15 +161,20 @@ func splitfsMode(base string) (splitfs.Mode, bool) {
 	return 0, false
 }
 
-// logProfiles are the kinds that are instances of the logfs engine.
-var logProfiles = map[string]logfs.Profile{
-	"nova-strict": logfs.NovaStrict, "nova-relaxed": logfs.NovaRelaxed,
-	"pmfs": logfs.PMFS, "logfs": logfs.Bare,
+// LogProfile returns the logfs engine instance kind is, its COW and
+// SyncData set from kind's row of Table 3; ok is false for other kinds.
+func LogProfile(kind string) (prof logfs.Profile, ok bool) {
+	prof, ok = map[string]logfs.Profile{"nova-strict": logfs.NovaStrict, "nova-relaxed": logfs.NovaRelaxed,
+		"pmfs": logfs.PMFS, "logfs": logfs.Bare}[kind]
+	if ok {
+		prof.COW, prof.SyncData = GuaranteeOf(kind).AtomicData, GuaranteeOf(kind).SyncData
+	}
+	return prof, ok
 }
 
 // format puts base's layers on a fresh device.
 func format(base string, dev *pmem.Device, spec Spec) (vfs.FileSystem, error) {
-	if prof, ok := logProfiles[base]; ok {
+	if prof, ok := LogProfile(base); ok {
 		return logfs.New(dev, prof, spec.Log), nil
 	}
 	if base == "strata" {
