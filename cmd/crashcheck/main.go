@@ -25,13 +25,13 @@
 //
 // -served adds differential campaigns through the multi-tenant file
 // service (internal/server): every generated trace runs via a served:
-// session over all nine backends and must land byte-identical to the
+// session over all eight backends and must land byte-identical to the
 // direct ext4-dax reference.
 //
 // -leases extends the served campaigns with the zero-copy data plane:
 // the differential additionally sweeps served-lease: sessions (mmap
 // leases negotiated, reads and writes through the shared mapping) over
-// all nine backends, and -served-crash sweeps negotiate leases on every
+// all eight backends, and -served-crash sweeps negotiate leases on every
 // tenant with leased-read probes held across the daemon kill.
 //
 // -served-crash adds daemon-death sweeps: -tenants concurrent sessions
@@ -140,8 +140,8 @@ func main() {
 	sample := flag.Int("sample", 0, "max events tested per workload (0 = every persistence event)")
 	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir), as generated and with the commits thinned out so that recovery has metadata operations to redo from the op log")
 	async := flag.Bool("async", false, "add fsync-path workloads: multi-file fsyncs + group syncs sharing one journal commit, files fragmented past their inode's inline extents, so crashes land in partial write-backs of extent-overflow blocks, and fsyncs after scattered overwrites, whose one relink call carries many moves out of two staging files")
-	served := flag.Bool("served", false, "add served-backend differential campaigns: each trace through the session/RPC layer over all nine backends must match direct ext4-dax byte for byte")
-	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all nine backends, and served-crash tenants hold leases across every daemon kill")
+	served := flag.Bool("served", false, "add served-backend differential campaigns: each trace through the session/RPC layer over all eight backends must match direct ext4-dax byte for byte")
+	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all eight backends, and served-crash tenants hold leases across every daemon kill")
 	servedCrash := flag.Bool("served-crash", false, "add served daemon-death sweeps: kill the daemon at sampled persistence events while tenants are mid-pipeline, recover, restart, reconnect every tenant, and check per-tenant oracles plus exactly-once counters")
 	tenants := flag.Int("tenants", 3, "concurrent tenant sessions per served-crash campaign")
 	faultCadence := flag.Int("fault-cadence", 2, "arm a wire cut on every Nth tenant dial in served-crash sweeps (2 = every other dial, 0 = no wire faults; the nightly matrix sweeps this)")

@@ -19,7 +19,7 @@
 // "stats", "sessions", "trace <id>", "pprof cpu [sec]", "pprof heap"
 // (see internal/server ctl.go; splitfs-shell -ctl speaks it).
 //
-// Any of the nine kinds of internal/stack is servable; the served: and
+// Any of the eight kinds of internal/stack is servable; the served: and
 // served-lease: wrapper names are refused — the daemon is the server.
 // The daemon owns the device: all state is in memory and vanishes on
 // exit, so splitfsd is a serving harness, not a persistence daemon.

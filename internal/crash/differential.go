@@ -18,7 +18,8 @@ import (
 // crash oracles verify SplitFS against a model of itself; this suite
 // verifies the model-independent claim — §3.1's transparency property —
 // that all backends implement the same POSIX-visible semantics, using
-// the other five implementations as each other's oracle.
+// the eight backends as each other's oracle. Its tests add the host
+// kernel's own file system beside them as an outside reference.
 
 // DiffMismatch is one divergence from the reference backend.
 type DiffMismatch struct {
@@ -53,11 +54,26 @@ func renderTrace(sys []syscall) string {
 }
 
 // Differential feeds ops through every listed kind of stack (reference
-// first) and compares final states against the first one's — all nine
+// first) and compares final states against the first one's — all eight
 // direct kinds, or e.g. direct ext4-dax against every served: wrapper,
 // which is how the service layer's transparency is verified: the same
 // trace through the session/RPC stack must land byte-identically.
 func Differential(kinds []string, ops []Op) (*DiffResult, error) {
+	return differential(kinds, ops, newStackFS)
+}
+
+// newStackFS builds the file system a differential run drives as kind.
+func newStackFS(kind string) (vfs.FileSystem, error) {
+	st, err := stack.New(kind, stack.Small)
+	if err != nil {
+		return nil, err
+	}
+	return st.FS, nil
+}
+
+// differential is Differential over the file systems open builds, one
+// per listed name.
+func differential(kinds []string, ops []Op, open func(kind string) (vfs.FileSystem, error)) (*DiffResult, error) {
 	sys := compile(ops)
 	res := &DiffResult{
 		Reference: kinds[0],
@@ -67,11 +83,10 @@ func Differential(kinds []string, ops []Op) (*DiffResult, error) {
 	}
 	states := make(map[string]*durableState, len(kinds))
 	for _, kind := range kinds {
-		st, err := stack.New(kind, stack.Small)
+		fs, err := open(kind)
 		if err != nil {
 			return nil, fmt.Errorf("diff backend %s: %w", kind, err)
 		}
-		fs := st.FS
 		r := &runner{fs: fs, handles: map[string]vfs.File{}}
 		for i, sc := range sys {
 			if err := r.apply(sc); err != nil {

@@ -5,11 +5,14 @@ import (
 
 	"splitfs/internal/obs"
 	"splitfs/internal/stack"
+	"splitfs/internal/vfs"
 )
 
 // TestDifferentialEquivalence feeds generated traces from all three
-// workload generators through every backend and requires identical
-// final namespaces and file contents.
+// workload generators through every backend, and through the host
+// kernel's file system (hostFS) as an outside reference, and requires
+// identical final namespaces and file contents. Error classes are not
+// compared: every generated op meets its preconditions.
 func TestDifferentialEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -21,7 +24,12 @@ func TestDifferentialEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Differential(stack.Kinds(), tc.ops)
+			res, err := differential(append(stack.Kinds(), "hostfs"), tc.ops, func(kind string) (vfs.FileSystem, error) {
+				if kind == "hostfs" {
+					return newHostFS(t), nil
+				}
+				return newStackFS(kind)
+			})
 			if err != nil {
 				t.Fatalf("differential: %v", err)
 			}

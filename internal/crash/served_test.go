@@ -8,8 +8,8 @@ import (
 )
 
 // TestServedDifferentialEquivalence is the service-transparency gate:
-// the PR 3 differential trace, run through the lisafs-style session/RPC
-// layer (served: wrapper, loopback transport) over all nine backends,
+// the differential suite's traces, run through the lisafs-style session/RPC
+// layer (served: wrapper, loopback transport) over all eight backends,
 // must land byte-identical namespaces and contents to the direct
 // ext4-dax reference — and therefore to every direct backend, which the
 // plain differential suite already pins against the same reference.

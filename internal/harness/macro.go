@@ -29,7 +29,7 @@ import (
 )
 
 func init() {
-	register("macro", "Macrobenchmark matrix: YCSB A-F + TPC-C over all nine backends", macroExp)
+	register("macro", "Macrobenchmark matrix: YCSB A-F + TPC-C over all eight backends", macroExp)
 }
 
 // MacroWorkloads returns the workload column of the matrix.
@@ -37,7 +37,7 @@ func MacroWorkloads() []string {
 	return []string{"ycsb-A", "ycsb-B", "ycsb-C", "ycsb-D", "ycsb-E", "ycsb-F", "tpcc"}
 }
 
-// MacroBackends returns the backend row of the matrix — the same nine
+// MacroBackends returns the backend row of the matrix — the same eight
 // the differential suite compares.
 func MacroBackends() []string { return stack.Kinds() }
 
@@ -53,7 +53,7 @@ type macroParams struct {
 	ckpt   int // waldb checkpoint threshold (frames)
 }
 
-// macroSize is the one scale the matrix runs at: seconds for all nine
+// macroSize is the one scale the matrix runs at: seconds for all eight
 // backends, small enough for CI's gate.
 var macroSize = macroParams{
 	spec: stack.Spec{DevBytes: 64 << 20,

@@ -24,7 +24,6 @@ var macroGoldens = map[string]uint64{
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,
 	"strata":         0x23128460b63fcf33,
-	"logfs":          0xc5a5c2bf6b25abf5,
 }
 
 func TestMacroSeedStabilityGoldens(t *testing.T) {
@@ -70,7 +69,7 @@ func TestMacroCellDeterminism(t *testing.T) {
 
 // TestMacroMatrixShape checks the acceptance-criteria contract: one cell
 // per (backend x workload), each emitting the full fixed metric set, for
-// all nine backends and both workload families.
+// all eight backends and both workload families.
 func TestMacroMatrixShape(t *testing.T) {
 	tbl, err := macroExp()
 	if err != nil {

@@ -192,9 +192,7 @@ func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 		fs.dev.StoreNT(devOff+inBlk, p[n:n+int(span)], sim.CatPMData)
 		n += int(span)
 	}
-	if fs.prof.SyncData {
-		fs.dev.Fence()
-	}
+	fs.dev.Fence()
 	grew := end > in.size
 	if grew {
 		in.size = end

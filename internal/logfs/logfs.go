@@ -38,13 +38,10 @@ type Profile struct {
 	WritePathCPU int64
 	ReadPathCPU  int64
 	// COW makes data writes copy-on-write (new blocks, then a log entry
-	// remaps them), giving atomic data operations.
+	// remaps them), giving atomic data operations. Either way a write's
+	// data is fenced before the call returns, and every operation is a
+	// kernel trap.
 	COW bool
-	// SyncData fences data at the end of every write (synchronous
-	// semantics).
-	SyncData bool
-	// KernelFS charges a trap per operation.
-	KernelFS bool
 }
 
 // Config sizes the on-device regions.
@@ -179,10 +176,8 @@ func (fs *FS) Stats() Stats {
 func (fs *FS) FreeBlocks() int64 { return fs.bmp.FreeCount() }
 
 func (fs *FS) trap() {
-	if fs.prof.KernelFS {
-		fs.clk.Charge(sim.CatKernelTrap, sim.KernelTrapNs)
-		fs.stats.Traps++
-	}
+	fs.clk.Charge(sim.CatKernelTrap, sim.KernelTrapNs)
+	fs.stats.Traps++
 }
 
 // appendRecord persists one metadata record, checkpointing when full.

@@ -13,7 +13,7 @@ import (
 )
 
 // profile is the engine instance kind is, data path included: its COW
-// and SyncData come from kind's row of Table 3.
+// comes from kind's row of Table 3.
 func profile(kind string) logfs.Profile {
 	prof, ok := stack.LogProfile(kind)
 	if !ok {
@@ -312,5 +312,88 @@ func TestRenameReplaceFreesTarget(t *testing.T) {
 	}
 	if fs.FreeBlocks() != free+2 {
 		t.Fatalf("rename-replace freed %d, want 2", fs.FreeBlocks()-free)
+	}
+}
+
+// TestSyncWriteDataFencedBeforeItsRecord crashes a sync-data profile's
+// append at every persistence event, four ways as the metalog and
+// journal tests do: the unfenced lines revert whole, tear under two
+// seeds, or the store in flight lands whole while nothing else unfenced
+// does. The record that publishes the new size must never persist
+// ahead of the bytes it names, so the file mounts as before the append
+// or after it. A crash after a write returns, an in-place overwrite
+// included, mounts with its bytes.
+func TestSyncWriteDataFencedBeforeItsRecord(t *testing.T) {
+	old := bytes.Repeat([]byte("O"), sim.BlockSize)
+	app := bytes.Repeat([]byte("N"), sim.BlockSize)
+	for _, name := range []string{"pmfs", "nova-relaxed"} {
+		t.Run(name, func(t *testing.T) {
+			v := variants()[name]
+			// write puts old in /f, fsynced, arms dev, then writes p at
+			// off through a handle no fsync follows.
+			write := func(arm func(*pmem.Device), p []byte, off int64) *pmem.Device {
+				dev := newDev(t)
+				fs := v.mk(dev)
+				if err := vfs.WriteFile(fs, "/f", old); err != nil {
+					t.Fatal(err)
+				}
+				f, err := fs.OpenFile("/f", vfs.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arm(dev)
+				if _, err := f.WriteAt(p, off); err != nil {
+					t.Fatal(err)
+				}
+				return dev
+			}
+			mounted := func(dev *pmem.Device) string {
+				fs, _, err := v.mt(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := vfs.ReadFile(fs, "/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(got)
+			}
+			ref := write(func(dev *pmem.Device) { dev.SetTracing(true) }, app, int64(len(old)))
+			for _, ev := range ref.Trace() {
+				for way := range uint64(4) {
+					landed := way == 3
+					if landed && ev.Kind != pmem.EvStoreNT {
+						continue
+					}
+					var tear *sim.RNG
+					if way == 1 || way == 2 {
+						tear = sim.NewRNG(uint64(ev.Seq)<<8 | way)
+					}
+					dev := write(func(dev *pmem.Device) { dev.ArmCrash(ev.Seq, tear) }, app, int64(len(old)))
+					stored := make([]byte, ev.Len)
+					dev.Peek(stored, ev.Off) // the append stores each range once
+					if err := dev.Crash(nil); err != nil {
+						t.Fatal(err)
+					}
+					if landed {
+						dev.PersistNT(ev.Off, stored, sim.CatPMData)
+					}
+					if got := mounted(dev); got != string(old) && got != string(old)+string(app) {
+						t.Fatalf("crash at event %d (%v), way %d: %d bytes mounted, %q… at the append, want the file before or after it",
+							ev.Seq, ev.Kind, way, len(got), got[min(len(old), len(got)):min(len(old)+8, len(got))])
+					}
+				}
+			}
+			for _, off := range []int64{int64(len(old)), 0} {
+				dev := write(func(*pmem.Device) {}, app, off)
+				if err := dev.Crash(sim.NewRNG(7)); err != nil {
+					t.Fatal(err)
+				}
+				want := string(old)[:off] + string(app)
+				if got := mounted(dev); got != want {
+					t.Errorf("write at %d returned, then a crash: %d bytes mounted, want %d", off, len(got), len(want))
+				}
+			}
+		})
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // The engine's named instances: the two kernel baselines of the SplitFS
-// paper's evaluation (§5.1) and the engine with no costs added. Their
-// data path (COW, SyncData) is not set here: internal/stack sets it from
-// each kind's row of Table 3 (stack.LogProfile).
+// paper's evaluation (§5.1). Their data path (COW) is not set here:
+// internal/stack sets it from each kind's row of Table 3
+// (stack.LogProfile).
 
 // NovaStrict is NOVA (Xu & Swanson, FAST '16) in its strict mode,
 // compared against SplitFS-strict. "NOVA writes at least two cache
@@ -20,7 +20,6 @@ var NovaStrict = Profile{
 	PerOpCPU:     sim.NovaLogEntryNs,
 	WritePathCPU: sim.NovaWritePathNs,
 	ReadPathCPU:  sim.Ext4ReadPathNs, // read paths are comparably lean
-	KernelFS:     true,
 }
 
 // NovaRelaxed is NOVA in its relaxed mode, compared against
@@ -33,7 +32,6 @@ var NovaRelaxed = Profile{
 	PerOpCPU:     sim.NovaLogEntryNs,
 	WritePathCPU: sim.NovaRelaxedWritePathNs,
 	ReadPathCPU:  sim.Ext4ReadPathNs,
-	KernelFS:     true,
 }
 
 // PMFS (Dulloor et al., EuroSys '14) journals metadata at fine grain,
@@ -44,8 +42,4 @@ var PMFS = Profile{
 	PerOpCPU:     sim.PMFSJournalNs,
 	WritePathCPU: sim.PMFSWritePathNs,
 	ReadPathCPU:  sim.Ext4ReadPathNs,
-	KernelFS:     true,
 }
-
-// Bare is the engine alone: no per-operation CPU or trap charges. It is the differential suite's ninth backend.
-var Bare = Profile{Name: "logfs"}

@@ -3,10 +3,9 @@
 // how they are sized, how the stack is served through the session/RPC
 // layer, how it is remounted after a crash, and where its counters live.
 // The crash engine, the bench harness, the root facade and the cmd/
-// binaries all construct through New, so "all nine backends" means the
-// same nine everywhere (the paper's §5.1 line-up: ext4 DAX, the three
-// SplitFS modes over one K-Split, NOVA strict/relaxed, PMFS, Strata, plus
-// the bare log-structured engine).
+// binaries all construct through New, so "all eight backends" means the
+// same eight everywhere (the paper's §5.1 line-up: ext4 DAX, the three
+// SplitFS modes over one K-Split, NOVA strict/relaxed, PMFS, Strata).
 package stack
 
 import (
@@ -25,13 +24,13 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// Kinds returns the nine kind names, reference (ext4-dax) first. The
+// Kinds returns the eight kind names, reference (ext4-dax) first. The
 // returned slice is fresh; callers may mutate it.
 func Kinds() []string {
 	return []string{
 		"ext4-dax",
 		"splitfs-posix", "splitfs-sync", "splitfs-strict",
-		"nova-strict", "nova-relaxed", "pmfs", "strata", "logfs",
+		"nova-strict", "nova-relaxed", "pmfs", "strata",
 	}
 }
 
@@ -90,8 +89,8 @@ type Spec struct {
 	KSplit ext4dax.Config
 	// USplit configures the splitfs kinds; its Mode is set by the kind.
 	USplit splitfs.Config
-	// Log sizes the log-structured engines' shared area (nova-*, pmfs,
-	// logfs, and strata's shared area).
+	// Log sizes the log-structured engines' area (nova-*, pmfs, and
+	// strata's shared area).
 	Log logfs.Config
 	// PrivateLogBytes is strata's per-process log.
 	PrivateLogBytes int64
@@ -161,14 +160,12 @@ func splitfsMode(base string) (splitfs.Mode, bool) {
 	return 0, false
 }
 
-// LogProfile returns the logfs engine instance kind is, its COW and
-// SyncData set from kind's row of Table 3; ok is false for other kinds.
+// LogProfile returns the logfs engine instance kind is, its COW set
+// from kind's row of Table 3; ok is false for other kinds.
 func LogProfile(kind string) (prof logfs.Profile, ok bool) {
 	prof, ok = map[string]logfs.Profile{"nova-strict": logfs.NovaStrict, "nova-relaxed": logfs.NovaRelaxed,
-		"pmfs": logfs.PMFS, "logfs": logfs.Bare}[kind]
-	if ok {
-		prof.COW, prof.SyncData = GuaranteeOf(kind).AtomicData, GuaranteeOf(kind).SyncData
-	}
+		"pmfs": logfs.PMFS}[kind]
+	prof.COW = ok && GuaranteeOf(kind).AtomicData
 	return prof, ok
 }
 
@@ -294,7 +291,7 @@ func (s *Stack) Counters() Counters {
 		c.Reclaimed = int64(fs.StagingFilesReclaimed())
 	case *ext4dax.FS:
 		c.Commits = fs.Stats().Commits
-	case *logfs.FS: // nova-*, pmfs, logfs
+	case *logfs.FS: // nova-*, pmfs
 		c.LogAppends = fs.Stats().LogAppends
 	case *strata.FS:
 		c.LogAppends = fs.Stats().LogAppends

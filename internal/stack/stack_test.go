@@ -30,7 +30,6 @@ var baseTypes = map[string]reflect.Type{
 	"nova-relaxed":   reflect.TypeOf(&logfs.FS{}),
 	"pmfs":           reflect.TypeOf(&logfs.FS{}),
 	"strata":         reflect.TypeOf(&strata.FS{}),
-	"logfs":          reflect.TypeOf(&logfs.FS{}),
 }
 
 // writeSynced creates path with data and fsyncs it.
@@ -51,7 +50,7 @@ func writeSynced(t *testing.T, fs vfs.FileSystem, path string, data []byte) {
 	}
 }
 
-// TestNewEveryKindEveryWrapper builds all nine kinds direct, served and
+// TestNewEveryKindEveryWrapper builds all eight kinds direct, served and
 // served with leases, and checks what every caller relies on: the name
 // the file system reports, Base being the unwrapped file system, the
 // wrapper fields, and counters that move when the stack does work.
@@ -233,7 +232,7 @@ func TestCrashRecover(t *testing.T) {
 			}
 		})
 	}
-	for _, kind := range []string{"nova-strict", "nova-relaxed", "pmfs", "strata", "logfs"} {
+	for _, kind := range []string{"nova-strict", "nova-relaxed", "pmfs", "strata"} {
 		st, err := stack.New(kind, spec)
 		if err != nil {
 			t.Fatal(err)

@@ -30,8 +30,7 @@ var (
 )
 
 // table3 is in the paper's grouping order: each level's baselines, then
-// SplitFS at that level. The bare engine, fenced per metadata record but
-// not per write, is no paper system and matches no level.
+// SplitFS at that level.
 var table3 = []Guarantee{
 	{"ext4-dax", posixLevel, "Table 3 (POSIX, equivalent)", false},
 	{"splitfs-posix", posixLevel, "Table 3 (POSIX)", false},
@@ -41,7 +40,6 @@ var table3 = []Guarantee{
 	{"nova-strict", strictLevel, "Table 3 (strict, equivalent)", false},
 	{"strata", strictLevel, "Table 3 (strict, equivalent)", false},
 	{"splitfs-strict", strictLevel, "Table 3 (strict)", false},
-	{"logfs", Cells{SyncMeta: true, AtomicMeta: true}, "none (no paper system)", false},
 }
 
 // GuaranteeOf returns the row of kind, an unwrapped kind name; it panics

@@ -89,8 +89,6 @@ func sharedProfile() logfs.Profile {
 		PerOpCPU:     sim.PMFSJournalNs,
 		WritePathCPU: sim.StrataDigestPerBlockNs,
 		ReadPathCPU:  sim.Ext4ReadPathNs,
-		SyncData:     true,
-		KernelFS:     true,
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package vfs defines the POSIX-shaped interface every file system in this
-// repository implements — the nine backends of the differential and macro
+// repository implements — the eight backends of the differential and macro
 // matrices: ext4-dax, the three SplitFS modes (posix/sync/strict), the two
-// NOVA modes (strict/relaxed), PMFS, Strata, and logfs — plus the shared
+// NOVA modes (strict/relaxed), PMFS and Strata — plus the shared
 // error set, open flags, and a file-descriptor table with POSIX dup
 // semantics.
 //
 // The paper's SplitFS intercepts 35 POSIX calls via LD_PRELOAD; here the
 // equivalent seam is this interface: applications and workloads are written
-// against vfs.FileSystem and run unmodified on any of the nine
+// against vfs.FileSystem and run unmodified on any of the eight
 // implementations, which is exactly the transparency property the paper
 // claims (§3.1).
 package vfs
