@@ -16,10 +16,10 @@ import (
 // internal/harness.MacroBackendHash (see DESIGN.md, "Macrobenchmark
 // matrix") when the change is intentional.
 var macroGoldens = map[string]uint64{
-	"ext4-dax":       0xf58af57c94de7a1b,
-	"splitfs-posix":  0xe1ae8951be3c8de9,
-	"splitfs-sync":   0x16b417fe45a49e58,
-	"splitfs-strict": 0xfa31e8aac6afdaed,
+	"ext4-dax":       0xf735920913a4aca5,
+	"splitfs-posix":  0xb00cf0d0665ff617,
+	"splitfs-sync":   0x5b11a4b4d0fd3d78,
+	"splitfs-strict": 0xd534748f7b5f871b,
 	"nova-strict":    0xae931dc930372b53,
 	"nova-relaxed":   0x44760be720988130,
 	"pmfs":           0x111fa5d6d4567525,

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,12 +13,11 @@ import (
 	"splitfs/internal/sim"
 )
 
-// Three two-block transactions, laid out from journal block 1: descriptor,
-// two images, commit record — four journal blocks each.
+// Two-block transactions, each written from journal block 1 over the one
+// before it: descriptor, two images, commit record.
 const (
-	liveTxs   = 3
-	txBlocks  = 2
-	txJournal = txBlocks + 2
+	liveTxs  = 3
+	txBlocks = 2
 )
 
 // scribble is what a home block holds when its checkpoint never happened.
@@ -28,16 +29,16 @@ func txPattern(tx, blk int) []byte {
 
 func homeOff(tx, blk int) int64 { return metaBase + int64(tx*txBlocks+blk)*sim.BlockSize }
 
-// liveJournal commits liveTxs transactions and then takes the image back
-// to where none of them was checkpointed: the superblock names the first
-// as the tail and every home block holds garbage. (Commit checkpoints as
-// it goes, so a crash leaves at most one such entry; Load scans a
-// sequence all the same, and the tests want something before and after
-// the transaction they damage.)
-func liveJournal(t *testing.T) *Journal {
+// liveJournal commits transactions 0 to live and takes the image back to
+// where the last one committed and was never retired, as a crash between
+// its commit record and its superblock write leaves it: the superblock
+// names its sequence and the stamps before it, and its home blocks, and
+// every later transaction's, hold garbage. The transactions before it
+// were checkpointed, and its entry lies over theirs.
+func liveJournal(t *testing.T, live int) *Journal {
 	t.Helper()
 	dev, j := testEnv(t)
-	for tx := range liveTxs {
+	for tx := range live + 1 {
 		h := j.Begin()
 		for blk := range txBlocks {
 			dev.Store(homeOff(tx, blk), txPattern(tx, blk), sim.CatPMMeta)
@@ -48,24 +49,24 @@ func liveJournal(t *testing.T) *Journal {
 			t.Fatal(err)
 		}
 	}
-	for tx := range liveTxs {
+	for tx := live; tx < liveTxs; tx++ {
 		for blk := range txBlocks {
 			dev.PersistNT(homeOff(tx, blk), scribble, sim.CatPMMeta)
 		}
 	}
-	j.tail, j.tailSeq, j.stamps = 1, 1, stampsAfter(0)
+	j.seq, j.stamps = j.seq-1, stampsAfter(live)
 	j.writeSuper()
 	return j
 }
 
-// setStamps has transaction tx raise two of the stamps: the first and the
-// last, which in the commit record is the last summed word.
-func setStamps(h *Tx, tx int) {
-	h.SetStamp(0, uint64(10*(tx+1)))
-	h.SetStamp(Stamps-1, uint64(7*(tx+1)))
+// setStamps has commit c raise two of the stamps: the first and the last,
+// which in the commit record is the last summed word.
+func setStamps(h *Tx, c int) {
+	h.SetStamp(0, uint64(10*(c+1)))
+	h.SetStamp(Stamps-1, uint64(7*(c+1)))
 }
 
-// stampsAfter is what the stamps read once n such transactions committed.
+// stampsAfter is what the stamps read once n such commits landed.
 func stampsAfter(n int) (s [Stamps]uint64) {
 	s[0], s[Stamps-1] = uint64(10*n), uint64(7*n)
 	return s
@@ -73,7 +74,7 @@ func stampsAfter(n int) (s [Stamps]uint64) {
 
 // restored reports how many leading transactions' home blocks hold their
 // committed contents, and fails unless every later one still holds the
-// garbage: replay applied a prefix, whole transactions only.
+// garbage: whole transactions only, and none after a missing one.
 func restored(t *testing.T, j *Journal) int {
 	t.Helper()
 	n := 0
@@ -112,18 +113,19 @@ var damages = []damage{
 	{"zero-word", func(w []byte) { clear(w) }},
 }
 
-// TestLoadRejectsDamagedTransaction: whatever part of a committed entry is
+// TestLoadRejectsDamagedTransaction: whatever part of the live entry is
 // damaged — an image, the descriptor's header or home list, the commit
-// record — Load replays the transactions before it whole and nothing from
-// it on. The home list is the case the sum did not cover before CRC-32C
-// (it summed the images only): a flipped home offset replayed a good
-// image over the wrong block.
+// record — Load replays none of it, and the transactions before it stay
+// as their checkpoints left them. Subtest txN damages an entry that lies
+// over N checkpointed ones. The home list is the case the sum did not
+// cover before CRC-32C (it summed the images only): a flipped home offset
+// replayed a good image over the wrong block.
 func TestLoadRejectsDamagedTransaction(t *testing.T) {
-	j := liveJournal(t)
-	if got, replayed, err := Load(j.dev, 0, 64); err != nil || replayed != liveTxs || restored(t, j) != liveTxs || got.Stamps() != stampsAfter(liveTxs) {
-		t.Fatalf("undamaged journal: replayed %d (err %v), want %d transactions restored and their stamps", replayed, err, liveTxs)
+	j := liveJournal(t, liveTxs-1)
+	if got, replayed, err := Load(j.dev, 0, 64); err != nil || replayed != 1 || restored(t, j) != liveTxs || got.Stamps() != stampsAfter(liveTxs) {
+		t.Fatalf("undamaged journal: replayed %d (err %v), want the live transaction restored and its stamps", replayed, err)
 	}
-	// Offsets within a transaction's four journal blocks.
+	// Offsets within the entry's four journal blocks.
 	targets := []struct {
 		name string
 		off  int64
@@ -145,8 +147,8 @@ func TestLoadRejectsDamagedTransaction(t *testing.T) {
 		for _, tgt := range targets {
 			for _, dmg := range damages {
 				t.Run(fmt.Sprintf("tx%d/%s/%s", victim, tgt.name, dmg.name), func(t *testing.T) {
-					j := liveJournal(t)
-					off := j.blockOff(1+int64(victim)*txJournal) + tgt.off
+					j := liveJournal(t, victim)
+					off := j.blockOff(txStart) + tgt.off
 					word := make([]byte, 8)
 					j.dev.ReadAt(word, off, sim.CatJournal)
 					was := bytes.Clone(word)
@@ -159,8 +161,8 @@ func TestLoadRejectsDamagedTransaction(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := restored(t, j); replayed != victim || got != victim {
-						t.Fatalf("replayed %d and restored %d transactions, want the %d before the damaged one", replayed, got, victim)
+					if got := restored(t, j); replayed != 0 || got != victim {
+						t.Fatalf("replayed %d and restored %d transactions, want none replayed and the %d before the damaged one", replayed, got, victim)
 					}
 					if got := loaded.Stamps(); got != stampsAfter(victim) {
 						t.Fatalf("stamps %v after %d transactions, want %v", got, victim, stampsAfter(victim))
@@ -171,39 +173,55 @@ func TestLoadRejectsDamagedTransaction(t *testing.T) {
 	}
 }
 
-// smallBlocks is a journal with room for one two-block entry: every commit
-// after the first begins with the wrap-reset superblock write.
+// smallBlocks is the smallest journal New formats, with room for entries
+// of up to five blocks.
 const smallBlocks = 8
+
+// entries lists, by index from metaBase, the home blocks each transaction
+// of commitSequence writes. The second is shorter than the first and the
+// third longer than the second, so each entry lies over part of the one
+// before it in the journal — the first's last image and commit record
+// outlive the second — and each shares home blocks with the one before.
+var entries = [liveTxs][]int{{0, 1, 2}, {0, 1}, {1, 2, 3}}
+
+// homes is how many home blocks entries covers.
+const homes = 4
 
 // loaded is what Load hands recovery.
 type loaded struct {
 	seq    uint64
-	tail   int64
 	stamps [Stamps]uint64
 }
 
-// threeCommits formats a small journal on a fresh device, calls armed, and
-// commits liveTxs stamped two-block transactions over buffered stores —
-// which, as K-Split's metadata does, reach the media through the journal
-// or not at all. It returns the device, the state after each commit and
-// the device's event count there: [0] is the format's, [c] commit c's.
-func threeCommits(t *testing.T, armed func(*pmem.Device)) (*pmem.Device, []loaded, []int64) {
+// commitSequence formats a small journal on a fresh device, calls armed,
+// and runs 2*liveTxs-1 stamped commits: the liveTxs transactions of
+// entries, over buffered stores — which, as K-Split's metadata does, reach
+// the media through the journal or not at all — and between each two a
+// commit that sets stamps and notes nothing, a superblock write alone, as
+// U-Split's sync and strict metadata operations raise their log's stamp.
+// It returns the device, the state after each commit and the device's
+// event count there: [0] is the format's, [c] commit c's.
+func commitSequence(t *testing.T, armed func(*pmem.Device)) (*pmem.Device, []loaded, []int64) {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: 4 << 20, Clock: sim.NewClock(), TrackPersistence: true})
 	j := New(dev, 0, smallBlocks)
 	armed(dev)
-	states, ends := []loaded{{j.seq, j.tail, j.stamps}}, []int64{dev.Events()}
-	for tx := range liveTxs {
+	states, ends := []loaded{{j.seq, j.stamps}}, []int64{dev.Events()}
+	for c := range 2*liveTxs - 1 {
 		h := j.Begin()
-		for blk := range txBlocks {
-			dev.StoreBuffered(homeOff(tx, blk), txPattern(tx, blk), sim.CatPMMeta)
-			h.Note(homeOff(tx, blk), sim.BlockSize)
+		if c%2 == 0 {
+			tx := c / 2
+			for _, home := range entries[tx] {
+				off := metaBase + int64(home)*sim.BlockSize
+				dev.StoreBuffered(off, txPattern(tx, home), sim.CatPMMeta)
+				h.Note(off, sim.BlockSize)
+			}
 		}
-		setStamps(h, tx)
+		setStamps(h, c)
 		if err := h.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		states, ends = append(states, loaded{j.seq, j.tail, j.stamps}), append(ends, dev.Events())
+		states, ends = append(states, loaded{j.seq, j.stamps}), append(ends, dev.Events())
 	}
 	return dev, states, ends
 }
@@ -211,16 +229,19 @@ func threeCommits(t *testing.T, armed func(*pmem.Device)) (*pmem.Device, []loade
 // crashAndLoad crashes the device to the image the armed event froze,
 // damages it, loads the journal, and holds what Load hands back against
 // the states either side of the commit event k fell in: the sequence and
-// the stamps are those of one of the two, the tail is where that state's
-// superblock record put it (before: the old tail, or block 1 once the
-// wrap-reset write landed), and the home blocks hold exactly the
-// transactions the sequence says committed.
-func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64, k int64, damage func()) {
+// the stamps are those of one of the two, and every home block holds what
+// the last transaction the sequence says committed wrote there, or zero.
+// It reports whether the crashed image's entry was torn over its
+// predecessor's: its descriptor carried the transaction in flight, which
+// Load found uncommitted.
+func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64, k int64, damage func()) (torn bool) {
 	t.Helper()
 	if err := dev.Crash(nil); err != nil {
 		t.Fatal(err)
 	}
 	damage()
+	desc := make([]byte, descHomes)
+	dev.Peek(desc, sim.BlockSize*txStart)
 	j, _, err := Load(dev, 0, smallBlocks)
 	if err != nil {
 		t.Fatal(err)
@@ -230,32 +251,34 @@ func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64,
 		c++
 	}
 	before, after := states[c-1], states[c]
-	got := loaded{j.seq, j.tail, j.stamps}
-	if got != after && got != before && got != (loaded{before.seq, 1, before.stamps}) {
+	got := loaded{j.seq, j.stamps}
+	if got != after && got != before {
 		t.Fatalf("Load returned %+v, want %+v or %+v", got, before, after)
 	}
 	if err := j.Check(); err != nil {
 		t.Fatal(err)
 	}
-	blk, zero := make([]byte, sim.BlockSize), make([]byte, sim.BlockSize)
-	for tx := range liveTxs {
-		for b := range txBlocks {
-			want := zero
-			if uint64(tx) < got.seq-1 {
-				want = txPattern(tx, b)
-			}
-			if dev.ReadAt(blk, homeOff(tx, b), sim.CatPMMeta); !bytes.Equal(blk, want) {
-				t.Fatalf("sequence %d, but transaction %d block %d starts % x", got.seq, tx, b, blk[:4])
+	blk := make([]byte, sim.BlockSize)
+	for home := range homes {
+		want := make([]byte, sim.BlockSize)
+		for tx := range int(got.seq - 1) {
+			if slices.Contains(entries[tx], home) {
+				want = txPattern(tx, home)
 			}
 		}
+		if dev.ReadAt(blk, metaBase+int64(home)*sim.BlockSize, sim.CatPMMeta); !bytes.Equal(blk, want) {
+			t.Fatalf("sequence %d, but home block %d starts % x, want % x", got.seq, home, blk[:4], want[:4])
+		}
 	}
+	return got == before && before.seq > 1 && binary.LittleEndian.Uint32(desc[0:4]) == descMagic &&
+		binary.LittleEndian.Uint64(desc[8:16]) == before.seq
 }
 
 // TestLoadSurvivesDamagedSuperblock: the superblock is one record under one
 // sum, written to the slot the previous write left alone. Damage the
 // newest record — each word zeroed, as a tear would; a bit flipped in each
-// field — right after each superblock write of three commits, the
-// wrap-reset writes among them, and Load returns the state before that
+// field — right after each superblock write of commitSequence, the
+// stamp-only commits' among them, and Load returns the state before that
 // write or after it, nothing in between. (Before a commit's own write the
 // journal still holds the entry, and replay arrives where the write would
 // have.)
@@ -272,7 +295,7 @@ func TestLoadSurvivesDamagedSuperblock(t *testing.T) {
 			hits = append(hits, hit{"flip/" + field, int64(8 * w), 4})
 		}
 	}
-	ref, states, ends := threeCommits(t, func(dev *pmem.Device) { dev.SetTracing(true) })
+	ref, states, ends := commitSequence(t, func(dev *pmem.Device) { dev.SetTracing(true) })
 	writes := 0
 	for _, ev := range ref.Trace() {
 		if ev.Kind != pmem.EvStoreNT || ev.Off >= 2*superSize {
@@ -282,7 +305,7 @@ func TestLoadSurvivesDamagedSuperblock(t *testing.T) {
 		fence := ev.Seq + 1 // PersistNT: the event that made the record durable
 		for _, h := range hits {
 			t.Run(fmt.Sprintf("write%d/%s", writes, h.name), func(t *testing.T) {
-				dev, _, _ := threeCommits(t, func(dev *pmem.Device) { dev.ArmCrash(fence, nil) })
+				dev, _, _ := commitSequence(t, func(dev *pmem.Device) { dev.ArmCrash(fence, nil) })
 				crashAndLoad(t, dev, states, ends, fence, func() {
 					word := make([]byte, 8)
 					dev.ReadAt(word, ev.Off+h.at&^7, sim.CatJournal)
@@ -295,19 +318,19 @@ func TestLoadSurvivesDamagedSuperblock(t *testing.T) {
 		}
 	}
 	if want := 2*liveTxs - 1; writes != want {
-		t.Fatalf("%d superblock writes traced, want %d: one per commit and a wrap reset before all but the first", writes, want)
+		t.Fatalf("%d superblock writes traced, want %d: one per commit", writes, want)
 	}
 }
 
-// TestLoadAfterCrashAtEveryEvent crashes at every persistence event of the
-// three commits, with the unfenced lines torn word by word four ways: Load
-// finds the state before or after the commit in flight, blocks and stamps
-// together.
+// TestLoadAfterCrashAtEveryEvent crashes at every persistence event of
+// commitSequence, with the unfenced lines torn word by word four ways:
+// Load finds the state before or after the commit in flight, blocks and
+// stamps together.
 func TestLoadAfterCrashAtEveryEvent(t *testing.T) {
-	_, states, ends := threeCommits(t, func(*pmem.Device) {})
-	for k := ends[0] + 1; k <= ends[liveTxs]; k++ {
+	_, states, ends := commitSequence(t, func(*pmem.Device) {})
+	for k := ends[0] + 1; k <= ends[len(ends)-1]; k++ {
 		for tear := range uint64(4) {
-			dev, _, _ := threeCommits(t, func(dev *pmem.Device) { dev.ArmCrash(k, sim.NewRNG(uint64(k)<<8|tear)) })
+			dev, _, _ := commitSequence(t, func(dev *pmem.Device) { dev.ArmCrash(k, sim.NewRNG(uint64(k)<<8|tear)) })
 			if !dev.CrashFired() {
 				t.Fatalf("event %d never came", k)
 			}
@@ -316,18 +339,45 @@ func TestLoadAfterCrashAtEveryEvent(t *testing.T) {
 	}
 }
 
+// TestTornEntryOverItsPredecessor: a transaction is written at block 1
+// over its predecessor's entry, so a crash before its commit record is
+// durable leaves an entry of both — the new descriptor, say, with the old
+// images and commit record after it. Crashed at every event of the two
+// transactions that follow another, lines torn four ways, such an image
+// loads as the predecessor's checkpoint left it: nothing replayed, every
+// home block as it was. Some crash must leave the new descriptor durable,
+// or the case was never made.
+func TestTornEntryOverItsPredecessor(t *testing.T) {
+	_, states, ends := commitSequence(t, func(*pmem.Device) {})
+	made := 0
+	for c := 3; c < len(ends); c += 2 { // the second and third transactions
+		for k := ends[c-1] + 1; k <= ends[c]; k++ {
+			for tear := range uint64(4) {
+				dev, _, _ := commitSequence(t, func(dev *pmem.Device) { dev.ArmCrash(k, sim.NewRNG(uint64(k)<<8|tear)) })
+				if crashAndLoad(t, dev, states, ends, k, func() {}) {
+					made++
+				}
+			}
+		}
+	}
+	if made == 0 {
+		t.Fatal("no crash left a descriptor of the transaction in flight over its predecessor's entry")
+	}
+	t.Logf("%d crash images held a torn entry over its predecessor's", made)
+}
+
 // TestLoadAfterCrashInReplay crashes at every persistence event of Load's
-// replay of three committed transactions whose home blocks never got their
+// replay of a committed transaction whose home blocks never got their
 // checkpoint, and loads again: every home block holds its image and the
-// stamps are the last transaction's. Each crash is taken four ways: the
+// stamps are the transaction's. Each crash is taken four ways: the
 // unfenced lines revert whole, or tear word by word under two seeds, or the
 // store in flight lands whole and nothing else unfenced does. Load's last
-// store is the superblock record that empties the journal, so the replayed
+// store is the superblock record that retires the entry, so the replayed
 // images must be fenced before it: a record that lands ahead of them leaves
 // home blocks torn and no entry to replay them from.
 func TestLoadAfterCrashInReplay(t *testing.T) {
 	replay := func(arm func(*pmem.Device)) *Journal {
-		j := liveJournal(t)
+		j := liveJournal(t, liveTxs-1)
 		arm(j.dev)
 		if _, _, err := Load(j.dev, 0, 64); err != nil {
 			t.Fatal(err)
@@ -448,7 +498,7 @@ func TestConcurrentCommitsShareScratch(t *testing.T) {
 // and fails on a damaged newest superblock record, on a record that says
 // other than the journal holds in memory, and on a live entry.
 func TestCheckFindsAJournalNotAtRest(t *testing.T) {
-	dev, _, _ := threeCommits(t, func(*pmem.Device) {})
+	dev, _, _ := commitSequence(t, func(*pmem.Device) {})
 	j, _, err := Load(dev, 0, smallBlocks)
 	if err != nil || j.Check() != nil {
 		t.Fatalf("a journal at rest: Load %v, Check %v", err, j.Check())
@@ -464,8 +514,8 @@ func TestCheckFindsAJournalNotAtRest(t *testing.T) {
 		t.Error("Check passed with a stamp in memory that is not on media")
 	}
 	j.stamps[1]--
-	if live := liveJournal(t); live.Check() == nil {
-		t.Error("Check passed over three live entries")
+	if live := liveJournal(t, liveTxs-1); live.Check() == nil {
+		t.Error("Check passed over a live entry")
 	}
 	if err := j.Check(); err != nil {
 		t.Error(err)

@@ -8,23 +8,29 @@
 // to their home locations and Note() the ranges in a transaction. Commit
 // then
 //
-//  1. writes a descriptor block listing the touched home blocks,
-//  2. writes a full 4 KB journal copy of every touched block (this
-//     full-block logging is what makes ext4 metadata-heavy, a cost the
-//     paper measures in Table 1),
+//  1. writes a descriptor block listing the touched home blocks to
+//     journal block 1 (block 0 holds the superblock),
+//  2. writes a full 4 KB journal copy of every touched block after it
+//     (this full-block logging is what makes ext4 metadata-heavy, a cost
+//     the paper measures in Table 1),
 //  3. fences, writes a commit block carrying the stamps the transaction
 //     set (SetStamp) and a CRC-32C of the descriptor, the images and the
 //     stamps, fences,
 //  4. flushes the home locations and fences (checkpoint),
-//  5. advances the journal tail: one superblock record — generation, tail,
-//     tail sequence and the stamps under one CRC-32C — written to the
-//     record slot the previous write did not use.
+//  5. retires the entry: one superblock record — generation, the next
+//     transaction's sequence number and the stamps under one CRC-32C —
+//     written to the record slot the previous write did not use.
 //
-// A crash between (3) and (4) is repaired on Load by replaying committed
-// transactions; anything not yet committed is discarded by the pmem
-// crash model, leaving the previous consistent state. A superblock write
-// the crash tore fails its sum and Load starts from the other slot — the
-// state before that write, never a mix of the two.
+// Every commit checkpoints before it returns, so at most one entry is
+// ever live, and every transaction is written from block 1, over its
+// predecessor's: the device backs one transaction's journal blocks, not
+// the region. A crash between (3) and (5) is repaired on Load by
+// replaying that entry. A crash before (3) completes leaves an entry that
+// does not verify — torn over its predecessor's blocks, it may carry
+// pieces of both — and the homes as the predecessor's checkpoint left
+// them, since uncommitted stores are discarded by the pmem crash model. A
+// superblock write the crash tore fails its sum and Load starts from the
+// other slot — the state before that write, never a mix of the two.
 package journal
 
 import (
@@ -50,6 +56,10 @@ const (
 	descHomes    = 32 // descriptor: magic, seq and count, then the home list from here
 	commitStamps = 24 // commit record: magic, seq and sum, then the stamps from here
 
+	// txStart is the journal block every transaction's descriptor goes
+	// to, and what a superblock record stores as the tail.
+	txStart = 1
+
 	// Stamps is how many stamps a journal carries: 64-bit values that a
 	// transaction sets (Tx.SetStamp), that commit with it, atomically with
 	// its blocks, and that never go down. U-Split keeps one per op log —
@@ -70,21 +80,19 @@ var ErrFull = errors.New("journal: region too small for transaction")
 type Stats struct {
 	Commits      int64
 	BlocksLogged int64 // full 4 KB block images written to the journal
-	Replayed     int64 // transactions replayed at Load time
+	Replayed     int64 // transactions replayed at Load time: 0 or 1
 }
 
-// Journal is a circular physical redo log on a PM device region.
+// Journal is a physical redo log on a PM device region that holds at most
+// one live transaction.
 type Journal struct {
 	dev   *pmem.Device
 	start int64 // device byte offset of the journal region
 	nblk  int64 // capacity in 4 KB blocks (including the superblock)
 
-	mu   sync.Mutex
-	seq  uint64
-	head int64 // next journal block index to write (1-based; 0 is the superblock)
+	mu sync.Mutex
 	super
-	replayedSeq uint64 // the last transaction Load replayed
-	stats       Stats
+	stats Stats
 
 	// Commit's scratch, used under mu (New and Load run before the journal
 	// is shared): the descriptor and then the commit record, one block
@@ -105,11 +113,12 @@ type Journal struct {
 // super is what a superblock record holds, under one sum: a crash leaves
 // all of a state or none of it. Journal block 0 opens with two record
 // slots; write gen goes to slot gen&1, so the one before it stays intact.
+// The record's tail word, where a live entry would start, always reads
+// txStart.
 type super struct {
-	gen     uint64 // superblock writes so far
-	tailSeq uint64
-	tail    int64          // oldest live journal block index
-	stamps  [Stamps]uint64 // as of the last commit
+	gen    uint64         // superblock writes so far
+	seq    uint64         // the next transaction's; every earlier one is checkpointed
+	stamps [Stamps]uint64 // as of the last commit
 }
 
 // New formats a journal in [start, start+nblk*4K) and persists the empty
@@ -118,20 +127,20 @@ func New(dev *pmem.Device, start, nblk int64) *Journal {
 	if nblk < 8 {
 		panic("journal: region too small")
 	}
-	j := &Journal{dev: dev, start: start, nblk: nblk, seq: 1, head: 1}
+	j := &Journal{dev: dev, start: start, nblk: nblk}
 	// Generations count on from any record an earlier journal left here,
 	// so that in Load it loses to this one's.
 	slots := make([]byte, 2*superSize)
 	dev.Peek(slots, start)
 	old, _ := readSuper(slots)
-	j.super = super{gen: old.gen, tailSeq: 1, tail: 1}
+	j.super = super{gen: old.gen, seq: 1}
 	j.writeSuper()
 	return j
 }
 
-// Load mounts an existing journal, replaying any committed-but-not-
-// checkpointed transactions. It returns the journal and the number of
-// transactions replayed.
+// Load mounts an existing journal, replaying the transaction that
+// committed and was not retired, if there is one. It returns the journal
+// and the number of transactions replayed, 0 or 1.
 func Load(dev *pmem.Device, start, nblk int64) (*Journal, int, error) {
 	j := &Journal{dev: dev, start: start, nblk: nblk}
 	slots := make([]byte, 2*superSize)
@@ -140,33 +149,26 @@ func Load(dev *pmem.Device, start, nblk int64) (*Journal, int, error) {
 	if j.super, ok = readSuper(slots); !ok {
 		return nil, 0, errors.New("journal: no superblock record verifies")
 	}
-	j.seq = j.tailSeq
-	j.head = j.tail
-	replayed := 0
-	for {
-		n, err := j.replayOne()
-		if err != nil || n == 0 {
-			break
+	read := func(p []byte, off int64) { dev.ReadAt(p, off, sim.CatJournal) }
+	if homes, images, stamps := j.live(read); homes != nil {
+		// Restore the block images to their home locations, and the
+		// stamps to what the transaction left.
+		for i, home := range homes {
+			dev.StoreNT(home, images[i], sim.CatPMMeta)
 		}
-		replayed++
+		dev.Fence()
+		for i := range j.stamps {
+			j.stamps[i] = binary.LittleEndian.Uint64(stamps[8*i:])
+		}
+		j.seq++
+		j.stats.Replayed = 1
 	}
-	j.stats.Replayed = int64(replayed)
-	// Everything replayed is durable; reset to empty.
-	j.tail = j.head
-	j.tailSeq = j.seq
+	// Everything replayed is durable; retire it.
 	j.writeSuper()
-	return j, replayed, nil
+	return j, int(j.stats.Replayed), nil
 }
 
 func (j *Journal) blockOff(idx int64) int64 { return j.start + idx*sim.BlockSize }
-
-// wrap advances a journal block index, skipping the superblock at 0.
-func (j *Journal) wrap(idx int64) int64 {
-	if idx >= j.nblk {
-		return 1
-	}
-	return idx
-}
 
 // writeSuper persists the journal's state as the next superblock record.
 func (j *Journal) writeSuper() {
@@ -174,8 +176,8 @@ func (j *Journal) writeSuper() {
 	rec := j.sb[:]
 	binary.LittleEndian.PutUint32(rec[0:4], descMagic)
 	binary.LittleEndian.PutUint64(rec[8:16], j.gen)
-	binary.LittleEndian.PutUint64(rec[16:24], j.tailSeq)
-	binary.LittleEndian.PutUint64(rec[24:32], uint64(j.tail))
+	binary.LittleEndian.PutUint64(rec[16:24], j.seq)
+	binary.LittleEndian.PutUint64(rec[24:32], txStart)
 	for i, v := range j.stamps {
 		binary.LittleEndian.PutUint64(rec[32+8*i:], v)
 	}
@@ -191,7 +193,7 @@ func readSuper(slots []byte) (s super, ok bool) {
 			binary.LittleEndian.Uint32(rec[4:8]) != sim.CRC32C(0, rec[8:]) {
 			continue
 		}
-		s, ok = super{gen: gen, tailSeq: binary.LittleEndian.Uint64(rec[16:24]), tail: int64(binary.LittleEndian.Uint64(rec[24:32]))}, true
+		s, ok = super{gen: gen, seq: binary.LittleEndian.Uint64(rec[16:24])}, true
 		for i := range s.stamps {
 			s.stamps[i] = binary.LittleEndian.Uint64(rec[32+8*i:])
 		}
@@ -325,21 +327,12 @@ func (tx *Tx) Commit() error {
 		return nil
 	}
 
-	need := int64(len(blocks)) + 2 // descriptor + images + commit
-	if need > j.nblk-1 {
+	if txStart+int64(len(blocks))+2 > j.nblk { // descriptor + images + commit
 		return ErrFull
 	}
-	// Per-commit checkpointing (home flushed at the end of every commit)
-	// means all earlier entries are reclaimable: reset to an empty journal
-	// if this transaction would wrap.
-	if j.head+need > j.nblk {
-		j.tail = 1
-		j.head = 1
-		j.tailSeq = j.seq
-		j.writeSuper()
-	}
 
-	// 1. Descriptor block.
+	// 1. Descriptor block, over the last transaction's entry: its
+	// checkpoint retired it before its commit returned.
 	desc := j.hdr[:]
 	clear(desc)
 	binary.LittleEndian.PutUint32(desc[0:4], descMagic)
@@ -349,18 +342,15 @@ func (tx *Tx) Commit() error {
 		binary.LittleEndian.PutUint64(desc[descHomes+i*8:], uint64(b))
 	}
 	sum := txSum(j.seq, desc, len(blocks))
-	idx := j.head
-	j.dev.StoreNT(j.blockOff(idx), desc, sim.CatJournal)
-	idx = j.wrap(idx + 1)
+	j.dev.StoreNT(j.blockOff(txStart), desc, sim.CatJournal)
 
 	// 2. Full block images, read back at cache speed from the volatile
 	// view (the caller already stored its mutations there).
 	img := j.img[:]
-	for _, b := range blocks {
+	for i, b := range blocks {
 		j.dev.Peek(img, b)
 		sum = sim.CRC32C(sum, img)
-		j.dev.StoreNT(j.blockOff(idx), img, sim.CatJournal)
-		idx = j.wrap(idx + 1)
+		j.dev.StoreNT(j.blockOff(txStart+1+int64(i)), img, sim.CatJournal)
 		j.stats.BlocksLogged++
 	}
 	// 3. Order images before the commit record, which carries every stamp
@@ -376,11 +366,10 @@ func (tx *Tx) Commit() error {
 	}
 	sum = sim.CRC32C(sum, commit[commitStamps:commitStamps+8*Stamps])
 	binary.LittleEndian.PutUint32(commit[16:20], sum)
-	j.dev.StoreNT(j.blockOff(idx), commit, sim.CatJournal)
+	j.dev.StoreNT(j.blockOff(txStart+1+int64(len(blocks))), commit, sim.CatJournal)
 	j.dev.Fence()
-	idx = j.wrap(idx + 1)
 
-	// 4. Checkpoint: flush home locations so the entry can be reclaimed.
+	// 4. Checkpoint: flush home locations so the entry can be retired.
 	// Each touched block is flushed once, however many times it was
 	// noted (jbd2 checkpoints each buffer once).
 	for _, b := range blocks {
@@ -388,11 +377,8 @@ func (tx *Tx) Commit() error {
 	}
 	j.dev.Fence()
 
-	// 5. Advance the tail past this entry.
+	// 5. Retire the entry: the next transaction takes its blocks.
 	j.seq++
-	j.head = idx
-	j.tail = idx
-	j.tailSeq = j.seq
 	j.writeSuper()
 	j.stats.Commits++
 	tx.logged = len(blocks)
@@ -412,79 +398,54 @@ func (j *Journal) raiseStamps(set [Stamps]uint64) {
 // one that has not committed).
 func (tx *Tx) Logged() int { return tx.logged }
 
-// replayOne replays the transaction at the tail, if valid and committed.
-// Returns the number of blocks restored (0 when the scan hits the end of
-// the log).
-func (j *Journal) replayOne() (int, error) {
+// live reads the entry at txStart with read and returns its home offsets,
+// block images and the stamps its commit record carries if it is
+// transaction j.seq's, whole and committed, and nil homes otherwise.
+// Caller holds j.mu, or has the journal to itself.
+func (j *Journal) live(read func(p []byte, off int64)) (homes []int64, images [][]byte, stamps []byte) {
 	desc := make([]byte, sim.BlockSize)
-	idx := j.head
-	j.dev.ReadAt(desc, j.blockOff(idx), sim.CatJournal)
-	if binary.LittleEndian.Uint32(desc[0:4]) != descMagic {
-		return 0, nil
-	}
-	seq := binary.LittleEndian.Uint64(desc[8:16])
-	if seq != j.seq {
-		return 0, nil
-	}
+	read(desc, j.blockOff(txStart))
 	count := int(binary.LittleEndian.Uint32(desc[16:20]))
-	if count == 0 || count > maxBlocksPerTx {
-		return 0, nil
+	if binary.LittleEndian.Uint32(desc[0:4]) != descMagic || binary.LittleEndian.Uint64(desc[8:16]) != j.seq ||
+		count == 0 || count > maxBlocksPerTx || txStart+int64(count)+2 > j.nblk {
+		return nil, nil, nil
 	}
-	if int64(count)+2 > j.nblk-1 {
-		return 0, nil
-	}
-	homes := make([]int64, count)
+	homes = make([]int64, count)
 	for i := range homes {
 		homes[i] = int64(binary.LittleEndian.Uint64(desc[descHomes+i*8:]))
 	}
-	// Read images and verify against the commit record before applying.
-	images := make([][]byte, count)
-	sum := txSum(seq, desc, count)
-	idx = j.wrap(idx + 1)
-	for i := 0; i < count; i++ {
-		img := make([]byte, sim.BlockSize)
-		j.dev.ReadAt(img, j.blockOff(idx), sim.CatJournal)
-		sum = sim.CRC32C(sum, img)
-		images[i] = img
-		idx = j.wrap(idx + 1)
+	// Read the images and verify them against the commit record.
+	images = make([][]byte, count)
+	sum := txSum(j.seq, desc, count)
+	for i := range images {
+		images[i] = make([]byte, sim.BlockSize)
+		read(images[i], j.blockOff(txStart+1+int64(i)))
+		sum = sim.CRC32C(sum, images[i])
 	}
 	commit := make([]byte, sim.BlockSize)
-	j.dev.ReadAt(commit, j.blockOff(idx), sim.CatJournal)
-	stamps := commit[commitStamps : commitStamps+8*Stamps]
+	read(commit, j.blockOff(txStart+1+int64(count)))
+	stamps = commit[commitStamps : commitStamps+8*Stamps]
 	if binary.LittleEndian.Uint32(commit[0:4]) != commitMagic ||
-		binary.LittleEndian.Uint64(commit[8:16]) != seq ||
+		binary.LittleEndian.Uint64(commit[8:16]) != j.seq ||
 		binary.LittleEndian.Uint32(commit[16:20]) != sim.CRC32C(sum, stamps) {
-		return 0, nil
+		return nil, nil, nil
 	}
-	idx = j.wrap(idx + 1)
-	// Valid: restore the block images to their home locations, and the
-	// stamps to what the transaction left.
-	for i, home := range homes {
-		j.dev.StoreNT(home, images[i], sim.CatPMMeta)
-	}
-	j.dev.Fence()
-	for i := range j.stamps {
-		j.stamps[i] = binary.LittleEndian.Uint64(stamps[8*i:])
-	}
-	j.seq, j.replayedSeq = seq+1, seq
-	j.head = idx
-	return count, nil
+	return homes, images, stamps
 }
 
 // Check verifies a journal at rest, as Load and every Commit leave it: the
-// newer superblock record on media verifies and is the journal's state, no
-// entry is live, and the sequence is past every transaction Load replayed.
+// newer superblock record on media verifies and is the journal's state,
+// and no committed entry awaits its retirement.
 func (j *Journal) Check() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	slots := make([]byte, 2*superSize)
 	j.dev.Peek(slots, j.start)
-	switch m, ok := readSuper(slots); {
-	case !ok || m != j.super:
+	if m, ok := readSuper(slots); !ok || m != j.super {
 		return fmt.Errorf("journal: superblock record %+v (verifies: %v) is not the journal's %+v", m, ok, j.super)
-	case j.tail != j.head || j.tailSeq != j.seq || j.seq <= j.replayedSeq:
-		return fmt.Errorf("journal: not at rest: tail %d (seq %d), head %d (seq %d), replayed through %d",
-			j.tail, j.tailSeq, j.head, j.seq, j.replayedSeq)
+	}
+	if homes, _, _ := j.live(j.dev.Peek); homes != nil {
+		return fmt.Errorf("journal: not at rest: transaction %d committed and is not retired", j.seq)
 	}
 	return nil
 }

@@ -143,8 +143,8 @@ func TestReplayAfterTornCheckpoint(t *testing.T) {
 
 func TestJournalWrapsAround(t *testing.T) {
 	dev, j := testEnv(t) // 64-block journal
-	// Each 1-block tx consumes 3 journal blocks; 30 commits > capacity,
-	// forcing wrap-around resets.
+	// Each 1-block tx takes 3 journal blocks; 30 commits write more than
+	// the region holds, each over the last one's entry.
 	for i := 0; i < 30; i++ {
 		tx := j.Begin()
 		payload := []byte{byte(i)}
@@ -163,6 +163,39 @@ func TestJournalWrapsAround(t *testing.T) {
 		if got[i] != byte(i) {
 			t.Fatalf("byte %d = %d after wrap-around", i, got[i])
 		}
+	}
+}
+
+// TestJournalBacksOneTransaction: every transaction is written from block
+// 1, over the last one's checkpointed entry, so the journal region backs
+// the frames of its largest transaction and the superblock's, not the
+// region: a thousand commits of 1 to 8 blocks grow the device's backed
+// frames by at most the largest entry. A journal that walked its head
+// around the region backed all 256 blocks.
+func TestJournalBacksOneTransaction(t *testing.T) {
+	const nblk, largest = 256, 8
+	dev := pmem.New(pmem.Config{Size: 4 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+	homes := int64(nblk) * sim.BlockSize
+	for blk := range int64(largest) { // back the home blocks first
+		dev.Store(homes+blk*sim.BlockSize, []byte{1}, sim.CatPMMeta)
+	}
+	j := New(dev, 0, nblk)
+	backed := dev.BackedBytes()
+	rng := sim.NewRNG(1)
+	for i := range 1000 {
+		tx := j.Begin()
+		for blk := range 1 + int64(rng.Intn(largest)) {
+			off := homes + blk*sim.BlockSize + int64(i%64)
+			dev.Store(off, []byte{byte(i)}, sim.CatPMMeta)
+			tx.Note(off, 1)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		j.Recycle(tx)
+	}
+	if grew, most := dev.BackedBytes()-backed, int64(largest+2)*sim.BlockSize; grew > most {
+		t.Fatalf("1 000 commits backed %d KB of journal frames, want at most %d KB: (largest transaction + 2) blocks", grew>>10, most>>10)
 	}
 }
 

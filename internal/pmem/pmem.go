@@ -882,7 +882,9 @@ func (d *Device) Wear(off int64) uint32 {
 }
 
 // MaxWear returns the highest per-block write count, a proxy for the
-// endurance hot spot (§2.1: PM endures ~1e7 write cycles).
+// endurance hot spot (§2.1: PM endures ~1e7 write cycles). On a K-Split
+// image that is the journal's first blocks: block 0 takes every
+// superblock record, and every transaction is written from block 1.
 func (d *Device) MaxWear() uint32 {
 	var m uint32
 	for i := range d.wear {

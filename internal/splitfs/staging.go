@@ -280,22 +280,6 @@ func (p *stagingPool) reclaim() int {
 	return len(free)
 }
 
-// Refill tops the ready pool back up to the configured count, as the
-// paper's background thread would between bursts. Exposed so benchmarks
-// can model off-critical-path pre-allocation.
-func (p *stagingPool) refill() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.ready) < p.fs.cfg.StagingFiles {
-		sf, err := p.createFile()
-		if err != nil {
-			return err
-		}
-		p.ready = append(p.ready, sf)
-	}
-	return nil
-}
-
 // memoryUsage estimates the pool's DRAM footprint: per staging file, a
 // fixed ~128 bytes of bookkeeping (stagingFile struct, pool slot, kernel
 // handle) plus the page-table overhead of its persistent mapping — 8
@@ -330,10 +314,6 @@ func (p *stagingPool) memoryUsage() int64 {
 	}
 	return b
 }
-
-// Refill exposes staging-pool replenishment (the paper's background
-// thread) for benchmark harnesses.
-func (fs *FS) Refill() error { return fs.staging.refill() }
 
 // StagingFilesCreated reports how many staging files were created after
 // startup — the work the paper's background thread absorbs (§5.10).

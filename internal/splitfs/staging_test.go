@@ -32,11 +32,11 @@ func newTinyPoolEnv(t testing.TB) *FS {
 	return fs
 }
 
-// TestReserveSurvivesExhaustionAndRefill is the regression test for
+// TestReserveSurvivesExhaustion is the regression test for
 // stagingPool.reserve: exhausting the pre-allocated pool must fall back
-// to synchronous creation (counted in created), refill must restock the
-// ready list, and reservations must keep succeeding throughout.
-func TestReserveSurvivesExhaustionAndRefill(t *testing.T) {
+// to synchronous creation (counted in created), and reservations must
+// keep succeeding throughout.
+func TestReserveSurvivesExhaustion(t *testing.T) {
 	fs := newTinyPoolEnv(t)
 	p := fs.staging
 
@@ -61,22 +61,6 @@ func TestReserveSurvivesExhaustionAndRefill(t *testing.T) {
 	// DRAM accounting must keep counting them after retirement.
 	if got := p.memoryUsage(); got <= usageBefore {
 		t.Fatalf("memoryUsage %d did not grow past %d despite retired files", got, usageBefore)
-	}
-
-	// Refill restocks the ready pool to the configured count.
-	if err := fs.Refill(); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	ready := len(p.ready)
-	p.mu.Unlock()
-	if ready != fs.cfg.StagingFiles {
-		t.Fatalf("after refill ready = %d, want %d", ready, fs.cfg.StagingFiles)
-	}
-
-	// Reservations after the refill still succeed and land in fresh files.
-	if _, err := p.reserve(16<<10, 4096, false); err != nil {
-		t.Fatalf("reserve after refill: %v", err)
 	}
 }
 
