@@ -201,8 +201,8 @@ func main() {
 	n, total := tally(jobs, results, "")
 	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d events crashed (+%d double-crash), %d violations\n",
 		n, total.Runs, total.Tested, total.TotalEvents, total.DoubleTested, len(total.Violations))
-	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery\n",
-		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay)
+	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery, %d op-log rewinds crossed\n",
+		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay, total.Rewinds)
 	fmt.Printf("event coverage by kind:")
 	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
 		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])
@@ -293,6 +293,7 @@ func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.E
 		t.DoubleTested += r.DoubleTested
 		t.Runs += r.Runs
 		t.MetaReplayed += r.MetaReplayed
+		t.Rewinds += r.Rewinds
 		t.MetaSkipped += r.MetaSkipped
 		t.DoubleInMetaReplay += r.DoubleInMetaReplay
 		for k, v := range r.ByKind {

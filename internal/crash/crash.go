@@ -78,6 +78,10 @@ type Result struct {
 	// still there and, at or below the stamp, records the first one had
 	// had to redo — replay resumed from what the interrupted one committed.
 	DoubleInMetaReplay bool
+	// Rewinds counts the op-log rewinds the syscalls completed before the
+	// crash made: with any, records of an earlier lap may lie past the
+	// tail the recovery scanned.
+	Rewinds int
 
 	// SysEvents[i] is the device's persistence-event counter after the
 	// i-th syscall of the workload; SysEvents[0] is the post-setup
@@ -98,6 +102,15 @@ func newCrashStack(mode splitfs.Mode) (*stack.Stack, error) {
 	spec := stack.Small
 	spec.TrackPersistence = true
 	return stack.New(stack.SplitFSKind(mode), spec)
+}
+
+// rewinds is how many op-log laps a U-Split instance has ended so far;
+// 0 for any other file system.
+func rewinds(fs vfs.FileSystem) int {
+	if s, ok := fs.(*splitfs.FS); ok {
+		return int(s.Stats().Rewinds)
+	}
+	return 0
 }
 
 // rowOf is the Table 3 row a mode's crash oracle holds its stack to.
@@ -213,11 +226,13 @@ func Run(c Campaign) (*Result, error) {
 
 	r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
 	res.SysEvents = append(res.SysEvents, env.Dev.Events())
+	laps := []int{rewinds(env.FS)} // laps[i]: rewinds after the i-th syscall
 	for i := 0; i < stopSys; i++ {
 		if err := r.apply(sys[i]); err != nil {
 			return nil, fmt.Errorf("op %d (%v %s): %w", sys[i].opIdx, sys[i].kind, sys[i].path, err)
 		}
 		res.SysEvents = append(res.SysEvents, env.Dev.Events())
+		laps = append(laps, rewinds(env.FS))
 	}
 	if c.Trace {
 		res.Trace = env.Dev.Trace()
@@ -237,6 +252,7 @@ func Run(c Campaign) (*Result, error) {
 		}
 		interrupted = res.SysEvents[crashSys] != c.CrashAtEvent
 	}
+	res.Rewinds = laps[crashSys] - laps[0]
 
 	// Crash with torn unfenced lines (ignored if the armed point already
 	// froze the image), then recover — possibly crashing again inside

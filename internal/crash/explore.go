@@ -79,6 +79,9 @@ type ExploreResult struct {
 	// second crashes that cut such a replay short (Result).
 	MetaReplayed, MetaSkipped int
 	DoubleInMetaReplay        int
+	// Rewinds sums, over the tested events, the op-log rewinds made before
+	// the crash (Result.Rewinds).
+	Rewinds int
 }
 
 // kindLabel is the coverage-bucket name of one traced event.
@@ -140,6 +143,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		res.Tested++
 		res.TestedByKind[kindOf[k]]++
 		res.MetaReplayed += r.MetaReplayed
+		res.Rewinds += r.Rewinds
 		res.MetaSkipped += r.MetaSkipped
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{

@@ -100,6 +100,9 @@ type FS struct {
 	txID     uint64
 	nextTxID uint64
 	doneTxID uint64
+	// failed counts commits that failed: each consumed its transaction,
+	// and with it the only record of what that transaction noted.
+	failed uint64
 	// stamps are the journal's stamps with the running transaction's
 	// SetStamp calls applied.
 	stamps [journal.Stamps]uint64
@@ -525,6 +528,7 @@ func (fs *FS) commitTx() error {
 	fs.tx = nil
 	fs.txN = 0
 	if err := tx.Commit(); err != nil {
+		fs.failed++
 		return err
 	}
 	fs.doneTxID = id

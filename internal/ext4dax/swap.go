@@ -255,6 +255,23 @@ func (fs *FS) CommitUpTo(txid uint64) error {
 	return nil
 }
 
+// Idle reports whether nothing noted waits for a commit: no transaction
+// runs and no batch handle is open that could start one. A commit that
+// failed leaves K-Split idle too, having consumed its transaction
+// (CommitFailures tells).
+func (fs *FS) Idle() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.tx == nil && fs.txHold == 0
+}
+
+// CommitFailures counts the commits that failed since Mkfs or Mount.
+func (fs *FS) CommitFailures() uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.failed
+}
+
 // DoneTxID reports the highest committed transaction id (tests and
 // harness instrumentation).
 func (fs *FS) DoneTxID() uint64 {

@@ -129,11 +129,13 @@ func New(dev *pmem.Device, start, nblk int64) *Journal {
 	}
 	j := &Journal{dev: dev, start: start, nblk: nblk}
 	// Generations count on from any record an earlier journal left here,
-	// so that in Load it loses to this one's.
+	// so that in Load it loses to this one's; and so does the sequence,
+	// past the earlier journal's live or retired entry at block 1 (at most
+	// old.seq), which Load would otherwise replay over newer homes.
 	slots := make([]byte, 2*superSize)
 	dev.Peek(slots, start)
 	old, _ := readSuper(slots)
-	j.super = super{gen: old.gen, seq: 1}
+	j.super = super{gen: old.gen, seq: old.seq + 1}
 	j.writeSuper()
 	return j
 }

@@ -275,3 +275,29 @@ func TestNoteAfterCommitPanics(t *testing.T) {
 	}()
 	tx.Note(metaBase, 1)
 }
+
+// TestNewOverAnEarlierJournal: a journal formatted over an earlier one
+// must not replay that journal's retired entry. The earlier journal's last
+// transaction is still at block 1, whole and summed; had the new journal
+// restarted its sequence where that entry's sits, Load would take it for
+// the live one and copy its image over the home, undoing whatever was
+// stored there since.
+func TestNewOverAnEarlierJournal(t *testing.T) {
+	dev, j := testEnv(t)
+	tx := j.Begin()
+	dev.Store(metaBase, []byte("committed"), sim.CatPMMeta)
+	tx.Note(metaBase, 9)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	dev.Persist(metaBase, []byte("overwrite"), sim.CatPMMeta)
+	New(dev, 0, 64)
+	if _, replayed, err := Load(dev, 0, 64); err != nil || replayed != 0 {
+		t.Fatalf("Load after New over an earlier journal: %d replayed, %v; want 0, nil", replayed, err)
+	}
+	got := make([]byte, 9)
+	dev.ReadAt(got, metaBase, sim.CatPMMeta)
+	if string(got) != "overwrite" {
+		t.Fatalf("home holds %q after Load, want %q: the earlier journal's entry was replayed", got, "overwrite")
+	}
+}

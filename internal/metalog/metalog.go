@@ -15,6 +15,13 @@
 // over the payload and sequence number, so torn writes (partially
 // persisted lines after a crash) are detected and treated as the end of
 // the log — the same trick SplitFS uses to need only one fence.
+//
+// A log is zeroed at New and Reset. In between, Rewind may start the next
+// lap at the first slot over the records of the last one: the sequence
+// counts on across laps, so every record an earlier lap left past the new
+// lap's end carries a lower number than the one the scan expects there,
+// and ends it (jbd2's rule: sequence numbers, not zeroed space, end the
+// replay).
 package metalog
 
 import (
@@ -22,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
@@ -63,6 +71,12 @@ type Log struct {
 
 	tail int64 // next append offset, relative to start (DRAM-only)
 	seq  uint32
+	// lap is the sequence number of the current lap's first record.
+	lap uint32
+	// long is set while the region may hold a record longer than a cache
+	// line — Append wrote one since the region was last zeroed, or Load
+	// found the region as someone else left it — and keeps Rewind out.
+	long bool
 
 	// rec is Append's record image, reused by every append (callers
 	// serialize appends, as tail and seq need). The log owns it because
@@ -76,7 +90,7 @@ type Log struct {
 // identify the end of the log: the first record slot with a zero length
 // terminates the scan.
 func New(dev *pmem.Device, start, size int64, cat sim.Category) *Log {
-	l := &Log{dev: dev, start: start, size: size, cat: cat, tail: tailSlot, seq: 1}
+	l := &Log{dev: dev, start: start, size: size, cat: cat, tail: tailSlot, seq: 1, lap: 1}
 	l.zeroRegion()
 	return l
 }
@@ -95,8 +109,10 @@ var zeroBlock [sim.BlockSize]byte
 
 // Load scans an existing log region and returns the log (positioned after
 // the last valid record) plus every valid record payload in order.
-// Scanning stops at the first zero-length slot or checksum mismatch
-// (a torn record).
+// Scanning starts at the first slot's sequence number and stops at the
+// first zero-length slot, checksum mismatch (a torn record) or break in
+// the sequence (a record of an earlier lap). The log it returns does not
+// rewind before a Reset: it cannot tell what lies past its tail.
 func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte) {
 	var records [][]byte
 	l, _ := Scan(dev, start, size, cat, func(payload []byte) error {
@@ -107,10 +123,11 @@ func Load(dev *pmem.Device, start, size int64, cat sim.Category) (*Log, [][]byte
 }
 
 // Scan is Load for a log too large to hold: it hands every valid record
-// payload to fn in order, in a buffer the next record reuses, and keeps
-// none. An error from fn ends the scan and is returned with a nil log.
+// payload of the lap the first slot starts to fn in order, in a buffer the
+// next record reuses, and keeps none. An error from fn ends the scan and
+// is returned with a nil log.
 func Scan(dev *pmem.Device, start, size int64, cat sim.Category, fn func(payload []byte) error) (*Log, error) {
-	l := &Log{dev: dev, start: start, size: size, cat: cat, tail: tailSlot, seq: 1}
+	l := &Log{dev: dev, start: start, size: size, cat: cat, tail: tailSlot, seq: 1, lap: 1, long: true}
 	hdr := make([]byte, headerSize)
 	var payload []byte
 	for l.tail+headerSize <= size {
@@ -122,7 +139,9 @@ func Scan(dev *pmem.Device, start, size int64, cat sim.Category, fn func(payload
 		seq := binary.LittleEndian.Uint32(hdr[4:8])
 		sum := binary.LittleEndian.Uint32(hdr[8:12])
 		recLen := RecordLen(int(length))
-		if l.tail+recLen > size || seq != l.seq {
+		// The first record's sequence number starts the lap; after it, a
+		// record of an earlier lap carries a lower one.
+		if l.tail+recLen > size || l.tail > tailSlot && seq != l.seq {
 			break
 		}
 		if uint32(cap(payload)) < length {
@@ -136,8 +155,11 @@ func Scan(dev *pmem.Device, start, size int64, cat sim.Category, fn func(payload
 		if err := fn(payload); err != nil {
 			return nil, err
 		}
+		if l.tail == tailSlot {
+			l.lap = seq
+		}
 		l.tail += recLen
-		l.seq++
+		l.seq = seq + 1
 	}
 	return l, nil
 }
@@ -163,6 +185,7 @@ func (l *Log) Append(payload []byte, mode FenceMode) error {
 	if l.tail+recLen > l.size {
 		return ErrFull
 	}
+	l.long = l.long || recLen > sim.CacheLine
 	if int64(cap(l.rec)) < recLen {
 		l.rec = make([]byte, recLen)
 	}
@@ -202,7 +225,29 @@ func (l *Log) Fence() { l.dev.Fence() }
 func (l *Log) Reset() {
 	l.zeroRegion()
 	l.tail = tailSlot
-	l.seq = 1
+	l.seq, l.lap = 1, 1
+	l.long = false
+}
+
+// Rewind starts the next lap at the first slot without zeroing: the
+// caller no longer needs any record on the log. The records stay where
+// they are and the sequence counts on, so Scan, which starts at the first
+// slot's number, stops at the first record past the next lap's end: its
+// number is lower than the one expected there. It refuses — reports false, and changes nothing
+// — while the region may hold a record longer than a cache line: a scan
+// that ended inside one would read payload bytes, which a caller may have
+// chosen, as a record header. A lap that could carry the sequence past
+// 2^32 zeroes the region instead (Reset).
+func (l *Log) Rewind() bool {
+	switch {
+	case l.long:
+		return false
+	case uint64(l.seq)+uint64(l.size/sim.CacheLine) > math.MaxUint32:
+		l.Reset()
+	default:
+		l.tail, l.lap = tailSlot, l.seq
+	}
+	return true
 }
 
 // Used returns the bytes consumed by records.
@@ -211,8 +256,9 @@ func (l *Log) Used() int64 { return l.tail - tailSlot }
 // Capacity returns the total record capacity in bytes.
 func (l *Log) Capacity() int64 { return l.size - tailSlot }
 
-// Entries returns the number of records appended since New/Load/Reset.
-func (l *Log) Entries() int { return int(l.seq - 1) }
+// Entries returns the number of records on the current lap: appended
+// since New, Reset or Rewind, or found by Load.
+func (l *Log) Entries() int { return int(l.seq - l.lap) }
 
 // Checksum is a record's checksum: CRC-32C over the payload, seeded with
 // the record's sequence number. Zero is reserved for "unwritten", so it

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -425,5 +426,134 @@ func TestChecksumNeverZero(t *testing.T) {
 	}
 	if Checksum(1, []byte("x")) == Checksum(2, []byte("x")) {
 		t.Fatal("a record's sequence number does not reach its checksum")
+	}
+}
+
+// appendAll appends each record with one fence.
+func appendAll(t testing.TB, l *Log, recs ...string) {
+	t.Helper()
+	for _, r := range recs {
+		if err := l.Append([]byte(r), SingleFence); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// loaded is what Load finds in the region, as strings.
+func loaded(dev *pmem.Device, size int64) []string {
+	_, got := Load(dev, 0, size, sim.CatOpLog)
+	out := make([]string, len(got))
+	for i, r := range got {
+		out[i] = string(r)
+	}
+	return out
+}
+
+// TestRewindEndsTheScanAtAnEarlierLap: laps that shrink leave the records
+// of longer ones past their end; each carries a lower sequence number
+// than the scan expects there, so Load returns the last lap alone, and the
+// log it returns continues it.
+func TestRewindEndsTheScanAtAnEarlierLap(t *testing.T) {
+	const size = 4 * sim.BlockSize
+	dev, l := newLog(t, size)
+	laps := [][]string{{"a1", "a2", "a3", "a4", "a5"}, {"b1", "b2", "b3"}, {"c1"}}
+	for i, lap := range laps {
+		if i > 0 && !l.Rewind() {
+			t.Fatalf("lap %d: Rewind refused a log of one-line records", i)
+		}
+		appendAll(t, l, lap...)
+		if l.Entries() != len(lap) || l.Used() != int64(len(lap))*sim.CacheLine {
+			t.Fatalf("lap %d: %d entries in %d bytes, want %d in %d", i, l.Entries(), l.Used(), len(lap), len(lap)*sim.CacheLine)
+		}
+		if got := loaded(dev, size); !slices.Equal(got, lap) {
+			t.Fatalf("lap %d: Load = %q, want %q", i, got, lap)
+		}
+	}
+	l2, _ := Load(dev, 0, size, sim.CatOpLog)
+	appendAll(t, l2, "c2")
+	if got, want := loaded(dev, size), []string{"c1", "c2"}; !slices.Equal(got, want) {
+		t.Fatalf("after an append to the loaded log: Load = %q, want %q", got, want)
+	}
+}
+
+// TestRewindRefusesAfterALongRecord: once a record longer than a line is
+// in the region, a rewound scan could stop inside it and read its payload
+// as a header, so Rewind refuses until Reset zeroes the region; a loaded
+// log cannot tell, and refuses too.
+func TestRewindRefusesAfterALongRecord(t *testing.T) {
+	const size = 4 * sim.BlockSize
+	dev, l := newLog(t, size)
+	appendAll(t, l, "short", strings.Repeat("long", 20), "short")
+	if l.Rewind() {
+		t.Fatal("Rewind took a region that holds a two-line record")
+	}
+	if l.Entries() != 3 || l.Used() != 4*sim.CacheLine {
+		t.Fatalf("a refused Rewind moved the log: %d entries in %d bytes", l.Entries(), l.Used())
+	}
+	if l2, _ := Load(dev, 0, size, sim.CatOpLog); l2.Rewind() {
+		t.Fatal("Rewind took a loaded log")
+	}
+	l.Reset()
+	appendAll(t, l, "short")
+	if !l.Rewind() {
+		t.Fatal("Rewind refused a region zeroed since its long record")
+	}
+}
+
+// TestRewindNeverWrapsTheSequence: a record an early lap left at slot j is
+// revived by a lap whose scan expects its sequence number at j — which a
+// sequence that wrapped past 2^32 brings back. A Rewind that could wrap
+// zeroes the region instead.
+func TestRewindNeverWrapsTheSequence(t *testing.T) {
+	const size = 4 * sim.BlockSize
+	dev, l := newLog(t, size)
+	appendAll(t, l, "stale1", "stale2", "stale3", "stale4", "stale5")
+	l.seq, l.lap = math.MaxUint32, math.MaxUint32 // as if 2^32 records of one-record laps had gone by since
+	for _, r := range []string{"a", "b", "c"} {
+		if !l.Rewind() {
+			t.Fatal("Rewind refused a log of one-line records")
+		}
+		appendAll(t, l, r)
+	}
+	if got, want := loaded(dev, size), []string{"c"}; !slices.Equal(got, want) {
+		t.Fatalf("Load = %q, want %q: a lap that wrapped the sequence revived an earlier lap's records", got, want)
+	}
+}
+
+// TestRewoundLogCrashAtEveryEvent crashes the appends of a lap that
+// rewound over a longer one at every persistence event, unfenced lines
+// reverting whole and torn word by word. Load finds a prefix of the new
+// lap, or — while its first record is not there yet — the old lap whole:
+// never one of the old lap's records after a new one.
+func TestRewoundLogCrashAtEveryEvent(t *testing.T) {
+	const size = 4 * sim.BlockSize
+	old, lap := []string{"a1", "a2", "a3", "a4", "a5", "a6"}, []string{"b1", "b2", "b3"}
+	run := func(arm func(*pmem.Device)) (dev *pmem.Device, start, end int64) {
+		dev, l := newLog(t, size)
+		appendAll(t, l, old...)
+		if !l.Rewind() {
+			t.Fatal("Rewind refused a log of one-line records")
+		}
+		start = dev.Events()
+		arm(dev)
+		appendAll(t, l, lap...)
+		return dev, start, dev.Events()
+	}
+	_, start, end := run(func(*pmem.Device) {})
+	for k := start + 1; k <= end; k++ {
+		for tear := range uint64(8) {
+			var rng *sim.RNG // nil: every unfenced line reverts whole
+			if tear > 0 {
+				rng = sim.NewRNG(uint64(k)<<8 | tear)
+			}
+			dev, _, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, rng) })
+			if err := dev.Crash(nil); err != nil {
+				t.Fatal(err)
+			}
+			got := loaded(dev, size)
+			if !slices.Equal(got, old) && (len(got) > len(lap) || !slices.Equal(got, lap[:len(got)])) {
+				t.Fatalf("crash at event %d, tear %d: Load = %q, want a prefix of %q or all of %q", k, tear, got, lap, old)
+			}
+		}
 	}
 }

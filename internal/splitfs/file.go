@@ -657,7 +657,11 @@ func (f *File) Sync() error {
 		return vfs.ErrClosed
 	}
 	fs.bookkeep()
-	return fs.syncFiles(f.of)
+	if err := fs.syncFiles(f.of); err != nil {
+		return err
+	}
+	fs.rewindLog()
+	return nil
 }
 
 // Close decrements the shared description; staged data is relinked when

@@ -149,7 +149,11 @@ func (fs *FS) SyncAll() error {
 // commits nothing: hence the CommitMeta, which is free when syncFiles'
 // commit left nothing behind. Zeroing a log whose operations are not yet
 // in the journal loses acknowledged operations at the next crash.
+//
+// A commit that fails while the checkpoint runs keeps the log from
+// rewinding until the next one: what it consumed may be on the log alone.
 func (fs *FS) checkpoint() error {
+	failures := fs.kfs.CommitFailures()
 	if fs.mode == Strict {
 		if err := fs.syncFiles(fs.openFiles()...); err != nil {
 			return err
@@ -159,6 +163,56 @@ func (fs *FS) checkpoint() error {
 		return err
 	}
 	fs.olog.Reset()
+	fs.zeroedFailures = failures
 	fs.stats.checkpoints.Add(1)
 	return nil
+}
+
+// rewindLog starts the op log's next lap at its first slot when every
+// record on it is covered: K-Split holds what each describes, committed,
+// so recovery would skip it. A log that fsyncs keep covering then backs
+// one lap's frames, not its region, and never fills (DESIGN.md, "A
+// covered log rewinds"). File.Sync calls it once its relinks have
+// committed; wmu keeps every appender out. (The log-full checkpoint
+// already holds wmu, so syncFiles cannot take it.)
+//
+// Covered means: no transaction runs and no batch handle is open, so every
+// metadata operation logged so far has committed; no commit has failed
+// since the log was last zeroed, since a failed one consumed its
+// transaction and popped the overlays it relinked, leaving those writes
+// on the log alone (relinkAndCommit); and in strict mode no open file
+// holds staged data, whose write entries are the data's only record. The
+// failure count is read last, so it catches a concurrent fsync whose
+// commit failed while the other checks ran: its overlay popped, K-Split
+// idle.
+func (fs *FS) rewindLog() {
+	if fs.olog == nil {
+		return
+	}
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
+	if fs.olog.Used() == 0 || fs.mode == Strict && fs.anyStaged() ||
+		!fs.kfs.Idle() || fs.kfs.CommitFailures() != fs.zeroedFailures {
+		return
+	}
+	if fs.olog.Rewind() {
+		fs.stats.rewinds.Add(1)
+	}
+}
+
+// anyStaged reports whether an open file holds staged data, walking the
+// open-file table in place. A description out of the table — its file
+// unlinked or renamed over — holds data no path reaches after a crash.
+func (fs *FS) anyStaged() bool {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	for _, of := range fs.files {
+		of.mu.RLock()
+		staged := len(of.staged) > 0
+		of.mu.RUnlock()
+		if staged {
+			return true
+		}
+	}
+	return false
 }

@@ -18,7 +18,8 @@ import (
 //     validating needs ONE fence (metalog.SingleFence), versus NOVA's two;
 //   - the tail lives only in DRAM and is advanced with compare-and-swap
 //     (charged as CASNs); recovery identifies valid entries by scanning
-//     the zeroed log and checking checksums;
+//     the log from its first slot and checking checksums and sequence
+//     numbers;
 //   - entries hold a logical pointer to the staging file holding the
 //     data, never the data itself; the data is fenced before its entry is
 //     stored, so a staged write costs a second fence and no checksum over
@@ -26,7 +27,12 @@ import (
 //   - when the log cannot take an operation's entries, U-Split
 //     checkpoints — commits K-Split's running transaction (in strict mode
 //     after relinking every open file), then zeroes and reuses the log —
-//     before the operation stages anything.
+//     before the operation stages anything;
+//   - beyond the paper, a log whose every record is covered — K-Split
+//     holds what each describes, committed — rewinds to its first slot
+//     after an fsync, without zeroing (rewindLog): the sequence numbers
+//     end the scan at the last lap's end, so the log backs one lap's
+//     frames, not its region, and fsyncing workloads never fill it.
 //
 // Strict mode logs every mutating operation. Sync mode logs metadata
 // operations only, which is what makes them synchronous without a journal

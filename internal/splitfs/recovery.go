@@ -39,6 +39,7 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	report := &RecoveryReport{}
 
 	if fs.mode != POSIX {
+		fs.zeroedFailures = kfs.CommitFailures()
 		start := fs.clk.Now()
 		replay := fs.newLogReplay(report)
 		olog, err := loadOpLog(fs, replay.entry)

@@ -129,6 +129,7 @@ type Stats struct {
 	CopiedBytes  int64 // unaligned bytes copied through the kernel at fsync
 	LogEntries   int64
 	Checkpoints  int64 // op-log checkpoints
+	Rewinds      int64 // op-log laps a covered log ended (rewindLog)
 	MmapHits     int64
 	MmapMisses   int64
 }
@@ -145,6 +146,7 @@ type fsStats struct {
 	copiedBytes  atomic.Int64
 	logEntries   atomic.Int64
 	checkpoints  atomic.Int64
+	rewinds      atomic.Int64
 	mmapHits     atomic.Int64
 	mmapMisses   atomic.Int64
 }
@@ -201,6 +203,11 @@ type FS struct {
 	unlockLog func()
 	// metaBuf is logMeta's record encoding; guarded by wmu.
 	metaBuf []byte
+	// zeroedFailures is K-Split's CommitFailures when the op log was last
+	// zeroed; guarded by wmu. A commit that failed since may have taken
+	// the only copy of what a record describes, so the log does not
+	// rewind until a checkpoint zeroes it again (rewindLog).
+	zeroedFailures uint64
 
 	// Open-file table, and the retired descriptions the next opens take
 	// (recycle, newOfile).
@@ -341,6 +348,7 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("splitfs: staging pool: %w", err)
 	}
 	if fs.mode != POSIX {
+		fs.zeroedFailures = kfs.CommitFailures()
 		fs.olog, err = newOpLog(fs)
 		if err != nil {
 			return nil, fmt.Errorf("splitfs: operation log: %w", err)
@@ -379,6 +387,7 @@ func (fs *FS) Stats() Stats {
 		CopiedBytes:  fs.stats.copiedBytes.Load(),
 		LogEntries:   fs.stats.logEntries.Load(),
 		Checkpoints:  fs.stats.checkpoints.Load(),
+		Rewinds:      fs.stats.rewinds.Load(),
 		MmapHits:     fs.stats.mmapHits.Load(),
 		MmapMisses:   fs.stats.mmapMisses.Load(),
 	}

@@ -241,12 +241,21 @@ func TestStrictAppendDurableWithoutFsync(t *testing.T) {
 	}
 }
 
+// TestStrictRecoverySkipsRelinkedEntries: a relinked write's entry that
+// stays on the log is skipped by recovery, beside one that is replayed.
+// The entry stays because a second open file holds staged data when /done
+// is fsynced: the log is not covered, so it does not rewind.
 func TestStrictRecoverySkipsRelinkedEntries(t *testing.T) {
 	dev, fs := newEnv(t, Strict)
 	f, _ := vfs.Create(fs, "/done")
+	g, _ := vfs.Create(fs, "/other")
+	g.Write([]byte("staged"))
 	f.Write(bytes.Repeat([]byte("d"), sim.BlockSize))
 	f.Sync()                   // relinked; log entry remains but staging range is punched
 	f.Write([]byte("pending")) // logged, not relinked
+	if got := fs.Stats().Rewinds; got != 0 {
+		t.Fatalf("the log rewound %d times while /other held staged data", got)
+	}
 	if err := dev.Crash(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +278,9 @@ func TestStrictRecoverySkipsRelinkedEntries(t *testing.T) {
 	want := append(bytes.Repeat([]byte("d"), sim.BlockSize), []byte("pending")...)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("content after recovery: %d bytes, tail %q", len(got), got[len(got)-7:])
+	}
+	if got, err := vfs.ReadFile(fs2, "/other"); err != nil || string(got) != "staged" {
+		t.Fatalf("/other after recovery = %q, %v; want %q", got, err, "staged")
 	}
 }
 
