@@ -180,10 +180,13 @@ func BenchmarkRelinkFragmented(b *testing.B) {
 					}
 					b.StartTimer()
 				}
-				batch := kfs.BeginBatch()
-				err := batch.Relink(dst.(*ext4dax.File), 0, []ext4dax.Move{{Src: src.(*ext4dax.File),
-					SrcOff: i % srcBlocks * sim.BlockSize, DstOff: 2 * (i * 7 % n) * sim.BlockSize, Len: sim.BlockSize}})
+				moves := []ext4dax.Move{{Src: src.(*ext4dax.File),
+					SrcOff: i % srcBlocks * sim.BlockSize, DstOff: 2 * (i * 7 % n) * sim.BlockSize, Len: sim.BlockSize}}
+				batch, err := kfs.BeginRelink(dst.(*ext4dax.File), moves)
 				if err != nil {
+					b.Fatal(err)
+				}
+				if err := batch.Relink(dst.(*ext4dax.File), 0, moves); err != nil {
 					b.Fatal(err)
 				}
 				batch.End()

@@ -43,9 +43,7 @@ func TestBatchBlocksThresholdCommit(t *testing.T) {
 		t.Fatalf("threshold commit fired inside an open batch: %d commits", got-base)
 	}
 	batch.End()
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	if got := fs.Stats().Commits; got != base+1 {
 		t.Fatalf("commit after Batch.End: %d commits, want 1", got-base)
 	}
@@ -85,9 +83,7 @@ func TestCommitMetaWaitsForBatch(t *testing.T) {
 	batch := fs.BeginBatch()
 	done := make(chan struct{})
 	go func() {
-		if err := fs.CommitMeta(); err != nil {
-			t.Error(err)
-		}
+		fs.CommitMeta()
 		close(done)
 	}()
 	select {
@@ -108,6 +104,35 @@ func relink1(b *Batch, src, dst *File, srcOff, dstOff, n, newDstSize int64) erro
 	return b.Relink(dst, newDstSize, []Move{{Src: src, SrcOff: srcOff, DstOff: dstOff, Len: n}})
 }
 
+// Relink is the kernel half of the paper's relink primitive as one call
+// of one move: it logically and atomically moves [srcOff, srcOff+n) of
+// src to [dstOff, dstOff+n) of dst without copying data, extends dst to
+// newDstSize if that is larger, and commits. The commit makes the move
+// atomic; a crash before it leaves both files untouched.
+func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
+	moves := []Move{{Src: src, SrcOff: srcOff, DstOff: dstOff, Len: n}}
+	b, err := fs.BeginRelink(dst, moves)
+	if err != nil {
+		return err
+	}
+	err = b.Relink(dst, newDstSize, moves)
+	txid := b.End()
+	if err == nil {
+		fs.CommitUpTo(txid)
+	}
+	return err
+}
+
+// beginRelink opens a relink batch into dst for moves.
+func beginRelink(t testing.TB, fs *FS, dst *File, moves ...Move) *Batch {
+	t.Helper()
+	b, err := fs.BeginRelink(dst, moves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestBatchWritesEachInodeOnce: however many relink steps a batch makes
 // between two files, and with the watermark riding along, End writes the
 // source inode and the target inode back once each.
@@ -118,12 +143,14 @@ func TestBatchWritesEachInodeOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst, _ := vfs.Create(fs, "/dst")
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	clk := fs.Device().Clock()
 	cpu := clk.Category(sim.CatCPU)
-	batch := fs.BeginBatch()
+	var moves []Move
+	for _, blk := range []int64{0, 2, 5} {
+		moves = append(moves, Move{Src: src.(*File), SrcOff: blk * sim.BlockSize, DstOff: blk * sim.BlockSize, Len: sim.BlockSize})
+	}
+	batch := beginRelink(t, fs, dst.(*File), moves...)
 	for _, blk := range []int64{0, 2, 5} {
 		if err := relink1(batch, src.(*File), dst.(*File), blk*sim.BlockSize, blk*sim.BlockSize,
 			sim.BlockSize, 6*sim.BlockSize); err != nil {
@@ -142,9 +169,7 @@ func TestBatchWritesEachInodeOnce(t *testing.T) {
 		t.Fatalf("batch close charged %d ns of inode write-back, want one per inode (%d)",
 			got, 2*perInode)
 	}
-	if err := fs.CommitUpTo(txid); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitUpTo(txid)
 	// What End wrote is what a remount reads.
 	fs2, _, err := Mount(fs.Device(), Config{})
 	if err != nil {

@@ -69,7 +69,7 @@ func TestCheckCatches(t *testing.T) {
 	if err := src.(*File).Preallocate(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	batch := fs.BeginBatch()
+	batch := beginRelink(t, fs, b, Move{Src: src.(*File), Len: sim.BlockSize})
 	if err := relink1(batch, src.(*File), b, 0, 0, sim.BlockSize, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,7 @@ func TestDirectoryRenameMovesDotDot(t *testing.T) {
 		t.Fatal(err)
 	}
 	links(fs, "after the rename", 2, 3)
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	if err := dev.Crash(sim.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,9 @@ func (fs *FS) extendDir(dir *inode, need int64) (int64, error) {
 	}
 	// Grow the directory file if the tail is past the allocated blocks.
 	for dir.tailOff+need > dir.blocks*sim.BlockSize {
+		if fs.bBmp.FreeCount()-fs.leafRes-newLeaves(dir, 1) < 1 { // the leaf the record may need comes first
+			return 0, vfs.ErrNoSpace
+		}
 		e, dirty, err := fs.bBmp.AllocExtent(1)
 		if err != nil {
 			return 0, err

@@ -51,9 +51,7 @@ func relinkOver(t *testing.T, fs *FS, src, dst *File) int64 {
 
 func commit(t *testing.T, fs *FS) {
 	t.Helper()
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 }
 
 // A block that a relink freed, and that is allocated again and written
@@ -141,18 +139,14 @@ func TestDiscardWaitsForRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := relinkOver(t, fs, src, dst)
-	done := make(chan error)
+	done := make(chan struct{})
 	go func() {
-		err := fs.CommitMeta() // nothing runs
-		if err == nil {
-			src.SetUserWatermark(7) // a metadata update that allocates nothing
-			err = fs.CommitMeta()
-		}
-		done <- err
+		fs.CommitMeta()              // nothing runs
+		src.SetUserWatermark(nil, 7) // a metadata update that allocates nothing
+		fs.CommitMeta()
+		close(done)
 	}()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	<-done
 	page := make([]byte, sim.BlockSize)
 	if m.Load(page, 0); !bytes.Equal(page, bytes.Repeat([]byte{0xaa}, sim.BlockSize)) {
 		t.Fatalf("before its Remap the mapping reads %#x..., want the old %#x", page[0], 0xaa)
@@ -239,12 +233,9 @@ func TestLoadRacesRemapAndCommits(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				src.SetUserWatermark(i)
+				src.SetUserWatermark(nil, i)
 			}
-			if err := fs.CommitMeta(); err != nil {
-				t.Error(err)
-				return
-			}
+			fs.CommitMeta()
 		}
 	}()
 

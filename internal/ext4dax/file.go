@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"splitfs/internal/alloc"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -79,7 +80,7 @@ func (f *File) Read(p []byte) (int, error) {
 func (f *File) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n, end, err := f.writeAt(p, f.pos, f.flag&vfs.O_APPEND != 0)
+	n, end, err := f.writeAt(nil, p, f.pos, f.flag&vfs.O_APPEND != 0)
 	f.pos = end
 	return n, err
 }
@@ -180,14 +181,17 @@ func (fs *FS) readLocked(in *inode, p []byte, off int64) (int, error) {
 // allocated blocks take the allocating write path: block allocation,
 // extent tree update, journal handle, and new-block zeroing — the
 // software overhead the paper measures in Table 1.
-func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	n, _, err := f.writeAt(p, off, false)
+func (f *File) WriteAt(p []byte, off int64) (int, error) { return f.WriteAtIn(nil, p, off) }
+
+// WriteAtIn is WriteAt under batch b, if not nil.
+func (f *File) WriteAtIn(b *Batch, p []byte, off int64) (int, error) {
+	n, _, err := f.writeAt(b, p, off, false)
 	return n, err
 }
 
 // writeAt performs the write, resolving atEOF to the current size under
 // the locks, and returns the end offset for handle-position updates.
-func (f *File) writeAt(p []byte, off int64, atEOF bool) (int, int64, error) {
+func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, error) {
 	fs := f.fs
 	if f.closed.Load() {
 		return 0, off, vfs.ErrClosed
@@ -200,33 +204,50 @@ func (f *File) writeAt(p []byte, off int64, atEOF bool) (int, int64, error) {
 	fs.stats.dataWrites.Add(1)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.stale() {
-		return 0, off, vfs.ErrClosed
+	// A write that stops short restarts its handle, as jbd2 does, and
+	// goes on from there (writeLocked).
+	var n int
+	for {
+		if _, err := fs.start(b, func() int { // before the handle check: it may wait
+			if atEOF && n == 0 {
+				off = f.in.size
+			}
+			return writeCredit(f.in, off+int64(n), off+int64(len(p)))
+		}); err != nil {
+			return n, off + int64(n), err
+		}
+		if f.stale() {
+			return n, off + int64(n), vfs.ErrClosed
+		}
+		f.in.mu.Lock()
+		if atEOF && n == 0 {
+			off = f.in.size
+		}
+		k, err := fs.writeLocked(b, f.in, p[n:], off+int64(n))
+		f.in.mu.Unlock()
+		if n += k; err != nil || n == len(p) {
+			fs.maybeCommit()
+			return n, off + int64(n), err
+		}
 	}
-	f.in.mu.Lock()
-	if atEOF {
-		off = f.in.size
-	}
-	n, err := fs.writeLocked(f.in, p, off)
-	f.in.mu.Unlock()
-	fs.maybeCommit()
-	return n, off + int64(n), err
 }
 
-// writeLocked performs the write. Caller holds fs.mu and in.mu. Data
-// stores are non-temporal and deliberately unfenced: like ext4-DAX,
-// write() data becomes durable only at fsync (or a journal commit),
-// which fences.
-func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
+// writeLocked performs the write under batch b, or when b is nil as a
+// handle of its own, which stops short, with no error, before an
+// allocation that does not fit beside what it has dirtied. Caller holds
+// fs.mu and in.mu. Data stores are non-temporal and deliberately
+// unfenced: like ext4-DAX, write() data becomes durable only at fsync (or
+// a journal commit), which fences.
+func (fs *FS) writeLocked(b *Batch, in *inode, p []byte, off int64) (int, error) {
 	if off < 0 || off > MaxFileSize-int64(len(p)) {
 		return 0, vfs.ErrInval
 	}
 	if len(p) == 0 {
 		return 0, nil
 	}
-	end := off + int64(len(p))
 	allocated := false
 	n := 0
+	var err error
 	for n < len(p) {
 		cur := off + int64(n)
 		logical := cur / sim.BlockSize
@@ -234,6 +255,9 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 		devOff, contig, ok := translate(fs, in, logical)
 		if !ok {
 			// Allocating write: fill the hole / extend the file.
+			if c, _ := inodeCredit(in, off/sim.BlockSize, 1); b == nil && allocated && !fs.fits(c) {
+				break
+			}
 			if !allocated {
 				// Charged once per call, like one journal handle and
 				// unwritten-extent conversion per write syscall.
@@ -241,18 +265,25 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 				fs.clk.Charge(sim.CatCPU, sim.Ext4AllocWritePathNs)
 				allocated = true
 			}
-			needBlocks := (end-cur+inBlk+sim.BlockSize-1)/sim.BlockSize - 0
+			needBlocks := (int64(len(p)-n)+inBlk+sim.BlockSize-1)/sim.BlockSize - 0
 			// Bound the request to the hole: find the next mapped block.
 			holeLen := in.extents.NextMapped(logical) - logical
 			if holeLen > 0 && needBlocks > holeLen {
 				needBlocks = holeLen
 			}
-			e, dirty, err := fs.bBmp.AllocExtent(needBlocks)
+			// The leaf the record may need comes first.
+			needBlocks = min(needBlocks, fs.bBmp.FreeCount()-fs.leafRes-newLeaves(in, 1))
+			var (
+				e     alloc.Extent
+				dirty alloc.ByteRange
+			)
+			if needBlocks < 1 {
+				err = vfs.ErrNoSpace
+			} else {
+				e, dirty, err = fs.bBmp.AllocExtent(needBlocks)
+			}
 			if err != nil {
-				if n > 0 {
-					return n, nil
-				}
-				return 0, err
+				break
 			}
 			fs.note(dirty.Off, dirty.Len)
 			in.extents.Insert(logical, e)
@@ -263,7 +294,7 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 			if inBlk > 0 {
 				fs.dev.StoreNT(newDev, make([]byte, inBlk), sim.CatPMData)
 			}
-			lastByte := min(end, (logical+e.Len)*sim.BlockSize)
+			lastByte := min(off+int64(len(p)), (logical+e.Len)*sim.BlockSize)
 			if tail := (logical+e.Len)*sim.BlockSize - lastByte; tail > 0 {
 				fs.dev.StoreNT(newDev+e.Len*sim.BlockSize-tail,
 					make([]byte, tail), sim.CatPMData)
@@ -277,7 +308,8 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 		fs.dev.StoreNT(devOff+inBlk, p[n:n+int(span)], sim.CatPMData)
 		n += int(span)
 	}
-	grew := end > in.size
+	end := off + int64(n)
+	grew := n > 0 && end > in.size
 	if grew {
 		in.size = end
 	}
@@ -286,14 +318,18 @@ func (fs *FS) writeLocked(in *inode, p []byte, off int64) (int, error) {
 	if allocated || grew {
 		fs.writeInode(in)
 	}
-	return n, nil
+	return n, err
 }
 
 // Truncate implements ftruncate(2).
-func (f *File) Truncate(size int64) error {
+func (f *File) Truncate(size int64) error { return f.TruncateIn(nil, size) }
+
+// TruncateIn is Truncate under batch b, if not nil.
+func (f *File) TruncateIn(b *Batch, size int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.admit(b, truncateCredit) // before the handle check: it may wait
 	if f.stale() {
 		return vfs.ErrClosed
 	}
@@ -360,9 +396,7 @@ func (f *File) Sync() error {
 	fs.trap()
 	fs.clk.Charge(sim.CatCPU, sim.Ext4FsyncNs)
 	fs.awaitCommittable()
-	if err := fs.commitTx(); err != nil {
-		return err
-	}
+	fs.commitTx()
 	fs.dev.Fence()
 	return nil
 }
@@ -422,9 +456,33 @@ func (f *File) Preallocate(count, align int64) error {
 		return vfs.ErrInval
 	}
 	fs.trap()
-	exts, dirties, err := fs.bBmp.AllocAligned(count, align)
-	if err != nil {
-		return err
+	// The blocks come first, for an exact credit; blocks whose credit or
+	// leaves do not fit go back, before a commit or the failure.
+	var (
+		exts    []alloc.Extent
+		dirties []alloc.ByteRange
+		err     error
+	)
+	for {
+		if exts, dirties, err = fs.bBmp.AllocAligned(count, align); err != nil {
+			return err
+		}
+		c, leaves := inodeCredit(f.in, MaxFileBlocks, int64(len(exts)))
+		room := fs.bBmp.FreeCount()-fs.leafRes >= leaves
+		if room && fs.fits(c) {
+			break
+		}
+		for _, e := range exts {
+			fs.bBmp.Free(e)
+		}
+		if !room {
+			return vfs.ErrNoSpace
+		}
+		if _, err := fs.start(nil, func() int { return c }); err != nil {
+			return err
+		} else if f.stale() { // start may have waited
+			return vfs.ErrClosed
+		}
 	}
 	f.in.mu.Lock()
 	defer f.in.mu.Unlock()

@@ -22,8 +22,8 @@ type Config struct {
 	// MaxInodes bounds the inode table (default 4096).
 	MaxInodes int64
 	// TxCommitThreshold commits the running transaction once it has noted
-	// this many ranges, emulating jbd2's transaction-size trigger
-	// (default 128).
+	// this many ranges, emulating jbd2's transaction-size trigger (default
+	// 128): the second trigger, beside journal credits (start).
 	TxCommitThreshold int
 }
 
@@ -100,9 +100,11 @@ type FS struct {
 	txID     uint64
 	nextTxID uint64
 	doneTxID uint64
-	// failed counts commits that failed: each consumed its transaction,
-	// and with it the only record of what that transaction noted.
-	failed uint64
+	// reserved is the credit open batch handles reserved of the room
+	// credits share (Layout.room), and leafRes the free blocks they
+	// reserved for leaves (BeginRelink).
+	reserved int
+	leafRes  int64
 	// stamps are the journal's stamps with the running transaction's
 	// SetStamp calls applied.
 	stamps [journal.Stamps]uint64
@@ -111,7 +113,7 @@ type FS struct {
 	// starts with it (allocInode), so whatever takes a freed number masks
 	// the log entries of the number's previous lives.
 	uwmMax uint64
-	// txHold counts open batch handles (BeginBatch); while positive, the
+	// txHold counts open batch handles (BeginRelink); while positive, the
 	// running transaction must not commit — jbd2's "a transaction cannot
 	// commit while handles are open". txIdle signals txHold reaching zero.
 	txHold int
@@ -159,7 +161,7 @@ type FS struct {
 	// updates make no garbage (DESIGN.md, "Host allocation and peak
 	// RSS"): the extents a relink or a truncate takes out of a file,
 	// checkMoves' inode and range lists, the batch handles End handed back
-	// for BeginBatch to reuse, and addDirent's record. Used under mu.
+	// for BeginRelink to reuse, and addDirent's record. Used under mu.
 	moved   []alloc.Extent
 	moveIns []*inode
 	spans   []moveSpan
@@ -204,14 +206,7 @@ func Mkfs(dev *pmem.Device, cfg Config) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := &FS{
-		dev:    dev,
-		clk:    dev.Clock(),
-		cfg:    cfg,
-		lay:    lay,
-		icache: make(map[uint64]*inode),
-	}
-	fs.txIdle = sync.NewCond(&fs.mu)
+	fs := fsOver(dev, cfg, lay)
 	fs.jnl = journal.New(dev, lay.JournalOff, lay.JournalBlocks)
 	fs.iBmp = alloc.New(dev, lay.InodeBmpOff, 0, lay.MaxInodes)
 	fs.bBmp = alloc.New(dev, lay.BlockBmpOff, lay.DataOff, lay.DataBlocks)
@@ -235,10 +230,21 @@ func Mkfs(dev *pmem.Device, cfg Config) (*FS, error) {
 	root := &inode{ino: RootIno, isDir: true, nlink: 2, entries: make(map[string]dirEntry)}
 	fs.icache[RootIno] = root
 	fs.writeInode(root)
-	if err := fs.commitTx(); err != nil {
-		return nil, err
-	}
+	fs.commitTx()
 	return fs, nil
+}
+
+// fsOver is a file system over lay with nothing loaded yet.
+func fsOver(dev *pmem.Device, cfg Config, lay Layout) *FS {
+	fs := &FS{
+		dev:    dev,
+		clk:    dev.Clock(),
+		cfg:    cfg,
+		lay:    lay,
+		icache: make(map[uint64]*inode),
+	}
+	fs.txIdle = sync.NewCond(&fs.mu)
+	return fs
 }
 
 // Mount attaches to a previously formatted device, replaying the journal
@@ -257,14 +263,7 @@ func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	fs := &FS{
-		dev:    dev,
-		clk:    dev.Clock(),
-		cfg:    cfg,
-		lay:    lay,
-		icache: make(map[uint64]*inode),
-	}
-	fs.txIdle = sync.NewCond(&fs.mu)
+	fs := fsOver(dev, cfg, lay)
 	fs.jnl, _, err = journal.Load(dev, lay.JournalOff, lay.JournalBlocks)
 	if err != nil {
 		return nil, 0, err
@@ -353,16 +352,8 @@ func (fs *FS) note(off int64, n int) {
 // batch handle is open, so a commit never splits a relink batch. Caller
 // holds fs.mu.
 func (fs *FS) maybeCommit() {
-	if fs.txHold > 0 {
-		return
-	}
-	if fs.txN >= fs.cfg.TxCommitThreshold {
-		if err := fs.commitTx(); err != nil {
-			// A threshold commit failing means the journal is too small
-			// for the configured threshold; surface loudly rather than
-			// corrupting.
-			panic(fmt.Sprintf("ext4dax: threshold commit failed: %v", err))
-		}
+	if fs.txHold == 0 && fs.txN >= fs.cfg.TxCommitThreshold {
+		fs.commitTx()
 	}
 }
 
@@ -372,34 +363,70 @@ func (fs *FS) maybeCommit() {
 // multi-step fsync batch atomic against other journal users (jbd2: a
 // transaction with open handles cannot commit). The handle also collects
 // the inodes its Relink and SetUserWatermark calls change, and End writes
-// each of them back once, however many steps touched it.
+// each of them back once, however many steps touched it. Calls given the
+// handle (MkdirIno, File.WriteAtIn, ...) draw on what it reserved: its
+// credit, its leaves, and each inode's growth (res).
 type Batch struct {
-	fs    *FS
-	dirty []*inode
+	fs     *FS
+	dirty  []*inode
+	credit int
+	leaves int64
+	res    []inodeGrow
 }
 
-// BeginBatch opens a batch handle.
-//
-// Group commit lets many concurrent batches share one transaction, so a
-// transaction can now grow well past the size threshold before anything
-// commits it; the first batch to open against an already-bloated idle
-// transaction commits it first, keeping the transaction within the
-// journal descriptor's capacity.
+// BeginBatch opens a metadata batch handle, for one operation and the
+// stamp it sets, or recovery's redo of one: it reserves metaCredit.
 func (fs *FS) BeginBatch() *Batch {
+	b, _ := fs.BeginRelink(nil, nil) // never refused: Mkfs keeps metaCredit within the journal
+	return b
+}
+
+// BeginRelink opens a batch handle for a relink into dst, where moves name
+// its steps — the relinks it makes, and with Src nil the ranges of dst its
+// kernel writes cover — reserving its credit (relinkCredit) and free
+// blocks for its leaves; with no dst, a metadata batch (BeginBatch). One
+// that no transaction could hold, or whose leaves do not fit the device,
+// is refused with vfs.ErrNoSpace before anything changes. Group commit
+// lets concurrent batches share a transaction, so it can grow past the
+// size threshold uncommitted: the first batch to open against a bloated
+// idle transaction commits it first.
+func (fs *FS) BeginRelink(dst *File, moves []Move) (*Batch, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.txHold == 0 && fs.txN >= fs.cfg.TxCommitThreshold {
-		if err := fs.commitTx(); err != nil {
-			panic(fmt.Sprintf("ext4dax: pre-batch threshold commit failed: %v", err))
-		}
-	}
-	fs.txHold++
+	fs.maybeCommit()
+	var b *Batch
 	if n := len(fs.batches); n > 0 {
-		b := fs.batches[n-1]
+		b = fs.batches[n-1]
 		fs.batches = fs.batches[:n-1]
-		return b
+	} else {
+		b = &Batch{fs: fs}
 	}
-	return &Batch{fs: fs}
+	var leaves int64
+	c, err := fs.start(nil, func() int {
+		if dst == nil {
+			return metaCredit
+		}
+		c, l := fs.relinkCredit(b, dst.in, moves)
+		leaves = l
+		return c
+	})
+	if err == nil && fs.bBmp.FreeCount()-fs.leafRes < leaves {
+		err = vfs.ErrNoSpace
+	}
+	if err != nil {
+		clear(b.res)
+		b.res = b.res[:0]
+		fs.batches = append(fs.batches, b)
+		return nil, err
+	}
+	for _, r := range b.res {
+		r.in.resGrow += r.grow
+	}
+	b.credit, b.leaves = c, leaves
+	fs.reserved += c
+	fs.leafRes += leaves
+	fs.txHold++
+	return b, nil
 }
 
 // touch schedules inodes for the batch's single write-back. Caller holds
@@ -429,6 +456,13 @@ func (b *Batch) End() uint64 {
 	}
 	clear(b.dirty)
 	b.dirty = b.dirty[:0]
+	for _, r := range b.res {
+		r.in.resGrow -= r.grow
+	}
+	clear(b.res)
+	b.res = b.res[:0]
+	fs.reserved -= b.credit
+	fs.leafRes -= b.leaves
 	fs.batches = append(fs.batches, b)
 	fs.beginTx()
 	fs.txHold--
@@ -510,12 +544,13 @@ func (fs *FS) settleUnmapped() {
 // atomically with the rest of it. Whether or not anything runs, it is a
 // later commit for the extents graced holds; the data extents this one
 // frees join graced once it has committed, those held in unmapped once
-// Remaps have covered them too. Caller holds fs.mu.
-func (fs *FS) commitTx() error {
+// Remaps have covered them too. Credits keep every transaction within the
+// journal: a commit cannot fail. Caller holds fs.mu.
+func (fs *FS) commitTx() {
 	if fs.tx == nil {
 		fs.discardGraced()
 		fs.settleTables()
-		return nil
+		return
 	}
 	frees := fs.pendingFrees
 	for _, pf := range frees {
@@ -528,8 +563,7 @@ func (fs *FS) commitTx() error {
 	fs.tx = nil
 	fs.txN = 0
 	if err := tx.Commit(); err != nil {
-		fs.failed++
-		return err
+		panic(fmt.Sprintf("ext4dax: a transaction of %d blocks outgrew the credits that admitted it: %v", tx.Blocks(), err))
 	}
 	fs.doneTxID = id
 	if tx.Logged() > 0 { // an empty transaction commits without reaching the journal
@@ -554,7 +588,6 @@ func (fs *FS) commitTx() error {
 		fs.unmapped[i].committed = true
 	}
 	fs.settleUnmapped()
-	return nil
 }
 
 // discardGraced discards the blocks of graced that are still free, unless
@@ -604,10 +637,7 @@ func (fs *FS) inodeOff(ino uint64) int64 {
 func (fs *FS) writeInode(in *inode) {
 	fs.clk.Charge(sim.CatCPU, sim.Ext4ExtentUpdateNs)
 	// Leaves: everything past the inline extents, LeafExtents a leaf.
-	leaves := 0
-	if len(in.extents) > InlineExtents {
-		leaves = (len(in.extents) - InlineExtents + LeafExtents - 1) / LeafExtents
-	}
+	leaves := int(leavesFor(int64(len(in.extents))))
 	// Allocate or free leaves to match. Blocks from held on are fresh from
 	// the allocator.
 	held := len(in.overflow)

@@ -26,15 +26,11 @@ func TestCommitUpToAbsorbedByLeader(t *testing.T) {
 	}
 	txid := fs.TxID()
 	// A "leader" (any other journal user) commits the shared transaction.
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	commits := fs.Stats().Commits
 	fences := dev.Stats().Fences
 	// The follower's fsync finds its transaction already durable.
-	if err := fs.CommitUpTo(txid); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitUpTo(txid)
 	if got := fs.Stats().Commits; got != commits {
 		t.Fatalf("absorbed CommitUpTo issued a commit (%d -> %d)", commits, got)
 	}
@@ -71,9 +67,7 @@ func TestTxIDStableUnderBatch(t *testing.T) {
 	if got := batch.End(); got != id2 {
 		t.Fatalf("Batch.End returned transaction %d, want the batch's %d", got, id2)
 	}
-	if err := fs.CommitUpTo(id2); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitUpTo(id2)
 	if fs.DoneTxID() < id2 {
 		t.Fatalf("batch transaction %d not committed (done %d)", id2, fs.DoneTxID())
 	}
@@ -100,9 +94,7 @@ func TestTxIDOpensNoTransaction(t *testing.T) {
 	}
 	next, stats, events := fs.nextTxID, fs.Stats(), dev.Events()
 	for range 1000 {
-		if err := fs.CommitUpTo(fs.TxID()); err != nil {
-			t.Fatal(err)
-		}
+		fs.CommitUpTo(fs.TxID())
 	}
 	if fs.nextTxID != next || fs.Stats() != stats || dev.Events() != events {
 		t.Fatalf("1000 commits of nothing: next id %d -> %d, stats %+v -> %+v, %d persistence events",
@@ -113,13 +105,18 @@ func TestTxIDOpensNoTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.CommitUpTo(id); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitUpTo(id)
 	if fs.DoneTxID() < id || fs.Stats().GCLeaders != stats.GCLeaders+1 {
 		t.Fatalf("the create that followed TxID is not committed: done %d, asked %d, %+v", fs.DoneTxID(), id, fs.Stats())
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// DoneTxID reports the highest committed transaction id.
+func (fs *FS) DoneTxID() uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.doneTxID
 }

@@ -109,6 +109,9 @@ func computeLayout(size int64, journalBlocks, maxInodes int64) (Layout, error) {
 	if l.DataBlocks >= MaxFileBlocks { // an extent record's physical block is 32 bits
 		return l, fmt.Errorf("ext4dax: device too large (%d data blocks; extent records address fewer than %d)", l.DataBlocks, int64(MaxFileBlocks))
 	}
+	if l.room() < metaCredit {
+		return l, fmt.Errorf("ext4dax: a journal of %d blocks cannot commit a metadata handle of %d beside every bitmap block", journalBlocks, metaCredit)
+	}
 	return l, nil
 }
 
@@ -176,7 +179,8 @@ type inode struct {
 	// mapped records that a Mapping of the inode was built, whose page
 	// table may translate to blocks a relink takes out of it (deferUnmap).
 	// Guarded by fs.mu.
-	mapped bool
+	mapped  bool
+	resGrow int64 // extent records open batches reserved leaves for (BeginRelink); fs.mu
 	// gen is the record's generation, ext4's i_generation: freeInode
 	// bumps it, and a handle keeps the one it was opened under, so a
 	// handle of a freed inode — whose record may serve another file since

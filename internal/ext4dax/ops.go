@@ -25,7 +25,7 @@ func (fs *FS) infoOf(in *inode) vfs.FileInfo {
 // OpenFile implements vfs.FileSystem.
 func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	f := new(File)
-	if err := fs.OpenInto(f, path, flag, perm); err != nil {
+	if err := fs.OpenInto(nil, f, path, flag, perm); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -35,11 +35,15 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 // becomes the open handle. U-Split keeps one inside every open-file
 // description it recycles, so an open of its allocates no handle. f's
 // MapEpoch may run concurrently with the open (a lease holder of the
-// handle's previous life); every other method must not.
-func (fs *FS) OpenInto(f *File, path string, flag int, perm uint32) error {
+// handle's previous life); every other method must not. It runs under
+// batch b, if not nil.
+func (fs *FS) OpenInto(b *Batch, f *File, path string, flag int, perm uint32) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
+	if flag&(vfs.O_CREATE|vfs.O_TRUNC) != 0 {
+		fs.admit(b, createCredit) // a truncate's is smaller
+	}
 	in, created, err := fs.openLocked(path, flag)
 	if err != nil {
 		return vfs.WrapPath("open", path, err)
@@ -118,14 +122,15 @@ func (fs *FS) setLinks(dir *inode, n uint32) {
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS) Mkdir(path string, perm uint32) error {
-	_, err := fs.MkdirIno(path, perm)
+	_, err := fs.MkdirIno(nil, path, perm)
 	return err
 }
 
-// MkdirIno is Mkdir that also reports the new directory's inode number,
-// which U-Split logs with the operation (see Recreate).
-func (fs *FS) MkdirIno(path string, perm uint32) (uint64, error) {
-	ino, err := fs.createAt(path, true, 0)
+// MkdirIno is Mkdir, under batch b if not nil, that also reports the new
+// directory's inode number, which U-Split logs with the operation (see
+// Recreate).
+func (fs *FS) MkdirIno(b *Batch, path string, perm uint32) (uint64, error) {
+	ino, err := fs.createAt(b, path, true, 0)
 	return ino, vfs.WrapPath("mkdir", path, err)
 }
 
@@ -135,17 +140,19 @@ func (fs *FS) MkdirIno(path string, perm uint32) (uint64, error) {
 // target, and so that a replayed sequence of creates reproduces the
 // crashed run's allocations instead of colliding with them. (ext4's
 // fast-commit replay re-creates inodes by number for the same reason.)
-// The path must not exist and the number must be free.
-func (fs *FS) Recreate(path string, ino uint64, isDir bool) error {
-	_, err := fs.createAt(path, isDir, ino)
+// The path must not exist and the number must be free. It runs under
+// batch b, if not nil.
+func (fs *FS) Recreate(b *Batch, path string, ino uint64, isDir bool) error {
+	_, err := fs.createAt(b, path, isDir, ino)
 	return vfs.WrapPath("recreate", path, err)
 }
 
 // createAt is mkdir(2) and the exclusive create behind Recreate.
-func (fs *FS) createAt(path string, isDir bool, want uint64) (uint64, error) {
+func (fs *FS) createAt(b *Batch, path string, isDir bool, want uint64) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
+	fs.admit(b, createCredit)
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
@@ -164,18 +171,19 @@ func (fs *FS) createAt(path string, isDir bool, want uint64) (uint64, error) {
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(path string) error {
-	_, err := fs.UnlinkIno(path)
+	_, err := fs.UnlinkIno(nil, path)
 	return err
 }
 
-// UnlinkIno is Unlink that also reports the number of the inode whose name
-// it removed: the unlink walks the path anyway, so U-Split, which has
-// caches to retire for that inode, need not stat it first (as with
-// RenameReplacing).
-func (fs *FS) UnlinkIno(path string) (uint64, error) {
+// UnlinkIno is Unlink, under batch b if not nil, that also reports the
+// number of the inode whose name it removed: the unlink walks the path
+// anyway, so U-Split, which has caches to retire for that inode, need not
+// stat it first (as with RenameReplacing).
+func (fs *FS) UnlinkIno(b *Batch, path string) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
+	fs.admit(b, unlinkCredit)
 	fs.clk.Charge(sim.CatCPU, sim.Ext4UnlinkPathNs)
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
@@ -216,10 +224,14 @@ func (fs *FS) UnlinkIno(path string) (uint64, error) {
 }
 
 // Rmdir implements vfs.FileSystem.
-func (fs *FS) Rmdir(path string) error {
+func (fs *FS) Rmdir(path string) error { return fs.RmdirIn(nil, path) }
+
+// RmdirIn is Rmdir under batch b, if not nil.
+func (fs *FS) RmdirIn(b *Batch, path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
+	fs.admit(b, unlinkCredit)
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
@@ -251,19 +263,21 @@ func (fs *FS) Rmdir(path string) error {
 // Rename implements vfs.FileSystem. The destination is replaced if it
 // exists (files only).
 func (fs *FS) Rename(oldPath, newPath string) error {
-	_, _, err := fs.RenameReplacing(oldPath, newPath)
+	_, _, err := fs.RenameReplacing(nil, oldPath, newPath)
 	return err
 }
 
-// RenameReplacing is Rename that also reports what it moved — the source's
-// directory entry, under its new name — and the inode number of the file
-// it replaced at newPath (0 when there was none): the rename walks both
-// paths anyway, so U-Split, which has caches to re-key for the moved inode
-// and to retire for a replaced one, need not stat the endpoints first.
-func (fs *FS) RenameReplacing(oldPath, newPath string) (moved vfs.DirEntry, replaced uint64, err error) {
+// RenameReplacing is Rename, under batch b if not nil, that also reports
+// what it moved — the source's directory entry, under its new name — and
+// the inode number of the file it replaced at newPath (0 when there was
+// none): the rename walks both paths anyway, so U-Split, which has caches
+// to re-key for the moved inode and to retire for a replaced one, need
+// not stat the endpoints first.
+func (fs *FS) RenameReplacing(b *Batch, oldPath, newPath string) (moved vfs.DirEntry, replaced uint64, err error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
+	fs.admit(b, renameCredit)
 	fs.stats.metaOps.Add(1)
 	srcParent, srcBase, err := fs.resolveDir(oldPath)
 	if err != nil {
@@ -363,9 +377,7 @@ func (fs *FS) Sync() error {
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.awaitCommittable()
-	if err := fs.commitTx(); err != nil {
-		return err
-	}
+	fs.commitTx()
 	fs.dev.Fence()
 	return nil
 }

@@ -66,7 +66,7 @@ func TestStaleHandleAfterInodeReuse(t *testing.T) {
 	if err := fs.Sync(); err != nil { // the free commits: the record is a spare
 		t.Fatal(err)
 	}
-	if err := fs.Recreate("/c", ino, false); err != nil {
+	if err := fs.Recreate(nil, "/c", ino, false); err != nil {
 		t.Fatal(err)
 	}
 	cf, err := fs.OpenFile("/c", vfs.O_RDWR, 0)
@@ -212,9 +212,7 @@ func TestCreateTakesLowestCommittedNumber(t *testing.T) {
 	for i := range 8 {
 		expect(fmt.Sprintf("/f%d", i), uint64(2+i))
 	}
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	for _, p := range []string{"/f5", "/f1"} { // inodes 7 and 3
 		if err := fs.Unlink(p); err != nil {
 			t.Fatal(err)
@@ -222,9 +220,7 @@ func TestCreateTakesLowestCommittedNumber(t *testing.T) {
 	}
 	// The frees are in the running transaction: 3 and 7 stay taken.
 	expect("/g0", 10)
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	expect("/g1", 3)
 	expect("/g2", 7)
 	expect("/g3", 11)
@@ -252,15 +248,13 @@ func TestNewInodeStartsAtTheHighestWatermark(t *testing.T) {
 	}
 	commit := func() {
 		t.Helper()
-		if err := fs.CommitMeta(); err != nil {
-			t.Fatal(err)
-		}
+		fs.CommitMeta()
 	}
 	f := create("/f", 0)
-	f.SetUserWatermark(77)
+	f.SetUserWatermark(nil, 77)
 	f.Close()
 	g := create("/g", 77)
-	g.SetUserWatermark(5)
+	g.SetUserWatermark(nil, 5)
 	g.Close()
 	commit()
 	freed := f.Ino()

@@ -50,21 +50,6 @@ func rangeMapped(fs *FS, in *inode, blk, cnt int64) bool {
 	return true
 }
 
-// Relink is the kernel half of the paper's relink primitive as one call
-// of one move: it logically and atomically moves [srcOff, srcOff+n) of
-// src to [dstOff, dstOff+n) of dst without copying data, extends dst to
-// newDstSize if that is larger, and commits. The commit makes the move
-// atomic; a crash before it leaves both files untouched.
-func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
-	b := fs.BeginBatch()
-	err := b.Relink(dst, newDstSize, []Move{{Src: src, SrcOff: srcOff, DstOff: dstOff, Len: n}})
-	txid := b.End()
-	if err != nil {
-		return err
-	}
-	return fs.CommitUpTo(txid)
-}
-
 // Relink is the relink ioctl: one crossing and one journal handle, however
 // many moves the vector holds. Each move takes the blocks backing its
 // source range into dst at DstOff, leaving a hole in the source, and dst
@@ -193,11 +178,11 @@ func (b *Batch) SetUserWatermark(f *File, v uint64) {
 // far cheaper than ext4's full fsync path (28.98 µs). If another thread
 // holds an open batch handle, the commit waits until the batch closes so
 // it can never persist a half-applied relink.
-func (fs *FS) CommitMeta() error {
+func (fs *FS) CommitMeta() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.awaitCommittable()
-	return fs.commitTx()
+	fs.commitTx()
 }
 
 // TxID returns the id of the running journal transaction. Every mutation
@@ -223,81 +208,55 @@ func (fs *FS) TxID() uint64 {
 // returns immediately with no journal IO and no fences of its own; this
 // is how concurrent fsyncs of distinct files coalesce into one journal
 // transaction and one fence pair. Otherwise the caller becomes the
-// leader, waits for open batch handles to close, and commits.
-func (fs *FS) CommitUpTo(txid uint64) error {
+// leader, waits for open batch handles to close, and commits: ids are
+// monotone, so that commit covers txid.
+func (fs *FS) CommitUpTo(txid uint64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if txid > fs.nextTxID {
-		return nil // TxID found nothing running, and nothing has started since
-	}
-	if fs.doneTxID >= txid {
-		fs.stats.gcFollowers.Add(1)
-		return nil
+		return // TxID found nothing running, and nothing has started since
 	}
 	// awaitCommittable releases fs.mu while batch handles are open; a
 	// concurrent leader may commit our transaction in that window, so
-	// re-check afterwards rather than double-commit.
-	fs.awaitCommittable()
+	// check afterwards rather than double-commit.
+	if fs.doneTxID < txid {
+		fs.awaitCommittable()
+	}
 	if fs.doneTxID >= txid {
 		fs.stats.gcFollowers.Add(1)
-		return nil
+		return
 	}
-	if err := fs.commitTx(); err != nil {
-		return err
-	}
+	fs.commitTx()
 	fs.stats.gcLeaders.Add(1)
-	if fs.doneTxID < txid {
-		// Ids are monotone, so one successful commit of the running
-		// transaction covers txid — unless that transaction was consumed
-		// by an earlier failed commit. Surface that instead of spinning.
-		return fmt.Errorf("ext4dax: transaction %d cannot commit (committed through %d; lost to an earlier failed commit)", txid, fs.doneTxID)
-	}
-	return nil
 }
 
 // Idle reports whether nothing noted waits for a commit: no transaction
-// runs and no batch handle is open that could start one. A commit that
-// failed leaves K-Split idle too, having consumed its transaction
-// (CommitFailures tells).
+// runs and no batch handle is open that could start one.
 func (fs *FS) Idle() bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.tx == nil && fs.txHold == 0
 }
 
-// CommitFailures counts the commits that failed since Mkfs or Mount.
-func (fs *FS) CommitFailures() uint64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.failed
-}
-
-// DoneTxID reports the highest committed transaction id (tests and
-// harness instrumentation).
-func (fs *FS) DoneTxID() uint64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.doneTxID
-}
-
 // SetUserWatermark stores U-Split's log-sequence watermark in the inode:
 // the eight bytes of that field, not the whole record, noted into the
 // running journal transaction — nothing else about the inode changed.
-// Called under an open batch handle it commits together with whatever
-// else the handle covers; otherwise the caller commits.
-func (f *File) SetUserWatermark(v uint64) {
+// Under batch b it commits together with whatever else the batch covers;
+// with b nil it is a handle of its own, and the caller commits.
+func (f *File) SetUserWatermark(b *Batch, v uint64) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.admit(b, watermarkCredit)
 	f.in.mu.Lock()
 	defer f.in.mu.Unlock()
 	f.in.uwm = v
 	fs.uwmMax = max(fs.uwmMax, v)
-	var b [8]byte
-	putU64(b[:], v)
+	var buf [8]byte
+	putU64(buf[:], v)
 	off := fs.inodeOff(f.in.ino) + uwmOff
-	fs.dev.StoreBuffered(off, b[:], sim.CatPMMeta)
-	fs.note(off, len(b))
+	fs.dev.StoreBuffered(off, buf[:], sim.CatPMMeta)
+	fs.note(off, len(buf))
 }
 
 // UserWatermark reads the inode's U-Split watermark.

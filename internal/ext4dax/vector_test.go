@@ -46,9 +46,7 @@ func vectorImage(t *testing.T, nsrc int, srcBlocks int64) (*pmem.Device, *FS, *F
 		}
 		srcs = append(srcs, src.(*File))
 	}
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	return dev, fs, dst.(*File), srcs
 }
 
@@ -119,8 +117,9 @@ func TestRejectedVectorIsNoOp(t *testing.T) {
 	} {
 		for at := range len(good) + 1 { // the bad move first, in between, last
 			before := snapshot(fs, dst, a, b)
-			batch := fs.BeginBatch()
-			err := batch.Relink(dst, 41*blk, slices.Insert(slices.Clone(good), at, tc.bad))
+			vector := slices.Insert(slices.Clone(good), at, tc.bad)
+			batch := beginRelink(t, fs, dst, vector...)
+			err := batch.Relink(dst, 41*blk, vector)
 			batch.End()
 			if !errors.Is(err, vfs.ErrInval) {
 				t.Fatalf("%s at %d: err = %v, want ErrInval", tc.name, at, err)
@@ -130,20 +129,16 @@ func TestRejectedVectorIsNoOp(t *testing.T) {
 			}
 		}
 	}
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	if _, err := fs.Check(); err != nil {
 		t.Fatal(err)
 	}
 	// And the good moves alone go through.
-	batch := fs.BeginBatch()
+	batch := beginRelink(t, fs, dst, good...)
 	if err := batch.Relink(dst, 41*blk, good); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.CommitUpTo(batch.End()); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitUpTo(batch.End())
 	if _, err := fs.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +208,7 @@ func TestVectorEqualsSequence(t *testing.T) {
 			for k := range mine {
 				mine[k].Src = w.srcs[picks[k]]
 			}
-			batch := w.fs.BeginBatch()
+			batch := beginRelink(t, w.fs, w.dst, mine...)
 			if i == 0 {
 				if err := batch.Relink(w.dst, newSize, mine); err != nil {
 					t.Fatalf("seed %d: vector of %d: %v", seed, len(mine), err)
@@ -233,9 +228,7 @@ func TestVectorEqualsSequence(t *testing.T) {
 				leafy++
 			}
 			states[i] = snapshot(w.fs, append([]*File{w.dst}, w.srcs...)...)
-			if err := w.fs.CommitUpTo(txid); err != nil {
-				t.Fatal(err)
-			}
+			w.fs.CommitUpTo(txid)
 			if _, err := w.fs.Check(); err != nil {
 				t.Fatalf("seed %d, image %d: %v", seed, i, err)
 			}

@@ -31,9 +31,7 @@ func sparseFile(t testing.TB, fs *FS, path string, n int) *File {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	if got := len(f.(*File).in.extents); got != n {
 		t.Fatalf("%s has %d extents, want %d", path, got, n)
 	}
@@ -52,9 +50,7 @@ type writeBackCost struct {
 // back and commits, against an empty running transaction.
 func costOfWriteBack(t *testing.T, fs *FS, in *inode, change func()) writeBackCost {
 	t.Helper()
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	dev := fs.Device()
 	var c writeBackCost
 	fs.mu.Lock()
@@ -65,9 +61,7 @@ func costOfWriteBack(t *testing.T, fs *FS, in *inode, change func()) writeBackCo
 	c.notes = fs.txN
 	fs.mu.Unlock()
 	logged, flushed := fs.jnl.Stats().BlocksLogged, dev.Stats().Flushes
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	c.logged = fs.jnl.Stats().BlocksLogged - logged
 	c.flushed = dev.Stats().Flushes - flushed
 	return c
@@ -151,9 +145,7 @@ func TestFreshOverflowBlockIsStoredWhole(t *testing.T) {
 	if err := fs.Unlink("/donor"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitMeta()
 	if fs.FreeBlocks() != 1 {
 		t.Fatalf("%d blocks free, want only the donor's", fs.FreeBlocks())
 	}
@@ -194,18 +186,21 @@ func TestPartialWriteBacksReadBack(t *testing.T) {
 	if err := src.(*File).Preallocate(8, 0); err != nil {
 		t.Fatal(err)
 	}
-	batch := fs.BeginBatch()
 	// One record replaced in place in the record and in each leaf: extent
 	// k of the sparse file maps logical block 2k.
-	for i, k := range []int{0, InlineExtents + 11, InlineExtents + LeafExtents + 106, InlineExtents + 2*LeafExtents + 20} {
+	ks := []int{0, InlineExtents + 11, InlineExtents + LeafExtents + 106, InlineExtents + 2*LeafExtents + 20}
+	var moves []Move
+	for i, k := range ks {
+		moves = append(moves, Move{Src: src.(*File), SrcOff: int64(i) * sim.BlockSize, DstOff: int64(2*k) * sim.BlockSize, Len: sim.BlockSize})
+	}
+	batch := beginRelink(t, fs, f, moves...)
+	for i, k := range ks {
 		if err := relink1(batch, src.(*File), f, int64(i)*sim.BlockSize, int64(2*k)*sim.BlockSize, sim.BlockSize, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	batch.SetUserWatermark(f, 77)
-	if err := fs.CommitUpTo(batch.End()); err != nil {
-		t.Fatal(err)
-	}
+	fs.CommitUpTo(batch.End())
 	if len(f.in.overflow) != 3 {
 		t.Fatalf("%d overflow blocks, want 3", len(f.in.overflow))
 	}
@@ -264,7 +259,7 @@ func TestBatchEndAllocations(t *testing.T) {
 	}
 	next := int64(0)
 	batch := func() { // moves one block of /src into a hole of /dst
-		b := fs.BeginBatch()
+		b := beginRelink(t, fs, dst, Move{Src: src.(*File), SrcOff: 2 * next * sim.BlockSize, DstOff: (2*next + 1) * sim.BlockSize, Len: sim.BlockSize})
 		if err := relink1(b, src.(*File), dst, 2*next*sim.BlockSize, (2*next+1)*sim.BlockSize, sim.BlockSize, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +292,7 @@ func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 	}
 	next := int64(0)
 	return func() {
-		b := fs.BeginBatch()
+		b := beginRelink(t, fs, dst, Move{Src: src.(*File), SrcOff: next * sim.BlockSize, DstOff: 2 * (next * 7 % int64(n)) * sim.BlockSize, Len: sim.BlockSize})
 		err := relink1(b, src.(*File), dst, next*sim.BlockSize, 2*(next*7%int64(n))*sim.BlockSize, sim.BlockSize, 0)
 		if err != nil {
 			t.Fatal(err)

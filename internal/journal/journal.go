@@ -101,13 +101,11 @@ type Journal struct {
 	// are 8 KB of garbage per commit (DESIGN.md, "Checksums").
 	hdr, img [sim.BlockSize]byte
 	sb       [superSize]byte
-	// Commit's home-block list and the set that dedups it, and the
-	// committed transaction Recycle handed back for Begin to reuse: a
-	// running file system commits all the time, so none of them is
-	// garbage per commit. Used under mu.
-	blocks []int64
-	seen   map[int64]struct{}
-	spare  *Tx
+	// The committed transaction Recycle handed back for Begin to reuse,
+	// with its block list and the set that dedups it: a running file
+	// system commits all the time, so none of them is garbage per commit.
+	// Used under mu.
+	spare *Tx
 }
 
 // super is what a superblock record holds, under one sum: a crash leaves
@@ -206,16 +204,14 @@ func readSuper(slots []byte) (s super, ok bool) {
 // Tx is a running transaction. Not safe for concurrent use; the journal
 // serializes commits internally.
 type Tx struct {
-	j      *Journal
-	ranges []blockRange
+	j *Journal
+	// blocks are the device offsets of the home blocks noted, each once,
+	// in the order they were first noted; seen is their set.
+	blocks []int64
+	seen   map[int64]struct{}
 	stamps [Stamps]uint64 // zero: not set by this transaction
 	closed bool
 	logged int
-}
-
-type blockRange struct {
-	off int64
-	n   int
 }
 
 // Begin opens a transaction, reusing the one Recycle last handed back.
@@ -240,7 +236,8 @@ func (j *Journal) Recycle(tx *Tx) {
 	if !tx.closed {
 		panic("journal: Recycle of a running transaction")
 	}
-	*tx = Tx{j: j, ranges: tx.ranges[:0]}
+	clear(tx.seen)
+	*tx = Tx{j: j, blocks: tx.blocks[:0], seen: tx.seen}
 	j.mu.Lock()
 	j.spare = tx
 	j.mu.Unlock()
@@ -255,8 +252,25 @@ func (tx *Tx) Note(off int64, n int) {
 	if n <= 0 {
 		return
 	}
-	tx.ranges = append(tx.ranges, blockRange{off: off, n: n})
+	if tx.seen == nil {
+		tx.seen = make(map[int64]struct{})
+	}
+	for b := off / sim.BlockSize * sim.BlockSize; b < off+int64(n); b += sim.BlockSize {
+		if _, dup := tx.seen[b]; !dup {
+			tx.seen[b] = struct{}{}
+			tx.blocks = append(tx.blocks, b)
+		}
+	}
 }
+
+// Blocks reports how many distinct home blocks the transaction has noted:
+// the block images its commit writes.
+func (tx *Tx) Blocks() int { return len(tx.blocks) }
+
+// Capacity is the most distinct blocks one transaction of a journal of
+// nblk blocks can commit: what one descriptor lists, and what the region
+// holds beside its superblock, descriptor and commit blocks.
+func Capacity(nblk int64) int { return int(min(nblk-txStart-2, maxBlocksPerTx)) }
 
 // SetStamp makes stamp slot read v once the transaction has committed, if
 // that raises it — in the same instant as the transaction's blocks,
@@ -268,32 +282,6 @@ func (j *Journal) Stamps() [Stamps]uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.stamps
-}
-
-// homeBlocks returns the device block offsets touched by the
-// transaction, each once, in the order they were first noted, in j's
-// scratch. Caller holds j.mu.
-func (tx *Tx) homeBlocks(j *Journal) []int64 {
-	blocks := j.blocks[:0]
-	if j.seen == nil {
-		j.seen = make(map[int64]struct{})
-	}
-	clear(j.seen)
-	for _, r := range tx.ranges {
-		first := r.off / sim.BlockSize
-		last := (r.off + int64(r.n) - 1) / sim.BlockSize
-		// A transaction past the descriptor's capacity fails whatever
-		// else it holds, which also bounds the scan.
-		for b := first; b <= last && len(blocks) <= maxBlocksPerTx; b++ {
-			off := b * sim.BlockSize
-			if _, dup := j.seen[off]; !dup {
-				j.seen[off] = struct{}{}
-				blocks = append(blocks, off)
-			}
-		}
-	}
-	j.blocks = blocks
-	return blocks
 }
 
 // txSum starts a transaction's checksum: CRC-32C, seeded with the folded
@@ -313,13 +301,13 @@ func (tx *Tx) Commit() error {
 		panic("journal: double commit")
 	}
 	tx.closed = true
-	if len(tx.ranges) == 0 && tx.stamps == [Stamps]uint64{} {
+	blocks := tx.blocks
+	if len(blocks) == 0 && tx.stamps == [Stamps]uint64{} {
 		return nil // Note keeps no empty range: nothing to log
 	}
 	j := tx.j
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	blocks := tx.homeBlocks(j)
 	if len(blocks) > maxBlocksPerTx {
 		return ErrTooLarge
 	}
@@ -329,7 +317,7 @@ func (tx *Tx) Commit() error {
 		return nil
 	}
 
-	if txStart+int64(len(blocks))+2 > j.nblk { // descriptor + images + commit
+	if len(blocks) > Capacity(j.nblk) {
 		return ErrFull
 	}
 

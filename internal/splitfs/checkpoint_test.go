@@ -3,6 +3,7 @@ package splitfs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"splitfs/internal/ext4dax"
@@ -221,11 +222,15 @@ func TestWriteLargerThanLogFailsBeforeStaging(t *testing.T) {
 	}
 }
 
-// TestCheckpointFailureFailsTheOperation: when the checkpoint cannot make
-// the open files durable (here its journal commit fails), the operation
-// that needed the room — any logging operation — returns the error before
-// doing anything, and the log, which recovery would still need, is not
-// zeroed.
+// TestCheckpointFailureFailsTheOperation, named for what it used to
+// assert: a strict log that cannot take one more entry, and K-Split
+// metadata enough to outgrow a 16-block journal, and then any logging
+// operation. Its checkpoint used to fail at commit, and the operation
+// with it; now credits commit the running transaction before it outgrows
+// the journal, the checkpoint relinks, commits and zeroes the log, and
+// the operation succeeds. A crash at any event of the operation, taken
+// each of the four ways, recovers /f's writes, and the operation's effect
+// once it had returned.
 func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 	ops := map[string]func(fs *FS, f vfs.File) error{
 		"write":  func(fs *FS, f vfs.File) error { _, err := f.Write(make([]byte, 32)); return err },
@@ -234,42 +239,71 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 		"unlink": func(fs *FS, f vfs.File) error { return fs.Unlink("/f") },
 		"rename": func(fs *FS, f vfs.File) error { return fs.Rename("/f", "/g") },
 	}
+	kcfg := ext4dax.Config{JournalBlocks: 16, MaxInodes: 512, TxCommitThreshold: 1 << 20}
+	cfg := Config{Mode: Strict, StagingFiles: 2, StagingFileBytes: 1 << 20, OpLogBytes: 64 << 10}
 	for name, op := range ops {
 		t.Run(name, func(t *testing.T) {
-			dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock(), TrackPersistence: true})
-			kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{JournalBlocks: 16, MaxInodes: 512, TxCommitThreshold: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs, err := New(kfs, Config{Mode: Strict, StagingFiles: 2, StagingFileBytes: 1 << 20, OpLogBytes: 64 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := vfs.Create(fs, "/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for fs.olog.Used()+logEntryBytes <= fs.olog.Capacity() {
-				if _, err := f.Write(make([]byte, 32)); err != nil {
+			var model []byte
+			crashFourWays(t, func(mark func(*pmem.Device)) (*pmem.Device, []int64) {
+				dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+				kfs, err := ext4dax.Mkfs(dev, kcfg)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			outgrowJournal(t, kfs)
-			before, entries := fs.Stats(), fs.olog.Entries()
-			if err := op(fs, f); err == nil {
-				t.Fatal("the operation succeeded although its checkpoint could not commit")
-			}
-			after := fs.Stats()
-			if after.Checkpoints != before.Checkpoints || fs.olog.Entries() != entries {
-				t.Fatalf("failed checkpoint zeroed the log: checkpoints %d -> %d, entries %d -> %d",
-					before.Checkpoints, after.Checkpoints, entries, fs.olog.Entries())
-			}
-			if after.Appends != before.Appends || after.LogEntries != before.LogEntries {
-				t.Fatalf("the failed operation staged or logged: %+v -> %+v", before, after)
-			}
-			if _, err := fs.Stat("/f"); err != nil {
-				t.Fatalf("the failed operation took effect: %v", err)
-			}
+				fs, err := New(kfs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := vfs.Create(fs, "/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				model = model[:0]
+				for fs.olog.Used()+logEntryBytes <= fs.olog.Capacity() {
+					p := pattern(32, byte(len(model)/32))
+					if _, err := f.Write(p); err != nil {
+						t.Fatal(err)
+					}
+					model = append(model, p...)
+				}
+				outgrowJournal(t, kfs)
+				mark(dev)
+				if err := op(fs, f); err != nil {
+					t.Fatalf("the operation after outgrowing the journal: %v", err)
+				}
+				if fs.Stats().Checkpoints != 1 {
+					t.Fatalf("%d checkpoints, want 1", fs.Stats().Checkpoints)
+				}
+				return dev, []int64{dev.Events()}
+			}, func(t *testing.T, dev *pmem.Device, returned int, at string) {
+				kfs, _, err := ext4dax.Mount(dev, ext4dax.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, _, err := RecoverFS(kfs, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				f, errF := vfs.ReadFile(fs, "/f")
+				g, errG := vfs.ReadFile(fs, "/g")
+				gone := func(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
+				ok := errF == nil && bytes.Equal(f, model) && gone(errG) // the image before the operation
+				switch done := returned == 1; name {
+				case "write":
+					ok = ok && !done || errF == nil && bytes.Equal(f, append(slices.Clip(model), make([]byte, 32)...))
+				case "unlink":
+					ok = ok && !done || gone(errF) && gone(errG)
+				case "rename":
+					ok = ok && !done || gone(errF) && errG == nil && bytes.Equal(g, model)
+				}
+				if !ok {
+					t.Fatalf("%s (%d of 1 operations returned): /f %d bytes (%v), /g %d bytes (%v); %d written",
+						at, returned, len(f), errF, len(g), errG, len(model))
+				}
+				if err := fs.Check(); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+			})
 		})
 	}
 }

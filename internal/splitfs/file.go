@@ -53,8 +53,8 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	spare := fs.newOfile()
 	kf := &spare.kf
 	truncating := flag&vfs.O_TRUNC != 0 && vfs.Writable(flag)
-	open := func(seq uint64) (bool, error) {
-		if err := fs.kfs.OpenInto(kf, path, flag, perm); err != nil {
+	open := func(b *ext4dax.Batch, seq uint64) (bool, error) {
+		if err := fs.kfs.OpenInto(b, kf, path, flag, perm); err != nil {
 			return false, err
 		}
 		// Truncating an existing file counts even when K-Split found it
@@ -68,7 +68,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		// logged so far, to the operation's own sequence number. (Sync
 		// mode logs no writes to mask.)
 		if fs.mode == Strict {
-			kf.SetUserWatermark(seq)
+			kf.SetUserWatermark(b, seq)
 		}
 		return true, nil
 	}
@@ -78,7 +78,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	if mayChange {
 		seq, err = fs.stampedMeta(open)
 	} else {
-		_, err = open(0)
+		_, err = open(nil, 0)
 	}
 	if err != nil {
 		fs.park(spare)
@@ -621,7 +621,7 @@ func (f *File) Truncate(size int64) error {
 	}
 	// An unlinked file's truncate dies with its last handle: nothing to
 	// make durable, nothing recovery could apply it to.
-	seq, err := fs.stampedMeta(func(uint64) (bool, error) { return of.kf.Linked(), of.kf.Truncate(size) })
+	seq, err := fs.stampedMeta(func(b *ext4dax.Batch, _ uint64) (bool, error) { return of.kf.Linked(), of.kf.TruncateIn(b, size) })
 	if err != nil {
 		return err
 	}

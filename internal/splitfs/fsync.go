@@ -41,22 +41,16 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	fs.mu.RUnlock()
 	ofiles = slices.Compact(ofiles)
 	fs.clk.Charge(sim.CatCPU, sim.USplitFsyncNs)
-	var (
-		first     error
-		committed bool
-	)
-	fs.dev.WithEventSource(pmem.SrcRelinkWorker, func() { first, committed = fs.relinkAndCommit(ofiles) })
-	if committed {
-		fs.dev.WithEventSource(pmem.SrcReclaim, func() { fs.staging.reclaim() })
-	}
+	var first error
+	fs.dev.WithEventSource(pmem.SrcRelinkWorker, func() { first = fs.relinkAndCommit(ofiles) })
+	fs.dev.WithEventSource(pmem.SrcReclaim, func() { fs.staging.reclaim() })
 	return first
 }
 
-// relinkAndCommit is syncFiles' relink stage. It reports the first error,
-// in file order, and whether the commit went through — only then are the
-// consumed staging references released, and only then does syncFiles
-// reclaim.
-func (fs *FS) relinkAndCommit(ofiles []*ofile) (first error, committed bool) {
+// relinkAndCommit is syncFiles' relink stage, which releases the consumed
+// staging references once the commit has made their relinks durable. It
+// reports the first error, in file order.
+func (fs *FS) relinkAndCommit(ofiles []*ofile) (first error) {
 	var (
 		maxTx uint64
 		buf   [16]stagedRange // an fsync's pieces, as a rule: no garbage
@@ -81,22 +75,10 @@ func (fs *FS) relinkAndCommit(ofiles []*ofile) (first error, committed bool) {
 	// it that a concurrent fsync has applied but not yet committed is
 	// covered too.
 	if maxTx > 0 {
-		if err := fs.kfs.CommitUpTo(maxTx); err != nil {
-			// The staging references are deliberately NOT released: the
-			// popped overlay is gone from the volatile view (pre-existing
-			// fsync-failure semantics), but strict-mode recovery can still
-			// replay the writes from the op log as long as the staged bytes
-			// stay allocated — releasing them could reclaim (unlink) the
-			// staging file and turn a reported error into silent data loss
-			// after a crash.
-			if first == nil {
-				first = err
-			}
-			return first, false
-		}
+		fs.kfs.CommitUpTo(maxTx)
 	}
 	fs.staging.release(released)
-	return first, true
+	return first
 }
 
 // openFiles snapshots the open-file table (in map order: syncFiles sorts).
@@ -120,9 +102,7 @@ func (fs *FS) SyncAll() error {
 		return err
 	}
 	if fs.mode == POSIX {
-		if err := fs.kfs.CommitMeta(); err != nil {
-			return err
-		}
+		fs.kfs.CommitMeta()
 	}
 	fs.dev.Fence()
 	return nil
@@ -148,22 +128,17 @@ func (fs *FS) SyncAll() error {
 // commits only on behalf of the files it is given, so with no file open it
 // commits nothing: hence the CommitMeta, which is free when syncFiles'
 // commit left nothing behind. Zeroing a log whose operations are not yet
-// in the journal loses acknowledged operations at the next crash.
-//
-// A commit that fails while the checkpoint runs keeps the log from
-// rewinding until the next one: what it consumed may be on the log alone.
+// in the journal loses acknowledged operations at the next crash. A
+// commit cannot fail (journal credits, DESIGN.md); a relink can, and then
+// the checkpoint fails with it and the log stays whole.
 func (fs *FS) checkpoint() error {
-	failures := fs.kfs.CommitFailures()
 	if fs.mode == Strict {
 		if err := fs.syncFiles(fs.openFiles()...); err != nil {
 			return err
 		}
 	}
-	if err := fs.kfs.CommitMeta(); err != nil {
-		return err
-	}
+	fs.kfs.CommitMeta()
 	fs.olog.Reset()
-	fs.zeroedFailures = failures
 	fs.stats.checkpoints.Add(1)
 	return nil
 }
@@ -177,22 +152,16 @@ func (fs *FS) checkpoint() error {
 // already holds wmu, so syncFiles cannot take it.)
 //
 // Covered means: no transaction runs and no batch handle is open, so every
-// metadata operation logged so far has committed; no commit has failed
-// since the log was last zeroed, since a failed one consumed its
-// transaction and popped the overlays it relinked, leaving those writes
-// on the log alone (relinkAndCommit); and in strict mode no open file
-// holds staged data, whose write entries are the data's only record. The
-// failure count is read last, so it catches a concurrent fsync whose
-// commit failed while the other checks ran: its overlay popped, K-Split
-// idle.
+// metadata operation logged so far has committed; and in strict mode no
+// open file holds staged data, whose write entries are the data's only
+// record.
 func (fs *FS) rewindLog() {
 	if fs.olog == nil {
 		return
 	}
 	fs.wmu.Lock()
 	defer fs.wmu.Unlock()
-	if fs.olog.Used() == 0 || fs.mode == Strict && fs.anyStaged() ||
-		!fs.kfs.Idle() || fs.kfs.CommitFailures() != fs.zeroedFailures {
+	if fs.olog.Used() == 0 || fs.mode == Strict && fs.anyStaged() || !fs.kfs.Idle() {
 		return
 	}
 	if fs.olog.Rewind() {

@@ -149,9 +149,7 @@ func TestMetadataOpsCostOneRecordNoCommit(t *testing.T) {
 			}
 			mustCreateClosed(t, fs, "/d/gone", nil)
 			mustCreateClosed(t, fs, "/d/moved", nil)
-			if err := fs.kfs.CommitMeta(); err != nil {
-				t.Fatal(err)
-			}
+			fs.kfs.CommitMeta()
 			logged := fs.kfs.JournalStats().BlocksLogged
 			var f vfs.File
 			ops := []struct {
@@ -700,55 +698,70 @@ func TestReserveLogCountsBytes(t *testing.T) {
 	}
 }
 
-// TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint: an open that can
-// create reserves its record's room before it opens anything, so when the
-// log is full and the checkpoint cannot commit, the open fails with no
-// file made, no description registered and no reference taken. (It used
-// to commit after registering, and had to undo a half-made open when that
-// commit failed.)
+// TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint, named for what
+// it used to assert: an open that can create, on a sync or strict
+// instance whose log is full of renames and whose K-Split metadata
+// outgrew a 16-block journal, reserves its record's room, and so
+// checkpoints, before it opens anything. That checkpoint used to fail at
+// commit, and the open with it; now the open checkpoints and creates, and
+// its file's write and last close follow. A crash at any event, taken
+// each of the four ways, recovers the renamed file, the created one once
+// its open had returned, and the written bytes once durable: at the write
+// in strict mode, at the last close's relink in sync mode.
 func TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint(t *testing.T) {
+	data := bytes.Repeat([]byte{1}, 6000)
 	for _, mode := range []Mode{Sync, Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			// A journal of 16 blocks commits at most 13 block images; the
-			// note-count threshold is out of the way so that only an
-			// explicit commit ever tries.
-			e := newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}, 64<<10)
-			fs := e.fs
-			mustCreateClosed(t, fs, "/x", nil)
-			fillLogWithRenames(t, fs, "/x", "/y")
-			outgrowJournal(t, fs.kfs)
-			before, entries := fs.Stats(), fs.olog.Entries()
-			if _, err := fs.OpenFile("/f", vfs.O_CREATE|vfs.O_RDWR, 0o644); err == nil {
-				t.Fatal("the open succeeded although its checkpoint could not commit")
-			}
-			if _, err := fs.kfs.Stat("/f"); !errors.Is(err, vfs.ErrNotExist) {
-				t.Errorf("the failed open created the file: %v", err)
-			}
-			fs.mu.RLock()
-			n := len(fs.files)
-			fs.mu.RUnlock()
-			if n != 0 || fs.Stats() != before || fs.olog.Entries() != entries {
-				t.Errorf("the failed open left traces: %d descriptions, stats %+v -> %+v, log entries %d -> %d",
-					n, before, fs.Stats(), entries, fs.olog.Entries())
-			}
-			// The failed commit consumed the oversized transaction; the next
-			// open checkpoints, creates, and its last close retires it.
-			f, err := fs.OpenFile("/f", vfs.O_CREATE|vfs.O_RDWR, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt(bytes.Repeat([]byte{1}, 6000), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-			fs.mu.RLock()
-			n = len(fs.files)
-			fs.mu.RUnlock()
-			if n != 0 || fs.Stats().Checkpoints != before.Checkpoints+1 {
-				t.Errorf("%d descriptions left after the last close, %d checkpoints", n, fs.Stats().Checkpoints-before.Checkpoints)
-			}
+			var (
+				e    *metaEnv
+				last string // where the renames left /x
+			)
+			crashFourWays(t, func(mark func(*pmem.Device)) (*pmem.Device, []int64) {
+				// A journal of 16 blocks commits at most 13 block images; the
+				// note-count threshold is out of the way, so only credits and
+				// explicit commits ever commit.
+				e = newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}, 64<<10)
+				fs := e.fs
+				mustCreateClosed(t, fs, "/x", nil)
+				last = fillLogWithRenames(t, fs, "/x", "/y")
+				outgrowJournal(t, fs.kfs)
+				mark(e.dev)
+				var (
+					f    vfs.File
+					done []int64
+				)
+				for _, step := range []func() (err error){
+					func() (err error) { f, err = fs.OpenFile("/f", vfs.O_CREATE|vfs.O_RDWR, 0o644); return err },
+					func() error { _, err := f.WriteAt(data, 0); return err },
+					func() error { return f.Close() },
+				} {
+					if err := step(); err != nil {
+						t.Fatal(err)
+					}
+					done = append(done, e.dev.Events())
+				}
+				if fs.Stats().Checkpoints != 1 {
+					t.Fatalf("%d checkpoints, want 1", fs.Stats().Checkpoints)
+				}
+				return e.dev, done
+			}, func(t *testing.T, dev *pmem.Device, returned int, at string) {
+				e.remount(t)
+				if _, err := e.fs.Stat(last); err != nil {
+					t.Fatalf("%s: %s: %v", at, last, err)
+				}
+				got, err := vfs.ReadFile(e.fs, "/f")
+				durable := returned == 3 || mode == Strict && returned >= 2
+				switch {
+				case errors.Is(err, vfs.ErrNotExist) && returned == 0:
+				case err != nil:
+					t.Fatalf("%s: /f after %d steps returned: %v", at, returned, err)
+				case !bytes.Equal(got, data) && (durable || len(got) != 0):
+					t.Fatalf("%s: /f holds %d bytes after %d steps returned", at, len(got), returned)
+				}
+				if err := e.fs.Check(); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+			})
 		})
 	}
 }
@@ -855,9 +868,7 @@ func TestNewInstanceContinuesTheSequence(t *testing.T) {
 			if err := e.fs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.fs.kfs.CommitMeta(); err != nil {
-				t.Fatal(err)
-			}
+			e.fs.kfs.CommitMeta()
 			fs, err := New(e.fs.kfs, e.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -899,9 +910,7 @@ func TestTwoModesKeepTheirOwnStamps(t *testing.T) {
 	}
 	mkdirs(e.fs, "/s0")
 	mkdirs(strict, "/t0", "/t1", "/t2")
-	if err := e.fs.kfs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	e.fs.kfs.CommitMeta()
 	mkdirs(e.fs, "/s1", "/s2")
 	// Not a create: the first recovery's fresh staging pool may take the
 	// inode number a second log's create was given (ROADMAP, Known red).

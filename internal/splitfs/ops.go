@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 
+	"splitfs/internal/ext4dax"
 	"splitfs/internal/vfs"
 )
 
@@ -34,9 +35,9 @@ func (fs *FS) Mkdir(path string, perm uint32) error {
 	defer unlock()
 	fs.bookkeep()
 	var ino uint64
-	seq, err := fs.stampedMeta(func(uint64) (bool, error) {
+	seq, err := fs.stampedMeta(func(b *ext4dax.Batch, _ uint64) (bool, error) {
 		var err error
-		ino, err = fs.kfs.MkdirIno(path, perm)
+		ino, err = fs.kfs.MkdirIno(b, path, perm)
 		return true, err
 	})
 	if err != nil {
@@ -61,9 +62,9 @@ func (fs *FS) Unlink(path string) error {
 	defer unlock()
 	fs.bookkeep()
 	var ino uint64
-	seq, err := fs.stampedMeta(func(uint64) (bool, error) {
+	seq, err := fs.stampedMeta(func(b *ext4dax.Batch, _ uint64) (bool, error) {
 		var err error
-		ino, err = fs.kfs.UnlinkIno(clean)
+		ino, err = fs.kfs.UnlinkIno(b, clean)
 		return true, err
 	})
 	if err != nil {
@@ -103,7 +104,7 @@ func (fs *FS) Rmdir(path string) error {
 	}
 	defer unlock()
 	fs.bookkeep()
-	seq, err := fs.stampedMeta(func(uint64) (bool, error) { return true, fs.kfs.Rmdir(clean) })
+	seq, err := fs.stampedMeta(func(b *ext4dax.Batch, _ uint64) (bool, error) { return true, fs.kfs.RmdirIn(b, clean) })
 	if err != nil {
 		return err
 	}
@@ -172,9 +173,9 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	// rename must not leave attrs describing a path that does not exist.
 	var moved vfs.DirEntry
 	var replaced uint64
-	seq, err := fs.stampedMeta(func(uint64) (bool, error) {
+	seq, err := fs.stampedMeta(func(b *ext4dax.Batch, _ uint64) (bool, error) {
 		var err error
-		moved, replaced, err = fs.kfs.RenameReplacing(oldClean, newClean)
+		moved, replaced, err = fs.kfs.RenameReplacing(b, oldClean, newClean)
 		return true, err
 	})
 	if err != nil {

@@ -39,7 +39,6 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	report := &RecoveryReport{}
 
 	if fs.mode != POSIX {
-		fs.zeroedFailures = kfs.CommitFailures()
 		start := fs.clk.Now()
 		replay := fs.newLogReplay(report)
 		olog, err := loadOpLog(fs, replay.entry)
@@ -55,9 +54,7 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 			// Commit first, zero second: what replay redid sits in K-Split's
 			// running transaction, and a second crash must find either the
 			// log or its effects.
-			if err := kfs.CommitMeta(); err != nil {
-				return nil, nil, err
-			}
+			kfs.CommitMeta()
 			olog.Reset()
 		}
 		report.ReplayNs = fs.clk.Now() - start
@@ -87,9 +84,7 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	// find log entries pointing into staging files whose creation never
 	// committed. This is also what makes recovery idempotent under
 	// double crashes — the double-crash campaign sweeps RecoverFS itself.
-	if err := kfs.CommitMeta(); err != nil {
-		return nil, nil, err
-	}
+	kfs.CommitMeta()
 	return fs, report, nil
 }
 
@@ -237,15 +232,15 @@ func (fs *FS) replayMeta(r metaRecord) error {
 	)
 	switch r.kind {
 	case metaCreate:
-		touched, err = r.path, fs.kfs.Recreate(r.path, r.ino, false)
+		touched, err = r.path, fs.kfs.Recreate(b, r.path, r.ino, false)
 	case metaMkdir:
-		err = fs.kfs.Recreate(r.path, r.ino, true)
+		err = fs.kfs.Recreate(b, r.path, r.ino, true)
 	case metaUnlink:
-		err = fs.kfs.Unlink(r.path)
+		_, err = fs.kfs.UnlinkIno(b, r.path)
 	case metaRmdir:
-		err = fs.kfs.Rmdir(r.path)
+		err = fs.kfs.RmdirIn(b, r.path)
 	case metaRename:
-		err = fs.kfs.Rename(r.path, r.path2)
+		_, _, err = fs.kfs.RenameReplacing(b, r.path, r.path2)
 	case metaTruncate:
 		var ok bool
 		if touched, ok = fs.kfs.PathByIno(r.ino); !ok {
@@ -253,7 +248,7 @@ func (fs *FS) replayMeta(r metaRecord) error {
 		}
 	}
 	if err == nil && touched != "" {
-		err = fs.replayInFile(touched, r)
+		err = fs.replayInFile(b, touched, r)
 	}
 	if err != nil {
 		return err
@@ -263,20 +258,22 @@ func (fs *FS) replayMeta(r metaRecord) error {
 }
 
 // replayInFile is the part of a redone create or truncate that goes
-// through a handle: the new size, and in strict mode the watermark.
-func (fs *FS) replayInFile(path string, r metaRecord) error {
+// through a handle, under replayMeta's b: the new size, and in strict mode
+// the watermark.
+func (fs *FS) replayInFile(b *ext4dax.Batch, path string, r metaRecord) error {
 	f, err := fs.kfs.OpenFile(path, vfs.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	kf := f.(*ext4dax.File)
 	if r.kind == metaTruncate {
-		if err := f.Truncate(r.size); err != nil {
+		if err := kf.TruncateIn(b, r.size); err != nil {
 			return err
 		}
 	}
 	if fs.mode == Strict {
-		f.(*ext4dax.File).SetUserWatermark(r.seq)
+		kf.SetUserWatermark(b, r.seq)
 	}
 	return nil
 }
@@ -377,7 +374,7 @@ func (r *logReplay) flush() error {
 				return err
 			}
 		}
-		run.tf.SetUserWatermark(run.seq)
+		run.tf.SetUserWatermark(nil, run.seq)
 	}
 	return r.closeAll()
 }

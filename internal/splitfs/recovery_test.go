@@ -201,9 +201,7 @@ func freeFillers(t testing.TB, fs *FS, from, to int) {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.kfs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.kfs.CommitMeta()
 }
 
 // TestDirectoryOnAReusedNumberSkipsOldEntries: a strict write entry names
@@ -218,9 +216,7 @@ func TestDirectoryOnAReusedNumberSkipsOldEntries(t *testing.T) {
 	if err := e.fs.Unlink("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.fs.kfs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	e.fs.kfs.CommitMeta()
 	if err := e.fs.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +331,7 @@ func dropAndUnlink(t testing.TB, fs *FS, path string) uint64 {
 	if err := fs.Unlink(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.kfs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	fs.kfs.CommitMeta()
 	return ino
 }
 

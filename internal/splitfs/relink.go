@@ -22,9 +22,7 @@ func (fs *FS) relinkLocked(of *ofile) error {
 	if err != nil {
 		return err
 	}
-	if err := fs.kfs.CommitUpTo(txid); err != nil {
-		return err
-	}
+	fs.kfs.CommitUpTo(txid)
 	fs.staging.release(released)
 	return nil
 }
@@ -53,6 +51,11 @@ func (fs *FS) relinkLocked(of *ofile) error {
 // moved were. Replay re-applies an entry only if its staging range is
 // still allocated; a hole means the relink transaction committed.
 // Copy-only (sub-block) entries are idempotent to re-apply.
+//
+// The batch handle reserves its journal credits and leaves before the
+// overlay is popped, and a step that fails — a copy that finds no free
+// block — fails before the relink call: either way nothing has moved, and
+// the overlay is put back, the data staged for a later fsync to retry.
 func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64, _ []stagedRange, err error) {
 	if len(of.staged) == 0 {
 		// Nothing staged: fence outstanding stores (in-place overwrites in
@@ -65,9 +68,22 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 		fs.dev.Fence()
 		return fs.kfs.TxID(), released, nil
 	}
+	sc := getRelink()
+	defer putRelink(sc)
+	var batch *ext4dax.Batch
+	if !fs.cfg.DisableRelink {
+		planPieces(sc, of.staged, of.size)
+		if batch, err = fs.kfs.BeginRelink(&of.kf, sc.moves); err != nil {
+			return 0, released, err
+		}
+	}
 	staged := of.staged
 	of.staged = nil
 	defer func() {
+		if err != nil { // nothing moved: the data stays staged
+			of.staged = staged
+			return
+		}
 		clear(staged)
 		of.staged = staged[:0]
 	}()
@@ -84,21 +100,20 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 	// per fsync.
 	fs.stats.relinks.Add(1)
 
-	if fs.cfg.DisableRelink {
+	if batch == nil {
 		// Fig 3 ablation: staging without relink — copy everything
 		// through the kernel on fsync (committing internally).
-		if err := fs.copyStaged(of, staged); err != nil {
+		if err := fs.copyStaged(of, sc, staged); err != nil {
 			return 0, released, err
 		}
 		return fs.kfs.TxID(), append(released, staged...), nil
 	}
 
-	// Hold a K-Split batch handle across the steps: while it is open, no
+	// The batch handle is held across the steps: while it is open, no
 	// other journal user (another file's fsync, staging-file creation, or
 	// the size-threshold commit) can commit the shared running
 	// transaction with this relink half applied.
-	batch := fs.kfs.BeginBatch()
-	err = fs.relinkPieces(batch, of, staged)
+	err = fs.relinkPieces(batch, sc, of)
 	// In strict mode, advance the inode's relink watermark in the same
 	// transaction (and the same inode write-back): every log entry for
 	// this file with seq <= watermark is now covered by the relink, and
@@ -130,78 +145,91 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 	return txid, append(released, staged...), nil
 }
 
-// relinkPieces applies staged ranges to the target inside an open batch.
-// Caller holds of.mu.
-func (fs *FS) relinkPieces(batch *ext4dax.Batch, of *ofile, staged []stagedRange) error {
-	// Later staged ranges shadow earlier ones, so partition the staged
-	// list into latest-writer-wins pieces: every file byte is sourced
-	// from exactly one staged range. Beyond avoiding dead copies, the
-	// disjointness is a crash-safety requirement: a sub-block copy must
-	// never land inside a file range whose blocks this same (uncommitted)
-	// batch moves in from the staging file — if the crash rolls the batch
-	// back, those blocks return to the staging file with the copy
-	// scribbled over the staged data recovery replays. Disjoint pieces
-	// make such an overlap impossible, because a relinked run covers only
-	// whole blocks that belong entirely to its own piece. (Found by the
-	// persistence-event crash sweep; see DESIGN.md.)
-	//
-	// The runs of all pieces move by one relink call at the end: one
-	// crossing and one journal handle per file (DESIGN.md, "Relink is a
-	// move", part 4). The copies stay kernel writes of their own.
-	sc := getRelink()
-	defer putRelink(sc)
-	moves := sc.moves[:0]
-	var blocks int64
+// planPieces lists in sc.moves the steps that bring staged ranges into a
+// file of the given size, and in sc.from the piece each step serves, for
+// the batch to reserve them (ext4dax.FS.BeginRelink) and relinkPieces to
+// take them. Later staged ranges shadow earlier ones, so the staged list
+// is first partitioned into latest-writer-wins pieces: every file byte
+// is sourced from exactly one staged range. Beyond avoiding dead copies,
+// the disjointness is a crash-safety requirement: a sub-block copy must
+// never land inside a file range whose blocks this same (uncommitted)
+// batch moves in from the staging file — if the crash rolls the batch
+// back, those blocks return to the staging file with the copy scribbled
+// over the staged data recovery replays. Disjoint pieces make such an
+// overlap impossible, because a relinked run covers only whole blocks
+// that belong entirely to its own piece. (Found by the persistence-event
+// crash sweep; see DESIGN.md.)
+//
+// Whole blocks move by relink (Src set); a partial head is copied through
+// the kernel (Src nil; §3.3: "SplitFS copies the partial data for that
+// block"), and so is a partial tail that stops short of EOF, since the
+// rest of that block holds other bytes of the file; an append's partial
+// last block holds nothing but its piece, so it moves whole (DESIGN.md,
+// "Relink is a move"). DRAM-staged data has no PM blocks to relink: it is
+// copied whole (§4: this copy is why DRAM staging loses).
+func planPieces(sc *relinkScratch, staged []stagedRange, size int64) {
 	sc.pieces = partitionStaged(sc, staged)
+	sc.moves, sc.from = sc.moves[:0], sc.from[:0]
+	step := func(pc relinkPiece, m ext4dax.Move) {
+		sc.moves, sc.from = append(sc.moves, m), append(sc.from, pc)
+	}
 	for _, pc := range sc.pieces {
 		s, a, b := pc.src, pc.a, pc.b
 		if s.dram != nil {
-			// DRAM-staged data has no PM blocks to relink: copy it all
-			// (§4: this copy is why DRAM staging loses).
-			if err := fs.copyRange(of, sc, s, a, b); err != nil {
-				return err
-			}
+			step(pc, ext4dax.Move{DstOff: a, Len: b - a})
 			continue
 		}
 		head := (a + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize
 		tail := b / sim.BlockSize * sim.BlockSize
-		// Whole blocks move by relink; a partial head is copied (§3.3:
-		// "SplitFS copies the partial data for that block"), and so is a
-		// partial tail that stops short of EOF, since the rest of that
-		// block holds other bytes of the file.
 		if head > a {
-			if err := fs.copyRange(of, sc, s, a, min(head, b)); err != nil {
+			step(pc, ext4dax.Move{DstOff: a, Len: min(head, b) - a})
+		}
+		if b > tail && tail >= head && b == size {
+			tail += sim.BlockSize
+		}
+		if tail > head {
+			step(pc, ext4dax.Move{Src: s.sf.kf, SrcOff: s.sfOff + (head - s.fileOff), DstOff: head, Len: tail - head})
+		}
+		if b > tail && tail >= head {
+			step(pc, ext4dax.Move{DstOff: tail, Len: b - tail})
+		}
+	}
+}
+
+// relinkPieces takes planPieces' steps inside an open batch: the copies
+// as kernel writes under the handle, and the relinks by one relink call
+// at the end — one crossing and one journal handle per file (DESIGN.md,
+// "Relink is a move", part 4). Caller holds of.mu.
+func (fs *FS) relinkPieces(batch *ext4dax.Batch, sc *relinkScratch, of *ofile) error {
+	moves := sc.moves[:0]
+	var blocks int64
+	for i, m := range sc.moves {
+		pc := sc.from[i]
+		s := pc.src
+		if m.Src == nil {
+			if err := fs.copyRange(batch, of, sc, s, m.DstOff, m.DstOff+m.Len); err != nil {
 				return err
 			}
+			continue
 		}
-		if b > tail && tail >= head && b == of.size {
-			// An append's partial last block holds nothing but this
-			// piece, so it moves whole (DESIGN.md, "Relink is a move").
-			// What follows the piece in the staging block is private
-			// dead space — a recycled block's old bytes — and becomes
-			// the target's slack past EOF, which K-Split keeps zero on
-			// media: zero it here, ahead of the commit whose first
-			// fence orders it before the move.
-			tail += sim.BlockSize
-			s.sf.m.StoreNT(zeroBlock[:tail-b], s.sfOff+(b-s.fileOff))
+		if end := m.DstOff + m.Len; end > pc.b {
+			// An append's partial last block, moving whole: what follows
+			// the piece in the staging block is private dead space — a
+			// recycled block's old bytes — and becomes the target's slack
+			// past EOF, which K-Split keeps zero on media: zero it here,
+			// ahead of the commit whose first fence orders it before the
+			// move.
+			s.sf.m.StoreNT(zeroBlock[:end-pc.b], s.sfOff+(pc.b-s.fileOff))
 			// If the active chunk's cursor stands right after the piece,
 			// it steps to the end of that block: the staging file is
 			// about to lose the block, so the next append must start in
 			// the one after, and give-back must not return it.
-			if c := of.active; c != nil && c.sf == s.sf && c.base+c.used == s.sfOff+(b-s.fileOff) {
-				c.used += tail - b
+			if c := of.active; c != nil && c.sf == s.sf && c.base+c.used == s.sfOff+(pc.b-s.fileOff) {
+				c.used += end - pc.b
 			}
 		}
-		if tail > head {
-			moves = append(moves, ext4dax.Move{Src: s.sf.kf,
-				SrcOff: s.sfOff + (head - s.fileOff), DstOff: head, Len: tail - head})
-			blocks += (tail - head) / sim.BlockSize
-		}
-		if b > tail && tail >= head {
-			if err := fs.copyRange(of, sc, s, tail, b); err != nil {
-				return err
-			}
-		}
+		moves = append(moves, m)
+		blocks += m.Len / sim.BlockSize
 	}
 	sc.moves = moves
 	if len(moves) == 0 {
@@ -226,16 +254,16 @@ type relinkPiece struct {
 }
 
 // relinkScratch is a relink's working storage: partitionStaged's three
-// lists, the relink vector and the bytes of a partial block copied
+// lists, planPieces' steps and their pieces and the bytes of a partial block copied
 // through the kernel (copyRange). Relinks of different files run at once,
 // so they come from a pool rather than from an owner, and an fsync makes
 // no garbage (DESIGN.md, "Host allocation and peak RSS"). The pool is the
 // package's: one inside FS would keep a closed instance, device and all,
 // reachable from the runtime's pool list for two more collections.
 type relinkScratch struct {
-	pieces, segs, next []relinkPiece
-	moves              []ext4dax.Move
-	buf                []byte
+	pieces, segs, next, from []relinkPiece
+	moves                    []ext4dax.Move
+	buf                      []byte
 }
 
 var relinkScratches = sync.Pool{New: func() any { return new(relinkScratch) }}
@@ -249,6 +277,7 @@ func putRelink(sc *relinkScratch) {
 	clear(sc.pieces[:cap(sc.pieces)])
 	clear(sc.segs[:cap(sc.segs)])
 	clear(sc.next[:cap(sc.next)])
+	clear(sc.from[:cap(sc.from)])
 	clear(sc.moves[:cap(sc.moves)])
 	if cap(sc.buf) > sim.BlockSize {
 		sc.buf = nil
@@ -304,8 +333,9 @@ func (fs *FS) setAttrSize(of *ofile, size int64) {
 }
 
 // copyRange copies staged bytes [a, b) through the kernel write path (the
-// partial-block copy of §3.3), through sc's buffer. Caller holds of.mu.
-func (fs *FS) copyRange(of *ofile, sc *relinkScratch, s stagedRange, a, b int64) error {
+// partial-block copy of §3.3), under batch (nil: a handle of its own),
+// through sc's buffer. Caller holds of.mu.
+func (fs *FS) copyRange(batch *ext4dax.Batch, of *ofile, sc *relinkScratch, s stagedRange, a, b int64) error {
 	sc.buf = slices.Grow(sc.buf[:0], int(b-a))
 	buf := sc.buf[:b-a]
 	if s.dram != nil {
@@ -314,7 +344,7 @@ func (fs *FS) copyRange(of *ofile, sc *relinkScratch, s stagedRange, a, b int64)
 	} else {
 		s.sf.m.Load(buf, s.sfOff+(a-s.fileOff))
 	}
-	if _, err := of.kf.WriteAt(buf, a); err != nil {
+	if _, err := of.kf.WriteAtIn(batch, buf, a); err != nil {
 		return err
 	}
 	fs.stats.copiedBytes.Add(b - a)
@@ -322,17 +352,15 @@ func (fs *FS) copyRange(of *ofile, sc *relinkScratch, s stagedRange, a, b int64)
 }
 
 // copyStaged is the no-relink fallback (Fig 3 ablation): every staged
-// byte is copied through the kernel and fsynced.
-func (fs *FS) copyStaged(of *ofile, staged []stagedRange) error {
-	sc := getRelink()
-	defer putRelink(sc)
+// byte is copied through the kernel, through sc's buffer, and fsynced.
+func (fs *FS) copyStaged(of *ofile, sc *relinkScratch, staged []stagedRange) error {
 	for _, s := range staged {
-		if err := fs.copyRange(of, sc, s, s.fileOff, s.fileOff+s.length); err != nil {
+		if err := fs.copyRange(nil, of, sc, s, s.fileOff, s.fileOff+s.length); err != nil {
 			return err
 		}
 	}
 	if fs.mode == Strict {
-		of.kf.SetUserWatermark(of.logSeq)
+		of.kf.SetUserWatermark(nil, of.logSeq)
 	}
 	if err := of.kf.Sync(); err != nil {
 		return err

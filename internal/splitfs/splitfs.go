@@ -203,11 +203,6 @@ type FS struct {
 	unlockLog func()
 	// metaBuf is logMeta's record encoding; guarded by wmu.
 	metaBuf []byte
-	// zeroedFailures is K-Split's CommitFailures when the op log was last
-	// zeroed; guarded by wmu. A commit that failed since may have taken
-	// the only copy of what a record describes, so the log does not
-	// rewind until a checkpoint zeroes it again (rewindLog).
-	zeroedFailures uint64
 
 	// Open-file table, and the retired descriptions the next opens take
 	// (recycle, newOfile).
@@ -348,7 +343,6 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("splitfs: staging pool: %w", err)
 	}
 	if fs.mode != POSIX {
-		fs.zeroedFailures = kfs.CommitFailures()
 		fs.olog, err = newOpLog(fs)
 		if err != nil {
 			return nil, fmt.Errorf("splitfs: operation log: %w", err)
@@ -356,9 +350,7 @@ func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 	}
 	// Make the staging files and operation log durable before any data is
 	// staged into them: recovery depends on their extents being owned.
-	if err := kfs.CommitMeta(); err != nil {
-		return nil, err
-	}
+	kfs.CommitMeta()
 	return fs, nil
 }
 
@@ -467,20 +459,21 @@ func (fs *FS) lockLog(need int64) (func(), error) {
 // or below the recovered stamp are in the image; records above it are not,
 // and are redone in order (replayMeta). op is told the sequence number it
 // will get if it changes anything, for what else it has to write under the
-// same handle.
+// same handle, and the handle (nil in POSIX mode), which its K-Split calls
+// take: they draw on the credits the handle reserved.
 //
 // It returns the sequence number for the record, 0 when there is none to
 // write: POSIX mode, a failed call, or one that changed nothing. Caller
 // holds wmu (lockMeta).
-func (fs *FS) stampedMeta(op func(seq uint64) (changed bool, err error)) (uint64, error) {
+func (fs *FS) stampedMeta(op func(b *ext4dax.Batch, seq uint64) (changed bool, err error)) (uint64, error) {
 	if fs.mode == POSIX {
-		_, err := op(0)
+		_, err := op(nil, 0)
 		return 0, err
 	}
 	b := fs.kfs.BeginBatch()
 	defer b.End()
 	seq := fs.opSeq + 1
-	changed, err := op(seq)
+	changed, err := op(b, seq)
 	if err != nil || !changed {
 		return 0, err
 	}

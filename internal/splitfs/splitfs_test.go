@@ -456,7 +456,7 @@ func TestUnlinkDropsMappingsAndCosts(t *testing.T) {
 				t.Fatalf("%d cached windows, want 2", windows)
 			}
 			twinStart := twinDev.Clock().Now()
-			if _, err := twin.kfs.UnlinkIno("/u"); err != nil {
+			if _, err := twin.kfs.UnlinkIno(nil, "/u"); err != nil {
 				t.Fatal(err)
 			}
 			kSplit := twinDev.Clock().Now() - twinStart

