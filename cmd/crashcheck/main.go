@@ -1,9 +1,11 @@
 // Command crashcheck runs crash-consistency campaigns against SplitFS:
-// deterministic workloads are recorded once to number every persistence
+// deterministic workloads are recorded once to trace every persistence
 // event (each Store/StoreNT/Flush/Fence on the PM device), then replayed
-// with a crash materialized at each event — torn unfenced cache lines
-// included — recovered, and checked against the mode's guarantee
-// (§3.2 Table 3; recovery per §5.3; oracles in DESIGN.md).
+// with a crash materialized at each crash point — an event taken four
+// ways: unfenced cache lines reverted, torn under two seeds, or the
+// event's own store landed whole — recovered, and checked against the
+// mode's guarantee (§3.2 Table 3; recovery per §5.3; oracles in
+// DESIGN.md). -sample counts crash points, not events.
 //
 // Campaigns fan out over one worker pool (-workers, at least 1) across
 // modes × seeds × workload families, direct and served sweeps alike.
@@ -63,6 +65,7 @@ import (
 	"sync"
 
 	"splitfs/internal/crash"
+	"splitfs/internal/pmem"
 	"splitfs/internal/splitfs"
 	"splitfs/internal/stack"
 )
@@ -77,21 +80,21 @@ type job struct {
 	violation func(v crash.Violation) string
 	progress  func(r *crash.ExploreResult) string // the -v line
 	explore   func() (*crash.ExploreResult, error)
-	minimize  func(sample int, include []int64) (*crash.MinimizeResult, error)
+	minimize  func(sample int, include []pmem.CrashPoint) (*crash.MinimizeResult, error)
 }
 
 // directJob is the persistence-event sweep of one workload.
 func directJob(name string, cfg crash.ExploreConfig) job {
 	return job{name: name, size: fmt.Sprintf("%d ops", len(cfg.Ops)), most: 32,
 		violation: func(v crash.Violation) string {
-			return fmt.Sprintf("VIOLATION %s event=%d double=%d: %s", name, v.Event, v.DoubleEvent, v.Msg)
+			return fmt.Sprintf("VIOLATION %s event=%d way=%v double=%d: %s", name, v.At.Ev.Seq, v.At.Way, v.DoubleEvent, v.Msg)
 		},
 		progress: func(r *crash.ExploreResult) string {
-			return fmt.Sprintf("%-22s events=%-5d tested=%-5d double=%-4d violations=%d",
-				name, r.TotalEvents, r.Tested, r.DoubleTested, len(r.Violations))
+			return fmt.Sprintf("%-22s events=%-5d points=%-5d tested=%-5d double=%-4d violations=%d",
+				name, r.TotalEvents, r.TotalPoints, r.Tested, r.DoubleTested, len(r.Violations))
 		},
 		explore: func() (*crash.ExploreResult, error) { return crash.Explore(cfg) },
-		minimize: func(sample int, include []int64) (*crash.MinimizeResult, error) {
+		minimize: func(sample int, include []pmem.CrashPoint) (*crash.MinimizeResult, error) {
 			c := cfg
 			c.Sample, c.Include = sample, include
 			return crash.Minimize(c)
@@ -103,14 +106,14 @@ func servedJob(cfg crash.ServedExploreConfig) job {
 	return job{name: fmt.Sprintf("served-crash %v/seed%d", cfg.Mode, cfg.Seed),
 		size: fmt.Sprintf("%d tenants x %d ops", cfg.Tenants, cfg.OpsPerTenant), tag: "SERVED ", most: 16,
 		violation: func(v crash.Violation) string {
-			return fmt.Sprintf("SERVED VIOLATION %v/seed%d event=%d: %s", cfg.Mode, cfg.Seed, v.Event, v.Msg)
+			return fmt.Sprintf("SERVED VIOLATION %v/seed%d event=%d way=%v: %s", cfg.Mode, cfg.Seed, v.At.Ev.Seq, v.At.Way, v.Msg)
 		},
 		progress: func(r *crash.ExploreResult) string {
 			return fmt.Sprintf("served-crash %v/seed%-2d window=[%d,%d] killed=%-4d violations=%d",
 				cfg.Mode, cfg.Seed, r.Window[0], r.Window[1], r.Tested, len(r.Violations))
 		},
 		explore: func() (*crash.ExploreResult, error) { return crash.ServedExplore(cfg) },
-		minimize: func(sample int, include []int64) (*crash.MinimizeResult, error) {
+		minimize: func(sample int, include []pmem.CrashPoint) (*crash.MinimizeResult, error) {
 			c := cfg
 			c.Sample, c.Include = sample, include
 			return crash.Minimize(c)
@@ -199,13 +202,17 @@ func main() {
 	results, failed := sweep(jobs, *workers, *verbose)
 
 	n, total := tally(jobs, results, "")
-	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d events crashed (+%d double-crash), %d violations\n",
-		n, total.Runs, total.Tested, total.TotalEvents, total.DoubleTested, len(total.Violations))
+	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d crash points of %d events crashed (+%d double-crash), %d violations\n",
+		n, total.Runs, total.Tested, total.TotalPoints, total.TotalEvents, total.DoubleTested, len(total.Violations))
 	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery, %d op-log rewinds crossed\n",
 		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay, total.Rewinds)
-	fmt.Printf("event coverage by kind:")
+	fmt.Printf("crash-point coverage by kind:")
 	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
 		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])
+	}
+	fmt.Printf("; tested by way:")
+	for _, w := range slices.Sorted(maps.Keys(total.TestedByWay)) {
+		fmt.Printf(" %s=%d", w, total.TestedByWay[w])
 	}
 	fmt.Println()
 	if *servedCrash {
@@ -282,13 +289,14 @@ func sweep(jobs []job, workers int, verbose bool) ([]*crash.ExploreResult, bool)
 
 // tally counts the jobs of one kind and sums their results.
 func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.ExploreResult) {
-	n, t := 0, crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}}
+	n, t := 0, crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}}
 	for i, r := range results {
 		if jobs[i].tag != tag {
 			continue
 		}
 		n++
 		t.TotalEvents += r.TotalEvents
+		t.TotalPoints += r.TotalPoints
 		t.Tested += r.Tested
 		t.DoubleTested += r.DoubleTested
 		t.Runs += r.Runs
@@ -301,6 +309,9 @@ func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.E
 		}
 		for k, v := range r.TestedByKind {
 			t.TestedByKind[k] += v
+		}
+		for w, v := range r.TestedByWay {
+			t.TestedByWay[w] += v
 		}
 		t.UnknownKinds = append(t.UnknownKinds, r.UnknownKinds...)
 		t.Violations = append(t.Violations, r.Violations...)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"splitfs/internal/crash"
+	"splitfs/internal/pmem"
 )
 
 // The violation report: what -out writes, and what a minimized
@@ -16,8 +17,8 @@ import (
 // stack's flight-recorder traces of the breached generation when it has
 // them: the last ops each tenant had in flight when the image froze.
 func writeViolation(w io.Writer, tag string, v crash.Violation) {
-	fmt.Fprintf(w, "%sVIOLATION mode=%v seed=%d event=%d double=%d: %s\n",
-		tag, v.Mode, v.Seed, v.Event, v.DoubleEvent, v.Msg)
+	fmt.Fprintf(w, "%sVIOLATION mode=%v seed=%d event=%d way=%v double=%d: %s\n",
+		tag, v.Mode, v.Seed, v.At.Ev.Seq, v.At.Way, v.DoubleEvent, v.Msg)
 	if v.Flight != "" {
 		fmt.Fprintf(w, "flight traces:\n%s", v.Flight)
 	}
@@ -25,15 +26,16 @@ func writeViolation(w io.Writer, tag string, v crash.Violation) {
 
 // minimizerSweep is what a minimizer re-sweeps each candidate with: a
 // smaller sample than the run that found the violations vios, and their
-// witness events pinned so the first re-sweep cannot miss them.
-func minimizerSweep(sample, most int, vios []crash.Violation) (int, []int64) {
+// witness points — event and way — pinned, re-tested first, so the first
+// re-sweep cannot miss them.
+func minimizerSweep(sample, most int, vios []crash.Violation) (int, []pmem.CrashPoint) {
 	if sample == 0 || sample > most {
 		sample = most
 	}
-	var include []int64
+	var include []pmem.CrashPoint
 	for _, v := range vios {
-		if v.Event > 0 {
-			include = append(include, v.Event)
+		if v.At.Ev.Seq > 0 {
+			include = append(include, v.At)
 		}
 	}
 	return sample, include

@@ -6,33 +6,39 @@ import (
 	"testing"
 
 	"splitfs/internal/crash"
+	"splitfs/internal/pmem"
 	"splitfs/internal/splitfs"
 )
 
 func TestWriteViolation(t *testing.T) {
 	var b strings.Builder
-	writeViolation(&b, "", crash.Violation{Mode: splitfs.Strict, Seed: 3, Event: 41, DoubleEvent: 7, Msg: "lost write"})
-	writeViolation(&b, "SERVED ", crash.Violation{Mode: splitfs.POSIX, Seed: 1, Event: 9, Msg: "dup rename", Flight: "t0: rename\n"})
-	want := "VIOLATION mode=strict seed=3 event=41 double=7: lost write\n" +
-		"SERVED VIOLATION mode=posix seed=1 event=9 double=0: dup rename\n" +
+	writeViolation(&b, "", crash.Violation{Mode: splitfs.Strict, Seed: 3, At: point(41, pmem.Land), DoubleEvent: 7, Msg: "lost write"})
+	writeViolation(&b, "SERVED ", crash.Violation{Mode: splitfs.POSIX, Seed: 1, At: point(9, 2), Msg: "dup rename", Flight: "t0: rename\n"})
+	want := "VIOLATION mode=strict seed=3 event=41 way=land double=7: lost write\n" +
+		"SERVED VIOLATION mode=posix seed=1 event=9 way=tear2 double=0: dup rename\n" +
 		"flight traces:\nt0: rename\n"
 	if b.String() != want {
 		t.Fatalf("report:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 
+func point(seq int64, way pmem.Way) pmem.CrashPoint {
+	return pmem.CrashPoint{Ev: pmem.Event{Seq: seq, Kind: pmem.EvStoreNT}, Way: way}
+}
+
 // TestMinimizerSweep: the sample is capped, and the violating
-// campaign's witness events are pinned.
+// campaign's witness points, event and way, are pinned.
 func TestMinimizerSweep(t *testing.T) {
 	vios := []crash.Violation{
-		{Mode: splitfs.Strict, Seed: 2, Event: 40},
-		{Mode: splitfs.Strict, Seed: 2, Event: 0}, // boundary run: nothing to pin
-		{Mode: splitfs.Strict, Seed: 2, Event: 43},
+		{Mode: splitfs.Strict, Seed: 2, At: point(40, pmem.Land)},
+		{Mode: splitfs.Strict, Seed: 2}, // boundary run: nothing to pin
+		{Mode: splitfs.Strict, Seed: 2, At: point(43, pmem.Revert)},
 	}
+	want := []pmem.CrashPoint{point(40, pmem.Land), point(43, pmem.Revert)}
 	for _, c := range []struct{ sample, most, want int }{{0, 32, 32}, {256, 32, 32}, {8, 32, 8}} {
 		sample, include := minimizerSweep(c.sample, c.most, vios)
-		if sample != c.want || !slices.Equal(include, []int64{40, 43}) {
-			t.Errorf("minimizerSweep(%d, %d) = %d, %v; want %d, [40 43]", c.sample, c.most, sample, include, c.want)
+		if sample != c.want || !slices.Equal(include, want) {
+			t.Errorf("minimizerSweep(%d, %d) = %d, %v; want %d, %v", c.sample, c.most, sample, include, c.want, want)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 // Package crash is the crash-consistency exploration engine (§5.3 of the
 // paper, grown into a persistence-event harness; see DESIGN.md): it runs
 // a workload against SplitFS, injects a crash — at an operation boundary
-// or at ANY numbered persistence event inside an operation, with torn
-// unfenced cache lines — recovers, and checks the durable state against
-// the mode's row of the paper's Table 3 (stack.GuaranteeOf; model.go).
+// or at any crash point of a recorded trace, pmem.CrashPoint: a numbered
+// persistence event inside an operation, taken four ways (the unfenced
+// lines revert whole, tear under two seeds, or the event's own store
+// lands whole) — recovers, and checks the durable state against the
+// mode's row of the paper's Table 3 (stack.GuaranteeOf; model.go).
 //
-// On top of single crashes the package offers full persistence-event
-// sweeps (Explore), double-crash campaigns that crash again inside
-// recovery itself, and fault injection (skipping fences).
+// On top of single crashes the package offers crash-point sweeps
+// (Explore; Sample counts crash points, not events), double-crash
+// campaigns that crash again inside recovery itself, and fault injection
+// (skipping fences).
 //
 // Served campaigns (RunServed, ServedExplore) kill the file service
 // instead: several resumable tenant sessions, driven by one goroutine on
@@ -16,7 +19,7 @@
 // it. Both sweeps return an ExploreResult, and one Minimize shrinks the
 // workloads of a violating sweep of either kind to a minimal reproducer.
 // Every run of the package is a function of its configuration, so every
-// violation replays from its seed and event.
+// violation replays from its seed and crash point.
 package crash
 
 import (
@@ -37,17 +40,17 @@ type Campaign struct {
 	// Ops is the workload.
 	Ops []Op
 	// CrashAfter is the operation index after which the crash is injected
-	// (len(Ops) crashes after everything). Ignored when CrashAtEvent is
-	// set.
+	// (len(Ops) crashes after everything). Ignored when CrashAt is set.
 	CrashAfter int
-	// Seed drives torn-line injection.
+	// Seed drives torn-line injection at a boundary crash and at the
+	// second crash.
 	Seed uint64
-	// CrashAtEvent, when positive, crashes at that absolute persistence
-	// event instead of an operation boundary: the workload runs to
-	// completion against a device whose durable image froze — torn lines
-	// included — the moment event CrashAtEvent completed. Event numbers
-	// come from a recording run's SysEvents (see Explore).
-	CrashAtEvent int64
+	// CrashAt, when set, crashes at that crash point instead of an
+	// operation boundary: the workload runs to completion against a
+	// device whose durable image froze the moment the point's event
+	// completed, its unfenced lines as the point's way has them. Points
+	// come from a recording run's Trace (see Explore).
+	CrashAt pmem.CrashPoint
 	// DoubleCrashEvent, when positive, injects a second crash at that
 	// absolute persistence event during recovery from the first crash,
 	// then recovers again — verifying that recovery itself is
@@ -200,8 +203,8 @@ func Run(c Campaign) (*Result, error) {
 		return nil, err
 	}
 	sys := compile(c.Ops)
-	stopSys := len(sys)
-	if c.CrashAtEvent == 0 {
+	stopSys, crashAt := len(sys), c.CrashAt.Ev.Seq
+	if crashAt == 0 {
 		stop := c.CrashAfter
 		if stop > len(c.Ops) {
 			stop = len(c.Ops)
@@ -220,8 +223,8 @@ func Run(c Campaign) (*Result, error) {
 	if c.SkipFence != nil {
 		env.Dev.SetFenceFilter(c.SkipFence)
 	}
-	if c.CrashAtEvent > 0 {
-		env.Dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
+	if crashAt > 0 {
+		c.CrashAt.Arm(env.Dev)
 	}
 
 	r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
@@ -243,21 +246,23 @@ func Run(c Campaign) (*Result, error) {
 	// Locate the crash point in syscall terms: crashSys syscalls
 	// completed, and interrupted means the crash hit inside the next one.
 	crashSys, interrupted := stopSys, false
-	if c.CrashAtEvent > 0 && env.Dev.CrashFired() {
+	if crashAt > 0 && env.Dev.CrashFired() {
 		crashSys = 0
 		for i, ev := range res.SysEvents {
-			if ev <= c.CrashAtEvent {
+			if ev <= crashAt {
 				crashSys = i
 			}
 		}
-		interrupted = res.SysEvents[crashSys] != c.CrashAtEvent
+		interrupted = res.SysEvents[crashSys] != crashAt
 	}
 	res.Rewinds = laps[crashSys] - laps[0]
 
-	// Crash with torn unfenced lines (ignored if the armed point already
-	// froze the image), then recover — possibly crashing again inside
+	// Crash to the armed point's image, or at a boundary with torn
+	// unfenced lines, then recover — possibly crashing again inside
 	// recovery itself.
-	if err := env.Dev.Crash(sim.NewRNG(c.Seed)); err != nil {
+	if crashAt > 0 {
+		c.CrashAt.Crash(env.Dev)
+	} else if err := env.Dev.Crash(sim.NewRNG(c.Seed)); err != nil {
 		return nil, err
 	}
 	if c.DoubleCrashEvent > 0 {

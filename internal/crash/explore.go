@@ -10,19 +10,22 @@ import (
 )
 
 // Explore is the persistence-event sweep: record the workload once to
-// number its events, then crash at every (or a seeded sample of) event,
-// recover, and check the mode's guarantee. With DoubleCrash it also
-// crashes again inside each recovery.
+// trace its events, then crash at every (or a seeded sample of) crash
+// point of them — each event taken four ways, pmem.CrashPoints — recover,
+// and check the mode's guarantee. With DoubleCrash it also crashes again
+// inside each recovery.
 
 // ExploreConfig configures a sweep.
 type ExploreConfig struct {
 	Mode splitfs.Mode
 	Ops  []Op
 	Seed uint64
-	// Sample bounds how many first-crash events are tested (0 = all).
-	// Sampling is deterministic in Seed.
+	// Sample bounds how many first-crash points are tested (0 = all): a
+	// budget of crashed runs, spent one point an event — each drawn
+	// event's way drawn too — so a sampled sweep crashes as many runs as
+	// a sweep of events did. Sampling is deterministic in Seed.
 	Sample int
-	// DoubleCrash adds, for every tested event, second crashes inside the
+	// DoubleCrash adds, for every tested point, second crashes inside the
 	// recovery from that crash.
 	DoubleCrash bool
 	// DoubleSample bounds the second-crash events tested per recovery
@@ -31,19 +34,20 @@ type ExploreConfig struct {
 	// SkipFence, when set, is installed as the fence fault-injection hook
 	// of every campaign in the sweep (see Campaign.SkipFence).
 	SkipFence func(seq int64) bool
-	// Include lists first-crash events that must be tested even when
-	// Sample would not draw them (events outside the workload's window
-	// are ignored). Minimization seeds this with the witness violation's
-	// event so a sampled re-sweep cannot miss it.
-	Include []int64
+	// Include lists first-crash points, by event number and way, that
+	// are tested first and even when Sample would not draw them (points
+	// the workload's window does not have are ignored). Minimization
+	// seeds this with the witness violation's point so a sampled
+	// re-sweep cannot miss it.
+	Include []pmem.CrashPoint
 }
 
 // Violation is one guarantee breach found by a sweep.
 type Violation struct {
 	Mode        splitfs.Mode
 	Seed        uint64
-	Event       int64 // first-crash persistence event (0 = boundary run)
-	DoubleEvent int64 // second-crash event, when the breach needed one
+	At          pmem.CrashPoint // first crash (zero = boundary run)
+	DoubleEvent int64           // second-crash event, when the breach needed one
 	Msg         string
 	// Flight carries the served stack's flight-recorder traces for the
 	// generation that breached (served sweeps only; empty otherwise).
@@ -54,17 +58,20 @@ type Violation struct {
 type ExploreResult struct {
 	// Window is the crashable event range (post-setup, end-of-workload].
 	Window [2]int64
-	// TotalEvents counts the events in the window; Tested how many were
-	// crashed at; DoubleTested counts second-crash runs.
-	TotalEvents  int64
-	Tested       int
-	DoubleTested int
-	// ByKind/TestedByKind break the window's events and the tested events
-	// down by coverage label — kind (store/storent/flush/fence), suffixed
-	// with the event source for events issued by fsync's relink and
-	// reclaim stages (e.g. "storent@relink", "fence@reclaim").
+	// TotalEvents counts the events in the window and TotalPoints their
+	// crash points; Tested how many points were crashed at; DoubleTested
+	// counts second-crash runs.
+	TotalEvents, TotalPoints int64
+	Tested                   int
+	DoubleTested             int
+	// ByKind/TestedByKind break the window's crash points and the tested
+	// ones down by coverage label — event kind (store/storent/flush/fence),
+	// suffixed with the event source for events issued by fsync's relink
+	// and reclaim stages (e.g. "storent@relink", "fence@reclaim");
+	// TestedByWay breaks the tested points down by way.
 	ByKind       map[string]int64
 	TestedByKind map[string]int64
+	TestedByWay  map[string]int64
 	// UnknownKinds lists coverage labels built from event kinds or
 	// sources this build does not know (a newer pmem added one without
 	// updating the coverage tables). Consumers must surface these loudly
@@ -74,12 +81,12 @@ type ExploreResult struct {
 	Violations   []Violation
 	Runs         int // total campaign executions, recording run included
 	// MetaReplayed / MetaSkipped sum, over the first recoveries of the
-	// tested events, the metadata operations redone from the op log and
+	// tested points, the metadata operations redone from the op log and
 	// the records found already committed; DoubleInMetaReplay counts the
 	// second crashes that cut such a replay short (Result).
 	MetaReplayed, MetaSkipped int
 	DoubleInMetaReplay        int
-	// Rewinds sums, over the tested events, the op-log rewinds made before
+	// Rewinds sums, over the tested points, the op-log rewinds made before
 	// the crash (Result.Rewinds).
 	Rewinds int
 }
@@ -95,7 +102,7 @@ func kindLabel(ev pmem.Event) string {
 
 // Explore runs the sweep.
 func Explore(cfg ExploreConfig) (*ExploreResult, error) {
-	res := &ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}}
+	res := &ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}}
 
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
@@ -114,16 +121,14 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	w1 := record.SysEvents[len(record.SysEvents)-1]
 	res.Window = [2]int64{w0, w1}
 	res.TotalEvents = w1 - w0
-	kindOf := map[int64]string{}
+	all, picked := crashPoints(record.Trace, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5a)))
+	res.TotalPoints = int64(len(all))
 	unknown := map[string]bool{}
-	for _, ev := range record.Trace {
-		if ev.Seq > w0 && ev.Seq <= w1 {
-			label := kindLabel(ev)
-			res.ByKind[label]++
-			kindOf[ev.Seq] = label
-			if !ev.Kind.Known() || !ev.Src.Known() {
-				unknown[label] = true
-			}
+	for _, p := range all {
+		label := kindLabel(p.Ev)
+		res.ByKind[label]++
+		if !p.Ev.Kind.Known() || !p.Ev.Src.Known() {
+			unknown[label] = true
 		}
 	}
 	res.UnknownKinds = slices.Sorted(maps.Keys(unknown))
@@ -132,22 +137,24 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	if dblSample <= 0 {
 		dblSample = 3
 	}
-	for _, k := range crashPoints(res.Window, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5a))) {
+	for _, p := range picked {
+		k := p.Ev.Seq
 		c := Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
-			CrashAtEvent: k, SkipFence: cfg.SkipFence, model: model}
+			CrashAt: p, SkipFence: cfg.SkipFence, model: model}
 		r, err := Run(c)
 		if err != nil {
 			return nil, err
 		}
 		res.Runs++
 		res.Tested++
-		res.TestedByKind[kindOf[k]]++
+		res.TestedByKind[kindLabel(p.Ev)]++
+		res.TestedByWay[p.Way.String()]++
 		res.MetaReplayed += r.MetaReplayed
 		res.Rewinds += r.Rewinds
 		res.MetaSkipped += r.MetaSkipped
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{
-				Mode: cfg.Mode, Seed: cfg.Seed, Event: k, Msg: r.Violation})
+				Mode: cfg.Mode, Seed: cfg.Seed, At: p, Msg: r.Violation})
 			continue
 		}
 		if !cfg.DoubleCrash {
@@ -168,25 +175,55 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			}
 			if r2.Violation != "" {
 				res.Violations = append(res.Violations, Violation{
-					Mode: cfg.Mode, Seed: cfg.Seed, Event: k, DoubleEvent: k2, Msg: r2.Violation})
+					Mode: cfg.Mode, Seed: cfg.Seed, At: p, DoubleEvent: k2, Msg: r2.Violation})
 			}
 		}
 	}
 	return res, nil
 }
 
-// crashPoints is a sweep's first-crash events, in order: a sample of
-// the window (w0, w1] drawn from rng (every event when sample <= 0), plus
-// each include event inside it.
-func crashPoints(window [2]int64, sample int, include []int64, rng *sim.RNG) []int64 {
-	w0, w1 := window[0], window[1]
-	events := sampleEvents(w0+1, w1, sample, rng)
-	for _, k := range include {
-		if k > w0 && k <= w1 {
-			events = insertEvent(events, k)
+// tears is how many seeded tears a sweep takes of each event, beside
+// reverting its unfenced lines and, for a non-temporal store, landing it:
+// the four ways.
+const tears = 2
+
+// crashPoints enumerates the crash points of a recorded window, all, and
+// picks the ones a sweep crashes at: each include point the window has
+// (matched by event number and way), in include order, then, in order,
+// every point when sample <= 0, or else one point, its way drawn from
+// rng, of each of up to sample events drawn from rng (every event when
+// the window has no more; its last, fully quiesced, always).
+func crashPoints(window []pmem.Event, sample int, include []pmem.CrashPoint, rng *sim.RNG) (all, picked []pmem.CrashPoint) {
+	first := make([]int, 0, len(window)+1) // all[first[i]:first[i+1]] are window[i]'s points
+	for p := range pmem.CrashPoints(window, tears) {
+		if p.Way == pmem.Revert {
+			first = append(first, len(all))
+		}
+		all = append(all, p)
+	}
+	first = append(first, len(all))
+	pinned := map[int]bool{}
+	pick := func(i int) {
+		if !pinned[i] {
+			pinned[i] = true
+			picked = append(picked, all[i])
 		}
 	}
-	return events
+	for _, p := range include {
+		if i := slices.IndexFunc(all, func(q pmem.CrashPoint) bool { return q.Ev.Seq == p.Ev.Seq && q.Way == p.Way }); i >= 0 {
+			pick(i)
+		}
+	}
+	if sample <= 0 {
+		for i := range all {
+			pick(i)
+		}
+		return all, picked
+	}
+	for _, e := range sampleEvents(0, int64(len(window))-1, sample, rng) {
+		pick(first[e] + rng.Intn(first[e+1]-first[e]))
+	}
+	return all, picked
 }
 
 // sampleEvents returns up to max events from [lo, hi], all of them when
@@ -209,12 +246,4 @@ func sampleEvents(lo, hi int64, max int, rng *sim.RNG) []int64 {
 		picked[lo+rng.Int63n(n)] = true
 	}
 	return slices.Sorted(maps.Keys(picked))
-}
-
-// insertEvent inserts k into the sorted event list if absent.
-func insertEvent(events []int64, k int64) []int64 {
-	if i, found := slices.BinarySearch(events, k); !found {
-		events = slices.Insert(events, i, k)
-	}
-	return events
 }

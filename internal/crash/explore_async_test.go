@@ -37,7 +37,7 @@ func TestAsyncRelinkSweepAllModes(t *testing.T) {
 						t.Fatalf("explore: %v", err)
 					}
 					for _, v := range res.Violations {
-						t.Errorf("violation at event %d: %s", v.Event, v.Msg)
+						t.Errorf("violation at %v: %s", v.At, v.Msg)
 					}
 					if len(res.UnknownKinds) != 0 {
 						t.Errorf("unknown event kinds: %v", res.UnknownKinds)
@@ -82,7 +82,7 @@ func TestGroupSyncDoubleCrash(t *testing.T) {
 		t.Fatalf("explore: %v", err)
 	}
 	for _, v := range res.Violations {
-		t.Errorf("violation event=%d double=%d: %s", v.Event, v.DoubleEvent, v.Msg)
+		t.Errorf("violation at %v, double=%d: %s", v.At, v.DoubleEvent, v.Msg)
 	}
 	if res.DoubleTested == 0 {
 		t.Fatal("no double-crash runs executed")

@@ -2,8 +2,11 @@ package crash
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"splitfs/internal/pmem"
+	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
 )
 
@@ -18,11 +21,14 @@ func TestStrictSweepEveryEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalEvents == 0 || res.Tested != int(res.TotalEvents) {
-		t.Fatalf("tested %d of %d events", res.Tested, res.TotalEvents)
+	if res.TotalEvents == 0 || res.Tested != int(res.TotalPoints) {
+		t.Fatalf("tested %d of %d crash points", res.Tested, res.TotalPoints)
+	}
+	if len(res.TestedByWay) != 4 {
+		t.Fatalf("the sweep took %v: not four ways", res.TestedByWay)
 	}
 	for _, v := range res.Violations {
-		t.Errorf("event %d: %s", v.Event, v.Msg)
+		t.Errorf("%v: %s", v.At, v.Msg)
 	}
 	if len(res.ByKind) < 3 {
 		t.Fatalf("coverage stats missing kinds: %v", res.ByKind)
@@ -39,7 +45,7 @@ func TestPosixAndSyncEventSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v event %d: %s", mode, v.Event, v.Msg)
+			t.Errorf("%v %v: %s", mode, v.At, v.Msg)
 		}
 	}
 }
@@ -54,7 +60,7 @@ func TestMetadataWorkloadSweep(t *testing.T) {
 				t.Fatalf("%v seed %d: %v", mode, seed, err)
 			}
 			for _, v := range res.Violations {
-				t.Errorf("%v seed %d event %d: %s", mode, seed, v.Event, v.Msg)
+				t.Errorf("%v seed %d %v: %s", mode, seed, v.At, v.Msg)
 			}
 		}
 	}
@@ -75,7 +81,7 @@ func TestMetaBurstSweep(t *testing.T) {
 				t.Fatalf("%v seed %d: %v", mode, seed, err)
 			}
 			for _, v := range res.Violations {
-				t.Errorf("%v seed %d event %d: %s", mode, seed, v.Event, v.Msg)
+				t.Errorf("%v seed %d %v: %s", mode, seed, v.At, v.Msg)
 			}
 			replayed += res.MetaReplayed
 		}
@@ -98,7 +104,7 @@ func TestDoubleCrashSweep(t *testing.T) {
 			t.Fatalf("%v: no double-crash points tested", mode)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v event %d/%d: %s", mode, v.Event, v.DoubleEvent, v.Msg)
+			t.Errorf("%v %v/%d: %s", mode, v.At, v.DoubleEvent, v.Msg)
 		}
 	}
 }
@@ -117,7 +123,7 @@ func TestDoubleCrashInsideMetaReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v event %d/%d: %s", mode, v.Event, v.DoubleEvent, v.Msg)
+			t.Errorf("%v %v/%d: %s", mode, v.At, v.DoubleEvent, v.Msg)
 		}
 		if res.MetaReplayed == 0 || res.DoubleInMetaReplay == 0 {
 			t.Errorf("%v: %d metadata operations redone, %d of %d second crashes cut their replay short: the sweep did not reach it",
@@ -143,7 +149,7 @@ func TestOrphanUnlinkCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v event %d: %s", mode, v.Event, v.Msg)
+			t.Errorf("%v %v: %s", mode, v.At, v.Msg)
 		}
 	}
 }
@@ -168,7 +174,33 @@ func TestStagedWriteOverInPlaceOverwrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v event %d: %s", mode, v.Event, v.Msg)
+			t.Errorf("%v %v: %s", mode, v.At, v.Msg)
+		}
+	}
+}
+
+// TestCrashPointsPinsIncludeFirst: a sampled sweep spends its budget one
+// point an event, on drawn events, always with the window's last; an
+// unsampled one takes every point, four ways an event. Each include point
+// the window has comes first, matched by event number and way, and one it
+// lacks is dropped.
+func TestCrashPointsPinsIncludeFirst(t *testing.T) {
+	var window []pmem.Event
+	for seq := int64(11); seq <= 30; seq++ {
+		window = append(window, pmem.Event{Seq: seq, Kind: pmem.EvStoreNT, Off: seq * 64, Len: 64})
+	}
+	include := []pmem.CrashPoint{{Ev: pmem.Event{Seq: 17}, Way: pmem.Land}, {Ev: pmem.Event{Seq: 40}}, {Ev: pmem.Event{Seq: 12}, Way: 1}}
+	pinned := []pmem.CrashPoint{{Ev: window[6], Way: pmem.Land}, {Ev: window[1], Way: 1}}
+	for _, c := range []struct{ sample, want int }{{5, 5}, {20, 20}, {512, 20}, {0, 80}} {
+		all, picked := crashPoints(window, c.sample, include, sim.NewRNG(1))
+		events := map[int64]bool{}
+		for _, p := range picked[2:] {
+			events[p.Ev.Seq] = true
+		}
+		n := len(picked) - 2 // besides the pinned two, which a draw may have taken too
+		ok := c.sample == 0 && n == 78 || c.sample > 0 && len(events) == n && n >= c.want-2 && n <= c.want
+		if len(all) != 80 || !slices.Equal(picked[:2], pinned) || !ok || picked[len(picked)-1].Ev != window[19] {
+			t.Errorf("sample %d: %d points, picked %v", c.sample, len(all), picked)
 		}
 	}
 }

@@ -25,17 +25,17 @@ func TestFullAsyncSweepAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("explore: %v", err)
 			}
-			if int64(res.Tested) != res.TotalEvents {
-				t.Fatalf("swept %d of %d events", res.Tested, res.TotalEvents)
+			if int64(res.Tested) != res.TotalPoints {
+				t.Fatalf("swept %d of %d crash points", res.Tested, res.TotalPoints)
 			}
 			for _, v := range res.Violations {
-				t.Errorf("violation at event %d: %s", v.Event, v.Msg)
+				t.Errorf("violation at %v: %s", v.At, v.Msg)
 			}
 			if len(res.UnknownKinds) != 0 {
 				t.Errorf("unknown event kinds: %v", res.UnknownKinds)
 			}
-			t.Logf("%v: %d events, all crashed, 0 violations; coverage %v",
-				mode, res.TotalEvents, res.ByKind)
+			t.Logf("%v: %d events, all %d crash points crashed, 0 violations; coverage %v, %v",
+				mode, res.TotalEvents, res.TotalPoints, res.ByKind, res.TestedByWay)
 		})
 	}
 }

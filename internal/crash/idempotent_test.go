@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
 	"splitfs/internal/vfs"
@@ -23,49 +24,53 @@ import (
 func TestRecoveryIdempotence(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		ops := MetaBurstOps(17, 30)
-		metaRedone := 0
-		// Probe a few crash points: boundary and intra-op events.
-		record, err := Run(Campaign{Mode: mode, Ops: ops, CrashAfter: len(ops), Seed: 17})
+		metaRedone, points := 0, 0
+		// Probe a few events, each of the four ways.
+		record, err := Run(Campaign{Mode: mode, Ops: ops, CrashAfter: len(ops), Seed: 17, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w0 := record.SysEvents[0]
 		w1 := record.SysEvents[len(record.SysEvents)-1]
-		rng := sim.NewRNG(99)
-		for probe := 0; probe < 6; probe++ {
-			k := w0 + 1 + rng.Int63n(w1-w0)
+		rng, probed := sim.NewRNG(99), map[int64]bool{}
+		for range 6 {
+			probed[w0+1+rng.Int63n(w1-w0)] = true
+		}
+		for p := range pmem.CrashPoints(record.Trace, tears) {
+			if !probed[p.Ev.Seq] {
+				continue
+			}
+			points++
 			env, err := newCrashStack(mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := env.Spec.USplit
 			cfg.Mode = mode
-			env.Dev.ArmCrash(k, sim.NewRNG(mix(17, uint64(k))))
+			p.Arm(env.Dev)
 			r := &runner{fs: env.FS, handles: map[string]vfs.File{}}
 			for _, sc := range compile(ops) {
 				if err := r.apply(sc); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := env.Dev.Crash(sim.NewRNG(17)); err != nil {
-				t.Fatal(err)
-			}
+			p.Crash(env.Dev)
 
 			// Mount twice: the second journal replay must be a no-op.
 			if _, _, err := ext4dax.Mount(env.Dev, ext4dax.Config{}); err != nil {
-				t.Fatalf("%v k=%d: first mount: %v", mode, k, err)
+				t.Fatalf("%v %v: first mount: %v", mode, p, err)
 			}
 			kfs, replayed2, err := ext4dax.Mount(env.Dev, ext4dax.Config{})
 			if err != nil {
-				t.Fatalf("%v k=%d: second mount: %v", mode, k, err)
+				t.Fatalf("%v %v: second mount: %v", mode, p, err)
 			}
 			if replayed2 != 0 {
-				t.Fatalf("%v k=%d: second mount replayed %d transactions", mode, k, replayed2)
+				t.Fatalf("%v %v: second mount replayed %d transactions", mode, p, replayed2)
 			}
 
 			_, rep1, err := splitfs.RecoverFS(kfs, cfg)
 			if err != nil {
-				t.Fatalf("%v k=%d: first recovery: %v", mode, k, err)
+				t.Fatalf("%v %v: first recovery: %v", mode, p, err)
 			}
 			// Snapshot through the kernel view: reading via the recovered
 			// strict instance would itself append open/close log entries.
@@ -75,25 +80,26 @@ func TestRecoveryIdempotence(t *testing.T) {
 			// lost power right after recovery finished).
 			kfs2, _, err := ext4dax.Mount(env.Dev, ext4dax.Config{})
 			if err != nil {
-				t.Fatalf("%v k=%d: remount: %v", mode, k, err)
+				t.Fatalf("%v %v: remount: %v", mode, p, err)
 			}
 			_, rep2, err := splitfs.RecoverFS(kfs2, cfg)
 			if err != nil {
-				t.Fatalf("%v k=%d: second recovery: %v", mode, k, err)
+				t.Fatalf("%v %v: second recovery: %v", mode, p, err)
 			}
 			snap2 := dumpFiles(t, kfs2)
 
 			if !bytes.Equal(snap1, snap2) {
-				t.Fatalf("%v k=%d: repeated recovery changed file contents:\n%s\nvs\n%s",
-					mode, k, snap1, snap2)
+				t.Fatalf("%v %v: repeated recovery changed file contents:\n%s\nvs\n%s",
+					mode, p, snap1, snap2)
 			}
 			rep2.ReplayNs = 0 // scanning an empty log takes time too
 			if *rep2 != (splitfs.RecoveryReport{}) {
-				t.Fatalf("%v k=%d: second recovery not idempotent: first %+v, second %+v",
-					mode, k, rep1, rep2)
+				t.Fatalf("%v %v: second recovery not idempotent: first %+v, second %+v",
+					mode, p, rep1, rep2)
 			}
 			metaRedone += rep1.MetaReplayed
 		}
+		t.Logf("%v: %d crash points", mode, points)
 		if (mode == splitfs.POSIX) != (metaRedone == 0) {
 			t.Errorf("%v: the first recoveries redid %d metadata operations", mode, metaRedone)
 		}

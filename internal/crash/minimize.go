@@ -3,6 +3,8 @@ package crash
 import (
 	"fmt"
 	"slices"
+
+	"splitfs/internal/pmem"
 )
 
 // sweep is a sweep configuration of either kind — ExploreConfig or
@@ -12,8 +14,8 @@ type sweep interface {
 	// campaign has one).
 	workloads() [][]Op
 	// explore sweeps workloads w instead of the configured ones, testing
-	// the first-crash events include on top of its own.
-	explore(w [][]Op, include []int64) (*ExploreResult, error)
+	// the first-crash points include first and on top of its own.
+	explore(w [][]Op, include []pmem.CrashPoint) (*ExploreResult, error)
 	// sanitize rewrites a ddmin candidate into a workload the sweep can
 	// run.
 	sanitize(ops []Op) []Op
@@ -21,14 +23,14 @@ type sweep interface {
 
 func (c ExploreConfig) workloads() [][]Op { return [][]Op{c.Ops} }
 
-func (c ExploreConfig) explore(w [][]Op, include []int64) (*ExploreResult, error) {
+func (c ExploreConfig) explore(w [][]Op, include []pmem.CrashPoint) (*ExploreResult, error) {
 	c.Ops, c.Include = w[0], append(slices.Clip(c.Include), include...)
 	return Explore(c)
 }
 
 func (ExploreConfig) sanitize(ops []Op) []Op { return ops }
 
-func (c ServedExploreConfig) explore(w [][]Op, include []int64) (*ExploreResult, error) {
+func (c ServedExploreConfig) explore(w [][]Op, include []pmem.CrashPoint) (*ExploreResult, error) {
 	c.TenantOps, c.Include = w, append(slices.Clip(c.Include), include...)
 	return ServedExplore(c)
 }
@@ -48,14 +50,15 @@ type MinimizeResult struct {
 // Minimize shrinks a violating sweep to a minimal reproducer. It
 // requires cfg to violate (its sweep finds at least one breach) and
 // shrinks each workload in turn by ddmin to a locally minimal
-// subsequence that still does. Every witness event found is pinned, so
-// a sampled re-sweep of a later candidate cannot miss it. The
+// subsequence that still does. Every witness point found — event and
+// way — is pinned and re-tested first, so a sampled re-sweep of a later
+// candidate cannot miss it. The
 // configuration's Sample bounds the per-candidate sweep; keep it modest
 // (e.g. 32) — minimization trades per-candidate exhaustiveness for many
 // candidates.
 func Minimize(cfg sweep) (*MinimizeResult, error) {
 	res := &MinimizeResult{}
-	var include []int64
+	var include []pmem.CrashPoint
 	test := func(w [][]Op) (*Violation, error) {
 		r, err := cfg.explore(w, include)
 		if err != nil {
@@ -66,8 +69,9 @@ func Minimize(cfg sweep) (*MinimizeResult, error) {
 			return nil, nil
 		}
 		v := r.Violations[0]
-		if v.Event > 0 {
-			include = insertEvent(include, v.Event)
+		if v.At.Ev.Seq > 0 { // the newest witness goes first
+			same := func(p pmem.CrashPoint) bool { return p == v.At }
+			include = append([]pmem.CrashPoint{v.At}, slices.DeleteFunc(include, same)...)
 		}
 		return &v, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/splitfs"
 )
 
@@ -48,33 +49,34 @@ func TestMinimizeRejectsHealthyCampaign(t *testing.T) {
 	}
 }
 
-// pinFake is a sweep that breaches at event k whenever a candidate still
-// holds an op on path bad, and records the include list every candidate
-// is swept with.
+// pinFake is a sweep that breaches at point at whenever a candidate
+// still holds an op on path bad, and records the include list every
+// candidate is swept with.
 type pinFake struct {
 	w    [][]Op
 	bad  string
-	k    int64
-	seen *[][]int64
+	at   pmem.CrashPoint
+	seen *[][]pmem.CrashPoint
 }
 
 func (f pinFake) workloads() [][]Op      { return f.w }
 func (f pinFake) sanitize(ops []Op) []Op { return ops }
 
-func (f pinFake) explore(w [][]Op, include []int64) (*ExploreResult, error) {
+func (f pinFake) explore(w [][]Op, include []pmem.CrashPoint) (*ExploreResult, error) {
 	*f.seen = append(*f.seen, slices.Clone(include))
 	for _, ops := range w {
 		if slices.ContainsFunc(ops, func(op Op) bool { return op.Path == f.bad }) {
-			return &ExploreResult{Runs: 1, Violations: []Violation{{Event: f.k, Msg: "breach"}}}, nil
+			return &ExploreResult{Runs: 1, Violations: []Violation{{At: f.at, Msg: "breach"}}}, nil
 		}
 	}
 	return &ExploreResult{Runs: 1}, nil
 }
 
-// TestMinimizePinsWitness: once a sweep has found a violation at event
-// k, every later candidate is swept with k pinned, whatever the kind of
-// sweep and however many workloads it has; and the shrunken workloads
-// keep only the op the breach needs, an emptied tenant keeping its slot.
+// TestMinimizePinsWitness: once a sweep has found a violation at a
+// crash point, every later candidate is swept with that event and way
+// pinned first, whatever the kind of sweep and however many workloads it
+// has; and the shrunken workloads keep only the op the breach needs, an
+// emptied tenant keeping its slot.
 func TestMinimizePinsWitness(t *testing.T) {
 	ops := func(names ...string) []Op {
 		var out []Op
@@ -92,8 +94,9 @@ func TestMinimizePinsWitness(t *testing.T) {
 		{"two-workloads", [][]Op{ops("/a", "/b", "/c"), ops("/d", "/bad", "/e")}, [][]Op{nil, ops("/bad")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var seen [][]int64
-			res, err := Minimize(pinFake{w: tc.w, bad: "/bad", k: 41, seen: &seen})
+			witness := pmem.CrashPoint{Ev: pmem.Event{Seq: 41, Kind: pmem.EvStoreNT, Len: 64}, Way: pmem.Land}
+			var seen [][]pmem.CrashPoint
+			res, err := Minimize(pinFake{w: tc.w, bad: "/bad", at: witness, seen: &seen})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,8 +104,8 @@ func TestMinimizePinsWitness(t *testing.T) {
 				t.Fatalf("%d candidates swept: nothing to check", len(seen))
 			}
 			for i, include := range seen[1:] {
-				if !slices.Contains(include, 41) {
-					t.Errorf("candidate %d swept with include %v after the witness at event 41", i+1, include)
+				if len(include) == 0 || include[0] != witness {
+					t.Errorf("candidate %d swept with include %v after the witness at %v", i+1, include, witness)
 				}
 			}
 			if len(res.Workloads) != len(tc.want) {
@@ -113,8 +116,8 @@ func TestMinimizePinsWitness(t *testing.T) {
 					t.Errorf("workload %d minimized to %v, want %v", i, res.Workloads[i], tc.want[i])
 				}
 			}
-			if res.Runs != len(seen) || res.Violation.Event != 41 {
-				t.Errorf("runs %d (want %d), witness event %d (want 41)", res.Runs, len(seen), res.Violation.Event)
+			if res.Runs != len(seen) || res.Violation.At != witness {
+				t.Errorf("runs %d (want %d), witness %v (want %v)", res.Runs, len(seen), res.Violation.At, witness)
 			}
 		})
 	}

@@ -7,7 +7,7 @@
 // next, and each request executes on that goroutine as its client writes
 // it. The schedule is an input, as in CHESS (Musuvathi et al., OSDI '08)
 // at request granularity: every event of the recorded window fires when
-// armed, and a violation replays from its (mode, seed, event) alone.
+// armed, and a violation replays from its (mode, seed, crash point) alone.
 
 package crash
 
@@ -54,12 +54,12 @@ type ServedCampaign struct {
 	// TenantOps, when non-nil, overrides the generated workloads (one
 	// slice per tenant) — minimization shrinks campaigns through this.
 	TenantOps [][]Op
-	// Seed drives workload generation, the tenant schedule, torn-line
-	// injection, and the wire fault cadence.
+	// Seed drives workload generation, the tenant schedule, and the wire
+	// fault cadence.
 	Seed uint64
-	// CrashAtEvent arms the daemon death at that absolute persistence
-	// event (0 = no crash; the campaign still verifies the final state).
-	CrashAtEvent int64
+	// CrashAt arms the daemon death at that crash point (zero = no crash;
+	// the campaign still verifies the final state).
+	CrashAt pmem.CrashPoint
 	// FaultCadence, when positive, arms a client-side mid-frame write
 	// cut on every FaultCadence-th dial of each tenant, the first
 	// included, forcing warm re-attaches and replay before the crash and
@@ -75,7 +75,8 @@ type ServedCampaign struct {
 	// SkipFence is the fence fault-injection hook for harness self-tests
 	// (see Campaign.SkipFence).
 	SkipFence func(seq int64) bool
-	// Trace records the full persistence-event trace (debug).
+	// Trace records the persistence-event trace of generation 1, from
+	// setup's end to the daemon death or the run's end.
 	Trace bool
 }
 
@@ -210,16 +211,17 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 		return nil, err
 	}
 	r.res.BaselineEvents = env.Dev.Events()
-	if c.CrashAtEvent > 0 && c.CrashAtEvent <= r.res.BaselineEvents {
+	crashAt := c.CrashAt.Ev.Seq
+	if crashAt > 0 && crashAt <= r.res.BaselineEvents {
 		return nil, fmt.Errorf("crash: served crash event %d falls inside setup (baseline %d)",
-			c.CrashAtEvent, r.res.BaselineEvents)
+			crashAt, r.res.BaselineEvents)
 	}
 	if c.SkipFence != nil {
 		env.Dev.SetFenceFilter(c.SkipFence)
 	}
 	env.Dev.SetTracing(c.Trace)
-	if c.CrashAtEvent > 0 {
-		env.Dev.ArmCrash(c.CrashAtEvent, sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent))))
+	if crashAt > 0 {
+		c.CrashAt.Arm(env.Dev)
 	}
 	r.serve(env.FS, env.Dev.CrashFired)
 
@@ -273,7 +275,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 			live = append(live[:k], live[k+1:]...)
 		}
 	}
-	if c.CrashAtEvent > 0 && r.gen == 1 {
+	if crashAt > 0 && r.gen == 1 {
 		// No redial came after the armed event: it fired in a goodbye,
 		// fires in generation 1's Close, or lies past the run.
 		if err := r.die(); errors.Is(err, errServedAborted) {
@@ -284,6 +286,9 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 	}
 	vio := r.endGeneration()
 	r.res.TotalEvents = env.Dev.Events()
+	if c.Trace && r.gen == 1 {
+		r.res.Trace = env.Dev.Trace()
+	}
 	if vio == "" {
 		vio = finalCheck(r.tenants, r.st)
 	}
@@ -342,21 +347,19 @@ func (r *servedRun) die() error {
 	vio := r.endGeneration()
 	if !dev.CrashFired() {
 		return fmt.Errorf("crash: served crash event %d never fired (the run ended at event %d)",
-			c.CrashAtEvent, dev.Events())
+			c.CrashAt.Ev.Seq, dev.Events())
 	}
 	if c.Trace {
 		r.res.Trace = dev.Trace()
 		dev.SetTracing(false)
 	}
 	for _, t := range r.tenants {
-		n := sort.Search(len(t.events), func(j int) bool { return t.events[j] > c.CrashAtEvent })
+		n := sort.Search(len(t.events), func(j int) bool { return t.events[j] > c.CrashAt.Ev.Seq })
 		r.res.AckedSys = append(r.res.AckedSys, n)
 	}
 	var rec *stack.Stack
 	if vio == "" {
-		if err := dev.Crash(sim.NewRNG(mix(c.Seed, uint64(c.CrashAtEvent)) ^ 0xC4A5)); err != nil {
-			return err
-		}
+		c.CrashAt.Crash(dev)
 		rec, _, vio = recover1(r.env)
 	}
 	for i, t := range r.tenants {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/splitfs"
 )
 
@@ -77,7 +78,7 @@ func exploreServed(t *testing.T, sample int, c ServedCampaign) {
 		t.Fatal(err)
 	}
 	for _, v := range res.Violations {
-		t.Errorf("event %d: %s", v.Event, v.Msg)
+		t.Errorf("%v: %s", v.At, v.Msg)
 	}
 	if res.Tested != sample || res.Runs != sample+1 {
 		t.Fatalf("window %v: %d events killed in %d runs, want %d in %d",
@@ -105,27 +106,33 @@ func TestServedCrashWireFaults(t *testing.T) {
 		Seed: 17, FaultCadence: 2})
 }
 
+// midWindow is the crash point halfway through a traced recording run,
+// its unfenced lines torn under the first seed.
+func midWindow(record *ServedResult) pmem.CrashPoint {
+	return pmem.CrashPoint{Ev: record.Trace[len(record.Trace)/2], Way: 1}
+}
+
 // TestServedCrashReconnects pins one mid-window daemon death and checks
 // the mechanics the sweep relies on: the crash fires, replies are
 // dropped at the torn generation, every tenant reconnects and finishes
 // on the recovered generation, and the oracles stay green.
 func TestServedCrashReconnects(t *testing.T) {
 	record, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 3,
-		OpsPerTenant: 12, Seed: 23})
+		OpsPerTenant: 12, Seed: 23, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if record.Violation != "" {
 		t.Fatalf("recording run violated: %s", record.Violation)
 	}
-	event := (record.BaselineEvents + record.TotalEvents) / 2
+	event := midWindow(record)
 	res, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 3,
-		OpsPerTenant: 12, Seed: 23, CrashAtEvent: event})
+		OpsPerTenant: 12, Seed: 23, CrashAt: event})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violation != "" {
-		t.Fatalf("violation at event %d: %s", event, res.Violation)
+		t.Fatalf("violation at %v: %s", event, res.Violation)
 	}
 	if len(res.AckedSys) != 3 {
 		t.Fatalf("acked prefixes for %d tenants, want 3", len(res.AckedSys))
@@ -133,7 +140,7 @@ func TestServedCrashReconnects(t *testing.T) {
 	if res.Gen1.DroppedReplies == 0 {
 		t.Error("generation 1 dropped no replies at the crash")
 	}
-	t.Logf("event %d: acked %v, gen1 %+v, gen2 %+v", event, res.AckedSys, res.Gen1, res.Gen2)
+	t.Logf("%v: acked %v, gen1 %+v, gen2 %+v", event, res.AckedSys, res.Gen1, res.Gen2)
 }
 
 // TestServedCampaignDeterministic runs one campaign twice — three
@@ -149,7 +156,7 @@ func TestServedCampaignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.CrashAtEvent = (record.BaselineEvents + record.TotalEvents) / 2
+	c.CrashAt = midWindow(record)
 	var runs [2]*ServedResult
 	for i := range runs {
 		if runs[i], err = RunServed(c); err != nil {
@@ -164,14 +171,14 @@ func TestServedCampaignDeterministic(t *testing.T) {
 	}
 	res := runs[0]
 	if res.Violation != "" {
-		t.Fatalf("violation at event %d: %s", c.CrashAtEvent, res.Violation)
+		t.Fatalf("violation at %v: %s", c.CrashAt, res.Violation)
 	}
 	if len(res.Trace) == 0 || len(res.AckedSys) != 3 || res.Gen1.TornDisconnects == 0 ||
 		res.Gen1.LeaseGrants == 0 || res.Gen2.Reattached+res.Gen2.ReplayedRequests == 0 {
 		t.Fatalf("vacuous comparison: %d trace events, prefixes %v, gen1 %+v, gen2 %+v",
 			len(res.Trace), res.AckedSys, res.Gen1, res.Gen2)
 	}
-	c.CrashAtEvent = record.TotalEvents + 1
+	c.CrashAt = pmem.CrashPoint{Ev: pmem.Event{Seq: record.TotalEvents + 1}}
 	if _, err := RunServed(c); err == nil {
 		t.Fatal("an event past the recorded window ran as if it had fired")
 	}
@@ -198,7 +205,7 @@ func TestServedCrashWithLeases(t *testing.T) {
 // recovered generation grants fresh ones.
 func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
 	record, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 2,
-		OpsPerTenant: 12, Seed: 31, Leases: true})
+		OpsPerTenant: 12, Seed: 31, Leases: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +215,19 @@ func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
 	if record.Gen1.LeaseGrants == 0 {
 		t.Fatal("lease campaign granted no leases: the probes are vacuous")
 	}
-	event := (record.BaselineEvents + record.TotalEvents) / 2
+	event := midWindow(record)
 	res, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 2,
-		OpsPerTenant: 12, Seed: 31, Leases: true, CrashAtEvent: event})
+		OpsPerTenant: 12, Seed: 31, Leases: true, CrashAt: event})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Violation != "" {
-		t.Fatalf("violation at event %d: %s", event, res.Violation)
+		t.Fatalf("violation at %v: %s", event, res.Violation)
 	}
 	if res.Gen1.LeaseGrants == 0 {
 		t.Error("generation 1 granted no leases before the kill")
 	}
-	t.Logf("event %d: gen1 grants=%d revokes=%d, gen2 grants=%d revokes=%d",
+	t.Logf("%v: gen1 grants=%d revokes=%d, gen2 grants=%d revokes=%d",
 		event, res.Gen1.LeaseGrants, res.Gen1.LeaseRevokes,
 		res.Gen2.LeaseGrants, res.Gen2.LeaseRevokes)
 }

@@ -3,29 +3,31 @@ package crash
 import (
 	"strings"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 )
 
 // ServedExploreConfig configures a served sweep.
 type ServedExploreConfig struct {
-	// ServedCampaign is the campaign run at every tested event; the sweep
-	// sets only its CrashAtEvent, so every run drives the same workloads
-	// on the same schedule.
+	// ServedCampaign is the campaign run at every tested point; the sweep
+	// sets only its CrashAt, and Trace on its recording run, so every run
+	// drives the same workloads on the same schedule.
 	ServedCampaign
-	// Sample and Include choose the crash events as in ExploreConfig.
+	// Sample and Include choose the crash points as in ExploreConfig.
 	Sample  int
-	Include []int64
+	Include []pmem.CrashPoint
 }
 
 // ServedExplore is the daemon-death sweep: run the campaign once without
-// a crash to bound its event window, then kill the daemon at the events
-// Explore's sampling draws from it, checking every oracle each time. It
-// fills the result's Window, TotalEvents, Tested, Runs and Violations.
+// a crash, traced, to bound its event window, then kill the daemon at the
+// crash points Explore's sampling draws from it, checking every oracle
+// each time. It fills the result's Window, TotalEvents, TotalPoints,
+// Tested, TestedByWay, Runs and Violations.
 func ServedExplore(cfg ServedExploreConfig) (*ExploreResult, error) {
-	res := &ExploreResult{}
-	run := func(event int64) (*ServedResult, error) {
+	res := &ExploreResult{TestedByWay: map[string]int64{}}
+	run := func(at pmem.CrashPoint) (*ServedResult, error) {
 		c := cfg.ServedCampaign
-		c.CrashAtEvent = event
+		c.CrashAt, c.Trace = at, c.Trace || at.Ev.Seq == 0
 		r, err := RunServed(c)
 		if err != nil {
 			return nil, err
@@ -33,21 +35,24 @@ func ServedExplore(cfg ServedExploreConfig) (*ExploreResult, error) {
 		res.Runs++
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{
-				Mode: c.Mode, Seed: c.Seed, Event: event, Msg: r.Violation, Flight: r.Flight})
+				Mode: c.Mode, Seed: c.Seed, At: at, Msg: r.Violation, Flight: r.Flight})
 		}
 		return r, nil
 	}
-	record, err := run(0)
+	record, err := run(pmem.CrashPoint{})
 	if err != nil {
 		return nil, err
 	}
 	res.Window = [2]int64{record.BaselineEvents, record.TotalEvents}
 	res.TotalEvents = record.TotalEvents - record.BaselineEvents
-	for _, k := range crashPoints(res.Window, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5eed))) {
-		if _, err := run(k); err != nil {
+	all, picked := crashPoints(record.Trace, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5eed)))
+	res.TotalPoints = int64(len(all))
+	for _, p := range picked {
+		if _, err := run(p); err != nil {
 			return nil, err
 		}
 		res.Tested++
+		res.TestedByWay[p.Way.String()]++
 	}
 	return res, nil
 }

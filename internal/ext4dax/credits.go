@@ -70,6 +70,20 @@ func (fs *FS) start(b *Batch, credit func() int) (int, error) {
 	return 0, nil
 }
 
+// retryAlloc is ext4_should_retry_alloc: an allocation that found no
+// free block, by a caller that holds no batch handle, while the running
+// transaction holds frees, commits it — waiting for open batches to
+// close, fs.mu released meanwhile — so that the frees apply, and reports
+// that the allocation may try once more. Caller holds fs.mu.
+func (fs *FS) retryAlloc(b *Batch) bool {
+	if b != nil || len(fs.pendingFrees) == 0 {
+		return false
+	}
+	fs.awaitCommittable()
+	fs.commitTx()
+	return true
+}
+
 // admit is start for a metadata credit c, which is never refused. Caller
 // holds fs.mu.
 func (fs *FS) admit(b *Batch, c int) { _, _ = fs.start(b, func() int { return c }) }

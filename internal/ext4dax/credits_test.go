@@ -74,6 +74,51 @@ func TestLeafOnAFullDeviceIsRefused(t *testing.T) {
 	}
 }
 
+// TestFullDeviceCommitsFreesAndRetries: on a device a truncate has just
+// emptied of its last free blocks, an allocating write or a preallocation
+// finds none free — the truncate's frees wait for its commit — so it
+// commits the running transaction and tries once more, as ext4 does
+// (ext4_should_retry_alloc), and goes through. A write under a batch
+// handle cannot commit the transaction its own handle holds open, and is
+// refused.
+func TestFullDeviceCommitsFreesAndRetries(t *testing.T) {
+	for name, op := range map[string]func(f *File) error{
+		"write": func(f *File) error {
+			_, err := f.WriteAt(make([]byte, 4*sim.BlockSize), 0)
+			return err
+		},
+		"preallocate": func(f *File) error { return f.Preallocate(4, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, fs := newFS(t)
+			f, _ := vfs.Create(fs, "/f")
+			filler, _ := vfs.Create(fs, "/filler")
+			if err := filler.(*File).Preallocate(fs.FreeBlocks(), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := filler.Truncate(0); err != nil {
+				t.Fatal(err)
+			}
+			b := fs.BeginBatch()
+			_, err := f.(*File).WriteAtIn(b, make([]byte, sim.BlockSize), 0)
+			b.End()
+			if !errors.Is(err, vfs.ErrNoSpace) {
+				t.Fatalf("a write under a batch with the frees uncommitted: err = %v, want ErrNoSpace", err)
+			}
+			commits := fs.Stats().Commits
+			if err := op(f.(*File)); err != nil {
+				t.Fatalf("with the frees uncommitted: %v", err)
+			}
+			if fs.Stats().Commits == commits {
+				t.Fatal("the call went through without committing the frees")
+			}
+			if _, err := fs.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestNoCommitFailsOnASmallJournal: random K-Split operations — mkdir,
 // create, write, truncate, unlink, rename, rmdir and relink batches — on
 // a 16-block journal with the note-count trigger out of the way. Every

@@ -205,9 +205,11 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	// A write that stops short restarts its handle, as jbd2 does, and
-	// goes on from there (writeLocked).
+	// goes on from there (writeLocked); one that finds the device full
+	// goes on once more if the running transaction's frees could help
+	// (retryAlloc).
 	var n int
-	for {
+	for retried := false; ; {
 		if _, err := fs.start(b, func() int { // before the handle check: it may wait
 			if atEOF && n == 0 {
 				off = f.in.size
@@ -225,7 +227,11 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 		}
 		k, err := fs.writeLocked(b, f.in, p[n:], off+int64(n))
 		f.in.mu.Unlock()
-		if n += k; err != nil || n == len(p) {
+		if n += k; err == vfs.ErrNoSpace && !retried && fs.retryAlloc(b) {
+			retried = true
+			continue
+		}
+		if err != nil || n == len(p) {
 			fs.maybeCommit()
 			return n, off + int64(n), err
 		}
@@ -457,30 +463,39 @@ func (f *File) Preallocate(count, align int64) error {
 	}
 	fs.trap()
 	// The blocks come first, for an exact credit; blocks whose credit or
-	// leaves do not fit go back, before a commit or the failure.
+	// leaves do not fit go back, before a commit or the failure. A device
+	// too full for them is tried once more if the running transaction's
+	// frees could help (retryAlloc).
 	var (
 		exts    []alloc.Extent
 		dirties []alloc.ByteRange
 		err     error
 	)
-	for {
-		if exts, dirties, err = fs.bBmp.AllocAligned(count, align); err != nil {
+	for retried := false; ; {
+		c := 0
+		if exts, dirties, err = fs.bBmp.AllocAligned(count, align); err == nil {
+			var leaves int64
+			c, leaves = inodeCredit(f.in, MaxFileBlocks, int64(len(exts)))
+			room := fs.bBmp.FreeCount()-fs.leafRes >= leaves
+			if room && fs.fits(c) {
+				break
+			}
+			for _, e := range exts {
+				fs.bBmp.Free(e)
+			}
+			if !room {
+				err = vfs.ErrNoSpace
+			}
+		}
+		if err != nil {
+			if retried || !fs.retryAlloc(nil) {
+				return err
+			}
+			retried = true
+		} else if _, err := fs.start(nil, func() int { return c }); err != nil {
 			return err
 		}
-		c, leaves := inodeCredit(f.in, MaxFileBlocks, int64(len(exts)))
-		room := fs.bBmp.FreeCount()-fs.leafRes >= leaves
-		if room && fs.fits(c) {
-			break
-		}
-		for _, e := range exts {
-			fs.bBmp.Free(e)
-		}
-		if !room {
-			return vfs.ErrNoSpace
-		}
-		if _, err := fs.start(nil, func() int { return c }); err != nil {
-			return err
-		} else if f.stale() { // start may have waited
+		if f.stale() { // start or retryAlloc may have waited
 			return vfs.ErrClosed
 		}
 	}

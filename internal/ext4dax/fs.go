@@ -385,7 +385,8 @@ func (fs *FS) BeginBatch() *Batch {
 // its steps — the relinks it makes, and with Src nil the ranges of dst its
 // kernel writes cover — reserving its credit (relinkCredit) and free
 // blocks for its leaves; with no dst, a metadata batch (BeginBatch). One
-// that no transaction could hold, or whose leaves do not fit the device,
+// that no transaction could hold, or whose leaves do not fit the device
+// even once the running transaction's frees have committed (retryAlloc),
 // is refused with vfs.ErrNoSpace before anything changes. Group commit
 // lets concurrent batches share a transaction, so it can grow past the
 // size threshold uncommitted: the first batch to open against a bloated
@@ -402,14 +403,18 @@ func (fs *FS) BeginRelink(dst *File, moves []Move) (*Batch, error) {
 		b = &Batch{fs: fs}
 	}
 	var leaves int64
-	c, err := fs.start(nil, func() int {
+	credit := func() int {
 		if dst == nil {
 			return metaCredit
 		}
 		c, l := fs.relinkCredit(b, dst.in, moves)
 		leaves = l
 		return c
-	})
+	}
+	c, err := fs.start(nil, credit)
+	if err == nil && fs.bBmp.FreeCount()-fs.leafRes < leaves && fs.retryAlloc(nil) {
+		c, err = fs.start(nil, credit)
+	}
 	if err == nil && fs.bBmp.FreeCount()-fs.leafRes < leaves {
 		err = vfs.ErrNoSpace
 	}

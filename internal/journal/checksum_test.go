@@ -226,19 +226,17 @@ func commitSequence(t *testing.T, armed func(*pmem.Device)) (*pmem.Device, []loa
 	return dev, states, ends
 }
 
-// crashAndLoad crashes the device to the image the armed event froze,
+// crashAndLoad crashes the device to the image of the armed point p,
 // damages it, loads the journal, and holds what Load hands back against
-// the states either side of the commit event k fell in: the sequence and
+// the states either side of the commit p's event fell in: the sequence and
 // the stamps are those of one of the two, and every home block holds what
 // the last transaction the sequence says committed wrote there, or zero.
 // It reports whether the crashed image's entry was torn over its
 // predecessor's: its descriptor carried the transaction in flight, which
 // Load found uncommitted.
-func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64, k int64, damage func()) (torn bool) {
+func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64, p pmem.CrashPoint, damage func()) (torn bool) {
 	t.Helper()
-	if err := dev.Crash(nil); err != nil {
-		t.Fatal(err)
-	}
+	p.Crash(dev)
 	damage()
 	desc := make([]byte, descHomes)
 	dev.Peek(desc, sim.BlockSize*txStart)
@@ -247,13 +245,13 @@ func crashAndLoad(t *testing.T, dev *pmem.Device, states []loaded, ends []int64,
 		t.Fatal(err)
 	}
 	c := 1
-	for k > ends[c] {
+	for p.Ev.Seq > ends[c] {
 		c++
 	}
 	before, after := states[c-1], states[c]
 	got := loaded{j.seq, j.stamps}
 	if got != after && got != before {
-		t.Fatalf("Load returned %+v, want %+v or %+v", got, before, after)
+		t.Fatalf("crash at %v: Load returned %+v, want %+v or %+v", p, got, before, after)
 	}
 	if err := j.Check(); err != nil {
 		t.Fatal(err)
@@ -306,7 +304,7 @@ func TestLoadSurvivesDamagedSuperblock(t *testing.T) {
 		for _, h := range hits {
 			t.Run(fmt.Sprintf("write%d/%s", writes, h.name), func(t *testing.T) {
 				dev, _, _ := commitSequence(t, func(dev *pmem.Device) { dev.ArmCrash(fence, nil) })
-				crashAndLoad(t, dev, states, ends, fence, func() {
+				crashAndLoad(t, dev, states, ends, pmem.CrashPoint{Ev: pmem.Event{Seq: fence}}, func() {
 					word := make([]byte, 8)
 					dev.ReadAt(word, ev.Off+h.at&^7, sim.CatJournal)
 					if word[h.at&7] ^= h.mask; h.mask == 0 {
@@ -323,47 +321,50 @@ func TestLoadSurvivesDamagedSuperblock(t *testing.T) {
 }
 
 // TestLoadAfterCrashAtEveryEvent crashes at every persistence event of
-// commitSequence, with the unfenced lines torn word by word four ways:
+// commitSequence, with the unfenced lines reverting whole, torn word by
+// word three ways, or, at a non-temporal store, the store landing whole:
 // Load finds the state before or after the commit in flight, blocks and
 // stamps together.
 func TestLoadAfterCrashAtEveryEvent(t *testing.T) {
-	_, states, ends := commitSequence(t, func(*pmem.Device) {})
-	for k := ends[0] + 1; k <= ends[len(ends)-1]; k++ {
-		for tear := range uint64(4) {
-			dev, _, _ := commitSequence(t, func(dev *pmem.Device) { dev.ArmCrash(k, sim.NewRNG(uint64(k)<<8|tear)) })
-			if !dev.CrashFired() {
-				t.Fatalf("event %d never came", k)
-			}
-			crashAndLoad(t, dev, states, ends, k, func() {})
+	ref, states, ends := commitSequence(t, func(dev *pmem.Device) { dev.SetTracing(true) })
+	points := 0
+	for p := range pmem.CrashPoints(ref.Trace(), 3) {
+		dev, _, _ := commitSequence(t, p.Arm)
+		if !dev.CrashFired() {
+			t.Fatalf("%v never came", p)
 		}
+		crashAndLoad(t, dev, states, ends, p, func() {})
+		points++
 	}
+	t.Logf("%d crash points", points)
 }
 
 // TestTornEntryOverItsPredecessor: a transaction is written at block 1
 // over its predecessor's entry, so a crash before its commit record is
 // durable leaves an entry of both — the new descriptor, say, with the old
 // images and commit record after it. Crashed at every event of the two
-// transactions that follow another, lines torn four ways, such an image
-// loads as the predecessor's checkpoint left it: nothing replayed, every
-// home block as it was. Some crash must leave the new descriptor durable,
-// or the case was never made.
+// transactions that follow another, lines reverted, torn three ways or a
+// store landed, such an image loads as the predecessor's checkpoint left
+// it: nothing replayed, every home block as it was. Some crash must leave
+// the new descriptor durable, or the case was never made.
 func TestTornEntryOverItsPredecessor(t *testing.T) {
-	_, states, ends := commitSequence(t, func(*pmem.Device) {})
-	made := 0
-	for c := 3; c < len(ends); c += 2 { // the second and third transactions
-		for k := ends[c-1] + 1; k <= ends[c]; k++ {
-			for tear := range uint64(4) {
-				dev, _, _ := commitSequence(t, func(dev *pmem.Device) { dev.ArmCrash(k, sim.NewRNG(uint64(k)<<8|tear)) })
-				if crashAndLoad(t, dev, states, ends, k, func() {}) {
-					made++
-				}
-			}
+	ref, states, ends := commitSequence(t, func(dev *pmem.Device) { dev.SetTracing(true) })
+	made, points := 0, 0
+	for p := range pmem.CrashPoints(ref.Trace(), 3) {
+		// The transactions that follow another: commits 3, 5, ...
+		if c, _ := slices.BinarySearch(ends, p.Ev.Seq); c < 3 || c%2 == 0 {
+			continue
 		}
+		dev, _, _ := commitSequence(t, p.Arm)
+		if crashAndLoad(t, dev, states, ends, p, func() {}) {
+			made++
+		}
+		points++
 	}
 	if made == 0 {
 		t.Fatal("no crash left a descriptor of the transaction in flight over its predecessor's entry")
 	}
-	t.Logf("%d crash images held a torn entry over its predecessor's", made)
+	t.Logf("%d of %d crash images held a torn entry over its predecessor's", made, points)
 }
 
 // TestLoadAfterCrashInReplay crashes at every persistence event of Load's
@@ -385,35 +386,20 @@ func TestLoadAfterCrashInReplay(t *testing.T) {
 		return j
 	}
 	ref := replay(func(dev *pmem.Device) { dev.SetTracing(true) })
-	for _, ev := range ref.dev.Trace() {
-		for way := range uint64(4) {
-			landed := way == 3
-			if landed && ev.Kind != pmem.EvStoreNT {
-				continue
-			}
-			var tear *sim.RNG
-			if way == 1 || way == 2 {
-				tear = sim.NewRNG(uint64(ev.Seq)<<8 | way)
-			}
-			j := replay(func(dev *pmem.Device) { dev.ArmCrash(ev.Seq, tear) })
-			stored := make([]byte, ev.Len)
-			j.dev.Peek(stored, ev.Off) // Load stores each range once
-			if err := j.dev.Crash(nil); err != nil {
-				t.Fatal(err)
-			}
-			if landed {
-				j.dev.PersistNT(ev.Off, stored, sim.CatJournal)
-			}
-			again, _, err := Load(j.dev, 0, 64)
-			if err != nil {
-				t.Fatalf("crash at event %d (%v), way %d: %v", ev.Seq, ev.Kind, way, err)
-			}
-			if got := restored(t, j); got != liveTxs || again.Stamps() != stampsAfter(liveTxs) {
-				t.Fatalf("crash at event %d (%v), way %d: %d of %d transactions restored, stamps %v",
-					ev.Seq, ev.Kind, way, got, liveTxs, again.Stamps())
-			}
+	points := 0
+	for p := range pmem.CrashPoints(ref.dev.Trace(), 2) {
+		j := replay(p.Arm)
+		p.Crash(j.dev)
+		again, _, err := Load(j.dev, 0, 64)
+		if err != nil {
+			t.Fatalf("crash at %v: %v", p, err)
 		}
+		if got := restored(t, j); got != liveTxs || again.Stamps() != stampsAfter(liveTxs) {
+			t.Fatalf("crash at %v: %d of %d transactions restored, stamps %v", p, got, liveTxs, again.Stamps())
+		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 }
 
 // TestCommitAllocatesNoBlocks: Commit builds its descriptor, block image

@@ -359,31 +359,17 @@ func TestSyncWriteDataFencedBeforeItsRecord(t *testing.T) {
 				return string(got)
 			}
 			ref := write(func(dev *pmem.Device) { dev.SetTracing(true) }, app, int64(len(old)))
-			for _, ev := range ref.Trace() {
-				for way := range uint64(4) {
-					landed := way == 3
-					if landed && ev.Kind != pmem.EvStoreNT {
-						continue
-					}
-					var tear *sim.RNG
-					if way == 1 || way == 2 {
-						tear = sim.NewRNG(uint64(ev.Seq)<<8 | way)
-					}
-					dev := write(func(dev *pmem.Device) { dev.ArmCrash(ev.Seq, tear) }, app, int64(len(old)))
-					stored := make([]byte, ev.Len)
-					dev.Peek(stored, ev.Off) // the append stores each range once
-					if err := dev.Crash(nil); err != nil {
-						t.Fatal(err)
-					}
-					if landed {
-						dev.PersistNT(ev.Off, stored, sim.CatPMData)
-					}
-					if got := mounted(dev); got != string(old) && got != string(old)+string(app) {
-						t.Fatalf("crash at event %d (%v), way %d: %d bytes mounted, %q… at the append, want the file before or after it",
-							ev.Seq, ev.Kind, way, len(got), got[min(len(old), len(got)):min(len(old)+8, len(got))])
-					}
+			points := 0
+			for p := range pmem.CrashPoints(ref.Trace(), 2) {
+				dev := write(p.Arm, app, int64(len(old)))
+				p.Crash(dev)
+				if got := mounted(dev); got != string(old) && got != string(old)+string(app) {
+					t.Fatalf("crash at %v: %d bytes mounted, %q… at the append, want the file before or after it",
+						p, len(got), got[min(len(old), len(got)):min(len(old)+8, len(got))])
 				}
+				points++
 			}
+			t.Logf("%d crash points", points)
 			for _, off := range []int64{int64(len(old)), 0} {
 				dev := write(func(*pmem.Device) {}, app, off)
 				if err := dev.Crash(sim.NewRNG(7)); err != nil {

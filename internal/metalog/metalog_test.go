@@ -187,44 +187,38 @@ func TestResetClearsOldRecords(t *testing.T) {
 func TestNoRecordOutlivesReset(t *testing.T) {
 	const size = 4 * sim.BlockSize
 	old := [][]byte{[]byte("alpha"), []byte("beta"), bytes.Repeat([]byte("c"), 100)}
-	run := func(arm func(*pmem.Device)) (dev *pmem.Device, start, reset, end int64) {
+	run := func(arm func(*pmem.Device)) (dev *pmem.Device, reset int64) {
 		dev, l := newLog(t, size)
 		for _, r := range old {
 			if err := l.Append(r, SingleFence); err != nil {
 				t.Fatal(err)
 			}
 		}
-		start = dev.Events()
 		arm(dev)
 		l.Reset()
 		reset = dev.Events()
 		if err := l.Append([]byte("new"), SingleFence); err != nil {
 			t.Fatal(err)
 		}
-		return dev, start, reset, dev.Events()
+		return dev, reset
 	}
-	_, start, reset, end := run(func(*pmem.Device) {})
-	for k := start + 1; k <= end; k++ {
-		for tear := range uint64(3) {
-			var rng *sim.RNG // nil: every unfenced line reverts whole
-			if tear > 0 {
-				rng = sim.NewRNG(uint64(k)<<8 | tear)
+	ref, reset := run(func(dev *pmem.Device) { dev.SetTracing(true) })
+	points := 0
+	for p := range pmem.CrashPoints(ref.Trace(), 2) {
+		dev, _ := run(p.Arm)
+		p.Crash(dev)
+		_, got := Load(dev, 0, size, sim.CatOpLog)
+		switch {
+		case p.Ev.Seq <= reset:
+			if len(got) > len(old) || !slices.EqualFunc(got, old[:len(got)], bytes.Equal) {
+				t.Fatalf("crash at %v inside Reset: Load = %q, want a prefix of %q", p, got, old)
 			}
-			dev, _, _, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, rng) })
-			if err := dev.Crash(nil); err != nil {
-				t.Fatal(err)
-			}
-			_, got := Load(dev, 0, size, sim.CatOpLog)
-			switch {
-			case k <= reset:
-				if len(got) > len(old) || !slices.EqualFunc(got, old[:len(got)], bytes.Equal) {
-					t.Fatalf("crash at event %d inside Reset, tear %d: Load = %q, want a prefix of %q", k, tear, got, old)
-				}
-			case len(got) > 1 || len(got) == 1 && string(got[0]) != "new":
-				t.Fatalf("crash at event %d after Reset, tear %d: Load = %q, want nothing or the new record", k, tear, got)
-			}
+		case len(got) > 1 || len(got) == 1 && string(got[0]) != "new":
+			t.Fatalf("crash at %v after Reset: Load = %q, want nothing or the new record", p, got)
 		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 }
 
 func TestReplayProperty(t *testing.T) {
@@ -322,30 +316,16 @@ func TestSnapshotSaveCrashAtEveryEvent(t *testing.T) {
 		return dev, s
 	}
 	ref, _ := save(func(dev *pmem.Device) { dev.SetTracing(true) })
-	for _, ev := range ref.Trace() {
-		for way := range uint64(4) {
-			landed := way == 3
-			if landed && ev.Kind != pmem.EvStoreNT {
-				continue
-			}
-			var tear *sim.RNG
-			if way == 1 || way == 2 {
-				tear = sim.NewRNG(uint64(ev.Seq)<<8 | way)
-			}
-			dev, s := save(func(dev *pmem.Device) { dev.ArmCrash(ev.Seq, tear) })
-			stored := make([]byte, ev.Len)
-			dev.Peek(stored, ev.Off) // Save stores each range once
-			if err := dev.Crash(nil); err != nil {
-				t.Fatal(err)
-			}
-			if landed {
-				dev.PersistNT(ev.Off, stored, sim.CatPMMeta)
-			}
-			if got := string(s.LoadState()); got != before && got != after {
-				t.Fatalf("crash at event %d (%v), way %d: LoadState = %q, want %q or %q", ev.Seq, ev.Kind, way, got, before, after)
-			}
+	points := 0
+	for p := range pmem.CrashPoints(ref.Trace(), 2) {
+		dev, s := save(p.Arm)
+		p.Crash(dev)
+		if got := string(s.LoadState()); got != before && got != after {
+			t.Fatalf("crash at %v: LoadState = %q, want %q or %q", p, got, before, after)
 		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 }
 
 func TestSnapshotTooLarge(t *testing.T) {
@@ -528,32 +508,26 @@ func TestRewindNeverWrapsTheSequence(t *testing.T) {
 func TestRewoundLogCrashAtEveryEvent(t *testing.T) {
 	const size = 4 * sim.BlockSize
 	old, lap := []string{"a1", "a2", "a3", "a4", "a5", "a6"}, []string{"b1", "b2", "b3"}
-	run := func(arm func(*pmem.Device)) (dev *pmem.Device, start, end int64) {
+	run := func(arm func(*pmem.Device)) *pmem.Device {
 		dev, l := newLog(t, size)
 		appendAll(t, l, old...)
 		if !l.Rewind() {
 			t.Fatal("Rewind refused a log of one-line records")
 		}
-		start = dev.Events()
 		arm(dev)
 		appendAll(t, l, lap...)
-		return dev, start, dev.Events()
+		return dev
 	}
-	_, start, end := run(func(*pmem.Device) {})
-	for k := start + 1; k <= end; k++ {
-		for tear := range uint64(8) {
-			var rng *sim.RNG // nil: every unfenced line reverts whole
-			if tear > 0 {
-				rng = sim.NewRNG(uint64(k)<<8 | tear)
-			}
-			dev, _, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, rng) })
-			if err := dev.Crash(nil); err != nil {
-				t.Fatal(err)
-			}
-			got := loaded(dev, size)
-			if !slices.Equal(got, old) && (len(got) > len(lap) || !slices.Equal(got, lap[:len(got)])) {
-				t.Fatalf("crash at event %d, tear %d: Load = %q, want a prefix of %q or all of %q", k, tear, got, lap, old)
-			}
+	ref := run(func(dev *pmem.Device) { dev.SetTracing(true) })
+	points := 0
+	for p := range pmem.CrashPoints(ref.Trace(), 7) {
+		dev := run(p.Arm)
+		p.Crash(dev)
+		got := loaded(dev, size)
+		if !slices.Equal(got, old) && (len(got) > len(lap) || !slices.Equal(got, lap[:len(got)])) {
+			t.Fatalf("crash at %v: Load = %q, want a prefix of %q or all of %q", p, got, lap, old)
 		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 }

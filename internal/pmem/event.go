@@ -35,7 +35,9 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -219,6 +221,88 @@ func (d *Device) ArmCrash(k int64, rng *sim.RNG) {
 	d.ev.rng = rng
 	d.ev.refreshHooks()
 	d.ev.mu.Unlock()
+}
+
+// Way is what a crash does to the lines no fence has made durable yet:
+// Revert reverts every one whole; way i in 1..254 tears them word by
+// word under the seed seq<<8|i of its event; Land stores the event's own
+// bytes whole and reverts every other line. Land is the way that shows a
+// missing fence before a final record: the record lands, and what it
+// names does not.
+type Way uint8
+
+const (
+	Revert Way = 0
+	Land   Way = 255
+)
+
+// String names the way for reports: revert, tear1, tear2, …, land.
+func (w Way) String() string {
+	switch w {
+	case Revert:
+		return "revert"
+	case Land:
+		return "land"
+	}
+	return fmt.Sprintf("tear%d", uint8(w))
+}
+
+// CrashPoint is one crash image of a recorded run: power fails right
+// after event Ev, and the unfenced lines fare as Way says.
+type CrashPoint struct {
+	Ev  Event
+	Way Way
+}
+
+func (p CrashPoint) String() string {
+	return fmt.Sprintf("event %d (%v), %v", p.Ev.Seq, p.Ev.Kind, p.Way)
+}
+
+// CrashPoints enumerates the crash points of a recorded trace, event by
+// event: Revert, then tears 1..tears (tears < 255), then Land for a
+// non-temporal store whose range no later event of the trace touches, so
+// that the bytes a replay finds there when it crashes are the store's.
+func CrashPoints(trace []Event, tears int) iter.Seq[CrashPoint] {
+	return func(yield func(CrashPoint) bool) {
+		for i, ev := range trace {
+			land := ev.Kind == EvStoreNT && !slices.ContainsFunc(trace[i+1:], func(l Event) bool {
+				return l.Len > 0 && l.Off < ev.Off+ev.Len && ev.Off < l.Off+l.Len
+			})
+			for w := range tears + 1 {
+				if !yield(CrashPoint{ev, Way(w)}) {
+					return
+				}
+			}
+			if land && !yield(CrashPoint{ev, Land}) {
+				return
+			}
+		}
+	}
+}
+
+// Arm arms d to freeze its crash image at p's event (ArmCrash), torn
+// under p's seed when p's way tears.
+func (p CrashPoint) Arm(d *Device) {
+	var rng *sim.RNG
+	if p.Way != Revert && p.Way != Land {
+		rng = sim.NewRNG(uint64(p.Ev.Seq)<<8 | uint64(p.Way))
+	}
+	d.ArmCrash(p.Ev.Seq, rng)
+}
+
+// Crash crashes d, armed at p, to p's image: the frozen one, with the
+// event's stored bytes persisted whole when p's way is Land. It cannot
+// fail: Arm panics on a device that does not track persistence.
+func (p CrashPoint) Crash(d *Device) {
+	var stored []byte
+	if p.Way == Land {
+		stored = make([]byte, p.Ev.Len)
+		d.Peek(stored, p.Ev.Off)
+	}
+	d.Crash(nil)
+	if stored != nil {
+		d.PersistNT(p.Ev.Off, stored, p.Ev.Cat)
+	}
 }
 
 // CrashFired reports whether an armed crash point has been reached (the

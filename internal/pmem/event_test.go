@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"splitfs/internal/sim"
@@ -177,5 +178,89 @@ func TestFenceFilterDropsPersistence(t *testing.T) {
 	d.Peek(got, 0)
 	if !bytes.Equal(got, []byte("kept")) {
 		t.Fatal("normal fence lost data after filter removed")
+	}
+}
+
+// TestCrashPointsEnumeration: every event gets Revert and tears 1..tears;
+// only a non-temporal store whose range nothing later touches gets Land —
+// not one a later store rewrites, and never a store, flush or fence.
+func TestCrashPointsEnumeration(t *testing.T) {
+	trace := []Event{
+		{Seq: 1, Kind: EvStoreNT, Off: 0, Len: 64},   // rewritten by event 3
+		{Seq: 2, Kind: EvStoreNT, Off: 128, Len: 64}, // untouched after
+		{Seq: 3, Kind: EvStore, Off: 32, Len: 64},
+		{Seq: 4, Kind: EvFlush, Off: 32, Len: 64},
+		{Seq: 5, Kind: EvFence},
+	}
+	for _, tears := range []int{0, 1, 2, 7} {
+		var want []CrashPoint
+		for _, ev := range trace {
+			for w := range tears + 1 {
+				want = append(want, CrashPoint{ev, Way(w)})
+			}
+			if ev.Seq == 2 {
+				want = append(want, CrashPoint{ev, Land})
+			}
+		}
+		if got := slices.Collect(CrashPoints(trace, tears)); !slices.Equal(got, want) {
+			t.Errorf("tears %d: %v\nwant %v", tears, got, want)
+		}
+	}
+	if got := Way(2).String() + " " + Revert.String() + " " + Land.String(); got != "tear2 revert land" {
+		t.Errorf("way names: %s", got)
+	}
+}
+
+// crashPointRun persists a line of 1s at 0, then, arm called first,
+// stores unfenced lines of 2s at 0 and of 3s at 4096; it returns the
+// device and its trace from arm on.
+func crashPointRun(t *testing.T, arm func(*Device)) (*Device, []Event) {
+	d := newEvDev(t)
+	d.PersistNT(0, bytes.Repeat([]byte{1}, 64), sim.CatPMData)
+	d.SetTracing(true)
+	arm(d)
+	d.StoreNT(0, bytes.Repeat([]byte{2}, 64), sim.CatPMData)
+	d.StoreNT(4096, bytes.Repeat([]byte{3}, 64), sim.CatPMData)
+	return d, d.Trace()
+}
+
+// TestCrashPointImages: a landed point's image holds its store's bytes,
+// and every other unfenced line is reverted; a tear point's is byte for
+// byte the one ArmCrash(seq, sim.NewRNG(seq<<8|i)) leaves, and a revert
+// point's the one ArmCrash(seq, nil) leaves.
+func TestCrashPointImages(t *testing.T) {
+	_, trace := crashPointRun(t, func(*Device) {})
+	image := func(d *Device) []byte {
+		p := make([]byte, 8192)
+		d.Peek(p, 0)
+		return p
+	}
+	ones, torn := bytes.Repeat([]byte{1}, 64), 0
+	for p := range CrashPoints(trace, 6) {
+		d, _ := crashPointRun(t, p.Arm)
+		p.Crash(d)
+		want := make([]byte, 8192) // the landed store over a reverted image
+		copy(want, ones)
+		if p.Way == Land {
+			copy(want[p.Ev.Off:], bytes.Repeat([]byte{byte(2 + p.Ev.Off/4096)}, 64))
+		} else {
+			var rng *sim.RNG
+			if p.Way != Revert {
+				rng = sim.NewRNG(uint64(p.Ev.Seq)<<8 | uint64(p.Way))
+			}
+			ref, _ := crashPointRun(t, func(d *Device) { d.ArmCrash(p.Ev.Seq, rng) })
+			ref.Crash(nil)
+			want = image(ref)
+		}
+		got := image(d)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: image % x… / % x…, want % x… / % x…", p, got[:2], got[4096:4098], want[:2], want[4096:4098])
+		}
+		if p.Way != Land && !bytes.Equal(got[:64], ones) {
+			torn++
+		}
+	}
+	if torn == 0 {
+		t.Error("no tear point left a word of the unfenced store on media")
 	}
 }

@@ -74,13 +74,12 @@ func (s *ckptScenario) write(t *testing.T) {
 	s.modelB = append(s.modelB[:100:100], p...)
 }
 
-// recover crashes the device (at the armed event, if one fired), remounts
-// and recovers, and returns the recovered contents of /a and /b.
-func (s *ckptScenario) recover(t *testing.T) (a, b []byte, report *RecoveryReport) {
+// recover crashes the device to the image of the point it was armed at
+// (the zero point: the unfenced lines reverted), remounts and recovers,
+// and returns the recovered contents of /a and /b.
+func (s *ckptScenario) recover(t *testing.T, at pmem.CrashPoint) (a, b []byte, report *RecoveryReport) {
 	t.Helper()
-	if err := s.dev.Crash(nil); err != nil {
-		t.Fatal(err)
-	}
+	at.Crash(s.dev)
 	kfs, _, err := ext4dax.Mount(s.dev, ext4dax.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestCheckpointBeforeWrite(t *testing.T) {
 	if _, err := s.b.ReadAt(got, 0); err != nil || !bytes.Equal(got, s.modelB) {
 		t.Fatalf("read back through the overlay: err %v, match %v", err, bytes.Equal(got, s.modelB))
 	}
-	a, b, report := s.recover(t)
+	a, b, report := s.recover(t, pmem.CrashPoint{})
 	if report.Replayed < 1 {
 		t.Errorf("recovery replayed nothing: %+v", report)
 	}
@@ -140,32 +139,33 @@ func TestCheckpointBeforeWrite(t *testing.T) {
 
 // TestCheckpointWriteCrashSweep crashes that write at every persistence
 // event from its first to its last — relink of both files, the group
-// commit, zeroing the log, staging, the new entry — and holds recovery to
-// the strict oracle: /a keeps every logged append, /b is the file just
-// before or just after the write, never anything else.
+// commit, zeroing the log, staging, the new entry — each of the four ways,
+// and holds recovery to the strict oracle: /a keeps every logged append,
+// /b is the file just before or just after the write, never anything else.
 func TestCheckpointWriteCrashSweep(t *testing.T) {
 	rec := newCkptScenario(t)
 	before := append([]byte(nil), rec.modelB...)
 	first := rec.dev.Events() + 1
+	rec.dev.SetTracing(true)
 	rec.write(t)
 	last := rec.dev.Events()
 	if last-first < 20 {
 		t.Fatalf("the write spans events %d..%d: no checkpoint inside it?", first, last)
 	}
-	sawBefore, sawAfter := false, false
-	for k := first; k <= last; k++ {
+	sawBefore, sawAfter, points := false, false, 0
+	for p := range pmem.CrashPoints(rec.dev.Trace(), 2) {
 		s := newCkptScenario(t)
 		if got := s.dev.Events() + 1; got != first {
 			t.Fatalf("replay diverged: write starts at event %d, recorded %d", got, first)
 		}
-		s.dev.ArmCrash(k, sim.NewRNG(uint64(k)))
+		p.Arm(s.dev)
 		s.write(t)
 		if !s.dev.CrashFired() {
-			t.Fatalf("event %d never fired", k)
+			t.Fatalf("%v never fired", p)
 		}
-		a, b, _ := s.recover(t)
+		a, b, _ := s.recover(t, p)
 		if !bytes.Equal(a, s.modelA) {
-			t.Fatalf("crash at event %d: /a lost logged appends (%d bytes, want %d)", k, len(a), len(s.modelA))
+			t.Fatalf("crash at %v: /a lost logged appends (%d bytes, want %d)", p, len(a), len(s.modelA))
 		}
 		switch {
 		case bytes.Equal(b, before):
@@ -173,10 +173,11 @@ func TestCheckpointWriteCrashSweep(t *testing.T) {
 		case bytes.Equal(b, s.modelB):
 			sawAfter = true
 		default:
-			t.Fatalf("crash at event %d: /b (%d bytes) is neither the file before the write nor after it", k, len(b))
+			t.Fatalf("crash at %v: /b (%d bytes) is neither the file before the write nor after it", p, len(b))
 		}
+		points++
 	}
-	t.Logf("crashed events %d..%d of the checkpointing write", first, last)
+	t.Logf("%d crash points at events %d..%d of the checkpointing write", points, first, last)
 	if !sawBefore || !sawAfter {
 		t.Fatalf("sweep of events %d..%d saw before=%v after=%v: it did not straddle the write", first, last, sawBefore, sawAfter)
 	}
@@ -244,8 +245,8 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 	for name, op := range ops {
 		t.Run(name, func(t *testing.T) {
 			var model []byte
-			crashFourWays(t, func(mark func(*pmem.Device)) (*pmem.Device, []int64) {
-				dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+			run := func(arm func(*pmem.Device)) (dev *pmem.Device, end int64) {
+				dev = pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock(), TrackPersistence: true})
 				kfs, err := ext4dax.Mkfs(dev, kcfg)
 				if err != nil {
 					t.Fatal(err)
@@ -267,22 +268,28 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 					model = append(model, p...)
 				}
 				outgrowJournal(t, kfs)
-				mark(dev)
+				arm(dev)
 				if err := op(fs, f); err != nil {
 					t.Fatalf("the operation after outgrowing the journal: %v", err)
 				}
 				if fs.Stats().Checkpoints != 1 {
 					t.Fatalf("%d checkpoints, want 1", fs.Stats().Checkpoints)
 				}
-				return dev, []int64{dev.Events()}
-			}, func(t *testing.T, dev *pmem.Device, returned int, at string) {
+				return dev, dev.Events()
+			}
+			ref, _ := run(func(dev *pmem.Device) { dev.SetTracing(true) })
+			points := 0
+			for p := range pmem.CrashPoints(ref.Trace(), 2) {
+				dev, end := run(p.Arm)
+				p.Crash(dev)
+				returned, _ := slices.BinarySearch([]int64{end}, p.Ev.Seq)
 				kfs, _, err := ext4dax.Mount(dev, ext4dax.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				fs, _, err := RecoverFS(kfs, cfg)
 				if err != nil {
-					t.Fatalf("%s: %v", at, err)
+					t.Fatalf("crash at %v: %v", p, err)
 				}
 				f, errF := vfs.ReadFile(fs, "/f")
 				g, errG := vfs.ReadFile(fs, "/g")
@@ -297,13 +304,15 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 					ok = ok && !done || gone(errF) && errG == nil && bytes.Equal(g, model)
 				}
 				if !ok {
-					t.Fatalf("%s (%d of 1 operations returned): /f %d bytes (%v), /g %d bytes (%v); %d written",
-						at, returned, len(f), errF, len(g), errG, len(model))
+					t.Fatalf("crash at %v (%d of 1 operations returned): /f %d bytes (%v), /g %d bytes (%v); %d written",
+						p, returned, len(f), errF, len(g), errG, len(model))
 				}
 				if err := fs.Check(); err != nil {
-					t.Fatalf("%s: %v", at, err)
+					t.Fatalf("crash at %v: %v", p, err)
 				}
-			})
+				points++
+			}
+			t.Logf("%d crash points", points)
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
@@ -62,30 +61,28 @@ func TestCheckpointAfterAnOutgrownJournalKeepsAcknowledgedWrites(t *testing.T) {
 	}
 }
 
-// TestRelinkNeedingALeafOnAFullDevice: on a full device, a strict fsync
-// whose overwrites split a file's one extent into more records than its
-// inode holds needs an extent leaf, and no block is free for it. The
-// fsync fails with ErrNoSpace before any block moves — it used to panic in
-// writeInode — the image passes Check, the data stays staged and readable,
-// and the fsync goes through once freed space has committed; a crash then
-// finds it.
-func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
-	dev := pmem.New(pmem.Config{Size: 16 << 20, Clock: sim.NewClock(), TrackPersistence: true})
-	kcfg := ext4dax.Config{JournalBlocks: 64, MaxInodes: 256}
+// leafOnAFullDevice fills a device, then overwrites every other block of
+// the first 47 of /f, a 64-block strict file, so that its fsync would
+// split its one extent into more records than the inode holds and needs
+// an extent leaf no block is free for; that fsync fails with ErrNoSpace
+// before any block moves — it used to panic in writeInode — the image
+// passes Check, and the data stays staged and readable. It returns what
+// /f holds and the K-Split file /filler that took the rest of the device.
+func leafOnAFullDevice(t *testing.T) (dev *pmem.Device, kcfg ext4dax.Config, cfg Config, kfs *ext4dax.FS, fs *FS, f vfs.File, model []byte) {
+	dev = pmem.New(pmem.Config{Size: 16 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+	kcfg = ext4dax.Config{JournalBlocks: 64, MaxInodes: 256}
 	kfs, err := ext4dax.Mkfs(dev, kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Mode: Strict, StagingFiles: 2, StagingFileBytes: 1 << 20}
-	fs, err := New(kfs, cfg)
-	if err != nil {
+	cfg = Config{Mode: Strict, StagingFiles: 2, StagingFileBytes: 1 << 20}
+	if fs, err = New(kfs, cfg); err != nil {
 		t.Fatal(err)
 	}
-	f, err := vfs.Create(fs, "/f")
-	if err != nil {
+	if f, err = vfs.Create(fs, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	model := pattern(64*sim.BlockSize, 1)
+	model = pattern(64*sim.BlockSize, 1)
 	if _, err := f.Write(model); err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +113,19 @@ func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
 	if got, err := vfs.ReadFile(fs, "/f"); err != nil || !bytes.Equal(got, model) {
 		t.Fatalf("/f after the refused fsync: %d bytes, %v; want its %d staged", len(got), err, len(model))
 	}
+	return dev, kcfg, cfg, kfs, fs, f, model
+}
+
+// TestRelinkNeedingALeafOnAFullDevice: the fsync leafOnAFullDevice refused
+// goes through once /filler is unlinked — with no commit asked for: it
+// finds no block for its leaf while the running transaction holds the
+// unlink's frees, so it commits them and tries once more
+// (ext4_should_retry_alloc) — and a crash then finds it.
+func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
+	dev, kcfg, cfg, kfs, fs, f, model := leafOnAFullDevice(t)
 	if err := kfs.Unlink("/filler"); err != nil {
 		t.Fatal(err)
 	}
-	kfs.CommitMeta()
 	if err := f.Sync(); err != nil {
 		t.Fatalf("the fsync with space freed: %v", err)
 	}
@@ -129,7 +135,8 @@ func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
 	if err := dev.Crash(nil); err != nil {
 		t.Fatal(err)
 	}
-	if kfs, _, err = ext4dax.Mount(dev, kcfg); err != nil {
+	kfs, _, err := ext4dax.Mount(dev, kcfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if fs, _, err = RecoverFS(kfs, cfg); err != nil {
@@ -140,50 +147,30 @@ func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
 	}
 }
 
-// crashFourWays runs workload once traced from its mark on, then once per
-// persistence event it issued there and per way the crash tests take
-// each event — the unfenced lines revert whole, or tear under two seeds,
-// or a non-temporal store lands and the rest reverts (for a store whose
-// range nothing later rewrites, so that the bytes it stored are still
-// there to land) — crashed at it. check gets the crashed device, how many
-// of the workload's steps had returned, and a name for the crash point.
-// workload calls mark on its device before its first step and returns
-// the device and the event count after each step.
-func crashFourWays(t *testing.T, workload func(mark func(*pmem.Device)) (*pmem.Device, []int64),
-	check func(t *testing.T, dev *pmem.Device, returned int, at string)) {
-	t.Helper()
-	dev, _ := workload(func(d *pmem.Device) { d.SetTracing(true) })
-	trace, points := dev.Trace(), 0
-	defer func() { t.Logf("%d events crashed, %d crash points", len(trace), points) }()
-	for i, ev := range trace {
-		rewritten := slices.ContainsFunc(trace[i+1:], func(l pmem.Event) bool {
-			return l.Len > 0 && l.Off < ev.Off+ev.Len && ev.Off < l.Off+l.Len
-		})
-		for way := range uint64(4) {
-			landed := way == 3
-			if landed && (ev.Kind != pmem.EvStoreNT || rewritten) {
-				continue
-			}
-			var tear *sim.RNG
-			if way == 1 || way == 2 {
-				tear = sim.NewRNG(uint64(ev.Seq)<<8 | way)
-			}
-			dev, done := workload(func(d *pmem.Device) { d.ArmCrash(ev.Seq, tear) })
-			stored := make([]byte, ev.Len)
-			dev.Peek(stored, ev.Off)
-			if err := dev.Crash(nil); err != nil {
-				t.Fatal(err)
-			}
-			if landed {
-				dev.PersistNT(ev.Off, stored, ev.Cat)
-			}
-			returned := 0
-			points++
-			for returned < len(done) && done[returned] < ev.Seq {
-				returned++
-			}
-			check(t, dev, returned, fmt.Sprintf("crash at event %d (%v), way %d", ev.Seq, ev.Kind, way))
-		}
+// TestRecoverOnAFullDevice: leafOnAFullDevice's device crashes with the
+// overwrites staged and logged. Recovery unlinks the old staging files and
+// preallocates new ones before it replays the log; the unlinks' frees have
+// not committed when it does, and the device has no other free block, so
+// the preallocation commits them and tries once more. Recovery succeeds,
+// /f holds every logged overwrite, and the image passes Check.
+func TestRecoverOnAFullDevice(t *testing.T) {
+	dev, kcfg, cfg, _, _, _, model := leafOnAFullDevice(t)
+	if err := dev.Crash(nil); err != nil {
+		t.Fatal(err)
+	}
+	kfs, _, err := ext4dax.Mount(dev, kcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _, err := RecoverFS(kfs, cfg)
+	if err != nil {
+		t.Fatalf("recovery on a full device: %v", err)
+	}
+	if got, err := vfs.ReadFile(fs, "/f"); err != nil || !bytes.Equal(got, model) {
+		t.Fatalf("/f after recovery: %d bytes, %v; want %d", len(got), err, len(model))
+	}
+	if err := fs.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -435,12 +436,14 @@ func nsString(ns map[string]bool) string {
 }
 
 // sweepNamespaceOps crashes ops at every persistence event from the first
-// op's first to the last op's last, on instances setup builds identically
-// each time, and requires the recovered namespace to be the model's just
-// before or just after the operation the crash interrupted.
+// op's first to the last op's last, each of the four ways, on instances
+// setup builds identically each time, and requires the recovered
+// namespace to be the model's just before or just after the operation
+// the crash interrupted.
 func sweepNamespaceOps(t *testing.T, setup func() (*metaEnv, map[string]bool), ops []nsOp) (redone int) {
 	t.Helper()
 	rec, ns := setup()
+	rec.dev.SetTracing(true)
 	states := []string{nsString(ns)}
 	events := []int64{rec.dev.Events()}
 	for _, op := range ops {
@@ -451,29 +454,34 @@ func sweepNamespaceOps(t *testing.T, setup func() (*metaEnv, map[string]bool), o
 		states = append(states, nsString(ns))
 		events = append(events, rec.dev.Events())
 	}
-	for k := events[0] + 1; k <= events[len(events)-1]; k++ {
+	points := 0
+	for p := range pmem.CrashPoints(rec.dev.Trace(), 2) {
 		e, _ := setup()
 		if got := e.dev.Events(); got != events[0] {
 			t.Fatalf("replay diverged: setup ends at event %d, recorded %d", got, events[0])
 		}
-		e.dev.ArmCrash(k, sim.NewRNG(uint64(k)))
+		p.Arm(e.dev)
 		for _, op := range ops {
 			if err := op.apply(e.fs); err != nil {
 				t.Fatalf("%+v: %v", op, err)
 			}
 		}
 		if !e.dev.CrashFired() {
-			t.Fatalf("event %d never fired", k)
+			t.Fatalf("%v never fired", p)
 		}
+		k := p.Ev.Seq
 		done := sort.Search(len(events), func(i int) bool { return events[i] > k }) - 1 // ops complete at event k
-		report := e.recover(t, nil)
+		p.Crash(e.dev)
+		report := e.remount(t)
 		redone += report.MetaReplayed
 		got := tree(t, e.fs)
 		if got != states[done] && (events[done] == k || got != states[done+1]) {
-			t.Fatalf("crash at event %d (op %d %+v): recovered\n  %s\nwant\n  %s\nor, if the crash interrupted the next operation,\n  %s\n%+v",
-				k, done, ops[min(done, len(ops)-1)], got, states[done], states[min(done+1, len(states)-1)], report)
+			t.Fatalf("crash at %v (op %d %+v): recovered\n  %s\nwant\n  %s\nor, if the crash interrupted the next operation,\n  %s\n%+v",
+				p, done, ops[min(done, len(ops)-1)], got, states[done], states[min(done+1, len(states)-1)], report)
 		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 	return redone
 }
 
@@ -590,49 +598,55 @@ func TestRecoveryCommitsBeforeZeroingTheLog(t *testing.T) {
 					return e
 				}
 				const want = `/d/ /d/a="a" /e/`
-				// A recording recovery numbers the events of mount and recovery.
+				// A recording recovery traces the events of mount and recovery.
 				rec := scenario()
-				lo := rec.dev.Events()
+				rec.dev.SetTracing(true)
 				first := rec.remount(t)
-				hi := rec.dev.Events()
 				if first.MetaReplayed != 3 || tree(t, rec.fs) != want {
 					t.Fatalf("recording recovery: %+v, %s", first, tree(t, rec.fs))
 				}
 				// The later the second crash, the less the second recovery
 				// has left to redo, down to nothing with the log still there
-				// and then to a zeroed log.
-				left, zeroed := first.MetaReplayed, false
+				// and then to a zeroed log: left is what the image of the
+				// last event with its unfenced lines reverted had, and no
+				// way of taking this event or a later one leaves more.
+				left, zeroed, points := first.MetaReplayed, false, 0
 				resumedAt := map[int]bool{}
-				for k := lo + 1; k <= hi; k++ {
+				for p := range pmem.CrashPoints(rec.dev.Trace(), 2) {
 					e := scenario()
-					e.dev.ArmCrash(k, sim.NewRNG(uint64(k)))
-					e.remount(t) // runs to its end; the image froze at event k
+					p.Arm(e.dev)
+					e.remount(t) // runs to its end; the image froze at p
 					if !e.dev.CrashFired() {
-						t.Fatalf("event %d never fired", k)
+						t.Fatalf("%v never fired", p)
 					}
-					second := e.recover(t, nil)
+					p.Crash(e.dev)
+					second := e.remount(t)
 					if got := tree(t, e.fs); got != want {
-						t.Fatalf("second crash at recovery event %d: recovered %s, want %s (%+v)", k, got, want, second)
+						t.Fatalf("second crash at recovery %v: recovered %s, want %s (%+v)", p, got, want, second)
 					}
 					switch {
 					case second.MetaReplayed > left:
-						t.Fatalf("second crash at recovery event %d: %d operations to redo again, %d an event earlier (%+v)", k, second.MetaReplayed, left, second)
+						t.Fatalf("second crash at recovery %v: %d operations to redo again, %d an event earlier (%+v)", p, second.MetaReplayed, left, second)
 					case second.Entries == first.Entries:
 						if second.MetaReplayed+second.MetaSkipped != first.MetaReplayed+first.MetaSkipped {
-							t.Fatalf("second crash at recovery event %d: second recovery %+v, first %+v", k, second, first)
+							t.Fatalf("second crash at recovery %v: second recovery %+v, first %+v", p, second, first)
 						}
 						resumedAt[second.MetaReplayed] = true
 					default:
 						// The log is being zeroed, or has been: only once
 						// there is nothing left to redo.
 						if left != 0 {
-							t.Fatalf("second crash at recovery event %d: %d of %d log entries left with %d operations still to redo (%+v)",
-								k, second.Entries, first.Entries, left, second)
+							t.Fatalf("second crash at recovery %v: %d of %d log entries left with %d operations still to redo (%+v)",
+								p, second.Entries, first.Entries, left, second)
 						}
 						zeroed = true
 					}
-					left = second.MetaReplayed
+					if p.Way == pmem.Revert {
+						left = second.MetaReplayed
+					}
+					points++
 				}
+				t.Logf("%d crash points", points)
 				wantResumes := map[int]bool{3: true, 0: true}
 				if threshold == 1 {
 					wantResumes = map[int]bool{3: true, 2: true, 1: true, 0: true}
@@ -716,7 +730,7 @@ func TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint(t *testing.T) {
 				e    *metaEnv
 				last string // where the renames left /x
 			)
-			crashFourWays(t, func(mark func(*pmem.Device)) (*pmem.Device, []int64) {
+			run := func(arm func(*pmem.Device)) (done []int64) {
 				// A journal of 16 blocks commits at most 13 block images; the
 				// note-count threshold is out of the way, so only credits and
 				// explicit commits ever commit.
@@ -725,11 +739,8 @@ func TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint(t *testing.T) {
 				mustCreateClosed(t, fs, "/x", nil)
 				last = fillLogWithRenames(t, fs, "/x", "/y")
 				outgrowJournal(t, fs.kfs)
-				mark(e.dev)
-				var (
-					f    vfs.File
-					done []int64
-				)
+				arm(e.dev)
+				var f vfs.File
 				for _, step := range []func() (err error){
 					func() (err error) { f, err = fs.OpenFile("/f", vfs.O_CREATE|vfs.O_RDWR, 0o644); return err },
 					func() error { _, err := f.WriteAt(data, 0); return err },
@@ -743,25 +754,33 @@ func TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint(t *testing.T) {
 				if fs.Stats().Checkpoints != 1 {
 					t.Fatalf("%d checkpoints, want 1", fs.Stats().Checkpoints)
 				}
-				return e.dev, done
-			}, func(t *testing.T, dev *pmem.Device, returned int, at string) {
+				return done
+			}
+			run(func(dev *pmem.Device) { dev.SetTracing(true) })
+			points := 0
+			for p := range pmem.CrashPoints(e.dev.Trace(), 2) {
+				done := run(p.Arm)
+				p.Crash(e.dev)
+				returned, _ := slices.BinarySearch(done, p.Ev.Seq)
 				e.remount(t)
 				if _, err := e.fs.Stat(last); err != nil {
-					t.Fatalf("%s: %s: %v", at, last, err)
+					t.Fatalf("crash at %v: %s: %v", p, last, err)
 				}
 				got, err := vfs.ReadFile(e.fs, "/f")
 				durable := returned == 3 || mode == Strict && returned >= 2
 				switch {
 				case errors.Is(err, vfs.ErrNotExist) && returned == 0:
 				case err != nil:
-					t.Fatalf("%s: /f after %d steps returned: %v", at, returned, err)
+					t.Fatalf("crash at %v: /f after %d steps returned: %v", p, returned, err)
 				case !bytes.Equal(got, data) && (durable || len(got) != 0):
-					t.Fatalf("%s: /f holds %d bytes after %d steps returned", at, len(got), returned)
+					t.Fatalf("crash at %v: /f holds %d bytes after %d steps returned", p, len(got), returned)
 				}
 				if err := e.fs.Check(); err != nil {
-					t.Fatalf("%s: %v", at, err)
+					t.Fatalf("crash at %v: %v", p, err)
 				}
-			})
+				points++
+			}
+			t.Logf("%d crash points", points)
 		})
 	}
 }

@@ -311,10 +311,11 @@ func TestSmallAppendFsyncLoopStagingBudget(t *testing.T) {
 
 // TestTailRelinkCrashSweep crashes a strict-mode fsync that moves a
 // partial last block at every one of its persistence events — before and
-// after the slack is zeroed, inside the commit, after it — and once more
-// inside the recovery that follows. A logged strict write is durable
-// whether or not its relink committed, so every crash must recover the
-// same bytes, with zeros past EOF and no block leaked or freed twice.
+// after the slack is zeroed, inside the commit, after it — each of the
+// four ways, and once more right after the recovery that follows. A
+// logged strict write is durable whether or not its relink committed, so
+// every crash must recover the same bytes, with zeros past EOF and no
+// block leaked or freed twice.
 func TestTailRelinkCrashSweep(t *testing.T) {
 	want := pattern(sim.BlockSize+1500, 12)
 	grown := append(append([]byte(nil), want...), make([]byte, 2*sim.BlockSize-len(want))...)
@@ -370,53 +371,52 @@ func TestTailRelinkCrashSweep(t *testing.T) {
 
 	dev, fs, f := setup()
 	first := dev.Events()
+	dev.SetTracing(true)
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	last := dev.Events()
 	if st := fs.Stats(); st.CopiedBytes != 0 || st.RelinkBlocks != 2 {
 		t.Fatalf("fsync copied %d bytes and relinked %d blocks, want 0 and 2", st.CopiedBytes, st.RelinkBlocks)
 	}
 
 	var replayed, skipped int
 	freeRecovered := int64(-1)
-	for k := first + 1; k <= last+1; k++ {
+	for p := range pmem.CrashPoints(dev.Trace(), 2) {
 		dev, _, f := setup()
 		if got := dev.Events(); got != first {
 			t.Fatalf("setup is not deterministic: %d events, recorded %d", got, first)
 		}
-		dev.ArmCrash(k, sim.NewRNG(uint64(k)))
+		p.Arm(dev)
 		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if k <= last && !dev.CrashFired() {
-			t.Fatalf("crash point %d never fired", k)
+		if !dev.CrashFired() {
+			t.Fatalf("%v never fired", p)
 		}
-		if err := dev.Crash(sim.NewRNG(uint64(k))); err != nil {
-			t.Fatal(err)
-		}
+		p.Crash(dev)
 		rec, report := recoverFS(dev)
 		if report.Replayed > 0 {
 			replayed++
 		} else {
 			skipped++
 		}
-		check(fmt.Sprintf("crash at event %d of %d..%d", k, first+1, last), rec)
+		check(fmt.Sprintf("crash at %v", p), rec)
 		// The file owns two blocks whether they were moved or replayed
 		// into place, and the rest of a recovered image is the same at
 		// every crash point: a different free count is a leaked block.
 		if free := rec.kfs.FreeBlocks(); freeRecovered >= 0 && free != freeRecovered {
-			t.Fatalf("crash at event %d: %d free blocks after recovery, earlier crash points left %d",
-				k, free, freeRecovered)
+			t.Fatalf("crash at %v: %d free blocks after recovery, earlier crash points left %d",
+				p, free, freeRecovered)
 		}
 		freeRecovered = rec.kfs.FreeBlocks()
 		// Second crash, torn, right after recovery: recovery is idempotent.
-		if err := dev.Crash(sim.NewRNG(uint64(k) ^ 0xd0b1e)); err != nil {
+		if err := dev.Crash(sim.NewRNG(uint64(p.Ev.Seq) ^ 0xd0b1e)); err != nil {
 			t.Fatal(err)
 		}
 		rec2, _ := recoverFS(dev)
-		check(fmt.Sprintf("second crash after event %d", k), rec2)
+		check(fmt.Sprintf("second crash after %v", p), rec2)
 	}
+	t.Logf("%d crash points", replayed+skipped)
 	if replayed == 0 || skipped == 0 {
 		t.Fatalf("sweep saw %d replays and %d committed relinks; want both sides of the commit", replayed, skipped)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -102,9 +103,10 @@ func TestOpLogBacksOneLap(t *testing.T) {
 // fsyncs at every persistence event, across three rewinds whose laps
 // shrink — six appends, four, two, then one more — so that records of a
 // longer lap lie past the tail of a shorter one. Unfenced lines revert
-// whole or tear word by word. Recovery must find every append that had
-// returned and nothing of an earlier lap past the one it scans, and some
-// of the images must hold such a record for the sweep to mean anything.
+// whole, tear word by word, or a store in flight lands whole. Recovery
+// must find every append that had returned and nothing of an earlier lap
+// past the one it scans, and some of the images must hold such a record
+// for the sweep to mean anything.
 func TestRewoundLogCrashAtEveryEvent(t *testing.T) {
 	const tears = 3
 	laps := []int{6, 4, 2, 1}
@@ -114,14 +116,13 @@ func TestRewoundLogCrashAtEveryEvent(t *testing.T) {
 	}
 	// run makes the file and arms the device, then appends and fsyncs;
 	// done[i] is the last event of append i.
-	run := func(arm func(*pmem.Device)) (e *metaEnv, base, size, start int64, done []int64) {
+	run := func(arm func(*pmem.Device)) (e *metaEnv, base, size int64, done []int64) {
 		e = newMetaEnv(t, Strict, ext4dax.Config{}, 256<<10)
 		base, size = opLogSpan(t, e.fs)
 		f, err := vfs.Create(e.fs, "/f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		start = e.dev.Events()
 		arm(e.dev)
 		next := 0
 		for i, n := range laps {
@@ -138,45 +139,35 @@ func TestRewoundLogCrashAtEveryEvent(t *testing.T) {
 				}
 			}
 		}
-		return e, base, size, start, done
+		return e, base, size, done
 	}
-	e, _, _, start, done := run(func(*pmem.Device) {})
+	e, _, _, done := run(func(dev *pmem.Device) { dev.SetTracing(true) })
 	if got := e.fs.Stats().Rewinds; got != int64(len(laps)-1) {
 		t.Fatalf("the workload rewound %d times, want %d", got, len(laps)-1)
 	}
-	end, stale := e.dev.Events(), 0
-	for k := start + 1; k <= end; k++ {
-		returned := 0
-		for returned < len(done) && done[returned] < k {
-			returned++
+	points, stale := 0, 0
+	for p := range pmem.CrashPoints(e.dev.Trace(), tears) {
+		returned, _ := slices.BinarySearch(done, p.Ev.Seq)
+		e, base, size, _ := run(p.Arm)
+		p.Crash(e.dev)
+		if staleRecord(e.dev, base, size) {
+			stale++
 		}
-		for tear := range uint64(tears + 1) {
-			var rng *sim.RNG // nil: every unfenced line reverts whole
-			if tear > 0 {
-				rng = sim.NewRNG(uint64(k)<<8 | tear)
-			}
-			e, base, size, _, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, rng) })
-			if err := e.dev.Crash(nil); err != nil {
-				t.Fatal(err)
-			}
-			if staleRecord(e.dev, base, size) {
-				stale++
-			}
-			e.remount(t)
-			got, err := vfs.ReadFile(e.fs, "/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, bytes.Join(appends[:returned], nil)) &&
-				(returned == len(appends) || !bytes.Equal(got, bytes.Join(appends[:returned+1], nil))) {
-				t.Fatalf("crash at event %d, tear %d: /f holds %d bytes, not the %d appends that had returned (and perhaps the next)", k, tear, len(got), returned)
-			}
-			if err := e.fs.Check(); err != nil {
-				t.Fatalf("crash at event %d, tear %d: %v", k, tear, err)
-			}
+		e.remount(t)
+		got, err := vfs.ReadFile(e.fs, "/f")
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !bytes.Equal(got, bytes.Join(appends[:returned], nil)) &&
+			(returned == len(appends) || !bytes.Equal(got, bytes.Join(appends[:returned+1], nil))) {
+			t.Fatalf("crash at %v: /f holds %d bytes, not the %d appends that had returned (and perhaps the next)", p, len(got), returned)
+		}
+		if err := e.fs.Check(); err != nil {
+			t.Fatalf("crash at %v: %v", p, err)
+		}
+		points++
 	}
-	t.Logf("%d events crashed %d ways, %d images held a record of an earlier lap past the scanned one", end-start, tears+1, stale)
+	t.Logf("%d crash points, %d images held a record of an earlier lap past the scanned one", points, stale)
 	if stale == 0 {
 		t.Fatal("no crash image held a stale record past the tail: the sweep never tested the sequence's end of the scan")
 	}
@@ -192,7 +183,7 @@ func TestRewoundLogCrashAtEveryEvent(t *testing.T) {
 func TestForgedHeaderInALongRecordIsNeverScanned(t *testing.T) {
 	const before = 2 // lap-A appends ahead of the rename
 	precious := pattern(3000, 9)
-	run := func(arm func(*pmem.Device)) (e *metaEnv, start, rewinds int64) {
+	run := func(arm func(*pmem.Device)) (e *metaEnv, rewinds int64) {
 		e = newMetaEnv(t, Strict, ext4dax.Config{}, 256<<10)
 		fs := e.fs
 		if err := vfs.WriteFile(fs, "/victim", precious); err != nil {
@@ -233,7 +224,6 @@ func TestForgedHeaderInALongRecordIsNeverScanned(t *testing.T) {
 		if !bytes.Equal(line, forged) {
 			t.Fatal("the forged line is not at the start of the rename record's second line")
 		}
-		start = e.dev.Events()
 		arm(e.dev)
 		if err := w.Sync(); err != nil {
 			t.Fatal(err)
@@ -243,17 +233,21 @@ func TestForgedHeaderInALongRecordIsNeverScanned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return e, start, rewinds
+		return e, rewinds
 	}
-	e, start, rewinds := run(func(*pmem.Device) {})
-	for k := start + 1; k <= e.dev.Events()+1; k++ {
-		e, _, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, nil) })
-		e.recover(t, nil)
+	e, rewinds := run(func(dev *pmem.Device) { dev.SetTracing(true) })
+	points := 0
+	for p := range pmem.CrashPoints(e.dev.Trace(), 2) {
+		e, _ := run(p.Arm)
+		p.Crash(e.dev)
+		e.remount(t)
 		got, err := vfs.ReadFile(e.fs, "/victim")
 		if err != nil || !bytes.Equal(got, precious) {
-			t.Fatalf("crash at event %d: /victim holds %d bytes, %v; want its %d: recovery replayed the forged record", k, len(got), err, len(precious))
+			t.Fatalf("crash at %v: /victim holds %d bytes, %v; want its %d: recovery replayed the forged record", p, len(got), err, len(precious))
 		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 	if got := e.fs.Stats().Rewinds; got != rewinds {
 		t.Fatalf("the log rewound %d times, want only the set-up's %d: a two-line record is in the region", got, rewinds)
 	}
@@ -292,7 +286,7 @@ func TestFailedCommitKeepsTheLog(t *testing.T) {
 	payload := pattern(5000, 3)
 	kcfg := ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}
 	var e *metaEnv
-	crashFourWays(t, func(mark func(*pmem.Device)) (*pmem.Device, []int64) {
+	run := func(arm func(*pmem.Device)) (done []int64) {
 		e = newMetaEnv(t, Strict, kcfg, 64<<10)
 		fs := e.fs
 		f, err := vfs.Create(fs, "/f")
@@ -310,8 +304,7 @@ func TestFailedCommitKeepsTheLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		outgrowJournal(t, fs.kfs)
-		mark(e.dev)
-		var done []int64
+		arm(e.dev)
 		for _, step := range []func() error{
 			f.Sync,
 			g.Sync,
@@ -325,23 +318,31 @@ func TestFailedCommitKeepsTheLog(t *testing.T) {
 		if fs.Stats().Rewinds == 0 {
 			t.Fatal("the covered log never rewound")
 		}
-		return e.dev, done
-	}, func(t *testing.T, dev *pmem.Device, returned int, at string) {
+		return done
+	}
+	run(func(dev *pmem.Device) { dev.SetTracing(true) })
+	points := 0
+	for p := range pmem.CrashPoints(e.dev.Trace(), 2) {
+		done := run(p.Arm)
+		p.Crash(e.dev)
+		returned, _ := slices.BinarySearch(done, p.Ev.Seq)
 		e.remount(t)
 		f, errF := vfs.ReadFile(e.fs, "/f")
 		g, errG := vfs.ReadFile(e.fs, "/g")
 		switch {
 		case errF != nil || errG != nil:
-			t.Fatalf("%s: /f %v, /g %v", at, errF, errG)
+			t.Fatalf("crash at %v: /f %v, /g %v", p, errF, errG)
 		case !bytes.Equal(f, payload):
-			t.Fatalf("%s: /f holds %d bytes, not the %d its write returned", at, len(f), len(payload))
+			t.Fatalf("crash at %v: /f holds %d bytes, not the %d its write returned", p, len(f), len(payload))
 		case string(g) != "after" && (returned == 3 || len(g) != 0):
-			t.Fatalf("%s: /g = %q after %d steps returned", at, g, returned)
+			t.Fatalf("crash at %v: /g = %q after %d steps returned", p, g, returned)
 		}
 		if err := e.fs.Check(); err != nil {
-			t.Fatalf("%s: %v", at, err)
+			t.Fatalf("crash at %v: %v", p, err)
 		}
-	})
+		points++
+	}
+	t.Logf("%d crash points", points)
 }
 
 // TestRewindRacesAppendersAndFsyncs: strict writers append to files of

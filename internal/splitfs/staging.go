@@ -1,6 +1,7 @@
 package splitfs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -92,6 +93,9 @@ func newStagingPool(fs *FS) (*stagingPool, error) {
 	}
 	for i := 0; i < fs.cfg.StagingFiles; i++ {
 		sf, err := p.createFile()
+		if errors.Is(err, vfs.ErrNoSpace) && i > 0 {
+			break // a full device: reserve creates the rest when it runs out
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -119,6 +123,8 @@ func (p *stagingPool) createFile() (*stagingFile, error) {
 		align = ext4dax.HugePageSize
 	}
 	if err := kf.Preallocate(p.fs.cfg.StagingFileBytes/sim.BlockSize, align); err != nil {
+		kf.Close()
+		p.fs.kfs.Unlink(path)
 		return nil, err
 	}
 	m, err := p.fs.kfs.Mmap(kf, 0, p.fs.cfg.StagingFileBytes, ext4dax.MmapOptions{

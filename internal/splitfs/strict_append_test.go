@@ -2,6 +2,7 @@ package splitfs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"splitfs/internal/ext4dax"
@@ -12,8 +13,9 @@ import (
 
 // TestStrictEntryNeverOutlivesItsData crashes three strict appends — a
 // block, 100 bytes and 6 000 bytes across a block boundary — at every
-// persistence event they issue, with the unfenced lines reverting whole and
-// torn word by word under tearSeeds seeds, and recovers. The file must read
+// persistence event they issue, with the unfenced lines reverting whole,
+// torn word by word under tearSeeds seeds, or a store in flight landing
+// whole, and recovers. The file must read
 // exactly as before the append in flight or after it, and the image must
 // pass FS.Check. A write entry carries no checksum over its data, so this
 // holds only because the data is fenced before the entry is stored: stored
@@ -39,34 +41,32 @@ func TestStrictEntryNeverOutlivesItsData(t *testing.T) {
 		}
 		return e, append(starts, e.dev.Events()+1)
 	}
-	_, starts := run(func(*pmem.Device) {})
-	for i := range appends {
+	ref, starts := run(func(dev *pmem.Device) { dev.SetTracing(true) })
+	points := 0
+	for p := range pmem.CrashPoints(ref.dev.Trace(), tearSeeds) {
+		n, _ := slices.BinarySearch(starts, p.Ev.Seq+1)
+		i := n - 1 // the append in flight
 		before, after := bytes.Join(appends[:i], nil), bytes.Join(appends[:i+1], nil)
-		for k := starts[i]; k < starts[i+1]; k++ {
-			for seed := range uint64(tearSeeds + 1) {
-				var tear *sim.RNG // nil: every unfenced line reverts whole
-				if seed > 0 {
-					tear = sim.NewRNG(uint64(k)<<8 | seed)
-				}
-				e, _ := run(func(dev *pmem.Device) { dev.ArmCrash(k, tear) })
-				if !e.dev.CrashFired() {
-					t.Fatalf("event %d never came", k)
-				}
-				e.recover(t, nil)
-				got, err := vfs.ReadFile(e.fs, "/f")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, before) && !bytes.Equal(got, after) {
-					t.Fatalf("append %d, crash at event %d, tear %d: /f holds %d bytes, neither the %d before the append nor the %d after it",
-						i, k, seed, len(got), len(before), len(after))
-				}
-				if err := e.fs.Check(); err != nil {
-					t.Fatalf("append %d, crash at event %d, tear %d: %v", i, k, seed, err)
-				}
-			}
+		e, _ := run(p.Arm)
+		if !e.dev.CrashFired() {
+			t.Fatalf("%v never came", p)
 		}
+		p.Crash(e.dev)
+		e.remount(t)
+		got, err := vfs.ReadFile(e.fs, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, before) && !bytes.Equal(got, after) {
+			t.Fatalf("append %d, crash at %v: /f holds %d bytes, neither the %d before the append nor the %d after it",
+				i, p, len(got), len(before), len(after))
+		}
+		if err := e.fs.Check(); err != nil {
+			t.Fatalf("append %d, crash at %v: %v", i, p, err)
+		}
+		points++
 	}
+	t.Logf("%d crash points", points)
 }
 
 // TestStrictAppendAllocations: a strict-mode 4 KB append (File.Write →
