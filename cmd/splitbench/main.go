@@ -7,6 +7,7 @@
 //	splitbench list             # list experiment IDs
 //	splitbench table1 fig4 ...  # run selected experiments
 //	splitbench fidelity         # the paper's numbers against ours; fails outside a band
+//	splitbench ledger           # each cell's ns/op by cost row and layer; fails if rows do not sum
 //	splitbench -json b.json ... # also write the metrics as JSON records
 //
 //	splitbench -check-baseline macro server obs   # CI perf gate

@@ -35,7 +35,7 @@ func TestAllocAlignedLowestFirstLeavesHint(t *testing.T) {
 	b.Free(Extent{Start: 0, Len: 40})
 	hint := b.hint
 	clk := dev.Clock()
-	before := clk.Category(sim.CatAlloc)
+	before := clk.Snapshot().ByCat[sim.CatAlloc]
 	exts, dirty, err := b.AllocAligned(16, align)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestAllocAlignedLowestFirstLeavesHint(t *testing.T) {
 	if b.hint != hint {
 		t.Fatalf("aligned allocation moved the next-fit hint %d -> %d", hint, b.hint)
 	}
-	if got := clk.Category(sim.CatAlloc) - before; got != sim.AllocExtentNs {
-		t.Fatalf("aligned allocation charged %d ns, want one extent search (%d)", got, sim.AllocExtentNs)
+	if got := clk.Snapshot().ByCat[sim.CatAlloc] - before; got != sim.AllocExtent.Fixed {
+		t.Fatalf("aligned allocation charged %d ns, want one extent search (%d)", got, sim.AllocExtent.Fixed)
 	}
 	// The next aligned run starts at the first aligned block past the
 	// first one; freeing the first makes it the lowest again.

@@ -47,8 +47,9 @@ type ByteRange struct {
 type Bitmap struct {
 	dev      *pmem.Device // nil for volatile bitmaps
 	clk      *sim.Clock
-	base     int64 // device offset of the bitmap region
-	dataBase int64 // device offset of block 0
+	search   *sim.Row // an extent search: K-Split's, or a log engine's
+	base     int64    // device offset of the bitmap region
+	dataBase int64    // device offset of block 0
 	nblocks  int64
 
 	mu   sync.Mutex
@@ -66,6 +67,7 @@ func New(dev *pmem.Device, base, dataBase, nblocks int64) *Bitmap {
 	return &Bitmap{
 		dev:      dev,
 		clk:      dev.Clock(),
+		search:   sim.AllocExtent,
 		base:     base,
 		dataBase: dataBase,
 		nblocks:  nblocks,
@@ -80,6 +82,7 @@ func New(dev *pmem.Device, base, dataBase, nblocks int64) *Bitmap {
 func NewVolatile(clk *sim.Clock, dataBase, nblocks int64) *Bitmap {
 	return &Bitmap{
 		clk:      clk,
+		search:   sim.EngineAlloc,
 		dataBase: dataBase,
 		nblocks:  nblocks,
 		bits:     make([]byte, BitmapBytes(nblocks)),
@@ -113,7 +116,7 @@ func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
 	if want < 1 {
 		want = 1
 	}
-	b.clk.Charge(sim.CatAlloc, sim.AllocExtentNs)
+	b.clk.Charge(b.search)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.free == 0 {
@@ -160,7 +163,7 @@ func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
 // offset, which every block's is. It charges the same search cost as
 // AllocExtent. Returns vfs.ErrNoSpace when every block is taken.
 func (b *Bitmap) AllocLowest() (Extent, ByteRange, error) {
-	b.clk.Charge(sim.CatAlloc, sim.AllocExtentNs)
+	b.clk.Charge(b.search)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	start := b.lowestAlignedRun(1, sim.BlockSize)
@@ -215,7 +218,7 @@ func (b *Bitmap) AllocAligned(n, align int64) ([]Extent, []ByteRange, error) {
 	if n < 1 || align <= sim.BlockSize || align%sim.BlockSize != 0 {
 		return b.Alloc(n)
 	}
-	b.clk.Charge(sim.CatAlloc, sim.AllocExtentNs)
+	b.clk.Charge(b.search)
 	b.mu.Lock()
 	start := b.lowestAlignedRun(n, align)
 	if start < 0 {

@@ -100,9 +100,23 @@ func kindLabel(ev pmem.Event) string {
 	return s
 }
 
+// labelPoints counts points by coverage label, and lists the labels built
+// from event kinds or sources this build does not know.
+func labelPoints(points []pmem.CrashPoint) (byKind map[string]int64, unknown []string) {
+	byKind, seen := map[string]int64{}, map[string]bool{}
+	for _, p := range points {
+		label := kindLabel(p.Ev)
+		byKind[label]++
+		if !p.Ev.Kind.Known() || !p.Ev.Src.Known() {
+			seen[label] = true
+		}
+	}
+	return byKind, slices.Sorted(maps.Keys(seen))
+}
+
 // Explore runs the sweep.
 func Explore(cfg ExploreConfig) (*ExploreResult, error) {
-	res := &ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}}
+	res := &ExploreResult{TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}}
 
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
@@ -123,15 +137,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	res.TotalEvents = w1 - w0
 	all, picked := crashPoints(record.Trace, cfg.Sample, cfg.Include, sim.NewRNG(mix(cfg.Seed, 0x5a)))
 	res.TotalPoints = int64(len(all))
-	unknown := map[string]bool{}
-	for _, p := range all {
-		label := kindLabel(p.Ev)
-		res.ByKind[label]++
-		if !p.Ev.Kind.Known() || !p.Ev.Src.Known() {
-			unknown[label] = true
-		}
-	}
-	res.UnknownKinds = slices.Sorted(maps.Keys(unknown))
+	res.ByKind, res.UnknownKinds = labelPoints(all)
 
 	dblSample := cfg.DoubleSample
 	if dblSample <= 0 {

@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,34 +90,24 @@ func TestGroupSyncDoubleCrash(t *testing.T) {
 	}
 }
 
-// TestUnknownEventKindsSurfaced verifies that a trace containing event
-// kinds or sources this build does not know lands in UnknownKinds
-// instead of being silently bucketed under a known label.
+// TestUnknownEventKindsSurfaced verifies that crash points at event kinds
+// or sources this build does not know land in Explore's UnknownKinds
+// (labelPoints) instead of being silently bucketed under a known label.
 func TestUnknownEventKindsSurfaced(t *testing.T) {
 	record := []pmem.Event{
 		{Seq: 11, Kind: pmem.EvStoreNT, Src: pmem.SrcForeground},
 		{Seq: 12, Kind: pmem.EventKind(57), Src: pmem.SrcForeground},
 		{Seq: 13, Kind: pmem.EvFence, Src: pmem.EventSource(9)},
 	}
-	byKind := map[string]int64{}
-	unknown := map[string]bool{}
+	var points []pmem.CrashPoint
 	for _, ev := range record {
-		label := kindLabel(ev)
-		byKind[label]++
-		if !ev.Kind.Known() || !ev.Src.Known() {
-			unknown[label] = true
-		}
+		points = append(points, pmem.CrashPoint{Ev: ev})
 	}
-	if len(unknown) != 2 {
-		t.Fatalf("want 2 unknown labels, got %v", unknown)
+	byKind, unknown := labelPoints(points)
+	if want := []string{"fence@unknown-src-9", "unknown-kind-57"}; !slices.Equal(unknown, want) {
+		t.Fatalf("unknown labels %v, want %v", unknown, want)
 	}
-	if !unknown["unknown-kind-57"] {
-		t.Errorf("unknown kind not surfaced: %v", unknown)
-	}
-	if !unknown["fence@unknown-src-9"] {
-		t.Errorf("unknown source not surfaced: %v", unknown)
-	}
-	if byKind["storent"] != 1 {
-		t.Errorf("known kind mis-bucketed: %v", byKind)
+	if byKind["storent"] != 1 || byKind["unknown-kind-57"] != 1 || byKind["fence@unknown-src-9"] != 1 {
+		t.Errorf("kinds mis-bucketed: %v", byKind)
 	}
 }

@@ -145,7 +145,7 @@ func TestBatchWritesEachInodeOnce(t *testing.T) {
 	dst, _ := vfs.Create(fs, "/dst")
 	fs.CommitMeta()
 	clk := fs.Device().Clock()
-	cpu := clk.Category(sim.CatCPU)
+	cpu := clk.Snapshot().ByCat[sim.CatCPU]
 	var moves []Move
 	for _, blk := range []int64{0, 2, 5} {
 		moves = append(moves, Move{Src: src.(*File), SrcOff: blk * sim.BlockSize, DstOff: blk * sim.BlockSize, Len: sim.BlockSize})
@@ -158,14 +158,14 @@ func TestBatchWritesEachInodeOnce(t *testing.T) {
 		}
 	}
 	batch.SetUserWatermark(dst.(*File), 42)
-	if got := clk.Category(sim.CatCPU) - cpu; got != 0 {
+	if got := clk.Snapshot().ByCat[sim.CatCPU] - cpu; got != 0 {
 		t.Fatalf("inode write-back (%d ns of CPU) before the batch closed", got)
 	}
 	txid := batch.End()
 	// One write-back per inode, each an extent update plus the compare of
 	// its record (neither file has an overflow block) against the cache.
-	perInode := sim.Ext4ExtentUpdateNs + sim.ChargeBytes(inodeSize, sim.StorePsPerByte)
-	if got := clk.Category(sim.CatCPU) - cpu; got != 2*perInode {
+	perInode := sim.Ext4ExtentUpdate.Fixed + sim.PMStore.Cost(inodeSize)
+	if got := clk.Snapshot().ByCat[sim.CatCPU] - cpu; got != 2*perInode {
 		t.Fatalf("batch close charged %d ns of inode write-back, want one per inode (%d)",
 			got, 2*perInode)
 	}

@@ -72,7 +72,7 @@ func (in *inode) freeSlot(devOff, recLen int64) {
 // length or, failing that, at the directory file's tail, and updates the
 // cache. Caller holds fs.mu.
 func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
-	fs.clk.Charge(sim.CatCPU, sim.Ext4DirOpNs)
+	fs.clk.Charge(sim.Ext4DirOp)
 	if err := fs.ensureDir(dir); err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func (fs *FS) extendDir(dir *inode, need int64) (int64, error) {
 // removeDirent tombstones an entry on disk and removes it from the cache.
 // Caller holds fs.mu.
 func (fs *FS) removeDirent(dir *inode, name string) error {
-	fs.clk.Charge(sim.CatCPU, sim.Ext4DirOpNs)
+	fs.clk.Charge(sim.Ext4DirOp)
 	if err := fs.ensureDir(dir); err != nil {
 		return err
 	}
@@ -162,7 +162,7 @@ func (fs *FS) resolve(path string) (*inode, error) {
 		if !cur.isDir {
 			return nil, vfs.ErrNotDir
 		}
-		fs.clk.Charge(sim.CatCPU, sim.Ext4DirOpNs)
+		fs.clk.Charge(sim.Ext4DirOp)
 		if err := fs.ensureDir(cur); err != nil {
 			return nil, err
 		}
@@ -197,7 +197,7 @@ func (fs *FS) resolveDir(path string) (*inode, string, error) {
 		return nil, "", err
 	}
 	// The caller will look up or insert base in this directory.
-	fs.clk.Charge(sim.CatCPU, sim.Ext4DirOpNs)
+	fs.clk.Charge(sim.Ext4DirOp)
 	return parent, base, nil
 }
 

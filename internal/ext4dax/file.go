@@ -126,7 +126,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, vfs.ErrInval
 	}
 	fs.trap()
-	fs.clk.Charge(sim.CatCPU, sim.Ext4ReadPathNs)
+	fs.clk.Charge(sim.Ext4ReadPath)
 	fs.stats.dataReads.Add(1)
 	f.in.mu.RLock()
 	defer f.in.mu.RUnlock()
@@ -200,7 +200,7 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 		return 0, off, vfs.ErrReadOnly
 	}
 	fs.trap()
-	fs.clk.Charge(sim.CatCPU, sim.Ext4DaxIomapNs)
+	fs.clk.Charge(sim.Ext4DaxIomap)
 	fs.stats.dataWrites.Add(1)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -267,8 +267,8 @@ func (fs *FS) writeLocked(b *Batch, in *inode, p []byte, off int64) (int, error)
 			if !allocated {
 				// Charged once per call, like one journal handle and
 				// unwritten-extent conversion per write syscall.
-				fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
-				fs.clk.Charge(sim.CatCPU, sim.Ext4AllocWritePathNs)
+				fs.clk.Charge(sim.Ext4JournalHandle)
+				fs.clk.Charge(sim.Ext4AllocWritePath)
 				allocated = true
 			}
 			needBlocks := (int64(len(p)-n)+inBlk+sim.BlockSize-1)/sim.BlockSize - 0
@@ -346,7 +346,7 @@ func (f *File) TruncateIn(b *Batch, size int64) error {
 		return vfs.ErrInval
 	}
 	fs.trap()
-	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
+	fs.clk.Charge(sim.Ext4JournalHandle)
 	fs.stats.metaOps.Add(1)
 	f.in.mu.Lock()
 	fs.truncateLocked(f.in, size)
@@ -400,7 +400,7 @@ func (f *File) Sync() error {
 		return vfs.ErrClosed
 	}
 	fs.trap()
-	fs.clk.Charge(sim.CatCPU, sim.Ext4FsyncNs)
+	fs.clk.Charge(sim.Ext4Fsync)
 	fs.awaitCommittable()
 	fs.commitTx()
 	fs.dev.Fence()

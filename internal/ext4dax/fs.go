@@ -324,7 +324,7 @@ func (fs *FS) FreeBlocks() int64 { return fs.bBmp.FreeCount() }
 // trap charges one user/kernel crossing. Lock-free, so the no-fs.mu read
 // path can use it.
 func (fs *FS) trap() {
-	fs.clk.Charge(sim.CatKernelTrap, sim.KernelTrapNs)
+	fs.clk.Charge(sim.KernelTrap)
 	fs.stats.traps.Add(1)
 }
 
@@ -640,7 +640,7 @@ func (fs *FS) inodeOff(ino uint64) int64 {
 // writeInode serializes an inode (and its leaves) and writes back what
 // changed: see writeBack. Caller holds fs.mu.
 func (fs *FS) writeInode(in *inode) {
-	fs.clk.Charge(sim.CatCPU, sim.Ext4ExtentUpdateNs)
+	fs.clk.Charge(sim.Ext4ExtentUpdate)
 	// Leaves: everything past the inline extents, LeafExtents a leaf.
 	leaves := int(leavesFor(int64(len(in.extents))))
 	// Allocate or free leaves to match. Blocks from held on are fresh from

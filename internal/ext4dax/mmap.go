@@ -34,6 +34,14 @@ type Mapping struct {
 	faulted []bool // per-page soft-fault state when not pre-populated
 }
 
+// faultRow is the ledger row of one of the mapping's page faults.
+func (m *Mapping) faultRow() *sim.Row {
+	if m.Huge {
+		return sim.PageFault2M
+	}
+	return sim.PageFault4K
+}
+
 // MmapOptions control population and huge-page behaviour.
 type MmapOptions struct {
 	// Populate pre-faults all pages (MAP_POPULATE), moving fault cost to
@@ -57,18 +65,14 @@ func (fs *FS) Mmap(f *File, off, length int64, opts MmapOptions) (*Mapping, erro
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	fs.clk.Charge(sim.CatCPU, sim.MmapSyscallNs)
+	fs.clk.Charge(sim.Mmap)
 	m, err := fs.remapLocked(nil, f, off, length, opts.Huge, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	nPages := int64(len(m.pages))
 	if opts.Populate {
-		faultCost := int64(sim.PageFault4KNs)
-		if m.Huge {
-			faultCost = sim.PageFault2MNs
-		}
-		fs.clk.Charge(sim.CatPageFault, nPages*faultCost)
+		fs.clk.ChargeN(m.faultRow(), nPages)
 	} else {
 		m.faulted = make([]bool, nPages)
 	}
@@ -239,11 +243,7 @@ func (m *Mapping) Translate(fileOff, want int64) (devOff, contig int64, ok bool)
 	pg := rel / m.pageSz
 	if m.faulted != nil && !m.faulted[pg] {
 		m.faulted[pg] = true
-		cost := int64(sim.PageFault4KNs)
-		if m.Huge {
-			cost = sim.PageFault2MNs
-		}
-		m.fs.clk.Charge(sim.CatPageFault, cost)
+		m.fs.clk.ChargeN(m.faultRow(), 1)
 	}
 	devOff = m.pages[pg].Load() + rel%m.pageSz
 	// Following pages extend the span while they are physically next.
@@ -317,7 +317,7 @@ func (m *Mapping) Fence() { m.fs.dev.Fence() }
 // Unmap charges the munmap cost that makes SplitFS unlink expensive
 // (Table 6), and hands the page table back (Release).
 func (m *Mapping) Unmap() {
-	m.fs.clk.Charge(sim.CatKernelTrap, sim.MunmapPerMappingNs)
+	m.fs.clk.Charge(sim.Munmap)
 	m.Release()
 }
 

@@ -74,15 +74,15 @@ func TestMmapFirstTouchFaults(t *testing.T) {
 	clk := dev.Clock()
 
 	m, _ := fs.Mmap(f.(*File), 0, 4*sim.BlockSize, MmapOptions{})
-	before := clk.Category(sim.CatPageFault)
+	before := clk.Snapshot().ByCat[sim.CatPageFault]
 	buf := make([]byte, 10)
 	m.Load(buf, 0) // first touch of page 0
-	afterFirst := clk.Category(sim.CatPageFault)
-	if afterFirst-before != sim.PageFault4KNs {
-		t.Fatalf("first touch charged %d, want %d", afterFirst-before, sim.PageFault4KNs)
+	afterFirst := clk.Snapshot().ByCat[sim.CatPageFault]
+	if afterFirst-before != sim.PageFault4K.Cost(1) {
+		t.Fatalf("first touch charged %d, want %d", afterFirst-before, sim.PageFault4K.Cost(1))
 	}
 	m.Load(buf, 16) // same page: no new fault
-	if clk.Category(sim.CatPageFault) != afterFirst {
+	if clk.Snapshot().ByCat[sim.CatPageFault] != afterFirst {
 		t.Fatal("second touch of same page faulted again")
 	}
 }
@@ -92,14 +92,14 @@ func TestMmapPopulateChargesUpFront(t *testing.T) {
 	f, _ := vfs.Create(fs, "/pop")
 	f.Write(make([]byte, 8*sim.BlockSize))
 	clk := dev.Clock()
-	before := clk.Category(sim.CatPageFault)
+	before := clk.Snapshot().ByCat[sim.CatPageFault]
 	m, _ := fs.Mmap(f.(*File), 0, 8*sim.BlockSize, MmapOptions{Populate: true})
-	if got := clk.Category(sim.CatPageFault) - before; got != 8*sim.PageFault4KNs {
-		t.Fatalf("populate charged %d, want %d", got, 8*sim.PageFault4KNs)
+	if got := clk.Snapshot().ByCat[sim.CatPageFault] - before; got != 8*sim.PageFault4K.Cost(1) {
+		t.Fatalf("populate charged %d, want %d", got, 8*sim.PageFault4K.Cost(1))
 	}
 	buf := make([]byte, 10)
 	m.Load(buf, 0)
-	if clk.Category(sim.CatPageFault) != before+8*sim.PageFault4KNs {
+	if clk.Snapshot().ByCat[sim.CatPageFault] != before+8*sim.PageFault4K.Cost(1) {
 		t.Fatal("populated mapping faulted on access")
 	}
 }
@@ -114,12 +114,12 @@ func TestHugePageRequiresAlignment(t *testing.T) {
 	const fileBytes = 4 << 20
 	mmap := func(f vfs.File, off, length int64, huge bool) (*Mapping, int64) {
 		t.Helper()
-		before := clk.Category(sim.CatPageFault)
+		before := clk.Snapshot().ByCat[sim.CatPageFault]
 		m, err := fs.Mmap(f.(*File), off, length, MmapOptions{Populate: true, Huge: huge})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, clk.Category(sim.CatPageFault) - before
+		return m, clk.Snapshot().ByCat[sim.CatPageFault] - before
 	}
 
 	// Next-fit allocation starts at the bottom of the data region, which
@@ -135,7 +135,7 @@ func TestHugePageRequiresAlignment(t *testing.T) {
 	if m.Huge || m.PageSize() != sim.BlockSize {
 		t.Fatalf("unaligned extent mapped huge (page size %d)", m.PageSize())
 	}
-	if want := int64(fileBytes / sim.BlockSize * sim.PageFault4KNs); charged != want {
+	if want := int64(fileBytes / sim.BlockSize * sim.PageFault4K.Cost(1)); charged != want {
 		t.Fatalf("4 KB population charged %d, want %d", charged, want)
 	}
 	buf := make([]byte, 64)
@@ -155,7 +155,7 @@ func TestHugePageRequiresAlignment(t *testing.T) {
 	if !m.Huge || m.PageSize() != HugePageSize {
 		t.Fatalf("aligned extent not mapped huge (page size %d)", m.PageSize())
 	}
-	if want := int64(fileBytes / HugePageSize * sim.PageFault2MNs); charged != want {
+	if want := int64(fileBytes / HugePageSize * sim.PageFault2M.Cost(1)); charged != want {
 		t.Fatalf("2 MB population charged %d, want %d", charged, want)
 	}
 	if n := m.Load(buf, 1<<20); n != 64 {
@@ -186,7 +186,7 @@ func TestRelinkMovesBlocksWithoutCopy(t *testing.T) {
 
 	fs.CommitMeta()
 	dataBefore := dev.Stats().BytesWrittenNT
-	allocBefore := dev.Clock().Category(sim.CatAlloc)
+	allocBefore := dev.Clock().Snapshot().ByCat[sim.CatAlloc]
 	loggedBefore := fs.jnl.Stats().BlocksLogged
 	free := fs.FreeBlocks()
 
@@ -198,7 +198,7 @@ func TestRelinkMovesBlocksWithoutCopy(t *testing.T) {
 	// Filling a hole is a pure move: nothing allocated, nothing freed, so
 	// the block bitmap stays out of the transaction — it logs the inode
 	// table block(s) of the two files and nothing else.
-	if got := dev.Clock().Category(sim.CatAlloc) - allocBefore; got != 0 {
+	if got := dev.Clock().Snapshot().ByCat[sim.CatAlloc] - allocBefore; got != 0 {
 		t.Fatalf("relink into a hole charged %d ns of allocation", got)
 	}
 	if fs.FreeBlocks() != free {
@@ -348,7 +348,7 @@ func TestUnmapCharges(t *testing.T) {
 	m, _ := fs.Mmap(f.(*File), 0, sim.BlockSize, MmapOptions{})
 	before := dev.Clock().Now()
 	m.Unmap()
-	if dev.Clock().Now()-before != sim.MunmapPerMappingNs {
+	if dev.Clock().Now()-before != sim.Munmap.Fixed {
 		t.Fatal("Unmap cost wrong")
 	}
 }

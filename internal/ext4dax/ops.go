@@ -184,7 +184,7 @@ func (fs *FS) UnlinkIno(b *Batch, path string) (uint64, error) {
 	defer fs.mu.Unlock()
 	fs.trap()
 	fs.admit(b, unlinkCredit)
-	fs.clk.Charge(sim.CatCPU, sim.Ext4UnlinkPathNs)
+	fs.clk.Charge(sim.Ext4UnlinkPath)
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {

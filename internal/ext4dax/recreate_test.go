@@ -129,10 +129,10 @@ func TestSetUserWatermarkWritesOnlyTheField(t *testing.T) {
 	}
 	kf := f.(*File)
 	clk := dev.Clock()
-	before, cpu := clk.Now(), clk.Category(sim.CatCPU)
+	before, cpu := clk.Now(), clk.Snapshot().ByCat[sim.CatCPU]
 	kf.SetUserWatermark(nil, 77)
-	if got := clk.Category(sim.CatCPU) - cpu; got != 0 {
-		t.Errorf("the watermark cost %d ns of CPU: an inode write-back (%d)?", got, sim.Ext4ExtentUpdateNs)
+	if got := clk.Snapshot().ByCat[sim.CatCPU] - cpu; got != 0 {
+		t.Errorf("the watermark cost %d ns of CPU: an inode write-back (%d)?", got, sim.Ext4ExtentUpdate.Fixed)
 	}
 	if got := clk.Now() - before; got > 20 {
 		t.Errorf("the watermark cost %d sim-ns in all, want a cached 8-byte store", got)

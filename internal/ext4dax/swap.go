@@ -74,7 +74,7 @@ func (b *Batch) Relink(dst *File, newDstSize int64, moves []Move) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	fs.clk.Charge(sim.CatJournal, sim.Ext4JournalHandleNs)
+	fs.clk.Charge(sim.Ext4JournalHandle)
 	ins, err := fs.checkMoves(dst.in, newDstSize, moves)
 	if err != nil {
 		return err

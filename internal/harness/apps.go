@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"splitfs/internal/apps/aofstore"
 	"splitfs/internal/apps/lsmkv"
@@ -57,7 +58,7 @@ func runYCSB(kind string, w ycsb.Workload) (float64, error) {
 		return 0, err
 	}
 	var ops int64
-	d, err := measure(e.Clock, func() error {
+	d, err := measure(e.Clock, "ycsb_"+strings.ToLower(string(w))+"/"+kind, int64(cfg.Operations), func() error {
 		st, err := ycsb.Run(db, w, cfg)
 		ops = st.Ops()
 		return err
@@ -181,7 +182,7 @@ func fig5() (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				d, err := measure(e.Clock, func() error { return c.fn(e) })
+				d, err := measure(e.Clock, c.id+"/"+kind, 1, func() error { return c.fn(e) })
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s: %w", c.workload, kind, err)
 				}
@@ -294,7 +295,7 @@ func fig6() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, err := measure(e.Clock, func() error { return u.run(e.FS, paths) })
+			d, err := measure(e.Clock, u.id+"/"+kind, 1, func() error { return u.run(e.FS, paths) })
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", u.name, kind, err)
 			}
@@ -324,7 +325,7 @@ func redisSetKops(kind string) (float64, error) {
 	defer s.Close()
 	val := make([]byte, 512)
 	const n = 4000
-	d, err := measure(e.Clock, func() error {
+	d, err := measure(e.Clock, "redis_set/"+kind, n, func() error {
 		for i := 0; i < n; i++ {
 			if err := s.Set(fmt.Sprintf("key:%08d", i%1000), val); err != nil {
 				return err
@@ -349,7 +350,7 @@ func tpccKops(kind string) (float64, error) {
 		return 0, err
 	}
 	defer db.Close()
-	d, err := measure(e.Clock, func() error {
+	d, err := measure(e.Clock, "tpcc/"+kind, tpccTx, func() error {
 		_, err := b.Run(tpccTx)
 		return err
 	})

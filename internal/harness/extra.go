@@ -132,7 +132,7 @@ func ablationExp() (*Table, error) {
 		Note:    "huge pages are fragile (§4): staging files get them because they are pre-allocated 2MB-aligned, the kernel-written cold file, at whatever offset next-fit gave it, does not. Page faults cover the whole run, staging-file pre-population at startup included — that, not the timed phases, is where the huge-page switch acts",
 		Headers: []string{"Configuration", "Seq reads (Kops/s)", "Appends+fsync (Kops/s)", "Page faults (us)"},
 	}
-	run := func(tweak func(*splitfs.Config)) ([3]float64, error) {
+	run := func(id string, tweak func(*splitfs.Config)) ([3]float64, error) {
 		spec := stack.Spec{DevBytes: 512 << 20,
 			KSplit: ext4dax.Config{MaxInodes: 1024},
 			USplit: splitfs.Config{StagingFiles: 8, StagingFileBytes: 8 << 20}}
@@ -184,7 +184,8 @@ func ablationExp() (*Table, error) {
 		}
 		g.Sync()
 		out[1] = kops(nOps, clk.Now()-before)
-		out[2] = float64(clk.Category(sim.CatPageFault)) / 1e3
+		out[2] = float64(clk.Snapshot().ByCat[sim.CatPageFault]) / 1e3
+		rowMark{clk: clk}.report(id, 1) // the whole run, from the stack's start
 		return out, nil
 	}
 	cases := []struct {
@@ -200,7 +201,7 @@ func ablationExp() (*Table, error) {
 	}
 	vs := map[string][3]float64{}
 	for _, c := range cases {
-		v, err := run(c.tweak)
+		v, err := run(c.id, c.tweak)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}

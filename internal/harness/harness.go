@@ -169,10 +169,32 @@ func paperStack(kind string, devBytes int64) (*stack.Stack, error) {
 	return stack.New(kind, spec)
 }
 
-// measure runs fn and returns the simulated-time breakdown it consumed.
-func measure(clk *sim.Clock, fn func() error) (sim.Breakdown, error) {
-	before := clk.Snapshot()
+// ledgerCell, while the ledger experiment runs, receives every cell the
+// experiments measure: its name, its operations and its rows.
+var ledgerCell func(cell string, ops int64, rows sim.Ledger)
+
+// rowMark is a clock's rows at the start of a cell.
+type rowMark struct {
+	clk *sim.Clock
+	at  sim.Ledger
+}
+
+func markRows(clk *sim.Clock) rowMark { return rowMark{clk, clk.Ledger()} }
+
+// report hands the rows charged since the mark to the ledger experiment,
+// if it runs, as the cell named cell, of ops operations.
+func (m rowMark) report(cell string, ops int64) {
+	if ledgerCell != nil {
+		ledgerCell(cell, ops, m.clk.Ledger().Sub(m.at))
+	}
+}
+
+// measure runs fn and returns the simulated-time breakdown it consumed,
+// reporting its rows as the cell named cell, of ops operations.
+func measure(clk *sim.Clock, cell string, ops int64, fn func() error) (sim.Breakdown, error) {
+	before, mark := clk.Snapshot(), markRows(clk)
 	err := fn()
+	mark.report(cell, ops)
 	return clk.Snapshot().Sub(before), err
 }
 

@@ -52,7 +52,7 @@ func metric(t *testing.T, tbl *Table, name string) float64 {
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{"table1", "table2", "table6", "table7",
 		"fig3", "fig4", "fig5", "fig6", "recovery", "resources", "ablation", "fidelity",
-		"macro", "server", "obs"}
+		"macro", "server", "obs", "ledger"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Errorf("experiment %s missing", id)
@@ -133,7 +133,7 @@ func TestRecoveryScalesLinearly(t *testing.T) {
 func TestAblationShape(t *testing.T) {
 	tbl := runT(t, "ablation")
 	hugeFaults, smallFaults := metric(t, tbl, "page_faults/default"), metric(t, tbl, "page_faults/no-huge-pages")
-	if want := 8 * (2048*float64(sim.PageFault4KNs) - 4*float64(sim.PageFault2MNs)) / 1e3; math.Abs(smallFaults-hugeFaults-want) > 0.1 {
+	if want := 8 * (2048*float64(sim.PageFault4K.Cost(1)) - 4*float64(sim.PageFault2M.Cost(1))) / 1e3; math.Abs(smallFaults-hugeFaults-want) > 0.1 {
 		t.Fatalf("page faults: default %.1f us, huge pages disabled %.1f us; want them %.1f us apart",
 			hugeFaults, smallFaults, want)
 	}

@@ -126,12 +126,13 @@ func RunMacroCell(backend, workload string) (*MacroCell, error) {
 		if _, err := ycsb.Load(db, cfg); err != nil {
 			return nil, fmt.Errorf("macro %s/%s: load: %w", workload, backend, err)
 		}
-		before := b.Counters()
+		before, mark := b.Counters(), markRows(b.Clock)
 		st, err := ycsb.Run(db, w, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s/%s: run: %w", workload, backend, err)
 		}
 		after := b.Counters()
+		mark.report(workload+"/"+backend, st.Ops())
 		if err := db.Close(); err != nil {
 			return nil, fmt.Errorf("macro %s/%s: close: %w", workload, backend, err)
 		}
@@ -153,12 +154,13 @@ func RunMacroCell(backend, workload string) (*MacroCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: populate: %w", backend, err)
 		}
-		before := b.Counters()
+		before, mark := b.Counters(), markRows(b.Clock)
 		st, err := bench.Run(macroSize.tpccTx)
 		if err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: run: %w", backend, err)
 		}
 		after := b.Counters()
+		mark.report(workload+"/"+backend, st.Total())
 		if err := db.Close(); err != nil {
 			return nil, fmt.Errorf("macro tpcc/%s: close: %w", backend, err)
 		}

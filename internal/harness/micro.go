@@ -32,32 +32,14 @@ func table1() (*Table, error) {
 		Title:   "Software overhead of appending a 4 KB block",
 		Headers: []string{"File system", "Append (ns)", "Overhead (ns)", "Overhead (%)"},
 	}
-	const n = 2048 // 8 MB of appends (paper: 128 MB)
 	kinds := []string{"ext4-dax", "pmfs", "nova-strict", "splitfs-strict", "splitfs-posix"}
 	totals := make([]float64, len(kinds))
 	for i, kind := range kinds {
-		e, err := paperStack(kind, microDev)
+		d, err := appendCell(kind)
 		if err != nil {
 			return nil, err
 		}
-		f, err := vfs.Create(e.FS, "/append.dat")
-		if err != nil {
-			return nil, err
-		}
-		blk := make([]byte, sim.BlockSize)
-		// Warm one append so staging chunks and allocator hints exist.
-		if _, err := f.Write(blk); err != nil {
-			return nil, err
-		}
-		before := e.Clock.Snapshot()
-		for i := 0; i < n; i++ {
-			if _, err := f.Write(blk); err != nil {
-				return nil, fmt.Errorf("%s: %w", kind, err)
-			}
-		}
-		d := e.Clock.Snapshot().Sub(before)
-		f.Close()
-		total, overhead := d.Total/n, d.Overhead()/n
+		total, overhead := d.Total/appends, d.Overhead()/appends
 		data := total - overhead
 		totals[i] = float64(total)
 		t.AddMetric("append/"+kind, float64(total), "ns")
@@ -74,6 +56,35 @@ func table1() (*Table, error) {
 	return t, nil
 }
 
+// appends is Table 1's run: 8 MB of 4 KB appends (paper: 128 MB).
+const appends = 2048
+
+// appendCell measures Table 1's appends on a fresh stack of kind.
+func appendCell(kind string) (sim.Breakdown, error) {
+	e, err := paperStack(kind, microDev)
+	if err != nil {
+		return sim.Breakdown{}, err
+	}
+	f, err := vfs.Create(e.FS, "/append.dat")
+	if err != nil {
+		return sim.Breakdown{}, err
+	}
+	defer f.Close()
+	blk := make([]byte, sim.BlockSize)
+	// Warm one append so staging chunks and allocator hints exist.
+	if _, err := f.Write(blk); err != nil {
+		return sim.Breakdown{}, err
+	}
+	return measure(e.Clock, "append/"+kind, appends, func() error {
+		for range appends {
+			if _, err := f.Write(blk); err != nil {
+				return fmt.Errorf("%s: %w", kind, err)
+			}
+		}
+		return nil
+	})
+}
+
 func table2() (*Table, error) {
 	// The one device built outside internal/stack: Table 2 measures the
 	// bare device, with no file system on it.
@@ -85,23 +96,22 @@ func table2() (*Table, error) {
 		Headers: []string{"Property", "Measured"},
 	}
 	buf, big := make([]byte, sim.CacheLine), make([]byte, 16<<20)
-	ns := func(fn func()) float64 {
-		before := clk.Now()
-		fn()
-		return float64(clk.Now() - before)
+	ns := func(cell string, fn func()) float64 {
+		d, _ := measure(clk, cell, 1, func() error { fn(); return nil })
+		return float64(d.Total)
 	}
-	gbs := func(fn func()) float64 { return float64(len(big)) / ns(fn) }
+	gbs := func(cell string, fn func()) float64 { return float64(len(big)) / ns(cell, fn) }
 	row := func(name, metric, unit string, prec int, v float64) {
 		t.AddMetric(metric, v, unit)
 		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%.*f %s", prec, v, unit)})
 	}
 	// Sequential read latency: second of two adjacent single-line reads.
 	dev.ReadAt(buf, 0, sim.CatPMData)
-	row("Sequential read latency", "seq_read", "ns", 0, ns(func() { dev.ReadAt(buf, sim.CacheLine, sim.CatPMData) }))
-	row("Random read latency", "rand_read", "ns", 0, ns(func() { dev.ReadAt(buf, 32<<20, sim.CatPMData) }))
-	row("Store + flush + fence", "store_flush_fence", "ns", 0, ns(func() { dev.Persist(4096, buf, sim.CatPMData) }))
-	row("Read bandwidth", "read_bw", "GB/s", 1, gbs(func() { dev.ReadAt(big, 0, sim.CatPMData) }))
-	row("Write bandwidth (single stream)", "write_bw", "GB/s", 1, gbs(func() { dev.StoreNT(16<<20, big, sim.CatPMData); dev.Fence() }))
+	row("Sequential read latency", "seq_read", "ns", 0, ns("seq_read", func() { dev.ReadAt(buf, sim.CacheLine, sim.CatPMData) }))
+	row("Random read latency", "rand_read", "ns", 0, ns("rand_read", func() { dev.ReadAt(buf, 32<<20, sim.CatPMData) }))
+	row("Store + flush + fence", "store_flush_fence", "ns", 0, ns("store_flush_fence", func() { dev.Persist(4096, buf, sim.CatPMData) }))
+	row("Read bandwidth", "read_bw", "GB/s", 1, gbs("read_bw", func() { dev.ReadAt(big, 0, sim.CatPMData) }))
+	row("Write bandwidth (single stream)", "write_bw", "GB/s", 1, gbs("write_bw", func() { dev.StoreNT(16<<20, big, sim.CatPMData); dev.Fence() }))
 	return t, nil
 }
 
@@ -124,7 +134,7 @@ func table6() (*Table, error) {
 		c := col{}
 		var seqErr error
 		meas := func(name string, fn func() error) {
-			d, err := measure(e.Clock, fn)
+			d, err := measure(e.Clock, name+"/"+kind, 1, fn)
 			if err != nil && seqErr == nil {
 				seqErr = fmt.Errorf("%s %s: %w", kind, name, err)
 			}

@@ -170,12 +170,13 @@ func ServerStreamCell(kind string) (*MacroCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	before := b.Counters()
+	before, mark := b.Counters(), markRows(b.Clock)
 	ops, err := runServerStream(b.FS, serverStreamOps)
 	if err != nil {
 		return nil, fmt.Errorf("server stream %s: %w", kind, err)
 	}
 	after := b.Counters()
+	mark.report("stream/"+kind, ops)
 	cell := &MacroCell{Backend: kind, Workload: "stream", Ops: ops,
 		Metrics: cellMetrics(ops, before, after)}
 	if cl, ok := b.FS.(*server.Client); ok {

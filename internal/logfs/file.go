@@ -81,7 +81,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, vfs.ErrInval
 	}
 	fs.trap()
-	fs.clk.Charge(sim.CatCPU, fs.prof.ReadPathCPU)
+	fs.clk.Charge(fs.prof.ReadPathCPU)
 	fs.stats.DataReads++
 	in := f.in
 	if off < 0 {
@@ -138,7 +138,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		return 0, vfs.ErrInval
 	}
 	fs.trap()
-	fs.clk.Charge(sim.CatCPU, fs.prof.WritePathCPU)
+	fs.clk.Charge(fs.prof.WritePathCPU)
 	fs.stats.DataWrites++
 	if len(p) == 0 {
 		return 0, nil
@@ -220,7 +220,7 @@ func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 // blocks, data written NT, fence, then one log entry remaps — atomic and
 // synchronous. Caller holds fs.mu.
 func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
-	fs.clk.Charge(sim.CatCPU, sim.NovaCOWNs)
+	fs.clk.Charge(sim.NovaCOW)
 	end := off + int64(len(p))
 	firstBlk := off / blockSize
 	lastBlk := (end + blockSize - 1) / blockSize

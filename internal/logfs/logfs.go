@@ -33,10 +33,10 @@ type Profile struct {
 	// FenceMode of metadata log appends.
 	FenceMode metalog.FenceMode
 	// PerOpCPU is charged for composing each metadata log record.
-	PerOpCPU int64
+	PerOpCPU *sim.Row
 	// WritePathCPU / ReadPathCPU are charged per data operation.
-	WritePathCPU int64
-	ReadPathCPU  int64
+	WritePathCPU *sim.Row
+	ReadPathCPU  *sim.Row
 	// COW makes data writes copy-on-write (new blocks, then a log entry
 	// remaps them), giving atomic data operations. Either way a write's
 	// data is fenced before the call returns, and every operation is a
@@ -176,14 +176,14 @@ func (fs *FS) Stats() Stats {
 func (fs *FS) FreeBlocks() int64 { return fs.bmp.FreeCount() }
 
 func (fs *FS) trap() {
-	fs.clk.Charge(sim.CatKernelTrap, sim.KernelTrapNs)
+	fs.clk.Charge(sim.EngineTrap)
 	fs.stats.Traps++
 }
 
 // appendRecord persists one metadata record, checkpointing when full.
 // Caller holds fs.mu.
 func (fs *FS) appendRecord(rec []byte) {
-	fs.clk.Charge(sim.CatOpLog, fs.prof.PerOpCPU)
+	fs.clk.Charge(fs.prof.PerOpCPU)
 	fs.stats.LogAppends++
 	if err := fs.log.Append(rec, fs.prof.FenceMode); err == nil {
 		return

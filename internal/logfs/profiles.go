@@ -17,9 +17,9 @@ import (
 var NovaStrict = Profile{
 	Name:         "nova-strict",
 	FenceMode:    metalog.EntryPlusTail,
-	PerOpCPU:     sim.NovaLogEntryNs,
-	WritePathCPU: sim.NovaWritePathNs,
-	ReadPathCPU:  sim.Ext4ReadPathNs, // read paths are comparably lean
+	PerOpCPU:     sim.NovaLogEntry,
+	WritePathCPU: sim.NovaWritePath,
+	ReadPathCPU:  sim.EngineReadPath, // read paths are comparably lean
 }
 
 // NovaRelaxed is NOVA in its relaxed mode, compared against
@@ -29,9 +29,9 @@ var NovaStrict = Profile{
 var NovaRelaxed = Profile{
 	Name:         "nova-relaxed",
 	FenceMode:    metalog.EntryPlusTail,
-	PerOpCPU:     sim.NovaLogEntryNs,
-	WritePathCPU: sim.NovaRelaxedWritePathNs,
-	ReadPathCPU:  sim.Ext4ReadPathNs,
+	PerOpCPU:     sim.NovaLogEntry,
+	WritePathCPU: sim.NovaRelaxedWritePath,
+	ReadPathCPU:  sim.EngineReadPath,
 }
 
 // PMFS (Dulloor et al., EuroSys '14) journals metadata at fine grain,
@@ -39,7 +39,7 @@ var NovaRelaxed = Profile{
 var PMFS = Profile{
 	Name:         "pmfs",
 	FenceMode:    metalog.SingleFence,
-	PerOpCPU:     sim.PMFSJournalNs,
-	WritePathCPU: sim.PMFSWritePathNs,
-	ReadPathCPU:  sim.Ext4ReadPathNs,
+	PerOpCPU:     sim.PMFSJournal,
+	WritePathCPU: sim.PMFSWritePath,
+	ReadPathCPU:  sim.EngineReadPath,
 }

@@ -198,7 +198,7 @@ func (l *Log) Append(payload []byte, mode FenceMode) error {
 	// is on its stack.
 	n := copy(buf[headerSize:], payload)
 	binary.LittleEndian.PutUint32(buf[8:12], Checksum(l.seq, buf[headerSize:headerSize+n]))
-	l.dev.Clock().Charge(sim.CatCPU, sim.ChecksumPerLogEntryNs)
+	l.dev.Clock().Charge(sim.LogChecksum)
 	l.dev.StoreNT(l.start+l.tail, buf, l.cat)
 	switch mode {
 	case SingleFence:

@@ -43,32 +43,32 @@ func newModel(size int64, clock *sim.Clock) *modelDevice {
 }
 
 func (m *modelDevice) ReadAt(p []byte, off int64, cat sim.Category) {
-	lat := int64(sim.PMRandReadLatencyNs)
+	r := sim.PMReadRand
 	if m.lastReadEnd == off {
-		lat = sim.PMSeqReadLatencyNs
+		r = sim.PMReadSeq
 	}
 	m.lastReadEnd = off + int64(len(p))
-	m.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMReadPsPerByte))
+	m.clock.ChargeAs(r, cat, int64(len(p)))
 	m.stats.BytesRead += int64(len(p))
 	copy(p, m.data[off:])
 }
 
 func (m *modelDevice) StoreNT(off int64, p []byte, cat sim.Category) {
-	m.clock.Charge(cat, int64(sim.PMWriteLatencyNs)+sim.ChargeBytes(len(p), sim.PMWritePsPerByte))
+	m.clock.ChargeAs(sim.PMStoreNT, cat, int64(len(p)))
 	m.write(off, p, linePending)
 	m.stats.BytesWrittenNT += int64(len(p))
 	m.event(EvStoreNT, cat, off, int64(len(p)))
 }
 
 func (m *modelDevice) Store(off int64, p []byte, cat sim.Category) {
-	m.clock.Charge(cat, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	m.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
 	m.write(off, p, lineDirty)
 	m.stats.BytesWrittenCached += int64(len(p))
 	m.event(EvStore, cat, off, int64(len(p)))
 }
 
 func (m *modelDevice) StoreBuffered(off int64, p []byte, cat sim.Category) {
-	m.clock.Charge(cat, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	m.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
 	m.write(off, p, lineBuffered)
 	m.stats.BytesWrittenCached += int64(len(p))
 }
@@ -97,12 +97,12 @@ func (m *modelDevice) Flush(off int64, n int, cat sim.Category) {
 		}
 	}
 	m.stats.Flushes += dirty
-	m.clock.Charge(cat, dirty*sim.FlushLineNs)
+	m.clock.ChargeAs(sim.PMFlush, cat, dirty)
 	m.event(EvFlush, cat, off, int64(n))
 }
 
 func (m *modelDevice) Fence() {
-	m.clock.Charge(sim.CatFence, sim.FenceNs)
+	m.clock.Charge(sim.PMFence)
 	m.stats.Fences++
 	drop := false
 	if m.fenceFilter != nil {

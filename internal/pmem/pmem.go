@@ -358,28 +358,25 @@ func (d *Device) unlockAll() {
 // read-bandwidth time to cat. The latency is sequential (169 ns) when the
 // read continues where the previous one ended, random (305 ns) otherwise.
 func (d *Device) ReadAt(p []byte, off int64, cat sim.Category) {
-	d.checkRange(off, len(p))
-	lat := int64(sim.PMRandReadLatencyNs)
-	if d.lastReadEnd.Load() == off {
-		lat = sim.PMSeqReadLatencyNs
-	}
-	d.lastReadEnd.Store(off + int64(len(p)))
-	d.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMReadPsPerByte))
-	d.nBytesRead.Add(int64(len(p)))
-	d.load(p, off)
+	d.readCharged(p, off, cat, sim.PMReadSeq, sim.PMReadRand)
 }
 
 // ReadIntoUser copies device contents into a user buffer, charging the
 // end-to-end load+memcpy cost of the file-data read path (§5.4, Table 6)
 // rather than the raw device bandwidth.
 func (d *Device) ReadIntoUser(p []byte, off int64, cat sim.Category) {
+	d.readCharged(p, off, cat, sim.PMUserReadSeq, sim.PMUserReadRand)
+}
+
+// readCharged loads p from off, charging seq to cat when the read
+// continues where the previous one ended, rnd otherwise.
+func (d *Device) readCharged(p []byte, off int64, cat sim.Category, seq, rnd sim.OpenRow) {
 	d.checkRange(off, len(p))
-	lat := int64(sim.PMRandReadLatencyNs)
 	if d.lastReadEnd.Load() == off {
-		lat = sim.PMSeqReadLatencyNs
+		rnd = seq
 	}
 	d.lastReadEnd.Store(off + int64(len(p)))
-	d.clock.Charge(cat, lat+sim.ChargeBytes(len(p), sim.PMUserCopyPsPerByte))
+	d.clock.ChargeAs(rnd, cat, int64(len(p)))
 	d.nBytesRead.Add(int64(len(p)))
 	d.load(p, off)
 }
@@ -444,7 +441,7 @@ func lines(f *frame, a, b int) []byte { return f[a*sim.CacheLine : b*sim.CacheLi
 // reads must use ReadAt.
 func (d *Device) Peek(p []byte, off int64) {
 	d.checkRange(off, len(p))
-	d.clock.Charge(sim.CatCPU, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	d.clock.ChargeN(sim.CacheRead, int64(len(p)))
 	d.load(p, off)
 }
 
@@ -453,7 +450,7 @@ func (d *Device) Peek(p []byte, off int64) {
 // Fence. Charges the NT store startup latency plus store-bandwidth time.
 func (d *Device) StoreNT(off int64, p []byte, cat sim.Category) {
 	d.checkRange(off, len(p))
-	d.clock.Charge(cat, int64(sim.PMWriteLatencyNs)+sim.ChargeBytes(len(p), sim.PMWritePsPerByte))
+	d.clock.ChargeAs(sim.PMStoreNT, cat, int64(len(p)))
 	d.write(off, p, linePending)
 	d.nBytesNT.Add(int64(len(p)))
 	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
@@ -465,7 +462,7 @@ func (d *Device) StoreNT(off int64, p []byte, cat sim.Category) {
 // Fence completes. Cheap (cache-speed) on the clock.
 func (d *Device) Store(off int64, p []byte, cat sim.Category) {
 	d.checkRange(off, len(p))
-	d.clock.Charge(cat, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	d.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
 	d.write(off, p, lineDirty)
 	d.nBytesCached.Add(int64(len(p)))
 	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
@@ -482,7 +479,7 @@ func (d *Device) Store(off int64, p []byte, cat sim.Category) {
 // the crash image is unchanged.
 func (d *Device) StoreBuffered(off int64, p []byte, cat sim.Category) {
 	d.checkRange(off, len(p))
-	d.clock.Charge(cat, sim.ChargeBytes(len(p), sim.StorePsPerByte))
+	d.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
 	d.write(off, p, lineBuffered)
 	d.nBytesCached.Add(int64(len(p)))
 	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
@@ -648,7 +645,7 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 	})
 	d.nFlushes.Add(dirty)
 	d.srcFlushes[d.srcIdx()].Add(dirty)
-	d.clock.Charge(cat, dirty*sim.FlushLineNs)
+	d.clock.ChargeAs(sim.PMFlush, cat, dirty)
 	d.event(EvFlush, cat, off, int64(n))
 }
 
@@ -657,7 +654,7 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 // every shard — one at a time, so disjoint stores keep flowing while it
 // drains.
 func (d *Device) Fence() {
-	d.clock.Charge(sim.CatFence, sim.FenceNs)
+	d.clock.Charge(sim.PMFence)
 	d.nFences.Add(1)
 	d.srcFences[d.srcIdx()].Add(1)
 	if d.dropFence() {

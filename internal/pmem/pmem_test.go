@@ -131,9 +131,9 @@ func TestReadLatencySeqVsRand(t *testing.T) {
 	before = clk.Now()
 	d.ReadAt(buf, 512*1024, sim.CatPMData) // jump: random
 	rnd := clk.Now() - before
-	if rnd-seq != sim.PMRandReadLatencyNs-sim.PMSeqReadLatencyNs {
+	if rnd-seq != sim.PMReadRand.Fixed-sim.PMReadSeq.Fixed {
 		t.Fatalf("rand-seq latency delta = %d, want %d", rnd-seq,
-			sim.PMRandReadLatencyNs-sim.PMSeqReadLatencyNs)
+			sim.PMReadRand.Fixed-sim.PMReadSeq.Fixed)
 	}
 }
 

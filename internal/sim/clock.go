@@ -1,17 +1,18 @@
 // Package sim provides the simulated-time substrate for the SplitFS
-// reproduction: a virtual nanosecond clock with per-category accounting,
-// the calibrated cost model for persistent memory and kernel-side work,
-// and deterministic random-number helpers used by the workload generators.
+// reproduction: a virtual nanosecond clock, the cost ledger that every
+// charge to it names, and deterministic random-number helpers used by the
+// workload generators.
 //
 // Every file-system operation in this repository charges simulated
 // nanoseconds to a Clock instead of consuming wall-clock time. This makes
-// the paper's evaluation deterministic and lets us decompose latency into
-// the categories the paper reasons about (raw PM data time vs. software
-// overhead, Table 1 and Figure 5).
+// the paper's evaluation deterministic and lets us decompose latency by
+// ledger row, by layer, and into the categories the paper reasons about
+// (raw PM data time vs. software overhead, Table 1 and Figure 5).
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -71,41 +72,101 @@ func Categories() []Category {
 	return out
 }
 
-// Clock is a virtual nanosecond clock. It is safe for concurrent use; all
-// counters are updated with atomic operations. The zero value is ready to
-// use.
+// Clock is a virtual nanosecond clock with a total per ledger row (per row
+// and category for an OpenRow). It is safe for concurrent use: a charge is
+// two atomic adds, and an atomic or the first time. The zero value is ready.
 type Clock struct {
 	now   atomic.Int64
-	byCat [numCategories]atomic.Int64
+	slots [maxSlots]atomic.Int64
+	used  [maxSlots / 64]atomic.Uint64 // the slots charged so far
 }
 
 // NewClock returns a fresh clock at time zero.
 func NewClock() *Clock { return &Clock{} }
 
-// Charge advances the clock by ns nanoseconds attributed to category cat.
-// Negative charges are ignored.
-func (c *Clock) Charge(cat Category, ns int64) {
+// Charge advances the clock by one charge of r's fixed cost.
+func (c *Clock) Charge(r *Row) { c.add(r.slot, r.Fixed) }
+
+// ChargeN advances the clock by one charge of r for n units.
+func (c *Clock) ChargeN(r *Row, n int64) { c.add(r.slot, r.Cost(n)) }
+
+// ChargeAs advances the clock by one charge of r for n units, booked to cat.
+func (c *Clock) ChargeAs(r OpenRow, cat Category, n int64) {
+	if cat < 0 || cat >= numCategories {
+		panic(fmt.Sprintf("sim: %s charged to %v", r.Name, cat))
+	}
+	c.add(r.slot+int(cat), r.Cost(n))
+}
+
+func (c *Clock) add(slot int, ns int64) {
 	if ns <= 0 {
 		return
 	}
 	c.now.Add(ns)
-	if cat >= 0 && cat < numCategories {
-		c.byCat[cat].Add(ns)
+	if c.slots[slot].Add(ns) == ns {
+		c.used[slot/64].Or(1 << (slot % 64))
+	}
+}
+
+// charged calls fn with each slot charged so far and its total.
+func (c *Clock) charged(fn func(slot int, ns int64)) {
+	for w := range c.used {
+		for m := c.used[w].Load(); m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			fn(i, c.slots[i].Load())
+		}
 	}
 }
 
 // Now returns the current simulated time in nanoseconds.
 func (c *Clock) Now() int64 { return c.now.Load() }
 
-// Category returns the total nanoseconds charged to cat.
-func (c *Clock) Category(cat Category) int64 {
-	if cat < 0 || cat >= numCategories {
-		return 0
-	}
-	return c.byCat[cat].Load()
+// Ledger is a snapshot of a clock's totals by row.
+type Ledger struct {
+	Total int64
+	slots [maxSlots]int64
 }
 
-// Breakdown is a snapshot of the clock's per-category totals.
+// Ledger returns the current totals by row.
+func (c *Clock) Ledger() Ledger {
+	l := Ledger{Total: c.now.Load()}
+	c.charged(func(i int, ns int64) { l.slots[i] = ns })
+	return l
+}
+
+// Sub returns the totals charged since the earlier snapshot.
+func (l Ledger) Sub(earlier Ledger) Ledger { return l.plus(earlier, -1) }
+
+// Add returns the sum of two ledgers.
+func (l Ledger) Add(o Ledger) Ledger { return l.plus(o, 1) }
+
+func (l Ledger) plus(o Ledger, sign int64) Ledger {
+	l.Total += sign * o.Total
+	for i := range nSlots {
+		l.slots[i] += sign * o.slots[i]
+	}
+	return l
+}
+
+// Entry is one line of a ledger: a row, a category and their nanoseconds.
+type Entry struct {
+	Row *Row
+	Cat Category
+	Ns  int64
+}
+
+// Entries returns the ledger's non-zero lines in row order.
+func (l Ledger) Entries() []Entry {
+	var out []Entry
+	for i, ns := range l.slots[:nSlots] {
+		if ns != 0 {
+			out = append(out, Entry{slotRow[i], slotCat[i], ns})
+		}
+	}
+	return out
+}
+
+// Breakdown is a snapshot of the clock's totals by category.
 type Breakdown struct {
 	Total int64
 	ByCat [int(numCategories)]int64
@@ -113,11 +174,8 @@ type Breakdown struct {
 
 // Snapshot returns the current totals.
 func (c *Clock) Snapshot() Breakdown {
-	var b Breakdown
-	b.Total = c.now.Load()
-	for i := range b.ByCat {
-		b.ByCat[i] = c.byCat[i].Load()
-	}
+	b := Breakdown{Total: c.now.Load()}
+	c.charged(func(i int, ns int64) { b.ByCat[slotCat[i]] += ns })
 	return b
 }
 
@@ -154,13 +212,4 @@ func (b Breakdown) String() string {
 		s += fmt.Sprintf("%s=%d", Category(i), v)
 	}
 	return s + "]"
-}
-
-// Reset zeroes the clock and all category counters. Not safe to call
-// concurrently with Charge.
-func (c *Clock) Reset() {
-	c.now.Store(0)
-	for i := range c.byCat {
-		c.byCat[i].Store(0)
-	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -8,24 +9,26 @@ import (
 
 func TestClockChargeAccumulates(t *testing.T) {
 	c := NewClock()
-	c.Charge(CatPMData, 100)
-	c.Charge(CatPMData, 50)
-	c.Charge(CatFence, 25)
-	if got := c.Now(); got != 175 {
-		t.Fatalf("Now() = %d, want 175", got)
+	c.Charge(KernelTrap)
+	c.ChargeN(PageFault4K, 2)
+	c.ChargeAs(PMStoreNT, CatPMData, 64)
+	want := KernelTrap.Fixed + PageFault4K.Cost(2) + PMStoreNT.Cost(64)
+	if got := c.Now(); got != want {
+		t.Fatalf("Now() = %d, want %d", got, want)
 	}
-	if got := c.Category(CatPMData); got != 150 {
-		t.Fatalf("Category(CatPMData) = %d, want 150", got)
+	b := c.Snapshot()
+	if got := b.ByCat[CatPageFault]; got != PageFault4K.Cost(2) {
+		t.Fatalf("ByCat[CatPageFault] = %d, want %d", got, PageFault4K.Cost(2))
 	}
-	if got := c.Category(CatFence); got != 25 {
-		t.Fatalf("Category(CatFence) = %d, want 25", got)
+	if got := b.ByCat[CatPMData]; got != PMStoreNT.Cost(64) {
+		t.Fatalf("ByCat[CatPMData] = %d, want %d", got, PMStoreNT.Cost(64))
 	}
 }
 
 func TestClockIgnoresNonPositive(t *testing.T) {
 	c := NewClock()
-	c.Charge(CatCPU, 0)
-	c.Charge(CatCPU, -5)
+	c.ChargeAs(PMFlush, CatCPU, 0)
+	c.ChargeN(DRAMCopy, 0)
 	if c.Now() != 0 {
 		t.Fatalf("Now() = %d, want 0", c.Now())
 	}
@@ -33,19 +36,19 @@ func TestClockIgnoresNonPositive(t *testing.T) {
 
 func TestClockSnapshotSub(t *testing.T) {
 	c := NewClock()
-	c.Charge(CatPMData, 40)
+	c.ChargeAs(PMStore, CatPMData, 4000)
 	before := c.Snapshot()
-	c.Charge(CatPMData, 10)
-	c.Charge(CatJournal, 30)
+	c.ChargeAs(PMStore, CatPMData, 1000)
+	c.Charge(Ext4JournalHandle)
 	d := c.Snapshot().Sub(before)
-	if d.Total != 40 {
-		t.Fatalf("delta total = %d, want 40", d.Total)
+	if d.Total != 10+Ext4JournalHandle.Fixed {
+		t.Fatalf("delta total = %d, want %d", d.Total, 10+Ext4JournalHandle.Fixed)
 	}
 	if d.DataTime() != 10 {
 		t.Fatalf("delta data = %d, want 10", d.DataTime())
 	}
-	if d.Overhead() != 30 {
-		t.Fatalf("delta overhead = %d, want 30", d.Overhead())
+	if d.Overhead() != Ext4JournalHandle.Fixed {
+		t.Fatalf("delta overhead = %d, want %d", d.Overhead(), Ext4JournalHandle.Fixed)
 	}
 }
 
@@ -58,23 +61,64 @@ func TestClockConcurrentCharges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Charge(CatCPU, 1)
+				c.Charge(PMFence)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := c.Now(); got != goroutines*per {
-		t.Fatalf("Now() = %d, want %d", got, goroutines*per)
+	if got, want := c.Now(), goroutines*per*PMFence.Fixed; got != want {
+		t.Fatalf("Now() = %d, want %d", got, want)
 	}
 }
 
-func TestClockReset(t *testing.T) {
+// TestLedgerBooksEveryRow charges each row once, an OpenRow once to each
+// category, and reads every charge back from the ledger: its row, its
+// category and its nanoseconds, summing to the clock's total.
+func TestLedgerBooksEveryRow(t *testing.T) {
 	c := NewClock()
-	c.Charge(CatAlloc, 99)
-	c.Reset()
-	if c.Now() != 0 || c.Category(CatAlloc) != 0 {
-		t.Fatal("Reset did not zero the clock")
+	var want []Entry
+	names := map[string]bool{}
+	for _, r := range Rows() {
+		if names[r.Name] {
+			t.Errorf("two rows named %s", r.Name)
+		}
+		names[r.Name] = true
+		if r.Cat != catOpen {
+			c.ChargeN(r, 3)
+			want = append(want, Entry{r, r.Cat, r.Cost(3)})
+			continue
+		}
+		for _, cat := range Categories() {
+			c.ChargeAs(OpenRow{r}, cat, int64(cat)+1)
+			want = append(want, Entry{r, cat, r.Cost(int64(cat) + 1)})
+		}
 	}
+	l := c.Ledger()
+	got := l.Entries()
+	if !slices.Equal(got, want) {
+		t.Fatalf("ledger entries differ:\n got %v\nwant %v", got, want)
+	}
+	var sum int64
+	var byCat [numCategories]int64
+	for _, e := range got {
+		sum += e.Ns
+		byCat[e.Cat] += e.Ns
+	}
+	if sum != l.Total || c.Snapshot().ByCat != byCat {
+		t.Fatalf("entries sum to %d by category %v; clock total %d by category %v", sum, byCat, l.Total, c.Snapshot().ByCat)
+	}
+	if d := c.Ledger().Sub(l); d.Total != 0 || len(d.Entries()) != 0 {
+		t.Fatalf("a ledger minus itself is %v", d)
+	}
+}
+
+func TestChargeAsRefusesAnUnknownCategory(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ChargeAs(numCategories) did not panic")
+		}
+	}()
+	NewClock().ChargeAs(PMStore, numCategories, 1)
 }
 
 func TestCategoryString(t *testing.T) {
@@ -91,39 +135,42 @@ func TestCategoryString(t *testing.T) {
 
 func TestBreakdownString(t *testing.T) {
 	c := NewClock()
-	c.Charge(CatPMData, 7)
+	c.ChargeAs(PMStore, CatPMData, 700)
 	s := c.Snapshot().String()
 	if s != "7ns [pm-data=7]" {
 		t.Fatalf("String() = %q", s)
 	}
 }
 
-func TestChargeBytes(t *testing.T) {
+func TestRowCost(t *testing.T) {
 	cases := []struct {
-		n    int
-		ps   int64
+		r    Row
+		n    int64
 		want int64
 	}{
-		{0, 100, 0},
-		{-1, 100, 0},
-		{1, 100, 1},  // rounds up
-		{10, 100, 1}, // exactly 1ns
-		{11, 100, 2}, // rounds up
-		{4096, 144, 590},
-		{64, 25, 2},
+		{Row{PsPerUnit: 100}, 0, 0},
+		{Row{PsPerUnit: 100}, -1, 0},
+		{Row{PsPerUnit: 100}, 1, 1},  // rounds up
+		{Row{PsPerUnit: 100}, 10, 1}, // exactly 1ns
+		{Row{PsPerUnit: 100}, 11, 2}, // rounds up
+		{Row{Fixed: 55, PsPerUnit: 144}, 4096, 55 + 590},
+		{Row{Fixed: 169, PsPerUnit: 25}, 64, 169 + 2},
+		{Row{PsPerUnit: 60e3}, 3, 180},
+		{Row{Fixed: 7, PsPerUnit: 2200e3}, 2, 4407},
 	}
 	for _, tc := range cases {
-		if got := ChargeBytes(tc.n, tc.ps); got != tc.want {
-			t.Errorf("ChargeBytes(%d, %d) = %d, want %d", tc.n, tc.ps, got, tc.want)
+		if got := tc.r.Cost(tc.n); got != tc.want {
+			t.Errorf("%+v.Cost(%d) = %d, want %d", tc.r, tc.n, got, tc.want)
 		}
 	}
 }
 
-func TestChargeBytesNeverFreeProperty(t *testing.T) {
+func TestByteCostNeverFreeProperty(t *testing.T) {
 	f := func(n uint16, ps uint8) bool {
-		got := ChargeBytes(int(n), int64(ps))
+		r := Row{PsPerUnit: int64(ps)}
+		got := r.Cost(int64(n))
 		if n == 0 || ps == 0 {
-			return got == (ChargeBytes(int(n), int64(ps)))
+			return got == 0
 		}
 		return got >= 1 && got >= int64(n)*int64(ps)/1000
 	}
@@ -134,12 +181,12 @@ func TestChargeBytesNeverFreeProperty(t *testing.T) {
 
 func TestCalibrationAnchors(t *testing.T) {
 	// §1: a 4 KB non-temporal write plus fence must cost ~671 ns.
-	got := int64(PMWriteLatencyNs) + ChargeBytes(4096, PMWritePsPerByte) + FenceNs
+	got := PMStoreNT.Cost(4096) + PMFence.Fixed
 	if got < 640 || got > 700 {
 		t.Fatalf("4KB NT write+fence = %dns, want ~671ns", got)
 	}
 	// Table 2: store+flush+fence of one cache line must cost ~91 ns.
-	sff := ChargeBytes(CacheLine, StorePsPerByte) + FlushLineNs + FenceNs
+	sff := PMStore.Cost(CacheLine) + PMFlush.Cost(1) + PMFence.Fixed
 	if sff < 80 || sff > 100 {
 		t.Fatalf("store+flush+fence = %dns, want ~91ns", sff)
 	}

@@ -229,9 +229,9 @@ func TestWriteLargerThanLogFailsBeforeStaging(t *testing.T) {
 // operation. Its checkpoint used to fail at commit, and the operation
 // with it; now credits commit the running transaction before it outgrows
 // the journal, the checkpoint relinks, commits and zeroes the log, and
-// the operation succeeds. A crash at any event of the operation, taken
-// each of the four ways, recovers /f's writes, and the operation's effect
-// once it had returned.
+// the operation succeeds. A crash at any event of the operation or of a
+// create and write after it, taken each of the four ways, recovers /f's
+// writes, and the operation's effect once it had returned.
 func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 	ops := map[string]func(fs *FS, f vfs.File) error{
 		"write":  func(fs *FS, f vfs.File) error { _, err := f.Write(make([]byte, 32)); return err },
@@ -275,14 +275,24 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 				if fs.Stats().Checkpoints != 1 {
 					t.Fatalf("%d checkpoints, want 1", fs.Stats().Checkpoints)
 				}
-				return dev, dev.Events()
+				// A step past the operation, so that some crash points
+				// fall after it returned.
+				end = dev.Events()
+				h, err := vfs.Create(fs, "/h")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := h.Write(make([]byte, 32)); err != nil {
+					t.Fatal(err)
+				}
+				return dev, end
 			}
 			ref, _ := run(func(dev *pmem.Device) { dev.SetTracing(true) })
-			points := 0
+			points, after := 0, 0
 			for p := range pmem.CrashPoints(ref.Trace(), 2) {
 				dev, end := run(p.Arm)
 				p.Crash(dev)
-				returned, _ := slices.BinarySearch([]int64{end}, p.Ev.Seq)
+				returned := p.Ev.Seq > end // the operation's last event is end
 				kfs, _, err := ext4dax.Mount(dev, ext4dax.Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -295,24 +305,30 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 				g, errG := vfs.ReadFile(fs, "/g")
 				gone := func(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
 				ok := errF == nil && bytes.Equal(f, model) && gone(errG) // the image before the operation
-				switch done := returned == 1; name {
+				switch name {
 				case "write":
-					ok = ok && !done || errF == nil && bytes.Equal(f, append(slices.Clip(model), make([]byte, 32)...))
+					ok = ok && !returned || errF == nil && bytes.Equal(f, append(slices.Clip(model), make([]byte, 32)...))
 				case "unlink":
-					ok = ok && !done || gone(errF) && gone(errG)
+					ok = ok && !returned || gone(errF) && gone(errG)
 				case "rename":
-					ok = ok && !done || gone(errF) && errG == nil && bytes.Equal(g, model)
+					ok = ok && !returned || gone(errF) && errG == nil && bytes.Equal(g, model)
 				}
 				if !ok {
-					t.Fatalf("crash at %v (%d of 1 operations returned): /f %d bytes (%v), /g %d bytes (%v); %d written",
+					t.Fatalf("crash at %v (operation returned: %v): /f %d bytes (%v), /g %d bytes (%v); %d written",
 						p, returned, len(f), errF, len(g), errG, len(model))
 				}
 				if err := fs.Check(); err != nil {
 					t.Fatalf("crash at %v: %v", p, err)
 				}
 				points++
+				if returned {
+					after++
+				}
 			}
-			t.Logf("%d crash points", points)
+			t.Logf("%d crash points, %d after the operation returned", points, after)
+			if after == 0 {
+				t.Fatal("no crash point after the operation returned")
+			}
 		})
 	}
 }

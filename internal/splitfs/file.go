@@ -85,7 +85,7 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		return nil, err
 	}
 	created := kf.Created()
-	fs.clk.Charge(sim.CatCPU, sim.USplitOpenNs)
+	fs.clk.Charge(sim.USplitOpen)
 	// Attribute cache (§3.5): a file opened before (and not unlinked)
 	// skips the stat; first-time opens pay it. This is why reopening a
 	// recently closed file is cheaper in Table 6.
@@ -341,7 +341,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			hi = end
 		}
 		if s.dram != nil {
-			fs.clk.Charge(sim.CatCPU, sim.ChargeBytes(int(hi-lo), sim.DRAMCopyPsPerByte))
+			fs.clk.ChargeN(sim.DRAMCopy, hi-lo)
 			copy(p[lo-off:hi-off], s.dram[lo-s.fileOff:hi-s.fileOff])
 			continue
 		}
@@ -500,7 +500,7 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 	if fs.cfg.StageInDRAM {
 		// §4 ablation: buffer in DRAM at memcpy speed; every byte must
 		// later be copied into PM through the kernel at fsync.
-		fs.clk.Charge(sim.CatCPU, sim.ChargeBytes(len(p), sim.DRAMCopyPsPerByte))
+		fs.clk.ChargeN(sim.DRAMCopy, int64(len(p)))
 		of.addStaged(stagedRange{fileOff: off, length: need,
 			dram: append([]byte(nil), p...)})
 		if end := off + need; end > of.size {
@@ -683,7 +683,7 @@ func (f *File) closeLocked() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return vfs.ErrClosed
 	}
-	fs.clk.Charge(sim.CatCPU, sim.USplitCloseNs)
+	fs.clk.Charge(sim.USplitClose)
 	of := f.of
 	fs.mu.Lock()
 	of.refs--

@@ -40,7 +40,7 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	slices.SortFunc(ofiles, func(a, b *ofile) int { return cmp.Compare(a.ino, b.ino) })
 	fs.mu.RUnlock()
 	ofiles = slices.Compact(ofiles)
-	fs.clk.Charge(sim.CatCPU, sim.USplitFsyncNs)
+	fs.clk.Charge(sim.USplitFsync)
 	var first error
 	fs.dev.WithEventSource(pmem.SrcRelinkWorker, func() { first = fs.relinkAndCommit(ofiles) })
 	fs.dev.WithEventSource(pmem.SrcReclaim, func() { fs.staging.reclaim() })

@@ -235,12 +235,12 @@ func mappedFile(t *testing.T, fs *FS, path string, windows int, salt byte) *File
 func munmaps(t *testing.T, dev *pmem.Device, fs *FS, fn func() error) int64 {
 	t.Helper()
 	clk := dev.Clock()
-	ns, traps := clk.Category(sim.CatKernelTrap), fs.kfs.Stats().Traps
+	ns, traps := clk.Snapshot().ByCat[sim.CatKernelTrap], fs.kfs.Stats().Traps
 	if err := fn(); err != nil {
 		t.Fatal(err)
 	}
-	ns = clk.Category(sim.CatKernelTrap) - ns - (fs.kfs.Stats().Traps-traps)*sim.KernelTrapNs
-	return ns / sim.MunmapPerMappingNs
+	ns = clk.Snapshot().ByCat[sim.CatKernelTrap] - ns - (fs.kfs.Stats().Traps-traps)*sim.KernelTrap.Fixed
+	return ns / sim.Munmap.Fixed
 }
 
 // TestTruncationChargesNoMunmap: a truncating open — of a file with no

@@ -17,7 +17,7 @@ import (
 //   - a 4-byte transactional checksum inside the entry, so persisting and
 //     validating needs ONE fence (metalog.SingleFence), versus NOVA's two;
 //   - the tail lives only in DRAM and is advanced with compare-and-swap
-//     (charged as CASNs); recovery identifies valid entries by scanning
+//     (charged as sim.OpLogCAS); recovery identifies valid entries by scanning
 //     the log from its first slot and checking checksums and sequence
 //     numbers;
 //   - entries hold a logical pointer to the staging file holding the
@@ -295,7 +295,7 @@ func (fs *FS) reserveLog(need int64) error {
 // operation reserved when it took wmu (lockStrict, lockMeta): CAS tail
 // bump + non-temporal entry store + single fence.
 func (fs *FS) appendLog(entry []byte) {
-	fs.clk.Charge(sim.CatCPU, sim.CASNs)
+	fs.clk.Charge(sim.OpLogCAS)
 	fs.stats.logEntries.Add(1)
 	if err := fs.olog.Append(entry, metalog.SingleFence); err != nil {
 		panic(fmt.Sprintf("splitfs: op-log append outside its reservation: %v", err))

@@ -339,7 +339,7 @@ func (fs *FS) copyRange(batch *ext4dax.Batch, of *ofile, sc *relinkScratch, s st
 	sc.buf = slices.Grow(sc.buf[:0], int(b-a))
 	buf := sc.buf[:b-a]
 	if s.dram != nil {
-		fs.clk.Charge(sim.CatCPU, sim.ChargeBytes(len(buf), sim.DRAMCopyPsPerByte))
+		fs.clk.ChargeN(sim.DRAMCopy, int64(len(buf)))
 		copy(buf, s.dram[a-s.fileOff:])
 	} else {
 		s.sf.m.Load(buf, s.sfOff+(a-s.fileOff))

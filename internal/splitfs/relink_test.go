@@ -524,15 +524,15 @@ func TestFsyncCrossingsFlatInPieces(t *testing.T) {
 		// journal IO comes after them).
 		scatter(byte(pieces) + 1)
 		of.mu.Lock()
-		journal := clk.Category(sim.CatJournal)
+		journal := clk.Snapshot().ByCat[sim.CatJournal]
 		txid, released, err := fs.relinkStepsLocked(of, nil)
-		handles := clk.Category(sim.CatJournal) - journal
+		handles := clk.Snapshot().ByCat[sim.CatJournal] - journal
 		of.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if handles != sim.Ext4JournalHandleNs {
-			t.Errorf("relink of %d pieces charged %d ns of journal handles, want one (%d)", pieces, handles, sim.Ext4JournalHandleNs)
+		if handles != sim.Ext4JournalHandle.Fixed {
+			t.Errorf("relink of %d pieces charged %d ns of journal handles, want one (%d)", pieces, handles, sim.Ext4JournalHandle.Fixed)
 		}
 		fs.kfs.CommitUpTo(txid)
 		fs.staging.release(released)

@@ -313,7 +313,7 @@ func TestStagingFilesGetHugePages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fs, clk.Category(sim.CatPageFault)
+		return fs, clk.Snapshot().ByCat[sim.CatPageFault]
 	}
 	fs, faultNs := build(false)
 	for _, sf := range fs.staging.ready {
@@ -325,14 +325,14 @@ func TestStagingFilesGetHugePages(t *testing.T) {
 			t.Fatalf("staging file %d at device offset %d, %d contiguous", sf.id, devOff, contig)
 		}
 	}
-	if want := int64(files * fileBytes / ext4dax.HugePageSize * sim.PageFault2MNs); faultNs != want {
+	if want := int64(files * fileBytes / ext4dax.HugePageSize * sim.PageFault2M.Cost(1)); faultNs != want {
 		t.Fatalf("populating %d huge staging files charged %d ns, want %d", files, faultNs, want)
 	}
 	// A file created when the pool runs dry is aligned and huge too, and
 	// its population is the only page-fault cost of the reservation.
 	clk := fs.clk
 	for i := 0; i <= files; i++ {
-		before := clk.Category(sim.CatPageFault)
+		before := clk.Snapshot().ByCat[sim.CatPageFault]
 		c, err := fs.staging.reserve(fileBytes-sim.BlockSize, 0, false)
 		if err != nil {
 			t.Fatal(err)
@@ -342,9 +342,9 @@ func TestStagingFilesGetHugePages(t *testing.T) {
 		}
 		want := int64(0)
 		if i == files {
-			want = fileBytes / ext4dax.HugePageSize * sim.PageFault2MNs
+			want = fileBytes / ext4dax.HugePageSize * sim.PageFault2M.Cost(1)
 		}
-		if got := clk.Category(sim.CatPageFault) - before; got != want {
+		if got := clk.Snapshot().ByCat[sim.CatPageFault] - before; got != want {
 			t.Fatalf("reservation %d charged %d ns of page faults, want %d", i, got, want)
 		}
 	}
@@ -358,7 +358,7 @@ func TestStagingFilesGetHugePages(t *testing.T) {
 			t.Fatalf("DisableHugePages: staging file %d mapped with %d-byte pages", sf.id, sf.m.PageSize())
 		}
 	}
-	if want := int64(files * fileBytes / sim.BlockSize * sim.PageFault4KNs); faultNs != want {
+	if want := int64(files * fileBytes / sim.BlockSize * sim.PageFault4K.Cost(1)); faultNs != want {
 		t.Fatalf("populating %d 4 KB-mapped staging files charged %d ns, want %d", files, faultNs, want)
 	}
 }
@@ -402,7 +402,7 @@ func TestStagingFallsBackTo4KPagesWhenFragmented(t *testing.T) {
 	kfs.CommitMeta()
 
 	const files, fileBytes = 2, 2 << 20
-	before := clk.Category(sim.CatPageFault)
+	before := clk.Snapshot().ByCat[sim.CatPageFault]
 	fs, err := New(kfs, Config{StagingFiles: files, StagingFileBytes: fileBytes})
 	if err != nil {
 		t.Fatalf("staging pool on a fragmented device: %v", err)
@@ -415,7 +415,7 @@ func TestStagingFallsBackTo4KPagesWhenFragmented(t *testing.T) {
 			t.Fatalf("test premise: staging file %d is one extent", sf.id)
 		}
 	}
-	if got, want := clk.Category(sim.CatPageFault)-before, int64(files*fileBytes/sim.BlockSize*sim.PageFault4KNs); got != want {
+	if got, want := clk.Snapshot().ByCat[sim.CatPageFault]-before, int64(files*fileBytes/sim.BlockSize*sim.PageFault4K.Cost(1)); got != want {
 		t.Fatalf("4 KB population charged %d ns, want %d", got, want)
 	}
 	// Staging through the fragmented files works as ever.

@@ -408,7 +408,7 @@ func (fs *FS) MemoryUsage() int64 {
 }
 
 func (fs *FS) bookkeep() {
-	fs.clk.Charge(sim.CatCPU, sim.USplitBookkeepNs)
+	fs.clk.Charge(sim.USplitBookkeep)
 }
 
 // lockStrict takes the writer lock for an operation only strict mode logs

@@ -468,12 +468,12 @@ func TestUnlinkDropsMappingsAndCosts(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := clk.Snapshot().Sub(before)
-			want := sim.USplitBookkeepNs + kSplit + windows*sim.MunmapPerMappingNs
+			want := sim.USplitBookkeep.Fixed + kSplit + windows*sim.Munmap.Fixed
 			wantEntries, wantFences := int64(0), int64(0)
 			if mode != POSIX {
 				// The record: the tail bump and the checksum, its stores
 				// (the op log's whole category) and its fence.
-				want += sim.CASNs + sim.ChecksumPerLogEntryNs + got.ByCat[sim.CatOpLog] + sim.FenceNs
+				want += sim.OpLogCAS.Fixed + sim.LogChecksum.Fixed + got.ByCat[sim.CatOpLog] + sim.PMFence.Fixed
 				wantEntries, wantFences = 1, 1
 			}
 			if got.Total != want {
@@ -482,7 +482,7 @@ func TestUnlinkDropsMappingsAndCosts(t *testing.T) {
 			if n := fs.kfs.Stats().Traps - traps; n != 1 {
 				t.Fatalf("unlink crossed into K-Split %d times, want 1", n)
 			}
-			if trapNs := got.ByCat[sim.CatKernelTrap]; trapNs != sim.KernelTrapNs+windows*sim.MunmapPerMappingNs {
+			if trapNs := got.ByCat[sim.CatKernelTrap]; trapNs != sim.KernelTrap.Fixed+windows*sim.Munmap.Fixed {
 				t.Fatalf("kernel-trap time %d ns, want one trap and %d munmaps", trapNs, windows)
 			}
 			if n := fs.Stats().LogEntries - entries; n != wantEntries {

@@ -149,7 +149,7 @@ func (p *stagingPool) createFile() (*stagingFile, error) {
 // The chunk comes back as a value, for the caller to keep wherever it
 // keeps its active chunk (stageWrite reuses the ofile's).
 func (p *stagingPool) reserve(n, align int64, exact bool) (stagingChunk, error) {
-	p.fs.clk.Charge(sim.CatCPU, sim.USplitStagingNs)
+	p.fs.clk.Charge(sim.USplitStaging)
 	want := n
 	if exact {
 		// Cover the partial head and round to whole blocks so the

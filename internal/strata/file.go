@@ -191,7 +191,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if !vfs.Readable(f.flag) {
 		return 0, vfs.ErrInval
 	}
-	f.fs.clk.Charge(sim.CatCPU, sim.StrataReadPathNs)
+	f.fs.clk.Charge(sim.StrataReadPath)
 	size := f.size()
 	if off >= size {
 		return 0, io.EOF

@@ -86,9 +86,9 @@ func sharedProfile() logfs.Profile {
 	return logfs.Profile{
 		Name:         "strata-shared",
 		FenceMode:    metalog.SingleFence,
-		PerOpCPU:     sim.PMFSJournalNs,
-		WritePathCPU: sim.StrataDigestPerBlockNs,
-		ReadPathCPU:  sim.Ext4ReadPathNs,
+		PerOpCPU:     sim.PMFSJournal,
+		WritePathCPU: sim.StrataDigest,
+		ReadPathCPU:  sim.EngineReadPath,
 	}
 }
 
@@ -172,7 +172,7 @@ func (fs *FS) logWrite(ino uint64, off int64, data []byte) (int64, error) {
 	binary.LittleEndian.PutUint64(payload[8:16], uint64(off))
 	binary.LittleEndian.PutUint64(payload[16:24], uint64(len(data)))
 	copy(payload[24:], data)
-	fs.clk.Charge(sim.CatCPU, sim.StrataLogAppendNs)
+	fs.clk.Charge(sim.StrataLogAppend)
 	logStart := fs.dev.Size() - fs.cfg.PrivateLogBytes
 	dataOff := logStart + sim.CacheLine + fs.plog.Used() + 16 + 24
 	if err := fs.plog.Append(payload, metalog.SingleFence); err != nil {
