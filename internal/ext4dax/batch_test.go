@@ -10,42 +10,74 @@ import (
 )
 
 // The batch handle is what keeps a relink batch atomic against other
-// journal users: while one is open, neither the size-threshold commit
-// nor a concurrent CommitMeta may commit the running transaction.
+// journal users: while one is open, neither a handle whose credit does not
+// fit nor a concurrent CommitMeta may commit the running transaction.
 
 func newBatchFS(t *testing.T) *FS {
 	t.Helper()
 	dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock()})
-	fs, err := Mkfs(dev, Config{MaxInodes: 256, TxCommitThreshold: 4})
+	fs, err := Mkfs(dev, Config{MaxInodes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fs
 }
 
-func TestBatchBlocksThresholdCommit(t *testing.T) {
-	fs := newBatchFS(t)
+// TestBatchBlocksCommit: on a 13-block journal, the credit floor, a
+// metadata batch reserves all the room credits share, so every write that
+// starts while one is open finds its credit does not fit. Each must wait
+// for the batch to close, not commit the batch's half-done transaction
+// under it.
+func TestBatchBlocksCommit(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock()})
+	fs, err := Mkfs(dev, Config{JournalBlocks: 13, MaxInodes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if room := fs.lay.room(); room != metaCredit {
+		t.Fatalf("a 13-block journal leaves credits %d blocks, want metaCredit (%d)", room, metaCredit)
+	}
 	f, err := fs.OpenFile("/f", vfs.O_RDWR|vfs.O_CREATE, 0644)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.CommitMeta()
 	base := fs.Stats().Commits
 	batch := fs.BeginBatch()
-	// Far more journaled ranges than TxCommitThreshold=4: without the
-	// handle, maybeCommit would fire repeatedly.
-	blk := make([]byte, sim.BlockSize)
-	for i := 0; i < 32; i++ {
-		if _, err := f.(*File).WriteAt(blk, int64(i)*sim.BlockSize); err != nil {
-			t.Fatal(err)
+	if _, err := fs.MkdirIno(batch, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		blk := make([]byte, sim.BlockSize)
+		for i := 0; i < 32; i++ {
+			if _, err := f.(*File).WriteAt(blk, int64(i)*sim.BlockSize); err != nil {
+				done <- err
+				return
+			}
 		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("32 writes went through inside an open batch (%v)", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	if got := fs.Stats().Commits; got != base {
-		t.Fatalf("threshold commit fired inside an open batch: %d commits", got-base)
+		t.Fatalf("a write committed inside an open batch: %d commits", got-base)
 	}
 	batch.End()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the writes never went on after Batch.End")
+	}
 	fs.CommitMeta()
-	if got := fs.Stats().Commits; got != base+1 {
-		t.Fatalf("commit after Batch.End: %d commits, want 1", got-base)
+	if got := fs.Stats().Commits; got <= base {
+		t.Fatalf("%d commits after Batch.End, want some", got-base)
 	}
 }
 

@@ -38,6 +38,23 @@ const (
 	metaCredit = renameCredit
 )
 
+// A claim is what a handle names when it starts: its credit, and how many
+// inode numbers and blocks it may allocate.
+type claim struct {
+	credit         int
+	inodes, blocks int64
+}
+
+// The metadata claims that allocate: a create may take an inode number
+// and grow its directory by a block and the leaf that block's extent may
+// need (extendDir), a rename grow the new parent, and a metadata batch
+// hold either.
+var (
+	createClaim = claim{createCredit, 1, 2}
+	renameClaim = claim{renameCredit, 0, 2}
+	metaClaim   = claim{metaCredit, 1, 2}
+)
+
 // room is how many blocks of one transaction handles' credits share: the
 // journal's capacity less every bitmap block, or less half of it on a
 // device with more (DESIGN.md, "Journal credits").
@@ -46,21 +63,25 @@ func (l Layout) room() int {
 	return c - int(min((l.InodeBmpLen+l.BlockBmpLen)/sim.BlockSize, int64(c/2)))
 }
 
-// start begins a handle of credit() blocks. Under batch b it draws on
+// start begins a handle that claims want(). Under batch b it draws on
 // what the batch reserved. Any other commits the running transaction
-// first when its credit would not fit beside it and the open batches'
-// reservations, waiting for them to close if it must (fs.mu is released
-// meanwhile, and credit is asked again), and is refused with
-// vfs.ErrNoSpace, before it changes anything, when no transaction could
-// hold it. It returns the credit it admitted. Caller holds fs.mu.
-func (fs *FS) start(b *Batch, credit func() int) (int, error) {
+// first — waiting for open batches to close if it must, fs.mu released
+// meanwhile and want asked again — when its credit would not fit beside
+// the transaction and the open batches' reservations, or when it may
+// allocate more inode numbers or blocks than are free while the
+// transaction holds frees: jbd2 commits when an allocation has to wait
+// for frees (ext4_should_retry_alloc). These commits, CommitMeta's and
+// CommitUpTo's are the only ones. A handle no transaction could hold is
+// refused with vfs.ErrNoSpace before it changes anything. start returns
+// the credit it admitted. Caller holds fs.mu.
+func (fs *FS) start(b *Batch, want func() claim) (int, error) {
 	for b == nil {
-		c := credit()
+		c := want()
 		switch {
-		case c > fs.lay.room():
+		case c.credit > fs.lay.room():
 			return 0, vfs.ErrNoSpace
-		case c == 0 || fs.fits(c):
-			return c, nil
+		case (c.credit == 0 || fs.fits(c.credit)) && !fs.short(c):
+			return c.credit, nil
 		case fs.txHold == 0:
 			fs.commitTx()
 		default:
@@ -70,23 +91,17 @@ func (fs *FS) start(b *Batch, credit func() int) (int, error) {
 	return 0, nil
 }
 
-// retryAlloc is ext4_should_retry_alloc: an allocation that found no
-// free block, by a caller that holds no batch handle, while the running
-// transaction holds frees, commits it — waiting for open batches to
-// close, fs.mu released meanwhile — so that the frees apply, and reports
-// that the allocation may try once more. Caller holds fs.mu.
-func (fs *FS) retryAlloc(b *Batch) bool {
-	if b != nil || len(fs.pendingFrees) == 0 {
-		return false
-	}
-	fs.awaitCommittable()
-	fs.commitTx()
-	return true
+// short reports whether claim c may allocate more inode numbers, or more
+// blocks beside the leaves open batches reserved, than are free while the
+// running transaction holds frees. Caller holds fs.mu.
+func (fs *FS) short(c claim) bool {
+	return len(fs.pendingFrees) > 0 && (c.inodes > 0 && fs.iBmp.FreeCount() < c.inodes ||
+		c.blocks > 0 && fs.bBmp.FreeCount()-fs.leafRes < c.blocks)
 }
 
-// admit is start for a metadata credit c, which is never refused. Caller
+// admit is start for a metadata claim c, which is never refused. Caller
 // holds fs.mu.
-func (fs *FS) admit(b *Batch, c int) { _, _ = fs.start(b, func() int { return c }) }
+func (fs *FS) admit(b *Batch, c claim) { _, _ = fs.start(b, func() claim { return c }) }
 
 // fits reports whether c more blocks fit the running transaction beside
 // what open batches reserved. Caller holds fs.mu.
@@ -137,20 +152,22 @@ func holes(in *inode, lo, hi int64) (h, extents int64) {
 	return h, extents
 }
 
-// writeCredit is a write's credit up to its first allocation — writeLocked
-// stops before each later one that does not fit: none for an overwrite
-// inside the file, the record for one that extends it, and for one that
-// fills a hole what one more extent record costs. Caller holds fs.mu.
-func writeCredit(in *inode, off, end int64) int {
+// writeClaim is a write's claim. Its credit reaches to its first
+// allocation — writeLocked stops before each later one that does not fit:
+// none for an overwrite inside the file, the record for one that extends
+// it, and for one that fills a hole what one more extent record costs. Its
+// blocks are those the holes take and the leaves their records may need.
+// Caller holds fs.mu.
+func writeClaim(in *inode, off, end int64) claim {
 	lo := off / sim.BlockSize
 	if h, _ := holes(in, lo, (end+sim.BlockSize-1)/sim.BlockSize); h > 0 {
 		c, _ := inodeCredit(in, lo, 1)
-		return c
+		return claim{credit: c, blocks: h + newLeaves(in, h)}
 	}
 	if end > in.size {
-		return 1
+		return claim{credit: 1}
 	}
-	return 0
+	return claim{}
 }
 
 // inodeGrow is growth a batch reserved in an inode's extent list.

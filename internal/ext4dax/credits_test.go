@@ -76,11 +76,13 @@ func TestLeafOnAFullDeviceIsRefused(t *testing.T) {
 
 // TestFullDeviceCommitsFreesAndRetries: on a device a truncate has just
 // emptied of its last free blocks, an allocating write or a preallocation
-// finds none free — the truncate's frees wait for its commit — so it
-// commits the running transaction and tries once more, as ext4 does
-// (ext4_should_retry_alloc), and goes through. A write under a batch
-// handle cannot commit the transaction its own handle holds open, and is
-// refused.
+// claims blocks and finds none free — the truncate's frees wait for its
+// commit — so it commits the running transaction first, as ext4 commits
+// when an allocation has to wait for frees (ext4_should_retry_alloc), and
+// goes through. A write under a batch
+// handle opened before the truncate cannot commit the transaction its own
+// handle holds open, and is refused. (A batch opened after it commits the
+// frees first: TestCreateCommitsWhatAnUnlinkFreed.)
 func TestFullDeviceCommitsFreesAndRetries(t *testing.T) {
 	for name, op := range map[string]func(f *File) error{
 		"write": func(f *File) error {
@@ -96,10 +98,10 @@ func TestFullDeviceCommitsFreesAndRetries(t *testing.T) {
 			if err := filler.(*File).Preallocate(fs.FreeBlocks(), 0); err != nil {
 				t.Fatal(err)
 			}
+			b := fs.BeginBatch()
 			if err := filler.Truncate(0); err != nil {
 				t.Fatal(err)
 			}
-			b := fs.BeginBatch()
 			_, err := f.(*File).WriteAtIn(b, make([]byte, sim.BlockSize), 0)
 			b.End()
 			if !errors.Is(err, vfs.ErrNoSpace) {
@@ -121,14 +123,13 @@ func TestFullDeviceCommitsFreesAndRetries(t *testing.T) {
 
 // TestNoCommitFailsOnASmallJournal: random K-Split operations — mkdir,
 // create, write, truncate, unlink, rename, rmdir and relink batches — on
-// a 16-block journal with the note-count trigger out of the way. Every
-// commit goes through (a failed one panics in commitTx), credits are what
-// commit along the way, and the image passes Check after each operation
-// and after a crash and Mount.
+// a 16-block journal. Every commit goes through (a failed one panics in
+// commitTx), credits are what commit along the way, and the image passes
+// Check after each operation and after a crash and Mount.
 func TestNoCommitFailsOnASmallJournal(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		dev := pmem.New(pmem.Config{Size: 32 << 20, Clock: sim.NewClock(), TrackPersistence: true})
-		fs, err := Mkfs(dev, Config{JournalBlocks: 16, MaxInodes: 256, TxCommitThreshold: 1 << 20})
+		fs, err := Mkfs(dev, Config{JournalBlocks: 16, MaxInodes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +225,7 @@ func TestNoCommitFailsOnASmallJournal(t *testing.T) {
 // image passes Check, and an fsync'd copy survives a crash.
 func TestWriteIntoFragmentedSpaceRestartsItsHandle(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 32 << 20, Clock: sim.NewClock(), TrackPersistence: true})
-	fs, err := Mkfs(dev, Config{JournalBlocks: 16, MaxInodes: 64, TxCommitThreshold: 1 << 20})
+	fs, err := Mkfs(dev, Config{JournalBlocks: 16, MaxInodes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,4 +284,130 @@ func TestWriteIntoFragmentedSpaceRestartsItsHandle(t *testing.T) {
 	if n, _ := g.ReadAt(got, 0); n != len(data) || !bytes.Equal(got, data) {
 		t.Fatalf("/f after the crash: %d bytes read, equal %v", n, bytes.Equal(got, data))
 	}
+}
+
+// fullDir formats a 16 MB device, fills it with one preallocated file,
+// /big, and grows directory /d into the last free block: a create in /d
+// then needs a directory block, and the device has none.
+func fullDir(t testing.TB) (*pmem.Device, *FS) {
+	t.Helper()
+	dev := pmem.New(pmem.Config{Size: 16 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+	fs, err := Mkfs(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	big, _ := vfs.Create(fs, "/big")
+	if err := big.(*File).Preallocate(fs.FreeBlocks()-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	big.Close()
+	for i := 0; ; i++ {
+		f, err := vfs.Create(fs, fmt.Sprintf("/d/f%04d", i))
+		if errors.Is(err, vfs.ErrNoSpace) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	if fs.FreeBlocks() != 0 {
+		t.Fatalf("%d blocks left free", fs.FreeBlocks())
+	}
+	fs.CommitMeta()
+	return dev, fs
+}
+
+// TestFailedCreateGivesItsInodeBack: a create or mkdir whose directory
+// cannot grow fails with ENOSPC and leaves no inode behind. It used to
+// keep the inode it had allocated and written, named by no entry, through
+// a commit and a remount: five failed creates took five numbers for good.
+func TestFailedCreateGivesItsInodeBack(t *testing.T) {
+	dev, fs := fullDir(t)
+	free := fs.iBmp.FreeCount()
+	for i := range 5 {
+		var err error
+		if i%2 == 0 {
+			_, err = vfs.Create(fs, fmt.Sprintf("/d/x%d", i))
+		} else {
+			err = fs.Mkdir(fmt.Sprintf("/d/x%d", i), 0o755)
+		}
+		if !errors.Is(err, vfs.ErrNoSpace) {
+			t.Fatalf("create %d in a full directory: %v, want ErrNoSpace", i, err)
+		}
+	}
+	if got := fs.iBmp.FreeCount(); got != free {
+		t.Fatalf("five failed creates took free inodes %d -> %d", free, got)
+	}
+	fs.CommitMeta()
+	if _, err := fs.Check(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, _, err := Mount(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fs2.iBmp.FreeCount(); got != free {
+		t.Fatalf("after a remount, free inodes %d -> %d", free, got)
+	}
+}
+
+// TestCreateCommitsWhatAnUnlinkFreed: on a device full to its last block,
+// with a directory that has no room for one more entry, an unlink frees
+// every block of a large file inside the running transaction, and the
+// next create in that directory needs one of them for a new directory
+// block. The create commits the frees first, as jbd2 commits when an
+// allocation has to wait for frees, and goes through; it used to fail
+// with ENOSPC. Crashed at every event of the create and the commit after
+// it, each of the four ways, the remounted image passes Check and holds
+// the new file whole or not at all.
+func TestCreateCommitsWhatAnUnlinkFreed(t *testing.T) {
+	unlinkAndCreate := func(fs *FS) error {
+		if err := fs.Unlink("/big"); err != nil {
+			return err
+		}
+		f, err := vfs.Create(fs, "/d/next")
+		if err != nil {
+			return err
+		}
+		fs.CommitMeta()
+		return f.Close()
+	}
+	rec, fs := fullDir(t)
+	rec.SetTracing(true)
+	if err := unlinkAndCreate(fs); err != nil {
+		t.Fatalf("a create after the unlink: %v", err)
+	}
+	points := 0
+	for p := range pmem.CrashPoints(rec.Trace(), 2) {
+		dev, fs := fullDir(t)
+		p.Arm(dev)
+		if err := unlinkAndCreate(fs); err != nil {
+			t.Fatal(err)
+		}
+		if !dev.CrashFired() {
+			t.Fatalf("%v never fired", p)
+		}
+		p.Crash(dev)
+		got, _, err := Mount(dev, Config{})
+		if err != nil {
+			t.Fatalf("crash at %v: %v", p, err)
+		}
+		if _, err := got.Check(); err != nil {
+			t.Fatalf("crash at %v: %v", p, err)
+		}
+		info, err := got.Stat("/d/next")
+		switch {
+		case errors.Is(err, vfs.ErrNotExist):
+		case err != nil:
+			t.Fatalf("crash at %v: %v", p, err)
+		case info.IsDir || info.Size != 0 || info.Nlink != 1:
+			t.Fatalf("crash at %v: /d/next recovered as %+v", p, info)
+		}
+		points++
+	}
+	t.Logf("%d crash points", points)
 }

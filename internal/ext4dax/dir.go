@@ -206,9 +206,11 @@ func (fs *FS) resolveDir(path string) (*inode, string, error) {
 // its group — so inodes made close together, a file and the staging file
 // it relinks from among them, share an inode-table block and a commit
 // journals one image of it (DESIGN.md, "Inode placement"). A freed number
-// is free in the bitmap only once its free has committed (deferFree). The
-// new inode's watermark is the highest any inode has carried (uwmMax).
-// Caller holds fs.mu.
+// is free in the bitmap only once its free has committed (deferFree): a
+// create that would find none free while the running transaction holds
+// one commits it when its handle starts (createClaim). The new inode's
+// watermark is the highest any inode has carried (uwmMax). Caller holds
+// fs.mu.
 func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 	var (
 		e     = alloc.Extent{Start: int64(want), Len: 1}

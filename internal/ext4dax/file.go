@@ -205,16 +205,14 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	// A write that stops short restarts its handle, as jbd2 does, and
-	// goes on from there (writeLocked); one that finds the device full
-	// goes on once more if the running transaction's frees could help
-	// (retryAlloc).
+	// goes on from there (writeLocked).
 	var n int
-	for retried := false; ; {
-		if _, err := fs.start(b, func() int { // before the handle check: it may wait
+	for {
+		if _, err := fs.start(b, func() claim { // before the handle check: it may wait
 			if atEOF && n == 0 {
 				off = f.in.size
 			}
-			return writeCredit(f.in, off+int64(n), off+int64(len(p)))
+			return writeClaim(f.in, off+int64(n), off+int64(len(p)))
 		}); err != nil {
 			return n, off + int64(n), err
 		}
@@ -227,12 +225,7 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 		}
 		k, err := fs.writeLocked(b, f.in, p[n:], off+int64(n))
 		f.in.mu.Unlock()
-		if n += k; err == vfs.ErrNoSpace && !retried && fs.retryAlloc(b) {
-			retried = true
-			continue
-		}
-		if err != nil || n == len(p) {
-			fs.maybeCommit()
+		if n += k; err != nil || n == len(p) {
 			return n, off + int64(n), err
 		}
 	}
@@ -335,7 +328,7 @@ func (f *File) TruncateIn(b *Batch, size int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.admit(b, truncateCredit) // before the handle check: it may wait
+	fs.admit(b, claim{credit: truncateCredit}) // before the handle check: it may wait
 	if f.stale() {
 		return vfs.ErrClosed
 	}
@@ -351,7 +344,6 @@ func (f *File) TruncateIn(b *Batch, size int64) error {
 	f.in.mu.Lock()
 	fs.truncateLocked(f.in, size)
 	f.in.mu.Unlock()
-	fs.maybeCommit()
 	return nil
 }
 
@@ -424,7 +416,6 @@ func (f *File) Close() error {
 	f.in.openCnt--
 	if f.in.openCnt == 0 && f.in.orphan {
 		fs.freeInode(f.in)
-		fs.maybeCommit()
 	}
 	return nil
 }
@@ -462,41 +453,38 @@ func (f *File) Preallocate(count, align int64) error {
 		return vfs.ErrInval
 	}
 	fs.trap()
-	// The blocks come first, for an exact credit; blocks whose credit or
-	// leaves do not fit go back, before a commit or the failure. A device
-	// too full for them is tried once more if the running transaction's
-	// frees could help (retryAlloc).
+	// The handle claims the blocks and the leaves they may need, so a
+	// device whose free blocks the running transaction holds commits
+	// first; the blocks then come before the credit, for an exact one:
+	// blocks whose credit or leaves do not fit go back, before a commit or
+	// the failure.
 	var (
 		exts    []alloc.Extent
 		dirties []alloc.ByteRange
 		err     error
+		want    = claim{blocks: count + newLeaves(f.in, count)}
 	)
-	for retried := false; ; {
-		c := 0
-		if exts, dirties, err = fs.bBmp.AllocAligned(count, align); err == nil {
-			var leaves int64
-			c, leaves = inodeCredit(f.in, MaxFileBlocks, int64(len(exts)))
-			room := fs.bBmp.FreeCount()-fs.leafRes >= leaves
-			if room && fs.fits(c) {
-				break
-			}
-			for _, e := range exts {
-				fs.bBmp.Free(e)
-			}
-			if !room {
-				err = vfs.ErrNoSpace
-			}
-		}
-		if err != nil {
-			if retried || !fs.retryAlloc(nil) {
-				return err
-			}
-			retried = true
-		} else if _, err := fs.start(nil, func() int { return c }); err != nil {
+	for {
+		if _, err := fs.start(nil, func() claim { return want }); err != nil {
 			return err
 		}
-		if f.stale() { // start or retryAlloc may have waited
+		if f.stale() { // start may have waited
 			return vfs.ErrClosed
+		}
+		if exts, dirties, err = fs.bBmp.AllocAligned(count, align); err != nil {
+			return err
+		}
+		var leaves int64
+		want.credit, leaves = inodeCredit(f.in, MaxFileBlocks, int64(len(exts)))
+		room := fs.bBmp.FreeCount()-fs.leafRes >= leaves
+		if room && fs.fits(want.credit) {
+			break
+		}
+		for _, e := range exts {
+			fs.bBmp.Free(e)
+		}
+		if !room {
+			return vfs.ErrNoSpace
 		}
 	}
 	f.in.mu.Lock()
@@ -508,6 +496,5 @@ func (f *File) Preallocate(count, align int64) error {
 	}
 	f.in.size = f.in.extents.End() * sim.BlockSize
 	fs.writeInode(f.in)
-	fs.maybeCommit()
 	return nil
 }

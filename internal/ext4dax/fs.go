@@ -21,10 +21,6 @@ type Config struct {
 	JournalBlocks int64
 	// MaxInodes bounds the inode table (default 4096).
 	MaxInodes int64
-	// TxCommitThreshold commits the running transaction once it has noted
-	// this many ranges, emulating jbd2's transaction-size trigger (default
-	// 128): the second trigger, beside journal credits (start).
-	TxCommitThreshold int
 }
 
 func (c *Config) fill() {
@@ -33,9 +29,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxInodes == 0 {
 		c.MaxInodes = 4096
-	}
-	if c.TxCommitThreshold == 0 {
-		c.TxCommitThreshold = 128
 	}
 }
 
@@ -75,7 +68,6 @@ type fsStats struct {
 type FS struct {
 	dev *pmem.Device
 	clk *sim.Clock
-	cfg Config
 	lay Layout
 
 	// K-Split's half of DESIGN.md's "Lock hierarchy": fs.mu nests inside
@@ -88,7 +80,6 @@ type FS struct {
 	bBmp   *alloc.Bitmap // data blocks
 	icache map[uint64]*inode
 	tx     *journal.Tx
-	txN    int
 	// txID identifies the running transaction (valid while tx != nil);
 	// ids are assigned from nextTxID in beginTx and are strictly
 	// monotone. doneTxID is the highest id whose transaction committed.
@@ -206,7 +197,7 @@ func Mkfs(dev *pmem.Device, cfg Config) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := fsOver(dev, cfg, lay)
+	fs := fsOver(dev, lay)
 	fs.jnl = journal.New(dev, lay.JournalOff, lay.JournalBlocks)
 	fs.iBmp = alloc.New(dev, lay.InodeBmpOff, 0, lay.MaxInodes)
 	fs.bBmp = alloc.New(dev, lay.BlockBmpOff, lay.DataOff, lay.DataBlocks)
@@ -235,11 +226,10 @@ func Mkfs(dev *pmem.Device, cfg Config) (*FS, error) {
 }
 
 // fsOver is a file system over lay with nothing loaded yet.
-func fsOver(dev *pmem.Device, cfg Config, lay Layout) *FS {
+func fsOver(dev *pmem.Device, lay Layout) *FS {
 	fs := &FS{
 		dev:    dev,
 		clk:    dev.Clock(),
-		cfg:    cfg,
 		lay:    lay,
 		icache: make(map[uint64]*inode),
 	}
@@ -249,21 +239,20 @@ func fsOver(dev *pmem.Device, cfg Config, lay Layout) *FS {
 
 // Mount attaches to a previously formatted device, replaying the journal
 // and rebuilding the DRAM caches. Returns the file system and the number
-// of journal transactions replayed.
+// of journal transactions replayed. The format comes from the superblock:
+// cfg is not read.
 func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
-	cfg.fill()
 	super := make([]byte, 128)
 	dev.ReadAt(super, 0, sim.CatPMMeta)
 	jblocks, maxInodes, err := decodeSuper(super)
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg.JournalBlocks, cfg.MaxInodes = jblocks, maxInodes
 	lay, err := computeLayout(dev.Size(), jblocks, maxInodes)
 	if err != nil {
 		return nil, 0, err
 	}
-	fs := fsOver(dev, cfg, lay)
+	fs := fsOver(dev, lay)
 	fs.jnl, _, err = journal.Load(dev, lay.JournalOff, lay.JournalBlocks)
 	if err != nil {
 		return nil, 0, err
@@ -332,7 +321,6 @@ func (fs *FS) trap() {
 func (fs *FS) beginTx() {
 	if fs.tx == nil {
 		fs.tx = fs.jnl.Begin()
-		fs.txN = 0
 		fs.nextTxID++
 		fs.txID = fs.nextTxID
 	}
@@ -343,29 +331,17 @@ func (fs *FS) beginTx() {
 func (fs *FS) note(off int64, n int) {
 	fs.beginTx()
 	fs.tx.Note(off, n)
-	fs.txN++
-}
-
-// maybeCommit commits the running transaction once it has grown past the
-// jbd2-style threshold. Called at operation boundaries only, so a commit
-// never splits one operation's updates; likewise it never fires while a
-// batch handle is open, so a commit never splits a relink batch. Caller
-// holds fs.mu.
-func (fs *FS) maybeCommit() {
-	if fs.txHold == 0 && fs.txN >= fs.cfg.TxCommitThreshold {
-		fs.commitTx()
-	}
 }
 
 // Batch is an open batch handle: until End, the running journal
-// transaction will not commit — not by the size threshold, not by a
-// concurrent CommitMeta or fsync. This is how the relink ioctl keeps a
-// multi-step fsync batch atomic against other journal users (jbd2: a
-// transaction with open handles cannot commit). The handle also collects
-// the inodes its Relink and SetUserWatermark calls change, and End writes
-// each of them back once, however many steps touched it. Calls given the
-// handle (MkdirIno, File.WriteAtIn, ...) draw on what it reserved: its
-// credit, its leaves, and each inode's growth (res).
+// transaction will not commit — not for a handle whose credit would not
+// fit, not by a concurrent CommitMeta or fsync. This is how the relink
+// ioctl keeps a multi-step fsync batch atomic against other journal users
+// (jbd2: a transaction with open handles cannot commit). The handle also
+// collects the inodes its Relink and SetUserWatermark calls change, and
+// End writes each of them back once, however many steps touched it. Calls
+// given the handle (MkdirIno, File.WriteAtIn, ...) draw on what it
+// reserved: its credit, its leaves, and each inode's growth (res).
 type Batch struct {
 	fs     *FS
 	dirty  []*inode
@@ -375,7 +351,7 @@ type Batch struct {
 }
 
 // BeginBatch opens a metadata batch handle, for one operation and the
-// stamp it sets, or recovery's redo of one: it reserves metaCredit.
+// stamp it sets, or recovery's redo of one: it claims metaClaim.
 func (fs *FS) BeginBatch() *Batch {
 	b, _ := fs.BeginRelink(nil, nil) // never refused: Mkfs keeps metaCredit within the journal
 	return b
@@ -384,17 +360,14 @@ func (fs *FS) BeginBatch() *Batch {
 // BeginRelink opens a batch handle for a relink into dst, where moves name
 // its steps — the relinks it makes, and with Src nil the ranges of dst its
 // kernel writes cover — reserving its credit (relinkCredit) and free
-// blocks for its leaves; with no dst, a metadata batch (BeginBatch). One
-// that no transaction could hold, or whose leaves do not fit the device
-// even once the running transaction's frees have committed (retryAlloc),
-// is refused with vfs.ErrNoSpace before anything changes. Group commit
-// lets concurrent batches share a transaction, so it can grow past the
-// size threshold uncommitted: the first batch to open against a bloated
-// idle transaction commits it first.
+// blocks for its leaves; with no dst, a metadata batch (BeginBatch). Like
+// every handle it starts by committing the running transaction when its
+// claim needs that (start). One that no transaction could hold, or whose
+// leaves do not fit the device even once the running transaction's frees
+// have committed, is refused with vfs.ErrNoSpace before anything changes.
 func (fs *FS) BeginRelink(dst *File, moves []Move) (*Batch, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.maybeCommit()
 	var b *Batch
 	if n := len(fs.batches); n > 0 {
 		b = fs.batches[n-1]
@@ -403,18 +376,14 @@ func (fs *FS) BeginRelink(dst *File, moves []Move) (*Batch, error) {
 		b = &Batch{fs: fs}
 	}
 	var leaves int64
-	credit := func() int {
+	c, err := fs.start(nil, func() claim {
 		if dst == nil {
-			return metaCredit
+			return metaClaim
 		}
 		c, l := fs.relinkCredit(b, dst.in, moves)
 		leaves = l
-		return c
-	}
-	c, err := fs.start(nil, credit)
-	if err == nil && fs.bBmp.FreeCount()-fs.leafRes < leaves && fs.retryAlloc(nil) {
-		c, err = fs.start(nil, credit)
-	}
+		return claim{credit: c, blocks: l}
+	})
 	if err == nil && fs.bBmp.FreeCount()-fs.leafRes < leaves {
 		err = vfs.ErrNoSpace
 	}
@@ -566,7 +535,6 @@ func (fs *FS) commitTx() {
 	tx := fs.tx
 	id := fs.txID
 	fs.tx = nil
-	fs.txN = 0
 	if err := tx.Commit(); err != nil {
 		panic(fmt.Sprintf("ext4dax: a transaction of %d blocks outgrew the credits that admitted it: %v", tx.Blocks(), err))
 	}

@@ -3,6 +3,7 @@ package ext4dax
 import (
 	"sort"
 
+	"splitfs/internal/alloc"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -42,7 +43,7 @@ func (fs *FS) OpenInto(b *Batch, f *File, path string, flag int, perm uint32) er
 	defer fs.mu.Unlock()
 	fs.trap()
 	if flag&(vfs.O_CREATE|vfs.O_TRUNC) != 0 {
-		fs.admit(b, createCredit) // a truncate's is smaller
+		fs.admit(b, createClaim) // a truncate's is smaller
 	}
 	in, created, err := fs.openLocked(path, flag)
 	if err != nil {
@@ -88,14 +89,15 @@ func (fs *FS) openLocked(path string, flag int) (in *inode, created bool, err er
 		}
 		created = true
 	}
-	fs.maybeCommit()
 	in.openCnt++
 	return in, created, nil
 }
 
 // createLocked makes a new file or directory named base in parent. want is
 // the inode number it must get (Recreate), or 0 for the allocator's choice.
-// Caller holds fs.mu.
+// A create whose entry finds no room gives the number back at once: the
+// running transaction took it, so nothing committed names it. Caller
+// holds fs.mu.
 func (fs *FS) createLocked(parent *inode, base string, isDir bool, want uint64) (*inode, error) {
 	in, err := fs.allocInode(isDir, want)
 	if err != nil {
@@ -103,6 +105,9 @@ func (fs *FS) createLocked(parent *inode, base string, isDir bool, want uint64) 
 	}
 	fs.writeInode(in)
 	if err := fs.addDirent(parent, base, in.ino, isDir); err != nil {
+		dirty := fs.iBmp.Free(alloc.Extent{Start: int64(in.ino), Len: 1})
+		fs.note(dirty.Off, dirty.Len)
+		delete(fs.icache, in.ino)
 		return nil, err
 	}
 	if isDir {
@@ -152,7 +157,7 @@ func (fs *FS) createAt(b *Batch, path string, isDir bool, want uint64) (uint64, 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	fs.admit(b, createCredit)
+	fs.admit(b, createClaim)
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
@@ -165,7 +170,6 @@ func (fs *FS) createAt(b *Batch, path string, isDir bool, want uint64) (uint64, 
 	if err != nil {
 		return 0, err
 	}
-	fs.maybeCommit()
 	return in.ino, nil
 }
 
@@ -183,7 +187,7 @@ func (fs *FS) UnlinkIno(b *Batch, path string) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	fs.admit(b, unlinkCredit)
+	fs.admit(b, claim{credit: unlinkCredit})
 	fs.clk.Charge(sim.Ext4UnlinkPath)
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
@@ -219,7 +223,6 @@ func (fs *FS) UnlinkIno(b *Batch, path string) (uint64, error) {
 			fs.writeInode(in)
 		}
 	}
-	fs.maybeCommit()
 	return de.ino, nil
 }
 
@@ -231,7 +234,7 @@ func (fs *FS) RmdirIn(b *Batch, path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	fs.admit(b, unlinkCredit)
+	fs.admit(b, claim{credit: unlinkCredit})
 	fs.stats.metaOps.Add(1)
 	parent, base, err := fs.resolveDir(path)
 	if err != nil {
@@ -256,7 +259,6 @@ func (fs *FS) RmdirIn(b *Batch, path string) error {
 	}
 	fs.freeInode(in)
 	fs.setLinks(parent, parent.nlink-1)
-	fs.maybeCommit()
 	return nil
 }
 
@@ -277,7 +279,7 @@ func (fs *FS) RenameReplacing(b *Batch, oldPath, newPath string) (moved vfs.DirE
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.trap()
-	fs.admit(b, renameCredit)
+	fs.admit(b, renameClaim)
 	fs.stats.metaOps.Add(1)
 	srcParent, srcBase, err := fs.resolveDir(oldPath)
 	if err != nil {
@@ -330,7 +332,6 @@ func (fs *FS) RenameReplacing(b *Batch, oldPath, newPath string) (moved vfs.DirE
 		fs.setLinks(srcParent, srcParent.nlink-1)
 		fs.setLinks(dstParent, dstParent.nlink+1)
 	}
-	fs.maybeCommit()
 	return moved, replaced, nil
 }
 

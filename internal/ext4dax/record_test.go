@@ -200,12 +200,12 @@ func TestFileSizeBound(t *testing.T) {
 		f, src vfs.FileInfo
 		dev    pmem.Stats
 		jnl    journal.Stats
-		notes  int
+		noted  int
 	}
 	snap := func() state {
 		fi, _ := f.Stat()
 		si, _ := src.Stat()
-		return state{fi, si, dev.Stats(), fs.JournalStats(), fs.txN}
+		return state{fi, si, dev.Stats(), fs.JournalStats(), fs.noted()}
 	}
 	before := snap()
 	for _, c := range []struct {

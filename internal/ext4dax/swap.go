@@ -247,7 +247,7 @@ func (f *File) SetUserWatermark(b *Batch, v uint64) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.admit(b, watermarkCredit)
+	fs.admit(b, claim{credit: watermarkCredit})
 	f.in.mu.Lock()
 	defer f.in.mu.Unlock()
 	f.in.uwm = v

@@ -62,11 +62,11 @@ type vectorState struct {
 	inodes []inodeState
 	bitmap []bool
 	frees  []alloc.Extent
-	notes  int
+	noted  int
 }
 
 func snapshot(fs *FS, files ...*File) vectorState {
-	st := vectorState{notes: fs.txN}
+	st := vectorState{noted: fs.noted()}
 	for _, pf := range fs.pendingFrees {
 		st.frees = append(st.frees, pf.e)
 	}
@@ -84,7 +84,7 @@ func (a vectorState) equal(b vectorState, epochs bool) bool {
 		return slices.Equal(x.extents, y.extents) && x.blocks == y.blocks && x.size == y.size && (!epochs || x.epoch == y.epoch)
 	}
 	return slices.EqualFunc(a.inodes, b.inodes, same) && slices.Equal(a.bitmap, b.bitmap) &&
-		slices.Equal(a.frees, b.frees) && a.notes == b.notes
+		slices.Equal(a.frees, b.frees) && a.noted == b.noted
 }
 
 // TestRejectedVectorIsNoOp: one bad move among good ones rejects the whole

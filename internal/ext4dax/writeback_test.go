@@ -13,8 +13,7 @@ import (
 )
 
 // Inode write-back stores what changed (DESIGN.md, "Inode write-back"):
-// these tests count what one write-back stores, notes, journals and
-// flushes, and check that what partial write-backs leave on the device is
+// these tests count what one write-back stores, journals and flushes, and check that what partial write-backs leave on the device is
 // what Mount reads.
 
 // sparseFile creates a file of n one-block extents — every other logical
@@ -41,9 +40,16 @@ func sparseFile(t testing.TB, fs *FS, path string, n int) *File {
 // writeBackCost is what one inode write-back and the commit after it did.
 type writeBackCost struct {
 	stored  int64 // bytes stored by the write-back
-	notes   int   // ranges it noted
 	logged  int64 // block images the commit journaled
 	flushed int64 // cache lines the commit's checkpoint flushed
+}
+
+// noted is how many blocks the running transaction has noted.
+func (fs *FS) noted() int {
+	if fs.tx == nil {
+		return 0
+	}
+	return fs.tx.Blocks()
 }
 
 // costOfWriteBack runs change on the inode under fs.mu, writes the inode
@@ -58,7 +64,6 @@ func costOfWriteBack(t *testing.T, fs *FS, in *inode, change func()) writeBackCo
 	stored := dev.Stats().BytesWrittenCached
 	fs.writeInode(in)
 	c.stored = dev.Stats().BytesWrittenCached - stored
-	c.notes = fs.txN
 	fs.mu.Unlock()
 	logged, flushed := fs.jnl.Stats().BlocksLogged, dev.Stats().Flushes
 	fs.CommitMeta()
@@ -92,8 +97,8 @@ func TestWriteBackTouchesWhatChanged(t *testing.T) {
 	// one-block strict-mode overwrite does to its target: size, block
 	// count and every other extent stay.
 	c := costOfWriteBack(t, fs, f.in, func() { f.in.extents[InlineExtents+LeafExtents+50].Phys.Start++ })
-	if c.notes != 1 || c.logged != 1 || c.stored > 2*sim.CacheLine || c.flushed > 2 {
-		t.Fatalf("replacing one extent record cost %+v, want one note, one journaled block, at most two lines", c)
+	if c.logged != 1 || c.stored > 2*sim.CacheLine || c.flushed > 2 {
+		t.Fatalf("replacing one extent record cost %+v, want one journaled block, at most two lines", c)
 	}
 
 	// One extent appended: the record's first line (size, block count) and
@@ -107,7 +112,7 @@ func TestWriteBackTouchesWhatChanged(t *testing.T) {
 		f.in.blocks++
 		f.in.size = (last.LogicalEnd() + 2) * sim.BlockSize
 	})
-	if c.logged != 2 || c.notes > 3 || c.flushed > 4 {
+	if c.logged != 2 || c.flushed > 4 {
 		t.Fatalf("appending one extent cost %+v, want two journaled blocks (the inode table's and the last leaf) and at most four lines", c)
 	}
 }
@@ -281,8 +286,9 @@ func TestBatchEndAllocations(t *testing.T) {
 }
 
 // relinkInto returns a function that overwrites one block of a file of n
-// one-block extents by relink, and closes the batch: the steady state of
-// a strict-mode file that is overwritten in place.
+// one-block extents by relink, closes the batch and commits it, as fsync
+// does: the steady state of a strict-mode file that is overwritten in
+// place.
 func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 	t.Helper()
 	dst := sparseFile(t, fs, "/dst"+name, n)
@@ -298,7 +304,7 @@ func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 			t.Fatal(err)
 		}
 		next++
-		b.End()
+		fs.CommitUpTo(b.End())
 	}
 }
 
@@ -310,7 +316,9 @@ func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 // extents and 399 KB into 4 096; in-place editing 404 / 406 B, and since
 // the relink's lists, its journal transaction and its batch handle are
 // scratch too, nothing but the odd growth of that scratch (< 64 B
-// amortized). What the device's backing grows by —
+// amortized). Each relink commits, as an fsync's does: 256 relinks left in
+// one transaction would pile up their pending frees (74 B a relink into 64
+// extents). What the device's backing grows by —
 // frames for journal and leaf blocks stored to for the first time — is
 // device memory, not the file system's, and is left out.
 func TestRelinkAllocationFlatInFragmentation(t *testing.T) {
@@ -335,7 +343,7 @@ func TestRelinkAllocationFlatInFragmentation(t *testing.T) {
 		return alloc / runs
 	}
 	small, large := perRelink(64), perRelink(4096)
-	t.Logf("one-block relink + Batch.End: %d B into 64 extents, %d B into 4096", small, large)
+	t.Logf("one-block relink, Batch.End and commit: %d B into 64 extents, %d B into 4096", small, large)
 	// Measured at the parent of the change that made the relink's lists
 	// scratch: 404 / 406 B.
 	const atParent = 406

@@ -240,7 +240,7 @@ func TestCheckpointFailureFailsTheOperation(t *testing.T) {
 		"unlink": func(fs *FS, f vfs.File) error { return fs.Unlink("/f") },
 		"rename": func(fs *FS, f vfs.File) error { return fs.Rename("/f", "/g") },
 	}
-	kcfg := ext4dax.Config{JournalBlocks: 16, MaxInodes: 512, TxCommitThreshold: 1 << 20}
+	kcfg := ext4dax.Config{JournalBlocks: 16, MaxInodes: 512}
 	cfg := Config{Mode: Strict, StagingFiles: 2, StagingFileBytes: 1 << 20, OpLogBytes: 64 << 10}
 	for name, op := range ops {
 		t.Run(name, func(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // journal, the fsync succeeds, and the checkpoint zeroes a log whose
 // records are all in the journal.
 func TestCheckpointAfterAnOutgrownJournalKeepsAcknowledgedWrites(t *testing.T) {
-	e := newMetaEnv(t, Strict, ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}, 64<<10)
+	e := newMetaEnv(t, Strict, ext4dax.Config{JournalBlocks: 16}, 64<<10)
 	fs := e.fs
 	g, err := vfs.Create(fs, "/g")
 	if err != nil {
@@ -117,9 +117,9 @@ func leafOnAFullDevice(t *testing.T) (dev *pmem.Device, kcfg ext4dax.Config, cfg
 }
 
 // TestRelinkNeedingALeafOnAFullDevice: the fsync leafOnAFullDevice refused
-// goes through once /filler is unlinked — with no commit asked for: it
-// finds no block for its leaf while the running transaction holds the
-// unlink's frees, so it commits them and tries once more
+// goes through once /filler is unlinked — with no commit asked for: its
+// relink batch claims a block for its leaf, finds none free while the
+// running transaction holds the unlink's frees, and commits them first
 // (ext4_should_retry_alloc) — and a crash then finds it.
 func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
 	dev, kcfg, cfg, kfs, fs, f, model := leafOnAFullDevice(t)
@@ -151,8 +151,8 @@ func TestRelinkNeedingALeafOnAFullDevice(t *testing.T) {
 // overwrites staged and logged. Recovery unlinks the old staging files and
 // preallocates new ones before it replays the log; the unlinks' frees have
 // not committed when it does, and the device has no other free block, so
-// the preallocation commits them and tries once more. Recovery succeeds,
-// /f holds every logged overwrite, and the image passes Check.
+// the preallocation commits them first. Recovery succeeds, /f holds every
+// logged overwrite, and the image passes Check.
 func TestRecoverOnAFullDevice(t *testing.T) {
 	dev, kcfg, cfg, _, _, _, model := leafOnAFullDevice(t)
 	if err := dev.Crash(nil); err != nil {
@@ -176,14 +176,13 @@ func TestRecoverOnAFullDevice(t *testing.T) {
 
 // TestConcurrentHandlesOnASmallJournal: in every mode, four goroutines
 // create, write, fsync, rename, unlink and make and remove directories on
-// a 16-block journal with the note-count trigger out of the way, so that
-// handles keep finding the transaction full while other goroutines'
+// a 16-block journal, so that handles keep finding the transaction full while other goroutines'
 // batches hold it open: they wait for the batches, or commit first, and
 // no commit fails, nothing deadlocks, and the image passes Check before
 // and after a crash.
 func TestConcurrentHandlesOnASmallJournal(t *testing.T) {
 	for _, mode := range []Mode{POSIX, Sync, Strict} {
-		e := newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}, 256<<10)
+		e := newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 16}, 256<<10)
 		fs := e.fs
 		var wg sync.WaitGroup
 		for g := range 4 {

@@ -485,17 +485,19 @@ func sweepNamespaceOps(t *testing.T, setup func() (*metaEnv, map[string]bool), o
 	return redone
 }
 
-// TestThresholdCommitCannotSplitOpFromStamp: with the size threshold at
-// one note, K-Split wants to commit at the end of every metadata call —
-// between the call's effects and the stamp that tells recovery they are in
-// the journal, if nothing stopped it. The batch handle does: crashed at
-// every event, the sweep never finds an operation redone on top of itself
-// (a second mkdir fails, a second rename loses the file) or dropped.
-func TestThresholdCommitCannotSplitOpFromStamp(t *testing.T) {
+// TestCommitCannotSplitOpFromStamp: on a 13-block journal, the credit
+// floor, a metadata batch reserves all the room credits share, so every
+// handle that starts after an operation's K-Split call commits the running
+// transaction first — between the call's effects and the stamp that tells
+// recovery they are in the journal, if nothing stopped it. The batch
+// handle does: crashed at every event, the sweep never finds an operation
+// redone on top of itself (a second mkdir fails, a second rename loses the
+// file) or dropped.
+func TestCommitCannotSplitOpFromStamp(t *testing.T) {
 	for _, mode := range []Mode{Sync, Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
 			setup := func() (*metaEnv, map[string]bool) {
-				e := newMetaEnv(t, mode, ext4dax.Config{TxCommitThreshold: 1}, 1<<20)
+				e := newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 13}, 1<<20)
 				mustCreateClosed(t, e.fs, "/f0", nil)
 				mustCreateClosed(t, e.fs, "/f1", nil)
 				return e, map[string]bool{"/f0": true, "/f1": true}
@@ -543,9 +545,9 @@ func TestCheckpointWithNoFileOpenCommitsFirst(t *testing.T) {
 	for _, mode := range []Mode{Sync, Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
 			setup := func() (*metaEnv, map[string]bool) {
-				// The note-count threshold is out of the way: nothing but the
-				// checkpoint commits the renames that fill the log.
-				e := newMetaEnv(t, mode, ext4dax.Config{TxCommitThreshold: 1 << 20}, 64<<10)
+				// Nothing but the checkpoint commits the renames that fill
+				// the log.
+				e := newMetaEnv(t, mode, ext4dax.Config{}, 64<<10)
 				mustCreateClosed(t, e.fs, "/x", nil)
 				mustCreateClosed(t, e.fs, "/f", nil)
 				x := fillLogWithRenames(t, e.fs, "/x", "/y")
@@ -574,87 +576,123 @@ func TestCheckpointWithNoFileOpenCommitsFirst(t *testing.T) {
 
 // TestRecoveryCommitsBeforeZeroingTheLog: what replay redid sits in
 // K-Split's running transaction until a commit takes it — RecoverFS's own
-// at the end of replay or, with the size threshold at one note, one after
-// every record — and the log must outlive that commit: a crash anywhere in
-// recovery, recovered again, resumes after the last record whose redo
-// committed (it is at or below the stamp now) and finds every operation in
-// the journal or still in the log, never in neither.
+// at the end of replay or, mid-replay, one a handle's credit forces — and
+// the log must outlive that commit: a crash anywhere in recovery,
+// recovered again, resumes after the last record whose redo committed (it
+// is at or below the stamp or the file's watermark now) and finds every
+// operation in the journal or still in the log, never in neither.
+//
+// A metadata-only replay commits only at its end: it repeats the live
+// run's batches, which made no commit between the records it redoes, with
+// less in the transaction (DESIGN.md, "Journal credits"). The staged case
+// commits in the middle: on a 13-block journal, the credit floor, the
+// live run's mkdir commits the one before it, so only the mkdir is above
+// the stamp, but the strict writes before it were never relinked; replay
+// relinks them into one transaction, which the mkdir's batch has to
+// commit before it opens.
 func TestRecoveryCommitsBeforeZeroingTheLog(t *testing.T) {
-	for _, mode := range []Mode{Sync, Strict} {
-		for _, threshold := range []int{0, 1} {
-			t.Run(fmt.Sprintf("%v/threshold=%d", mode, threshold), func(t *testing.T) {
-				scenario := func() *metaEnv {
-					e := newMetaEnv(t, mode, ext4dax.Config{}, 64<<10)
-					mustCreateClosed(t, e.fs, "/a", []byte("a"))
-					for _, op := range []nsOp{{kind: "mkdir", path: "/d"}, {kind: "rename", path: "/a", dest: "/d/a"}, {kind: "mkdir", path: "/e"}} {
-						if err := op.apply(e.fs); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := e.dev.Crash(sim.NewRNG(11)); err != nil {
-						t.Fatal(err)
-					}
-					e.kcfg.TxCommitThreshold = threshold
-					return e
+	for _, c := range []struct {
+		name        string
+		mode        Mode
+		kcfg        ext4dax.Config
+		ops         func(t *testing.T, fs *FS)
+		want        string
+		wantResumes map[int]bool
+	}{
+		{"sync/metadata", Sync, ext4dax.Config{}, renameIntoNewDirs, `/d/ /d/a="a" /e/`, map[int]bool{3: true, 0: true}},
+		{"strict/metadata", Strict, ext4dax.Config{}, renameIntoNewDirs, `/d/ /d/a="a" /e/`, map[int]bool{3: true, 0: true}},
+		{"strict/staged", Strict, ext4dax.Config{JournalBlocks: 13}, func(t *testing.T, fs *FS) {
+			mustCreateClosed(t, fs, "/b", []byte("b"))
+			for _, p := range []string{"/a", "/b"} {
+				f, err := fs.OpenFile(p, vfs.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				const want = `/d/ /d/a="a" /e/`
-				// A recording recovery traces the events of mount and recovery.
-				rec := scenario()
-				rec.dev.SetTracing(true)
-				first := rec.remount(t)
-				if first.MetaReplayed != 3 || tree(t, rec.fs) != want {
-					t.Fatalf("recording recovery: %+v, %s", first, tree(t, rec.fs))
+				if _, err := f.WriteAt([]byte(p), 0); err != nil {
+					t.Fatal(err)
 				}
-				// The later the second crash, the less the second recovery
-				// has left to redo, down to nothing with the log still there
-				// and then to a zeroed log: left is what the image of the
-				// last event with its unfenced lines reverted had, and no
-				// way of taking this event or a later one leaves more.
-				left, zeroed, points := first.MetaReplayed, false, 0
-				resumedAt := map[int]bool{}
-				for p := range pmem.CrashPoints(rec.dev.Trace(), 2) {
-					e := scenario()
-					p.Arm(e.dev)
-					e.remount(t) // runs to its end; the image froze at p
-					if !e.dev.CrashFired() {
-						t.Fatalf("%v never fired", p)
-					}
-					p.Crash(e.dev)
-					second := e.remount(t)
-					if got := tree(t, e.fs); got != want {
-						t.Fatalf("second crash at recovery %v: recovered %s, want %s (%+v)", p, got, want, second)
-					}
-					switch {
-					case second.MetaReplayed > left:
-						t.Fatalf("second crash at recovery %v: %d operations to redo again, %d an event earlier (%+v)", p, second.MetaReplayed, left, second)
-					case second.Entries == first.Entries:
-						if second.MetaReplayed+second.MetaSkipped != first.MetaReplayed+first.MetaSkipped {
-							t.Fatalf("second crash at recovery %v: second recovery %+v, first %+v", p, second, first)
-						}
-						resumedAt[second.MetaReplayed] = true
-					default:
-						// The log is being zeroed, or has been: only once
-						// there is nothing left to redo.
-						if left != 0 {
-							t.Fatalf("second crash at recovery %v: %d of %d log entries left with %d operations still to redo (%+v)",
-								p, second.Entries, first.Entries, left, second)
-						}
-						zeroed = true
-					}
-					if p.Way == pmem.Revert {
-						left = second.MetaReplayed
-					}
-					points++
+			}
+			if err := fs.Mkdir("/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}, `/a="/a" /b="/b" /d/`, map[int]bool{3: true, 1: true, 0: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			scenario := func() *metaEnv {
+				e := newMetaEnv(t, c.mode, c.kcfg, 64<<10)
+				mustCreateClosed(t, e.fs, "/a", []byte("a"))
+				c.ops(t, e.fs)
+				if err := e.dev.Crash(sim.NewRNG(11)); err != nil {
+					t.Fatal(err)
 				}
-				t.Logf("%d crash points", points)
-				wantResumes := map[int]bool{3: true, 0: true}
-				if threshold == 1 {
-					wantResumes = map[int]bool{3: true, 2: true, 1: true, 0: true}
+				return e
+			}
+			// What a recovery left to redo: staged writes and metadata
+			// records; done what it found already in the image.
+			redo := func(r *RecoveryReport) int { return r.Replayed + r.MetaReplayed }
+			done := func(r *RecoveryReport) int { return r.Skipped + r.MetaSkipped }
+			// A recording recovery traces the events of mount and recovery.
+			rec := scenario()
+			rec.dev.SetTracing(true)
+			first := rec.remount(t)
+			if redo(first) != 3 || tree(t, rec.fs) != c.want {
+				t.Fatalf("recording recovery: %+v, %s", first, tree(t, rec.fs))
+			}
+			// The later the second crash, the less the second recovery
+			// has left to redo, down to nothing with the log still there
+			// and then to a zeroed log: left is what the image of the
+			// last event with its unfenced lines reverted had, and no
+			// way of taking this event or a later one leaves more.
+			left, zeroed, points := redo(first), false, 0
+			resumedAt := map[int]bool{}
+			for p := range pmem.CrashPoints(rec.dev.Trace(), 2) {
+				e := scenario()
+				p.Arm(e.dev)
+				e.remount(t) // runs to its end; the image froze at p
+				if !e.dev.CrashFired() {
+					t.Fatalf("%v never fired", p)
 				}
-				if !zeroed || !maps.Equal(resumedAt, wantResumes) {
-					t.Errorf("second recoveries had %v operations left to redo, want %v; log found zeroed: %v", resumedAt, wantResumes, zeroed)
+				p.Crash(e.dev)
+				second := e.remount(t)
+				if got := tree(t, e.fs); got != c.want {
+					t.Fatalf("second crash at recovery %v: recovered %s, want %s (%+v)", p, got, c.want, second)
 				}
-			})
+				switch {
+				case redo(second) > left:
+					t.Fatalf("second crash at recovery %v: %d operations to redo again, %d an event earlier (%+v)", p, redo(second), left, second)
+				case second.Entries == first.Entries:
+					if redo(second)+done(second) != redo(first)+done(first) {
+						t.Fatalf("second crash at recovery %v: second recovery %+v, first %+v", p, second, first)
+					}
+					resumedAt[redo(second)] = true
+				default:
+					// The log is being zeroed, or has been: only once
+					// there is nothing left to redo.
+					if left != 0 {
+						t.Fatalf("second crash at recovery %v: %d of %d log entries left with %d operations still to redo (%+v)",
+							p, second.Entries, first.Entries, left, second)
+					}
+					zeroed = true
+				}
+				if p.Way == pmem.Revert {
+					left = redo(second)
+				}
+				points++
+			}
+			t.Logf("%d crash points", points)
+			if !zeroed || !maps.Equal(resumedAt, c.wantResumes) {
+				t.Errorf("second recoveries had %v operations left to redo, want %v; log found zeroed: %v", resumedAt, c.wantResumes, zeroed)
+			}
+		})
+	}
+}
+
+// renameIntoNewDirs makes a directory, renames /a into it and makes
+// another: three metadata records.
+func renameIntoNewDirs(t *testing.T, fs *FS) {
+	for _, op := range []nsOp{{kind: "mkdir", path: "/d"}, {kind: "rename", path: "/a", dest: "/d/a"}, {kind: "mkdir", path: "/e"}} {
+		if err := op.apply(fs); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -731,10 +769,9 @@ func TestOpenFailsBeforeRegisteringWhenLogCannotCheckpoint(t *testing.T) {
 				last string // where the renames left /x
 			)
 			run := func(arm func(*pmem.Device)) (done []int64) {
-				// A journal of 16 blocks commits at most 13 block images; the
-				// note-count threshold is out of the way, so only credits and
-				// explicit commits ever commit.
-				e = newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}, 64<<10)
+				// A journal of 16 blocks commits at most 13 block images;
+				// only credits and explicit commits ever commit.
+				e = newMetaEnv(t, mode, ext4dax.Config{JournalBlocks: 16}, 64<<10)
 				fs := e.fs
 				mustCreateClosed(t, fs, "/x", nil)
 				last = fillLogWithRenames(t, fs, "/x", "/y")

@@ -111,7 +111,7 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 
 	// The batch handle is held across the steps: while it is open, no
 	// other journal user (another file's fsync, staging-file creation, or
-	// the size-threshold commit) can commit the shared running
+	// a handle whose credit does not fit) can commit the shared running
 	// transaction with this relink half applied.
 	err = fs.relinkPieces(batch, sc, of)
 	// In strict mode, advance the inode's relink watermark in the same

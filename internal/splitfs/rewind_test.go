@@ -284,7 +284,7 @@ func forgeTruncate(seq uint32, ino uint64) []byte {
 // each of the four ways, finds every write that had returned.
 func TestFailedCommitKeepsTheLog(t *testing.T) {
 	payload := pattern(5000, 3)
-	kcfg := ext4dax.Config{JournalBlocks: 16, TxCommitThreshold: 1 << 20}
+	kcfg := ext4dax.Config{JournalBlocks: 16}
 	var e *metaEnv
 	run := func(arm func(*pmem.Device)) (done []int64) {
 		e = newMetaEnv(t, Strict, kcfg, 64<<10)

@@ -453,8 +453,8 @@ func (fs *FS) lockLog(need int64) (func(), error) {
 // committed journal prefix already holds. So the operation's sequence
 // number becomes the op log's journal stamp inside the same transaction as
 // the call's effects: a batch handle keeps the transaction from committing
-// between the two (the size-threshold commit the call would otherwise end
-// with waits for the next operation), and the stamp travels in that
+// between the two (a concurrent fsync, or the next handle whose credit
+// does not fit, waits for it to close), and the stamp travels in that
 // transaction's commit record — no block of its own, no image. Records at
 // or below the recovered stamp are in the image; records above it are not,
 // and are redone in order (replayMeta). op is told the sequence number it
