@@ -87,11 +87,11 @@ type job struct {
 func directJob(name string, cfg crash.ExploreConfig) job {
 	return job{name: name, size: fmt.Sprintf("%d ops", len(cfg.Ops)), most: 32,
 		violation: func(v crash.Violation) string {
-			return fmt.Sprintf("VIOLATION %s event=%d way=%v double=%d: %s", name, v.At.Ev.Seq, v.At.Way, v.DoubleEvent, v.Msg)
+			return fmt.Sprintf("VIOLATION %s %s: %s", name, where(v), v.Msg)
 		},
 		progress: func(r *crash.ExploreResult) string {
 			return fmt.Sprintf("%-22s events=%-5d points=%-5d tested=%-5d double=%-4d violations=%d",
-				name, r.TotalEvents, r.TotalPoints, r.Tested, r.DoubleTested, len(r.Violations))
+				name, r.TotalEvents, r.TotalPoints, r.Tested, sum(r.DoubleTested), len(r.Violations))
 		},
 		explore: func() (*crash.ExploreResult, error) { return crash.Explore(cfg) },
 		minimize: func(sample int, include []pmem.CrashPoint) (*crash.MinimizeResult, error) {
@@ -106,7 +106,7 @@ func servedJob(cfg crash.ServedExploreConfig) job {
 	return job{name: fmt.Sprintf("served-crash %v/seed%d", cfg.Mode, cfg.Seed),
 		size: fmt.Sprintf("%d tenants x %d ops", cfg.Tenants, cfg.OpsPerTenant), tag: "SERVED ", most: 16,
 		violation: func(v crash.Violation) string {
-			return fmt.Sprintf("SERVED VIOLATION %v/seed%d event=%d way=%v: %s", cfg.Mode, cfg.Seed, v.At.Ev.Seq, v.At.Way, v.Msg)
+			return fmt.Sprintf("SERVED VIOLATION %v/seed%d %s: %s", cfg.Mode, cfg.Seed, where(v), v.Msg)
 		},
 		progress: func(r *crash.ExploreResult) string {
 			return fmt.Sprintf("served-crash %v/seed%-2d window=[%d,%d] killed=%-4d violations=%d",
@@ -149,7 +149,7 @@ func main() {
 	tenants := flag.Int("tenants", 3, "concurrent tenant sessions per served-crash campaign")
 	faultCadence := flag.Int("fault-cadence", 2, "arm a wire cut on every Nth tenant dial in served-crash sweeps (2 = every other dial, 0 = no wire faults; the nightly matrix sweeps this)")
 	doubleCrash := flag.Bool("double-crash", false, "also crash again inside each recovery")
-	doubleSample := flag.Int("double-sample", 3, "second-crash events tested per recovery")
+	doubleSample := flag.Int("double-sample", 3, "second-crash points per recovery (0 = every point)")
 	minimize := flag.Bool("minimize", false, "shrink the first violating campaign of each kind, direct and served, to a minimal reproducer")
 	outPath := flag.String("out", "", "write a violation report (with any minimized reproducer) to this file")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel campaign workers (at least 1)")
@@ -202,19 +202,15 @@ func main() {
 	results, failed := sweep(jobs, *workers, *verbose)
 
 	n, total := tally(jobs, results, "")
-	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d crash points of %d events crashed (+%d double-crash), %d violations\n",
-		n, total.Runs, total.Tested, total.TotalPoints, total.TotalEvents, total.DoubleTested, len(total.Violations))
+	fmt.Printf("crashcheck: %d campaigns, %d runs, %d/%d crash points of %d events crashed (+%d second crashes, by way:%s), %d violations\n",
+		n, total.Runs, total.Tested, total.TotalPoints, total.TotalEvents, sum(total.DoubleTested), byWay(total.DoubleTested), len(total.Violations))
 	fmt.Printf("op-log metadata replay: %d operations redone, %d records already committed, %d interrupted replays resumed by the second recovery, %d op-log rewinds crossed\n",
 		total.MetaReplayed, total.MetaSkipped, total.DoubleInMetaReplay, total.Rewinds)
 	fmt.Printf("crash-point coverage by kind:")
 	for _, k := range slices.Sorted(maps.Keys(total.ByKind)) {
 		fmt.Printf(" %s=%d/%d", k, total.TestedByKind[k], total.ByKind[k])
 	}
-	fmt.Printf("; tested by way:")
-	for _, w := range slices.Sorted(maps.Keys(total.TestedByWay)) {
-		fmt.Printf(" %s=%d", w, total.TestedByWay[w])
-	}
-	fmt.Println()
+	fmt.Printf("; tested by way:%s\n", byWay(total.TestedByWay))
 	if *servedCrash {
 		n, served := tally(jobs, results, "SERVED ")
 		fmt.Printf("crashcheck: served-crash: %d sweeps x %d tenants, %d daemon kills, %d violations\n",
@@ -287,9 +283,27 @@ func sweep(jobs []job, workers int, verbose bool) ([]*crash.ExploreResult, bool)
 	return results, failed
 }
 
+// byWay lists crash counts by way, in the order the ways sort.
+func byWay(counts map[string]int64) string {
+	var b strings.Builder
+	for _, w := range slices.Sorted(maps.Keys(counts)) {
+		fmt.Fprintf(&b, " %s=%d", w, counts[w])
+	}
+	return b.String()
+}
+
+// sum is the total of crash counts by way.
+func sum(counts map[string]int64) int64 {
+	var n int64
+	for _, v := range counts {
+		n += v
+	}
+	return n
+}
+
 // tally counts the jobs of one kind and sums their results.
 func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.ExploreResult) {
-	n, t := 0, crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}}
+	n, t := 0, crash.ExploreResult{ByKind: map[string]int64{}, TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}, DoubleTested: map[string]int64{}}
 	for i, r := range results {
 		if jobs[i].tag != tag {
 			continue
@@ -298,7 +312,6 @@ func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.E
 		t.TotalEvents += r.TotalEvents
 		t.TotalPoints += r.TotalPoints
 		t.Tested += r.Tested
-		t.DoubleTested += r.DoubleTested
 		t.Runs += r.Runs
 		t.MetaReplayed += r.MetaReplayed
 		t.Rewinds += r.Rewinds
@@ -312,6 +325,9 @@ func tally(jobs []job, results []*crash.ExploreResult, tag string) (int, crash.E
 		}
 		for w, v := range r.TestedByWay {
 			t.TestedByWay[w] += v
+		}
+		for w, v := range r.DoubleTested {
+			t.DoubleTested[w] += v
 		}
 		t.UnknownKinds = append(t.UnknownKinds, r.UnknownKinds...)
 		t.Violations = append(t.Violations, r.Violations...)

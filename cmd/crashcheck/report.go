@@ -17,11 +17,23 @@ import (
 // stack's flight-recorder traces of the breached generation when it has
 // them: the last ops each tenant had in flight when the image froze.
 func writeViolation(w io.Writer, tag string, v crash.Violation) {
-	fmt.Fprintf(w, "%sVIOLATION mode=%v seed=%d event=%d way=%v double=%d: %s\n",
-		tag, v.Mode, v.Seed, v.At.Ev.Seq, v.At.Way, v.DoubleEvent, v.Msg)
+	fmt.Fprintf(w, "%sVIOLATION mode=%v seed=%d %s: %s\n", tag, v.Mode, v.Seed, where(v), v.Msg)
 	if v.Flight != "" {
 		fmt.Fprintf(w, "flight traces:\n%s", v.Flight)
 	}
+}
+
+// where names a violation's crash points, each as pmem.CrashPoint prints
+// it: the first, then the second when the breach needed one. A boundary
+// run's violation has neither.
+func where(v crash.Violation) string {
+	switch {
+	case v.At.Ev.Seq == 0:
+		return "after the workload"
+	case v.Second.Ev.Seq == 0:
+		return fmt.Sprintf("at %v", v.At)
+	}
+	return fmt.Sprintf("at %v, again in recovery at %v", v.At, v.Second)
 }
 
 // minimizerSweep is what a minimizer re-sweeps each candidate with: a

@@ -10,15 +10,31 @@ import (
 	"splitfs/internal/splitfs"
 )
 
+// TestWriteViolation: the report and the violation line name both crash
+// points of a double-crash breach as pmem.CrashPoint prints them, the
+// first alone when the breach needed no second, and neither for a
+// boundary run.
 func TestWriteViolation(t *testing.T) {
+	second := pmem.CrashPoint{Ev: pmem.Event{Seq: 807, Kind: pmem.EvFence}, Way: 1}
+	vios := []crash.Violation{
+		{Mode: splitfs.Strict, Seed: 3, At: point(41, pmem.Land), Second: second, Msg: "lost write"},
+		{Mode: splitfs.Sync, Seed: 5, Msg: "bad end state"},
+	}
 	var b strings.Builder
-	writeViolation(&b, "", crash.Violation{Mode: splitfs.Strict, Seed: 3, At: point(41, pmem.Land), DoubleEvent: 7, Msg: "lost write"})
+	for _, v := range vios {
+		writeViolation(&b, "", v)
+	}
 	writeViolation(&b, "SERVED ", crash.Violation{Mode: splitfs.POSIX, Seed: 1, At: point(9, 2), Msg: "dup rename", Flight: "t0: rename\n"})
-	want := "VIOLATION mode=strict seed=3 event=41 way=land double=7: lost write\n" +
-		"SERVED VIOLATION mode=posix seed=1 event=9 way=tear2 double=0: dup rename\n" +
+	want := "VIOLATION mode=strict seed=3 at event 41 (storent), land, again in recovery at event 807 (fence), tear1: lost write\n" +
+		"VIOLATION mode=sync seed=5 after the workload: bad end state\n" +
+		"SERVED VIOLATION mode=posix seed=1 at event 9 (storent), tear2: dup rename\n" +
 		"flight traces:\nt0: rename\n"
 	if b.String() != want {
 		t.Fatalf("report:\n%s\nwant:\n%s", b.String(), want)
+	}
+	line := directJob("strict/meta/seed1", crash.ExploreConfig{}).violation(vios[0])
+	if want := "VIOLATION strict/meta/seed1 at event 41 (storent), land, again in recovery at event 807 (fence), tear1: lost write"; line != want {
+		t.Errorf("violation line:\n%s\nwant:\n%s", line, want)
 	}
 }
 

@@ -42,8 +42,7 @@ type Campaign struct {
 	// CrashAfter is the operation index after which the crash is injected
 	// (len(Ops) crashes after everything). Ignored when CrashAt is set.
 	CrashAfter int
-	// Seed drives torn-line injection at a boundary crash and at the
-	// second crash.
+	// Seed drives torn-line injection at a boundary crash.
 	Seed uint64
 	// CrashAt, when set, crashes at that crash point instead of an
 	// operation boundary: the workload runs to completion against a
@@ -51,11 +50,11 @@ type Campaign struct {
 	// completed, its unfenced lines as the point's way has them. Points
 	// come from a recording run's Trace (see Explore).
 	CrashAt pmem.CrashPoint
-	// DoubleCrashEvent, when positive, injects a second crash at that
-	// absolute persistence event during recovery from the first crash,
-	// then recovers again — verifying that recovery itself is
-	// crash-consistent and idempotent.
-	DoubleCrashEvent int64
+	// Second, when set, crashes again at that crash point inside the
+	// recovery from the first crash, then recovers again — verifying that
+	// recovery itself is crash-consistent and idempotent. Points come
+	// from a first-crash run's trace of its recovery (see Explore).
+	Second pmem.CrashPoint
 	// SkipFence is a fault-injection hook for harness self-tests: it
 	// receives each fence's 1-based sequence number (counted from the
 	// start of the workload) and suppresses the fence when it returns
@@ -66,6 +65,9 @@ type Campaign struct {
 	// model is the model of (Mode, Ops) when the caller already has it:
 	// a sweep evaluates it once, not once per crash point.
 	model *modelRun
+	// traceRecovery records the first recovery's persistence events, the
+	// trace a double-crash sweep takes its second crash points from.
+	traceRecovery bool
 }
 
 // Result reports what the checker verified.
@@ -91,11 +93,11 @@ type Result struct {
 	// baseline. Crashable events for this workload are
 	// (SysEvents[0], SysEvents[len-1]].
 	SysEvents []int64
-	// RecoveryStart/End bound the persistence events of the (first)
-	// recovery — the window double-crash campaigns sweep.
-	RecoveryStart, RecoveryEnd int64
 	// Trace is the recorded event trace (Campaign.Trace).
 	Trace []pmem.Event
+	// recovery is the first recovery's event trace
+	// (Campaign.traceRecovery).
+	recovery []pmem.Event
 }
 
 // newCrashStack builds one campaign's private simulated machine: the
@@ -265,12 +267,18 @@ func Run(c Campaign) (*Result, error) {
 	} else if err := env.Dev.Crash(sim.NewRNG(c.Seed)); err != nil {
 		return nil, err
 	}
-	if c.DoubleCrashEvent > 0 {
-		env.Dev.ArmCrash(c.DoubleCrashEvent, sim.NewRNG(mix(c.Seed, uint64(c.DoubleCrashEvent))^0xD0))
+	second := c.Second.Ev.Seq > 0
+	if second {
+		c.Second.Arm(env.Dev)
 	}
-	res.RecoveryStart = env.Dev.Events()
+	if c.traceRecovery {
+		env.Dev.SetTracing(true)
+	}
 	rec, report, vio := recover1(env)
-	res.RecoveryEnd = env.Dev.Events()
+	if c.traceRecovery {
+		res.recovery = env.Dev.Trace()
+		env.Dev.SetTracing(false)
+	}
 	if rep := report.OpLog; rep != nil {
 		res.Replayed, res.MetaReplayed, res.MetaSkipped = rep.Replayed, rep.MetaReplayed, rep.MetaSkipped
 	}
@@ -278,10 +286,8 @@ func Run(c Campaign) (*Result, error) {
 		res.Violation = vio
 		return res, nil
 	}
-	if c.DoubleCrashEvent > 0 {
-		if err := env.Dev.Crash(nil); err != nil {
-			return nil, err
-		}
+	if second {
+		c.Second.Crash(env.Dev)
 		var again stack.Recovery
 		rec, again, vio = recover1(env)
 		if vio != "" {

@@ -13,7 +13,8 @@ import (
 // trace its events, then crash at every (or a seeded sample of) crash
 // point of them — each event taken four ways, pmem.CrashPoints — recover,
 // and check the mode's guarantee. With DoubleCrash it also crashes again
-// inside each recovery.
+// inside each recovery, at crash points of that recovery's trace picked
+// the same way.
 
 // ExploreConfig configures a sweep.
 type ExploreConfig struct {
@@ -28,8 +29,8 @@ type ExploreConfig struct {
 	// DoubleCrash adds, for every tested point, second crashes inside the
 	// recovery from that crash.
 	DoubleCrash bool
-	// DoubleSample bounds the second-crash events tested per recovery
-	// (0 = 3).
+	// DoubleSample is Sample for the second crashes: how many crash
+	// points of each recovery's trace are crashed at (0 = all).
 	DoubleSample int
 	// SkipFence, when set, is installed as the fence fault-injection hook
 	// of every campaign in the sweep (see Campaign.SkipFence).
@@ -44,11 +45,11 @@ type ExploreConfig struct {
 
 // Violation is one guarantee breach found by a sweep.
 type Violation struct {
-	Mode        splitfs.Mode
-	Seed        uint64
-	At          pmem.CrashPoint // first crash (zero = boundary run)
-	DoubleEvent int64           // second-crash event, when the breach needed one
-	Msg         string
+	Mode   splitfs.Mode
+	Seed   uint64
+	At     pmem.CrashPoint // first crash (zero = boundary run)
+	Second pmem.CrashPoint // second crash, when the breach needed one
+	Msg    string
 	// Flight carries the served stack's flight-recorder traces for the
 	// generation that breached (served sweeps only; empty otherwise).
 	Flight string
@@ -60,10 +61,10 @@ type ExploreResult struct {
 	Window [2]int64
 	// TotalEvents counts the events in the window and TotalPoints their
 	// crash points; Tested how many points were crashed at; DoubleTested
-	// counts second-crash runs.
+	// counts second-crash runs by way.
 	TotalEvents, TotalPoints int64
 	Tested                   int
-	DoubleTested             int
+	DoubleTested             map[string]int64
 	// ByKind/TestedByKind break the window's crash points and the tested
 	// ones down by coverage label — event kind (store/storent/flush/fence),
 	// suffixed with the event source for events issued by fsync's relink
@@ -116,7 +117,7 @@ func labelPoints(points []pmem.CrashPoint) (byKind map[string]int64, unknown []s
 
 // Explore runs the sweep.
 func Explore(cfg ExploreConfig) (*ExploreResult, error) {
-	res := &ExploreResult{TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}}
+	res := &ExploreResult{TestedByKind: map[string]int64{}, TestedByWay: map[string]int64{}, DoubleTested: map[string]int64{}}
 
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
@@ -139,14 +140,10 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	res.TotalPoints = int64(len(all))
 	res.ByKind, res.UnknownKinds = labelPoints(all)
 
-	dblSample := cfg.DoubleSample
-	if dblSample <= 0 {
-		dblSample = 3
-	}
 	for _, p := range picked {
 		k := p.Ev.Seq
 		c := Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
-			CrashAt: p, SkipFence: cfg.SkipFence, model: model}
+			CrashAt: p, SkipFence: cfg.SkipFence, model: model, traceRecovery: cfg.DoubleCrash}
 		r, err := Run(c)
 		if err != nil {
 			return nil, err
@@ -166,22 +163,23 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		if !cfg.DoubleCrash {
 			continue
 		}
-		// Sweep second crashes inside this recovery's event window.
-		rng := sim.NewRNG(mix(cfg.Seed, uint64(k)^0xDD))
-		for _, k2 := range sampleEvents(r.RecoveryStart+1, r.RecoveryEnd, dblSample, rng) {
-			c.DoubleCrashEvent = k2
+		// Crash again at points of this recovery's trace.
+		_, seconds := crashPoints(r.recovery, cfg.DoubleSample, nil, sim.NewRNG(mix(cfg.Seed, uint64(k)^0xDD)))
+		c.traceRecovery = false
+		for _, p2 := range seconds {
+			c.Second = p2
 			r2, err := Run(c)
 			if err != nil {
 				return nil, err
 			}
 			res.Runs++
-			res.DoubleTested++
+			res.DoubleTested[p2.Way.String()]++
 			if r2.DoubleInMetaReplay {
 				res.DoubleInMetaReplay++
 			}
 			if r2.Violation != "" {
 				res.Violations = append(res.Violations, Violation{
-					Mode: cfg.Mode, Seed: cfg.Seed, At: p, DoubleEvent: k2, Msg: r2.Violation})
+					Mode: cfg.Mode, Seed: cfg.Seed, At: p, Second: p2, Msg: r2.Violation})
 			}
 		}
 	}
@@ -226,30 +224,26 @@ func crashPoints(window []pmem.Event, sample int, include []pmem.CrashPoint, rng
 		}
 		return all, picked
 	}
-	for _, e := range sampleEvents(0, int64(len(window))-1, sample, rng) {
+	for _, e := range sampleEvents(len(window), sample, rng) {
 		pick(first[e] + rng.Intn(first[e+1]-first[e]))
 	}
 	return all, picked
 }
 
-// sampleEvents returns up to max events from [lo, hi], all of them when
-// max <= 0 or the range is small enough, otherwise a deterministic
-// random sample (always including hi, the fully-quiesced end point).
-func sampleEvents(lo, hi int64, max int, rng *sim.RNG) []int64 {
-	n := hi - lo + 1
-	if n <= 0 {
-		return nil
-	}
-	if max <= 0 || int64(max) >= n {
-		out := make([]int64, 0, n)
-		for k := lo; k <= hi; k++ {
-			out = append(out, k)
+// sampleEvents returns up to max indices of a window of n events, all of
+// them when n is no more than max, otherwise a deterministic random
+// sample (always including n-1, the fully-quiesced end point).
+func sampleEvents(n, max int, rng *sim.RNG) []int {
+	if max >= n {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
 		}
 		return out
 	}
-	picked := map[int64]bool{hi: true}
+	picked := map[int]bool{n - 1: true}
 	for len(picked) < max {
-		picked[lo+rng.Int63n(n)] = true
+		picked[int(rng.Int63n(int64(n)))] = true
 	}
 	return slices.Sorted(maps.Keys(picked))
 }

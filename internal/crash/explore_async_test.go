@@ -73,19 +73,20 @@ func TestAsyncRelinkSweepAllModes(t *testing.T) {
 // recovery of group-committed batches is itself crash-consistent.
 func TestGroupSyncDoubleCrash(t *testing.T) {
 	res, err := Explore(ExploreConfig{
-		Mode:        splitfs.Strict,
-		Ops:         AsyncOps(29, 12),
-		Seed:        3,
-		Sample:      24,
-		DoubleCrash: true,
+		Mode:         splitfs.Strict,
+		Ops:          AsyncOps(29, 12),
+		Seed:         3,
+		Sample:       24,
+		DoubleCrash:  true,
+		DoubleSample: 3,
 	})
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
 	for _, v := range res.Violations {
-		t.Errorf("violation at %v, double=%d: %s", v.At, v.DoubleEvent, v.Msg)
+		t.Errorf("violation at %v, then %v: %s", v.At, v.Second, v.Msg)
 	}
-	if res.DoubleTested == 0 {
+	if len(res.DoubleTested) == 0 {
 		t.Fatal("no double-crash runs executed")
 	}
 }

@@ -100,11 +100,11 @@ func TestDoubleCrashSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.DoubleTested == 0 {
+		if len(res.DoubleTested) == 0 {
 			t.Fatalf("%v: no double-crash points tested", mode)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v %v/%d: %s", mode, v.At, v.DoubleEvent, v.Msg)
+			t.Errorf("%v %v, then %v: %s", mode, v.At, v.Second, v.Msg)
 		}
 	}
 }
@@ -123,13 +123,13 @@ func TestDoubleCrashInsideMetaReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%v %v/%d: %s", mode, v.At, v.DoubleEvent, v.Msg)
+			t.Errorf("%v %v, then %v: %s", mode, v.At, v.Second, v.Msg)
 		}
 		if res.MetaReplayed == 0 || res.DoubleInMetaReplay == 0 {
-			t.Errorf("%v: %d metadata operations redone, %d of %d second crashes cut their replay short: the sweep did not reach it",
+			t.Errorf("%v: %d metadata operations redone, %d second crashes (of %v by way) cut their replay short: the sweep did not reach it",
 				mode, res.MetaReplayed, res.DoubleInMetaReplay, res.DoubleTested)
 		}
-		t.Logf("%v: %d redone, %d skipped, %d/%d second crashes cut a metadata replay short",
+		t.Logf("%v: %d redone, %d skipped, %d second crashes (of %v by way) cut a metadata replay short",
 			mode, res.MetaReplayed, res.MetaSkipped, res.DoubleInMetaReplay, res.DoubleTested)
 	}
 }
@@ -169,7 +169,7 @@ func TestStagedWriteOverInPlaceOverwrite(t *testing.T) {
 		{Path: "/a3", Off: 1064, Data: bytes.Repeat([]byte{3}, 2553), Fsync: true},
 	}
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
-		res, err := Explore(ExploreConfig{Mode: mode, Ops: ops, Seed: 3, DoubleCrash: true})
+		res, err := Explore(ExploreConfig{Mode: mode, Ops: ops, Seed: 3, DoubleCrash: true, DoubleSample: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,4 +203,58 @@ func TestCrashPointsPinsIncludeFirst(t *testing.T) {
 			t.Errorf("sample %d: %d points, picked %v", c.sample, len(all), picked)
 		}
 	}
+}
+
+// TestEverySecondCrashPoint: with DoubleSample 0 a sweep crashes again at
+// every crash point of each recovery's trace, as it crashes at every
+// point of the workload's with Sample 0 — pmem.CrashPoints' count over
+// the traces, four ways an event.
+func TestEverySecondCrashPoint(t *testing.T) {
+	cfg := ExploreConfig{Mode: splitfs.POSIX, Ops: []Op{{Path: "/a", Data: []byte("x")}}, DoubleCrash: true}
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("%v, then %v: %s", v.At, v.Second, v.Msg)
+	}
+	record, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAfter: len(cfg.Ops), Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got int64
+	for p := range pmem.CrashPoints(record.Trace, tears) {
+		r, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAt: p, traceRecovery: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range pmem.CrashPoints(r.recovery, tears) {
+			want++
+		}
+	}
+	for _, n := range res.DoubleTested {
+		got += n
+	}
+	if got != want || res.DoubleTested["land"] == 0 {
+		t.Errorf("%d second crashes (%v by way), want every point of the recoveries' traces: %d", got, res.DoubleTested, want)
+	}
+	t.Logf("%d first points, %d second", res.Tested, got)
+}
+
+// TestSampledSecondCrashesLand: a sampled sweep draws its second crashes
+// from the recoveries' crash points as it draws its first ones, so a
+// strict sweep's include points where a store of the recovery lands whole.
+func TestSampledSecondCrashesLand(t *testing.T) {
+	res, err := Explore(ExploreConfig{Mode: splitfs.Strict, Ops: MetaBurstOps(23, 12), Seed: 5,
+		Sample: 4, DoubleCrash: true, DoubleSample: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("%v, then %v: %s", v.At, v.Second, v.Msg)
+	}
+	if res.DoubleTested["land"] == 0 {
+		t.Errorf("second crashes by way %v: none landed", res.DoubleTested)
+	}
+	t.Logf("second crashes by way %v", res.DoubleTested)
 }

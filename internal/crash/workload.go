@@ -190,67 +190,70 @@ func sysPrefix(sys []syscall, n int) int {
 
 // RandomOps builds a deterministic workload of writes/appends/fsyncs for
 // campaign sweeps.
-func RandomOps(seed uint64, n int) []Op {
-	rng := sim.NewRNG(seed)
-	sizes := map[string]int64{}
-	paths := []string{"/c0", "/c1", "/c2"}
-	ops := make([]Op, 0, n)
-	for i := 0; i < n; i++ {
-		p := paths[rng.Intn(len(paths))]
-		data := make([]byte, rng.Intn(3000)+1)
-		for j := range data {
-			data[j] = byte(rng.Uint64())
-		}
-		off := int64(-1)
-		if sizes[p] > 0 && rng.Intn(3) == 0 {
-			off = rng.Int63n(sizes[p])
-		}
-		end := off + int64(len(data))
-		if off < 0 {
-			end = sizes[p] + int64(len(data))
-		}
-		if end > sizes[p] {
-			sizes[p] = end
-		}
-		ops = append(ops, Op{Path: p, Off: off, Data: data, Fsync: rng.Intn(4) == 0})
-	}
-	return ops
-}
+func RandomOps(seed uint64, n int) []Op { return dataOps(seed, n, randomMix) }
 
 // AsyncOps builds a deterministic workload shaped for the fsync path:
 // appends and overwrites spread over several files with frequent
 // per-file fsyncs and periodic group syncs (OpSyncAll), so the
 // persistence-event sweep crosses many relink and reclaim stages and
 // multi-file group commits.
-func AsyncOps(seed uint64, n int) []Op {
+func AsyncOps(seed uint64, n int) []Op { return dataOps(seed, n, asyncMix) }
+
+// dataMix shapes dataOps: the files written, the longest write, and the
+// odds — one in — that an op is a group sync (0 = never), that a write to
+// a non-empty file overwrites it and that a write fsyncs.
+type dataMix struct {
+	paths                             []string
+	maxLen, syncAll, overwrite, fsync int
+}
+
+var (
+	randomMix = dataMix{paths: []string{"/c0", "/c1", "/c2"}, maxLen: 3000, overwrite: 3, fsync: 4}
+	asyncMix  = dataMix{paths: []string{"/a0", "/a1", "/a2", "/a3"}, maxLen: 2600, syncAll: 7, overwrite: 4, fsync: 3}
+)
+
+func dataOps(seed uint64, n int, mix dataMix) []Op {
 	rng := sim.NewRNG(seed)
 	sizes := map[string]int64{}
-	paths := []string{"/a0", "/a1", "/a2", "/a3"}
 	ops := make([]Op, 0, n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(7) == 0 {
+	for range n {
+		if mix.syncAll > 0 && rng.Intn(mix.syncAll) == 0 {
 			ops = append(ops, Op{Kind: OpSyncAll})
 			continue
 		}
-		p := paths[rng.Intn(len(paths))]
-		data := make([]byte, rng.Intn(2600)+1)
-		for j := range data {
-			data[j] = byte(rng.Uint64())
-		}
-		off := int64(-1)
-		if sizes[p] > 0 && rng.Intn(4) == 0 {
-			off = rng.Int63n(sizes[p])
-		}
-		end := off + int64(len(data))
-		if off < 0 {
-			end = sizes[p] + int64(len(data))
-		}
-		if end > sizes[p] {
-			sizes[p] = end
-		}
-		ops = append(ops, Op{Path: p, Off: off, Data: data, Fsync: rng.Intn(3) == 0})
+		p := mix.paths[rng.Intn(len(mix.paths))]
+		var w Op
+		w, sizes[p] = randomWrite(rng, p, sizes[p], mix.maxLen, mix.overwrite)
+		w.Fsync = rng.Intn(mix.fsync) == 0
+		ops = append(ops, w)
 	}
 	return ops
+}
+
+// randomWrite draws a write to path, a file of size bytes: 1 to maxLen
+// random bytes, at a random offset one time in overwrite when the file
+// has any, else appended. It returns the write and the file's size after
+// it.
+func randomWrite(rng *sim.RNG, path string, size int64, maxLen, overwrite int) (Op, int64) {
+	data := randBytes(rng, rng.Intn(maxLen)+1)
+	off := int64(-1)
+	if size > 0 && rng.Intn(overwrite) == 0 {
+		off = rng.Int63n(size)
+	}
+	end := off + int64(len(data))
+	if off < 0 {
+		end = size + int64(len(data))
+	}
+	return Op{Path: path, Off: off, Data: data}, max(size, end)
+}
+
+// randBytes draws n random bytes.
+func randBytes(rng *sim.RNG, n int) []byte {
+	b := make([]byte, n)
+	for j := range b {
+		b[j] = byte(rng.Uint64())
+	}
+	return b
 }
 
 // fragmentMinOps is the least FragmentOps generates: what it takes, in
@@ -272,24 +275,17 @@ const fragmentMinOps = 4*ext4dax.InlineExtents + 2
 // happens past the inline extents.
 func FragmentOps(seed uint64, n int) []Op {
 	rng := sim.NewRNG(seed)
-	data := func(n int) []byte {
-		b := make([]byte, n)
-		for j := range b {
-			b[j] = byte(rng.Uint64())
-		}
-		return b
-	}
 	const early = 48
 	paths := []string{"/g0", "/g1"}
-	ops := []Op{{Path: paths[0], Off: 0, Data: data(early * sim.BlockSize), Fsync: true}}
+	ops := []Op{{Path: paths[0], Off: 0, Data: randBytes(rng, early*sim.BlockSize), Fsync: true}}
 	for appends := 0; len(ops) < max(n, fragmentMinOps); {
 		if rng.Intn(8) == 0 {
 			ops = append(ops, Op{Path: paths[0], Off: int64(rng.Intn(early)) * sim.BlockSize,
-				Data: data(sim.BlockSize), Fsync: rng.Intn(2) == 0})
+				Data: randBytes(rng, sim.BlockSize), Fsync: rng.Intn(2) == 0})
 			continue
 		}
 		ops = append(ops, Op{Path: paths[appends%2], Off: -1,
-			Data: data(sim.BlockSize + 1 + rng.Intn(sim.BlockSize/2)), Fsync: true})
+			Data: randBytes(rng, sim.BlockSize+1+rng.Intn(sim.BlockSize/2)), Fsync: true})
 		appends++
 	}
 	return ops
@@ -314,25 +310,18 @@ const scatterEarly = 190
 // asks for.
 func ScatterOps(seed uint64, n int) []Op {
 	rng := sim.NewRNG(seed)
-	data := func(n int) []byte {
-		b := make([]byte, n)
-		for j := range b {
-			b[j] = byte(rng.Uint64())
-		}
-		return b
-	}
 	const path = "/k0"
 	size := int64(scatterEarly * sim.BlockSize)
-	ops := []Op{{Path: path, Off: 0, Data: data(int(size)), Fsync: true}}
+	ops := []Op{{Path: path, Off: 0, Data: randBytes(rng, int(size)), Fsync: true}}
 	for len(ops) < n {
 		for k := 2 + rng.Intn(3); k > 0; k-- {
-			ops = append(ops, Op{Path: path, Off: int64(rng.Intn(scatterEarly)) * sim.BlockSize, Data: data(sim.BlockSize)})
+			ops = append(ops, Op{Path: path, Off: int64(rng.Intn(scatterEarly)) * sim.BlockSize, Data: randBytes(rng, sim.BlockSize)})
 		}
 		inside := (size + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize // the first block the append covers whole
-		first, second := data(2*sim.BlockSize+1+rng.Intn(sim.BlockSize)), data(sim.BlockSize+1+rng.Intn(sim.BlockSize/2))
+		first, second := randBytes(rng, 2*sim.BlockSize+1+rng.Intn(sim.BlockSize)), randBytes(rng, sim.BlockSize+1+rng.Intn(sim.BlockSize/2))
 		ops = append(ops,
 			Op{Path: path, Off: -1, Data: first},
-			Op{Path: path, Off: inside, Data: data(sim.BlockSize)},
+			Op{Path: path, Off: inside, Data: randBytes(rng, sim.BlockSize)},
 			Op{Path: path, Off: -1, Data: second, Fsync: true})
 		size += int64(len(first) + len(second))
 	}
@@ -367,13 +356,6 @@ func ServedOps(seed uint64, n int) []Op {
 		nextFile++
 		return p
 	}
-	data := func() []byte {
-		b := make([]byte, rng.Intn(1800)+1)
-		for j := range b {
-			b[j] = byte(rng.Uint64())
-		}
-		return b
-	}
 
 	ops := make([]Op, 0, n+1)
 	for len(ops) < n {
@@ -391,7 +373,7 @@ func ServedOps(seed uint64, n int) []Op {
 				p = freshPath()
 				live = append(live, p)
 			}
-			d := data()
+			d := randBytes(rng, rng.Intn(1800)+1)
 			ops = append(ops, Op{Path: p, Off: sizes[p], Data: d,
 				Fsync: rng.Intn(4) == 0, Close: rng.Intn(6) == 0})
 			sizes[p] += int64(len(d))
@@ -503,14 +485,6 @@ func metadataOps(seed uint64, n int, mix opMix) []Op {
 		nextFile++
 		return p
 	}
-	data := func() []byte {
-		b := make([]byte, rng.Intn(2500)+1)
-		for j := range b {
-			b[j] = byte(rng.Uint64())
-		}
-		return b
-	}
-
 	ops := make([]Op, 0, n)
 	for len(ops) < n {
 		live := fileNames()
@@ -529,20 +503,10 @@ func metadataOps(seed uint64, n int, mix opMix) []Op {
 				files[p] = &fstate{}
 			}
 			f := files[p]
-			d := data()
-			off := int64(-1)
-			if f.size > 0 && rng.Intn(3) == 0 {
-				off = rng.Int63n(f.size)
-			}
-			end := off + int64(len(d))
-			if off < 0 {
-				end = f.size + int64(len(d))
-			}
-			if end > f.size {
-				f.size = end
-			}
-			ops = append(ops, Op{Path: p, Off: off, Data: d,
-				Fsync: rng.Intn(mix.fsync) == 0, Close: rng.Intn(mix.closeWrite) == 0})
+			var w Op
+			w, f.size = randomWrite(rng, p, f.size, 2500, 3)
+			w.Fsync, w.Close = rng.Intn(mix.fsync) == 0, rng.Intn(mix.closeWrite) == 0
+			ops = append(ops, w)
 		case roll < mix.create:
 			p := freshPath()
 			files[p] = &fstate{}
