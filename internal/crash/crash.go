@@ -50,11 +50,6 @@ type Campaign struct {
 	// completed, its unfenced lines as the point's way has them. Points
 	// come from a recording run's Trace (see Explore).
 	CrashAt pmem.CrashPoint
-	// Second, when set, crashes again at that crash point inside the
-	// recovery from the first crash, then recovers again — verifying that
-	// recovery itself is crash-consistent and idempotent. Points come
-	// from a first-crash run's trace of its recovery (see Explore).
-	Second pmem.CrashPoint
 	// SkipFence is a fault-injection hook for harness self-tests: it
 	// receives each fence's 1-based sequence number (counted from the
 	// start of the workload) and suppresses the fence when it returns
@@ -65,9 +60,6 @@ type Campaign struct {
 	// model is the model of (Mode, Ops) when the caller already has it:
 	// a sweep evaluates it once, not once per crash point.
 	model *modelRun
-	// traceRecovery records the first recovery's persistence events, the
-	// trace a double-crash sweep takes its second crash points from.
-	traceRecovery bool
 }
 
 // Result reports what the checker verified.
@@ -95,9 +87,6 @@ type Result struct {
 	SysEvents []int64
 	// Trace is the recorded event trace (Campaign.Trace).
 	Trace []pmem.Event
-	// recovery is the first recovery's event trace
-	// (Campaign.traceRecovery).
-	recovery []pmem.Event
 }
 
 // newCrashStack builds one campaign's private simulated machine: the
@@ -200,9 +189,31 @@ func (r *runner) apply(sc syscall) error {
 
 // Run executes the campaign and verifies the mode's guarantee.
 func Run(c Campaign) (*Result, error) {
+	img, res, err := crashed(c)
+	if err == nil {
+		img.recover(res, pmem.CrashPoint{}, false)
+	}
+	return res, err
+}
+
+// image is a crashed stack, not yet recovered, and what the oracle needs
+// to judge a recovery of it. A recovery spends the stack's device, so an
+// image recovered more than once is recovered from copies.
+type image struct {
+	st          *stack.Stack
+	mode        splitfs.Mode
+	m           *modelRun
+	crashSys    int  // syscalls completed before the crash
+	interrupted bool // the crash hit inside syscall crashSys+1
+}
+
+// crashed runs the campaign's workload and crashes it: to the armed
+// point's image, or at the boundary with torn unfenced lines. The Result
+// holds what the workload reported (SysEvents, Trace, Rewinds).
+func crashed(c Campaign) (*image, *Result, error) {
 	env, err := newCrashStack(c.Mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sys := compile(c.Ops)
 	stopSys, crashAt := len(sys), c.CrashAt.Ev.Seq
@@ -213,9 +224,9 @@ func Run(c Campaign) (*Result, error) {
 		}
 		stopSys = sysPrefix(sys, stop)
 	}
-	m := c.model
-	if m == nil {
-		m = buildModel(rowOf(c.Mode), sys)
+	img := &image{st: env, mode: c.Mode, m: c.model}
+	if img.m == nil {
+		img.m = buildModel(rowOf(c.Mode), sys)
 	}
 	res := &Result{}
 
@@ -234,7 +245,7 @@ func Run(c Campaign) (*Result, error) {
 	laps := []int{rewinds(env.FS)} // laps[i]: rewinds after the i-th syscall
 	for i := 0; i < stopSys; i++ {
 		if err := r.apply(sys[i]); err != nil {
-			return nil, fmt.Errorf("op %d (%v %s): %w", sys[i].opIdx, sys[i].kind, sys[i].path, err)
+			return nil, nil, fmt.Errorf("op %d (%v %s): %w", sys[i].opIdx, sys[i].kind, sys[i].path, err)
 		}
 		res.SysEvents = append(res.SysEvents, env.Dev.Events())
 		laps = append(laps, rewinds(env.FS))
@@ -245,54 +256,67 @@ func Run(c Campaign) (*Result, error) {
 	}
 	env.Dev.SetFenceFilter(nil)
 
-	// Locate the crash point in syscall terms: crashSys syscalls
-	// completed, and interrupted means the crash hit inside the next one.
-	crashSys, interrupted := stopSys, false
+	// Locate the crash point in syscall terms.
+	img.crashSys = stopSys
 	if crashAt > 0 && env.Dev.CrashFired() {
-		crashSys = 0
+		img.crashSys = 0
 		for i, ev := range res.SysEvents {
 			if ev <= crashAt {
-				crashSys = i
+				img.crashSys = i
 			}
 		}
-		interrupted = res.SysEvents[crashSys] != crashAt
+		img.interrupted = res.SysEvents[img.crashSys] != crashAt
 	}
-	res.Rewinds = laps[crashSys] - laps[0]
+	res.Rewinds = laps[img.crashSys] - laps[0]
 
-	// Crash to the armed point's image, or at a boundary with torn
-	// unfenced lines, then recover — possibly crashing again inside
-	// recovery itself.
 	if crashAt > 0 {
 		c.CrashAt.Crash(env.Dev)
 	} else if err := env.Dev.Crash(sim.NewRNG(c.Seed)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	second := c.Second.Ev.Seq > 0
-	if second {
-		c.Second.Arm(env.Dev)
+	return img, res, nil
+}
+
+// copy returns the image on a copy of its device, with a clock of its
+// own: each recovery of a sweep's image runs on one.
+func (img *image) copy() *image {
+	c := *img
+	clk := sim.NewClock()
+	c.st = &stack.Stack{Kind: img.st.Kind, Clock: clk, Dev: img.st.Dev.Copy(clk), Spec: img.st.Spec}
+	return &c
+}
+
+// recover recovers the image and checks the mode's guarantee, into res.
+// With second set it crashes again at that point inside the recovery and
+// recovers again, verifying that recovery itself is crash-consistent and
+// idempotent. With trace it returns the first recovery's persistence
+// events, the trace a double-crash sweep takes its second points from.
+func (img *image) recover(res *Result, second pmem.CrashPoint, trace bool) (recovery []pmem.Event) {
+	if second.Ev.Seq > 0 {
+		second.Arm(img.st.Dev)
 	}
-	if c.traceRecovery {
-		env.Dev.SetTracing(true)
+	if trace {
+		img.st.Dev.SetTracing(true)
 	}
-	rec, report, vio := recover1(env)
-	if c.traceRecovery {
-		res.recovery = env.Dev.Trace()
-		env.Dev.SetTracing(false)
+	rec, report, vio := recover1(img.st)
+	if trace {
+		recovery = img.st.Dev.Trace()
+		img.st.Dev.SetTracing(false)
 	}
 	if rep := report.OpLog; rep != nil {
 		res.Replayed, res.MetaReplayed, res.MetaSkipped = rep.Replayed, rep.MetaReplayed, rep.MetaSkipped
 	}
 	if vio != "" {
 		res.Violation = vio
-		return res, nil
+		return recovery
 	}
-	if second {
-		c.Second.Crash(env.Dev)
+	if second.Ev.Seq > 0 {
+		second.Crash(img.st.Dev)
 		var again stack.Recovery
-		rec, again, vio = recover1(env)
+		rec, again, vio = recover1(img.st)
 		if vio != "" {
 			res.Violation = "double-crash: " + vio
-			return res, nil
+			return recovery
 		}
 		if again.OpLog != nil {
 			res.DoubleInMetaReplay = again.OpLog.MetaSkipped > res.MetaSkipped
@@ -301,11 +325,11 @@ func Run(c Campaign) (*Result, error) {
 
 	dur, err := captureDurable(rec.FS)
 	if err != nil {
-		res.Violation = fmt.Sprintf("%v: recovered image unreadable: %v", c.Mode, err)
-		return res, nil
+		res.Violation = fmt.Sprintf("%v: recovered image unreadable: %v", img.mode, err)
+		return recovery
 	}
-	res.Violation = checkGuarantee(m, crashSys, interrupted, dur)
-	return res, nil
+	res.Violation = checkGuarantee(img.m, img.crashSys, img.interrupted, dur)
+	return recovery
 }
 
 // recover1 performs one mount+recovery pass, mapping failures to

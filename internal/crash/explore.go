@@ -14,7 +14,8 @@ import (
 // point of them — each event taken four ways, pmem.CrashPoints — recover,
 // and check the mode's guarantee. With DoubleCrash it also crashes again
 // inside each recovery, at crash points of that recovery's trace picked
-// the same way.
+// the same way. The workload runs once a first point: every recovery of
+// its crash image starts from a copy of it.
 
 // ExploreConfig configures a sweep.
 type ExploreConfig struct {
@@ -80,7 +81,7 @@ type ExploreResult struct {
 	// whose semantics nobody checked.
 	UnknownKinds []string
 	Violations   []Violation
-	Runs         int // total campaign executions, recording run included
+	Runs         int // one per crash tested (a second crash is one), recording run included
 	// MetaReplayed / MetaSkipped sum, over the first recoveries of the
 	// tested points, the metadata operations redone from the op log and
 	// the records found already committed; DoubleInMetaReplay counts the
@@ -142,12 +143,18 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 
 	for _, p := range picked {
 		k := p.Ev.Seq
-		c := Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
-			CrashAt: p, SkipFence: cfg.SkipFence, model: model, traceRecovery: cfg.DoubleCrash}
-		r, err := Run(c)
+		img, r, err := crashed(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
+			CrashAt: p, SkipFence: cfg.SkipFence, model: model})
 		if err != nil {
 			return nil, err
 		}
+		// A double-crash sweep recovers a copy of the image for every crash
+		// it tests, and takes its second points from the first's trace.
+		first := img
+		if cfg.DoubleCrash {
+			first = img.copy()
+		}
+		recovery := first.recover(r, pmem.CrashPoint{}, cfg.DoubleCrash)
 		res.Runs++
 		res.Tested++
 		res.TestedByKind[kindLabel(p.Ev)]++
@@ -164,14 +171,10 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			continue
 		}
 		// Crash again at points of this recovery's trace.
-		_, seconds := crashPoints(r.recovery, cfg.DoubleSample, nil, sim.NewRNG(mix(cfg.Seed, uint64(k)^0xDD)))
-		c.traceRecovery = false
+		_, seconds := crashPoints(recovery, cfg.DoubleSample, nil, sim.NewRNG(mix(cfg.Seed, uint64(k)^0xDD)))
 		for _, p2 := range seconds {
-			c.Second = p2
-			r2, err := Run(c)
-			if err != nil {
-				return nil, err
-			}
+			r2 := &Result{}
+			img.copy().recover(r2, p2, false)
 			res.Runs++
 			res.DoubleTested[p2.Way.String()]++
 			if r2.DoubleInMetaReplay {

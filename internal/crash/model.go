@@ -2,6 +2,7 @@ package crash
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -374,15 +375,6 @@ func dirtyOverlay(m *modelRun, c int) map[int][]span {
 	return out
 }
 
-func inSpans(spans []span, i int64) bool {
-	for _, s := range spans {
-		if i >= s.off && i < s.end {
-			return true
-		}
-	}
-	return false
-}
-
 // checkGuarantee verifies the recovered state against the model's row.
 // c is the number of completed syscalls; if interrupted is true the crash
 // hit inside syscall c+1 (event-level crash), otherwise it fell exactly
@@ -530,30 +522,39 @@ func contentAgainst(p string, got []byte, rec *mfile, dirty []span) string {
 	if !rec.everSynced {
 		return ""
 	}
-	if int64(len(got)) < int64(len(rec.synced)) {
+	n := int64(len(rec.synced))
+	if int64(len(got)) < n {
 		return fmt.Sprintf("%s truncated below synced length: %d < %d",
 			p, len(got), len(rec.synced))
 	}
-	n := len(rec.synced)
-	if len(got) < n {
-		n = len(got)
+	dirty = slices.SortedFunc(slices.Values(dirty), func(a, b span) int { return cmp.Compare(a.off, b.off) })
+	lo := int64(0)
+	for _, d := range append(dirty, span{n, n}) {
+		if why := segmentAgainst(p, got, rec, lo, min(d.off, n)); why != "" {
+			return why
+		}
+		lo = max(lo, d.end)
 	}
-	for i := 0; i < n; i++ {
-		if inSpans(dirty, int64(i)) {
-			continue
-		}
-		ok := false
-		switch rec.cls[i] {
-		case clsClean:
-			ok = got[i] == rec.synced[i]
-		case clsEither:
-			ok = got[i] == rec.synced[i] || got[i] == rec.data[i]
-		case clsDurable:
-			ok = got[i] == rec.data[i]
-		default: // clsDirty
-			ok = true
-		}
-		if !ok {
+	return ""
+}
+
+// segmentAgainst verifies the durable bytes [lo, hi) of a file, none of
+// them exempt, against one identity record. A segment that equals the
+// synced bytes and holds no byte that must be durable, or equals the data
+// and holds no byte that must be clean, passes whole; any other is
+// checked byte by byte, so a failure names its first byte.
+func segmentAgainst(p string, got []byte, rec *mfile, lo, hi int64) string {
+	if lo >= hi {
+		return ""
+	}
+	g, cls := got[lo:hi], rec.cls[lo:hi]
+	if bytes.Equal(g, rec.synced[lo:hi]) && bytes.IndexByte(cls, clsDurable) < 0 ||
+		bytes.Equal(g, rec.data[lo:hi]) && bytes.IndexByte(cls, clsClean) < 0 {
+		return ""
+	}
+	for i := lo; i < hi; i++ {
+		synced, data := got[i] == rec.synced[i], got[i] == rec.data[i]
+		if c := rec.cls[i]; c == clsClean && !synced || c == clsEither && !synced && !data || c == clsDurable && !data {
 			return fmt.Sprintf("%s byte %d (class %d) is neither synced nor durable value",
 				p, i, rec.cls[i])
 		}

@@ -1,8 +1,11 @@
 package crash
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
 )
 
@@ -64,5 +67,62 @@ func TestTable3RowsRejectWhatTheyForbid(t *testing.T) {
 				t.Error("accepted a state its row forbids")
 			}
 		})
+	}
+}
+
+// TestContentAgainstMatchesEveryByte: the segment-at-a-time content
+// check returns what checking every byte outside the dirty spans returns,
+// the first failing byte's message included, on random files whose
+// classes, dirty spans and recovered bytes are drawn from small alphabets
+// so that passes and failures both occur.
+func TestContentAgainstMatchesEveryByte(t *testing.T) {
+	perByte := func(p string, got []byte, rec *mfile, dirty []span) string {
+		for i := range rec.synced {
+			if slices.ContainsFunc(dirty, func(s span) bool { return int64(i) >= s.off && int64(i) < s.end }) {
+				continue
+			}
+			c, g := rec.cls[i], got[i]
+			if c == clsClean && g != rec.synced[i] || c == clsEither && g != rec.synced[i] && g != rec.data[i] ||
+				c == clsDurable && g != rec.data[i] {
+				return fmt.Sprintf("%s byte %d (class %d) is neither synced nor durable value", p, i, c)
+			}
+		}
+		return ""
+	}
+	rng := sim.NewRNG(1)
+	failed := 0
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + rng.Intn(40)
+		rec := &mfile{everSynced: true, synced: make([]byte, n), data: make([]byte, n+rng.Intn(4))}
+		rec.cls = make([]byte, len(rec.data))
+		got := make([]byte, n+rng.Intn(4))
+		for i := range rec.data {
+			rec.data[i], rec.cls[i] = byte(rng.Intn(2)), byte(rng.Intn(4))
+			if rng.Intn(4) > 0 { // long clean runs, as a real file has
+				rec.cls[i] = clsClean
+			}
+		}
+		for i := range got {
+			got[i] = byte(rng.Intn(2))
+		}
+		copy(rec.synced, got)
+		for range rng.Intn(3) {
+			rec.synced[rng.Intn(n)] ^= 1
+		}
+		var dirty []span
+		for range rng.Intn(4) {
+			off := int64(rng.Intn(n + 2))
+			dirty = append(dirty, span{off, off + int64(rng.Intn(12))})
+		}
+		want := perByte("/f", got, rec, dirty)
+		if why := contentAgainst("/f", got, rec, dirty); why != want {
+			t.Fatalf("trial %d: %q, checking every byte gives %q", trial, why, want)
+		}
+		if want != "" {
+			failed++
+		}
+	}
+	if failed == 0 || failed == 5000 {
+		t.Fatalf("%d of 5000 trials failed: the draws do not exercise both outcomes", failed)
 	}
 }

@@ -127,17 +127,6 @@ type Event struct {
 	Len  int64
 }
 
-// EventStats breaks down the event counter by kind.
-type EventStats struct {
-	Stores   int64
-	StoresNT int64
-	Flushes  int64
-	Fences   int64
-}
-
-// Total sums the per-kind counts.
-func (s EventStats) Total() int64 { return s.Stores + s.StoresNT + s.Flushes + s.Fences }
-
 // eventState holds the record/replay machinery; it lives behind its own
 // lock so the always-on counter stays a bare atomic. hooks mirrors
 // "tracing || armed || fence filter installed" so the per-event fast
@@ -176,16 +165,6 @@ func (d *Device) WithEventSource(s EventSource, fn func()) {
 	prev := d.evSrc.Swap(uint32(s))
 	defer d.evSrc.Store(prev)
 	fn()
-}
-
-// EventStats returns the per-kind event counts.
-func (d *Device) EventStats() EventStats {
-	return EventStats{
-		Stores:   d.evKind[EvStore].Load(),
-		StoresNT: d.evKind[EvStoreNT].Load(),
-		Flushes:  d.evKind[EvFlush].Load(),
-		Fences:   d.evKind[EvFence].Load(),
-	}
 }
 
 // SetTracing enables (or disables) full event recording; enabling resets
@@ -342,7 +321,6 @@ func (d *Device) dropFence() bool {
 // from re-serializing the sharded device when no harness is attached.
 func (d *Device) event(kind EventKind, cat sim.Category, off, n int64) {
 	seq := d.events.Add(1)
-	d.evKind[kind].Add(1)
 	if !d.ev.hooks.Load() {
 		return
 	}

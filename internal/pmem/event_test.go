@@ -24,19 +24,20 @@ func volatile(d *Device, n int64) []byte {
 func TestEventCountingByKind(t *testing.T) {
 	d := newEvDev(t)
 	base := d.Events()
+	d.SetTracing(true)
 	d.Store(0, []byte("abc"), sim.CatPMMeta)
 	d.StoreNT(4096, []byte("def"), sim.CatPMData)
 	d.Flush(0, 3, sim.CatPMMeta)
 	d.Fence()
-	st := d.EventStats()
-	if st.Stores < 1 || st.StoresNT < 1 || st.Flushes < 1 || st.Fences < 1 {
-		t.Fatalf("missing kinds: %+v", st)
+	var kinds []EventKind
+	for _, ev := range d.Trace() {
+		kinds = append(kinds, ev.Kind)
+	}
+	if want := []EventKind{EvStore, EvStoreNT, EvFlush, EvFence}; !slices.Equal(kinds, want) {
+		t.Fatalf("traced kinds %v, want %v", kinds, want)
 	}
 	if got := d.Events() - base; got != 4 {
 		t.Fatalf("expected 4 events, got %d", got)
-	}
-	if st.Total() != d.Events() {
-		t.Fatalf("breakdown %d != counter %d", st.Total(), d.Events())
 	}
 }
 

