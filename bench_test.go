@@ -182,7 +182,7 @@ func BenchmarkRelinkFragmented(b *testing.B) {
 				}
 				moves := []ext4dax.Move{{Src: src.(*ext4dax.File),
 					SrcOff: i % srcBlocks * sim.BlockSize, DstOff: 2 * (i * 7 % n) * sim.BlockSize, Len: sim.BlockSize}}
-				batch, err := kfs.BeginRelink(dst.(*ext4dax.File), moves)
+				batch, err := kfs.BeginRelink(pmem.SrcForeground, dst.(*ext4dax.File), moves)
 				if err != nil {
 					b.Fatal(err)
 				}

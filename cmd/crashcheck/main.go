@@ -24,6 +24,7 @@
 //	           [-served-crash] [-tenants N] [-fault-cadence N]
 //	           [-double-crash] [-double-sample N]
 //	           [-minimize] [-out FILE] [-workers N] [-v]
+//	           [-cpuprofile FILE]
 //
 // -served adds differential campaigns through the multi-tenant file
 // service (internal/server): every generated trace runs via a served:
@@ -52,6 +53,9 @@
 // -out FILE writes a report of any violations — including the minimized
 // reproducer when -minimize is set — to FILE, so a scheduled run can
 // upload it as a build artifact. No file is written on a clean sweep.
+//
+// -cpuprofile FILE writes a CPU profile of the whole run to FILE, for go
+// tool pprof; what the run prints is the same with it or without it.
 package main
 
 import (
@@ -60,6 +64,7 @@ import (
 	"maps"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -154,6 +159,7 @@ func main() {
 	outPath := flag.String("out", "", "write a violation report (with any minimized reproducer) to this file")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel campaign workers (at least 1)")
 	verbose := flag.Bool("v", false, "per-campaign progress lines")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
 	modes, ok := map[string][]splitfs.Mode{
@@ -169,6 +175,17 @@ func main() {
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "crashcheck: -workers %d: need at least one worker\n", *workers)
 		os.Exit(2)
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "crashcheck: -cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
+		defer f.Close()
 	}
 
 	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async, "fragment": *async, "scatter": *async}
@@ -235,6 +252,9 @@ func main() {
 			fmt.Printf("violation report written to %s\n", *outPath)
 		}
 	}
+	// Stopped here, as os.Exit runs no deferred call; without -cpuprofile
+	// it does nothing.
+	pprof.StopCPUProfile()
 	if report != "" || failed || servedFailed { // the report is empty unless something was violated
 		os.Exit(1)
 	}

@@ -29,14 +29,14 @@ func TestAllocAlignedLowestFirstLeavesHint(t *testing.T) {
 	b, dev := newAlignedBitmap(t)
 	const align = 8 * sim.BlockSize
 	// Move the hint well up the device; aligned placement must ignore it.
-	if _, _, err := b.Alloc(40); err != nil {
+	if _, _, err := b.Alloc(pmem.SrcForeground, 40); err != nil {
 		t.Fatal(err)
 	}
-	b.Free(Extent{Start: 0, Len: 40})
+	b.Free(pmem.SrcForeground, Extent{Start: 0, Len: 40})
 	hint := b.hint
 	clk := dev.Clock()
 	before := clk.Snapshot().ByCat[sim.CatAlloc]
-	exts, dirty, err := b.AllocAligned(16, align)
+	exts, dirty, err := b.AllocAligned(pmem.SrcForeground, 16, align)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestAllocAlignedLowestFirstLeavesHint(t *testing.T) {
 	}
 	// The next aligned run starts at the first aligned block past the
 	// first one; freeing the first makes it the lowest again.
-	second, _, _ := b.AllocAligned(16, align)
+	second, _, _ := b.AllocAligned(pmem.SrcForeground, 16, align)
 	if second[0].Start != 21 {
 		t.Fatalf("second aligned run at %d, want 21", second[0].Start)
 	}
-	b.Free(exts[0])
-	third, _, _ := b.AllocAligned(16, align)
+	b.Free(pmem.SrcForeground, exts[0])
+	third, _, _ := b.AllocAligned(pmem.SrcForeground, 16, align)
 	if third[0].Start != 5 {
 		t.Fatalf("freed aligned region not reused: got %d, want 5", third[0].Start)
 	}
@@ -77,7 +77,7 @@ func TestAllocAlignedFallsBack(t *testing.T) {
 		b.MarkAllocated(Extent{Start: s + 2, Len: 1})
 	}
 	free := b.FreeCount()
-	exts, _, err := b.AllocAligned(8, align)
+	exts, _, err := b.AllocAligned(pmem.SrcForeground, 8, align)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestAllocAlignedFallsBack(t *testing.T) {
 	}
 	// A trivial alignment is plain Alloc; an impossible request fails
 	// without leaking.
-	if exts, _, err := b.AllocAligned(4, sim.BlockSize); err != nil || len(exts) == 0 {
+	if exts, _, err := b.AllocAligned(pmem.SrcForeground, 4, sim.BlockSize); err != nil || len(exts) == 0 {
 		t.Fatalf("block-aligned request: %v, %v", exts, err)
 	}
 	free = b.FreeCount()
-	if _, _, err := b.AllocAligned(free+1, align); !errors.Is(err, vfs.ErrNoSpace) {
+	if _, _, err := b.AllocAligned(pmem.SrcForeground, free+1, align); !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatalf("over-allocation err = %v, want ErrNoSpace", err)
 	}
 	if b.FreeCount() != free {

@@ -41,9 +41,10 @@ type ByteRange struct {
 }
 
 // Bitmap is a block bitmap with a DRAM mirror. When built with New/Load
-// it writes its state through to the device (for journaled file systems);
-// when built with NewVolatile it is DRAM-only, for log-structured file
-// systems that rebuild allocator state from their logs at mount.
+// it writes its state through to the device (for journaled file systems),
+// under the event source each mutating call names; when built with
+// NewVolatile it is DRAM-only, for log-structured file systems that
+// rebuild allocator state from their logs at mount.
 type Bitmap struct {
 	dev      *pmem.Device // nil for volatile bitmaps
 	clk      *sim.Clock
@@ -112,7 +113,7 @@ func (b *Bitmap) clear(blk int64)      { b.bits[blk/8] &^= 1 << (blk % 8) }
 // returns the extent plus the dirty bitmap byte range the caller must
 // journal. It charges the allocator's CPU search cost. Returns
 // vfs.ErrNoSpace when the device is full.
-func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
+func (b *Bitmap) AllocExtent(src pmem.EventSource, want int64) (Extent, ByteRange, error) {
 	if want < 1 {
 		want = 1
 	}
@@ -154,7 +155,7 @@ func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
 	}
 	ext := Extent{Start: bestStart, Len: bestLen}
 	b.hint = ext.End() % b.nblocks
-	return ext, b.take(ext), nil
+	return ext, b.take(src, ext), nil
 }
 
 // AllocLowest allocates the lowest free block, as ext4 hands out inode
@@ -162,7 +163,7 @@ func (b *Bitmap) AllocExtent(want int64) (Extent, ByteRange, error) {
 // the next-fit hint alone: the lowest run of one block at a block-aligned
 // offset, which every block's is. It charges the same search cost as
 // AllocExtent. Returns vfs.ErrNoSpace when every block is taken.
-func (b *Bitmap) AllocLowest() (Extent, ByteRange, error) {
+func (b *Bitmap) AllocLowest(src pmem.EventSource) (Extent, ByteRange, error) {
 	b.clk.Charge(b.search)
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -171,30 +172,30 @@ func (b *Bitmap) AllocLowest() (Extent, ByteRange, error) {
 		return Extent{}, ByteRange{}, vfs.ErrNoSpace
 	}
 	ext := Extent{Start: start, Len: 1}
-	return ext, b.take(ext), nil
+	return ext, b.take(src, ext), nil
 }
 
 // take marks a free extent allocated and writes the bitmap bytes back.
 // Caller holds b.mu.
-func (b *Bitmap) take(ext Extent) ByteRange {
+func (b *Bitmap) take(src pmem.EventSource, ext Extent) ByteRange {
 	for i := ext.Start; i < ext.End(); i++ {
 		b.set(i)
 	}
 	b.free -= ext.Len
-	return b.writeBack(ext)
+	return b.writeBack(src, ext)
 }
 
 // Alloc allocates exactly n blocks, possibly as multiple extents, undoing
 // everything on failure.
-func (b *Bitmap) Alloc(n int64) ([]Extent, []ByteRange, error) {
+func (b *Bitmap) Alloc(src pmem.EventSource, n int64) ([]Extent, []ByteRange, error) {
 	var exts []Extent
 	var dirty []ByteRange
 	remaining := n
 	for remaining > 0 {
-		e, d, err := b.AllocExtent(remaining)
+		e, d, err := b.AllocExtent(src, remaining)
 		if err != nil {
 			for _, u := range exts {
-				b.Free(u)
+				b.Free(src, u)
 			}
 			return nil, nil, err
 		}
@@ -214,19 +215,19 @@ func (b *Bitmap) Alloc(n int64) ([]Extent, []ByteRange, error) {
 // When no aligned run of n blocks is free it falls back to Alloc, as it
 // does (at no extra charge) for an align of at most one block or one
 // that is not a whole number of blocks.
-func (b *Bitmap) AllocAligned(n, align int64) ([]Extent, []ByteRange, error) {
+func (b *Bitmap) AllocAligned(src pmem.EventSource, n, align int64) ([]Extent, []ByteRange, error) {
 	if n < 1 || align <= sim.BlockSize || align%sim.BlockSize != 0 {
-		return b.Alloc(n)
+		return b.Alloc(src, n)
 	}
 	b.clk.Charge(b.search)
 	b.mu.Lock()
 	start := b.lowestAlignedRun(n, align)
 	if start < 0 {
 		b.mu.Unlock()
-		return b.Alloc(n)
+		return b.Alloc(src, n)
 	}
 	ext := Extent{Start: start, Len: n}
-	dirty := b.take(ext)
+	dirty := b.take(src, ext)
 	b.mu.Unlock()
 	return []Extent{ext}, []ByteRange{dirty}, nil
 }
@@ -263,7 +264,7 @@ candidates:
 // create was given); it charges no search cost because there is no search.
 // It returns the dirty bitmap range to journal, or vfs.ErrExist when any
 // block of e is already taken.
-func (b *Bitmap) AllocAt(e Extent) (ByteRange, error) {
+func (b *Bitmap) AllocAt(src pmem.EventSource, e Extent) (ByteRange, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e.Start < 0 || e.Len < 1 || e.End() > b.nblocks {
@@ -274,7 +275,7 @@ func (b *Bitmap) AllocAt(e Extent) (ByteRange, error) {
 			return ByteRange{}, vfs.ErrExist
 		}
 	}
-	return b.take(e), nil
+	return b.take(src, e), nil
 }
 
 // MarkAllocated forces an extent to allocated state without charging
@@ -294,7 +295,7 @@ func (b *Bitmap) MarkAllocated(e Extent) {
 
 // Free releases an extent and returns the dirty bitmap range. Freeing
 // already-free blocks panics: it indicates file-system corruption.
-func (b *Bitmap) Free(e Extent) ByteRange {
+func (b *Bitmap) Free(src pmem.EventSource, e Extent) ByteRange {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := e.Start; i < e.End(); i++ {
@@ -304,22 +305,22 @@ func (b *Bitmap) Free(e Extent) ByteRange {
 		b.clear(i)
 	}
 	b.free += e.Len
-	return b.writeBack(e)
+	return b.writeBack(src, e)
 }
 
 // writeBack stores the bitmap bytes covering e to the device with
-// write-ahead buffered stores: like jbd2 metadata buffers they are
-// visible to loads at once but reach the media only when the owning
-// journal transaction commits and checkpoints (flush+fence), and revert
-// wholly on crash. Volatile bitmaps skip the device write. Caller holds
-// b.mu.
-func (b *Bitmap) writeBack(e Extent) ByteRange {
+// write-ahead buffered stores, under the mutating call's event source:
+// like jbd2 metadata buffers they are visible to loads at once but reach
+// the media only when the owning journal transaction commits and
+// checkpoints (flush+fence), and revert wholly on crash. Volatile bitmaps
+// skip the device write. Caller holds b.mu.
+func (b *Bitmap) writeBack(src pmem.EventSource, e Extent) ByteRange {
 	if b.dev == nil {
 		return ByteRange{}
 	}
 	lo := e.Start / 8
 	hi := (e.End()-1)/8 + 1
-	b.dev.StoreBuffered(b.base+lo, b.bits[lo:hi], sim.CatPMMeta)
+	b.dev.As(src).StoreBuffered(b.base+lo, b.bits[lo:hi], sim.CatPMMeta)
 	return ByteRange{Off: b.base + lo, Len: int(hi - lo)}
 }
 

@@ -18,7 +18,7 @@ func newBitmap(t testing.TB, nblocks int64) *Bitmap {
 
 func TestAllocExtentContiguous(t *testing.T) {
 	b := newBitmap(t, 128)
-	e, _, err := b.AllocExtent(10)
+	e, _, err := b.AllocExtent(pmem.SrcForeground, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,14 @@ func TestAllocExtentContiguous(t *testing.T) {
 func TestAllocFragmented(t *testing.T) {
 	b := newBitmap(t, 16)
 	// Fragment: allocate all, free every other block.
-	e, _, err := b.AllocExtent(16)
+	e, _, err := b.AllocExtent(pmem.SrcForeground, 16)
 	if err != nil || e.Len != 16 {
 		t.Fatalf("bulk alloc: %v %v", e, err)
 	}
 	for i := int64(0); i < 16; i += 2 {
-		b.Free(Extent{Start: i, Len: 1})
+		b.Free(pmem.SrcForeground, Extent{Start: i, Len: 1})
 	}
-	exts, _, err := b.Alloc(4)
+	exts, _, err := b.Alloc(pmem.SrcForeground, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +63,15 @@ func TestAllocFragmented(t *testing.T) {
 
 func TestAllocNoSpace(t *testing.T) {
 	b := newBitmap(t, 8)
-	if _, _, err := b.Alloc(8); err != nil {
+	if _, _, err := b.Alloc(pmem.SrcForeground, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.AllocExtent(1); !errors.Is(err, vfs.ErrNoSpace) {
+	if _, _, err := b.AllocExtent(pmem.SrcForeground, 1); !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 	// Failed multi-extent alloc must roll back.
 	b2 := newBitmap(t, 8)
-	if _, _, err := b2.Alloc(9); !errors.Is(err, vfs.ErrNoSpace) {
+	if _, _, err := b2.Alloc(pmem.SrcForeground, 9); !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatal("over-alloc must fail")
 	}
 	if b2.FreeCount() != 8 {
@@ -81,21 +81,21 @@ func TestAllocNoSpace(t *testing.T) {
 
 func TestDoubleFreePanics(t *testing.T) {
 	b := newBitmap(t, 8)
-	e, _, _ := b.AllocExtent(1)
-	b.Free(e)
+	e, _, _ := b.AllocExtent(pmem.SrcForeground, 1)
+	b.Free(pmem.SrcForeground, e)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free did not panic")
 		}
 	}()
-	b.Free(e)
+	b.Free(pmem.SrcForeground, e)
 }
 
 func TestLoadRebuildsMirror(t *testing.T) {
 	clk := sim.NewClock()
 	dev := pmem.New(pmem.Config{Size: 1 << 22, Clock: clk, TrackPersistence: true})
 	b := New(dev, 0, 4096, 64)
-	e, dirty, err := b.AllocExtent(5)
+	e, dirty, err := b.AllocExtent(pmem.SrcForeground, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestBlockOffset(t *testing.T) {
 
 func TestNextFitWrapsAround(t *testing.T) {
 	b := newBitmap(t, 8)
-	first, _, _ := b.AllocExtent(6) // hint now at 6
-	b.Free(Extent{Start: first.Start, Len: 2})
+	first, _, _ := b.AllocExtent(pmem.SrcForeground, 6) // hint now at 6
+	b.Free(pmem.SrcForeground, Extent{Start: first.Start, Len: 2})
 	// 2 free at end (6,7), 2 free at start (0,1). Request 4: next-fit
 	// takes (6,7) then wraps for (0,1) via Alloc.
-	exts, _, err := b.Alloc(4)
+	exts, _, err := b.Alloc(pmem.SrcForeground, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +154,13 @@ func TestAllocFreeConservation(t *testing.T) {
 		var live []Extent
 		for i := 0; i < 200; i++ {
 			if rng.Uint64()%2 == 0 || len(live) == 0 {
-				e, _, err := b.AllocExtent(int64(rng.Intn(16) + 1))
+				e, _, err := b.AllocExtent(pmem.SrcForeground, int64(rng.Intn(16)+1))
 				if err == nil {
 					live = append(live, e)
 				}
 			} else {
 				k := rng.Intn(len(live))
-				b.Free(live[k])
+				b.Free(pmem.SrcForeground, live[k])
 				live = append(live[:k], live[k+1:]...)
 			}
 		}
@@ -177,10 +177,10 @@ func TestAllocFreeConservation(t *testing.T) {
 
 func TestAllocAt(t *testing.T) {
 	b := newBitmap(t, 64)
-	if _, _, err := b.AllocExtent(4); err != nil { // [0,4)
+	if _, _, err := b.AllocExtent(pmem.SrcForeground, 4); err != nil { // [0,4)
 		t.Fatal(err)
 	}
-	dirty, err := b.AllocAt(Extent{Start: 40, Len: 3})
+	dirty, err := b.AllocAt(pmem.SrcForeground, Extent{Start: 40, Len: 3})
 	if err != nil || dirty.Len == 0 {
 		t.Fatalf("AllocAt free blocks: %+v, %v", dirty, err)
 	}
@@ -188,12 +188,12 @@ func TestAllocAt(t *testing.T) {
 		t.Fatalf("after AllocAt [40+3): free %d", b.FreeCount())
 	}
 	for _, e := range []Extent{{Start: 2, Len: 1}, {Start: 39, Len: 2}, {Start: 42, Len: 5}} {
-		if _, err := b.AllocAt(e); !errors.Is(err, vfs.ErrExist) {
+		if _, err := b.AllocAt(pmem.SrcForeground, e); !errors.Is(err, vfs.ErrExist) {
 			t.Errorf("AllocAt %v over a taken block: %v", e, err)
 		}
 	}
 	for _, e := range []Extent{{Start: -1, Len: 1}, {Start: 63, Len: 2}, {Start: 5, Len: 0}} {
-		if _, err := b.AllocAt(e); !errors.Is(err, vfs.ErrInval) {
+		if _, err := b.AllocAt(pmem.SrcForeground, e); !errors.Is(err, vfs.ErrInval) {
 			t.Errorf("AllocAt %v out of range: %v", e, err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestAllocAt(t *testing.T) {
 	}
 	// The allocator's own search steps over what AllocAt took.
 	for b.FreeCount() > 0 {
-		e, _, err := b.AllocExtent(1)
+		e, _, err := b.AllocExtent(pmem.SrcForeground, 1)
 		if err != nil || (e.Start >= 40 && e.Start < 43) {
 			t.Fatalf("AllocExtent = %v, %v", e, err)
 		}
@@ -216,16 +216,16 @@ func TestAllocAt(t *testing.T) {
 func TestAllocLowestStopsAtTheLastBlock(t *testing.T) {
 	b := newBitmap(t, 10)
 	for want := int64(0); want < 10; want++ {
-		if e, _, err := b.AllocLowest(); err != nil || e != (Extent{Start: want, Len: 1}) {
+		if e, _, err := b.AllocLowest(pmem.SrcForeground); err != nil || e != (Extent{Start: want, Len: 1}) {
 			t.Fatalf("AllocLowest = %v, %v; want [%d+1)", e, err, want)
 		}
 	}
-	if e, _, err := b.AllocLowest(); !errors.Is(err, vfs.ErrNoSpace) {
+	if e, _, err := b.AllocLowest(pmem.SrcForeground); !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatalf("full bitmap: AllocLowest = %v, %v; want ErrNoSpace", e, err)
 	}
-	b.Free(Extent{Start: 7, Len: 1})
-	b.Free(Extent{Start: 3, Len: 1})
-	if e, _, err := b.AllocLowest(); err != nil || e.Start != 3 {
+	b.Free(pmem.SrcForeground, Extent{Start: 7, Len: 1})
+	b.Free(pmem.SrcForeground, Extent{Start: 3, Len: 1})
+	if e, _, err := b.AllocLowest(pmem.SrcForeground); err != nil || e.Start != 3 {
 		t.Fatalf("AllocLowest = %v, %v; want block 3", e, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -107,7 +108,7 @@ func FuzzBitmapModel(f *testing.F) {
 			switch op % 5 {
 			case 0:
 				want := arg%16 + 1
-				e, _, err := b.AllocExtent(want)
+				e, _, err := b.AllocExtent(pmem.SrcForeground, want)
 				if err != nil {
 					noSpace(step, err, free, 1)
 					break
@@ -115,7 +116,7 @@ func FuzzBitmapModel(f *testing.F) {
 				take(step, []Extent{e}, want, false)
 			case 1:
 				n := arg%alignedBlocks + 1
-				exts, _, err := b.Alloc(n)
+				exts, _, err := b.Alloc(pmem.SrcForeground, n)
 				if err != nil {
 					noSpace(step, err, free, n)
 					break
@@ -126,7 +127,7 @@ func FuzzBitmapModel(f *testing.F) {
 				align := int64(2<<(arg>>6&3)) * sim.BlockSize // 2, 4, 8 or 16 blocks
 				want := m.lowestAligned(n, align)
 				hint := b.hint
-				exts, _, err := b.AllocAligned(n, align)
+				exts, _, err := b.AllocAligned(pmem.SrcForeground, n, align)
 				if err != nil {
 					noSpace(step, err, free, n)
 					break
@@ -149,13 +150,13 @@ func FuzzBitmapModel(f *testing.F) {
 				k := int(arg) % len(live)
 				e := live[k]
 				live = append(live[:k], live[k+1:]...)
-				b.Free(e)
+				b.Free(pmem.SrcForeground, e)
 				for i := e.Start; i < e.End(); i++ {
 					m[i] = false
 				}
 			case 4:
 				want, hint := m.lowest(), b.hint
-				e, _, err := b.AllocLowest()
+				e, _, err := b.AllocLowest(pmem.SrcForeground)
 				if err != nil {
 					noSpace(step, err, free, 1)
 					break

@@ -105,7 +105,7 @@ func (s *FactStore) Import(analyzer, id string) (any, bool) {
 }
 
 // FuncID returns the stable identifier of a function or method, e.g.
-// "splitfs/internal/pmem.New" or "splitfs/internal/pmem.(Device).Fence".
+// "splitfs/internal/pmem.New" or "splitfs/internal/pmem.(Device).ReadAt".
 // It returns "" for builtins and other objects without a package.
 func FuncID(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {

@@ -17,12 +17,12 @@
 //     commutes can be annotated `// +determinism:unordered` on the
 //     range line or the line above.
 //
-// A call "emits" if it reaches a pmem.Device or ext4dax.Mapping
-// operation or a vfs interface method, directly or transitively
-// (same-package fixpoint plus cross-package "emits" facts). Packages
-// outside the deterministic set — the server (scheduling is client
-// driven), benchfmt, the analysis tooling itself, and cmd utilities —
-// are skipped entirely, as are test files.
+// A call "emits" if it reaches a pmem.Device, pmem.Writer or
+// ext4dax.Mapping operation or a vfs interface method, directly or
+// transitively (same-package fixpoint plus cross-package "emits" facts).
+// Packages outside the deterministic set — the server (scheduling is
+// client driven), benchfmt, the analysis tooling itself, and cmd
+// utilities — are skipped entirely, as are test files.
 package determinism
 
 import (
@@ -343,7 +343,7 @@ func emittingMethod(fn *types.Func) bool {
 	switch {
 	case strings.HasSuffix(pkgPath, "internal/vfs"):
 		return true
-	case strings.HasSuffix(pkgPath, "internal/pmem") && typeName == "Device":
+	case strings.HasSuffix(pkgPath, "internal/pmem") && (typeName == "Device" || typeName == "Writer"):
 		switch fn.Name() {
 		case "ReadAt", "ReadIntoUser", "Store", "StoreNT", "StoreBuffered",
 			"Flush", "Fence", "Persist", "PersistNT", "event":
@@ -351,7 +351,7 @@ func emittingMethod(fn *types.Func) bool {
 		}
 	case strings.HasSuffix(pkgPath, "internal/ext4dax") && typeName == "Mapping":
 		switch fn.Name() {
-		case "Load", "StoreNT", "Fence":
+		case "Load", "StoreNT":
 			return true
 		}
 	}

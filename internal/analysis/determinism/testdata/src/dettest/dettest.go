@@ -41,6 +41,14 @@ func EmitAll(dev *pmem.Device, m map[int64][]byte) {
 	}
 }
 
+// EmitSourced stores through a write path that names its event source.
+func EmitSourced(dev *pmem.Device, m map[int64][]byte) {
+	w := dev.As(pmem.SrcRelinkWorker)
+	for off, p := range m { // want `map iteration emits persistence/I-O events in random order`
+		w.StoreNT(off, p, sim.CatPMData)
+	}
+}
+
 // emitHelper reaches the device one call deep.
 func emitHelper(dev *pmem.Device) {
 	dev.Fence()

@@ -143,14 +143,14 @@ func relink1(b *Batch, src, dst *File, srcOff, dstOff, n, newDstSize int64) erro
 // atomic; a crash before it leaves both files untouched.
 func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) error {
 	moves := []Move{{Src: src, SrcOff: srcOff, DstOff: dstOff, Len: n}}
-	b, err := fs.BeginRelink(dst, moves)
+	b, err := fs.BeginRelink(pmem.SrcForeground, dst, moves)
 	if err != nil {
 		return err
 	}
 	err = b.Relink(dst, newDstSize, moves)
 	txid := b.End()
 	if err == nil {
-		fs.CommitUpTo(txid)
+		fs.CommitUpTo(pmem.SrcForeground, txid)
 	}
 	return err
 }
@@ -158,7 +158,7 @@ func (fs *FS) Relink(src, dst *File, srcOff, dstOff, n int64, newDstSize int64) 
 // beginRelink opens a relink batch into dst for moves.
 func beginRelink(t testing.TB, fs *FS, dst *File, moves ...Move) *Batch {
 	t.Helper()
-	b, err := fs.BeginRelink(dst, moves)
+	b, err := fs.BeginRelink(pmem.SrcForeground, dst, moves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestBatchWritesEachInodeOnce(t *testing.T) {
 		t.Fatalf("batch close charged %d ns of inode write-back, want one per inode (%d)",
 			got, 2*perInode)
 	}
-	fs.CommitUpTo(txid)
+	fs.CommitUpTo(pmem.SrcForeground, txid)
 	// What End wrote is what a remount reads.
 	fs2, _, err := Mount(fs.Device(), Config{})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -46,7 +47,7 @@ func TestCheckCatches(t *testing.T) {
 		}, "adjacent and unmerged"},
 		{func() func() { // freed while owned
 			e := b.in.extents[0].Phys
-			fs.bBmp.Free(e)
+			fs.bBmp.Free(pmem.SrcForeground, e)
 			return func() { fs.bBmp.MarkAllocated(e) }
 		}, "free in the bitmap"},
 		{func() func() { // a link dropped with no entry removed

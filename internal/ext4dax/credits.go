@@ -63,8 +63,8 @@ func (l Layout) room() int {
 	return c - int(min((l.InodeBmpLen+l.BlockBmpLen)/sim.BlockSize, int64(c/2)))
 }
 
-// start begins a handle that claims want(). Under batch b it draws on
-// what the batch reserved. Any other commits the running transaction
+// start begins a handle that claims want(). Under open batch b it draws
+// on what the batch reserved. Any other commits the running transaction
 // first — waiting for open batches to close if it must, fs.mu released
 // meanwhile and want asked again — when its credit would not fit beside
 // the transaction and the open batches' reservations, or when it may
@@ -75,7 +75,7 @@ func (l Layout) room() int {
 // refused with vfs.ErrNoSpace before it changes anything. start returns
 // the credit it admitted. Caller holds fs.mu.
 func (fs *FS) start(b *Batch, want func() claim) (int, error) {
-	for b == nil {
+	for b.own() {
 		c := want()
 		switch {
 		case c.credit > fs.lay.room():
@@ -85,7 +85,7 @@ func (fs *FS) start(b *Batch, want func() claim) (int, error) {
 		case fs.txHold == 0:
 			fs.commitTx()
 		default:
-			fs.txIdle.Wait()
+			fs.waitIdle()
 		}
 	}
 	return 0, nil

@@ -180,13 +180,13 @@ func TestNoCommitFailsOnASmallJournal(t *testing.T) {
 					next++
 				}
 				var b *Batch
-				if b, err = fs.BeginRelink(f.(*File), moves); err == nil {
+				if b, err = fs.BeginRelink(pmem.SrcForeground, f.(*File), moves); err == nil {
 					if err = b.Relink(f.(*File), 0, moves); errors.Is(err, vfs.ErrInval) {
 						err = nil // two moves landed on one block
 					}
 					b.SetUserWatermark(f.(*File), uint64(i))
 					if txid := b.End(); rng.Intn(2) == 0 {
-						fs.CommitUpTo(txid)
+						fs.CommitUpTo(pmem.SrcForeground, txid)
 					}
 				}
 				f.Close()

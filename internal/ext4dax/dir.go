@@ -89,7 +89,7 @@ func (fs *FS) addDirent(dir *inode, name string, ino uint64, isDir bool) error {
 			return err
 		}
 	}
-	fs.dev.StoreBuffered(devOff, rec, sim.CatPMMeta)
+	fs.dev.As(fs.src).StoreBuffered(devOff, rec, sim.CatPMMeta)
 	fs.note(devOff, len(rec))
 	dir.entries[name] = dirEntry{ino: ino, isDir: isDir, devOff: devOff}
 	fs.writeInode(dir)
@@ -109,13 +109,13 @@ func (fs *FS) extendDir(dir *inode, need int64) (int64, error) {
 		if fs.bBmp.FreeCount()-fs.leafRes-newLeaves(dir, 1) < 1 { // the leaf the record may need comes first
 			return 0, vfs.ErrNoSpace
 		}
-		e, dirty, err := fs.bBmp.AllocExtent(1)
+		e, dirty, err := fs.bBmp.AllocExtent(fs.src, 1)
 		if err != nil {
 			return 0, err
 		}
 		fs.note(dirty.Off, dirty.Len)
 		// Zero the fresh directory block so record parsing terminates.
-		fs.dev.StoreBuffered(fs.bBmp.ExtentOffset(e), make([]byte, sim.BlockSize), sim.CatPMMeta)
+		fs.dev.As(fs.src).StoreBuffered(fs.bBmp.ExtentOffset(e), make([]byte, sim.BlockSize), sim.CatPMMeta)
 		fs.note(fs.bBmp.ExtentOffset(e), sim.BlockSize)
 		dir.extents.Insert(dir.extents.End(), e)
 		dir.blocks += e.Len
@@ -145,7 +145,7 @@ func (fs *FS) removeDirent(dir *inode, name string) error {
 	}
 	// Tombstone: zero the ino field, keep nameLen so parsers skip it.
 	var zero [8]byte
-	fs.dev.StoreBuffered(de.devOff, zero[:], sim.CatPMMeta)
+	fs.dev.As(fs.src).StoreBuffered(de.devOff, zero[:], sim.CatPMMeta)
 	fs.note(de.devOff, 8)
 	delete(dir.entries, name)
 	dir.freeSlot(de.devOff, direntSize(name))
@@ -218,9 +218,9 @@ func (fs *FS) allocInode(isDir bool, want uint64) (*inode, error) {
 		err   error
 	)
 	if want == 0 {
-		e, dirty, err = fs.iBmp.AllocLowest()
+		e, dirty, err = fs.iBmp.AllocLowest(fs.src)
 	} else {
-		dirty, err = fs.iBmp.AllocAt(e)
+		dirty, err = fs.iBmp.AllocAt(fs.src, e)
 	}
 	if err != nil {
 		return nil, err

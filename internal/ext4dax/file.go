@@ -202,8 +202,8 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 	fs.trap()
 	fs.clk.Charge(sim.Ext4DaxIomap)
 	fs.stats.dataWrites.Add(1)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	// A write that stops short restarts its handle, as jbd2 does, and
 	// goes on from there (writeLocked).
 	var n int
@@ -231,8 +231,8 @@ func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, e
 	}
 }
 
-// writeLocked performs the write under batch b, or when b is nil as a
-// handle of its own, which stops short, with no error, before an
+// writeLocked performs the write under batch b, or when b is nil or As as
+// a handle of its own, which stops short, with no error, before an
 // allocation that does not fit beside what it has dirtied. Caller holds
 // fs.mu and in.mu. Data stores are non-temporal and deliberately
 // unfenced: like ext4-DAX, write() data becomes durable only at fsync (or
@@ -254,7 +254,7 @@ func (fs *FS) writeLocked(b *Batch, in *inode, p []byte, off int64) (int, error)
 		devOff, contig, ok := translate(fs, in, logical)
 		if !ok {
 			// Allocating write: fill the hole / extend the file.
-			if c, _ := inodeCredit(in, off/sim.BlockSize, 1); b == nil && allocated && !fs.fits(c) {
+			if c, _ := inodeCredit(in, off/sim.BlockSize, 1); b.own() && allocated && !fs.fits(c) {
 				break
 			}
 			if !allocated {
@@ -279,7 +279,7 @@ func (fs *FS) writeLocked(b *Batch, in *inode, p []byte, off int64) (int, error)
 			if needBlocks < 1 {
 				err = vfs.ErrNoSpace
 			} else {
-				e, dirty, err = fs.bBmp.AllocExtent(needBlocks)
+				e, dirty, err = fs.bBmp.AllocExtent(fs.src, needBlocks)
 			}
 			if err != nil {
 				break
@@ -291,11 +291,11 @@ func (fs *FS) writeLocked(b *Batch, in *inode, p []byte, off int64) (int, error)
 			// not cover (DAX zeroes fresh blocks for security).
 			newDev := fs.bBmp.ExtentOffset(e)
 			if inBlk > 0 {
-				fs.dev.StoreNT(newDev, make([]byte, inBlk), sim.CatPMData)
+				fs.dev.As(fs.src).StoreNT(newDev, make([]byte, inBlk), sim.CatPMData)
 			}
 			lastByte := min(off+int64(len(p)), (logical+e.Len)*sim.BlockSize)
 			if tail := (logical+e.Len)*sim.BlockSize - lastByte; tail > 0 {
-				fs.dev.StoreNT(newDev+e.Len*sim.BlockSize-tail,
+				fs.dev.As(fs.src).StoreNT(newDev+e.Len*sim.BlockSize-tail,
 					make([]byte, tail), sim.CatPMData)
 			}
 			devOff, contig, _ = translate(fs, in, logical)
@@ -304,7 +304,7 @@ func (fs *FS) writeLocked(b *Batch, in *inode, p []byte, off int64) (int, error)
 		if span > int64(len(p)-n) {
 			span = int64(len(p) - n)
 		}
-		fs.dev.StoreNT(devOff+inBlk, p[n:n+int(span)], sim.CatPMData)
+		fs.dev.As(fs.src).StoreNT(devOff+inBlk, p[n:n+int(span)], sim.CatPMData)
 		n += int(span)
 	}
 	end := off + int64(n)
@@ -326,8 +326,8 @@ func (f *File) Truncate(size int64) error { return f.TruncateIn(nil, size) }
 // TruncateIn is Truncate under batch b, if not nil.
 func (f *File) TruncateIn(b *Batch, size int64) error {
 	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.admit(b, claim{credit: truncateCredit}) // before the handle check: it may wait
 	if f.stale() {
 		return vfs.ErrClosed
@@ -372,7 +372,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) {
 		if cut := min(in.size, fromLogical*sim.BlockSize) - size; cut > 0 {
 			if devOff, ok := fs.blockOf(in, size/sim.BlockSize); ok {
 				devOff += size % sim.BlockSize
-				fs.dev.StoreBuffered(devOff, make([]byte, cut), sim.CatPMData)
+				fs.dev.As(fs.src).StoreBuffered(devOff, make([]byte, cut), sim.CatPMData)
 				fs.note(devOff, int(cut))
 			}
 		}
@@ -384,10 +384,13 @@ func (fs *FS) truncateLocked(in *inode, size int64) {
 // Sync is fsync(2): commit the running journal transaction and fence the
 // file's outstanding non-temporal data. On ext4 DAX this is the expensive
 // call the paper measures at 28.98 µs (Table 6).
-func (f *File) Sync() error {
+func (f *File) Sync() error { return f.SyncIn(nil) }
+
+// SyncIn is Sync under a handle that names only a source (As), if not nil.
+func (f *File) SyncIn(b *Batch) error {
 	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	if f.stale() {
 		return vfs.ErrClosed
 	}
@@ -395,7 +398,7 @@ func (f *File) Sync() error {
 	fs.clk.Charge(sim.Ext4Fsync)
 	fs.awaitCommittable()
 	fs.commitTx()
-	fs.dev.Fence()
+	fs.dev.As(fs.src).Fence()
 	return nil
 }
 
@@ -471,7 +474,7 @@ func (f *File) Preallocate(count, align int64) error {
 		if f.stale() { // start may have waited
 			return vfs.ErrClosed
 		}
-		if exts, dirties, err = fs.bBmp.AllocAligned(count, align); err != nil {
+		if exts, dirties, err = fs.bBmp.AllocAligned(fs.src, count, align); err != nil {
 			return err
 		}
 		var leaves int64
@@ -481,7 +484,7 @@ func (f *File) Preallocate(count, align int64) error {
 			break
 		}
 		for _, e := range exts {
-			fs.bBmp.Free(e)
+			fs.bBmp.Free(fs.src, e)
 		}
 		if !room {
 			return vfs.ErrNoSpace

@@ -74,7 +74,10 @@ type FS struct {
 	// every U-Split lock and outside inode.mu and the device shards.
 	//
 	// +lockrank:order ext4fs < inode < shard
-	mu     sync.Mutex // +lockrank:ext4fs
+	mu sync.Mutex // +lockrank:ext4fs
+	// src is the event source the writes of the call holding mu carry
+	// (lock), and the foreground's while mu is free (unlock, waitIdle).
+	src    pmem.EventSource
 	jnl    *journal.Journal
 	iBmp   *alloc.Bitmap // inode numbers (block numbers double as inos)
 	bBmp   *alloc.Bitmap // data blocks
@@ -212,7 +215,7 @@ func Mkfs(dev *pmem.Device, cfg Config) (*FS, error) {
 	// Reserve ino 0 (invalid) and create the root directory as ino 1.
 	fs.beginTx()
 	for i := 0; i < 2; i++ {
-		if _, _, err := fs.iBmp.AllocExtent(1); err != nil {
+		if _, _, err := fs.iBmp.AllocExtent(fs.src, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -273,7 +276,7 @@ func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
 		}
 		in, err := fs.readInode(uint64(ino))
 		if err != nil {
-			fs.iBmp.Free(alloc.Extent{Start: ino, Len: 1})
+			fs.iBmp.Free(fs.src, alloc.Extent{Start: ino, Len: 1})
 			continue
 		}
 		fs.icache[uint64(ino)] = in
@@ -341,19 +344,51 @@ func (fs *FS) note(off int64, n int) {
 // collects the inodes its Relink and SetUserWatermark calls change, and
 // End writes each of them back once, however many steps touched it. Calls
 // given the handle (MkdirIno, File.WriteAtIn, ...) draw on what it
-// reserved: its credit, its leaves, and each inode's growth (res).
+// reserved: its credit, its leaves, and each inode's growth (res). Their
+// writes, and End's, carry the event source the batch began with.
 type Batch struct {
 	fs     *FS
+	src    pmem.EventSource
 	dirty  []*inode
 	credit int
 	leaves int64
 	res    []inodeGrow
 }
 
+// As is a handle that names only a source: a call given it is a handle of
+// its own, as with nil, whose writes carry src.
+func As(src pmem.EventSource) *Batch { return &Batch{src: src} }
+
+// own reports whether a call under b is a handle of its own (nil, or As).
+func (b *Batch) own() bool { return b == nil || b.fs == nil }
+
+// lock takes mu for a call under b, whose writes carry b's source (nil:
+// the foreground's) until unlock.
+func (fs *FS) lock(b *Batch) {
+	fs.mu.Lock()
+	if b != nil {
+		fs.src = b.src
+	}
+}
+
+// unlock puts the foreground's source back and releases mu.
+func (fs *FS) unlock() {
+	fs.src = pmem.SrcForeground
+	fs.mu.Unlock()
+}
+
+// waitIdle is txIdle.Wait, the foreground's source in place while mu is free.
+func (fs *FS) waitIdle() {
+	src := fs.src
+	fs.src = pmem.SrcForeground
+	fs.txIdle.Wait()
+	fs.src = src
+}
+
 // BeginBatch opens a metadata batch handle, for one operation and the
 // stamp it sets, or recovery's redo of one: it claims metaClaim.
 func (fs *FS) BeginBatch() *Batch {
-	b, _ := fs.BeginRelink(nil, nil) // never refused: Mkfs keeps metaCredit within the journal
+	b, _ := fs.BeginRelink(pmem.SrcForeground, nil, nil) // never refused: Mkfs keeps metaCredit within the journal
 	return b
 }
 
@@ -365,9 +400,10 @@ func (fs *FS) BeginBatch() *Batch {
 // claim needs that (start). One that no transaction could hold, or whose
 // leaves do not fit the device even once the running transaction's frees
 // have committed, is refused with vfs.ErrNoSpace before anything changes.
-func (fs *FS) BeginRelink(dst *File, moves []Move) (*Batch, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+// The batch's writes carry src, and so does that commit.
+func (fs *FS) BeginRelink(src pmem.EventSource, dst *File, moves []Move) (*Batch, error) {
+	fs.lock(As(src))
+	defer fs.unlock()
 	var b *Batch
 	if n := len(fs.batches); n > 0 {
 		b = fs.batches[n-1]
@@ -396,7 +432,7 @@ func (fs *FS) BeginRelink(dst *File, moves []Move) (*Batch, error) {
 	for _, r := range b.res {
 		r.in.resGrow += r.grow
 	}
-	b.credit, b.leaves = c, leaves
+	b.src, b.credit, b.leaves = src, c, leaves
 	fs.reserved += c
 	fs.leafRes += leaves
 	fs.txHold++
@@ -423,8 +459,8 @@ func (b *Batch) touch(ins ...*inode) {
 // once.
 func (b *Batch) End() uint64 {
 	fs := b.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	for _, in := range b.dirty {
 		fs.writeInode(in)
 	}
@@ -450,7 +486,7 @@ func (b *Batch) End() uint64 {
 // fs.mu (released while waiting).
 func (fs *FS) awaitCommittable() {
 	for fs.txHold > 0 {
-		fs.txIdle.Wait()
+		fs.waitIdle()
 	}
 }
 
@@ -528,14 +564,14 @@ func (fs *FS) commitTx() {
 	}
 	frees := fs.pendingFrees
 	for _, pf := range frees {
-		dirty := pf.bmp.Free(pf.e)
+		dirty := pf.bmp.Free(fs.src, pf.e)
 		fs.tx.Note(dirty.Off, dirty.Len)
 	}
 	fs.pendingFrees = nil
 	tx := fs.tx
 	id := fs.txID
 	fs.tx = nil
-	if err := tx.Commit(); err != nil {
+	if err := tx.CommitAs(fs.src); err != nil {
 		panic(fmt.Sprintf("ext4dax: a transaction of %d blocks outgrew the credits that admitted it: %v", tx.Blocks(), err))
 	}
 	fs.doneTxID = id
@@ -615,7 +651,7 @@ func (fs *FS) writeInode(in *inode) {
 	// the allocator.
 	held := len(in.overflow)
 	for len(in.overflow) < leaves {
-		e, dirty, err := fs.bBmp.AllocExtent(1)
+		e, dirty, err := fs.bBmp.AllocExtent(fs.src, 1)
 		if err != nil {
 			panic("ext4dax: no space for extent overflow block")
 		}
@@ -646,7 +682,7 @@ func (fs *FS) writeInode(in *inode) {
 // holds fs.mu, which also guards the scratch block.
 func (fs *FS) writeBack(off int64, p []byte, fresh bool) {
 	if fresh {
-		fs.dev.StoreBuffered(off, p, sim.CatPMMeta)
+		fs.dev.As(fs.src).StoreBuffered(off, p, sim.CatPMMeta)
 		fs.note(off, len(p))
 		return
 	}
@@ -660,7 +696,7 @@ func (fs *FS) writeBack(off int64, p []byte, fresh bool) {
 		}
 		if hi > lo {
 			hi = min(hi, len(p))
-			fs.dev.StoreBuffered(off+int64(lo), p[lo:hi], sim.CatPMMeta)
+			fs.dev.As(fs.src).StoreBuffered(off+int64(lo), p[lo:hi], sim.CatPMMeta)
 			fs.note(off+int64(lo), hi-lo)
 			lo = hi // the line at hi, if any, matched
 		}

@@ -554,7 +554,7 @@ func TestShrinkZeroesCutTail(t *testing.T) {
 			if _, err := src.Write(bytes.Repeat([]byte{0xCC}, sim.BlockSize)); err != nil {
 				return err
 			}
-			b, err := fs.BeginRelink(f, []Move{{Src: src.(*File), DstOff: sim.BlockSize, Len: sim.BlockSize}}) // FS.Relink would commit
+			b, err := fs.BeginRelink(pmem.SrcForeground, f, []Move{{Src: src.(*File), DstOff: sim.BlockSize, Len: sim.BlockSize}}) // FS.Relink would commit
 			if err != nil {
 				return err
 			}

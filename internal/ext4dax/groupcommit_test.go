@@ -30,7 +30,7 @@ func TestCommitUpToAbsorbedByLeader(t *testing.T) {
 	commits := fs.Stats().Commits
 	fences := dev.Stats().Fences
 	// The follower's fsync finds its transaction already durable.
-	fs.CommitUpTo(txid)
+	fs.CommitUpTo(pmem.SrcForeground, txid)
 	if got := fs.Stats().Commits; got != commits {
 		t.Fatalf("absorbed CommitUpTo issued a commit (%d -> %d)", commits, got)
 	}
@@ -67,7 +67,7 @@ func TestTxIDStableUnderBatch(t *testing.T) {
 	if got := batch.End(); got != id2 {
 		t.Fatalf("Batch.End returned transaction %d, want the batch's %d", got, id2)
 	}
-	fs.CommitUpTo(id2)
+	fs.CommitUpTo(pmem.SrcForeground, id2)
 	if fs.DoneTxID() < id2 {
 		t.Fatalf("batch transaction %d not committed (done %d)", id2, fs.DoneTxID())
 	}
@@ -94,7 +94,7 @@ func TestTxIDOpensNoTransaction(t *testing.T) {
 	}
 	next, stats, events := fs.nextTxID, fs.Stats(), dev.Events()
 	for range 1000 {
-		fs.CommitUpTo(fs.TxID())
+		fs.CommitUpTo(pmem.SrcForeground, fs.TxID())
 	}
 	if fs.nextTxID != next || fs.Stats() != stats || dev.Events() != events {
 		t.Fatalf("1000 commits of nothing: next id %d -> %d, stats %+v -> %+v, %d persistence events",
@@ -105,7 +105,7 @@ func TestTxIDOpensNoTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.CommitUpTo(id)
+	fs.CommitUpTo(pmem.SrcForeground, id)
 	if fs.DoneTxID() < id || fs.Stats().GCLeaders != stats.GCLeaders+1 {
 		t.Fatalf("the create that followed TxID is not committed: done %d, asked %d, %+v", fs.DoneTxID(), id, fs.Stats())
 	}

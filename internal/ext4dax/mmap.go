@@ -3,6 +3,7 @@ package ext4dax
 import (
 	"sync/atomic"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -288,10 +289,10 @@ func (m *Mapping) Load(p []byte, fileOff int64) int {
 	return n
 }
 
-// StoreNT copies p into the mapping with non-temporal stores; durable
-// only after the caller's Fence on the device (that is the mmap
-// contract). No kernel involvement. In flight like Load.
-func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
+// StoreNT copies p into the mapping with non-temporal stores under source
+// src; durable only after the caller's Fence on the device (that is the
+// mmap contract). No kernel involvement. In flight like Load.
+func (m *Mapping) StoreNT(src pmem.EventSource, p []byte, fileOff int64) int {
 	m.fs.inflight.Add(1)
 	n := 0
 	for n < len(p) {
@@ -303,16 +304,12 @@ func (m *Mapping) StoreNT(p []byte, fileOff int64) int {
 		if span > int64(len(p)-n) {
 			span = int64(len(p) - n)
 		}
-		m.fs.dev.StoreNT(devOff, p[n:n+int(span)], sim.CatPMData)
+		m.fs.dev.As(src).StoreNT(devOff, p[n:n+int(span)], sim.CatPMData)
 		n += int(span)
 	}
 	m.fs.inflight.Add(-1)
 	return n
 }
-
-// Fence orders previously issued stores; exposed so user-space writers
-// can implement sync semantics without a syscall.
-func (m *Mapping) Fence() { m.fs.dev.Fence() }
 
 // Unmap charges the munmap cost that makes SplitFS unlink expensive
 // (Table 6), and hands the page table back (Release).

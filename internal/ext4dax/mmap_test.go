@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -32,8 +33,8 @@ func TestMmapLoadStore(t *testing.T) {
 	// Store through the mapping; visible via read() and durable after
 	// fence.
 	traps := fs.Stats().Traps
-	m.StoreNT([]byte("ZZZZ"), 8)
-	m.Fence()
+	m.StoreNT(pmem.SrcForeground, []byte("ZZZZ"), 8)
+	fs.Device().Fence()
 	if fs.Stats().Traps != traps {
 		t.Fatal("mmap store trapped into the kernel")
 	}

@@ -39,8 +39,8 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 // handle's previous life); every other method must not. It runs under
 // batch b, if not nil.
 func (fs *FS) OpenInto(b *Batch, f *File, path string, flag int, perm uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.trap()
 	if flag&(vfs.O_CREATE|vfs.O_TRUNC) != 0 {
 		fs.admit(b, createClaim) // a truncate's is smaller
@@ -105,7 +105,7 @@ func (fs *FS) createLocked(parent *inode, base string, isDir bool, want uint64) 
 	}
 	fs.writeInode(in)
 	if err := fs.addDirent(parent, base, in.ino, isDir); err != nil {
-		dirty := fs.iBmp.Free(alloc.Extent{Start: int64(in.ino), Len: 1})
+		dirty := fs.iBmp.Free(fs.src, alloc.Extent{Start: int64(in.ino), Len: 1})
 		fs.note(dirty.Off, dirty.Len)
 		delete(fs.icache, in.ino)
 		return nil, err
@@ -154,8 +154,8 @@ func (fs *FS) Recreate(b *Batch, path string, ino uint64, isDir bool) error {
 
 // createAt is mkdir(2) and the exclusive create behind Recreate.
 func (fs *FS) createAt(b *Batch, path string, isDir bool, want uint64) (uint64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.trap()
 	fs.admit(b, createClaim)
 	fs.stats.metaOps.Add(1)
@@ -184,8 +184,8 @@ func (fs *FS) Unlink(path string) error {
 // anyway, so U-Split, which has caches to retire for that inode, need not
 // stat it first (as with RenameReplacing).
 func (fs *FS) UnlinkIno(b *Batch, path string) (uint64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.trap()
 	fs.admit(b, claim{credit: unlinkCredit})
 	fs.clk.Charge(sim.Ext4UnlinkPath)
@@ -231,8 +231,8 @@ func (fs *FS) Rmdir(path string) error { return fs.RmdirIn(nil, path) }
 
 // RmdirIn is Rmdir under batch b, if not nil.
 func (fs *FS) RmdirIn(b *Batch, path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.trap()
 	fs.admit(b, claim{credit: unlinkCredit})
 	fs.stats.metaOps.Add(1)
@@ -276,8 +276,8 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 // to re-key for the moved inode and to retire for a replaced one, need
 // not stat the endpoints first.
 func (fs *FS) RenameReplacing(b *Batch, oldPath, newPath string) (moved vfs.DirEntry, replaced uint64, err error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.trap()
 	fs.admit(b, renameClaim)
 	fs.stats.metaOps.Add(1)
@@ -379,6 +379,6 @@ func (fs *FS) Sync() error {
 	fs.trap()
 	fs.awaitCommittable()
 	fs.commitTx()
-	fs.dev.Fence()
+	fs.dev.As(fs.src).Fence()
 	return nil
 }

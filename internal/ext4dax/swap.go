@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -208,11 +209,11 @@ func (fs *FS) TxID() uint64 {
 // returns immediately with no journal IO and no fences of its own; this
 // is how concurrent fsyncs of distinct files coalesce into one journal
 // transaction and one fence pair. Otherwise the caller becomes the
-// leader, waits for open batch handles to close, and commits: ids are
-// monotone, so that commit covers txid.
-func (fs *FS) CommitUpTo(txid uint64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+// leader, waits for open batch handles to close, and commits under its
+// own source src: ids are monotone, so that commit covers txid.
+func (fs *FS) CommitUpTo(src pmem.EventSource, txid uint64) {
+	fs.lock(As(src))
+	defer fs.unlock()
 	if txid > fs.nextTxID {
 		return // TxID found nothing running, and nothing has started since
 	}
@@ -242,11 +243,11 @@ func (fs *FS) Idle() bool {
 // the eight bytes of that field, not the whole record, noted into the
 // running journal transaction — nothing else about the inode changed.
 // Under batch b it commits together with whatever else the batch covers;
-// with b nil it is a handle of its own, and the caller commits.
+// with b nil or As it is a handle of its own, and the caller commits.
 func (f *File) SetUserWatermark(b *Batch, v uint64) {
 	fs := f.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.lock(b)
+	defer fs.unlock()
 	fs.admit(b, claim{credit: watermarkCredit})
 	f.in.mu.Lock()
 	defer f.in.mu.Unlock()
@@ -255,7 +256,7 @@ func (f *File) SetUserWatermark(b *Batch, v uint64) {
 	var buf [8]byte
 	putU64(buf[:], v)
 	off := fs.inodeOff(f.in.ino) + uwmOff
-	fs.dev.StoreBuffered(off, buf[:], sim.CatPMMeta)
+	fs.dev.As(fs.src).StoreBuffered(off, buf[:], sim.CatPMMeta)
 	fs.note(off, len(buf))
 }
 

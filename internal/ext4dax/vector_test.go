@@ -138,7 +138,7 @@ func TestRejectedVectorIsNoOp(t *testing.T) {
 	if err := batch.Relink(dst, 41*blk, good); err != nil {
 		t.Fatal(err)
 	}
-	fs.CommitUpTo(batch.End())
+	fs.CommitUpTo(pmem.SrcForeground, batch.End())
 	if _, err := fs.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestVectorEqualsSequence(t *testing.T) {
 				leafy++
 			}
 			states[i] = snapshot(w.fs, append([]*File{w.dst}, w.srcs...)...)
-			w.fs.CommitUpTo(txid)
+			w.fs.CommitUpTo(pmem.SrcForeground, txid)
 			if _, err := w.fs.Check(); err != nil {
 				t.Fatalf("seed %d, image %d: %v", seed, i, err)
 			}

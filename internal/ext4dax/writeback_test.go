@@ -205,7 +205,7 @@ func TestPartialWriteBacksReadBack(t *testing.T) {
 		}
 	}
 	batch.SetUserWatermark(f, 77)
-	fs.CommitUpTo(batch.End())
+	fs.CommitUpTo(pmem.SrcForeground, batch.End())
 	if len(f.in.overflow) != 3 {
 		t.Fatalf("%d overflow blocks, want 3", len(f.in.overflow))
 	}
@@ -304,7 +304,7 @@ func relinkInto(t testing.TB, fs *FS, name string, n int) func() {
 			t.Fatal(err)
 		}
 		next++
-		fs.CommitUpTo(b.End())
+		fs.CommitUpTo(pmem.SrcForeground, b.End())
 	}
 }
 

@@ -55,7 +55,7 @@ func liveJournal(t *testing.T, live int) *Journal {
 		}
 	}
 	j.seq, j.stamps = j.seq-1, stampsAfter(live)
-	j.writeSuper()
+	j.writeSuper(pmem.SrcForeground)
 	return j
 }
 
@@ -494,7 +494,7 @@ func TestCheckFindsAJournalNotAtRest(t *testing.T) {
 	if j.Check() == nil {
 		t.Error("Check passed over a newest record that does not verify")
 	}
-	j.writeSuper()
+	j.writeSuper(pmem.SrcForeground)
 	j.stamps[1]++
 	if j.Check() == nil {
 		t.Error("Check passed with a stamp in memory that is not on media")

@@ -134,7 +134,7 @@ func New(dev *pmem.Device, start, nblk int64) *Journal {
 	dev.Peek(slots, start)
 	old, _ := readSuper(slots)
 	j.super = super{gen: old.gen, seq: old.seq + 1}
-	j.writeSuper()
+	j.writeSuper(pmem.SrcForeground)
 	return j
 }
 
@@ -164,14 +164,14 @@ func Load(dev *pmem.Device, start, nblk int64) (*Journal, int, error) {
 		j.stats.Replayed = 1
 	}
 	// Everything replayed is durable; retire it.
-	j.writeSuper()
+	j.writeSuper(pmem.SrcForeground)
 	return j, int(j.stats.Replayed), nil
 }
 
 func (j *Journal) blockOff(idx int64) int64 { return j.start + idx*sim.BlockSize }
 
 // writeSuper persists the journal's state as the next superblock record.
-func (j *Journal) writeSuper() {
+func (j *Journal) writeSuper(src pmem.EventSource) {
 	j.gen++
 	rec := j.sb[:]
 	binary.LittleEndian.PutUint32(rec[0:4], descMagic)
@@ -182,7 +182,7 @@ func (j *Journal) writeSuper() {
 		binary.LittleEndian.PutUint64(rec[32+8*i:], v)
 	}
 	binary.LittleEndian.PutUint32(rec[4:8], sim.CRC32C(0, rec[8:]))
-	j.dev.PersistNT(j.start+int64(j.gen&1)*superSize, rec, sim.CatJournal)
+	j.dev.As(src).PersistNT(j.start+int64(j.gen&1)*superSize, rec, sim.CatJournal)
 }
 
 // readSuper decodes the newer of the record slots that verify, if one does.
@@ -292,11 +292,15 @@ func txSum(seq uint64, desc []byte, n int) uint32 {
 	return sim.CRC32C(uint32(seq^seq>>32), desc[:descHomes+8*n])
 }
 
-// Commit durably applies the transaction. On return, every noted range is
-// persistent, the stamps it set read their new values and the journal
-// entry is already checkpointed. An empty transaction is free of journal
-// IO; one that set stamps and noted nothing is a superblock write.
-func (tx *Tx) Commit() error {
+// Commit is CommitAs for the foreground.
+func (tx *Tx) Commit() error { return tx.CommitAs(pmem.SrcForeground) }
+
+// CommitAs durably applies the transaction under event source src. On
+// return, every noted range is persistent, the stamps it set read their
+// new values and the journal entry is already checkpointed. An empty
+// transaction is free of journal IO; one that set stamps and noted
+// nothing is a superblock write.
+func (tx *Tx) CommitAs(src pmem.EventSource) error {
 	if tx.closed {
 		panic("journal: double commit")
 	}
@@ -305,7 +309,7 @@ func (tx *Tx) Commit() error {
 	if len(blocks) == 0 && tx.stamps == [Stamps]uint64{} {
 		return nil // Note keeps no empty range: nothing to log
 	}
-	j := tx.j
+	j, w := tx.j, tx.j.dev.As(src)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if len(blocks) > maxBlocksPerTx {
@@ -313,7 +317,7 @@ func (tx *Tx) Commit() error {
 	}
 	if len(blocks) == 0 {
 		j.raiseStamps(tx.stamps)
-		j.writeSuper()
+		j.writeSuper(src)
 		return nil
 	}
 
@@ -332,7 +336,7 @@ func (tx *Tx) Commit() error {
 		binary.LittleEndian.PutUint64(desc[descHomes+i*8:], uint64(b))
 	}
 	sum := txSum(j.seq, desc, len(blocks))
-	j.dev.StoreNT(j.blockOff(txStart), desc, sim.CatJournal)
+	w.StoreNT(j.blockOff(txStart), desc, sim.CatJournal)
 
 	// 2. Full block images, read back at cache speed from the volatile
 	// view (the caller already stored its mutations there).
@@ -340,12 +344,12 @@ func (tx *Tx) Commit() error {
 	for i, b := range blocks {
 		j.dev.Peek(img, b)
 		sum = sim.CRC32C(sum, img)
-		j.dev.StoreNT(j.blockOff(txStart+1+int64(i)), img, sim.CatJournal)
+		w.StoreNT(j.blockOff(txStart+1+int64(i)), img, sim.CatJournal)
 		j.stats.BlocksLogged++
 	}
 	// 3. Order images before the commit record, which carries every stamp
 	// as this transaction leaves it.
-	j.dev.Fence()
+	w.Fence()
 	j.raiseStamps(tx.stamps)
 	commit := j.hdr[:]
 	clear(commit)
@@ -356,20 +360,20 @@ func (tx *Tx) Commit() error {
 	}
 	sum = sim.CRC32C(sum, commit[commitStamps:commitStamps+8*Stamps])
 	binary.LittleEndian.PutUint32(commit[16:20], sum)
-	j.dev.StoreNT(j.blockOff(txStart+1+int64(len(blocks))), commit, sim.CatJournal)
-	j.dev.Fence()
+	w.StoreNT(j.blockOff(txStart+1+int64(len(blocks))), commit, sim.CatJournal)
+	w.Fence()
 
 	// 4. Checkpoint: flush home locations so the entry can be retired.
 	// Each touched block is flushed once, however many times it was
 	// noted (jbd2 checkpoints each buffer once).
 	for _, b := range blocks {
-		j.dev.Flush(b, sim.BlockSize, sim.CatPMMeta)
+		w.Flush(b, sim.BlockSize, sim.CatPMMeta)
 	}
-	j.dev.Fence()
+	w.Fence()
 
 	// 5. Retire the entry: the next transaction takes its blocks.
 	j.seq++
-	j.writeSuper()
+	j.writeSuper(src)
 	j.stats.Commits++
 	tx.logged = len(blocks)
 	return nil

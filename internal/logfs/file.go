@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"splitfs/internal/alloc"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -165,7 +166,7 @@ func (fs *FS) writeInPlace(in *inode, p []byte, off int64) (int, error) {
 			if holeEnd := in.extents.NextMapped(logical); holeEnd-logical < need {
 				need = holeEnd - logical
 			}
-			e, _, err := fs.bmp.AllocExtent(need)
+			e, _, err := fs.bmp.AllocExtent(pmem.SrcForeground, need)
 			if err != nil {
 				if n > 0 {
 					break
@@ -225,7 +226,7 @@ func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
 	firstBlk := off / blockSize
 	lastBlk := (end + blockSize - 1) / blockSize
 	count := lastBlk - firstBlk
-	exts, _, err := fs.bmp.Alloc(count)
+	exts, _, err := fs.bmp.Alloc(pmem.SrcForeground, count)
 	if err != nil {
 		return 0, err
 	}
@@ -266,7 +267,7 @@ func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
 	}
 	fs.appendRecord(encWrite(in.ino, in.size, firstBlk, exts))
 	for _, e := range old {
-		fs.bmp.Free(e)
+		fs.bmp.Free(pmem.SrcForeground, e)
 	}
 	return len(p), nil
 }

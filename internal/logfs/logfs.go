@@ -248,7 +248,7 @@ func (fs *FS) infoOf(in *inode) vfs.FileInfo {
 // freeExtents releases an inode's data blocks.
 func (fs *FS) freeExtents(in *inode) {
 	for _, e := range in.extents {
-		fs.bmp.Free(e.Phys)
+		fs.bmp.Free(pmem.SrcForeground, e.Phys)
 	}
 	in.extents = nil
 }

@@ -3,6 +3,7 @@ package logfs
 import (
 	"sort"
 
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -183,7 +184,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 func (fs *FS) truncateLocked(in *inode, size int64) {
 	if size < in.size {
 		for _, e := range shrinkTo(in, size) {
-			fs.bmp.Free(e)
+			fs.bmp.Free(pmem.SrcForeground, e)
 		}
 	}
 	in.size = size

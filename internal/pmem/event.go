@@ -82,9 +82,9 @@ func (k EventKind) String() string {
 // U-Split's fsync issues stores, fences, and journal commits from its
 // relink and reclaim stages; tagging events with their source lets the
 // crash harness's coverage stats distinguish foreground syscall events
-// from those. The source is device-global state: it is exact when
-// one goroutine drives the stack, which is what record/replay requires
-// anyway.
+// from those. The source is an argument of the write that issues the
+// event — the Writer it goes through (Device.As) — so it is exact
+// however many goroutines drive the stack.
 type EventSource uint8
 
 const (
@@ -154,18 +154,6 @@ func (ev *eventState) refreshHooks() {
 
 // Events returns the number of persistence events so far.
 func (d *Device) Events() int64 { return d.events.Load() }
-
-// WithEventSource runs fn with s as the source label of the persistence
-// events it issues, and puts the previous label back when fn returns or
-// panics — so a stage's label cannot leak past it. The label is
-// device-global; with several goroutines driving the stack it is
-// best-effort. Record/replay runs one goroutine, so exactly one issues
-// events at a time and the label is exact.
-func (d *Device) WithEventSource(s EventSource, fn func()) {
-	prev := d.evSrc.Swap(uint32(s))
-	defer d.evSrc.Store(prev)
-	fn()
-}
 
 // SetTracing enables (or disables) full event recording; enabling resets
 // the trace. Tracing is for recording runs only — it grows without bound.
@@ -319,15 +307,14 @@ func (d *Device) dropFence() bool {
 // event records one persistence event and fires the armed crash when its
 // sequence number comes up. The lock-free fast path keeps event counting
 // from re-serializing the sharded device when no harness is attached.
-func (d *Device) event(kind EventKind, cat sim.Category, off, n int64) {
+func (d *Device) event(src EventSource, kind EventKind, cat sim.Category, off, n int64) {
 	seq := d.events.Add(1)
 	if !d.ev.hooks.Load() {
 		return
 	}
 	d.ev.mu.Lock()
 	if d.ev.tracing {
-		d.ev.trace = append(d.ev.trace, Event{Seq: seq, Kind: kind,
-			Src: EventSource(d.evSrc.Load()), Cat: cat, Off: off, Len: n})
+		d.ev.trace = append(d.ev.trace, Event{Seq: seq, Kind: kind, Src: src, Cat: cat, Off: off, Len: n})
 	}
 	fire := d.ev.armedAt != 0 && seq == d.ev.armedAt
 	rng := d.ev.rng

@@ -227,6 +227,8 @@ type shard struct {
 
 // Device is a simulated PM module.
 type Device struct {
+	foreground // the Device's own write methods: As(SrcForeground)'s
+
 	cfg   Config
 	clock *sim.Clock
 
@@ -240,10 +242,8 @@ type Device struct {
 
 	// Persistence-event machinery (event.go). events is the monotone
 	// event counter; frozen means an armed crash point has been reached
-	// and the durable image must no longer change. evSrc labels events
-	// with the execution context that issued them (WithEventSource).
+	// and the durable image must no longer change.
 	events atomic.Int64
-	evSrc  atomic.Uint32
 	frozen atomic.Bool
 	ev     eventState
 
@@ -255,7 +255,7 @@ type Device struct {
 	nPersisted   atomic.Int64
 
 	// Per-event-source breakdowns of the write-path counters, indexed
-	// by the current evSrc label (observability plane; see
+	// by the source of the Writer that wrote (observability plane; see
 	// SourceStats). One extra atomic add per store/flush/fence.
 	srcBytes   [evSources]atomic.Int64
 	srcFlushes [evSources]atomic.Int64
@@ -291,6 +291,7 @@ func New(cfg Config) *Device {
 		shards:    make([]shard, (size+span-1)/span),
 		shardSpan: span,
 	}
+	d.foreground = d.As(SrcForeground)
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.base = int64(i) * span
@@ -448,25 +449,25 @@ func (d *Device) Peek(p []byte, off int64) {
 // StoreNT writes p with non-temporal stores: the data bypasses the cache
 // and lands in the write-pending queue, becoming durable at the next
 // Fence. Charges the NT store startup latency plus store-bandwidth time.
-func (d *Device) StoreNT(off int64, p []byte, cat sim.Category) {
-	d.checkRange(off, len(p))
-	d.clock.ChargeAs(sim.PMStoreNT, cat, int64(len(p)))
-	d.write(off, p, linePending)
-	d.nBytesNT.Add(int64(len(p)))
-	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
-	d.event(EvStoreNT, cat, off, int64(len(p)))
+func (w Writer) StoreNT(off int64, p []byte, cat sim.Category) {
+	w.d.checkRange(off, len(p))
+	w.d.clock.ChargeAs(sim.PMStoreNT, cat, int64(len(p)))
+	w.d.write(off, p, linePending)
+	w.d.nBytesNT.Add(int64(len(p)))
+	w.d.srcBytes[w.src].Add(int64(len(p)))
+	w.d.event(w.src, EvStoreNT, cat, off, int64(len(p)))
 }
 
 // Store writes p with ordinary temporal stores. The data sits in the CPU
 // cache: it is NOT durable until the covering lines are Flushed and a
 // Fence completes. Cheap (cache-speed) on the clock.
-func (d *Device) Store(off int64, p []byte, cat sim.Category) {
-	d.checkRange(off, len(p))
-	d.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
-	d.write(off, p, lineDirty)
-	d.nBytesCached.Add(int64(len(p)))
-	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
-	d.event(EvStore, cat, off, int64(len(p)))
+func (w Writer) Store(off int64, p []byte, cat sim.Category) {
+	w.d.checkRange(off, len(p))
+	w.d.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
+	w.d.write(off, p, lineDirty)
+	w.d.nBytesCached.Add(int64(len(p)))
+	w.d.srcBytes[w.src].Add(int64(len(p)))
+	w.d.event(w.src, EvStore, cat, off, int64(len(p)))
 }
 
 // StoreBuffered writes p as write-ahead-buffered metadata: loads observe
@@ -477,12 +478,12 @@ func (d *Device) Store(off int64, p []byte, cat sim.Category) {
 // durable — the write-ahead property that makes journaled metadata
 // atomic. Cache-speed on the clock, like Store. Not a persistence event:
 // the crash image is unchanged.
-func (d *Device) StoreBuffered(off int64, p []byte, cat sim.Category) {
-	d.checkRange(off, len(p))
-	d.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
-	d.write(off, p, lineBuffered)
-	d.nBytesCached.Add(int64(len(p)))
-	d.srcBytes[d.srcIdx()].Add(int64(len(p)))
+func (w Writer) StoreBuffered(off int64, p []byte, cat sim.Category) {
+	w.d.checkRange(off, len(p))
+	w.d.clock.ChargeAs(sim.PMStore, cat, int64(len(p)))
+	w.d.write(off, p, lineBuffered)
+	w.d.nBytesCached.Add(int64(len(p)))
+	w.d.srcBytes[w.src].Add(int64(len(p)))
 }
 
 func (d *Device) write(off int64, p []byte, st lineState) {
@@ -622,10 +623,11 @@ func (s *shard) release(r *frameRec, m uint64, pool *framePool) {
 // the next Fence (for buffered metadata this is the journal-checkpoint
 // write-back). Only modified lines cost write-back time; a clwb of a
 // clean line has nothing to write back.
-func (d *Device) Flush(off int64, n int, cat sim.Category) {
+func (w Writer) Flush(off int64, n int, cat sim.Category) {
 	if n <= 0 {
 		return
 	}
+	d := w.d
 	d.checkRange(off, n)
 	dirty := int64(0)
 	d.forShards(off, int64(n), func(s *shard, lo, hi int64) {
@@ -644,23 +646,24 @@ func (d *Device) Flush(off int64, n int, cat sim.Category) {
 		}
 	})
 	d.nFlushes.Add(dirty)
-	d.srcFlushes[d.srcIdx()].Add(dirty)
+	d.srcFlushes[w.src].Add(dirty)
 	d.clock.ChargeAs(sim.PMFlush, cat, dirty)
-	d.event(EvFlush, cat, off, int64(n))
+	d.event(w.src, EvFlush, cat, off, int64(n))
 }
 
 // Fence issues an sfence: every line in the write-pending queue becomes
 // durable. The write-pending queue is device-global, so the fence sweeps
 // every shard — one at a time, so disjoint stores keep flowing while it
 // drains.
-func (d *Device) Fence() {
+func (w Writer) Fence() {
+	d := w.d
 	d.clock.Charge(sim.PMFence)
 	d.nFences.Add(1)
-	d.srcFences[d.srcIdx()].Add(1)
+	d.srcFences[w.src].Add(1)
 	if d.dropFence() {
 		// Fault injection (SetFenceFilter): the sfence was "forgotten" —
 		// nothing drains. Still a persistence event.
-		d.event(EvFence, sim.CatFence, 0, 0)
+		d.event(w.src, EvFence, sim.CatFence, 0, 0)
 		return
 	}
 	persisted := int64(0)
@@ -676,7 +679,7 @@ func (d *Device) Fence() {
 		s.mu.Unlock()
 	}
 	d.nPersisted.Add(persisted)
-	d.event(EvFence, sim.CatFence, 0, 0)
+	d.event(w.src, EvFence, sim.CatFence, 0, 0)
 }
 
 // drain makes every pending line of the shard clean and returns how many
@@ -701,9 +704,9 @@ func (s *shard) drain(release bool, pool *framePool) int64 {
 }
 
 // PersistNT is the common StoreNT followed by Fence.
-func (d *Device) PersistNT(off int64, p []byte, cat sim.Category) {
-	d.StoreNT(off, p, cat)
-	d.Fence()
+func (w Writer) PersistNT(off int64, p []byte, cat sim.Category) {
+	w.StoreNT(off, p, cat)
+	w.Fence()
 }
 
 // Persist is the store + clwb + sfence sequence for temporal stores.

@@ -201,3 +201,63 @@ func BenchmarkParallelStoreNT(b *testing.B) {
 		})
 	}
 }
+
+// TestSourcesOfConcurrentWriters runs the foreground — the Device's own
+// write methods — and a relink-source Writer at once over disjoint
+// regions, every round of stores flushed and fenced. Each source's stats
+// count exactly its own writer's bytes, flushed lines and fences, and
+// every traced event carries the source of the writer that issued it.
+func TestSourcesOfConcurrentWriters(t *testing.T) {
+	d := New(Config{Size: 4 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+	d.SetTracing(true)
+	type writes struct {
+		src                         EventSource
+		store, storeNT, storeBuffer func(off int64, p []byte, cat sim.Category)
+		flush                       func(off int64, n int, cat sim.Category)
+		fence                       func()
+	}
+	relink := d.As(SrcRelinkWorker)
+	writers := []writes{
+		{SrcForeground, d.Store, d.StoreNT, d.StoreBuffered, d.Flush, d.Fence},
+		{SrcRelinkWorker, relink.Store, relink.StoreNT, relink.StoreBuffered, relink.Flush, relink.Fence},
+	}
+	const rounds, region = 512, 512 * sim.BlockSize
+	line := bytes.Repeat([]byte{0xa5}, sim.CacheLine)
+	var wg sync.WaitGroup
+	for g, w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range int64(rounds) {
+				off := int64(g)*region + i*sim.BlockSize
+				w.storeNT(off, line, sim.CatPMData)
+				w.store(off+sim.CacheLine, line, sim.CatPMData)
+				w.storeBuffer(off+2*sim.CacheLine, line, sim.CatPMMeta)
+				w.flush(off+sim.CacheLine, sim.CacheLine, sim.CatPMData)
+				w.fence()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, w := range writers {
+		want := SourceStats{BytesWritten: 3 * sim.CacheLine * rounds, FlushedLines: rounds, Fences: rounds}
+		if got := d.SourceStats(w.src); got != want {
+			t.Errorf("source %v: stats %+v, want %+v", w.src, got, want)
+		}
+	}
+	if got := d.SourceStats(SrcReclaim); got != (SourceStats{}) {
+		t.Errorf("source %v, which nothing wrote under: stats %+v", SrcReclaim, got)
+	}
+	events := map[EventSource]int{}
+	for _, ev := range d.Trace() {
+		events[ev.Src]++
+		if ev.Len > 0 && ev.Src != writers[ev.Off/region].src {
+			t.Fatalf("event %d (%v) at %d, in %v's region, carries source %v", ev.Seq, ev.Kind, ev.Off, writers[ev.Off/region].src, ev.Src)
+		}
+	}
+	for _, w := range writers {
+		if events[w.src] != 4*rounds { // a store, a non-temporal store, a flush and a fence a round
+			t.Errorf("source %v: %d traced events, want %d", w.src, events[w.src], 4*rounds)
+		}
+	}
+}

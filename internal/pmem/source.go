@@ -1,12 +1,11 @@
 package pmem
 
-// Per-event-source device accounting for the observability plane: the
-// same evSrc label that tags persistence events (WithEventSource) also
-// buckets write bytes, flushed lines, and fences, so a stats snapshot
-// can attribute PM traffic to the foreground syscall path versus the
-// background relink and reclaim stages. Like the event-source label
-// itself, the split is exact when one goroutine drives the stack and
-// best-effort when several do.
+// Per-event-source device accounting for the observability plane: a
+// write goes through a Writer, which names its source, and the source
+// that tags the write's persistence events also buckets its bytes,
+// flushed lines and fences, so a stats snapshot can attribute PM traffic
+// to the foreground syscall path versus the background relink and
+// reclaim stages — exactly, however many goroutines write at once.
 
 import "splitfs/internal/obs"
 
@@ -17,16 +16,19 @@ type SourceStats struct {
 	Fences       int64
 }
 
-// srcIdx returns the current event-source label clamped into the known
-// range, so an out-of-range label (possible only through a caller
-// inventing a source) misattributes to foreground rather than
-// corrupting a neighbour counter.
-func (d *Device) srcIdx() uint32 {
-	if s := d.evSrc.Load(); s < uint32(evSources) {
-		return s
-	}
-	return uint32(SrcForeground)
+// Writer is the device's write path under one event source: what its
+// stores, flushes and fences write, count and trace is that source's. A
+// Device's own write methods are its foreground's Writer's.
+type Writer struct {
+	d   *Device
+	src EventSource
 }
+
+// foreground names the Writer a Device embeds for its own write methods.
+type foreground = Writer
+
+// As returns the device's write path under src, which must be Known.
+func (d *Device) As(src EventSource) Writer { return Writer{d, src} }
 
 // FenceCount reports the cumulative fence count — the feed the served
 // stack samples around each op for flight-record fence deltas.

@@ -13,20 +13,15 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// TestForegroundBytesCoverLeasedWrites is ROADMAP Known red (8). Two tenant
-// sessions over splitfs-strict with leases write 4 KB blocks through their
-// leased mappings and fsync every eighth, each from its own goroutine. A
-// leased write is the client's own store, so every leased byte is a
-// foreground byte, and the device's foreground source must count at least
-// as many bytes as the clients leased. It does not: the source is one
-// device-global label (pmem.Device.WithEventSource), so while one tenant's
-// fsync holds it at "relink", and after two overlapping fsyncs put their
-// labels back out of order, the other tenant's stores count as relink. The
-// skip goes when the label becomes an op-scoped context (ROADMAP item 1).
-// Run without it, the check failed in four runs of six on a 2-CPU host,
-// with 146 to 1 036 KB counted as foreground under 2 048 KB leased.
+// TestForegroundBytesCoverLeasedWrites: two tenant sessions over
+// splitfs-strict with leases write 4 KB blocks through their leased
+// mappings and fsync every eighth, each from its own goroutine. A leased
+// write is the client's own store, so every leased byte is a foreground
+// byte, and the device's foreground source must count at least as many
+// bytes as the clients leased — however the tenants' fsyncs, whose relink
+// and reclaim stages write under their own sources, interleave with the
+// other tenant's stores.
 func TestForegroundBytesCoverLeasedWrites(t *testing.T) {
-	t.Skip("ROADMAP Known red (8): the persistence-event source is device-global, so one tenant's fsync relabels the other's foreground stores")
 	st, err := stack.New("splitfs-strict", stack.Small)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -548,7 +549,7 @@ func (fs *FS) stagePiece(of *ofile, p []byte, off int64) (int, error) {
 		c.used += skip
 	}
 	sfOff := c.base + c.used
-	c.sf.m.StoreNT(p, sfOff)
+	c.sf.m.StoreNT(pmem.SrcForeground, p, sfOff)
 	c.used += need
 	if of.addStaged(stagedRange{fileOff: off, length: need, sf: c.sf, sfOff: sfOff}) {
 		// A new overlay entry references the staging file; merged appends

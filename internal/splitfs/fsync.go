@@ -25,10 +25,11 @@ import (
 // workloads by absolute event number. Concurrent fsyncs of distinct files run
 // their steps in parallel and coalesce one layer down, in K-Split's group
 // commit: whoever reaches CommitUpTo first commits the shared transaction
-// for everyone who joined it. Events issued here are tagged
-// SrcRelinkWorker (and SrcReclaim) so the crash harness's coverage stats
-// can tell the relink and reclaim stages from foreground stores. The
-// caller holds no file lock; the first error, in file order, is returned.
+// for everyone who joined it. The stages name their event sources,
+// SrcRelinkWorker and SrcReclaim, to every write they make or ask K-Split
+// for, so coverage and per-source stats tell them from foreground stores
+// exactly. The caller holds no file lock; the first error, in file order,
+// is returned.
 func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	if len(ofiles) == 0 {
 		return nil
@@ -41,9 +42,8 @@ func (fs *FS) syncFiles(ofiles ...*ofile) error {
 	fs.mu.RUnlock()
 	ofiles = slices.Compact(ofiles)
 	fs.clk.Charge(sim.USplitFsync)
-	var first error
-	fs.dev.WithEventSource(pmem.SrcRelinkWorker, func() { first = fs.relinkAndCommit(ofiles) })
-	fs.dev.WithEventSource(pmem.SrcReclaim, func() { fs.staging.reclaim() })
+	first := fs.relinkAndCommit(ofiles)
+	fs.staging.reclaim()
 	return first
 }
 
@@ -58,7 +58,7 @@ func (fs *FS) relinkAndCommit(ofiles []*ofile) (first error) {
 	released := buf[:0]
 	for _, of := range ofiles {
 		of.mu.Lock()
-		txid, rel, err := fs.relinkStepsLocked(of, released)
+		txid, rel, err := fs.relinkStepsLocked(pmem.SrcRelinkWorker, of, released)
 		of.mu.Unlock()
 		released = rel
 		if err != nil {
@@ -75,7 +75,7 @@ func (fs *FS) relinkAndCommit(ofiles []*ofile) (first error) {
 	// it that a concurrent fsync has applied but not yet committed is
 	// covered too.
 	if maxTx > 0 {
-		fs.kfs.CommitUpTo(maxTx)
+		fs.kfs.CommitUpTo(pmem.SrcRelinkWorker, maxTx)
 	}
 	fs.staging.release(released)
 	return first

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -79,7 +80,7 @@ func runRelinkModel(t *testing.T, mode Mode, in []byte) {
 	kfs := fs.kfs
 	// Staging blocks are recycled ones in real life: start the first
 	// megabyte of them, more than most sequences stage, non-zero.
-	fs.staging.ready[0].m.StoreNT(bytes.Repeat([]byte{0xFF}, 1<<20), 0)
+	fs.staging.ready[0].m.StoreNT(pmem.SrcForeground, bytes.Repeat([]byte{0xFF}, 1<<20), 0)
 	f, err := fs.OpenFile("/m", vfs.O_RDWR|vfs.O_CREATE, 0644)
 	if err != nil {
 		t.Fatal(err)

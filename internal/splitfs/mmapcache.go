@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func (c *mmapCache) load(of *ofile, p []byte, fileOff int64) (n int, mapped bool
 func (c *mmapCache) storeNT(of *ofile, p []byte, fileOff int64) (n int, mapped bool) {
 	c.fs.kfs.BeginAccess()
 	if m := c.get(of, fileOff); m != nil {
-		n, mapped = m.StoreNT(p, fileOff), true
+		n, mapped = m.StoreNT(pmem.SrcForeground, p, fileOff), true
 	}
 	c.fs.kfs.EndAccess()
 	return n, mapped

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 )
 
@@ -18,11 +19,11 @@ import (
 // Caller holds of.mu.
 func (fs *FS) relinkLocked(of *ofile) error {
 	var buf [8]stagedRange
-	txid, released, err := fs.relinkStepsLocked(of, buf[:0])
+	txid, released, err := fs.relinkStepsLocked(pmem.SrcForeground, of, buf[:0])
 	if err != nil {
 		return err
 	}
-	fs.kfs.CommitUpTo(txid)
+	fs.kfs.CommitUpTo(pmem.SrcForeground, txid)
 	fs.staging.release(released)
 	return nil
 }
@@ -56,7 +57,8 @@ func (fs *FS) relinkLocked(of *ofile) error {
 // overlay is popped, and a step that fails — a copy that finds no free
 // block — fails before the relink call: either way nothing has moved, and
 // the overlay is put back, the data staged for a later fsync to retry.
-func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64, _ []stagedRange, err error) {
+// Every write of the steps, here or in K-Split, carries src.
+func (fs *FS) relinkStepsLocked(src pmem.EventSource, of *ofile, released []stagedRange) (txid uint64, _ []stagedRange, err error) {
 	if len(of.staged) == 0 {
 		// Nothing staged: fence outstanding stores (in-place overwrites in
 		// POSIX mode) and have the caller commit the running journal
@@ -65,7 +67,7 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 		// lost. An empty transaction commits for free. (Found by the
 		// persistence-event crash sweep: truncate + fsync + crash lost
 		// the truncate.)
-		fs.dev.Fence()
+		fs.dev.As(src).Fence()
 		return fs.kfs.TxID(), released, nil
 	}
 	sc := getRelink()
@@ -73,7 +75,7 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 	var batch *ext4dax.Batch
 	if !fs.cfg.DisableRelink {
 		planPieces(sc, of.staged, of.size)
-		if batch, err = fs.kfs.BeginRelink(&of.kf, sc.moves); err != nil {
+		if batch, err = fs.kfs.BeginRelink(src, &of.kf, sc.moves); err != nil {
 			return 0, released, err
 		}
 	}
@@ -103,7 +105,7 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 	if batch == nil {
 		// Fig 3 ablation: staging without relink — copy everything
 		// through the kernel on fsync (committing internally).
-		if err := fs.copyStaged(of, sc, staged); err != nil {
+		if err := fs.copyStaged(ext4dax.As(src), of, sc, staged); err != nil {
 			return 0, released, err
 		}
 		return fs.kfs.TxID(), append(released, staged...), nil
@@ -113,7 +115,7 @@ func (fs *FS) relinkStepsLocked(of *ofile, released []stagedRange) (txid uint64,
 	// other journal user (another file's fsync, staging-file creation, or
 	// a handle whose credit does not fit) can commit the shared running
 	// transaction with this relink half applied.
-	err = fs.relinkPieces(batch, sc, of)
+	err = fs.relinkPieces(src, batch, sc, of)
 	// In strict mode, advance the inode's relink watermark in the same
 	// transaction (and the same inode write-back): every log entry for
 	// this file with seq <= watermark is now covered by the relink, and
@@ -199,8 +201,8 @@ func planPieces(sc *relinkScratch, staged []stagedRange, size int64) {
 // relinkPieces takes planPieces' steps inside an open batch: the copies
 // as kernel writes under the handle, and the relinks by one relink call
 // at the end — one crossing and one journal handle per file (DESIGN.md,
-// "Relink is a move", part 4). Caller holds of.mu.
-func (fs *FS) relinkPieces(batch *ext4dax.Batch, sc *relinkScratch, of *ofile) error {
+// "Relink is a move", part 4), its stores under src. Caller holds of.mu.
+func (fs *FS) relinkPieces(src pmem.EventSource, batch *ext4dax.Batch, sc *relinkScratch, of *ofile) error {
 	moves := sc.moves[:0]
 	var blocks int64
 	for i, m := range sc.moves {
@@ -219,7 +221,7 @@ func (fs *FS) relinkPieces(batch *ext4dax.Batch, sc *relinkScratch, of *ofile) e
 			// past EOF, which K-Split keeps zero on media: zero it here,
 			// ahead of the commit whose first fence orders it before the
 			// move.
-			s.sf.m.StoreNT(zeroBlock[:end-pc.b], s.sfOff+(pc.b-s.fileOff))
+			s.sf.m.StoreNT(src, zeroBlock[:end-pc.b], s.sfOff+(pc.b-s.fileOff))
 			// If the active chunk's cursor stands right after the piece,
 			// it steps to the end of that block: the staging file is
 			// about to lose the block, so the next append must start in
@@ -333,8 +335,8 @@ func (fs *FS) setAttrSize(of *ofile, size int64) {
 }
 
 // copyRange copies staged bytes [a, b) through the kernel write path (the
-// partial-block copy of §3.3), under batch (nil: a handle of its own),
-// through sc's buffer. Caller holds of.mu.
+// partial-block copy of §3.3), under batch (or a handle of its own that
+// names only a source), through sc's buffer. Caller holds of.mu.
 func (fs *FS) copyRange(batch *ext4dax.Batch, of *ofile, sc *relinkScratch, s stagedRange, a, b int64) error {
 	sc.buf = slices.Grow(sc.buf[:0], int(b-a))
 	buf := sc.buf[:b-a]
@@ -352,17 +354,17 @@ func (fs *FS) copyRange(batch *ext4dax.Batch, of *ofile, sc *relinkScratch, s st
 }
 
 // copyStaged is the no-relink fallback (Fig 3 ablation): every staged
-// byte is copied through the kernel, through sc's buffer, and fsynced.
-func (fs *FS) copyStaged(of *ofile, sc *relinkScratch, staged []stagedRange) error {
+// byte goes through the kernel under h, through sc's buffer, and is fsynced.
+func (fs *FS) copyStaged(h *ext4dax.Batch, of *ofile, sc *relinkScratch, staged []stagedRange) error {
 	for _, s := range staged {
-		if err := fs.copyRange(nil, of, sc, s, s.fileOff, s.fileOff+s.length); err != nil {
+		if err := fs.copyRange(h, of, sc, s, s.fileOff, s.fileOff+s.length); err != nil {
 			return err
 		}
 	}
 	if fs.mode == Strict {
-		of.kf.SetUserWatermark(nil, of.logSeq)
+		of.kf.SetUserWatermark(h, of.logSeq)
 	}
-	if err := of.kf.Sync(); err != nil {
+	if err := of.kf.SyncIn(h); err != nil {
 		return err
 	}
 	if of.size > of.ksize {

@@ -196,7 +196,7 @@ func TestTailRelinkZeroesRecycledSlack(t *testing.T) {
 				// Scribble over the whole first staging file, as if an earlier
 				// tenant of these blocks had left its data there.
 				sf := fs.staging.ready[0]
-				sf.m.StoreNT(bytes.Repeat([]byte{0xFF}, int(sf.size)), 0)
+				sf.m.StoreNT(pmem.SrcForeground, bytes.Repeat([]byte{0xFF}, int(sf.size)), 0)
 				fs.dev.Fence()
 
 				f, err := vfs.Create(fs, "/grow")
@@ -323,7 +323,7 @@ func TestTailRelinkCrashSweep(t *testing.T) {
 	setup := func() (*pmem.Device, *FS, vfs.File) {
 		dev, fs := newSmallEnv(t, Strict)
 		sf := fs.staging.ready[0]
-		sf.m.StoreNT(bytes.Repeat([]byte{0xFF}, int(sf.size)), 0)
+		sf.m.StoreNT(pmem.SrcForeground, bytes.Repeat([]byte{0xFF}, int(sf.size)), 0)
 		fs.dev.Fence()
 		f, err := vfs.Create(fs, "/t")
 		if err != nil {
@@ -525,7 +525,7 @@ func TestFsyncCrossingsFlatInPieces(t *testing.T) {
 		scatter(byte(pieces) + 1)
 		of.mu.Lock()
 		journal := clk.Snapshot().ByCat[sim.CatJournal]
-		txid, released, err := fs.relinkStepsLocked(of, nil)
+		txid, released, err := fs.relinkStepsLocked(pmem.SrcRelinkWorker, of, nil)
 		handles := clk.Snapshot().ByCat[sim.CatJournal] - journal
 		of.mu.Unlock()
 		if err != nil {
@@ -534,7 +534,7 @@ func TestFsyncCrossingsFlatInPieces(t *testing.T) {
 		if handles != sim.Ext4JournalHandle.Fixed {
 			t.Errorf("relink of %d pieces charged %d ns of journal handles, want one (%d)", pieces, handles, sim.Ext4JournalHandle.Fixed)
 		}
-		fs.kfs.CommitUpTo(txid)
+		fs.kfs.CommitUpTo(pmem.SrcRelinkWorker, txid)
 		fs.staging.release(released)
 		after := fs.Stats()
 		if moved, copied := after.RelinkBlocks-before.RelinkBlocks, after.CopiedBytes-before.CopiedBytes; moved != int64(2*pieces) || copied != 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -263,11 +264,11 @@ func (p *stagingPool) unrefLocked(sf *stagingFile) {
 	}
 }
 
-// reclaim unmaps, closes, and unlinks every retired file. syncFiles calls
-// this after each commit, keeping the munmap and unlink cost off the
-// fsync hot path; the unlink's block frees join the running journal
-// transaction and commit with the next group commit. Returns how many
-// files were reclaimed.
+// reclaim unmaps, closes, and unlinks every retired file — the reclaim
+// stage, whose writes carry SrcReclaim. syncFiles calls this after each
+// commit, keeping the munmap and unlink cost off the fsync hot path; the
+// unlink's block frees join the running journal transaction and commit
+// with the next group commit. Returns how many files were reclaimed.
 func (p *stagingPool) reclaim() int {
 	p.mu.Lock()
 	free := p.retired
@@ -279,7 +280,7 @@ func (p *stagingPool) reclaim() int {
 		sf.kf.Close()
 		// A failed unlink (it cannot fail for a live staging path) would
 		// only leave the file for recovery's staging-dir sweep.
-		_ = p.fs.kfs.Unlink(sf.path)
+		_, _ = p.fs.kfs.UnlinkIno(ext4dax.As(pmem.SrcReclaim), sf.path)
 	}
 	return len(free)
 }
