@@ -17,9 +17,13 @@
 //     commutes can be annotated `// +determinism:unordered` on the
 //     range line or the line above.
 //
-// A call "emits" if it reaches a pmem.Device, pmem.Writer or
-// ext4dax.Mapping operation or a vfs interface method, directly or
-// transitively (same-package fixpoint plus cross-package "emits" facts).
+// A call "emits" if it reaches, directly or transitively (same-package
+// fixpoint plus cross-package "emits" facts), a vfs interface method or
+// one of package pmem's two records of order: a persistence event
+// (Device.event) or the read cursor that makes a read sequential or
+// random (Device.lastReadEnd). Every pmem method that reaches either,
+// whatever type declares it, carries the fact, and so does every
+// function above it, in pmem or any package importing it.
 // Packages outside the deterministic set — the server (scheduling is
 // client driven), benchfmt, the analysis tooling itself, and cmd
 // utilities — are skipped entirely, as are test files.
@@ -91,15 +95,18 @@ func run(pass *analysis.Pass) error {
 			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
 			info := &fnInfo{id: analysis.FuncID(fn), body: fd.Body}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if callee := analysis.CalleeFunc(pass.Info, call); callee != nil {
-					if emittingMethod(callee) {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if pmemRecord(pass.Info.Uses[n.Sel]) {
 						info.emits = true
-					} else if id := analysis.FuncID(callee); id != "" {
-						info.callees = append(info.callees, id)
+					}
+				case *ast.CallExpr:
+					if callee := analysis.CalleeFunc(pass.Info, n); callee != nil {
+						if vfsInterfaceMethod(callee) {
+							info.emits = true
+						} else if id := analysis.FuncID(callee); id != "" {
+							info.callees = append(info.callees, id)
+						}
 					}
 				}
 				return true
@@ -209,7 +216,7 @@ func checkMapRange(pass *analysis.Pass, f *ast.File, rng *ast.RangeStmt, emitsFa
 			return true
 		}
 		if callee := analysis.CalleeFunc(pass.Info, call); callee != nil {
-			if emittingMethod(callee) || emitsFact(analysis.FuncID(callee)) {
+			if vfsInterfaceMethod(callee) || emitsFact(analysis.FuncID(callee)) {
 				emitted = true
 			}
 		}
@@ -313,47 +320,31 @@ func sortedLater(pass *analysis.Pass, f *ast.File, rng *ast.RangeStmt, v *types.
 	return found
 }
 
-// emittingMethod reports whether fn is a device/mapping operation or a
-// vfs interface method — a call whose relative order is observable in
-// the event trace or on the medium.
-func emittingMethod(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
+// pmemRecord reports whether obj is one of package pmem's records of
+// order: the method that records a persistence event, or the read cursor
+// a charged read compares and moves. Only pmem itself can name them, so
+// they seed the "emits" facts there.
+func pmemRecord(obj types.Object) bool {
+	if obj == nil || obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/pmem") {
 		return false
 	}
-	t := sig.Recv().Type()
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	var pkgPath, typeName string
-	switch u := types.Unalias(t).(type) {
-	case *types.Named:
-		if u.Obj().Pkg() == nil {
-			return false
-		}
-		pkgPath, typeName = u.Obj().Pkg().Path(), u.Obj().Name()
-	case *types.Interface:
-		if fn.Pkg() == nil {
-			return false
-		}
-		pkgPath = fn.Pkg().Path()
-	default:
-		return false
-	}
-	switch {
-	case strings.HasSuffix(pkgPath, "internal/vfs"):
-		return true
-	case strings.HasSuffix(pkgPath, "internal/pmem") && (typeName == "Device" || typeName == "Writer"):
-		switch fn.Name() {
-		case "ReadAt", "ReadIntoUser", "Store", "StoreNT", "StoreBuffered",
-			"Flush", "Fence", "Persist", "PersistNT", "event":
-			return true
-		}
-	case strings.HasSuffix(pkgPath, "internal/ext4dax") && typeName == "Mapping":
-		switch fn.Name() {
-		case "Load", "StoreNT":
-			return true
-		}
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Name() == "event"
+	case *types.Var:
+		return obj.IsField() && obj.Name() == "lastReadEnd"
 	}
 	return false
+}
+
+// vfsInterfaceMethod reports whether fn is a method of one of package
+// vfs's interfaces: a call on whatever file system or file stands behind
+// it, whose relative order is observable in the event trace or on the
+// medium.
+func vfsInterfaceMethod(fn *types.Func) bool {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/vfs") {
+		return false
+	}
+	return types.IsInterface(sig.Recv().Type())
 }

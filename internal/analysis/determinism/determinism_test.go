@@ -9,7 +9,7 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, analysistest.Testdata(t), determinism.Analyzer,
-		"dettest", "detuser", "server")
+		"splitfs/internal/pmem", "dettest", "detuser", "server")
 }
 
 func TestDeterministicPredicate(t *testing.T) {

@@ -49,6 +49,24 @@ func EmitSourced(dev *pmem.Device, m map[int64][]byte) {
 	}
 }
 
+// CrashAll crashes a device at each point of a map: each crash reverts
+// or tears what the previous one left, so the images depend on the order.
+// CrashPoint.Crash emits by the fact pmem's own analysis derives: it
+// resets the read cursor (Device.Crash) and records an event (PersistNT).
+func CrashAll(dev *pmem.Device, points map[int]pmem.CrashPoint) {
+	for _, p := range points { // want `map iteration emits persistence/I-O events in random order`
+		p.Crash(dev)
+	}
+}
+
+// PeekAll only looks at the volatile view, which neither records an
+// event nor moves the read cursor: any order reads the same bytes.
+func PeekAll(dev *pmem.Device, m map[int64][]byte) {
+	for off, p := range m {
+		dev.Peek(p, off)
+	}
+}
+
 // emitHelper reaches the device one call deep.
 func emitHelper(dev *pmem.Device) {
 	dev.Fence()

@@ -2,7 +2,6 @@ package ext4dax
 
 import (
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"splitfs/internal/alloc"
@@ -12,27 +11,19 @@ import (
 
 // File is an open ext4 DAX file.
 type File struct {
-	fs   *FS
-	in   *inode
-	gen  uint64 // in.gen when the handle was opened
-	flag int
-	path string
+	vfs.Handle[*File]
+	fs  *FS
+	in  *inode
+	gen uint64 // in.gen when the handle was opened
 	// created: this open made the file (O_CREATE on a name that was free).
 	created bool
 	// epochIn is in, for the lock-free MapEpoch: OpenInto may reopen the
 	// handle on another inode while a lease holder of its previous life
 	// still reads the epoch.
 	epochIn atomic.Pointer[inode]
-
-	mu     sync.Mutex // handle offset
-	pos    int64
-	closed atomic.Bool
 }
 
 var _ vfs.File = (*File)(nil)
-
-// Path implements vfs.File.
-func (f *File) Path() string { return f.path }
 
 // Ino exposes the inode number (used by U-Split's attribute cache).
 func (f *File) Ino() uint64 { return f.in.ino }
@@ -40,12 +31,6 @@ func (f *File) Ino() uint64 { return f.in.ino }
 // Created reports whether this open created the file. U-Split logs a
 // creating open as a metadata operation and a plain one as nothing.
 func (f *File) Created() bool { return f.created }
-
-// SetReadWrite gives the handle read and write access, whatever its open
-// asked for. U-Split serves every handle on an inode through the kernel
-// handle of the inode's open-file description, and checks each handle's
-// own access mode before it calls K-Split.
-func (f *File) SetReadWrite() { f.flag = f.flag&^(vfs.O_WRONLY|vfs.O_RDWR) | vfs.O_RDWR }
 
 // Linked reports whether the handle's inode is still live in the
 // namespace — the file it was opened on, not whatever a recycled record
@@ -63,54 +48,16 @@ func (f *File) Linked() bool {
 // stale reports whether the handle is closed or its inode has been freed
 // since it was opened: the record may serve another file by now. Caller
 // holds fs.mu or f.in.mu.
-func (f *File) stale() bool { return f.closed.Load() || f.in.gen != f.gen }
+func (f *File) stale() bool { return f.Closed() || f.in.gen != f.gen }
 
-// Read reads from the handle offset.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.ReadAt(p, f.pos)
-	f.pos += int64(n)
-	return n, err
-}
-
-// Write writes at the handle offset (or at EOF with O_APPEND). The EOF
-// offset is resolved under the inode lock, so concurrent O_APPEND writers
-// through distinct handles never overwrite each other.
-func (f *File) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, end, err := f.writeAt(nil, p, f.pos, f.flag&vfs.O_APPEND != 0)
-	f.pos = end
-	return n, err
-}
-
-// Seek implements vfs.File.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var base int64
-	switch whence {
-	case vfs.SeekSet:
-		base = 0
-	case vfs.SeekCur:
-		base = f.pos
-	case vfs.SeekEnd:
-		f.in.mu.RLock()
-		stale := f.stale()
-		base = f.in.size
-		f.in.mu.RUnlock()
-		if stale {
-			return 0, vfs.ErrClosed
-		}
-	default:
-		return 0, vfs.ErrInval
+// Size implements vfs.Positional.
+func (f *File) Size() (int64, error) {
+	f.in.mu.RLock()
+	defer f.in.mu.RUnlock()
+	if f.stale() {
+		return 0, vfs.ErrClosed
 	}
-	if base+offset < 0 {
-		return 0, vfs.ErrInval
-	}
-	f.pos = base + offset
-	return f.pos, nil
+	return f.in.size, nil
 }
 
 // ReadAt is pread(2): it charges the kernel trap and read path, then
@@ -119,11 +66,8 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 // concurrent reads, and writes to other files, proceed in parallel.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	fs := f.fs
-	if f.closed.Load() {
-		return 0, vfs.ErrClosed
-	}
-	if !vfs.Readable(f.flag) {
-		return 0, vfs.ErrInval
+	if err := f.CheckReadable(); err != nil {
+		return 0, err
 	}
 	fs.trap()
 	fs.clk.Charge(sim.Ext4ReadPath)
@@ -164,9 +108,7 @@ func (fs *FS) readLocked(in *inode, p []byte, off int64) (int, error) {
 			if span > int64(len(p)-n) {
 				span = int64(len(p) - n)
 			}
-			for i := int64(0); i < span; i++ {
-				p[n+int(i)] = 0
-			}
+			clear(p[n : n+int(span)])
 			n += int(span)
 			continue
 		}
@@ -189,15 +131,18 @@ func (f *File) WriteAtIn(b *Batch, p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// WriteEnd implements vfs.Positional: the O_APPEND end of file is read
+// under the inode lock (writeAt).
+func (f *File) WriteEnd(p []byte, off int64, atEOF bool) (int, int64, error) {
+	return f.writeAt(nil, p, off, atEOF)
+}
+
 // writeAt performs the write, resolving atEOF to the current size under
 // the locks, and returns the end offset for handle-position updates.
 func (f *File) writeAt(b *Batch, p []byte, off int64, atEOF bool) (int, int64, error) {
 	fs := f.fs
-	if f.closed.Load() {
-		return 0, off, vfs.ErrClosed
-	}
-	if !vfs.Writable(f.flag) {
-		return 0, off, vfs.ErrReadOnly
+	if err := f.CheckWritable(); err != nil {
+		return 0, off, err
 	}
 	fs.trap()
 	fs.clk.Charge(sim.Ext4DaxIomap)
@@ -332,8 +277,8 @@ func (f *File) TruncateIn(b *Batch, size int64) error {
 	if f.stale() {
 		return vfs.ErrClosed
 	}
-	if !vfs.Writable(f.flag) {
-		return vfs.ErrReadOnly
+	if err := f.CheckWritable(); err != nil {
+		return err
 	}
 	if size < 0 || size > MaxFileSize {
 		return vfs.ErrInval
@@ -406,8 +351,8 @@ func (f *File) SyncIn(b *Batch) error {
 // offset, so close is nearly free (Table 6: 0.34 µs) — except for the
 // last close of an orphan (unlinked-while-open) inode, which frees it.
 func (f *File) Close() error {
-	if !f.closed.CompareAndSwap(false, true) {
-		return vfs.ErrClosed
+	if err := f.MarkClosed(); err != nil {
+		return err
 	}
 	fs := f.fs
 	fs.trap()
@@ -425,7 +370,7 @@ func (f *File) Close() error {
 
 // Stat implements vfs.File.
 func (f *File) Stat() (vfs.FileInfo, error) {
-	if f.closed.Load() {
+	if f.Closed() {
 		return vfs.FileInfo{}, vfs.ErrClosed
 	}
 	f.fs.trap()

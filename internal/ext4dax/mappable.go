@@ -22,9 +22,6 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 		return nil, 0, vfs.ErrInval
 	}
 	fs := f.fs
-	if f.closed.Load() {
-		return nil, 0, vfs.ErrClosed
-	}
 	f.in.mu.RLock()
 	defer f.in.mu.RUnlock()
 	if f.stale() {

@@ -154,7 +154,7 @@ func (fs *FS) remapLocked(m *Mapping, f *File, off, length int64, huge bool, fro
 		ok = m.fill(f.in, off, off+mapped)
 	}
 	if !ok {
-		return nil, vfs.WrapPath("mmap", f.path, vfs.ErrInval)
+		return nil, vfs.WrapPath("mmap", f.Path(), vfs.ErrInval)
 	}
 	m.length.Store(mapped)
 	// No table the caller holds translates the refreshed ranges to blocks

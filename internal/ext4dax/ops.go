@@ -49,9 +49,9 @@ func (fs *FS) OpenInto(b *Batch, f *File, path string, flag int, perm uint32) er
 	if err != nil {
 		return vfs.WrapPath("open", path, err)
 	}
-	f.fs, f.in, f.gen, f.flag, f.path, f.created, f.pos = fs, in, in.gen, flag, vfs.CleanPath(path), created, 0
+	f.fs, f.in, f.gen, f.created = fs, in, in.gen, created
 	f.epochIn.Store(in)
-	f.closed.Store(false)
+	f.Open(f, path, flag)
 	return nil
 }
 

@@ -2,7 +2,6 @@ package logfs
 
 import (
 	"io"
-	"sync"
 
 	"splitfs/internal/alloc"
 	"splitfs/internal/pmem"
@@ -12,62 +11,18 @@ import (
 
 // File is an open logfs file handle.
 type File struct {
-	fs   *FS
-	in   *inode
-	flag int
-	path string
-
-	mu     sync.Mutex
-	pos    int64
-	closed bool
+	vfs.Handle[*File]
+	fs *FS
+	in *inode
 }
 
 var _ vfs.File = (*File)(nil)
 
-// Path implements vfs.File.
-func (f *File) Path() string { return f.path }
-
-// Read reads at the handle offset.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.ReadAt(p, f.pos)
-	f.pos += int64(n)
-	return n, err
-}
-
-// Write writes at the handle offset (EOF with O_APPEND).
-func (f *File) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	off := f.pos
-	if f.flag&vfs.O_APPEND != 0 {
-		off = f.in.size
-	}
-	n, err := f.WriteAt(p, off)
-	f.pos = off + int64(n)
-	return n, err
-}
-
-// Seek implements vfs.File.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var base int64
-	switch whence {
-	case vfs.SeekSet:
-	case vfs.SeekCur:
-		base = f.pos
-	case vfs.SeekEnd:
-		base = f.in.size
-	default:
-		return 0, vfs.ErrInval
-	}
-	if base+offset < 0 {
-		return 0, vfs.ErrInval
-	}
-	f.pos = base + offset
-	return f.pos, nil
+// Size implements vfs.Positional.
+func (f *File) Size() (int64, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	return f.in.size, nil
 }
 
 // ReadAt is pread(2).
@@ -75,50 +30,19 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.closed {
-		return 0, vfs.ErrClosed
-	}
-	if !vfs.Readable(f.flag) {
-		return 0, vfs.ErrInval
+	if err := f.CheckReadable(); err != nil {
+		return 0, err
 	}
 	fs.trap()
 	fs.clk.Charge(fs.prof.ReadPathCPU)
 	fs.stats.DataReads++
-	in := f.in
 	if off < 0 {
 		return 0, vfs.ErrInval
 	}
-	if off >= in.size {
+	if off >= f.in.size {
 		return 0, io.EOF
 	}
-	if m := in.size - off; int64(len(p)) > m {
-		p = p[:m]
-	}
-	n := 0
-	for n < len(p) {
-		cur := off + int64(n)
-		logical := cur / blockSize
-		inBlk := cur % blockSize
-		devOff, contig, ok := fs.lookup(in, logical)
-		var span int64
-		if ok {
-			span = contig*blockSize - inBlk
-		} else {
-			span = blockSize - inBlk // hole: zeros
-		}
-		if span > int64(len(p)-n) {
-			span = int64(len(p) - n)
-		}
-		if ok {
-			fs.dev.ReadIntoUser(p[n:n+int(span)], devOff+inBlk, sim.CatPMData)
-		} else {
-			for i := int64(0); i < span; i++ {
-				p[n+int(i)] = 0
-			}
-		}
-		n += int(span)
-	}
-	return n, nil
+	return fs.readLocked(f.in, p, off, true), nil
 }
 
 // WriteAt is pwrite(2). In COW mode (NOVA-strict) the covered blocks are
@@ -126,28 +50,36 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // making the write atomic; otherwise data is written in place and the
 // write is synchronous but not atomic.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	n, _, err := f.WriteEnd(p, off, false)
+	return n, err
+}
+
+// WriteEnd implements vfs.Positional: the O_APPEND end of file is read
+// under fs.mu, which the write holds throughout.
+func (f *File) WriteEnd(p []byte, off int64, atEOF bool) (n int, end int64, err error) {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.closed {
-		return 0, vfs.ErrClosed
+	if err := f.CheckWritable(); err != nil {
+		return 0, off, err
 	}
-	if !vfs.Writable(f.flag) {
-		return 0, vfs.ErrReadOnly
+	if atEOF {
+		off = f.in.size
 	}
 	if off < 0 {
-		return 0, vfs.ErrInval
+		return 0, off, vfs.ErrInval
 	}
 	fs.trap()
 	fs.clk.Charge(fs.prof.WritePathCPU)
 	fs.stats.DataWrites++
-	if len(p) == 0 {
-		return 0, nil
+	switch {
+	case len(p) == 0:
+	case fs.prof.COW:
+		n, err = fs.writeCOW(f.in, p, off)
+	default:
+		n, err = fs.writeInPlace(f.in, p, off)
 	}
-	if fs.prof.COW {
-		return fs.writeCOW(f.in, p, off)
-	}
-	return fs.writeInPlace(f.in, p, off)
+	return n, off + int64(n), err
 }
 
 // writeInPlace writes data into existing blocks, allocating for holes and
@@ -238,11 +170,11 @@ func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
 	var headBuf, tailBuf []byte
 	if headPad > 0 {
 		headBuf = make([]byte, headPad)
-		fs.readOld(in, headBuf, firstBlk*blockSize)
+		fs.readLocked(in, headBuf, firstBlk*blockSize, false)
 	}
 	if tailPad > 0 {
 		tailBuf = make([]byte, tailPad)
-		fs.readOld(in, tailBuf, end)
+		fs.readLocked(in, tailBuf, end, false)
 	}
 	// Write new blocks.
 	content := make([]byte, count*blockSize)
@@ -272,11 +204,13 @@ func (fs *FS) writeCOW(in *inode, p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// readOld reads existing file content (for COW edge preservation),
-// treating holes as zeros. Caller holds fs.mu.
-func (fs *FS) readOld(in *inode, p []byte, off int64) {
+// readLocked copies file content at off into p, up to EOF, holes as
+// zeros, and returns how much it copied: for a read(2) when user (the
+// file-data read path's charge), else for COW edge preservation. Caller
+// holds fs.mu.
+func (fs *FS) readLocked(in *inode, p []byte, off int64, user bool) int {
 	if off >= in.size {
-		return
+		return 0
 	}
 	if m := in.size - off; int64(len(p)) > m {
 		p = p[:m]
@@ -296,11 +230,17 @@ func (fs *FS) readOld(in *inode, p []byte, off int64) {
 		if span > int64(len(p)-n) {
 			span = int64(len(p) - n)
 		}
-		if ok {
+		switch {
+		case !ok:
+			clear(p[n : n+int(span)])
+		case user:
+			fs.dev.ReadIntoUser(p[n:n+int(span)], devOff+inBlk, sim.CatPMData)
+		default:
 			fs.dev.ReadAt(p[n:n+int(span)], devOff+inBlk, sim.CatPMData)
 		}
 		n += int(span)
 	}
+	return n
 }
 
 // Truncate implements vfs.File.
@@ -308,11 +248,8 @@ func (f *File) Truncate(size int64) error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.closed {
-		return vfs.ErrClosed
-	}
-	if !vfs.Writable(f.flag) {
-		return vfs.ErrReadOnly
+	if err := f.CheckWritable(); err != nil {
+		return err
 	}
 	fs.trap()
 	fs.stats.MetaOps++
@@ -326,7 +263,7 @@ func (f *File) Sync() error {
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f.closed {
+	if f.Closed() {
 		return vfs.ErrClosed
 	}
 	fs.trap()
@@ -338,10 +275,9 @@ func (f *File) Sync() error {
 func (f *File) Close() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if f.closed {
-		return vfs.ErrClosed
+	if err := f.MarkClosed(); err != nil {
+		return err
 	}
-	f.closed = true
 	f.fs.trap()
 	return nil
 }
@@ -350,7 +286,7 @@ func (f *File) Close() error {
 func (f *File) Stat() (vfs.FileInfo, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if f.closed {
+	if f.Closed() {
 		return vfs.FileInfo{}, vfs.ErrClosed
 	}
 	f.fs.trap()

@@ -41,7 +41,9 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	default:
 		return nil, vfs.WrapPath("open", path, vfs.ErrNotExist)
 	}
-	return &File{fs: fs, in: in, flag: flag, path: vfs.CleanPath(path)}, nil
+	f := &File{fs: fs, in: in}
+	f.Open(f, path, flag)
+	return f, nil
 }
 
 // Mkdir implements vfs.FileSystem.

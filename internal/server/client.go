@@ -145,11 +145,16 @@ func (c *Client) leasesOn() bool { return c.features&featLeases != 0 }
 // shared-offset dup behavior, EOF — are exactly the backend's own.
 // When the session negotiated leases, the proxy additionally holds the
 // handle's lease state (see lease.go and leasedReadAt below).
+//
+// A closed File answers vfs.ErrClosed itself and sends nothing, as the
+// direct backends' handles do; the server's ErrBadFD is for ids it never
+// issued.
 type File struct {
 	c      *Client
 	handle uint64
 	path   string
 	flag   int // open flags, for client-side readable/writable gating
+	closed atomic.Bool
 
 	leaseMu     sync.Mutex
 	lease       *clientLease
@@ -381,13 +386,21 @@ func (f *File) handleOp(typ, want uint8) error {
 
 // Read reads at the server-side handle offset. The offset lives on the
 // server, so this always takes the wire; leased reads are positional.
-func (f *File) Read(p []byte) (int, error) { return f.readLoop(tRead, rRead, p, -1) }
+func (f *File) Read(p []byte) (int, error) {
+	if f.closed.Load() {
+		return 0, vfs.ErrClosed
+	}
+	return f.readLoop(tRead, rRead, p, -1)
+}
 
 // ReadAt is positional (pread). With a negotiated lease it is satisfied
 // by loads straight through the mapped extents — zero wire data bytes —
 // falling back to the copy path when the mapping is stale, revoked, or
 // does not cover the range.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if f.closed.Load() {
+		return 0, vfs.ErrClosed
+	}
 	if off < 0 {
 		return 0, vfs.ErrInval
 	}
@@ -445,6 +458,9 @@ func (f *File) readLoop(typ, want uint8, p []byte, off int64) (int, error) {
 // directly (the paper's staged append through the process mapping);
 // otherwise they take the chunked wire codec.
 func (f *File) Write(p []byte) (int, error) {
+	if f.closed.Load() {
+		return 0, vfs.ErrClosed
+	}
 	if n, err, ok := f.leasedWrite(p, -1); ok {
 		return n, err
 	}
@@ -453,6 +469,9 @@ func (f *File) Write(p []byte) (int, error) {
 
 // WriteAt is positional (pwrite).
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	if f.closed.Load() {
+		return 0, vfs.ErrClosed
+	}
 	if off < 0 {
 		return 0, vfs.ErrInval
 	}
@@ -669,6 +688,9 @@ func (f *File) dropLease() {
 
 // Seek implements vfs.File (the offset lives server-side).
 func (f *File) Seek(offset int64, whence int) (int64, error) {
+	if f.closed.Load() {
+		return 0, vfs.ErrClosed
+	}
 	e := newCall()
 	defer releaseCall(e)
 	e.u64(f.handle)
@@ -685,6 +707,9 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Truncate implements vfs.File.
 func (f *File) Truncate(size int64) error {
+	if f.closed.Load() {
+		return vfs.ErrClosed
+	}
 	e := newCall()
 	defer releaseCall(e)
 	e.u64(f.handle)
@@ -694,11 +719,19 @@ func (f *File) Truncate(size int64) error {
 }
 
 // Sync implements vfs.File (fsync through the service).
-func (f *File) Sync() error { return f.handleOp(tFsync, rFsync) }
+func (f *File) Sync() error {
+	if f.closed.Load() {
+		return vfs.ErrClosed
+	}
+	return f.handleOp(tFsync, rFsync)
+}
 
 // Close implements vfs.File. The server revokes any lease on the
 // handle as part of Tclose; the client just forgets its view.
 func (f *File) Close() error {
+	if !f.closed.CompareAndSwap(false, true) {
+		return vfs.ErrClosed
+	}
 	f.dropLease()
 	return f.handleOp(tClose, rClose)
 }
@@ -706,6 +739,9 @@ func (f *File) Close() error {
 // Stat implements vfs.File (fstat on the server-side handle, so it
 // works on orphaned — unlinked-while-open — files too).
 func (f *File) Stat() (vfs.FileInfo, error) {
+	if f.closed.Load() {
+		return vfs.FileInfo{}, vfs.ErrClosed
+	}
 	e := newCall()
 	defer releaseCall(e)
 	e.u64(f.handle)

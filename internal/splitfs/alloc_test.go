@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/pmem"
@@ -13,6 +14,15 @@ import (
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
+
+// TestHandleSizeClass pins the handle a create allocates, its one
+// allocation, to the 64-byte size class: the description pointer and
+// generation, and vfs.Handle's path, flags, offset, lock and closed flag.
+func TestHandleSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(File{}); got != 64 {
+		t.Fatalf("splitfs.File is %d bytes, want 64", got)
+	}
+}
 
 // TestSyncNamespaceAllocations pins what each operation class of
 // splitperf's meta-churn workload allocates on splitfs-sync (DESIGN.md,

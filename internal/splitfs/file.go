@@ -2,8 +2,6 @@ package splitfs
 
 import (
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/pmem"
@@ -15,15 +13,9 @@ import (
 // share one ofile (and thus one staged overlay); dup'd descriptors share
 // the File itself and therefore the offset (§3.5).
 type File struct {
+	vfs.Handle[*File]
 	of  *ofile // and through it the FS: a handle stays in a 64-byte size class
 	gen uint64 // of's generation when this handle was opened
-
-	flag int
-	path string
-
-	mu     sync.Mutex // handle offset
-	pos    int64
-	closed atomic.Bool
 }
 
 var _ vfs.File = (*File)(nil)
@@ -184,77 +176,36 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 	case fs.mode == Strict:
 		fs.appendLog(encMetaEntry(metaOpen, info.Ino))
 	}
-	return &File{of: of, gen: gen, flag: flag, path: clean}, nil
+	f := &File{of: of, gen: gen}
+	f.Open(f, clean, flag)
+	return f, nil
 }
-
-// Path implements vfs.File.
-func (f *File) Path() string { return f.path }
 
 // live reports whether the handle is open and its description is still in
 // the life it was opened in: a description recycled since serves another
 // file. Caller holds f.of.mu (either side), under which a description
 // retires.
-func (f *File) live() bool { return !f.closed.Load() && f.of.gen.Load() == f.gen }
+func (f *File) live() bool { return !f.Closed() && f.of.gen.Load() == f.gen }
 
-// Read reads at the handle offset.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.ReadAt(p, f.pos)
-	f.pos += int64(n)
-	return n, err
-}
-
-// Write writes at the handle offset (EOF with O_APPEND). The EOF offset
-// is resolved under the ofile lock, so concurrent appenders through
-// distinct handles interleave whole writes.
+// Write implements vfs.File. In strict mode the op-log writer lock is
+// taken outside the handle lock, as WriteAt takes it.
 func (f *File) Write(p []byte) (int, error) {
 	unlock, err := f.of.fs.lockStrict(f.of.fs.stagePieces(len(p)) * logEntryBytes)
 	if err != nil {
 		return 0, err
 	}
 	defer unlock()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.of.mu.Lock()
-	defer f.of.mu.Unlock()
-	off := f.pos
-	if f.flag&vfs.O_APPEND != 0 {
-		off = f.of.size
-	}
-	n, err := f.writeLocked(p, off)
-	f.pos = off + int64(n)
-	return n, err
+	return f.Handle.Write(p)
 }
 
-// Seek implements vfs.File.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	if f.closed.Load() {
+// Size implements vfs.Positional.
+func (f *File) Size() (int64, error) {
+	f.of.mu.RLock()
+	defer f.of.mu.RUnlock()
+	if !f.live() {
 		return 0, vfs.ErrClosed
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var base int64
-	switch whence {
-	case vfs.SeekSet:
-	case vfs.SeekCur:
-		base = f.pos
-	case vfs.SeekEnd:
-		f.of.mu.RLock()
-		live := f.live()
-		base = f.of.size
-		f.of.mu.RUnlock()
-		if !live {
-			return 0, vfs.ErrClosed
-		}
-	default:
-		return 0, vfs.ErrInval
-	}
-	if base+offset < 0 {
-		return 0, vfs.ErrInval
-	}
-	f.pos = base + offset
-	return f.pos, nil
+	return f.of.size, nil
 }
 
 // ReadAt serves the read entirely in user space: the collection of mmaps
@@ -265,11 +216,8 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 // in parallel.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	fs := f.of.fs
-	if f.closed.Load() {
-		return 0, vfs.ErrClosed
-	}
-	if !vfs.Readable(f.flag) {
-		return 0, vfs.ErrInval
+	if err := f.CheckReadable(); err != nil {
+		return 0, err
 	}
 	if off < 0 {
 		return 0, vfs.ErrInval
@@ -304,9 +252,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			if err != nil && err != io.EOF {
 				return n, err
 			}
-			for i := n + got; i < n+int(span); i++ {
-				p[i] = 0
-			}
+			clear(p[n+got : n+int(span)])
 			n += int(span)
 			continue
 		}
@@ -316,18 +262,14 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			if z > int64(len(p)-n) {
 				z = int64(len(p) - n)
 			}
-			for i := int64(0); i < z; i++ {
-				p[n+int(i)] = 0
-			}
+			clear(p[n : n+int(z)])
 			n += int(z)
 			continue
 		}
 		n += got
 	}
 	// Zero anything between ksize and size not covered by staging.
-	for i := n; i < len(p); i++ {
-		p[i] = 0
-	}
+	clear(p[n:])
 	// Patch staged ranges (oldest first; later writes win). Each range
 	// holds a reference on its staging file until the relink that pops it
 	// — under of.mu's write side — has committed, so the mapping cannot
@@ -366,9 +308,22 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	defer unlock()
+	n, _, err := f.WriteEnd(p, off, false)
+	return n, err
+}
+
+// WriteEnd implements vfs.Positional: the O_APPEND end of file is read
+// under of.mu, which the write holds throughout, so concurrent appenders
+// through distinct handles interleave whole writes. Caller holds wmu in
+// strict mode.
+func (f *File) WriteEnd(p []byte, off int64, atEOF bool) (int, int64, error) {
 	f.of.mu.Lock()
 	defer f.of.mu.Unlock()
-	return f.writeLocked(p, off)
+	if atEOF {
+		off = f.of.size
+	}
+	n, err := f.writeLocked(p, off)
+	return n, off + int64(n), err
 }
 
 // writeLocked is WriteAt under f.of.mu (and wmu in strict mode).
@@ -377,8 +332,8 @@ func (f *File) writeLocked(p []byte, off int64) (int, error) {
 	if !f.live() {
 		return 0, vfs.ErrClosed
 	}
-	if !vfs.Writable(f.flag) {
-		return 0, vfs.ErrReadOnly
+	if err := f.CheckWritable(); err != nil {
+		return 0, err
 	}
 	if off < 0 || off > ext4dax.MaxFileSize-int64(len(p)) { // nothing staged K-Split could not relink
 		return 0, vfs.ErrInval
@@ -591,6 +546,9 @@ func (fs *FS) continuesActive(of *ofile, off int64) bool {
 // Truncate flushes staged state and passes through to K-Split.
 func (f *File) Truncate(size int64) error {
 	fs := f.of.fs
+	if err := f.CheckWritable(); err != nil {
+		return err
+	}
 	if size < 0 || size > ext4dax.MaxFileSize {
 		return vfs.ErrInval
 	}
@@ -599,12 +557,6 @@ func (f *File) Truncate(size int64) error {
 		return err
 	}
 	defer unlock()
-	if f.closed.Load() {
-		return vfs.ErrClosed
-	}
-	if !vfs.Writable(f.flag) {
-		return vfs.ErrReadOnly
-	}
 	fs.bookkeep()
 	of := f.of
 	of.mu.Lock()
@@ -648,9 +600,6 @@ func (f *File) Truncate(size int64) error {
 // file's was relinked by the Close.
 func (f *File) Sync() error {
 	fs := f.of.fs
-	if f.closed.Load() {
-		return vfs.ErrClosed
-	}
 	f.of.mu.RLock()
 	live := f.live()
 	f.of.mu.RUnlock()
@@ -681,8 +630,8 @@ func (f *File) Close() error {
 // entry reserved.
 func (f *File) closeLocked() error {
 	fs := f.of.fs
-	if !f.closed.CompareAndSwap(false, true) {
-		return vfs.ErrClosed
+	if err := f.MarkClosed(); err != nil {
+		return err
 	}
 	fs.clk.Charge(sim.USplitClose)
 	of := f.of
@@ -753,7 +702,7 @@ func (f *File) closeLocked() error {
 // Stat implements vfs.File from the cached attributes plus staged size.
 func (f *File) Stat() (vfs.FileInfo, error) {
 	fs := f.of.fs
-	if f.closed.Load() {
+	if f.Closed() {
 		return vfs.FileInfo{}, vfs.ErrClosed
 	}
 	fs.bookkeep()

@@ -37,9 +37,6 @@ func (f *File) MapExtents(off, length int64) ([]vfs.Extent, uint64, error) {
 	if off < 0 || length < 0 {
 		return nil, 0, vfs.ErrInval
 	}
-	if f.closed.Load() {
-		return nil, 0, vfs.ErrClosed
-	}
 	of := f.of
 	of.mu.RLock()
 	defer of.mu.RUnlock()

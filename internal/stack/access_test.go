@@ -120,3 +120,159 @@ func TestAccessModesPerHandle(t *testing.T) {
 		})
 	}
 }
+
+// stackNames is every kind, direct and served: sixteen names.
+func stackNames() []string {
+	var names []string
+	for _, kind := range stack.Kinds() {
+		names = append(names, kind, stack.Name(kind, true, false))
+	}
+	return names
+}
+
+// closedHandleSteps opens /a in each access mode, closes the handle, and
+// records what every later call on it returns.
+func closedHandleSteps(t *testing.T, fs vfs.FileSystem, log func(string, error)) {
+	writeSynced(t, fs, "/a", bytes.Repeat([]byte{1}, 100))
+	for _, mode := range []struct {
+		name string
+		flag int
+	}{{"ro", vfs.O_RDONLY}, {"wo", vfs.O_WRONLY}, {"rw", vfs.O_RDWR}, {"append", vfs.O_RDWR | vfs.O_APPEND}} {
+		f, err := fs.OpenFile("/a", mode.flag, 0)
+		log("open "+mode.name, err)
+		if f == nil {
+			continue
+		}
+		log("close "+mode.name, f.Close())
+		buf := make([]byte, 10)
+		_, err = f.Read(buf)
+		log("  read", err)
+		_, err = f.Write(buf)
+		log("  write", err)
+		_, err = f.ReadAt(buf, 0)
+		log("  readat", err)
+		_, err = f.WriteAt(buf, 0)
+		log("  writeat", err)
+		for _, whence := range []int{vfs.SeekSet, vfs.SeekCur, vfs.SeekEnd} {
+			_, err = f.Seek(0, whence)
+			log(fmt.Sprintf("  seek whence %d", whence), err)
+		}
+		log("  truncate", f.Truncate(0))
+		log("  sync", f.Sync())
+		_, err = f.Stat()
+		log("  stat", err)
+		log("  close again", f.Close())
+	}
+	got, err := vfs.ReadFile(fs, "/a")
+	log(fmt.Sprintf("reopen reads %d bytes, unchanged %v", len(got), bytes.Equal(got, bytes.Repeat([]byte{1}, 100))), err)
+}
+
+// TestClosedHandlesAnswerErrClosed closes a handle of every access mode
+// and requires each later call on it — every whence of Seek and a second
+// Close included — to answer vfs.ErrClosed, as os.File does, on every
+// kind direct and served, step for step as ext4-dax answers.
+func TestClosedHandlesAnswerErrClosed(t *testing.T) {
+	transcript := func(t *testing.T, name string) string {
+		st, err := stack.New(name, stack.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		closedHandleSteps(t, st.FS, func(step string, err error) { fmt.Fprintf(&sb, "%s: %s\n", step, errClass(err)) })
+		return sb.String()
+	}
+	// stray returns the first step on a closed handle (indented) that
+	// does not answer ErrClosed, or the first other step that fails.
+	stray := func(transcript string) string {
+		for _, line := range strings.Split(strings.TrimSpace(transcript), "\n") {
+			want := ": ok"
+			if strings.HasPrefix(line, "  ") {
+				want = ": " + vfs.ErrClosed.Error()
+			}
+			if !strings.HasSuffix(line, want) {
+				return line
+			}
+		}
+		return ""
+	}
+	want := transcript(t, "ext4-dax")
+	for _, name := range stackNames() {
+		got := want
+		if name != "ext4-dax" {
+			got = transcript(t, name)
+		}
+		if line := stray(got); line != "" {
+			t.Errorf("%s answers %q:\n%s", name, line, got)
+		} else if got != want {
+			t.Errorf("%s:\n%swant (ext4-dax):\n%s", name, got, want)
+		}
+	}
+}
+
+// TestAppendsThroughDistinctHandles has four goroutines append 100
+// records of 100 B each, each through its own O_APPEND handle on one
+// file. Every write must land at the end of file as it stands under the
+// write, so the file keeps all 40 000 B, every record whole, each
+// handle's records in order.
+func TestAppendsThroughDistinctHandles(t *testing.T) {
+	const handles, records, size = 4, 100, 100
+	record := func(h, i int) []byte {
+		r := bytes.Repeat([]byte{byte(h*31 + i*7 + 1)}, size)
+		r[0], r[1] = byte(h), byte(i)
+		return r
+	}
+	for _, name := range stackNames() {
+		t.Run(name, func(t *testing.T) {
+			st, err := stack.New(name, stack.Small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := st.FS
+			writeSynced(t, fs, "/log", nil)
+			files := make([]vfs.File, handles)
+			for h := range files {
+				if files[h], err = fs.OpenFile("/log", vfs.O_WRONLY|vfs.O_APPEND, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			errs := make(chan error, handles)
+			for h, f := range files {
+				go func() {
+					for i := range records {
+						if n, err := f.Write(record(h, i)); err != nil || n != size {
+							errs <- fmt.Errorf("handle %d record %d: wrote %d: %v", h, i, n, err)
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for range files {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+			for _, f := range files {
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := vfs.ReadFile(fs, "/log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != handles*records*size {
+				t.Fatalf("file is %d B, want %d", len(got), handles*records*size)
+			}
+			next := make([]int, handles)
+			for off := 0; off < len(got); off += size {
+				r := got[off : off+size]
+				h, i := int(r[0]), int(r[1])
+				if h >= handles || i != next[h] || !bytes.Equal(r, record(h, i)) {
+					t.Fatalf("record at %d is not handle %d's record %d whole: % x", off, h, next[min(h, handles-1)], r[:8])
+				}
+				next[h]++
+			}
+		})
+	}
+}

@@ -2,8 +2,8 @@ package strata
 
 import (
 	"io"
-	"sync"
 
+	"splitfs/internal/logfs"
 	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
@@ -11,15 +11,10 @@ import (
 // File is an open Strata file: a LibFS handle layered over the shared
 // file, with reads resolved against the private-log overlay.
 type File struct {
+	vfs.Handle[*File]
 	fs     *FS
-	shared vfs.File
+	shared *logfs.File
 	ino    uint64
-	flag   int
-	path   string
-
-	mu     sync.Mutex
-	pos    int64
-	closed bool
 }
 
 var _ vfs.File = (*File)(nil)
@@ -47,7 +42,9 @@ func (fs *FS) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
 		fs.mu.Lock()
 	}
 	fs.mu.Unlock()
-	return &File{fs: fs, shared: f, ino: info.Ino, flag: flag, path: vfs.CleanPath(path)}, nil
+	sf := &File{fs: fs, shared: f.(*logfs.File), ino: info.Ino}
+	sf.Open(sf, path, flag)
+	return sf, nil
 }
 
 // Mkdir implements vfs.FileSystem.
@@ -89,9 +86,7 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 		return info, err
 	}
 	fs.mu.Lock()
-	if over := fs.sizeOver[info.Ino]; over > info.Size {
-		info.Size = over
-	}
+	info.Size = max(info.Size, fs.sizeOver[info.Ino])
 	fs.mu.Unlock()
 	return info, nil
 }
@@ -99,100 +94,65 @@ func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) { return fs.shared.ReadDir(path) }
 
-// Path implements vfs.File.
-func (f *File) Path() string { return f.path }
-
+// size is the file's size, logged appends included, read through the
+// shared file's Stat, which traps. Caller holds fs.mu.
 func (f *File) size() int64 {
 	info, _ := f.shared.Stat()
+	return max(info.Size, f.fs.sizeOver[f.ino])
+}
+
+// Size implements vfs.Positional.
+func (f *File) Size() (int64, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if over := f.fs.sizeOver[f.ino]; over > info.Size {
-		return over
-	}
-	return info.Size
-}
-
-// Read reads at the handle offset.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.ReadAt(p, f.pos)
-	f.pos += int64(n)
-	return n, err
-}
-
-// Write writes at the handle offset (EOF with O_APPEND).
-func (f *File) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	off := f.pos
-	if f.flag&vfs.O_APPEND != 0 {
-		off = f.size()
-	}
-	n, err := f.WriteAt(p, off)
-	f.pos = off + int64(n)
-	return n, err
-}
-
-// Seek implements vfs.File.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var base int64
-	switch whence {
-	case vfs.SeekSet:
-	case vfs.SeekCur:
-		base = f.pos
-	case vfs.SeekEnd:
-		base = f.size()
-	default:
-		return 0, vfs.ErrInval
-	}
-	if base+offset < 0 {
-		return 0, vfs.ErrInval
-	}
-	f.pos = base + offset
-	return f.pos, nil
+	size, err := f.shared.Size()
+	return max(size, f.fs.sizeOver[f.ino]), err
 }
 
 // WriteAt appends a record to the private log — a pure user-space
 // operation with no kernel trap, synchronously persisted with one fence.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, vfs.ErrClosed
-	}
-	if !vfs.Writable(f.flag) {
-		return 0, vfs.ErrReadOnly
-	}
-	if off < 0 {
-		return 0, vfs.ErrInval
-	}
-	if len(p) == 0 {
-		return 0, nil
+	n, _, err := f.WriteEnd(p, off, false)
+	return n, err
+}
+
+// WriteEnd implements vfs.Positional: the O_APPEND end of file is read
+// under fs.mu, which the write holds throughout.
+func (f *File) WriteEnd(p []byte, off int64, atEOF bool) (int, int64, error) {
+	if err := f.CheckWritable(); err != nil {
+		return 0, off, err
 	}
 	fs := f.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if atEOF {
+		off = f.size()
+	}
+	if off < 0 {
+		return 0, off, vfs.ErrInval
+	}
+	if len(p) == 0 {
+		return 0, off, nil
+	}
 	dataOff, err := fs.logWrite(f.ino, off, p)
 	if err != nil {
-		return 0, err
+		return 0, off, err
 	}
 	fs.addInterval(f.ino, interval{off: off, length: int64(len(p)), logOff: dataOff})
 	fs.digestIfNeeded()
-	return len(p), nil
+	return len(p), off + int64(len(p)), nil
 }
 
 // ReadAt resolves the base content from the shared file, then patches in
 // logged writes newest-last (LibFS reads check the update log first).
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, vfs.ErrClosed
-	}
-	if !vfs.Readable(f.flag) {
-		return 0, vfs.ErrInval
+	if err := f.CheckReadable(); err != nil {
+		return 0, err
 	}
 	f.fs.clk.Charge(sim.StrataReadPath)
+	f.fs.mu.Lock()
 	size := f.size()
+	f.fs.mu.Unlock()
 	if off >= size {
 		return 0, io.EOF
 	}
@@ -204,9 +164,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if err != nil && err != io.EOF {
 		return 0, err
 	}
-	for i := n; i < len(p); i++ {
-		p[i] = 0
-	}
+	clear(p[n:])
 	// Patch logged intervals, oldest to newest.
 	fs := f.fs
 	fs.mu.Lock()
@@ -227,7 +185,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // Truncate digests pending log entries for this file, then truncates the
 // shared file.
 func (f *File) Truncate(size int64) error {
-	if f.closed {
+	if f.Closed() {
 		return vfs.ErrClosed
 	}
 	f.fs.mu.Lock()
@@ -239,7 +197,7 @@ func (f *File) Truncate(size int64) error {
 // Sync is fsync(2): Strata persists each log append eagerly, so fsync
 // only fences.
 func (f *File) Sync() error {
-	if f.closed {
+	if f.Closed() {
 		return vfs.ErrClosed
 	}
 	f.fs.plog.Fence()
@@ -248,12 +206,9 @@ func (f *File) Sync() error {
 
 // Close implements vfs.File.
 func (f *File) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return vfs.ErrClosed
+	if err := f.MarkClosed(); err != nil {
+		return err
 	}
-	f.closed = true
 	return f.shared.Close()
 }
 
@@ -264,9 +219,7 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 		return info, err
 	}
 	f.fs.mu.Lock()
-	if over := f.fs.sizeOver[f.ino]; over > info.Size {
-		info.Size = over
-	}
+	info.Size = max(info.Size, f.fs.sizeOver[f.ino])
 	f.fs.mu.Unlock()
 	return info, nil
 }

@@ -2,8 +2,8 @@
 // repository implements — the eight backends of the differential and macro
 // matrices: ext4-dax, the three SplitFS modes (posix/sync/strict), the two
 // NOVA modes (strict/relaxed), PMFS and Strata — plus the shared
-// error set, open flags, and a file-descriptor table with POSIX dup
-// semantics.
+// error set, open flags, the per-descriptor state their files share
+// (Handle), and a file-descriptor table with POSIX dup semantics.
 //
 // The paper's SplitFS intercepts 35 POSIX calls via LD_PRELOAD; here the
 // equivalent seam is this interface: applications and workloads are written
