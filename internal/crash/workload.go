@@ -329,13 +329,13 @@ func ScatterOps(seed uint64, n int) []Op {
 }
 
 // ServedOps builds a deterministic workload shaped for the served crash
-// campaigns' resume discipline (see server.DialResumable):
+// campaigns' resume discipline (see server.DialResumableConfig):
 //
 //   - names are never reused once unlinked or renamed away, so a
 //     re-opened handle chain identifies at most one durable file;
-//   - writes are positional appends (offset = tracked size), so a
-//     replayed write is idempotent — handle-offset appends would degrade
-//     to at-least-once across a server restart;
+//   - writes are appends at the tracked size, never O_APPEND ones, so a
+//     replayed write is idempotent — an O_APPEND write lands wherever the
+//     end is at replay, at-least-once across a server restart;
 //   - unlinks close their handle first, because a cold re-attach
 //     re-establishes handles by path and cannot rebuild orphans;
 //   - periodic and final OpSyncAll barriers bound every tenant's replay

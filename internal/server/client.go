@@ -107,8 +107,8 @@ type clientStats struct {
 	leaseFallbacks   atomic.Int64 // leased attempts retired to the copy path
 	leasedReadBytes  atomic.Int64
 	leasedWriteBytes atomic.Int64
-	wireReadBytes    atomic.Int64 // data payload bytes over Rread/Rpread
-	wireWriteBytes   atomic.Int64 // data payload bytes over Twrite/Tpwrite
+	wireReadBytes    atomic.Int64 // data payload bytes over Rpread
+	wireWriteBytes   atomic.Int64 // data payload bytes over Tpwrite
 }
 
 // ClientStats is a snapshot of the client's data-plane counters: how
@@ -140,9 +140,13 @@ func (c *Client) Stats() ClientStats {
 // leasesOn reports whether the negotiated session may use leases.
 func (c *Client) leasesOn() bool { return c.features&featLeases != 0 }
 
-// File is a served file handle. All state (offset included) lives
-// server-side; File is a thin proxy, so semantics — O_APPEND writes,
-// shared-offset dup behavior, EOF — are exactly the backend's own.
+// File is a served file handle. Like every backend's File it embeds the
+// handle core, which keeps its path, open flags, closed state and offset
+// here, on the client, as U-Split keeps them in the library (§3.5), and
+// supplies the core's positional I/O: Read and Write reach the server as
+// a Tpread or Tpwrite at the offset, as 9P and lisafs carry it, and an
+// O_APPEND write as a Tpwrite at offEOF, which the backend appends under
+// its own write lock. A SeekEnd asks the server for the size (Tfstat).
 // When the session negotiated leases, the proxy additionally holds the
 // handle's lease state (see lease.go and leasedReadAt below).
 //
@@ -150,11 +154,9 @@ func (c *Client) leasesOn() bool { return c.features&featLeases != 0 }
 // direct backends' handles do; the server's ErrBadFD is for ids it never
 // issued.
 type File struct {
+	vfs.Handle[*File]
 	c      *Client
 	handle uint64
-	path   string
-	flag   int // open flags, for client-side readable/writable gating
-	closed atomic.Bool
 
 	leaseMu     sync.Mutex
 	lease       *clientLease
@@ -271,7 +273,9 @@ func (c *Client) OpenFile(path string, flag int, perm uint32) (vfs.File, error) 
 	if d.err != nil {
 		return nil, d.err
 	}
-	return &File{c: c, handle: h, path: path, flag: flag}, nil
+	f := &File{c: c, handle: h}
+	f.Open(f, path, flag)
+	return f, nil
 }
 
 func (c *Client) pathOp(typ, want uint8, path string) error {
@@ -373,9 +377,6 @@ func (c *Client) Close() error {
 // ---------------------------------------------------------------------
 // File proxy.
 
-// Path implements vfs.File.
-func (f *File) Path() string { return f.path }
-
 func (f *File) handleOp(typ, want uint8) error {
 	e := newCall()
 	defer releaseCall(e)
@@ -384,21 +385,12 @@ func (f *File) handleOp(typ, want uint8) error {
 	return err
 }
 
-// Read reads at the server-side handle offset. The offset lives on the
-// server, so this always takes the wire; leased reads are positional.
-func (f *File) Read(p []byte) (int, error) {
-	if f.closed.Load() {
-		return 0, vfs.ErrClosed
-	}
-	return f.readLoop(tRead, rRead, p, -1)
-}
-
 // ReadAt is positional (pread). With a negotiated lease it is satisfied
 // by loads straight through the mapped extents — zero wire data bytes —
 // falling back to the copy path when the mapping is stale, revoked, or
 // does not cover the range.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if f.closed.Load() {
+	if f.Closed() {
 		return 0, vfs.ErrClosed
 	}
 	if off < 0 {
@@ -407,13 +399,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if n, ok := f.leasedReadAt(p, off); ok {
 		return n, nil
 	}
-	return f.readLoop(tPread, rPread, p, off)
+	return f.readLoop(p, off)
 }
 
-// readLoop chunks a read through bounded frames. off < 0 selects the
-// handle-offset variant; EOF after at least one byte reads as a short
-// read (the io contract every backend here follows).
-func (f *File) readLoop(typ, want uint8, p []byte, off int64) (int, error) {
+// readLoop chunks a read through bounded frames. EOF after at least one
+// byte reads as a short read (the io contract every backend here
+// follows).
+func (f *File) readLoop(p []byte, off int64) (int, error) {
 	e := newCall()
 	defer releaseCall(e)
 	total := 0
@@ -424,17 +416,15 @@ func (f *File) readLoop(typ, want uint8, p []byte, off int64) (int, error) {
 		}
 		e.reset()
 		e.u64(f.handle)
-		if off >= 0 {
-			e.i64(off + int64(total))
-		}
+		e.i64(off + int64(total))
 		e.u32(uint32(n))
-		rp, err := f.c.call(typ, want, e)
+		rp, err := f.c.call(tPread, rPread, e)
 		if err != nil {
 			if err == io.EOF && total > 0 {
 				return total, nil
 			}
 			if errors.Is(err, errConnLost) {
-				return total, &ShortIOError{Op: "read", Path: f.path, Acked: total, InFlight: n, Err: err}
+				return total, &ShortIOError{Op: "read", Path: f.Path(), Acked: total, InFlight: n, Err: err}
 			}
 			return total, err
 		}
@@ -453,38 +443,34 @@ func (f *File) readLoop(typ, want uint8, p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// Write writes at the server-side handle offset (EOF under O_APPEND).
-// With a writable lease the bytes are stored through the mapped file
-// directly (the paper's staged append through the process mapping);
-// otherwise they take the chunked wire codec.
-func (f *File) Write(p []byte) (int, error) {
-	if f.closed.Load() {
-		return 0, vfs.ErrClosed
-	}
-	if n, err, ok := f.leasedWrite(p, -1); ok {
-		return n, err
-	}
-	return f.writeLoop(tWrite, rWrite, p, -1)
-}
-
 // WriteAt is positional (pwrite).
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	if f.closed.Load() {
-		return 0, vfs.ErrClosed
-	}
-	if off < 0 {
-		return 0, vfs.ErrInval
-	}
-	if n, err, ok := f.leasedWrite(p, off); ok {
-		return n, err
-	}
-	return f.writeLoop(tPwrite, rPwrite, p, off)
+	n, _, err := f.WriteEnd(p, off, false)
+	return n, err
 }
 
-func (f *File) writeLoop(typ, want uint8, p []byte, off int64) (int, error) {
+// WriteEnd implements vfs.Positional: a write at off or, when atEOF, at
+// the end of file as the backend finds it under its write lock. With a
+// writable lease the bytes are stored through the mapped file directly
+// (the paper's staged append through the process mapping); otherwise
+// they take the chunked wire codec.
+func (f *File) WriteEnd(p []byte, off int64, atEOF bool) (int, int64, error) {
+	if f.Closed() {
+		return 0, off, vfs.ErrClosed
+	}
+	if off < 0 {
+		return 0, off, vfs.ErrInval
+	}
+	if n, end, err, ok := f.leasedWrite(p, off, atEOF); ok {
+		return n, end, err
+	}
+	return f.writeLoop(p, off, atEOF)
+}
+
+func (f *File) writeLoop(p []byte, off int64, atEOF bool) (int, int64, error) {
 	e := newCall()
 	defer releaseCall(e)
-	total := 0
+	total, end := 0, off
 	for {
 		n := len(p) - total
 		if n > chunkBytes {
@@ -492,28 +478,41 @@ func (f *File) writeLoop(typ, want uint8, p []byte, off int64) (int, error) {
 		}
 		e.reset()
 		e.u64(f.handle)
-		if off >= 0 {
+		if atEOF {
+			e.i64(offEOF)
+		} else {
 			e.i64(off + int64(total))
 		}
 		e.bytes(p[total : total+n])
-		rp, err := f.c.call(typ, want, e)
+		rp, err := f.c.call(tPwrite, rPwrite, e)
 		if err != nil {
 			if errors.Is(err, errConnLost) {
-				return total, &ShortIOError{Op: "write", Path: f.path, Acked: total, InFlight: n, Err: err}
+				err = &ShortIOError{Op: "write", Path: f.Path(), Acked: total, InFlight: n, Err: err}
 			}
-			return total, err
+			return total, end, err
 		}
 		d := dec{b: rp}
 		got := int(d.u32())
-		if d.err != nil {
-			return total, d.err
+		at := off + int64(total+got)
+		if atEOF {
+			at = d.i64()
 		}
-		total += got
+		if d.err != nil {
+			return total, end, d.err
+		}
+		total, end = total+got, at
 		f.c.stats.wireWriteBytes.Add(int64(got))
 		if got < n || total >= len(p) {
-			return total, nil
+			return total, end, nil
 		}
 	}
+}
+
+// Size implements vfs.Positional: the size a SeekEnd seeks from, from
+// the server's fstat of the handle.
+func (f *File) Size() (int64, error) {
+	fi, err := f.Stat()
+	return fi.Size, err
 }
 
 // ---------------------------------------------------------------------
@@ -525,7 +524,7 @@ func (f *File) writeLoop(typ, want uint8, p []byte, off int64) (int, error) {
 // leasedReadAt tries to satisfy a positional read through the handle's
 // lease. ok=false means the caller must take the wire.
 func (f *File) leasedReadAt(p []byte, off int64) (int, bool) {
-	if !f.c.leasesOn() || !vfs.Readable(f.flag) || len(p) == 0 {
+	if !f.c.leasesOn() || f.CheckReadable() != nil || len(p) == 0 {
 		return 0, false
 	}
 	f.leaseMu.Lock()
@@ -592,14 +591,14 @@ func (f *File) tryLeasedRead(L *clientLease, p []byte, off int64) (int, bool) {
 	return len(p), true
 }
 
-// leasedWrite tries to store p through the leased mapping. off < 0 is
-// the handle-offset variant (O_APPEND included — the leased file IS the
-// server-side handle, so offset state is shared either way). ok=false
-// means the caller must take the wire. Disabled on resumable sessions:
-// a leased write bypasses the replay log.
-func (f *File) leasedWrite(p []byte, off int64) (int, error, bool) {
-	if !f.c.leaseWrites || !f.c.leasesOn() || !vfs.Writable(f.flag) || len(p) == 0 {
-		return 0, nil, false
+// leasedWrite tries to store p through the leased mapping, at off or,
+// when atEOF, at the end of file: the leased file is the server-side
+// handle, so it writes as the session would (writeEnd). ok=false means
+// the caller must take the wire. Disabled on resumable sessions: a
+// leased write bypasses the replay log.
+func (f *File) leasedWrite(p []byte, off int64, atEOF bool) (n int, end int64, err error, ok bool) {
+	if !f.c.leaseWrites || !f.c.leasesOn() || f.CheckWritable() != nil || len(p) == 0 {
+		return 0, off, nil, false
 	}
 	f.leaseMu.Lock()
 	defer f.leaseMu.Unlock()
@@ -607,7 +606,7 @@ func (f *File) leasedWrite(p []byte, off int64) (int, error, bool) {
 		L := f.lease
 		if L == nil {
 			if L = f.grantLease(); L == nil {
-				return 0, nil, false
+				return 0, off, nil, false
 			}
 			f.lease = L
 		}
@@ -621,19 +620,13 @@ func (f *File) leasedWrite(p []byte, off int64) (int, error, bool) {
 			f.lease = nil
 			continue
 		}
-		var n int
-		var err error
-		if off < 0 {
-			n, err = seg.file.Write(p)
-		} else {
-			n, err = seg.file.WriteAt(p, off)
-		}
+		n, end, err = writeEnd(seg.file, p, off, atEOF)
 		seg.mu.RUnlock()
 		f.c.stats.leasedWriteBytes.Add(int64(n))
-		return n, err, true
+		return n, end, err, true
 	}
 	f.c.stats.leaseFallbacks.Add(1)
-	return 0, nil, false
+	return 0, off, nil, false
 }
 
 // grantLease round-trips Tlease for this handle and resolves the
@@ -686,28 +679,9 @@ func (f *File) dropLease() {
 	f.leaseMu.Unlock()
 }
 
-// Seek implements vfs.File (the offset lives server-side).
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	if f.closed.Load() {
-		return 0, vfs.ErrClosed
-	}
-	e := newCall()
-	defer releaseCall(e)
-	e.u64(f.handle)
-	e.i64(offset)
-	e.u8(uint8(whence))
-	rp, err := f.c.call(tSeek, rSeek, e)
-	if err != nil {
-		return 0, err
-	}
-	d := dec{b: rp}
-	pos := d.i64()
-	return pos, d.err
-}
-
 // Truncate implements vfs.File.
 func (f *File) Truncate(size int64) error {
-	if f.closed.Load() {
+	if f.Closed() {
 		return vfs.ErrClosed
 	}
 	e := newCall()
@@ -720,7 +694,7 @@ func (f *File) Truncate(size int64) error {
 
 // Sync implements vfs.File (fsync through the service).
 func (f *File) Sync() error {
-	if f.closed.Load() {
+	if f.Closed() {
 		return vfs.ErrClosed
 	}
 	return f.handleOp(tFsync, rFsync)
@@ -729,8 +703,8 @@ func (f *File) Sync() error {
 // Close implements vfs.File. The server revokes any lease on the
 // handle as part of Tclose; the client just forgets its view.
 func (f *File) Close() error {
-	if !f.closed.CompareAndSwap(false, true) {
-		return vfs.ErrClosed
+	if err := f.MarkClosed(); err != nil {
+		return err
 	}
 	f.dropLease()
 	return f.handleOp(tClose, rClose)
@@ -739,7 +713,7 @@ func (f *File) Close() error {
 // Stat implements vfs.File (fstat on the server-side handle, so it
 // works on orphaned — unlinked-while-open — files too).
 func (f *File) Stat() (vfs.FileInfo, error) {
-	if f.closed.Load() {
+	if f.Closed() {
 		return vfs.FileInfo{}, vfs.ErrClosed
 	}
 	e := newCall()

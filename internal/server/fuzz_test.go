@@ -31,7 +31,7 @@ func frameFixtures(t testing.TB) [][]byte {
 	hello := frame(tOpen, 42, []byte("hello wire"))
 	return [][]byte{
 		hello,
-		frame(tWrite, 1, e.b),
+		frame(tPwrite, 1, e.b),
 		append(bytes.Clone(hello), frame(tStat, 43, nil)...),
 		{0xff, 0xff, 0xff, 0xff},
 		hello[:len(hello)-3],

@@ -116,8 +116,8 @@ func pathHashOf(typ uint8, payload []byte) uint64 {
 		d.u32() // flag
 		d.u32() // perm
 		return obs.FNV1a(d.str())
-	case tClose, tRead, tWrite, tPread, tPwrite, tSeek, tTruncate,
-		tFsync, tFstat, tLease, tReopen, tRevokeAck:
+	case tClose, tPread, tPwrite, tTruncate, tFsync, tFstat, tLease,
+		tReopen, tRevokeAck:
 		return d.u64()
 	}
 	return 0

@@ -101,12 +101,13 @@ func (srv *Server) nameClose(s *Session, h uint64, f vfs.File) (seg *leaseSegmen
 	return e.seg, true
 }
 
-// unpark takes a file parked at path, rewound, with its inode, for an
-// open of path with flag, or returns nil; only a plain read-only open
-// takes one. The file goes out only while path still names its inode: a
-// change made behind the server's back, or a close racing a rename,
-// leaves a key stale, and the file is closed instead. The file's own
-// Stat runs at its first unpark only; the inode rides along after.
+// unpark takes a file parked at path, with its inode, for an open of
+// path with flag, or returns nil; only a plain read-only open takes one.
+// Its offset needs no rewind: the client keeps the offset. The file goes
+// out only while path still names its inode: a change made behind the
+// server's back, or a close racing a rename, leaves a key stale, and the
+// file is closed instead. The file's own Stat runs at its first unpark
+// only; the inode rides along after.
 func (srv *Server) unpark(path string, flag int) (vfs.File, uint64) {
 	if flag != vfs.O_RDONLY {
 		return nil, 0
@@ -127,9 +128,7 @@ func (srv *Server) unpark(path string, flag int) (vfs.File, uint64) {
 		p.ino = own.Ino
 	}
 	if err == nil && fi.Ino == p.ino {
-		if _, err = p.f.Seek(0, vfs.SeekSet); err == nil {
-			return p.f, p.ino
-		}
+		return p.f, p.ino
 	}
 	p.f.Close()
 	return nil, 0

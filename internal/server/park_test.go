@@ -164,9 +164,10 @@ func readAll(c vfs.FileSystem, path string) ([]byte, error) {
 func fill(c byte, n int) []byte { return bytes.Repeat([]byte{c}, n) }
 
 // TestParkedOpenMakesNoBackendOpen: a read-only open of a name whose
-// closed handle is parked takes the parked file, rewound: no backend
-// open — K-Split is not entered and U-Split logs no open or close — and
-// the client reads the file from its start. The parked file's own Stat
+// closed handle is parked takes the parked file: no backend open —
+// K-Split is not entered and U-Split logs no open or close — and the
+// client, whose fresh handle is at offset 0, reads the file from its
+// start. The parked file's own Stat
 // runs at its first hit only: the inode it learned parks with it.
 func TestParkedOpenMakesNoBackendOpen(t *testing.T) {
 	p := newParkStack(t)
@@ -384,7 +385,7 @@ func TestParkedFileRefusedAfterBackendRename(t *testing.T) {
 // read-only, replaces them by renaming a file onto them, unlinks them,
 // renames them away and rewrites them through writable handles. Every
 // file a name holds is filled with that name's byte, so a parked file
-// handed out under the wrong name, or not rewound, reads wrong.
+// handed out under the wrong name reads wrong.
 func TestParkingRacesNamespaceChanges(t *testing.T) {
 	p := newParkStack(t)
 	names := []string{"/x", "/y"}

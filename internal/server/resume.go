@@ -28,12 +28,13 @@ const resumeMaxAttempts = 8
 // acknowledged SyncAll are re-applied exactly once on reconnect — the
 // server's per-session reply cache dedupes re-sent requests that
 // already executed, and the replay heal rules absorb namespace
-// operations that recovery preserved. Two disciplines are required of
-// the workload (the crash campaigns follow both): path names are never
+// operations that recovery preserved. One discipline is required of
+// the workload (the crash campaigns follow it): path names are never
 // reused once unlinked or renamed away (reopen chains identify files by
-// name), and writes are positional — handle-offset appends degrade to
-// at-least-once across a server restart because the server-side offset
-// cannot be reconstructed exactly.
+// name). Every write carries its offset — the File keeps it, so a cold
+// resume has none to restore — and replays idempotently, except an
+// O_APPEND write: it lands at the end of file as the server finds it,
+// so across a server restart it degrades to at-least-once.
 //
 // Leases on a resumable session are read-only: a leased write would
 // bypass the replay log, so writes always take the logged wire path.
@@ -83,19 +84,17 @@ type opRecord struct {
 }
 
 // handleMeta tracks what a cold resume needs to re-establish a handle
-// at its original wire ID: open mode, the chain of names the file may
+// at its original wire ID: open mode and the chain of names the file may
 // durably sit at (its name at the last barrier plus every rename
 // destination sent since — an over-approximation the server probes
-// newest-first), and the offset at the last barrier (replayed
-// operations re-advance it from there).
+// newest-first). The offset is the client File's own: every read and
+// write carries it.
 type handleMeta struct {
 	id         uint64
 	flag       int
 	perm       uint32
 	curPath    string
 	chain      []string
-	curOff     int64 // best-effort tracked handle offset
-	baseOff    int64 // offset at the last barrier
 	reopenSeq  uint32
 	preBarrier bool // opened before the last barrier (no Topen in the log)
 	closed     bool
@@ -103,7 +102,6 @@ type handleMeta struct {
 
 // pureOp reports requests with no server-side effect beyond their
 // reply; they are never logged, just retried fresh after a resume.
-// (Tread and Tseek move the handle offset, so they are not pure.)
 func pureOp(typ uint8) bool {
 	switch typ {
 	case tStat, tFstat, tReadDir, tPread, tLease, tRevokeAck:
@@ -215,27 +213,6 @@ func (t *resumeState) ack(rec *opRecord, rtyp uint8, rp []byte) {
 		if m := t.handles[d.u64()]; m != nil && d.err == nil {
 			m.closed = true
 		}
-	case tSeek:
-		id := d.u64()
-		rd := dec{b: rp}
-		pos := rd.i64()
-		if m := t.handles[id]; m != nil && d.err == nil && rd.err == nil {
-			m.curOff = pos
-		}
-	case tRead:
-		id := d.u64()
-		rd := dec{b: rp}
-		data := rd.bytes()
-		if m := t.handles[id]; m != nil && d.err == nil && rd.err == nil {
-			m.curOff += int64(len(data))
-		}
-	case tWrite:
-		id := d.u64()
-		rd := dec{b: rp}
-		n := rd.u32()
-		if m := t.handles[id]; m != nil && d.err == nil && rd.err == nil {
-			m.curOff += int64(n)
-		}
 	case tRename:
 		oldPath := d.str()
 		newPath := d.str()
@@ -257,7 +234,7 @@ func (t *resumeState) ack(rec *opRecord, rtyp uint8, rp []byte) {
 // barrier runs when a SyncAll acknowledges successfully: everything
 // acknowledged before it is durable in every mode, so the replay log
 // empties and each surviving handle's reopen chain collapses to its
-// current name at its current offset.
+// current name.
 func (t *resumeState) barrier() {
 	t.records = nil
 	for id, m := range t.handles {
@@ -267,7 +244,6 @@ func (t *resumeState) barrier() {
 		}
 		m.preBarrier = true
 		m.chain = []string{m.curPath}
-		m.baseOff = m.curOff
 	}
 }
 
@@ -354,7 +330,7 @@ func (t *resumeState) replay(cold bool) error {
 			if m.reopenSeq == 0 {
 				m.reopenSeq = t.x.next()
 			}
-			if err := t.sendReopen(m.reopenSeq, m, m.baseOff); err != nil {
+			if err := t.sendReopen(m.reopenSeq, m); err != nil {
 				return err
 			}
 		}
@@ -372,7 +348,7 @@ func (t *resumeState) replay(cold bool) error {
 			if m == nil {
 				continue
 			}
-			if err := t.sendReopen(rec.seq, m, 0); err != nil {
+			if err := t.sendReopen(rec.seq, m); err != nil {
 				return err
 			}
 			continue
@@ -388,12 +364,11 @@ func (t *resumeState) replay(cold bool) error {
 	return nil
 }
 
-func (t *resumeState) sendReopen(seq uint32, m *handleMeta, off int64) error {
+func (t *resumeState) sendReopen(seq uint32, m *handleMeta) error {
 	var e enc
 	e.u64(m.id)
 	e.u32(uint32(m.flag))
 	e.u32(m.perm)
-	e.i64(off)
 	e.u16(uint16(len(m.chain)))
 	for _, p := range m.chain {
 		e.str(p)

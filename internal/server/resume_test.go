@@ -327,6 +327,71 @@ func TestColdResumeClosedHandleFollowsRename(t *testing.T) {
 	}
 }
 
+// A cold resume restores no offset: the File keeps its own, and every
+// write carries it, so the writes replayed after a daemon restart land
+// where they first did. A handle that wrote through its offset on both
+// sides of a barrier reads on, after the restart, from where a direct
+// ext4-dax handle does, and the file holds every byte once.
+func TestColdResumeKeepsHandleOffset(t *testing.T) {
+	run := func(fs vfs.FileSystem, barrier func(vfs.File) error, restart func()) string {
+		var sb strings.Builder
+		log := func(step string, err error) { fmt.Fprintf(&sb, "%s: %v\n", step, err) }
+		f, err := fs.OpenFile("/f", vfs.O_CREATE|vfs.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := f.Write([]byte("before the barrier|"))
+		log(fmt.Sprintf("write %d bytes", n), err)
+		log("barrier", barrier(f))
+		n, err = f.Write([]byte("after it|"))
+		log(fmt.Sprintf("write %d bytes", n), err)
+		pos, err := f.Seek(-3, vfs.SeekCur)
+		log(fmt.Sprintf("seek back to %d", pos), err)
+		n, err = f.Write([]byte("S TAIL|"))
+		log(fmt.Sprintf("write %d bytes", n), err)
+		restart()
+		pos, err = f.Seek(0, vfs.SeekCur)
+		log(fmt.Sprintf("offset %d", pos), err)
+		buf := make([]byte, 64)
+		n, err = f.Read(buf)
+		log(fmt.Sprintf("read %d bytes at the offset", n), err)
+		n, err = f.Write([]byte("resumed"))
+		log(fmt.Sprintf("write %d bytes", n), err)
+		n, err = f.ReadAt(buf, 0)
+		log(fmt.Sprintf("file reads %q", buf[:n]), err)
+		fi, err := fs.Stat("/f")
+		log(fmt.Sprintf("size %d", fi.Size), err)
+		log("close", f.Close())
+		return sb.String()
+	}
+	want := run(faultBackend(t), vfs.File.Sync, func() {})
+
+	backend := faultBackend(t)
+	srv1 := New(backend, Config{})
+	h := &resumeHarness{srv: srv1}
+	c, err := DialResumableConfig(h.redial, ClientConfig{Root: "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srv2 *Server
+	got := run(c, func(vfs.File) error { return c.SyncAll() }, func() {
+		// The daemon dies; the backend holds every acked write above.
+		srv1.Close()
+		srv2 = New(backend, Config{})
+		h.swap(srv2)
+	})
+	defer srv2.Close()
+	if got != want {
+		t.Fatalf("served across a cold resume:\n%swant (direct ext4-dax):\n%s", got, want)
+	}
+	if st := srv2.Stats(); st.ReplayedRequests == 0 {
+		t.Fatalf("the restart replayed nothing: %+v", st)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A restarted daemon must not hand a stale client another tenant's
 // session. Two server generations are built with Config{}, as
 // cmd/splitfsd builds its one: tenant /b attaches first on the second,

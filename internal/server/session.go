@@ -82,10 +82,8 @@ type Session struct {
 const replyCacheCap = 512
 
 // replyCacheMaxEntry bounds one cached payload; larger replies (big
-// sequential reads) are not cached, and a replayed request that misses
-// re-executes — safe for every operation the resumable client logs
-// (positional I/O and namespace ops), documented as the reason resumable
-// clients should prefer positional reads.
+// reads, which the resumable client never logs) are not cached, and a
+// replayed request that misses re-executes.
 const replyCacheMaxEntry = 128 << 10
 
 type cachedReply struct {
@@ -392,27 +390,6 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 				}
 			}
 		}
-	case tRead:
-		id := d.u64()
-		n := d.u32()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				return e.bytesFrom(capRead(n), f.Read)
-			})
-		}
-	case tWrite:
-		id := d.u64()
-		data := d.bytes()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				got, werr := f.Write(data)
-				if werr != nil {
-					return werr
-				}
-				e.u32(uint32(got))
-				return nil
-			})
-		}
 	case tPread:
 		id := d.u64()
 		off := d.i64()
@@ -428,25 +405,14 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		data := d.bytes()
 		if d.err == nil {
 			err = s.withFile(id, func(f vfs.File) error {
-				got, werr := f.WriteAt(data, off)
+				got, end, werr := writeEnd(f, data, off, off == offEOF)
 				if werr != nil {
 					return werr
 				}
 				e.u32(uint32(got))
-				return nil
-			})
-		}
-	case tSeek:
-		id := d.u64()
-		off := d.i64()
-		whence := int(d.u8())
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				pos, serr := f.Seek(off, whence)
-				if serr != nil {
-					return serr
+				if off == offEOF {
+					e.i64(end)
 				}
-				e.i64(pos)
 				return nil
 			})
 		}
@@ -586,14 +552,13 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		id := d.u64()
 		flag := int(d.u32())
 		perm := d.u32()
-		off := d.i64()
 		n := int(d.u16())
 		chain := make([]string, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			chain = append(chain, d.str())
 		}
 		if d.err == nil {
-			err = s.reopen(id, flag, perm, off, chain)
+			err = s.reopen(id, flag, perm, chain)
 		}
 	default:
 		err = fmt.Errorf("server: unknown message %s", msgName(typ))
@@ -626,7 +591,7 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 // creation itself was lost: recreate it empty at the oldest name and let
 // the replayed log rebuild it. O_TRUNC/O_EXCL are stripped — a re-open
 // must never destroy recovered data.
-func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []string) error {
+func (s *Session) reopen(id uint64, flag int, perm uint32, chain []string) error {
 	if len(chain) == 0 {
 		return vfs.WrapPath("reopen", "", vfs.ErrInval)
 	}
@@ -654,18 +619,29 @@ func (s *Session) reopen(id uint64, flag int, perm uint32, off int64, chain []st
 		}
 		f = g
 	}
-	if off > 0 {
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			f.Close()
-			return err
-		}
-	}
 	if err := s.ht.InsertAt(fd(id), f); err != nil {
 		f.Close()
 		return err
 	}
 	s.srv.nameOpen(s, id, path, flag == vfs.O_RDONLY, 0)
 	return nil
+}
+
+// writeEnd writes p to f at off or, when atEOF, through f's own Write,
+// which appends at the end of file under the backend's write lock. It
+// returns where the write ended: for an append, the offset
+// Seek(0, SeekCur) reports, which charges nothing.
+func writeEnd(f vfs.File, p []byte, off int64, atEOF bool) (int, int64, error) {
+	if !atEOF {
+		n, err := f.WriteAt(p, off)
+		return n, off + int64(n), err
+	}
+	n, err := f.Write(p)
+	if err != nil {
+		return n, off, err
+	}
+	end, err := f.Seek(0, vfs.SeekCur)
+	return n, end, err
 }
 
 // withFile resolves a handle and runs fn on it.

@@ -49,16 +49,16 @@ const (
 	rOpen
 	tClose
 	rClose
-	tRead
-	rRead
-	tWrite
-	rWrite
+	_ // retired: Tread, now a Tpread at the client's offset
+	_ // retired: Rread
+	_ // retired: Twrite, now a Tpwrite at the client's offset or at offEOF
+	_ // retired: Rwrite
 	tPread
 	rPread
 	tPwrite
 	rPwrite
-	tSeek
-	rSeek
+	_ // retired: Tseek, now the client's own
+	_ // retired: Rseek
 	tTruncate
 	rTruncate
 	tFsync
@@ -106,12 +106,18 @@ const (
 // first time). Request type constants stay below the flag bit.
 const flagReplay uint8 = 0x80
 
+// offEOF is the offset a Tpwrite carries for an O_APPEND handle's write:
+// at the end of file. The session runs it as the backend handle's own
+// Write, which reads the end under the backend's write lock, so appends
+// through distinct handles never overwrite each other; its Rpwrite adds
+// the offset the write ended at.
+const offEOF int64 = -1
+
 var msgNames = map[uint8]string{
 	tAttach: "Tattach", rAttach: "Rattach", tDetach: "Tdetach", rDetach: "Rdetach",
 	tOpen: "Topen", rOpen: "Ropen", tClose: "Tclose", rClose: "Rclose",
-	tRead: "Tread", rRead: "Rread", tWrite: "Twrite", rWrite: "Rwrite",
 	tPread: "Tpread", rPread: "Rpread", tPwrite: "Tpwrite", rPwrite: "Rpwrite",
-	tSeek: "Tseek", rSeek: "Rseek", tTruncate: "Ttruncate", rTruncate: "Rtruncate",
+	tTruncate: "Ttruncate", rTruncate: "Rtruncate",
 	tFsync: "Tfsync", rFsync: "Rfsync", tFstat: "Tfstat", rFstat: "Rfstat",
 	tStat: "Tstat", rStat: "Rstat", tReadDir: "Treaddir", rReadDir: "Rreaddir",
 	tMkdir: "Tmkdir", rMkdir: "Rmkdir", tUnlink: "Tunlink", rUnlink: "Runlink",

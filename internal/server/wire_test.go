@@ -29,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameBounds(t *testing.T) {
 	var buf bytes.Buffer
 	big := make([]byte, maxFrame)
-	if err := writeFrame(&buf, nil, tWrite, 1, big); !errors.Is(err, errFrameTooBig) {
+	if err := writeFrame(&buf, nil, tPwrite, 1, big); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("oversized write frame: err=%v", err)
 	}
 	// An oversized length header must be rejected before allocation.
@@ -136,16 +136,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		rOpen:      {uint64(3)},
 		tClose:     {uint64(3)},
 		rClose:     {},
-		tRead:      {uint64(3), uint32(4096)},
-		rRead:      {bytes.Repeat([]byte{1}, 4096)},
-		tWrite:     {uint64(3), []byte("appended")},
-		rWrite:     {uint32(8)},
 		tPread:     {uint64(3), int64(1 << 40), uint32(512)},
 		rPread:     {[]byte("read back")},
-		tPwrite:    {uint64(3), int64(-1), []byte("at an offset")},
+		tPwrite:    {uint64(3), int64(1 << 33), []byte("at an offset")},
 		rPwrite:    {uint32(12)},
-		tSeek:      {uint64(3), int64(-7), uint8(io.SeekEnd)},
-		rSeek:      {int64(99)},
 		tTruncate:  {uint64(3), int64(1 << 20)},
 		rTruncate:  {},
 		tFsync:     {uint64(3)},
@@ -167,7 +161,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		tSyncAll:   {},
 		rSyncAll:   {},
 		rError:     {uint32(codeNotExist), "stat /x: file does not exist"},
-		tReopen:    {uint64(3), uint32(vfs.O_RDWR), uint32(0o644), int64(4096), uint16(2), "/r0", "/r1"},
+		tReopen:    {uint64(3), uint32(vfs.O_RDWR), uint32(0o644), uint16(2), "/r0", "/r1"},
 		rReopen:    {},
 		tLease:     {uint64(3)},
 		rLease:     {uint64(1), uint64(2), int64(8192), uint32(1), int64(0), int64(1 << 21), int64(8192)},
@@ -175,11 +169,18 @@ func TestMessageRoundTrip(t *testing.T) {
 		tRevokeAck: {uint64(1)},
 		rRevokeAck: {},
 	}
-	var wire bytes.Buffer
-	var wbuf, rbuf []byte
+	// Retired slots, kept unused: Tread/Rread, Twrite/Rwrite,
+	// Tseek/Rseek and Treattach/Rreattach.
+	retired := map[uint8]bool{rClose + 1: true, rClose + 2: true, rClose + 3: true, rClose + 4: true,
+		rPwrite + 1: true, rPwrite + 2: true, rError + 1: true, rError + 2: true}
+	type form struct {
+		typ    uint8
+		fields []any
+	}
+	var forms []form
 	for typ := tAttach; typ <= rRevokeAck; typ++ {
-		if typ == rError+1 || typ == rError+2 {
-			continue // retired slots (Treattach, Rreattach), kept unused
+		if retired[typ] {
+			continue
 		}
 		fields, ok := layouts[typ]
 		if !ok {
@@ -188,6 +189,16 @@ func TestMessageRoundTrip(t *testing.T) {
 		if name := msgName(typ); strings.HasPrefix(name, "msg(") {
 			t.Fatalf("message %d has no name", typ)
 		}
+		forms = append(forms, form{typ, fields})
+	}
+	// An O_APPEND handle's write: Tpwrite at offEOF, and the offset the
+	// append ended at after Rpwrite's count.
+	forms = append(forms, form{tPwrite, []any{uint64(3), offEOF, []byte("appended")}},
+		form{rPwrite, []any{uint32(8), int64(4104)}})
+	var wire bytes.Buffer
+	var wbuf, rbuf []byte
+	for _, fm := range forms {
+		typ, fields := fm.typ, fm.fields
 		var e enc
 		for _, f := range fields {
 			switch v := f.(type) {

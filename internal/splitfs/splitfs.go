@@ -221,8 +221,8 @@ type FS struct {
 
 var _ vfs.FileSystem = (*FS)(nil)
 
-// ofile is the shared open-file description U-Split keeps per inode
-// (§3.5: one offset per open file, dup'd descriptors share it).
+// ofile is the description U-Split keeps per inode (§3.5) and shares
+// among its handles: overlay, sizes, kernel handle. Offsets are per File.
 //
 // A description is recycled (DESIGN.md, "Host allocation and peak RSS"):
 // once its last handle has closed, its kernel handle is closed and it is

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -85,6 +86,48 @@ var accessSequences = []struct {
 		log("close ro", ro.Close())
 		got, err := vfs.ReadFile(fs, "/c")
 		log(fmt.Sprintf("reopen reads %d bytes", len(got)), err)
+	}},
+	{"offsets: write, seek at each whence, read, pread, append, read past EOF", func(t *testing.T, fs vfs.FileSystem, log func(string, error)) {
+		f, err := fs.OpenFile("/d", vfs.O_RDWR|vfs.O_CREATE, 0644)
+		log("open rw", err)
+		if f == nil {
+			return
+		}
+		n, err := f.Write(bytes.Repeat([]byte{5}, 300))
+		log(fmt.Sprintf("write %d bytes", n), err)
+		for _, s := range []struct {
+			off    int64
+			whence int
+		}{{-100, vfs.SeekCur}, {10, vfs.SeekSet}, {-50, vfs.SeekEnd}} {
+			pos, err := f.Seek(s.off, s.whence)
+			log(fmt.Sprintf("seek %d whence %d to %d", s.off, s.whence, pos), err)
+		}
+		buf := make([]byte, 100)
+		n, err = f.Read(buf)
+		log(fmt.Sprintf("read %d bytes", n), err)
+		n, err = f.ReadAt(buf, 0)
+		log(fmt.Sprintf("pread %d bytes", n), err)
+		pos, err := f.Seek(0, vfs.SeekCur)
+		log(fmt.Sprintf("pread leaves the offset at %d", pos), err)
+		ap, err := fs.OpenFile("/d", vfs.O_RDWR|vfs.O_APPEND, 0)
+		log("open append", err)
+		if ap == nil {
+			return
+		}
+		n, err = ap.Write(bytes.Repeat([]byte{6}, 40))
+		log(fmt.Sprintf("append %d bytes", n), err)
+		pos, err = ap.Seek(0, vfs.SeekCur)
+		log(fmt.Sprintf("append leaves the offset at %d", pos), err)
+		n, err = ap.Read(buf)
+		eof := err == io.EOF
+		if eof {
+			err = nil
+		}
+		log(fmt.Sprintf("read past end of file: %d bytes, EOF %v", n, eof), err)
+		n, err = f.Read(buf)
+		log(fmt.Sprintf("first handle reads the appended %d bytes, all 6s %v", n, bytes.Count(buf[:n], []byte{6}) == n), err)
+		log("close append", ap.Close())
+		log("close rw", f.Close())
 	}},
 }
 

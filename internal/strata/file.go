@@ -183,10 +183,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Truncate digests pending log entries for this file, then truncates the
-// shared file.
+// shared file; a closed or read-only handle is refused, undigested.
 func (f *File) Truncate(size int64) error {
-	if f.Closed() {
-		return vfs.ErrClosed
+	if err := f.CheckWritable(); err != nil {
+		return err
 	}
 	f.fs.mu.Lock()
 	f.fs.flushIno(f.ino)

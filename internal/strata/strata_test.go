@@ -2,6 +2,7 @@ package strata
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"splitfs/internal/pmem"
@@ -205,4 +206,31 @@ func TestMetadataPassThrough(t *testing.T) {
 	if string(got) != "z" {
 		t.Fatalf("after rename = %q", got)
 	}
+}
+
+// A truncate through a read-only handle fails with ErrReadOnly before it
+// does any work: the file's pending log entries stay in the private log,
+// undigested.
+func TestReadOnlyTruncateDigestsNothing(t *testing.T) {
+	_, fs := newStrata(t)
+	w, err := vfs.Create(fs, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("pending in the private log")); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := fs.OpenFile("/f", vfs.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fs.Stats().Digests
+	if err := ro.Truncate(0); !errors.Is(err, vfs.ErrReadOnly) {
+		t.Fatalf("truncate through O_RDONLY = %v, want %v", err, vfs.ErrReadOnly)
+	}
+	if after := fs.Stats().Digests; after != before {
+		t.Fatalf("a refused truncate digested: digests %d -> %d", before, after)
+	}
+	ro.Close()
+	w.Close()
 }
