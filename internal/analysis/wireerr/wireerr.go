@@ -1,28 +1,21 @@
-// Package wireerr keeps the server's error and codec contracts honest.
-// It applies only to internal/server packages and checks two things.
+// Package wireerr keeps the server's error transport honest. It applies
+// only to internal/server packages.
 //
-// Error transport: errors returned across the wire round-trip as codes
-// only when they are (or wrap) a vfs sentinel — errToCode walks the
-// Unwrap chain. A `return fmt.Errorf(...)` without a %w verb, or a
-// `return errors.New(...)`, manufactures an error no client can match
-// with errors.Is, so both are flagged. Package-level sentinel
-// declarations stay legal; so does any expression the analyzer cannot
-// see through (returned variables are the caller's business).
+// Errors returned across the wire round-trip as codes only when they
+// are (or wrap) a vfs sentinel — errToCode walks the Unwrap chain. A
+// `return fmt.Errorf(...)` without a %w verb, or a `return
+// errors.New(...)`, manufactures an error no client can match with
+// errors.Is, so both are flagged. Package-level sentinel declarations
+// stay legal; so does any expression the analyzer cannot see through
+// (returned variables are the caller's business).
 //
-// Codec pairing: an encode function and its decode partner must touch
-// the same primitive sequence in the same order. Pairs are matched by
-// name — methods (e *enc) X / (d *dec) X, and functions encodeX /
-// decodeX — and each body is reduced to its sequence of enc/dec
-// primitive calls (u8 u16 u32 u64 i64 str bytes, plus nested composite
-// names like fileInfo). An if/else whose branches reduce to the same
-// sequence collapses; a body with genuinely divergent branches is
-// incomparable and skipped rather than guessed at. Loop bodies reduce
-// inside [ ] markers so symmetric repetition still compares.
+// Field order on the wire is not checked here: every message's layout
+// is one row of internal/server's layouts table, encoded by put and
+// decoded by get, and TestMessageRoundTrip runs every row both ways.
 package wireerr
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 
 	"splitfs/internal/analysis"
@@ -33,9 +26,8 @@ const name = "wireerr"
 // Analyzer is the wireerr analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "check internal/server error returns wrap vfs sentinels and " +
-		"encode/decode pairs agree on wire field order",
-	Run: run,
+	Doc:  "check internal/server error returns wrap vfs sentinels",
+	Run:  run,
 }
 
 // InScope reports whether a package is subject to the wire contracts.
@@ -47,51 +39,14 @@ func run(pass *analysis.Pass) error {
 	if !InScope(pass.Pkg.Path()) {
 		return nil
 	}
-	type half struct {
-		fd  *ast.FuncDecl
-		seq []string
-		ok  bool
-	}
-	encs := map[string]*half{}
-	decs := map[string]*half{}
-
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
 		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkErrorReturns(pass, fd)
 			}
-			checkErrorReturns(pass, fd)
-
-			role, key := codecRole(pass, fd)
-			if role == "" {
-				continue
-			}
-			seq, ok := reduce(pass, fd.Body)
-			h := &half{fd: fd, seq: seq, ok: ok}
-			if role == "enc" {
-				encs[key] = h
-			} else {
-				decs[key] = h
-			}
-		}
-	}
-
-	for key, e := range encs {
-		d, ok := decs[key]
-		if !ok {
-			continue
-		}
-		if !e.ok || !d.ok {
-			continue // divergent branches: incomparable, not wrong
-		}
-		if strings.Join(e.seq, " ") != strings.Join(d.seq, " ") {
-			pass.Reportf(d.fd.Name.Pos(),
-				"wire field order mismatch for %q: encode writes [%s], decode reads [%s]",
-				key, strings.Join(e.seq, " "), strings.Join(d.seq, " "))
 		}
 	}
 	return nil
@@ -133,160 +88,4 @@ func checkErrorReturns(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// codecRole classifies fd as one half of a codec pair and returns its
-// pairing key.
-func codecRole(pass *analysis.Pass, fd *ast.FuncDecl) (role, key string) {
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		// The primitive layer itself is asymmetric by construction
-		// (enc appends bytes, dec consumes via take): only composite
-		// codec methods pair up.
-		if primitives[fd.Name.Name] || fd.Name.Name == "take" {
-			return "", ""
-		}
-		switch recvName(pass, fd) {
-		case "enc":
-			return "enc", fd.Name.Name
-		case "dec":
-			return "dec", fd.Name.Name
-		}
-		return "", ""
-	}
-	if rest, ok := strings.CutPrefix(fd.Name.Name, "encode"); ok && rest != "" {
-		return "enc", rest
-	}
-	if rest, ok := strings.CutPrefix(fd.Name.Name, "decode"); ok && rest != "" {
-		return "dec", rest
-	}
-	return "", ""
-}
-
-func recvName(pass *analysis.Pass, fd *ast.FuncDecl) string {
-	tv, ok := pass.Info.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return ""
-	}
-	t := tv.Type
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := types.Unalias(t).(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// primitives are the wire-atom methods of enc and dec.
-var primitives = map[string]bool{
-	"u8": true, "u16": true, "u32": true, "u64": true,
-	"i64": true, "str": true, "bytes": true,
-}
-
-// reduce flattens a node into its ordered enc/dec primitive sequence.
-// ok is false when an if statement has branches with differing
-// sequences (or a primitive-bearing branch with no else), making the
-// body incomparable.
-func reduce(pass *analysis.Pass, n ast.Node) (seq []string, ok bool) {
-	ok = true
-	switch n := n.(type) {
-	case nil:
-		return nil, true
-	case *ast.BlockStmt:
-		for _, st := range n.List {
-			s, o := reduce(pass, st)
-			seq, ok = append(seq, s...), ok && o
-		}
-		return seq, ok
-	case *ast.IfStmt:
-		thenSeq, o1 := reduce(pass, n.Body)
-		elseSeq, o2 := reduce(pass, n.Else)
-		if !o1 || !o2 {
-			return nil, false
-		}
-		if strings.Join(thenSeq, " ") == strings.Join(elseSeq, " ") {
-			return thenSeq, true
-		}
-		if len(thenSeq) == 0 && n.Else == nil {
-			return nil, true
-		}
-		return nil, false
-	case *ast.ForStmt:
-		body, o := reduce(pass, n.Body)
-		if !o {
-			return nil, false
-		}
-		if len(body) == 0 {
-			return nil, true
-		}
-		return append(append([]string{"["}, body...), "]"), true
-	case *ast.RangeStmt:
-		body, o := reduce(pass, n.Body)
-		if !o {
-			return nil, false
-		}
-		if len(body) == 0 {
-			return nil, true
-		}
-		return append(append([]string{"["}, body...), "]"), true
-	case ast.Stmt:
-		var bad bool
-		ast.Inspect(n, func(in ast.Node) bool {
-			switch in := in.(type) {
-			case *ast.FuncLit, *ast.IfStmt, *ast.ForStmt, *ast.RangeStmt:
-				// Nested control flow below expression level: handled
-				// above when it is a direct statement; here it means a
-				// shape reduce does not model.
-				if _, isLit := in.(*ast.FuncLit); isLit {
-					return false
-				}
-				bad = true
-				return false
-			case *ast.CallExpr:
-				if name := codecCall(pass, in); name != "" {
-					seq = append(seq, name)
-				}
-			}
-			return true
-		})
-		if bad {
-			// Re-reduce structured statements that Inspect found nested
-			// (e.g. an if inside a switch case) conservatively.
-			return nil, false
-		}
-		return seq, true
-	default:
-		return nil, true
-	}
-}
-
-// codecCall names a call on an enc or dec receiver: a primitive or a
-// nested composite codec method.
-func codecCall(pass *analysis.Pass, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return ""
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return ""
-	}
-	recv := n.Obj().Name()
-	if recv != "enc" && recv != "dec" {
-		return ""
-	}
-	// Primitive or nested composite (fileInfo): compare by call name.
-	return fn.Name()
 }

@@ -41,11 +41,12 @@ func allocsPerOp(runs int, setup, op func()) float64 {
 // atParent what that change's parent did: the change that made the hot
 // paths allocation-free; for open+close the one that kept a closed
 // read-only handle's backend file open for the next open of its name,
-// which dropped the backend open and close; for rename
-// and the truncate the one that keyed lease revocation on the server's
-// name table, which dropped the error of a backend stat of the absent
-// destination (rename), the revoking fstat and the per-inode lease maps
-// (truncate). What is left is the handles each side holds
+// which dropped the backend open and close; for the truncate the one
+// that keyed lease revocation on the server's name table, which dropped
+// the revoking fstat and the per-inode lease maps; for stat, open+close
+// and rename the one that wrote the wire format once (wire.go's
+// layouts), which dropped the flight recorder's second decode of the
+// request's path. What is left is the handles each side holds
 // (open), a path decoded and resolved into the session's subtree (stat,
 // open, rename), the segment and extent tables of a grant on both sides
 // (truncate), and the rare staging-file creation or op-log checkpoint
@@ -136,16 +137,16 @@ func TestServedMixAllocations(t *testing.T) {
 		{"stat", none, func() {
 			_, err := c.Stat("/data")
 			check(err)
-		}, 3, 23},
+		}, 2, 3},
 		{"open+close", none, func() {
 			f, err := c.OpenFile(scratch[at], vfs.O_RDONLY, 0)
 			check(err)
 			check(f.Close())
-		}, 5, 6},
+		}, 4, 5},
 		{"rename", none, func() {
 			check(c.Rename(scratch[at], scratch[1-at]))
 			at = 1 - at
-		}, 5, 6},
+		}, 4, 5},
 		{"truncate of a leased file, then a re-leased pread", none, func() {
 			check(data.Truncate(blocks * sim.BlockSize))
 			_, err := data.ReadAt(buf, next%blocks*sim.BlockSize)

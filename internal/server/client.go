@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -31,14 +30,10 @@ type wireCall struct {
 // hold on to.
 const maxPooledCall = 64 << 10
 
-var wireCalls = sync.Pool{New: newWireCall}
+var wireCalls = sync.Pool{New: func() any { return new(wireCall) }}
 
-// newCall takes a request scratch from the pool, empty.
-func newCall() *wireCall {
-	w := wireCalls.Get().(*wireCall)
-	w.reset()
-	return w
-}
+// newCall takes a request scratch from the pool.
+func newCall() *wireCall { return wireCalls.Get().(*wireCall) }
 
 // releaseCall returns a call to the pool; its reply must no longer be
 // used.
@@ -51,13 +46,6 @@ func releaseCall(w *wireCall) {
 	}
 	wireCalls.Put(w)
 }
-
-// reset empties the request encoder for the next request on w.
-func (w *wireCall) reset() {
-	w.b, w.err = w.b[:0], nil
-}
-
-func newWireCall() any { return new(wireCall) }
 
 // ClientConfig configures a session. The zero value is a whole-tree
 // root with no leases.
@@ -194,28 +182,42 @@ func (e *ShortIOError) Error() string {
 
 func (e *ShortIOError) Unwrap() error { return e.Err }
 
-// call checks the request encoder, exchanges w's request for its reply,
-// acknowledges the revocations pushed meanwhile, unwraps Rerror replies,
-// and checks the reply type. The payload returned is valid until the
-// caller releases w.
-func (c *Client) call(typ uint8, want uint8, w *wireCall) ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
+// call sends req as a typ request and returns its decoded reply.
+func (c *Client) call(typ uint8, req *msg) (msg, error) {
+	w := newCall()
+	defer releaseCall(w)
+	return c.callIn(w, typ, req)
+}
+
+// do is call for a request whose reply carries nothing.
+func (c *Client) do(typ uint8, req *msg) error {
+	_, err := c.call(typ, req)
+	return err
+}
+
+// callIn is call in the caller's scratch w: it encodes the request,
+// exchanges it for its reply, acknowledges the revocations pushed
+// meanwhile, unwraps an Rerror, and checks and decodes the reply. A
+// reply's data is valid until the caller releases w.
+func (c *Client) callIn(w *wireCall, typ uint8, req *msg) (rep msg, err error) {
+	w.b, w.err = w.b[:0], nil
+	if put(typ, req, &w.enc); w.err != nil {
+		return rep, w.err
 	}
 	c.mu.Lock()
 	rtyp, rp, err := c.send(typ, w)
 	c.ackRevokes()
 	c.mu.Unlock()
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil:
+	case rtyp == rError:
+		err = decodeError(rp)
+	case rtyp != typ+1: // every T* reply type is the next constant
+		err = fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
+	default:
+		err = get(rtyp, rp, &rep)
 	}
-	if rtyp == rError {
-		return nil, decodeError(rp)
-	}
-	if rtyp != want {
-		return nil, fmt.Errorf("%w: %s reply to %s", errUnexpectedReply, msgName(rtyp), msgName(typ))
-	}
-	return rp, nil
+	return rep, err
 }
 
 // send carries w's request to its reply: one exchange on a plain
@@ -243,9 +245,9 @@ func (c *Client) ackRevokes() {
 	// An acknowledgement's own exchange may meet another push: the loop
 	// picks it up.
 	for i := 0; i < len(x.revoked) && !x.closed; i++ {
-		var p [8]byte
-		binary.LittleEndian.PutUint64(p[:], x.revoked[i])
-		if _, _, err := x.roundTrip(tRevokeAck, x.next(), p[:], &x.abuf); err != nil {
+		x.ack.b = x.ack.b[:0]
+		put(tRevokeAck, &msg{seg: x.revoked[i]}, &x.ack)
+		if _, _, err := x.roundTrip(tRevokeAck, x.next(), x.ack.b, &x.abuf); err != nil {
 			break
 		}
 	}
@@ -259,112 +261,52 @@ func (c *Client) Name() string { return "served:" + c.fsName }
 // OpenFile opens path (relative to the session root) on the server and
 // returns a proxy handle.
 func (c *Client) OpenFile(path string, flag int, perm uint32) (vfs.File, error) {
-	e := newCall()
-	defer releaseCall(e)
-	e.u32(uint32(flag))
-	e.u32(perm)
-	e.str(path)
-	rp, err := c.call(tOpen, rOpen, e)
+	r, err := c.call(tOpen, &msg{flag: uint32(flag), perm: perm, path: path})
 	if err != nil {
 		return nil, err
 	}
-	d := dec{b: rp}
-	h := d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	f := &File{c: c, handle: h}
+	f := &File{c: c, handle: r.handle}
 	f.Open(f, path, flag)
 	return f, nil
 }
 
-func (c *Client) pathOp(typ, want uint8, path string) error {
-	e := newCall()
-	defer releaseCall(e)
-	e.str(path)
-	_, err := c.call(typ, want, e)
-	return err
-}
-
 // Mkdir implements vfs.FileSystem.
 func (c *Client) Mkdir(path string, perm uint32) error {
-	e := newCall()
-	defer releaseCall(e)
-	e.u32(perm)
-	e.str(path)
-	_, err := c.call(tMkdir, rMkdir, e)
-	return err
+	return c.do(tMkdir, &msg{perm: perm, path: path})
 }
 
 // Unlink implements vfs.FileSystem.
-func (c *Client) Unlink(path string) error { return c.pathOp(tUnlink, rUnlink, path) }
+func (c *Client) Unlink(path string) error { return c.do(tUnlink, &msg{path: path}) }
 
 // Rmdir implements vfs.FileSystem.
-func (c *Client) Rmdir(path string) error { return c.pathOp(tRmdir, rRmdir, path) }
+func (c *Client) Rmdir(path string) error { return c.do(tRmdir, &msg{path: path}) }
 
 // Rename implements vfs.FileSystem.
 func (c *Client) Rename(oldPath, newPath string) error {
-	e := newCall()
-	defer releaseCall(e)
-	e.str(oldPath)
-	e.str(newPath)
-	_, err := c.call(tRename, rRename, e)
-	return err
+	return c.do(tRename, &msg{path: oldPath, path2: newPath})
 }
 
 // Stat implements vfs.FileSystem.
 func (c *Client) Stat(path string) (vfs.FileInfo, error) {
-	e := newCall()
-	defer releaseCall(e)
-	e.str(path)
-	rp, err := c.call(tStat, rStat, e)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	d := dec{b: rp}
-	fi := d.fileInfo()
-	return fi, d.err
+	r, err := c.call(tStat, &msg{path: path})
+	return r.info, err
 }
 
 // ReadDir implements vfs.FileSystem.
 func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
-	e := newCall()
-	defer releaseCall(e)
-	e.str(path)
-	rp, err := c.call(tReadDir, rReadDir, e)
-	if err != nil {
-		return nil, err
-	}
-	d := dec{b: rp}
-	n := int(d.u32())
-	ents := make([]vfs.DirEntry, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		de := vfs.DirEntry{Name: d.str(), Ino: d.u64()}
-		de.IsDir = d.u8() == 1
-		ents = append(ents, de)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return ents, nil
+	r, err := c.call(tReadDir, &msg{path: path})
+	return r.entries, err
 }
 
 // SyncAll asks the server for a group sync: the backend's own SyncAll
 // when it has one (splitfs's group-committed multi-file drain), else a
 // per-handle sync of this session's open files in path order.
-func (c *Client) SyncAll() error {
-	w := newCall()
-	defer releaseCall(w)
-	_, err := c.call(tSyncAll, rSyncAll, w)
-	return err
-}
+func (c *Client) SyncAll() error { return c.do(tSyncAll, &msg{}) }
 
 // Close detaches the session (the server closes any handles left open)
 // and hangs up.
 func (c *Client) Close() error {
-	w := newCall()
-	_, derr := c.call(tDetach, rDetach, w)
-	releaseCall(w)
+	derr := c.do(tDetach, &msg{})
 	c.mu.Lock()
 	cerr := c.x.drop()
 	c.mu.Unlock()
@@ -376,14 +318,6 @@ func (c *Client) Close() error {
 
 // ---------------------------------------------------------------------
 // File proxy.
-
-func (f *File) handleOp(typ, want uint8) error {
-	e := newCall()
-	defer releaseCall(e)
-	e.u64(f.handle)
-	_, err := f.c.call(typ, want, e)
-	return err
-}
 
 // ReadAt is positional (pread). With a negotiated lease it is satisfied
 // by loads straight through the mapped extents — zero wire data bytes —
@@ -406,19 +340,15 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // byte reads as a short read (the io contract every backend here
 // follows).
 func (f *File) readLoop(p []byte, off int64) (int, error) {
-	e := newCall()
-	defer releaseCall(e)
+	w := newCall()
+	defer releaseCall(w)
 	total := 0
 	for total < len(p) {
 		n := len(p) - total
 		if n > chunkBytes {
 			n = chunkBytes
 		}
-		e.reset()
-		e.u64(f.handle)
-		e.i64(off + int64(total))
-		e.u32(uint32(n))
-		rp, err := f.c.call(tPread, rPread, e)
+		r, err := f.c.callIn(w, tPread, &msg{handle: f.handle, off: off + int64(total), count: uint32(n)})
 		if err != nil {
 			if err == io.EOF && total > 0 {
 				return total, nil
@@ -428,15 +358,10 @@ func (f *File) readLoop(p []byte, off int64) (int, error) {
 			}
 			return total, err
 		}
-		d := dec{b: rp}
-		data := d.bytes()
-		if d.err != nil {
-			return total, d.err
-		}
-		copy(p[total:], data)
-		total += len(data)
-		f.c.stats.wireReadBytes.Add(int64(len(data)))
-		if len(data) < n {
+		copy(p[total:], r.data)
+		total += len(r.data)
+		f.c.stats.wireReadBytes.Add(int64(len(r.data)))
+		if len(r.data) < n {
 			break // the backend clamped at EOF
 		}
 	}
@@ -468,39 +393,30 @@ func (f *File) WriteEnd(p []byte, off int64, atEOF bool) (int, int64, error) {
 }
 
 func (f *File) writeLoop(p []byte, off int64, atEOF bool) (int, int64, error) {
-	e := newCall()
-	defer releaseCall(e)
+	w := newCall()
+	defer releaseCall(w)
 	total, end := 0, off
 	for {
 		n := len(p) - total
 		if n > chunkBytes {
 			n = chunkBytes
 		}
-		e.reset()
-		e.u64(f.handle)
+		at := off + int64(total)
 		if atEOF {
-			e.i64(offEOF)
-		} else {
-			e.i64(off + int64(total))
+			at = offEOF
 		}
-		e.bytes(p[total : total+n])
-		rp, err := f.c.call(tPwrite, rPwrite, e)
+		r, err := f.c.callIn(w, tPwrite, &msg{handle: f.handle, off: at, data: p[total : total+n]})
 		if err != nil {
 			if errors.Is(err, errConnLost) {
 				err = &ShortIOError{Op: "write", Path: f.Path(), Acked: total, InFlight: n, Err: err}
 			}
 			return total, end, err
 		}
-		d := dec{b: rp}
-		got := int(d.u32())
-		at := off + int64(total+got)
+		got := int(r.count)
+		total, end = total+got, off+int64(total+got)
 		if atEOF {
-			at = d.i64()
+			end = r.end
 		}
-		if d.err != nil {
-			return total, end, d.err
-		}
-		total, end = total+got, at
 		f.c.stats.wireWriteBytes.Add(int64(got))
 		if got < n || total >= len(p) {
 			return total, end, nil
@@ -638,28 +554,12 @@ func (f *File) grantLease() *clientLease {
 	if f.leaseBroken {
 		return nil
 	}
-	e := newCall()
-	defer releaseCall(e)
-	e.u64(f.handle)
-	rp, err := f.c.call(tLease, rLease, e)
+	r, err := f.c.call(tLease, &msg{handle: f.handle})
 	if err != nil {
 		f.leaseBroken = true
 		return nil
 	}
-	d := dec{b: rp}
-	segID := d.u64()
-	epoch := d.u64()
-	size := d.i64()
-	n := int(d.u32())
-	exts := make([]vfs.Extent, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		exts = append(exts, vfs.Extent{FileOff: d.i64(), DevOff: d.i64(), Length: d.i64()})
-	}
-	if d.err != nil {
-		f.leaseBroken = true
-		return nil
-	}
-	seg, issued := lookupSegment(segID)
+	seg, issued := lookupSegment(r.seg)
 	if seg == nil {
 		// Revoked already: this operation takes the wire, the next one
 		// asks again. An out-of-process peer cannot map the segment
@@ -668,7 +568,7 @@ func (f *File) grantLease() *clientLease {
 		return nil
 	}
 	f.c.stats.leaseGrants.Add(1)
-	return &clientLease{seg: seg, epoch: epoch, size: size, extents: exts}
+	return &clientLease{seg: seg, epoch: r.epoch, size: r.size, extents: r.extents}
 }
 
 // dropLease forgets the client-side lease state (Close: the server
@@ -684,12 +584,7 @@ func (f *File) Truncate(size int64) error {
 	if f.Closed() {
 		return vfs.ErrClosed
 	}
-	e := newCall()
-	defer releaseCall(e)
-	e.u64(f.handle)
-	e.i64(size)
-	_, err := f.c.call(tTruncate, rTruncate, e)
-	return err
+	return f.c.do(tTruncate, &msg{handle: f.handle, size: size})
 }
 
 // Sync implements vfs.File (fsync through the service).
@@ -697,7 +592,7 @@ func (f *File) Sync() error {
 	if f.Closed() {
 		return vfs.ErrClosed
 	}
-	return f.handleOp(tFsync, rFsync)
+	return f.c.do(tFsync, &msg{handle: f.handle})
 }
 
 // Close implements vfs.File. The server revokes any lease on the
@@ -707,7 +602,7 @@ func (f *File) Close() error {
 		return err
 	}
 	f.dropLease()
-	return f.handleOp(tClose, rClose)
+	return f.c.do(tClose, &msg{handle: f.handle})
 }
 
 // Stat implements vfs.File (fstat on the server-side handle, so it
@@ -716,16 +611,8 @@ func (f *File) Stat() (vfs.FileInfo, error) {
 	if f.Closed() {
 		return vfs.FileInfo{}, vfs.ErrClosed
 	}
-	e := newCall()
-	defer releaseCall(e)
-	e.u64(f.handle)
-	rp, err := f.c.call(tFstat, rFstat, e)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	d := dec{b: rp}
-	fi := d.fileInfo()
-	return fi, d.err
+	r, err := f.c.call(tFstat, &msg{handle: f.handle})
+	return r.info, err
 }
 
 // ---------------------------------------------------------------------
@@ -741,6 +628,7 @@ type exchange struct {
 	rwc    io.ReadWriteCloser // nil once lost or hung up
 	br     *bufio.Reader
 	wbuf   []byte // request frames are assembled here
+	ack    enc    // acknowledgement requests are rendered here
 	abuf   []byte // acknowledgement replies land here, unread
 	id     uint32 // the last request ID sent
 	closed bool   // detached: no further request, nor acknowledgement
@@ -783,9 +671,9 @@ func (x *exchange) roundTrip(typ uint8, id uint32, payload []byte, buf *[]byte) 
 			// The shared revoked flag has already invalidated the segment,
 			// so per-File state is cleaned up lazily on the next
 			// validation failure; the push is counted and acknowledged.
-			d := dec{b: rp}
-			if segID := d.u64(); d.err == nil {
-				x.revoked = append(x.revoked, segID)
+			var m msg
+			if get(tRevoke, rp, &m) == nil {
+				x.revoked = append(x.revoked, m.seg)
 			}
 			continue
 		}
@@ -849,17 +737,8 @@ func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root
 			rwc.Close()
 		}
 	}()
-	var flag uint8
-	if resumable {
-		flag = 1
-	}
 	var e enc
-	e.str(root)
-	e.u8(flag)
-	e.u32(req)
-	if token != 0 {
-		e.u64(token)
-	}
+	put(tAttach, &msg{path: root, resumable: resumable, features: req, token: token}, &e)
 	if e.err != nil {
 		return "", 0, 0, e.err
 	}
@@ -876,14 +755,9 @@ func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root
 	if rtyp != rAttach {
 		return "", 0, 0, fmt.Errorf("%w: %s reply to Tattach", errUnexpectedReply, msgName(rtyp))
 	}
-	d := dec{b: rp}
-	name = d.str()
-	d.u64() // session id (diagnostic)
-	newToken = d.u64()
-	if d.err == nil && len(d.b) >= 4 {
-		feats = d.u32()
-	}
-	return name, newToken, feats, d.err
+	var m msg
+	err = get(rAttach, rp, &m)
+	return m.name, m.token, m.features, err
 }
 
 // DialNetConfig connects to a network address and attaches with cfg.

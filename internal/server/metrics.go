@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"splitfs/internal/obs"
@@ -67,13 +68,14 @@ func (srv *Server) probe() (cost, fences int64) {
 	return
 }
 
-// observe records one dispatched request into the session's metric
-// block and flight recorder. reqBytes/repBytes are the request and
-// reply payload sizes; cost and fences are deltas across execute.
-func (s *Session) observe(typ uint8, reqID uint32, reqPayload, repPayload []byte, rtyp uint8, flags uint8, cost, fences int64) {
+// observe records one dispatched request, decoded into req, into the
+// session's metric block and flight recorder. reqBytes and the reply's
+// length are the payload sizes; cost and fences are deltas across
+// execute.
+func (s *Session) observe(typ uint8, reqID uint32, req *msg, reqBytes int, repPayload []byte, rtyp uint8, flags uint8, cost, fences int64) {
 	i := obsIdx(typ)
 	s.obs.ops[i].Add(1)
-	s.obs.bytes[i].Add(int64(len(reqPayload) + len(repPayload)))
+	s.obs.bytes[i].Add(int64(reqBytes + len(repPayload)))
 	if rtyp == rError {
 		s.obs.errs[i].Add(1)
 		flags |= obs.FlagError
@@ -87,40 +89,23 @@ func (s *Session) observe(typ uint8, reqID uint32, reqPayload, repPayload []byte
 	if s.srv.cfg.OpClock != nil {
 		s.obs.costH.Observe(cost)
 	}
+	// The record's subject: an FNV-1a hash of a path-addressed
+	// request's path, else the handle or segment it names (ids are
+	// small and dense, so they double as readable identifiers in a
+	// trace), else zero.
+	subject := req.handle | req.seg
+	if slices.Contains(layouts[typ], fPath) {
+		subject = obs.FNV1a(req.path)
+	}
 	s.flight.Append(obs.Record{
 		ReqID:    reqID,
 		Msg:      typ,
 		Flags:    flags,
-		PathHash: pathHashOf(typ, reqPayload),
-		Bytes:    int64(len(reqPayload) + len(repPayload)),
+		PathHash: subject,
+		Bytes:    int64(reqBytes + len(repPayload)),
 		Fences:   fences,
 		Cost:     cost,
 	})
-}
-
-// pathHashOf extracts the request's subject identity for the flight
-// record: an FNV-1a hash of the path for path-addressed requests, the
-// handle id itself for handle-addressed ones (ids are small and dense,
-// so they double as readable identifiers in a trace), zero otherwise.
-// Decoding here is read-only over the payload and tolerates malformed
-// frames — execute reports those; the recorder just logs hash 0.
-func pathHashOf(typ uint8, payload []byte) uint64 {
-	d := dec{b: payload}
-	switch typ {
-	case tAttach, tStat, tReadDir, tUnlink, tRmdir, tRename:
-		return obs.FNV1a(d.str())
-	case tMkdir:
-		d.u32() // perm
-		return obs.FNV1a(d.str())
-	case tOpen:
-		d.u32() // flag
-		d.u32() // perm
-		return obs.FNV1a(d.str())
-	case tClose, tPread, tPwrite, tTruncate, tFsync, tFstat, tLease,
-		tReopen, tRevokeAck:
-		return d.u64()
-	}
-	return 0
 }
 
 // retiredFlightCap bounds how many detached sessions' flight recorders

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -77,7 +76,7 @@ func (p *pipe) Write(b []byte) (int, error) {
 	}
 	p.in = append(p.in, b...)
 	for len(p.in) >= 4 && !p.ended {
-		if n := binary.LittleEndian.Uint32(p.in); n >= 5 && n <= maxFrame-4 && len(p.in) < 4+int(n) {
+		if partialFrame(p.in) {
 			break // the rest of the frame is still to come
 		}
 		p.rd.Reset(p.in) // a length out of bounds fails readFrame at once

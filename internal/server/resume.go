@@ -172,20 +172,15 @@ func (t *resumeState) drive(typ uint8, payload []byte) (uint8, []byte, error) {
 // re-establishes it (its logged writes replay through it), and a reopen
 // that probed only the stale name would recreate the file empty.
 func (t *resumeState) chainRenames(typ uint8, payload []byte) {
-	if typ != tRename {
-		return
-	}
-	d := dec{b: payload}
-	oldPath := d.str()
-	newPath := d.str()
-	if d.err != nil {
+	var r msg
+	if typ != tRename || get(tRename, payload, &r) != nil {
 		return
 	}
 	for _, m := range t.handles {
-		if m.curPath == oldPath {
-			m.chain = append(m.chain, newPath)
-		} else if strings.HasPrefix(m.curPath, oldPath+"/") {
-			m.chain = append(m.chain, newPath+m.curPath[len(oldPath):])
+		if m.curPath == r.path {
+			m.chain = append(m.chain, r.path2)
+		} else if strings.HasPrefix(m.curPath, r.path+"/") {
+			m.chain = append(m.chain, r.path2+m.curPath[len(r.path):])
 		}
 	}
 }
@@ -196,34 +191,27 @@ func (t *resumeState) ack(rec *opRecord, rtyp uint8, rp []byte) {
 	if rtyp == rError {
 		return
 	}
-	d := dec{b: rec.payload}
+	var req, r msg
 	switch rec.typ {
 	case tOpen:
-		flag := int(d.u32())
-		perm := d.u32()
-		path := d.str()
-		rd := dec{b: rp}
-		id := rd.u64()
-		if d.err != nil || rd.err != nil {
+		if get(tOpen, rec.payload, &req) != nil || get(rOpen, rp, &r) != nil {
 			return
 		}
-		rec.openID = id
-		t.handles[id] = &handleMeta{id: id, flag: flag, perm: perm, curPath: path, chain: []string{path}}
+		rec.openID = r.handle
+		t.handles[r.handle] = &handleMeta{id: r.handle, flag: int(req.flag), perm: req.perm, curPath: req.path, chain: []string{req.path}}
 	case tClose:
-		if m := t.handles[d.u64()]; m != nil && d.err == nil {
-			m.closed = true
+		if get(tClose, rec.payload, &req) == nil && t.handles[req.handle] != nil {
+			t.handles[req.handle].closed = true
 		}
 	case tRename:
-		oldPath := d.str()
-		newPath := d.str()
-		if d.err != nil {
+		if get(tRename, rec.payload, &req) != nil {
 			return
 		}
 		for _, m := range t.handles {
-			if m.curPath == oldPath {
-				m.curPath = newPath
-			} else if strings.HasPrefix(m.curPath, oldPath+"/") {
-				m.curPath = newPath + m.curPath[len(oldPath):]
+			if m.curPath == req.path {
+				m.curPath = req.path2
+			} else if strings.HasPrefix(m.curPath, req.path+"/") {
+				m.curPath = req.path2 + m.curPath[len(req.path):]
 			}
 		}
 	case tSyncAll:
@@ -366,13 +354,7 @@ func (t *resumeState) replay(cold bool) error {
 
 func (t *resumeState) sendReopen(seq uint32, m *handleMeta) error {
 	var e enc
-	e.u64(m.id)
-	e.u32(uint32(m.flag))
-	e.u32(m.perm)
-	e.u16(uint16(len(m.chain)))
-	for _, p := range m.chain {
-		e.str(p)
-	}
+	put(tReopen, &msg{handle: m.id, flag: uint32(m.flag), perm: m.perm, chain: m.chain}, &e)
 	if e.err != nil {
 		return e.err
 	}

@@ -293,9 +293,9 @@ func (s *Session) reply(typ uint8, reqID uint32, payload []byte) {
 	}
 	var err error
 	for _, segID := range s.pushes {
-		var p [8]byte
-		binary.LittleEndian.PutUint64(p[:], segID)
-		if err = writeFrame(conn.w, &conn.wbuf, tRevoke, 0, p[:]); err != nil {
+		s.push.b = s.push.b[:0]
+		put(tRevoke, &msg{seg: segID}, &s.push)
+		if err = writeFrame(conn.w, &conn.wbuf, tRevoke, 0, s.push.b); err != nil {
 			break
 		}
 	}
@@ -395,37 +395,23 @@ func (conn *serverConn) end(err error) error {
 func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error {
 	srv := conn.srv
 	if typ != tAttach {
-		writeFrame(conn.w, nil, rError, reqID, encodeAttachError(fmt.Errorf("expected Tattach, got %s", msgName(typ))))
+		etyp, eid, ep := encodeError(reqID, fmt.Errorf("expected Tattach, got %s", msgName(typ)))
+		writeFrame(conn.w, nil, etyp, eid, ep)
 		return fmt.Errorf("%w: first frame %s, want Tattach", errBadHandshake, msgName(typ))
 	}
-	// Payload: root string, then an optional resumable flag byte, an
-	// optional requested-feature bitmap and an optional resume token
-	// (each absent in older protocol revisions — old clients decode
-	// fine, and their missing fields read as zero: not resumable, no
-	// features, no session to resume).
-	d := dec{b: payload}
-	root := d.str()
-	resumable := len(d.b) > 0 && d.u8() == 1
-	var feats uint32
-	if len(d.b) >= 4 {
-		feats = d.u32()
-	}
-	var token uint64
-	if len(d.b) >= 8 {
-		token = d.u64()
-	}
-	if d.err != nil {
-		return fmt.Errorf("server: malformed Tattach: %w", d.err)
+	// An older client stops short of the resumable flag, the feature
+	// word or the token: each missing field reads as zero — not
+	// resumable, no features, no session to resume.
+	var m msg
+	if err := get(tAttach, payload, &m); err != nil {
+		return fmt.Errorf("server: malformed Tattach: %w", err)
 	}
 	reply := func(s *Session) error {
 		var e enc
-		e.str(srv.fs.Name())
-		e.u64(s.id)
-		e.u64(s.token)
-		e.u32(s.features) // agreed set; old clients ignore trailing bytes
+		put(rAttach, &msg{name: srv.fs.Name(), session: s.id, token: s.token, features: s.features}, &e)
 		return writeFrame(conn.w, nil, rAttach, reqID, e.b)
 	}
-	if s := srv.resumeTarget(token, root); resumable && s != nil {
+	if s := srv.resumeTarget(m.token, m.path); m.resumable && s != nil {
 		// The session may still think it owns its old transport — a
 		// client can reconnect before the server notices the loss — in
 		// which case the adoption is a takeover. The reply is written
@@ -440,7 +426,7 @@ func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error
 			return err
 		}
 	}
-	s, err := srv.attach(root, conn, resumable, feats, token)
+	s, err := srv.attach(m.path, conn, m.resumable, m.features, m.token)
 	if err != nil {
 		// Answer the refusal — unless Close got in first: Close drops
 		// every connection without a word, and a handshake that raced it
@@ -459,13 +445,6 @@ func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error
 	}
 	conn.s = s
 	return nil
-}
-
-func encodeAttachError(err error) []byte {
-	var e enc
-	e.u32(uint32(codeGeneric))
-	e.str(err.Error())
-	return e.b
 }
 
 // Serve accepts connections from ln until ln or the server closes.

@@ -65,7 +65,8 @@ type Session struct {
 
 	// out is the reply execute renders, reused request after request
 	// under execMu: the reply is written before execMu is released.
-	out enc
+	// push renders Trevoke payloads, under replyMu.
+	out, push enc
 
 	// Observability plane (metrics.go): gen counts transport
 	// attachments (1 at attach, +1 per adopt), obs is the per-session
@@ -287,7 +288,9 @@ func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byt
 }
 
 // handle executes one request against the backend and renders the reply
-// frame (serve is its only caller).
+// frame (serve is its only caller). The request is decoded once, here:
+// execute and the flight record read the decoded msg, and a payload
+// that does not fit its type's layout draws an Rerror.
 //
 // A request carrying flagReplay is a client re-send after transport
 // loss. If the original already executed, its cached reply is returned
@@ -299,23 +302,31 @@ func (s *Session) serve(from *serverConn, typ uint8, reqID uint32, payload []byt
 func (s *Session) handle(typ uint8, reqID uint32, payload []byte) (uint8, []byte) {
 	replay := typ&flagReplay != 0
 	typ &^= flagReplay
+	var req msg
+	derr := get(typ, payload, &req)
 	var flags uint8
 	if replay {
 		flags |= obs.FlagReplay
 		s.srv.stats.replayedRequests.Add(1)
 		if rtyp, rp, ok := s.replies.get(reqID); ok {
 			s.srv.stats.replayCacheHits.Add(1)
-			s.observe(typ, reqID, payload, rp, rtyp, flags|obs.FlagCached, 0, 0)
+			s.observe(typ, reqID, &req, len(payload), rp, rtyp, flags|obs.FlagCached, 0, 0)
 			return rtyp, rp
 		}
 	}
 	cost0, fences0 := s.srv.probe()
-	rtyp, _, rp := s.execute(typ, reqID, payload, replay)
+	var rtyp uint8
+	var rp []byte
+	if derr != nil {
+		rtyp, _, rp = encodeError(reqID, fmt.Errorf("server: %s: %w", msgName(typ), derr))
+	} else {
+		rtyp, rp = s.execute(typ, &req, replay)
+	}
 	cost1, fences1 := s.srv.probe()
 	if s.token != 0 {
 		s.replies.put(reqID, rtyp, rp)
 	}
-	s.observe(typ, reqID, payload, rp, rtyp, flags, cost1-cost0, fences1-fences0)
+	s.observe(typ, reqID, &req, len(payload), rp, rtyp, flags, cost1-cost0, fences1-fences0)
 	return rtyp, rp
 }
 
@@ -339,11 +350,13 @@ func healReplay(typ uint8, err error) bool {
 	return false
 }
 
-// execute runs one decoded request against the backend.
-func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) (uint8, uint32, []byte) {
-	d := dec{b: payload}
+// execute runs one decoded request against the backend and renders its
+// reply from r into s.out — all but Rpread's, which is read straight
+// into it, and an Rreaddir or Rlease, rendered early to bound its size.
+func (s *Session) execute(typ uint8, req *msg, replay bool) (uint8, []byte) {
 	e := &s.out
 	e.b, e.err = e.b[:0], nil
+	var r msg
 	var err error
 	rtyp := typ + 1 // every T* reply type is the next constant
 
@@ -354,220 +367,132 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		// closed (and SessionCount reflecting the detach).
 		s.teardownLocked()
 	case tOpen:
-		flag := int(d.u32())
-		perm := d.u32()
-		path := s.resolve(d.str())
-		if d.err == nil {
-			// A conflicting writable open (another tenant, or O_TRUNC
-			// which frees blocks inside OpenFile) invalidates leases on
-			// the target before the open executes.
-			if vfs.Writable(flag) {
-				s.srv.revokeKey(nameKey{path: path})
-			}
-			f, ino := s.srv.unpark(path, flag)
-			if f == nil {
-				f, err = s.srv.fs.OpenFile(path, flag, perm)
-			}
-			if err == nil {
-				h := uint64(s.ht.Insert(f))
-				s.srv.nameOpen(s, h, path, flag == vfs.O_RDONLY, ino)
-				e.u64(h)
-			}
+		flag := int(req.flag)
+		path := s.resolve(req.path)
+		// A conflicting writable open (another tenant, or O_TRUNC
+		// which frees blocks inside OpenFile) invalidates leases on
+		// the target before the open executes.
+		if vfs.Writable(flag) {
+			s.srv.revokeKey(nameKey{path: path})
+		}
+		f, ino := s.srv.unpark(path, flag)
+		if f == nil {
+			f, err = s.srv.fs.OpenFile(path, flag, req.perm)
+		}
+		if err == nil {
+			r.handle = uint64(s.ht.Insert(f))
+			s.srv.nameOpen(s, r.handle, path, flag == vfs.O_RDONLY, ino)
 		}
 	case tClose:
-		id := d.u64()
-		if d.err == nil {
-			// The backing file may free orphan blocks at last close, if
-			// it does not park: the lease goes first.
-			var f vfs.File
-			if f, err = s.ht.Release(fd(id)); err == nil {
-				seg, parked := s.srv.nameClose(s, id, f)
-				if seg != nil {
-					s.srv.revokeSegment(seg)
-				}
-				if f != nil && !parked {
-					err = f.Close()
-				}
+		// The backing file may free orphan blocks at last close, if
+		// it does not park: the lease goes first.
+		var f vfs.File
+		if f, err = s.ht.Release(fd(req.handle)); err == nil {
+			seg, parked := s.srv.nameClose(s, req.handle, f)
+			if seg != nil {
+				s.srv.revokeSegment(seg)
+			}
+			if f != nil && !parked {
+				err = f.Close()
 			}
 		}
 	case tPread:
-		id := d.u64()
-		off := d.i64()
-		n := d.u32()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				return e.bytesFrom(capRead(n), func(p []byte) (int, error) { return f.ReadAt(p, off) })
-			})
-		}
+		err = s.withFile(req.handle, func(f vfs.File) error {
+			return e.bytesFrom(capRead(req.count), func(p []byte) (int, error) { return f.ReadAt(p, req.off) })
+		})
 	case tPwrite:
-		id := d.u64()
-		off := d.i64()
-		data := d.bytes()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				got, end, werr := writeEnd(f, data, off, off == offEOF)
-				if werr != nil {
-					return werr
-				}
-				e.u32(uint32(got))
-				if off == offEOF {
-					e.i64(end)
-				}
-				return nil
-			})
-		}
-	case tTruncate:
-		id := d.u64()
-		size := d.i64()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				s.srv.revokeKey(s.srv.handleKey(s, id)) // truncate frees blocks
-				return f.Truncate(size)
-			})
-		}
-	case tFsync:
-		id := d.u64()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error { return f.Sync() })
-		}
-	case tFstat:
-		id := d.u64()
-		if d.err == nil {
-			err = s.withFile(id, func(f vfs.File) error {
-				fi, serr := f.Stat()
-				if serr != nil {
-					return serr
-				}
-				e.fileInfo(fi)
-				return nil
-			})
-		}
-	case tStat:
-		path := d.str()
-		if d.err == nil {
-			var fi vfs.FileInfo
-			if fi, err = s.srv.fs.Stat(s.resolve(path)); err == nil {
-				e.fileInfo(fi)
+		err = s.withFile(req.handle, func(f vfs.File) error {
+			got, end, werr := writeEnd(f, req.data, req.off, req.off == offEOF)
+			r.count = uint32(got)
+			if req.off == offEOF {
+				r.end = end
 			}
-		}
+			return werr
+		})
+	case tTruncate:
+		err = s.withFile(req.handle, func(f vfs.File) error {
+			s.srv.revokeKey(s.srv.handleKey(s, req.handle)) // truncate frees blocks
+			return f.Truncate(req.size)
+		})
+	case tFsync:
+		err = s.withFile(req.handle, func(f vfs.File) error { return f.Sync() })
+	case tFstat:
+		err = s.withFile(req.handle, func(f vfs.File) (serr error) {
+			r.info, serr = f.Stat()
+			return serr
+		})
+	case tStat:
+		r.info, err = s.srv.fs.Stat(s.resolve(req.path))
 	case tReadDir:
-		path := d.str()
-		if d.err == nil {
-			var ents []vfs.DirEntry
-			if ents, err = s.srv.fs.ReadDir(s.resolve(path)); err == nil {
-				e.u32(uint32(len(ents)))
-				for _, de := range ents {
-					e.str(de.Name)
-					e.u64(de.Ino)
-					if de.IsDir {
-						e.u8(1)
-					} else {
-						e.u8(0)
-					}
-				}
-				// An enormous directory must degrade to an error reply,
-				// not an oversized frame that would kill the connection.
-				if len(e.b) > maxPayload {
-					err = fmt.Errorf("server: readdir %s: %d entries exceed the wire payload bound", path, len(ents))
-				}
+		if r.entries, err = s.srv.fs.ReadDir(s.resolve(req.path)); err == nil {
+			// An enormous directory must degrade to an error reply,
+			// not an oversized frame that would kill the connection.
+			if put(rtyp, &r, e); len(e.b) > maxPayload {
+				err = fmt.Errorf("server: readdir %s: %d entries exceed the wire payload bound", req.path, len(r.entries))
 			}
 		}
 	case tMkdir:
-		perm := d.u32()
-		path := d.str()
-		if d.err == nil {
-			err = s.srv.fs.Mkdir(s.resolve(path), perm)
-		}
+		err = s.srv.fs.Mkdir(s.resolve(req.path), req.perm)
 	case tUnlink:
-		path := s.resolve(d.str())
-		if d.err == nil {
-			s.srv.revokeKey(nameKey{path: path})
-			s.srv.evict(path, true) // so the inode's blocks free at the unlink
-			if err = s.srv.fs.Unlink(path); err == nil {
-				s.srv.unlinked(path)
-			}
+		path := s.resolve(req.path)
+		s.srv.revokeKey(nameKey{path: path})
+		s.srv.evict(path, true) // so the inode's blocks free at the unlink
+		if err = s.srv.fs.Unlink(path); err == nil {
+			s.srv.unlinked(path)
 		}
 	case tRmdir:
-		path := s.resolve(d.str())
-		if d.err == nil {
-			if err = s.srv.fs.Rmdir(path); err == nil {
-				s.srv.unlinked(path)
-			}
+		path := s.resolve(req.path)
+		if err = s.srv.fs.Rmdir(path); err == nil {
+			s.srv.unlinked(path)
 		}
 	case tRename:
-		oldPath := s.resolve(d.str())
-		newPath := s.resolve(d.str())
-		if d.err == nil {
-			// Both ends: the source moves (attribute-cache interplay —
-			// a leased path must not serve bytes under a stale name) and
-			// a replaced destination is unlinked.
-			s.srv.revokeKey(nameKey{path: oldPath})
-			s.srv.revokeKey(nameKey{path: newPath})
-			s.srv.evict(newPath, true)
-			if err = s.srv.fs.Rename(oldPath, newPath); err == nil {
-				s.srv.renamed(oldPath, newPath)
-			}
+		oldPath := s.resolve(req.path)
+		newPath := s.resolve(req.path2)
+		// Both ends: the source moves (attribute-cache interplay —
+		// a leased path must not serve bytes under a stale name) and
+		// a replaced destination is unlinked.
+		s.srv.revokeKey(nameKey{path: oldPath})
+		s.srv.revokeKey(nameKey{path: newPath})
+		s.srv.evict(newPath, true)
+		if err = s.srv.fs.Rename(oldPath, newPath); err == nil {
+			s.srv.renamed(oldPath, newPath)
 		}
 	case tSyncAll:
 		// Group sync, by the rule the crash runner applies directly:
 		// the backend's own SyncAll, else this session's live handles.
 		err = vfs.SyncAll(s.srv.fs, s.ht.Files())
 	case tLease:
-		id := d.u64()
-		if d.err == nil {
-			if s.features&featLeases == 0 {
-				err = fmt.Errorf("server: lease: not negotiated: %w", vfs.ErrInval)
-			} else {
-				err = s.withFile(id, func(f vfs.File) error {
-					seg, gerr := s.srv.grantLease(s, id, f)
-					if gerr != nil {
-						return gerr
-					}
-					e.u64(seg.id)
-					e.u64(seg.epoch)
-					e.i64(seg.size)
-					e.u32(uint32(len(seg.extents)))
-					for _, x := range seg.extents {
-						e.i64(x.FileOff)
-						e.i64(x.DevOff)
-						e.i64(x.Length)
-					}
-					if len(e.b) > maxPayload {
-						// Pathologically fragmented file: refuse rather
-						// than render an oversized frame; the client
-						// stays on the copy path.
-						s.srv.revokeHandleLeases(s, id)
-						return fmt.Errorf("server: lease: %d extents exceed the wire payload bound: %w", len(seg.extents), vfs.ErrInval)
-					}
-					return nil
-				})
+		if s.features&featLeases == 0 {
+			err = fmt.Errorf("server: lease: not negotiated: %w", vfs.ErrInval)
+			break
+		}
+		err = s.withFile(req.handle, func(f vfs.File) error {
+			seg, gerr := s.srv.grantLease(s, req.handle, f)
+			if gerr != nil {
+				return gerr
 			}
-		}
+			r.seg, r.epoch, r.size, r.extents = seg.id, seg.epoch, seg.size, seg.extents
+			if put(rtyp, &r, e); len(e.b) > maxPayload {
+				// Pathologically fragmented file: refuse rather
+				// than render an oversized frame; the client
+				// stays on the copy path.
+				s.srv.revokeHandleLeases(s, req.handle)
+				return fmt.Errorf("server: lease: %d extents exceed the wire payload bound: %w", len(seg.extents), vfs.ErrInval)
+			}
+			return nil
+		})
 	case tRevokeAck:
-		segID := d.u64()
-		if d.err == nil {
-			s.srv.ackRevoke(segID)
-		}
+		s.srv.ackRevoke(req.seg)
 	case tReopen:
-		id := d.u64()
-		flag := int(d.u32())
-		perm := d.u32()
-		n := int(d.u16())
-		chain := make([]string, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			chain = append(chain, d.str())
-		}
-		if d.err == nil {
-			err = s.reopen(id, flag, perm, chain)
-		}
+		err = s.reopen(req.handle, int(req.flag), req.perm, req.chain)
 	default:
 		err = fmt.Errorf("server: unknown message %s", msgName(typ))
 	}
 
-	if d.err != nil {
-		err = fmt.Errorf("server: %s: %w", msgName(typ), d.err)
+	if err == nil && len(e.b) == 0 {
+		put(rtyp, &r, e)
 	}
-	if err == nil && e.err != nil {
+	if err == nil {
 		err = e.err // a reply field that cannot be encoded (over-long name)
 	}
 	if err != nil && replay && healReplay(typ, err) {
@@ -576,9 +501,10 @@ func (s *Session) execute(typ uint8, reqID uint32, payload []byte, replay bool) 
 		s.srv.stats.healedReplays.Add(1)
 	}
 	if err != nil {
-		return encodeError(reqID, err)
+		_, _, p := encodeError(0, err)
+		return rError, p
 	}
-	return rtyp, reqID, e.b
+	return rtyp, e.b
 }
 
 // reopen re-establishes a handle at its original wire ID during a cold

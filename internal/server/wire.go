@@ -142,6 +142,88 @@ func msgName(t uint8) string {
 	return fmt.Sprintf("msg(%d)", t)
 }
 
+// msg is every field any message carries: a request decodes into one, a
+// reply renders from one, and each message type reads and writes only
+// the fields its row of layouts names (after 9P's Fcall). off is
+// Tpread's and Tpwrite's offset (offEOF for an append), size Ttruncate's
+// size or the file size a lease was granted at, end where an append
+// ended; path2 is Trename's destination, name the backend's, text an
+// Rerror's message. A decoded data field aliases its payload.
+type msg struct {
+	handle, seg, epoch, token, session uint64
+	off, size, end                     int64
+	count, flag, perm, features, code  uint32
+	path, path2, name, text            string
+	resumable                          bool
+	chain                              []string
+	data                               []byte
+	info                               vfs.FileInfo
+	entries                            []vfs.DirEntry
+	extents                            []vfs.Extent
+}
+
+// field is one msg field's place in a payload; its kind fixes its
+// encoding. fOpt is no field: it marks where a row's optional tail
+// starts.
+type field uint8
+
+const (
+	fOpt       field = iota
+	fHandle          // u64
+	fOff             // i64
+	fCount           // u32
+	fFlag            // u32
+	fPerm            // u32
+	fPath            // str
+	fPath2           // str
+	fChain           // u16 count, then a str each
+	fData            // u32 length, then the bytes
+	fInfo            // u64 ino, i64 size, i64 blocks, u8 directory, u32 links
+	fEntries         // u32 count, then str name, u64 ino, u8 directory each
+	fSeg             // u64
+	fEpoch           // u64
+	fSize            // i64
+	fExtents         // u32 count, then i64 file offset, i64 device offset, i64 length each
+	fResumable       // u8, 1 for true
+	fFeatures        // u32
+	fToken           // u64
+	fSession         // u64
+	fName            // str
+	fEnd             // i64
+	fCode            // u32
+	fText            // str
+)
+
+// layouts is the wire format: each message type's fields in payload
+// order. A message with no fields has an empty row; a nil row is no
+// message. Fields after fOpt are a tail a peer may stop short of, from
+// protocol revisions that had none of it: get reads them while bytes
+// remain, and the ones left out read as zero. put writes every field,
+// except a zero token or append end in the tail.
+var layouts = [256][]field{
+	tAttach: {fPath, fOpt, fResumable, fFeatures, fToken}, rAttach: {fName, fSession, fToken, fOpt, fFeatures},
+	tDetach: {}, rDetach: {},
+	tOpen: {fFlag, fPerm, fPath}, rOpen: {fHandle},
+	tClose: {fHandle}, rClose: {},
+	tPread: {fHandle, fOff, fCount}, rPread: {fData},
+	tPwrite: {fHandle, fOff, fData}, rPwrite: {fCount, fOpt, fEnd},
+	tTruncate: {fHandle, fSize}, rTruncate: {},
+	tFsync: {fHandle}, rFsync: {},
+	tFstat: {fHandle}, rFstat: {fInfo},
+	tStat: {fPath}, rStat: {fInfo},
+	tReadDir: {fPath}, rReadDir: {fEntries},
+	tMkdir: {fPerm, fPath}, rMkdir: {},
+	tUnlink: {fPath}, rUnlink: {},
+	tRmdir: {fPath}, rRmdir: {},
+	tRename: {fPath, fPath2}, rRename: {},
+	tSyncAll: {}, rSyncAll: {},
+	rError:  {fCode, fText},
+	tReopen: {fHandle, fFlag, fPerm, fChain}, rReopen: {},
+	tLease: {fHandle}, rLease: {fSeg, fEpoch, fSize, fExtents},
+	tRevoke:    {fSeg},
+	tRevokeAck: {fSeg}, rRevokeAck: {},
+}
+
 // Framing bounds. A frame on the wire is
 //
 //	[u32 body length][u8 type][u32 request id][payload ...]
@@ -209,6 +291,14 @@ func writeFrame(w io.Writer, buf *[]byte, typ uint8, reqID uint32, payload []byt
 	return err
 }
 
+// partialFrame reports whether b, at least a length header long, starts
+// a frame whose body has not all arrived. A length out of bounds is not
+// partial: readFrame refuses it at once.
+func partialFrame(b []byte) bool {
+	n := binary.LittleEndian.Uint32(b)
+	return n >= 5 && n <= maxFrame-4 && len(b) < 4+int(n)
+}
+
 // readFrame reads one frame from r. The frame lands in *buf, grown as
 // needed, and the payload returned is a slice of it: valid until the
 // owner reads the next frame into the same buffer. A nil buf reads into
@@ -266,6 +356,14 @@ func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
 
+func (e *enc) bool(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
+
 func (e *enc) str(s string) {
 	if len(s) > 0xffff {
 		if e.err == nil {
@@ -319,48 +417,23 @@ func (d *dec) take(n int) []byte {
 	return out
 }
 
-func (d *dec) u8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
+var zeros [8]byte
+
+// fixed takes a field of n <= 8 bytes: zeros once the decoder is
+// poisoned.
+func (d *dec) fixed(n int) []byte {
+	if p := d.take(n); p != nil {
+		return p
 	}
-	return p[0]
+	return zeros[:n]
 }
 
-func (d *dec) u16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
-func (d *dec) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (d *dec) u64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-func (d *dec) str() string {
-	n := int(d.u16())
-	p := d.take(n)
-	if p == nil {
-		return ""
-	}
-	return string(p)
-}
+func (d *dec) u8() uint8   { return d.fixed(1)[0] }
+func (d *dec) u16() uint16 { return binary.LittleEndian.Uint16(d.fixed(2)) }
+func (d *dec) u32() uint32 { return binary.LittleEndian.Uint32(d.fixed(4)) }
+func (d *dec) u64() uint64 { return binary.LittleEndian.Uint64(d.fixed(8)) }
+func (d *dec) i64() int64  { return int64(d.u64()) }
+func (d *dec) str() string { return string(d.take(int(d.u16()))) }
 
 func (d *dec) bytes() []byte {
 	n := int(d.u32())
@@ -371,24 +444,172 @@ func (d *dec) bytes() []byte {
 	return d.take(n)
 }
 
-// FileInfo encoding shared by Rstat/Rfstat.
-func (e *enc) fileInfo(fi vfs.FileInfo) {
-	e.u64(fi.Ino)
-	e.i64(fi.Size)
-	e.i64(fi.Blocks)
-	if fi.IsDir {
-		e.u8(1)
-	} else {
-		e.u8(0)
+var (
+	errTrailing   = errors.New("server: bytes after the last field")
+	errUnknownMsg = errors.New("server: unknown message")
+)
+
+// put appends m's fields in typ's layout to e.
+func put(typ uint8, m *msg, e *enc) {
+	tail := false
+	for _, f := range layouts[typ] {
+		switch f {
+		case fOpt:
+			tail = true
+		case fHandle:
+			e.u64(m.handle)
+		case fOff:
+			e.i64(m.off)
+		case fCount:
+			e.u32(m.count)
+		case fFlag:
+			e.u32(m.flag)
+		case fPerm:
+			e.u32(m.perm)
+		case fPath:
+			e.str(m.path)
+		case fPath2:
+			e.str(m.path2)
+		case fChain:
+			e.u16(uint16(len(m.chain)))
+			for _, p := range m.chain {
+				e.str(p)
+			}
+		case fData:
+			e.bytes(m.data)
+		case fInfo:
+			e.u64(m.info.Ino)
+			e.i64(m.info.Size)
+			e.i64(m.info.Blocks)
+			e.bool(m.info.IsDir)
+			e.u32(m.info.Nlink)
+		case fEntries:
+			e.u32(uint32(len(m.entries)))
+			for _, de := range m.entries {
+				e.str(de.Name)
+				e.u64(de.Ino)
+				e.bool(de.IsDir)
+			}
+		case fSeg:
+			e.u64(m.seg)
+		case fEpoch:
+			e.u64(m.epoch)
+		case fSize:
+			e.i64(m.size)
+		case fExtents:
+			e.u32(uint32(len(m.extents)))
+			for _, x := range m.extents {
+				e.i64(x.FileOff)
+				e.i64(x.DevOff)
+				e.i64(x.Length)
+			}
+		case fResumable:
+			e.bool(m.resumable)
+		case fFeatures:
+			e.u32(m.features)
+		case fToken:
+			if !tail || m.token != 0 {
+				e.u64(m.token)
+			}
+		case fSession:
+			e.u64(m.session)
+		case fName:
+			e.str(m.name)
+		case fEnd:
+			if !tail || m.end != 0 {
+				e.i64(m.end)
+			}
+		case fCode:
+			e.u32(m.code)
+		case fText:
+			e.str(m.text)
+		}
 	}
-	e.u32(fi.Nlink)
 }
 
-func (d *dec) fileInfo() vfs.FileInfo {
-	fi := vfs.FileInfo{Ino: d.u64(), Size: d.i64(), Blocks: d.i64()}
-	fi.IsDir = d.u8() == 1
-	fi.Nlink = d.u32()
-	return fi
+// get decodes p, a typ payload, into m, whose every other field it
+// zeroes. A payload shorter than its layout, or with bytes after its
+// last field, is refused. A count from the wire sizes a list only as
+// far as the bytes left could fill it.
+func get(typ uint8, p []byte, m *msg) error {
+	row := layouts[typ]
+	if row == nil {
+		return errUnknownMsg
+	}
+	*m = msg{}
+	d := dec{b: p}
+	tail := false
+	for _, f := range row {
+		if tail && len(d.b) == 0 {
+			break
+		}
+		switch f {
+		case fOpt:
+			tail = true
+		case fHandle:
+			m.handle = d.u64()
+		case fOff:
+			m.off = d.i64()
+		case fCount:
+			m.count = d.u32()
+		case fFlag:
+			m.flag = d.u32()
+		case fPerm:
+			m.perm = d.u32()
+		case fPath:
+			m.path = d.str()
+		case fPath2:
+			m.path2 = d.str()
+		case fChain:
+			n := int(d.u16())
+			m.chain = make([]string, 0, min(n, len(d.b)/2))
+			for i := 0; i < n && d.err == nil; i++ {
+				m.chain = append(m.chain, d.str())
+			}
+		case fData:
+			m.data = d.bytes()
+		case fInfo:
+			m.info = vfs.FileInfo{Ino: d.u64(), Size: d.i64(), Blocks: d.i64(), IsDir: d.u8() == 1, Nlink: d.u32()}
+		case fEntries:
+			n := int(d.u32())
+			m.entries = make([]vfs.DirEntry, 0, min(n, len(d.b)/11))
+			for i := 0; i < n && d.err == nil; i++ {
+				m.entries = append(m.entries, vfs.DirEntry{Name: d.str(), Ino: d.u64(), IsDir: d.u8() == 1})
+			}
+		case fSeg:
+			m.seg = d.u64()
+		case fEpoch:
+			m.epoch = d.u64()
+		case fSize:
+			m.size = d.i64()
+		case fExtents:
+			n := int(d.u32())
+			m.extents = make([]vfs.Extent, 0, min(n, len(d.b)/24))
+			for i := 0; i < n && d.err == nil; i++ {
+				m.extents = append(m.extents, vfs.Extent{FileOff: d.i64(), DevOff: d.i64(), Length: d.i64()})
+			}
+		case fResumable:
+			m.resumable = d.u8() == 1
+		case fFeatures:
+			m.features = d.u32()
+		case fToken:
+			m.token = d.u64()
+		case fSession:
+			m.session = d.u64()
+		case fName:
+			m.name = d.str()
+		case fEnd:
+			m.end = d.i64()
+		case fCode:
+			m.code = d.u32()
+		case fText:
+			m.text = d.str()
+		}
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errTrailing
+	}
+	return d.err
 }
 
 // ---------------------------------------------------------------------
@@ -411,47 +632,32 @@ const (
 	codeEOF
 )
 
-var codeToErr = map[uint16]error{
-	codeNotExist: vfs.ErrNotExist,
-	codeExist:    vfs.ErrExist,
-	codeIsDir:    vfs.ErrIsDir,
-	codeNotDir:   vfs.ErrNotDir,
-	codeNotEmpty: vfs.ErrNotEmpty,
-	codeNoSpace:  vfs.ErrNoSpace,
-	codeBadFD:    vfs.ErrBadFD,
-	codeInval:    vfs.ErrInval,
-	codeReadOnly: vfs.ErrReadOnly,
-	codeClosed:   vfs.ErrClosed,
-	codeEOF:      io.EOF,
+// errCodes pairs each code but codeGeneric with the error it carries,
+// in the order errToCode tries them: io.EOF first.
+var errCodes = []struct {
+	code uint16
+	err  error
+}{
+	{codeEOF, io.EOF},
+	{codeNotExist, vfs.ErrNotExist},
+	{codeExist, vfs.ErrExist},
+	{codeIsDir, vfs.ErrIsDir},
+	{codeNotDir, vfs.ErrNotDir},
+	{codeNotEmpty, vfs.ErrNotEmpty},
+	{codeNoSpace, vfs.ErrNoSpace},
+	{codeBadFD, vfs.ErrBadFD},
+	{codeInval, vfs.ErrInval},
+	{codeReadOnly, vfs.ErrReadOnly},
+	{codeClosed, vfs.ErrClosed},
 }
 
 func errToCode(err error) uint16 {
-	switch {
-	case errors.Is(err, io.EOF):
-		return codeEOF
-	case errors.Is(err, vfs.ErrNotExist):
-		return codeNotExist
-	case errors.Is(err, vfs.ErrExist):
-		return codeExist
-	case errors.Is(err, vfs.ErrIsDir):
-		return codeIsDir
-	case errors.Is(err, vfs.ErrNotDir):
-		return codeNotDir
-	case errors.Is(err, vfs.ErrNotEmpty):
-		return codeNotEmpty
-	case errors.Is(err, vfs.ErrNoSpace):
-		return codeNoSpace
-	case errors.Is(err, vfs.ErrBadFD):
-		return codeBadFD
-	case errors.Is(err, vfs.ErrInval):
-		return codeInval
-	case errors.Is(err, vfs.ErrReadOnly):
-		return codeReadOnly
-	case errors.Is(err, vfs.ErrClosed):
-		return codeClosed
-	default:
-		return codeGeneric
+	for _, c := range errCodes {
+		if errors.Is(err, c.err) {
+			return c.code
+		}
 	}
+	return codeGeneric
 }
 
 // RemoteError is a server-side failure delivered over the wire. It
@@ -466,18 +672,19 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return e.Msg }
 
 func (e *RemoteError) Unwrap() error {
-	if err, ok := codeToErr[e.Code]; ok {
-		return err
+	for _, c := range errCodes {
+		if c.code == e.Code {
+			return c.err
+		}
 	}
 	return nil
 }
 
 // encodeError renders err as an Rerror payload.
 func encodeError(reqID uint32, err error) (uint8, uint32, []byte) {
-	var e enc
-	e.b = make([]byte, 0, 32+len(err.Error()))
-	e.u32(uint32(errToCode(err)))
-	e.str(err.Error())
+	text := err.Error()
+	e := enc{b: make([]byte, 0, 32+len(text))}
+	put(rError, &msg{code: uint32(errToCode(err)), text: text}, &e)
 	return rError, reqID, e.b
 }
 
@@ -485,14 +692,13 @@ func encodeError(reqID uint32, err error) (uint8, uint32, []byte) {
 // A bare EOF code comes back as io.EOF itself: callers throughout the
 // repository compare with == (the io convention), not just errors.Is.
 func decodeError(payload []byte) error {
-	d := dec{b: payload}
-	code := uint16(d.u32())
-	msg := d.str()
-	if d.err != nil {
-		return fmt.Errorf("server: malformed Rerror: %w", d.err)
+	var m msg
+	if err := get(rError, payload, &m); err != nil {
+		return fmt.Errorf("server: malformed Rerror: %w", err)
 	}
+	code := uint16(m.code)
 	if code == codeEOF {
 		return io.EOF
 	}
-	return &RemoteError{Code: code, Msg: msg}
+	return &RemoteError{Code: code, Msg: m.text}
 }

@@ -3,8 +3,14 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,7 +54,7 @@ func TestCodecFields(t *testing.T) {
 	e.i64(-5)
 	e.str("päth/with/ütf8")
 	e.bytes([]byte{1, 2, 3})
-	e.fileInfo(vfs.FileInfo{Ino: 9, Size: -1, Blocks: 3, IsDir: true, Nlink: 2})
+	e.bool(true)
 
 	d := dec{b: e.b}
 	if got := d.u8(); got != 7 {
@@ -69,9 +75,8 @@ func TestCodecFields(t *testing.T) {
 	if got := d.bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("bytes = %v", got)
 	}
-	fi := d.fileInfo()
-	if fi.Ino != 9 || fi.Size != -1 || fi.Blocks != 3 || !fi.IsDir || fi.Nlink != 2 {
-		t.Fatalf("fileInfo = %+v", fi)
+	if got := d.u8(); got != 1 {
+		t.Fatalf("bool = %d", got)
 	}
 	if d.err != nil {
 		t.Fatal(d.err)
@@ -120,108 +125,40 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMessageRoundTrip frames one payload of every message type, laid
-// out as the client and the session encode it, and reads each back
-// through one reused frame buffer, as a connection does: type, request
-// id and every field come back as sent. A message constant the table
-// does not cover, or one msgName cannot name, fails it.
+// TestMessageRoundTrip frames one payload of every message type from
+// the code's own layouts, with a distinct non-zero value in every field
+// of msg, and reads each back through one reused frame buffer, as a
+// connection does: type, request id and exactly the fields the type's
+// row names come back as sent, every other field zero. Any put/get skew
+// — two fields swapped in one direction, a field one side skips — fails
+// it. Every named message has a row (an empty one when it carries no
+// fields) and every row a name. A zero token or append end in a row's
+// optional tail is left out, and reads back as zero.
 func TestMessageRoundTrip(t *testing.T) {
-	fi := vfs.FileInfo{Ino: 12, Size: 1 << 33, Blocks: 9, IsDir: true, Nlink: 3}
-	layouts := map[uint8][]any{
-		tAttach:    {"/t0", uint8(1), featLeases, uint64(0xfeed)},
-		rAttach:    {"splitfs-strict", uint64(7), uint64(0xfeed), featLeases},
-		tDetach:    {},
-		rDetach:    {},
-		tOpen:      {uint32(vfs.O_CREATE | vfs.O_RDWR), uint32(0o644), "/data"},
-		rOpen:      {uint64(3)},
-		tClose:     {uint64(3)},
-		rClose:     {},
-		tPread:     {uint64(3), int64(1 << 40), uint32(512)},
-		rPread:     {[]byte("read back")},
-		tPwrite:    {uint64(3), int64(1 << 33), []byte("at an offset")},
-		rPwrite:    {uint32(12)},
-		tTruncate:  {uint64(3), int64(1 << 20)},
-		rTruncate:  {},
-		tFsync:     {uint64(3)},
-		rFsync:     {},
-		tFstat:     {uint64(3)},
-		rFstat:     {fi},
-		tStat:      {"/data"},
-		rStat:      {fi},
-		tReadDir:   {"/"},
-		rReadDir:   {uint32(2), "a", uint64(5), uint8(0), "d", uint64(6), uint8(1)},
-		tMkdir:     {uint32(0o755), "/d"},
-		rMkdir:     {},
-		tUnlink:    {"/a"},
-		rUnlink:    {},
-		tRmdir:     {"/d"},
-		rRmdir:     {},
-		tRename:    {"/r0", "/r1"},
-		rRename:    {},
-		tSyncAll:   {},
-		rSyncAll:   {},
-		rError:     {uint32(codeNotExist), "stat /x: file does not exist"},
-		tReopen:    {uint64(3), uint32(vfs.O_RDWR), uint32(0o644), uint16(2), "/r0", "/r1"},
-		rReopen:    {},
-		tLease:     {uint64(3)},
-		rLease:     {uint64(1), uint64(2), int64(8192), uint32(1), int64(0), int64(1 << 21), int64(8192)},
-		tRevoke:    {uint64(1)},
-		tRevokeAck: {uint64(1)},
-		rRevokeAck: {},
+	full := msg{
+		handle: 3, off: 1 << 40, count: 512, flag: uint32(vfs.O_CREATE | vfs.O_RDWR), perm: 0o644,
+		path: "/data", path2: "/r1", chain: []string{"/r0", "/r1"}, data: []byte("at an offset"),
+		info:    vfs.FileInfo{Ino: 12, Size: 1 << 33, Blocks: 9, IsDir: true, Nlink: 3},
+		entries: []vfs.DirEntry{{Name: "a", Ino: 5}, {Name: "d", Ino: 6, IsDir: true}},
+		seg:     21, epoch: 22, size: 8192, extents: []vfs.Extent{{FileOff: 4096, DevOff: 1 << 21, Length: 8192}},
+		resumable: true, features: featLeases, token: 0xfeed, session: 7, name: "splitfs-strict",
+		end: 4104, code: uint32(codeInval), text: "stat /x: invalid argument",
 	}
-	// Retired slots, kept unused: Tread/Rread, Twrite/Rwrite,
-	// Tseek/Rseek and Treattach/Rreattach.
-	retired := map[uint8]bool{rClose + 1: true, rClose + 2: true, rClose + 3: true, rClose + 4: true,
-		rPwrite + 1: true, rPwrite + 2: true, rError + 1: true, rError + 2: true}
-	type form struct {
-		typ    uint8
-		fields []any
-	}
-	var forms []form
-	for typ := tAttach; typ <= rRevokeAck; typ++ {
-		if retired[typ] {
-			continue
-		}
-		fields, ok := layouts[typ]
-		if !ok {
-			t.Fatalf("message %d has no layout here", typ)
-		}
-		if name := msgName(typ); strings.HasPrefix(name, "msg(") {
-			t.Fatalf("message %d has no name", typ)
-		}
-		forms = append(forms, form{typ, fields})
-	}
-	// An O_APPEND handle's write: Tpwrite at offEOF, and the offset the
-	// append ended at after Rpwrite's count.
-	forms = append(forms, form{tPwrite, []any{uint64(3), offEOF, []byte("appended")}},
-		form{rPwrite, []any{uint32(8), int64(4104)}})
+	noTail := full
+	noTail.token, noTail.end = 0, 0
+	fields := reflect.ValueOf(full)
 	var wire bytes.Buffer
 	var wbuf, rbuf []byte
-	for _, fm := range forms {
-		typ, fields := fm.typ, fm.fields
-		var e enc
-		for _, f := range fields {
-			switch v := f.(type) {
-			case uint8:
-				e.u8(v)
-			case uint16:
-				e.u16(v)
-			case uint32:
-				e.u32(v)
-			case uint64:
-				e.u64(v)
-			case int64:
-				e.i64(v)
-			case string:
-				e.str(v)
-			case []byte:
-				e.bytes(v)
-			case vfs.FileInfo:
-				e.fileInfo(v)
-			default:
-				t.Fatalf("%s: field of type %T", msgName(typ), f)
-			}
+	for i := range len(layouts) {
+		typ, row := uint8(i), layouts[i]
+		if _, named := msgNames[typ]; named != (row != nil) {
+			t.Fatalf("message %d: named %v, has a row %v", typ, named, row != nil)
 		}
+		if row == nil {
+			continue
+		}
+		var e enc
+		put(typ, &full, &e)
 		id := uint32(typ) * 1000
 		wire.Reset()
 		if err := writeFrame(&wire, &wbuf, typ, id, e.b); err != nil {
@@ -231,33 +168,135 @@ func TestMessageRoundTrip(t *testing.T) {
 		if err != nil || gtyp != typ || gid != id {
 			t.Fatalf("%s: read back type %d id %d: %v", msgName(typ), gtyp, gid, err)
 		}
-		d := dec{b: payload}
-		for i, f := range fields {
-			var got any
-			switch f.(type) {
-			case uint8:
-				got = d.u8()
-			case uint16:
-				got = d.u16()
-			case uint32:
-				got = d.u32()
-			case uint64:
-				got = d.u64()
-			case int64:
-				got = d.i64()
-			case string:
-				got = d.str()
-			case []byte:
-				got = d.bytes()
-			case vfs.FileInfo:
-				got = d.fileInfo()
+		var got msg
+		if err := get(typ, payload, &got); err != nil {
+			t.Fatalf("%s: %v", msgName(typ), err)
+		}
+		set := 0
+		v := reflect.ValueOf(got)
+		for j := range v.NumField() {
+			if v.Field(j).IsZero() {
+				continue
 			}
-			if !reflect.DeepEqual(got, f) {
-				t.Fatalf("%s field %d: %v, want %v", msgName(typ), i, got, f)
+			set++
+			if g, w := fmt.Sprintf("%#v", v.Field(j)), fmt.Sprintf("%#v", fields.Field(j)); g != w {
+				t.Errorf("%s: %s = %s, want %s", msgName(typ), v.Type().Field(j).Name, g, w)
 			}
 		}
-		if d.err != nil || len(d.b) != 0 {
-			t.Fatalf("%s: %v, %d bytes left over", msgName(typ), d.err, len(d.b))
+		tail, omit := false, 0
+		for _, f := range row {
+			tail = tail || f == fOpt
+			if tail && (f == fToken || f == fEnd) {
+				omit += 8
+			}
+		}
+		n := len(row)
+		if slices.Contains(row, fOpt) {
+			n--
+		}
+		if set != n {
+			t.Errorf("%s: %d fields came back set, want %d", msgName(typ), set, n)
+		}
+		var short enc
+		put(typ, &noTail, &short)
+		if len(short.b) != len(e.b)-omit || get(typ, short.b, &got) != nil || got.token != 0 || got.end != 0 {
+			t.Errorf("%s without its tail's token and end: %d bytes of %d, token %d, end %d", msgName(typ), len(short.b), len(e.b), got.token, got.end)
+		}
+	}
+}
+
+// TestTrailingBytesRefused: a Tstat with a byte after its path draws an
+// Rerror, not a stat of the path it starts with, and the session goes
+// on serving.
+func TestTrailingBytesRefused(t *testing.T) {
+	srv := New(leaseTestBackend(t), Config{})
+	defer srv.Close()
+	rwc, err := srv.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rwc.Close()
+	exchange := func(typ uint8, id uint32, payload []byte) (uint8, []byte) {
+		t.Helper()
+		if err := writeFrame(rwc, nil, typ, id, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, rid, rp, err := readFrame(rwc, nil)
+		if err != nil || rid != id {
+			t.Fatalf("%s: reply id %d: %v", msgName(typ), rid, err)
+		}
+		return rtyp, rp
+	}
+	var e enc
+	put(tAttach, &msg{path: "/"}, &e)
+	if rtyp, _ := exchange(tAttach, 1, e.b); rtyp != rAttach {
+		t.Fatalf("attach answered %s", msgName(rtyp))
+	}
+	e = enc{}
+	put(tStat, &msg{path: "/"}, &e)
+	rtyp, rp := exchange(tStat, 2, append(bytes.Clone(e.b), 0))
+	if err := decodeError(rp); rtyp != rError || !strings.Contains(err.Error(), errTrailing.Error()) {
+		t.Fatalf("Tstat with a trailing byte answered %s: %v", msgName(rtyp), err)
+	}
+	if rtyp, _ := exchange(tStat, 3, e.b); rtyp != rStat {
+		t.Fatalf("the next Tstat answered %s", msgName(rtyp))
+	}
+}
+
+// TestWireFormatInOneFile is the guard behind "the wire format is
+// written once": outside wire.go no non-test source of the package calls
+// an enc or dec primitive or reads a payload with binary.LittleEndian —
+// a message's fields are put and got through layouts. Each exception is
+// named with its reason.
+func TestWireFormatInOneFile(t *testing.T) {
+	primitives := map[string]bool{"u8": true, "u16": true, "u32": true, "u64": true, "i64": true,
+		"bool": true, "str": true, "bytes": true, "bytesFrom": true, "take": true}
+	allowed := map[string]bool{
+		// Rpread's data is read straight into the reply: one fData field,
+		// with no copy through a msg.
+		"session.go:execute:bytesFrom": true,
+		// A resume token is drawn from random bytes, not a payload.
+		"server.go:mintToken:binary.LittleEndian": true,
+	}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if path == "wire.go" || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var use string
+				var sel *ast.SelectorExpr
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, _ = n.Fun.(*ast.SelectorExpr); sel != nil && primitives[sel.Sel.Name] {
+						use = sel.Sel.Name
+					}
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "binary" && n.Sel.Name == "LittleEndian" {
+						sel, use = n, "binary.LittleEndian"
+					}
+				}
+				if use == "" {
+					return true
+				}
+				if !allowed[path+":"+fd.Name.Name+":"+use] {
+					t.Errorf("%s: %s calls %s outside wire.go", fset.Position(sel.Pos()), fd.Name.Name, use)
+				}
+				return true
+			})
 		}
 	}
 }
