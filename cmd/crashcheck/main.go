@@ -1,14 +1,15 @@
-// Command crashcheck runs crash-consistency campaigns against SplitFS:
+// Command crashcheck runs crash-consistency campaigns against the file-
+// system stacks of internal/stack (the three SplitFS kinds by default):
 // deterministic workloads are recorded once to trace every persistence
 // event (each Store/StoreNT/Flush/Fence on the PM device), then replayed
 // with a crash materialized at each crash point — an event taken four
 // ways: unfenced cache lines reverted, torn under two seeds, or the
 // event's own store landed whole — recovered, and checked against the
-// mode's guarantee (§3.2 Table 3; recovery per §5.3; oracles in
+// kind's guarantee (§3.2 Table 3; recovery per §5.3; oracles in
 // DESIGN.md). -sample counts crash points, not events.
 //
 // Campaigns fan out over one worker pool (-workers, at least 1) across
-// modes × seeds × workload families, direct and served sweeps alike.
+// kinds × seeds × workload families, direct and served sweeps alike.
 // Beyond the per-event sweep it supports metadata-heavy workloads
 // (create/unlink/rename/truncate/mkdir, orphan unlinks; also with the
 // journal commits thinned out, so sync- and strict-mode recoveries have
@@ -19,12 +20,14 @@
 //
 // Usage:
 //
-//	crashcheck [-seeds N] [-ops N] [-mode all|posix|sync|strict]
+//	crashcheck [-seeds N] [-ops N] [-kind KIND,...]
 //	           [-sample N] [-metadata] [-async] [-served] [-leases]
 //	           [-served-crash] [-tenants N] [-fault-cadence N]
 //	           [-double-crash] [-double-sample N]
 //	           [-minimize] [-out FILE] [-workers N] [-v]
 //	           [-cpuprofile FILE]
+//
+// -kind lists stack.Kinds() names; the default is the three splitfs-*.
 //
 // -served adds differential campaigns through the multi-tenant file
 // service (internal/server): every generated trace runs via a served:
@@ -42,7 +45,7 @@
 // on every -fault-cadence-th dial (0 turns wire faults off), while the
 // device is armed to crash at a sampled persistence event; the daemon
 // is torn down mid-flight, the backend recovered, the daemon restarted,
-// and every tenant reconnects, replays, and finishes. Per-tenant mode
+// and every tenant reconnects, replays, and finishes. Per-tenant kind
 // oracles and exactly-once counters for rename/unlink/append are
 // checked after every kill.
 //
@@ -71,7 +74,6 @@ import (
 
 	"splitfs/internal/crash"
 	"splitfs/internal/pmem"
-	"splitfs/internal/splitfs"
 	"splitfs/internal/stack"
 )
 
@@ -108,14 +110,15 @@ func directJob(name string, cfg crash.ExploreConfig) job {
 
 // servedJob is the daemon-death sweep of one served campaign.
 func servedJob(cfg crash.ServedExploreConfig) job {
-	return job{name: fmt.Sprintf("served-crash %v/seed%d", cfg.Mode, cfg.Seed),
+	kind := strings.TrimPrefix(cfg.Kind, "splitfs-") // a SplitFS kind goes by its mode
+	return job{name: fmt.Sprintf("served-crash %s/seed%d", kind, cfg.Seed),
 		size: fmt.Sprintf("%d tenants x %d ops", cfg.Tenants, cfg.OpsPerTenant), tag: "SERVED ", most: 16,
 		violation: func(v crash.Violation) string {
-			return fmt.Sprintf("SERVED VIOLATION %v/seed%d %s: %s", cfg.Mode, cfg.Seed, where(v), v.Msg)
+			return fmt.Sprintf("SERVED VIOLATION %s/seed%d %s: %s", kind, cfg.Seed, where(v), v.Msg)
 		},
 		progress: func(r *crash.ExploreResult) string {
-			return fmt.Sprintf("served-crash %v/seed%-2d window=[%d,%d] killed=%-4d violations=%d",
-				cfg.Mode, cfg.Seed, r.Window[0], r.Window[1], r.Tested, len(r.Violations))
+			return fmt.Sprintf("served-crash %s/seed%-2d window=[%d,%d] killed=%-4d violations=%d",
+				kind, cfg.Seed, r.Window[0], r.Window[1], r.Tested, len(r.Violations))
 		},
 		explore: func() (*crash.ExploreResult, error) { return crash.ServedExplore(cfg) },
 		minimize: func(sample int, include []pmem.CrashPoint) (*crash.MinimizeResult, error) {
@@ -142,9 +145,9 @@ var families = []struct {
 }
 
 func main() {
-	seeds := flag.Int("seeds", 3, "random workloads per mode and family")
+	seeds := flag.Int("seeds", 3, "random workloads per kind and family")
 	nops := flag.Int("ops", 25, "operations per workload")
-	modeFlag := flag.String("mode", "all", "consistency mode: all, posix, sync, strict")
+	kindFlag := flag.String("kind", "splitfs-posix,splitfs-sync,splitfs-strict", "comma-separated stack kinds to crash, of "+strings.Join(stack.Kinds(), ", "))
 	sample := flag.Int("sample", 0, "max events tested per workload (0 = every persistence event)")
 	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir), as generated and with the commits thinned out so that recovery has metadata operations to redo from the op log")
 	async := flag.Bool("async", false, "add fsync-path workloads: multi-file fsyncs + group syncs sharing one journal commit, files fragmented past their inode's inline extents, so crashes land in partial write-backs of extent-overflow blocks, and fsyncs after scattered overwrites, whose one relink call carries many moves out of two staging files")
@@ -162,15 +165,12 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
-	modes, ok := map[string][]splitfs.Mode{
-		"all":    {splitfs.POSIX, splitfs.Sync, splitfs.Strict},
-		"posix":  {splitfs.POSIX},
-		"sync":   {splitfs.Sync},
-		"strict": {splitfs.Strict},
-	}[*modeFlag]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "crashcheck: unknown mode %q\n", *modeFlag)
-		os.Exit(2)
+	kinds := strings.Split(*kindFlag, ",")
+	for _, k := range kinds {
+		if !slices.Contains(stack.Kinds(), k) {
+			fmt.Fprintf(os.Stderr, "crashcheck: unknown kind %q (have %v)\n", k, stack.Kinds())
+			os.Exit(2)
+		}
 	}
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "crashcheck: -workers %d: need at least one worker\n", *workers)
@@ -190,12 +190,12 @@ func main() {
 
 	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async, "fragment": *async, "scatter": *async}
 	var jobs []job
-	for _, mode := range modes {
+	for _, kind := range kinds {
 		for seed := uint64(1); seed <= uint64(*seeds); seed++ {
 			for _, fam := range families {
 				if enabled[fam.name] {
-					jobs = append(jobs, directJob(fmt.Sprintf("%v/%s/seed%d", mode, fam.name, seed),
-						crash.ExploreConfig{Mode: mode, Ops: fam.gen(seed*fam.mul, *nops),
+					jobs = append(jobs, directJob(fmt.Sprintf("%s/%s/seed%d", strings.TrimPrefix(kind, "splitfs-"), fam.name, seed),
+						crash.ExploreConfig{Kind: kind, Ops: fam.gen(seed*fam.mul, *nops),
 							Seed: seed ^ fam.xor, Sample: *sample,
 							DoubleCrash: *doubleCrash, DoubleSample: *doubleSample}))
 				}
@@ -207,10 +207,10 @@ func main() {
 	// to crash at sampled persistence events; every kill is followed by
 	// recovery, daemon restart, tenant reconnect/replay, and a full
 	// oracle + exactly-once check.
-	for _, mode := range modes {
+	for _, kind := range kinds {
 		for seed := uint64(1); *servedCrash && seed <= uint64(*seeds); seed++ {
 			jobs = append(jobs, servedJob(crash.ServedExploreConfig{Sample: *sample,
-				ServedCampaign: crash.ServedCampaign{Mode: mode, Tenants: *tenants,
+				ServedCampaign: crash.ServedCampaign{Kind: kind, Tenants: *tenants,
 					OpsPerTenant: *nops, Seed: seed, FaultCadence: *faultCadence, Leases: *leases}}))
 		}
 	}

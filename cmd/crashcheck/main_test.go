@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"splitfs/internal/crash"
-	"splitfs/internal/splitfs"
 )
 
 // TestMain runs the command itself when a test re-executes this binary
@@ -34,7 +33,7 @@ func TestFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-workers", "0"}, "need at least one worker"},
 		{[]string{"-workers", "-3"}, "need at least one worker"},
-		{[]string{"-mode", "nope"}, "unknown mode"},
+		{[]string{"-kind", "nope"}, "unknown kind"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-seeds", "1", "-ops", "3", "-sample", "2"}, c.args...)...)
@@ -55,10 +54,10 @@ func TestFlagsRejected(t *testing.T) {
 func TestPipelineMinimizesBothKinds(t *testing.T) {
 	skip := func(int64) bool { return true }
 	jobs := []job{
-		directJob("strict/write/seed3", crash.ExploreConfig{Mode: splitfs.Strict,
+		directJob("strict/write/seed3", crash.ExploreConfig{Kind: "splitfs-strict",
 			Ops: crash.RandomOps(3, 10), Seed: 3, Sample: 24, SkipFence: skip}),
 		servedJob(crash.ServedExploreConfig{Sample: 12, ServedCampaign: crash.ServedCampaign{
-			Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 6, Seed: 31, SkipFence: skip}}),
+			Kind: "splitfs-strict", Tenants: 2, OpsPerTenant: 6, Seed: 31, SkipFence: skip}}),
 	}
 	results, failed := sweep(jobs, 2, false)
 	if failed {
@@ -66,8 +65,8 @@ func TestPipelineMinimizesBothKinds(t *testing.T) {
 	}
 	report := buildReport(jobs, results, true, 24)
 	for _, want := range []string{
-		"\nVIOLATION mode=strict seed=3 ",
-		"\nSERVED VIOLATION mode=strict seed=31 ",
+		"\nVIOLATION kind=splitfs-strict seed=3 ",
+		"\nSERVED VIOLATION kind=splitfs-strict seed=31 ",
 		"\nminimal reproducer for strict/write/seed3: ",
 		"\nminimal reproducer for served-crash strict/seed31: ",
 	} {

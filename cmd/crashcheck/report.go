@@ -17,7 +17,7 @@ import (
 // stack's flight-recorder traces of the breached generation when it has
 // them: the last ops each tenant had in flight when the image froze.
 func writeViolation(w io.Writer, tag string, v crash.Violation) {
-	fmt.Fprintf(w, "%sVIOLATION mode=%v seed=%d %s: %s\n", tag, v.Mode, v.Seed, where(v), v.Msg)
+	fmt.Fprintf(w, "%sVIOLATION kind=%s seed=%d %s: %s\n", tag, v.Kind, v.Seed, where(v), v.Msg)
 	if v.Flight != "" {
 		fmt.Fprintf(w, "flight traces:\n%s", v.Flight)
 	}

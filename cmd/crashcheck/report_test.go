@@ -7,7 +7,6 @@ import (
 
 	"splitfs/internal/crash"
 	"splitfs/internal/pmem"
-	"splitfs/internal/splitfs"
 )
 
 // TestWriteViolation: the report and the violation line name both crash
@@ -17,17 +16,17 @@ import (
 func TestWriteViolation(t *testing.T) {
 	second := pmem.CrashPoint{Ev: pmem.Event{Seq: 807, Kind: pmem.EvFence}, Way: 1}
 	vios := []crash.Violation{
-		{Mode: splitfs.Strict, Seed: 3, At: point(41, pmem.Land), Second: second, Msg: "lost write"},
-		{Mode: splitfs.Sync, Seed: 5, Msg: "bad end state"},
+		{Kind: "splitfs-strict", Seed: 3, At: point(41, pmem.Land), Second: second, Msg: "lost write"},
+		{Kind: "splitfs-sync", Seed: 5, Msg: "bad end state"},
 	}
 	var b strings.Builder
 	for _, v := range vios {
 		writeViolation(&b, "", v)
 	}
-	writeViolation(&b, "SERVED ", crash.Violation{Mode: splitfs.POSIX, Seed: 1, At: point(9, 2), Msg: "dup rename", Flight: "t0: rename\n"})
-	want := "VIOLATION mode=strict seed=3 at event 41 (storent), land, again in recovery at event 807 (fence), tear1: lost write\n" +
-		"VIOLATION mode=sync seed=5 after the workload: bad end state\n" +
-		"SERVED VIOLATION mode=posix seed=1 at event 9 (storent), tear2: dup rename\n" +
+	writeViolation(&b, "SERVED ", crash.Violation{Kind: "splitfs-posix", Seed: 1, At: point(9, 2), Msg: "dup rename", Flight: "t0: rename\n"})
+	want := "VIOLATION kind=splitfs-strict seed=3 at event 41 (storent), land, again in recovery at event 807 (fence), tear1: lost write\n" +
+		"VIOLATION kind=splitfs-sync seed=5 after the workload: bad end state\n" +
+		"SERVED VIOLATION kind=splitfs-posix seed=1 at event 9 (storent), tear2: dup rename\n" +
 		"flight traces:\nt0: rename\n"
 	if b.String() != want {
 		t.Fatalf("report:\n%s\nwant:\n%s", b.String(), want)
@@ -46,9 +45,9 @@ func point(seq int64, way pmem.Way) pmem.CrashPoint {
 // campaign's witness points, event and way, are pinned.
 func TestMinimizerSweep(t *testing.T) {
 	vios := []crash.Violation{
-		{Mode: splitfs.Strict, Seed: 2, At: point(40, pmem.Land)},
-		{Mode: splitfs.Strict, Seed: 2}, // boundary run: nothing to pin
-		{Mode: splitfs.Strict, Seed: 2, At: point(43, pmem.Revert)},
+		{Kind: "splitfs-strict", Seed: 2, At: point(40, pmem.Land)},
+		{Kind: "splitfs-strict", Seed: 2}, // boundary run: nothing to pin
+		{Kind: "splitfs-strict", Seed: 2, At: point(43, pmem.Revert)},
 	}
 	want := []pmem.CrashPoint{point(40, pmem.Land), point(43, pmem.Revert)}
 	for _, c := range []struct{ sample, most, want int }{{0, 32, 32}, {256, 32, 32}, {8, 32, 8}} {

@@ -15,7 +15,9 @@
 package alloc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"splitfs/internal/pmem"
@@ -337,9 +339,23 @@ func (b *Bitmap) FreeCount() int64 {
 	return b.free
 }
 
-// Allocated reports whether blk is currently allocated.
-func (b *Bitmap) Allocated(blk int64) bool {
+// First returns the first block of [from, to) that is allocated, or
+// free when allocated is false, and to when there is none. It reads the
+// bitmap 64 blocks at a time, under one acquisition of its lock.
+func (b *Bitmap) First(from, to int64, allocated bool) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.isSet(blk)
+	to = min(to, b.nblocks)
+	for from = max(from, 0); from < to; from = from&^63 + 64 {
+		var buf [8]byte
+		copy(buf[:], b.bits[from/64*8:])
+		w := binary.LittleEndian.Uint64(buf[:]) // block 64k+i is bit i
+		if !allocated {
+			w = ^w
+		}
+		if w &= ^uint64(0) << (from & 63); w != 0 {
+			return min(from&^63+int64(bits.TrailingZeros64(w)), to)
+		}
+	}
+	return to
 }

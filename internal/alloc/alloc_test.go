@@ -26,7 +26,7 @@ func TestAllocExtentContiguous(t *testing.T) {
 		t.Fatalf("first alloc = %v, want [0+10)", e)
 	}
 	for i := e.Start; i < e.End(); i++ {
-		if !b.Allocated(i) {
+		if !b.isSet(i) {
 			t.Fatalf("block %d not marked allocated", i)
 		}
 	}
@@ -111,7 +111,7 @@ func TestLoadRebuildsMirror(t *testing.T) {
 		t.Fatalf("reloaded free = %d, want %d", b2.FreeCount(), 64-e.Len)
 	}
 	for i := e.Start; i < e.End(); i++ {
-		if !b2.Allocated(i) {
+		if !b2.isSet(i) {
 			t.Fatalf("block %d lost across crash", i)
 		}
 	}
@@ -184,7 +184,7 @@ func TestAllocAt(t *testing.T) {
 	if err != nil || dirty.Len == 0 {
 		t.Fatalf("AllocAt free blocks: %+v, %v", dirty, err)
 	}
-	if !b.Allocated(40) || !b.Allocated(42) || b.Allocated(43) || b.FreeCount() != 64-7 {
+	if !b.isSet(40) || !b.isSet(42) || b.isSet(43) || b.FreeCount() != 64-7 {
 		t.Fatalf("after AllocAt [40+3): free %d", b.FreeCount())
 	}
 	for _, e := range []Extent{{Start: 2, Len: 1}, {Start: 39, Len: 2}, {Start: 42, Len: 5}} {

@@ -41,6 +41,17 @@ func (m bitmapModel) lowestAligned(n, align int64) int64 {
 	return -1
 }
 
+// first returns the first block of [from, to) whose state is used, or to
+// when there is none.
+func (m bitmapModel) first(from, to int64, used bool) int64 {
+	for i := from; i < to; i++ {
+		if m[i] == used {
+			return i
+		}
+	}
+	return to
+}
+
 // lowest returns the lowest free block, or -1.
 func (m bitmapModel) lowest() int64 {
 	for i, used := range m {
@@ -57,9 +68,11 @@ func (m bitmapModel) lowest() int64 {
 // exact, an aligned result aligned by device offset and the lowest there
 // is, the fallback taken only when the model has no aligned run, a lowest
 // result the model's lowest free block, and the next-fit hint untouched by
-// either lowest-first call. Op encoding: one opcode byte (its value modulo
-// 5 selects the op), then one operand byte; a sequence ends when the input
-// does.
+// either lowest-first call; after every step, First from the step's
+// operand byte (a block, or past the last) to every end up to one past
+// the bitmap, both states, is the model's first block in that state.
+// Op encoding: one opcode byte (its value modulo 5 selects the op), then
+// one operand byte; a sequence ends when the input does.
 func FuzzBitmapModel(f *testing.F) {
 	f.Add([]byte("\x02\x8f\x02\x8f\x03\x00\x02\x8f"))                 // 16 blocks at 8: twice, free the first, again: reused
 	f.Add([]byte("\x00\x03\x02\x87\x00\x0f\x03\x01\x02\xa7\x01\x20")) // next-fit runs around aligned ones
@@ -175,6 +188,14 @@ func FuzzBitmapModel(f *testing.F) {
 			for i, used := range m {
 				if b.isSet(int64(i)) != used {
 					t.Fatalf("step %d (op %#x): block %d allocated = %v, model %v", step, op, i, !used, used)
+				}
+			}
+			from := arg % (alignedBlocks + 1)
+			for to := from; to <= alignedBlocks+1; to++ {
+				for _, used := range []bool{false, true} {
+					if got, want := b.First(from, to, used), m.first(from, min(to, alignedBlocks), used); got != want {
+						t.Fatalf("step %d: First(%d, %d, %v) = %d, model %d", step, from, to, used, got, want)
+					}
 				}
 			}
 		}

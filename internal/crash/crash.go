@@ -1,11 +1,14 @@
 // Package crash is the crash-consistency exploration engine (§5.3 of the
 // paper, grown into a persistence-event harness; see DESIGN.md): it runs
-// a workload against SplitFS, injects a crash — at an operation boundary
-// or at any crash point of a recorded trace, pmem.CrashPoint: a numbered
-// persistence event inside an operation, taken four ways (the unfenced
-// lines revert whole, tear under two seeds, or the event's own store
-// lands whole) — recovers, and checks the durable state against the
-// mode's row of the paper's Table 3 (stack.GuaranteeOf; model.go).
+// a workload against a file-system stack of any kind, injects a crash —
+// at an operation boundary or at any crash point of a recorded trace,
+// pmem.CrashPoint: a numbered persistence event inside an operation,
+// taken four ways (the unfenced lines revert whole, tear under two
+// seeds, or the event's own store lands whole) — recovers, and checks
+// the durable state against the kind's row of the paper's Table 3
+// (stack.GuaranteeOf; model.go). The kind decides nothing here:
+// internal/stack builds it, recovers it with its own Mount and checks
+// its image (Stack.Recover, Stack.Check).
 //
 // On top of single crashes the package offers crash-point sweeps
 // (Explore; Sample counts crash points, not events), double-crash
@@ -36,7 +39,8 @@ import (
 
 // Campaign configures a crash-injection run.
 type Campaign struct {
-	Mode splitfs.Mode
+	// Kind is the stack kind crashed, one of stack.Kinds().
+	Kind string
 	// Ops is the workload.
 	Ops []Op
 	// CrashAfter is the operation index after which the crash is injected
@@ -57,7 +61,7 @@ type Campaign struct {
 	SkipFence func(seq int64) bool
 	// Trace records the full persistence-event trace of the run.
 	Trace bool
-	// model is the model of (Mode, Ops) when the caller already has it:
+	// model is the model of (Kind, Ops) when the caller already has it:
 	// a sweep evaluates it once, not once per crash point.
 	model *modelRun
 }
@@ -89,13 +93,13 @@ type Result struct {
 	Trace []pmem.Event
 }
 
-// newCrashStack builds one campaign's private simulated machine: the
-// SplitFS stack of the given mode at stack.Small sizing, on a device
-// that tracks persistence.
-func newCrashStack(mode splitfs.Mode) (*stack.Stack, error) {
+// newStack builds the named stack at stack.Small sizing on a device that
+// tracks persistence: one campaign's private simulated machine, or one
+// backend of a differential run.
+func newStack(name string) (*stack.Stack, error) {
 	spec := stack.Small
 	spec.TrackPersistence = true
-	return stack.New(stack.SplitFSKind(mode), spec)
+	return stack.New(name, spec)
 }
 
 // rewinds is how many op-log laps a U-Split instance has ended so far;
@@ -106,9 +110,6 @@ func rewinds(fs vfs.FileSystem) int {
 	}
 	return 0
 }
-
-// rowOf is the Table 3 row a mode's crash oracle holds its stack to.
-func rowOf(mode splitfs.Mode) stack.Guarantee { return stack.GuaranteeOf(stack.SplitFSKind(mode)) }
 
 // runner executes compiled syscalls, tracking open handles the way
 // compile assumed. Handles dropped by unlink/rename without a close stay
@@ -187,7 +188,7 @@ func (r *runner) apply(sc syscall) error {
 	}
 }
 
-// Run executes the campaign and verifies the mode's guarantee.
+// Run executes the campaign and verifies the kind's guarantee.
 func Run(c Campaign) (*Result, error) {
 	img, res, err := crashed(c)
 	if err == nil {
@@ -201,7 +202,6 @@ func Run(c Campaign) (*Result, error) {
 // image recovered more than once is recovered from copies.
 type image struct {
 	st          *stack.Stack
-	mode        splitfs.Mode
 	m           *modelRun
 	crashSys    int  // syscalls completed before the crash
 	interrupted bool // the crash hit inside syscall crashSys+1
@@ -211,7 +211,7 @@ type image struct {
 // point's image, or at the boundary with torn unfenced lines. The Result
 // holds what the workload reported (SysEvents, Trace, Rewinds).
 func crashed(c Campaign) (*image, *Result, error) {
-	env, err := newCrashStack(c.Mode)
+	env, err := newStack(c.Kind)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -224,9 +224,9 @@ func crashed(c Campaign) (*image, *Result, error) {
 		}
 		stopSys = sysPrefix(sys, stop)
 	}
-	img := &image{st: env, mode: c.Mode, m: c.model}
+	img := &image{st: env, m: c.model}
 	if img.m == nil {
-		img.m = buildModel(rowOf(c.Mode), sys)
+		img.m = buildModel(stack.GuaranteeOf(c.Kind), sys)
 	}
 	res := &Result{}
 
@@ -286,7 +286,7 @@ func (img *image) copy() *image {
 	return &c
 }
 
-// recover recovers the image and checks the mode's guarantee, into res.
+// recover recovers the image and checks the kind's guarantee, into res.
 // With second set it crashes again at that point inside the recovery and
 // recovers again, verifying that recovery itself is crash-consistent and
 // idempotent. With trace it returns the first recovery's persistence
@@ -325,7 +325,7 @@ func (img *image) recover(res *Result, second pmem.CrashPoint, trace bool) (reco
 
 	dur, err := captureDurable(rec.FS)
 	if err != nil {
-		res.Violation = fmt.Sprintf("%v: recovered image unreadable: %v", img.mode, err)
+		res.Violation = fmt.Sprintf("%s: recovered image unreadable: %v", img.st.Kind, err)
 		return recovery
 	}
 	res.Violation = checkGuarantee(img.m, img.crashSys, img.interrupted, dur)

@@ -59,21 +59,13 @@ func renderTrace(sys []syscall) string {
 // which is how the service layer's transparency is verified: the same
 // trace through the session/RPC stack must land byte-identically.
 func Differential(kinds []string, ops []Op) (*DiffResult, error) {
-	return differential(kinds, ops, newStackFS)
+	return differential(kinds, ops, newStack)
 }
 
-// newStackFS builds the file system a differential run drives as kind.
-func newStackFS(kind string) (vfs.FileSystem, error) {
-	st, err := stack.New(kind, stack.Small)
-	if err != nil {
-		return nil, err
-	}
-	return st.FS, nil
-}
-
-// differential is Differential over the file systems open builds, one
-// per listed name.
-func differential(kinds []string, ops []Op, open func(kind string) (vfs.FileSystem, error)) (*DiffResult, error) {
+// differential is Differential over the stacks open builds, one per
+// listed name; it drives each one's FS. Differential builds them as a
+// crash campaign builds its stack.
+func differential(kinds []string, ops []Op, open func(kind string) (*stack.Stack, error)) (*DiffResult, error) {
 	sys := compile(ops)
 	res := &DiffResult{
 		Reference: kinds[0],
@@ -83,11 +75,11 @@ func differential(kinds []string, ops []Op, open func(kind string) (vfs.FileSyst
 	}
 	states := make(map[string]*durableState, len(kinds))
 	for _, kind := range kinds {
-		fs, err := open(kind)
+		st, err := open(kind)
 		if err != nil {
 			return nil, fmt.Errorf("diff backend %s: %w", kind, err)
 		}
-		r := &runner{fs: fs, handles: map[string]vfs.File{}}
+		r := &runner{fs: st.FS, handles: map[string]vfs.File{}}
 		for i, sc := range sys {
 			if err := r.apply(sc); err != nil {
 				return nil, fmt.Errorf("diff backend %s: syscall %d (%v %s): %w",
@@ -102,7 +94,7 @@ func differential(kinds []string, ops []Op, open func(kind string) (vfs.FileSyst
 				return nil, fmt.Errorf("diff backend %s: close %s: %w", kind, p, err)
 			}
 		}
-		states[kind], err = captureDurable(fs)
+		states[kind], err = captureDurable(st.FS)
 		if err != nil {
 			return nil, fmt.Errorf("diff backend %s: capture: %w", kind, err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"splitfs/internal/obs"
 	"splitfs/internal/stack"
-	"splitfs/internal/vfs"
 )
 
 // TestDifferentialEquivalence feeds generated traces from all three
@@ -24,11 +23,11 @@ func TestDifferentialEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := differential(append(stack.Kinds(), "hostfs"), tc.ops, func(kind string) (vfs.FileSystem, error) {
+			res, err := differential(append(stack.Kinds(), "hostfs"), tc.ops, func(kind string) (*stack.Stack, error) {
 				if kind == "hostfs" {
-					return newHostFS(t), nil
+					return &stack.Stack{FS: newHostFS(t)}, nil
 				}
-				return newStackFS(kind)
+				return newStack(kind)
 			})
 			if err != nil {
 				t.Fatalf("differential: %v", err)

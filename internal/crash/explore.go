@@ -6,20 +6,20 @@ import (
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
-	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 // Explore is the persistence-event sweep: record the workload once to
 // trace its events, then crash at every (or a seeded sample of) crash
 // point of them — each event taken four ways, pmem.CrashPoints — recover,
-// and check the mode's guarantee. With DoubleCrash it also crashes again
+// and check the kind's guarantee. With DoubleCrash it also crashes again
 // inside each recovery, at crash points of that recovery's trace picked
 // the same way. The workload runs once a first point: every recovery of
 // its crash image starts from a copy of it.
 
 // ExploreConfig configures a sweep.
 type ExploreConfig struct {
-	Mode splitfs.Mode
+	Kind string // the stack kind swept (Campaign.Kind)
 	Ops  []Op
 	Seed uint64
 	// Sample bounds how many first-crash points are tested (0 = all): a
@@ -46,7 +46,7 @@ type ExploreConfig struct {
 
 // Violation is one guarantee breach found by a sweep.
 type Violation struct {
-	Mode   splitfs.Mode
+	Kind   string
 	Seed   uint64
 	At     pmem.CrashPoint // first crash (zero = boundary run)
 	Second pmem.CrashPoint // second crash, when the breach needed one
@@ -122,8 +122,8 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 
 	// Recording run: no intra-op crash (boundary crash after everything,
 	// which also validates the workload end state), full event trace.
-	model := buildModel(rowOf(cfg.Mode), compile(cfg.Ops))
-	record, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAfter: len(cfg.Ops),
+	model := buildModel(stack.GuaranteeOf(cfg.Kind), compile(cfg.Ops))
+	record, err := Run(Campaign{Kind: cfg.Kind, Ops: cfg.Ops, CrashAfter: len(cfg.Ops),
 		Seed: cfg.Seed, Trace: true, SkipFence: cfg.SkipFence, model: model})
 	if err != nil {
 		return nil, err
@@ -131,7 +131,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	res.Runs++
 	if record.Violation != "" {
 		res.Violations = append(res.Violations, Violation{
-			Mode: cfg.Mode, Seed: cfg.Seed, Msg: record.Violation})
+			Kind: cfg.Kind, Seed: cfg.Seed, Msg: record.Violation})
 	}
 	w0 := record.SysEvents[0]
 	w1 := record.SysEvents[len(record.SysEvents)-1]
@@ -143,7 +143,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 
 	for _, p := range picked {
 		k := p.Ev.Seq
-		img, r, err := crashed(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
+		img, r, err := crashed(Campaign{Kind: cfg.Kind, Ops: cfg.Ops, Seed: mix(cfg.Seed, uint64(k)),
 			CrashAt: p, SkipFence: cfg.SkipFence, model: model})
 		if err != nil {
 			return nil, err
@@ -164,7 +164,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		res.MetaSkipped += r.MetaSkipped
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{
-				Mode: cfg.Mode, Seed: cfg.Seed, At: p, Msg: r.Violation})
+				Kind: cfg.Kind, Seed: cfg.Seed, At: p, Msg: r.Violation})
 			continue
 		}
 		if !cfg.DoubleCrash {
@@ -182,7 +182,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			}
 			if r2.Violation != "" {
 				res.Violations = append(res.Violations, Violation{
-					Mode: cfg.Mode, Seed: cfg.Seed, At: p, Second: p2, Msg: r2.Violation})
+					Kind: cfg.Kind, Seed: cfg.Seed, At: p, Second: p2, Msg: r2.Violation})
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 // TestAsyncRelinkSweepAllModes sweeps persistence events over workloads
@@ -33,7 +34,7 @@ func TestAsyncRelinkSweepAllModes(t *testing.T) {
 					// Bounded: the full windows run to thousands of events;
 					// the deterministic sample still crosses dozens of
 					// background-stage events (asserted below).
-					res, err := Explore(ExploreConfig{Mode: mode, Ops: wl.ops, Seed: 5, Sample: 160})
+					res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: wl.ops, Seed: 5, Sample: 160})
 					if err != nil {
 						t.Fatalf("explore: %v", err)
 					}
@@ -73,7 +74,7 @@ func TestAsyncRelinkSweepAllModes(t *testing.T) {
 // recovery of group-committed batches is itself crash-consistent.
 func TestGroupSyncDoubleCrash(t *testing.T) {
 	res, err := Explore(ExploreConfig{
-		Mode:         splitfs.Strict,
+		Kind:         "splitfs-strict",
 		Ops:          AsyncOps(29, 12),
 		Seed:         3,
 		Sample:       24,

@@ -9,6 +9,7 @@ import (
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 // The acceptance sweep: every persistence event of a strict-mode
@@ -18,7 +19,7 @@ func TestStrictSweepEveryEvent(t *testing.T) {
 	if testing.Short() {
 		n = 8
 	}
-	res, err := Explore(ExploreConfig{Mode: splitfs.Strict, Ops: RandomOps(21, n), Seed: 21})
+	res, err := Explore(ExploreConfig{Kind: "splitfs-strict", Ops: RandomOps(21, n), Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestStrictSweepEveryEvent(t *testing.T) {
 // workloads.
 func TestPosixAndSyncEventSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync} {
-		res, err := Explore(ExploreConfig{Mode: mode, Ops: RandomOps(33, 15),
+		res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: RandomOps(33, 15),
 			Seed: 7, Sample: 60})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +56,7 @@ func TestPosixAndSyncEventSweep(t *testing.T) {
 func TestMetadataWorkloadSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			res, err := Explore(ExploreConfig{Mode: mode, Ops: MetadataOps(seed*11, 15),
+			res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: MetadataOps(seed*11, 15),
 				Seed: seed, Sample: 40})
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", mode, seed, err)
@@ -76,7 +77,7 @@ func TestMetaBurstSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		replayed := 0
 		for seed := uint64(1); seed <= 3; seed++ {
-			res, err := Explore(ExploreConfig{Mode: mode, Ops: MetaBurstOps(seed*7, 40),
+			res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: MetaBurstOps(seed*7, 40),
 				Seed: seed, Sample: 60})
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", mode, seed, err)
@@ -96,7 +97,7 @@ func TestMetaBurstSweep(t *testing.T) {
 // RecoverFS/Mount, recover again, and the guarantee must still hold.
 func TestDoubleCrashSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
-		res, err := Explore(ExploreConfig{Mode: mode, Ops: MetadataOps(5, 10),
+		res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: MetadataOps(5, 10),
 			Seed: 3, Sample: 12, DoubleCrash: true, DoubleSample: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +119,7 @@ func TestDoubleCrashSweep(t *testing.T) {
 // dropping one it had not reached.
 func TestDoubleCrashInsideMetaReplay(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.Sync, splitfs.Strict} {
-		res, err := Explore(ExploreConfig{Mode: mode, Ops: MetaBurstOps(23, 40),
+		res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: MetaBurstOps(23, 40),
 			Seed: 5, Sample: 16, DoubleCrash: true, DoubleSample: 12})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +146,7 @@ func TestOrphanUnlinkCampaign(t *testing.T) {
 		{Kind: OpCreate, Path: "/t2", Close: true},
 	}
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Strict} {
-		res, err := Explore(ExploreConfig{Mode: mode, Ops: ops, Seed: 9})
+		res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: ops, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestStagedWriteOverInPlaceOverwrite(t *testing.T) {
 		{Path: "/a3", Off: 1064, Data: bytes.Repeat([]byte{3}, 2553), Fsync: true},
 	}
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
-		res, err := Explore(ExploreConfig{Mode: mode, Ops: ops, Seed: 3, DoubleCrash: true, DoubleSample: 3})
+		res, err := Explore(ExploreConfig{Kind: stack.SplitFSKind(mode), Ops: ops, Seed: 3, DoubleCrash: true, DoubleSample: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestCrashPointsPinsIncludeFirst(t *testing.T) {
 // point of the workload's with Sample 0 — pmem.CrashPoints' count over
 // the traces, four ways an event.
 func TestEverySecondCrashPoint(t *testing.T) {
-	cfg := ExploreConfig{Mode: splitfs.POSIX, Ops: []Op{{Path: "/a", Data: []byte("x")}}, DoubleCrash: true}
+	cfg := ExploreConfig{Kind: "splitfs-posix", Ops: []Op{{Path: "/a", Data: []byte("x")}}, DoubleCrash: true}
 	res, err := Explore(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +220,13 @@ func TestEverySecondCrashPoint(t *testing.T) {
 	for _, v := range res.Violations {
 		t.Errorf("%v, then %v: %s", v.At, v.Second, v.Msg)
 	}
-	record, err := Run(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAfter: len(cfg.Ops), Trace: true})
+	record, err := Run(Campaign{Kind: cfg.Kind, Ops: cfg.Ops, CrashAfter: len(cfg.Ops), Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want, got int64
 	for p := range pmem.CrashPoints(record.Trace, tears) {
-		img, _, err := crashed(Campaign{Mode: cfg.Mode, Ops: cfg.Ops, CrashAt: p})
+		img, _, err := crashed(Campaign{Kind: cfg.Kind, Ops: cfg.Ops, CrashAt: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func TestEverySecondCrashPoint(t *testing.T) {
 // second crash counted: recovering copies of the first crash's image
 // must crash at the same points and find the same replays.
 func TestSampledSecondCrashesLand(t *testing.T) {
-	res, err := Explore(ExploreConfig{Mode: splitfs.Strict, Ops: MetaBurstOps(23, 12), Seed: 5,
+	res, err := Explore(ExploreConfig{Kind: "splitfs-strict", Ops: MetaBurstOps(23, 12), Seed: 5,
 		Sample: 4, DoubleCrash: true, DoubleSample: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -264,5 +265,25 @@ func TestSampledSecondCrashesLand(t *testing.T) {
 	if res.Runs != 37 || res.Tested != 4 || res.DoubleInMetaReplay != 7 || res.MetaReplayed != 11 || res.MetaSkipped != 9 {
 		t.Errorf("%d runs, %d first crashes, %d second crashes inside a metadata replay, %d redone, %d skipped; want 37, 4, 7, 11, 9",
 			res.Runs, res.Tested, res.DoubleInMetaReplay, res.MetaReplayed, res.MetaSkipped)
+	}
+}
+
+// TestBaselineKindsSweep: a campaign takes any stack kind. The log
+// engines — nova-strict, nova-relaxed, pmfs and strata's shared area —
+// are crashed at sampled points of a write workload, each recovered with
+// its own Mount, block-accounted by Stack.Check and held to its Table 3
+// row, with no violation.
+func TestBaselineKindsSweep(t *testing.T) {
+	for _, kind := range []string{"nova-strict", "nova-relaxed", "pmfs", "strata"} {
+		res, err := Explore(ExploreConfig{Kind: kind, Ops: RandomOps(13, 15), Seed: 1, Sample: 64})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if res.Tested == 0 {
+			t.Fatalf("%s: no crash point tested", kind)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%s: %v: %s", kind, v.At, v.Msg)
+		}
 	}
 }

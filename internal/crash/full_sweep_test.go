@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 // TestFullAsyncSweepAllModes is the unsampled acceptance sweep: every
@@ -18,7 +19,7 @@ func TestFullAsyncSweepAllModes(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
 			res, err := Explore(ExploreConfig{
-				Mode: mode,
+				Kind: stack.SplitFSKind(mode),
 				Ops:  AsyncOps(53, 14),
 				Seed: 5,
 			})

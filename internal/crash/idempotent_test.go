@@ -12,6 +12,7 @@ import (
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -26,7 +27,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 		ops := MetaBurstOps(17, 30)
 		metaRedone, points := 0, 0
 		// Probe a few events, each of the four ways.
-		record, err := Run(Campaign{Mode: mode, Ops: ops, CrashAfter: len(ops), Seed: 17, Trace: true})
+		record, err := Run(Campaign{Kind: stack.SplitFSKind(mode), Ops: ops, CrashAfter: len(ops), Seed: 17, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 				continue
 			}
 			points++
-			env, err := newCrashStack(mode)
+			env, err := newStack(stack.SplitFSKind(mode))
 			if err != nil {
 				t.Fatal(err)
 			}

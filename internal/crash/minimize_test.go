@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"splitfs/internal/pmem"
-	"splitfs/internal/splitfs"
 )
 
 // A seeded fault — every workload fence is "forgotten" via the pmem test
 // hook — must be caught by the sweep and minimized to a tiny reproducer.
 func TestMinimizeSeededFenceViolation(t *testing.T) {
 	cfg := ExploreConfig{
-		Mode:      splitfs.Strict,
+		Kind:      "splitfs-strict",
 		Ops:       RandomOps(3, 10),
 		Seed:      3,
 		Sample:    24,
@@ -37,9 +36,9 @@ func TestMinimizeRejectsHealthyCampaign(t *testing.T) {
 		name string
 		cfg  sweep
 	}{
-		{"direct", ExploreConfig{Mode: splitfs.Strict, Ops: RandomOps(5, 4), Seed: 5, Sample: 10}},
+		{"direct", ExploreConfig{Kind: "splitfs-strict", Ops: RandomOps(5, 4), Seed: 5, Sample: 10}},
 		{"served", ServedExploreConfig{Sample: 6, ServedCampaign: ServedCampaign{
-			Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 5, Seed: 37}}},
+			Kind: "splitfs-strict", Tenants: 2, OpsPerTenant: 5, Seed: 37}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Minimize(tc.cfg); err == nil {

@@ -7,6 +7,7 @@ import (
 
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 // TestTable3RowsRejectWhatTheyForbid holds each SplitFS row's oracle to
@@ -59,7 +60,7 @@ func TestTable3RowsRejectWhatTheyForbid(t *testing.T) {
 		{"posix/namespace at the commit floor", splitfs.POSIX, meta, 5, false, durable(map[string]string{"/f": "x"}, "/d"), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			why := checkGuarantee(buildModel(rowOf(tc.mode), tc.sys), tc.c, tc.interrupted, tc.dur)
+			why := checkGuarantee(buildModel(stack.GuaranteeOf(stack.SplitFSKind(tc.mode)), tc.sys), tc.c, tc.interrupted, tc.dur)
 			switch {
 			case tc.accept && why != "":
 				t.Errorf("rejected a state its row allows: %s", why)

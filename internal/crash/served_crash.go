@@ -7,7 +7,7 @@
 // next, and each request executes on that goroutine as its client writes
 // it. The schedule is an input, as in CHESS (Musuvathi et al., OSDI '08)
 // at request granularity: every event of the recorded window fires when
-// armed, and a violation replays from its (mode, seed, crash point) alone.
+// armed, and a violation replays from its (kind, seed, crash point) alone.
 
 package crash
 
@@ -23,7 +23,6 @@ import (
 	"splitfs/internal/pmem"
 	"splitfs/internal/server"
 	"splitfs/internal/sim"
-	"splitfs/internal/splitfs"
 	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
@@ -35,7 +34,7 @@ import (
 // verifies three things:
 //
 //  1. Crash-point oracle, per tenant: the recovered subtree satisfies the
-//     mode's guarantee for the syscalls the tenant completed before the
+//     kind's guarantee for the syscalls the tenant completed before the
 //     armed event, read from the per-step event map as Run reads
 //     SysEvents; only the tenant whose step was in flight counts as
 //     interrupted.
@@ -44,7 +43,7 @@ import (
 //  3. Final state, per tenant: once every client has resumed and
 //     finished, the file system matches the model's end state exactly.
 type ServedCampaign struct {
-	Mode splitfs.Mode
+	Kind string // the stack kind served and crashed (Campaign.Kind)
 	// Tenants is the number of resumable sessions (default 3); ignored
 	// when TenantOps is set.
 	Tenants int
@@ -126,8 +125,7 @@ func (t *servedTenant) probe(i int) {
 
 // servedCounter counts successful renames, unlinks and mkdirs by
 // signature. The workloads never reuse a name, so within one generation
-// a signature applying twice is a broken replay. SyncAll forwards, so
-// the group-commit path survives the wrapper.
+// a signature applying twice is a broken replay.
 type servedCounter struct {
 	vfs.FileSystem
 	applied map[string]int
@@ -152,7 +150,12 @@ func (c *servedCounter) Rename(oldPath, newPath string) error {
 	return c.count(c.FileSystem.Rename(oldPath, newPath), "rename "+oldPath+" -> "+newPath)
 }
 
-func (c *servedCounter) SyncAll() error {
+// groupCounter is a servedCounter over a backend with a group sync of
+// its own (U-Split's), which it forwards; a backend without one gets the
+// session's per-handle fsyncs (vfs.SyncAll).
+type groupCounter struct{ *servedCounter }
+
+func (c groupCounter) SyncAll() error {
 	return c.FileSystem.(interface{ SyncAll() error }).SyncAll()
 }
 
@@ -191,7 +194,7 @@ type servedRun struct {
 
 // RunServed executes one served campaign and verifies its oracles.
 func RunServed(c ServedCampaign) (*ServedResult, error) {
-	env, err := newCrashStack(c.Mode)
+	env, err := newStack(c.Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +208,7 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 			return nil, err
 		}
 		sys := compile(ops)
-		r.tenants = append(r.tenants, &servedTenant{root: root, sys: sys, model: buildModel(rowOf(c.Mode), sys)})
+		r.tenants = append(r.tenants, &servedTenant{root: root, sys: sys, model: buildModel(stack.GuaranteeOf(c.Kind), sys)})
 	}
 	if err := vfs.WriteFile(env.FS, "/served-setup", nil); err != nil {
 		return nil, err
@@ -301,7 +304,11 @@ func RunServed(c ServedCampaign) (*ServedResult, error) {
 // serve starts a server generation over fs.
 func (r *servedRun) serve(fs vfs.FileSystem, failReplies func() bool) {
 	r.counter = &servedCounter{FileSystem: fs, applied: map[string]int{}}
-	r.srv = server.New(r.counter, server.Config{FailReplies: failReplies,
+	var backend vfs.FileSystem = r.counter
+	if _, ok := fs.(interface{ SyncAll() error }); ok {
+		backend = groupCounter{r.counter}
+	}
+	r.srv = server.New(backend, server.Config{FailReplies: failReplies,
 		// Each flight record shows the sim-clock cost and fences of its op.
 		OpClock: r.env.Clock.Now, OpFences: r.env.Dev.FenceCount})
 }
@@ -415,7 +422,7 @@ func (r *servedRun) endGeneration() string {
 
 // finalCheck verifies, per tenant, that the fully-resumed file system
 // matches the model's end state exactly — every operation has been
-// acknowledged by now, in every mode — and that the image under it is
+// acknowledged by now, on every kind — and that the image under it is
 // structurally sound.
 func finalCheck(tenants []*servedTenant, st *stack.Stack) string {
 	for i, t := range tenants {

@@ -6,6 +6,7 @@ import (
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 )
 
 // TestServedOpsDiscipline checks the generator invariants the served
@@ -92,7 +93,7 @@ func exploreServed(t *testing.T, sample int, c ServedCampaign) {
 func TestServedCrashSweep(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			exploreServed(t, 8, ServedCampaign{Mode: mode, Tenants: 2, OpsPerTenant: 10, Seed: 11})
+			exploreServed(t, 8, ServedCampaign{Kind: stack.SplitFSKind(mode), Tenants: 2, OpsPerTenant: 10, Seed: 11})
 		})
 	}
 }
@@ -102,7 +103,7 @@ func TestServedCrashSweep(t *testing.T) {
 // re-attach with replay, then the crash, then cold resume (possibly torn
 // again) — still violation-free.
 func TestServedCrashWireFaults(t *testing.T) {
-	exploreServed(t, 6, ServedCampaign{Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10,
+	exploreServed(t, 6, ServedCampaign{Kind: "splitfs-strict", Tenants: 2, OpsPerTenant: 10,
 		Seed: 17, FaultCadence: 2})
 }
 
@@ -117,7 +118,7 @@ func midWindow(record *ServedResult) pmem.CrashPoint {
 // dropped at the torn generation, every tenant reconnects and finishes
 // on the recovered generation, and the oracles stay green.
 func TestServedCrashReconnects(t *testing.T) {
-	record, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 3,
+	record, err := RunServed(ServedCampaign{Kind: "splitfs-strict", Tenants: 3,
 		OpsPerTenant: 12, Seed: 23, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestServedCrashReconnects(t *testing.T) {
 		t.Fatalf("recording run violated: %s", record.Violation)
 	}
 	event := midWindow(record)
-	res, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 3,
+	res, err := RunServed(ServedCampaign{Kind: "splitfs-strict", Tenants: 3,
 		OpsPerTenant: 12, Seed: 23, CrashAt: event})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +151,7 @@ func TestServedCrashReconnects(t *testing.T) {
 // counters and the verdict replay exactly. An event past the recorded
 // window never fires, and the campaign says so.
 func TestServedCampaignDeterministic(t *testing.T) {
-	c := ServedCampaign{Mode: splitfs.Strict, Tenants: 3, OpsPerTenant: 12, Seed: 43,
+	c := ServedCampaign{Kind: "splitfs-strict", Tenants: 3, OpsPerTenant: 12, Seed: 43,
 		FaultCadence: 2, Leases: true, Trace: true}
 	record, err := RunServed(c)
 	if err != nil {
@@ -193,7 +194,7 @@ func TestServedCampaignDeterministic(t *testing.T) {
 func TestServedCrashWithLeases(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Strict} {
 		t.Run(mode.String(), func(t *testing.T) {
-			exploreServed(t, 6, ServedCampaign{Mode: mode, Tenants: 2, OpsPerTenant: 10,
+			exploreServed(t, 6, ServedCampaign{Kind: stack.SplitFSKind(mode), Tenants: 2, OpsPerTenant: 10,
 				Seed: 29, Leases: true})
 		})
 	}
@@ -204,7 +205,7 @@ func TestServedCrashWithLeases(t *testing.T) {
 // (the probes are not vacuous), none survived its teardown, and the
 // recovered generation grants fresh ones.
 func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
-	record, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 2,
+	record, err := RunServed(ServedCampaign{Kind: "splitfs-strict", Tenants: 2,
 		OpsPerTenant: 12, Seed: 31, Leases: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
 		t.Fatal("lease campaign granted no leases: the probes are vacuous")
 	}
 	event := midWindow(record)
-	res, err := RunServed(ServedCampaign{Mode: splitfs.Strict, Tenants: 2,
+	res, err := RunServed(ServedCampaign{Kind: "splitfs-strict", Tenants: 2,
 		OpsPerTenant: 12, Seed: 31, Leases: true, CrashAt: event})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestServedLeaseGrantsAcrossGenerations(t *testing.T) {
 // hook), strict-mode daemon deaths must surface guarantee breaches.
 func TestServedOracleDetectsViolations(t *testing.T) {
 	res, err := ServedExplore(ServedExploreConfig{Sample: 24, ServedCampaign: ServedCampaign{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 10, Seed: 29,
+		Kind: "splitfs-strict", Tenants: 2, OpsPerTenant: 10, Seed: 29,
 		SkipFence: func(seq int64) bool { return true }}})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestServedOracleDetectsViolations(t *testing.T) {
 // reproducer and keeps a witness violation.
 func TestServedMinimize(t *testing.T) {
 	res, err := Minimize(ServedExploreConfig{Sample: 12, ServedCampaign: ServedCampaign{
-		Mode: splitfs.Strict, Tenants: 2, OpsPerTenant: 6, Seed: 31,
+		Kind: "splitfs-strict", Tenants: 2, OpsPerTenant: 6, Seed: 31,
 		SkipFence: func(seq int64) bool { return true }}})
 	if err != nil {
 		t.Fatal(err)

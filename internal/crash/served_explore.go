@@ -35,7 +35,7 @@ func ServedExplore(cfg ServedExploreConfig) (*ExploreResult, error) {
 		res.Runs++
 		if r.Violation != "" {
 			res.Violations = append(res.Violations, Violation{
-				Mode: c.Mode, Seed: c.Seed, At: at, Msg: r.Violation, Flight: r.Flight})
+				Kind: c.Kind, Seed: c.Seed, At: at, Msg: r.Violation, Flight: r.Flight})
 		}
 		return r, nil
 	}
@@ -111,7 +111,7 @@ func sanitizeServedOps(ops []Op) []Op {
 	// The closing barrier is what makes every operation durable for the
 	// final-state oracle: without it the crash may take back unsynced
 	// POSIX work the client has no log left to replay, and the candidate
-	// would "violate" by the mode's own rules.
+	// would "violate" by its kind's own rules.
 	if len(out) > 0 && out[len(out)-1].Kind != OpSyncAll {
 		out = append(out, Op{Kind: OpSyncAll})
 	}

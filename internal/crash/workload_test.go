@@ -6,6 +6,7 @@ import (
 
 	"splitfs/internal/sim"
 	"splitfs/internal/splitfs"
+	"splitfs/internal/stack"
 	"splitfs/internal/vfs"
 )
 
@@ -213,7 +214,7 @@ func TestFragmentOpsReachOverflowBlocks(t *testing.T) {
 		for _, nops := range []int{15, 25} { // CI's bounded sweep, the default
 			for seed := uint64(1); seed <= 8; seed++ { // nightly's seeds
 				ops := FragmentOps(seed*19, nops)
-				env, err := newCrashStack(mode)
+				env, err := newStack(stack.SplitFSKind(mode))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,7 +251,7 @@ func TestScatterOpsSpanStagingFiles(t *testing.T) {
 	for _, mode := range []splitfs.Mode{splitfs.POSIX, splitfs.Sync, splitfs.Strict} {
 		for _, nops := range []int{15, 25} { // CI's bounded sweep, the default
 			for seed := uint64(1); seed <= 8; seed++ { // nightly's seeds
-				env, err := newCrashStack(mode)
+				env, err := newStack(stack.SplitFSKind(mode))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,14 +32,15 @@ func (fs *FS) Check() (owned int64, err error) {
 	}
 	seen := make([]bool, fs.lay.DataBlocks)
 	claim := func(in *inode, e alloc.Extent) error {
+		if e.Start < 0 || e.End() > fs.lay.DataBlocks {
+			return fmt.Errorf("ext4dax: inode %d owns blocks %v, outside the device", in.ino, e)
+		}
+		if b := fs.bBmp.First(e.Start, e.End(), false); b < e.End() {
+			return fmt.Errorf("ext4dax: inode %d owns block %d, free in the bitmap", in.ino, b)
+		}
 		for b := e.Start; b < e.End(); b++ {
-			switch {
-			case b < 0 || b >= fs.lay.DataBlocks:
-				return fmt.Errorf("ext4dax: inode %d owns block %d, outside the device", in.ino, b)
-			case seen[b]:
+			if seen[b] {
 				return fmt.Errorf("ext4dax: block %d is owned twice (again by inode %d)", b, in.ino)
-			case !fs.bBmp.Allocated(b):
-				return fmt.Errorf("ext4dax: inode %d owns block %d, free in the bitmap", in.ino, b)
 			}
 			seen[b] = true
 		}

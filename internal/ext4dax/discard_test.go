@@ -43,7 +43,7 @@ func relinkOver(t *testing.T, fs *FS, src, dst *File) int64 {
 	if err := fs.Relink(src, dst, 0, 0, sim.BlockSize, sim.BlockSize); err != nil {
 		t.Fatal(err)
 	}
-	if fs.bBmp.Allocated((old - fs.lay.DataOff) / sim.BlockSize) {
+	if blk := (old - fs.lay.DataOff) / sim.BlockSize; fs.bBmp.First(blk, blk+1, true) == blk {
 		t.Fatal("the relinked-over block is still allocated after the relink committed")
 	}
 	return old

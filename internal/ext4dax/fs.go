@@ -270,10 +270,8 @@ func Mount(dev *pmem.Device, cfg Config) (*FS, int, error) {
 	// cache lines partially reached the media before the crash; like
 	// e2fsck, treat the inode as free and move on — the create never
 	// committed, so discarding it preserves metadata consistency.
-	for ino := int64(1); ino < lay.MaxInodes; ino++ {
-		if !fs.iBmp.Allocated(ino) {
-			continue
-		}
+	next := func(from int64) int64 { return fs.iBmp.First(from, lay.MaxInodes, true) }
+	for ino := next(1); ino < lay.MaxInodes; ino = next(ino + 1) {
 		in, err := fs.readInode(uint64(ino))
 		if err != nil {
 			fs.iBmp.Free(fs.src, alloc.Extent{Start: ino, Len: 1})
@@ -608,16 +606,10 @@ func (fs *FS) discardGraced() {
 		return
 	}
 	for _, e := range fs.graced {
-		for b := e.Start; b < e.End(); {
-			run := b
-			for b < e.End() && !fs.bBmp.Allocated(b) {
-				b++
-			}
-			if b > run {
-				fs.dev.Discard(fs.bBmp.BlockOffset(run), (b-run)*sim.BlockSize)
-			} else {
-				b++
-			}
+		for b := fs.bBmp.First(e.Start, e.End(), false); b < e.End(); {
+			end := fs.bBmp.First(b, e.End(), true)
+			fs.dev.Discard(fs.bBmp.BlockOffset(b), (end-b)*sim.BlockSize)
+			b = fs.bBmp.First(end, e.End(), false)
 		}
 	}
 	fs.graced = fs.graced[:0]

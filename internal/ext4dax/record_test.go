@@ -32,7 +32,7 @@ func recordImage(t *testing.T) (*pmem.Device, *FS, uint64) {
 	}
 	fs.CommitMeta()
 	for _, blk := range fuzzLeaves {
-		if fs.bBmp.Allocated(blk) {
+		if fs.bBmp.First(blk, blk+1, true) == blk {
 			t.Fatalf("leaf block %d is in use", blk)
 		}
 	}

@@ -74,7 +74,7 @@ func snapshot(fs *FS, files ...*File) vectorState {
 		st.inodes = append(st.inodes, inodeState{slices.Clone(f.in.extents), f.in.blocks, f.in.size, f.in.mapEpoch.Load()})
 	}
 	for b := int64(0); b < fs.lay.DataBlocks; b++ {
-		st.bitmap = append(st.bitmap, fs.bBmp.Allocated(b))
+		st.bitmap = append(st.bitmap, fs.bBmp.First(b, b+1, true) == b)
 	}
 	return st
 }

@@ -125,10 +125,9 @@ func newCommon(dev *pmem.Device, prof Profile, cfg Config) *FS {
 	fs.snap = metalog.NewSnapshot(dev, snapOff, cfg.SnapshotSlotBytes, sim.CatPMMeta)
 	fs.dataOff = snapOff + metalog.SnapshotSize(cfg.SnapshotSlotBytes)
 	fs.dataOff = (fs.dataOff + sim.BlockSize - 1) / sim.BlockSize * sim.BlockSize
-	nData := (dev.Size() - cfg.ReserveTail - fs.dataOff) / sim.BlockSize
 	// The allocator is DRAM-only; its state is rebuilt from the log at
 	// mount, like NOVA's per-CPU free lists.
-	fs.bmp = alloc.NewVolatile(fs.clk, fs.dataOff, nData)
+	fs.bmp = alloc.NewVolatile(fs.clk, fs.dataOff, fs.DataBlocks())
 	return fs
 }
 
@@ -174,6 +173,12 @@ func (fs *FS) Stats() Stats {
 
 // FreeBlocks returns remaining data capacity.
 func (fs *FS) FreeBlocks() int64 { return fs.bmp.FreeCount() }
+
+// DataBlocks returns the data area's capacity: the device less the log
+// and snapshot area below it and the reserved tail above it.
+func (fs *FS) DataBlocks() int64 {
+	return (fs.dev.Size() - fs.cfg.ReserveTail - fs.dataOff) / sim.BlockSize
+}
 
 func (fs *FS) trap() {
 	fs.clk.Charge(sim.EngineTrap)

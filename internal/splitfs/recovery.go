@@ -3,6 +3,7 @@ package splitfs
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"splitfs/internal/ext4dax"
 	"splitfs/internal/vfs"
@@ -67,10 +68,14 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 		}
 	}
 	// Old staging files from the crashed instance are obsolete (any live
-	// data was replayed above); remove them and build a fresh pool.
+	// data was replayed above); remove them and build a fresh pool. Only
+	// this mode's: another instance on the K-Split may still have to
+	// replay out of its own.
 	if ents, err := kfs.ReadDir(stagingDir); err == nil {
 		for _, e := range ents {
-			_ = kfs.Unlink(stagingDir + "/" + e.Name)
+			if strings.HasPrefix(e.Name, stagePrefix(fs.mode)) {
+				_ = kfs.Unlink(stagingDir + "/" + e.Name)
+			}
 		}
 	}
 	var err error

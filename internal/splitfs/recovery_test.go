@@ -344,3 +344,52 @@ func mustStat(t testing.TB, fs *FS, path string) vfs.FileInfo {
 	}
 	return info
 }
+
+// TestRecoveryUnlinksOnlyItsOwnStagingFiles: a POSIX and a strict
+// instance, made in that order, share one K-Split. The strict one
+// creates /a and fsyncs it,
+// writes 8 KB, the write returns (logged, its data in a strict staging
+// file), and the device crashes. Recovered in either order, the two give the 8 KB back: each
+// recovery unlinks only the staging files its own mode named. Recovering
+// the POSIX instance first used to unlink the strict instance's staging
+// files too, and the strict replay then found nothing to relink.
+func TestRecoveryUnlinksOnlyItsOwnStagingFiles(t *testing.T) {
+	want := bytes.Repeat([]byte("strict!!"), 1<<10)
+	for _, order := range [][]Mode{{Strict, POSIX}, {POSIX, Strict}} {
+		t.Run(fmt.Sprintf("%v-first", order[0]), func(t *testing.T) {
+			dev, posix := newEnv(t, POSIX)
+			cfg := posix.cfg
+			cfg.Mode = Strict
+			strict, err := New(posix.kfs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := vfs.Create(strict, "/a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(want); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Crash(sim.NewRNG(14)); err != nil {
+				t.Fatal(err)
+			}
+			kfs, _, err := ext4dax.Mount(dev, ext4dax.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range order {
+				cfg.Mode = mode
+				if _, _, err := RecoverFS(kfs, cfg); err != nil {
+					t.Fatalf("recovering %v: %v", mode, err)
+				}
+			}
+			if got, err := vfs.ReadFile(kfs, "/a"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("/a: %d bytes back (%v), want the %d the strict write returned", len(got), err, len(want))
+			}
+		})
+	}
+}

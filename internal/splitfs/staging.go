@@ -105,11 +105,15 @@ func newStagingPool(fs *FS) (*stagingPool, error) {
 	return p, nil
 }
 
+// stagePrefix begins the name of every staging file a mode's instance
+// makes; recovery unlinks only its own mode's.
+func stagePrefix(mode Mode) string { return "stage-" + mode.String() + "-" }
+
 // createFile pre-allocates and maps one staging file.
 func (p *stagingPool) createFile() (*stagingFile, error) {
 	id := p.nextID
 	p.nextID++
-	path := fmt.Sprintf("%s/stage-%s-%d", stagingDir, p.fs.mode, id)
+	path := fmt.Sprintf("%s/%s%d", stagingDir, stagePrefix(p.fs.mode), id)
 	f, err := p.fs.kfs.OpenFile(path, vfs.O_RDWR|vfs.O_CREATE|vfs.O_TRUNC, 0600)
 	if err != nil {
 		return nil, err

@@ -218,55 +218,92 @@ func (s *Stack) Serve(leases bool) error {
 type Recovery struct {
 	// JournalTx counts K-Split journal transactions replayed at mount.
 	JournalTx int
-	// OpLog is U-Split's operation-log replay report (§5.3); nil for
-	// ext4-dax.
+	// OpLog is U-Split's operation-log replay report (§5.3); nil for the
+	// kinds without U-Split.
 	OpLog *splitfs.RecoveryReport
 }
 
 // Recover remounts the stack's device — after Dev.Crash, typically —
-// and returns a fresh, unserved stack over the same device and clock:
-// ext4 DAX journal replay, then for the splitfs kinds U-Split recovery.
-// The other kinds have no recovery caller yet and return an error.
+// and returns a fresh, unserved stack over the same device and clock.
+// Each kind mounts with its own Mount: ext4 DAX replays its journal (then
+// U-Split recovers, for the splitfs kinds), a log engine loads its
+// snapshot and replays its log, and strata does that for its shared area
+// and then replays its private log.
 func (s *Stack) Recover() (*Stack, Recovery, error) {
 	base, _, _, err := Parse(s.Kind)
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	mode, isSplit := splitfsMode(base)
-	if !isSplit && base != "ext4-dax" {
-		return nil, Recovery{}, fmt.Errorf("stack: %s has no recovery path", base)
-	}
-	kfs, tx, err := ext4dax.Mount(s.Dev, s.Spec.KSplit)
-	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("remount failed: %w", err)
-	}
-	r := &Stack{Kind: base, Clock: s.Clock, Dev: s.Dev, FS: kfs, Base: kfs, Spec: s.Spec}
-	rec := Recovery{JournalTx: tx}
-	if isSplit {
-		cfg := s.Spec.USplit
-		cfg.Mode = mode
-		fs, report, err := splitfs.RecoverFS(kfs, cfg)
-		if err != nil {
-			return nil, rec, fmt.Errorf("recovery failed: %w", err)
+	r := &Stack{Kind: base, Clock: s.Clock, Dev: s.Dev, Spec: s.Spec}
+	var rec Recovery
+	prof, isLog := LogProfile(base)
+	switch {
+	case isLog:
+		r.Base, _, err = logfs.Mount(s.Dev, prof, s.Spec.Log)
+	case base == "strata":
+		r.Base, _, err = strata.Mount(s.Dev, strata.Config{PrivateLogBytes: s.Spec.PrivateLogBytes, Shared: s.Spec.Log})
+	default:
+		var kfs *ext4dax.FS
+		kfs, rec.JournalTx, err = ext4dax.Mount(s.Dev, s.Spec.KSplit)
+		r.Base = kfs
+		if mode, isSplit := splitfsMode(base); isSplit && err == nil {
+			cfg := s.Spec.USplit
+			cfg.Mode = mode
+			if r.Base, rec.OpLog, err = splitfs.RecoverFS(kfs, cfg); err != nil {
+				return nil, rec, fmt.Errorf("recovery failed: %w", err)
+			}
 		}
-		r.FS, r.Base, rec.OpLog = fs, fs, report
 	}
+	if err != nil {
+		return nil, rec, fmt.Errorf("remount failed: %w", err)
+	}
+	r.FS = r.Base
 	return r, rec, nil
 }
 
 // Check runs the stack's structural image check: K-Split's
 // (ext4dax.FS.Check) for the kinds built on it — under U-Split with the
-// op log held against its stamp (splitfs.FS.Check) — nothing yet for the
-// rest.
+// op log held against its stamp (splitfs.FS.Check) — and for the log
+// engines (strata's shared area among them) block accounting: every
+// block of the data area is free or held by exactly one named file,
+// FuzzRelinkModel's conservation (FreeBlocks() plus every file's Blocks)
+// on the engine's own namespace. The log and snapshot area lie below the
+// data area, outside its bitmap; a block held twice cannot outlive a
+// crash, as Mount's rebuild of the bitmap from the files refuses it.
 func (s *Stack) Check() error {
-	var err error
+	var lfs *logfs.FS
 	switch fs := s.Base.(type) {
 	case *splitfs.FS:
-		err = fs.Check()
+		return fs.Check()
 	case *ext4dax.FS:
-		_, err = fs.Check()
+		_, err := fs.Check()
+		return err
+	case *logfs.FS:
+		lfs = fs
+	case *strata.FS:
+		lfs = fs.Shared()
 	}
-	return err
+	held := int64(0)
+	var walk func(dir string) error
+	walk = func(dir string) error {
+		ents, err := lfs.ReadDir(dir)
+		for i := 0; err == nil && i < len(ents); i++ {
+			p := strings.TrimSuffix(dir, "/") + "/" + ents[i].Name
+			var info vfs.FileInfo
+			if info, err = lfs.Stat(p); err == nil && info.IsDir {
+				err = walk(p)
+			}
+			held += info.Blocks
+		}
+		return err
+	}
+	if err := walk("/"); err != nil {
+		return err
+	}
+	if free, total := lfs.FreeBlocks(), lfs.DataBlocks(); free+held != total {
+		return fmt.Errorf("%s: %d blocks free and %d held by files, of %d in the data area", s.Kind, free, held, total)
+	}
+	return nil
 }
 
 // Counters is one snapshot of every deterministic counter the bench

@@ -150,6 +150,9 @@ func (fs *FS) Name() string { return "strata" }
 // Device returns the underlying device.
 func (fs *FS) Device() *pmem.Device { return fs.dev }
 
+// Shared returns the KernFS shared area the private log is digested into.
+func (fs *FS) Shared() *logfs.FS { return fs.shared }
+
 // Stats returns Strata counters.
 func (fs *FS) Stats() Stats {
 	fs.mu.Lock()
