@@ -98,11 +98,14 @@ func NewVolatile(clk *sim.Clock, dataBase, nblocks int64) *Bitmap {
 func Load(dev *pmem.Device, base, dataBase, nblocks int64) *Bitmap {
 	b := New(dev, base, dataBase, nblocks)
 	dev.ReadAt(b.bits, base, sim.CatPMMeta)
-	b.free = 0
-	for i := int64(0); i < nblocks; i++ {
-		if !b.isSet(i) {
-			b.free++
+	for i := int64(0); i < nblocks; i += 64 {
+		var buf [8]byte
+		copy(buf[:], b.bits[i/8:])
+		w := binary.LittleEndian.Uint64(buf[:]) // block i+k is bit k
+		if n := nblocks - i; n < 64 {
+			w &= 1<<n - 1 // the bits past the last block are not blocks
 		}
+		b.free -= int64(bits.OnesCount64(w))
 	}
 	return b
 }

@@ -70,7 +70,9 @@ func (m bitmapModel) lowest() int64 {
 // result the model's lowest free block, and the next-fit hint untouched by
 // either lowest-first call; after every step, First from the step's
 // operand byte (a block, or past the last) to every end up to one past
-// the bitmap, both states, is the model's first block in that state.
+// the bitmap, both states, is the model's first block in that state; at
+// the end, a Load of every prefix of the stored bitmap reports the model's
+// free count over that prefix.
 // Op encoding: one opcode byte (its value modulo 5 selects the op), then
 // one operand byte; a sequence ends when the input does.
 func FuzzBitmapModel(f *testing.F) {
@@ -199,9 +201,13 @@ func FuzzBitmapModel(f *testing.F) {
 				}
 			}
 		}
-		// What the allocator wrote through to the device is what it holds.
-		if got, want := Load(dev, alignedBase, alignedData, alignedBlocks).FreeCount(), m.free(); got != want {
-			t.Fatalf("reloaded FreeCount = %d, model %d", got, want)
+		// What the allocator wrote through to the device is what it holds,
+		// and a Load of any prefix of it counts that prefix alone, whether
+		// or not it ends on a 64-block word: the bits past it are not its.
+		for n := int64(1); n <= alignedBlocks; n++ {
+			if got, want := Load(dev, alignedBase, alignedData, n).FreeCount(), m[:n].free(); got != want {
+				t.Fatalf("Load of %d blocks: FreeCount = %d, model %d", n, got, want)
+			}
 		}
 	})
 }

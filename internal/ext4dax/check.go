@@ -1,7 +1,9 @@
 package ext4dax
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"splitfs/internal/alloc"
@@ -47,12 +49,10 @@ func (fs *FS) Check() (owned int64, err error) {
 		owned += e.Len
 		return nil
 	}
-	links := map[uint64]uint32{} // what the namespace says each link count is
-	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
-		in := fs.icache[ino]
-		if in == nil {
-			continue
-		}
+	ins := slices.SortedFunc(maps.Values(fs.icache), func(a, b *inode) int { return cmp.Compare(a.ino, b.ino) })
+	links := make([]uint32, fs.lay.MaxInodes) // what the namespace says each link count is
+	for _, in := range ins {
+		ino := in.ino
 		if in.isDir {
 			if err := fs.ensureDir(in); err != nil {
 				return 0, fmt.Errorf("ext4dax: directory %d: %w", ino, err)
@@ -87,29 +87,25 @@ func (fs *FS) Check() (owned int64, err error) {
 			}
 		}
 	}
-	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
-		in, want := fs.icache[ino], links[ino]
+	for _, in := range ins {
+		want := links[in.ino]
 		switch {
-		case in == nil, !in.isDir && want == 0: // free, or an orphan
+		case !in.isDir && want == 0: // an orphan
 			continue
 		case in.isDir:
 			want += 2
 		}
 		if in.nlink != want {
-			return 0, fmt.Errorf("ext4dax: inode %d has link count %d, the namespace holds %d", ino, in.nlink, want)
+			return 0, fmt.Errorf("ext4dax: inode %d has link count %d, the namespace holds %d", in.ino, in.nlink, want)
 		}
 	}
-	for ino := uint64(1); ino < uint64(fs.lay.MaxInodes); ino++ {
-		in := fs.icache[ino]
-		if in == nil {
-			continue
-		}
-		media, err := fs.loadInode(ino, fs.dev.Peek)
+	for _, in := range ins {
+		media, err := fs.loadInode(in.ino, fs.dev.Peek)
 		if err != nil {
-			return 0, fmt.Errorf("ext4dax: reading inode %d back: %w", ino, err)
+			return 0, fmt.Errorf("ext4dax: reading inode %d back: %w", in.ino, err)
 		}
 		if what := media.differs(in); what != "" {
-			return 0, fmt.Errorf("ext4dax: inode %d on media differs from the cache: %s", ino, what)
+			return 0, fmt.Errorf("ext4dax: inode %d on media differs from the cache: %s", in.ino, what)
 		}
 	}
 	return owned, nil

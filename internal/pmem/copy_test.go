@@ -64,3 +64,19 @@ func TestCopyOfUnfencedStorePanics(t *testing.T) {
 	}()
 	d.Copy(sim.NewClock())
 }
+
+// TestCopyLeavesRoomForUndoPages: the copy's one slab holds its backed
+// frames and room besides, so the undo page the first store over a clean
+// backed line saves — a recovery's first journal superblock write — comes
+// from it, not from a fresh slab.
+func TestCopyLeavesRoomForUndoPages(t *testing.T) {
+	d := newEvDev(t)
+	d.PersistNT(0, bytes.Repeat([]byte{7}, 4096), sim.CatPMData)
+	c := d.Copy(sim.NewClock())
+	spare := len(c.pool.slab)
+	c.PersistNT(64, bytes.Repeat([]byte{9}, 64), sim.CatPMMeta)
+	if spare == 0 || len(c.pool.slab) != spare-1 {
+		t.Errorf("the copy's slab held %d spare frames, %d after a store over a clean backed line; want n > 0, then n-1",
+			spare, len(c.pool.slab))
+	}
+}

@@ -832,7 +832,9 @@ func (d *Device) Copy(clock *sim.Clock) *Device {
 	c := New(cfg)
 	d.lockAll()
 	defer d.unlockAll()
-	c.pool.slab = make([]frame, d.pool.held.Load()) // every backed frame, one allocation
+	// Every backed frame, and the undo pages of a recovery's first
+	// stores, in one allocation.
+	c.pool.slab = make([]frame, d.pool.held.Load()+slabFrames/4)
 	for i := range d.shards {
 		s, t := &d.shards[i], &c.shards[i]
 		if s.tracked != 0 || s.slots != 0 {

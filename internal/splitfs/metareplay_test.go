@@ -968,8 +968,8 @@ func TestTwoModesKeepTheirOwnStamps(t *testing.T) {
 	mkdirs(strict, "/t0", "/t1", "/t2")
 	e.fs.kfs.CommitMeta()
 	mkdirs(e.fs, "/s1", "/s2")
-	// Not a create: the first recovery's fresh staging pool may take the
-	// inode number a second log's create was given (ROADMAP, Known red).
+	// Not a create: the first recovery may take the inode number a second
+	// log's create was given (ROADMAP, Known red (7)).
 	if err := strict.Rename("/t2", "/t3"); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,8 @@ type RecoveryReport struct {
 // U-Split instance and replays the operation log: in sync and strict mode
 // the metadata operations K-Split had not committed, in strict mode the
 // staged writes too. POSIX mode needs nothing beyond ext4 DAX recovery
-// (§5.3).
+// (§5.3). The recovered instance starts with no staging file: the first
+// reservation creates one, as a reservation on an exhausted pool does.
 func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 	fs := newFS(kfs, cfg)
 	report := &RecoveryReport{}
@@ -68,9 +69,8 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 		}
 	}
 	// Old staging files from the crashed instance are obsolete (any live
-	// data was replayed above); remove them and build a fresh pool. Only
-	// this mode's: another instance on the K-Split may still have to
-	// replay out of its own.
+	// data was replayed above); remove them. Only this mode's: another
+	// instance on the K-Split may still have to replay out of its own.
 	if ents, err := kfs.ReadDir(stagingDir); err == nil {
 		for _, e := range ents {
 			if strings.HasPrefix(e.Name, stagePrefix(fs.mode)) {
@@ -79,16 +79,13 @@ func RecoverFS(kfs *ext4dax.FS, cfg Config) (*FS, *RecoveryReport, error) {
 		}
 	}
 	var err error
-	fs.staging, err = newStagingPool(fs)
-	if err != nil {
+	if fs.staging, err = newStagingPool(fs, 0); err != nil {
 		return nil, nil, err
 	}
-	// The fresh operation log and staging files (and the removal of the
-	// crashed instance's staging files) must be durable before the
-	// recovered instance accepts writes: a second crash would otherwise
-	// find log entries pointing into staging files whose creation never
-	// committed. This is also what makes recovery idempotent under
-	// double crashes — the double-crash campaign sweeps RecoverFS itself.
+	// The fresh operation log, the staging directory and the removal of
+	// the crashed instance's staging files are durable before the
+	// recovered instance accepts writes, so a second crash recovers from
+	// this point — the double-crash campaign sweeps RecoverFS itself.
 	kfs.CommitMeta()
 	return fs, report, nil
 }

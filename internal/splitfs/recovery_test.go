@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"splitfs/internal/ext4dax"
@@ -389,6 +391,93 @@ func TestRecoveryUnlinksOnlyItsOwnStagingFiles(t *testing.T) {
 			}
 			if got, err := vfs.ReadFile(kfs, "/a"); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("/a: %d bytes back (%v), want the %d the strict write returned", len(got), err, len(want))
+			}
+		})
+	}
+}
+
+// TestRecoveredInstanceStagesOnDemand: a recovered strict instance starts
+// with no staging file. Crashed with a staging file holding a logged
+// append, or before any instance made the staging directory, RecoverFS
+// leaves the directory and no staging file of its mode in it; the first
+// append and fsync after it creates stage-strict-0, and that append, and
+// a logged one after it, survive a second crash and recovery.
+func TestRecoveredInstanceStagesOnDemand(t *testing.T) {
+	cfg := Config{Mode: Strict, StagingFiles: 2, StagingFileBytes: 1 << 20, OpLogBytes: 128 << 10}
+	for _, used := range []bool{true, false} {
+		t.Run(fmt.Sprintf("instance-before-crash=%v", used), func(t *testing.T) {
+			dev := pmem.New(pmem.Config{Size: 32 << 20, Clock: sim.NewClock(), TrackPersistence: true})
+			kfs, err := ext4dax.Mkfs(dev, ext4dax.Config{MaxInodes: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if used {
+				fs, err := New(kfs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := vfs.Create(fs, "/a")
+				if err == nil {
+					_, err = f.Write(bytes.Repeat([]byte("a"), 8<<10))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashAndRecover := func(seed uint64) *FS {
+				t.Helper()
+				if err := dev.Crash(sim.NewRNG(seed)); err != nil {
+					t.Fatal(err)
+				}
+				kfs, _, err := ext4dax.Mount(dev, ext4dax.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, _, err := RecoverFS(kfs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fs
+			}
+			staged := func(fs *FS) (names []string) {
+				t.Helper()
+				ents, err := fs.kfs.ReadDir(stagingDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ents {
+					if strings.HasPrefix(e.Name, stagePrefix(Strict)) {
+						names = append(names, e.Name)
+					}
+				}
+				return names
+			}
+
+			fs := crashAndRecover(14)
+			if names := staged(fs); len(names) != 0 || fs.StagingFilesCreated() != 0 {
+				t.Fatalf("after recovery: staging files %v, %d created; want none", names, fs.StagingFilesCreated())
+			}
+			first, second := bytes.Repeat([]byte("b"), 6<<10), []byte("logged, not fsynced")
+			f, err := vfs.Create(fs, "/b")
+			if err == nil {
+				_, err = f.Write(first)
+			}
+			if err == nil {
+				err = f.Sync()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if names := staged(fs); !slices.Equal(names, []string{"stage-strict-0"}) || fs.StagingFilesCreated() != 1 {
+				t.Fatalf("after the first append and fsync: staging files %v, %d created; want [stage-strict-0], 1",
+					names, fs.StagingFilesCreated())
+			}
+			if _, err := f.Write(second); err != nil {
+				t.Fatal(err)
+			}
+			fs = crashAndRecover(15)
+			if got, err := vfs.ReadFile(fs, "/b"); err != nil || !bytes.Equal(got, append(first, second...)) {
+				t.Fatalf("/b after a second crash: %d bytes (%v), want the %d appended", len(got), err, len(first)+len(second))
 			}
 		})
 	}

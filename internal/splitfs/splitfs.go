@@ -338,7 +338,7 @@ func newFS(kfs *ext4dax.FS, cfg Config) *FS {
 func New(kfs *ext4dax.FS, cfg Config) (*FS, error) {
 	fs := newFS(kfs, cfg)
 	var err error
-	fs.staging, err = newStagingPool(fs)
+	fs.staging, err = newStagingPool(fs, fs.cfg.StagingFiles)
 	if err != nil {
 		return nil, fmt.Errorf("splitfs: staging pool: %w", err)
 	}

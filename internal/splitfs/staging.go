@@ -80,7 +80,9 @@ type stagingPool struct {
 	reclaimed int            // staging files unmapped+unlinked by reclaim
 }
 
-func newStagingPool(fs *FS) (*stagingPool, error) {
+// newStagingPool makes the staging directory if it is missing and
+// pre-allocates prefill files into the pool.
+func newStagingPool(fs *FS, prefill int) (*stagingPool, error) {
 	if fs.kfs == nil {
 		return nil, fmt.Errorf("splitfs: staging pool needs a mounted K-Split")
 	}
@@ -92,7 +94,7 @@ func newStagingPool(fs *FS) (*stagingPool, error) {
 			return nil, err
 		}
 	}
-	for i := 0; i < fs.cfg.StagingFiles; i++ {
+	for i := 0; i < prefill; i++ {
 		sf, err := p.createFile()
 		if errors.Is(err, vfs.ErrNoSpace) && i > 0 {
 			break // a full device: reserve creates the rest when it runs out
