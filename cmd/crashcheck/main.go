@@ -25,7 +25,7 @@
 //	           [-served-crash] [-tenants N] [-fault-cadence N]
 //	           [-double-crash] [-double-sample N]
 //	           [-minimize] [-out FILE] [-workers N] [-v]
-//	           [-cpuprofile FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // -kind lists stack.Kinds() names; the default is the three splitfs-*.
 //
@@ -58,7 +58,9 @@
 // upload it as a build artifact. No file is written on a clean sweep.
 //
 // -cpuprofile FILE writes a CPU profile of the whole run to FILE, for go
-// tool pprof; what the run prints is the same with it or without it.
+// tool pprof; -memprofile FILE writes the allocs profile (every byte and
+// object the run allocated, by call stack) to FILE at exit, after a GC.
+// What the run prints is the same with them or without them.
 package main
 
 import (
@@ -163,6 +165,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel campaign workers (at least 1)")
 	verbose := flag.Bool("v", false, "per-campaign progress lines")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write the allocs profile of the run to this file at exit (go tool pprof)")
 	flag.Parse()
 
 	kinds := strings.Split(*kindFlag, ",")
@@ -186,6 +189,14 @@ func main() {
 			os.Exit(2)
 		}
 		defer f.Close()
+	}
+	var memFile *os.File
+	if *memProfile != "" {
+		var err error
+		if memFile, err = os.Create(*memProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "crashcheck: -memprofile: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	enabled := map[string]bool{"write": true, "meta": *metadata, "burst": *metadata, "async": *async, "fragment": *async, "scatter": *async}
@@ -255,6 +266,17 @@ func main() {
 	// Stopped here, as os.Exit runs no deferred call; without -cpuprofile
 	// it does nothing.
 	pprof.StopCPUProfile()
+	if memFile != nil {
+		runtime.GC() // the profile's in-use figures as of the last GC
+		err := pprof.Lookup("allocs").WriteTo(memFile, 0)
+		if cerr := memFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "crashcheck: -memprofile: %v\n", err)
+			failed = true
+		}
+	}
 	if report != "" || failed || servedFailed { // the report is empty unless something was violated
 		os.Exit(1)
 	}

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -44,6 +48,39 @@ func TestFlagsRejected(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.want) {
 			t.Errorf("%v: err = %v, want exit status 2 and %q\n%s", c.args, err, c.want, out)
 		}
+	}
+}
+
+// TestMemProfile: -memprofile writes the allocs profile, a gzip stream
+// pprof reads, after a run whose output is what it is without the flag.
+func TestMemProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mem.prof")
+	run := func(extra ...string) []byte {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-kind", "splitfs-strict", "-seeds", "1", "-ops", "4", "-sample", "3"}, extra...)...)
+		cmd.Env = append(os.Environ(), "CRASHCHECK_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", extra, err, out)
+		}
+		return out
+	}
+	plain, profiled := run(), run("-memprofile", path)
+	if !bytes.Equal(plain, profiled) {
+		t.Errorf("the output differs with -memprofile:\n%s\nwithout it:\n%s", profiled, plain)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	z, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("the profile is not a gzip stream: %v", err)
+	}
+	if n, err := io.Copy(io.Discard, z); err != nil || n == 0 {
+		t.Fatalf("the profile's gzip stream holds %d bytes (%v)", n, err)
 	}
 }
 

@@ -19,6 +19,7 @@
 package ext4dax
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -299,14 +300,12 @@ func decodeInode(ino uint64, b []byte) (*inode, int64, error) {
 	return in, next, nil
 }
 
-func zero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+// zeroRecord is what zero compares with: nothing it checks is longer than
+// an inode record.
+var zeroRecord [inodeSize]byte
+
+// zero reports whether b, at most an inode record long, holds only zeros.
+func zero(b []byte) bool { return bytes.Equal(b, zeroRecord[:len(b)]) }
 
 // dirEntry is a cached directory entry plus the device offset of its
 // on-disk record, so unlink can tombstone it directly. Its name is its key

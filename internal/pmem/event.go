@@ -349,16 +349,20 @@ func (d *Device) freeze(rng *sim.RNG) {
 // if a nonzero word reached the media. Buffered (journaled-metadata) lines
 // always revert: real jbd2 keeps uncommitted metadata in the DRAM page
 // cache, so it can never reach the media. Frames are walked in index order
-// and each one's masks from the lowest line up, and every torn line draws
-// eight coins, so lines are visited ascending and a given rng seed always
-// produces the same image. Caller holds the shard's lock.
+// — one without a line record has every line clean — and each one's masks
+// from the lowest line up, and every torn line draws eight coins, so lines
+// are visited ascending and a given rng seed always produces the same
+// image. Caller holds the shard's lock.
 func (s *shard) tear(rng *sim.RNG, pool *framePool) {
 	if rng == nil {
 		return
 	}
 	for i, left := 0, s.tracked; left > 0; i++ {
 		r := &s.frames[i]
-		left -= bits.OnesCount64(r.dirty | r.pending | r.buffered)
+		if r.lineRec == nil {
+			continue
+		}
+		left -= bits.OnesCount64(r.busy())
 		for m := r.dirty | r.pending; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			live := zeros[:sim.CacheLine]

@@ -239,6 +239,9 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 		if got, want := d.BackedBytes(), backedFrames(d)*sim.BlockSize; got != want {
 			t.Fatalf("%+v step %d (op %#x): BackedBytes = %d, frames backed %d", g, step, op, got, want)
 		}
+		if _, err := lineRecs(d); err != nil {
+			t.Fatalf("%+v step %d (op %#x): %v", g, step, op, err)
+		}
 	}
 
 	if d.Events() != m.events {
@@ -258,7 +261,7 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 	if got := volatile(d, g.size); !bytes.Equal(got, m.data) {
 		t.Fatalf("%+v: final crash images differ", g)
 	}
-	if got := d.UnpersistedLines(); got != 0 {
-		t.Fatalf("%+v: UnpersistedLines after Crash = %d", g, got)
+	if held, err := lineRecs(d); err != nil || held != 0 || d.UnpersistedLines() != 0 {
+		t.Fatalf("%+v: after Crash %d line records (%v), UnpersistedLines = %d", g, held, err, d.UnpersistedLines())
 	}
 }

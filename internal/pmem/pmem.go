@@ -17,11 +17,12 @@
 //
 // All methods are safe for concurrent use. The device is sharded: the
 // address space is split into contiguous cache-line-aligned ranges, each
-// with its own lock and one record per 4 KB frame — the frame of the
-// volatile view, its 64 lines' persistence state as bit masks, and the
-// undo slots of its durable lines — so goroutines operating on disjoint
-// regions (different files, different staging chunks) never contend and
-// nothing the device does is proportional to its size. A frame of the
+// with its own lock and a 16-byte record per 4 KB frame — the frame of the
+// volatile view and, only while a line of the frame is in flight, a line
+// record: its 64 lines' persistence state as bit masks and the undo slots
+// of its durable lines — so goroutines operating on disjoint regions
+// (different files, different staging chunks) never contend and nothing
+// the device does is proportional to its size. A frame of the
 // volatile view is allocated on its first store of a nonzero byte and
 // given back to a device-wide free list by Discard, or by a store of zeros
 // over it whole (with TrackPersistence, at the fence that makes the zeros
@@ -48,7 +49,7 @@ import (
 )
 
 // lineState names where a modified cache line sits in the persistence
-// pipeline; a frame record keeps one mask of lines per state.
+// pipeline; a line record keeps one mask of lines per state.
 type lineState = uint8
 
 const (
@@ -88,8 +89,10 @@ type Config struct {
 	Shards int
 }
 
-// defaultShards balances lock granularity against the cost of
-// whole-device sweeps (Fence, Crash), which visit every shard.
+// defaultShards makes same-shard collisions of concurrent workloads
+// unlikely. Fence and UnpersistedLines visit only the shards with a line
+// in flight (Device.active), so only Crash, which locks every shard,
+// grows with it.
 const defaultShards = 64
 
 // Stats are cumulative device counters.
@@ -116,16 +119,26 @@ type frame [sim.BlockSize]byte
 const slabFrames = 64
 
 // frameRec is what a shard knows of one frame: its piece of the volatile
-// view, where each of its lines sits in the persistence pipeline, and the
-// undo slots that, applied to the view, yield the durable image. Bit i of
-// a mask is the frame's line i (a frame is 64 lines). A line is in at most
-// one of dirty, pending and buffered, and clean (volatile == durable) in
-// none; the zero record is an unbacked frame of clean lines.
+// view and, while a line of it is in flight, its line record. The zero
+// record is an unbacked frame of clean lines.
 type frameRec struct {
 	// view is what loads observe; nil until a store brings a nonzero byte,
 	// and it reads as zeros.
 	view *frame
 
+	// A nil line record reads as every line clean, no undo slot held and
+	// the frame off the pending list: most frames, most of the time. A
+	// store takes one from the shard's spares (take); a fence or a crash
+	// that leaves the frame so gives it back (settle).
+	*lineRec
+}
+
+// lineRec is where each line of a frame sits in the persistence pipeline,
+// and the undo slots that, applied to the view, yield the durable image.
+// Bit i of a mask is the frame's line i (a frame is 64 lines). A line is in
+// at most one of dirty, pending and buffered, and clean (volatile ==
+// durable) in none. A spare record is the zero record but for next.
+type lineRec struct {
 	dirty    uint64 // lineDirty
 	pending  uint64 // linePending
 	buffered uint64 // lineBuffered
@@ -141,6 +154,10 @@ type frameRec struct {
 
 	// listed: the frame is on its shard's pending list.
 	listed bool
+
+	// next links the shard's spares. A record is 64 bytes to the allocator
+	// with it or without it, so the free list costs nothing.
+	next *lineRec
 }
 
 // framePool hands out the 4 KB pages of every shard — frames of the
@@ -207,6 +224,7 @@ type shard struct {
 	// first store into it that carries a nonzero byte. A missing view reads
 	// as zeros and costs nothing, whatever state its lines are in.
 	frames []frameRec
+	spare  *lineRec // line records given back, linked by next
 
 	tracked int // lines that are not clean
 	slots   int // lines holding an undo slot
@@ -215,14 +233,6 @@ type shard struct {
 	// since the last fence. A frame whose pending lines a buffered store
 	// claimed back stays listed; the fence counts what is pending then.
 	pending []int32
-
-	// active is a lock-free hint that tracked may be non-zero, so the
-	// device-global sweeps (Fence, UnpersistedLines) skip clean shards
-	// without taking their locks. Set under mu whenever a line is marked;
-	// cleared under mu when no tracked line is left. A store racing a
-	// fence was not ordered before it, so skipping it is exactly sfence
-	// semantics.
-	active atomic.Bool
 }
 
 // Device is a simulated PM module.
@@ -237,6 +247,15 @@ type Device struct {
 	shardSpan int64           // bytes per shard, a cache-line multiple
 	pool      framePool       // frames of every shard's volatile view
 	wear      []atomic.Uint32 // writes per 4 KB block (nil unless TrackWear)
+
+	// active has a bit per shard, 64 shards a word: a lock-free hint that
+	// the shard's tracked count may be non-zero, so the device-global
+	// sweeps (Fence, UnpersistedLines) visit only those shards, in
+	// ascending order, without taking the others' locks. Set under the
+	// shard's lock whenever a line is marked; cleared under it when no
+	// tracked line is left. A store racing a fence was not ordered before
+	// it, so skipping it is exactly sfence semantics.
+	active []atomic.Uint64
 
 	lastReadEnd atomic.Int64 // for sequential-vs-random latency
 
@@ -291,6 +310,7 @@ func New(cfg Config) *Device {
 		shards:    make([]shard, (size+span-1)/span),
 		shardSpan: span,
 	}
+	d.active = make([]atomic.Uint64, (len(d.shards)+63)/64)
 	d.foreground = d.As(SrcForeground)
 	for i := range d.shards {
 		s := &d.shards[i]
@@ -352,6 +372,26 @@ func (d *Device) lockAll() {
 func (d *Device) unlockAll() {
 	for i := range d.shards {
 		d.shards[i].mu.Unlock()
+	}
+}
+
+// activeBit returns the word of d.active that holds shard s's bit, and
+// the bit.
+func (d *Device) activeBit(s *shard) (*atomic.Uint64, uint64) {
+	i := s.base / d.shardSpan
+	return &d.active[i/64], 1 << (i % 64)
+}
+
+// forActive calls fn, under the shard's lock, for each shard whose bit is
+// set in d.active when its word is read, in ascending order.
+func (d *Device) forActive(fn func(s *shard)) {
+	for w := range d.active {
+		for m := d.active[w].Load(); m != 0; m &= m - 1 {
+			s := &d.shards[w*64+bits.TrailingZeros64(m)]
+			s.mu.Lock()
+			fn(s)
+			s.mu.Unlock()
+		}
 	}
 }
 
@@ -500,7 +540,9 @@ func (d *Device) write(off int64, p []byte, st lineState) {
 			s.store(i, o, q[:n], st, d.cfg.TrackPersistence, &d.pool)
 			q, lo = q[n:], lo+n
 		}
-		s.active.Store(true)
+		if w, b := d.activeBit(s); w.Load()&b == 0 {
+			w.Or(b)
+		}
 	})
 	if d.wear != nil {
 		for b := off / sim.BlockSize; b <= (off+int64(len(p))-1)/sim.BlockSize; b++ {
@@ -517,8 +559,9 @@ var zeros frame
 // holds the shard's lock.
 func (s *shard) store(i, o int64, p []byte, st lineState, track bool, pool *framePool) {
 	r := &s.frames[i]
+	s.take(r)
 	m := lineMask(o, o+int64(len(p)))
-	clean := m &^ (r.dirty | r.pending | r.buffered)
+	clean := m &^ r.busy()
 	s.tracked += bits.OnesCount64(clean)
 	// A store of zeros over the whole frame leaves it unbacked. Untracked,
 	// its page goes back to the pool. Tracked, with every line clean and no
@@ -567,6 +610,36 @@ func (s *shard) store(i, o int64, p []byte, st lineState, track bool, pool *fram
 	if r.view != nil {
 		copy(r.view[o:], p)
 	}
+}
+
+// take gives frame r a line record, a spare one if the shard has one,
+// unless it holds one. Caller holds the shard's lock.
+func (s *shard) take(r *frameRec) {
+	if r.lineRec != nil {
+		return
+	}
+	if l := s.spare; l != nil {
+		r.lineRec, s.spare, l.next = l, l.next, nil
+		return
+	}
+	r.lineRec = new(lineRec)
+}
+
+// settle gives frame r's line record back to the shard's spares once every
+// line is clean, none holds a slot and the frame is off the pending list:
+// then it is the zero record. Caller holds the shard's lock.
+func (s *shard) settle(r *frameRec) {
+	if l := r.lineRec; l.busy()|l.saved|l.zeroed == 0 && !l.listed {
+		r.lineRec, s.spare, l.next = nil, l, s.spare
+	}
+}
+
+// busy is the mask of the lines that are not clean; none without a record.
+func (l *lineRec) busy() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.dirty | l.pending | l.buffered
 }
 
 // list puts frame i on the pending list unless it is there. Caller holds
@@ -636,13 +709,16 @@ func (w Writer) Flush(off int64, n int, cat sim.Category) {
 		}
 		for lo, hi = lo-s.base, hi-s.base; lo < hi; {
 			i, o, n := frameSpan(lo, hi)
+			lo += n
 			r := &s.frames[i]
+			if r.lineRec == nil {
+				continue
+			}
 			if m := (r.dirty | r.buffered) & lineMask(o, o+n); m != 0 {
 				r.dirty, r.buffered, r.pending = r.dirty&^m, r.buffered&^m, r.pending|m
 				s.list(i)
 				dirty += int64(bits.OnesCount64(m))
 			}
-			lo += n
 		}
 	})
 	d.nFlushes.Add(dirty)
@@ -653,8 +729,8 @@ func (w Writer) Flush(off int64, n int, cat sim.Category) {
 
 // Fence issues an sfence: every line in the write-pending queue becomes
 // durable. The write-pending queue is device-global, so the fence sweeps
-// every shard — one at a time, so disjoint stores keep flowing while it
-// drains.
+// every shard with a line in flight — one at a time, so disjoint stores
+// keep flowing while it drains.
 func (w Writer) Fence() {
 	d := w.d
 	d.clock.Charge(sim.PMFence)
@@ -667,17 +743,15 @@ func (w Writer) Fence() {
 		return
 	}
 	persisted := int64(0)
-	for i := range d.shards {
-		s := &d.shards[i]
-		if !s.active.Load() {
-			continue
-		}
-		s.mu.Lock()
+	d.forActive(func(s *shard) {
 		// A frozen device (armed crash point reached) keeps its durable
 		// image fixed: later fences drain the queue but keep the slots.
 		persisted += s.drain(d.cfg.TrackPersistence && !d.frozen.Load(), &d.pool)
-		s.mu.Unlock()
-	}
+		if s.tracked == 0 {
+			w, b := d.activeBit(s)
+			w.And(^b)
+		}
+	})
 	d.nPersisted.Add(persisted)
 	d.event(w.src, EvFence, sim.CatFence, 0, 0)
 }
@@ -694,12 +768,10 @@ func (s *shard) drain(release bool, pool *framePool) int64 {
 			s.release(r, r.pending, pool)
 		}
 		r.pending, r.listed = 0, false
+		s.settle(r)
 	}
 	s.pending = s.pending[:0]
 	s.tracked -= n
-	if s.tracked == 0 {
-		s.active.Store(false)
-	}
 	return int64(n)
 }
 
@@ -754,7 +826,7 @@ func (s *shard) discard(lo, hi int64, pool *framePool) {
 			continue
 		}
 		m := lineMask(o, o+n)
-		busy := m & (r.dirty | r.pending | r.buffered)
+		busy := m & r.busy()
 		if o == 0 && n == s.frameSize(i) && busy == 0 {
 			pool.put(r.view, true)
 			r.view = nil
@@ -811,6 +883,9 @@ func (d *Device) Crash(rng *sim.RNG) error {
 		}
 		s.rewind(&d.pool)
 	}
+	for w := range d.active {
+		d.active[w].Store(0)
+	}
 	d.frozen.Store(false)
 	d.ev.mu.Lock()
 	d.ev.armedAt, d.ev.rng = 0, nil
@@ -825,7 +900,8 @@ func (d *Device) Crash(rng *sim.RNG) error {
 // same number on a recovery of the copy. Nothing else carries over: no
 // trace, armed point, fence filter, Stats or wear. Every line of d must
 // be clean and hold no undo slot, as Crash (and a Land point's PersistNT
-// after it) leaves it; Copy panics otherwise.
+// after it) leaves it, so no frame holds a line record; Copy panics
+// otherwise.
 func (d *Device) Copy(clock *sim.Clock) *Device {
 	cfg := d.cfg
 	cfg.Clock = clock
@@ -856,7 +932,8 @@ func (d *Device) Copy(clock *sim.Clock) *Device {
 // rewind applies the undo slots to the volatile view and releases them:
 // every line that holds a slot gets its durable content back and becomes
 // clean, and the undo pages go back to the pool. Every tracked line holds a
-// slot, and so does a line of every listed frame, so no state survives. A
+// slot, and so does a line of every listed frame, so no state survives and
+// every line record goes back to the spares. A
 // zero slot's line is cleared if its frame was backed since. An unbacked
 // frame with byte slots is one a whole-frame zero store unbacked: its
 // undo page becomes its view again, zero at every line without a byte
@@ -864,6 +941,9 @@ func (d *Device) Copy(clock *sim.Clock) *Device {
 func (s *shard) rewind(pool *framePool) {
 	for i := 0; s.slots > 0; i++ {
 		r := &s.frames[i]
+		if r.lineRec == nil {
+			continue
+		}
 		if r.view == nil && r.saved != 0 {
 			for m := ^r.saved; m != 0; {
 				var a, b int
@@ -886,10 +966,10 @@ func (s *shard) rewind(pool *framePool) {
 		}
 		s.release(r, r.saved|r.zeroed, pool)
 		r.dirty, r.pending, r.buffered, r.listed = 0, 0, 0, false
+		s.settle(r)
 	}
 	s.pending = s.pending[:0]
 	s.tracked = 0
-	s.active.Store(false)
 }
 
 // Stats returns a snapshot of the device counters.
@@ -932,14 +1012,6 @@ func (d *Device) MaxWear() uint32 {
 // durable; useful in tests asserting persistence discipline.
 func (d *Device) UnpersistedLines() int {
 	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		if !s.active.Load() {
-			continue
-		}
-		s.mu.Lock()
-		n += s.tracked
-		s.mu.Unlock()
-	}
+	d.forActive(func(s *shard) { n += s.tracked })
 	return n
 }

@@ -73,7 +73,7 @@ func TestUndoPagesGoBack(t *testing.T) {
 		n := 0
 		for i := range d.shards {
 			for _, r := range d.shards[i].frames {
-				if r.undo != nil {
+				if r.lineRec != nil && r.undo != nil {
 					n++
 				}
 			}
@@ -141,7 +141,7 @@ func TestWholeFrameZeroStoreTakesNoPage(t *testing.T) {
 		if got := d.BackedBytes(); got != backed-sim.BlockSize {
 			t.Fatalf("BackedBytes = %d after the zero store, want %d", got, backed-sim.BlockSize)
 		}
-		if r.view != nil || r.undo != page || r.saved != ^uint64(0) {
+		if r.view != nil || r.lineRec == nil || r.undo != page || r.saved != ^uint64(0) {
 			t.Fatalf("view %p, undo %p (the view was %p), saved %#x: want the view page as every line's undo page", r.view, r.undo, page, r.saved)
 		}
 		if got := readBlock(d, blk); !bytes.Equal(got, zero) {
@@ -228,7 +228,7 @@ func TestWholeFrameZeroStoreTakesNoPage(t *testing.T) {
 		if got := d.BackedBytes(); got != 0 {
 			t.Fatalf("BackedBytes = %d after the zero store, want 0", got)
 		}
-		if r := &d.shards[0].frames[blk]; r.view != nil || r.undo != nil {
+		if r := &d.shards[0].frames[blk]; r.view != nil || r.lineRec != nil && r.undo != nil {
 			t.Fatal("the untracked frame kept a page")
 		}
 		if got := readBlock(d, blk); !bytes.Equal(got, zero) {
