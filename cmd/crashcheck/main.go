@@ -36,8 +36,8 @@
 //
 // -leases extends the served campaigns with the zero-copy data plane:
 // the differential additionally sweeps served-lease: sessions (mmap
-// leases negotiated, reads and writes through the shared mapping) over
-// all eight backends, and -served-crash sweeps negotiate leases on every
+// leases on, reads and writes through the shared mapping) over
+// all eight backends, and -served-crash sweeps turn leases on for every
 // tenant with leased-read probes held across the daemon kill.
 //
 // -served-crash adds daemon-death sweeps: -tenants concurrent sessions
@@ -154,7 +154,7 @@ func main() {
 	metadata := flag.Bool("metadata", false, "add metadata-heavy workloads (create/unlink/rename/truncate/mkdir), as generated and with the commits thinned out so that recovery has metadata operations to redo from the op log")
 	async := flag.Bool("async", false, "add fsync-path workloads: multi-file fsyncs + group syncs sharing one journal commit, files fragmented past their inode's inline extents, so crashes land in partial write-backs of extent-overflow blocks, and fsyncs after scattered overwrites, whose one relink call carries many moves out of two staging files")
 	served := flag.Bool("served", false, "add served-backend differential campaigns: each trace through the session/RPC layer over all eight backends must match direct ext4-dax byte for byte")
-	leases := flag.Bool("leases", false, "negotiate the zero-copy lease plane in served campaigns: the differential adds served-lease: sessions over all eight backends, and served-crash tenants hold leases across every daemon kill")
+	leases := flag.Bool("leases", false, "turn the zero-copy lease plane on in served campaigns: the differential adds served-lease: sessions over all eight backends, and served-crash tenants hold leases across every daemon kill")
 	servedCrash := flag.Bool("served-crash", false, "add served daemon-death sweeps: kill the daemon at sampled persistence events while tenants are mid-pipeline, recover, restart, reconnect every tenant, and check per-tenant oracles plus exactly-once counters")
 	tenants := flag.Int("tenants", 3, "concurrent tenant sessions per served-crash campaign")
 	faultCadence := flag.Int("fault-cadence", 2, "arm a wire cut on every Nth tenant dial in served-crash sweeps (2 = every other dial, 0 = no wire faults; the nightly matrix sweeps this)")

@@ -66,7 +66,7 @@ type ServedCampaign struct {
 	// dial, which a frame longer than the largest cut never survives; the
 	// nightly matrix sweeps 2, 3, 5.
 	FaultCadence int
-	// Leases negotiates the zero-copy data plane on every session and
+	// Leases turns the zero-copy data plane on for every session and
 	// interleaves leased-read probes through the workload, so leases are
 	// outstanding when the daemon dies; no lease may survive a
 	// generation's teardown.

@@ -186,7 +186,7 @@ func TestServedCampaignDeterministic(t *testing.T) {
 }
 
 // TestServedCrashWithLeases runs the daemon-death sweep with the
-// zero-copy data plane negotiated on every tenant session: leased-read
+// zero-copy data plane on for every tenant session: leased-read
 // probes keep leases genuinely outstanding across the kill, generation
 // 1's teardown must revoke all of them (oracle inside RunServed), and
 // every crash/replay/final-state oracle must still hold — the lease

@@ -339,12 +339,29 @@ func (f *File) SyncIn(b *Batch) error {
 	if f.stale() {
 		return vfs.ErrClosed
 	}
+	fs.syncLocked()
+	return nil
+}
+
+// SyncAll is syncfs(2), the group sync vfs.SyncAll asks a backend for:
+// one trap and one commit of the running transaction make every
+// completed operation durable, whether or not a handle is open on it. It
+// costs what an fsync costs.
+func (fs *FS) SyncAll() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.syncLocked()
+	return nil
+}
+
+// syncLocked traps, commits the running transaction and fences: the
+// work of fsync and syncfs alike. Caller holds fs.mu.
+func (fs *FS) syncLocked() {
 	fs.trap()
 	fs.clk.Charge(sim.Ext4Fsync)
 	fs.awaitCommittable()
 	fs.commitTx()
 	fs.dev.As(fs.src).Fence()
-	return nil
 }
 
 // Close implements vfs.File. ext4 keeps no per-handle state beyond the

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"splitfs/internal/pmem"
 	"splitfs/internal/sim"
@@ -436,6 +437,69 @@ func TestCommitAllocatesNoBlocks(t *testing.T) {
 	// list were recycled; < 1 KB is what a block buffer on the heap breaks.
 	if perCommit >= 64 {
 		t.Fatalf("an 8-block commit allocates %d B, want < 64: a block buffer or a per-commit list is on the heap", perCommit)
+	}
+}
+
+// TestLoadAndCheckAllocateNoBlocks: Check of a journal at rest, and Load
+// of a committed 8-block entry, read the descriptor, every image and the
+// commit record into the journal's own scratch — Load's replay pass
+// reads each image again — so Check allocates nothing and Load only the
+// Journal it returns. With a fresh 4 KB buffer for each block they read,
+// the mounts of CI's strict crashcheck step allocated 299 MB.
+func TestLoadAndCheckAllocateNoBlocks(t *testing.T) {
+	dev, j := testEnv(t)
+	const blocks = 8
+	tx := j.Begin()
+	for blk := range blocks {
+		dev.Store(metaBase+int64(blk)*sim.BlockSize, txPattern(0, blk), sim.CatPMMeta)
+		tx.Note(metaBase+int64(blk)*sim.BlockSize, sim.BlockSize)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// unretire puts the superblock back to before the entry's retirement,
+	// as a crash between the commit record and the superblock write
+	// leaves it: the next Load replays the entry.
+	unretire := func(j *Journal) {
+		j.seq--
+		j.writeSuper(pmem.SrcForeground)
+	}
+	load := func() *Journal {
+		unretire(j)
+		again, n, err := Load(dev, 0, 64)
+		if err != nil || n != 1 {
+			t.Fatalf("Load replayed %d (%v), want the committed entry", n, err)
+		}
+		return again
+	}
+	for range 4 { // back the device under the superblock slots
+		j = load()
+	}
+	const runs = 200
+	perRun := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	check := perRun(func() {
+		if err := j.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	loaded := perRun(func() { j = load() })
+	own := uint64(unsafe.Sizeof(Journal{}))
+	t.Logf("Check at rest allocates %d B; Load of an %d-block entry %d B, of which the Journal is %d B", check, blocks, loaded, own)
+	if check >= 1024 {
+		t.Errorf("Check at rest allocates %d B, want < 1 KB: a block buffer is on the heap", check)
+	}
+	// The Journal rounds up to its allocation size class, and the
+	// superblock slots are 128 B: a 4 KB buffer is past the bound.
+	if loaded >= own+2048 {
+		t.Errorf("Load of an %d-block entry allocates %d B, want < %d (the Journal and 2 KB): a block buffer is on the heap", blocks, loaded, own+2048)
 	}
 }
 

@@ -150,16 +150,18 @@ func Load(dev *pmem.Device, start, nblk int64) (*Journal, int, error) {
 		return nil, 0, errors.New("journal: no superblock record verifies")
 	}
 	read := func(p []byte, off int64) { dev.ReadAt(p, off, sim.CatJournal) }
-	if homes, images, stamps := j.live(read); homes != nil {
-		// Restore the block images to their home locations, and the
-		// stamps to what the transaction left.
-		for i, home := range homes {
-			dev.StoreNT(home, images[i], sim.CatPMMeta)
+	if n := j.live(read); n > 0 {
+		// The scan pass verified the entry; the replay pass restores the
+		// stamps to what the transaction left, and each block image,
+		// read again into img, to its home location.
+		for i := range j.stamps {
+			j.stamps[i] = binary.LittleEndian.Uint64(j.img[commitStamps+8*i:])
+		}
+		for i := range n {
+			read(j.img[:], j.blockOff(txStart+1+int64(i)))
+			dev.StoreNT(int64(binary.LittleEndian.Uint64(j.hdr[descHomes+8*i:])), j.img[:], sim.CatPMMeta)
 		}
 		dev.Fence()
-		for i := range j.stamps {
-			j.stamps[i] = binary.LittleEndian.Uint64(stamps[8*i:])
-		}
 		j.seq++
 		j.stats.Replayed = 1
 	}
@@ -392,39 +394,34 @@ func (j *Journal) raiseStamps(set [Stamps]uint64) {
 // one that has not committed).
 func (tx *Tx) Logged() int { return tx.logged }
 
-// live reads the entry at txStart with read and returns its home offsets,
-// block images and the stamps its commit record carries if it is
-// transaction j.seq's, whole and committed, and nil homes otherwise.
-// Caller holds j.mu, or has the journal to itself.
-func (j *Journal) live(read func(p []byte, off int64)) (homes []int64, images [][]byte, stamps []byte) {
-	desc := make([]byte, sim.BlockSize)
+// live is the scan pass over the entry at txStart, read with read: if
+// it is transaction j.seq's, whole and committed, it returns its block
+// count, with the descriptor (its home offsets) left in hdr and the
+// commit record (its stamps) in img; otherwise 0. Each image streams
+// through img into the checksum, so the scan allocates nothing, and a
+// replay reads the images again (jbd2's recovery is likewise a scan
+// pass, then a replay pass). Caller holds j.mu, or has the journal to
+// itself.
+func (j *Journal) live(read func(p []byte, off int64)) int {
+	desc, img := j.hdr[:], j.img[:]
 	read(desc, j.blockOff(txStart))
 	count := int(binary.LittleEndian.Uint32(desc[16:20]))
 	if binary.LittleEndian.Uint32(desc[0:4]) != descMagic || binary.LittleEndian.Uint64(desc[8:16]) != j.seq ||
 		count == 0 || count > maxBlocksPerTx || txStart+int64(count)+2 > j.nblk {
-		return nil, nil, nil
+		return 0
 	}
-	homes = make([]int64, count)
-	for i := range homes {
-		homes[i] = int64(binary.LittleEndian.Uint64(desc[descHomes+i*8:]))
-	}
-	// Read the images and verify them against the commit record.
-	images = make([][]byte, count)
 	sum := txSum(j.seq, desc, count)
-	for i := range images {
-		images[i] = make([]byte, sim.BlockSize)
-		read(images[i], j.blockOff(txStart+1+int64(i)))
-		sum = sim.CRC32C(sum, images[i])
+	for i := range count {
+		read(img, j.blockOff(txStart+1+int64(i)))
+		sum = sim.CRC32C(sum, img)
 	}
-	commit := make([]byte, sim.BlockSize)
-	read(commit, j.blockOff(txStart+1+int64(count)))
-	stamps = commit[commitStamps : commitStamps+8*Stamps]
-	if binary.LittleEndian.Uint32(commit[0:4]) != commitMagic ||
-		binary.LittleEndian.Uint64(commit[8:16]) != j.seq ||
-		binary.LittleEndian.Uint32(commit[16:20]) != sim.CRC32C(sum, stamps) {
-		return nil, nil, nil
+	read(img, j.blockOff(txStart+1+int64(count)))
+	if binary.LittleEndian.Uint32(img[0:4]) != commitMagic ||
+		binary.LittleEndian.Uint64(img[8:16]) != j.seq ||
+		binary.LittleEndian.Uint32(img[16:20]) != sim.CRC32C(sum, img[commitStamps:commitStamps+8*Stamps]) {
+		return 0
 	}
-	return homes, images, stamps
+	return count
 }
 
 // Check verifies a journal at rest, as Load and every Commit leave it: the
@@ -438,7 +435,7 @@ func (j *Journal) Check() error {
 	if m, ok := readSuper(slots); !ok || m != j.super {
 		return fmt.Errorf("journal: superblock record %+v (verifies: %v) is not the journal's %+v", m, ok, j.super)
 	}
-	if homes, _, _ := j.live(j.dev.Peek); homes != nil {
+	if j.live(j.dev.Peek) > 0 {
 		return fmt.Errorf("journal: not at rest: transaction %d committed and is not retired", j.seq)
 	}
 	return nil

@@ -54,10 +54,10 @@ type ClientConfig struct {
 	// whole tree).
 	Root string
 
-	// EnableLeases requests the zero-copy data plane in the attach
-	// handshake. The session uses it only if the server agrees (feature
-	// negotiation); on a resumable session leases are read-only, since
-	// leased writes bypass the replay log.
+	// EnableLeases turns the zero-copy data plane on: the client asks
+	// for a lease on a handle's first eligible read or write. On a
+	// resumable session leases are read-only, since leased writes bypass
+	// the replay log.
 	EnableLeases bool
 }
 
@@ -65,14 +65,6 @@ func (cfg *ClientConfig) fill() {
 	if cfg.Root == "" {
 		cfg.Root = "/"
 	}
-}
-
-// offered is the feature word the attach handshake offers for cfg.
-func (cfg *ClientConfig) offered() uint32 {
-	if cfg.EnableLeases {
-		return featLeases
-	}
-	return 0
 }
 
 // Client is a connected session implementing vfs.FileSystem, so every
@@ -83,8 +75,8 @@ type Client struct {
 	rs *resumeState // resumable sessions only; guarded by mu
 
 	fsName      string
-	features    uint32 // agreed set from the attach handshake
-	leaseWrites bool   // leased writes allowed (non-resumable sessions)
+	leaseReads  bool // EnableLeases
+	leaseWrites bool // EnableLeases on a session that is not resumable
 	stats       clientStats
 }
 
@@ -125,9 +117,6 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// leasesOn reports whether the negotiated session may use leases.
-func (c *Client) leasesOn() bool { return c.features&featLeases != 0 }
-
 // File is a served file handle. Like every backend's File it embeds the
 // handle core, which keeps its path, open flags, closed state and offset
 // here, on the client, as U-Split keeps them in the library (§3.5), and
@@ -135,7 +124,7 @@ func (c *Client) leasesOn() bool { return c.features&featLeases != 0 }
 // a Tpread or Tpwrite at the offset, as 9P and lisafs carry it, and an
 // O_APPEND write as a Tpwrite at offEOF, which the backend appends under
 // its own write lock. A SeekEnd asks the server for the size (Tfstat).
-// When the session negotiated leases, the proxy additionally holds the
+// When the session has leases on, the proxy additionally holds the
 // handle's lease state (see lease.go and leasedReadAt below).
 //
 // A closed File answers vfs.ErrClosed itself and sends nothing, as the
@@ -319,7 +308,7 @@ func (c *Client) Close() error {
 // ---------------------------------------------------------------------
 // File proxy.
 
-// ReadAt is positional (pread). With a negotiated lease it is satisfied
+// ReadAt is positional (pread). With a lease it is satisfied
 // by loads straight through the mapped extents — zero wire data bytes —
 // falling back to the copy path when the mapping is stale, revoked, or
 // does not cover the range.
@@ -413,10 +402,7 @@ func (f *File) writeLoop(p []byte, off int64, atEOF bool) (int, int64, error) {
 			return total, end, err
 		}
 		got := int(r.count)
-		total, end = total+got, off+int64(total+got)
-		if atEOF {
-			end = r.end
-		}
+		total, end = total+got, r.end
 		f.c.stats.wireWriteBytes.Add(int64(got))
 		if got < n || total >= len(p) {
 			return total, end, nil
@@ -440,7 +426,7 @@ func (f *File) Size() (int64, error) {
 // leasedReadAt tries to satisfy a positional read through the handle's
 // lease. ok=false means the caller must take the wire.
 func (f *File) leasedReadAt(p []byte, off int64) (int, bool) {
-	if !f.c.leasesOn() || f.CheckReadable() != nil || len(p) == 0 {
+	if !f.c.leaseReads || f.CheckReadable() != nil || len(p) == 0 {
 		return 0, false
 	}
 	f.leaseMu.Lock()
@@ -513,7 +499,7 @@ func (f *File) tryLeasedRead(L *clientLease, p []byte, off int64) (int, bool) {
 // the caller must take the wire. Disabled on resumable sessions: a
 // leased write bypasses the replay log.
 func (f *File) leasedWrite(p []byte, off int64, atEOF bool) (n int, end int64, err error, ok bool) {
-	if !f.c.leaseWrites || !f.c.leasesOn() || f.CheckWritable() != nil || len(p) == 0 {
+	if !f.c.leaseWrites || f.CheckWritable() != nil || len(p) == 0 {
 		return 0, off, nil, false
 	}
 	f.leaseMu.Lock()
@@ -693,19 +679,15 @@ func (x *exchange) drop() error {
 	return err
 }
 
-// DialConfig attaches a session over a connected stream. The attach
-// handshake offers the configured feature set; the server echoes the
-// agreed subset (an old server echoes nothing, which reads as zero —
-// clean downgrade in both directions).
+// DialConfig attaches a session over a connected stream.
 func DialConfig(rwc io.ReadWriteCloser, cfg ClientConfig) (*Client, error) {
 	cfg.fill()
 	br := bufio.NewReaderSize(rwc, 64<<10)
-	req := cfg.offered()
-	name, _, agreed, err := attachExchange(rwc, br, 0, cfg.Root, false, req)
+	name, _, err := attachExchange(rwc, br, 0, cfg.Root, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{x: exchange{rwc: rwc, br: br}, fsName: name, features: agreed & req, leaseWrites: true}, nil
+	return &Client{x: exchange{rwc: rwc, br: br}, fsName: name, leaseReads: cfg.EnableLeases, leaseWrites: cfg.EnableLeases}, nil
 }
 
 // NewLoopbackConfig attaches a session with cfg over a Server.Pipe:
@@ -722,42 +704,41 @@ func NewLoopbackConfig(srv *Server, cfg ClientConfig) (*Client, error) {
 }
 
 // attachExchange performs the first-frame exchange on a fresh
-// connection: a Tattach carrying root, the resumable flag, the offered
-// features and, for a resumable session, the token of the session it
-// resumes (0 for none). It returns what the Rattach carries: the
-// backend's name, the session's resume token — token itself when the
-// server adopted that session, a new one when it attached a fresh
-// session — and the agreed feature word (an old server sends none,
-// which reads as zero). Transport failures wrap errConnLost; a refusal
+// connection: a Tattach carrying root, the resumable flag and, for a
+// resumable session, the token of the session it resumes (0 for none).
+// It returns what the Rattach carries: the backend's name and the
+// session's resume token — token itself when the server adopted that
+// session, a new one when it attached a fresh session. Transport
+// failures wrap errConnLost; a refusal
 // comes back as the server's decoded error. The connection is closed on
 // any failure.
-func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root string, resumable bool, req uint32) (name string, newToken uint64, feats uint32, err error) {
+func attachExchange(rwc io.ReadWriteCloser, br *bufio.Reader, token uint64, root string, resumable bool) (name string, newToken uint64, err error) {
 	defer func() {
 		if err != nil {
 			rwc.Close()
 		}
 	}()
 	var e enc
-	put(tAttach, &msg{path: root, resumable: resumable, features: req, token: token}, &e)
+	put(tAttach, &msg{path: root, resumable: resumable, token: token}, &e)
 	if e.err != nil {
-		return "", 0, 0, e.err
+		return "", 0, e.err
 	}
 	if err := writeFrame(rwc, nil, tAttach, 0, e.b); err != nil {
-		return "", 0, 0, fmt.Errorf("%w: Tattach: %w", errConnLost, err)
+		return "", 0, fmt.Errorf("%w: Tattach: %w", errConnLost, err)
 	}
 	rtyp, _, rp, err := readFrame(br, nil)
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("%w: Tattach reply: %w", errConnLost, err)
+		return "", 0, fmt.Errorf("%w: Tattach reply: %w", errConnLost, err)
 	}
 	if rtyp == rError {
-		return "", 0, 0, decodeError(rp)
+		return "", 0, decodeError(rp)
 	}
 	if rtyp != rAttach {
-		return "", 0, 0, fmt.Errorf("%w: %s reply to Tattach", errUnexpectedReply, msgName(rtyp))
+		return "", 0, fmt.Errorf("%w: %s reply to Tattach", errUnexpectedReply, msgName(rtyp))
 	}
 	var m msg
 	err = get(rAttach, rp, &m)
-	return m.name, m.token, m.features, err
+	return m.name, m.token, err
 }
 
 // DialNetConfig connects to a network address and attaches with cfg.

@@ -131,9 +131,9 @@ func TestFaultShortWriteCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An Rwrite reply frame is 13 bytes (4 length + 1 type + 4 request
-	// id + 4 count): let exactly one chunk ack, then cut.
-	fc.CutWriteAfter(13)
+	// An Rpwrite reply frame is 21 bytes (4 length + 1 type + 4 request
+	// id + 4 count + 8 end): let exactly one chunk ack, then cut.
+	fc.CutWriteAfter(21)
 	data := bytes.Repeat([]byte{'y'}, 2*chunkBytes+100)
 	n, err := f.WriteAt(data, 0)
 	if err == nil {
@@ -187,7 +187,7 @@ func TestFramesBehindDetachAreDropped(t *testing.T) {
 	defer cs.Close()
 	go srv.ServeConn(ss)
 	br := bufio.NewReader(cs)
-	if _, _, _, err := attachExchange(cs, br, 0, "/", false, 0); err != nil {
+	if _, _, err := attachExchange(cs, br, 0, "/", false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(cs, nil, tDetach, 1, nil); err != nil {

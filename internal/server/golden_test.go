@@ -67,7 +67,7 @@ func (tr *transcript) cut(b []byte) []byte {
 // {seg}, filled in with the values this run drew. Every named message
 // type must appear.
 func TestGoldenFrames(t *testing.T) {
-	fs := leaseTestBackend(t)
+	fs := ext4daxBackend(t)
 	srv := New(fs, Config{})
 	tr := &transcript{}
 	dial := func(s *Server) io.ReadWriteCloser {
@@ -230,10 +230,10 @@ func le64(v uint64) string { return hex.EncodeToString(binary.LittleEndian.Appen
 // goldenFrames is each step's frames, in the order they crossed the
 // connection.
 var goldenFrames = map[string][]string{
-	"attach":   {"0d000000010000000001002f0000000000", "2300000002000000000800657874342d6461780100000000000000000000000000000000000000"},
+	"attach":   {"11000000010000000001002f000000000000000000", "1f00000002000000000800657874342d64617801000000000000000000000000000000"},
 	"mkdir":    {"0d0000001d01000000ed01000002002f64", "050000001e01000000"},
 	"open":     {"13000000050200000042000000a401000004002f642f66", "0d00000006020000000300000000000000"},
-	"pwrite":   {"1f0000000f030000000300000000000000080000000000000006000000676f6c64656e", "09000000100300000006000000"},
+	"pwrite":   {"1f0000000f030000000300000000000000080000000000000006000000676f6c64656e", "110000001003000000060000000e00000000000000"},
 	"append":   {"1d0000000f050000000400000000000000ffffffffffffffff040000007461696c", "110000001005000000040000001200000000000000"},
 	"pread":    {"190000000d060000000300000000000000080000000000000004000000", "0d0000000e0600000004000000676f6c64"},
 	"truncate": {"15000000130700000003000000000000001000000000000000", "050000001407000000"},
@@ -249,7 +249,7 @@ var goldenFrames = map[string][]string{
 	"unlink":        {"0b0000001f1100000004002f642f67", "050000002011000000"},
 	"rmdir":         {"09000000211200000002002f64", "050000002212000000"},
 	"detach":        {"050000000316000000", "050000000416000000"},
-	"attach leases": {"0d000000010000000001002f0001000000", "2300000002000000000800657874342d6461780200000000000000000000000000000001000000"},
+	"attach leases": {"11000000010000000001002f000000000000000000", "1f00000002000000000800657874342d64617802000000000000000000000000000000"},
 	"lease": {"0d0000002c020000000300000000000000",
 		"390000002d02000000{seg}0000000000000000080000000000000001000000000000000000000000603000000000000800000000000000"},
 	"revoke": {
@@ -259,11 +259,11 @@ var goldenFrames = map[string][]string{
 		"0d0000002f04000000{seg}",                            // Trevokeack
 		"050000003004000000",                                 // Rrevokeack
 	},
-	"attach resumable": {"0d000000010000000001002f0100000000", "2300000002000000000800657874342d6461780300000000000000{token1}00000000"},
+	"attach resumable": {"11000000010000000001002f010000000000000000", "1f00000002000000000800657874342d6461780300000000000000{token1}"},
 	"cold resume": {
-		"15000000010000000001002f0100000000{token1}",                             // Tattach presenting the token
-		"2300000002000000000800657874342d6461780100000000000000{token2}00000000", // a fresh session
-		"1b000000aa04000000030000000000000042000000a4010000010002002f72",         // Treopen, replayed
+		"11000000010000000001002f01{token1}",                             // Tattach presenting the token
+		"1f00000002000000000800657874342d6461780100000000000000{token2}", // a fresh session
+		"1b000000aa04000000030000000000000042000000a4010000010002002f72", // Treopen, replayed
 		"050000002b04000000",
 		"09000000190500000002002f72",
 		"220000001a050000000500000000000000000000000000000000000000000000000001000000",

@@ -12,7 +12,7 @@ import (
 	"splitfs/internal/vfs"
 )
 
-// leasePipeClient attaches a stream session with leases negotiated.
+// leasePipeClient attaches a stream session with leases on.
 func leasePipeClient(t *testing.T, srv *server.Server, root string) (*server.Client, net.Conn) {
 	t.Helper()
 	cs, ss := net.Pipe()
@@ -113,7 +113,7 @@ func TestLeasedDataPlane(t *testing.T) {
 }
 
 // TestLeaseUnsupportedBackend: a backend without vfs.Mappable serves a
-// lease-negotiated session correctly — every grant fails, the handle
+// session with leases on correctly — every grant fails, the handle
 // pins to the copy path, and the data still round-trips.
 func TestLeaseUnsupportedBackend(t *testing.T) {
 	fs := newBackend(t, "nova-strict")
@@ -412,7 +412,7 @@ func TestLeaseAcrossServerGenerations(t *testing.T) {
 	}
 }
 
-// TestLeaseResumableReadOnly: a resumable session negotiates leases but
+// TestLeaseResumableReadOnly: a resumable session with leases on
 // keeps writes on the logged wire path — a leased write would bypass
 // the replay log.
 func TestLeaseResumableReadOnly(t *testing.T) {

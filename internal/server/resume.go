@@ -38,17 +38,14 @@ const resumeMaxAttempts = 8
 //
 // Leases on a resumable session are read-only: a leased write would
 // bypass the replay log, so writes always take the logged wire path.
-// The feature set is the one agreed at the first attach; if a restarted
-// server stops offering leases, grants fail and handles degrade to the
-// copy path.
 func DialResumableConfig(redial func() (io.ReadWriteCloser, error), cfg ClientConfig) (*Client, error) {
 	cfg.fill()
 	c := &Client{}
-	t := &resumeState{x: &c.x, redial: redial, root: cfg.Root, req: cfg.offered(), handles: make(map[uint64]*handleMeta)}
+	t := &resumeState{x: &c.x, redial: redial, root: cfg.Root, handles: make(map[uint64]*handleMeta)}
 	if err := t.resume(); err != nil {
 		return nil, err
 	}
-	c.rs, c.fsName, c.features = t, t.fsName, t.feats&t.req
+	c.rs, c.fsName, c.leaseReads = t, t.fsName, cfg.EnableLeases
 	return c, nil
 }
 
@@ -60,8 +57,6 @@ type resumeState struct {
 	x      *exchange // the client's
 	redial func() (io.ReadWriteCloser, error)
 	root   string
-	req    uint32 // feature set offered at attach
-	feats  uint32 // feature set agreed at the first attach
 
 	token       uint64
 	fsName      string
@@ -283,16 +278,11 @@ func (t *resumeState) resume() error {
 // adopting the old one. On success the connection becomes the
 // transport; on failure it is closed.
 func (t *resumeState) handshake(rwc io.ReadWriteCloser, br *bufio.Reader) (fresh bool, err error) {
-	name, token, feats, err := attachExchange(rwc, br, t.token, t.root, true, t.req)
+	name, token, err := attachExchange(rwc, br, t.token, t.root, true)
 	if err != nil {
 		return false, err
 	}
 	fresh, t.token = token != t.token, token
-	// Only the first attach's agreed set governs the Client (later
-	// resumes never widen it).
-	if t.feats == 0 {
-		t.feats = feats
-	}
 	t.fsName = name
 	t.x.drop()
 	t.x.rwc, t.x.br = rwc, br

@@ -590,7 +590,7 @@ func TestSupersededConnExecutesNothing(t *testing.T) {
 
 	c1, br1, loop1 := dial()
 	defer c1.Close()
-	_, token, _, err := attachExchange(c1, br1, 0, "/", true, 0)
+	_, token, err := attachExchange(c1, br1, 0, "/", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +604,7 @@ func TestSupersededConnExecutesNothing(t *testing.T) {
 
 	c2, br2, _ := dial()
 	defer c2.Close()
-	if _, got, _, err := attachExchange(c2, br2, token, "/", true, 0); err != nil || got != token {
+	if _, got, err := attachExchange(c2, br2, token, "/", true); err != nil || got != token {
 		t.Fatalf("takeover re-attach: token %#x, want %#x (%v)", got, token, err)
 	}
 	if err := writeFrame(c2, nil, tMkdir|flagReplay, 2, mkdir("/x")); err != nil {
@@ -676,7 +676,7 @@ func TestAttachRacingCloseIsATransportLoss(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, err := attachExchange(cs, bufio.NewReader(cs), 0, "/", true, 0)
+		_, _, err := attachExchange(cs, bufio.NewReader(cs), 0, "/", true)
 		errc <- err
 	}()
 	<-held.closing // ServeConn is done with the handshake and hanging up

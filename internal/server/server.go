@@ -168,13 +168,10 @@ func (srv *Server) FS() vfs.FileSystem { return srv.fs }
 // attach creates a session confined to root ("" or "/" = whole tree).
 // A non-root subtree must already exist as a directory. A resumable
 // session gets a resume token of its own (see mintToken) and survives
-// transport loss by parking (see Session.disconnect). feats is the
-// client's requested feature set; the session operates under its
-// intersection with featLeases, the server's whole set. A backend that
-// is not vfs.Mappable still advertises leases: grants simply fail per
-// handle and the client caches the refusal. stale is the token the
-// client presented, which the new session's token never equals.
-func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats uint32, stale uint64) (*Session, error) {
+// transport loss by parking (see Session.disconnect). stale is the
+// token the client presented, which the new session's token never
+// equals.
+func (srv *Server) attach(root string, conn *serverConn, resumable bool, stale uint64) (*Session, error) {
 	root = vfs.CleanPath(root)
 	if root != "/" {
 		fi, err := srv.fs.Stat(root)
@@ -192,7 +189,7 @@ func (srv *Server) attach(root string, conn *serverConn, resumable bool, feats u
 	}
 	srv.nextSess++
 	s := &Session{srv: srv, id: srv.nextSess, root: root, ht: vfs.NewFDTable(), conn: conn,
-		features: feats & featLeases, flight: obs.NewRecorder(obs.DefaultFlightSlots)}
+		flight: obs.NewRecorder(obs.DefaultFlightSlots)}
 	s.gen.Store(1)
 	if resumable {
 		s.token = srv.mintToken(stale)
@@ -399,16 +396,13 @@ func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error
 		writeFrame(conn.w, nil, etyp, eid, ep)
 		return fmt.Errorf("%w: first frame %s, want Tattach", errBadHandshake, msgName(typ))
 	}
-	// An older client stops short of the resumable flag, the feature
-	// word or the token: each missing field reads as zero — not
-	// resumable, no features, no session to resume.
 	var m msg
 	if err := get(tAttach, payload, &m); err != nil {
 		return fmt.Errorf("server: malformed Tattach: %w", err)
 	}
 	reply := func(s *Session) error {
 		var e enc
-		put(rAttach, &msg{name: srv.fs.Name(), session: s.id, token: s.token, features: s.features}, &e)
+		put(rAttach, &msg{name: srv.fs.Name(), session: s.id, token: s.token}, &e)
 		return writeFrame(conn.w, nil, rAttach, reqID, e.b)
 	}
 	if s := srv.resumeTarget(m.token, m.path); m.resumable && s != nil {
@@ -426,7 +420,7 @@ func (conn *serverConn) handshake(typ uint8, reqID uint32, payload []byte) error
 			return err
 		}
 	}
-	s, err := srv.attach(m.path, conn, m.resumable, m.features, m.token)
+	s, err := srv.attach(m.path, conn, m.resumable, m.token)
 	if err != nil {
 		// Answer the refusal — unless Close got in first: Close drops
 		// every connection without a word, and a handshake that raced it

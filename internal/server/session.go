@@ -34,10 +34,6 @@ type Session struct {
 
 	token uint64 // resume token; 0 for a session that is not resumable
 
-	// features is the agreed feature set from attach-time negotiation
-	// (featLeases & co). Immutable after attach.
-	features uint32
-
 	// execMu is the executor lock: one request at a time, from the
 	// ownership check through the reply, and teardown. It is the
 	// outermost lock of the hierarchy (lease.go) — a request takes
@@ -403,10 +399,7 @@ func (s *Session) execute(typ uint8, req *msg, replay bool) (uint8, []byte) {
 	case tPwrite:
 		err = s.withFile(req.handle, func(f vfs.File) error {
 			got, end, werr := writeEnd(f, req.data, req.off, req.off == offEOF)
-			r.count = uint32(got)
-			if req.off == offEOF {
-				r.end = end
-			}
+			r.count, r.end = uint32(got), end
 			return werr
 		})
 	case tTruncate:
@@ -462,10 +455,6 @@ func (s *Session) execute(typ uint8, req *msg, replay bool) (uint8, []byte) {
 		// the backend's own SyncAll, else this session's live handles.
 		err = vfs.SyncAll(s.srv.fs, s.ht.Files())
 	case tLease:
-		if s.features&featLeases == 0 {
-			err = fmt.Errorf("server: lease: not negotiated: %w", vfs.ErrInval)
-			break
-		}
 		err = s.withFile(req.handle, func(f vfs.File) error {
 			seg, gerr := s.srv.grantLease(s, req.handle, f)
 			if gerr != nil {

@@ -109,8 +109,8 @@ const flagReplay uint8 = 0x80
 // offEOF is the offset a Tpwrite carries for an O_APPEND handle's write:
 // at the end of file. The session runs it as the backend handle's own
 // Write, which reads the end under the backend's write lock, so appends
-// through distinct handles never overwrite each other; its Rpwrite adds
-// the offset the write ended at.
+// through distinct handles never overwrite each other. Every Rpwrite
+// carries the offset its write ended at.
 const offEOF int64 = -1
 
 var msgNames = map[uint8]string{
@@ -128,13 +128,6 @@ var msgNames = map[uint8]string{
 	tRevokeAck: "Trevokeack", rRevokeAck: "Rrevokeack",
 }
 
-// Feature bits negotiated at attach time. Tattach carries the client's
-// requested set as a trailing u32 (absent on old clients: the codec
-// tolerates missing trailing fields, decoding them as zero); Rattach
-// echoes the agreed set the same way. Either side missing the field
-// settles on the empty set — today's chunked copy path.
-const featLeases uint32 = 1 << 0
-
 func msgName(t uint8) string {
 	if n, ok := msgNames[t]; ok {
 		return n
@@ -146,13 +139,13 @@ func msgName(t uint8) string {
 // reply renders from one, and each message type reads and writes only
 // the fields its row of layouts names (after 9P's Fcall). off is
 // Tpread's and Tpwrite's offset (offEOF for an append), size Ttruncate's
-// size or the file size a lease was granted at, end where an append
+// size or the file size a lease was granted at, end where a write
 // ended; path2 is Trename's destination, name the backend's, text an
 // Rerror's message. A decoded data field aliases its payload.
 type msg struct {
 	handle, seg, epoch, token, session uint64
 	off, size, end                     int64
-	count, flag, perm, features, code  uint32
+	count, flag, perm, code            uint32
 	path, path2, name, text            string
 	resumable                          bool
 	chain                              []string
@@ -163,50 +156,45 @@ type msg struct {
 }
 
 // field is one msg field's place in a payload; its kind fixes its
-// encoding. fOpt is no field: it marks where a row's optional tail
-// starts.
+// encoding.
 type field uint8
 
 const (
-	fOpt       field = iota
-	fHandle          // u64
-	fOff             // i64
-	fCount           // u32
-	fFlag            // u32
-	fPerm            // u32
-	fPath            // str
-	fPath2           // str
-	fChain           // u16 count, then a str each
-	fData            // u32 length, then the bytes
-	fInfo            // u64 ino, i64 size, i64 blocks, u8 directory, u32 links
-	fEntries         // u32 count, then str name, u64 ino, u8 directory each
-	fSeg             // u64
-	fEpoch           // u64
-	fSize            // i64
-	fExtents         // u32 count, then i64 file offset, i64 device offset, i64 length each
-	fResumable       // u8, 1 for true
-	fFeatures        // u32
-	fToken           // u64
-	fSession         // u64
-	fName            // str
-	fEnd             // i64
-	fCode            // u32
-	fText            // str
+	fHandle    field = iota // u64
+	fOff                    // i64
+	fCount                  // u32
+	fFlag                   // u32
+	fPerm                   // u32
+	fPath                   // str
+	fPath2                  // str
+	fChain                  // u16 count, then a str each
+	fData                   // u32 length, then the bytes
+	fInfo                   // u64 ino, i64 size, i64 blocks, u8 directory, u32 links
+	fEntries                // u32 count, then str name, u64 ino, u8 directory each
+	fSeg                    // u64
+	fEpoch                  // u64
+	fSize                   // i64
+	fExtents                // u32 count, then i64 file offset, i64 device offset, i64 length each
+	fResumable              // u8, 1 for true
+	fToken                  // u64
+	fSession                // u64
+	fName                   // str
+	fEnd                    // i64
+	fCode                   // u32
+	fText                   // str
 )
 
 // layouts is the wire format: each message type's fields in payload
 // order. A message with no fields has an empty row; a nil row is no
-// message. Fields after fOpt are a tail a peer may stop short of, from
-// protocol revisions that had none of it: get reads them while bytes
-// remain, and the ones left out read as zero. put writes every field,
-// except a zero token or append end in the tail.
+// message. Every field is required: client and server ship together,
+// so there is one revision of the protocol and no peer of another.
 var layouts = [256][]field{
-	tAttach: {fPath, fOpt, fResumable, fFeatures, fToken}, rAttach: {fName, fSession, fToken, fOpt, fFeatures},
+	tAttach: {fPath, fResumable, fToken}, rAttach: {fName, fSession, fToken},
 	tDetach: {}, rDetach: {},
 	tOpen: {fFlag, fPerm, fPath}, rOpen: {fHandle},
 	tClose: {fHandle}, rClose: {},
 	tPread: {fHandle, fOff, fCount}, rPread: {fData},
-	tPwrite: {fHandle, fOff, fData}, rPwrite: {fCount, fOpt, fEnd},
+	tPwrite: {fHandle, fOff, fData}, rPwrite: {fCount, fEnd},
 	tTruncate: {fHandle, fSize}, rTruncate: {},
 	tFsync: {fHandle}, rFsync: {},
 	tFstat: {fHandle}, rFstat: {fInfo},
@@ -451,11 +439,8 @@ var (
 
 // put appends m's fields in typ's layout to e.
 func put(typ uint8, m *msg, e *enc) {
-	tail := false
 	for _, f := range layouts[typ] {
 		switch f {
-		case fOpt:
-			tail = true
 		case fHandle:
 			e.u64(m.handle)
 		case fOff:
@@ -505,20 +490,14 @@ func put(typ uint8, m *msg, e *enc) {
 			}
 		case fResumable:
 			e.bool(m.resumable)
-		case fFeatures:
-			e.u32(m.features)
 		case fToken:
-			if !tail || m.token != 0 {
-				e.u64(m.token)
-			}
+			e.u64(m.token)
 		case fSession:
 			e.u64(m.session)
 		case fName:
 			e.str(m.name)
 		case fEnd:
-			if !tail || m.end != 0 {
-				e.i64(m.end)
-			}
+			e.i64(m.end)
 		case fCode:
 			e.u32(m.code)
 		case fText:
@@ -538,14 +517,8 @@ func get(typ uint8, p []byte, m *msg) error {
 	}
 	*m = msg{}
 	d := dec{b: p}
-	tail := false
 	for _, f := range row {
-		if tail && len(d.b) == 0 {
-			break
-		}
 		switch f {
-		case fOpt:
-			tail = true
 		case fHandle:
 			m.handle = d.u64()
 		case fOff:
@@ -590,8 +563,6 @@ func get(typ uint8, p []byte, m *msg) error {
 			}
 		case fResumable:
 			m.resumable = d.u8() == 1
-		case fFeatures:
-			m.features = d.u32()
 		case fToken:
 			m.token = d.u64()
 		case fSession:

@@ -10,12 +10,26 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
+	"splitfs/internal/ext4dax"
+	"splitfs/internal/pmem"
+	"splitfs/internal/sim"
 	"splitfs/internal/vfs"
 )
+
+// ext4daxBackend is a direct ext4-dax file system on a 64 MB device, for
+// tests that serve a real backend.
+func ext4daxBackend(t *testing.T) vfs.FileSystem {
+	t.Helper()
+	dev := pmem.New(pmem.Config{Size: 64 << 20, Clock: sim.NewClock()})
+	fs, err := ext4dax.Mkfs(dev, ext4dax.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -132,8 +146,9 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 // row names come back as sent, every other field zero. Any put/get skew
 // — two fields swapped in one direction, a field one side skips — fails
 // it. Every named message has a row (an empty one when it carries no
-// fields) and every row a name. A zero token or append end in a row's
-// optional tail is left out, and reads back as zero.
+// fields) and every row a name. Every field is required: a payload cut
+// short anywhere, at a field's end or inside one, or one byte past its
+// row, is refused.
 func TestMessageRoundTrip(t *testing.T) {
 	full := msg{
 		handle: 3, off: 1 << 40, count: 512, flag: uint32(vfs.O_CREATE | vfs.O_RDWR), perm: 0o644,
@@ -141,11 +156,9 @@ func TestMessageRoundTrip(t *testing.T) {
 		info:    vfs.FileInfo{Ino: 12, Size: 1 << 33, Blocks: 9, IsDir: true, Nlink: 3},
 		entries: []vfs.DirEntry{{Name: "a", Ino: 5}, {Name: "d", Ino: 6, IsDir: true}},
 		seg:     21, epoch: 22, size: 8192, extents: []vfs.Extent{{FileOff: 4096, DevOff: 1 << 21, Length: 8192}},
-		resumable: true, features: featLeases, token: 0xfeed, session: 7, name: "splitfs-strict",
+		resumable: true, token: 0xfeed, session: 7, name: "splitfs-strict",
 		end: 4104, code: uint32(codeInval), text: "stat /x: invalid argument",
 	}
-	noTail := full
-	noTail.token, noTail.end = 0, 0
 	fields := reflect.ValueOf(full)
 	var wire bytes.Buffer
 	var wbuf, rbuf []byte
@@ -183,24 +196,17 @@ func TestMessageRoundTrip(t *testing.T) {
 				t.Errorf("%s: %s = %s, want %s", msgName(typ), v.Type().Field(j).Name, g, w)
 			}
 		}
-		tail, omit := false, 0
-		for _, f := range row {
-			tail = tail || f == fOpt
-			if tail && (f == fToken || f == fEnd) {
-				omit += 8
+		if set != len(row) {
+			t.Errorf("%s: %d fields came back set, want %d", msgName(typ), set, len(row))
+		}
+		for n := range len(payload) {
+			if get(typ, payload[:n], &got) == nil {
+				t.Errorf("%s: the first %d of its %d payload bytes decoded", msgName(typ), n, len(payload))
+				break
 			}
 		}
-		n := len(row)
-		if slices.Contains(row, fOpt) {
-			n--
-		}
-		if set != n {
-			t.Errorf("%s: %d fields came back set, want %d", msgName(typ), set, n)
-		}
-		var short enc
-		put(typ, &noTail, &short)
-		if len(short.b) != len(e.b)-omit || get(typ, short.b, &got) != nil || got.token != 0 || got.end != 0 {
-			t.Errorf("%s without its tail's token and end: %d bytes of %d, token %d, end %d", msgName(typ), len(short.b), len(e.b), got.token, got.end)
+		if get(typ, append(bytes.Clone(payload), 0), &got) == nil {
+			t.Errorf("%s: a payload one byte long decoded", msgName(typ))
 		}
 	}
 }
@@ -209,7 +215,7 @@ func TestMessageRoundTrip(t *testing.T) {
 // Rerror, not a stat of the path it starts with, and the session goes
 // on serving.
 func TestTrailingBytesRefused(t *testing.T) {
-	srv := New(leaseTestBackend(t), Config{})
+	srv := New(ext4daxBackend(t), Config{})
 	defer srv.Close()
 	rwc, err := srv.Pipe()
 	if err != nil {

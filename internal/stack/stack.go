@@ -36,8 +36,8 @@ func Kinds() []string {
 
 // A kind name may carry one wrapper prefix: "served:<kind>" routes every
 // operation through an internal/server session on the deterministic
-// loopback transport; "served-lease:<kind>" additionally negotiates the
-// zero-copy lease plane. The names are the CLI and metric-row vocabulary;
+// loopback transport; "served-lease:<kind>" additionally turns the
+// zero-copy lease plane on. The names are the CLI and metric-row vocabulary;
 // Name and Parse are the only code that spells the prefixes.
 const (
 	servedPrefix      = "served:"

@@ -244,75 +244,104 @@ func TestCrashRecover(t *testing.T) {
 // structural check (a block the unlink did not free fails it); the
 // device crashes with its unfenced lines torn; the stack recovers with
 // its own Mount, passes its check again, and reads the synced namespace
-// and contents back.
+// and contents back. In the "closed" case no handle is open at the
+// SyncAll: a group sync is still a barrier for every completed
+// operation (syncfs(2)), not an fsync of the caller's open handles.
 func TestEveryKindRecoversASyncedTree(t *testing.T) {
 	spec := stack.Small
 	spec.TrackPersistence = true
-	tree := map[string][]byte{
+	open := map[string][]byte{
 		"/a":     bytes.Repeat([]byte("synced a "), 2000),
 		"/d/b":   []byte("b"),
 		"/d/e/c": bytes.Repeat([]byte{0xc3}, 3*sim.BlockSize+100),
 		"/d/e/z": nil,
 	}
-	dirs := map[string][]string{"/d": {"b", "e"}, "/d/e": {"c", "z"}}
-	for _, kind := range stack.Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			st, err := stack.New(kind, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+	closed := map[string][]byte{"/d/f": bytes.Repeat([]byte("f"), sim.BlockSize+7)}
+	cases := []struct {
+		name string
+		dirs map[string][]string
+		tree map[string][]byte
+		// write builds the tree and returns the handles SyncAll is given.
+		write func(t *testing.T, fs vfs.FileSystem) []vfs.File
+	}{
+		{"open", map[string][]string{"/d": {"b", "e"}, "/d/e": {"c", "z"}}, open, func(t *testing.T, fs vfs.FileSystem) []vfs.File {
 			for _, d := range []string{"/d", "/d/e"} {
-				if err := st.FS.Mkdir(d, 0o755); err != nil {
+				if err := fs.Mkdir(d, 0o755); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var files []vfs.File
-			for _, p := range slices.Sorted(maps.Keys(tree)) {
-				f, err := vfs.Create(st.FS, p)
+			for _, p := range slices.Sorted(maps.Keys(open)) {
+				f, err := vfs.Create(fs, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := f.Write(tree[p]); err != nil {
+				if _, err := f.Write(open[p]); err != nil {
 					t.Fatal(err)
 				}
 				files = append(files, f)
 			}
-			if err := vfs.WriteFile(st.FS, "/d/gone", bytes.Repeat([]byte("g"), 2*sim.BlockSize)); err != nil {
+			if err := vfs.WriteFile(fs, "/d/gone", bytes.Repeat([]byte("g"), 2*sim.BlockSize)); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.FS.Unlink("/d/gone"); err != nil {
+			if err := fs.Unlink("/d/gone"); err != nil {
 				t.Fatal(err)
 			}
-			if err := vfs.SyncAll(st.FS, files); err != nil {
+			return files
+		}},
+		{"closed", map[string][]string{"/": {"d", "e"}, "/d": {"f"}}, closed, func(t *testing.T, fs vfs.FileSystem) []vfs.File {
+			if err := fs.Mkdir("/d", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Check(); err != nil {
-				t.Fatalf("live image fails its check: %v", err)
-			}
-			if err := st.Dev.Crash(sim.NewRNG(61)); err != nil {
+			if err := vfs.WriteFile(fs, "/d/f", closed["/d/f"]); err != nil {
 				t.Fatal(err)
 			}
-			rec, _, err := st.Recover()
-			if err != nil {
+			if err := fs.Mkdir("/e", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := rec.Check(); err != nil {
-				t.Fatalf("recovered image fails its check: %v", err)
-			}
-			for d, want := range dirs {
-				ents, err := rec.FS.ReadDir(d)
-				var got []string
-				for _, e := range ents {
-					got = append(got, e.Name)
-				}
-				if err != nil || !slices.Equal(got, want) {
-					t.Errorf("ReadDir(%s) = %v, %v; want %v", d, got, err, want)
-				}
-			}
-			for p, want := range tree {
-				if got, err := vfs.ReadFile(rec.FS, p); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("%s: %d bytes back (%v), want its %d synced bytes", p, len(got), err, len(want))
-				}
+			return nil
+		}},
+	}
+	for _, kind := range stack.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					st, err := stack.New(kind, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := vfs.SyncAll(st.FS, c.write(t, st.FS)); err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Check(); err != nil {
+						t.Fatalf("live image fails its check: %v", err)
+					}
+					if err := st.Dev.Crash(sim.NewRNG(61)); err != nil {
+						t.Fatal(err)
+					}
+					rec, _, err := st.Recover()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := rec.Check(); err != nil {
+						t.Fatalf("recovered image fails its check: %v", err)
+					}
+					for d, want := range c.dirs {
+						ents, err := rec.FS.ReadDir(d)
+						var got []string
+						for _, e := range ents {
+							got = append(got, e.Name)
+						}
+						if err != nil || !slices.Equal(got, want) {
+							t.Errorf("ReadDir(%s) = %v, %v; want %v", d, got, err, want)
+						}
+					}
+					for p, want := range c.tree {
+						if got, err := vfs.ReadFile(rec.FS, p); err != nil || !bytes.Equal(got, want) {
+							t.Errorf("%s: %d bytes back (%v), want its %d synced bytes", p, len(got), err, len(want))
+						}
+					}
+				})
 			}
 		})
 	}
