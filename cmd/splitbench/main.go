@@ -26,7 +26,8 @@
 // held by BENCH_baseline.json:
 // -check-baseline recomputes them and fails on any drift;
 // -update-baseline rewrites the baseline after an intentional change
-// (the documented escape hatch the CI bench job points at). Baseline
+// (the documented escape hatch the CI bench job points at); a row whose
+// value did not move keeps its record and revision. Baseline
 // runs with no experiment named run both gated experiments.
 package main
 
@@ -166,12 +167,19 @@ func main() {
 		failed = true
 	}
 	if *updateBaseline && allGated {
-		gated := benchfmt.GatedSubset(recs)
+		// Rows the run reproduced keep their records, revision included,
+		// so the file's diff is the rows that moved.
+		base, err := benchfmt.Load(*baselinePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "splitbench: %v; every row is re-pinned\n", err)
+		}
+		gated, moved := benchfmt.Repin(base, recs)
 		if err := benchfmt.Save(*baselinePath, gated); err != nil {
 			fmt.Fprintf(os.Stderr, "splitbench: write %s: %v\n", *baselinePath, err)
 			failed = true
 		} else {
-			fmt.Printf("baseline %s updated: %d pinned counters (rev %s)\n", *baselinePath, len(gated), rev)
+			fmt.Printf("baseline %s updated: %d pinned counters, %d re-pinned at rev %s\n",
+				*baselinePath, len(gated), moved, rev)
 		}
 	} else if *checkBaseline && len(ranGated) > 0 {
 		base, err := benchfmt.Load(*baselinePath)

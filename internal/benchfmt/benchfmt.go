@@ -179,6 +179,30 @@ func GatedSubset(recs []Record) []Record {
 	return out
 }
 
+// metricKey identifies a row across revisions.
+func metricKey(r Record) string { return r.Experiment + "\x00" + r.Metric }
+
+// Repin returns the baseline a run pins — the gated rows of run, in its
+// order — with the baseline's own record, git_rev included, kept for every
+// row whose value and unit the run reproduced, and how many rows it
+// re-pinned (moved, new, or missing from the baseline). A re-pin of one
+// counter rewrites that counter's record and no other.
+func Repin(baseline, run []Record) ([]Record, int) {
+	old := make(map[string]Record, len(baseline))
+	for _, r := range baseline {
+		old[metricKey(r)] = r
+	}
+	out, moved := GatedSubset(run), 0
+	for i, r := range out {
+		if b, ok := old[metricKey(r)]; ok && b.Value == r.Value && b.Unit == r.Unit {
+			out[i] = b
+		} else {
+			moved++
+		}
+	}
+	return out, moved
+}
+
 // Drift is one baseline mismatch.
 type Drift struct {
 	Experiment string
@@ -214,10 +238,9 @@ func DiffBaseline(baseline, run []Record, ran []string) []Drift {
 	for _, e := range ran {
 		inRun[e] = true
 	}
-	key := func(r Record) string { return r.Experiment + "\x00" + r.Metric }
 	got := make(map[string]Record)
 	for _, r := range GatedSubset(run) {
-		got[key(r)] = r
+		got[metricKey(r)] = r
 	}
 	var drifts []Drift
 	seen := make(map[string]bool)
@@ -225,8 +248,8 @@ func DiffBaseline(baseline, run []Record, ran []string) []Drift {
 		if !inRun[b.Experiment] {
 			continue
 		}
-		seen[key(b)] = true
-		g, ok := got[key(b)]
+		seen[metricKey(b)] = true
+		g, ok := got[metricKey(b)]
 		if !ok {
 			drifts = append(drifts, Drift{b.Experiment, b.Metric, b.Value, math.NaN()})
 			continue

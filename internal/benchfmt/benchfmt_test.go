@@ -2,7 +2,9 @@ package benchfmt
 
 import (
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -192,5 +194,56 @@ func TestDiffBaselineScopedToRanExperiments(t *testing.T) {
 	// And running both scopes everything.
 	if drifts := DiffBaseline(baseline, serverOnly, []string{"macro", "server"}); len(drifts) != 2 {
 		t.Fatalf("full scope should flag the drift and the missing macro row: %v", drifts)
+	}
+}
+
+// TestRepinRewritesOnlyMovedRows: re-pinning a baseline after one counter
+// moved rewrites that counter's record alone; every other row keeps its
+// record, revision included, and the file differs in that row's lines.
+func TestRepinRewritesOnlyMovedRows(t *testing.T) {
+	base := []Record{
+		rec("macro", "ycsb-A/pmfs/fences_per_op", 2.5, "rev1"),
+		rec("macro", "ycsb-A/pmfs/pm_bytes", 4096, "rev1"),
+		rec("obs", "ext4-dax/pmem/fences", 397, "rev0"),
+	}
+	run := []Record{
+		rec("macro", "ycsb-A/pmfs/fences_per_op", 2.5, "rev2"),
+		rec("macro", "ycsb-A/pmfs/ns_per_op", 900, "rev2"), // not gated
+		rec("macro", "ycsb-A/pmfs/pm_bytes", 8192, "rev2"),
+		rec("obs", "ext4-dax/pmem/fences", 397, "rev2"),
+	}
+	got, moved := Repin(base, run)
+	want := []Record{base[0], run[2], base[2]}
+	if moved != 1 || len(got) != len(want) {
+		t.Fatalf("Repin = %+v, %d moved; want %+v, 1 moved", got, moved, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	dir := t.TempDir()
+	before, after := filepath.Join(dir, "before.json"), filepath.Join(dir, "after.json")
+	if err := Save(before, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(after, got); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(before)
+	b, _ := os.ReadFile(after)
+	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	var diff []string
+	for i := range al {
+		if al[i] != bl[i] {
+			diff = append(diff, bl[i])
+		}
+	}
+	if len(al) != len(bl) || len(diff) != 2 ||
+		!strings.Contains(diff[0], "8192") || !strings.Contains(diff[1], "rev2") {
+		t.Errorf("re-pinning one row changed these lines: %q", diff)
+	}
+	if got, moved := Repin(nil, run); moved != 3 || len(got) != 3 {
+		t.Errorf("Repin with no baseline re-pinned %d of %d rows, want 3 of 3", moved, len(got))
 	}
 }

@@ -2,7 +2,6 @@ package pmem
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"splitfs/internal/sim"
@@ -64,7 +63,8 @@ func frameAt(d *Device, k int) (off int64, n int) {
 // same op sequence, decoded from the fuzz input, and requires them to be
 // indistinguishable: loads, volatile view, crash images, counters, clock
 // breakdown, event numbering and trace; and the frames the device holds
-// must be what BackedBytes says. Op encoding: one opcode byte, then the
+// must be what BackedBytes says, and a copy of a crashed device must go on
+// as a copy of the crashed model does. Op encoding: one opcode byte, then the
 // operands the op needs (offset, length, seed), each one byte; a sequence
 // ends when the input does. Every input runs on each of fuzzGeometries.
 func FuzzDeviceModel(f *testing.F) {
@@ -76,6 +76,7 @@ func FuzzDeviceModel(f *testing.F) {
 	// Freeze after a fence, then rewrite a line that kept its slot, fence it
 	// clean, rewrite it again, touch a line first written after the freeze.
 	f.Add([]byte("\x01\x00\x80\x06\x01\x07\x01\x04\x40\x04\x01\x00\xc0\x04\x01\x00\xc0\x00\x10\x40\x07\x05\x01\x02\x30\x04\x07\x00"))
+	f.Add([]byte("\x01\x00\x80\x00\x10\x40\x0d\x03\x05\x00\x80\x00\x20\x40\x03\x20\x40\x04")) // torn crash, copy, go on
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, g := range fuzzGeometries {
 			runDeviceModel(t, g, in)
@@ -84,8 +85,9 @@ func FuzzDeviceModel(f *testing.F) {
 }
 
 // runDeviceModel is one FuzzDeviceModel run of the input on a device of
-// geometry g.
-func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
+// geometry g. It returns the device the run ended on: a copy, if it made
+// one.
+func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) *Device {
 	dc, mc := sim.NewClock(), sim.NewClock()
 	d := New(Config{Size: g.size, Clock: dc, TrackPersistence: true, Shards: g.shards})
 	m := newModel(g.size, mc)
@@ -221,6 +223,18 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 			kind := next() % 3
 			off, n := frameAt(d, int(next()))
 			store(kind, off, make([]byte, n), cat)
+		case 13:
+			// Crash, then run on a copy of the crashed image with clocks of
+			// its own: it carries the event count and nothing else.
+			r1, r2 := rng()
+			if err := d.Crash(r1); err != nil {
+				t.Fatal(err)
+			}
+			m.Crash(r2)
+			sameRun(t, g, d, m, dc, mc)
+			dc, mc = sim.NewClock(), sim.NewClock()
+			d, m = d.Copy(dc), m.copy(mc)
+			d.SetTracing(true)
 		default:
 			continue
 		}
@@ -244,15 +258,7 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 		}
 	}
 
-	if d.Events() != m.events {
-		t.Fatalf("%+v: Events = %d, model %d", g, d.Events(), m.events)
-	}
-	if got := d.Trace(); !slices.Equal(got, m.trace) {
-		t.Fatalf("%+v: traces differ:\n%v\n%v", g, got, m.trace)
-	}
-	if got, want := dc.Snapshot(), mc.Snapshot(); got != want {
-		t.Fatalf("%+v: clock breakdown = %v, model %v", g, got, want)
-	}
+	sameRun(t, g, d, m, dc, mc)
 	// The durable image, whatever state the sequence ended in.
 	if err := d.Crash(nil); err != nil {
 		t.Fatal(err)
@@ -264,4 +270,5 @@ func runDeviceModel(t *testing.T, g fuzzGeometry, in []byte) {
 	if held, err := lineRecs(d); err != nil || held != 0 || d.UnpersistedLines() != 0 {
 		t.Fatalf("%+v: after Crash %d line records (%v), UnpersistedLines = %d", g, held, err, d.UnpersistedLines())
 	}
+	return d
 }

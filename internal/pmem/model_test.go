@@ -9,7 +9,9 @@ package pmem
 // real Device to be indistinguishable from it.
 
 import (
+	"slices"
 	"sort"
+	"testing"
 
 	"splitfs/internal/sim"
 )
@@ -186,4 +188,65 @@ func (m *modelDevice) Crash(rng *sim.RNG) {
 	m.frozen, m.armedAt, m.rng = false, 0, nil
 	copy(m.data, m.persisted)
 	m.lastReadEnd = -1
+}
+
+// copy is Device.Copy of a crashed model: the image and the event count
+// carry over, and nothing else does.
+func (m *modelDevice) copy(clock *sim.Clock) *modelDevice {
+	c := newModel(int64(len(m.data)), clock)
+	copy(c.data, m.data)
+	copy(c.persisted, m.persisted)
+	c.events, c.lastReadEnd = m.events, m.lastReadEnd
+	return c
+}
+
+// regionGeometry is a 3 MB device: past its first 2 MB of frames (768 in
+// all, in five shards off the block grid) the pool carves slabs from
+// regions, so one device holds heap frames and region frames side by side.
+// Offsets step by three frames; a wide length reaches the whole device.
+var regionGeometry = fuzzGeometry{size: 3 << 20, shards: 5, unit: 768}
+
+// TestDeviceModelAcrossRegions runs the model on a device whose frames
+// cross from heap slabs into a region: stores, a torn crash and its rewind,
+// Discard and reuse of given-back pages, undo pages, and Copy of the crashed
+// image, whose one heap slab the copy's next stores carve past.
+func TestDeviceModelAcrossRegions(t *testing.T) {
+	d := runDeviceModel(t, regionGeometry, []byte{
+		0x0a, 1, 0x00, 0xd0, // NT stores over 2.4 MB: 624 frames, past 512
+		0x04,                // fence
+		0x0a, 0, 0x08, 0xc0, // plain stores over most of it: undo pages past the region's start
+		0x03, 0x08, 0xff, // flush 64 lines of them
+		0x07, 0x05, // torn crash: rewind from the undo pages
+		0x19, 0x10, 0x60, // discard 288 frames: back to the free list
+		0x1a, 1, 0x30, 0x70, // NT stores reuse them, then carve the rest
+		0x05, 0xc0, 0xff, // read in the region
+		0x04,                   // fence
+		0x0b, 0x10, 0x00, 0x80, // zeros over whole frames: pages back to the pool
+		0x04,
+		0x0d, 0x00, // crash, continue on a copy
+		0x0a, 1, 0x00, 0xff, // the copy's stores over the whole device
+		0x0c, 0, 0x07, // zero store over one frame: its page becomes undo
+		0x06, 0x02, 0x09, // arm a torn crash two events on
+		0x00, 0xd0, 0x80, 0x04, 0x00, 0xe0, 0x80, 0x04,
+		0x07, 0x00, // crash at the frozen image
+		0x25, 0x00, 0xff, // read from the start
+	})
+	if d.pool.carved <= hugeFrames || d.pool.maps == nil {
+		t.Fatalf("the copy carved %d frames: its stores never left its heap slab for a region", d.pool.carved)
+	}
+}
+
+// sameRun fails unless device and model saw the same events, trace and
+// clock breakdown so far.
+func sameRun(t *testing.T, g fuzzGeometry, d *Device, m *modelDevice, dc, mc *sim.Clock) {
+	t.Helper()
+	if d.Events() != m.events {
+		t.Fatalf("%+v: Events = %d, model %d", g, d.Events(), m.events)
+	}
+	if got := d.Trace(); !slices.Equal(got, m.trace) {
+		t.Fatalf("%+v: traces differ:\n%v\n%v", g, got, m.trace)
+	}
+	if got, want := dc.Snapshot(), mc.Snapshot(); got != want {
+		t.Fatalf("%+v: clock breakdown = %v, model %v", g, got, want)
+	}
 }

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -118,6 +119,9 @@ type frame [sim.BlockSize]byte
 // costs 1/64 of an allocation.
 const slabFrames = 64
 
+// hugePage is an x86-64 huge page; past hugeFrames carved, slabs are regions.
+const hugePage, hugeFrames = 2 << 20, 2 << 20 / sim.BlockSize
+
 // frameRec is what a shard knows of one frame: its piece of the volatile
 // view and, while a line of it is in flight, its line record. The zero
 // record is an unbacked frame of clean lines.
@@ -167,9 +171,11 @@ type lineRec struct {
 // does not fill a fresh frame whole clears it, and the bytes of an undo
 // page are read only at lines that hold a slot.
 type framePool struct {
-	mu   sync.Mutex // +lockrank:framepool
-	free []*frame
-	slab []frame // what is left of the newest slab
+	mu     sync.Mutex // +lockrank:framepool
+	free   []*frame
+	slab   []frame   // what is left of the newest slab
+	carved int       // frames of every slab so far
+	maps   *mappings // the regions past hugeFrames; nil until the first
 	// held counts the pages serving as a frame of the volatile view: got
 	// as one, or made one by rewind, and not given back or made an undo
 	// page by a whole-frame zero store.
@@ -190,7 +196,19 @@ func (p *framePool) get(view bool) *frame {
 		return f
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]frame, slabFrames)
+		// Past hugeFrames, a region if one maps; the first one's cleanup
+		// unmaps all once the device, which every frame access holds, is gone.
+		if p.carved >= hugeFrames {
+			if p.maps == nil {
+				p.maps = new(mappings)
+				runtime.AddCleanup(p, (*mappings).unmap, p.maps)
+			}
+			p.slab = p.maps.add()
+		}
+		if len(p.slab) == 0 {
+			p.slab = make([]frame, slabFrames)
+		}
+		p.carved += len(p.slab)
 	}
 	f := &p.slab[0]
 	p.slab = p.slab[1:]
@@ -911,6 +929,7 @@ func (d *Device) Copy(clock *sim.Clock) *Device {
 	// Every backed frame, and the undo pages of a recovery's first
 	// stores, in one allocation.
 	c.pool.slab = make([]frame, d.pool.held.Load()+slabFrames/4)
+	c.pool.carved = len(c.pool.slab)
 	for i := range d.shards {
 		s, t := &d.shards[i], &c.shards[i]
 		if s.tracked != 0 || s.slots != 0 {
